@@ -1,17 +1,15 @@
 # Developer entry points. CI runs the same commands (see
-# .github/workflows/ci.yml); `make bench` regenerates the machine-readable
-# before/after record in BENCH_PR9.json against the committed PR 8 record,
-# and `make bench-compare` prints a benchstat-style delta of a smoke run
-# against the committed BENCH_PR8.json numbers (report-only).
+# .github/workflows/ci.yml). `make bench` runs the standing benchmark
+# (bench/, contract in BENCHMARK.json): five workloads, end-to-end metrics
+# with regression bounds; performance claims are paired runs of it.
 
 GO ?= go
-BENCHES := BenchmarkEngineFixpoint|BenchmarkEngineFixpointSharded|BenchmarkPlannerAdversarial|BenchmarkChordLookup|BenchmarkPolicyPathVector|BenchmarkDRedChurn|BenchmarkQueryBFS|BenchmarkCacheInvalidation
 # Packages whose tests exercise concurrent code paths (worker shards, the
 # round scheduler, UDP node processes); test-race gates them under the race
 # detector and CI runs it on every push.
 RACE_PKGS := ./internal/engine/... ./internal/provenance/... ./internal/deploy/... ./internal/transport/...
 
-.PHONY: all build fmt vet lint lint-extra test test-race chaos-smoke scale-smoke doccheck fuzz-smoke check bench bench-smoke bench-compare clean
+.PHONY: all build fmt vet lint lint-extra test test-race chaos-smoke scale-smoke doccheck doccheck-selftest fuzz-smoke check bench bench-smoke clean
 
 all: check
 
@@ -36,8 +34,8 @@ lint:
 
 # Report-only extras: third-party linters when the toolchain has them
 # installed (they are not vendored — the module pins no dependencies).
-# Detect-and-skip keeps this target green on minimal containers; the `-`
-# prefix keeps real findings advisory, as bench-compare does.
+# Detect-and-skip keeps this target green on minimal containers; `|| true`
+# keeps real findings advisory.
 lint-extra:
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck $$(staticcheck -version 2>/dev/null)"; \
@@ -83,12 +81,15 @@ scale-smoke:
 	$(GO) test -run 'TestScaleChordDeterminism10k' -v ./internal/core/
 
 # Documentation link check: every local file referenced from the markdown
-# docs must exist, so ARCHITECTURE.md / docs/wire-format.md / README files
-# cannot silently rot as the tree moves.
+# docs — as a link target or as a backticked internal|docs|examples|cmd/…
+# path — must exist, so ARCHITECTURE.md / docs/wire-format.md / README files
+# cannot silently rot as the tree moves. ISSUE.md and CHANGES.md are not
+# documentation of the tree: the task statement and the change log name files
+# a PR deletes or has yet to create.
+DOCS = $(filter-out ISSUE.md CHANGES.md,$(wildcard *.md docs/*.md examples/*.md))
 doccheck:
 	@fail=0; \
-	for doc in *.md docs/*.md examples/*.md; do \
-		[ -f "$$doc" ] || continue; \
+	for doc in $(DOCS); do \
 		dir=$$(dirname $$doc); \
 		for ref in $$(grep -oE '\]\(([^)#]+)' $$doc | sed 's/](//' | grep -v '^http'); do \
 			if [ ! -e "$$dir/$$ref" ] && [ ! -e "$$ref" ]; then \
@@ -96,10 +97,26 @@ doccheck:
 			fi; \
 		done; \
 	done; \
-	for ref in $$(grep -ohE '\x60(internal|docs|examples|cmd)/[A-Za-z0-9_./-]+\x60' *.md docs/*.md examples/*.md 2>/dev/null | tr -d '\x60' | sort -u); do \
+	for ref in $$(grep -ohE '`(internal|docs|examples|cmd)/[A-Za-z0-9_./-]+`' $(DOCS) | tr -d '`' | sort -u); do \
 		if [ ! -e "$$ref" ]; then echo "doc reference missing from tree: $$ref"; fail=1; fi; \
 	done; \
 	if [ $$fail -eq 0 ]; then echo "doccheck ok"; else exit 1; fi
+
+# Every gate ships with a violation proving it fails: seed a markdown file
+# with one dead reference per doccheck pass and require doccheck to reject
+# both.
+SEEDED := doccheck_seeded_violation.md
+doccheck-selftest:
+	@trap 'rm -f $(SEEDED)' EXIT; \
+	printf 'see `internal/does-not-exist` and [gone](docs/gone.md)\n' > $(SEEDED); \
+	if out=$$($(MAKE) --no-print-directory doccheck 2>&1); then \
+		echo "doccheck passed a tree with seeded violations"; exit 1; fi; \
+	for want in 'doc reference missing from tree: internal/does-not-exist' \
+	            '$(SEEDED): broken link -> docs/gone.md'; do \
+		echo "$$out" | grep -qF "$$want" || { \
+			echo "doccheck failed without reporting: $$want"; echo "$$out"; exit 1; }; \
+	done; \
+	echo "doccheck-selftest ok: both seeded violations rejected"
 
 # Decode-fuzz smoke gate: a short budget per wire-format fuzz target (value
 # and tuple codecs), so strictness regressions in the decoders are caught
@@ -112,30 +129,17 @@ fuzz-smoke:
 
 # lint sits before test-race: a lint finding is seconds to surface, the race
 # legs are minutes — fail fast on the cheap gate.
-check: fmt vet build lint test test-race chaos-smoke doccheck fuzz-smoke
+check: fmt vet build lint test test-race chaos-smoke doccheck doccheck-selftest fuzz-smoke
 
-# Full hot-path benchmark run: three samples of each tracked benchmark with
-# allocation stats, compared against the committed PR 8 record into
-# BENCH_PR9.json. The simnet dispatch micro-benchmark is appended with a
-# time-based budget (per-op cost is tens of nanoseconds; 10 iterations
-# would be noise).
+# The standing benchmark: every workload's end-to-end metrics (add
+# `-trace 1` by hand for the per-layer budget; see bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime=10x -count=3 . | tee bench_current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkSimnetDispatch' -benchmem -benchtime=2s . | tee -a bench_current.txt
-	$(GO) run ./cmd/benchjson -baseline-json BENCH_PR8.json -current bench_current.txt \
-		-out BENCH_PR9.json -print \
-		-note "before/after results for the parallel merge pipeline, batched DRed release waves and adaptive shard runtime (PR 9); baseline is the PR 8 record on the same hardware. The legacy fixpoint benchmarks must keep deltas and wire bytes bit-identical to PR 8 (work order changes, fixpoints do not); BenchmarkDRedChurn is the new deletion-churn baseline, whose batched/* variants must beat per-suspect/* on the mincost grid. Regenerate with make bench"
+	$(GO) run ./bench
 
-# One-iteration smoke run used by CI to catch benchmark bit-rot cheaply.
+# One-iteration smoke run of the legacy go-test benchmarks (bench_test.go,
+# one per paper figure), so they cannot bit-rot unnoticed.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineFixpoint' -benchtime=1x .
 
-# CI delta report: smoke-run the tracked benchmarks once and print the
-# change against the committed PR 8 record. Report-only — the `-` prefix
-# keeps a regression (or a noisy runner) from failing the job.
-bench-compare:
-	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime=1x . | tee bench_smoke.txt
-	-$(GO) run ./cmd/benchjson -baseline-json BENCH_PR8.json -current bench_smoke.txt -print
-
 clean:
-	rm -f bench_current.txt bench_smoke.txt
+	rm -rf .bench_build *.trace.json $(SEEDED)

@@ -293,50 +293,39 @@ type churnOp struct {
 func benchDRedChurn(b *testing.B, prog *engine.Program, nNodes int,
 	setup func(*engine.Scheduler), churn []churnOp) {
 	b.Helper()
-	for _, perSuspect := range []bool{false, true} {
-		release := "batched"
-		if perSuspect {
-			release = "per-suspect"
-		}
-		for _, shards := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/shards=%d", release, shards), func(b *testing.B) {
-				s := engine.NewScheduler(prog, engine.ProvReference, nNodes, shards, 0)
-				if perSuspect {
-					for n := 0; n < s.NumNodes(); n++ {
-						s.Node(n).PerSuspectRelease = true
-					}
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			s := engine.NewScheduler(prog, engine.ProvReference, nNodes, shards, 0)
+			setup(s)
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, op := range churn {
+					s.DeleteBase(op.at, op.tup)
 				}
-				setup(s)
 				if err := s.Run(); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, op := range churn {
-						s.DeleteBase(op.at, op.tup)
-					}
-					if err := s.Run(); err != nil {
-						b.Fatal(err)
-					}
-					for _, op := range churn {
-						s.InsertBase(op.at, op.tup)
-					}
-					if err := s.Run(); err != nil {
-						b.Fatal(err)
-					}
+				for _, op := range churn {
+					s.InsertBase(op.at, op.tup)
 				}
-				b.StopTimer()
-				var deltas int64
-				for n := 0; n < s.NumNodes(); n++ {
-					deltas += s.Node(n).DeltasProcessed()
+				if err := s.Run(); err != nil {
+					b.Fatal(err)
 				}
-				if deltas == 0 {
-					b.Fatal("churn produced no work")
-				}
-				b.ReportMetric(float64(deltas)/float64(b.N), "deltas/op")
-			})
-		}
+			}
+			b.StopTimer()
+			var deltas int64
+			for n := 0; n < s.NumNodes(); n++ {
+				deltas += s.Node(n).DeltasProcessed()
+			}
+			if deltas == 0 {
+				b.Fatal("churn produced no work")
+			}
+			b.ReportMetric(float64(deltas)/float64(b.N), "deltas/op")
+		})
 	}
 }
 
@@ -344,12 +333,9 @@ func benchDRedChurn(b *testing.B, prog *engine.Program, nNodes int,
 // protocol under steady churn. MINCOST retracts and restores one ring link —
 // the count-to-infinity trigger, chasing re-derivations around the cycle;
 // CHORD fails and rejoins one overlay node by churning its soft-state alive
-// tuples, retracting successor/finger chains through it. "batched" is the
-// default release discipline (staged suspects and aggregate promotions go
-// out in stratified per-SCC waves, one rederive batch per wave);
-// "per-suspect" caps every release wave at a single item — the pre-batching
-// baseline kept behind Node.PerSuspectRelease — paying one full
-// release/fixpoint round trip per suspect.
+// tuples, retracting successor/finger chains through it. Staged suspects and
+// aggregate promotions go out in stratified per-SCC waves, one rederive batch
+// per wave.
 func BenchmarkDRedChurn(b *testing.B) {
 	b.Run("mincost", func(b *testing.B) {
 		// A unit-cost grid is the adversarial deletion workload: every

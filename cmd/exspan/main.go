@@ -25,6 +25,7 @@ import (
 	"repro/internal/provquery"
 	"repro/internal/simnet"
 	"repro/internal/topology"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -188,34 +189,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("fixpoint: %.3fs virtual time, %d nodes, %d links\n",
-		fix.Seconds(), topo.N, c.Net.NumLinks())
-	fmt.Printf("communication: %.3f MB total, %.4f MB avg per node\n",
-		float64(c.Net.TotalBytes)/1e6, c.AvgCommMB())
-	fmt.Printf("network: %d datagrams dropped\n", c.Net.DroppedMsgs)
-	if plan != nil {
-		st := c.TransportStats()
-		fmt.Printf("faults: %d dropped, %d duplicated, %d cut by partition/crash\n",
-			plan.Dropped, plan.Duplicated, plan.Cut)
-		fmt.Printf("transport: %d data frames, %d retransmits, %d pure acks, %d dups absorbed, %d reordered\n",
-			st.DataSent, st.Retransmits, st.AcksSent, st.DupsDropped, st.OooBuffered)
-	}
-	var deltas, fired int64
-	for _, h := range c.Hosts {
-		deltas += h.Engine.DeltasProcessed()
-		fired += h.Engine.RulesFired()
-	}
-	fmt.Printf("engine: %d deltas processed, %d rule firings\n", deltas, fired)
-	for _, pred := range spec.outPreds {
-		if n := len(c.TuplesOf(pred)); n > 0 {
-			fmt.Printf("  %-14s %6d tuples\n", pred, n)
-		}
-	}
-
-	if *explain {
-		fmt.Println("plans (node 0):")
-		c.Hosts[0].Engine.ExplainPlans(os.Stdout)
-	}
+	fixpointReport{
+		headline: fmt.Sprintf("fixpoint: %.3fs virtual time, %d nodes, %d links",
+			fix.Seconds(), topo.N, c.Net.NumLinks()),
+		bytes: c.Net.TotalBytes, nodes: topo.N, dropped: c.Net.DroppedMsgs,
+		faults: plan, reliable: plan != nil, transport: c.TransportStats,
+		engine:  func(i int) *engine.Node { return c.Hosts[i].Engine },
+		explain: *explain,
+	}.print(spec)
 
 	if *dumpProv {
 		for _, h := range c.Hosts {
@@ -258,29 +239,12 @@ func runScheduled(topo *topology.Topology, prog *ndlog.Program, mode engine.Prov
 	if err := s.Run(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("sharded fixpoint: %.3fs wall clock, %d nodes x %d shards, %d scheduler rounds\n",
-		time.Since(startAt).Seconds(), topo.N, shards, s.Rounds)
-	fmt.Printf("communication: %.3f MB total, %.4f MB avg per node\n",
-		float64(s.TotalBytes)/1e6, s.AvgSentMB())
-	var deltas, fired int64
-	for i := 0; i < s.NumNodes(); i++ {
-		deltas += s.Node(i).DeltasProcessed()
-		fired += s.Node(i).RulesFired()
-	}
-	fmt.Printf("engine: %d deltas processed, %d rule firings\n", deltas, fired)
-	for _, pred := range spec.outPreds {
-		n := 0
-		for i := 0; i < s.NumNodes(); i++ {
-			n += s.Node(i).TupleCount(pred)
-		}
-		if n > 0 {
-			fmt.Printf("  %-14s %6d tuples\n", pred, n)
-		}
-	}
-	if explain {
-		fmt.Println("plans (node 0):")
-		s.Node(0).ExplainPlans(os.Stdout)
-	}
+	fixpointReport{
+		headline: fmt.Sprintf("sharded fixpoint: %.3fs wall clock, %d nodes x %d shards, %d scheduler rounds",
+			time.Since(startAt).Seconds(), topo.N, shards, s.Rounds),
+		bytes: s.TotalBytes, nodes: topo.N, dropped: -1,
+		engine: s.Node, explain: explain,
+	}.print(spec)
 }
 
 // runDeployment executes the program over real UDP sockets on loopback
@@ -310,20 +274,76 @@ func runDeployment(topo *topology.Topology, prog *ndlog.Program, mode engine.Pro
 	if err := cl.Err(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("deployment fixpoint: %.3fs wall clock, %d UDP nodes\n",
-		time.Since(startAt).Seconds(), topo.N)
-	fmt.Printf("communication: %.1f KB total, %.2f KB avg per node\n",
-		float64(cl.TotalSentBytes())/1e3, cl.AvgSentKB())
-	fmt.Printf("network: %d datagrams dropped\n", cl.Dropped.Load())
-	if faulty {
-		st := cl.TransportStats()
+	fixpointReport{
+		headline: fmt.Sprintf("deployment fixpoint: %.3fs wall clock, %d UDP nodes",
+			time.Since(startAt).Seconds(), topo.N),
+		bytes: cl.TotalSentBytes(), nodes: topo.N, inKB: true, dropped: cl.Dropped.Load(),
+		reliable: faulty, transport: cl.TransportStats,
+		count: func(pred string) int { return len(cl.Snapshot(pred)) },
+	}.print(spec)
+}
+
+// fixpointReport is what every driver prints once its fixpoint is reached;
+// the drivers differ only in which sections they can fill.
+type fixpointReport struct {
+	headline  string
+	bytes     int64 // total traffic, all nodes
+	nodes     int
+	inKB      bool                   // deployments are ring-sized: KB, not MB
+	dropped   int64                  // datagrams the network dropped; <0: the driver has no network
+	faults    *simnet.FaultPlan      // injected fault schedule (simulator)
+	reliable  bool                   // traffic ran over the reliable transport: print its counters
+	transport func() transport.Stats // read only when reliable
+	// engine returns node i's engine; nil when engine state is confined to
+	// worker goroutines (deploy), which then supplies count instead.
+	engine  func(i int) *engine.Node
+	count   func(pred string) int
+	explain bool // dump node 0's plans
+}
+
+func (r fixpointReport) print(spec appSpec) {
+	fmt.Println(r.headline)
+	total, avg := float64(r.bytes), float64(r.bytes)/float64(r.nodes)
+	if r.inKB {
+		fmt.Printf("communication: %.1f KB total, %.2f KB avg per node\n", total/1e3, avg/1e3)
+	} else {
+		fmt.Printf("communication: %.3f MB total, %.4f MB avg per node\n", total/1e6, avg/1e6)
+	}
+	if r.dropped >= 0 {
+		fmt.Printf("network: %d datagrams dropped\n", r.dropped)
+	}
+	if r.faults != nil {
+		fmt.Printf("faults: %d dropped, %d duplicated, %d cut by partition/crash\n",
+			r.faults.Dropped, r.faults.Duplicated, r.faults.Cut)
+	}
+	if r.reliable {
+		st := r.transport()
 		fmt.Printf("transport: %d data frames, %d retransmits, %d pure acks, %d dups absorbed, %d reordered\n",
 			st.DataSent, st.Retransmits, st.AcksSent, st.DupsDropped, st.OooBuffered)
 	}
+	count := r.count
+	if r.engine != nil {
+		var deltas, fired int64
+		for i := 0; i < r.nodes; i++ {
+			deltas += r.engine(i).DeltasProcessed()
+			fired += r.engine(i).RulesFired()
+		}
+		fmt.Printf("engine: %d deltas processed, %d rule firings\n", deltas, fired)
+		count = func(pred string) (n int) {
+			for i := 0; i < r.nodes; i++ {
+				n += r.engine(i).TupleCount(pred)
+			}
+			return n
+		}
+	}
 	for _, pred := range spec.outPreds {
-		if n := len(cl.Snapshot(pred)); n > 0 {
+		if n := count(pred); n > 0 {
 			fmt.Printf("  %-14s %6d tuples\n", pred, n)
 		}
+	}
+	if r.explain {
+		fmt.Println("plans (node 0):")
+		r.engine(0).ExplainPlans(os.Stdout)
 	}
 }
 

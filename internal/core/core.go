@@ -262,12 +262,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	})
 
-	// Retraction protocol, phase 2: an empty event queue is the simulated
-	// cluster's global quiescence point — no deletion message can still be
-	// in flight — so staged re-derivations (suspects with surviving
-	// alternate derivations, deferred aggregate winner promotions) are
-	// released here, in node order, and the simulation resumes until no
-	// host stages further work.
+	// Retraction protocol, phase 2 (engine.ReleasePass): an empty event
+	// queue is the simulated cluster's global quiescence point — no deletion
+	// message can still be in flight — so staged work is released here, in
+	// node order, and the simulation resumes until no host stages more.
 	//
 	// Under reliable transport "no message events queued" is NOT global
 	// quiescence: a delta the network dropped is still in flight for the
@@ -283,20 +281,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				}
 			}
 		}
-		any := false
-		for _, h := range c.Hosts {
-			if h.Engine.ReleaseAndFlush() {
-				any = true
-			}
-		}
-		if !any {
-			// True global quiescence with nothing staged: the engines may
-			// re-evaluate their plan choices before the simulation parks.
+		return engine.ReleasePass(func(fn func(*engine.Node) bool) bool {
+			any := false
 			for _, h := range c.Hosts {
-				h.Engine.Replan()
+				if fn(h.Engine) {
+					any = true
+				}
 			}
-		}
-		return any
+			return any
+		}, true)
 	}
 	return c, nil
 }
@@ -343,18 +336,9 @@ func (c *Cluster) Err() error {
 func (c *Cluster) TransportStats() transport.Stats {
 	var s transport.Stats
 	for _, h := range c.Hosts {
-		if h.Ep == nil {
-			continue
+		if h.Ep != nil {
+			s.Add(h.Ep.Stats)
 		}
-		st := h.Ep.Stats
-		s.DataSent += st.DataSent
-		s.Retransmits += st.Retransmits
-		s.AcksSent += st.AcksSent
-		s.Delivered += st.Delivered
-		s.DupsDropped += st.DupsDropped
-		s.OooBuffered += st.OooBuffered
-		s.OooDropped += st.OooDropped
-		s.DeadDropped += st.DeadDropped
 	}
 	return s
 }

@@ -629,9 +629,8 @@ func (c *Cluster) workDone() {
 //
 // Work-accounting quiescence is the deployment's global quiescence point —
 // no deletion datagram can still be in flight — so the retraction
-// protocol's staged phase-2 work is released here (on each node's worker
-// goroutine, where all engine state is confined) and the wait repeats until
-// a quiescent pass releases nothing. Under reliable transport a payload
+// protocol's phase 2 (engine.ReleasePass) runs here and the wait repeats
+// until a quiescent pass releases nothing. Under reliable transport a payload
 // only retires on ack (or peer death), so counters-equal also implies no
 // endpoint holds unacked data: a dropped delta awaiting retransmission
 // keeps the cluster non-quiescent and the staged work unreleased.
@@ -652,35 +651,36 @@ func (c *Cluster) WaitFixpoint(timeout time.Duration) (time.Duration, error) {
 				Processed: c.processed.Load(),
 			}
 		}
-		var released atomic.Bool
-		var wg sync.WaitGroup
-		for _, np := range c.Nodes {
-			np := np
-			wg.Add(1)
-			np.Do(func() {
-				defer wg.Done()
-				if np.Engine.ReleaseAndFlush() {
-					released.Store(true)
+		released := engine.ReleasePass(func(fn func(*engine.Node) bool) bool {
+			var any atomic.Bool
+			c.onWorkers(func(np *NodeProc) {
+				if fn(np.Engine) {
+					any.Store(true)
 				}
 			})
-		}
-		wg.Wait()
-		if !released.Load() {
-			// Quiescent with nothing staged: let each engine re-evaluate
-			// its plan choices (on its own worker, where engine state is
-			// confined) before reporting the fixpoint.
-			for _, np := range c.Nodes {
-				np := np
-				wg.Add(1)
-				np.Do(func() {
-					defer wg.Done()
-					np.Engine.Replan()
-				})
-			}
-			wg.Wait()
+			return any.Load()
+		}, true)
+		if !released {
 			return time.Since(c.start), nil
 		}
 	}
+}
+
+// onWorkers applies fn to every node on that node's worker goroutine —
+// where its engine and endpoint state is confined, so the call also
+// quiesces in-flight handling — dispatching to all workers at once and
+// returning when every call has.
+func (c *Cluster) onWorkers(fn func(*NodeProc)) {
+	var wg sync.WaitGroup
+	for _, np := range c.Nodes {
+		np := np
+		wg.Add(1)
+		np.Do(func() {
+			defer wg.Done()
+			fn(np)
+		})
+	}
+	wg.Wait()
 }
 
 // waitQuiet blocks until processed == sent or the budget elapses. The
@@ -721,35 +721,20 @@ func (c *Cluster) Err() error {
 	return nil
 }
 
-// TransportStats sums the reliable-endpoint counters across nodes (all
-// zeros in unreliable clusters). Each endpoint is read on its own worker
-// goroutine, so this quiesces in-flight handling like Snapshot does.
+// TransportStats sums the reliable-endpoint counters across nodes, each
+// endpoint read on its own worker. Unreliable clusters have no endpoints:
+// all zeros, and no worker is disturbed.
 func (c *Cluster) TransportStats() transport.Stats {
 	var mu sync.Mutex
 	var s transport.Stats
-	var wg sync.WaitGroup
-	for _, np := range c.Nodes {
-		np := np
-		if np.ep == nil {
-			continue
-		}
-		wg.Add(1)
-		np.Do(func() {
-			defer wg.Done()
-			st := np.ep.Stats
-			mu.Lock()
-			s.DataSent += st.DataSent
-			s.Retransmits += st.Retransmits
-			s.AcksSent += st.AcksSent
-			s.Delivered += st.Delivered
-			s.DupsDropped += st.DupsDropped
-			s.OooBuffered += st.OooBuffered
-			s.OooDropped += st.OooDropped
-			s.DeadDropped += st.DeadDropped
-			mu.Unlock()
-		})
+	if !c.Cfg.Reliable {
+		return s
 	}
-	wg.Wait()
+	c.onWorkers(func(np *NodeProc) {
+		mu.Lock()
+		s.Add(np.ep.Stats)
+		mu.Unlock()
+	})
 	return s
 }
 
@@ -779,24 +764,17 @@ func (c *Cluster) BandwidthSeries(until time.Duration) []stats.Point {
 	return merged.Series(int64(until), len(c.Nodes))
 }
 
-// Snapshot returns every visible tuple of a predicate across nodes (worker
-// goroutines are quiesced by running the read on each worker).
+// Snapshot returns every visible tuple of a predicate across nodes, each
+// node read on its own worker.
 func (c *Cluster) Snapshot(pred string) []types.Tuple {
 	var mu sync.Mutex
 	var out []types.Tuple
-	var wg sync.WaitGroup
-	for _, np := range c.Nodes {
-		np := np
-		wg.Add(1)
-		np.Do(func() {
-			defer wg.Done()
-			if ts := np.Engine.Tuples(pred); len(ts) > 0 {
-				mu.Lock()
-				out = append(out, ts...)
-				mu.Unlock()
-			}
-		})
-	}
-	wg.Wait()
+	c.onWorkers(func(np *NodeProc) {
+		if ts := np.Engine.Tuples(pred); len(ts) > 0 {
+			mu.Lock()
+			out = append(out, ts...)
+			mu.Unlock()
+		}
+	})
 	return out
 }

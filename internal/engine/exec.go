@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bdd"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -269,16 +270,31 @@ func (sh *shard) ruleExecRow(ridh types.IDHandle, rid types.ID, label string, in
 		sh.deferRuleExecRow(ridh, rid, label, inputVIDs, sign)
 		return
 	}
-	switch {
-	case sign == Insert && ridh != 0:
-		sh.store.AddRuleExecH(ridh, rid, label, inputVIDs)
-	case sign == Insert:
-		sh.store.AddRuleExec(rid, label, inputVIDs)
-	case ridh != 0:
-		sh.store.DelRuleExecH(ridh)
-	default:
-		sh.store.DelRuleExec(rid)
+	applyRuleExecRow(sh.store, ridh, rid, label, inputVIDs, sign)
+}
+
+// applyRuleExecRow writes one ruleExec row change into a partition. ridh is
+// zero for derivations with event inputs, which stay out of the RID memo
+// (emitDerivation): an insert interns the RID here, where the row is about
+// to keep it alive anyway, and a delete only looks it up — an RID nobody
+// interned has no row to remove.
+//
+//exspan:hotpath
+func applyRuleExecRow(part *provenance.Partition, ridh types.IDHandle, rid types.ID, label string, inputVIDs []types.ID, sign int8) {
+	if sign == Insert {
+		if ridh == 0 {
+			ridh = types.InternID(rid)
+		}
+		part.AddRuleExecH(ridh, rid, label, inputVIDs)
+		return
 	}
+	if ridh == 0 {
+		var ok bool
+		if ridh, ok = types.LookupID(rid); !ok {
+			return
+		}
+	}
+	part.DelRuleExecH(ridh)
 }
 
 // ridCacheVal is one memoized rule-execution identifier: the digest plus

@@ -80,13 +80,6 @@ type Node struct {
 	// baseline side of planner-equivalence tests and benchmarks.
 	NoReplan bool
 
-	// PerSuspectRelease degrades ReleaseStaged to one staged item per wave
-	// — the maximally incremental baseline that BenchmarkDRedChurn measures
-	// the batched stratum waves against. Correctness is unaffected (release
-	// order is confluent); only the number of release/flush round trips
-	// changes.
-	PerSuspectRelease bool
-
 	// plans is the node's ACTIVE plan set, indexed [rule.idx][bodyPos].
 	// It starts as the program's compile-time default and is the only
 	// thing Replan swaps; the executor (exec.go) reads plans exclusively
@@ -422,9 +415,9 @@ func (n *Node) syncErr() {
 // ReleaseStaged begins the retraction protocol's re-derivation phase on
 // this node: suspects over-deleted with surviving alternate derivations are
 // enqueued for re-insertion and staged aggregate groups emit their deferred
-// winner. It reports whether any work was produced; the caller then runs
-// the node (Flush) — and the whole cluster — to quiescence again, repeating
-// until no node stages further work.
+// winner. It reports whether any work was produced (never, once the node
+// has failed); the caller then runs the node (Flush) — and the whole cluster
+// — to quiescence again, repeating until no node stages further work.
 //
 // Release proceeds in stratified waves: each call releases the lowest
 // occupied SCC stratum (PredInfo.Stratum) across all shards as one batch of
@@ -435,17 +428,19 @@ func (n *Node) syncErr() {
 // the same call, so a true return always carries actionable work and a
 // false return means nothing is staged. The wave order is purely a
 // round-trip optimization — release order cannot affect the fixpoint
-// (engine/dred_test.go proves order independence) — and PerSuspectRelease
-// degrades the wave to single items for baseline measurement.
+// (engine/dred_test.go proves order independence).
 //
 // Correctness requires the cluster-wide deletion wave to have quiesced
 // first: releasing while delete messages are still in flight re-creates the
 // race between deletion and re-derivation that diverges on cyclic
-// derivations (count-to-infinity). Every driver therefore calls this only
-// at a global quiescence point — the simulator's empty event queue, the
-// scheduler's drained rounds, the deployment's retired work accounting, or
-// Settle under a synchronous transport.
+// derivations (count-to-infinity). Every driver therefore reaches this only
+// through ReleasePass, at its global quiescence point — the simulator's
+// empty event queue, the scheduler's drained rounds, the deployment's
+// retired work accounting, or Settle under a synchronous transport.
 func (n *Node) ReleaseStaged() bool {
+	if n.Err != nil {
+		return false
+	}
 	n.releasing = true
 	defer func() { n.releasing = false }()
 	for {
@@ -458,18 +453,10 @@ func (n *Node) ReleaseStaged() bool {
 		if stratum < 0 {
 			return false
 		}
-		var limit *int
-		if n.PerSuspectRelease {
-			one := 1
-			limit = &one
-		}
 		any := false
 		for _, sh := range n.shards {
-			if sh.releaseStratum(stratum, limit) {
+			if sh.releaseStratum(stratum, nil) {
 				any = true
-			}
-			if limit != nil && *limit == 0 {
-				break
 			}
 		}
 		if any {
@@ -482,14 +469,37 @@ func (n *Node) ReleaseStaged() bool {
 // node's execution strategy (serial drain or sharded rounds).
 func (n *Node) Flush() { n.localFixpoint() }
 
-// ReleaseAndFlush performs one node's release pass: staged phase-2 work is
-// released and, when any was produced, run to local quiescence. It reports
-// whether work was released. This is the shared unit of every
-// flush-style driver's release loop (Settle, the simulator's OnIdle hook,
-// deploy.WaitFixpoint); the Scheduler, whose round loop runs released work
-// itself, calls ReleaseStaged alone.
-func (n *Node) ReleaseAndFlush() bool {
-	if n.Err != nil || !n.ReleaseStaged() {
+// ReleasePass is the retraction protocol's phase 2, stated once for every
+// driver. The caller has established global quiescence (see ReleaseStaged
+// for why that is required). each must apply the function it is given to
+// every node of the cluster, on the goroutine that owns that node — it may
+// run the calls concurrently — and report whether any call returned true.
+// The pass releases every node's staged work and reports whether any node
+// had some; the driver then runs the cluster to quiescence again and
+// repeats. Only a pass that released nothing is the true fixpoint, the one
+// point where plan swaps are legal, so only then is every node re-planned.
+//
+// With flush set, a node that released runs to local quiescence before its
+// call returns (Settle, the simulator's OnIdle hook, deploy.WaitFixpoint).
+// The Scheduler passes false: released work stays queued for its next round,
+// where it runs on the worker pool like any other delta.
+//
+// The functions handed to each capture nothing, so a pass allocates nothing
+// (the scheduler's delivery alloc fence runs through here).
+func ReleasePass(each func(func(*Node) bool) bool, flush bool) bool {
+	release := (*Node).ReleaseStaged
+	if flush {
+		release = releaseAndFlush
+	}
+	if each(release) {
+		return true
+	}
+	each(func(n *Node) bool { n.Replan(); return false })
+	return false
+}
+
+func releaseAndFlush(n *Node) bool {
+	if !n.ReleaseStaged() {
 		return false
 	}
 	n.Flush()
@@ -502,21 +512,22 @@ func (n *Node) ReleaseAndFlush() bool {
 // deletion wave has globally quiesced, so staged work is released and run,
 // repeatedly, until no node stages anything further.
 func Settle(nodes ...*Node) {
-	for {
-		progress := false
-		for _, n := range nodes {
-			if n.ReleaseAndFlush() {
-				progress = true
-			}
-		}
-		if !progress {
-			// Global quiescence: the only point where plan swaps are legal.
-			for _, n := range nodes {
-				n.Replan()
-			}
-			return
+	each := func(fn func(*Node) bool) bool { return anyNode(nodes, fn) }
+	for ReleasePass(each, true) {
+	}
+}
+
+// anyNode applies fn to every node, in order, and reports whether any call
+// returned true — the each of ReleasePass for a driver that owns all its
+// nodes on one goroutine.
+func anyNode(nodes []*Node, fn func(*Node) bool) bool {
+	any := false
+	for _, n := range nodes {
+		if fn(n) {
+			any = true
 		}
 	}
+	return any
 }
 
 // drain processes queued deltas FIFO until quiescent — the serial PSN

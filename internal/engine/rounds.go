@@ -261,13 +261,14 @@ func (sh *shard) applyAggItem(it *aggItem) {
 // deferRuleExecRow buffers a ruleExec-row change for the merge barrier,
 // bucketed by the RID's home partition.
 func (sh *shard) deferRuleExecRow(ridh types.IDHandle, rid types.ID, label string, inputVIDs []types.ID, sign int8) {
-	off := len(sh.rs.reVIDs)
+	off, k := len(sh.rs.reVIDs), 0
 	if sign == Insert { // deletes never materialize a new row; skip the copy
 		sh.rs.reVIDs = append(sh.rs.reVIDs, inputVIDs...)
+		k = len(inputVIDs)
 	}
 	dst := sh.n.ridHomeIdx(rid)
 	sh.rs.reOps[dst] = append(sh.rs.reOps[dst], reOp{
-		ridh: ridh, rid: rid, label: label, sign: sign, vidOff: off, vidLen: len(inputVIDs),
+		ridh: ridh, rid: rid, label: label, sign: sign, vidOff: off, vidLen: k,
 	})
 }
 
@@ -287,16 +288,7 @@ func (sh *shard) replayRuleExecOpsTo(d int) {
 	ops := sh.rs.reOps[d]
 	for i := range ops {
 		op := &ops[i]
-		switch {
-		case op.sign == Insert && op.ridh != 0:
-			part.AddRuleExecH(op.ridh, op.rid, op.label, sh.rs.reVIDs[op.vidOff:op.vidOff+op.vidLen])
-		case op.sign == Insert:
-			part.AddRuleExec(op.rid, op.label, sh.rs.reVIDs[op.vidOff:op.vidOff+op.vidLen])
-		case op.ridh != 0:
-			part.DelRuleExecH(op.ridh)
-		default:
-			part.DelRuleExec(op.rid)
-		}
+		applyRuleExecRow(part, op.ridh, op.rid, op.label, sh.rs.reVIDs[op.vidOff:op.vidOff+op.vidLen], op.sign)
 		ops[i] = reOp{}
 	}
 	sh.rs.reOps[d] = ops[:0]

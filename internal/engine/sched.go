@@ -158,18 +158,9 @@ func (s *Scheduler) Run() error {
 			}
 		}
 		if len(active) == 0 {
-			released := false
-			for _, n := range s.nodes {
-				if n.Err == nil && n.ReleaseStaged() {
-					released = true
-				}
-			}
-			if !released {
-				// Global quiescence with nothing staged: the only point a
-				// scheduler-driven node may swap plans.
-				for _, n := range s.nodes {
-					n.Replan()
-				}
+			// Between rounds this goroutine owns every node.
+			each := func(fn func(*Node) bool) bool { return anyNode(s.nodes, fn) }
+			if !ReleasePass(each, false) {
 				break
 			}
 			continue
@@ -254,9 +245,4 @@ func (s *Scheduler) deliver() {
 		}
 		s.staged[src] = msgs[:0]
 	}
-}
-
-// AvgSentMB reports the per-node average of bytes sent, in megabytes.
-func (s *Scheduler) AvgSentMB() float64 {
-	return float64(s.TotalBytes) / float64(len(s.nodes)) / 1e6
 }

@@ -297,14 +297,17 @@ func (sh *shard) process(d localDelta, rm bool) {
 			return // neither Update nor rederive applies to transient events
 		}
 		if n.Mode == ProvReference {
-			// Events have no entry to cache on; hash once per delta.
+			// Events have no entry to cache on; hash once per delta. A
+			// delete only looks the handle up: a VID nobody interned has no
+			// row to remove.
 			var vid types.ID
 			vid, sh.hashBuf = d.tuple.VIDBuf(sh.hashBuf)
 			if d.sign == Insert {
-				sh.store.RegisterTupleVID(vid, d.tuple)
-				sh.store.AddProv(vid, d.rid, d.rloc)
-			} else {
-				sh.store.DelProv(vid, d.rid, d.rloc)
+				vidh := types.InternID(vid)
+				sh.store.RegisterTupleVIDH(vidh, d.tuple)
+				sh.store.AddProvH(vidh, d.rid, d.rloc)
+			} else if vidh, ok := types.LookupID(vid); ok {
+				sh.store.DelProvH(vidh, d.rid, d.rloc)
 			}
 		}
 		// Centralized: base events are reported by their injector; derived
@@ -547,9 +550,10 @@ func (sh *shard) minStagedStratum() int {
 // Node.ReleaseStaged is a round-trip optimization, not a correctness
 // requirement; engine/dred_test.go proves order independence).
 //
-// limit, when non-nil, caps how many staged items this call may release
-// (shared across shards by Node.ReleaseStaged's per-suspect baseline mode);
-// nil releases the whole stratum as one batch.
+// limit, when non-nil, caps how many staged items this call may release —
+// the lever dred_test.go's randomized release uses as the reference side of
+// the confluence fence; nil (every driver) releases the whole stratum as one
+// batch.
 func (sh *shard) releaseStratum(stratum int, limit *int) bool {
 	any := false
 	ents := sh.stagedEnts

@@ -14,21 +14,27 @@
 //
 // A node's Store is itself split into one Partition per engine worker shard
 // (see partition.go): during the sharded runtime's parallel phases each
-// shard writes only its own partition, so the store needs no locks. The
-// Store type here is the single-writer facade the query processor and tools
-// use — its methods behave exactly like the pre-sharding store, fanning out
-// across partitions where a row could live in any of them. With one
-// partition (the default) every method is a direct delegation.
+// shard writes only its own partition, so the store needs no locks.
+//
+// The package has one surface per role. Writers — the engine's worker shards
+// — go through Partition, keyed by the interned handles they already hold.
+// Readers — the query processor, the CLI, experiments and the benchmark — go
+// through Store, keyed by the IDs that travel in query messages, fanning out
+// across partitions where a row could live in any of them. The only rows a
+// reader writes are the reverse dataflow edges of its own cache (AddParent /
+// DropParents).
 package provenance
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/types"
 )
 
-// Store is one node's view of its provenance graph: a facade over one or
-// more single-writer partitions.
+// Store is one node's view of its provenance graph: the read surface over one
+// or more single-writer partitions.
 type Store struct {
 	Node types.NodeID
 
@@ -42,12 +48,8 @@ type Store struct {
 	deferring bool
 }
 
-// NewStore creates a store with a single partition — the layout every
-// single-threaded node uses.
-func NewStore(node types.NodeID) *Store { return NewStoreSharded(node, 1) }
-
 // NewStoreSharded creates a store with n partitions, one per engine worker
-// shard.
+// shard (one partition is the layout every single-threaded node uses).
 func NewStoreSharded(node types.NodeID, n int) *Store {
 	if n < 1 {
 		n = 1
@@ -60,11 +62,7 @@ func NewStoreSharded(node types.NodeID, n int) *Store {
 	return s
 }
 
-// NumPartitions reports the number of partitions.
-func (s *Store) NumPartitions() int { return len(s.parts) }
-
-// Part returns partition i. The engine worker shards write through these
-// directly; everything else goes through the facade methods.
+// Part returns partition i, the write surface of engine worker shard i.
 func (s *Store) Part(i int) *Partition { return s.parts[i] }
 
 // DeferChanges buffers OnProvChange notifications until FlushDeferred. The
@@ -91,7 +89,7 @@ func (s *Store) FlushDeferred() {
 }
 
 // partForVID returns the partition holding rows of vid (its prov rows or its
-// VID→tuple mapping), or nil. Reads and parent-edge writes route through it.
+// VID→tuple mapping), or nil. Parent-edge writes route through it.
 func (s *Store) partForVID(vidh types.IDHandle) *Partition {
 	for _, p := range s.parts {
 		if _, ok := p.prov[vidh]; ok {
@@ -107,121 +105,38 @@ func (s *Store) partForVID(vidh types.IDHandle) *Partition {
 	return nil
 }
 
-// RegisterTuple records the VID→tuple mapping for a local tuple.
-func (s *Store) RegisterTuple(t types.Tuple) types.ID {
-	return s.parts[0].RegisterTuple(t)
-}
-
-// RegisterTupleVID records the VID→tuple mapping for a tuple whose VID the
-// caller has already computed.
-func (s *Store) RegisterTupleVID(vid types.ID, t types.Tuple) {
-	s.parts[0].RegisterTupleVID(vid, t)
-}
-
-// RegisterTupleVIDH is RegisterTupleVID for a caller that holds the interned
-// handle.
-func (s *Store) RegisterTupleVIDH(vidh types.IDHandle, t types.Tuple) {
-	s.parts[0].RegisterTupleVIDH(vidh, t)
-}
-
 // TupleOf resolves a local VID to its tuple.
 func (s *Store) TupleOf(vid types.ID) (types.Tuple, bool) {
-	for _, p := range s.parts {
-		if t, ok := p.TupleOf(vid); ok {
-			return t, true
+	if h, ok := types.LookupID(vid); ok {
+		for _, p := range s.parts {
+			if t, ok := p.tuples[h]; ok {
+				return t, true
+			}
 		}
 	}
 	return types.Tuple{}, false
 }
 
-// AddProv inserts (or increments) a prov entry.
-func (s *Store) AddProv(vid, rid types.ID, rloc types.NodeID) {
-	s.AddProvH(types.InternID(vid), rid, rloc)
-}
-
-// AddProvH is AddProv keyed by the caller's interned VID handle. Facade
-// writes land in the partition already holding the VID's rows (partition 0
-// for first sight); sharded engine writers bypass the facade via Part.
-func (s *Store) AddProvH(vidh types.IDHandle, rid types.ID, rloc types.NodeID) {
-	p := s.partForVID(vidh)
-	if p == nil {
-		p = s.parts[0]
-	}
-	p.AddProvH(vidh, rid, rloc)
-}
-
-// DelProv decrements (and possibly removes) a prov entry; it reports
-// whether the entry existed.
-func (s *Store) DelProv(vid, rid types.ID, rloc types.NodeID) bool {
-	h, ok := types.LookupID(vid)
-	if !ok {
-		return false
-	}
-	return s.DelProvH(h, rid, rloc)
-}
-
-// DelProvH is DelProv keyed by the caller's interned VID handle.
-func (s *Store) DelProvH(vidh types.IDHandle, rid types.ID, rloc types.NodeID) bool {
-	for _, p := range s.parts {
-		if p.DelProvH(vidh, rid, rloc) {
-			return true
-		}
-	}
-	return false
-}
-
 // Derivations returns the visible prov entries for a VID. Callers must not
 // mutate the returned slice.
 func (s *Store) Derivations(vid types.ID) []ProvEntry {
-	for _, p := range s.parts {
-		if d := p.Derivations(vid); d != nil {
-			return d
+	if h, ok := types.LookupID(vid); ok {
+		for _, p := range s.parts {
+			if d := p.prov[h]; d != nil {
+				return d
+			}
 		}
 	}
 	return nil
 }
 
-// AddRuleExec inserts (or increments) a ruleExec entry. vidList may be
-// caller scratch; it is copied when a new entry is created.
-func (s *Store) AddRuleExec(rid types.ID, rule string, vidList []types.ID) {
-	s.AddRuleExecH(types.InternID(rid), rid, rule, vidList)
-}
-
-// AddRuleExecH is AddRuleExec keyed by the caller's interned RID handle.
-func (s *Store) AddRuleExecH(ridh types.IDHandle, rid types.ID, rule string, vidList []types.ID) {
-	for _, p := range s.parts {
-		if _, ok := p.ruleExec[ridh]; ok {
-			p.AddRuleExecH(ridh, rid, rule, vidList)
-			return
-		}
-	}
-	s.parts[0].AddRuleExecH(ridh, rid, rule, vidList)
-}
-
-// DelRuleExec decrements (and possibly removes) a ruleExec entry.
-func (s *Store) DelRuleExec(rid types.ID) bool {
-	h, ok := types.LookupID(rid)
-	if !ok {
-		return false
-	}
-	return s.DelRuleExecH(h)
-}
-
-// DelRuleExecH is DelRuleExec keyed by the caller's interned RID handle.
-func (s *Store) DelRuleExecH(ridh types.IDHandle) bool {
-	for _, p := range s.parts {
-		if p.DelRuleExecH(ridh) {
-			return true
-		}
-	}
-	return false
-}
-
 // RuleExecOf resolves a local RID.
 func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) {
-	for _, p := range s.parts {
-		if e, ok := p.RuleExecOf(rid); ok {
-			return e, true
+	if h, ok := types.LookupID(rid); ok {
+		for _, p := range s.parts {
+			if e, ok := p.ruleExec[h]; ok {
+				return e, true
+			}
 		}
 	}
 	return RuleExecEntry{}, false
@@ -231,44 +146,63 @@ func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) {
 // order is unspecified).
 func (s *Store) ForEachRuleExec(fn func(RuleExecEntry)) {
 	for _, p := range s.parts {
-		p.ForEachRuleExec(fn)
+		for _, e := range p.ruleExec {
+			fn(e)
+		}
 	}
 }
 
 // AddParent records that local tuple vid was consumed by rule execution rid
-// deriving headVID at headLoc. The edge lands in the partition holding the
-// VID's rows, so invalidation finds it alongside them.
+// deriving headVID at headLoc. This is a write path driven by the query
+// processor's cache installation, so both IDs are interned. The edge lands
+// in the partition holding the VID's rows, so invalidation finds it
+// alongside them.
 func (s *Store) AddParent(vid, rid, headVID types.ID, headLoc types.NodeID) {
-	p := s.partForVID(types.InternID(vid))
+	vidh := types.InternID(vid)
+	p := s.partForVID(vidh)
 	if p == nil {
 		p = s.parts[0]
 	}
-	p.AddParent(vid, rid, headVID, headLoc)
-}
-
-// DelParent removes one reverse edge occurrence.
-func (s *Store) DelParent(vid, rid, headVID types.ID, headLoc types.NodeID) {
-	for _, p := range s.parts {
-		p.DelParent(vid, rid, headVID, headLoc)
+	k := parentKey{vidh: vidh, ridh: types.InternID(rid)}
+	list := p.parents[vidh]
+	if pos, ok := p.parentIdx[k]; ok {
+		list[pos].Count++
+		return
 	}
+	p.parentIdx[k] = len(list)
+	if list == nil {
+		list = p.allocParent1()
+	}
+	p.parents[vidh] = append(list, Parent{RID: rid, HeadVID: headVID, HeadLoc: headLoc, Count: 1})
 }
 
 // Parents returns the reverse dataflow edges of a local VID. Callers must
 // not mutate the returned slice.
 func (s *Store) Parents(vid types.ID) []Parent {
-	for _, p := range s.parts {
-		if list := p.Parents(vid); list != nil {
-			return list
+	if h, ok := types.LookupID(vid); ok {
+		for _, p := range s.parts {
+			if list := p.parents[h]; list != nil {
+				return list
+			}
 		}
 	}
 	return nil
 }
 
 // DropParents removes every reverse edge of a VID (an invalidation wave
-// consumed them).
+// consumed them). A slice previously returned by Parents stays readable.
 func (s *Store) DropParents(vid types.ID) {
+	vidh, ok := types.LookupID(vid)
+	if !ok {
+		return
+	}
 	for _, p := range s.parts {
-		p.DropParents(vid)
+		for _, e := range p.parents[vidh] {
+			if ridh, ok := types.LookupID(e.RID); ok {
+				delete(p.parentIdx, parentKey{vidh: vidh, ridh: ridh})
+			}
+		}
+		delete(p.parents, vidh)
 	}
 }
 
@@ -276,7 +210,9 @@ func (s *Store) DropParents(vid types.ID) {
 func (s *Store) NumProv() int {
 	n := 0
 	for _, p := range s.parts {
-		n += p.NumProv()
+		for _, list := range p.prov {
+			n += len(list)
+		}
 	}
 	return n
 }
@@ -285,7 +221,7 @@ func (s *Store) NumProv() int {
 func (s *Store) NumRuleExec() int {
 	n := 0
 	for _, p := range s.parts {
-		n += p.NumRuleExec()
+		n += len(p.ruleExec)
 	}
 	return n
 }
@@ -294,31 +230,53 @@ func (s *Store) NumRuleExec() int {
 func (s *Store) NumParents() int {
 	n := 0
 	for _, p := range s.parts {
-		n += p.NumParents()
+		n += len(p.parentIdx)
 	}
 	return n
 }
 
-// ProvRows renders the store's prov relation as sorted printable rows.
+// ProvRows renders the store's prov relation as sorted printable rows
+// (Loc, tuple, RID short, RLoc) — the format of the paper's Table 1.
 func (s *Store) ProvRows() []string {
 	var rows []string
 	for _, p := range s.parts {
-		rows = append(rows, p.ProvRows()...)
+		for vidh, list := range p.prov {
+			label := ""
+			if t, ok := p.tuples[vidh]; ok {
+				label = t.String()
+			}
+			for i := range list {
+				if label == "" {
+					label = list[i].VID.Short()
+				}
+				rid := "null"
+				if !list[i].RID.IsZero() {
+					rid = list[i].RID.Short()
+				}
+				rows = append(rows, fmt.Sprintf("%s | %s | %s | %s", s.Node, label, rid, list[i].RLoc))
+			}
+		}
 	}
-	if len(s.parts) > 1 {
-		sort.Strings(rows)
-	}
+	sort.Strings(rows)
 	return rows
 }
 
-// RuleExecRows renders the store's ruleExec relation as sorted rows.
+// RuleExecRows renders the store's ruleExec relation as sorted rows (RLoc,
+// RID short, rule, VIDList shorts) — the format of Table 2. Input tuples may
+// live in sibling partitions (a sharded rule firing stores its row at the
+// RID's home partition), hence the store-wide TupleOf.
 func (s *Store) RuleExecRows() []string {
 	var rows []string
-	for _, p := range s.parts {
-		rows = append(rows, p.RuleExecRows()...)
-	}
-	if len(s.parts) > 1 {
-		sort.Strings(rows)
-	}
+	s.ForEachRuleExec(func(e RuleExecEntry) {
+		vids := make([]string, len(e.VIDList))
+		for i, v := range e.VIDList {
+			vids[i] = v.Short()
+			if t, ok := s.TupleOf(v); ok {
+				vids[i] = t.String()
+			}
+		}
+		rows = append(rows, fmt.Sprintf("%s | %s | %s | (%s)", s.Node, e.RID.Short(), e.Rule, strings.Join(vids, ",")))
+	})
+	sort.Strings(rows)
 	return rows
 }

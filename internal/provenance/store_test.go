@@ -9,62 +9,90 @@ import (
 
 func tid(s string) types.ID { return types.HashString(s) }
 
+// The tests write the way an engine shard does — through a partition's
+// handle API, interning on insert and only looking up on delete — and read
+// back through the Store's ID API, the way the query processor does.
+
+func newStore(node types.NodeID) (*Store, *Partition) {
+	s := NewStoreSharded(node, 1)
+	return s, s.Part(0)
+}
+
+func addProv(p *Partition, vid, rid types.ID, rloc types.NodeID) {
+	p.AddProvH(types.InternID(vid), rid, rloc)
+}
+
+func delProv(p *Partition, vid, rid types.ID, rloc types.NodeID) bool {
+	h, ok := types.LookupID(vid)
+	return ok && p.DelProvH(h, rid, rloc)
+}
+
+func addRuleExec(p *Partition, rid types.ID, rule string, vids []types.ID) {
+	p.AddRuleExecH(types.InternID(rid), rid, rule, vids)
+}
+
+func delRuleExec(p *Partition, rid types.ID) bool {
+	h, ok := types.LookupID(rid)
+	return ok && p.DelRuleExecH(h)
+}
+
 func TestProvEntryLifecycle(t *testing.T) {
-	s := NewStore(0)
+	s, p := newStore(0)
 	tu := types.NewTuple("p", types.Node(0), types.Int(1))
-	vid := s.RegisterTuple(tu)
-	if vid != tu.VID() {
-		t.Fatal("RegisterTuple returns wrong VID")
+	vid := tu.VID()
+	p.RegisterTupleVIDH(types.InternID(vid), tu)
+	if got, ok := s.TupleOf(vid); !ok || !got.Equal(tu) {
+		t.Fatal("registered tuple does not resolve")
 	}
-	s.AddProv(vid, tid("r1"), 2)
-	s.AddProv(vid, tid("r2"), 3)
+	addProv(p, vid, tid("r1"), 2)
+	addProv(p, vid, tid("r2"), 3)
 	if len(s.Derivations(vid)) != 2 {
 		t.Fatalf("derivations = %d", len(s.Derivations(vid)))
 	}
 	// Duplicate insert increments the count, not the row set.
-	s.AddProv(vid, tid("r1"), 2)
+	addProv(p, vid, tid("r1"), 2)
 	if len(s.Derivations(vid)) != 2 {
 		t.Fatal("duplicate created new row")
 	}
-	if !s.DelProv(vid, tid("r1"), 2) {
+	if !delProv(p, vid, tid("r1"), 2) {
 		t.Fatal("DelProv failed")
 	}
 	if len(s.Derivations(vid)) != 2 {
 		t.Fatal("row removed while count > 0")
 	}
-	s.DelProv(vid, tid("r1"), 2)
+	delProv(p, vid, tid("r1"), 2)
 	if len(s.Derivations(vid)) != 1 {
 		t.Fatal("row not removed at count 0")
 	}
-	s.DelProv(vid, tid("r2"), 3)
+	delProv(p, vid, tid("r2"), 3)
 	if len(s.Derivations(vid)) != 0 {
 		t.Fatal("store not empty")
 	}
 	if _, ok := s.TupleOf(vid); ok {
 		t.Fatal("tuple mapping survived last derivation")
 	}
-	if s.DelProv(vid, tid("r2"), 3) {
+	if delProv(p, vid, tid("r2"), 3) {
 		t.Fatal("deleting a missing entry reported success")
 	}
 }
 
 func TestOnProvChangeFires(t *testing.T) {
-	s := NewStore(0)
+	s, p := newStore(0)
 	var events []types.ID
 	s.OnProvChange = func(vid types.ID) { events = append(events, vid) }
 	vid := tid("v")
-	s.AddProv(vid, types.ZeroID, 0)
-	s.DelProv(vid, types.ZeroID, 0)
+	addProv(p, vid, types.ZeroID, 0)
+	delProv(p, vid, types.ZeroID, 0)
 	if len(events) != 2 || events[0] != vid || events[1] != vid {
 		t.Fatalf("events = %v", events)
 	}
 }
 
 func TestRuleExecLifecycle(t *testing.T) {
-	s := NewStore(1)
+	s, p := newStore(1)
 	rid := tid("exec")
 	inputs := []types.ID{tid("a"), tid("b")}
-	s.AddRuleExec(rid, "sp2", inputs)
+	addRuleExec(p, rid, "sp2", inputs)
 	re, ok := s.RuleExecOf(rid)
 	if !ok || re.Rule != "sp2" || len(re.VIDList) != 2 {
 		t.Fatalf("entry = %+v", re)
@@ -75,49 +103,48 @@ func TestRuleExecLifecycle(t *testing.T) {
 	if re.VIDList[0] != tid("a") {
 		t.Fatal("VIDList aliased caller slice")
 	}
-	s.AddRuleExec(rid, "sp2", re.VIDList)
-	s.DelRuleExec(rid)
+	addRuleExec(p, rid, "sp2", re.VIDList)
+	delRuleExec(p, rid)
 	if _, ok := s.RuleExecOf(rid); !ok {
 		t.Fatal("entry removed while count > 0")
 	}
-	s.DelRuleExec(rid)
+	delRuleExec(p, rid)
 	if _, ok := s.RuleExecOf(rid); ok {
 		t.Fatal("entry survived count 0")
 	}
-	if s.DelRuleExec(rid) {
+	if delRuleExec(p, rid) {
 		t.Fatal("deleting missing entry succeeded")
 	}
 }
 
 func TestParentEdges(t *testing.T) {
-	s := NewStore(2)
+	s, _ := newStore(2)
 	in, rid, head := tid("in"), tid("rid"), tid("head")
 	s.AddParent(in, rid, head, 5)
 	s.AddParent(in, rid, head, 5) // duplicate: count only
-	if len(s.Parents(in)) != 1 {
+	s.AddParent(in, tid("rid2"), head, 5)
+	if len(s.Parents(in)) != 2 || s.NumParents() != 2 {
 		t.Fatal("duplicate parent row")
 	}
-	s.DelParent(in, rid, head, 5)
-	if len(s.Parents(in)) != 1 {
-		t.Fatal("parent removed while count > 0")
-	}
-	s.DelParent(in, rid, head, 5)
-	if len(s.Parents(in)) != 0 {
+	// An invalidation wave consumes every edge of the VID at once.
+	s.DropParents(in)
+	if len(s.Parents(in)) != 0 || s.NumParents() != 0 {
 		t.Fatal("parent survived")
 	}
 }
 
 func TestRowRendering(t *testing.T) {
-	s := NewStore(0)
+	s, p := newStore(0)
 	tu := types.NewTuple("link", types.Node(0), types.Node(2), types.Int(5))
-	vid := s.RegisterTuple(tu)
-	s.AddProv(vid, types.ZeroID, 0)
+	vid := tu.VID()
+	p.RegisterTupleVIDH(types.InternID(vid), tu)
+	addProv(p, vid, types.ZeroID, 0)
 	rows := s.ProvRows()
 	if len(rows) != 1 || !strings.Contains(rows[0], "link(@a,c,5)") || !strings.Contains(rows[0], "null") {
 		t.Fatalf("prov rows = %v", rows)
 	}
 	rid := tid("exec")
-	s.AddRuleExec(rid, "sp1", []types.ID{vid})
+	addRuleExec(p, rid, "sp1", []types.ID{vid})
 	rer := s.RuleExecRows()
 	if len(rer) != 1 || !strings.Contains(rer[0], "sp1") || !strings.Contains(rer[0], "link(@a,c,5)") {
 		t.Fatalf("ruleExec rows = %v", rer)
@@ -127,26 +154,26 @@ func TestRowRendering(t *testing.T) {
 	}
 }
 
-// TestHandleKeyedPartitions pins the PR 3 rekeying of the store: the
-// handle-based hot-path API must be observationally identical to the
-// ID-based one, and read paths must tolerate IDs that were never interned
-// anywhere in the process (returning empty results without growing the
-// intern table).
+// TestHandleKeyedPartitions pins the PR 3 rekeying of the store: rows
+// written through the handle-based hot-path API must be visible through the
+// ID-based read API, and read paths must tolerate IDs that were never
+// interned anywhere in the process (returning empty results without growing
+// the intern table).
 func TestHandleKeyedPartitions(t *testing.T) {
-	s := NewStore(1)
+	s, p := newStore(1)
 	tu := types.NewTuple("q", types.Node(1), types.Int(7))
 	vid := tu.VID()
 	vidh := types.InternID(vid)
 
-	s.RegisterTupleVIDH(vidh, tu)
+	p.RegisterTupleVIDH(vidh, tu)
 	if got, ok := s.TupleOf(vid); !ok || !got.Equal(tu) {
 		t.Fatal("H-registered tuple not visible through the ID API")
 	}
-	s.AddProvH(vidh, tid("r1"), 2)
+	p.AddProvH(vidh, tid("r1"), 2)
 	if len(s.Derivations(vid)) != 1 {
 		t.Fatal("H-added prov row not visible through the ID API")
 	}
-	if !s.DelProvH(vidh, tid("r1"), 2) {
+	if !p.DelProvH(vidh, tid("r1"), 2) {
 		t.Fatal("DelProvH missed the row AddProvH created")
 	}
 	if len(s.Derivations(vid)) != 0 {
@@ -155,11 +182,11 @@ func TestHandleKeyedPartitions(t *testing.T) {
 
 	rid := tid("exec")
 	ridh := types.InternID(rid)
-	s.AddRuleExecH(ridh, rid, "sp2", []types.ID{vid})
+	p.AddRuleExecH(ridh, rid, "sp2", []types.ID{vid})
 	if e, ok := s.RuleExecOf(rid); !ok || e.Rule != "sp2" || e.Count != 1 {
 		t.Fatal("H-added ruleExec row not visible through the ID API")
 	}
-	if !s.DelRuleExecH(ridh) {
+	if !p.DelRuleExecH(ridh) {
 		t.Fatal("DelRuleExecH missed the row")
 	}
 
@@ -177,10 +204,9 @@ func TestHandleKeyedPartitions(t *testing.T) {
 	if _, ok := s.RuleExecOf(alien); ok {
 		t.Fatal("unknown ID resolved to a ruleExec row")
 	}
-	if s.DelProv(alien, rid, 0) || s.DelRuleExec(alien) {
+	if delProv(p, alien, rid, 0) || delRuleExec(p, alien) {
 		t.Fatal("deleting under an unknown ID claimed success")
 	}
-	s.DelParent(alien, rid, vid, 0)
 	s.DropParents(alien)
 	if _, _, idsAfter, _ := types.InternStats(); idsAfter != idsBefore {
 		t.Fatalf("read-path probes grew the ID intern table: %d -> %d", idsBefore, idsAfter)

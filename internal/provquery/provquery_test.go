@@ -63,6 +63,24 @@ func (n *instantNet) drain() {
 	}
 }
 
+// engineWriter stands in for the engine in these fixtures: it writes a
+// node's store the way a worker shard does, through partition 0's handle
+// API. The reverse-edge methods the processor itself uses (AddParent) come
+// through the embedded Store.
+type engineWriter struct{ *provenance.Store }
+
+func (w engineWriter) RegisterTuple(t types.Tuple) {
+	w.Part(0).RegisterTupleVIDH(types.InternID(t.VID()), t)
+}
+
+func (w engineWriter) AddProv(vid, rid types.ID, rloc types.NodeID) {
+	w.Part(0).AddProvH(types.InternID(vid), rid, rloc)
+}
+
+func (w engineWriter) AddRuleExec(rid types.ID, rule string, vids []types.ID) {
+	w.Part(0).AddRuleExecH(types.InternID(rid), rid, rule, vids)
+}
+
 func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn bool) (*fig5, *instantNet) {
 	t.Helper()
 	f := &fig5{byID: map[types.NodeID]*Processor{}}
@@ -71,7 +89,7 @@ func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn 
 
 	stores := make([]*provenance.Store, 4)
 	for i := range stores {
-		stores[i] = provenance.NewStore(types.NodeID(i))
+		stores[i] = provenance.NewStoreSharded(types.NodeID(i), 1)
 	}
 
 	f.linkAC = types.NewTuple("link", types.Node(a), types.Node(c), types.Int(5))
@@ -83,7 +101,7 @@ func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn 
 	f.bpcB = types.NewTuple("bestPathCost", types.Node(b), types.Node(c), types.Int(2))
 
 	// Node a's partition.
-	sa := stores[a]
+	sa := engineWriter{stores[a]}
 	sa.RegisterTuple(f.linkAC)
 	sa.AddProv(f.linkAC.VID(), types.ZeroID, a)
 	rid1a := types.RuleExecID("sp1", a, []types.ID{f.linkAC.VID()})
@@ -100,7 +118,7 @@ func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn 
 	sa.AddParent(f.pcA.VID(), rid3a, f.bpcA.VID(), a)
 
 	// Node b's partition.
-	sb := stores[b]
+	sb := engineWriter{stores[b]}
 	sb.RegisterTuple(f.linkBA)
 	sb.AddProv(f.linkBA.VID(), types.ZeroID, b)
 	sb.RegisterTuple(f.linkBC)
@@ -303,7 +321,7 @@ func TestInvalidationClearsCaches(t *testing.T) {
 	}
 	// A change to link(@b,c,2) must invalidate the chain up to
 	// bestPathCost(@a,c,5) at node a.
-	b.Store.AddProv(f.linkBC.VID(), types.HashString("newrule"), 1)
+	engineWriter{b.Store}.AddProv(f.linkBC.VID(), types.HashString("newrule"), 1)
 	if _, ok := a.cache[f.bpcA.VID()]; ok {
 		t.Error("stale cache for bestPathCost(@a,c,5) survived invalidation")
 	}
@@ -328,12 +346,13 @@ func TestCacheCoherenceAfterChange(t *testing.T) {
 	// New derivation: pretend sp1 fired again via a new rule at a (a
 	// synthetic third derivation with a base child).
 	extra := types.NewTuple("link", types.Node(0), types.Node(2), types.Int(7))
-	a.Store.RegisterTuple(extra)
-	a.Store.AddProv(extra.VID(), types.ZeroID, 0)
+	w := engineWriter{a.Store}
+	w.RegisterTuple(extra)
+	w.AddProv(extra.VID(), types.ZeroID, 0)
 	rid := types.RuleExecID("spX", 0, []types.ID{extra.VID()})
-	a.Store.AddRuleExec(rid, "spX", []types.ID{extra.VID()})
-	a.Store.AddParent(extra.VID(), rid, f.pcA.VID(), 0)
-	a.Store.AddProv(f.pcA.VID(), rid, 0)
+	w.AddRuleExec(rid, "spX", []types.ID{extra.VID()})
+	w.AddParent(extra.VID(), rid, f.pcA.VID(), 0)
+	w.AddProv(f.pcA.VID(), rid, 0)
 	if got := DecodeCount(runQuery(t, f, 3, f.bpcA, 0)); got != 3 {
 		t.Fatalf("post-change count = %d, want 3", got)
 	}

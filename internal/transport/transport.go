@@ -128,6 +128,18 @@ type Stats struct {
 	DeadDropped int64 // sends and pending frames abandoned on a dead peer
 }
 
+// Add accumulates o into s; cluster drivers sum their endpoints with it.
+func (s *Stats) Add(o Stats) {
+	s.DataSent += o.DataSent
+	s.Retransmits += o.Retransmits
+	s.AcksSent += o.AcksSent
+	s.Delivered += o.Delivered
+	s.DupsDropped += o.DupsDropped
+	s.OooBuffered += o.OooBuffered
+	s.OooDropped += o.OooDropped
+	s.DeadDropped += o.DeadDropped
+}
+
 // PeerDeadError reports a peer that stopped acknowledging traffic.
 type PeerDeadError struct {
 	Self, Peer types.NodeID

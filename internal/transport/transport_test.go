@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/types"
@@ -376,4 +377,23 @@ func FuzzDecodeFrameHeader(f *testing.F) {
 			t.Fatalf("decode(%x) -> (%d,%d) re-encodes to %x", b[:HeaderBytes], seq, ack, re)
 		}
 	})
+}
+
+// TestStatsAddCoversEveryField guards the one cluster-wide sum the drivers
+// share: a counter added to Stats but not to Add would silently read zero in
+// every report.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var one Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	sum := one
+	sum.Add(one)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < s.NumField(); i++ {
+		if got, want := s.Field(i).Int(), int64(2*(i+1)); got != want {
+			t.Errorf("Stats.Add: field %s = %d, want %d", s.Type().Field(i).Name, got, want)
+		}
+	}
 }
