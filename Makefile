@@ -75,8 +75,9 @@ chaos-smoke:
 
 # Scale gate: the 10k-node CHORD determinism smoke — two full sharded runs
 # of the workload suite's largest topology must agree bit for bit (delta
-# counts, wire bytes, sampled relation state). Skipped under -short, so
-# `go test -short ./...` stays fast; this target runs it by name.
+# counts, wire bytes, sampled relation state) and together obtain at most
+# 2 GiB from the OS. Skipped under -short, so `go test -short ./...` stays
+# fast; this target runs it by name.
 scale-smoke:
 	$(GO) test -run 'TestScaleChordDeterminism10k' -v ./internal/core/
 

@@ -218,7 +218,11 @@ func BenchmarkEngineFixpointSharded(b *testing.B) {
 // sub-benchmark pays per-message event dispatch; the sharded ones drive
 // the same workload through the round scheduler, whose batched merge
 // rounds collapse intermediate election updates (hence lower deltas/op at
-// the same fixpoint — each count is deterministic for its driver).
+// the same fixpoint — each count is deterministic for its driver). Shard
+// counts here, in BenchmarkDRedChurn and in BenchmarkPolicyPathVector are
+// requests resolved through engine.EffectiveShards, as in
+// BenchmarkEngineFixpointSharded: the configuration production runs on this
+// host, not one it never would.
 func BenchmarkChordLookup(b *testing.B) {
 	topo := topology.Ring(64, rand.New(rand.NewSource(8)))
 	base := apps.ChordBase(topo)
@@ -255,7 +259,7 @@ func BenchmarkChordLookup(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s := engine.NewScheduler(prog, engine.ProvReference, topo.N, shards, 0)
+				s := engine.NewScheduler(prog, engine.ProvReference, topo.N, engine.EffectiveShards(shards), 0)
 				for n := 0; n < topo.N; n++ {
 					for _, tup := range base[types.NodeID(n)] {
 						s.InsertBase(types.NodeID(n), tup)
@@ -295,7 +299,7 @@ func benchDRedChurn(b *testing.B, prog *engine.Program, nNodes int,
 	b.Helper()
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := engine.NewScheduler(prog, engine.ProvReference, nNodes, shards, 0)
+			s := engine.NewScheduler(prog, engine.ProvReference, nNodes, engine.EffectiveShards(shards), 0)
 			setup(s)
 			if err := s.Run(); err != nil {
 				b.Fatal(err)
@@ -434,7 +438,7 @@ func BenchmarkPolicyPathVector(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s := engine.NewScheduler(prog, engine.ProvReference, topo.N, shards, 0)
+				s := engine.NewScheduler(prog, engine.ProvReference, topo.N, engine.EffectiveShards(shards), 0)
 				for _, l := range topo.Links {
 					s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
 					s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))

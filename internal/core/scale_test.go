@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -120,5 +121,15 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 	if d1 < int64(n) {
 		t.Fatalf("only %d deltas at 10k nodes — workload did not run", d1)
 	}
-	t.Logf("10k chord: %d deltas, %d wire bytes", d1, b1)
+	// Footprint fence: everything the process obtained from the OS over both
+	// runs, collected garbage included. Two 10k-node clusters built one after
+	// the other must fit a hosted CI runner with room to spare; with chunk
+	// pools sized for the largest node this read 6.8 GB.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	const maxSys = 2 << 30
+	t.Logf("10k chord: %d deltas, %d wire bytes, %d MB obtained from the OS", d1, b1, ms.Sys>>20)
+	if ms.Sys > maxSys {
+		t.Fatalf("two 10k-node runs took %d MB from the OS, want ≤ %d MB", ms.Sys>>20, maxSys>>20)
+	}
 }

@@ -30,17 +30,7 @@ func (sh *shard) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload b
 		}
 		groupVals[i] = v
 	}
-	groups := sh.aggByRule[rule.idx]
-	if groups == nil {
-		groups = map[string]*aggGroup{}
-		sh.aggByRule[rule.idx] = groups
-	}
-	sh.keyBuf = appendValuesKey(sh.keyBuf[:0], groupVals)
-	g := groups[string(sh.keyBuf)]
-	if g == nil {
-		g = sh.allocAggGroup()
-		groups[string(sh.keyBuf)] = g
-	}
+	g := sh.aggGroupFor(rule, groupVals)
 
 	if sign == Update {
 		// Value-mode payload update: if the updated input is the current
@@ -62,6 +52,24 @@ func (sh *shard) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload b
 		out.Pred = rule.HeadPred
 		sh.emitAggChange(rule, out, em, t)
 	}
+}
+
+// aggGroupFor returns the rule's group of the given group-by values on this
+// shard, carving a fresh one (with its entry map ready) on first sight.
+func (sh *shard) aggGroupFor(rule *CompiledRule, groupVals []types.Value) *aggGroup {
+	groups := sh.aggByRule[rule.idx]
+	if groups == nil {
+		groups = map[string]*aggGroup{}
+		sh.aggByRule[rule.idx] = groups
+	}
+	sh.keyBuf = appendValuesKey(sh.keyBuf[:0], groupVals)
+	g := groups[string(sh.keyBuf)]
+	if g == nil {
+		g = sh.aggGroupArena.New()
+		g.entries = make(map[string]*aggEntry)
+		groups[string(sh.keyBuf)] = g
+	}
+	return g
 }
 
 // evalAggBody binds the body tuple into the rule environment and runs the
@@ -199,7 +207,7 @@ type aggEntry struct {
 // rows and the currently emitted output.
 //
 // Group structs, entry structs, carried-value copies and output argument
-// slices are all carved from the owning node's chunked arenas (value slices
+// slices are all carved from the owning shard's arenas (value slices
 // are pointer-free under the compact Value representation, so the arenas
 // cost the garbage collector nothing to scan); the group itself holds only
 // its entry map and reusable scratch.
@@ -238,9 +246,7 @@ func (g *aggGroup) stage(sh *shard, rule *CompiledRule, groupVals []types.Value)
 		return
 	}
 	g.staged = true
-	gv := sh.allocArgs(len(groupVals))
-	copy(gv, groupVals)
-	sh.stagedGroups = append(sh.stagedGroups, stagedGroup{rule: rule, g: g, groupVals: gv})
+	sh.stagedGroups = append(sh.stagedGroups, stagedGroup{rule: rule, g: g, groupVals: sh.argArena.Copy(groupVals)})
 }
 
 // appendValuesKey appends the fixed-width handle keys of vals to b (see
@@ -289,12 +295,9 @@ func (g *aggGroup) update(sh *shard, rule *CompiledRule, groupVals []types.Value
 				e.input, e.sortVal, e.count = input, sortVal, 0
 				e.carried = append(e.carried[:0], carried...)
 			} else {
-				e = sh.allocAggEntry()
+				e = sh.aggEntryArena.New()
 				e.input, e.sortVal = input, sortVal
-				if len(carried) > 0 {
-					e.carried = sh.allocArgs(len(carried))
-					copy(e.carried, carried)
-				}
+				e.carried = sh.argArena.Copy(carried)
 			}
 			g.entries[string(key)] = e
 		}
@@ -383,9 +386,7 @@ func (g *aggGroup) refresh(sh *shard, rule *CompiledRule, groupVals []types.Valu
 			// Materialize the candidate output: it escapes into the group
 			// state and the emitted delta, so its args leave the scratch
 			// buffer for the arena.
-			retained := sh.allocArgs(len(newArgs))
-			copy(retained, newArgs)
-			out := types.Tuple{Args: retained}
+			out := types.Tuple{Args: sh.argArena.Copy(newArgs)}
 			em := aggEmit{tuple: out, sign: Insert}
 			if newWinner != nil {
 				em.winner, em.hasWin = newWinner.input, true
@@ -485,6 +486,3 @@ func compareCarried(a, b *aggEntry) int {
 	}
 	return len(a.carried) - len(b.carried)
 }
-
-// winnerOf reports the current winning entry (MIN/MAX).
-func (g *aggGroup) winnerOf() *aggEntry { return g.curWinner }

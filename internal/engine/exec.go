@@ -191,7 +191,7 @@ func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
 
 	n := sh.n
 	sh.rulesFired++
-	args := sh.allocArgs(len(rule.headCode))
+	args := sh.argArena.Make(len(rule.headCode))
 	for i, code := range rule.headCode {
 		v, err := code(env)
 		if err != nil {

@@ -88,9 +88,11 @@ type Node struct {
 	plans [][]*plan
 	// joinKeys maps each joinID to the (predicate, index) it currently
 	// probes, for folding shard fan-out tallies into plan-independent
-	// accumulators. Rebuilt on every plan swap. Nil when !Prog.planable.
+	// accumulators. Built by the first fold (foldJoinStats), rebuilt on
+	// every plan swap.
 	joinKeys []statKey
-	// fanAcc accumulates measured join fan-out across plan generations.
+	// fanAcc accumulates measured join fan-out across plan generations;
+	// created by the first fold.
 	fanAcc map[statKey]joinStat
 	// condAcc accumulates measured condition pass/fail tallies, indexed by
 	// program-wide condition slot (stats.go condStat).
@@ -178,10 +180,6 @@ func NewNodeSharded(id types.NodeID, prog *Program, mode ProvMode, tr Transport,
 	for i, cr := range prog.Rules {
 		n.plans[i] = append([]*plan(nil), cr.plans...)
 	}
-	if prog.planable {
-		n.fanAcc = make(map[statKey]joinStat)
-		n.rebuildJoinKeys()
-	}
 	n.condAcc = make([]condStat, prog.numConds)
 	n.shards = make([]*shard, shards)
 	for i := range n.shards {
@@ -222,21 +220,21 @@ func (n *Node) Table(pred string) *Relation {
 	if len(n.shards) > 1 {
 		return nil
 	}
-	return n.shards[0].tables[pred]
+	return n.shards[0].lookup(pred)
 }
 
 // Tuples returns the visible tuples of a predicate across all shards,
 // sorted canonically.
 func (n *Node) Tuples(pred string) []types.Tuple {
 	if len(n.shards) == 1 {
-		if rel := n.shards[0].tables[pred]; rel != nil {
+		if rel := n.shards[0].lookup(pred); rel != nil {
 			return rel.Tuples()
 		}
 		return nil
 	}
 	var out []types.Tuple
 	for _, sh := range n.shards {
-		if rel := sh.tables[pred]; rel != nil {
+		if rel := sh.lookup(pred); rel != nil {
 			out = append(out, rel.Tuples()...)
 		}
 	}
@@ -249,7 +247,7 @@ func (n *Node) Tuples(pred string) []types.Tuple {
 func (n *Node) TupleCount(pred string) int {
 	c := 0
 	for _, sh := range n.shards {
-		if rel := sh.tables[pred]; rel != nil {
+		if rel := sh.lookup(pred); rel != nil {
 			c += rel.Len()
 		}
 	}
@@ -305,7 +303,7 @@ func (n *Node) PayloadOf(t types.Tuple) (bdd.Ref, bool) {
 	if n.Mode != ProvValue {
 		return bdd.False, false
 	}
-	rel := n.shards[0].tables[t.Pred] // ProvValue nodes are single-shard
+	rel := n.shards[0].lookup(t.Pred) // ProvValue nodes are single-shard
 	if rel == nil {
 		return bdd.False, false
 	}

@@ -62,6 +62,7 @@ type planStep struct {
 	// stepJoin
 	atom     int
 	indexPos []int
+	indexID  string // indexID(indexPos), rendered once at plan-build time
 	keyParts []keyPart
 	binds    []bindSpec
 	joinID   int // program-wide join-step id; nodes bind it to an index handle
@@ -248,7 +249,8 @@ func buildPlan(cr *CompiledRule, atoms []*ndlog.Atom, slots map[string]int, k in
 			return nil, err
 		}
 		pl.steps = append(pl.steps, planStep{
-			kind: stepJoin, atom: best, indexPos: indexPos, keyParts: keyParts, binds: binds,
+			kind: stepJoin, atom: best, indexPos: indexPos, indexID: indexID(indexPos),
+			keyParts: keyParts, binds: binds,
 		})
 		if err := flush(); err != nil {
 			return nil, err

@@ -192,7 +192,7 @@ func samePlanShape(a, b *plan) bool {
 			return false
 		}
 		if x.kind == stepJoin {
-			if x.atom != y.atom || indexID(x.indexPos) != indexID(y.indexPos) {
+			if x.atom != y.atom || x.indexID != y.indexID {
 				return false
 			}
 		} else if x.srcTxt != y.srcTxt {
@@ -225,13 +225,13 @@ func (n *Node) rebindAfterSwap() {
 					m = make(map[string]bool)
 					keep[a.pred] = m
 				}
-				m[indexID(st.indexPos)] = true
+				m[st.indexID] = true
 			}
 		}
 	}
 	for _, sh := range n.shards {
 		for pred, m := range keep {
-			if rel := sh.tables[pred]; rel != nil {
+			if rel := sh.lookup(pred); rel != nil {
 				rel.dropIndexesExcept(m)
 			}
 		}
@@ -260,7 +260,7 @@ func (n *Node) rebuildJoinKeys() {
 				if a.event {
 					continue
 				}
-				n.joinKeys[st.joinID] = statKey{pred: a.pred, idx: indexID(st.indexPos)}
+				n.joinKeys[st.joinID] = statKey{pred: a.pred, idx: st.indexID}
 			}
 		}
 	}
@@ -292,7 +292,7 @@ func (n *Node) ExplainPlans(w io.Writer) {
 				case stepJoin:
 					a := cr.atoms[st.atom]
 					fmt.Fprintf(w, "    join %s idx[%s] est=%.3g\n",
-						a.pred, indexID(st.indexPos), n.estFanout(snap, a.pred, st.indexPos))
+						a.pred, st.indexID, n.estFanout(snap, a.pred, st.indexPos))
 				case stepCond:
 					fmt.Fprintf(w, "    cond %s sel=%.3g\n", st.srcTxt, n.condSelFor(cr)(st.condID))
 				case stepAssign:

@@ -12,6 +12,7 @@ type Program struct {
 	Rules      []*CompiledRule
 	byBodyPred map[string][]occurrence
 	preds      map[string]*PredInfo
+	predList   []*PredInfo // preds sorted by name (Preds)
 
 	// Hot-path sizing, computed once at compile time so nodes can bind
 	// index handles and allocate scratch arenas before evaluation starts.
@@ -21,6 +22,7 @@ type Program struct {
 	maxVars   int // widest rule environment
 	maxAtoms  int // widest rule body
 	maxGroup  int // widest aggregate group-by list
+	maxSteps  int // longest plan; every legal re-plan of a position has as many steps
 
 	// planable is true when at least one rule has enough body atoms for
 	// join reordering to matter (≥ 3: with two atoms the delta position
@@ -56,8 +58,9 @@ type PredInfo struct {
 	// predicates, assigned at compile time so nodes can keep relations in
 	// a slice instead of resolving a string map per delta. -1 for events.
 	tableID int
-	// occs caches Occurrences(Name) so one predicate lookup serves the
-	// whole delta-processing path.
+	// occs lists the (rule, body position) pairs a delta of this predicate
+	// triggers, so one predicate lookup serves the whole delta-processing
+	// path.
 	occs []occurrence
 }
 
@@ -162,17 +165,21 @@ func Compile(p *ndlog.Program) (*Program, error) {
 		}
 	}
 
-	// Number every join step and record scratch sizes for plan-bind time.
+	// Number every stored predicate and join step and record scratch sizes
+	// for plan-bind time.
+	prog.predList = make([]*PredInfo, 0, len(prog.preds))
 	for _, info := range prog.preds {
+		prog.predList = append(prog.predList, info)
+	}
+	sort.Slice(prog.predList, func(i, j int) bool { return prog.predList[i].Name < prog.predList[j].Name })
+	for _, info := range prog.predList {
+		info.occs = prog.byBodyPred[info.Name]
 		if info.Event {
 			info.tableID = -1
 			continue
 		}
 		info.tableID = prog.numTables
 		prog.numTables++
-	}
-	for name, info := range prog.preds {
-		info.occs = prog.byBodyPred[name]
 	}
 	for ri, cr := range prog.Rules {
 		cr.idx = ri
@@ -191,6 +198,9 @@ func Compile(p *ndlog.Program) (*Program, error) {
 			prog.maxGroup = len(cr.agg.groupCode)
 		}
 		for _, pl := range cr.plans {
+			if len(pl.steps) > prog.maxSteps {
+				prog.maxSteps = len(pl.steps)
+			}
 			for i := range pl.steps {
 				if pl.steps[i].kind == stepJoin {
 					pl.steps[i].joinID = prog.numJoins
@@ -220,19 +230,9 @@ func headArity(r *ndlog.Rule) int {
 // Pred returns predicate metadata (nil when the program never mentions it).
 func (p *Program) Pred(name string) *PredInfo { return p.preds[name] }
 
-// Preds returns all predicates sorted by name.
-func (p *Program) Preds() []*PredInfo {
-	out := make([]*PredInfo, 0, len(p.preds))
-	for _, info := range p.preds {
-		out = append(out, info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Occurrences returns the (rule, body position) pairs triggered by deltas
-// of the given predicate.
-func (p *Program) Occurrences(pred string) []occurrence { return p.byBodyPred[pred] }
+// Preds returns all predicates sorted by name. The slice is the program's
+// own, built once by Compile: callers must not modify it.
+func (p *Program) Preds() []*PredInfo { return p.predList }
 
 func compileRule(r *ndlog.Rule, label string) (*CompiledRule, error) {
 	atoms := r.BodyAtoms()

@@ -1,9 +1,8 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/bdd"
 	"repro/internal/types"
@@ -61,8 +60,6 @@ type entry struct {
 	// start-of-round state.
 	indexed bool
 }
-
-func (e *entry) derivCount() int { return len(e.derivs) }
 
 // findDeriv returns a pointer to the derivation keyed by rid, or nil. The
 // pointer aliases the entry's slice: it is invalidated by addDeriv/delDeriv
@@ -122,7 +119,7 @@ func (e *entry) vidHandle() types.IDHandle { return e.vidh }
 type Relation struct {
 	name    string
 	entries map[string]*entry
-	indexes map[string]*index
+	indexes []*index
 	visible int    // O(1) Len
 	dead    int    // invisible derivation-free entries retained for reuse
 	churn   int64  // total visibility transitions (planner drift signal)
@@ -135,23 +132,26 @@ type Relation struct {
 	deferMaint bool
 
 	// freeEntries recycles entry structs reclaimed by sweep; entryArena
-	// chunk-allocates fresh ones (boxing each entry individually was a
-	// leading allocation class in fixpoint profiles — arena chunks never
-	// pin stale tuples because sweep zeroes an entry before listing it);
-	// derivArena chunk-allocates initial derivation slices. Most tuples
+	// carves fresh ones (boxing each entry individually was a leading
+	// allocation class in fixpoint profiles — arena chunks never pin stale
+	// tuples because sweep zeroes an entry before listing it); derivArena
+	// carves each entry's initial capacity-1 derivation slice. Most tuples
 	// carry exactly one derivation, so the per-entry "first append" used
-	// to be another of the largest allocation classes. deriv and
+	// to be another of the largest allocation classes; entries with
+	// alternative derivations spill to a regular append. deriv and
 	// types.Value hold no pointers, so those chunks cost the garbage
 	// collector nothing to scan.
 	freeEntries []*entry
-	entryArena  []entry
-	derivArena  []deriv
+	entryArena  types.Arena[entry]
+	derivArena  types.Arena[deriv]
 }
 
-const derivArenaChunk = 256
+// relationArenaChunk caps the chunk size of a relation's entry and
+// derivation arenas.
+const relationArenaChunk = 256
 
 // allocEntry returns a zeroed entry, recycling one swept earlier when
-// available and carving from the chunked arena otherwise.
+// available and carving from the arena otherwise.
 func (r *Relation) allocEntry() *entry {
 	if n := len(r.freeEntries); n > 0 {
 		e := r.freeEntries[n-1]
@@ -159,22 +159,7 @@ func (r *Relation) allocEntry() *entry {
 		r.freeEntries = r.freeEntries[:n-1]
 		return e
 	}
-	if len(r.entryArena) == cap(r.entryArena) {
-		r.entryArena = make([]entry, 0, derivArenaChunk)
-	}
-	r.entryArena = r.entryArena[:len(r.entryArena)+1]
-	return &r.entryArena[len(r.entryArena)-1]
-}
-
-// allocDerivs carves an empty capacity-1 derivation slice from the chunked
-// arena; entries with alternative derivations spill to a regular append.
-func (r *Relation) allocDerivs() []deriv {
-	if len(r.derivArena) == cap(r.derivArena) {
-		r.derivArena = make([]deriv, 0, derivArenaChunk)
-	}
-	n := len(r.derivArena)
-	r.derivArena = r.derivArena[:n+1]
-	return r.derivArena[n : n : n+1]
+	return r.entryArena.New()
 }
 
 // index is a hash index over a fixed set of argument positions. Buckets are
@@ -190,6 +175,7 @@ func (r *Relation) allocDerivs() []deriv {
 // (bounding distinct-key churn) and recycle their boxes through a free list,
 // so steady-state visibility churn allocates nothing.
 type index struct {
+	id        string // indexID(positions)
 	positions []int
 	buckets   map[uint64]*[]*entry
 	free      []*[]*entry
@@ -237,6 +223,9 @@ func (idx *index) add(key []byte, e *entry) {
 		p = &b
 	}
 	*p = append(*p, e)
+	if idx.buckets == nil {
+		idx.buckets = make(map[uint64]*[]*entry)
+	}
 	idx.buckets[h] = p
 }
 
@@ -255,10 +244,21 @@ func (idx *index) remove(key []byte, e *entry) {
 
 // NewRelation creates an empty relation.
 func NewRelation(name string) *Relation {
-	return &Relation{
-		name:    name,
-		entries: make(map[string]*entry),
-		indexes: make(map[string]*index),
+	r := newRelation(name, false)
+	return &r
+}
+
+// newRelation builds an empty relation by value, so a shard can lay all of
+// its program's relations out in one slice. The entries map and each index's
+// bucket map are created by their first write: most relations of most shards
+// of a large cluster stay empty, and reads, deletes and len on a nil map
+// behave like on an empty one.
+func newRelation(name string, deferMaint bool) Relation {
+	return Relation{
+		name:       name,
+		deferMaint: deferMaint,
+		entryArena: types.NewArena[entry](relationArenaChunk),
+		derivArena: types.NewArena[deriv](relationArenaChunk),
 	}
 }
 
@@ -298,7 +298,10 @@ func (r *Relation) getOrCreate(t types.Tuple) *entry {
 	k := string(r.scratch)
 	e := r.allocEntry()
 	e.tuple, e.payload = t, bdd.False
-	e.derivs = r.allocDerivs()
+	e.derivs = r.derivArena.Cap1()
+	if r.entries == nil {
+		r.entries = make(map[string]*entry)
+	}
 	r.entries[k] = e
 	return e
 }
@@ -431,8 +434,9 @@ func appendIndexKey(b []byte, t types.Tuple, positions []int) []byte {
 }
 
 // indexID renders the position list as a canonical map key without any
-// fmt-based formatting. It runs only at index-creation and handle-resolution
-// time, never per probe.
+// fmt-based formatting. Plan steps carry theirs from plan-build time
+// (planStep.indexID); the planner's cost model and tests derive one per
+// call, never per probe.
 func indexID(positions []int) string {
 	b := make([]byte, 0, 2*len(positions))
 	for i, p := range positions {
@@ -452,35 +456,36 @@ func indexID(positions []int) string {
 // planner does this at re-plan time) must not leak the entries map's
 // iteration order.
 func (r *Relation) EnsureIndex(positions []int) *index {
-	id := indexID(positions)
-	if idx, ok := r.indexes[id]; ok {
+	return r.ensureIndex(indexID(positions), positions)
+}
+
+// ensureIndex is EnsureIndex for a caller that already holds the positions'
+// indexID. positions is retained, not copied: plan steps and test literals
+// never mutate theirs.
+func (r *Relation) ensureIndex(id string, positions []int) *index {
+	if idx := r.indexByID(id); idx != nil {
 		return idx
 	}
-	idx := &index{positions: append([]int{}, positions...), buckets: make(map[uint64]*[]*entry)}
-	if r.visible > 0 {
-		type sortable struct {
-			e   *entry
-			enc string
-		}
-		es := make([]sortable, 0, r.visible)
-		var buf []byte
-		for _, e := range r.entries {
-			if e.visible {
-				buf = e.tuple.Encode(buf[:0])
-				es = append(es, sortable{e: e, enc: string(buf)})
-			}
-		}
-		sort.Slice(es, func(i, j int) bool {
-			return strings.Compare(es[i].enc, es[j].enc) < 0
-		})
-		for _, s := range es {
-			r.scratch = appendIndexKey(r.scratch[:0], s.e.tuple, idx.positions)
-			idx.add(r.scratch, s.e)
-			s.e.indexed = true
+	idx := &index{id: id, positions: positions}
+	for _, t := range r.Tuples() {
+		e := r.get(t)
+		r.scratch = appendIndexKey(r.scratch[:0], t, idx.positions)
+		idx.add(r.scratch, e)
+		e.indexed = true
+	}
+	r.indexes = append(r.indexes, idx)
+	return idx
+}
+
+// indexByID scans for the index with the given indexID: a relation has a
+// handful at most, and the scan runs at bind and planning time only.
+func (r *Relation) indexByID(id string) *index {
+	for _, idx := range r.indexes {
+		if idx.id == id {
+			return idx
 		}
 	}
-	r.indexes[id] = idx
-	return idx
+	return nil
 }
 
 // dropIndexesExcept deletes every index whose ID is not in keep — the
@@ -488,50 +493,28 @@ func (r *Relation) EnsureIndex(positions []int) *index {
 // relation stops paying its per-visibility-change maintenance. Callers must
 // hold quiescence (no probe can be in flight).
 func (r *Relation) dropIndexesExcept(keep map[string]bool) {
-	for id := range r.indexes {
-		if !keep[id] {
-			delete(r.indexes, id)
-		}
-	}
+	r.indexes = slices.DeleteFunc(r.indexes, func(idx *index) bool { return !keep[idx.id] })
 }
 
 // Index returns the handle of an existing index over positions, or nil. The
 // engine resolves every join step to such a handle once at plan-bind time so
 // probes skip index-ID formatting entirely.
-func (r *Relation) Index(positions []int) *index { return r.indexes[indexID(positions)] }
-
-// Scan invokes fn for every visible tuple.
-func (r *Relation) Scan(fn func(t types.Tuple)) {
-	for _, e := range r.entries {
-		if e.visible {
-			fn(e.tuple)
-		}
-	}
-}
+func (r *Relation) Index(positions []int) *index { return r.indexByID(indexID(positions)) }
 
 // Tuples returns the visible tuples sorted canonically (for deterministic
 // output in tests and examples). Entry map keys are process-local handle
-// keys, so this cold path re-derives the canonical encoding to sort by —
-// the order must not depend on interning history.
+// keys, so this cold path sorts by the canonical encoding instead — the
+// order must not depend on interning history or map iteration.
 func (r *Relation) Tuples() []types.Tuple {
-	type sortable struct {
-		e   *entry
-		enc string
+	if r.visible == 0 {
+		return nil // every index bind of an empty shard comes through here
 	}
-	es := make([]sortable, 0, r.visible)
-	var buf []byte
+	out := make([]types.Tuple, 0, r.visible)
 	for _, e := range r.entries {
 		if e.visible {
-			buf = e.tuple.Encode(buf[:0])
-			es = append(es, sortable{e: e, enc: string(buf)})
+			out = append(out, e.tuple)
 		}
 	}
-	sort.Slice(es, func(i, j int) bool {
-		return strings.Compare(es[i].enc, es[j].enc) < 0
-	})
-	out := make([]types.Tuple, len(es))
-	for i, s := range es {
-		out[i] = s.e.tuple
-	}
+	types.SortTuples(out)
 	return out
 }

@@ -111,16 +111,8 @@ type roundShard struct {
 //
 //exspan:merge-phase
 func (n *Node) initRounds() {
-	maxSteps := 0
-	for _, cr := range n.Prog.Rules {
-		for _, pl := range cr.plans {
-			if len(pl.steps) > maxSteps {
-				maxSteps = len(pl.steps)
-			}
-		}
-	}
 	for _, sh := range n.shards {
-		sh.rs.keyBufs = make([][]byte, maxSteps)
+		sh.rs.keyBufs = make([][]byte, n.Prog.maxSteps)
 		sh.rs.outLocal = make([][]localDelta, len(n.shards))
 		sh.rs.outAgg = make([][]aggItem, len(n.shards))
 		sh.rs.reOps = make([][]reOp, len(n.shards))
@@ -205,7 +197,7 @@ func (sh *shard) firePhase() {
 // fireAggRound evaluates an aggregate rule's body for a net delta and ships
 // the group update to the group's owner shard (applied in its next apply
 // phase). Group values and carried values are copied out of scratch into
-// the shard's chunked value arena.
+// the shard's value arena.
 //
 //exspan:hotpath
 func (sh *shard) fireAggRound(rule *CompiledRule, t types.Tuple, sign int8) {
@@ -225,10 +217,8 @@ func (sh *shard) fireAggRound(rule *CompiledRule, t types.Tuple, sign int8) {
 		groupVals[i] = v
 	}
 	sortVal, carried := sh.evalAggVals(rule, env)
-	gv := sh.allocArgs(len(groupVals))
-	copy(gv, groupVals)
-	cv := sh.allocArgs(len(carried))
-	copy(cv, carried)
+	gv := sh.argArena.Copy(groupVals)
+	cv := sh.argArena.Copy(carried)
 	dst := int(types.HashValues(gv) % uint64(len(sh.n.shards)))
 	sh.rs.outAgg[dst] = append(sh.rs.outAgg[dst], aggItem{
 		rule: rule, groupVals: gv, sortVal: sortVal, carried: cv, input: t, sign: sign,
@@ -240,17 +230,7 @@ func (sh *shard) fireAggRound(rule *CompiledRule, t types.Tuple, sign int8) {
 // round.
 func (sh *shard) applyAggItem(it *aggItem) {
 	rule := it.rule
-	groups := sh.aggByRule[rule.idx]
-	if groups == nil {
-		groups = map[string]*aggGroup{}
-		sh.aggByRule[rule.idx] = groups
-	}
-	sh.keyBuf = appendValuesKey(sh.keyBuf[:0], it.groupVals)
-	g := groups[string(sh.keyBuf)]
-	if g == nil {
-		g = sh.allocAggGroup()
-		groups[string(sh.keyBuf)] = g
-	}
+	g := sh.aggGroupFor(rule, it.groupVals)
 	for _, em := range g.update(sh, rule, it.groupVals, it.sortVal, it.carried, it.input, it.sign) {
 		out := em.tuple
 		out.Pred = rule.HeadPred
@@ -319,8 +299,8 @@ func (n *Node) mergeShard(d int) {
 		sh.rs.fires[i] = fireItem{}
 	}
 	sh.rs.fires = sh.rs.fires[:0]
-	for _, rel := range sh.tablesByID {
-		rel.maybeSweepRound()
+	for i := range sh.tablesByID {
+		sh.tablesByID[i].maybeSweepRound()
 	}
 	for _, rel := range sh.extraTables {
 		rel.maybeSweepRound()

@@ -43,8 +43,6 @@ type shard struct {
 	// centralized modes).
 	store *provenance.Partition
 
-	tables map[string]*Relation
-
 	// owned by: the owner shard's apply phase (merge deposits at the barrier)
 	queue []localDelta
 	qhead int // drain ring head: queue[qhead:] is pending work
@@ -55,16 +53,17 @@ type shard struct {
 	//
 	// owned by: any
 	joinIdx []*index
-	// tablesByID mirrors tables for the program's stored predicates,
-	// indexed by PredInfo.tableID (one map lookup per delta instead of
-	// three). aggByRule and aggBodyRel key aggregate state and the
-	// aggregate body relation by CompiledRule.idx.
-	tablesByID []*Relation
+	// tablesByID holds the relations of the program's stored predicates,
+	// indexed by PredInfo.tableID: the program's predicate table is the
+	// only name→relation map, shared by every shard. aggByRule and
+	// aggBodyRel key aggregate state and the aggregate body relation by
+	// CompiledRule.idx.
+	tablesByID []Relation
 	aggByRule  []map[string]*aggGroup
 	aggBodyRel []*Relation
 	// extraTables lists relations created outside the compiled program
-	// (unknown predicates, e.g. relayed meta rows), so round maintenance
-	// can walk every relation deterministically without a map iteration.
+	// (unknown predicates, e.g. the meta rows relayed to a centralized
+	// server — a handful at most, found by name scan), in creation order.
 	extraTables []*Relation
 
 	// Per-shard scratch arenas, sized at program-compile time and reused
@@ -83,7 +82,10 @@ type shard struct {
 	keyBuf     []byte
 	ridBuf     []byte
 	hashBuf    []byte
-	argArena   []types.Value // chunked backing store for emitted head args
+	// argArena backs emitted head arguments (and the group/carried values
+	// aggregates retain): emitted tuples escape into relations and
+	// messages, so their args cannot live in reusable scratch.
+	argArena types.Arena[types.Value]
 
 	// ridCache memoizes rule-execution identifiers. An RID is the SHA-1 of
 	// (rule, this node, exact input VIDs), so it is fully determined by the
@@ -98,13 +100,13 @@ type shard struct {
 	ridCache map[string]ridCacheVal
 	ridKey   []byte
 
-	// Chunked arenas for aggregate state: group and entry structs plus the
+	// Arenas for aggregate state: group and entry structs plus the
 	// entry-key scratch. Aggregates allocate one group per (rule, group-by)
 	// combination and one entry per distinct input row; boxing each struct
 	// individually was a leading allocation class in fixpoint profiles.
 	aggKeyBuf     []byte
-	aggEntryArena []aggEntry
-	aggGroupArena []aggGroup
+	aggEntryArena types.Arena[aggEntry]
+	aggGroupArena types.Arena[aggGroup]
 
 	// Retraction-protocol staging (see ARCHITECTURE.md "Deletion
 	// semantics"): suspects over-deleted with surviving alternate
@@ -149,29 +151,36 @@ type shard struct {
 	rs roundShard
 }
 
+// Chunk caps of the shard's arenas (types.Arena grows up to them).
+const (
+	argArenaChunk = 512
+	aggArenaChunk = 128
+)
+
 // newShard creates one worker partition, binding the program's join steps to
-// this shard's index handles.
+// this shard's index handles. Everything sized here comes from the compiled
+// program; what depends on the data — relation and index maps, aggregate
+// groups — is created by its first write.
 //
 //exspan:merge-phase
 func newShard(n *Node, idx int, store *provenance.Partition) *shard {
 	prog := n.Prog
 	sh := &shard{
-		n:      n,
-		idx:    idx,
-		store:  store,
-		tables: make(map[string]*Relation),
+		n:             n,
+		idx:           idx,
+		store:         store,
+		argArena:      types.NewArena[types.Value](argArenaChunk),
+		aggEntryArena: types.NewArena[aggEntry](aggArenaChunk),
+		aggGroupArena: types.NewArena[aggGroup](aggArenaChunk),
 	}
 	// Pre-create relations, the indexes every join plan needs, and the
 	// per-join compiled handles. Joins against event atoms keep a nil
 	// handle: events never materialize, so such probes match nothing.
 	sharded := n.NumShards() > 1 // NumShards is fixed before newShard runs
-	sh.tablesByID = make([]*Relation, prog.numTables)
-	for _, info := range prog.Preds() {
+	sh.tablesByID = make([]Relation, prog.numTables)
+	for _, info := range prog.predList {
 		if !info.Event {
-			rel := NewRelation(info.Name)
-			rel.deferMaint = sharded
-			sh.tables[info.Name] = rel
-			sh.tablesByID[info.tableID] = rel
+			sh.tablesByID[info.tableID] = newRelation(info.Name, sharded)
 		}
 	}
 	sh.joinIdx = make([]*index, prog.numJoins)
@@ -211,19 +220,33 @@ func (sh *shard) bindPlans() {
 				}
 				a := r.atoms[st.atom]
 				if !a.event {
-					sh.joinIdx[st.joinID] = sh.table(a.pred).EnsureIndex(st.indexPos)
+					sh.joinIdx[st.joinID] = sh.table(a.pred).ensureIndex(st.indexID, st.indexPos)
 				}
 			}
 		}
 	}
 }
 
+// lookup returns this shard's relation of pred, or nil when it has none.
+func (sh *shard) lookup(pred string) *Relation {
+	if info := sh.n.Prog.Pred(pred); info != nil && info.tableID >= 0 {
+		return &sh.tablesByID[info.tableID]
+	}
+	for _, t := range sh.extraTables {
+		if t.name == pred {
+			return t
+		}
+	}
+	return nil
+}
+
+// table is lookup for writers: a predicate the program never stores gets its
+// relation on first use.
 func (sh *shard) table(pred string) *Relation {
-	t := sh.tables[pred]
+	t := sh.lookup(pred)
 	if t == nil {
-		t = NewRelation(pred)
-		t.deferMaint = sh.n.NumShards() > 1
-		sh.tables[pred] = t
+		r := newRelation(pred, sh.n.NumShards() > 1)
+		t = &r
 		sh.extraTables = append(sh.extraTables, t)
 	}
 	return t
@@ -332,7 +355,7 @@ func (sh *shard) process(d localDelta, rm bool) {
 
 	var rel *Relation
 	if info != nil && info.tableID >= 0 {
-		rel = sh.tablesByID[info.tableID]
+		rel = &sh.tablesByID[info.tableID]
 	} else {
 		rel = sh.table(d.tuple.Pred)
 	}
@@ -634,51 +657,4 @@ func (sh *shard) fireAll(occs []occurrence, t types.Tuple, sign int8, deltaEntry
 			sh.firePlan(occ.rule, occ.pos, t, sign, deltaEntry, payload)
 		}
 	}
-}
-
-// argArenaChunk sizes the chunked backing store for emitted head arguments.
-// Emitted tuples escape into relations and messages, so their args cannot
-// live in reusable scratch; carving them from a chunk amortizes the per-
-// emission allocation to ~1/chunk.
-const argArenaChunk = 512
-
-func (sh *shard) allocArgs(k int) []types.Value {
-	if k == 0 {
-		return nil
-	}
-	if len(sh.argArena)+k > cap(sh.argArena) {
-		size := argArenaChunk
-		if k > size {
-			size = k
-		}
-		sh.argArena = make([]types.Value, 0, size)
-	}
-	off := len(sh.argArena)
-	sh.argArena = sh.argArena[:off+k]
-	return sh.argArena[off : off+k : off+k]
-}
-
-// aggArenaChunk sizes the chunked arenas for aggregate group and entry
-// structs.
-const aggArenaChunk = 128
-
-// allocAggEntry carves a zeroed aggregate entry from the chunked arena.
-func (sh *shard) allocAggEntry() *aggEntry {
-	if len(sh.aggEntryArena) == cap(sh.aggEntryArena) {
-		sh.aggEntryArena = make([]aggEntry, 0, aggArenaChunk)
-	}
-	sh.aggEntryArena = sh.aggEntryArena[:len(sh.aggEntryArena)+1]
-	return &sh.aggEntryArena[len(sh.aggEntryArena)-1]
-}
-
-// allocAggGroup carves a fresh aggregate group (with its entry map ready)
-// from the chunked arena.
-func (sh *shard) allocAggGroup() *aggGroup {
-	if len(sh.aggGroupArena) == cap(sh.aggGroupArena) {
-		sh.aggGroupArena = make([]aggGroup, 0, aggArenaChunk)
-	}
-	sh.aggGroupArena = sh.aggGroupArena[:len(sh.aggGroupArena)+1]
-	g := &sh.aggGroupArena[len(sh.aggGroupArena)-1]
-	g.entries = make(map[string]*aggEntry)
-	return g
 }

@@ -66,8 +66,9 @@ type statsSnapshot struct {
 //
 //exspan:merge-phase
 func (n *Node) foldJoinStats() {
-	// Non-planable programs never fold on the replan path, but ExplainPlans
-	// still wants the tallies; build the mapping lazily there.
+	// A node pays for the mapping and the accumulator only once it folds:
+	// small nodes never reach the re-plan drift gate, and non-planable
+	// programs fold only under ExplainPlans.
 	if n.joinKeys == nil {
 		n.rebuildJoinKeys()
 	}
@@ -115,10 +116,9 @@ func (n *Node) snapshotStats() *statsSnapshot {
 		}
 		var card, churn int64
 		for _, sh := range n.shards {
-			if rel := sh.tables[info.Name]; rel != nil {
-				card += int64(rel.Len())
-				churn += rel.churn
-			}
+			rel := &sh.tablesByID[info.tableID]
+			card += int64(rel.Len())
+			churn += rel.churn
 		}
 		snap.card[info.Name] = card
 		snap.churn[info.Name] = churn
@@ -134,11 +134,11 @@ func (n *Node) distinctKeys(pred string, positions []int) int64 {
 	var total int64
 	var scan []*Relation
 	for _, sh := range n.shards {
-		rel := sh.tables[pred]
+		rel := sh.lookup(pred)
 		if rel == nil {
 			continue
 		}
-		if idx := rel.indexes[id]; idx != nil {
+		if idx := rel.indexByID(id); idx != nil {
 			total += int64(len(idx.buckets))
 			continue
 		}

@@ -78,75 +78,42 @@ type Partition struct {
 	parents   map[types.IDHandle][]Parent
 	parentIdx map[parentKey]int // position inside parents[vidh]
 
-	// Chunked arenas for the first element of per-VID row slices and for
-	// ruleExec input lists. Most VIDs have exactly one prov row and one
-	// parent edge, so the per-VID "first append" allocations dominated the
-	// store's profile; carving capacity-1 slices from a chunk amortizes
-	// them to ~1/chunk. Longer lists spill to regular append growth.
-	provArena   []ProvEntry
-	parentArena []Parent
-	vidArena    []types.ID
+	// Arenas for the first element of per-VID row slices and for ruleExec
+	// input lists. Most VIDs have exactly one prov row and one parent edge,
+	// so the per-VID "first append" allocations dominated the store's
+	// profile; carving capacity-1 slices from a chunk amortizes them to
+	// ~1/chunk. Longer lists spill to regular append growth.
+	provArena   types.Arena[ProvEntry]
+	parentArena types.Arena[Parent]
+	vidArena    types.Arena[types.ID]
 
 	// pending buffers change notifications while the owning Store defers
 	// them (parallel engine phases); FlushDeferred replays and clears it.
 	pending []types.ID
 }
 
-func newPartition(owner *Store) *Partition {
-	return &Partition{
-		owner:     owner,
-		prov:      make(map[types.IDHandle][]ProvEntry),
-		ruleExec:  make(map[types.IDHandle]RuleExecEntry),
-		tuples:    make(map[types.IDHandle]types.Tuple),
-		parents:   make(map[types.IDHandle][]Parent),
-		parentIdx: make(map[parentKey]int),
-	}
-}
-
+// storeArenaChunk caps the chunk size of a partition's arenas.
 const storeArenaChunk = 256
 
-func (s *Partition) allocProv1() []ProvEntry {
-	if len(s.provArena) == cap(s.provArena) {
-		s.provArena = make([]ProvEntry, 0, storeArenaChunk)
+// newPartition builds an empty partition. The row maps are created by their
+// first write: most partitions of a large cluster hold rows in one or two of
+// the five, and reads, deletes and len treat a nil map as empty.
+func newPartition(owner *Store) *Partition {
+	return &Partition{
+		owner:       owner,
+		provArena:   types.NewArena[ProvEntry](storeArenaChunk),
+		parentArena: types.NewArena[Parent](storeArenaChunk),
+		vidArena:    types.NewArena[types.ID](storeArenaChunk),
 	}
-	n := len(s.provArena)
-	s.provArena = s.provArena[:n+1]
-	return s.provArena[n : n : n+1]
-}
-
-func (s *Partition) allocParent1() []Parent {
-	if len(s.parentArena) == cap(s.parentArena) {
-		s.parentArena = make([]Parent, 0, storeArenaChunk)
-	}
-	n := len(s.parentArena)
-	s.parentArena = s.parentArena[:n+1]
-	return s.parentArena[n : n : n+1]
-}
-
-// allocVIDs carves a copy of vidList from the chunked ID arena.
-func (s *Partition) allocVIDs(vidList []types.ID) []types.ID {
-	k := len(vidList)
-	if k == 0 {
-		return nil
-	}
-	if len(s.vidArena)+k > cap(s.vidArena) {
-		size := storeArenaChunk
-		if k > size {
-			size = k
-		}
-		s.vidArena = make([]types.ID, 0, size)
-	}
-	n := len(s.vidArena)
-	s.vidArena = s.vidArena[:n+k]
-	cp := s.vidArena[n : n+k : n+k]
-	copy(cp, vidList)
-	return cp
 }
 
 // RegisterTupleVIDH records the VID→tuple mapping for a local tuple, keyed by
 // the VID's interned handle (the engine caches one per relation entry).
 func (s *Partition) RegisterTupleVIDH(vidh types.IDHandle, t types.Tuple) {
 	if _, ok := s.tuples[vidh]; !ok {
+		if s.tuples == nil {
+			s.tuples = make(map[types.IDHandle]types.Tuple)
+		}
 		s.tuples[vidh] = t
 	}
 }
@@ -162,7 +129,10 @@ func (s *Partition) AddProvH(vidh types.IDHandle, rid types.ID, rloc types.NodeI
 		}
 	}
 	if entries == nil {
-		entries = s.allocProv1()
+		entries = s.provArena.Cap1()
+		if s.prov == nil {
+			s.prov = make(map[types.IDHandle][]ProvEntry)
+		}
 	}
 	vid := vidh.ID()
 	s.prov[vidh] = append(entries, ProvEntry{VID: vid, RID: rid, RLoc: rloc, Count: 1})
@@ -216,7 +186,10 @@ func (s *Partition) AddRuleExecH(ridh types.IDHandle, rid types.ID, rule string,
 		s.ruleExec[ridh] = e
 		return
 	}
-	s.ruleExec[ridh] = RuleExecEntry{RID: rid, Rule: rule, VIDList: s.allocVIDs(vidList), Count: 1}
+	if s.ruleExec == nil {
+		s.ruleExec = make(map[types.IDHandle]RuleExecEntry)
+	}
+	s.ruleExec[ridh] = RuleExecEntry{RID: rid, Rule: rule, VIDList: s.vidArena.Copy(vidList), Count: 1}
 }
 
 // DelRuleExecH decrements (and possibly removes) a ruleExec entry; it

@@ -169,10 +169,14 @@ func (s *Store) AddParent(vid, rid, headVID types.ID, headLoc types.NodeID) {
 		list[pos].Count++
 		return
 	}
-	p.parentIdx[k] = len(list)
 	if list == nil {
-		list = p.allocParent1()
+		list = p.parentArena.Cap1()
+		if p.parents == nil {
+			p.parents = make(map[types.IDHandle][]Parent)
+			p.parentIdx = make(map[parentKey]int)
+		}
 	}
+	p.parentIdx[k] = len(list)
 	p.parents[vidh] = append(list, Parent{RID: rid, HeadVID: headVID, HeadLoc: headLoc, Count: 1})
 }
 
