@@ -119,14 +119,18 @@ doccheck-selftest:
 	done; \
 	echo "doccheck-selftest ok: both seeded violations rejected"
 
-# Decode-fuzz smoke gate: a short budget per wire-format fuzz target (value
-# and tuple codecs), so strictness regressions in the decoders are caught
-# before the checked-in corpus grows stale. Go runs one fuzz target per
-# invocation, hence the two lines.
+# Decode-fuzz smoke gate: a short budget per wire-format fuzz target — the
+# value and tuple codecs, the transport frame header, and the two message
+# decoders a deployed node's receive loop feeds raw UDP payloads into — so
+# strictness regressions in the decoders are caught before the checked-in
+# corpus grows stale. Go runs one fuzz target per invocation, hence one line
+# each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime 10s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime 10s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrameHeader$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/provquery
 
 # lint sits before test-race: a lint finding is seconds to surface, the race
 # legs are minutes — fail fast on the cheap gate.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/topology"
+	"repro/internal/types"
 )
 
 // TestFullRetractionLeavesNoState: deleting every base link must drain all
@@ -86,6 +87,37 @@ func TestFullRetractionLeavesNoState(t *testing.T) {
 					t.Errorf("%s centralized: %d vertices leak at the server", name, graph.NumVertices())
 				}
 			}
+		}
+	}
+}
+
+// TestProvenanceDigestsStayOutOfInternTable is the ID half of the soak fence
+// (ROADMAP item 4): provenance rows are keyed by their VIDs and RIDs
+// directly, so building, converging and dropping reference-mode clusters
+// must not grow the process-wide ID intern table at all — it holds only the
+// digests a program carries as values, and MINCOST carries none.
+func TestProvenanceDigestsStayOutOfInternTable(t *testing.T) {
+	_, ids0, _, _ := types.InternStats()
+	for _, topo := range []*topology.Topology{
+		topology.Ring(12, rand.New(rand.NewSource(3))),
+		topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(4))),
+	} {
+		c, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunToFixpoint(); err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for _, h := range c.Hosts {
+			rows += h.Engine.Store.NumProv() + h.Engine.Store.NumRuleExec()
+		}
+		if rows == 0 {
+			t.Fatal("no provenance rows were written")
+		}
+		if _, ids, _, _ := types.InternStats(); ids != ids0 {
+			t.Fatalf("%d nodes: %d provenance rows grew the ID intern table %d -> %d", topo.N, rows, ids0, ids)
 		}
 	}
 }

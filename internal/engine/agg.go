@@ -159,24 +159,15 @@ func (sh *shard) emitAggChange(rule *CompiledRule, out types.Tuple, em aggEmit, 
 				winEnt = rel.get(em.winner)
 			}
 		}
-		var winVID types.ID
-		var ridh types.IDHandle
 		if winEnt != nil {
-			winVID, sh.hashBuf = winEnt.VIDBuf(sh.hashBuf)
-			sh.vidBuf[0] = winVID
-			// Aggregate RIDs hash a single stored input; memoize them like
-			// join RIDs (entBuf is idle here — fireAgg never runs inside
-			// execPlan, so borrowing slot 0 cannot clobber a live plan).
-			sh.entBuf[0] = winEnt
-			rid, ridh = sh.ruleExecID(rule, sh.entBuf[:1], sh.vidBuf[:1])
+			sh.vidBuf[0], sh.hashBuf = winEnt.VIDBuf(sh.hashBuf)
 		} else {
-			winVID, sh.hashBuf = em.winner.VIDBuf(sh.hashBuf)
-			sh.vidBuf[0] = winVID
-			rid, sh.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, sh.vidBuf[:1], sh.ridBuf)
+			sh.vidBuf[0], sh.hashBuf = em.winner.VIDBuf(sh.hashBuf)
 		}
+		rid, sh.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, sh.vidBuf[:1], sh.ridBuf)
 		switch n.Mode {
 		case ProvReference:
-			sh.ruleExecRow(ridh, rid, rule.Label, sh.vidBuf[:1], em.sign)
+			sh.ruleExecRow(rid, rule.Label, sh.vidBuf[:1], em.sign)
 		case ProvCentralized:
 			var headVID types.ID
 			headVID, sh.hashBuf = out.VIDBuf(sh.hashBuf)
@@ -210,12 +201,10 @@ type aggEntry struct {
 // slices are all carved from the owning shard's arenas (value slices
 // are pointer-free under the compact Value representation, so the arenas
 // cost the garbage collector nothing to scan); the group itself holds only
-// its entry map and reusable scratch.
+// its entry map and free list, and borrows the shard's scratch to refresh.
 type aggGroup struct {
 	entries map[string]*aggEntry
-	free    []*aggEntry   // retired entries recycled by later inserts
-	argsBuf []types.Value // reusable candidate-output buffer
-	emitBuf []aggEmit     // reusable emit buffer, valid until the next refresh
+	free    []*aggEntry // retired entries recycled by later inserts
 	// curOut is the currently emitted head tuple (hasOut reports whether
 	// one exists), and curWinner the input entry it was traced to (MIN/MAX
 	// provenance).
@@ -348,10 +337,11 @@ func beats(spec *AggSpec, a, b *aggEntry) bool {
 }
 
 // refresh recomputes the output tuple and diffs it against the currently
-// emitted one. The returned slice aliases the group's emit buffer and is
-// valid until the next refresh. The steady-state path — an input delta that
-// does not change the output — allocates nothing, and a changed output
-// carves its retained argument slice from the node's arena.
+// emitted one. The returned slice aliases the shard's emit buffer and is
+// valid until the next refresh of any group on the shard. The steady-state
+// path — an input delta that does not change the output — allocates
+// nothing, and a changed output carves its retained argument slice from the
+// node's arena.
 //
 // deleting reports that the triggering input delta was a Delete. For rules
 // whose head predicate is recursive, a delete-driven output re-emission is
@@ -362,8 +352,8 @@ func beats(spec *AggSpec, a, b *aggEntry) bool {
 // included — an arriving insert would otherwise promote a phantom row)
 // until releaseStaged re-refreshes it.
 func (g *aggGroup) refresh(sh *shard, rule *CompiledRule, groupVals []types.Value, deleting bool) []aggEmit {
-	newArgs, newWinner, ok := g.compute(rule.agg, groupVals)
-	emits := g.emitBuf[:0]
+	newArgs, newWinner, ok := g.compute(sh, rule.agg, groupVals)
+	emits := sh.aggEmitBuf[:0]
 	if g.hasOut && !(ok && argsEqual(g.curOut.Args, newArgs)) {
 		em := aggEmit{tuple: g.curOut, sign: Delete}
 		if g.curWinner != nil {
@@ -395,7 +385,7 @@ func (g *aggGroup) refresh(sh *shard, rule *CompiledRule, groupVals []types.Valu
 			g.curOut, g.hasOut, g.curWinner = out, true, newWinner
 		}
 	}
-	g.emitBuf = emits
+	sh.aggEmitBuf = emits
 	return emits
 }
 
@@ -412,10 +402,10 @@ func argsEqual(a, b []types.Value) bool {
 }
 
 // compute evaluates the aggregate over the current multiset into the
-// group's reusable args buffer. It reports ok=false when the group emits
+// shard's reusable args buffer. It reports ok=false when the group emits
 // nothing.
-func (g *aggGroup) compute(spec *AggSpec, groupVals []types.Value) ([]types.Value, *aggEntry, bool) {
-	args := g.argsBuf[:0]
+func (g *aggGroup) compute(sh *shard, spec *AggSpec, groupVals []types.Value) ([]types.Value, *aggEntry, bool) {
+	args := sh.aggArgsBuf[:0]
 	var winner *aggEntry
 	var aggList types.Value
 	switch spec.Fn {
@@ -474,7 +464,7 @@ func (g *aggGroup) compute(spec *AggSpec, groupVals []types.Value) ([]types.Valu
 		args = append(args, groupVals[gi])
 		gi++
 	}
-	g.argsBuf = args
+	sh.aggArgsBuf = args
 	return args, winner, true
 }
 

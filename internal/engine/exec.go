@@ -210,24 +210,16 @@ func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
 	}
 
 	inputVIDs := sh.vidBuf[:len(matched)]
-	cacheable := true
 	for i := range matched {
 		if ments[i] != nil {
 			inputVIDs[i], sh.hashBuf = ments[i].VIDBuf(sh.hashBuf)
 		} else {
-			// Event input: transient, no entry to cache on, and usually a
-			// one-off — keep it out of the RID memo and intern table.
-			cacheable = false
+			// Event input: transient, no entry to cache on.
 			inputVIDs[i], sh.hashBuf = matched[i].VIDBuf(sh.hashBuf)
 		}
 	}
 	var rid types.ID
-	var ridh types.IDHandle
-	if cacheable {
-		rid, ridh = sh.ruleExecID(rule, ments, inputVIDs)
-	} else {
-		rid, sh.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, inputVIDs, sh.ridBuf)
-	}
+	rid, sh.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, inputVIDs, sh.ridBuf)
 
 	if sign != Update {
 		switch n.Mode {
@@ -236,7 +228,7 @@ func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
 			// when it caches a traversal (§6.1), so a derivation records
 			// only its ruleExec row — no head hashing, no per-input edge
 			// maintenance on this path.
-			sh.ruleExecRow(ridh, rid, rule.Label, inputVIDs, sign)
+			sh.ruleExecRow(rid, rule.Label, inputVIDs, sign)
 		case ProvCentralized:
 			// The deriving node knows the whole derivation: it relays both
 			// the ruleExec row and the head's prov row to the server.
@@ -265,69 +257,23 @@ func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
 // keeping each add/del pair in one map.
 //
 //exspan:hotpath
-func (sh *shard) ruleExecRow(ridh types.IDHandle, rid types.ID, label string, inputVIDs []types.ID, sign int8) {
+func (sh *shard) ruleExecRow(rid types.ID, label string, inputVIDs []types.ID, sign int8) {
 	if sh.n.rounds() {
-		sh.deferRuleExecRow(ridh, rid, label, inputVIDs, sign)
+		sh.deferRuleExecRow(rid, label, inputVIDs, sign)
 		return
 	}
-	applyRuleExecRow(sh.store, ridh, rid, label, inputVIDs, sign)
+	applyRuleExecRow(sh.store, rid, label, inputVIDs, sign)
 }
 
-// applyRuleExecRow writes one ruleExec row change into a partition. ridh is
-// zero for derivations with event inputs, which stay out of the RID memo
-// (emitDerivation): an insert interns the RID here, where the row is about
-// to keep it alive anyway, and a delete only looks it up — an RID nobody
-// interned has no row to remove.
+// applyRuleExecRow writes one ruleExec row change into a partition.
 //
 //exspan:hotpath
-func applyRuleExecRow(part *provenance.Partition, ridh types.IDHandle, rid types.ID, label string, inputVIDs []types.ID, sign int8) {
+func applyRuleExecRow(part *provenance.Partition, rid types.ID, label string, inputVIDs []types.ID, sign int8) {
 	if sign == Insert {
-		if ridh == 0 {
-			ridh = types.InternID(rid)
-		}
-		part.AddRuleExecH(ridh, rid, label, inputVIDs)
-		return
+		part.AddRuleExec(rid, label, inputVIDs)
+	} else {
+		part.DelRuleExec(rid)
 	}
-	if ridh == 0 {
-		var ok bool
-		if ridh, ok = types.LookupID(rid); !ok {
-			return
-		}
-	}
-	part.DelRuleExecH(ridh)
-}
-
-// ridCacheVal is one memoized rule-execution identifier: the digest plus
-// its interned handle (which keys the ruleExec store partition).
-type ridCacheVal struct {
-	id types.ID
-	h  types.IDHandle
-}
-
-// ruleExecID returns the RID for a derivation whose inputs are all stored
-// entries, computing the SHA-1 once per distinct (rule, inputs) combination
-// and replaying it from the memo afterwards. The memo key is the rule index
-// followed by the inputs' interned VID handles — equal handles mean equal
-// VIDs, and the node's own ID (part of the hash) is constant per node.
-//
-//exspan:hotpath
-func (sh *shard) ruleExecID(rule *CompiledRule, ments []*entry, inputVIDs []types.ID) (types.ID, types.IDHandle) {
-	k := sh.ridKey[:0]
-	k = append(k, byte(rule.idx), byte(rule.idx>>8), byte(rule.idx>>16), byte(rule.idx>>24))
-	for _, e := range ments {
-		h := e.vidHandle()
-		k = append(k, byte(h), byte(h>>8), byte(h>>16), byte(h>>24))
-	}
-	sh.ridKey = k
-	if c, ok := sh.ridCache[string(k)]; ok {
-		return c.id, c.h
-	}
-	var rid types.ID
-	rid, sh.ridBuf = types.RuleExecIDBuf(rule.Label, sh.n.ID, inputVIDs, sh.ridBuf)
-	c := ridCacheVal{id: rid, h: types.InternID(rid)}
-	//exspanlint:alloc-ok memo miss: the key string is copied once per distinct (rule, inputs)
-	sh.ridCache[string(k)] = c
-	return c.id, c.h
 }
 
 // route delivers a derived delta to its destination node: enqueued locally

@@ -132,8 +132,12 @@ func DecodeMessage(b []byte) (*Message, error) {
 		m.HasRef = true
 	}
 	if flags&flagPayload != 0 {
+		// The length is attacker-supplied: compare it as a uint64 against
+		// the bytes that remain, never after a narrowing conversion (a
+		// length ≥ 2^63 is negative as an int and would pass a signed check,
+		// then panic in make).
 		plen, sz := binary.Uvarint(b[used:])
-		if sz <= 0 || len(b) < used+sz+int(plen) {
+		if sz <= 0 || plen > uint64(len(b)-used-sz) {
 			return nil, errBadMessage
 		}
 		used += sz

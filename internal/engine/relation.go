@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/bdd"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -21,22 +22,29 @@ type deriv struct {
 
 // entry is one tuple of a relation together with its derivation multiset.
 // The tuple is visible while at least one derivation is present. The
-// provenance VID (with its interned handle) is cached here so each tuple
-// is SHA-1-hashed at most once per lifetime on a node; the relation map
-// key (the tuple's args handle key) lives only in the entries map itself.
+// provenance VID is cached here, so each tuple is SHA-1-hashed at most once
+// per lifetime on a node; in reference mode the entry also holds the tuple's
+// vertex in the shard's provenance partition, so prov rows are added and
+// removed with no map probe. The relation map key (the tuple's args handle
+// key) lives only in the entries map itself.
 //
 // Derivations are held by value in a small slice: most tuples have one or
 // two, and the per-entry map plus per-derivation pointer boxes were among
 // the largest allocation sources in fixpoint profiles.
-// Field order is alignment-packed (exspanlint -fieldalign): the six
+// Field order is alignment-packed (exspanlint -fieldalign): the four
 // 1-byte flags sit together after the word- and 4-byte-aligned fields,
-// saving 8 bytes on every stored tuple (104 vs 112).
+// which is what keeps a stored tuple at 104 bytes; the cached VID needs no
+// flag of its own because no tuple hashes to the null digest.
 type entry struct {
-	tuple   types.Tuple
-	derivs  []deriv
+	tuple  types.Tuple
+	derivs []deriv
+	// vert is the tuple's vertex in the shard's provenance partition while
+	// the tuple has prov rows there (reference mode); nil otherwise. The
+	// partition drops a vertex with its last row (DelProv reports it), so
+	// the pointer never outlives what it points at.
+	vert    *provenance.Vertex
 	payload bdd.Ref // value mode: OR over derivation payloads
 	vid     types.ID
-	vidh    types.IDHandle // interned vid; keys the provenance store partition
 
 	// touchRound/startVis snapshot the entry's visibility at the start of
 	// the round that first touched it (rounds.go; unused in serial mode) —
@@ -45,8 +53,6 @@ type entry struct {
 	touchRound uint32
 
 	visible bool
-	vidOK   bool
-	stored  bool // VID→tuple mapping already registered with the prov store
 
 	// staged marks a suspect of the retraction protocol: the entry was
 	// over-deleted while alternate derivations survived and sits on its
@@ -90,22 +96,16 @@ func (e *entry) delDeriv(rid types.ID) {
 	}
 }
 
-// VIDBuf returns the tuple's provenance vertex identifier, computing,
-// interning and caching it on first use. buf is scratch for the canonical
-// encoding; the (possibly grown) buffer is returned for reuse. Interned
-// arguments make the encode a sequence of memoized copies, and the interned
-// vidh is what the provenance store partitions key on.
+// VIDBuf returns the tuple's provenance vertex identifier, computing and
+// caching it on first use. buf is scratch for the canonical encoding; the
+// (possibly grown) buffer is returned for reuse. Interned arguments make the
+// encode a sequence of memoized copies.
 func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
-	if !e.vidOK {
+	if e.vid.IsZero() { // not hashed yet: no tuple's SHA-1 is the null digest
 		e.vid, buf = e.tuple.VIDBuf(buf)
-		e.vidh = types.InternID(e.vid)
-		e.vidOK = true
 	}
 	return e.vid, buf
 }
-
-// vidHandle returns the interned VID handle; valid only after VIDBuf.
-func (e *entry) vidHandle() types.IDHandle { return e.vidh }
 
 // Relation is a materialized table with hash indexes maintained
 // incrementally as tuples become visible and invisible.
@@ -278,19 +278,17 @@ func (r *Relation) get(t types.Tuple) *entry {
 }
 
 // getOrCreate returns the entry for a tuple, creating an invisible one if
-// needed. A matching tombstone is revived: its cached VID and handle carry
-// over (equal handle keys imply equal tuples and equal VIDs).
+// needed. A matching tombstone is revived: its cached VID carries over
+// (equal handle keys imply equal tuples and equal VIDs).
 func (r *Relation) getOrCreate(t types.Tuple) *entry {
 	r.scratch = t.AppendArgsKey(r.scratch[:0])
 	if e := r.entries[string(r.scratch)]; e != nil {
 		if !e.visible && len(e.derivs) == 0 {
-			// Revival: the provenance store dropped this VID's rows when
-			// the last derivation went, so the VID→tuple mapping must be
-			// re-registered, and value-mode payloads restart from scratch.
-			// The cached VID and handle stay valid (equal handle keys
-			// imply equal tuples).
+			// Revival: value-mode payloads restart from scratch. The
+			// cached VID stays valid (equal handle keys imply equal
+			// tuples); the provenance vertex went with the last
+			// derivation and the next insert finds a new one.
 			r.dead--
-			e.stored = false
 			e.payload = bdd.False
 		}
 		return e

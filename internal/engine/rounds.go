@@ -83,10 +83,9 @@ type outMsg struct {
 // keeping every add/del pair in one map. vid offsets slice the shard's
 // reVIDs arena.
 type reOp struct {
-	ridh   types.IDHandle
 	rid    types.ID
-	label  string
 	sign   int8
+	label  string
 	vidOff int
 	vidLen int
 }
@@ -240,7 +239,7 @@ func (sh *shard) applyAggItem(it *aggItem) {
 
 // deferRuleExecRow buffers a ruleExec-row change for the merge barrier,
 // bucketed by the RID's home partition.
-func (sh *shard) deferRuleExecRow(ridh types.IDHandle, rid types.ID, label string, inputVIDs []types.ID, sign int8) {
+func (sh *shard) deferRuleExecRow(rid types.ID, label string, inputVIDs []types.ID, sign int8) {
 	off, k := len(sh.rs.reVIDs), 0
 	if sign == Insert { // deletes never materialize a new row; skip the copy
 		sh.rs.reVIDs = append(sh.rs.reVIDs, inputVIDs...)
@@ -248,7 +247,7 @@ func (sh *shard) deferRuleExecRow(ridh types.IDHandle, rid types.ID, label strin
 	}
 	dst := sh.n.ridHomeIdx(rid)
 	sh.rs.reOps[dst] = append(sh.rs.reOps[dst], reOp{
-		ridh: ridh, rid: rid, label: label, sign: sign, vidOff: off, vidLen: k,
+		rid: rid, label: label, sign: sign, vidOff: off, vidLen: k,
 	})
 }
 
@@ -268,7 +267,7 @@ func (sh *shard) replayRuleExecOpsTo(d int) {
 	ops := sh.rs.reOps[d]
 	for i := range ops {
 		op := &ops[i]
-		applyRuleExecRow(part, op.ridh, op.rid, op.label, sh.rs.reVIDs[op.vidOff:op.vidOff+op.vidLen], op.sign)
+		applyRuleExecRow(part, op.rid, op.label, sh.rs.reVIDs[op.vidOff:op.vidOff+op.vidLen], op.sign)
 		ops[i] = reOp{}
 	}
 	sh.rs.reOps[d] = ops[:0]

@@ -9,8 +9,8 @@ import (
 
 // This file is the engine's WORKER (shard) layer. A shard owns one
 // hash-partition of a node's evaluation state — relations, join indexes,
-// aggregate groups, a provenance-store partition — plus its own drain ring,
-// scratch arenas and RID memo. A single-shard node (the default) runs the
+// aggregate groups, a provenance-store partition — plus its own drain ring
+// and scratch arenas. A single-shard node (the default) runs the
 // exact pre-sharding pipeline: process() applies a delta and fires rules
 // inline, FIFO, to local quiescence. With several shards, the runtime layer
 // (rounds.go) drives shards through batched apply/fire phases instead; the
@@ -87,24 +87,15 @@ type shard struct {
 	// messages, so their args cannot live in reusable scratch.
 	argArena types.Arena[types.Value]
 
-	// ridCache memoizes rule-execution identifiers. An RID is the SHA-1 of
-	// (rule, this node, exact input VIDs), so it is fully determined by the
-	// rule index and the inputs' interned VID handles — a 4+4k-byte key.
-	// Under churn the same derivations fire repeatedly (insert, delete,
-	// re-insert), and the memo turns every repeat into a map hit instead of
-	// a SHA-1. Only derivations whose inputs are all stored tuples are
-	// cached: event tuples are transient and usually unique, so caching
-	// them would grow the memo (and the intern table) without ever hitting.
-	// The memo is monotone per shard, bounded by the distinct derivations
-	// the workload produces — the same order as the ruleExec partition.
-	ridCache map[string]ridCacheVal
-	ridKey   []byte
-
-	// Arenas for aggregate state: group and entry structs plus the
-	// entry-key scratch. Aggregates allocate one group per (rule, group-by)
+	// Arenas for aggregate state: group and entry structs plus the scratch
+	// every group shares — the entry key, and the candidate output and
+	// emit list of one refresh, which each caller consumes before the next
+	// (aggGroup.refresh). Aggregates allocate one group per (rule, group-by)
 	// combination and one entry per distinct input row; boxing each struct
 	// individually was a leading allocation class in fixpoint profiles.
 	aggKeyBuf     []byte
+	aggArgsBuf    []types.Value
+	aggEmitBuf    []aggEmit
 	aggEntryArena types.Arena[aggEntry]
 	aggGroupArena types.Arena[aggGroup]
 
@@ -194,7 +185,6 @@ func newShard(n *Node, idx int, store *provenance.Partition) *shard {
 			sh.aggBodyRel[r.idx] = sh.table(r.atoms[0].pred)
 		}
 	}
-	sh.ridCache = make(map[string]ridCacheVal)
 	sh.envBuf = make([]types.Value, prog.maxVars)
 	sh.matchedBuf = make([]types.Tuple, prog.maxAtoms)
 	sh.entBuf = make([]*entry, prog.maxAtoms)
@@ -320,17 +310,15 @@ func (sh *shard) process(d localDelta, rm bool) {
 			return // neither Update nor rederive applies to transient events
 		}
 		if n.Mode == ProvReference {
-			// Events have no entry to cache on; hash once per delta. A
-			// delete only looks the handle up: a VID nobody interned has no
-			// row to remove.
+			// Events have no entry to keep the vertex on; hash and find it
+			// once per delta. A delete only looks it up: a VID without a
+			// vertex has no row to remove.
 			var vid types.ID
 			vid, sh.hashBuf = d.tuple.VIDBuf(sh.hashBuf)
 			if d.sign == Insert {
-				vidh := types.InternID(vid)
-				sh.store.RegisterTupleVIDH(vidh, d.tuple)
-				sh.store.AddProvH(vidh, d.rid, d.rloc)
-			} else if vidh, ok := types.LookupID(vid); ok {
-				sh.store.DelProvH(vidh, d.rid, d.rloc)
+				sh.store.AddProv(sh.store.Vertex(vid, d.tuple), d.rid, d.rloc)
+			} else if v := sh.store.Lookup(vid); v != nil {
+				sh.store.DelProv(v, d.rid, d.rloc)
 			}
 		}
 		// Centralized: base events are reported by their injector; derived
@@ -370,25 +358,24 @@ func (sh *shard) process(d localDelta, rm bool) {
 			dv = e.addDeriv(d.rid, d.rloc)
 		}
 		dv.count++
-		// The entry caches the canonical VID and its interned handle, so
-		// each stored tuple is hashed at most once per lifetime regardless
-		// of how many deltas and provenance branches touch it, and store
-		// partitions are addressed by the 4-byte handle.
+		// The entry caches the canonical VID, so each stored tuple is
+		// hashed at most once per lifetime regardless of how many deltas
+		// and provenance branches touch it.
 		if rm {
 			// Sibling shards read the VID during the frozen fire phase;
 			// computing it here keeps that phase free of entry mutation.
 			_, sh.hashBuf = e.VIDBuf(sh.hashBuf)
 		}
 		if n.Mode == ProvReference && !meta {
-			_, sh.hashBuf = e.VIDBuf(sh.hashBuf)
-			if !e.stored {
-				// The store drops the VID→tuple row when the last prov
-				// entry goes (at which point this entry is deleted too),
-				// so one registration per entry lifetime suffices.
-				sh.store.RegisterTupleVIDH(e.vidHandle(), d.tuple)
-				e.stored = true
+			if e.vert == nil {
+				// One find-or-create per entry lifetime: the partition
+				// drops the vertex with its last prov row, which is when
+				// this entry loses its last derivation too.
+				var vid types.ID
+				vid, sh.hashBuf = e.VIDBuf(sh.hashBuf)
+				e.vert = sh.store.Vertex(vid, e.tuple)
 			}
-			sh.store.AddProvH(e.vidHandle(), d.rid, d.rloc)
+			sh.store.AddProv(e.vert, d.rid, d.rloc)
 		}
 		// Centralized: the deriving node reports derived rows; the owner
 		// reports base rows.
@@ -445,9 +432,10 @@ func (sh *shard) process(d localDelta, rm bool) {
 		if removed {
 			e.delDeriv(d.rid)
 		}
-		if n.Mode == ProvReference && !meta {
-			_, sh.hashBuf = e.VIDBuf(sh.hashBuf)
-			sh.store.DelProvH(e.vidHandle(), d.rid, d.rloc)
+		if e.vert != nil {
+			if _, dropped := sh.store.DelProv(e.vert, d.rid, d.rloc); dropped {
+				e.vert = nil
+			}
 		}
 		if n.Mode == ProvCentralized && !meta && d.isBase {
 			var vid types.ID

@@ -2,13 +2,13 @@ package lint
 
 // The interning analyzer enforces the identity discipline types.Value
 // bought in PR 3: heavy payloads are interned to canonical handles, so
-// equality is ==, Value/IDHandle are map keys directly, and rendering or
+// equality is ==, a Value is a map key directly, and rendering or
 // re-encoding a value to build a string identity is always wasted work —
 // and was an actual regression class (the first-sight string-key copies
 // removed in PR 7). Flagged:
 //
 //   - fmt.Sprintf/Sprint-style key building: a formatted string with a
-//     Value/IDHandle/Tuple/ID argument used as a map key or compared
+//     Value/Tuple/ID argument used as a map key or compared
 //   - .String()/.Encode()/.Key() derived strings compared against each
 //     other (compare the values with == / Compare instead)
 //   - indexing a map[string] with a canonical encoding of a Value or Tuple
@@ -27,17 +27,16 @@ import (
 
 var InterningAnalyzer = &Analyzer{
 	Name:     "interning",
-	Doc:      "flags string-identity building (Sprintf/String/Encode keys) for interned Value/IDHandle types",
+	Doc:      "flags string-identity building (Sprintf/String/Encode keys) for interned Value types",
 	Suppress: "intern-ok",
 	Run:      runInterning,
 }
 
 // internedTypes are the types whose identity is handle-based.
 var internedTypes = map[string]bool{
-	"repro/internal/types.Value":    true,
-	"repro/internal/types.IDHandle": true,
-	"repro/internal/types.Tuple":    true,
-	"repro/internal/types.ID":       true,
+	"repro/internal/types.Value": true,
+	"repro/internal/types.Tuple": true,
+	"repro/internal/types.ID":    true,
 }
 
 func runInterning(p *Pass) {

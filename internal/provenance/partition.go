@@ -1,21 +1,20 @@
 // This file implements one partition of a node's provenance store — the row
-// types, the row maps and their arenas — and its write surface, the handle-
-// keyed row mutators the engine's worker shards call. The Store (store.go)
-// owns one Partition per worker shard, so concurrent shards mutate disjoint
-// map sets, and implements every read over them.
+// types, the row maps and their arenas — and its write surface, the row
+// mutators the engine's worker shards call. The Store (store.go) owns one
+// Partition per worker shard, so concurrent shards mutate disjoint map sets,
+// and implements every read over them.
 //
-// Rows are stored by value inside their per-VID slices: the store sits on
-// the engine's delta hot path, and per-row pointer boxes more than doubled
-// the evaluator's allocation count in fixpoint profiles.
-//
-// Maps are keyed by interned ID handles (types.IDHandle), not by the
-// 20-byte digests themselves: map operations hash and compare 4 bytes, and
-// the (vid, rid) reverse-edge index keys 8 bytes instead of 40. The engine
-// caches handles on its relation entries, so the row mutators take handles
-// (the *H methods) and nothing else; the Store's read methods take IDs and
-// look them up without interning, so probing an unknown VID cannot grow the
-// intern table. Row values keep full IDs — handles are process-local and
-// never travel in query replies or on the wire.
+// Rows are keyed by what they are: a tuple vertex by its VID, a rule
+// execution by its RID — the 20-byte digests of §4.1, with no handle layer
+// between a digest and its row. Both maps hold pointers to arena-carved
+// rows, so a growing map rehashes 8-byte slots and a count changes in place.
+// A Vertex carries everything the store knows about one VID (its tuple and
+// its prov rows); the engine keeps the *Vertex on its relation entry, so the
+// delta path finds it once per entry lifetime and then adds and removes prov
+// rows with no map probe at all. Prov rows are stored by value inside their
+// vertex's slice: the store sits on the engine's delta hot path, and per-row
+// pointer boxes more than doubled the evaluator's allocation count in
+// fixpoint profiles.
 package provenance
 
 import "repro/internal/types"
@@ -50,15 +49,25 @@ type Parent struct {
 	Count   int
 }
 
+// Vertex is one tuple vertex of the provenance graph as its home partition
+// stores it: the VID, the tuple it names (the paper's "systems table that
+// maps VIDs to tuples") and the VID's prov rows. A writer obtains one from
+// Partition.Vertex and may hold it until DelProv reports it dropped.
+type Vertex struct {
+	vid   types.ID
+	tuple types.Tuple
+	prov  []ProvEntry
+}
+
 // parentKey identifies one reverse dataflow edge for O(1) add/remove. The
 // RID alone determines the derived head (an RID hashes the rule, its
 // location and its exact inputs), so (vid, rid) is unique per edge. Hub
 // tuples (e.g. a link consumed by every route derivation) accumulate long
 // parent lists, and the linear scans previously done by AddParent dominated
-// fixpoint profiles. Interned handles shrink the key from 40 bytes to 8.
+// fixpoint profiles.
 type parentKey struct {
-	vidh types.IDHandle
-	ridh types.IDHandle
+	vid types.ID
+	rid types.ID
 }
 
 // Partition is one horizontal slice of a node's provenance store. Under the
@@ -72,20 +81,22 @@ type parentKey struct {
 type Partition struct {
 	owner *Store // change notifications route through it
 
-	prov      map[types.IDHandle][]ProvEntry
-	ruleExec  map[types.IDHandle]RuleExecEntry
-	tuples    map[types.IDHandle]types.Tuple
-	parents   map[types.IDHandle][]Parent
-	parentIdx map[parentKey]int // position inside parents[vidh]
+	verts     map[types.ID]*Vertex
+	ruleExec  map[types.ID]*RuleExecEntry
+	parents   map[types.ID][]Parent
+	parentIdx map[parentKey]int // position inside parents[vid]
 
-	// Arenas for the first element of per-VID row slices and for ruleExec
-	// input lists. Most VIDs have exactly one prov row and one parent edge,
-	// so the per-VID "first append" allocations dominated the store's
-	// profile; carving capacity-1 slices from a chunk amortizes them to
-	// ~1/chunk. Longer lists spill to regular append growth.
-	provArena   types.Arena[ProvEntry]
-	parentArena types.Arena[Parent]
-	vidArena    types.Arena[types.ID]
+	// Arenas for the rows the maps point at, for the first element of
+	// per-VID row slices and for ruleExec input lists. Most VIDs have
+	// exactly one prov row and one parent edge, so the per-VID "first
+	// append" allocations dominated the store's profile; carving
+	// capacity-1 slices from a chunk amortizes them to ~1/chunk. Longer
+	// lists spill to regular append growth.
+	vertArena     types.Arena[Vertex]
+	ruleExecArena types.Arena[RuleExecEntry]
+	provArena     types.Arena[ProvEntry]
+	parentArena   types.Arena[Parent]
+	vidArena      types.Arena[types.ID]
 
 	// pending buffers change notifications while the owning Store defers
 	// them (parallel engine phases); FlushDeferred replays and clears it.
@@ -97,68 +108,79 @@ const storeArenaChunk = 256
 
 // newPartition builds an empty partition. The row maps are created by their
 // first write: most partitions of a large cluster hold rows in one or two of
-// the five, and reads, deletes and len treat a nil map as empty.
+// the four, and reads, deletes and len treat a nil map as empty.
 func newPartition(owner *Store) *Partition {
 	return &Partition{
-		owner:       owner,
-		provArena:   types.NewArena[ProvEntry](storeArenaChunk),
-		parentArena: types.NewArena[Parent](storeArenaChunk),
-		vidArena:    types.NewArena[types.ID](storeArenaChunk),
+		owner:         owner,
+		vertArena:     types.NewArena[Vertex](storeArenaChunk),
+		ruleExecArena: types.NewArena[RuleExecEntry](storeArenaChunk),
+		provArena:     types.NewArena[ProvEntry](storeArenaChunk),
+		parentArena:   types.NewArena[Parent](storeArenaChunk),
+		vidArena:      types.NewArena[types.ID](storeArenaChunk),
 	}
 }
 
-// RegisterTupleVIDH records the VID→tuple mapping for a local tuple, keyed by
-// the VID's interned handle (the engine caches one per relation entry).
-func (s *Partition) RegisterTupleVIDH(vidh types.IDHandle, t types.Tuple) {
-	if _, ok := s.tuples[vidh]; !ok {
-		if s.tuples == nil {
-			s.tuples = make(map[types.IDHandle]types.Tuple)
-		}
-		s.tuples[vidh] = t
+// Vertex returns the partition's vertex of vid, creating it — with t as the
+// tuple the VID resolves to — on first sight.
+//
+//exspan:hotpath
+func (s *Partition) Vertex(vid types.ID, t types.Tuple) *Vertex {
+	if v := s.verts[vid]; v != nil {
+		return v
 	}
+	if s.verts == nil {
+		//exspanlint:alloc-ok first vertex of this partition
+		s.verts = make(map[types.ID]*Vertex)
+	}
+	v := s.vertArena.New()
+	v.vid, v.tuple, v.prov = vid, t, s.provArena.Cap1()
+	s.verts[vid] = v
+	return v
 }
 
-// AddProvH inserts (or increments) a prov entry of the VID behind vidh.
-func (s *Partition) AddProvH(vidh types.IDHandle, rid types.ID, rloc types.NodeID) {
-	entries := s.prov[vidh]
-	for i := range entries {
-		if entries[i].RID == rid && entries[i].RLoc == rloc {
-			entries[i].Count++
-			s.changed(entries[i].VID)
+// Lookup returns the partition's vertex of vid, or nil. Writers without a
+// relation entry to keep the vertex on (event tuples) delete through it.
+//
+//exspan:hotpath
+func (s *Partition) Lookup(vid types.ID) *Vertex { return s.verts[vid] }
+
+// AddProv inserts (or increments) a prov row of v.
+//
+//exspan:hotpath
+func (s *Partition) AddProv(v *Vertex, rid types.ID, rloc types.NodeID) {
+	for i := range v.prov {
+		if v.prov[i].RID == rid && v.prov[i].RLoc == rloc {
+			v.prov[i].Count++
+			s.changed(v.vid)
 			return
 		}
 	}
-	if entries == nil {
-		entries = s.provArena.Cap1()
-		if s.prov == nil {
-			s.prov = make(map[types.IDHandle][]ProvEntry)
-		}
-	}
-	vid := vidh.ID()
-	s.prov[vidh] = append(entries, ProvEntry{VID: vid, RID: rid, RLoc: rloc, Count: 1})
-	s.changed(vid)
+	v.prov = append(v.prov, ProvEntry{VID: v.vid, RID: rid, RLoc: rloc, Count: 1})
+	s.changed(v.vid)
 }
 
-// DelProvH decrements (and possibly removes) a prov entry; it reports
-// whether the entry existed.
-func (s *Partition) DelProvH(vidh types.IDHandle, rid types.ID, rloc types.NodeID) bool {
-	entries := s.prov[vidh]
-	for i := range entries {
-		if entries[i].RID == rid && entries[i].RLoc == rloc {
-			vid := entries[i].VID
-			entries[i].Count--
-			if entries[i].Count <= 0 {
-				s.prov[vidh] = append(entries[:i], entries[i+1:]...)
-				if len(s.prov[vidh]) == 0 {
-					delete(s.prov, vidh)
-					delete(s.tuples, vidh)
-				}
-			}
-			s.changed(vid)
-			return true
+// DelProv decrements (and possibly removes) a prov row of v. found reports
+// whether the row existed; dropped that it was the vertex's last, in which
+// case the partition has forgotten the vertex and the caller must too.
+//
+//exspan:hotpath
+func (s *Partition) DelProv(v *Vertex, rid types.ID, rloc types.NodeID) (found, dropped bool) {
+	for i := range v.prov {
+		if v.prov[i].RID != rid || v.prov[i].RLoc != rloc {
+			continue
 		}
+		v.prov[i].Count--
+		if v.prov[i].Count <= 0 {
+			v.prov = append(v.prov[:i], v.prov[i+1:]...)
+			if len(v.prov) == 0 {
+				delete(s.verts, v.vid)
+				dropped = true
+			}
+		}
+		s.changed(v.vid)
+		return true, dropped
 	}
-	return false
+	return false, false
 }
 
 // changed routes a derivation-set change notification through the owning
@@ -177,33 +199,36 @@ func (s *Partition) changed(vid types.ID) {
 	st.OnProvChange(vid)
 }
 
-// AddRuleExecH inserts (or increments) the ruleExec entry of the RID behind
-// ridh (the engine's RID cache hands handles out). vidList may be caller
-// scratch; it is copied when a new entry is created.
-func (s *Partition) AddRuleExecH(ridh types.IDHandle, rid types.ID, rule string, vidList []types.ID) {
-	if e, ok := s.ruleExec[ridh]; ok {
+// AddRuleExec inserts (or increments) the ruleExec row of rid. vidList may
+// be caller scratch; it is copied when a new row is created.
+//
+//exspan:hotpath
+func (s *Partition) AddRuleExec(rid types.ID, rule string, vidList []types.ID) {
+	if e := s.ruleExec[rid]; e != nil {
 		e.Count++
-		s.ruleExec[ridh] = e
 		return
 	}
 	if s.ruleExec == nil {
-		s.ruleExec = make(map[types.IDHandle]RuleExecEntry)
+		//exspanlint:alloc-ok first ruleExec row of this partition
+		s.ruleExec = make(map[types.ID]*RuleExecEntry)
 	}
-	s.ruleExec[ridh] = RuleExecEntry{RID: rid, Rule: rule, VIDList: s.vidArena.Copy(vidList), Count: 1}
+	e := s.ruleExecArena.New()
+	e.RID, e.Rule, e.VIDList, e.Count = rid, rule, s.vidArena.Copy(vidList), 1
+	s.ruleExec[rid] = e
 }
 
-// DelRuleExecH decrements (and possibly removes) a ruleExec entry; it
-// reports whether the entry existed.
-func (s *Partition) DelRuleExecH(ridh types.IDHandle) bool {
-	e, ok := s.ruleExec[ridh]
-	if !ok {
+// DelRuleExec decrements (and possibly removes) a ruleExec row; it reports
+// whether the row existed.
+//
+//exspan:hotpath
+func (s *Partition) DelRuleExec(rid types.ID) bool {
+	e := s.ruleExec[rid]
+	if e == nil {
 		return false
 	}
 	e.Count--
 	if e.Count <= 0 {
-		delete(s.ruleExec, ridh)
-	} else {
-		s.ruleExec[ridh] = e
+		delete(s.ruleExec, rid)
 	}
 	return true
 }

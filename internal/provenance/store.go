@@ -17,12 +17,12 @@
 // shard writes only its own partition, so the store needs no locks.
 //
 // The package has one surface per role. Writers — the engine's worker shards
-// — go through Partition, keyed by the interned handles they already hold.
-// Readers — the query processor, the CLI, experiments and the benchmark — go
-// through Store, keyed by the IDs that travel in query messages, fanning out
-// across partitions where a row could live in any of them. The only rows a
-// reader writes are the reverse dataflow edges of its own cache (AddParent /
-// DropParents).
+// — go through Partition, holding the *Vertex of each stored tuple they
+// maintain. Readers — the query processor, the CLI, experiments and the
+// benchmark — go through Store, keyed by the IDs that travel in query
+// messages, fanning out across partitions where a row could live in any of
+// them. The only rows a reader writes are the reverse dataflow edges of its
+// own cache (AddParent / DropParents).
 package provenance
 
 import (
@@ -88,18 +88,11 @@ func (s *Store) FlushDeferred() {
 	}
 }
 
-// partForVID returns the partition holding rows of vid (its prov rows or its
-// VID→tuple mapping), or nil. Parent-edge writes route through it.
-func (s *Store) partForVID(vidh types.IDHandle) *Partition {
+// vertex returns the vertex of vid from whichever partition holds it, or nil.
+func (s *Store) vertex(vid types.ID) *Vertex {
 	for _, p := range s.parts {
-		if _, ok := p.prov[vidh]; ok {
-			return p
-		}
-		if _, ok := p.tuples[vidh]; ok {
-			return p
-		}
-		if _, ok := p.parents[vidh]; ok {
-			return p
+		if v := p.verts[vid]; v != nil {
+			return v
 		}
 	}
 	return nil
@@ -107,12 +100,8 @@ func (s *Store) partForVID(vidh types.IDHandle) *Partition {
 
 // TupleOf resolves a local VID to its tuple.
 func (s *Store) TupleOf(vid types.ID) (types.Tuple, bool) {
-	if h, ok := types.LookupID(vid); ok {
-		for _, p := range s.parts {
-			if t, ok := p.tuples[h]; ok {
-				return t, true
-			}
-		}
+	if v := s.vertex(vid); v != nil {
+		return v.tuple, true
 	}
 	return types.Tuple{}, false
 }
@@ -120,23 +109,17 @@ func (s *Store) TupleOf(vid types.ID) (types.Tuple, bool) {
 // Derivations returns the visible prov entries for a VID. Callers must not
 // mutate the returned slice.
 func (s *Store) Derivations(vid types.ID) []ProvEntry {
-	if h, ok := types.LookupID(vid); ok {
-		for _, p := range s.parts {
-			if d := p.prov[h]; d != nil {
-				return d
-			}
-		}
+	if v := s.vertex(vid); v != nil {
+		return v.prov
 	}
 	return nil
 }
 
 // RuleExecOf resolves a local RID.
 func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) {
-	if h, ok := types.LookupID(rid); ok {
-		for _, p := range s.parts {
-			if e, ok := p.ruleExec[h]; ok {
-				return e, true
-			}
+	for _, p := range s.parts {
+		if e := p.ruleExec[rid]; e != nil {
+			return *e, true
 		}
 	}
 	return RuleExecEntry{}, false
@@ -147,24 +130,25 @@ func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) {
 func (s *Store) ForEachRuleExec(fn func(RuleExecEntry)) {
 	for _, p := range s.parts {
 		for _, e := range p.ruleExec {
-			fn(e)
+			fn(*e)
 		}
 	}
 }
 
 // AddParent records that local tuple vid was consumed by rule execution rid
-// deriving headVID at headLoc. This is a write path driven by the query
-// processor's cache installation, so both IDs are interned. The edge lands
-// in the partition holding the VID's rows, so invalidation finds it
-// alongside them.
+// deriving headVID at headLoc — a write path driven by the query processor's
+// cache installation. The edge lands in the partition holding the VID's
+// vertex (or its earlier edges), so invalidation finds it alongside them.
 func (s *Store) AddParent(vid, rid, headVID types.ID, headLoc types.NodeID) {
-	vidh := types.InternID(vid)
-	p := s.partForVID(vidh)
-	if p == nil {
-		p = s.parts[0]
+	p := s.parts[0]
+	for _, q := range s.parts {
+		if q.verts[vid] != nil || q.parents[vid] != nil {
+			p = q
+			break
+		}
 	}
-	k := parentKey{vidh: vidh, ridh: types.InternID(rid)}
-	list := p.parents[vidh]
+	k := parentKey{vid: vid, rid: rid}
+	list := p.parents[vid]
 	if pos, ok := p.parentIdx[k]; ok {
 		list[pos].Count++
 		return
@@ -172,22 +156,20 @@ func (s *Store) AddParent(vid, rid, headVID types.ID, headLoc types.NodeID) {
 	if list == nil {
 		list = p.parentArena.Cap1()
 		if p.parents == nil {
-			p.parents = make(map[types.IDHandle][]Parent)
+			p.parents = make(map[types.ID][]Parent)
 			p.parentIdx = make(map[parentKey]int)
 		}
 	}
 	p.parentIdx[k] = len(list)
-	p.parents[vidh] = append(list, Parent{RID: rid, HeadVID: headVID, HeadLoc: headLoc, Count: 1})
+	p.parents[vid] = append(list, Parent{RID: rid, HeadVID: headVID, HeadLoc: headLoc, Count: 1})
 }
 
 // Parents returns the reverse dataflow edges of a local VID. Callers must
 // not mutate the returned slice.
 func (s *Store) Parents(vid types.ID) []Parent {
-	if h, ok := types.LookupID(vid); ok {
-		for _, p := range s.parts {
-			if list := p.parents[h]; list != nil {
-				return list
-			}
+	for _, p := range s.parts {
+		if list := p.parents[vid]; list != nil {
+			return list
 		}
 	}
 	return nil
@@ -196,17 +178,11 @@ func (s *Store) Parents(vid types.ID) []Parent {
 // DropParents removes every reverse edge of a VID (an invalidation wave
 // consumed them). A slice previously returned by Parents stays readable.
 func (s *Store) DropParents(vid types.ID) {
-	vidh, ok := types.LookupID(vid)
-	if !ok {
-		return
-	}
 	for _, p := range s.parts {
-		for _, e := range p.parents[vidh] {
-			if ridh, ok := types.LookupID(e.RID); ok {
-				delete(p.parentIdx, parentKey{vidh: vidh, ridh: ridh})
-			}
+		for _, e := range p.parents[vid] {
+			delete(p.parentIdx, parentKey{vid: vid, rid: e.RID})
 		}
-		delete(p.parents, vidh)
+		delete(p.parents, vid)
 	}
 }
 
@@ -214,8 +190,8 @@ func (s *Store) DropParents(vid types.ID) {
 func (s *Store) NumProv() int {
 	n := 0
 	for _, p := range s.parts {
-		for _, list := range p.prov {
-			n += len(list)
+		for _, v := range p.verts {
+			n += len(v.prov)
 		}
 	}
 	return n
@@ -244,20 +220,17 @@ func (s *Store) NumParents() int {
 func (s *Store) ProvRows() []string {
 	var rows []string
 	for _, p := range s.parts {
-		for vidh, list := range p.prov {
-			label := ""
-			if t, ok := p.tuples[vidh]; ok {
-				label = t.String()
+		for _, v := range p.verts {
+			label := v.tuple.String()
+			if v.tuple.Pred == "" {
+				label = v.vid.Short()
 			}
-			for i := range list {
-				if label == "" {
-					label = list[i].VID.Short()
-				}
+			for _, d := range v.prov {
 				rid := "null"
-				if !list[i].RID.IsZero() {
-					rid = list[i].RID.Short()
+				if !d.RID.IsZero() {
+					rid = d.RID.Short()
 				}
-				rows = append(rows, fmt.Sprintf("%s | %s | %s | %s", s.Node, label, rid, list[i].RLoc))
+				rows = append(rows, fmt.Sprintf("%s | %s | %s | %s", s.Node, label, rid, d.RLoc))
 			}
 		}
 	}

@@ -9,9 +9,10 @@ import (
 
 func tid(s string) types.ID { return types.HashString(s) }
 
-// The tests write the way an engine shard does — through a partition's
-// handle API, interning on insert and only looking up on delete — and read
-// back through the Store's ID API, the way the query processor does.
+// The tests write the way an engine shard does for a tuple it keeps no
+// relation entry for — through a partition's vertex API, finding or creating
+// the vertex on insert and only looking it up on delete — and read back
+// through the Store's ID API, the way the query processor does.
 
 func newStore(node types.NodeID) (*Store, *Partition) {
 	s := NewStoreSharded(node, 1)
@@ -19,28 +20,23 @@ func newStore(node types.NodeID) (*Store, *Partition) {
 }
 
 func addProv(p *Partition, vid, rid types.ID, rloc types.NodeID) {
-	p.AddProvH(types.InternID(vid), rid, rloc)
+	p.AddProv(p.Vertex(vid, types.Tuple{}), rid, rloc)
 }
 
 func delProv(p *Partition, vid, rid types.ID, rloc types.NodeID) bool {
-	h, ok := types.LookupID(vid)
-	return ok && p.DelProvH(h, rid, rloc)
-}
-
-func addRuleExec(p *Partition, rid types.ID, rule string, vids []types.ID) {
-	p.AddRuleExecH(types.InternID(rid), rid, rule, vids)
-}
-
-func delRuleExec(p *Partition, rid types.ID) bool {
-	h, ok := types.LookupID(rid)
-	return ok && p.DelRuleExecH(h)
+	v := p.Lookup(vid)
+	if v == nil {
+		return false
+	}
+	found, _ := p.DelProv(v, rid, rloc)
+	return found
 }
 
 func TestProvEntryLifecycle(t *testing.T) {
 	s, p := newStore(0)
 	tu := types.NewTuple("p", types.Node(0), types.Int(1))
 	vid := tu.VID()
-	p.RegisterTupleVIDH(types.InternID(vid), tu)
+	p.Vertex(vid, tu)
 	if got, ok := s.TupleOf(vid); !ok || !got.Equal(tu) {
 		t.Fatal("registered tuple does not resolve")
 	}
@@ -92,7 +88,7 @@ func TestRuleExecLifecycle(t *testing.T) {
 	s, p := newStore(1)
 	rid := tid("exec")
 	inputs := []types.ID{tid("a"), tid("b")}
-	addRuleExec(p, rid, "sp2", inputs)
+	p.AddRuleExec(rid, "sp2", inputs)
 	re, ok := s.RuleExecOf(rid)
 	if !ok || re.Rule != "sp2" || len(re.VIDList) != 2 {
 		t.Fatalf("entry = %+v", re)
@@ -103,16 +99,16 @@ func TestRuleExecLifecycle(t *testing.T) {
 	if re.VIDList[0] != tid("a") {
 		t.Fatal("VIDList aliased caller slice")
 	}
-	addRuleExec(p, rid, "sp2", re.VIDList)
-	delRuleExec(p, rid)
+	p.AddRuleExec(rid, "sp2", re.VIDList)
+	p.DelRuleExec(rid)
 	if _, ok := s.RuleExecOf(rid); !ok {
 		t.Fatal("entry removed while count > 0")
 	}
-	delRuleExec(p, rid)
+	p.DelRuleExec(rid)
 	if _, ok := s.RuleExecOf(rid); ok {
 		t.Fatal("entry survived count 0")
 	}
-	if delRuleExec(p, rid) {
+	if p.DelRuleExec(rid) {
 		t.Fatal("deleting missing entry succeeded")
 	}
 }
@@ -137,14 +133,14 @@ func TestRowRendering(t *testing.T) {
 	s, p := newStore(0)
 	tu := types.NewTuple("link", types.Node(0), types.Node(2), types.Int(5))
 	vid := tu.VID()
-	p.RegisterTupleVIDH(types.InternID(vid), tu)
+	p.Vertex(vid, tu)
 	addProv(p, vid, types.ZeroID, 0)
 	rows := s.ProvRows()
 	if len(rows) != 1 || !strings.Contains(rows[0], "link(@a,c,5)") || !strings.Contains(rows[0], "null") {
 		t.Fatalf("prov rows = %v", rows)
 	}
 	rid := tid("exec")
-	addRuleExec(p, rid, "sp1", []types.ID{vid})
+	p.AddRuleExec(rid, "sp1", []types.ID{vid})
 	rer := s.RuleExecRows()
 	if len(rer) != 1 || !strings.Contains(rer[0], "sp1") || !strings.Contains(rer[0], "link(@a,c,5)") {
 		t.Fatalf("ruleExec rows = %v", rer)
@@ -154,47 +150,62 @@ func TestRowRendering(t *testing.T) {
 	}
 }
 
-// TestHandleKeyedPartitions pins the PR 3 rekeying of the store: rows
-// written through the handle-based hot-path API must be visible through the
-// ID-based read API, and read paths must tolerate IDs that were never
-// interned anywhere in the process (returning empty results without growing
-// the intern table).
-func TestHandleKeyedPartitions(t *testing.T) {
+// TestVertexWriteSurface pins the write surface the engine's delta path
+// uses: rows written through a held *Vertex must be visible through the
+// ID-based read API, DelProv must report the drop of a vertex with its last
+// row (after which the VID resolves to nothing and a fresh Vertex call
+// creates a new one), and read paths must tolerate IDs the store has never
+// seen. Neither writes nor reads may grow the ID intern table: rows are
+// keyed by the digests themselves.
+func TestVertexWriteSurface(t *testing.T) {
+	_, idsBefore, _, _ := types.InternStats()
 	s, p := newStore(1)
 	tu := types.NewTuple("q", types.Node(1), types.Int(7))
 	vid := tu.VID()
-	vidh := types.InternID(vid)
 
-	p.RegisterTupleVIDH(vidh, tu)
+	v := p.Vertex(vid, tu)
+	if p.Vertex(vid, types.Tuple{}) != v || p.Lookup(vid) != v {
+		t.Fatal("a second find-or-create did not return the first vertex")
+	}
 	if got, ok := s.TupleOf(vid); !ok || !got.Equal(tu) {
-		t.Fatal("H-registered tuple not visible through the ID API")
+		t.Fatal("vertex tuple not visible through the ID API")
 	}
-	p.AddProvH(vidh, tid("r1"), 2)
-	if len(s.Derivations(vid)) != 1 {
-		t.Fatal("H-added prov row not visible through the ID API")
+	p.AddProv(v, tid("r1"), 2)
+	p.AddProv(v, tid("r2"), 3)
+	if len(s.Derivations(vid)) != 2 {
+		t.Fatal("prov rows added on the vertex not visible through the ID API")
 	}
-	if !p.DelProvH(vidh, tid("r1"), 2) {
-		t.Fatal("DelProvH missed the row AddProvH created")
+	if found, dropped := p.DelProv(v, tid("r1"), 2); !found || dropped {
+		t.Fatalf("DelProv of one of two rows = (%v, %v), want (true, false)", found, dropped)
 	}
-	if len(s.Derivations(vid)) != 0 {
-		t.Fatal("row survived DelProvH")
+	if found, dropped := p.DelProv(v, tid("r1"), 2); found || dropped {
+		t.Fatalf("DelProv of a missing row = (%v, %v), want (false, false)", found, dropped)
+	}
+	if found, dropped := p.DelProv(v, tid("r2"), 3); !found || !dropped {
+		t.Fatalf("DelProv of the last row = (%v, %v), want (true, true)", found, dropped)
+	}
+	if len(s.Derivations(vid)) != 0 || p.Lookup(vid) != nil || s.NumProv() != 0 {
+		t.Fatal("vertex survived its last row")
+	}
+	if _, ok := s.TupleOf(vid); ok {
+		t.Fatal("tuple mapping survived the vertex")
+	}
+	if v2 := p.Vertex(vid, tu); v2 == v {
+		t.Fatal("re-creation handed the dropped vertex out again")
 	}
 
 	rid := tid("exec")
-	ridh := types.InternID(rid)
-	p.AddRuleExecH(ridh, rid, "sp2", []types.ID{vid})
-	if e, ok := s.RuleExecOf(rid); !ok || e.Rule != "sp2" || e.Count != 1 {
-		t.Fatal("H-added ruleExec row not visible through the ID API")
+	p.AddRuleExec(rid, "sp2", []types.ID{vid})
+	if e, ok := s.RuleExecOf(rid); !ok || e.Rule != "sp2" || e.Count != 1 || e.RID != rid {
+		t.Fatal("ruleExec row not visible through the ID API")
 	}
-	if !p.DelRuleExecH(ridh) {
-		t.Fatal("DelRuleExecH missed the row")
+	if !p.DelRuleExec(rid) {
+		t.Fatal("DelRuleExec missed the row")
 	}
 
-	// Read paths on a digest no code ever interned: empty results, no
-	// intern-table growth (LookupID, not InternID, under the hood).
+	// Read paths on a digest nothing ever stored: empty results.
 	var alien types.ID
 	copy(alien[:], "completely-unseen-digest!!")
-	_, _, idsBefore, _ := types.InternStats()
 	if s.Derivations(alien) != nil || s.Parents(alien) != nil {
 		t.Fatal("unknown ID produced rows")
 	}
@@ -204,11 +215,12 @@ func TestHandleKeyedPartitions(t *testing.T) {
 	if _, ok := s.RuleExecOf(alien); ok {
 		t.Fatal("unknown ID resolved to a ruleExec row")
 	}
-	if delProv(p, alien, rid, 0) || delRuleExec(p, alien) {
+	if delProv(p, alien, rid, 0) || p.DelRuleExec(alien) {
 		t.Fatal("deleting under an unknown ID claimed success")
 	}
+	s.AddParent(vid, rid, tid("head"), 0)
 	s.DropParents(alien)
-	if _, _, idsAfter, _ := types.InternStats(); idsAfter != idsBefore {
-		t.Fatalf("read-path probes grew the ID intern table: %d -> %d", idsBefore, idsAfter)
+	if _, idsAfter, _, _ := types.InternStats(); idsAfter != idsBefore {
+		t.Fatalf("store writes and probes grew the ID intern table: %d -> %d", idsBefore, idsAfter)
 	}
 }

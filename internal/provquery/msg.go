@@ -129,8 +129,11 @@ func DecodeMsg(b []byte) (*Msg, error) {
 		return true
 	}
 	readPayload := func() bool {
+		// n is attacker-supplied: compare it as a uint64 against the bytes
+		// that remain (as an int, a length ≥ 2^63 is negative, passes a
+		// signed check and panics in make).
 		n, sz := binary.Uvarint(b[used:])
-		if sz <= 0 || len(b) < used+sz+int(n) {
+		if sz <= 0 || n > uint64(len(b)-used-sz) {
 			return false
 		}
 		used += sz

@@ -64,21 +64,21 @@ func (n *instantNet) drain() {
 }
 
 // engineWriter stands in for the engine in these fixtures: it writes a
-// node's store the way a worker shard does, through partition 0's handle
+// node's store the way a worker shard does, through partition 0's vertex
 // API. The reverse-edge methods the processor itself uses (AddParent) come
 // through the embedded Store.
 type engineWriter struct{ *provenance.Store }
 
 func (w engineWriter) RegisterTuple(t types.Tuple) {
-	w.Part(0).RegisterTupleVIDH(types.InternID(t.VID()), t)
+	w.Part(0).Vertex(t.VID(), t)
 }
 
 func (w engineWriter) AddProv(vid, rid types.ID, rloc types.NodeID) {
-	w.Part(0).AddProvH(types.InternID(vid), rid, rloc)
+	w.Part(0).AddProv(w.Part(0).Vertex(vid, types.Tuple{}), rid, rloc)
 }
 
 func (w engineWriter) AddRuleExec(rid types.ID, rule string, vids []types.ID) {
-	w.Part(0).AddRuleExecH(types.InternID(rid), rid, rule, vids)
+	w.Part(0).AddRuleExec(rid, rule, vids)
 }
 
 func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn bool) (*fig5, *instantNet) {

@@ -20,17 +20,19 @@ import (
 //
 //  2. Handles are canonical within a process. Each table deduplicates on
 //     payload content, so two values of the same kind are equal if and only
-//     if their handles are equal. This is what lets Value support Go's ==,
-//     lets relations key entries on fixed-width handle bytes instead of
-//     variable-length canonical encodings, and lets the provenance store
-//     partition its tables by a 4-byte IDHandle instead of a 20-byte digest.
+//     if their handles are equal. This is what lets Value support Go's ==
+//     and lets relations key entries on fixed-width handle bytes instead of
+//     variable-length canonical encodings. Only VALUES intern: the ID table
+//     holds the digests programs carry as KindID arguments, never the VIDs
+//     and RIDs of provenance vertices, which the provenance store keys its
+//     rows by directly.
 //
 // Tables grow monotonically for the life of the process (there is no
 // reference counting); the population is bounded by the number of DISTINCT
-// heavy payloads a workload materializes, which for the evaluation workloads
-// is the same order as the live relation state itself. Entries additionally
-// cache their canonical encoding, so encoding an interned value is a single
-// copy instead of a value walk.
+// heavy payloads a workload's tuples carry as arguments — path lists for
+// PATHVECTOR, nothing at all for MINCOST — and does not grow with the
+// provenance graph. Entries additionally cache their canonical encoding, so
+// encoding an interned value is a single copy instead of a value walk.
 //
 // Concurrency: lookups by handle are lock-free (an atomic chunk spine);
 // interning takes a read lock on the dedup map first and falls back to the
@@ -278,34 +280,6 @@ func internPayload(p Payload) uint32 {
 	provTab.store.put(h, payloadEntry{p: p, key: key, enc: enc, chash: fnv1a(fnvOffset64, enc)})
 	provTab.lookup[key] = h
 	return h
-}
-
-// IDHandle is the interned form of a 20-byte ID: a process-local, stable
-// 32-bit name. Handles are canonical — two IDs are equal iff their handles
-// are — which lets ID-keyed tables (the provenance store partitions) hash
-// 4 bytes instead of 20. The zero IDHandle means "no handle". Handles never
-// appear on the wire.
-type IDHandle uint32
-
-// InternID returns the canonical handle for id, interning it on first use.
-func InternID(id ID) IDHandle { return IDHandle(internID(id)) }
-
-// LookupID returns the handle for an already-interned id without interning
-// it. Read-only query paths use it so probing for an unknown ID does not
-// grow the table.
-//
-//exspan:hotpath
-func LookupID(id ID) (IDHandle, bool) {
-	idTab.RLock()
-	h, ok := idTab.lookup[id]
-	idTab.RUnlock()
-	return IDHandle(h), ok
-}
-
-// ID resolves the handle back to its digest. The handle must have come from
-// InternID or LookupID; resolving the zero handle panics.
-func (h IDHandle) ID() ID {
-	return idTab.store.get(uint32(h)).id
 }
 
 // InternStats reports the table populations (strings, ids, lists, payloads).

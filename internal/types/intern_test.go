@@ -53,34 +53,6 @@ func TestInternCanonicalHandles(t *testing.T) {
 	}
 }
 
-// TestInternIDHandleRoundTrip covers the IDHandle API the provenance store
-// partitions key on.
-func TestInternIDHandleRoundTrip(t *testing.T) {
-	id := HashString("vid")
-	h := InternID(id)
-	if h == 0 {
-		t.Fatal("InternID returned the zero handle")
-	}
-	if h.ID() != id {
-		t.Fatal("IDHandle did not resolve back to its digest")
-	}
-	if h2 := InternID(id); h2 != h {
-		t.Fatal("re-interning changed the handle")
-	}
-	if h2, ok := LookupID(id); !ok || h2 != h {
-		t.Fatal("LookupID disagrees with InternID")
-	}
-	var fresh ID
-	copy(fresh[:], "never-interned-digest")
-	if _, ok := LookupID(fresh); ok {
-		t.Fatal("LookupID fabricated a handle for an unseen ID")
-	}
-	// LookupID must not have interned it as a side effect.
-	if _, ok := LookupID(fresh); ok {
-		t.Fatal("LookupID interned on miss")
-	}
-}
-
 // TestInternConcurrency hammers the intern tables from many goroutines with
 // overlapping payloads and checks that every goroutine resolves the same
 // payload to the same handle and content. Run with -race to exercise the
