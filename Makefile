@@ -120,17 +120,20 @@ doccheck-selftest:
 	echo "doccheck-selftest ok: both seeded violations rejected"
 
 # Decode-fuzz smoke gate: a short budget per wire-format fuzz target — the
-# value and tuple codecs, the transport frame header, and the two message
-# decoders a deployed node's receive loop feeds raw UDP payloads into — so
-# strictness regressions in the decoders are caught before the checked-in
-# corpus grows stale. Go runs one fuzz target per invocation, hence one line
-# each.
+# value and tuple codecs, the transport frame header, the two message
+# decoders a deployed node's receive loop feeds raw UDP payloads into, and
+# the two query-result payload decoders (polynomial, BDD) a hop runs on what
+# those messages carry — so strictness regressions in the decoders are caught
+# before the checked-in corpus grows stale. Go runs one fuzz target per
+# invocation, hence one line each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime 10s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime 10s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrameHeader$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/provquery
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePolynomial$$' -fuzztime 10s ./internal/algebra
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBDD$$' -fuzztime 10s ./internal/bdd
 
 # lint sits before test-race: a lint finding is seconds to surface, the race
 # legs are minutes — fail fast on the cheap gate.
@@ -141,10 +144,11 @@ check: fmt vet build lint test test-race chaos-smoke doccheck doccheck-selftest 
 bench:
 	$(GO) run ./bench
 
-# One-iteration smoke run of the legacy go-test benchmarks (bench_test.go,
-# one per paper figure), so they cannot bit-rot unnoticed.
+# One-iteration smoke run of the go-test benchmarks PERFORMANCE.md names as
+# profiling targets (bench_test.go) — the engine fixpoint and the query
+# path — so they cannot bit-rot unnoticed.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineFixpoint' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineFixpoint|BenchmarkQueryBFS' -benchtime=1x .
 
 clean:
 	rm -rf .bench_build *.trace.json $(SEEDED)

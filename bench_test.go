@@ -538,6 +538,7 @@ func BenchmarkQueryBFS(b *testing.B) {
 	}
 	targets := c.TuplesOf("bestPathCost")
 	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ref := targets[rng.Intn(len(targets))]

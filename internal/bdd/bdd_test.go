@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -240,6 +241,65 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, _, err := m.Decode([]byte{1, 0, 3, 3, 2}); err == nil {
 		t.Error("forward reference accepted")
 	}
+	// A node count no input could back used to size a slice unchecked
+	// (makeslice: len out of range) — on a payload straight off the socket.
+	if _, _, err := m.Decode(hostileCount); err == nil {
+		t.Error("node count 2^62 accepted")
+	}
+	// A level that only fits after narrowing to int32, and one that
+	// collides with the terminals' sentinel.
+	for _, level := range []uint64{1<<32 + 5, uint64(terminalLevel)} {
+		enc := binary.AppendUvarint([]byte{1}, level)
+		if _, _, err := m.Decode(append(enc, 0, 1, 2)); err == nil {
+			t.Errorf("level %d accepted", level)
+		}
+	}
+	// Over-long varints: one value, one spelling.
+	if _, _, err := m.Decode([]byte{0x80, 0, 1}); err == nil {
+		t.Error("padded node count accepted")
+	}
+	if _, _, err := m.Decode([]byte{0, 0x81, 0}); err == nil {
+		t.Error("padded root accepted")
+	}
+}
+
+// hostileCount is the uvarint 2^62 where a node count belongs.
+var hostileCount = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}
+
+// FuzzDecodeBDD feeds arbitrary bytes to the BDD payload decoder a query hop
+// runs on results from other nodes. Properties:
+//
+//  1. No panic on any input.
+//  2. An accepted input's canonical form (Encode of the decoded root) decodes
+//     in the same manager to the same root without creating a node. (The
+//     input itself need not be reproduced: it may list unreachable or
+//     redundant nodes, which hash-consing drops.)
+func FuzzDecodeBDD(f *testing.F) {
+	// A real query result: BDD for bestPathCost(@a,c,5) on the Figure 3
+	// MINCOST fixpoint, link(@a,c,5) ∨ (link(@b,a,3) ∧ link(@b,c,2)).
+	f.Add([]byte{3, 2, 0, 1, 1, 0, 2, 0, 3, 1, 4})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0, 1})
+	f.Add([]byte{})
+	f.Add(hostileCount)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m := New()
+		r, n, err := m.Decode(b)
+		if err != nil {
+			return
+		}
+		if n > len(b) {
+			t.Fatalf("consumed %d of %d bytes", n, len(b))
+		}
+		enc, nodes := m.Encode(r, nil), m.NumNodes()
+		r2, n2, err := m.Decode(enc)
+		if err != nil || n2 != len(enc) {
+			t.Fatalf("canonical form of %x does not decode: n=%d/%d err=%v", b, n2, len(enc), err)
+		}
+		if r2 != r || m.NumNodes() != nodes {
+			t.Fatalf("%x: root %d, %d nodes; its canonical form gives root %d, %d nodes", b, r, nodes, r2, m.NumNodes())
+		}
+	})
 }
 
 func TestSizeSupportAnySat(t *testing.T) {

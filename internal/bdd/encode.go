@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"repro/internal/types"
 )
 
 // Serialized form: uvarint count of non-terminal nodes reachable from the
@@ -68,42 +70,40 @@ func (m *Manager) EncodedSize(r Ref) int { return len(m.Encode(r, nil)) }
 
 // Decode reconstructs a serialized BDD inside manager m and returns its
 // root. The serialization is manager-independent, so a BDD built at one
-// node can be decoded at another.
+// node can be decoded at another. The input may come straight off a socket:
+// the node count is checked against the bytes that remain (a node takes at
+// least three) before anything is sized by it, levels must be real variable
+// levels, and uvarints must be minimal.
 func (m *Manager) Decode(b []byte) (Ref, int, error) {
-	count, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	count, used, ok := types.ReadUvarint(b)
+	if !ok || count > uint64(len(b)-used)/3 {
 		return False, 0, errBadBDD
 	}
-	used := sz
 	refs := make([]Ref, count+2)
 	refs[0], refs[1] = False, True
 	for i := uint64(0); i < count; i++ {
-		level, s1 := binary.Uvarint(b[used:])
-		if s1 <= 0 {
+		var f [3]uint64 // level, lo, hi
+		for j := range f {
+			v, sz, ok := types.ReadUvarint(b[used:])
+			if !ok {
+				return False, 0, errBadBDD
+			}
+			f[j] = v
+			used += sz
+		}
+		if f[0] >= uint64(terminalLevel) {
 			return False, 0, errBadBDD
 		}
-		used += s1
-		lo, s2 := binary.Uvarint(b[used:])
-		if s2 <= 0 {
-			return False, 0, errBadBDD
-		}
-		used += s2
-		hi, s3 := binary.Uvarint(b[used:])
-		if s3 <= 0 {
-			return False, 0, errBadBDD
-		}
-		used += s3
-		if lo >= i+2 || hi >= i+2 {
+		if f[1] >= i+2 || f[2] >= i+2 {
 			return False, 0, fmt.Errorf("bdd: forward reference in serialization")
 		}
-		refs[i+2] = m.mk(int32(level), refs[lo], refs[hi])
+		refs[i+2] = m.mk(int32(f[0]), refs[f[1]], refs[f[2]])
 	}
-	root, s4 := binary.Uvarint(b[used:])
-	if s4 <= 0 || root >= count+2 {
+	root, sz, ok := types.ReadUvarint(b[used:])
+	if !ok || root >= count+2 {
 		return False, 0, errBadBDD
 	}
-	used += s4
-	return refs[root], used, nil
+	return refs[root], used + sz, nil
 }
 
 // Func pairs a manager with a root reference so a BDD can travel as a

@@ -65,7 +65,7 @@ func (m *Message) WireSize() int {
 		n += types.IDLen + 4
 	}
 	if m.Payload != nil {
-		n += uvarintLen(uint64(len(m.Payload))) + len(m.Payload)
+		n += types.UvarintLen(uint64(len(m.Payload))) + len(m.Payload)
 	}
 	return n
 }
@@ -145,15 +145,6 @@ func DecodeMessage(b []byte) (*Message, error) {
 		copy(m.Payload, b[used:used+int(plen)])
 	}
 	return m, nil
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
 }
 
 // String renders the message for logs.

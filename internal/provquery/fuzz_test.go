@@ -71,3 +71,33 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeNodeSetTotal: the NODESET payload needs no fuzz target — every
+// byte string decodes (whole 4-byte groups, a ragged tail ignored) into at
+// most len/4 entries, so a hostile payload can neither fail nor over-allocate.
+func TestDecodeNodeSetTotal(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    []types.NodeID
+	}{
+		{"nil", nil, nil},
+		{"empty", []byte{}, nil},
+		{"short", []byte{0, 0, 1}, nil},
+		{"one", []byte{0, 0, 0, 7}, []types.NodeID{7}},
+		{"negative", []byte{0xff, 0xff, 0xff, 0xff}, []types.NodeID{-1}},
+		{"ragged tail", []byte{0, 0, 0, 1, 0, 0, 0, 2, 9, 9}, []types.NodeID{1, 2}},
+	} {
+		got := DecodeNodeSet(tc.payload)
+		if len(got) != len(tc.want) || cap(got) > len(tc.payload)/4 {
+			t.Errorf("%s: got %v (cap %d), want %v within %d entries", tc.name, got, cap(got), tc.want, len(tc.payload)/4)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+				break
+			}
+		}
+	}
+}

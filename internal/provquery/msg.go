@@ -25,11 +25,14 @@ const (
 	// KProvResult is eProvResults(@Ret, QID, VID, Prov).
 	KProvResult
 	// KRuleQuery is eRuleQuery(@RLoc, RQID, RID, X): expand the rule
-	// execution vertex RID. It additionally carries the VID of the head
-	// tuple being expanded (the querying vertex), which the rule node
-	// records on its reverse dataflow edges when it caches the result —
-	// §6.1 invalidation bookkeeping is paid per cached traversal, not per
-	// derivation.
+	// execution vertex RID. RQID is an opaque token unique to the asking
+	// node's request (the paper derives it as f_sha1(QID + RID); nothing
+	// reads it but the asker, and a rule vertex in the asker's own
+	// partition is expanded by a direct call under no ID at all). The
+	// message additionally carries the VID of the head tuple being expanded
+	// (the querying vertex), which the rule node records on its reverse
+	// dataflow edges when it caches the result — §6.1 invalidation
+	// bookkeeping is paid per cached traversal, not per derivation.
 	KRuleQuery
 	// KRuleResult is eRuleResults(@X, RQID, RID, Prov).
 	KRuleResult
@@ -55,7 +58,7 @@ func (m *Msg) WireSize() int {
 	case KRuleQuery:
 		return 1 + types.IDLen + types.IDLen + types.IDLen + 4
 	case KProvResult, KRuleResult:
-		return 1 + types.IDLen + types.IDLen + 4 + uvarintLen(uint64(len(m.Payload))) + len(m.Payload)
+		return 1 + types.IDLen + types.IDLen + 4 + types.UvarintLen(uint64(len(m.Payload))) + len(m.Payload)
 	case KInvalidate:
 		return 1 + types.IDLen
 	}
@@ -167,22 +170,4 @@ func DecodeMsg(b []byte) (*Msg, error) {
 		return nil, errBadMsg
 	}
 	return m, nil
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
-// subQueryID derives the identifier of a child query from its parent and
-// the child vertex — the paper's RQID = f_sha1(QID + RID).
-func subQueryID(parent, child types.ID) types.ID {
-	b := make([]byte, 0, 2*types.IDLen)
-	b = append(b, parent[:]...)
-	b = append(b, child[:]...)
-	return types.HashBytes(b)
 }

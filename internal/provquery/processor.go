@@ -46,38 +46,44 @@ type cacheEntry struct {
 	payload []byte
 }
 
-type provChild struct {
-	base       bool
-	baseResult []byte
-	rid        types.ID
-	rloc       types.NodeID
+// kid is one child of an in-flight vertex: an alternative derivation of a
+// tuple vertex (a rule execution at rloc, or the base literal itself) or an
+// input tuple of a rule execution.
+type kid struct {
+	id     types.ID     // child vertex: RID under a tuple vertex, VID under a rule vertex
+	rloc   types.NodeID // tuple vertex only: where the rule execution lives
+	base   bool         // tuple vertex only: a base derivation; result is precomputed
+	done   bool
+	result []byte // counted once done; nil when pruned
 }
 
-type pendProv struct {
-	qid, vid types.ID
-	ret      types.NodeID
-	children []provChild
-	results  [][]byte
-	done     []bool
+// childRef names slot idx of a live frame at this node.
+type childRef struct {
+	parent *frame
+	idx    int
+}
+
+// origin says where a vertex's result goes: into a slot of a local parent
+// frame, or — no parent — to node ret as a result message carrying qid.
+// Query IDs exist only on that second path.
+type origin struct {
+	childRef
+	qid types.ID
+	ret types.NodeID
+}
+
+// frame is one in-flight vertex of a traversal: a tuple vertex expanding its
+// alternative derivations (the idb1-idb4 rules) or a rule execution vertex
+// expanding its input tuples (rv1-rv4).
+type frame struct {
+	origin
+	isRule   bool
+	vid      types.ID // the tuple vertex; for a rule vertex, the head it derives
+	rid      types.ID // rule vertex only
+	rule     string   // rule vertex only: the rule label
+	kids     []kid
 	next     int // DFS cursor
 	finished bool
-}
-
-type pendRule struct {
-	rqid, rid types.ID
-	ret       types.NodeID
-	headVID   types.ID // the tuple vertex this rule execution derives
-	rule      string
-	children  []types.ID
-	results   [][]byte
-	done      []bool
-	next      int
-	finished  bool
-}
-
-type childRef struct {
-	parent types.ID
-	idx    int
 }
 
 // Processor executes the distributed provenance-query protocol at one node.
@@ -92,8 +98,8 @@ type Processor struct {
 	CacheOn   bool
 
 	// Send ships a protocol message to another node; the runtime charges
-	// its wire size. Self-sends never occur (local work is dispatched
-	// directly, like RapidNet local events). A sent Msg belongs to the
+	// its wire size. Self-sends never occur (local vertices are expanded by
+	// direct calls, like RapidNet local events). A sent Msg belongs to the
 	// transport: when Msgs is set, the transport releases it back to the
 	// pool once consumed.
 	Send func(to types.NodeID, m *Msg)
@@ -104,14 +110,15 @@ type Processor struct {
 
 	rng *rand.Rand
 
-	cache      map[types.ID]*cacheEntry
-	ruleCache  map[types.ID]*cacheEntry
-	pendProv   map[types.ID]*pendProv
-	pendRule   map[types.ID]*pendRule
-	rqidToProv map[types.ID]childRef
-	qidToRule  map[types.ID]childRef
+	cache     map[types.ID]*cacheEntry
+	ruleCache map[types.ID]*cacheEntry
+	// waiting maps the RQID of a rule query out at another node to the
+	// frame slot its result fills; onComplete holds root-query callbacks.
+	waiting    map[types.ID]childRef
 	onComplete map[types.ID]func(payload []byte)
 	seq        uint64
+	live       int      // frames opened and not yet finished
+	collected  [][]byte // collect's scratch, valid until the next collect
 
 	// Stats.
 	CacheHits     int64
@@ -133,10 +140,7 @@ func NewProcessor(node types.NodeID, store *provenance.Store, udf UDF, send func
 		rng:        rand.New(rand.NewSource(int64(node)*7919 + 17)),
 		cache:      map[types.ID]*cacheEntry{},
 		ruleCache:  map[types.ID]*cacheEntry{},
-		pendProv:   map[types.ID]*pendProv{},
-		pendRule:   map[types.ID]*pendRule{},
-		rqidToProv: map[types.ID]childRef{},
-		qidToRule:  map[types.ID]childRef{},
+		waiting:    map[types.ID]childRef{},
 		onComplete: map[types.ID]func([]byte){},
 	}
 	prev := store.OnProvChange
@@ -152,383 +156,283 @@ func NewProcessor(node types.NodeID, store *provenance.Store, udf UDF, send func
 // Query issues a root provenance query for tuple vertex vid stored at loc;
 // cb runs when the result arrives. It returns the query instance ID.
 func (p *Processor) Query(vid types.ID, loc types.NodeID, cb func(payload []byte)) types.ID {
+	qid := p.mintID(vid)
+	p.onComplete[qid] = cb
+	if loc == p.Node {
+		p.provQuery(origin{qid: qid, ret: p.Node}, vid)
+		return qid
+	}
+	m := p.newMsg()
+	m.Kind, m.QID, m.VID, m.Ret = KProvQuery, qid, vid, p.Node
+	p.Send(loc, m)
+	return qid
+}
+
+// mintID returns a fresh query ID — an opaque token unique to this node's
+// seq-th request, salted with the vertex it asks about.
+func (p *Processor) mintID(vertex types.ID) types.ID {
 	p.seq++
 	var b [28]byte
 	binary.BigEndian.PutUint32(b[:4], uint32(int32(p.Node)))
 	binary.BigEndian.PutUint64(b[4:12], p.seq)
-	copy(b[12:], vid[:16])
-	qid := types.HashBytes(b[:])
-	p.onComplete[qid] = cb
-	m := p.newMsg()
-	m.Kind, m.QID, m.VID, m.Ret = KProvQuery, qid, vid, p.Node
-	if loc == p.Node {
-		p.handleProvQuery(m)
-		p.Msgs.Put(m)
-	} else {
-		p.Send(loc, m)
-	}
-	return qid
+	copy(b[12:], vertex[:16])
+	return types.HashBytes(b[:])
 }
 
 // newMsg draws an outgoing message from the pool (nil pool: plain
 // allocation).
 func (p *Processor) newMsg() *Msg { return p.Msgs.Get() }
 
-// Handle dispatches an incoming protocol message.
+// Handle dispatches an incoming protocol message. Handlers copy the fields
+// they keep and may retain the Payload slice, never the struct.
 func (p *Processor) Handle(from types.NodeID, m *Msg) {
 	switch m.Kind {
 	case KProvQuery:
-		p.handleProvQuery(m)
+		p.provQuery(origin{qid: m.QID, ret: m.Ret}, m.VID)
 	case KRuleQuery:
-		p.handleRuleQuery(m)
+		p.ruleQuery(origin{qid: m.QID, ret: m.Ret}, m.RID, m.VID)
 	case KProvResult:
-		p.handleProvResult(m)
+		p.provResult(m.QID, m.Payload)
 	case KRuleResult:
-		p.handleRuleResult(m)
+		p.ruleResult(m.QID, m.Payload)
 	case KInvalidate:
 		p.invalidate(m.VID)
 	}
 }
 
-// reply routes a response message. Locally-dispatched messages are dead
-// once Handle returns (handlers copy the fields they keep and may retain
-// the Payload slice, never the struct), so they go straight back to the
-// pool.
-func (p *Processor) reply(to types.NodeID, m *Msg) {
-	if to == p.Node {
-		p.Handle(p.Node, m)
-		p.Msgs.Put(m)
-		return
-	}
-	p.Send(to, m)
-}
-
-// --- tuple vertices (the idb1-idb4 rules) -------------------------------
-
-func (p *Processor) handleProvQuery(m *Msg) {
-	p.QueriesServed++
-	if p.CacheOn {
-		if ce, ok := p.cache[m.VID]; ok && ce.udf == p.UDF.Name() {
-			p.CacheHits++
-			r := p.newMsg()
-			r.Kind, r.QID, r.VID, r.Ret, r.Payload = KProvResult, m.QID, m.VID, m.Ret, ce.payload
-			p.reply(m.Ret, r)
-			return
-		}
-		p.CacheMisses++
-	}
-	derivs := p.Store.Derivations(m.VID)
-	pp := &pendProv{qid: m.QID, vid: m.VID, ret: m.Ret}
-	for _, d := range derivs {
-		if d.RID.IsZero() {
-			t, ok := p.Store.TupleOf(m.VID)
-			var res []byte
-			if ok {
-				res = p.UDF.EDB(t, m.VID, p.Node)
-			} else {
-				res = p.UDF.IDB(nil, m.VID, p.Node)
-			}
-			pp.children = append(pp.children, provChild{base: true, baseResult: res})
+// answer delivers a vertex's result to where the vertex was asked from.
+func (p *Processor) answer(to origin, isRule bool, vertex types.ID, payload []byte) {
+	switch {
+	case to.parent != nil:
+		p.childDone(to.parent, to.idx, payload)
+	case to.ret != p.Node:
+		m := p.newMsg()
+		if isRule {
+			m.Kind, m.RID = KRuleResult, vertex
 		} else {
-			pp.children = append(pp.children, provChild{rid: d.RID, rloc: d.RLoc})
+			m.Kind, m.VID = KProvResult, vertex
 		}
-	}
-	pp.results = make([][]byte, len(pp.children))
-	pp.done = make([]bool, len(pp.children))
-	p.pendProv[m.QID] = pp
-	p.advanceProv(pp)
-}
-
-// advanceProv issues child rule queries per the traversal strategy and
-// finishes the query when its result is determined.
-func (p *Processor) advanceProv(pp *pendProv) {
-	if pp.finished {
-		return
-	}
-	switch p.Strategy {
-	case BFS:
-		any := false
-		for i := range pp.children {
-			if pp.done[i] {
-				continue
-			}
-			c := &pp.children[i]
-			if c.base {
-				pp.results[i] = c.baseResult
-				pp.done[i] = true
-				continue
-			}
-			if pp.results[i] == nil && !pp.done[i] {
-				any = true
-			}
-		}
-		_ = any
-		// Issue all unresolved remote children once.
-		for i := range pp.children {
-			c := &pp.children[i]
-			if pp.done[i] || c.base {
-				continue
-			}
-			p.issueRuleChild(pp, i)
-		}
-		p.maybeFinishProv(pp)
-	case Moonwalk:
-		// Sample up to MoonwalkN children; prune the rest.
-		order := p.rng.Perm(len(pp.children))
-		keep := p.MoonwalkN
-		if keep > len(order) {
-			keep = len(order)
-		}
-		chosen := map[int]bool{}
-		for _, i := range order[:keep] {
-			chosen[i] = true
-		}
-		for i := range pp.children {
-			if !chosen[i] {
-				pp.done[i] = true // pruned: contributes nothing
-				continue
-			}
-			c := &pp.children[i]
-			if c.base {
-				pp.results[i] = c.baseResult
-				pp.done[i] = true
-				continue
-			}
-			p.issueRuleChild(pp, i)
-		}
-		p.maybeFinishProv(pp)
-	case DFS, DFSThreshold:
-		for pp.next < len(pp.children) {
-			if p.Strategy == DFSThreshold && p.UDF.Exceeds(CtxIDB, collect(pp.results, pp.done), p.Threshold) {
-				break
-			}
-			i := pp.next
-			c := &pp.children[i]
-			if c.base {
-				pp.results[i] = c.baseResult
-				pp.done[i] = true
-				pp.next++
-				continue
-			}
-			p.issueRuleChild(pp, i)
-			return // wait for this child before expanding the next
-		}
-		p.maybeFinishProv(pp)
+		m.QID, m.Ret, m.Payload = to.qid, to.ret, payload
+		p.Send(to.ret, m)
+	case isRule:
+		p.ruleResult(to.qid, payload)
+	default:
+		p.provResult(to.qid, payload)
 	}
 }
 
-func collect(results [][]byte, done []bool) [][]byte {
-	out := make([][]byte, 0, len(results))
-	for i, r := range results {
-		if done[i] && r != nil {
-			out = append(out, r)
-		}
+// provResult completes a root query issued here.
+func (p *Processor) provResult(qid types.ID, payload []byte) {
+	if cb, ok := p.onComplete[qid]; ok {
+		delete(p.onComplete, qid)
+		cb(payload)
 	}
-	return out
 }
 
-func (p *Processor) issueRuleChild(pp *pendProv, idx int) {
-	c := &pp.children[idx]
-	rqid := subQueryID(pp.qid, c.rid)
-	p.rqidToProv[rqid] = childRef{parent: pp.qid, idx: idx}
-	m := p.newMsg()
-	m.Kind, m.QID, m.RID, m.VID, m.Ret = KRuleQuery, rqid, c.rid, pp.vid, p.Node
-	if c.rloc == p.Node {
-		p.handleRuleQuery(m)
-		p.Msgs.Put(m)
-		return
+// ruleResult takes the answer to a rule query this node sent out.
+func (p *Processor) ruleResult(rqid types.ID, payload []byte) {
+	if ref, ok := p.waiting[rqid]; ok {
+		delete(p.waiting, rqid)
+		p.childDone(ref.parent, ref.idx, payload)
 	}
-	p.Send(c.rloc, m)
 }
 
-func (p *Processor) maybeFinishProv(pp *pendProv) {
-	if pp.finished {
+// provQuery expands tuple vertex vid: one kid per alternative derivation.
+func (p *Processor) provQuery(from origin, vid types.ID) {
+	p.QueriesServed++
+	if p.cached(p.cache, from, false, vid) {
 		return
 	}
-	complete := true
-	for _, d := range pp.done {
-		if !d {
-			complete = false
-			break
+	derivs := p.Store.Derivations(vid)
+	f := &frame{origin: from, vid: vid, kids: make([]kid, len(derivs))}
+	for i, d := range derivs {
+		if !d.RID.IsZero() {
+			f.kids[i] = kid{id: d.RID, rloc: d.RLoc}
+		} else if t, ok := p.Store.TupleOf(vid); ok {
+			f.kids[i] = kid{base: true, result: p.UDF.EDB(t, vid, p.Node)}
+		} else {
+			f.kids[i] = kid{base: true, result: p.UDF.IDB(nil, vid, p.Node)}
 		}
 	}
-	thresholdHit := p.Strategy == DFSThreshold &&
-		p.UDF.Exceeds(CtxIDB, collect(pp.results, pp.done), p.Threshold)
-	if !complete && !thresholdHit {
-		return
-	}
-	pp.finished = true
-	delete(p.pendProv, pp.qid)
-	res := p.UDF.IDB(collect(pp.results, pp.done), pp.vid, p.Node)
-	if p.CacheOn && complete {
-		// Threshold-truncated and moonwalk-sampled results are partial;
-		// only complete traversals are cached.
-		if p.Strategy != Moonwalk {
-			p.cache[pp.vid] = &cacheEntry{udf: p.UDF.Name(), payload: res}
+	if p.Strategy == Moonwalk {
+		// Sample up to MoonwalkN alternatives; the rest are pruned and
+		// contribute nothing. (Rule inputs are never sampled: a join needs
+		// every one.)
+		order := p.rng.Perm(len(f.kids))
+		for _, i := range order[min(p.MoonwalkN, len(order)):] {
+			f.kids[i] = kid{done: true}
 		}
 	}
-	r := p.newMsg()
-	r.Kind, r.QID, r.VID, r.Ret, r.Payload = KProvResult, pp.qid, pp.vid, pp.ret, res
-	p.reply(pp.ret, r)
+	p.live++
+	p.advance(f)
 }
 
-func (p *Processor) handleRuleResult(m *Msg) {
-	ref, ok := p.rqidToProv[m.QID]
-	if !ok {
-		return // late result for a finished (threshold-terminated) query
-	}
-	delete(p.rqidToProv, m.QID)
-	pp := p.pendProv[ref.parent]
-	if pp == nil || pp.finished {
+// ruleQuery expands rule execution vertex rid, asked about on behalf of the
+// head tuple headVID: one kid per input tuple. Rule bodies are localized, so
+// every input is a local tuple vertex; their own derivations may still fan
+// out to other nodes.
+func (p *Processor) ruleQuery(from origin, rid, headVID types.ID) {
+	if p.cached(p.ruleCache, from, true, rid) {
 		return
 	}
-	pp.results[ref.idx] = m.Payload
-	pp.done[ref.idx] = true
-	if p.Strategy == DFS || p.Strategy == DFSThreshold {
-		pp.next = ref.idx + 1
-		p.advanceProv(pp)
-		return
-	}
-	p.maybeFinishProv(pp)
-}
-
-// --- rule execution vertices (the rv1-rv4 rules) -------------------------
-
-func (p *Processor) handleRuleQuery(m *Msg) {
-	if p.CacheOn {
-		if ce, ok := p.ruleCache[m.RID]; ok && ce.udf == p.UDF.Name() {
-			p.CacheHits++
-			r := p.newMsg()
-			r.Kind, r.QID, r.RID, r.Ret, r.Payload = KRuleResult, m.QID, m.RID, m.Ret, ce.payload
-			p.reply(m.Ret, r)
-			return
-		}
-		p.CacheMisses++
-	}
-	re, ok := p.Store.RuleExecOf(m.RID)
+	re, ok := p.Store.RuleExecOf(rid)
 	if !ok {
 		// The rule execution was retracted while the query was in flight
 		// (churn); answer with the empty product.
-		res := p.UDF.Rule(nil, "?", p.Node)
-		r := p.newMsg()
-		r.Kind, r.QID, r.RID, r.Ret, r.Payload = KRuleResult, m.QID, m.RID, m.Ret, res
-		p.reply(m.Ret, r)
+		p.answer(from, true, rid, p.UDF.Rule(nil, "?", p.Node))
 		return
 	}
-	pr := &pendRule{
-		rqid:     m.QID,
-		rid:      m.RID,
-		ret:      m.Ret,
-		headVID:  m.VID,
-		rule:     re.Rule,
-		children: re.VIDList,
-		results:  make([][]byte, len(re.VIDList)),
-		done:     make([]bool, len(re.VIDList)),
+	f := &frame{origin: from, isRule: true, vid: headVID, rid: rid, rule: re.Rule, kids: make([]kid, len(re.VIDList))}
+	for i, vid := range re.VIDList {
+		f.kids[i].id = vid
 	}
-	p.pendRule[m.QID] = pr
-	p.advanceRule(pr)
+	p.live++
+	p.advance(f)
 }
 
-// advanceRule expands a rule vertex's input tuples. Rule bodies are
-// localized, so every child VID is local; their own derivations may still
-// fan out to remote nodes.
-func (p *Processor) advanceRule(pr *pendRule) {
-	if pr.finished {
-		return
+// cached answers a vertex from its result cache, reporting whether it did.
+func (p *Processor) cached(cache map[types.ID]*cacheEntry, from origin, isRule bool, vertex types.ID) bool {
+	if !p.CacheOn {
+		return false
 	}
-	switch p.Strategy {
-	case BFS, Moonwalk:
-		// Rule inputs are all required (a join needs every input); only
-		// alternative derivations are sampled by moonwalk.
-		for i, vid := range pr.children {
-			if pr.done[i] {
+	if ce, ok := cache[vertex]; ok && ce.udf == p.UDF.Name() {
+		p.CacheHits++
+		p.answer(from, isRule, vertex, ce.payload)
+		return true
+	}
+	p.CacheMisses++
+	return false
+}
+
+// advance opens f's unresolved kids per the traversal strategy — all at once,
+// or under DFS one at a time, resuming at the cursor each time one returns —
+// and finishes f when its result is determined.
+func (p *Processor) advance(f *frame) {
+	if p.Strategy == DFS || p.Strategy == DFSThreshold {
+		for f.next < len(f.kids) && !p.exceeds(f) {
+			if k := &f.kids[f.next]; k.base {
+				k.done = true
+				f.next++
 				continue
 			}
-			p.issueProvChild(pr, i, vid)
+			p.open(f, f.next)
+			return // wait for this kid before expanding the next
 		}
-		p.maybeFinishRule(pr)
-	case DFS, DFSThreshold:
-		for pr.next < len(pr.children) {
-			if p.Strategy == DFSThreshold && pr.next > 0 &&
-				p.UDF.Exceeds(CtxRule, collect(pr.results, pr.done), p.Threshold) {
-				break
+	} else {
+		for i := range f.kids {
+			if k := &f.kids[i]; k.base {
+				k.done = true
+			} else if !k.done {
+				p.open(f, i)
 			}
-			i := pr.next
-			p.issueProvChild(pr, i, pr.children[i])
-			return
 		}
-		p.maybeFinishRule(pr)
+	}
+	p.maybeFinish(f)
+}
+
+// open starts kid idx of f: a direct call when the kid vertex is local, a
+// rule query under a fresh RQID when it lives at another node.
+func (p *Processor) open(f *frame, idx int) {
+	k := &f.kids[idx]
+	here := origin{childRef: childRef{f, idx}, ret: p.Node}
+	switch {
+	case f.isRule:
+		p.provQuery(here, k.id)
+	case k.rloc == p.Node:
+		p.ruleQuery(here, k.id, f.vid)
+	default:
+		rqid := p.mintID(k.id)
+		p.waiting[rqid] = here.childRef
+		m := p.newMsg()
+		m.Kind, m.QID, m.RID, m.VID, m.Ret = KRuleQuery, rqid, k.id, f.vid, p.Node
+		p.Send(k.rloc, m)
 	}
 }
 
-func (p *Processor) issueProvChild(pr *pendRule, idx int, vid types.ID) {
-	qid := subQueryID(pr.rqid, vid)
-	p.qidToRule[qid] = childRef{parent: pr.rqid, idx: idx}
-	m := p.newMsg()
-	m.Kind, m.QID, m.VID, m.Ret = KProvQuery, qid, vid, p.Node
-	p.handleProvQuery(m)
-	p.Msgs.Put(m)
+// childDone records the result of kid idx. A result for a frame that has
+// already finished (threshold-terminated) is dropped.
+func (p *Processor) childDone(f *frame, idx int, payload []byte) {
+	if f.finished {
+		return
+	}
+	f.kids[idx].result, f.kids[idx].done = payload, true
+	if p.Strategy == DFS || p.Strategy == DFSThreshold {
+		f.next = idx + 1
+		p.advance(f)
+		return
+	}
+	p.maybeFinish(f)
 }
 
-func (p *Processor) maybeFinishRule(pr *pendRule) {
-	if pr.finished {
+// collect gathers the results f has so far into the processor's scratch.
+func (p *Processor) collect(f *frame) [][]byte {
+	out := p.collected[:0]
+	for i := range f.kids {
+		if k := &f.kids[i]; k.done && k.result != nil {
+			out = append(out, k.result)
+		}
+	}
+	p.collected = out
+	return out
+}
+
+// exceeds reports whether a DFS-THRESHOLD traversal may stop at f with what
+// it has collected. A rule vertex with no input result yet never stops: the
+// empty product says nothing about the join.
+func (p *Processor) exceeds(f *frame) bool {
+	if p.Strategy != DFSThreshold {
+		return false
+	}
+	got := p.collect(f)
+	if f.isRule {
+		return len(got) > 0 && p.UDF.Exceeds(CtxRule, got, p.Threshold)
+	}
+	return p.UDF.Exceeds(CtxIDB, got, p.Threshold)
+}
+
+// maybeFinish combines f's results and answers once every kid is done or
+// the threshold is crossed.
+func (p *Processor) maybeFinish(f *frame) {
+	if f.finished {
 		return
 	}
 	complete := true
-	for _, d := range pr.done {
-		if !d {
+	for i := range f.kids {
+		if !f.kids[i].done {
 			complete = false
 			break
 		}
 	}
-	thresholdHit := p.Strategy == DFSThreshold && len(pr.children) > 0 &&
-		p.UDF.Exceeds(CtxRule, collect(pr.results, pr.done), p.Threshold)
-	if !complete && !thresholdHit {
+	if !complete && !p.exceeds(f) {
 		return
 	}
-	pr.finished = true
-	delete(p.pendRule, pr.rqid)
-	res := p.UDF.Rule(collect(pr.results, pr.done), pr.rule, p.Node)
-	if p.CacheOn && complete && p.Strategy != Moonwalk {
-		p.ruleCache[pr.rid] = &cacheEntry{udf: p.UDF.Name(), payload: res}
+	f.finished = true
+	p.live--
+	// Threshold-truncated and moonwalk-sampled results are partial; only
+	// complete traversals are cached.
+	cache := p.CacheOn && complete && p.Strategy != Moonwalk
+	if !f.isRule {
+		res := p.UDF.IDB(p.collect(f), f.vid, p.Node)
+		if cache {
+			p.cache[f.vid] = &cacheEntry{udf: p.UDF.Name(), payload: res}
+		}
+		p.answer(f.origin, false, f.vid, res)
+		return
+	}
+	res := p.UDF.Rule(p.collect(f), f.rule, p.Node)
+	if cache {
+		p.ruleCache[f.rid] = &cacheEntry{udf: p.UDF.Name(), payload: res}
 		// Install the §6.1 reverse dataflow edges for this now-cached
 		// traversal level: each input tuple (local, bodies are localized)
 		// points through this rule execution at the head vertex it
 		// derives. Edges are created here — per cached traversal — rather
 		// than on every derivation in the engine, and are consumed when an
 		// invalidation wave clears this level.
-		for _, child := range pr.children {
-			p.Store.AddParent(child, pr.rid, pr.headVID, pr.ret)
+		for i := range f.kids {
+			p.Store.AddParent(f.kids[i].id, f.rid, f.vid, f.ret)
 		}
 	}
-	r := p.newMsg()
-	r.Kind, r.QID, r.RID, r.Ret, r.Payload = KRuleResult, pr.rqid, pr.rid, pr.ret, res
-	p.reply(pr.ret, r)
-}
-
-func (p *Processor) handleProvResult(m *Msg) {
-	if cb, ok := p.onComplete[m.QID]; ok {
-		delete(p.onComplete, m.QID)
-		cb(m.Payload)
-		return
-	}
-	ref, ok := p.qidToRule[m.QID]
-	if !ok {
-		return
-	}
-	delete(p.qidToRule, m.QID)
-	pr := p.pendRule[ref.parent]
-	if pr == nil || pr.finished {
-		return
-	}
-	pr.results[ref.idx] = m.Payload
-	pr.done[ref.idx] = true
-	if p.Strategy == DFS || p.Strategy == DFSThreshold {
-		pr.next = ref.idx + 1
-		p.advanceRule(pr)
-		return
-	}
-	p.maybeFinishRule(pr)
+	p.answer(f.origin, true, f.rid, res)
 }
 
 // --- cache invalidation (§6.1) -------------------------------------------
@@ -577,9 +481,7 @@ func (p *Processor) invalidate(vid types.ID) {
 // CacheSize reports the number of cached vertex results (tuple + rule).
 func (p *Processor) CacheSize() int { return len(p.cache) + len(p.ruleCache) }
 
-// Pending reports the number of in-flight query protocol records (pending
-// traversals, child references and completion callbacks) — a diagnostic
-// for leak detection in long churn runs.
-func (p *Processor) Pending() int {
-	return len(p.pendProv) + len(p.pendRule) + len(p.rqidToProv) + len(p.qidToRule) + len(p.onComplete)
-}
+// Pending reports the number of in-flight query protocol records (live
+// frames, rule queries out at other nodes and completion callbacks) — a
+// diagnostic for leak detection in long churn runs.
+func (p *Processor) Pending() int { return p.live + len(p.waiting) + len(p.onComplete) }

@@ -379,6 +379,35 @@ func TestUnknownVertexAnswersEmpty(t *testing.T) {
 	}
 }
 
+// TestHostileRuleResultZeroesTheHop: node b answers a's rule query with a
+// polynomial whose label length is 2^64-1 (the old decoder panicked on it,
+// and a deployed receive loop has no recover). The hop that receives it must
+// answer Zero — which absorbs the products above it — and leave nothing
+// pending.
+func TestHostileRuleResultZeroesTheHop(t *testing.T) {
+	f, net := newFig5(t, Polynomial{}, BFS, 0, false)
+	hostile := append(append([]byte{byte(algebra.OpBase)}, make([]byte, types.IDLen+4)...),
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
+	f.byID[1].Send = func(to types.NodeID, m *Msg) {
+		if m.Kind == KRuleResult {
+			m.Payload = hostile
+		}
+		net.send(to, m)
+	}
+	expr, err := DecodePolynomial(runQuery(t, f, 3, f.bpcA, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if expr.Op != algebra.OpZero {
+		t.Errorf("result = %s, want 0", expr)
+	}
+	for _, p := range f.procs {
+		if n := p.Pending(); n != 0 {
+			t.Errorf("node %s: %d pending records", p.Node, n)
+		}
+	}
+}
+
 func TestMsgCodecRoundTrip(t *testing.T) {
 	msgs := []*Msg{
 		{Kind: KProvQuery, QID: types.HashString("q"), VID: types.HashString("v"), Ret: 3},

@@ -23,7 +23,8 @@ const (
 
 // UDF is the customization triple of §5.2 — f_pEDB, f_pIDB, f_pRULE —
 // operating on wire-encoded partial results so intermediate values can
-// travel between nodes.
+// travel between nodes. A children slice is the processor's scratch, valid
+// only during the call; the payloads in it are immutable and may be kept.
 type UDF interface {
 	// Name identifies the representation (cache entries are tagged with
 	// it so different query types never share results).
@@ -55,41 +56,23 @@ func (Polynomial) Name() string { return "polynomial" }
 
 // EDB implements UDF: the base tuple itself is the literal.
 func (Polynomial) EDB(t types.Tuple, vid types.ID, node types.NodeID) []byte {
-	return algebra.NewBase(algebra.Base{VID: vid, Label: t.String(), Node: node}).EncodePayload()
+	label := t.String()
+	return algebra.AppendBase(make([]byte, 0, algebra.BaseSize(label)), algebra.Base{VID: vid, Label: label, Node: node})
 }
 
-// IDB implements UDF: (D1 + D2 + ... + Dn)@Loc.
+// IDB implements UDF: (D1 + D2 + ... + Dn)@Loc. Children are validated and
+// spliced on the wire form; a malformed child makes the result Zero.
 func (Polynomial) IDB(children [][]byte, vid types.ID, node types.NodeID) []byte {
-	kids, err := decodeExprs(children)
-	if err != nil {
-		return algebra.Zero().EncodePayload()
-	}
-	return algebra.Sum("@"+node.String(), kids...).EncodePayload()
+	return algebra.SpliceSum("", node, children)
 }
 
-// Rule implements UDF: <R@RLoc>(P1 · P2 · ... · Pn).
+// Rule implements UDF: <R@RLoc>(P1 · P2 · ... · Pn), composed like IDB.
 func (Polynomial) Rule(children [][]byte, rule string, loc types.NodeID) []byte {
-	kids, err := decodeExprs(children)
-	if err != nil {
-		return algebra.Zero().EncodePayload()
-	}
-	return algebra.Prod(rule+"@"+loc.String(), kids...).EncodePayload()
+	return algebra.SpliceProd(rule, loc, children)
 }
 
 // Exceeds implements UDF (not applicable).
 func (Polynomial) Exceeds(Ctx, [][]byte, int64) bool { return false }
-
-func decodeExprs(children [][]byte) ([]*algebra.Expr, error) {
-	out := make([]*algebra.Expr, 0, len(children))
-	for _, c := range children {
-		e, _, err := algebra.Decode(c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
 
 // DecodePolynomial parses a POLYNOMIAL query result.
 func DecodePolynomial(payload []byte) (*algebra.Expr, error) {

@@ -33,14 +33,16 @@ var (
 	errNonCanonical = errors.New("types: non-canonical value encoding")
 )
 
-// readUvarint decodes a uvarint and additionally rejects non-minimal
+// ReadUvarint decodes a uvarint and additionally rejects non-minimal
 // (over-long) encodings. The format doubles as SHA-1 input, so every byte
 // string must have at most one decoding that re-encodes to itself —
 // accepting redundant varint forms (or bool payloads other than 0/1) would
-// break the decode→re-encode identity the fuzz tests pin.
-func readUvarint(b []byte) (uint64, int, bool) {
+// break the decode→re-encode identity the fuzz tests pin. The query-result
+// payload decoders (algebra, bdd) share the rule: hops forward the bytes
+// they validated, so those bytes must be the only spelling of their value.
+func ReadUvarint(b []byte) (uint64, int, bool) {
 	v, sz := binary.Uvarint(b)
-	if sz <= 0 || sz != uvarintLen(v) {
+	if sz <= 0 || sz != UvarintLen(v) {
 		return 0, 0, false
 	}
 	return v, sz, true
@@ -128,7 +130,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 		}
 		return Int(int64(binary.BigEndian.Uint64(rest))), 9, nil
 	case KindStr:
-		n, sz, ok := readUvarint(rest)
+		n, sz, ok := ReadUvarint(rest)
 		if !ok || n > uint64(len(rest)-sz) {
 			return Value{}, 0, errTruncated
 		}
@@ -146,7 +148,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 		copy(id[:], rest[:IDLen])
 		return IDVal(id), 1 + IDLen, nil
 	case KindList:
-		n, sz, ok := readUvarint(rest)
+		n, sz, ok := ReadUvarint(rest)
 		if !ok {
 			return Value{}, 0, errTruncated
 		}
@@ -168,7 +170,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 		}
 		return List(elems...), used, nil
 	case KindProv:
-		n, sz, ok := readUvarint(rest)
+		n, sz, ok := ReadUvarint(rest)
 		if !ok || n > uint64(len(rest)-sz) {
 			return Value{}, 0, errTruncated
 		}
@@ -193,7 +195,8 @@ func (o OpaquePayload) EncodePayload() []byte { return o }
 // String implements Payload.
 func (o OpaquePayload) String() string { return fmt.Sprintf("opaque[%dB]", len(o)) }
 
-func uvarintLen(x uint64) int {
+// UvarintLen reports the length of x's (minimal) uvarint encoding.
+func UvarintLen(x uint64) int {
 	n := 1
 	for x >= 0x80 {
 		x >>= 7

@@ -166,7 +166,7 @@ func internStr(s string) uint32 {
 	// of (e.g. a decode scratch buffer).
 	s = strings.Clone(s)
 	//exspanlint:alloc-ok first sight of this string: the table row is built once
-	enc := make([]byte, 0, 1+uvarintLen(uint64(len(s)))+len(s))
+	enc := make([]byte, 0, 1+UvarintLen(uint64(len(s)))+len(s))
 	enc = append(enc, byte(KindStr))
 	enc = binary.AppendUvarint(enc, uint64(len(s)))
 	enc = append(enc, s...)
@@ -271,7 +271,7 @@ func internPayload(p Payload) uint32 {
 	if h, ok := provTab.lookup[key]; ok {
 		return h
 	}
-	enc := make([]byte, 0, 1+uvarintLen(uint64(len(key)))+len(key))
+	enc := make([]byte, 0, 1+UvarintLen(uint64(len(key)))+len(key))
 	enc = append(enc, byte(KindProv))
 	enc = binary.AppendUvarint(enc, uint64(len(key)))
 	enc = append(enc, key...)

@@ -58,13 +58,13 @@ func (t Tuple) Encode(dst []byte) []byte {
 // DecodeTuple decodes one tuple from b, returning the tuple and the number
 // of bytes consumed.
 func DecodeTuple(b []byte) (Tuple, int, error) {
-	n, sz, ok := readUvarint(b)
+	n, sz, ok := ReadUvarint(b)
 	if !ok || n > uint64(len(b)-sz) {
 		return Tuple{}, 0, errTruncated
 	}
 	pred := string(b[sz : sz+int(n)])
 	used := sz + int(n)
-	arity, sz2, ok := readUvarint(b[used:])
+	arity, sz2, ok := ReadUvarint(b[used:])
 	if !ok {
 		return Tuple{}, 0, errTruncated
 	}
@@ -84,7 +84,7 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 
 // WireSize reports the encoded size of the tuple in bytes.
 func (t Tuple) WireSize() int {
-	n := uvarintLen(uint64(len(t.Pred))) + len(t.Pred) + uvarintLen(uint64(len(t.Args)))
+	n := UvarintLen(uint64(len(t.Pred))) + len(t.Pred) + UvarintLen(uint64(len(t.Args)))
 	for _, a := range t.Args {
 		n += a.WireSize()
 	}

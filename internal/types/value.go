@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -75,10 +76,16 @@ type NodeID int32
 // String renders small node IDs as letters (a, b, c, ...) to match the
 // paper's examples, and falls back to n<id> for larger networks.
 func (n NodeID) String() string {
+	var b [12]byte
+	return string(n.AppendString(b[:0]))
+}
+
+// AppendString appends the String form to dst.
+func (n NodeID) AppendString(dst []byte) []byte {
 	if n >= 0 && n < 26 {
-		return string(rune('a' + n))
+		return append(dst, byte('a'+n))
 	}
-	return fmt.Sprintf("n%d", int32(n))
+	return strconv.AppendInt(append(dst, 'n'), int64(n), 10)
 }
 
 // Payload is an opaque provenance annotation carried inside a Value of
