@@ -4,12 +4,12 @@
 # with regression bounds; performance claims are paired runs of it.
 
 GO ?= go
-# Packages whose tests exercise concurrent code paths (worker shards, the
-# round scheduler, UDP node processes); test-race gates them under the race
-# detector and CI runs it on every push.
+# Packages whose tests exercise concurrent code paths (the round scheduler's
+# worker pool across nodes, UDP node processes, the reliable transport);
+# test-race gates them under the race detector and CI runs it on every push.
 RACE_PKGS := ./internal/engine/... ./internal/provenance/... ./internal/deploy/... ./internal/transport/...
 
-.PHONY: all build fmt vet lint lint-extra test test-race chaos-smoke scale-smoke doccheck doccheck-selftest fuzz-smoke check bench bench-smoke clean
+.PHONY: all build fmt vet lint lint-extra test test-race chaos-smoke scale-smoke host-independence doccheck doccheck-selftest fuzz-smoke check bench bench-smoke clean
 
 all: check
 
@@ -25,8 +25,8 @@ vet:
 	$(GO) vet ./...
 
 # Invariant lint gate: the exspanlint suite (internal/lint) machine-checks
-# bit-exact determinism, zero-alloc hot paths, interned-value identity and
-# shard phase ownership over the whole tree, tests included. Blocking — a
+# bit-exact determinism, zero-alloc hot paths and interned-value identity —
+# three analyzers — over the whole tree, tests included. Blocking — a
 # finding fails the build; suppress individual findings only with a reasoned
 # //exspanlint:<key> comment (see ARCHITECTURE.md "Static analysis").
 lint:
@@ -48,16 +48,16 @@ lint-extra:
 test:
 	$(GO) test ./...
 
-# Race-detector gate over the concurrently-evaluated packages — mandatory
-# since the sharded runtime fires rules and merges rounds across worker
-# goroutines. Runs at both ends of the adaptive runtime's range: GOMAXPROCS=4
-# exercises the parallel fire and merge phases, GOMAXPROCS=1 exercises the
-# inline fallback those phases compile down to (and proves nothing races on
-# the way into it).
+# Race-detector gate over the concurrently-evaluated packages. A node
+# evaluates on one goroutine; what runs concurrently is the Scheduler's worker
+# pool across nodes and the deployment's per-node receive / worker / timer
+# goroutines. Runs at GOMAXPROCS=4, where the pool really interleaves node
+# tasks, and at GOMAXPROCS=1, where it collapses to one worker (and proves
+# nothing races on the way into that).
 # -count=1 on both legs: the test cache does not key on GOMAXPROCS (the
 # runtime reads it, not os.Getenv), so without it the second leg would
-# silently reuse the first leg's cached result and the parallel merge
-# fan-out would never run under the race detector.
+# silently reuse the first leg's cached result and the parallel pool would
+# never run under the race detector.
 test-race:
 	GOMAXPROCS=1 $(GO) test -race -count=1 $(RACE_PKGS)
 	GOMAXPROCS=4 $(GO) test -race -count=1 $(RACE_PKGS)
@@ -73,13 +73,27 @@ chaos-smoke:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Chaos' ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Chaos|Timeout' ./internal/deploy/
 
-# Scale gate: the 10k-node CHORD determinism smoke — two full sharded runs
+# Scale gate: the 10k-node CHORD determinism smoke — two full Scheduler runs
 # of the workload suite's largest topology must agree bit for bit (delta
 # counts, wire bytes, sampled relation state) and together obtain at most
 # 2 GiB from the OS. Skipped under -short, so `go test -short ./...` stays
 # fast; this target runs it by name.
 scale-smoke:
 	$(GO) test -run 'TestScaleChordDeterminism10k' -v ./internal/core/
+
+# Host-independence gate: the paper's headline quantity — communication at
+# fixpoint — must not depend on the host's core count. The standing
+# benchmark's Scheduler workload runs for a second at GOMAXPROCS=1 and at 2;
+# both must report the same wire_bytes_per_op. (When a per-node shard count
+# resolved from GOMAXPROCS selected the executor, the one-core run silently
+# drained per message and shipped 3.76× the bytes; this gate fails there.)
+WIRE_BYTES = $(GO) run ./bench -workload chord-sharded -seconds 1 | tail -n 1 | grep -o '"wire_bytes_per_op":{"value":[0-9.e+]*'
+host-independence:
+	@one=$$(GOMAXPROCS=1 $(WIRE_BYTES)); two=$$(GOMAXPROCS=2 $(WIRE_BYTES)); \
+	echo "GOMAXPROCS=1 $$one"; echo "GOMAXPROCS=2 $$two"; \
+	if [ -z "$$one" ] || [ "$$one" != "$$two" ]; then \
+		echo "host-independence: wire_bytes_per_op depends on GOMAXPROCS"; exit 1; fi; \
+	echo "host-independence ok"
 
 # Documentation link check: every local file referenced from the markdown
 # docs — as a link target or as a backticked internal|docs|examples|cmd/…
@@ -137,7 +151,7 @@ fuzz-smoke:
 
 # lint sits before test-race: a lint finding is seconds to surface, the race
 # legs are minutes — fail fast on the cheap gate.
-check: fmt vet build lint test test-race chaos-smoke doccheck doccheck-selftest fuzz-smoke
+check: fmt vet build lint test test-race chaos-smoke host-independence doccheck doccheck-selftest fuzz-smoke
 
 # The standing benchmark: every workload's end-to-end metrics (add
 # `-trace 1` by hand for the per-layer budget; see bench/README.md).

@@ -7,7 +7,6 @@
 package repro
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -169,60 +168,44 @@ func BenchmarkEngineFixpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFixpointSharded measures the same MINCOST fixpoint through
-// the sharded runtime: every node's state hash-partitioned across worker
-// shards, the cluster driven to quiescence by the parallel round scheduler
-// instead of the discrete-event simulator. Results are bit-identical to the
-// simulated fixpoint (see core.TestSchedulerMatchesSimnet); wall-clock gains
-// come from batched rounds (no per-message event dispatch) and, on
-// multi-core hosts, from running shards in parallel.
-//
-// Shard counts are *requested*, resolved through the adaptive selection
-// production front-ends apply (engine.EffectiveShards): on a host with
-// fewer cores than the request, the node collapses to the core count —
-// shards=4 on a single-core machine runs the serial path instead of paying
-// partition routing for parallelism it cannot have. MINCOST delta counts
-// are shard-invariant, so the recorded deltas/op metric is identical
-// however the request resolves.
-func BenchmarkEngineFixpointSharded(b *testing.B) {
+// BenchmarkEngineFixpointScheduled measures the same MINCOST fixpoint driven
+// to quiescence by the round scheduler instead of the discrete-event
+// simulator: nodes evaluate each round's messages as one batch, on a worker
+// pool across nodes. Results are bit-identical to the simulated fixpoint (see
+// core.TestSchedulerMatchesSimnet); wall-clock gains come from batched rounds
+// (no per-message event dispatch) and, on multi-core hosts, from running
+// nodes in parallel.
+func BenchmarkEngineFixpointScheduled(b *testing.B) {
 	topo := topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(1)))
 	prog, err := engine.Compile(apps.MinCost())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := engine.NewScheduler(prog, engine.ProvReference, topo.N, engine.EffectiveShards(shards), 0)
-				for _, l := range topo.Links {
-					s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
-					s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))
-				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				var deltas int64
-				for n := 0; n < s.NumNodes(); n++ {
-					deltas += s.Node(n).DeltasProcessed()
-				}
-				b.ReportMetric(float64(deltas), "deltas/op")
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := engine.NewScheduler(prog, engine.ProvReference, topo.N, 0, 0)
+		for _, l := range topo.Links {
+			s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
+			s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))
+		}
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		var deltas int64
+		for n := 0; n < s.NumNodes(); n++ {
+			deltas += s.Node(n).DeltasProcessed()
+		}
+		b.ReportMetric(float64(deltas), "deltas/op")
 	}
 }
 
 // BenchmarkChordLookup measures the CHORD workload end to end: overlay
 // election (successor/predecessor/finger fixpoint) on a 64-node ring plus
 // a 32-lookup batch forwarded recursively to resolution. The simnet
-// sub-benchmark pays per-message event dispatch; the sharded ones drive
-// the same workload through the round scheduler, whose batched merge
-// rounds collapse intermediate election updates (hence lower deltas/op at
-// the same fixpoint — each count is deterministic for its driver). Shard
-// counts here, in BenchmarkDRedChurn and in BenchmarkPolicyPathVector are
-// requests resolved through engine.EffectiveShards, as in
-// BenchmarkEngineFixpointSharded: the configuration production runs on this
-// host, not one it never would.
+// sub-benchmark pays per-message event dispatch; the scheduler one drives
+// the same workload through the round scheduler, whose batched rounds
+// collapse intermediate election updates (hence lower deltas/op at the same
+// fixpoint — each count is deterministic for its driver).
 func BenchmarkChordLookup(b *testing.B) {
 	topo := topology.Ring(64, rand.New(rand.NewSource(8)))
 	base := apps.ChordBase(topo)
@@ -255,33 +238,31 @@ func BenchmarkChordLookup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := engine.NewScheduler(prog, engine.ProvReference, topo.N, engine.EffectiveShards(shards), 0)
-				for n := 0; n < topo.N; n++ {
-					for _, tup := range base[types.NodeID(n)] {
-						s.InsertBase(types.NodeID(n), tup)
-					}
+	b.Run("scheduler", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := engine.NewScheduler(prog, engine.ProvReference, topo.N, 0, 0)
+			for n := 0; n < topo.N; n++ {
+				for _, tup := range base[types.NodeID(n)] {
+					s.InsertBase(types.NodeID(n), tup)
 				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				for _, lk := range lookups {
-					s.InsertBase(lk.Loc(), lk)
-				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				var deltas int64
-				for n := 0; n < s.NumNodes(); n++ {
-					deltas += s.Node(n).DeltasProcessed()
-				}
-				b.ReportMetric(float64(deltas), "deltas/op")
 			}
-		})
-	}
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+			for _, lk := range lookups {
+				s.InsertBase(lk.Loc(), lk)
+			}
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+			var deltas int64
+			for n := 0; n < s.NumNodes(); n++ {
+				deltas += s.Node(n).DeltasProcessed()
+			}
+			b.ReportMetric(float64(deltas), "deltas/op")
+		}
+	})
 }
 
 // churnOp pairs a base tuple with its home node for delete/re-insert churn.
@@ -297,40 +278,36 @@ type churnOp struct {
 func benchDRedChurn(b *testing.B, prog *engine.Program, nNodes int,
 	setup func(*engine.Scheduler), churn []churnOp) {
 	b.Helper()
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := engine.NewScheduler(prog, engine.ProvReference, nNodes, engine.EffectiveShards(shards), 0)
-			setup(s)
-			if err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, op := range churn {
-					s.DeleteBase(op.at, op.tup)
-				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				for _, op := range churn {
-					s.InsertBase(op.at, op.tup)
-				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			var deltas int64
-			for n := 0; n < s.NumNodes(); n++ {
-				deltas += s.Node(n).DeltasProcessed()
-			}
-			if deltas == 0 {
-				b.Fatal("churn produced no work")
-			}
-			b.ReportMetric(float64(deltas)/float64(b.N), "deltas/op")
-		})
+	s := engine.NewScheduler(prog, engine.ProvReference, nNodes, 0, 0)
+	setup(s)
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, op := range churn {
+			s.DeleteBase(op.at, op.tup)
+		}
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		for _, op := range churn {
+			s.InsertBase(op.at, op.tup)
+		}
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	var deltas int64
+	for n := 0; n < s.NumNodes(); n++ {
+		deltas += s.Node(n).DeltasProcessed()
+	}
+	if deltas == 0 {
+		b.Fatal("churn produced no work")
+	}
+	b.ReportMetric(float64(deltas)/float64(b.N), "deltas/op")
 }
 
 // BenchmarkDRedChurn measures the deletion path of the two-phase retraction
@@ -434,31 +411,29 @@ func BenchmarkPolicyPathVector(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := engine.NewScheduler(prog, engine.ProvReference, topo.N, engine.EffectiveShards(shards), 0)
-				for _, l := range topo.Links {
-					s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
-					s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))
-				}
-				for n := 0; n < topo.N; n++ {
-					for _, tup := range base[types.NodeID(n)] {
-						s.InsertBase(types.NodeID(n), tup)
-					}
-				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				var deltas int64
-				for n := 0; n < s.NumNodes(); n++ {
-					deltas += s.Node(n).DeltasProcessed()
-				}
-				b.ReportMetric(float64(deltas), "deltas/op")
+	b.Run("scheduler", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := engine.NewScheduler(prog, engine.ProvReference, topo.N, 0, 0)
+			for _, l := range topo.Links {
+				s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
+				s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))
 			}
-		})
-	}
+			for n := 0; n < topo.N; n++ {
+				for _, tup := range base[types.NodeID(n)] {
+					s.InsertBase(types.NodeID(n), tup)
+				}
+			}
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+			var deltas int64
+			for n := 0; n < s.NumNodes(); n++ {
+				deltas += s.Node(n).DeltasProcessed()
+			}
+			b.ReportMetric(float64(deltas), "deltas/op")
+		}
+	})
 }
 
 // BenchmarkPlannerAdversarial measures the cost-based planner against an

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/topology"
 	"repro/internal/types"
 )
@@ -16,11 +17,16 @@ import (
 // TestDumpProvGolden is the fence every engine/provenance refactor used to
 // run by hand (build the parent's exspan, diff -dump-prov across apps and
 // modes): the Figure 3 fixpoint of every built-in program, in every
-// provenance mode, serial and sharded, hashed against digests recorded in
-// testdata/dumpprov.golden. A digest covers each node's visible tuples of
-// every predicate (sorted; value mode adds each tuple's encoded BDD payload,
-// centralized mode the prov/ruleExec rows relayed to the server as tuples)
-// followed by the prov and ruleExec partitions as -dump-prov prints them.
+// provenance mode, hashed against digests recorded in
+// testdata/dumpprov.golden — `drain` cells on the simulator, as -dump-prov
+// runs, and `batched` cells on engine.Scheduler, as a plain run does. The
+// batched cells (modes whose Scheduler nodes really batch) must also equal
+// the drain digest of the same app and mode: the byte-level fence that the
+// two executors reach one fixpoint. A digest covers each node's visible
+// tuples of every predicate (sorted; value mode adds each tuple's encoded BDD
+// payload, centralized mode the prov/ruleExec rows relayed to the server as
+// tuples) followed by the prov and ruleExec partitions as -dump-prov prints
+// them.
 //
 // A refactor must leave the file untouched. A change that is *meant* to move
 // a fixpoint replaces the affected lines with the ones this test logs.
@@ -37,15 +43,22 @@ func TestDumpProvGolden(t *testing.T) {
 
 	var computed strings.Builder
 	bad := false
+	check := func(key, got string) {
+		fmt.Fprintf(&computed, "%s %s\n", key, got)
+		if want[key] != got {
+			t.Errorf("%s: digest %s, golden %q", key, got, want[key])
+			bad = true
+		}
+	}
 	for _, app := range []string{"mincost", "pathvector", "packetforward", "chord", "policy"} {
 		for _, modeName := range []string{"none", "reference", "value", "centralized"} {
-			for _, shards := range []int{1, 2} {
-				key := fmt.Sprintf("%s %s shards=%d", app, modeName, shards)
-				got := dumpProvDigest(t, app, modeName, shards)
-				fmt.Fprintf(&computed, "%s %s\n", key, got)
-				if want[key] != got {
-					t.Errorf("%s: digest %s, golden %q", key, got, want[key])
-					bad = true
+			drain := dumpProvDigest(t, app, modeName, false)
+			check(fmt.Sprintf("%s %s drain", app, modeName), drain)
+			if modeName == "none" || modeName == "reference" {
+				batched := dumpProvDigest(t, app, modeName, true)
+				check(fmt.Sprintf("%s %s batched", app, modeName), batched)
+				if batched != drain {
+					t.Errorf("%s %s: batched digest %s differs from drain digest %s", app, modeName, batched, drain)
 				}
 			}
 		}
@@ -56,10 +69,9 @@ func TestDumpProvGolden(t *testing.T) {
 }
 
 // dumpProvDigest runs one matrix cell the way main does (same program
-// loader, same per-app EDB at the CLI's default seed) with the shard count
-// pinned verbatim — core honors explicit counts, so shards=2 really shards
-// on a one-core host.
-func dumpProvDigest(t *testing.T, app, modeName string, shards int) string {
+// loader, same per-app EDB at the CLI's default seed): on the simulator, or —
+// batched — on the Scheduler a plain CLI run uses.
+func dumpProvDigest(t *testing.T, app, modeName string, batched bool) string {
 	t.Helper()
 	prog, err := loadProgram(app)
 	if err != nil {
@@ -75,33 +87,49 @@ func dumpProvDigest(t *testing.T, app, modeName string, shards int) string {
 	if spec.base != nil {
 		base = spec.base(topo, 42)
 	}
-	c, err := core.NewCluster(core.Config{Topo: topo, Prog: prog, Mode: mode, Shards: shards,
-		Base: base, NoLinkTuples: spec.noLinks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatal(err)
+	var node func(i int) *engine.Node
+	if batched {
+		compiled, err := engine.Compile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := engine.NewScheduler(compiled, mode, topo.N, 0, 0)
+		seedScheduler(s, topo, spec, base)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		node = s.Node
+	} else {
+		c, err := core.NewCluster(core.Config{Topo: topo, Prog: prog, Mode: mode,
+			Base: base, NoLinkTuples: spec.noLinks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunToFixpoint(); err != nil {
+			t.Fatal(err)
+		}
+		node = func(i int) *engine.Node { return c.Hosts[i].Engine }
 	}
 	h := sha1.New()
-	for i, host := range c.Hosts {
+	for i := 0; i < topo.N; i++ {
+		en := node(i)
 		fmt.Fprintf(h, "node %d\n", i)
 		preds := []string{"prov", "ruleExec"} // centralized mode's relayed rows
-		for _, p := range host.Engine.Prog.Preds() {
+		for _, p := range en.Prog.Preds() {
 			preds = append(preds, p.Name)
 		}
 		for _, pred := range preds {
-			for _, tu := range host.Engine.Tuples(pred) {
+			for _, tu := range en.Tuples(pred) {
 				io.WriteString(h, tu.String()+"\n")
-				if ref, ok := host.Engine.PayloadOf(tu); ok {
-					fmt.Fprintf(h, "payload %x\n", host.Engine.Mgr.Encode(ref, nil))
+				if ref, ok := en.PayloadOf(tu); ok {
+					fmt.Fprintf(h, "payload %x\n", en.Mgr.Encode(ref, nil))
 				}
 			}
 		}
-		for _, row := range host.Engine.Store.ProvRows() {
+		for _, row := range en.Store.ProvRows() {
 			io.WriteString(h, "prov     "+row+"\n")
 		}
-		for _, row := range host.Engine.Store.RuleExecRows() {
+		for _, row := range en.Store.RuleExecRows() {
 			io.WriteString(h, "ruleExec "+row+"\n")
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -63,24 +62,6 @@ var appSpecs = map[string]appSpec{
 	},
 }
 
-// parseShards resolves the -shards flag: "auto" sizes the per-node shard
-// count for this host, and an explicit positive integer requests that
-// count. Both go through engine.EffectiveShards, which caps the result at
-// GOMAXPROCS — shards beyond the core count only add partition routing
-// without parallelism — and the round runtime further collapses thin
-// rounds to the serial path. (The engine API itself honors explicit counts
-// verbatim; tests pin shard counts through it directly.)
-func parseShards(s string) (int, error) {
-	if s == "auto" {
-		return engine.EffectiveShards(engine.AutoShards), nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("-shards must be a positive integer or 'auto' (got %q)", s)
-	}
-	return engine.EffectiveShards(n), nil
-}
-
 func main() {
 	app := flag.String("app", "mincost", "program: mincost, pathvector, packetforward, chord, policy, or a .ndlog file path")
 	topoName := flag.String("topo", "fig3", "topology: fig3, transitstub, ring")
@@ -92,22 +73,11 @@ func main() {
 	dumpProv := flag.Bool("dump-prov", false, "print the prov/ruleExec partitions after fixpoint")
 	explain := flag.Bool("explain", false, "after fixpoint, dump node 0's chosen rule plans (join order, probe\nindexes, pushed predicates) and the statistics snapshot behind them")
 	deployMode := flag.Bool("deploy", false, "run over real UDP sockets (testbed mode) instead of the simulator")
-	shardsFlag := flag.String("shards", "auto",
-		"engine worker shards per node: a positive integer, or 'auto' to size for this\n"+
-			"host (either way capped at GOMAXPROCS; thin rounds additionally collapse to\n"+
-			"the serial path at runtime). With >1 shards a plain fixpoint run uses the parallel round\n"+
-			"scheduler, while -query/-dump-prov/-deploy runs keep their driver and shard\n"+
-			"each node's evaluation internally")
 	faultSeed := flag.Int64("fault-seed", 0, "seed of the injected fault schedule (with -loss/-dup/-partition)")
 	loss := flag.Float64("loss", 0, "per-datagram drop probability in [0,1); traffic then runs over the\nreliable ack/retransmit transport so the fixpoint is unchanged")
 	dupP := flag.Float64("dup", 0, "per-datagram duplication probability in [0,1) (reliable transport, as -loss)")
 	partition := flag.String("partition", "", "scheduled healing partition 'startMs:endMs:n1,n2,...' (simulator only)")
 	flag.Parse()
-
-	shards, err := parseShards(*shardsFlag)
-	if err != nil {
-		fatal(err)
-	}
 
 	prog, err := loadProgram(*app)
 	if err != nil {
@@ -148,21 +118,20 @@ func main() {
 		if *partition != "" {
 			fatal(fmt.Errorf("-partition is simulator-only; -loss/-dup work with -deploy"))
 		}
-		runDeployment(topo, prog, mode, spec, base, shards, *loss, *dupP, *faultSeed)
+		runDeployment(topo, prog, mode, spec, base, *loss, *dupP, *faultSeed)
 		return
 	}
 
 	// A plain fixpoint run (no query, no provenance dump, no faults) uses
-	// the parallel scheduler when sharding is requested: same results, no
-	// simulator in the way. Queries and dumps need the simulator's virtual
-	// clock and the query processor, fault schedules need its network, so
-	// those stay on the simnet driver with per-node sharding instead.
-	if shards > 1 && *query == "" && !*dumpProv && plan == nil {
-		runScheduled(topo, prog, mode, spec, base, shards, *explain)
+	// the round scheduler: same results, no simulator in the way. Queries
+	// and dumps need the simulator's virtual clock and the query processor,
+	// fault schedules need its network, so those run the simnet driver.
+	if *query == "" && !*dumpProv && plan == nil {
+		runScheduled(topo, prog, mode, spec, base, *explain)
 		return
 	}
 
-	cfg := core.Config{Topo: topo, Prog: prog, Mode: mode, Shards: shards, Faults: plan,
+	cfg := core.Config{Topo: topo, Prog: prog, Mode: mode, Faults: plan,
 		Base: base, NoLinkTuples: spec.noLinks}
 	c, err := core.NewCluster(cfg)
 	if err != nil {
@@ -214,17 +183,32 @@ func main() {
 	}
 }
 
-// runScheduled computes the fixpoint through the sharded parallel runtime
+// runScheduled computes the fixpoint through the round scheduler
 // (engine.Scheduler) and prints statistics comparable to the simulator path
-// (identical tuple counts and byte totals; wall-clock time instead of
-// virtual time).
-func runScheduled(topo *topology.Topology, prog *ndlog.Program, mode engine.ProvMode, spec appSpec, base map[types.NodeID][]types.Tuple, shards int, explain bool) {
+// (identical tuple counts; wall-clock time instead of virtual time).
+func runScheduled(topo *topology.Topology, prog *ndlog.Program, mode engine.ProvMode, spec appSpec, base map[types.NodeID][]types.Tuple, explain bool) {
 	compiled, err := engine.Compile(prog)
 	if err != nil {
 		fatal(err)
 	}
-	s := engine.NewScheduler(compiled, mode, topo.N, shards, 0)
+	s := engine.NewScheduler(compiled, mode, topo.N, 0, 0)
 	startAt := time.Now()
+	seedScheduler(s, topo, spec, base)
+	if err := s.Run(); err != nil {
+		fatal(err)
+	}
+	fixpointReport{
+		headline: fmt.Sprintf("scheduled fixpoint: %.3fs wall clock, %d nodes, %d scheduler rounds",
+			time.Since(startAt).Seconds(), topo.N, s.Rounds),
+		bytes: s.TotalBytes, nodes: topo.N, dropped: -1,
+		engine: s.Node, explain: explain,
+	}.print(spec)
+}
+
+// seedScheduler deposits the EDB a simulated cluster boots with: the
+// topology's link tuples (unless the app has none), then the app's own base
+// tuples in node order.
+func seedScheduler(s *engine.Scheduler, topo *topology.Topology, spec appSpec, base map[types.NodeID][]types.Tuple) {
 	if !spec.noLinks {
 		for _, l := range topo.Links {
 			s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
@@ -236,25 +220,16 @@ func runScheduled(topo *topology.Topology, prog *ndlog.Program, mode engine.Prov
 			s.InsertBase(types.NodeID(i), tup)
 		}
 	}
-	if err := s.Run(); err != nil {
-		fatal(err)
-	}
-	fixpointReport{
-		headline: fmt.Sprintf("sharded fixpoint: %.3fs wall clock, %d nodes x %d shards, %d scheduler rounds",
-			time.Since(startAt).Seconds(), topo.N, shards, s.Rounds),
-		bytes: s.TotalBytes, nodes: topo.N, dropped: -1,
-		engine: s.Node, explain: explain,
-	}.print(spec)
 }
 
 // runDeployment executes the program over real UDP sockets on loopback
 // (the paper's testbed mode) and prints byte and latency statistics. With
 // loss or duplication injected, traffic runs over the reliable transport
 // and the recovery statistics are reported alongside.
-func runDeployment(topo *topology.Topology, prog *ndlog.Program, mode engine.ProvMode, spec appSpec, base map[types.NodeID][]types.Tuple, shards int, loss, dup float64, faultSeed int64) {
+func runDeployment(topo *topology.Topology, prog *ndlog.Program, mode engine.ProvMode, spec appSpec, base map[types.NodeID][]types.Tuple, loss, dup float64, faultSeed int64) {
 	faulty := loss > 0 || dup > 0
 	cl, err := deploy.NewCluster(deploy.Config{
-		Topo: topo, Prog: prog, Mode: mode, Shards: shards,
+		Topo: topo, Prog: prog, Mode: mode,
 		Base: base, NoLinkTuples: spec.noLinks,
 		Reliable: faulty, Loss: loss, Dup: dup, FaultSeed: faultSeed,
 	})

@@ -1,5 +1,5 @@
 // Command exspanlint is the multichecker driver for the engine's invariant
-// analyzers (internal/lint): determinism, hotpath, interning and phaseown.
+// analyzers (internal/lint): determinism, hotpath and interning.
 // `make lint` runs it over the whole tree (tests included) as a blocking CI
 // gate; any finding exits 1.
 //

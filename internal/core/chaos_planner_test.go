@@ -31,10 +31,10 @@ c2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X), nbr(@Y,W).
 // runChaosPlanner boots a ring cluster, then runs deletion churn with a
 // forced re-plan at every global quiescence point (replanning=true) or with
 // plans pinned to the compile-time default (replanning=false).
-func runChaosPlanner(t *testing.T, mode engine.ProvMode, shards int, plan *simnet.FaultPlan, replanning bool) ([]string, *Cluster, bool) {
+func runChaosPlanner(t *testing.T, mode engine.ProvMode, plan *simnet.FaultPlan, replanning bool) ([]string, *Cluster, bool) {
 	t.Helper()
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
-	c, err := NewCluster(Config{Topo: topo, Prog: chaosPlannerProg(t), Mode: mode, Shards: shards, Faults: plan})
+	c, err := NewCluster(Config{Topo: topo, Prog: chaosPlannerProg(t), Mode: mode, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,40 +75,33 @@ func runChaosPlanner(t *testing.T, mode engine.ProvMode, shards int, plan *simne
 }
 
 func TestChaosPlannerEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		mode   engine.ProvMode
-		shards int
-	}{
-		{engine.ProvReference, 0},
-		{engine.ProvReference, 3},
-		{engine.ProvNone, 0},
-	} {
-		want, _, _ := runChaosPlanner(t, tc.mode, tc.shards, nil, false)
+	for _, mode := range []engine.ProvMode{engine.ProvReference, engine.ProvNone} {
+		want, _, _ := runChaosPlanner(t, mode, nil, false)
 		// Fault-free replanning run: pins plan swaps alone as state-neutral
 		// and asserts the stats actually flipped a plan.
-		got, _, changed := runChaosPlanner(t, tc.mode, tc.shards, nil, true)
+		got, _, changed := runChaosPlanner(t, mode, nil, true)
 		if !changed {
-			t.Fatalf("%s shards=%d: no re-plan changed a plan; chaos fence is vacuous", tc.mode, tc.shards)
+			t.Fatalf("%s: no re-plan changed a plan; chaos fence is vacuous", mode)
 		}
 		for i := range want {
 			if want[i] != got[i] {
-				t.Fatalf("%s shards=%d: node %d fixpoint differs under fault-free replanning\nfixed:\n%.2000s\nreplanned:\n%.2000s",
-					tc.mode, tc.shards, i, want[i], got[i])
+				t.Fatalf("%s: node %d fixpoint differs under fault-free replanning\nfixed:\n%.2000s\nreplanned:\n%.2000s",
+					mode, i, want[i], got[i])
 			}
 		}
 		for _, seed := range []int64{1, 42} {
 			plan := chaosPlan(seed)
-			got, c, _ := runChaosPlanner(t, tc.mode, tc.shards, plan, true)
+			got, c, _ := runChaosPlanner(t, mode, plan, true)
 			if plan.Dropped+plan.Duplicated+plan.Cut == 0 {
-				t.Fatalf("%s shards=%d seed %d: fault schedule injected nothing", tc.mode, tc.shards, seed)
+				t.Fatalf("%s seed %d: fault schedule injected nothing", mode, seed)
 			}
 			if c.Net.DroppedMsgs == 0 {
-				t.Errorf("%s shards=%d seed %d: network counted no drops", tc.mode, tc.shards, seed)
+				t.Errorf("%s seed %d: network counted no drops", mode, seed)
 			}
 			for i := range want {
 				if want[i] != got[i] {
-					t.Fatalf("%s shards=%d seed %d: node %d chaos+replanning fixpoint differs\nfixed fault-free:\n%.2000s\nchaos:\n%.2000s",
-						tc.mode, tc.shards, seed, i, want[i], got[i])
+					t.Fatalf("%s seed %d: node %d chaos+replanning fixpoint differs\nfixed fault-free:\n%.2000s\nchaos:\n%.2000s",
+						mode, seed, i, want[i], got[i])
 				}
 			}
 		}

@@ -32,18 +32,25 @@ func chaosPlan(seed int64) *simnet.FaultPlan {
 // chaosState serializes the full per-node fixpoint state for comparison.
 func chaosState(t *testing.T, c *Cluster, preds []string) []string {
 	t.Helper()
-	out := make([]string, len(c.Hosts))
-	for i, h := range c.Hosts {
+	return engineState(func(i int) *engine.Node { return c.Hosts[i].Engine }, len(c.Hosts), preds)
+}
+
+// engineState is chaosState over any driver's nodes: each node's visible
+// tuples of preds followed by its prov and ruleExec rows.
+func engineState(node func(i int) *engine.Node, n int, preds []string) []string {
+	out := make([]string, n)
+	for i := range out {
+		nd := node(i)
 		s := ""
 		for _, pred := range preds {
-			for _, tu := range h.Engine.Tuples(pred) {
+			for _, tu := range nd.Tuples(pred) {
 				s += pred + ":" + tu.String() + "\n"
 			}
 		}
-		for _, row := range h.Engine.Store.ProvRows() {
+		for _, row := range nd.Store.ProvRows() {
 			s += "prov|" + row + "\n"
 		}
-		for _, row := range h.Engine.Store.RuleExecRows() {
+		for _, row := range nd.Store.RuleExecRows() {
 			s += "re|" + row + "\n"
 		}
 		out[i] = s
@@ -119,10 +126,10 @@ var chaosWorkloads = []chaosWorkload{
 // stay up so retransmissions remain deliverable), and returns the final
 // state. Under a fault plan a second partition is injected mid-churn, so
 // deletion deltas cross a lossy, partitioned wire.
-func runChaosWorkload(t *testing.T, w chaosWorkload, mode engine.ProvMode, shards int, plan *simnet.FaultPlan) ([]string, *Cluster) {
+func runChaosWorkload(t *testing.T, w chaosWorkload, mode engine.ProvMode, plan *simnet.FaultPlan) ([]string, *Cluster) {
 	t.Helper()
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
-	cfg := Config{Topo: topo, Prog: w.prog(), Mode: mode, Shards: shards, Faults: plan, NoLinkTuples: w.noLinks}
+	cfg := Config{Topo: topo, Prog: w.prog(), Mode: mode, Faults: plan, NoLinkTuples: w.noLinks}
 	if w.base != nil {
 		cfg.Base = w.base(topo)
 	}
@@ -157,10 +164,10 @@ func TestChaosEquivalence(t *testing.T) {
 	modes := []engine.ProvMode{engine.ProvNone, engine.ProvReference, engine.ProvValue, engine.ProvCentralized}
 	for _, w := range chaosWorkloads {
 		for _, mode := range modes {
-			want, _ := runChaosWorkload(t, w, mode, 0, nil)
+			want, _ := runChaosWorkload(t, w, mode, nil)
 			for _, seed := range []int64{1, 42, 1234} {
 				plan := chaosPlan(seed)
-				got, c := runChaosWorkload(t, w, mode, 0, plan)
+				got, c := runChaosWorkload(t, w, mode, plan)
 				if plan.Dropped+plan.Duplicated+plan.Cut == 0 {
 					t.Fatalf("%s %s seed %d: fault schedule injected nothing", w.name, mode, seed)
 				}
@@ -181,35 +188,16 @@ func TestChaosEquivalence(t *testing.T) {
 	}
 }
 
-// TestChaosEquivalenceSharded runs the same fence with sharded engine
-// nodes: endpoint sends from merge rounds stay on the simulator goroutine,
-// so the single-threaded transport contract must hold there too. All four
-// workloads run, so the new protocols cross the sharded path under faults.
-func TestChaosEquivalenceSharded(t *testing.T) {
-	for _, w := range chaosWorkloads {
-		want, _ := runChaosWorkload(t, w, engine.ProvReference, 3, nil)
-		for _, seed := range []int64{1, 42, 1234} {
-			got, _ := runChaosWorkload(t, w, engine.ProvReference, 3, chaosPlan(seed))
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("%s seed %d: sharded node %d chaos fixpoint differs\nfault-free:\n%.2000s\nchaos:\n%.2000s",
-						w.name, seed, i, want[i], got[i])
-				}
-			}
-		}
-	}
-}
-
 // runReleaseWaveChaos is runChaosWorkload with the fault schedule aimed at
 // phase 2 of the retraction protocol: after every churn step it stripes
 // short healing partitions across the whole upcoming fixpoint, so windows
 // land not just on the deletion wave but on the stratified release waves
 // the idle hook fires afterwards — rederive batches are dropped, queued
 // behind partitions and retransmitted mid-wave.
-func runReleaseWaveChaos(t *testing.T, w chaosWorkload, shards int, plan *simnet.FaultPlan) ([]string, *Cluster) {
+func runReleaseWaveChaos(t *testing.T, w chaosWorkload, plan *simnet.FaultPlan) ([]string, *Cluster) {
 	t.Helper()
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
-	cfg := Config{Topo: topo, Prog: w.prog(), Mode: engine.ProvReference, Shards: shards, Faults: plan, NoLinkTuples: w.noLinks}
+	cfg := Config{Topo: topo, Prog: w.prog(), Mode: engine.ProvReference, Faults: plan, NoLinkTuples: w.noLinks}
 	if w.base != nil {
 		cfg.Base = w.base(topo)
 	}
@@ -242,28 +230,26 @@ func runReleaseWaveChaos(t *testing.T, w chaosWorkload, shards int, plan *simnet
 // deletion churn stages suspects cluster-wide, and the stratified release
 // waves that re-derive them must cross a wire that keeps partitioning and
 // healing in stripes for the whole churn window. The fixpoint must still
-// match the fault-free run — serial and sharded, for both the MINCOST link
+// match the fault-free run, for both the MINCOST link
 // churn and the POLICY link+policy churn (whose filtered-route retractions
 // push the longest release waves of the suite; CHORD's alive churn is
 // nearly all-local, so it never reliably crosses a partition window).
 func TestChaosReleaseWavePartition(t *testing.T) {
 	for _, w := range []chaosWorkload{chaosWorkloads[0], chaosWorkloads[3]} {
-		for _, shards := range []int{0, 3} {
-			want, _ := runChaosWorkload(t, w, engine.ProvReference, shards, nil)
-			for _, seed := range []int64{7, 99} {
-				plan := &simnet.FaultPlan{Seed: seed, Drop: 0.1, Jitter: simnet.Millisecond}
-				got, c := runReleaseWaveChaos(t, w, shards, plan)
-				if plan.Cut == 0 {
-					t.Fatalf("%s shards=%d seed %d: no message crossed a release-wave partition", w.name, shards, seed)
-				}
-				if st := c.TransportStats(); st.Retransmits == 0 {
-					t.Errorf("%s shards=%d seed %d: transport recovered nothing (stats %+v)", w.name, shards, seed, st)
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s shards=%d seed %d: node %d fixpoint differs from fault-free run\nfault-free:\n%.2000s\nchaos:\n%.2000s",
-							w.name, shards, seed, i, want[i], got[i])
-					}
+		want, _ := runChaosWorkload(t, w, engine.ProvReference, nil)
+		for _, seed := range []int64{7, 99} {
+			plan := &simnet.FaultPlan{Seed: seed, Drop: 0.1, Jitter: simnet.Millisecond}
+			got, c := runReleaseWaveChaos(t, w, plan)
+			if plan.Cut == 0 {
+				t.Fatalf("%s seed %d: no message crossed a release-wave partition", w.name, seed)
+			}
+			if st := c.TransportStats(); st.Retransmits == 0 {
+				t.Errorf("%s seed %d: transport recovered nothing (stats %+v)", w.name, seed, st)
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("%s seed %d: node %d fixpoint differs from fault-free run\nfault-free:\n%.2000s\nchaos:\n%.2000s",
+						w.name, seed, i, want[i], got[i])
 				}
 			}
 		}
@@ -280,11 +266,11 @@ func TestChaosCrashRestart(t *testing.T) {
 	w := chaosWorkloads[0] // mincost
 	preds := w.preds
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
-	want, _ := runChaosWorkload(t, w, engine.ProvReference, 0, nil)
+	want, _ := runChaosWorkload(t, w, engine.ProvReference, nil)
 
 	plan := &simnet.FaultPlan{Seed: 9, Drop: 0.1, Jitter: simnet.Millisecond}
 	plan.AddCrash(3, 2*simnet.Millisecond, 40*simnet.Millisecond)
-	got, c := runChaosWorkload(t, w, engine.ProvReference, 0, plan)
+	got, c := runChaosWorkload(t, w, engine.ProvReference, plan)
 	if plan.Cut == 0 {
 		t.Fatal("crash window silenced nothing")
 	}

@@ -41,14 +41,6 @@ type Config struct {
 	// bandwidth recorder to the network.
 	BandwidthBucketNs int64
 
-	// Shards is the number of engine worker shards per node (0 or 1 =
-	// classic serial evaluation; engine.AutoShards sizes the count for the
-	// host via engine.EffectiveShards). Sharded nodes evaluate each
-	// incoming message batch with the parallel round runtime; results
-	// match the serial engine exactly. Value-based and centralized
-	// provenance clamp to one shard (see engine.NewNodeSharded).
-	Shards int
-
 	// Base holds additional base tuples injected at their owning nodes at
 	// virtual time zero, after the topology's link tuples — the seeding
 	// hook for protocol workloads whose EDB is richer than links (CHORD's
@@ -171,20 +163,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 
 	c := &Cluster{Cfg: cfg, Sim: sim, Net: nw, Topo: cfg.Topo, Prog: prog, Alloc: alloc}
-	// Resolve the adaptive sentinel here rather than leaving it to
-	// NewNodeSharded: the pool decision below must see the effective count.
-	shards := cfg.Shards
-	if shards == engine.AutoShards {
-		shards = engine.EffectiveShards(shards)
-	}
-	// The engine message pool is only useful — and its Puts only ever
-	// drained — under single-shard evaluation: sharded fire phases bypass
-	// Get, so wiring the pool in would retain every delivered message
-	// forever. A nil pool degrades Put to a no-op (types.Pool contract).
-	var msgPool *engine.MessagePool
-	if shards <= 1 || cfg.Mode == engine.ProvValue || cfg.Mode == engine.ProvCentralized {
-		msgPool = engine.NewMessagePool()
-	}
+	msgPool := engine.NewMessagePool()
 	qryPool := provquery.NewMsgPool()
 	for i := 0; i < cfg.Topo.N; i++ {
 		id := types.NodeID(i)
@@ -227,9 +206,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if ep != nil {
 			tr = reliableTransport{nw: nw, ep: ep}
 		}
-		en = engine.NewNodeSharded(id, prog, cfg.Mode, tr, alloc, shards)
+		en = engine.NewNode(id, prog, cfg.Mode, tr, alloc)
 		en.Central = cfg.Central
-		en.Msgs = msgPool // nil for sharded clusters (see above)
+		en.Msgs = msgPool
 		qp = provquery.NewProcessor(id, en.Store, udf, func(to types.NodeID, m *provquery.Msg) {
 			if ep != nil && to != id {
 				ep.Send(to, m, m.WireSize())

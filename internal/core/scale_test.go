@@ -58,9 +58,9 @@ func totalMsgs(c *Cluster) int64 {
 
 // TestScaleChordDeterminism10k is the 10k-node determinism smoke (ISSUE 8,
 // S3): generate a seeded 10,000-node overlay, run the CHORD workload to
-// fixpoint on a sharded scheduler, and require a rerun to reproduce the
-// exact delta count, wire-byte total and a sampled slice of the fixpoint —
-// sharded evaluation at four orders of magnitude above the unit topologies
+// fixpoint on the scheduler, and require a rerun to reproduce the exact
+// delta count, wire-byte total and a sampled slice of the fixpoint — the
+// parallel worker pool at four orders of magnitude above the unit topologies
 // must stay bit-deterministic. Gated behind -short; `make scale-smoke`
 // runs it in CI.
 func TestScaleChordDeterminism10k(t *testing.T) {
@@ -74,7 +74,7 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := engine.NewScheduler(prog, engine.ProvNone, topo.N, 4, 0)
+		s := engine.NewScheduler(prog, engine.ProvNone, topo.N, 0, 0)
 		base := apps.ChordBase(topo)
 		for i := 0; i < topo.N; i++ {
 			for _, tup := range base[types.NodeID(i)] {

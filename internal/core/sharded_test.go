@@ -9,34 +9,12 @@ import (
 	"repro/internal/topology"
 )
 
-// These tests pin the cross-driver contract of the sharded runtime on the
-// benchmark workload (MINCOST over the §7 transit-stub topology): the
-// parallel Scheduler and sharded simnet nodes must reach exactly the
-// fixpoint the classic serial simulation reaches — same visible tuples at
-// every node, same provenance row sets — and repeated sharded runs must
-// reproduce their byte accounting bit-for-bit.
-
-func clusterState(t *testing.T, get func(i int) *engine.Node, n int) []string {
-	t.Helper()
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		nd := get(i)
-		s := ""
-		for _, pred := range []string{"link", "pathCost", "bestPathCost"} {
-			for _, tu := range nd.Tuples(pred) {
-				s += pred + ":" + tu.String() + "\n"
-			}
-		}
-		for _, row := range nd.Store.ProvRows() {
-			s += "prov|" + row + "\n"
-		}
-		for _, row := range nd.Store.RuleExecRows() {
-			s += "re|" + row + "\n"
-		}
-		out[i] = s
-	}
-	return out
-}
+// This test pins the cross-driver, cross-executor contract on the benchmark
+// workload (MINCOST over the §7 transit-stub topology): the Scheduler, whose
+// nodes evaluate in batched rounds, must reach exactly the fixpoint the
+// simulation, whose nodes drain, reaches — same visible tuples at every node,
+// same provenance row sets — and must reproduce its byte accounting
+// bit-for-bit whatever the size of its worker pool.
 
 func TestSchedulerMatchesSimnet(t *testing.T) {
 	if testing.Short() {
@@ -44,7 +22,7 @@ func TestSchedulerMatchesSimnet(t *testing.T) {
 	}
 	topo := topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(1)))
 
-	// Reference: the classic serial simulation.
+	// Reference: the simulation (one message per ingest, inline drain).
 	c, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
 	if err != nil {
 		t.Fatal(err)
@@ -52,14 +30,15 @@ func TestSchedulerMatchesSimnet(t *testing.T) {
 	if _, err := c.RunToFixpoint(); err != nil {
 		t.Fatal(err)
 	}
-	want := clusterState(t, func(i int) *engine.Node { return c.Hosts[i].Engine }, topo.N)
+	preds := []string{"link", "pathCost", "bestPathCost"}
+	want := chaosState(t, c, preds)
 
 	prog, err := engine.Compile(apps.MinCost())
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(shards, workers int) *engine.Scheduler {
-		s := engine.NewScheduler(prog, engine.ProvReference, topo.N, shards, workers)
+	run := func(workers int) *engine.Scheduler {
+		s := engine.NewScheduler(prog, engine.ProvReference, topo.N, 0, workers)
 		for _, l := range topo.Links {
 			s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
 			s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))
@@ -71,48 +50,19 @@ func TestSchedulerMatchesSimnet(t *testing.T) {
 	}
 
 	var prev *engine.Scheduler
-	for _, cfg := range [][2]int{{1, 1}, {2, 0}, {4, 0}} {
-		s := run(cfg[0], cfg[1])
-		got := clusterState(t, func(i int) *engine.Node { return s.Node(i) }, topo.N)
+	for _, workers := range []int{1, 0, 4} {
+		s := run(workers)
+		got := engineState(s.Node, topo.N, preds)
 		for i := range want {
 			if want[i] != got[i] {
-				t.Fatalf("shards=%d: node %d state differs from simnet fixpoint\nsimnet:\n%.2000s\nscheduler:\n%.2000s",
-					cfg[0], i, want[i], got[i])
+				t.Fatalf("workers=%d: node %d state differs from simnet fixpoint\nsimnet:\n%.2000s\nscheduler:\n%.2000s",
+					workers, i, want[i], got[i])
 			}
 		}
-		if prev != nil && s.TotalBytes != prev.TotalBytes {
-			t.Errorf("total bytes differ across shard counts: %d vs %d", s.TotalBytes, prev.TotalBytes)
+		if prev != nil && (s.TotalBytes != prev.TotalBytes || s.Rounds != prev.Rounds) {
+			t.Errorf("accounting differs across worker counts: bytes %d/%d rounds %d/%d",
+				s.TotalBytes, prev.TotalBytes, s.Rounds, prev.Rounds)
 		}
 		prev = s
-	}
-
-	// Same-config reruns reproduce accounting exactly.
-	a, b := run(4, 0), run(4, 0)
-	if a.TotalBytes != b.TotalBytes || a.Rounds != b.Rounds {
-		t.Errorf("sharded reruns diverge: bytes %d/%d rounds %d/%d", a.TotalBytes, b.TotalBytes, a.Rounds, b.Rounds)
-	}
-}
-
-// TestShardedSimnetClusterMatchesSerial runs the simulator itself with
-// sharded nodes (Config.Shards) and checks the fixpoint matches the serial
-// simulation — the "simnet handlers" wiring of the sharded runtime.
-func TestShardedSimnetClusterMatchesSerial(t *testing.T) {
-	topo := topology.Ring(10, rand.New(rand.NewSource(5)))
-	states := make([][]string, 0, 2)
-	for _, shards := range []int{1, 3} {
-		c, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RunToFixpoint(); err != nil {
-			t.Fatal(err)
-		}
-		states = append(states, clusterState(t, func(i int) *engine.Node { return c.Hosts[i].Engine }, topo.N))
-	}
-	for i := range states[0] {
-		if states[0][i] != states[1][i] {
-			t.Fatalf("node %d: sharded simnet cluster differs from serial\nserial:\n%s\nsharded:\n%s",
-				i, states[0][i], states[1][i])
-		}
 	}
 }

@@ -11,12 +11,12 @@ import (
 )
 
 // Workload-suite fences for the PR 8 protocols (CHORD routing and the
-// policy-constrained path-vector program): serial-vs-sharded bit-identical
-// equivalence and full-retraction no-leak, each across all four provenance
-// modes. The classic routing programs have these fences in sharded_test.go
-// and chaos_test.go; the new protocols exercise multi-rule recursion
-// (lookup forwarding), double aggregation (MIN + AGGLIST) and soft-state
-// liveness predicates through the same invariants.
+// policy-constrained path-vector program): simulator-vs-Scheduler (drain vs
+// batched rounds) bit-identical equivalence and full-retraction no-leak, each
+// across all four provenance modes. The classic routing programs have these
+// fences in sharded_test.go and chaos_test.go; the new protocols exercise
+// multi-rule recursion (lookup forwarding), double aggregation (MIN +
+// AGGLIST) and soft-state liveness predicates through the same invariants.
 
 var provModes = []engine.ProvMode{
 	engine.ProvNone, engine.ProvReference, engine.ProvValue, engine.ProvCentralized,
@@ -38,9 +38,9 @@ func suiteWorkloads(t *testing.T) []chaosWorkload {
 }
 
 // bootWorkload builds and boots a cluster for one workload row.
-func bootWorkload(t *testing.T, w chaosWorkload, topo *topology.Topology, mode engine.ProvMode, shards int) *Cluster {
+func bootWorkload(t *testing.T, w chaosWorkload, topo *topology.Topology, mode engine.ProvMode) *Cluster {
 	t.Helper()
-	cfg := Config{Topo: topo, Prog: w.prog(), Mode: mode, Shards: shards, NoLinkTuples: w.noLinks}
+	cfg := Config{Topo: topo, Prog: w.prog(), Mode: mode, NoLinkTuples: w.noLinks}
 	if w.base != nil {
 		cfg.Base = w.base(topo)
 	}
@@ -54,32 +54,63 @@ func bootWorkload(t *testing.T, w chaosWorkload, topo *topology.Topology, mode e
 	return c
 }
 
-// TestWorkloadSerialShardedEquivalence pins serial (Shards=0) against
-// sharded (1 and 4) cluster fixpoints for both protocols in every
-// provenance mode: the same tuples, provenance rows and ruleExec rows at
-// every node. Wire-byte totals are deterministic per shard count (sharded
-// merge rounds batch deltas, so totals legitimately shrink with shards —
-// reruns must still reproduce them bit-for-bit).
+// bootScheduled seeds the same EDB bootWorkload does into an engine.Scheduler
+// and runs it to fixpoint.
+func bootScheduled(t *testing.T, w chaosWorkload, topo *topology.Topology, mode engine.ProvMode) *engine.Scheduler {
+	t.Helper()
+	prog, err := engine.Compile(w.prog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := engine.NewScheduler(prog, mode, topo.N, 0, 0)
+	if !w.noLinks {
+		for _, l := range topo.Links {
+			s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
+			s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))
+		}
+	}
+	if w.base != nil {
+		base := w.base(topo)
+		for i := 0; i < topo.N; i++ {
+			for _, tup := range base[types.NodeID(i)] {
+				s.InsertBase(types.NodeID(i), tup)
+			}
+		}
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("scheduled fixpoint: %v", err)
+	}
+	return s
+}
+
+// TestWorkloadSerialShardedEquivalence pins the simulator's cluster fixpoint
+// (nodes drain one message at a time) against the Scheduler's (nodes batch a
+// round of messages) for both protocols in every provenance mode: the same
+// tuples, provenance rows and ruleExec rows at every node. Wire-byte totals
+// legitimately differ between the drivers (batching nets transient deltas
+// out before they ship); reruns of one driver must reproduce them
+// bit-for-bit.
 func TestWorkloadSerialShardedEquivalence(t *testing.T) {
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
 	for _, w := range suiteWorkloads(t) {
 		for _, mode := range provModes {
-			serial := bootWorkload(t, w, topo, mode, 0)
+			serial := bootWorkload(t, w, topo, mode)
 			want := chaosState(t, serial, w.preds)
-			for _, shards := range []int{1, 4} {
-				c := bootWorkload(t, w, topo, mode, shards)
-				got := chaosState(t, c, w.preds)
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s %s shards=%d: node %d differs from serial\nserial:\n%.2000s\nsharded:\n%.2000s",
-							w.name, mode, shards, i, want[i], got[i])
-					}
+			s := bootScheduled(t, w, topo, mode)
+			got := engineState(s.Node, topo.N, w.preds)
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("%s %s: node %d differs between simulator and scheduler\nsimulator:\n%.2000s\nscheduler:\n%.2000s",
+						w.name, mode, i, want[i], got[i])
 				}
-				rerun := bootWorkload(t, w, topo, mode, shards)
-				if rerun.Net.TotalBytes != c.Net.TotalBytes {
-					t.Errorf("%s %s shards=%d: reruns diverge on wire bytes %d/%d",
-						w.name, mode, shards, c.Net.TotalBytes, rerun.Net.TotalBytes)
-				}
+			}
+			if rerun := bootScheduled(t, w, topo, mode); rerun.TotalBytes != s.TotalBytes || rerun.Rounds != s.Rounds {
+				t.Errorf("%s %s: scheduler reruns diverge: bytes %d/%d rounds %d/%d",
+					w.name, mode, s.TotalBytes, rerun.TotalBytes, s.Rounds, rerun.Rounds)
+			}
+			if rerun := bootWorkload(t, w, topo, mode); rerun.Net.TotalBytes != serial.Net.TotalBytes {
+				t.Errorf("%s %s: simulator reruns diverge on wire bytes %d/%d",
+					w.name, mode, serial.Net.TotalBytes, rerun.Net.TotalBytes)
 			}
 			if len(serial.TuplesOf(w.preds[len(w.preds)-1])) == 0 {
 				t.Fatalf("%s %s: vacuous — no %s derived", w.name, mode, w.preds[len(w.preds)-1])
@@ -97,7 +128,7 @@ func TestWorkloadFullRetraction(t *testing.T) {
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
 	for _, w := range suiteWorkloads(t) {
 		for _, mode := range provModes {
-			c := bootWorkload(t, w, topo, mode, 0)
+			c := bootWorkload(t, w, topo, mode)
 			// Reconstruct the seeded EDB exactly as bootWorkload fed it.
 			base := map[types.NodeID][]types.Tuple{}
 			if !w.noLinks {

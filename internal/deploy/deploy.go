@@ -46,13 +46,6 @@ type Config struct {
 	UDF     provquery.UDF
 	CacheOn bool
 
-	// Shards is the number of engine worker shards per node process (0 or
-	// 1 = classic serial evaluation; engine.AutoShards sizes the count for
-	// the host via engine.EffectiveShards). Each UDP datagram batch is
-	// then evaluated by the parallel round runtime; fixpoint results match
-	// the serial engine exactly.
-	Shards int
-
 	// Base is extra per-node EDB seeded by InsertLinks after (or, with
 	// NoLinkTuples, instead of) the topology's link tuples — the workload
 	// suite's identifier/liveness/policy atoms.
@@ -278,15 +271,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				},
 			})
 		}
-		en := engine.NewNodeSharded(np.ID, prog, cfg.Mode, udpTransport{np}, alloc, cfg.Shards)
+		en := engine.NewNode(np.ID, prog, cfg.Mode, udpTransport{np}, alloc)
 		en.Central = cfg.Central
-		if en.NumShards() > 1 {
-			// Sharded fire phases never draw from the unsynchronized pool,
-			// so keeping it wired would only accumulate every message ever
-			// Put back by the transport. A nil pool degrades Get/Put to
-			// plain allocation / no-op (types.Pool contract).
-			np.engPool = nil
-		}
 		en.Msgs = np.engPool
 		qp := provquery.NewProcessor(np.ID, en.Store, udf, func(to types.NodeID, m *provquery.Msg) {
 			if np.ep != nil && to != np.ID {

@@ -9,11 +9,9 @@ import (
 )
 
 // fireAgg routes a delta of an aggregate rule's body predicate through the
-// group state — the serial (single-shard) path, where the group lives on
-// this shard and updates apply inline. Under rounds the same body evaluation
-// happens in fireAggRound, which ships the update to the group's owner shard
-// instead (aggregate groups are partitioned by group-key hash, so one shard
-// owns each group's whole input multiset).
+// group state — the drain's path, where updates apply inline. Under batched
+// rounds the same body evaluation happens in fireAggRound, which queues the
+// update for the next apply step instead.
 func (sh *shard) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload bdd.Ref) {
 	n := sh.n
 	env, ok := sh.evalAggBody(rule, t)
@@ -25,7 +23,7 @@ func (sh *shard) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload b
 	for i, code := range spec.groupCode {
 		v, err := code(env)
 		if err != nil {
-			sh.fail(fmt.Errorf("rule %s group: %w", rule.Label, err))
+			sh.n.fail(fmt.Errorf("rule %s group: %w", rule.Label, err))
 			return
 		}
 		groupVals[i] = v
@@ -54,8 +52,8 @@ func (sh *shard) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload b
 	}
 }
 
-// aggGroupFor returns the rule's group of the given group-by values on this
-// shard, carving a fresh one (with its entry map ready) on first sight.
+// aggGroupFor returns the rule's group of the given group-by values, carving
+// a fresh one (with its entry map ready) on first sight.
 func (sh *shard) aggGroupFor(rule *CompiledRule, groupVals []types.Value) *aggGroup {
 	groups := sh.aggByRule[rule.idx]
 	if groups == nil {
@@ -88,14 +86,14 @@ func (sh *shard) evalAggBody(rule *CompiledRule, t types.Tuple) ([]types.Value, 
 		case stepAssign:
 			v, err := st.expr(env)
 			if err != nil {
-				sh.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
+				sh.n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
 				return nil, false
 			}
 			env[st.assignSlot] = v
 		case stepCond:
 			v, err := st.expr(env)
 			if err != nil {
-				sh.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
+				sh.n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
 				return nil, false
 			}
 			if !v.Truthy() {
@@ -107,7 +105,7 @@ func (sh *shard) evalAggBody(rule *CompiledRule, t types.Tuple) ([]types.Value, 
 }
 
 // evalAggVals extracts the aggregate's sort value and carried values from
-// the bound environment into shard scratch (carryBuf). Callers must copy the
+// the bound environment into scratch (carryBuf). Callers must copy the
 // carried slice if they retain it.
 func (sh *shard) evalAggVals(rule *CompiledRule, env []types.Value) (types.Value, []types.Value) {
 	spec := rule.agg
@@ -149,15 +147,10 @@ func (sh *shard) emitAggChange(rule *CompiledRule, out types.Tuple, em aggEmit, 
 	var payload bdd.Ref
 	if em.hasWin {
 		// The winning input is stored in the body relation; reuse its
-		// cached VID instead of re-hashing the tuple. Under rounds the
-		// winner may live on a sibling shard that is concurrently applying
-		// its own batch, so only a self-owned entry is consulted — the
-		// fallback recomputes the same content-derived RID either way.
+		// cached VID instead of re-hashing the tuple.
 		var winEnt *entry
 		if rel := sh.aggBodyRel[rule.idx]; rel != nil {
-			if !n.rounds() || n.ownerShard(em.winner) == sh {
-				winEnt = rel.get(em.winner)
-			}
+			winEnt = rel.get(em.winner)
 		}
 		if winEnt != nil {
 			sh.vidBuf[0], sh.hashBuf = winEnt.VIDBuf(sh.hashBuf)
@@ -198,10 +191,10 @@ type aggEntry struct {
 // rows and the currently emitted output.
 //
 // Group structs, entry structs, carried-value copies and output argument
-// slices are all carved from the owning shard's arenas (value slices
+// slices are all carved from the node's arenas (value slices
 // are pointer-free under the compact Value representation, so the arenas
 // cost the garbage collector nothing to scan); the group itself holds only
-// its entry map and free list, and borrows the shard's scratch to refresh.
+// its entry map and free list, and borrows the node's scratch to refresh.
 type aggGroup struct {
 	entries map[string]*aggEntry
 	free    []*aggEntry // retired entries recycled by later inserts
@@ -229,7 +222,7 @@ type stagedGroup struct {
 	groupVals []types.Value
 }
 
-// stage registers the group with its owner shard's release list.
+// stage registers the group with the node's release list.
 func (g *aggGroup) stage(sh *shard, rule *CompiledRule, groupVals []types.Value) {
 	if g.staged {
 		return
@@ -337,8 +330,8 @@ func beats(spec *AggSpec, a, b *aggEntry) bool {
 }
 
 // refresh recomputes the output tuple and diffs it against the currently
-// emitted one. The returned slice aliases the shard's emit buffer and is
-// valid until the next refresh of any group on the shard. The steady-state
+// emitted one. The returned slice aliases the node's emit buffer and is
+// valid until the next refresh of any group on the node. The steady-state
 // path — an input delta that does not change the output — allocates
 // nothing, and a changed output carves its retained argument slice from the
 // node's arena.
@@ -402,7 +395,7 @@ func argsEqual(a, b []types.Value) bool {
 }
 
 // compute evaluates the aggregate over the current multiset into the
-// shard's reusable args buffer. It reports ok=false when the group emits
+// node's reusable args buffer. It reports ok=false when the group emits
 // nothing.
 func (g *aggGroup) compute(sh *shard, spec *AggSpec, groupVals []types.Value) ([]types.Value, *aggEntry, bool) {
 	args := sh.aggArgsBuf[:0]

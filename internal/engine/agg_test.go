@@ -124,46 +124,49 @@ func TestMaxAggregateChurn(t *testing.T) {
 }
 
 // TestMinAggregateChurnSharded drives the same winner-eviction script
-// through a sharded scheduler cluster (groups and inputs hash-partitioned
-// across shards) and checks each intermediate fixpoint.
+// through a one-node scheduler cluster under both executors (batched rounds
+// net each step's deltas before the group re-elects) and checks each
+// intermediate fixpoint.
 func TestMinAggregateChurnSharded(t *testing.T) {
 	prog, err := Compile(ndlog.MustParse(`b1 best(@X,min<C,Y>) :- item(@X,Y,C).`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScheduler(prog, ProvReference, 1, 4, 0)
-	step := func(want ...string) {
-		t.Helper()
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for _, tu := range s.Node(0).Tuples("best") {
-			got = append(got, tu.String())
-		}
-		if len(got) != len(want) {
-			t.Fatalf("best = %v, want %v", got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("best = %v, want %v", got, want)
+	for _, batched := range executors {
+		s := newScheduler(prog, ProvReference, 1, 0, batched)
+		step := func(want ...string) {
+			t.Helper()
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, tu := range s.Node(0).Tuples("best") {
+				got = append(got, tu.String())
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: best = %v, want %v", executorName(batched), got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: best = %v, want %v", executorName(batched), got, want)
+				}
 			}
 		}
-	}
-	s.InsertBase(0, item("w", 2))
-	s.InsertBase(0, item("a", 5))
-	step("best(@a,2,w)")
-	s.InsertBase(0, item("w", 2)) // duplicate derivation
-	s.DeleteBase(0, item("w", 2))
-	step("best(@a,2,w)")
-	s.DeleteBase(0, item("w", 2)) // evict winner: rescan to next best
-	step("best(@a,5,a)")
-	s.InsertBase(0, item("w", 2)) // re-derive: dethrones the rescan result
-	step("best(@a,2,w)")
-	s.DeleteBase(0, item("w", 2))
-	s.DeleteBase(0, item("a", 5))
-	step()
-	if got := s.Node(0).Store.NumRuleExec(); got != 0 {
-		t.Fatalf("ruleExec rows after full retraction = %d, want 0", got)
+		s.InsertBase(0, item("w", 2))
+		s.InsertBase(0, item("a", 5))
+		step("best(@a,2,w)")
+		s.InsertBase(0, item("w", 2)) // duplicate derivation
+		s.DeleteBase(0, item("w", 2))
+		step("best(@a,2,w)")
+		s.DeleteBase(0, item("w", 2)) // evict winner: rescan to next best
+		step("best(@a,5,a)")
+		s.InsertBase(0, item("w", 2)) // re-derive: dethrones the rescan result
+		step("best(@a,2,w)")
+		s.DeleteBase(0, item("w", 2))
+		s.DeleteBase(0, item("a", 5))
+		step()
+		if got := s.Node(0).Store.NumRuleExec(); got != 0 {
+			t.Fatalf("%s: ruleExec rows after full retraction = %d, want 0", executorName(batched), got)
+		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 // deletions): retracting a link that keeps the network connected but kills
 // the cheapest route under the unbounded-cost MINCOST program — the classic
 // count-to-infinity trigger — must terminate with the correct post-churn
-// costs, identically across the serial engine and sharded schedulers in
-// every provenance mode; and retracting every link must leave zero tuples,
+// costs, identically across the serial engine and schedulers under both
+// executors in every provenance mode; and retracting every link must leave zero tuples,
 // prov rows, ruleExec rows, reverse edges and aggregate groups.
 
 // dredSquare is a 4-node cycle with a chord: 0-1(1), 1-2(1), 2-3(1),
@@ -37,39 +37,36 @@ func dredSquare() (edges [][2]int, costs map[[2]int]int64) {
 // Node.ReleaseStaged uses. Release-time validation must make the fixpoint
 // identical anyway.
 func (n *Node) releaseRandom(rng *rand.Rand) bool {
-	n.releasing = true
-	defer func() { n.releasing = false }()
 	any := false
-	for _, sh := range n.shards {
-		rng.Shuffle(len(sh.stagedEnts), func(i, j int) {
-			sh.stagedEnts[i], sh.stagedEnts[j] = sh.stagedEnts[j], sh.stagedEnts[i]
-		})
-		rng.Shuffle(len(sh.stagedGroups), func(i, j int) {
-			sh.stagedGroups[i], sh.stagedGroups[j] = sh.stagedGroups[j], sh.stagedGroups[i]
-		})
-		for {
-			occupied := map[int]bool{}
-			for _, e := range sh.stagedEnts {
-				occupied[sh.stratumOf(e.tuple.Pred)] = true
-			}
-			for i := range sh.stagedGroups {
-				occupied[sh.stagedGroups[i].rule.headStratum] = true
-			}
-			if len(occupied) == 0 {
-				break
-			}
-			strata := make([]int, 0, len(occupied))
-			for s := range occupied {
-				strata = append(strata, s)
-			}
-			sort.Ints(strata)
-			lim := 1 + rng.Intn(3)
-			if sh.releaseStratum(strata[rng.Intn(len(strata))], &lim) {
-				any = true
-			}
-			if rng.Intn(2) == 0 {
-				break // leave the rest staged for a later pass
-			}
+	sh := n.shard
+	rng.Shuffle(len(sh.stagedEnts), func(i, j int) {
+		sh.stagedEnts[i], sh.stagedEnts[j] = sh.stagedEnts[j], sh.stagedEnts[i]
+	})
+	rng.Shuffle(len(sh.stagedGroups), func(i, j int) {
+		sh.stagedGroups[i], sh.stagedGroups[j] = sh.stagedGroups[j], sh.stagedGroups[i]
+	})
+	for {
+		occupied := map[int]bool{}
+		for _, e := range sh.stagedEnts {
+			occupied[sh.stratumOf(e.tuple.Pred)] = true
+		}
+		for i := range sh.stagedGroups {
+			occupied[sh.stagedGroups[i].rule.headStratum] = true
+		}
+		if len(occupied) == 0 {
+			break
+		}
+		strata := make([]int, 0, len(occupied))
+		for s := range occupied {
+			strata = append(strata, s)
+		}
+		sort.Ints(strata)
+		lim := 1 + rng.Intn(3)
+		if sh.releaseStratum(strata[rng.Intn(len(strata))], &lim) {
+			any = true
+		}
+		if rng.Intn(2) == 0 {
+			break // leave the rest staged for a later pass
 		}
 	}
 	return any
@@ -78,10 +75,8 @@ func (n *Node) releaseRandom(rng *rand.Rand) bool {
 // anyStaged reports whether any node still holds staged retraction work.
 func anyStaged(nodes []*Node) bool {
 	for _, n := range nodes {
-		for _, sh := range n.shards {
-			if len(sh.stagedEnts) > 0 || len(sh.stagedGroups) > 0 {
-				return true
-			}
+		if len(n.shard.stagedEnts) > 0 || len(n.shard.stagedGroups) > 0 {
+			return true
 		}
 	}
 	return false
@@ -111,7 +106,7 @@ func settleRandomized(rng *rand.Rand, nodes []*Node) {
 // releasing staged suspects and aggregate promotions in random permutations
 // (random node order, shuffled lists, random strata, random batch sizes)
 // must reach exactly the fixpoint of the batched stratified order, in all
-// four provenance modes, on serial and multi-shard nodes. The wave order of
+// four provenance modes, under both executors. The wave order of
 // Node.ReleaseStaged is a round-trip optimization, never a correctness
 // requirement.
 func TestReleaseOrderIndependence(t *testing.T) {
@@ -123,13 +118,13 @@ func TestReleaseOrderIndependence(t *testing.T) {
 	churn := [][2]int{{0, 3}, {0, 1}}
 	preds := []string{"link", "pathCost", "bestPathCost"}
 
-	runRandom := func(t *testing.T, mode ProvMode, shards int, seed int64) []*Node {
+	runRandom := func(t *testing.T, mode ProvMode, batched bool, seed int64) []*Node {
 		t.Helper()
 		rng := rand.New(rand.NewSource(seed))
 		tr := &refTransport{}
 		nodes := make([]*Node, 4)
 		for i := range nodes {
-			nodes[i] = NewNodeSharded(types.NodeID(i), prog, mode, tr, nil, shards)
+			nodes[i] = newNode(types.NodeID(i), prog, mode, tr, nil, batched)
 		}
 		tr.nodes = nodes
 		for _, e := range edges {
@@ -160,10 +155,10 @@ func TestReleaseOrderIndependence(t *testing.T) {
 	for _, mode := range []ProvMode{ProvNone, ProvReference, ProvValue, ProvCentralized} {
 		t.Run(mode.String(), func(t *testing.T) {
 			ref := runSerialRef(t, prog, mode, 4, edges, churn, costs)
-			for _, shards := range []int{1, 3} {
+			for _, batched := range executors {
 				for seed := int64(1); seed <= 4; seed++ {
-					got := runRandom(t, mode, shards, seed)
-					diffStates(t, fmt.Sprintf("%s shards=%d seed=%d", mode, shards, seed), 4, preds,
+					got := runRandom(t, mode, batched, seed)
+					diffStates(t, fmt.Sprintf("%s %s seed=%d", mode, executorName(batched), seed), 4, preds,
 						func(i int) *Node { return ref[i] }, func(i int) *Node { return got[i] })
 				}
 			}
@@ -187,7 +182,7 @@ func TestConvergentDeletionCyclicMinCost(t *testing.T) {
 		})
 	}
 
-	// Correctness of the surviving costs (not just serial/sharded
+	// Correctness of the surviving costs (not just serial/scheduler
 	// agreement): all-pairs shortest paths of the square minus 0-1.
 	serial := runSerialRef(t, prog, ProvReference, 4, edges, churn, costs)
 	want := map[string]int64{
@@ -217,7 +212,7 @@ func TestConvergentDeletionCyclicMinCost(t *testing.T) {
 
 // TestFullRetractionCyclicMinCostLeavesNoState retracts every link of the
 // cyclic square, one at a time with interleaved fixpoints, on serial nodes
-// and on sharded schedulers, in every provenance mode — and requires the
+// and on schedulers under both executors, in every provenance mode — and requires the
 // engine to end completely empty: no tuples, no prov or ruleExec rows, no
 // reverse edges, no aggregate groups. Before the two-phase retraction
 // discipline this diverged (count-to-infinity) for any deletion that kept
@@ -264,33 +259,34 @@ func TestFullRetractionCyclicMinCostLeavesNoState(t *testing.T) {
 		}
 		checkEmpty(t, "serial "+mode.String(), nodes)
 
-		// Sharded schedulers.
-		for _, shards := range []int{1, 4} {
-			s := NewScheduler(prog, mode, 4, shards, 0)
+		// Schedulers, drain and batched.
+		for _, batched := range executors {
+			label := fmt.Sprintf("sched %s %s", mode, executorName(batched))
+			s := newScheduler(prog, mode, 4, 0, batched)
 			for _, e := range edges {
 				cost := edgeCost(e, costs)
 				s.InsertBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
 				s.InsertBase(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
 			}
 			if err := s.Run(); err != nil {
-				t.Fatalf("mode %s shards %d: %v", mode, shards, err)
+				t.Fatalf("%s: %v", label, err)
 			}
 			if s.Node(0).TupleCount("bestPathCost") == 0 {
-				t.Fatalf("mode %s shards %d: nothing derived", mode, shards)
+				t.Fatalf("%s: nothing derived", label)
 			}
 			for _, e := range edges {
 				cost := edgeCost(e, costs)
 				s.DeleteBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
 				s.DeleteBase(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
 				if err := s.Run(); err != nil {
-					t.Fatalf("mode %s shards %d: %v", mode, shards, err)
+					t.Fatalf("%s: %v", label, err)
 				}
 			}
 			sn := make([]*Node, s.NumNodes())
 			for i := range sn {
 				sn[i] = s.Node(i)
 			}
-			checkEmpty(t, fmt.Sprintf("sched %s shards=%d", mode, shards), sn)
+			checkEmpty(t, label, sn)
 		}
 	}
 }

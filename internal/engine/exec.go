@@ -4,22 +4,20 @@ import (
 	"fmt"
 
 	"repro/internal/bdd"
-	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
-// This file is the EXECUTION half of the worker layer: evaluating a rule's
-// delta plan for one triggering tuple and emitting head derivations. All
-// intermediate state (environment, matched tuples, payloads, lookup keys)
-// lives in per-shard scratch arenas — one rule firing performs no slice
+// This file is the EXECUTION half of the evaluation-state layer: evaluating a
+// rule's delta plan for one triggering tuple and emitting head derivations.
+// All intermediate state (environment, matched tuples, payloads, lookup keys)
+// lives in the node's scratch arenas — one rule firing performs no slice
 // allocation of its own, which the hotpath_test.go fences pin.
 //
 // Two probing disciplines share this code:
 //
-//   - Serial (single shard): indexes contain exactly the visible tuples and
-//     a probe admits every candidate — the classic pipelined semi-naïve
-//     (PSN) evaluation, bit-identical to the pre-sharding engine.
-//   - Rounds (sharded): the fire phase runs against frozen state that
+//   - Drain: indexes contain exactly the visible tuples and a probe admits
+//     every candidate — the classic pipelined semi-naïve (PSN) evaluation.
+//   - Batched rounds: the fire phase runs against frozen state that
 //     includes the whole round's batch. To fire each joint derivation
 //     exactly once, a delta at body position p joins atoms q < p against
 //     NEW state (end of round) and atoms q > p against OLD state (start of
@@ -62,7 +60,7 @@ func (sh *shard) firePlan(rule *CompiledRule, pos int, t types.Tuple, sign int8,
 func (sh *shard) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 	env []types.Value, matched []types.Tuple, ments []*entry, payloads []bdd.Ref) {
 
-	if sh.err != nil {
+	if sh.n.Err != nil {
 		return
 	}
 	if step == len(pl.steps) {
@@ -75,7 +73,7 @@ func (sh *shard) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 		v, err := st.expr(env)
 		if err != nil {
 			//exspanlint:alloc-ok error path: evaluation aborts on the first failure
-			sh.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
+			sh.n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
 			return
 		}
 		env[st.assignSlot] = v
@@ -84,7 +82,7 @@ func (sh *shard) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 		v, err := st.expr(env)
 		if err != nil {
 			//exspanlint:alloc-ok error path: evaluation aborts on the first failure
-			sh.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
+			sh.n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
 			return
 		}
 		// Pass/fail tally for the planner's measured selectivity (an index
@@ -96,10 +94,6 @@ func (sh *shard) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 			sh.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
 		}
 	case stepJoin:
-		if sh.n.rounds() {
-			sh.execJoinRound(rule, pl, st, step, sign, env, matched, ments, payloads)
-			return
-		}
 		// Probe the index handle bound at plan-bind time: no index-ID
 		// formatting, and the lookup key is built in a reusable buffer
 		// (the map access on []byte bytes is allocation-free). A nil
@@ -114,60 +108,22 @@ func (sh *shard) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 		js := &sh.joinStats[st.joinID]
 		js.probes++
 		js.hits += int64(len(cands))
+		// Under batched rounds the index still holds entries hidden this
+		// round (unindexing waits for endRound), and a candidate is admitted
+		// against NEW or OLD visibility depending on the probed atom's
+		// position relative to the firing delta (see the file comment).
+		batched := sh.n.batched
+		admitNew := st.atom < sh.fireAtomPos || sh.fireIsEvent
+		curRound := sh.n.curRound
 		for _, cand := range cands {
-			if !bindTuple(st.binds, cand.tuple, env) {
-				continue
-			}
-			matched[st.atom] = cand.tuple
-			ments[st.atom] = cand
-			payloads[st.atom] = cand.payload
-			sh.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
-		}
-	}
-}
-
-// execJoinRound is the stepJoin case under the sharded round discipline: the
-// probed relation is partitioned across every shard of the node, so the key
-// is looked up in each shard's index handle (in shard order, keeping
-// candidate enumeration deterministic), and candidates are admitted against
-// NEW or OLD visibility depending on the probed atom's position relative to
-// the firing delta (see the file comment).
-//
-//exspan:hotpath
-func (sh *shard) execJoinRound(rule *CompiledRule, pl *plan, st *planStep, step int, sign int8,
-	env []types.Value, matched []types.Tuple, ments []*entry, payloads []bdd.Ref) {
-
-	admitNew := st.atom < sh.fireAtomPos || sh.fireIsEvent
-	curRound := sh.n.curRound
-	// Unlike the serial path (one lookup per step), the key is consulted
-	// once per peer shard, so it lives in a per-step buffer the deeper
-	// recursion cannot clobber.
-	key := st.appendLookupKey(sh.rs.keyBufs[step][:0], env)
-	sh.rs.keyBufs[step] = key
-	js := &sh.joinStats[st.joinID]
-	js.probes++ // one logical probe per step, not per peer shard
-	for _, peer := range sh.n.shards {
-		idx := peer.joinIdx[st.joinID]
-		if idx == nil {
-			return // event atom: no shard materializes it
-		}
-		// Occupancy filter: a partition holding nothing of this predicate
-		// (on these key positions) cannot contribute candidates — skip the
-		// key hash and map probe entirely. Entries awaiting the deferred
-		// merge-barrier unindex are still bucketed, so an emptiness check
-		// can never hide a tuple an OLD-state probe must still admit.
-		if len(idx.buckets) == 0 {
-			continue
-		}
-		cands := idx.lookup(key)
-		js.hits += int64(len(cands))
-		for _, cand := range cands {
-			vis := cand.visible
-			if !admitNew && cand.touchRound == curRound {
-				vis = cand.startVis
-			}
-			if !vis {
-				continue
+			if batched {
+				vis := cand.visible
+				if !admitNew && cand.touchRound == curRound {
+					vis = cand.startVis
+				}
+				if !vis {
+					continue
+				}
 			}
 			if !bindTuple(st.binds, cand.tuple, env) {
 				continue
@@ -196,7 +152,7 @@ func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
 		v, err := code(env)
 		if err != nil {
 			//exspanlint:alloc-ok error path: evaluation aborts on the first failure
-			sh.fail(fmt.Errorf("rule %s head: %w", rule.Label, err))
+			sh.n.fail(fmt.Errorf("rule %s head: %w", rule.Label, err))
 			return
 		}
 		args[i] = v
@@ -205,7 +161,7 @@ func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
 	dst := args[rule.HeadLocPos].AsNode()
 	if dst < 0 {
 		//exspanlint:alloc-ok error path: evaluation aborts on the first failure
-		sh.fail(fmt.Errorf("rule %s: head location is not a node", rule.Label))
+		sh.n.fail(fmt.Errorf("rule %s: head location is not a node", rule.Label))
 		return
 	}
 
@@ -249,58 +205,30 @@ func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
 	sh.route(head, dst, sign, rid, payload)
 }
 
-// ruleExecRow applies (or, under rounds, defers) one ruleExec-partition row
-// change. In serial mode the row goes straight to this shard's partition. In
-// round mode inserts and deletes of the same RID may fire on different
-// shards (whichever shard owned the triggering delta), so the ops are
-// buffered and replayed at the merge barrier into the RID's home partition,
-// keeping each add/del pair in one map.
+// ruleExecRow writes one ruleExec-row change into the node's store.
 //
 //exspan:hotpath
 func (sh *shard) ruleExecRow(rid types.ID, label string, inputVIDs []types.ID, sign int8) {
-	if sh.n.rounds() {
-		sh.deferRuleExecRow(rid, label, inputVIDs, sign)
-		return
-	}
-	applyRuleExecRow(sh.store, rid, label, inputVIDs, sign)
-}
-
-// applyRuleExecRow writes one ruleExec row change into a partition.
-//
-//exspan:hotpath
-func applyRuleExecRow(part *provenance.Partition, rid types.ID, label string, inputVIDs []types.ID, sign int8) {
 	if sign == Insert {
-		part.AddRuleExec(rid, label, inputVIDs)
+		sh.n.Store.AddRuleExec(rid, label, inputVIDs)
 	} else {
-		part.DelRuleExec(rid)
+		sh.n.Store.DelRuleExec(rid)
 	}
 }
 
 // route delivers a derived delta to its destination node: enqueued locally
-// when the head lives here, shipped through the transport otherwise. Under
-// rounds both paths are buffered on the firing shard and handed over at the
-// merge barrier in shard-index order — except while the node is releasing
-// staged re-derivations, which happens between rounds: those deltas go
-// straight to their owner shard's ring (and the transport), where the next
-// round picks them up.
+// when the head lives here (behind whatever the ring holds — the running
+// drain, or the next round, picks it up), shipped through the transport
+// otherwise.
 //
 //exspan:hotpath
 func (sh *shard) route(head types.Tuple, dst types.NodeID, sign int8, rid types.ID, payload bdd.Ref) {
 	n := sh.n
 	if dst == n.ID {
-		d := localDelta{tuple: head, sign: sign, rid: rid, rloc: n.ID, payload: payload}
-		switch {
-		case n.rounds() && !n.releasing:
-			dst := n.ownerIdx(d.tuple)
-			sh.rs.outLocal[dst] = append(sh.rs.outLocal[dst], d)
-		case n.rounds():
-			n.ownerShard(d.tuple).enqueue(d)
-		default:
-			sh.enqueue(d)
-		}
+		sh.enqueue(localDelta{tuple: head, sign: sign, rid: rid, rloc: n.ID, payload: payload})
 		return
 	}
-	m := n.newMessage()
+	m := n.Msgs.Get()
 	m.Tuple, m.Delta = head, sign
 	switch n.Mode {
 	case ProvReference:
@@ -310,10 +238,6 @@ func (sh *shard) route(head types.Tuple, dst types.NodeID, sign int8, rid types.
 		// its per-derivation payloads; the dominant cost is the payload.
 		m.HasRef, m.RID, m.RLoc = true, rid, n.ID
 		m.Payload = n.Mgr.Encode(payload, nil)
-	}
-	if n.rounds() && !n.releasing {
-		sh.rs.outMsgs = append(sh.rs.outMsgs, outMsg{to: dst, m: m})
-		return
 	}
 	n.Transport.Send(n.ID, dst, m)
 }

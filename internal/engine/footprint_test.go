@@ -15,9 +15,10 @@ import (
 // per node must be tens of kilobytes, whatever the chunk caps that serve
 // 10,000-tuple nodes are. The cluster is built the way the standing
 // benchmark's chord-sharded workload builds its 1000 nodes (reference
-// provenance, two shards per node, base tuples, then a lookup batch). With
-// fixed 256-slot chunks opened per relation per shard this read ≈ 650 KB per
-// node; with arenas that grow from 8 slots it reads ≈ 65 KB.
+// provenance, base tuples, then a lookup batch). With fixed 256-slot chunks
+// opened per relation this read ≈ 650 KB per node (two shards each); with
+// arenas that grow from 8 slots ≈ 65 KB, and with one evaluation state per
+// node ≈ 40 KB.
 func TestNodeFootprintFollowsState(t *testing.T) {
 	const (
 		nodes      = 300
@@ -37,7 +38,7 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := heap()
-	s := NewScheduler(prog, ProvReference, topo.N, 2, 0)
+	s := NewScheduler(prog, ProvReference, topo.N, 0, 0)
 	for n := 0; n < topo.N; n++ {
 		for _, tup := range base[types.NodeID(n)] {
 			s.InsertBase(types.NodeID(n), tup)
@@ -64,7 +65,7 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 		t.Fatalf("vacuous: %d tuples on %d nodes — the overlay did not converge", tuples, nodes)
 	}
 	perNode := (after - before) / nodes
-	t.Logf("%d nodes × 2 shards, %d tuples: %d KB retained per node", nodes, tuples, perNode>>10)
+	t.Logf("%d nodes, %d tuples: %d KB retained per node", nodes, tuples, perNode>>10)
 	if perNode > maxPerNode {
 		t.Fatalf("a converged CHORD node retains %d KB (%d tuples per node); want ≤ %d KB — an arena or a constructor is sized for the largest node again",
 			perNode>>10, tuples/nodes, maxPerNode>>10)

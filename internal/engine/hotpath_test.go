@@ -175,7 +175,7 @@ func TestSchedulerDeliveryAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScheduler(prog, ProvNone, 2, 1, 1)
+	s := NewScheduler(prog, ProvNone, 2, 0, 1)
 	s.InsertBase(0, types.NewTuple("peer", types.Node(0), types.Node(1)))
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

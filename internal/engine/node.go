@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/algebra"
 	"repro/internal/bdd"
@@ -45,10 +44,13 @@ func (m ProvMode) String() string {
 }
 
 // Node is one ExSPAN engine instance: the PSN evaluator plus provenance
-// bookkeeping for a single network node. Evaluation state lives in one or
-// more worker shards (shard.go); with a single shard the node runs the
-// classic inline PSN drain, with several it runs batched parallel rounds
-// (rounds.go) whose fixpoint state matches the single-shard run exactly.
+// bookkeeping for a single network node — the paper's one dataflow per
+// node. It owns exactly one evaluation state (shard.go) and runs it with one
+// of two executors, chosen by the driver that built it: a driver handing the
+// node one message per ingest (NewNode: simulator, deployment, synchronous
+// test transports) gets the classic pipelined inline drain; the Scheduler,
+// which hands it a whole round of messages at a time, gets batched rounds
+// (rounds.go). Both reach the same fixpoint state.
 type Node struct {
 	ID        types.NodeID
 	Prog      *Program
@@ -58,12 +60,11 @@ type Node struct {
 
 	// Msgs, when set, is the free list outgoing messages are drawn from;
 	// the transport releases them after delivery (see Transport). Nil keeps
-	// plain allocation (tests with transports that retain messages). The
-	// pool is single-threaded, so sharded fire phases bypass it.
+	// plain allocation (tests with transports that retain messages).
 	Msgs *MessagePool
 
-	// Store holds this node's partitions of the provenance graph
-	// (reference and centralized modes) behind the single-writer facade.
+	// Store holds this node's partition of the provenance graph (reference
+	// and centralized modes).
 	Store *provenance.Store
 
 	// Mgr/Alloc support value-based provenance payloads. Alloc must be
@@ -87,7 +88,7 @@ type Node struct {
 	// fire phase is running.
 	plans [][]*plan
 	// joinKeys maps each joinID to the (predicate, index) it currently
-	// probes, for folding shard fan-out tallies into plan-independent
+	// probes, for folding fan-out tallies into plan-independent
 	// accumulators. Built by the first fold (foldJoinStats), rebuilt on
 	// every plan swap.
 	joinKeys []statKey
@@ -105,68 +106,49 @@ type Node struct {
 	// alternative join orders.
 	statHook func(pred, idx string, est float64) float64
 
-	shards   []*shard
-	draining bool
-	// releasing is true while ReleaseStaged re-emits deferred work; on a
-	// sharded node it switches route() from round buffering (no round is
-	// active between driver-visible quiescence points) to direct owner-
-	// shard enqueueing.
-	releasing bool
+	shard *shard
 
-	// Round-runtime state (rounds.go). curRound is the node's monotone
-	// round counter; inRounds is true while a batched round executes
-	// (either self-driven or under a Scheduler).
+	// batched selects the executor: batched rounds (rounds.go) instead of
+	// the inline drain. Fixed at construction by the driver (newNode).
+	batched bool
+	// running guards the executor against re-entry: a synchronous transport
+	// can deliver a message back to this node mid-run; the delta is queued
+	// and the outer loop picks it up.
+	running bool
+	// curRound is the batched executor's monotone round counter (rounds.go).
 	curRound uint32
-	inRounds bool
 }
 
-// NewNode creates a single-shard engine node for the given compiled program
-// — the classic serial PSN evaluator.
+// NewNode creates an engine node for the given compiled program, evaluated by
+// the classic pipelined PSN drain — the executor of every driver that
+// delivers one message per ingest.
 func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc *algebra.VarAlloc) *Node {
-	return NewNodeSharded(id, prog, mode, tr, alloc, 1)
+	return newNode(id, prog, mode, tr, alloc, false)
 }
 
-// AutoShards is a sentinel shard count meaning "size for this host":
-// NewNodeSharded (and the drivers that forward a Shards config to it)
-// resolve it through EffectiveShards at construction time.
+// Kept only because bench/ calls them and no PR outside the benchmark's own
+// may edit bench/: a node has one evaluation state, so the count is always 1
+// and NewScheduler ignores its fourth parameter. Nothing else in the tree
+// uses these; the next benchmark PR deletes them.
 const AutoShards = -1
 
-// EffectiveShards resolves a requested worker-shard count to the count
-// adaptive selection runs: capped at GOMAXPROCS — partitions beyond the
-// host's parallelism only pay merge-barrier tax — with AutoShards (or any
-// non-positive request) meaning "as many as the host runs in parallel".
-// NewNodeSharded applies this only to the AutoShards sentinel: explicit
-// counts are honored as configured, so equivalence fences can pin shards=4
-// regardless of host.
-func EffectiveShards(requested int) int {
-	max := runtime.GOMAXPROCS(0)
-	if requested <= 0 || requested > max {
-		requested = max
-	}
-	if requested < 1 {
-		requested = 1
-	}
-	return requested
-}
+func EffectiveShards(int) int  { return 1 }
+func (n *Node) NumShards() int { return 1 }
 
-// NewNodeSharded creates an engine node whose state is hash-partitioned
-// across the given number of worker shards. Value-based and centralized
-// provenance share mutable cluster-wide structures (the BDD manager, the
-// relayed meta-rows), so those modes clamp to one shard.
-func NewNodeSharded(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc *algebra.VarAlloc, shards int) *Node {
-	if shards == AutoShards {
-		shards = EffectiveShards(shards)
-	}
-	if shards < 1 || mode == ProvValue || mode == ProvCentralized {
-		shards = 1
-	}
+// newNode creates an engine node. batched selects the executor and is a fact
+// about the constructing driver, not an option: the Scheduler ingests a whole
+// round of messages at a time and batches, everything else drains. Value-based
+// and centralized provenance fire payload Updates and relay meta-rows inline
+// with each delta, so those modes always drain.
+func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc *algebra.VarAlloc, batched bool) *Node {
 	n := &Node{
 		ID:        id,
 		Prog:      prog,
 		Mode:      mode,
 		Transport: tr,
-		Store:     provenance.NewStoreSharded(id, shards),
+		Store:     provenance.NewStore(id),
 		Alloc:     alloc,
+		batched:   batched && mode != ProvValue && mode != ProvCentralized,
 	}
 	if mode == ProvValue {
 		n.Mgr = bdd.New()
@@ -174,109 +156,49 @@ func NewNodeSharded(id types.NodeID, prog *Program, mode ProvMode, tr Transport,
 			n.Alloc = algebra.NewVarAlloc()
 		}
 	}
-	// The active plan set starts as the compile-time default; shards bind
-	// their index handles against it (bindPlans), so it must exist first.
+	// The active plan set starts as the compile-time default; the shard binds
+	// its index handles against it (bindPlans), so it must exist first.
 	n.plans = make([][]*plan, len(prog.Rules))
 	for i, cr := range prog.Rules {
 		n.plans[i] = append([]*plan(nil), cr.plans...)
 	}
 	n.condAcc = make([]condStat, prog.numConds)
-	n.shards = make([]*shard, shards)
-	for i := range n.shards {
-		n.shards[i] = newShard(n, i, n.Store.Part(i))
-	}
-	if shards > 1 {
-		n.initRounds()
-	}
+	n.shard = newShard(n)
 	return n
 }
 
-// NumShards reports the node's worker shard count.
-func (n *Node) NumShards() int { return len(n.shards) }
+// Table exposes the node's relation of pred for inspection (nil when absent).
+func (n *Node) Table(pred string) *Relation { return n.shard.lookup(pred) }
 
-// rounds reports whether the node evaluates in batched round mode.
-func (n *Node) rounds() bool { return len(n.shards) > 1 }
-
-// ownerShard returns the worker shard owning a tuple: a content-derived
-// hash, so the assignment is reproducible across processes.
-func (n *Node) ownerShard(t types.Tuple) *shard {
-	return n.shards[n.ownerIdx(t)]
-}
-
-// ownerIdx returns the owning shard's index; the round runtime buckets
-// cross-shard deltas by it at emit time so the merge barrier can commit
-// per-destination in parallel.
-func (n *Node) ownerIdx(t types.Tuple) int {
-	if len(n.shards) == 1 {
-		return 0
-	}
-	return int(t.ContentHash() % uint64(len(n.shards)))
-}
-
-// Table exposes a single-shard node's relation for inspection (nil when
-// absent). Sharded nodes partition each relation across shards — use Tuples
-// and TupleCount, which merge across partitions.
-func (n *Node) Table(pred string) *Relation {
-	if len(n.shards) > 1 {
-		return nil
-	}
-	return n.shards[0].lookup(pred)
-}
-
-// Tuples returns the visible tuples of a predicate across all shards,
-// sorted canonically.
+// Tuples returns the visible tuples of a predicate, sorted canonically.
 func (n *Node) Tuples(pred string) []types.Tuple {
-	if len(n.shards) == 1 {
-		if rel := n.shards[0].lookup(pred); rel != nil {
-			return rel.Tuples()
-		}
-		return nil
+	if rel := n.shard.lookup(pred); rel != nil {
+		return rel.Tuples()
 	}
-	var out []types.Tuple
-	for _, sh := range n.shards {
-		if rel := sh.lookup(pred); rel != nil {
-			out = append(out, rel.Tuples()...)
-		}
-	}
-	types.SortTuples(out)
-	return out
+	return nil
 }
 
-// TupleCount reports the number of visible tuples of a predicate across all
-// shards in O(shards).
+// TupleCount reports the number of visible tuples of a predicate in O(1).
 func (n *Node) TupleCount(pred string) int {
-	c := 0
-	for _, sh := range n.shards {
-		if rel := sh.lookup(pred); rel != nil {
-			c += rel.Len()
-		}
+	if rel := n.shard.lookup(pred); rel != nil {
+		return rel.Len()
 	}
-	return c
+	return 0
 }
 
 // DeltasProcessed reports the number of deltas the node has applied.
-//
-//exspan:merge-phase
-func (n *Node) DeltasProcessed() int64 {
-	var c int64
-	for _, sh := range n.shards {
-		c += sh.deltasProcessed
-	}
-	return c
-}
+func (n *Node) DeltasProcessed() int64 { return n.shard.deltasProcessed }
 
 // AggGroupCount reports the number of aggregate groups still holding state
-// (a non-empty input multiset, an emitted output, or a live COUNT total)
-// across all shards — the aggregate-side leak check of full-retraction
-// tests: after every base tuple is retracted, it must be zero.
+// (a non-empty input multiset, an emitted output, or a live COUNT total) —
+// the aggregate-side leak check of full-retraction tests: after every base
+// tuple is retracted, it must be zero.
 func (n *Node) AggGroupCount() int {
 	c := 0
-	for _, sh := range n.shards {
-		for _, groups := range sh.aggByRule {
-			for _, g := range groups {
-				if len(g.entries) > 0 || g.hasOut || g.total != 0 {
-					c++
-				}
+	for _, groups := range n.shard.aggByRule {
+		for _, g := range groups {
+			if len(g.entries) > 0 || g.hasOut || g.total != 0 {
+				c++
 			}
 		}
 	}
@@ -284,15 +206,7 @@ func (n *Node) AggGroupCount() int {
 }
 
 // RulesFired reports the number of rule firings the node has executed.
-//
-//exspan:merge-phase
-func (n *Node) RulesFired() int64 {
-	var c int64
-	for _, sh := range n.shards {
-		c += sh.rulesFired
-	}
-	return c
-}
+func (n *Node) RulesFired() int64 { return n.shard.rulesFired }
 
 // PayloadOf returns the value-mode provenance payload of a visible tuple —
 // the "immediately available" provenance that lets a node accept or reject
@@ -303,7 +217,7 @@ func (n *Node) PayloadOf(t types.Tuple) (bdd.Ref, bool) {
 	if n.Mode != ProvValue {
 		return bdd.False, false
 	}
-	rel := n.shards[0].lookup(t.Pred) // ProvValue nodes are single-shard
+	rel := n.shard.lookup(t.Pred)
 	if rel == nil {
 		return bdd.False, false
 	}
@@ -344,14 +258,14 @@ func (n *Node) HandleMessage(from types.NodeID, m *Message) {
 	n.ingest(d)
 }
 
-// depositMessage routes a received delta to its owner shard without
-// draining — the Scheduler drives evaluation itself.
+// depositMessage queues a received delta without running the node — the
+// Scheduler drives evaluation itself.
 func (n *Node) depositMessage(from types.NodeID, m *Message) {
 	d, ok := n.messageDelta(from, m)
 	if !ok {
 		return
 	}
-	n.deposit(d)
+	n.shard.enqueue(d)
 }
 
 func (n *Node) messageDelta(from types.NodeID, m *Message) (localDelta, bool) {
@@ -376,37 +290,13 @@ func (n *Node) messageDelta(from types.NodeID, m *Message) (localDelta, bool) {
 
 // ingest deposits one delta and runs the node to local quiescence.
 func (n *Node) ingest(d localDelta) {
-	if len(n.shards) == 1 {
-		n.shards[0].enqueue(d)
-		n.drain()
-		return
-	}
-	n.ownerShard(d.tuple).enqueue(d)
-	n.runRounds()
+	n.shard.enqueue(d)
+	n.Flush()
 }
-
-// deposit routes a delta to its owner shard without draining — the
-// Scheduler drives sharded execution itself.
-func (n *Node) deposit(d localDelta) { n.ownerShard(d.tuple).enqueue(d) }
 
 func (n *Node) fail(err error) {
 	if n.Err == nil {
 		n.Err = err
-	}
-}
-
-// syncErr propagates the first shard error (in shard order) to Err.
-//
-//exspan:merge-phase
-func (n *Node) syncErr() {
-	if n.Err != nil {
-		return
-	}
-	for _, sh := range n.shards {
-		if sh.err != nil {
-			n.Err = sh.err
-			return
-		}
 	}
 }
 
@@ -418,10 +308,10 @@ func (n *Node) syncErr() {
 // — to quiescence again, repeating until no node stages further work.
 //
 // Release proceeds in stratified waves: each call releases the lowest
-// occupied SCC stratum (PredInfo.Stratum) across all shards as one batch of
-// rederive deltas, so a suspect's supports re-derive before the suspects
-// that consume them validate, and the driver pays one release/flush round
-// trip per stratum instead of one per suspect. Strata that release only
+// occupied SCC stratum (PredInfo.Stratum) as one batch of rederive deltas,
+// so a suspect's supports re-derive before the suspects that consume them
+// validate, and the driver pays one release/flush round trip per stratum
+// instead of one per suspect. Strata that release only
 // stale stagings (no-ops under release-time validation) are consumed within
 // the same call, so a true return always carries actionable work and a
 // false return means nothing is staged. The wave order is purely a
@@ -439,33 +329,30 @@ func (n *Node) ReleaseStaged() bool {
 	if n.Err != nil {
 		return false
 	}
-	n.releasing = true
-	defer func() { n.releasing = false }()
+	sh := n.shard
 	for {
-		stratum := -1
-		for _, sh := range n.shards {
-			if s := sh.minStagedStratum(); s >= 0 && (stratum < 0 || s < stratum) {
-				stratum = s
-			}
-		}
+		stratum := sh.minStagedStratum()
 		if stratum < 0 {
 			return false
 		}
-		any := false
-		for _, sh := range n.shards {
-			if sh.releaseStratum(stratum, nil) {
-				any = true
-			}
-		}
-		if any {
+		if sh.releaseStratum(stratum, nil) {
 			return true
 		}
 	}
 }
 
 // Flush runs any pending deposited work to local quiescence under the
-// node's execution strategy (serial drain or sharded rounds).
-func (n *Node) Flush() { n.localFixpoint() }
+// node's executor (inline drain or batched rounds).
+func (n *Node) Flush() {
+	if n.Err != nil {
+		return
+	}
+	if n.batched {
+		n.runRounds()
+	} else {
+		n.drain()
+	}
+}
 
 // ReleasePass is the retraction protocol's phase 2, stated once for every
 // driver. The caller has established global quiescence (see ReleaseStaged
@@ -528,49 +415,30 @@ func anyNode(nodes []*Node, fn func(*Node) bool) bool {
 	return any
 }
 
-// drain processes queued deltas FIFO until quiescent — the serial PSN
-// pipeline of a single-shard node.
-//
-//exspan:merge-phase
+// drain processes queued deltas FIFO until quiescent — the pipelined PSN
+// executor: each delta is applied and its rules fired inline.
 func (n *Node) drain() {
-	if n.draining {
+	if n.running {
 		return
 	}
-	n.draining = true
-	defer func() { n.draining = false }()
-	sh := n.shards[0]
-	for sh.qhead < len(sh.queue) && sh.err == nil && n.Err == nil {
+	n.running = true
+	defer func() { n.running = false }()
+	sh := n.shard
+	for sh.qhead < len(sh.queue) && n.Err == nil {
 		sh.process(sh.popDelta(), false)
 	}
-	if sh.qhead == len(sh.queue) {
-		sh.queue = sh.queue[:0]
-		sh.qhead = 0
-	}
-	n.syncErr()
-}
-
-// newMessage draws an outgoing message from the pool when the evaluation is
-// single-threaded (nil pool: plain allocation). Sharded fire phases run in
-// parallel, so they bypass the pool.
-func (n *Node) newMessage() *Message {
-	if n.rounds() {
-		return new(Message)
-	}
-	return n.Msgs.Get()
 }
 
 // Centralized-mode helpers: provenance rows travel to the server as plain
 // prov/ruleExec tuples, whose byte sizes are charged like any message.
-// Centralized nodes are single-shard, so enqueueing on shard 0 is the
-// serial-mode local delivery.
 
 func (n *Node) sendProvRow(loc types.NodeID, vid, rid types.ID, rloc types.NodeID, sign int8) {
 	row := types.NewTuple("prov", types.Node(loc), types.IDVal(vid), types.IDVal(rid), types.Node(rloc))
 	if n.Central == n.ID {
-		n.shards[0].enqueue(localDelta{tuple: row, sign: sign, rloc: n.ID})
+		n.shard.enqueue(localDelta{tuple: row, sign: sign, rloc: n.ID})
 		return
 	}
-	m := n.newMessage()
+	m := n.Msgs.Get()
 	m.Tuple, m.Delta = row, sign
 	n.Transport.Send(n.ID, n.Central, m)
 }
@@ -582,10 +450,10 @@ func (n *Node) sendRuleExecRow(rid types.ID, rule string, inputs []types.ID, sig
 	}
 	row := types.NewTuple("ruleExec", types.Node(n.ID), types.IDVal(rid), types.Str(rule), types.List(vids...))
 	if n.Central == n.ID {
-		n.shards[0].enqueue(localDelta{tuple: row, sign: sign, rloc: n.ID})
+		n.shard.enqueue(localDelta{tuple: row, sign: sign, rloc: n.ID})
 		return
 	}
-	m := n.newMessage()
+	m := n.Msgs.Get()
 	m.Tuple, m.Delta = row, sign
 	n.Transport.Send(n.ID, n.Central, m)
 }

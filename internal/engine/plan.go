@@ -9,17 +9,17 @@ import (
 
 // This file is the engine's PLAN layer: the compiled, immutable description
 // of how one rule is evaluated incrementally. Compile (program.go) produces
-// one delta plan per body-atom position of every rule; the worker layer
-// (shard.go / exec.go) executes plans against partitioned relation state.
+// one delta plan per body-atom position of every rule; the evaluation-state
+// layer (shard.go / exec.go) executes plans against a node's relations.
 //
 // The contract between the layers:
 //
-//   - A plan is immutable after Compile and shared by every node and shard.
-//     All mutable evaluation state (environments, scratch keys, matched
-//     tuples) lives in the executing shard.
+//   - A plan is immutable after Compile and shared by every node. All
+//     mutable evaluation state (environments, scratch keys, matched tuples)
+//     lives in the executing node's shard.
 //   - deltaBinds matches the triggering delta tuple into the environment;
 //     steps then run in order. stepJoin probes the index identified by
-//     joinID (bound to concrete per-shard index handles at node-construction
+//     joinID (bound to the node's concrete index handles at construction
 //     time), stepAssign/stepCond evaluate compiled expressions.
 //   - Join lookup keys are built by appendLookupKey into caller scratch:
 //     the fixed-width handle key of each key part, matching appendIndexKey
@@ -389,7 +389,7 @@ func bindTuple(binds []bindSpec, t types.Tuple, env []types.Value) bool {
 
 // appendLookupKey builds the join-probe key for the step into b: the
 // fixed-width handle key of each key part (matching appendIndexKey on the
-// index side). Probes pass a per-shard scratch buffer so the innermost join
+// index side). Probes pass the node's scratch buffer so the innermost join
 // loop allocates nothing, and interned handles mean no string or digest
 // bytes are copied per probe.
 func (s *planStep) appendLookupKey(b []byte, env []types.Value) []byte {

@@ -202,7 +202,7 @@ func samePlanShape(a, b *plan) bool {
 	return true
 }
 
-// rebindAfterSwap re-resolves every shard's join handles against the new
+// rebindAfterSwap re-resolves the node's join handles against the new
 // active plan set: stale indexes (probed by no plan any more) are dropped so
 // relations stop paying their maintenance, needed ones are created with the
 // deterministic backfill, and the joinID→statKey mapping is rebuilt so
@@ -229,14 +229,12 @@ func (n *Node) rebindAfterSwap() {
 			}
 		}
 	}
-	for _, sh := range n.shards {
-		for pred, m := range keep {
-			if rel := sh.lookup(pred); rel != nil {
-				rel.dropIndexesExcept(m)
-			}
+	for pred, m := range keep {
+		if rel := n.shard.lookup(pred); rel != nil {
+			rel.dropIndexesExcept(m)
 		}
-		sh.bindPlans()
 	}
+	n.shard.bindPlans()
 	n.rebuildJoinKeys()
 }
 

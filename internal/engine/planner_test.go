@@ -14,7 +14,7 @@ import (
 // through the statHook lever so the greedy planner picks join orders the
 // default (syntax-order) plan would not, then require the fixpoint state —
 // visible tuples, prov rows, ruleExec rows — to stay bit-identical to the
-// NoReplan baseline, on serial nodes and sharded schedulers, in all four
+// NoReplan baseline, on serial nodes and schedulers (both executors), in all four
 // provenance modes, from-scratch and under delete/re-insert churn. A fence
 // run is vacuous if no perturbation actually flips a plan, so the matrix
 // asserts at least one seed changed a plan shape.
@@ -154,12 +154,12 @@ func runPlannerSerial(t *testing.T, prog *Program, mode ProvMode, nNodes int,
 	return nodes, changed
 }
 
-// runPlannerSched drives the same script through a sharded scheduler, one Run
-// per step (deletions and re-insertions batched, as runSched does).
-func runPlannerSched(t *testing.T, prog *Program, mode ProvMode, nNodes, shards int,
+// runPlannerSched drives the same script through a scheduler, one Run per
+// step (deletions and re-insertions batched, as runSched does).
+func runPlannerSched(t *testing.T, prog *Program, mode ProvMode, nNodes int, batched bool,
 	script []plannerStep, hook func(string, string, float64) float64) (*Scheduler, bool) {
 	t.Helper()
-	s := NewScheduler(prog, mode, nNodes, shards, 0)
+	s := newScheduler(prog, mode, nNodes, 0, batched)
 	for i := 0; i < s.NumNodes(); i++ {
 		if hook == nil {
 			s.Node(i).NoReplan = true
@@ -191,7 +191,7 @@ func runPlannerSched(t *testing.T, prog *Program, mode ProvMode, nNodes, shards 
 
 // TestPlannerEquivalence is the tentpole fence: randomized stat perturbations
 // force different join orders, and the fixpoint state stays bit-identical to
-// the syntax-order (NoReplan) serial baseline — serial and sharded, all four
+// the syntax-order (NoReplan) serial baseline — serial and scheduled, all four
 // provenance modes, with churn.
 func TestPlannerEquivalence(t *testing.T) {
 	prog := plannerProg(t)
@@ -218,10 +218,10 @@ func TestPlannerEquivalence(t *testing.T) {
 			diffStates(t, fmt.Sprintf("%s serial seed=%d", mode, seed), nNodes, preds,
 				func(i int) *Node { return base[i] },
 				func(i int) *Node { return got[i] })
-			for _, shards := range []int{1, 4} {
-				s, ch := runPlannerSched(t, prog, mode, nNodes, shards, script, hook)
+			for _, batched := range executors {
+				s, ch := runPlannerSched(t, prog, mode, nNodes, batched, script, hook)
 				anyChanged = anyChanged || ch
-				diffStates(t, fmt.Sprintf("%s shards=%d seed=%d", mode, shards, seed), nNodes, preds,
+				diffStates(t, fmt.Sprintf("%s %s seed=%d", mode, executorName(batched), seed), nNodes, preds,
 					func(i int) *Node { return base[i] },
 					func(i int) *Node { return s.Node(i) })
 			}
@@ -236,7 +236,7 @@ func TestPlannerEquivalence(t *testing.T) {
 // planner program one step at a time with a forced (perturbed) re-plan at
 // every quiescence point — plan swaps interleaved with DRed's two-phase
 // delete-and-rederive — and requires the engine to end completely empty, in
-// every provenance mode, serial and sharded.
+// every provenance mode, serial and under the scheduler with both executors.
 func TestPlannerReplanUnderDeletionChurn(t *testing.T) {
 	prog := plannerProg(t)
 	preds := []string{"link", "ok", "reach"}
@@ -284,13 +284,13 @@ func TestPlannerReplanUnderDeletionChurn(t *testing.T) {
 		hook := perturbHook(11)
 		nodes, _ := runPlannerSerial(t, prog, mode, nNodes, script, hook)
 		checkEmpty(t, "serial "+mode.String(), nodes)
-		for _, shards := range []int{1, 4} {
-			s, _ := runPlannerSched(t, prog, mode, nNodes, shards, script, hook)
+		for _, batched := range executors {
+			s, _ := runPlannerSched(t, prog, mode, nNodes, batched, script, hook)
 			sn := make([]*Node, s.NumNodes())
 			for i := range sn {
 				sn[i] = s.Node(i)
 			}
-			checkEmpty(t, fmt.Sprintf("sched %s shards=%d", mode, shards), sn)
+			checkEmpty(t, fmt.Sprintf("sched %s %s", mode, executorName(batched)), sn)
 		}
 	}
 }

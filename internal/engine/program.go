@@ -22,7 +22,6 @@ type Program struct {
 	maxVars   int // widest rule environment
 	maxAtoms  int // widest rule body
 	maxGroup  int // widest aggregate group-by list
-	maxSteps  int // longest plan; every legal re-plan of a position has as many steps
 
 	// planable is true when at least one rule has enough body atoms for
 	// join reordering to matter (≥ 3: with two atoms the delta position
@@ -198,9 +197,6 @@ func Compile(p *ndlog.Program) (*Program, error) {
 			prog.maxGroup = len(cr.agg.groupCode)
 		}
 		for _, pl := range cr.plans {
-			if len(pl.steps) > prog.maxSteps {
-				prog.maxSteps = len(pl.steps)
-			}
 			for i := range pl.steps {
 				if pl.steps[i].kind == stepJoin {
 					pl.steps[i].joinID = prog.numJoins

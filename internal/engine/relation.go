@@ -24,7 +24,7 @@ type deriv struct {
 // The tuple is visible while at least one derivation is present. The
 // provenance VID is cached here, so each tuple is SHA-1-hashed at most once
 // per lifetime on a node; in reference mode the entry also holds the tuple's
-// vertex in the shard's provenance partition, so prov rows are added and
+// vertex in the node's provenance store, so prov rows are added and
 // removed with no map probe. The relation map key (the tuple's args handle
 // key) lives only in the entries map itself.
 //
@@ -38,9 +38,9 @@ type deriv struct {
 type entry struct {
 	tuple  types.Tuple
 	derivs []deriv
-	// vert is the tuple's vertex in the shard's provenance partition while
-	// the tuple has prov rows there (reference mode); nil otherwise. The
-	// partition drops a vertex with its last row (DelProv reports it), so
+	// vert is the tuple's vertex in the node's provenance store while the
+	// tuple has prov rows there (reference mode); nil otherwise. The store
+	// drops a vertex with its last row (DelProv reports it), so
 	// the pointer never outlives what it points at.
 	vert    *provenance.Vertex
 	payload bdd.Ref // value mode: OR over derivation payloads
@@ -56,13 +56,13 @@ type entry struct {
 
 	// staged marks a suspect of the retraction protocol: the entry was
 	// over-deleted while alternate derivations survived and sits on its
-	// shard's re-derivation list (shard.stagedEnts). Sweep must not reclaim
+	// node's re-derivation list (shard.stagedEnts). Sweep must not reclaim
 	// it — the staged list holds a pointer — and release clears the flag.
 	staged bool
 
 	startVis bool
-	// indexed tracks index membership, which is deferred to the merge
-	// barrier on removal so frozen fire-phase probes can still see
+	// indexed tracks index membership, which is deferred to the end of the
+	// round on removal so frozen fire-phase probes can still see
 	// start-of-round state.
 	indexed bool
 }
@@ -125,10 +125,10 @@ type Relation struct {
 	churn   int64  // total visibility transitions (planner drift signal)
 	scratch []byte // reusable key-encoding buffer
 
-	// deferMaint switches the relation to sharded-round maintenance:
-	// setVisible defers index removals and tombstone sweeps to the merge
-	// barrier (Relation.unindex / maybeSweepRound), because sibling shards
-	// probe the indexes read-only while the owner applies its batch.
+	// deferMaint switches the relation to batched-round maintenance:
+	// setVisible defers index removals and tombstone sweeps to the end of
+	// the round (Relation.unindex / maybeSweepRound), because the fire phase
+	// probes OLD state — a tuple the batch hid must still be found.
 	deferMaint bool
 
 	// freeEntries recycles entry structs reclaimed by sweep; entryArena
@@ -182,7 +182,7 @@ type index struct {
 }
 
 // FNV-1a 64-bit, inlined: index bucket keys and the planner's distinct-key
-// scans share it. Process-independent, so sharded runs hash identically.
+// scans share it. Process-independent, so every run hashes identically.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -248,9 +248,9 @@ func NewRelation(name string) *Relation {
 	return &r
 }
 
-// newRelation builds an empty relation by value, so a shard can lay all of
+// newRelation builds an empty relation by value, so a node can lay all of
 // its program's relations out in one slice. The entries map and each index's
-// bucket map are created by their first write: most relations of most shards
+// bucket map are created by their first write: most relations of most nodes
 // of a large cluster stay empty, and reads, deletes and len on a nil map
 // behave like on an empty one.
 func newRelation(name string, deferMaint bool) Relation {
@@ -305,8 +305,8 @@ func (r *Relation) getOrCreate(t types.Tuple) *entry {
 }
 
 // setVisible inserts or removes the entry from all indexes. Under deferred
-// maintenance (sharded rounds) removals and sweeps wait for the merge
-// barrier: the entry stays indexed (filtered by probe admission) until
+// maintenance (batched rounds) removals and sweeps wait for the end of the
+// round: the entry stays indexed (filtered by probe admission) until
 // unindex, and tombstones are only reclaimed by maybeSweepRound.
 func (r *Relation) setVisible(e *entry, visible bool) {
 	if e.visible == visible {
@@ -349,7 +349,7 @@ func (r *Relation) setVisible(e *entry, visible bool) {
 }
 
 // sweepDue reports whether tombstones dominate the live population — the
-// single threshold every sweep trigger (inline, noteDead, merge barrier)
+// single threshold every sweep trigger (inline, noteDead, end of round)
 // shares.
 func (r *Relation) sweepDue() bool { return r.dead > 128 && r.dead > 2*r.visible }
 
@@ -374,7 +374,7 @@ func (r *Relation) indexAdd(e *entry) {
 }
 
 // unindex removes the entry from every index (deferred maintenance; called
-// at the merge barrier for entries whose round netted to invisible).
+// at the end of a round for entries that netted to invisible).
 func (r *Relation) unindex(e *entry) {
 	for _, idx := range r.indexes {
 		r.scratch = appendIndexKey(r.scratch[:0], e.tuple, idx.positions)
@@ -383,7 +383,7 @@ func (r *Relation) unindex(e *entry) {
 	e.indexed = false
 }
 
-// maybeSweepRound reclaims tombstones at the merge barrier once they
+// maybeSweepRound reclaims tombstones at the end of a round once they
 // dominate the live population — the deferred-maintenance counterpart of
 // the sweep setVisible triggers inline.
 func (r *Relation) maybeSweepRound() {
@@ -505,7 +505,7 @@ func (r *Relation) Index(positions []int) *index { return r.indexByID(indexID(po
 // order must not depend on interning history or map iteration.
 func (r *Relation) Tuples() []types.Tuple {
 	if r.visible == 0 {
-		return nil // every index bind of an empty shard comes through here
+		return nil // every index bind of an empty node comes through here
 	}
 	out := make([]types.Tuple, 0, r.visible)
 	for _, e := range r.entries {

@@ -11,18 +11,20 @@ import (
 )
 
 // Scheduler is the cluster-scale half of the engine's RUNTIME layer: it owns
-// every node's worker shards and drives the whole distributed fixpoint as
-// bulk-synchronous rounds over a bounded worker pool, instead of threading
-// each message through the discrete-event simulator one delivery at a time.
+// every node and drives the whole distributed fixpoint as bulk-synchronous
+// rounds over a bounded worker pool, instead of threading each message
+// through the discrete-event simulator one delivery at a time. Parallelism is
+// across nodes — the paper's model, one dataflow per node — never inside one.
 //
 // One scheduler round runs every node with pending input to local
-// quiescence (in parallel — nodes share no mutable state, and a sharded
-// node fans its own apply/fire phases out further), then delivers the
+// quiescence (in parallel — nodes share no mutable state), then delivers the
 // buffered cross-node messages in (source node, emission order) — a fixed
-// merge order, so a run is deterministic for a given node and shard count
-// regardless of how the goroutines interleave. Byte accounting charges the
-// same per-message wire size + datagram overhead as the simulator and the
-// UDP deployment, so totals are comparable.
+// merge order, so a run is deterministic regardless of how the goroutines
+// interleave or how many there are. Because a node receives a whole round of
+// messages at once, the Scheduler's nodes evaluate them as one batch
+// (rounds.go); that is a property of this driver, not a setting. Byte
+// accounting charges the same per-message wire size + datagram overhead as
+// the simulator and the UDP deployment, so totals are comparable.
 //
 // The scheduler computes fixpoints and their provenance; it does not model
 // latency or bandwidth (no virtual clock) and does not serve distributed
@@ -52,10 +54,16 @@ type Scheduler struct {
 	scratch []*Node    // reusable active-node list (Run)
 }
 
-// NewScheduler builds a cluster of nNodes engine nodes with the given
-// worker-shard count each, driven by a pool of `workers` goroutines
-// (0 = GOMAXPROCS).
-func NewScheduler(prog *Program, mode ProvMode, nNodes, shardsPerNode, workers int) *Scheduler {
+// NewScheduler builds a cluster of nNodes engine nodes driven by a pool of
+// `workers` goroutines (0 = GOMAXPROCS). The fourth parameter is ignored
+// (see AutoShards).
+func NewScheduler(prog *Program, mode ProvMode, nNodes, _, workers int) *Scheduler {
+	return newScheduler(prog, mode, nNodes, workers, true)
+}
+
+// newScheduler is NewScheduler with the node executor exposed, so tests can
+// run the inline drain under the same driver and diff the two.
+func newScheduler(prog *Program, mode ProvMode, nNodes, workers int, batched bool) *Scheduler {
 	s := &Scheduler{
 		Prog:        prog,
 		Mode:        mode,
@@ -77,19 +85,21 @@ func NewScheduler(prog *Program, mode ProvMode, nNodes, shardsPerNode, workers i
 	}
 	s.nodes = make([]*Node, nNodes)
 	for i := range s.nodes {
-		n := NewNodeSharded(types.NodeID(i), prog, mode, schedTransport{s}, alloc, shardsPerNode)
-		// Single-shard nodes run their whole local fixpoint on one
-		// goroutine, so each gets a private message free list; deliver
-		// (serial, between rounds) releases messages back to the sender's
-		// pool once deposited. Sharded nodes fire in parallel and bypass
-		// pooling (Node.newMessage), so they keep a nil pool — Put degrades
-		// to a no-op.
-		if n.NumShards() == 1 {
-			n.Msgs = NewMessagePool()
-		}
+		n := newNode(types.NodeID(i), prog, mode, schedTransport{s}, alloc, batched)
+		// A node runs its whole local fixpoint on one goroutine, so each
+		// gets a private message free list; deliver (serial, between
+		// rounds) releases messages back to the sender's pool once
+		// deposited.
+		n.Msgs = NewMessagePool()
 		s.nodes[i] = n
 	}
 	return s
+}
+
+// outMsg is one staged cross-node message.
+type outMsg struct {
+	to types.NodeID
+	m  *Message
 }
 
 // schedTransport buffers outbound messages per source node. Each node's
@@ -110,12 +120,12 @@ func (s *Scheduler) NumNodes() int { return len(s.nodes) }
 
 // InsertBase deposits a base-tuple insertion at a node (evaluated by Run).
 func (s *Scheduler) InsertBase(node types.NodeID, t types.Tuple) {
-	s.nodes[node].deposit(localDelta{tuple: t, sign: Insert, rloc: node, isBase: true})
+	s.nodes[node].shard.enqueue(localDelta{tuple: t, sign: Insert, rloc: node, isBase: true})
 }
 
 // DeleteBase deposits a base-tuple retraction at a node.
 func (s *Scheduler) DeleteBase(node types.NodeID, t types.Tuple) {
-	s.nodes[node].deposit(localDelta{tuple: t, sign: Delete, rloc: node, isBase: true})
+	s.nodes[node].shard.enqueue(localDelta{tuple: t, sign: Delete, rloc: node, isBase: true})
 }
 
 // InjectEvent deposits an event tuple at a node.
@@ -124,13 +134,12 @@ func (s *Scheduler) InjectEvent(node types.NodeID, t types.Tuple) {
 	if s.Mode == ProvValue {
 		d.payload = bdd.True
 	}
-	s.nodes[node].deposit(d)
+	s.nodes[node].shard.enqueue(d)
 }
 
 // Err reports the first engine error across nodes.
 func (s *Scheduler) Err() error {
 	for _, n := range s.nodes {
-		n.syncErr()
 		if n.Err != nil {
 			return n.Err
 		}
@@ -153,7 +162,7 @@ func (s *Scheduler) Run() error {
 	for {
 		active := s.scratch[:0]
 		for _, n := range s.nodes {
-			if n.Err == nil && n.anyPending() {
+			if n.Err == nil && n.shard.pending() {
 				active = append(active, n)
 			}
 		}
@@ -186,7 +195,7 @@ func (s *Scheduler) runLocal(active []*Node) {
 	}
 	if w <= 1 {
 		for _, n := range active {
-			n.localFixpoint()
+			n.Flush()
 		}
 		return
 	}
@@ -201,32 +210,17 @@ func (s *Scheduler) runLocal(active []*Node) {
 				if i >= len(active) {
 					return
 				}
-				active[i].localFixpoint()
+				active[i].Flush()
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// localFixpoint drains the node to local quiescence under its own execution
-// strategy (serial inline drain or sharded rounds), with outbound messages
-// buffered by the scheduler transport.
-func (n *Node) localFixpoint() {
-	if n.Err != nil {
-		return
-	}
-	if n.rounds() {
-		n.runRounds()
-		return
-	}
-	n.drain()
-}
-
-// deliver moves staged messages into destination shard rings in (source
+// deliver moves staged messages into destination nodes' rings in (source
 // node, emission order) and charges byte accounting. Once deposited, the
-// message struct is released back to its sender's pool (a no-op for sharded
-// senders, which allocate plainly): deliver runs serially between rounds,
-// so the unsynchronized pools see one goroutine.
+// message struct is released back to its sender's pool: deliver runs
+// serially between rounds, so the unsynchronized pools see one goroutine.
 //
 //exspan:hotpath
 func (s *Scheduler) deliver() {

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -11,12 +12,23 @@ import (
 	"repro/internal/types"
 )
 
-// These tests pin the sharded runtime's equivalence contract: for any shard
-// count, the fixpoint state — visible tuples per node and predicate, prov
-// and ruleExec row sets — matches the serial single-shard engine exactly,
-// from-scratch and under delete/re-insert churn. They run the same random
-// topologies through the serial engine (the pre-sharding code path), a
-// one-shard scheduler and a multi-shard scheduler, and diff the outcomes.
+// These tests pin the two executors' equivalence contract: the fixpoint
+// state — visible tuples per node and predicate, prov and ruleExec row sets
+// — of batched rounds matches the inline drain exactly, from-scratch and
+// under delete/re-insert churn. They run the same random topologies through
+// drain nodes on a synchronous transport (the reference), a scheduler whose
+// nodes drain and the production scheduler (batched), and diff the outcomes.
+
+// executors is the test dimension of a node's two executors: the inline
+// drain (false) and batched rounds (true).
+var executors = []bool{false, true}
+
+func executorName(batched bool) string {
+	if batched {
+		return "batched"
+	}
+	return "drain"
+}
 
 // randomLinks generates a connected random graph: a spanning tree plus a few
 // extra edges, deduplicated (parallel links with distinct costs drive the
@@ -76,10 +88,10 @@ func nodeState(n *Node, preds []string) string {
 }
 
 // runSched drives one scheduler cluster through the insert/churn script.
-func runSched(t *testing.T, prog *Program, mode ProvMode, nNodes, shards, workers int,
+func runSched(t *testing.T, prog *Program, mode ProvMode, nNodes int, batched bool, workers int,
 	edges [][2]int, churn [][2]int, costs map[[2]int]int64) *Scheduler {
 	t.Helper()
-	s := NewScheduler(prog, mode, nNodes, shards, workers)
+	s := newScheduler(prog, mode, nNodes, workers, batched)
 	for _, e := range edges {
 		cost := edgeCost(e, costs)
 		s.InsertBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
@@ -104,8 +116,8 @@ func runSched(t *testing.T, prog *Program, mode ProvMode, nNodes, shards, worker
 	return s
 }
 
-// runSerialRef computes the same script on the pre-sharding serial engine
-// (plain NewNode + synchronous FIFO transport). The transport cascades to
+// runSerialRef computes the same script on the serial reference (plain
+// NewNode + synchronous FIFO transport). The transport cascades to
 // global quiescence inside every InsertBase/DeleteBase, so each op is
 // followed by a Settle releasing the retraction protocol's staged
 // re-derivations — the serial analogue of the drivers' idle-point release.
@@ -176,13 +188,13 @@ func diffStates(t *testing.T, label string, nNodes int, preds []string,
 	for i := 0; i < nNodes; i++ {
 		want, have := nodeState(ref(i), preds), nodeState(got(i), preds)
 		if want != have {
-			t.Errorf("%s: node %d state mismatch\n--- serial ---\n%s--- sharded ---\n%s", label, i, want, have)
+			t.Errorf("%s: node %d state mismatch\n--- serial ---\n%s--- scheduler ---\n%s", label, i, want, have)
 			return
 		}
 	}
 }
 
-// shardedEquivalence checks serial/sharded agreement on one random graph.
+// shardedEquivalence checks serial/scheduler agreement on one random graph.
 // extra > 0 adds cycle-closing edges; withChurn retracts (and re-inserts
 // half of) a random subset of ALL edges — spanning-tree and cycle-closing
 // alike. Disconnecting deletions and deletions that kill the cheapest route
@@ -213,27 +225,27 @@ func equivalenceOn(t *testing.T, prog *Program, mode ProvMode, preds []string,
 	nNodes int, edges, churn [][2]int, costs map[[2]int]int64) {
 	t.Helper()
 	serial := runSerialRef(t, prog, mode, nNodes, edges, churn, costs)
-	for _, shards := range []int{1, 4} {
+	for _, batched := range executors {
 		for _, workers := range []int{1, 4} {
-			s := runSched(t, prog, mode, nNodes, shards, workers, edges, churn, costs)
-			label := fmt.Sprintf("shards=%d workers=%d", shards, workers)
+			s := runSched(t, prog, mode, nNodes, batched, workers, edges, churn, costs)
+			label := fmt.Sprintf("%s workers=%d", executorName(batched), workers)
 			diffStates(t, label, nNodes, preds,
 				func(i int) *Node { return serial[i] },
 				func(i int) *Node { return s.Node(i) })
 		}
 	}
 
-	// Determinism across repeated sharded runs: byte accounting and round
-	// counts must reproduce exactly.
-	a := runSched(t, prog, mode, nNodes, 4, 4, edges, churn, costs)
-	b := runSched(t, prog, mode, nNodes, 4, 4, edges, churn, costs)
+	// Determinism across worker counts and repeated runs: byte accounting
+	// and round counts of the production scheduler must reproduce exactly.
+	a := runSched(t, prog, mode, nNodes, true, 1, edges, churn, costs)
+	b := runSched(t, prog, mode, nNodes, true, 4, edges, churn, costs)
 	if a.TotalBytes != b.TotalBytes || a.Rounds != b.Rounds {
-		t.Errorf("sharded runs diverge: bytes %d vs %d, rounds %d vs %d",
+		t.Errorf("scheduler runs diverge: bytes %d vs %d, rounds %d vs %d",
 			a.TotalBytes, b.TotalBytes, a.Rounds, b.Rounds)
 	}
 	for i := range a.SentBytes {
 		if a.SentBytes[i] != b.SentBytes[i] || a.SentMsgs[i] != b.SentMsgs[i] {
-			t.Fatalf("node %d counters diverge across identical sharded runs", i)
+			t.Fatalf("node %d counters diverge across identical scheduler runs", i)
 		}
 	}
 }
@@ -308,9 +320,10 @@ r2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X).
 	}
 }
 
-// TestShardedNodeUnderSyncTransport drives sharded nodes through the
-// HandleMessage path (self-driven node-local rounds, as simnet and deploy
-// do) rather than the scheduler, and checks the same fixpoint.
+// TestShardedNodeUnderSyncTransport drives batched nodes through the
+// HandleMessage path (self-driven node-local rounds, one message per ingest,
+// sends delivered — and answered — in the middle of a fire phase) rather
+// than the scheduler, and checks the same fixpoint.
 func TestShardedNodeUnderSyncTransport(t *testing.T) {
 	prog, err := Compile(apps.MinCost())
 	if err != nil {
@@ -325,7 +338,7 @@ func TestShardedNodeUnderSyncTransport(t *testing.T) {
 	tr := &refTransport{}
 	nodes := make([]*Node, nNodes)
 	for i := range nodes {
-		nodes[i] = NewNodeSharded(types.NodeID(i), prog, ProvReference, tr, nil, 3)
+		nodes[i] = newNode(types.NodeID(i), prog, ProvReference, tr, nil, true)
 	}
 	tr.nodes = nodes
 	for _, e := range edges {
@@ -340,7 +353,61 @@ func TestShardedNodeUnderSyncTransport(t *testing.T) {
 		}
 	}
 	preds := []string{"link", "pathCost", "bestPathCost"}
-	diffStates(t, "sync transport shards=3", nNodes, preds,
+	diffStates(t, "sync transport batched", nNodes, preds,
 		func(i int) *Node { return serial[i] },
 		func(i int) *Node { return nodes[i] })
+}
+
+// TestSchedulerFixpointIndependentOfHost is the fence for "batching is a
+// property of the driver": the paper's headline quantity — communication at
+// fixpoint — must not depend on how many cores the host has. It builds the
+// CHORD ring the way the CLI and the benchmark do and runs it on one core and
+// on several; bytes, rounds and the routing state must be equal. When the
+// per-node shard count doubled as the drain-vs-rounds selector and was
+// resolved from GOMAXPROCS, a one-core host silently drained and this ring
+// shipped 3.9× the bytes.
+func TestSchedulerFixpointIndependentOfHost(t *testing.T) {
+	prog, err := Compile(apps.Chord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := topology.Ring(200, rand.New(rand.NewSource(42)))
+	base := apps.ChordBase(topo)
+	lookups := apps.ChordLookups(topo, 8, 42)
+	preds := []string{"succ", "lookupRes"}
+	run := func(procs int) (*Scheduler, []string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s := NewScheduler(prog, ProvReference, topo.N, 0, 0)
+		for n := 0; n < topo.N; n++ {
+			for _, tup := range base[types.NodeID(n)] {
+				s.InsertBase(types.NodeID(n), tup)
+			}
+		}
+		for _, lk := range lookups {
+			s.InsertBase(lk.Loc(), lk)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		state := make([]string, topo.N)
+		for i := range state {
+			state[i] = nodeState(s.Node(i), preds)
+		}
+		return s, state
+	}
+	many := max(runtime.GOMAXPROCS(0), 2)
+	one, oneState := run(1)
+	multi, multiState := run(many)
+	if one.TotalBytes == 0 || one.Node(0).TupleCount("succ") == 0 {
+		t.Fatal("vacuous: the overlay did not converge")
+	}
+	if one.TotalBytes != multi.TotalBytes || one.Rounds != multi.Rounds {
+		t.Errorf("GOMAXPROCS=1: %d bytes in %d rounds; GOMAXPROCS=%d: %d bytes in %d rounds",
+			one.TotalBytes, one.Rounds, many, multi.TotalBytes, multi.Rounds)
+	}
+	for i := range oneState {
+		if oneState[i] != multiState[i] {
+			t.Fatalf("node %d: state differs between GOMAXPROCS=1 and %d\n%s\n---\n%s", i, many, oneState[i], multiState[i])
+		}
+	}
 }

@@ -3,25 +3,18 @@ package engine
 import (
 	"repro/internal/algebra"
 	"repro/internal/bdd"
-	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
-// This file is the engine's WORKER (shard) layer. A shard owns one
-// hash-partition of a node's evaluation state — relations, join indexes,
-// aggregate groups, a provenance-store partition — plus its own drain ring
-// and scratch arenas. A single-shard node (the default) runs the
-// exact pre-sharding pipeline: process() applies a delta and fires rules
-// inline, FIFO, to local quiescence. With several shards, the runtime layer
-// (rounds.go) drives shards through batched apply/fire phases instead; the
-// round-only code paths are all guarded by node.rounds().
-//
-// Ownership: a tuple belongs to the shard selected by its content hash
-// (types.Tuple.ContentHash — stable across processes). The owner is the only
-// writer of the tuple's relation entry, index postings and prov rows; any
-// shard may read them during the frozen fire phase.
+// This file is the engine's evaluation-state layer. A node's shard is its
+// whole evaluation state — relations, join indexes, aggregate groups, the
+// delta ring and the scratch arenas rule firing reuses; a node has exactly
+// one. Under the inline drain, process() applies a delta and fires its rules
+// inline, FIFO, to local quiescence. Under batched rounds (rounds.go)
+// process() only applies: firing is deferred to the round's fire phase, and
+// the round-only code paths are the rm branches below.
 
-// localDelta is one unit of PSN work in a shard's FIFO queue. Field order
+// localDelta is one unit of PSN work in a node's FIFO queue. Field order
 // is alignment-packed (exspanlint -fieldalign): the 1-byte sign/isBase pair
 // trails the word- and 4-byte-aligned fields, saving 8 bytes per queued
 // delta (72 vs 80).
@@ -34,30 +27,21 @@ type localDelta struct {
 	isBase  bool
 }
 
-// shard is one worker partition of a Node.
+// shard is the evaluation state of a Node.
 type shard struct {
-	n   *Node
-	idx int
+	n *Node
 
-	// store is this shard's provenance-store partition (reference and
-	// centralized modes).
-	store *provenance.Partition
-
-	// owned by: the owner shard's apply phase (merge deposits at the barrier)
 	queue []localDelta
 	qhead int // drain ring head: queue[qhead:] is pending work
 
 	// Compiled access paths: each stepJoin's index handle, resolved once
 	// at plan-bind time (newShard) and indexed by joinID, so a join probe
 	// never re-derives the index from its position list.
-	//
-	// owned by: any
 	joinIdx []*index
 	// tablesByID holds the relations of the program's stored predicates,
 	// indexed by PredInfo.tableID: the program's predicate table is the
-	// only name→relation map, shared by every shard. aggByRule and
-	// aggBodyRel key aggregate state and the aggregate body relation by
-	// CompiledRule.idx.
+	// only name→relation map. aggByRule and aggBodyRel key aggregate state
+	// and the aggregate body relation by CompiledRule.idx.
 	tablesByID []Relation
 	aggByRule  []map[string]*aggGroup
 	aggBodyRel []*Relation
@@ -66,12 +50,9 @@ type shard struct {
 	// server — a handful at most, found by name scan), in creation order.
 	extraTables []*Relation
 
-	// Per-shard scratch arenas, sized at program-compile time and reused
-	// across rule firings. Safe because firing never re-enters the
-	// evaluator: derived deltas are enqueued and processed by drain (or
-	// buffered for the next round).
-	//
-	// owned by: the owner shard's rule firing
+	// Scratch arenas, sized at program-compile time and reused across rule
+	// firings. Safe because firing never re-enters the evaluator: derived
+	// deltas are enqueued and processed by drain (or by the next round).
 	envBuf     []types.Value
 	matchedBuf []types.Tuple
 	entBuf     []*entry
@@ -104,62 +85,44 @@ type shard struct {
 	// derivations, and aggregate groups whose winner promotion was
 	// deferred. Both lists are drained by releaseStaged once the driver
 	// detects that the cluster-wide deletion wave has quiesced.
-	//
-	// owned by: the owner shard; released between waves at quiescence
 	stagedEnts   []*entry
 	stagedGroups []stagedGroup
 
-	// err records the first evaluation error raised on this shard; the
-	// merge barrier (or serial drain) propagates it to Node.Err.
-	//
-	// owned by: the owner shard; folded into Node.Err at the barrier
-	err error
-
 	// Counters.
-	//
-	// owned by: the owner shard; folded into node accumulators at quiescence
 	deltasProcessed int64
 	rulesFired      int64
 	// joinStats tallies probes/hits per joinID for the planner's cost
-	// model (stats.go). Owned by this shard's fire phases; folded into the
-	// node accumulator only at quiescence. condStats does the same for
-	// condition pass/fail tallies, keyed by program-wide condition slot
-	// (CompiledRule.condBase + planStep.condID).
+	// model (stats.go), folded into the node accumulator only at
+	// quiescence. condStats does the same for condition pass/fail tallies,
+	// keyed by program-wide condition slot (CompiledRule.condBase +
+	// planStep.condID).
 	joinStats []joinStat
 	condStats []condStat
 
 	// fireAtomPos/fireIsEvent describe the delta currently being fired
-	// (set by firePlan); round-mode join probes use them to pick the
-	// old/new admission side.
-	//
-	// owned by: the owner shard's fire phase
+	// (set by firePlan); batched join probes use them to pick the old/new
+	// admission side.
 	fireAtomPos int
 	fireIsEvent bool
 
-	// Round-mode state; see rounds.go.
-	//
-	// owned by: the owner shard's phases and the merge workers
-	rs roundShard
+	// Batched-round state; see rounds.go.
+	rs roundState
 }
 
-// Chunk caps of the shard's arenas (types.Arena grows up to them).
+// Chunk caps of the evaluation state's arenas (types.Arena grows up to them).
 const (
 	argArenaChunk = 512
 	aggArenaChunk = 128
 )
 
-// newShard creates one worker partition, binding the program's join steps to
-// this shard's index handles. Everything sized here comes from the compiled
+// newShard creates a node's evaluation state, binding the program's join
+// steps to its index handles. Everything sized here comes from the compiled
 // program; what depends on the data — relation and index maps, aggregate
 // groups — is created by its first write.
-//
-//exspan:merge-phase
-func newShard(n *Node, idx int, store *provenance.Partition) *shard {
+func newShard(n *Node) *shard {
 	prog := n.Prog
 	sh := &shard{
 		n:             n,
-		idx:           idx,
-		store:         store,
 		argArena:      types.NewArena[types.Value](argArenaChunk),
 		aggEntryArena: types.NewArena[aggEntry](aggArenaChunk),
 		aggGroupArena: types.NewArena[aggGroup](aggArenaChunk),
@@ -167,11 +130,10 @@ func newShard(n *Node, idx int, store *provenance.Partition) *shard {
 	// Pre-create relations, the indexes every join plan needs, and the
 	// per-join compiled handles. Joins against event atoms keep a nil
 	// handle: events never materialize, so such probes match nothing.
-	sharded := n.NumShards() > 1 // NumShards is fixed before newShard runs
 	sh.tablesByID = make([]Relation, prog.numTables)
 	for _, info := range prog.predList {
 		if !info.Event {
-			sh.tablesByID[info.tableID] = newRelation(info.Name, sharded)
+			sh.tablesByID[info.tableID] = newRelation(info.Name, n.batched)
 		}
 	}
 	sh.joinIdx = make([]*index, prog.numJoins)
@@ -195,11 +157,11 @@ func newShard(n *Node, idx int, store *provenance.Partition) *shard {
 	return sh
 }
 
-// bindPlans resolves every join step of the node's ACTIVE plan set to this
-// shard's index handles, creating any index a plan needs (EnsureIndex
-// backfills deterministically over live state). Runs at shard construction
-// and again after every plan swap (Node.replan) — always between rounds,
-// never while a fire phase could probe a handle.
+// bindPlans resolves every join step of the node's ACTIVE plan set to its
+// index handle, creating any index a plan needs (EnsureIndex backfills
+// deterministically over live state). Runs at construction and again after
+// every plan swap (Node.replan) — always between rounds, never while a fire
+// phase could probe a handle.
 func (sh *shard) bindPlans() {
 	for _, r := range sh.n.Prog.Rules {
 		for _, pl := range sh.n.plans[r.idx] {
@@ -217,7 +179,7 @@ func (sh *shard) bindPlans() {
 	}
 }
 
-// lookup returns this shard's relation of pred, or nil when it has none.
+// lookup returns the relation of pred, or nil when the node has none.
 func (sh *shard) lookup(pred string) *Relation {
 	if info := sh.n.Prog.Pred(pred); info != nil && info.tableID >= 0 {
 		return &sh.tablesByID[info.tableID]
@@ -235,17 +197,11 @@ func (sh *shard) lookup(pred string) *Relation {
 func (sh *shard) table(pred string) *Relation {
 	t := sh.lookup(pred)
 	if t == nil {
-		r := newRelation(pred, sh.n.NumShards() > 1)
+		r := newRelation(pred, sh.n.batched)
 		t = &r
 		sh.extraTables = append(sh.extraTables, t)
 	}
 	return t
-}
-
-func (sh *shard) fail(err error) {
-	if sh.err == nil {
-		sh.err = err
-	}
 }
 
 //exspan:hotpath
@@ -281,8 +237,8 @@ func (sh *shard) popDelta() localDelta {
 
 func (sh *shard) pending() bool { return sh.qhead < len(sh.queue) || len(sh.rs.aggIn) > 0 }
 
-// process applies one delta to this shard's state and — in serial mode —
-// fires the triggered rules inline. In round mode (rm true) firing is
+// process applies one delta to the node's state and — under the drain —
+// fires the triggered rules inline. Under batched rounds (rm true) firing is
 // deferred: the delta's net visibility effect is recorded via markTouched
 // and evaluated by the fire phase (rounds.go).
 //
@@ -316,9 +272,9 @@ func (sh *shard) process(d localDelta, rm bool) {
 			var vid types.ID
 			vid, sh.hashBuf = d.tuple.VIDBuf(sh.hashBuf)
 			if d.sign == Insert {
-				sh.store.AddProv(sh.store.Vertex(vid, d.tuple), d.rid, d.rloc)
-			} else if v := sh.store.Lookup(vid); v != nil {
-				sh.store.DelProv(v, d.rid, d.rloc)
+				sh.n.Store.AddProv(sh.n.Store.Vertex(vid, d.tuple), d.rid, d.rloc)
+			} else if v := sh.n.Store.Lookup(vid); v != nil {
+				sh.n.Store.DelProv(v, d.rid, d.rloc)
 			}
 		}
 		// Centralized: base events are reported by their injector; derived
@@ -361,21 +317,16 @@ func (sh *shard) process(d localDelta, rm bool) {
 		// The entry caches the canonical VID, so each stored tuple is
 		// hashed at most once per lifetime regardless of how many deltas
 		// and provenance branches touch it.
-		if rm {
-			// Sibling shards read the VID during the frozen fire phase;
-			// computing it here keeps that phase free of entry mutation.
-			_, sh.hashBuf = e.VIDBuf(sh.hashBuf)
-		}
 		if n.Mode == ProvReference && !meta {
 			if e.vert == nil {
-				// One find-or-create per entry lifetime: the partition
-				// drops the vertex with its last prov row, which is when
-				// this entry loses its last derivation too.
+				// One find-or-create per entry lifetime: the store drops
+				// the vertex with its last prov row, which is when this
+				// entry loses its last derivation too.
 				var vid types.ID
 				vid, sh.hashBuf = e.VIDBuf(sh.hashBuf)
-				e.vert = sh.store.Vertex(vid, e.tuple)
+				e.vert = sh.n.Store.Vertex(vid, e.tuple)
 			}
-			sh.store.AddProv(e.vert, d.rid, d.rloc)
+			sh.n.Store.AddProv(e.vert, d.rid, d.rloc)
 		}
 		// Centralized: the deriving node reports derived rows; the owner
 		// reports base rows.
@@ -433,7 +384,7 @@ func (sh *shard) process(d localDelta, rm bool) {
 			e.delDeriv(d.rid)
 		}
 		if e.vert != nil {
-			if _, dropped := sh.store.DelProv(e.vert, d.rid, d.rloc); dropped {
+			if _, dropped := sh.n.Store.DelProv(e.vert, d.rid, d.rloc); dropped {
 				e.vert = nil
 			}
 		}
@@ -532,8 +483,8 @@ func (sh *shard) stratumOf(pred string) int {
 	return 0
 }
 
-// minStagedStratum returns the lowest occupied release stratum on this
-// shard, or -1 when nothing is staged.
+// minStagedStratum returns the lowest occupied release stratum, or -1 when
+// nothing is staged.
 func (sh *shard) minStagedStratum() int {
 	min := -1
 	for _, e := range sh.stagedEnts {
@@ -557,7 +508,7 @@ func (sh *shard) minStagedStratum() int {
 // runs the node to quiescence again). Staging is validated here, not at
 // staging time — a suspect re-shown by a genuine insert, or a group whose
 // output was already rebuilt, releases as a no-op — so release order across
-// shards and nodes cannot affect the fixpoint (the stratified wave order in
+// nodes cannot affect the fixpoint (the stratified wave order in
 // Node.ReleaseStaged is a round-trip optimization, not a correctness
 // requirement; engine/dred_test.go proves order independence).
 //

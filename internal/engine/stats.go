@@ -14,17 +14,15 @@ package engine
 //   - Per-index distinct keys: len(index.buckets), maintained by the
 //     ordinary index add/remove that setVisible drives.
 //   - Join-probe fan-out tallies: joinStat{probes, hits} per compiled join
-//     step, owned by the firing shard (sh.joinStats, indexed by joinID) so
-//     parallel fire phases never contend on a counter.
+//     step (shard.joinStats, indexed by joinID — an array bump per probe).
 //
-// Shard-local probe tallies are folded into the node-level accumulator
+// The per-joinID tallies are folded into the node-level accumulator
 // (Node.fanAcc, keyed by the probed predicate and index — a key that stays
 // meaningful across plan swaps, unlike the joinID) only at quiescence, when
 // the planner runs.
 
-// joinStat tallies one compiled join step's probes and returned candidates.
-// probes counts logical probes (one per step execution, not per peer shard),
-// so hits/probes is the step's measured global fan-out.
+// joinStat tallies one compiled join step's probes and returned candidates:
+// hits/probes is the step's measured fan-out.
 type joinStat struct {
 	probes int64
 	hits   int64
@@ -53,18 +51,15 @@ type statKey struct {
 // statsSnapshot is the planner's read-only view of the node's statistics at
 // one quiescence point.
 type statsSnapshot struct {
-	card   map[string]int64     // predicate -> visible tuples across shards
+	card   map[string]int64     // predicate -> visible tuples
 	churn  map[string]int64     // predicate -> total visibility transitions
 	fanout map[statKey]joinStat // accumulated measured probe fan-out
 }
 
-// foldJoinStats drains every shard's probe tallies into the node-level
+// foldJoinStats drains the per-joinID probe tallies into the node-level
 // accumulator under the current joinID -> statKey mapping, zeroing the
-// shard counters. Must run before the mapping is rebuilt (a re-plan swap
-// renumbers what each joinID probes) and only at quiescence (the counters
-// are owned by fire phases).
-//
-//exspan:merge-phase
+// counters. Must run before the mapping is rebuilt (a re-plan swap renumbers
+// what each joinID probes) and only at quiescence.
 func (n *Node) foldJoinStats() {
 	// A node pays for the mapping and the accumulator only once it folds:
 	// small nodes never reach the re-plan drift gate, and non-planable
@@ -75,30 +70,29 @@ func (n *Node) foldJoinStats() {
 	if n.fanAcc == nil {
 		n.fanAcc = make(map[statKey]joinStat)
 	}
-	for _, sh := range n.shards {
-		for id := range sh.joinStats {
-			js := &sh.joinStats[id]
-			if js.probes == 0 {
-				continue
-			}
-			key := n.joinKeys[id]
-			if key.pred != "" {
-				acc := n.fanAcc[key]
-				acc.probes += js.probes
-				acc.hits += js.hits
-				n.fanAcc[key] = acc
-			}
-			*js = joinStat{}
+	sh := n.shard
+	for id := range sh.joinStats {
+		js := &sh.joinStats[id]
+		if js.probes == 0 {
+			continue
 		}
-		for id := range sh.condStats {
-			cs := &sh.condStats[id]
-			if cs.evals == 0 {
-				continue
-			}
-			n.condAcc[id].evals += cs.evals
-			n.condAcc[id].passes += cs.passes
-			*cs = condStat{}
+		key := n.joinKeys[id]
+		if key.pred != "" {
+			acc := n.fanAcc[key]
+			acc.probes += js.probes
+			acc.hits += js.hits
+			n.fanAcc[key] = acc
 		}
+		*js = joinStat{}
+	}
+	for id := range sh.condStats {
+		cs := &sh.condStats[id]
+		if cs.evals == 0 {
+			continue
+		}
+		n.condAcc[id].evals += cs.evals
+		n.condAcc[id].passes += cs.passes
+		*cs = condStat{}
 	}
 }
 
@@ -114,49 +108,32 @@ func (n *Node) snapshotStats() *statsSnapshot {
 		if info.Event {
 			continue
 		}
-		var card, churn int64
-		for _, sh := range n.shards {
-			rel := &sh.tablesByID[info.tableID]
-			card += int64(rel.Len())
-			churn += rel.churn
-		}
-		snap.card[info.Name] = card
-		snap.churn[info.Name] = churn
+		rel := &n.shard.tablesByID[info.tableID]
+		snap.card[info.Name] = int64(rel.Len())
+		snap.churn[info.Name] = rel.churn
 	}
 	return snap
 }
 
 // distinctKeys estimates the number of distinct values the predicate holds
-// over the given positions across all shards: the live bucket count when an
-// index exists, a one-off scan (cold path, quiescence only) otherwise.
+// over the given positions: the live bucket count when an index exists, a
+// one-off scan (cold path, quiescence only) otherwise.
 func (n *Node) distinctKeys(pred string, positions []int) int64 {
-	id := indexID(positions)
-	var total int64
-	var scan []*Relation
-	for _, sh := range n.shards {
-		rel := sh.lookup(pred)
-		if rel == nil {
+	rel := n.shard.lookup(pred)
+	if rel == nil {
+		return 0
+	}
+	if idx := rel.indexByID(indexID(positions)); idx != nil {
+		return int64(len(idx.buckets))
+	}
+	seen := make(map[uint64]struct{})
+	var buf []byte
+	for _, e := range rel.entries {
+		if !e.visible {
 			continue
 		}
-		if idx := rel.indexByID(id); idx != nil {
-			total += int64(len(idx.buckets))
-			continue
-		}
-		scan = append(scan, rel)
+		buf = appendIndexKey(buf[:0], e.tuple, positions)
+		seen[hashIndexKey(buf)] = struct{}{}
 	}
-	if len(scan) > 0 {
-		seen := make(map[uint64]struct{})
-		var buf []byte
-		for _, rel := range scan {
-			for _, e := range rel.entries {
-				if !e.visible {
-					continue
-				}
-				buf = appendIndexKey(buf[:0], e.tuple, positions)
-				seen[hashIndexKey(buf)] = struct{}{}
-			}
-		}
-		total += int64(len(seen))
-	}
-	return total
+	return int64(len(seen))
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/ndlog"
@@ -11,7 +10,7 @@ import (
 
 // TestVertexLifetime pins the contract between a relation entry and the
 // provenance vertex it holds (reference mode): the entry finds the vertex
-// once, the partition drops it with the tuple's last prov row and the entry
+// once, the store drops it with the tuple's last prov row and the entry
 // forgets it, and a re-derivation finds a NEW vertex. A stale pointer on the
 // revived entry — the bug this design can introduce — would send the
 // re-derived rows to the dropped vertex, invisible to every reader. Event
@@ -26,9 +25,9 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			n := NewNodeSharded(0, prog, ProvReference, &testNet{}, nil, shards)
+	for _, batched := range executors {
+		t.Run(executorName(batched), func(t *testing.T) {
+			n := newNode(0, prog, ProvReference, &testNet{}, nil, batched)
 			st := n.Store
 			tup := func(pred string, y int64) types.Tuple {
 				return types.NewTuple(pred, types.Node(0), types.Int(y))
@@ -37,8 +36,7 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 			// held returns the vertex the out entry holds and the one the
 			// store resolves the VID to; they must agree at every step.
 			held := func() (onEntry, inStore *provenance.Vertex) {
-				sh := n.ownerShard(out)
-				return sh.lookup("out").get(out).vert, sh.store.Lookup(out.VID())
+				return n.Table("out").get(out).vert, st.Lookup(out.VID())
 			}
 
 			n.InsertBase(tup("in", 2)) // bystander rows: the prior level is not zero

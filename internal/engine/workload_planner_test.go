@@ -16,7 +16,7 @@ import (
 // planner runs on genuine joins — not the synthetic reach/ok program of
 // planner_test.go. A stat perturbation forces join orders that differ from
 // syntax order, and the fixpoint must stay bit-identical to the NoReplan
-// baseline across modes, shard counts and lookup/liveness churn.
+// baseline across modes, executors and lookup/liveness churn.
 
 var chordPreds = []string{"ident", "peer", "alive", "cand", "bestSucc", "succ",
 	"notify", "candPred", "pred", "finger", "lookup", "lookupRes"}
@@ -25,14 +25,14 @@ var chordPreds = []string{"ident", "peer", "alive", "cand", "bestSucc", "succ",
 // EDB, issue lookups, churn a liveness pair out and back in, with a forced
 // re-plan at every quiescence point when a hook is set. Returns whether any
 // re-plan changed a plan.
-func runChordSched(t *testing.T, mode ProvMode, shards int, hook func(string, string, float64) float64) (*Scheduler, bool) {
+func runChordSched(t *testing.T, mode ProvMode, batched bool, hook func(string, string, float64) float64) (*Scheduler, bool) {
 	t.Helper()
 	prog, err := Compile(apps.Chord())
 	if err != nil {
 		t.Fatal(err)
 	}
 	topo := topology.Ring(8, rand.New(rand.NewSource(5)))
-	s := NewScheduler(prog, mode, topo.N, shards, 0)
+	s := newScheduler(prog, mode, topo.N, 0, batched)
 	for i := 0; i < s.NumNodes(); i++ {
 		if hook == nil {
 			s.Node(i).NoReplan = true
@@ -76,18 +76,18 @@ func runChordSched(t *testing.T, mode ProvMode, shards int, hook func(string, st
 
 // TestChordPlannerEquivalence: perturbed plans on the chord workload reach
 // the same fixpoint as the syntax-order baseline — all four provenance
-// modes, shards 1 and 4, three perturbation seeds.
+// modes, both executors, three perturbation seeds.
 func TestChordPlannerEquivalence(t *testing.T) {
 	modes := []ProvMode{ProvNone, ProvReference, ProvValue, ProvCentralized}
 	anyChanged := false
 	for _, mode := range modes {
-		base, _ := runChordSched(t, mode, 1, nil)
+		base, _ := runChordSched(t, mode, false, nil)
 		for _, seed := range []int64{1, 2, 3} {
 			hook := perturbHook(seed)
-			for _, shards := range []int{1, 4} {
-				s, ch := runChordSched(t, mode, shards, hook)
+			for _, batched := range executors {
+				s, ch := runChordSched(t, mode, batched, hook)
 				anyChanged = anyChanged || ch
-				diffStates(t, fmt.Sprintf("chord %s shards=%d seed=%d", mode, shards, seed),
+				diffStates(t, fmt.Sprintf("chord %s %s seed=%d", mode, executorName(batched), seed),
 					base.NumNodes(), chordPreds,
 					func(i int) *Node { return base.Node(i) },
 					func(i int) *Node { return s.Node(i) })
@@ -111,7 +111,7 @@ func TestChordPlannerPicksNonSyntaxOrder(t *testing.T) {
 		}
 		return est
 	}
-	s, changed := runChordSched(t, ProvReference, 1, hook)
+	s, changed := runChordSched(t, ProvReference, true, hook)
 	if !changed {
 		t.Fatal("inflating alive statistics changed no plan")
 	}
@@ -147,7 +147,7 @@ func TestChordPlannerPicksNonSyntaxOrder(t *testing.T) {
 
 	// Equivalence against the fixed-plan baseline still holds for this
 	// targeted skew, not just the hash perturbations.
-	base, _ := runChordSched(t, ProvReference, 1, nil)
+	base, _ := runChordSched(t, ProvReference, true, nil)
 	diffStates(t, "chord targeted-skew", base.NumNodes(), chordPreds,
 		func(i int) *Node { return base.Node(i) },
 		func(i int) *Node { return s.Node(i) })

@@ -1,9 +1,12 @@
 // Package lint is exspanlint: a static-analysis suite that machine-checks
-// the engine's four load-bearing invariants — bit-exact determinism,
-// zero-allocation hot paths, interned-value identity discipline, and
-// phase-ownership of shard state. Each invariant has one analyzer
-// (determinism.go, hotpath.go, interning.go, phaseown.go); cmd/exspanlint
-// drives all four over the tree as the blocking `make lint` CI gate.
+// the engine's three load-bearing source-level invariants — bit-exact
+// determinism, zero-allocation hot paths and interned-value identity
+// discipline. Each invariant has one analyzer (determinism.go, hotpath.go,
+// interning.go); cmd/exspanlint drives all three over the tree as the
+// blocking `make lint` CI gate. Concurrency is not checked here: a node
+// evaluates on one goroutine, and what runs in parallel (the Scheduler's
+// worker pool across nodes, the deployment's goroutines) is the race
+// detector's job, `make test-race`.
 //
 // The analyzers mirror the golang.org/x/tools/go/analysis shape
 // (Analyzer/Pass/Diagnostic) but are built on the standard library alone:
@@ -15,10 +18,6 @@
 //
 //	//exspan:hotpath            marks a function allocation-fenced; the
 //	                            hotpath analyzer checks its body
-//	//exspan:merge-phase        marks a function as running at a round
-//	                            barrier, allowed to touch owned shard state
-//	// owned by: <phase>        inside a struct declaration, starts a group
-//	                            of fields the phaseown analyzer protects
 //	//exspanlint:<key>-ok <reason>
 //	                            suppresses one finding on this or the next
 //	                            line; the reason is mandatory and unused
@@ -165,7 +164,7 @@ func (p *Pass) finish() []Diagnostic {
 
 // Analyzers returns the full suite in deterministic order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DeterminismAnalyzer, HotpathAnalyzer, InterningAnalyzer, PhaseOwnAnalyzer}
+	return []*Analyzer{DeterminismAnalyzer, HotpathAnalyzer, InterningAnalyzer}
 }
 
 // RunAnalyzer applies one analyzer to one loaded package.
@@ -257,31 +256,8 @@ func calleePkgFunc(info *types.Info, call *ast.CallExpr) (pkgPath, name string) 
 	return "", ""
 }
 
-// receiverNamed returns the named type of a method's receiver (through one
-// pointer), or nil for plain functions.
-func receiverNamed(fd *ast.FuncDecl, info *types.Info) *types.Named {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return nil
-	}
-	obj := info.Defs[fd.Name]
-	f, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig := f.Type().(*types.Signature)
-	if sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
-}
-
 // rootIdent walks a selector/index/star chain to its base identifier:
-// sh.rs.outAgg[d] -> sh. Returns nil for anything not rooted at a plain
+// sh.rs.fires[i].ent -> sh. Returns nil for anything not rooted at a plain
 // identifier.
 func rootIdent(e ast.Expr) *ast.Ident {
 	for {

@@ -1,8 +1,8 @@
 package lint
 
 // The determinism analyzer guards the repo's strongest invariant: fixpoints,
-// wire traffic and dumps are bit-identical across shard counts, drivers and
-// runs. Two violation classes have already cost PRs here — map-iteration
+// wire traffic and dumps are bit-identical across hosts, worker-pool sizes
+// and runs. Two violation classes have already cost PRs here — map-iteration
 // order leaking into output (fixed in PR 2) and environment-dependent
 // behavior (the GOMAXPROCS test-cache miss in PR 9) — so both are machine-
 // checked:

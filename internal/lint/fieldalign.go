@@ -6,7 +6,7 @@ package lint
 // third-party modules, so this replaces the x/tools fieldalignment vettool
 // with the same size math via go/types.Sizes. It is informational by
 // design: several engine structs trade a few padding bytes for field
-// grouping that mirrors phase ownership, and `unsafe.Sizeof` fences pin the
+// grouping that mirrors how the fields are used, and `unsafe.Sizeof` fences pin the
 // ones where layout is load-bearing.
 
 import (

@@ -1,7 +1,7 @@
 package lint
 
 // The hotpath analyzer checks functions annotated //exspan:hotpath — the
-// alloc-fenced paths: shard fire/merge, simnet dispatch, scheduler
+// alloc-fenced paths: rule firing, round apply/fire, simnet dispatch, scheduler
 // delivery, intern lookups and the AppendKey family — for allocation-
 // introducing constructs. The runtime fences (engine/hotpath_test.go,
 // simnet/hotpath_test.go, types/intern_test.go) measure actual allocations;

@@ -74,7 +74,6 @@ func TestFixtures(t *testing.T) {
 		{"determinism", DeterminismAnalyzer},
 		{"hotpath", HotpathAnalyzer},
 		{"interning", InterningAnalyzer},
-		{"phaseown", PhaseOwnAnalyzer},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {

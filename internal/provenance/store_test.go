@@ -9,86 +9,81 @@ import (
 
 func tid(s string) types.ID { return types.HashString(s) }
 
-// The tests write the way an engine shard does for a tuple it keeps no
-// relation entry for — through a partition's vertex API, finding or creating
-// the vertex on insert and only looking it up on delete — and read back
-// through the Store's ID API, the way the query processor does.
+// The tests write the way the engine does for a tuple it keeps no relation
+// entry for — through the store's vertex API, finding or creating the vertex
+// on insert and only looking it up on delete — and read back through the ID
+// API, the way the query processor does.
 
-func newStore(node types.NodeID) (*Store, *Partition) {
-	s := NewStoreSharded(node, 1)
-	return s, s.Part(0)
+func addProv(s *Store, vid, rid types.ID, rloc types.NodeID) {
+	s.AddProv(s.Vertex(vid, types.Tuple{}), rid, rloc)
 }
 
-func addProv(p *Partition, vid, rid types.ID, rloc types.NodeID) {
-	p.AddProv(p.Vertex(vid, types.Tuple{}), rid, rloc)
-}
-
-func delProv(p *Partition, vid, rid types.ID, rloc types.NodeID) bool {
-	v := p.Lookup(vid)
+func delProv(s *Store, vid, rid types.ID, rloc types.NodeID) bool {
+	v := s.Lookup(vid)
 	if v == nil {
 		return false
 	}
-	found, _ := p.DelProv(v, rid, rloc)
+	found, _ := s.DelProv(v, rid, rloc)
 	return found
 }
 
 func TestProvEntryLifecycle(t *testing.T) {
-	s, p := newStore(0)
+	s := NewStore(0)
 	tu := types.NewTuple("p", types.Node(0), types.Int(1))
 	vid := tu.VID()
-	p.Vertex(vid, tu)
+	s.Vertex(vid, tu)
 	if got, ok := s.TupleOf(vid); !ok || !got.Equal(tu) {
 		t.Fatal("registered tuple does not resolve")
 	}
-	addProv(p, vid, tid("r1"), 2)
-	addProv(p, vid, tid("r2"), 3)
+	addProv(s, vid, tid("r1"), 2)
+	addProv(s, vid, tid("r2"), 3)
 	if len(s.Derivations(vid)) != 2 {
 		t.Fatalf("derivations = %d", len(s.Derivations(vid)))
 	}
 	// Duplicate insert increments the count, not the row set.
-	addProv(p, vid, tid("r1"), 2)
+	addProv(s, vid, tid("r1"), 2)
 	if len(s.Derivations(vid)) != 2 {
 		t.Fatal("duplicate created new row")
 	}
-	if !delProv(p, vid, tid("r1"), 2) {
+	if !delProv(s, vid, tid("r1"), 2) {
 		t.Fatal("DelProv failed")
 	}
 	if len(s.Derivations(vid)) != 2 {
 		t.Fatal("row removed while count > 0")
 	}
-	delProv(p, vid, tid("r1"), 2)
+	delProv(s, vid, tid("r1"), 2)
 	if len(s.Derivations(vid)) != 1 {
 		t.Fatal("row not removed at count 0")
 	}
-	delProv(p, vid, tid("r2"), 3)
+	delProv(s, vid, tid("r2"), 3)
 	if len(s.Derivations(vid)) != 0 {
 		t.Fatal("store not empty")
 	}
 	if _, ok := s.TupleOf(vid); ok {
 		t.Fatal("tuple mapping survived last derivation")
 	}
-	if delProv(p, vid, tid("r2"), 3) {
+	if delProv(s, vid, tid("r2"), 3) {
 		t.Fatal("deleting a missing entry reported success")
 	}
 }
 
 func TestOnProvChangeFires(t *testing.T) {
-	s, p := newStore(0)
+	s := NewStore(0)
 	var events []types.ID
 	s.OnProvChange = func(vid types.ID) { events = append(events, vid) }
 	vid := tid("v")
-	addProv(p, vid, types.ZeroID, 0)
-	delProv(p, vid, types.ZeroID, 0)
+	addProv(s, vid, types.ZeroID, 0)
+	delProv(s, vid, types.ZeroID, 0)
 	if len(events) != 2 || events[0] != vid || events[1] != vid {
 		t.Fatalf("events = %v", events)
 	}
 }
 
 func TestRuleExecLifecycle(t *testing.T) {
-	s, p := newStore(1)
+	s := NewStore(1)
 	rid := tid("exec")
 	inputs := []types.ID{tid("a"), tid("b")}
-	p.AddRuleExec(rid, "sp2", inputs)
+	s.AddRuleExec(rid, "sp2", inputs)
 	re, ok := s.RuleExecOf(rid)
 	if !ok || re.Rule != "sp2" || len(re.VIDList) != 2 {
 		t.Fatalf("entry = %+v", re)
@@ -99,22 +94,22 @@ func TestRuleExecLifecycle(t *testing.T) {
 	if re.VIDList[0] != tid("a") {
 		t.Fatal("VIDList aliased caller slice")
 	}
-	p.AddRuleExec(rid, "sp2", re.VIDList)
-	p.DelRuleExec(rid)
+	s.AddRuleExec(rid, "sp2", re.VIDList)
+	s.DelRuleExec(rid)
 	if _, ok := s.RuleExecOf(rid); !ok {
 		t.Fatal("entry removed while count > 0")
 	}
-	p.DelRuleExec(rid)
+	s.DelRuleExec(rid)
 	if _, ok := s.RuleExecOf(rid); ok {
 		t.Fatal("entry survived count 0")
 	}
-	if p.DelRuleExec(rid) {
+	if s.DelRuleExec(rid) {
 		t.Fatal("deleting missing entry succeeded")
 	}
 }
 
 func TestParentEdges(t *testing.T) {
-	s, _ := newStore(2)
+	s := NewStore(2)
 	in, rid, head := tid("in"), tid("rid"), tid("head")
 	s.AddParent(in, rid, head, 5)
 	s.AddParent(in, rid, head, 5) // duplicate: count only
@@ -130,17 +125,17 @@ func TestParentEdges(t *testing.T) {
 }
 
 func TestRowRendering(t *testing.T) {
-	s, p := newStore(0)
+	s := NewStore(0)
 	tu := types.NewTuple("link", types.Node(0), types.Node(2), types.Int(5))
 	vid := tu.VID()
-	p.Vertex(vid, tu)
-	addProv(p, vid, types.ZeroID, 0)
+	s.Vertex(vid, tu)
+	addProv(s, vid, types.ZeroID, 0)
 	rows := s.ProvRows()
 	if len(rows) != 1 || !strings.Contains(rows[0], "link(@a,c,5)") || !strings.Contains(rows[0], "null") {
 		t.Fatalf("prov rows = %v", rows)
 	}
 	rid := tid("exec")
-	p.AddRuleExec(rid, "sp1", []types.ID{vid})
+	s.AddRuleExec(rid, "sp1", []types.ID{vid})
 	rer := s.RuleExecRows()
 	if len(rer) != 1 || !strings.Contains(rer[0], "sp1") || !strings.Contains(rer[0], "link(@a,c,5)") {
 		t.Fatalf("ruleExec rows = %v", rer)
@@ -159,47 +154,47 @@ func TestRowRendering(t *testing.T) {
 // keyed by the digests themselves.
 func TestVertexWriteSurface(t *testing.T) {
 	_, idsBefore, _, _ := types.InternStats()
-	s, p := newStore(1)
+	s := NewStore(1)
 	tu := types.NewTuple("q", types.Node(1), types.Int(7))
 	vid := tu.VID()
 
-	v := p.Vertex(vid, tu)
-	if p.Vertex(vid, types.Tuple{}) != v || p.Lookup(vid) != v {
+	v := s.Vertex(vid, tu)
+	if s.Vertex(vid, types.Tuple{}) != v || s.Lookup(vid) != v {
 		t.Fatal("a second find-or-create did not return the first vertex")
 	}
 	if got, ok := s.TupleOf(vid); !ok || !got.Equal(tu) {
 		t.Fatal("vertex tuple not visible through the ID API")
 	}
-	p.AddProv(v, tid("r1"), 2)
-	p.AddProv(v, tid("r2"), 3)
+	s.AddProv(v, tid("r1"), 2)
+	s.AddProv(v, tid("r2"), 3)
 	if len(s.Derivations(vid)) != 2 {
 		t.Fatal("prov rows added on the vertex not visible through the ID API")
 	}
-	if found, dropped := p.DelProv(v, tid("r1"), 2); !found || dropped {
+	if found, dropped := s.DelProv(v, tid("r1"), 2); !found || dropped {
 		t.Fatalf("DelProv of one of two rows = (%v, %v), want (true, false)", found, dropped)
 	}
-	if found, dropped := p.DelProv(v, tid("r1"), 2); found || dropped {
+	if found, dropped := s.DelProv(v, tid("r1"), 2); found || dropped {
 		t.Fatalf("DelProv of a missing row = (%v, %v), want (false, false)", found, dropped)
 	}
-	if found, dropped := p.DelProv(v, tid("r2"), 3); !found || !dropped {
+	if found, dropped := s.DelProv(v, tid("r2"), 3); !found || !dropped {
 		t.Fatalf("DelProv of the last row = (%v, %v), want (true, true)", found, dropped)
 	}
-	if len(s.Derivations(vid)) != 0 || p.Lookup(vid) != nil || s.NumProv() != 0 {
+	if len(s.Derivations(vid)) != 0 || s.Lookup(vid) != nil || s.NumProv() != 0 {
 		t.Fatal("vertex survived its last row")
 	}
 	if _, ok := s.TupleOf(vid); ok {
 		t.Fatal("tuple mapping survived the vertex")
 	}
-	if v2 := p.Vertex(vid, tu); v2 == v {
+	if v2 := s.Vertex(vid, tu); v2 == v {
 		t.Fatal("re-creation handed the dropped vertex out again")
 	}
 
 	rid := tid("exec")
-	p.AddRuleExec(rid, "sp2", []types.ID{vid})
+	s.AddRuleExec(rid, "sp2", []types.ID{vid})
 	if e, ok := s.RuleExecOf(rid); !ok || e.Rule != "sp2" || e.Count != 1 || e.RID != rid {
 		t.Fatal("ruleExec row not visible through the ID API")
 	}
-	if !p.DelRuleExec(rid) {
+	if !s.DelRuleExec(rid) {
 		t.Fatal("DelRuleExec missed the row")
 	}
 
@@ -215,7 +210,7 @@ func TestVertexWriteSurface(t *testing.T) {
 	if _, ok := s.RuleExecOf(alien); ok {
 		t.Fatal("unknown ID resolved to a ruleExec row")
 	}
-	if delProv(p, alien, rid, 0) || p.DelRuleExec(alien) {
+	if delProv(s, alien, rid, 0) || s.DelRuleExec(alien) {
 		t.Fatal("deleting under an unknown ID claimed success")
 	}
 	s.AddParent(vid, rid, tid("head"), 0)

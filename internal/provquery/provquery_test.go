@@ -64,21 +64,17 @@ func (n *instantNet) drain() {
 }
 
 // engineWriter stands in for the engine in these fixtures: it writes a
-// node's store the way a worker shard does, through partition 0's vertex
-// API. The reverse-edge methods the processor itself uses (AddParent) come
-// through the embedded Store.
+// node's store the way the engine does, through the vertex API (AddRuleExec
+// and the reverse-edge methods the processor itself uses come through the
+// embedded Store).
 type engineWriter struct{ *provenance.Store }
 
 func (w engineWriter) RegisterTuple(t types.Tuple) {
-	w.Part(0).Vertex(t.VID(), t)
+	w.Vertex(t.VID(), t)
 }
 
 func (w engineWriter) AddProv(vid, rid types.ID, rloc types.NodeID) {
-	w.Part(0).AddProv(w.Part(0).Vertex(vid, types.Tuple{}), rid, rloc)
-}
-
-func (w engineWriter) AddRuleExec(rid types.ID, rule string, vids []types.ID) {
-	w.Part(0).AddRuleExec(rid, rule, vids)
+	w.Store.AddProv(w.Vertex(vid, types.Tuple{}), rid, rloc)
 }
 
 func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn bool) (*fig5, *instantNet) {
@@ -89,7 +85,7 @@ func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn 
 
 	stores := make([]*provenance.Store, 4)
 	for i := range stores {
-		stores[i] = provenance.NewStoreSharded(types.NodeID(i), 1)
+		stores[i] = provenance.NewStore(types.NodeID(i))
 	}
 
 	f.linkAC = types.NewTuple("link", types.Node(a), types.Node(c), types.Int(5))

@@ -84,35 +84,29 @@ func (c *chunkStore[T]) put(h uint32, v T) {
 	sp[i>>internChunkBits].items[i&internChunkMask] = v
 }
 
-// strEntry, idEntry, listEntry and provEntry are the per-kind table rows.
+// strEntry, idEntry, listEntry and payloadEntry are the per-kind table rows.
 // Every row caches enc, the payload's full canonical encoding including the
-// kind tag, so Encode and WireSize on interned values are O(len) copies, and
-// chash, an FNV-1a hash of enc, so content-derived shard routing
-// (Value.ContentHash) is O(1) after the first construction.
+// kind tag, so Encode and WireSize on interned values are O(len) copies.
 type strEntry struct {
-	s     string
-	enc   []byte
-	chash uint64
+	s   string
+	enc []byte
 }
 
 type idEntry struct {
-	id    ID
-	enc   []byte
-	chash uint64
+	id  ID
+	enc []byte
 }
 
 type listEntry struct {
 	elems []Value
 	key   string // canonical encoding of the elements; the dedup map key
 	enc   []byte
-	chash uint64
 }
 
 type payloadEntry struct {
-	p     Payload
-	key   string // EncodePayload bytes; the dedup map key
-	enc   []byte
-	chash uint64
+	p   Payload
+	key string // EncodePayload bytes; the dedup map key
+	enc []byte
 }
 
 var (
@@ -172,7 +166,7 @@ func internStr(s string) uint32 {
 	enc = append(enc, s...)
 	h = strTab.next
 	strTab.next++
-	strTab.store.put(h, strEntry{s: s, enc: enc, chash: fnv1a(fnvOffset64, enc)})
+	strTab.store.put(h, strEntry{s: s, enc: enc})
 	strTab.lookup[s] = h
 	return h
 }
@@ -198,7 +192,7 @@ func internID(id ID) uint32 {
 	enc = append(enc, id[:]...)
 	h = idTab.next
 	idTab.next++
-	idTab.store.put(h, idEntry{id: id, enc: enc, chash: fnv1a(fnvOffset64, enc)})
+	idTab.store.put(h, idEntry{id: id, enc: enc})
 	idTab.lookup[id] = h
 	return h
 }
@@ -246,7 +240,7 @@ func internList(elems []Value) uint32 {
 	listTab.next++
 	// The elems slice is retained, not copied: List documents that callers
 	// must not mutate the slice after construction.
-	listTab.store.put(h, listEntry{elems: elems, key: key, enc: enc, chash: fnv1a(fnvOffset64, enc)})
+	listTab.store.put(h, listEntry{elems: elems, key: key, enc: enc})
 	listTab.lookup[key] = h
 	return h
 }
@@ -277,7 +271,7 @@ func internPayload(p Payload) uint32 {
 	enc = append(enc, key...)
 	h = provTab.next
 	provTab.next++
-	provTab.store.put(h, payloadEntry{p: p, key: key, enc: enc, chash: fnv1a(fnvOffset64, enc)})
+	provTab.store.put(h, payloadEntry{p: p, key: key, enc: enc})
 	provTab.lookup[key] = h
 	return h
 }

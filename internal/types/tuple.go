@@ -96,9 +96,9 @@ func (t Tuple) WireSize() int {
 // cheaper process-local AppendArgsKey form instead.
 func (t Tuple) Key() string { return string(t.Encode(nil)) }
 
-// SortTuples orders tuples in place by their canonical encoding — the same
-// process-independent order Relation.Tuples uses, so merged cross-shard
-// snapshots compare byte-for-byte with single-shard ones.
+// SortTuples orders tuples in place by their canonical encoding — the
+// process-independent order Relation.Tuples returns, so snapshots of the same
+// state compare byte-for-byte across processes and drivers.
 func SortTuples(ts []Tuple) {
 	keys := make([]string, len(ts))
 	var buf []byte
