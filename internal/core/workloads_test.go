@@ -14,7 +14,7 @@ import (
 // policy-constrained path-vector program): simulator-vs-Scheduler (drain vs
 // batched rounds) bit-identical equivalence and full-retraction no-leak, each
 // across all four provenance modes. The classic routing programs have these
-// fences in sharded_test.go and chaos_test.go; the new protocols exercise
+// fences in scheduler_test.go and chaos_test.go; the new protocols exercise
 // multi-rule recursion (lookup forwarding), double aggregation (MIN +
 // AGGLIST) and soft-state liveness predicates through the same invariants.
 
@@ -83,14 +83,14 @@ func bootScheduled(t *testing.T, w chaosWorkload, topo *topology.Topology, mode 
 	return s
 }
 
-// TestWorkloadSerialShardedEquivalence pins the simulator's cluster fixpoint
+// TestWorkloadDrainBatchedEquivalence pins the simulator's cluster fixpoint
 // (nodes drain one message at a time) against the Scheduler's (nodes batch a
 // round of messages) for both protocols in every provenance mode: the same
 // tuples, provenance rows and ruleExec rows at every node. Wire-byte totals
 // legitimately differ between the drivers (batching nets transient deltas
 // out before they ship); reruns of one driver must reproduce them
 // bit-for-bit.
-func TestWorkloadSerialShardedEquivalence(t *testing.T) {
+func TestWorkloadDrainBatchedEquivalence(t *testing.T) {
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
 	for _, w := range suiteWorkloads(t) {
 		for _, mode := range provModes {

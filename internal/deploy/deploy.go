@@ -116,9 +116,9 @@ type Cluster struct {
 	quiet chan struct{}
 
 	// Dropped counts every datagram discarded instead of delivered:
-	// injected faults, traffic to/from killed nodes, and malformed or
-	// truncated receives (the socket-overflow analogue of the simulator's
-	// Network.DroppedMsgs).
+	// injected faults, traffic to/from killed nodes, malformed or truncated
+	// receives (the socket-overflow analogue of the simulator's
+	// Network.DroppedMsgs), and sends addressed to no node of the cluster.
 	Dropped atomic.Int64
 
 	faultMu  sync.Mutex
@@ -186,11 +186,7 @@ type relPayload struct {
 type udpTransport struct{ np *NodeProc }
 
 func (t udpTransport) Send(from, to types.NodeID, m *engine.Message) {
-	if t.np.ep != nil && to != t.np.ID {
-		t.np.sendReliable(to, tagEngine, m.Encode(nil))
-	} else {
-		t.np.sendDatagram(to, tagEngine, m.Encode(nil))
-	}
+	t.np.send(to, tagEngine, m.Encode(nil))
 	t.np.engPool.Put(m)
 }
 
@@ -275,11 +271,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		en.Central = cfg.Central
 		en.Msgs = np.engPool
 		qp := provquery.NewProcessor(np.ID, en.Store, udf, func(to types.NodeID, m *provquery.Msg) {
-			if np.ep != nil && to != np.ID {
-				np.sendReliable(to, tagQuery, m.Encode(nil))
-			} else {
-				np.sendDatagram(to, tagQuery, m.Encode(nil))
-			}
+			np.send(to, tagQuery, m.Encode(nil))
 			np.qryPool.Put(m)
 		})
 		qp.CacheOn = cfg.CacheOn
@@ -392,6 +384,23 @@ func (np *NodeProc) frameReliable(f *transport.Frame) []byte {
 		buf = append(buf, rp.data...)
 	}
 	return buf
+}
+
+// send ships one serialized engine or query message: through the reliable
+// endpoint when there is one (self-traffic excepted), as a plain datagram
+// otherwise. The destination is a node value out of a tuple or a prov row —
+// a head's location attribute, a derivation's RLoc — so a hostile or corrupt
+// one may name no node of the cluster: such a send is dropped and counted,
+// uncharged and with no work issued.
+func (np *NodeProc) send(to types.NodeID, tag byte, payload []byte) {
+	switch {
+	case to < 0 || int(to) >= len(np.cl.addrs):
+		np.cl.Dropped.Add(1)
+	case np.ep != nil && to != np.ID:
+		np.sendReliable(to, tag, payload)
+	default:
+		np.sendDatagram(to, tag, payload)
+	}
 }
 
 // sendReliable queues one payload on the node's endpoint. Work accounting

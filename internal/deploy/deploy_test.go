@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -48,6 +49,59 @@ func TestDeployFigure3(t *testing.T) {
 	}
 	if cl.TotalSentBytes() == 0 {
 		t.Error("no bytes accounted")
+	}
+}
+
+// TestDeployDropsOutOfClusterDestination writes one hostile engine datagram
+// into a converged Figure 3 MINCOST cluster: link(@0, 999, 1) is well formed,
+// but rule sp2 routes its derived head to node 999, which used to index past
+// the cluster's address table and kill the whole process. The send must be
+// dropped and counted, and the cluster must stay up and reach its fixpoint.
+func TestDeployDropsOutOfClusterDestination(t *testing.T) {
+	cl, err := NewCluster(Config{
+		Topo: topology.Figure3(),
+		Prog: apps.MinCost(),
+		Mode: engine.ProvReference,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	cl.Start()
+	cl.InsertLinks()
+	if _, err := cl.WaitFixpoint(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	dropped := cl.Dropped.Load()
+
+	m := &engine.Message{Tuple: types.NewTuple("link", types.Node(0), types.Node(999), types.Int(1)), Delta: engine.Insert}
+	dgram := append([]byte{tagEngine, 0, 0, 0, 1}, m.Encode(nil)...) // tag, from node 1
+	conn, err := net.DialUDP("udp", nil, cl.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Issue the work item the way a cluster sender does, so quiescence
+	// waits for the node to handle the datagram.
+	cl.sent.Add(1)
+	if _, err := conn.Write(dgram); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.WaitFixpoint(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Dropped.Load() <= dropped {
+		t.Errorf("Dropped = %d after the out-of-cluster send, want > %d", cl.Dropped.Load(), dropped)
+	}
+	reached := false
+	for _, tu := range cl.Snapshot("bestPathCost") {
+		reached = reached || tu.Args[1].AsNode() == 999
+	}
+	if !reached {
+		t.Error("node 0 never handled the hostile link: no bestPathCost toward node 999")
 	}
 }
 

@@ -9,63 +9,84 @@ import (
 )
 
 // fireAgg routes a delta of an aggregate rule's body predicate through the
-// group state — the drain's path, where updates apply inline. Under batched
-// rounds the same body evaluation happens in fireAggRound, which queues the
-// update for the next apply step instead.
-func (sh *shard) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload bdd.Ref) {
-	n := sh.n
-	env, ok := sh.evalAggBody(rule, t)
+// rule's group state. Body and group evaluation is the same under both
+// executors; only the last step differs. The drain applies the update inline
+// (applyAgg). Batched rounds queue it on aggIn for the next apply step, since
+// group state is frozen while a fire phase runs; the group and carried values
+// are copied out of scratch into the value arena.
+//
+//exspan:hotpath
+func (n *Node) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload bdd.Ref) {
+	env, ok := n.evalAggBody(rule, t)
 	if !ok {
 		return
 	}
 	spec := rule.agg
-	groupVals := sh.groupBuf[:len(spec.groupCode)]
+	groupVals := n.groupBuf[:len(spec.groupCode)]
 	for i, code := range spec.groupCode {
 		v, err := code(env)
 		if err != nil {
-			sh.n.fail(fmt.Errorf("rule %s group: %w", rule.Label, err))
+			//exspanlint:alloc-ok error path: evaluation aborts on the first failure
+			n.fail(fmt.Errorf("rule %s group: %w", rule.Label, err))
 			return
 		}
 		groupVals[i] = v
 	}
-	g := sh.aggGroupFor(rule, groupVals)
 
 	if sign == Update {
-		// Value-mode payload update: if the updated input is the current
-		// winner, the head's payload follows it.
+		// Value-mode payload update (value mode always drains): if the
+		// updated input is the current winner, the head's payload follows it.
+		g := n.aggGroupFor(rule, groupVals)
 		if n.Mode == ProvValue && g.curWinner != nil && g.curWinner.input.Equal(t) && g.hasOut {
 			out := g.curOut
 			out.Pred = rule.HeadPred
-			sh.vidBuf[0], sh.hashBuf = t.VIDBuf(sh.hashBuf)
+			n.vidBuf[0], n.hashBuf = t.VIDBuf(n.hashBuf)
 			var rid types.ID
-			rid, sh.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, sh.vidBuf[:1], sh.ridBuf)
-			sh.route(out, n.ID, Update, rid, payload)
+			rid, n.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, n.vidBuf[:1], n.ridBuf)
+			n.route(out, n.ID, Update, rid, payload)
 		}
 		return
 	}
 
-	sortVal, carried := sh.evalAggVals(rule, env)
-	for _, em := range g.update(sh, rule, groupVals, sortVal, carried, t, sign) {
-		out := em.tuple
-		out.Pred = rule.HeadPred
-		sh.emitAggChange(rule, out, em, t)
+	sortVal, carried := n.evalAggVals(rule, env)
+	if n.batched {
+		n.aggIn = append(n.aggIn, aggItem{
+			rule: rule, groupVals: n.argArena.Copy(groupVals), sortVal: sortVal,
+			carried: n.argArena.Copy(carried), input: t, sign: sign,
+		})
+		return
+	}
+	n.applyAgg(rule, groupVals, sortVal, carried, t, sign)
+}
+
+// applyAgg applies one input delta to its aggregate group and emits any net
+// output change as local head deltas. carried may be scratch (update copies
+// what it retains).
+//
+//exspan:hotpath
+func (n *Node) applyAgg(rule *CompiledRule, groupVals []types.Value, sortVal types.Value,
+	carried []types.Value, input types.Tuple, sign int8) {
+
+	g := n.aggGroupFor(rule, groupVals)
+	for _, em := range g.update(n, rule, groupVals, sortVal, carried, input, sign) {
+		n.emitAggChange(rule, em)
 	}
 }
 
 // aggGroupFor returns the rule's group of the given group-by values, carving
 // a fresh one (with its entry map ready) on first sight.
-func (sh *shard) aggGroupFor(rule *CompiledRule, groupVals []types.Value) *aggGroup {
-	groups := sh.aggByRule[rule.idx]
+func (n *Node) aggGroupFor(rule *CompiledRule, groupVals []types.Value) *aggGroup {
+	groups := n.aggByRule[rule.idx]
 	if groups == nil {
 		groups = map[string]*aggGroup{}
-		sh.aggByRule[rule.idx] = groups
+		n.aggByRule[rule.idx] = groups
 	}
-	sh.keyBuf = appendValuesKey(sh.keyBuf[:0], groupVals)
-	g := groups[string(sh.keyBuf)]
+	n.keyBuf = appendValuesKey(n.keyBuf[:0], groupVals)
+	g := groups[string(n.keyBuf)]
 	if g == nil {
-		g = sh.aggGroupArena.New()
+		g = n.aggGroupArena.New()
 		g.entries = make(map[string]*aggEntry)
-		groups[string(sh.keyBuf)] = g
+		groups[string(n.keyBuf)] = g
 	}
 	return g
 }
@@ -73,9 +94,9 @@ func (sh *shard) aggGroupFor(rule *CompiledRule, groupVals []types.Value) *aggGr
 // evalAggBody binds the body tuple into the rule environment and runs the
 // plan's assignments and conditions; ok is false when binding or a condition
 // fails (or an expression errored).
-func (sh *shard) evalAggBody(rule *CompiledRule, t types.Tuple) ([]types.Value, bool) {
+func (n *Node) evalAggBody(rule *CompiledRule, t types.Tuple) ([]types.Value, bool) {
 	pl := rule.plans[0]
-	env := sh.envBuf[:rule.numVars]
+	env := n.envBuf[:rule.numVars]
 	if !bindTuple(pl.deltaBinds, t, env) {
 		return nil, false
 	}
@@ -86,14 +107,14 @@ func (sh *shard) evalAggBody(rule *CompiledRule, t types.Tuple) ([]types.Value, 
 		case stepAssign:
 			v, err := st.expr(env)
 			if err != nil {
-				sh.n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
+				n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
 				return nil, false
 			}
 			env[st.assignSlot] = v
 		case stepCond:
 			v, err := st.expr(env)
 			if err != nil {
-				sh.n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
+				n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
 				return nil, false
 			}
 			if !v.Truthy() {
@@ -107,10 +128,10 @@ func (sh *shard) evalAggBody(rule *CompiledRule, t types.Tuple) ([]types.Value, 
 // evalAggVals extracts the aggregate's sort value and carried values from
 // the bound environment into scratch (carryBuf). Callers must copy the
 // carried slice if they retain it.
-func (sh *shard) evalAggVals(rule *CompiledRule, env []types.Value) (types.Value, []types.Value) {
+func (n *Node) evalAggVals(rule *CompiledRule, env []types.Value) (types.Value, []types.Value) {
 	spec := rule.agg
 	var sortVal types.Value
-	vals := sh.carryBuf[:0]
+	vals := n.carryBuf[:0]
 	switch spec.Fn {
 	case "MIN", "MAX":
 		sortVal = env[spec.sortSlot]
@@ -124,7 +145,7 @@ func (sh *shard) evalAggVals(rule *CompiledRule, env []types.Value) (types.Value
 			vals = append(vals, env[s])
 		}
 	}
-	sh.carryBuf = vals[:0]
+	n.carryBuf = vals[:0]
 	carried := vals
 	if spec.Fn == "AGGLIST" {
 		if len(vals) > 0 {
@@ -140,31 +161,32 @@ func (sh *shard) evalAggVals(rule *CompiledRule, env []types.Value) (types.Value
 
 // emitAggChange applies provenance bookkeeping for an aggregate output
 // change and routes it. Aggregate heads are local by validation.
-func (sh *shard) emitAggChange(rule *CompiledRule, out types.Tuple, em aggEmit, cause types.Tuple) {
-	n := sh.n
-	sh.rulesFired++
+func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
+	n.rulesFired++
+	out := em.tuple
+	out.Pred = rule.HeadPred
 	var rid types.ID
 	var payload bdd.Ref
 	if em.hasWin {
 		// The winning input is stored in the body relation; reuse its
 		// cached VID instead of re-hashing the tuple.
 		var winEnt *entry
-		if rel := sh.aggBodyRel[rule.idx]; rel != nil {
+		if rel := n.aggBodyRel[rule.idx]; rel != nil {
 			winEnt = rel.get(em.winner)
 		}
 		if winEnt != nil {
-			sh.vidBuf[0], sh.hashBuf = winEnt.VIDBuf(sh.hashBuf)
+			n.vidBuf[0], n.hashBuf = winEnt.VIDBuf(n.hashBuf)
 		} else {
-			sh.vidBuf[0], sh.hashBuf = em.winner.VIDBuf(sh.hashBuf)
+			n.vidBuf[0], n.hashBuf = em.winner.VIDBuf(n.hashBuf)
 		}
-		rid, sh.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, sh.vidBuf[:1], sh.ridBuf)
+		rid, n.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, n.vidBuf[:1], n.ridBuf)
 		switch n.Mode {
 		case ProvReference:
-			sh.ruleExecRow(rid, rule.Label, sh.vidBuf[:1], em.sign)
+			n.ruleExecRow(rid, rule.Label, n.vidBuf[:1], em.sign)
 		case ProvCentralized:
 			var headVID types.ID
-			headVID, sh.hashBuf = out.VIDBuf(sh.hashBuf)
-			n.sendRuleExecRow(rid, rule.Label, sh.vidBuf[:1], em.sign)
+			headVID, n.hashBuf = out.VIDBuf(n.hashBuf)
+			n.sendRuleExecRow(rid, rule.Label, n.vidBuf[:1], em.sign)
 			n.sendProvRow(n.ID, headVID, rid, n.ID, em.sign)
 		case ProvValue:
 			payload = bdd.True
@@ -176,7 +198,7 @@ func (sh *shard) emitAggChange(rule *CompiledRule, out types.Tuple, em aggEmit, 
 	// COUNT/AGGLIST outputs carry no MIN/MAX-style provenance child (the
 	// paper restricts aggregate provenance to MIN and MAX); they enter the
 	// graph as base-like vertices via the null RID.
-	sh.route(out, n.ID, em.sign, rid, payload)
+	n.route(out, n.ID, em.sign, rid, payload)
 }
 
 // aggEntry is one element of an aggregate group's input multiset.
@@ -223,12 +245,12 @@ type stagedGroup struct {
 }
 
 // stage registers the group with the node's release list.
-func (g *aggGroup) stage(sh *shard, rule *CompiledRule, groupVals []types.Value) {
+func (g *aggGroup) stage(n *Node, rule *CompiledRule, groupVals []types.Value) {
 	if g.staged {
 		return
 	}
 	g.staged = true
-	sh.stagedGroups = append(sh.stagedGroups, stagedGroup{rule: rule, g: g, groupVals: sh.argArena.Copy(groupVals)})
+	n.stagedGroups = append(n.stagedGroups, stagedGroup{rule: rule, g: g, groupVals: n.argArena.Copy(groupVals)})
 }
 
 // appendValuesKey appends the fixed-width handle keys of vals to b (see
@@ -257,14 +279,14 @@ type aggEmit struct {
 
 // update applies one input delta and returns the emitted output changes.
 // groupVals are the evaluated group-by head arguments; rule.agg drives the
-// aggregate function; sh supplies the arenas retained data is carved from.
+// aggregate function; n supplies the arenas retained data is carved from.
 // carried may be caller scratch: it is copied if the entry must retain it.
-func (g *aggGroup) update(sh *shard, rule *CompiledRule, groupVals []types.Value,
+func (g *aggGroup) update(n *Node, rule *CompiledRule, groupVals []types.Value,
 	sortVal types.Value, carried []types.Value, input types.Tuple, sign int8) []aggEmit {
 
 	spec := rule.agg
-	sh.aggKeyBuf = appendAggEntryKey(sh.aggKeyBuf[:0], sortVal, carried)
-	key := sh.aggKeyBuf
+	n.aggKeyBuf = appendAggEntryKey(n.aggKeyBuf[:0], sortVal, carried)
+	key := n.aggKeyBuf
 	ordered := spec.Fn == "MIN" || spec.Fn == "MAX"
 	switch sign {
 	case Insert:
@@ -277,9 +299,9 @@ func (g *aggGroup) update(sh *shard, rule *CompiledRule, groupVals []types.Value
 				e.input, e.sortVal, e.count = input, sortVal, 0
 				e.carried = append(e.carried[:0], carried...)
 			} else {
-				e = sh.aggEntryArena.New()
+				e = n.aggEntryArena.New()
 				e.input, e.sortVal = input, sortVal
-				e.carried = sh.argArena.Copy(carried)
+				e.carried = n.argArena.Copy(carried)
 			}
 			g.entries[string(key)] = e
 		}
@@ -315,7 +337,7 @@ func (g *aggGroup) update(sh *shard, rule *CompiledRule, groupVals []types.Value
 	default:
 		return nil
 	}
-	return g.refresh(sh, rule, groupVals, sign == Delete)
+	return g.refresh(n, rule, groupVals, sign == Delete)
 }
 
 // beats reports whether a wins over b under spec's ordering (including the
@@ -344,9 +366,9 @@ func beats(spec *AggSpec, a, b *aggEntry) bool {
 // group stays output-silent through further refreshes (insert-driven ones
 // included — an arriving insert would otherwise promote a phantom row)
 // until releaseStaged re-refreshes it.
-func (g *aggGroup) refresh(sh *shard, rule *CompiledRule, groupVals []types.Value, deleting bool) []aggEmit {
-	newArgs, newWinner, ok := g.compute(sh, rule.agg, groupVals)
-	emits := sh.aggEmitBuf[:0]
+func (g *aggGroup) refresh(n *Node, rule *CompiledRule, groupVals []types.Value, deleting bool) []aggEmit {
+	newArgs, newWinner, ok := g.compute(n, rule.agg, groupVals)
+	emits := n.aggEmitBuf[:0]
 	if g.hasOut && !(ok && argsEqual(g.curOut.Args, newArgs)) {
 		em := aggEmit{tuple: g.curOut, sign: Delete}
 		if g.curWinner != nil {
@@ -360,16 +382,16 @@ func (g *aggGroup) refresh(sh *shard, rule *CompiledRule, groupVals []types.Valu
 		// before the deletion wave quiesces (a stale re-advertisement
 		// around a cycle) must not refill and promote immediately — that
 		// reopens the count-to-infinity lap through an empty group.
-		g.stage(sh, rule, groupVals)
+		g.stage(n, rule, groupVals)
 	}
 	if ok && !g.hasOut {
 		if g.staged || (deleting && rule.headRecursive) {
-			g.stage(sh, rule, groupVals)
+			g.stage(n, rule, groupVals)
 		} else {
 			// Materialize the candidate output: it escapes into the group
 			// state and the emitted delta, so its args leave the scratch
 			// buffer for the arena.
-			out := types.Tuple{Args: sh.argArena.Copy(newArgs)}
+			out := types.Tuple{Args: n.argArena.Copy(newArgs)}
 			em := aggEmit{tuple: out, sign: Insert}
 			if newWinner != nil {
 				em.winner, em.hasWin = newWinner.input, true
@@ -378,7 +400,7 @@ func (g *aggGroup) refresh(sh *shard, rule *CompiledRule, groupVals []types.Valu
 			g.curOut, g.hasOut, g.curWinner = out, true, newWinner
 		}
 	}
-	sh.aggEmitBuf = emits
+	n.aggEmitBuf = emits
 	return emits
 }
 
@@ -397,8 +419,8 @@ func argsEqual(a, b []types.Value) bool {
 // compute evaluates the aggregate over the current multiset into the
 // node's reusable args buffer. It reports ok=false when the group emits
 // nothing.
-func (g *aggGroup) compute(sh *shard, spec *AggSpec, groupVals []types.Value) ([]types.Value, *aggEntry, bool) {
-	args := sh.aggArgsBuf[:0]
+func (g *aggGroup) compute(n *Node, spec *AggSpec, groupVals []types.Value) ([]types.Value, *aggEntry, bool) {
+	args := n.aggArgsBuf[:0]
 	var winner *aggEntry
 	var aggList types.Value
 	switch spec.Fn {
@@ -457,7 +479,7 @@ func (g *aggGroup) compute(sh *shard, spec *AggSpec, groupVals []types.Value) ([
 		args = append(args, groupVals[gi])
 		gi++
 	}
-	sh.aggArgsBuf = args
+	n.aggArgsBuf = args
 	return args, winner, true
 }
 

@@ -1,0 +1,320 @@
+package engine
+
+import (
+	"repro/internal/algebra"
+	"repro/internal/bdd"
+	"repro/internal/types"
+)
+
+// This file is the queue-and-apply half of a node's evaluation: the delta
+// ring and process(), which applies one delta to relations, derivation
+// counts and provenance rows. Under the inline drain, process() also fires
+// the triggered rules inline, FIFO, to local quiescence. Under batched rounds
+// (rounds.go) it only applies: firing is deferred to the round's fire phase,
+// and the round-only code paths are the n.batched branches below.
+
+// localDelta is one unit of PSN work in a node's FIFO queue. Field order
+// is alignment-packed (exspanlint -fieldalign): the 1-byte sign/isBase pair
+// trails the word- and 4-byte-aligned fields, saving 8 bytes per queued
+// delta (72 vs 80).
+type localDelta struct {
+	tuple   types.Tuple
+	rid     types.ID
+	rloc    types.NodeID
+	payload bdd.Ref // value mode: decoded provenance of this derivation
+	sign    int8
+	isBase  bool
+}
+
+//exspan:hotpath
+func (n *Node) enqueue(d localDelta) { n.queue = append(n.queue, d) }
+
+// popDelta removes and returns the next pending delta of the drain ring.
+// The queue is a head-index ring over one slice: popping advances qhead
+// instead of re-slicing, and the slice capacity is reused across bursts
+// rather than re-allocated per enqueue wave.
+//
+//exspan:hotpath
+func (n *Node) popDelta() localDelta {
+	// Compact once the consumed prefix dominates so a long-lived burst
+	// cannot grow the slice without bound.
+	if n.qhead >= 1024 && 2*n.qhead >= len(n.queue) {
+		m := copy(n.queue, n.queue[n.qhead:])
+		tail := n.queue[m:]
+		for i := range tail {
+			tail[i] = localDelta{}
+		}
+		n.queue = n.queue[:m]
+		n.qhead = 0
+	}
+	d := n.queue[n.qhead]
+	n.queue[n.qhead] = localDelta{} // release tuple/payload references
+	n.qhead++
+	if n.qhead == len(n.queue) {
+		n.queue = n.queue[:0]
+		n.qhead = 0
+	}
+	return d
+}
+
+func (n *Node) pending() bool { return n.qhead < len(n.queue) || len(n.aggIn) > 0 }
+
+// process applies one delta to the node's state and — under the drain —
+// fires the triggered rules inline. Under batched rounds firing is deferred:
+// the delta's net visibility effect is recorded via markTouched and
+// evaluated by the fire phase (rounds.go).
+//
+//exspan:hotpath
+func (n *Node) process(d localDelta) {
+	n.deltasProcessed++
+	batched := n.batched
+	info := n.Prog.Pred(d.tuple.Pred)
+	// One predicate lookup serves event-ness, triggered occurrences and the
+	// relation: the PredInfo carries them all from compile time.
+	var occs []occurrence
+	if info != nil {
+		occs = info.occs
+	}
+	isEvent := info != nil && info.Event || info == nil && ndlogIsEvent(d.tuple.Pred)
+	if isEvent {
+		// Events are transient: fire rules, never materialize. Both
+		// insertion and deletion deltas flow through events — the
+		// rewritten provenance-maintenance programs rely on deletion
+		// deltas cascading through their eHTemp/eH events ("rule r20
+		// compiles into a series of insertion and deletion delta rules").
+		// Event provenance rows are recorded symmetrically so data-plane
+		// activity (e.g. packet forwarding) can be traced.
+		if d.sign != Insert && d.sign != Delete {
+			return // neither Update nor rederive applies to transient events
+		}
+		if n.Mode == ProvReference {
+			// Events have no entry to keep the vertex on; hash and find it
+			// once per delta. A delete only looks it up: a VID without a
+			// vertex has no row to remove.
+			var vid types.ID
+			vid, n.hashBuf = d.tuple.VIDBuf(n.hashBuf)
+			if d.sign == Insert {
+				n.Store.AddProv(n.Store.Vertex(vid, d.tuple), d.rid, d.rloc)
+			} else if v := n.Store.Lookup(vid); v != nil {
+				n.Store.DelProv(v, d.rid, d.rloc)
+			}
+		}
+		// Centralized: base events are reported by their injector; derived
+		// events were already reported by the deriving node.
+		if n.Mode == ProvCentralized && d.isBase {
+			var vid types.ID
+			vid, n.hashBuf = d.tuple.VIDBuf(n.hashBuf)
+			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, d.sign)
+		}
+		if batched {
+			n.fires = append(n.fires, fireItem{tuple: d.tuple, occs: occs, sign: d.sign, isEvent: true})
+		} else {
+			n.fireAll(occs, d.tuple, d.sign, nil, d.payload)
+		}
+		return
+	}
+
+	// The provenance meta-relations themselves (rows relayed to a
+	// centralized server, or produced by a rewrite-generated program) are
+	// stored without further provenance bookkeeping.
+	meta := d.tuple.Pred == "prov" || d.tuple.Pred == "ruleExec"
+
+	var rel *Relation
+	if info != nil && info.tableID >= 0 {
+		rel = &n.tablesByID[info.tableID]
+	} else {
+		rel = n.ensureTable(d.tuple.Pred)
+	}
+	switch d.sign {
+	case Insert:
+		e := rel.getOrCreate(d.tuple)
+		if batched {
+			n.markTouched(rel, e, occs)
+		}
+		dv := e.findDeriv(d.rid)
+		if dv == nil {
+			dv = e.addDeriv(d.rid, d.rloc)
+		}
+		dv.count++
+		// The entry caches the canonical VID, so each stored tuple is
+		// hashed at most once per lifetime regardless of how many deltas
+		// and provenance branches touch it.
+		if n.Mode == ProvReference && !meta {
+			if e.vert == nil {
+				// One find-or-create per entry lifetime: the store drops
+				// the vertex with its last prov row, which is when this
+				// entry loses its last derivation too.
+				var vid types.ID
+				vid, n.hashBuf = e.VIDBuf(n.hashBuf)
+				e.vert = n.Store.Vertex(vid, e.tuple)
+			}
+			n.Store.AddProv(e.vert, d.rid, d.rloc)
+		}
+		// Centralized: the deriving node reports derived rows; the owner
+		// reports base rows.
+		if n.Mode == ProvCentralized && !meta && d.isBase {
+			var vid types.ID
+			vid, n.hashBuf = e.VIDBuf(n.hashBuf)
+			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, Insert)
+		}
+		payloadChanged := false
+		if n.Mode == ProvValue {
+			if d.isBase {
+				var vid types.ID
+				vid, n.hashBuf = e.VIDBuf(n.hashBuf)
+				dv.payload = n.Mgr.Var(n.Alloc.VarOf(algebra.Base{
+					VID: vid, Label: d.tuple.String(), Node: n.ID,
+				}))
+			} else {
+				dv.payload = d.payload
+			}
+			payloadChanged = n.recomputePayload(e)
+		}
+		if !e.visible {
+			if e.staged {
+				// Retraction phase 1: a suspect absorbs new support
+				// silently. Re-showing it here would let the insert wave
+				// race the still-running deletion wave around derivation
+				// cycles (a hide/show flap that never quiesces); the
+				// release re-shows it — with this derivation counted —
+				// once the deletion wave is done.
+				return
+			}
+			rel.setVisible(e, true)
+			if !batched {
+				n.fireAll(occs, d.tuple, Insert, e, e.payload)
+			}
+		} else if payloadChanged {
+			n.fireAll(occs, d.tuple, Update, e, e.payload)
+		}
+
+	case Delete:
+		e := rel.get(d.tuple)
+		if e == nil {
+			return
+		}
+		dv := e.findDeriv(d.rid)
+		if dv == nil {
+			return
+		}
+		if batched {
+			n.markTouched(rel, e, occs)
+		}
+		dv.count--
+		removed := dv.count <= 0
+		if removed {
+			e.delDeriv(d.rid)
+		}
+		if e.vert != nil {
+			if _, dropped := n.Store.DelProv(e.vert, d.rid, d.rloc); dropped {
+				e.vert = nil
+			}
+		}
+		if n.Mode == ProvCentralized && !meta && d.isBase {
+			var vid types.ID
+			vid, n.hashBuf = e.VIDBuf(n.hashBuf)
+			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, Delete)
+		}
+		switch {
+		case len(e.derivs) == 0:
+			if e.visible {
+				rel.setVisible(e, false)
+				if !batched {
+					n.fireAll(occs, d.tuple, Delete, e, e.payload)
+				}
+			} else {
+				// A suspect lost its last alternate while hidden; record the
+				// tombstone transition setVisible never observed.
+				rel.noteDead(e)
+			}
+		case removed && e.visible && info != nil && info.Recursive && !meta:
+			// Over-deletion (retraction phase 1): a recursive tuple that
+			// lost a derivation is hidden even though alternates remain —
+			// the alternates may be phantom cyclic support — and staged for
+			// the re-derivation phase, which re-shows it only if support
+			// survives the completed deletion wave (see ARCHITECTURE.md
+			// "Deletion semantics").
+			rel.setVisible(e, false)
+			n.stageEntry(e)
+			if !batched {
+				n.fireAll(occs, d.tuple, Delete, e, e.payload)
+			}
+		case n.Mode == ProvValue && n.recomputePayload(e):
+			if e.visible {
+				n.fireAll(occs, d.tuple, Update, e, e.payload)
+			}
+		}
+
+	case rederive:
+		// Retraction phase 2: re-show an over-deleted tuple whose alternate
+		// derivations survived the deletion wave, firing the ordinary
+		// insert cascade so consumers re-derive from it.
+		e := rel.get(d.tuple)
+		if e == nil || e.visible || len(e.derivs) == 0 {
+			return
+		}
+		if batched {
+			n.markTouched(rel, e, occs)
+		}
+		if n.Mode == ProvValue {
+			n.recomputePayload(e)
+		}
+		rel.setVisible(e, true)
+		if !batched {
+			n.fireAll(occs, d.tuple, Insert, e, e.payload)
+		}
+
+	case Update:
+		if n.Mode != ProvValue {
+			return
+		}
+		e := rel.get(d.tuple)
+		if e == nil {
+			return
+		}
+		dv := e.findDeriv(d.rid)
+		if dv == nil {
+			return
+		}
+		dv.payload = d.payload
+		// Suspects absorb payload updates silently; a visibility-preserving
+		// change only propagates for visible tuples.
+		if n.recomputePayload(e) && e.visible {
+			n.fireAll(occs, d.tuple, Update, e, e.payload)
+		}
+	}
+}
+
+func ndlogIsEvent(pred string) bool {
+	return len(pred) >= 2 && pred[0] == 'e' && pred[1] >= 'A' && pred[1] <= 'Z'
+}
+
+// recomputePayload refreshes the entry's combined (OR) payload; it reports
+// whether the payload changed.
+func (n *Node) recomputePayload(e *entry) bool {
+	comb := bdd.False
+	for i := range e.derivs {
+		comb = n.Mgr.Or(comb, e.derivs[i].payload)
+	}
+	if comb == e.payload {
+		return false
+	}
+	e.payload = comb
+	return true
+}
+
+// fireAll runs every rule occurrence triggered by a delta of this
+// predicate — inline from process() under the drain, from the fire phase
+// under batched rounds. deltaEntry may be nil (events); payload is the
+// tuple's current provenance payload in value mode.
+//
+//exspan:hotpath
+func (n *Node) fireAll(occs []occurrence, t types.Tuple, sign int8, deltaEntry *entry, payload bdd.Ref) {
+	for _, occ := range occs {
+		if occ.rule.agg != nil {
+			n.fireAgg(occ.rule, t, sign, payload)
+		} else {
+			n.firePlan(occ.rule, occ.pos, t, sign, deltaEntry, payload)
+		}
+	}
+}

@@ -38,20 +38,19 @@ func dredSquare() (edges [][2]int, costs map[[2]int]int64) {
 // identical anyway.
 func (n *Node) releaseRandom(rng *rand.Rand) bool {
 	any := false
-	sh := n.shard
-	rng.Shuffle(len(sh.stagedEnts), func(i, j int) {
-		sh.stagedEnts[i], sh.stagedEnts[j] = sh.stagedEnts[j], sh.stagedEnts[i]
+	rng.Shuffle(len(n.stagedEnts), func(i, j int) {
+		n.stagedEnts[i], n.stagedEnts[j] = n.stagedEnts[j], n.stagedEnts[i]
 	})
-	rng.Shuffle(len(sh.stagedGroups), func(i, j int) {
-		sh.stagedGroups[i], sh.stagedGroups[j] = sh.stagedGroups[j], sh.stagedGroups[i]
+	rng.Shuffle(len(n.stagedGroups), func(i, j int) {
+		n.stagedGroups[i], n.stagedGroups[j] = n.stagedGroups[j], n.stagedGroups[i]
 	})
 	for {
 		occupied := map[int]bool{}
-		for _, e := range sh.stagedEnts {
-			occupied[sh.stratumOf(e.tuple.Pred)] = true
+		for _, e := range n.stagedEnts {
+			occupied[n.stratumOf(e.tuple.Pred)] = true
 		}
-		for i := range sh.stagedGroups {
-			occupied[sh.stagedGroups[i].rule.headStratum] = true
+		for i := range n.stagedGroups {
+			occupied[n.stagedGroups[i].rule.headStratum] = true
 		}
 		if len(occupied) == 0 {
 			break
@@ -62,7 +61,7 @@ func (n *Node) releaseRandom(rng *rand.Rand) bool {
 		}
 		sort.Ints(strata)
 		lim := 1 + rng.Intn(3)
-		if sh.releaseStratum(strata[rng.Intn(len(strata))], &lim) {
+		if n.releaseStratum(strata[rng.Intn(len(strata))], &lim) {
 			any = true
 		}
 		if rng.Intn(2) == 0 {
@@ -75,7 +74,7 @@ func (n *Node) releaseRandom(rng *rand.Rand) bool {
 // anyStaged reports whether any node still holds staged retraction work.
 func anyStaged(nodes []*Node) bool {
 	for _, n := range nodes {
-		if len(n.shard.stagedEnts) > 0 || len(n.shard.stagedGroups) > 0 {
+		if len(n.stagedEnts) > 0 || len(n.stagedGroups) > 0 {
 			return true
 		}
 	}

@@ -31,40 +31,40 @@ import (
 // head derivations.
 //
 //exspan:hotpath
-func (sh *shard) firePlan(rule *CompiledRule, pos int, t types.Tuple, sign int8,
+func (n *Node) firePlan(rule *CompiledRule, pos int, t types.Tuple, sign int8,
 	deltaEntry *entry, deltaPayload bdd.Ref) {
 
-	pl := sh.n.plans[rule.idx][pos] // the node's ACTIVE plan (planner.go)
-	env := sh.envBuf[:rule.numVars]
+	pl := n.plans[rule.idx][pos] // the node's ACTIVE plan (planner.go)
+	env := n.envBuf[:rule.numVars]
 	if !bindTuple(pl.deltaBinds, t, env) {
 		return
 	}
-	matched := sh.matchedBuf[:len(rule.atoms)]
-	ments := sh.entBuf[:len(rule.atoms)]
-	payloads := sh.payloadBuf[:len(rule.atoms)]
+	matched := n.matchedBuf[:len(rule.atoms)]
+	ments := n.entBuf[:len(rule.atoms)]
+	payloads := n.payloadBuf[:len(rule.atoms)]
 	for i := range ments {
 		ments[i] = nil
 	}
 	matched[pos] = t
 	ments[pos] = deltaEntry
 	payloads[pos] = deltaPayload
-	sh.fireAtomPos = pos
-	sh.fireIsEvent = deltaEntry == nil
-	sh.execPlan(rule, pl, 0, sign, env, matched, ments, payloads)
+	n.fireAtomPos = pos
+	n.fireIsEvent = deltaEntry == nil
+	n.execPlan(rule, pl, 0, sign, env, matched, ments, payloads)
 }
 
 // execPlan runs plan steps from step onward. It is a plain recursive method
 // rather than a closure so the recursion allocates nothing.
 //
 //exspan:hotpath
-func (sh *shard) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
+func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 	env []types.Value, matched []types.Tuple, ments []*entry, payloads []bdd.Ref) {
 
-	if sh.n.Err != nil {
+	if n.Err != nil {
 		return
 	}
 	if step == len(pl.steps) {
-		sh.emitDerivation(rule, env, matched, ments, payloads, sign)
+		n.emitDerivation(rule, env, matched, ments, payloads, sign)
 		return
 	}
 	st := &pl.steps[step]
@@ -73,25 +73,25 @@ func (sh *shard) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 		v, err := st.expr(env)
 		if err != nil {
 			//exspanlint:alloc-ok error path: evaluation aborts on the first failure
-			sh.n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
+			n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
 			return
 		}
 		env[st.assignSlot] = v
-		sh.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
+		n.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
 	case stepCond:
 		v, err := st.expr(env)
 		if err != nil {
 			//exspanlint:alloc-ok error path: evaluation aborts on the first failure
-			sh.n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
+			n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
 			return
 		}
 		// Pass/fail tally for the planner's measured selectivity (an index
-		// bump on shard-owned counters; folded at quiescence, stats.go).
-		cs := &sh.condStats[rule.condBase+st.condID]
+		// bump on node-owned counters; folded at quiescence, stats.go).
+		cs := &n.condStats[rule.condBase+st.condID]
 		cs.evals++
 		if v.Truthy() {
 			cs.passes++
-			sh.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
+			n.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
 		}
 	case stepJoin:
 		// Probe the index handle bound at plan-bind time: no index-ID
@@ -99,22 +99,22 @@ func (sh *shard) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 		// (the map access on []byte bytes is allocation-free). A nil
 		// handle means the joined atom is an event, which never
 		// materializes.
-		idx := sh.joinIdx[st.joinID]
+		idx := n.joinIdx[st.joinID]
 		if idx == nil {
 			return
 		}
-		sh.keyBuf = st.appendLookupKey(sh.keyBuf[:0], env)
-		cands := idx.lookup(sh.keyBuf)
-		js := &sh.joinStats[st.joinID]
+		n.keyBuf = st.appendLookupKey(n.keyBuf[:0], env)
+		cands := idx.lookup(n.keyBuf)
+		js := &n.joinStats[st.joinID]
 		js.probes++
 		js.hits += int64(len(cands))
 		// Under batched rounds the index still holds entries hidden this
 		// round (unindexing waits for endRound), and a candidate is admitted
 		// against NEW or OLD visibility depending on the probed atom's
 		// position relative to the firing delta (see the file comment).
-		batched := sh.n.batched
-		admitNew := st.atom < sh.fireAtomPos || sh.fireIsEvent
-		curRound := sh.n.curRound
+		batched := n.batched
+		admitNew := st.atom < n.fireAtomPos || n.fireIsEvent
+		curRound := n.curRound
 		for _, cand := range cands {
 			if batched {
 				vis := cand.visible
@@ -131,7 +131,7 @@ func (sh *shard) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 			matched[st.atom] = cand.tuple
 			ments[st.atom] = cand
 			payloads[st.atom] = cand.payload
-			sh.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
+			n.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
 		}
 	}
 }
@@ -142,17 +142,16 @@ func (sh *shard) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 // only tuples never stored on this node (event inputs) are hashed here.
 //
 //exspan:hotpath
-func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
+func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value,
 	matched []types.Tuple, ments []*entry, payloads []bdd.Ref, sign int8) {
 
-	n := sh.n
-	sh.rulesFired++
-	args := sh.argArena.Make(len(rule.headCode))
+	n.rulesFired++
+	args := n.argArena.Make(len(rule.headCode))
 	for i, code := range rule.headCode {
 		v, err := code(env)
 		if err != nil {
 			//exspanlint:alloc-ok error path: evaluation aborts on the first failure
-			sh.n.fail(fmt.Errorf("rule %s head: %w", rule.Label, err))
+			n.fail(fmt.Errorf("rule %s head: %w", rule.Label, err))
 			return
 		}
 		args[i] = v
@@ -161,21 +160,21 @@ func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
 	dst := args[rule.HeadLocPos].AsNode()
 	if dst < 0 {
 		//exspanlint:alloc-ok error path: evaluation aborts on the first failure
-		sh.n.fail(fmt.Errorf("rule %s: head location is not a node", rule.Label))
+		n.fail(fmt.Errorf("rule %s: head location is not a node", rule.Label))
 		return
 	}
 
-	inputVIDs := sh.vidBuf[:len(matched)]
+	inputVIDs := n.vidBuf[:len(matched)]
 	for i := range matched {
 		if ments[i] != nil {
-			inputVIDs[i], sh.hashBuf = ments[i].VIDBuf(sh.hashBuf)
+			inputVIDs[i], n.hashBuf = ments[i].VIDBuf(n.hashBuf)
 		} else {
 			// Event input: transient, no entry to cache on.
-			inputVIDs[i], sh.hashBuf = matched[i].VIDBuf(sh.hashBuf)
+			inputVIDs[i], n.hashBuf = matched[i].VIDBuf(n.hashBuf)
 		}
 	}
 	var rid types.ID
-	rid, sh.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, inputVIDs, sh.ridBuf)
+	rid, n.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, inputVIDs, n.ridBuf)
 
 	if sign != Update {
 		switch n.Mode {
@@ -184,12 +183,12 @@ func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
 			// when it caches a traversal (§6.1), so a derivation records
 			// only its ruleExec row — no head hashing, no per-input edge
 			// maintenance on this path.
-			sh.ruleExecRow(rid, rule.Label, inputVIDs, sign)
+			n.ruleExecRow(rid, rule.Label, inputVIDs, sign)
 		case ProvCentralized:
 			// The deriving node knows the whole derivation: it relays both
 			// the ruleExec row and the head's prov row to the server.
 			var headVID types.ID
-			headVID, sh.hashBuf = head.VIDBuf(sh.hashBuf)
+			headVID, n.hashBuf = head.VIDBuf(n.hashBuf)
 			n.sendRuleExecRow(rid, rule.Label, inputVIDs, sign)
 			n.sendProvRow(dst, headVID, rid, n.ID, sign)
 		}
@@ -202,17 +201,17 @@ func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
 			payload = n.Mgr.And(payload, p)
 		}
 	}
-	sh.route(head, dst, sign, rid, payload)
+	n.route(head, dst, sign, rid, payload)
 }
 
 // ruleExecRow writes one ruleExec-row change into the node's store.
 //
 //exspan:hotpath
-func (sh *shard) ruleExecRow(rid types.ID, label string, inputVIDs []types.ID, sign int8) {
+func (n *Node) ruleExecRow(rid types.ID, label string, inputVIDs []types.ID, sign int8) {
 	if sign == Insert {
-		sh.n.Store.AddRuleExec(rid, label, inputVIDs)
+		n.Store.AddRuleExec(rid, label, inputVIDs)
 	} else {
-		sh.n.Store.DelRuleExec(rid)
+		n.Store.DelRuleExec(rid)
 	}
 }
 
@@ -222,10 +221,9 @@ func (sh *shard) ruleExecRow(rid types.ID, label string, inputVIDs []types.ID, s
 // otherwise.
 //
 //exspan:hotpath
-func (sh *shard) route(head types.Tuple, dst types.NodeID, sign int8, rid types.ID, payload bdd.Ref) {
-	n := sh.n
+func (n *Node) route(head types.Tuple, dst types.NodeID, sign int8, rid types.ID, payload bdd.Ref) {
 	if dst == n.ID {
-		sh.enqueue(localDelta{tuple: head, sign: sign, rid: rid, rloc: n.ID, payload: payload})
+		n.enqueue(localDelta{tuple: head, sign: sign, rid: rid, rloc: n.ID, payload: payload})
 		return
 	}
 	m := n.Msgs.Get()

@@ -16,9 +16,9 @@ import (
 // 10,000-tuple nodes are. The cluster is built the way the standing
 // benchmark's chord-sharded workload builds its 1000 nodes (reference
 // provenance, base tuples, then a lookup batch). With fixed 256-slot chunks
-// opened per relation this read ≈ 650 KB per node (two shards each); with
-// arenas that grow from 8 slots ≈ 65 KB, and with one evaluation state per
-// node ≈ 40 KB.
+// opened per relation, and a node's state split across two partitions, this
+// read ≈ 650 KB per node; with arenas that grow from 8 slots ≈ 65 KB, and
+// with one evaluation state per node ≈ 40 KB.
 func TestNodeFootprintFollowsState(t *testing.T) {
 	const (
 		nodes      = 300

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/ndlog"
 	"repro/internal/types"
 )
 
@@ -76,6 +79,127 @@ func FuzzDecodeMessage(f *testing.F) {
 			m2.RID != m.RID || m2.RLoc != m.RLoc ||
 			(m2.Payload == nil) != (m.Payload == nil) || !bytes.Equal(m2.Payload, m.Payload) {
 			t.Fatalf("re-decode mismatch: %+v vs %+v", m2, m)
+		}
+	})
+}
+
+// arityMismatchMessage is the 8-byte engine message "insert link()": a known
+// predicate with none of its three arguments. It decodes cleanly, and used
+// to panic the receiving node — in every provenance mode and under both
+// executors — when the relation indexed the missing attributes.
+func arityMismatchMessage() []byte {
+	b, err := hex.DecodeString("0001046c696e6b00")
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// outOfClusterMessage inserts link(@0, 999, 1): well formed, but MINCOST's
+// sp2 routes the derived head to node 999, outside any small cluster.
+func outOfClusterMessage() []byte {
+	return (&Message{Tuple: linkTup(0, 999, 1), Delta: Insert}).Encode(nil)
+}
+
+// boundedTransport is refTransport for hostile input: a send to a node
+// outside the cluster is dropped, as the UDP deployment drops it.
+type boundedTransport struct{ *refTransport }
+
+func (tr boundedTransport) Send(from, to types.NodeID, m *Message) {
+	if to < 0 || int(to) >= len(tr.nodes) {
+		return
+	}
+	tr.refTransport.Send(from, to, m)
+}
+
+// handleHostile builds a converged 3-node line cluster of prog (links 0-1 and
+// 1-2) and delivers m at node 0 as sent by node 1, then the same tuple as a
+// delete, then runs the release protocol — the full life of a received delta.
+func handleHostile(prog *Program, mode ProvMode, batched bool, m *Message) []*Node {
+	tr := boundedTransport{&refTransport{}}
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		nodes[i] = newNode(types.NodeID(i), prog, mode, tr, nil, batched)
+	}
+	tr.nodes = nodes
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		nodes[e[0]].InsertBase(linkTup(e[0], e[1], 1))
+		nodes[e[1]].InsertBase(linkTup(e[1], e[0], 1))
+	}
+	Settle(nodes...)
+	nodes[0].HandleMessage(1, m)
+	del := *m
+	del.Delta = Delete
+	nodes[0].HandleMessage(1, &del)
+	Settle(nodes...)
+	return nodes
+}
+
+// hostilePrograms are the programs FuzzHandleMessage feeds: MINCOST
+// (aggregates, a remote head) and PATHVECTOR (list-valued attributes and
+// builtins over them).
+func hostilePrograms(tb testing.TB) []*Program {
+	var progs []*Program
+	for _, src := range []*ndlog.Program{apps.MinCost(), apps.PathVector()} {
+		prog, err := Compile(src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	return progs
+}
+
+var allModes = []ProvMode{ProvNone, ProvReference, ProvValue, ProvCentralized}
+
+// TestHandleMessageDropsArityMismatch: a received tuple of a known predicate
+// with the wrong number of arguments is dropped at the remote ingress, and
+// the node keeps running.
+func TestHandleMessageDropsArityMismatch(t *testing.T) {
+	m, err := DecodeMessage(arityMismatchMessage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := hostilePrograms(t)[0]
+	for _, mode := range allModes {
+		for _, batched := range executors {
+			nodes := handleHostile(prog, mode, batched, m)
+			for _, n := range nodes {
+				if n.Err != nil {
+					t.Fatalf("%s %s: node %s: %v", mode, executorName(batched), n.ID, n.Err)
+				}
+			}
+			if got := nodes[0].TupleCount("link"); got != 1 {
+				t.Errorf("%s %s: node 0 holds %d links, want its one base link", mode, executorName(batched), got)
+			}
+		}
+	}
+}
+
+// FuzzHandleMessage feeds every message DecodeMessage accepts to small MINCOST
+// and PATHVECTOR clusters, in every provenance mode under both executors:
+// delivered, then deleted, then released. Property: no panic — a received
+// datagram may be refused, never kill the node.
+func FuzzHandleMessage(f *testing.F) {
+	f.Add(arityMismatchMessage())
+	f.Add(outOfClusterMessage())
+	f.Add((&Message{Tuple: linkTup(0, 2, 7), Delta: Insert}).Encode(nil))
+	f.Add((&Message{Tuple: types.NewTuple("bestPathCost", types.Node(0), types.Node(2), types.Int(3)), Delta: Delete,
+		HasRef: true, RID: types.HashString("r"), RLoc: 1}).Encode(nil))
+	f.Add((&Message{Tuple: types.NewTuple("path", types.Node(0), types.Node(2),
+		types.List(types.Node(0), types.Node(1), types.Node(2)), types.Int(2)), Delta: Insert}).Encode(nil))
+	progs := hostilePrograms(f)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := DecodeMessage(b)
+		if err != nil {
+			return
+		}
+		for _, prog := range progs {
+			for _, mode := range allModes {
+				for _, batched := range executors {
+					handleHostile(prog, mode, batched, m)
+				}
+			}
 		}
 	})
 }

@@ -163,6 +163,51 @@ func TestSteadyStateFiringAllocs(t *testing.T) {
 	}
 }
 
+// TestAggregateFiringAllocs fences the aggregate path under both executors:
+// steady-state insert/delete cycles through a MIN rule — of a row that never
+// wins (the fast path: the output does not move) and of a row that takes
+// over the group and gives it back (retract, re-emit, rescan) — must stay at
+// or under one allocation per cycle. Group entries recycle through the
+// group's free list, relation entries through their tombstones, and emitted
+// outputs come from the arena.
+func TestAggregateFiringAllocs(t *testing.T) {
+	prog, err := Compile(ndlog.MustParse(`b1 best(@X,min<C,Y>) :- item(@X,Y,C).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batched := range executors {
+		for _, row := range []struct {
+			name string
+			tup  types.Tuple
+		}{{"loser", item("z", 9)}, {"winner", item("w", 1)}} {
+			n := newNode(0, prog, ProvReference, &refTransport{}, nil, batched)
+			n.InsertBase(item("a", 2))
+			n.InsertBase(item("b", 5))
+			cycle := func() {
+				n.InsertBase(row.tup)
+				n.DeleteBase(row.tup)
+			}
+			for i := 0; i < 16; i++ { // warm arenas, free lists, tombstones
+				cycle()
+			}
+			fired := n.RulesFired()
+			allocs := testing.AllocsPerRun(300, cycle)
+			if n.Err != nil {
+				t.Fatal(n.Err)
+			}
+			wantBest(t, n, "best(@a,2,a)")
+			t.Logf("%s %s: %.2f allocs per cycle", executorName(batched), row.name, allocs)
+			if row.name == "winner" && n.RulesFired() == fired {
+				t.Fatalf("%s %s: the winner never took over the group", executorName(batched), row.name)
+			}
+			if allocs > 1 {
+				t.Errorf("%s %s: aggregate insert/delete cycle allocated %.2f objects, want ≤ 1",
+					executorName(batched), row.name, allocs)
+			}
+		}
+	}
+}
+
 // TestSchedulerDeliveryAllocFree pins the zero-alloc send→deliver contract
 // on the cluster Scheduler path: a steady-state event that fires a rule,
 // ships the head cross-node and deposits it at the receiver must stay at or

@@ -45,12 +45,14 @@ func (m ProvMode) String() string {
 
 // Node is one ExSPAN engine instance: the PSN evaluator plus provenance
 // bookkeeping for a single network node — the paper's one dataflow per
-// node. It owns exactly one evaluation state (shard.go) and runs it with one
-// of two executors, chosen by the driver that built it: a driver handing the
-// node one message per ingest (NewNode: simulator, deployment, synchronous
-// test transports) gets the classic pipelined inline drain; the Scheduler,
-// which hands it a whole round of messages at a time, gets batched rounds
-// (rounds.go). Both reach the same fixpoint state.
+// node. The Node is its whole evaluation state — relations, join indexes,
+// aggregate groups, the delta ring and the scratch arenas rule firing
+// reuses — and runs it with one of two executors, chosen by the driver that
+// built it: a driver handing the node one message per ingest (NewNode:
+// simulator, deployment, synchronous test transports) gets the classic
+// pipelined inline drain; the Scheduler, which hands it a whole round of
+// messages at a time, gets batched rounds (rounds.go). Both reach the same
+// fixpoint state.
 type Node struct {
 	ID        types.NodeID
 	Prog      *Program
@@ -98,6 +100,15 @@ type Node struct {
 	// condAcc accumulates measured condition pass/fail tallies, indexed by
 	// program-wide condition slot (stats.go condStat).
 	condAcc []condStat
+	// Counters. joinStats tallies probes/hits per joinID for the planner's
+	// cost model (stats.go), folded into fanAcc only at quiescence;
+	// condStats does the same for condition pass/fail tallies into condAcc,
+	// keyed by program-wide condition slot (CompiledRule.condBase +
+	// planStep.condID).
+	deltasProcessed int64
+	rulesFired      int64
+	joinStats       []joinStat
+	condStats       []condStat
 	// lastReplanDeltas gates re-planning on drift: a re-plan is attempted
 	// only after replanMinDeltas further deltas since the previous one.
 	lastReplanDeltas int64
@@ -106,7 +117,74 @@ type Node struct {
 	// alternative join orders.
 	statHook func(pred, idx string, est float64) float64
 
-	shard *shard
+	// The delta ring (apply.go): queue[qhead:] is pending work.
+	queue []localDelta
+	qhead int
+	// Batched rounds only (rounds.go): the firings deferred by the current
+	// round's apply step, and the aggregate updates its fire step produced
+	// for the next one.
+	fires []fireItem
+	aggIn []aggItem
+
+	// Compiled access paths: each stepJoin's index handle, resolved once
+	// at plan-bind time (bindPlans) and indexed by joinID, so a join probe
+	// never re-derives the index from its position list.
+	joinIdx []*index
+	// tablesByID holds the relations of the program's stored predicates,
+	// indexed by PredInfo.tableID: the program's predicate table is the
+	// only name→relation map. aggByRule and aggBodyRel key aggregate state
+	// and the aggregate body relation by CompiledRule.idx.
+	tablesByID []Relation
+	aggByRule  []map[string]*aggGroup
+	aggBodyRel []*Relation
+	// extraTables lists relations created outside the compiled program
+	// (unknown predicates, e.g. the meta rows relayed to a centralized
+	// server — a handful at most, found by name scan), in creation order.
+	extraTables []*Relation
+
+	// Scratch arenas, sized at program-compile time and reused across rule
+	// firings. Safe because firing never re-enters the evaluator: derived
+	// deltas are enqueued and processed by drain (or by the next round).
+	envBuf     []types.Value
+	matchedBuf []types.Tuple
+	entBuf     []*entry
+	payloadBuf []bdd.Ref
+	vidBuf     []types.ID
+	groupBuf   []types.Value
+	carryBuf   []types.Value
+	keyBuf     []byte
+	ridBuf     []byte
+	hashBuf    []byte
+	// argArena backs emitted head arguments (and the group/carried values
+	// aggregates retain): emitted tuples escape into relations and
+	// messages, so their args cannot live in reusable scratch.
+	argArena types.Arena[types.Value]
+
+	// Arenas for aggregate state: group and entry structs plus the scratch
+	// every group shares — the entry key, and the candidate output and
+	// emit list of one refresh, which each caller consumes before the next
+	// (aggGroup.refresh). Aggregates allocate one group per (rule, group-by)
+	// combination and one entry per distinct input row; boxing each struct
+	// individually was a leading allocation class in fixpoint profiles.
+	aggKeyBuf     []byte
+	aggArgsBuf    []types.Value
+	aggEmitBuf    []aggEmit
+	aggEntryArena types.Arena[aggEntry]
+	aggGroupArena types.Arena[aggGroup]
+
+	// Retraction-protocol staging (release.go; see ARCHITECTURE.md
+	// "Deletion semantics"): suspects over-deleted with surviving alternate
+	// derivations, and aggregate groups whose winner promotion was
+	// deferred. Both lists are drained by ReleaseStaged once the driver
+	// detects that the cluster-wide deletion wave has quiesced.
+	stagedEnts   []*entry
+	stagedGroups []stagedGroup
+
+	// fireAtomPos/fireIsEvent describe the delta currently being fired
+	// (set by firePlan); batched join probes use them to pick the old/new
+	// admission side.
+	fireAtomPos int
+	fireIsEvent bool
 
 	// batched selects the executor: batched rounds (rounds.go) instead of
 	// the inline drain. Fixed at construction by the driver (newNode).
@@ -118,6 +196,12 @@ type Node struct {
 	// curRound is the batched executor's monotone round counter (rounds.go).
 	curRound uint32
 }
+
+// Chunk caps of the evaluation state's arenas (types.Arena grows up to them).
+const (
+	argArenaChunk = 512
+	aggArenaChunk = 128
+)
 
 // NewNode creates an engine node for the given compiled program, evaluated by
 // the classic pipelined PSN drain — the executor of every driver that
@@ -140,15 +224,22 @@ func (n *Node) NumShards() int { return 1 }
 // round of messages at a time and batches, everything else drains. Value-based
 // and centralized provenance fire payload Updates and relay meta-rows inline
 // with each delta, so those modes always drain.
+//
+// Everything sized here comes from the compiled program; what depends on the
+// data — relation and index maps, aggregate groups — is created by its first
+// write.
 func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc *algebra.VarAlloc, batched bool) *Node {
 	n := &Node{
-		ID:        id,
-		Prog:      prog,
-		Mode:      mode,
-		Transport: tr,
-		Store:     provenance.NewStore(id),
-		Alloc:     alloc,
-		batched:   batched && mode != ProvValue && mode != ProvCentralized,
+		ID:            id,
+		Prog:          prog,
+		Mode:          mode,
+		Transport:     tr,
+		Store:         provenance.NewStore(id),
+		Alloc:         alloc,
+		batched:       batched && mode != ProvValue && mode != ProvCentralized,
+		argArena:      types.NewArena[types.Value](argArenaChunk),
+		aggEntryArena: types.NewArena[aggEntry](aggArenaChunk),
+		aggGroupArena: types.NewArena[aggGroup](aggArenaChunk),
 	}
 	if mode == ProvValue {
 		n.Mgr = bdd.New()
@@ -156,23 +247,96 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc 
 			n.Alloc = algebra.NewVarAlloc()
 		}
 	}
-	// The active plan set starts as the compile-time default; the shard binds
-	// its index handles against it (bindPlans), so it must exist first.
+	// The active plan set starts as the compile-time default; bindPlans
+	// resolves the index handles against it, so it must exist first.
 	n.plans = make([][]*plan, len(prog.Rules))
 	for i, cr := range prog.Rules {
 		n.plans[i] = append([]*plan(nil), cr.plans...)
 	}
 	n.condAcc = make([]condStat, prog.numConds)
-	n.shard = newShard(n)
+	// Pre-create relations, the indexes every join plan needs, and the
+	// per-join compiled handles. Joins against event atoms keep a nil
+	// handle: events never materialize, so such probes match nothing.
+	n.tablesByID = make([]Relation, prog.numTables)
+	for _, info := range prog.predList {
+		if !info.Event {
+			n.tablesByID[info.tableID] = newRelation(info.Name, n.batched)
+		}
+	}
+	n.joinIdx = make([]*index, prog.numJoins)
+	n.joinStats = make([]joinStat, prog.numJoins)
+	n.condStats = make([]condStat, prog.numConds)
+	n.aggByRule = make([]map[string]*aggGroup, len(prog.Rules))
+	n.aggBodyRel = make([]*Relation, len(prog.Rules))
+	n.bindPlans()
+	for _, r := range prog.Rules {
+		if r.agg != nil && !r.atoms[0].event {
+			n.aggBodyRel[r.idx] = n.ensureTable(r.atoms[0].pred)
+		}
+	}
+	n.envBuf = make([]types.Value, prog.maxVars)
+	n.matchedBuf = make([]types.Tuple, prog.maxAtoms)
+	n.entBuf = make([]*entry, prog.maxAtoms)
+	n.payloadBuf = make([]bdd.Ref, prog.maxAtoms)
+	n.vidBuf = make([]types.ID, prog.maxAtoms)
+	n.groupBuf = make([]types.Value, prog.maxGroup)
+	n.carryBuf = make([]types.Value, 0, prog.maxVars)
 	return n
 }
 
+// bindPlans resolves every join step of the node's ACTIVE plan set to its
+// index handle, creating any index a plan needs (EnsureIndex backfills
+// deterministically over live state). Runs at construction and again after
+// every plan swap (Node.replan) — always between rounds, never while a fire
+// phase could probe a handle.
+func (n *Node) bindPlans() {
+	for _, r := range n.Prog.Rules {
+		for _, pl := range n.plans[r.idx] {
+			for i := range pl.steps {
+				st := &pl.steps[i]
+				if st.kind != stepJoin {
+					continue
+				}
+				a := r.atoms[st.atom]
+				if !a.event {
+					n.joinIdx[st.joinID] = n.ensureTable(a.pred).ensureIndex(st.indexID, st.indexPos)
+				}
+			}
+		}
+	}
+}
+
+// lookup returns the relation of pred, or nil when the node has none.
+func (n *Node) lookup(pred string) *Relation {
+	if info := n.Prog.Pred(pred); info != nil && info.tableID >= 0 {
+		return &n.tablesByID[info.tableID]
+	}
+	for _, t := range n.extraTables {
+		if t.name == pred {
+			return t
+		}
+	}
+	return nil
+}
+
+// ensureTable is lookup for writers: a predicate the program never stores
+// gets its relation on first use.
+func (n *Node) ensureTable(pred string) *Relation {
+	t := n.lookup(pred)
+	if t == nil {
+		r := newRelation(pred, n.batched)
+		t = &r
+		n.extraTables = append(n.extraTables, t)
+	}
+	return t
+}
+
 // Table exposes the node's relation of pred for inspection (nil when absent).
-func (n *Node) Table(pred string) *Relation { return n.shard.lookup(pred) }
+func (n *Node) Table(pred string) *Relation { return n.lookup(pred) }
 
 // Tuples returns the visible tuples of a predicate, sorted canonically.
 func (n *Node) Tuples(pred string) []types.Tuple {
-	if rel := n.shard.lookup(pred); rel != nil {
+	if rel := n.lookup(pred); rel != nil {
 		return rel.Tuples()
 	}
 	return nil
@@ -180,14 +344,14 @@ func (n *Node) Tuples(pred string) []types.Tuple {
 
 // TupleCount reports the number of visible tuples of a predicate in O(1).
 func (n *Node) TupleCount(pred string) int {
-	if rel := n.shard.lookup(pred); rel != nil {
+	if rel := n.lookup(pred); rel != nil {
 		return rel.Len()
 	}
 	return 0
 }
 
 // DeltasProcessed reports the number of deltas the node has applied.
-func (n *Node) DeltasProcessed() int64 { return n.shard.deltasProcessed }
+func (n *Node) DeltasProcessed() int64 { return n.deltasProcessed }
 
 // AggGroupCount reports the number of aggregate groups still holding state
 // (a non-empty input multiset, an emitted output, or a live COUNT total) —
@@ -195,7 +359,7 @@ func (n *Node) DeltasProcessed() int64 { return n.shard.deltasProcessed }
 // tuple is retracted, it must be zero.
 func (n *Node) AggGroupCount() int {
 	c := 0
-	for _, groups := range n.shard.aggByRule {
+	for _, groups := range n.aggByRule {
 		for _, g := range groups {
 			if len(g.entries) > 0 || g.hasOut || g.total != 0 {
 				c++
@@ -206,7 +370,7 @@ func (n *Node) AggGroupCount() int {
 }
 
 // RulesFired reports the number of rule firings the node has executed.
-func (n *Node) RulesFired() int64 { return n.shard.rulesFired }
+func (n *Node) RulesFired() int64 { return n.rulesFired }
 
 // PayloadOf returns the value-mode provenance payload of a visible tuple —
 // the "immediately available" provenance that lets a node accept or reject
@@ -217,7 +381,7 @@ func (n *Node) PayloadOf(t types.Tuple) (bdd.Ref, bool) {
 	if n.Mode != ProvValue {
 		return bdd.False, false
 	}
-	rel := n.shard.lookup(t.Pred)
+	rel := n.lookup(t.Pred)
 	if rel == nil {
 		return bdd.False, false
 	}
@@ -230,23 +394,25 @@ func (n *Node) PayloadOf(t types.Tuple) (bdd.Ref, bool) {
 
 // InsertBase injects a base (EDB) tuple at this node and runs to local
 // quiescence.
-func (n *Node) InsertBase(t types.Tuple) {
-	n.ingest(localDelta{tuple: t, sign: Insert, rloc: n.ID, isBase: true})
-}
+func (n *Node) InsertBase(t types.Tuple) { n.ingest(n.baseDelta(t, Insert, false)) }
 
 // DeleteBase retracts a base tuple.
-func (n *Node) DeleteBase(t types.Tuple) {
-	n.ingest(localDelta{tuple: t, sign: Delete, rloc: n.ID, isBase: true})
-}
+func (n *Node) DeleteBase(t types.Tuple) { n.ingest(n.baseDelta(t, Delete, false)) }
 
 // InjectEvent fires an event tuple at this node (e.g. a PACKETFORWARD
 // ePacket).
-func (n *Node) InjectEvent(t types.Tuple) {
-	d := localDelta{tuple: t, sign: Insert, rloc: n.ID, isBase: true}
-	if n.Mode == ProvValue {
+func (n *Node) InjectEvent(t types.Tuple) { n.ingest(n.baseDelta(t, Insert, true)) }
+
+// baseDelta builds the delta of a base tuple injected at this node — the one
+// constructor behind Node's and Scheduler's InsertBase, DeleteBase and
+// InjectEvent. In value mode an injected event's payload is the constant
+// true: it has no derivation to carry.
+func (n *Node) baseDelta(t types.Tuple, sign int8, event bool) localDelta {
+	d := localDelta{tuple: t, sign: sign, rloc: n.ID, isBase: true}
+	if event && n.Mode == ProvValue {
 		d.payload = bdd.True
 	}
-	n.ingest(d)
+	return d
 }
 
 // HandleMessage applies a tuple delta received from another node.
@@ -265,10 +431,17 @@ func (n *Node) depositMessage(from types.NodeID, m *Message) {
 	if !ok {
 		return
 	}
-	n.shard.enqueue(d)
+	n.enqueue(d)
 }
 
+// messageDelta turns a received message into a delta — the node's one remote
+// ingress. A tuple whose arity disagrees with its predicate's is dropped: the
+// compiled joins, index keys and head expressions address arguments by the
+// program's positions, and a corrupt or hostile message must not reach them.
 func (n *Node) messageDelta(from types.NodeID, m *Message) (localDelta, bool) {
+	if info := n.Prog.Pred(m.Tuple.Pred); info != nil && len(m.Tuple.Args) != info.Arity {
+		return localDelta{}, false
+	}
 	d := localDelta{tuple: m.Tuple, sign: m.Delta}
 	if m.HasRef {
 		d.rid, d.rloc = m.RID, m.RLoc
@@ -290,54 +463,13 @@ func (n *Node) messageDelta(from types.NodeID, m *Message) (localDelta, bool) {
 
 // ingest deposits one delta and runs the node to local quiescence.
 func (n *Node) ingest(d localDelta) {
-	n.shard.enqueue(d)
+	n.enqueue(d)
 	n.Flush()
 }
 
 func (n *Node) fail(err error) {
 	if n.Err == nil {
 		n.Err = err
-	}
-}
-
-// ReleaseStaged begins the retraction protocol's re-derivation phase on
-// this node: suspects over-deleted with surviving alternate derivations are
-// enqueued for re-insertion and staged aggregate groups emit their deferred
-// winner. It reports whether any work was produced (never, once the node
-// has failed); the caller then runs the node (Flush) — and the whole cluster
-// — to quiescence again, repeating until no node stages further work.
-//
-// Release proceeds in stratified waves: each call releases the lowest
-// occupied SCC stratum (PredInfo.Stratum) as one batch of rederive deltas,
-// so a suspect's supports re-derive before the suspects that consume them
-// validate, and the driver pays one release/flush round trip per stratum
-// instead of one per suspect. Strata that release only
-// stale stagings (no-ops under release-time validation) are consumed within
-// the same call, so a true return always carries actionable work and a
-// false return means nothing is staged. The wave order is purely a
-// round-trip optimization — release order cannot affect the fixpoint
-// (engine/dred_test.go proves order independence).
-//
-// Correctness requires the cluster-wide deletion wave to have quiesced
-// first: releasing while delete messages are still in flight re-creates the
-// race between deletion and re-derivation that diverges on cyclic
-// derivations (count-to-infinity). Every driver therefore reaches this only
-// through ReleasePass, at its global quiescence point — the simulator's
-// empty event queue, the scheduler's drained rounds, the deployment's
-// retired work accounting, or Settle under a synchronous transport.
-func (n *Node) ReleaseStaged() bool {
-	if n.Err != nil {
-		return false
-	}
-	sh := n.shard
-	for {
-		stratum := sh.minStagedStratum()
-		if stratum < 0 {
-			return false
-		}
-		if sh.releaseStratum(stratum, nil) {
-			return true
-		}
 	}
 }
 
@@ -354,67 +486,6 @@ func (n *Node) Flush() {
 	}
 }
 
-// ReleasePass is the retraction protocol's phase 2, stated once for every
-// driver. The caller has established global quiescence (see ReleaseStaged
-// for why that is required). each must apply the function it is given to
-// every node of the cluster, on the goroutine that owns that node — it may
-// run the calls concurrently — and report whether any call returned true.
-// The pass releases every node's staged work and reports whether any node
-// had some; the driver then runs the cluster to quiescence again and
-// repeats. Only a pass that released nothing is the true fixpoint, the one
-// point where plan swaps are legal, so only then is every node re-planned.
-//
-// With flush set, a node that released runs to local quiescence before its
-// call returns (Settle, the simulator's OnIdle hook, deploy.WaitFixpoint).
-// The Scheduler passes false: released work stays queued for its next round,
-// where it runs on the worker pool like any other delta.
-//
-// The functions handed to each capture nothing, so a pass allocates nothing
-// (the scheduler's delivery alloc fence runs through here).
-func ReleasePass(each func(func(*Node) bool) bool, flush bool) bool {
-	release := (*Node).ReleaseStaged
-	if flush {
-		release = releaseAndFlush
-	}
-	if each(release) {
-		return true
-	}
-	each(func(n *Node) bool { n.Replan(); return false })
-	return false
-}
-
-func releaseAndFlush(n *Node) bool {
-	if !n.ReleaseStaged() {
-		return false
-	}
-	n.Flush()
-	return true
-}
-
-// Settle drives the retraction protocol's release loop across a set of
-// nodes connected by a synchronous transport (one whose Send delivers — and
-// cascades — before returning, like the test harnesses): at entry the
-// deletion wave has globally quiesced, so staged work is released and run,
-// repeatedly, until no node stages anything further.
-func Settle(nodes ...*Node) {
-	each := func(fn func(*Node) bool) bool { return anyNode(nodes, fn) }
-	for ReleasePass(each, true) {
-	}
-}
-
-// anyNode applies fn to every node, in order, and reports whether any call
-// returned true — the each of ReleasePass for a driver that owns all its
-// nodes on one goroutine.
-func anyNode(nodes []*Node, fn func(*Node) bool) bool {
-	any := false
-	for _, n := range nodes {
-		if fn(n) {
-			any = true
-		}
-	}
-	return any
-}
-
 // drain processes queued deltas FIFO until quiescent — the pipelined PSN
 // executor: each delta is applied and its rules fired inline.
 func (n *Node) drain() {
@@ -423,24 +494,18 @@ func (n *Node) drain() {
 	}
 	n.running = true
 	defer func() { n.running = false }()
-	sh := n.shard
-	for sh.qhead < len(sh.queue) && n.Err == nil {
-		sh.process(sh.popDelta(), false)
+	for n.qhead < len(n.queue) && n.Err == nil {
+		n.process(n.popDelta())
 	}
 }
 
 // Centralized-mode helpers: provenance rows travel to the server as plain
-// prov/ruleExec tuples, whose byte sizes are charged like any message.
+// prov/ruleExec tuples, routed like a derived head (queued locally when this
+// node is the server) and charged like any message.
 
 func (n *Node) sendProvRow(loc types.NodeID, vid, rid types.ID, rloc types.NodeID, sign int8) {
 	row := types.NewTuple("prov", types.Node(loc), types.IDVal(vid), types.IDVal(rid), types.Node(rloc))
-	if n.Central == n.ID {
-		n.shard.enqueue(localDelta{tuple: row, sign: sign, rloc: n.ID})
-		return
-	}
-	m := n.Msgs.Get()
-	m.Tuple, m.Delta = row, sign
-	n.Transport.Send(n.ID, n.Central, m)
+	n.route(row, n.Central, sign, types.ZeroID, bdd.False)
 }
 
 func (n *Node) sendRuleExecRow(rid types.ID, rule string, inputs []types.ID, sign int8) {
@@ -449,11 +514,5 @@ func (n *Node) sendRuleExecRow(rid types.ID, rule string, inputs []types.ID, sig
 		vids[i] = types.IDVal(id)
 	}
 	row := types.NewTuple("ruleExec", types.Node(n.ID), types.IDVal(rid), types.Str(rule), types.List(vids...))
-	if n.Central == n.ID {
-		n.shard.enqueue(localDelta{tuple: row, sign: sign, rloc: n.ID})
-		return
-	}
-	m := n.Msgs.Get()
-	m.Tuple, m.Delta = row, sign
-	n.Transport.Send(n.ID, n.Central, m)
+	n.route(row, n.Central, sign, types.ZeroID, bdd.False)
 }

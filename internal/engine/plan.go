@@ -9,14 +9,15 @@ import (
 
 // This file is the engine's PLAN layer: the compiled, immutable description
 // of how one rule is evaluated incrementally. Compile (program.go) produces
-// one delta plan per body-atom position of every rule; the evaluation-state
-// layer (shard.go / exec.go) executes plans against a node's relations.
+// one delta plan per body-atom position of every rule; the executors
+// (exec.go, driven by apply.go and rounds.go) run plans against a node's
+// relations.
 //
 // The contract between the layers:
 //
 //   - A plan is immutable after Compile and shared by every node. All
 //     mutable evaluation state (environments, scratch keys, matched tuples)
-//     lives in the executing node's shard.
+//     lives in the executing Node.
 //   - deltaBinds matches the triggering delta tuple into the environment;
 //     steps then run in order. stepJoin probes the index identified by
 //     joinID (bound to the node's concrete index handles at construction
@@ -73,7 +74,7 @@ type planStep struct {
 	srcTxt     string // source text of the term (explain output only)
 	// condID is the term's rule-local index (its position among the rule's
 	// non-atom body terms in source order); stepCond executions tally
-	// pass/fail into shard.condStats[rule.condBase+condID]. Stable across
+	// pass/fail into Node.condStats[rule.condBase+condID]. Stable across
 	// re-plans: rebuilt plans re-derive the same term numbering from the
 	// rule source.
 	condID int

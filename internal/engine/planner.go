@@ -27,7 +27,7 @@ import (
 //   - Rebuilt plans reuse the compile-time joinIDs of their (rule, pos) in
 //     step order. Every legal plan of a position has exactly the same
 //     number of join steps, so the program-wide joinID space — which sizes
-//     shard.joinIdx and shard.joinStats — never changes.
+//     Node.joinIdx and Node.joinStats — never changes.
 //
 // The cost model is deliberately simple: the estimated fan-out of probing
 // an atom on its bound positions, preferring measured hits/probes once a
@@ -230,11 +230,11 @@ func (n *Node) rebindAfterSwap() {
 		}
 	}
 	for pred, m := range keep {
-		if rel := n.shard.lookup(pred); rel != nil {
+		if rel := n.lookup(pred); rel != nil {
 			rel.dropIndexesExcept(m)
 		}
 	}
-	n.shard.bindPlans()
+	n.bindPlans()
 	n.rebuildJoinKeys()
 }
 

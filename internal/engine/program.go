@@ -18,7 +18,7 @@ type Program struct {
 	// index handles and allocate scratch arenas before evaluation starts.
 	numJoins  int // total stepJoin steps across all plans; joinIDs are [0,numJoins)
 	numTables int // stored (non-event) predicates; tableIDs are [0,numTables)
-	numConds  int // non-atom body terms across all rules; sizes shard.condStats
+	numConds  int // non-atom body terms across all rules; sizes Node.condStats
 	maxVars   int // widest rule environment
 	maxAtoms  int // widest rule body
 	maxGroup  int // widest aggregate group-by list
@@ -87,7 +87,7 @@ type CompiledRule struct {
 	// condBase offsets this rule's non-atom body terms into the program-
 	// wide condition-statistics space [condBase, condBase+numTerms):
 	// stepCond steps carry the term's rule-local index (planStep.condID),
-	// and the measured pass/fail tallies (shard.condStats) are keyed by
+	// and the measured pass/fail tallies (Node.condStats) are keyed by
 	// condBase+condID — stable across plan swaps, because rebuilt plans
 	// re-derive the same term indexing from the rule source.
 	condBase int

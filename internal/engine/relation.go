@@ -56,7 +56,7 @@ type entry struct {
 
 	// staged marks a suspect of the retraction protocol: the entry was
 	// over-deleted while alternate derivations survived and sits on its
-	// node's re-derivation list (shard.stagedEnts). Sweep must not reclaim
+	// node's re-derivation list (Node.stagedEnts). Sweep must not reclaim
 	// it — the staged list holds a pointer — and release clears the flag.
 	staged bool
 

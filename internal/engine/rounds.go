@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/bdd"
 	"repro/internal/types"
 )
@@ -57,26 +55,18 @@ type aggItem struct {
 	sign      int8
 }
 
-// roundState is the batched executor's per-node state: the firings deferred
-// by the current round's apply step, and the aggregate updates its fire step
-// produced for the next one.
-type roundState struct {
-	fires []fireItem
-	aggIn []aggItem
-}
-
 // markTouched records a stored entry's first touch of the round: its
 // start-of-round visibility (against which the net transition and the
 // old-state probe admissions are decided) and a fire-list slot.
 //
 //exspan:hotpath
-func (sh *shard) markTouched(rel *Relation, e *entry, occs []occurrence) {
-	if e.touchRound == sh.n.curRound {
+func (n *Node) markTouched(rel *Relation, e *entry, occs []occurrence) {
+	if e.touchRound == n.curRound {
 		return
 	}
-	e.touchRound = sh.n.curRound
+	e.touchRound = n.curRound
 	e.startVis = e.visible
-	sh.rs.fires = append(sh.rs.fires, fireItem{tuple: e.tuple, occs: occs, ent: e, rel: rel})
+	n.fires = append(n.fires, fireItem{tuple: e.tuple, occs: occs, ent: e, rel: rel})
 }
 
 // applyPhase drains the delta ring and applies the aggregate updates the
@@ -84,18 +74,19 @@ func (sh *shard) markTouched(rel *Relation, e *entry, occs []occurrence) {
 // behind the drained batch, for the next round.
 //
 //exspan:hotpath
-func (sh *shard) applyPhase() {
-	for sh.qhead < len(sh.queue) && sh.n.Err == nil {
-		sh.process(sh.popDelta(), true)
+func (n *Node) applyPhase() {
+	for n.qhead < len(n.queue) && n.Err == nil {
+		n.process(n.popDelta())
 	}
-	for i := range sh.rs.aggIn {
-		if sh.n.Err != nil {
+	for i := range n.aggIn {
+		if n.Err != nil {
 			break
 		}
-		sh.applyAggItem(&sh.rs.aggIn[i])
+		it := &n.aggIn[i]
+		n.applyAgg(it.rule, it.groupVals, it.sortVal, it.carried, it.input, it.sign)
 	}
-	clear(sh.rs.aggIn)
-	sh.rs.aggIn = sh.rs.aggIn[:0]
+	clear(n.aggIn)
+	n.aggIn = n.aggIn[:0]
 }
 
 // firePhase evaluates the deferred firings against the frozen post-apply
@@ -103,14 +94,13 @@ func (sh *shard) applyPhase() {
 // fire once with their net sign.
 //
 //exspan:hotpath
-func (sh *shard) firePhase() {
-	for i := range sh.rs.fires {
-		if sh.n.Err != nil {
+func (n *Node) firePhase() {
+	for i := range n.fires {
+		if n.Err != nil {
 			return
 		}
-		it := &sh.rs.fires[i]
-		sign := it.sign
-		var ent *entry
+		it := &n.fires[i]
+		sign, ent, payload := it.sign, (*entry)(nil), bdd.False
 		if !it.isEvent {
 			e := it.ent
 			if e.startVis == e.visible {
@@ -121,79 +111,28 @@ func (sh *shard) firePhase() {
 			} else {
 				sign = Delete
 			}
-			ent = e
+			ent, payload = e, e.payload
 		}
-		for _, occ := range it.occs {
-			if occ.rule.agg != nil {
-				sh.fireAggRound(occ.rule, it.tuple, sign)
-			} else {
-				payload := bdd.False
-				if ent != nil {
-					payload = ent.payload
-				}
-				sh.firePlan(occ.rule, occ.pos, it.tuple, sign, ent, payload)
-			}
-		}
-	}
-}
-
-// fireAggRound evaluates an aggregate rule's body for a net delta and queues
-// the group update for the next apply step (group state is frozen while
-// firing). Group values and carried values are copied out of scratch into
-// the value arena.
-//
-//exspan:hotpath
-func (sh *shard) fireAggRound(rule *CompiledRule, t types.Tuple, sign int8) {
-	env, ok := sh.evalAggBody(rule, t)
-	if !ok {
-		return
-	}
-	spec := rule.agg
-	groupVals := sh.groupBuf[:len(spec.groupCode)]
-	for i, code := range spec.groupCode {
-		v, err := code(env)
-		if err != nil {
-			//exspanlint:alloc-ok error path: evaluation aborts on the first failure
-			sh.n.fail(fmt.Errorf("rule %s group: %w", rule.Label, err))
-			return
-		}
-		groupVals[i] = v
-	}
-	sortVal, carried := sh.evalAggVals(rule, env)
-	sh.rs.aggIn = append(sh.rs.aggIn, aggItem{
-		rule: rule, groupVals: sh.argArena.Copy(groupVals), sortVal: sortVal,
-		carried: sh.argArena.Copy(carried), input: t, sign: sign,
-	})
-}
-
-// applyAggItem applies one queued aggregate update to its group, emitting
-// any net output change as local head deltas for the next round.
-func (sh *shard) applyAggItem(it *aggItem) {
-	rule := it.rule
-	g := sh.aggGroupFor(rule, it.groupVals)
-	for _, em := range g.update(sh, rule, it.groupVals, it.sortVal, it.carried, it.input, it.sign) {
-		out := em.tuple
-		out.Pred = rule.HeadPred
-		sh.emitAggChange(rule, out, em, it.input)
+		n.fireAll(it.occs, it.tuple, sign, ent, payload)
 	}
 }
 
 // endRound closes a round: entries whose net transition was to invisible
 // leave the indexes now that no probe of the round can still want their
 // start-of-round state, and tombstone-dominated relations are swept.
-func (sh *shard) endRound() {
-	for i := range sh.rs.fires {
-		it := &sh.rs.fires[i]
+func (n *Node) endRound() {
+	for i := range n.fires {
+		it := &n.fires[i]
 		if it.ent != nil && !it.ent.visible && it.ent.indexed {
 			it.rel.unindex(it.ent)
 		}
 	}
-	clear(sh.rs.fires)
-	sh.rs.fires = sh.rs.fires[:0]
-	for i := range sh.tablesByID {
-		sh.tablesByID[i].maybeSweepRound()
+	clear(n.fires)
+	n.fires = n.fires[:0]
+	for i := range n.tablesByID {
+		n.tablesByID[i].maybeSweepRound()
 	}
-	for _, rel := range sh.extraTables {
+	for _, rel := range n.extraTables {
 		rel.maybeSweepRound()
 	}
 }
@@ -208,11 +147,10 @@ func (n *Node) runRounds() {
 	}
 	n.running = true
 	defer func() { n.running = false }()
-	sh := n.shard
-	for n.Err == nil && sh.pending() {
+	for n.Err == nil && n.pending() {
 		n.curRound++
-		sh.applyPhase()
-		sh.firePhase()
-		sh.endRound()
+		n.applyPhase()
+		n.firePhase()
+		n.endRound()
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/algebra"
-	"repro/internal/bdd"
 	"repro/internal/types"
 )
 
@@ -55,8 +54,8 @@ type Scheduler struct {
 }
 
 // NewScheduler builds a cluster of nNodes engine nodes driven by a pool of
-// `workers` goroutines (0 = GOMAXPROCS). The fourth parameter is ignored
-// (see AutoShards).
+// `workers` goroutines (0 = GOMAXPROCS). The fourth parameter is ignored: a
+// shim kept for bench/ (see the note in node.go).
 func NewScheduler(prog *Program, mode ProvMode, nNodes, _, workers int) *Scheduler {
 	return newScheduler(prog, mode, nNodes, workers, true)
 }
@@ -119,22 +118,17 @@ func (s *Scheduler) Node(i int) *Node { return s.nodes[i] }
 func (s *Scheduler) NumNodes() int { return len(s.nodes) }
 
 // InsertBase deposits a base-tuple insertion at a node (evaluated by Run).
-func (s *Scheduler) InsertBase(node types.NodeID, t types.Tuple) {
-	s.nodes[node].shard.enqueue(localDelta{tuple: t, sign: Insert, rloc: node, isBase: true})
-}
+func (s *Scheduler) InsertBase(node types.NodeID, t types.Tuple) { s.deposit(node, t, Insert, false) }
 
 // DeleteBase deposits a base-tuple retraction at a node.
-func (s *Scheduler) DeleteBase(node types.NodeID, t types.Tuple) {
-	s.nodes[node].shard.enqueue(localDelta{tuple: t, sign: Delete, rloc: node, isBase: true})
-}
+func (s *Scheduler) DeleteBase(node types.NodeID, t types.Tuple) { s.deposit(node, t, Delete, false) }
 
 // InjectEvent deposits an event tuple at a node.
-func (s *Scheduler) InjectEvent(node types.NodeID, t types.Tuple) {
-	d := localDelta{tuple: t, sign: Insert, rloc: node, isBase: true}
-	if s.Mode == ProvValue {
-		d.payload = bdd.True
-	}
-	s.nodes[node].shard.enqueue(d)
+func (s *Scheduler) InjectEvent(node types.NodeID, t types.Tuple) { s.deposit(node, t, Insert, true) }
+
+func (s *Scheduler) deposit(node types.NodeID, t types.Tuple, sign int8, event bool) {
+	n := s.nodes[node]
+	n.enqueue(n.baseDelta(t, sign, event))
 }
 
 // Err reports the first engine error across nodes.
@@ -162,7 +156,7 @@ func (s *Scheduler) Run() error {
 	for {
 		active := s.scratch[:0]
 		for _, n := range s.nodes {
-			if n.Err == nil && n.shard.pending() {
+			if n.Err == nil && n.pending() {
 				active = append(active, n)
 			}
 		}

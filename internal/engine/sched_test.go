@@ -194,7 +194,7 @@ func diffStates(t *testing.T, label string, nNodes int, preds []string,
 	}
 }
 
-// shardedEquivalence checks serial/scheduler agreement on one random graph.
+// executorEquivalence checks serial/scheduler agreement on one random graph.
 // extra > 0 adds cycle-closing edges; withChurn retracts (and re-inserts
 // half of) a random subset of ALL edges — spanning-tree and cycle-closing
 // alike. Disconnecting deletions and deletions that kill the cheapest route
@@ -202,7 +202,7 @@ func diffStates(t *testing.T, label string, nNodes int, preds []string,
 // re-derive discipline exists for (see ARCHITECTURE.md "Deletion
 // semantics"); before it, unbounded-cost programs diverged here by
 // count-to-infinity and churn had to be pinned to stub edges.
-func shardedEquivalence(t *testing.T, prog *Program, mode ProvMode, preds []string, seed int64, extra int, withChurn bool) {
+func executorEquivalence(t *testing.T, prog *Program, mode ProvMode, preds []string, seed int64, extra int, withChurn bool) {
 	t.Helper()
 	const nNodes = 12
 	rng := rand.New(rand.NewSource(seed))
@@ -289,8 +289,8 @@ func TestShardedMinCostMatchesSerial(t *testing.T) {
 		equivalenceOn(t, prog, ProvReference, preds, ring.N, edges, churn, costs)
 		equivalenceOn(t, prog, ProvNone, preds, ring.N, edges, churn, costs)
 	}
-	shardedEquivalence(t, prog, ProvReference, preds, 5, 4, true)
-	shardedEquivalence(t, prog, ProvNone, preds, 6, 4, true)
+	executorEquivalence(t, prog, ProvReference, preds, 5, 4, true)
+	executorEquivalence(t, prog, ProvNone, preds, 6, 4, true)
 }
 
 func TestShardedPathVectorMatchesSerial(t *testing.T) {
@@ -299,7 +299,7 @@ func TestShardedPathVectorMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	preds := []string{"link", "path", "bestPath"}
-	shardedEquivalence(t, prog, ProvReference, preds, 7, 3, true)
+	executorEquivalence(t, prog, ProvReference, preds, 7, 3, true)
 }
 
 // TestShardedReachChurnMatchesSerial exercises delete/re-derive churn over a
@@ -315,8 +315,8 @@ r2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X).
 	}
 	preds := []string{"link", "reach"}
 	for seed := int64(1); seed <= 3; seed++ {
-		shardedEquivalence(t, prog, ProvReference, preds, seed, 6, true)
-		shardedEquivalence(t, prog, ProvNone, preds, seed, 6, true)
+		executorEquivalence(t, prog, ProvReference, preds, seed, 6, true)
+		executorEquivalence(t, prog, ProvNone, preds, seed, 6, true)
 	}
 }
 

@@ -14,7 +14,7 @@ package engine
 //   - Per-index distinct keys: len(index.buckets), maintained by the
 //     ordinary index add/remove that setVisible drives.
 //   - Join-probe fan-out tallies: joinStat{probes, hits} per compiled join
-//     step (shard.joinStats, indexed by joinID — an array bump per probe).
+//     step (Node.joinStats, indexed by joinID — an array bump per probe).
 //
 // The per-joinID tallies are folded into the node-level accumulator
 // (Node.fanAcc, keyed by the probed predicate and index — a key that stays
@@ -70,9 +70,8 @@ func (n *Node) foldJoinStats() {
 	if n.fanAcc == nil {
 		n.fanAcc = make(map[statKey]joinStat)
 	}
-	sh := n.shard
-	for id := range sh.joinStats {
-		js := &sh.joinStats[id]
+	for id := range n.joinStats {
+		js := &n.joinStats[id]
 		if js.probes == 0 {
 			continue
 		}
@@ -85,8 +84,8 @@ func (n *Node) foldJoinStats() {
 		}
 		*js = joinStat{}
 	}
-	for id := range sh.condStats {
-		cs := &sh.condStats[id]
+	for id := range n.condStats {
+		cs := &n.condStats[id]
 		if cs.evals == 0 {
 			continue
 		}
@@ -108,7 +107,7 @@ func (n *Node) snapshotStats() *statsSnapshot {
 		if info.Event {
 			continue
 		}
-		rel := &n.shard.tablesByID[info.tableID]
+		rel := &n.tablesByID[info.tableID]
 		snap.card[info.Name] = int64(rel.Len())
 		snap.churn[info.Name] = rel.churn
 	}
@@ -119,7 +118,7 @@ func (n *Node) snapshotStats() *statsSnapshot {
 // over the given positions: the live bucket count when an index exists, a
 // one-off scan (cold path, quiescence only) otherwise.
 func (n *Node) distinctKeys(pred string, positions []int) int64 {
-	rel := n.shard.lookup(pred)
+	rel := n.lookup(pred)
 	if rel == nil {
 		return 0
 	}

@@ -3,7 +3,7 @@ package engine
 import "sort"
 
 // This file computes the program's predicate dependency structure at
-// compile time. The retraction discipline (see shard.go and
+// compile time. The retraction discipline (see apply.go, release.go and
 // ARCHITECTURE.md "Deletion semantics") needs to know which predicates can
 // participate in cyclic derivations: for those, exact derivation counting
 // is unsound — a tuple can keep a positive support count whose derivations

@@ -257,7 +257,7 @@ func calleePkgFunc(info *types.Info, call *ast.CallExpr) (pkgPath, name string) 
 }
 
 // rootIdent walks a selector/index/star chain to its base identifier:
-// sh.rs.fires[i].ent -> sh. Returns nil for anything not rooted at a plain
+// n.fires[i].ent -> n. Returns nil for anything not rooted at a plain
 // identifier.
 func rootIdent(e ast.Expr) *ast.Ident {
 	for {
