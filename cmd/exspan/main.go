@@ -140,13 +140,13 @@ func main() {
 	switch *udfName {
 	case "polynomial":
 	case "bdd":
-		setUDF(c, provquery.BDDProv{Alloc: c.Alloc})
+		setUDF(c, provquery.BDD(c.Alloc))
 	case "derivations":
-		setUDF(c, provquery.Derivations{})
+		setUDF(c, provquery.Derivations())
 	case "nodeset":
-		setUDF(c, provquery.NodeSet{})
+		setUDF(c, provquery.NodeSet())
 	case "derivability":
-		setUDF(c, provquery.Derivability{})
+		setUDF(c, provquery.Derivability(nil))
 	default:
 		fatal(fmt.Errorf("unknown -udf %q", *udfName))
 	}

@@ -156,7 +156,7 @@ func printResolution(c *core.Cluster, key int64) {
 	}
 	fmt.Printf("  resolved at node %s: %s\n", ref.Loc, ref.Tuple)
 	for _, h := range c.Hosts {
-		h.Query.UDF = provquery.NodeSet{}
+		h.Query.UDF = provquery.NodeSet()
 	}
 	var nodes []types.NodeID
 	c.Query(ref.Loc, ref.VID, ref.Loc, func(p []byte) { nodes = provquery.DecodeNodeSet(p) })

@@ -68,7 +68,7 @@ func main() {
 	ref, _ := cluster.FindTuple(after)
 
 	for _, h := range cluster.Hosts {
-		h.Query.UDF = provquery.NodeSet{}
+		h.Query.UDF = provquery.NodeSet()
 	}
 	var nodesPayload []byte
 	cluster.Query(src, ref.VID, ref.Loc, func(p []byte) { nodesPayload = p })

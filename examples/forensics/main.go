@@ -55,7 +55,7 @@ func main() {
 	// Trace each received packet: the NODESET of its provenance is the
 	// forwarding path plus the control-plane state used at each hop.
 	for _, h := range cluster.Hosts {
-		h.Query.UDF = provquery.NodeSet{}
+		h.Query.UDF = provquery.NodeSet()
 	}
 	for _, r := range recv {
 		src := r.Tuple.Args[1].AsNode()
@@ -75,7 +75,7 @@ func main() {
 		log.Fatal("no bestPath tuples")
 	}
 	for _, h := range cluster.Hosts {
-		h.Query.UDF = provquery.NodeSet{}
+		h.Query.UDF = provquery.NodeSet()
 		h.Query.Strategy = provquery.Moonwalk
 		h.Query.MoonwalkN = 1
 	}

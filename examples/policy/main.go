@@ -147,7 +147,7 @@ func nodeSet(c *core.Cluster, t types.Tuple) []types.NodeID {
 		log.Fatalf("tuple %s not found", t)
 	}
 	for _, h := range c.Hosts {
-		h.Query.UDF = provquery.NodeSet{}
+		h.Query.UDF = provquery.NodeSet()
 	}
 	var nodes []types.NodeID
 	c.Query(ref.Loc, ref.VID, ref.Loc, func(p []byte) { nodes = provquery.DecodeNodeSet(p) })

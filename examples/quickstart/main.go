@@ -86,13 +86,13 @@ func main() {
 		udf  provquery.UDF
 		show func(payload []byte) string
 	}{
-		{"#DERIVATIONS", provquery.Derivations{}, func(p []byte) string {
+		{"#DERIVATIONS", provquery.Derivations(), func(p []byte) string {
 			return fmt.Sprint(provquery.DecodeCount(p))
 		}},
-		{"NODESET", provquery.NodeSet{}, func(p []byte) string {
+		{"NODESET", provquery.NodeSet(), func(p []byte) string {
 			return fmt.Sprint(provquery.DecodeNodeSet(p))
 		}},
-		{"DERIVABILITY", provquery.Derivability{}, func(p []byte) string {
+		{"DERIVABILITY", provquery.Derivability(nil), func(p []byte) string {
 			return fmt.Sprint(provquery.DecodeBool(p))
 		}},
 	} {

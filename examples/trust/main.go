@@ -49,7 +49,7 @@ func main() {
 
 	// --- 1. BDD (absorption) provenance --------------------------------
 	for _, h := range cluster.Hosts {
-		h.Query.UDF = provquery.BDDProv{Alloc: cluster.Alloc}
+		h.Query.UDF = provquery.BDD(cluster.Alloc)
 	}
 	var bddPayload []byte
 	cluster.Query(c, target.VID, target.Loc, func(p []byte) { bddPayload = p })
@@ -90,9 +90,7 @@ func main() {
 
 	// --- 2. Graph projection during traversal --------------------------
 	for _, h := range cluster.Hosts {
-		h.Query.UDF = provquery.Derivability{
-			Trusted: func(t types.Tuple, node types.NodeID) bool { return node != b },
-		}
+		h.Query.UDF = provquery.Derivability(func(base algebra.Base) bool { return base.Node != b })
 	}
 	var der []byte
 	cluster.Query(c, target.VID, target.Loc, func(p []byte) { der = p })

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,6 +175,34 @@ func TestCountingSemiringLaws(t *testing.T) {
 		if s.Mul(x, s.One()) != x || s.Add(x, s.Zero()) != x {
 			t.Fatal("identities")
 		}
+	}
+}
+
+// TestNodeSetZeroAnnihilates: NODESET's Zero (nil: no derivation) absorbs a
+// product — a join with an underivable input involves no node — while One
+// (the empty set) is the product's identity and both sites union.
+func TestNodeSetZeroAnnihilates(t *testing.T) {
+	s := NodeSet()
+	ab := []types.NodeID{0, 1}
+	if s.Mul(ab, nil) != nil || s.Mul(nil, ab) != nil {
+		t.Error("product with a nil factor is not nil")
+	}
+	if got := s.Mul(ab, s.One()); !slices.Equal(got, ab) {
+		t.Errorf("ab·1 = %v, want %v", got, ab)
+	}
+	if got := s.Add(ab, s.Zero()); !slices.Equal(got, ab) {
+		t.Errorf("ab+0 = %v, want %v", got, ab)
+	}
+	if got, want := s.Add([]types.NodeID{0, 2}, []types.NodeID{1, 2}), []types.NodeID{0, 1, 2}; !slices.Equal(got, want) {
+		t.Errorf("{a c}+{b c} = %v, want %v", got, want)
+	}
+	if got, want := s.Mul([]types.NodeID{2}, []types.NodeID{0}), []types.NodeID{0, 2}; !slices.Equal(got, want) {
+		t.Errorf("{c}·{a} = %v, want %v", got, want)
+	}
+	// Eval sees the Zero kid that Prod would have collapsed.
+	e := &Expr{Op: OpProd, Kids: []*Expr{NewBase(baseN(1)), Zero()}}
+	if got := SortedNodes(e); got != nil {
+		t.Errorf("nodes of b·0 = %v, want nil", got)
 	}
 }
 

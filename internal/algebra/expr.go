@@ -1,7 +1,11 @@
 // Package algebra implements provenance polynomials (provenance semirings,
 // Green et al. PODS 2007) as used by the paper's POLYNOMIAL query
-// customization, together with generic semiring evaluation that powers the
-// NodeSet, #Derivations, Derivability and BDD representations of §5.2.
+// customization, and the semirings whose homomorphic images of them are the
+// other representations of §5.2: Counting (#DERIVATIONS), NodeSet (NODESET),
+// Boolean (DERIVABILITY) and BDD (condensed provenance). Those semirings are
+// the one definition of how each representation combines: the query
+// processor's UDFs fold wire payloads with them, and Eval folds a polynomial
+// with them.
 package algebra
 
 import (

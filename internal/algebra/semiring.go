@@ -1,7 +1,7 @@
 package algebra
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/bdd"
@@ -72,44 +72,47 @@ func Boolean() Semiring[bool] {
 // trusted returns true may be used — the paper's trust-policy projection.
 func DerivableGiven(e *Expr, trusted func(Base) bool) bool {
 	s := Boolean()
-	s.FromBase = func(b Base) bool { return trusted(b) }
+	s.FromBase = trusted
 	return Eval(e, s)
 }
 
-// NodeSet is the semiring of node sets under union for both operations; it
-// computes the set of nodes participating in any derivation (the paper's
-// first customization example).
-func NodeSet() Semiring[map[types.NodeID]bool] {
-	union := func(a, b map[types.NodeID]bool) map[types.NodeID]bool {
-		out := make(map[types.NodeID]bool, len(a)+len(b))
-		for n := range a {
-			out[n] = true
-		}
-		for n := range b {
-			out[n] = true
-		}
-		return out
-	}
-	return Semiring[map[types.NodeID]bool]{
-		Zero:     func() map[types.NodeID]bool { return map[types.NodeID]bool{} },
-		One:      func() map[types.NodeID]bool { return map[types.NodeID]bool{} },
-		FromBase: func(b Base) map[types.NodeID]bool { return map[types.NodeID]bool{b.Node: true} },
-		Add:      union,
-		Mul:      union,
+// NodeSet is the semiring of the nodes holding the base tuples of some
+// derivation (the paper's first customization example), as ascending
+// slices. Both operations are union, except that the product annihilates on
+// Zero: nil, the node set of no derivation, as distinct from One, the empty
+// set of the empty product. A join with an underivable input derives
+// nothing, so it involves no node.
+func NodeSet() Semiring[[]types.NodeID] {
+	return Semiring[[]types.NodeID]{
+		Zero:     func() []types.NodeID { return nil },
+		One:      func() []types.NodeID { return []types.NodeID{} },
+		FromBase: func(b Base) []types.NodeID { return []types.NodeID{b.Node} },
+		Add:      unionNodes,
+		Mul: func(a, b []types.NodeID) []types.NodeID {
+			if a == nil || b == nil {
+				return nil
+			}
+			return unionNodes(a, b)
+		},
 	}
 }
 
-// SortedNodes evaluates the NodeSet semiring and returns the participating
-// nodes in ascending order.
-func SortedNodes(e *Expr) []types.NodeID {
-	set := Eval(e, NodeSet())
-	out := make([]types.NodeID, 0, len(set))
-	for n := range set {
-		out = append(out, n)
+// unionNodes unites two ascending node sets; nil is its identity.
+func unionNodes(a, b []types.NodeID) []types.NodeID {
+	if a == nil {
+		return b
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	if b == nil {
+		return a
+	}
+	out := append(append(make([]types.NodeID, 0, len(a)+len(b)), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
+
+// SortedNodes evaluates the NodeSet semiring: the participating nodes in
+// ascending order.
+func SortedNodes(e *Expr) []types.NodeID { return Eval(e, NodeSet()) }
 
 // MinTrust evaluates the tropical-style trust semiring: every base tuple has
 // a trust value in [0,100]; a derivation's trust is the minimum over its
@@ -179,17 +182,19 @@ func (a *VarAlloc) Len() int {
 	return len(a.bases)
 }
 
-// ToBDD evaluates the polynomial in the boolean-function semiring, encoding
-// each base tuple as a BDD variable. Because ROBDDs are canonical, the
-// result is the absorption-condensed provenance of §6.3: a·(a+b) collapses
-// to a.
-func ToBDD(e *Expr, m *bdd.Manager, alloc *VarAlloc) bdd.Ref {
-	s := Semiring[bdd.Ref]{
+// BDD is the boolean-function semiring over manager m, encoding each base
+// tuple as the BDD variable alloc assigns it. Because ROBDDs are canonical,
+// its values are the absorption-condensed provenance of §6.3: a·(a+b)
+// collapses to a.
+func BDD(m *bdd.Manager, alloc *VarAlloc) Semiring[bdd.Ref] {
+	return Semiring[bdd.Ref]{
 		Zero:     func() bdd.Ref { return bdd.False },
 		One:      func() bdd.Ref { return bdd.True },
 		FromBase: func(b Base) bdd.Ref { return m.Var(alloc.VarOf(b)) },
 		Add:      m.Or,
 		Mul:      m.And,
 	}
-	return Eval(e, s)
 }
+
+// ToBDD evaluates the polynomial in the BDD semiring.
+func ToBDD(e *Expr, m *bdd.Manager, alloc *VarAlloc) bdd.Ref { return Eval(e, BDD(m, alloc)) }

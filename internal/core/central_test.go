@@ -1,11 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/engine"
 	"repro/internal/provquery"
+	"repro/internal/topology"
 	"repro/internal/types"
 )
 
@@ -24,9 +30,26 @@ func CentralGraphOf(c *Cluster) *provquery.CentralGraph {
 	return provquery.NewCentralGraph(provRows, execRows)
 }
 
+// canon renders a polynomial with base labels replaced by their VIDs and the
+// kids of every sum and product sorted: two polynomials render alike iff
+// they are equal up to base labels and derivation order.
+func canon(e *algebra.Expr) string {
+	if e.Op == algebra.OpBase {
+		return e.Base.VID.Short() + "@" + e.Base.Node.String()
+	}
+	kids := make([]string, len(e.Kids))
+	for i, k := range e.Kids {
+		kids[i] = canon(k)
+	}
+	sort.Strings(kids)
+	return fmt.Sprintf("%d<%s>(%s)", e.Op, e.Ann, strings.Join(kids, " "))
+}
+
 // TestCentralizedQueriesMatchDistributed: running MINCOST in centralized
-// mode relays the full provenance graph to the server; central queries
-// must agree with distributed reference-mode queries on every tuple.
+// mode relays the full provenance graph to the server. On every tuple, the
+// server's polynomial equals the distributed POLYNOMIAL answer up to base
+// labels, and folded in each representation's semiring it equals that
+// representation's distributed answer.
 func TestCentralizedQueriesMatchDistributed(t *testing.T) {
 	central := figure3Cluster(t, engine.ProvCentralized)
 	graph := CentralGraphOf(central)
@@ -34,43 +57,46 @@ func TestCentralizedQueriesMatchDistributed(t *testing.T) {
 		t.Fatal("server received no provenance rows")
 	}
 
-	ref, err := NewCluster(Config{
-		Topo: central.Topo, Prog: apps.MinCost(), Mode: engine.ProvReference,
-		UDF: provquery.Derivations{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, target := range ref.TuplesOf("bestPathCost") {
-		var want int64 = -1
-		ref.Query(target.Loc, target.VID, target.Loc, func(p []byte) { want = provquery.DecodeCount(p) })
-		ref.Sim.Run()
-		if got := graph.Count(target.VID); got != want {
-			t.Errorf("%s: central count %d, distributed %d", target.Tuple, got, want)
+	ref := figure3Cluster(t, engine.ProvReference)
+	distrustB := func(base algebra.Base) bool { return base.Node != b }
+	imgs := append(images(ref), image{provquery.Derivability(distrustB), func(poly *algebra.Expr, p []byte) bool {
+		return provquery.DecodeBool(p) == algebra.DerivableGiven(poly, distrustB)
+	}})
+	checked := 0
+	for _, pred := range []string{"link", "pathCost", "bestPathCost"} {
+		for _, target := range ref.TuplesOf(pred) {
+			poly := graph.Polynomial(target.VID)
+			dist, err := provquery.DecodePolynomial(ask(t, ref, provquery.Polynomial{}, target.Loc, target))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canon(poly) != canon(dist) {
+				t.Errorf("%s: central polynomial %s, distributed %s", target.Tuple, poly, dist)
+			}
+			for _, img := range imgs {
+				if p := ask(t, ref, img.udf, target.Loc, target); !img.agree(poly, p) {
+					t.Errorf("%s: distributed %s answer %x disagrees with central %s", target.Tuple, img.udf.Name(), p, poly)
+				}
+			}
+			checked++
 		}
 	}
+	if checked < 30 {
+		t.Fatalf("only %d tuples checked", checked)
+	}
 
-	// Node set for the running example: bestPathCost(@a,c,5) involves a
-	// and b.
+	// The §3 running example: bestPathCost(@a,c,5) involves a and b, and is
+	// derivable trusting only a but not trusting only d.
 	target, _ := ref.FindTuple(apps.BestPathCostTuple(0, 2, 5))
-	nodes := graph.Nodes(target.VID)
-	if len(nodes) != 2 || nodes[0] != 0 || nodes[1] != 1 {
+	poly := graph.Polynomial(target.VID)
+	if nodes := algebra.SortedNodes(poly); !slices.Equal(nodes, []types.NodeID{a, b}) {
 		t.Errorf("central node set = %v, want [a b]", nodes)
 	}
-
-	// Derivability under trust policies matches the §3 example.
-	if !graph.Derivable(target.VID, func(n types.NodeID) bool { return n == 0 }) {
+	if !algebra.DerivableGiven(poly, func(base algebra.Base) bool { return base.Node == a }) {
 		t.Error("should be derivable trusting only a")
 	}
-	if graph.Derivable(target.VID, func(n types.NodeID) bool { return n == 3 }) {
+	if algebra.DerivableGiven(poly, func(base algebra.Base) bool { return base.Node == d }) {
 		t.Error("should not be derivable trusting only d")
-	}
-	if poly := graph.Polynomial(target.VID); poly.NumNodes() < 3 {
-		t.Errorf("central polynomial degenerate: %s", poly)
 	}
 }
 
@@ -92,7 +118,36 @@ func TestCentralizedDeletionPropagates(t *testing.T) {
 		t.Errorf("server vertices %d -> %d; expected shrinkage", before, graph.NumVertices())
 	}
 	pc := types.NewTuple("pathCost", types.Node(0), types.Node(2), types.Int(5))
-	if got := graph.Count(pc.VID()); got != 1 {
+	if got := algebra.Eval(graph.Polynomial(pc.VID()), algebra.Counting()); got != 1 {
 		t.Errorf("pathCost(@a,c,5) central count after deletion = %d, want 1", got)
+	}
+}
+
+// TestCentralGraphCyclicProvenance: p and q derive each other, so the
+// provenance graph has a cycle. The central walk cuts a vertex already on
+// its path, so each tuple counts its one cycle-free proof instead of the
+// walk recursing until the stack overflows.
+func TestCentralGraphCyclicProvenance(t *testing.T) {
+	prog, err := ParseProgram("r1 q(@X,A) :- p(@X,A).\nr2 p(@X,A) :- q(@X,A).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := types.NewTuple("p", types.Node(0), types.Int(1))
+	q := types.NewTuple("q", types.Node(0), types.Int(1))
+	c, err := NewCluster(Config{
+		Topo: topology.Figure3(), Prog: prog, Mode: engine.ProvCentralized, NoLinkTuples: true,
+		Base: map[types.NodeID][]types.Tuple{0: {p}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunToFixpoint(); err != nil {
+		t.Fatal(err)
+	}
+	graph := CentralGraphOf(c)
+	for _, tu := range []types.Tuple{p, q} {
+		if got := algebra.Eval(graph.Polynomial(tu.VID()), algebra.Counting()); got != 1 {
+			t.Errorf("%s: central count %d, want 1", tu, got)
+		}
 	}
 }

@@ -25,7 +25,7 @@ func TestStrategiesAgreeOnRandomNetworks(t *testing.T) {
 				Topo:      topo,
 				Prog:      apps.MinCost(),
 				Mode:      engine.ProvReference,
-				UDF:       provquery.Derivations{},
+				UDF:       provquery.Derivations(),
 				Strategy:  strat,
 				Threshold: 1 << 40, // unreachable: full traversal
 			})
@@ -65,7 +65,7 @@ func TestCachingIsTransparent(t *testing.T) {
 	build := func(cache bool) *Cluster {
 		c, err := NewCluster(Config{
 			Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference,
-			UDF: provquery.Derivations{}, CacheOn: cache,
+			UDF: provquery.Derivations(), CacheOn: cache,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -168,9 +168,9 @@ func compareValueAndReference(t *testing.T, churn func(*Cluster)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refC.Cfg.UDF = provquery.BDDProv{Alloc: refC.Alloc}
+	refC.Cfg.UDF = provquery.BDD(refC.Alloc)
 	for _, h := range refC.Hosts {
-		h.Query.UDF = provquery.BDDProv{Alloc: refC.Alloc}
+		h.Query.UDF = provquery.BDD(refC.Alloc)
 	}
 	if _, err := refC.RunToFixpoint(); err != nil {
 		t.Fatal(err)

@@ -158,7 +158,7 @@ func TestDerivationCountQueryFigure3(t *testing.T) {
 		Topo: topology.Figure3(),
 		Prog: apps.MinCost(),
 		Mode: engine.ProvReference,
-		UDF:  provquery.Derivations{},
+		UDF:  provquery.Derivations(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestNodeSetQueryFigure3(t *testing.T) {
 		Topo: topology.Figure3(),
 		Prog: apps.MinCost(),
 		Mode: engine.ProvReference,
-		UDF:  provquery.NodeSet{},
+		UDF:  provquery.NodeSet(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestQueriesDuringChurn(t *testing.T) {
 	for _, cache := range []bool{false, true} {
 		c, err := NewCluster(Config{
 			Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference,
-			UDF: provquery.Derivations{}, CacheOn: cache,
+			UDF: provquery.Derivations(), CacheOn: cache,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -49,7 +49,7 @@ func TestNDlogQueryProgramExecution(t *testing.T) {
 	// #DERIVATIONS query processor.
 	native, err := NewCluster(Config{
 		Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference,
-		UDF: provquery.Derivations{},
+		UDF: provquery.Derivations(),
 	})
 	if err != nil {
 		t.Fatal(err)

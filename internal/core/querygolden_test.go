@@ -45,10 +45,10 @@ func TestQueryGolden(t *testing.T) {
 		mk   func(c *Cluster) provquery.UDF
 	}{
 		{"polynomial", func(*Cluster) provquery.UDF { return provquery.Polynomial{} }},
-		{"bdd", func(c *Cluster) provquery.UDF { return provquery.BDDProv{Alloc: c.Alloc} }},
-		{"derivations", func(*Cluster) provquery.UDF { return provquery.Derivations{} }},
-		{"nodeset", func(*Cluster) provquery.UDF { return provquery.NodeSet{} }},
-		{"derivability", func(*Cluster) provquery.UDF { return provquery.Derivability{} }},
+		{"bdd", func(c *Cluster) provquery.UDF { return provquery.BDD(c.Alloc) }},
+		{"derivations", func(*Cluster) provquery.UDF { return provquery.Derivations() }},
+		{"nodeset", func(*Cluster) provquery.UDF { return provquery.NodeSet() }},
+		{"derivability", func(*Cluster) provquery.UDF { return provquery.Derivability(nil) }},
 	}
 	strategies := []provquery.Strategy{provquery.BFS, provquery.DFS, provquery.DFSThreshold, provquery.Moonwalk}
 

@@ -20,7 +20,7 @@ func TestDeployedProvenanceQuery(t *testing.T) {
 		Topo: topology.Figure3(),
 		Prog: apps.MinCost(),
 		Mode: engine.ProvReference,
-		UDF:  provquery.Derivations{},
+		UDF:  provquery.Derivations(),
 	})
 	if err != nil {
 		t.Fatal(err)

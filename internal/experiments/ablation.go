@@ -72,7 +72,7 @@ func AblationInvalidation(p Params) (*Result, error) {
 			return nil, err
 		}
 		for _, h := range c.Hosts {
-			h.Query.UDF = provquery.Derivations{}
+			h.Query.UDF = provquery.Derivations()
 		}
 		if _, err := c.RunToFixpoint(); err != nil {
 			return nil, err

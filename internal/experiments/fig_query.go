@@ -159,7 +159,7 @@ func traversalConfigs() []struct {
 	}
 }
 
-func countUDF(*core.Cluster) provquery.UDF { return provquery.Derivations{} }
+func countUDF(*core.Cluster) provquery.UDF { return provquery.Derivations() }
 
 // Fig13 reproduces Figure 13: average query bandwidth (KBps) for the
 // #DERIVATION query under BFS, DFS, and DFS with threshold-based pruning.
@@ -227,7 +227,7 @@ func Fig15(p Params) (*Result, error) {
 	}{
 		{"Polynomial", queryConfig{strategy: provquery.BFS}},
 		{"BDD", queryConfig{
-			udf:      func(c *core.Cluster) provquery.UDF { return provquery.BDDProv{Alloc: c.Alloc} },
+			udf:      func(c *core.Cluster) provquery.UDF { return provquery.BDD(c.Alloc) },
 			strategy: provquery.BFS,
 		}},
 	}

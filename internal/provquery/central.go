@@ -1,17 +1,16 @@
 package provquery
 
 import (
-	"sort"
-
 	"repro/internal/algebra"
 	"repro/internal/types"
 )
 
 // CentralGraph is the query-side view of *centralized* provenance (§3
 // Distribution): every prov and ruleExec row has been relayed to one
-// server, so queries are plain in-memory graph walks with no network
-// traversal. It is constructed from the server's materialized prov and
-// ruleExec relations.
+// server, so a query is an in-memory walk with no network traversal —
+// Polynomial, folded in the query's semiring. It is constructed from the
+// server's materialized prov and ruleExec relations, and is the reference
+// the distributed traversal is tested against.
 type CentralGraph struct {
 	prov     map[types.ID][]centralDeriv
 	locs     map[types.ID]types.NodeID
@@ -63,14 +62,23 @@ func NewCentralGraph(provRows, ruleExecRows []types.Tuple) *CentralGraph {
 // NumVertices reports the number of tuple vertices known to the server.
 func (g *CentralGraph) NumVertices() int { return len(g.prov) }
 
-// Polynomial reconstructs the provenance polynomial of a tuple vertex.
+// Polynomial reconstructs the provenance polynomial of a tuple vertex; the
+// #DERIVATIONS, NODESET, DERIVABILITY and BDD answers are algebra.Eval of it.
 // Base labels are the VIDs' short hashes (the server does not hold tuple
-// contents, only the graph).
+// contents, only the graph). A vertex already on the path from the root
+// contributes Zero, so on cyclic provenance the result sums the cycle-free
+// proofs.
 func (g *CentralGraph) Polynomial(vid types.ID) *algebra.Expr {
+	return g.polynomial(vid, map[types.ID]bool{})
+}
+
+func (g *CentralGraph) polynomial(vid types.ID, onPath map[types.ID]bool) *algebra.Expr {
 	derivs := g.prov[vid]
-	if len(derivs) == 0 {
+	if len(derivs) == 0 || onPath[vid] {
 		return algebra.Zero()
 	}
+	onPath[vid] = true
+	defer delete(onPath, vid)
 	var kids []*algebra.Expr
 	for _, d := range derivs {
 		if d.rid.IsZero() {
@@ -85,86 +93,9 @@ func (g *CentralGraph) Polynomial(vid types.ID) *algebra.Expr {
 		}
 		var inputs []*algebra.Expr
 		for _, in := range re.inputs {
-			inputs = append(inputs, g.Polynomial(in))
+			inputs = append(inputs, g.polynomial(in, onPath))
 		}
 		kids = append(kids, algebra.Prod(re.rule+"@"+d.rloc.String(), inputs...))
 	}
 	return algebra.Sum("@"+g.locs[vid].String(), kids...)
-}
-
-// Count returns the number of distinct derivations (the #DERIVATIONS
-// query evaluated centrally).
-func (g *CentralGraph) Count(vid types.ID) int64 {
-	var total int64
-	for _, d := range g.prov[vid] {
-		if d.rid.IsZero() {
-			total++
-			continue
-		}
-		re, ok := g.ruleExec[d.rid]
-		if !ok {
-			continue
-		}
-		prod := int64(1)
-		for _, in := range re.inputs {
-			prod *= g.Count(in)
-		}
-		total += prod
-	}
-	return total
-}
-
-// Nodes returns the sorted set of nodes participating in any derivation.
-func (g *CentralGraph) Nodes(vid types.ID) []types.NodeID {
-	set := map[types.NodeID]bool{}
-	var rec func(types.ID)
-	rec = func(v types.ID) {
-		for _, d := range g.prov[v] {
-			if d.rid.IsZero() {
-				set[g.locs[v]] = true
-				continue
-			}
-			set[d.rloc] = true
-			if re, ok := g.ruleExec[d.rid]; ok {
-				for _, in := range re.inputs {
-					rec(in)
-				}
-			}
-		}
-	}
-	rec(vid)
-	out := make([]types.NodeID, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Derivable reports whether vid is derivable using only base tuples at
-// nodes the trusted predicate accepts.
-func (g *CentralGraph) Derivable(vid types.ID, trusted func(types.NodeID) bool) bool {
-	for _, d := range g.prov[vid] {
-		if d.rid.IsZero() {
-			if trusted == nil || trusted(g.locs[vid]) {
-				return true
-			}
-			continue
-		}
-		re, ok := g.ruleExec[d.rid]
-		if !ok {
-			continue
-		}
-		all := len(re.inputs) > 0
-		for _, in := range re.inputs {
-			if !g.Derivable(in, trusted) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/algebra"
+	"repro/internal/bdd"
 	"repro/internal/types"
 )
 
@@ -72,9 +74,72 @@ func FuzzDecodeMsg(f *testing.F) {
 	})
 }
 
-// TestDecodeNodeSetTotal: the NODESET payload needs no fuzz target — every
+// ringCase pairs a semiring UDF with its representation's hop decoder.
+type ringCase struct {
+	u       UDF
+	decodes func([]byte) bool
+}
+
+func ringCaseOf[T any](u UDF) ringCase {
+	r := u.(ringUDF[T])
+	return ringCase{u, func(b []byte) bool {
+		_, ok := r.open().decode(b)
+		return ok
+	}}
+}
+
+// splitKids cuts data into children, each a length byte and that many bytes
+// (fewer at the end).
+func splitKids(data []byte) [][]byte {
+	var kids [][]byte
+	for len(data) > 0 {
+		n := min(int(data[0]), len(data)-1)
+		kids, data = append(kids, data[1:1+n]), data[1+n:]
+	}
+	return kids
+}
+
+// FuzzRingUDF feeds arbitrary children — another hop's answers, as a
+// hostile or broken node may send them — to IDB, Rule and Exceeds of the four
+// semiring UDFs. Properties: no panic, and every payload a UDF emits is
+// accepted by its own representation's decoder, so a hop never forwards what
+// the next hop would reject and zero.
+func FuzzRingUDF(f *testing.F) {
+	alloc := algebra.NewVarAlloc()
+	cases := []ringCase{
+		ringCaseOf[int64](Derivations()),
+		ringCaseOf[[]types.NodeID](NodeSet()),
+		ringCaseOf[bool](Derivability(nil)),
+		ringCaseOf[bdd.Ref](BDD(alloc)),
+	}
+	t1 := types.NewTuple("link", types.Node(0), types.Node(2), types.Int(5))
+	t2 := types.NewTuple("link", types.Node(1), types.Node(0), types.Int(3))
+	for _, c := range cases {
+		var seed []byte
+		for _, kid := range [][]byte{c.u.EDB(t1, t1.VID(), 0), c.u.EDB(t2, t2.VID(), 1), c.u.IDB(nil, types.ZeroID, 0)} {
+			seed = append(append(seed, byte(len(kid))), kid...)
+		}
+		f.Add(seed, int64(1))
+	}
+	f.Add([]byte{5, 1, 2, 3, 4, 5}, int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, threshold int64) {
+		kids := splitKids(data)
+		for _, c := range cases {
+			for _, out := range [][]byte{c.u.IDB(kids, types.ZeroID, 0), c.u.Rule(kids, "r", 0)} {
+				if !c.decodes(out) {
+					t.Fatalf("%s emitted %x, which its decoder rejects (children %x)", c.u.Name(), out, kids)
+				}
+			}
+			c.u.Exceeds(CtxIDB, kids, threshold)
+			c.u.Exceeds(CtxRule, kids, threshold)
+		}
+	})
+}
+
+// TestDecodeNodeSetTotal: the client's NODESET decoder is total — every
 // byte string decodes (whole 4-byte groups, a ragged tail ignored) into at
 // most len/4 entries, so a hostile payload can neither fail nor over-allocate.
+// A combining hop is stricter: a ragged or unsorted child zeroes its answer.
 func TestDecodeNodeSetTotal(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

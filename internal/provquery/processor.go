@@ -278,8 +278,9 @@ func (p *Processor) ruleQuery(from origin, rid, headVID types.ID) {
 	re, ok := p.Store.RuleExecOf(rid)
 	if !ok {
 		// The rule execution was retracted while the query was in flight
-		// (churn); answer with the empty product.
-		p.answer(from, true, rid, p.UDF.Rule(nil, "?", p.Node))
+		// (churn): it derives nothing, so the answer is the additive zero —
+		// not the empty product, which would claim a trivial derivation.
+		p.answer(from, true, rid, p.UDF.IDB(nil, headVID, p.Node))
 		return
 	}
 	f := &frame{origin: from, isRule: true, vid: headVID, rid: rid, rule: re.Rule, kids: make([]kid, len(re.VIDList))}

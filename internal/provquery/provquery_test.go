@@ -1,6 +1,7 @@
 package provquery
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/algebra"
@@ -173,7 +174,7 @@ func TestPolynomialFig5(t *testing.T) {
 
 func TestCountAcrossStrategies(t *testing.T) {
 	for _, strat := range []Strategy{BFS, DFS} {
-		f, _ := newFig5(t, Derivations{}, strat, 0, false)
+		f, _ := newFig5(t, Derivations(), strat, 0, false)
 		if got := DecodeCount(runQuery(t, f, 3, f.bpcA, 0)); got != 2 {
 			t.Fatalf("strategy %s: count = %d, want 2", strat, got)
 		}
@@ -184,14 +185,14 @@ func TestDFSThresholdStopsEarly(t *testing.T) {
 	// "Does the tuple have more than 0 derivations?" — the first (local)
 	// derivation of pathCost(@a,c,5) already answers it, so the remote
 	// sp2@b expansion is pruned entirely.
-	f, net := newFig5(t, Derivations{}, DFSThreshold, 0, false)
+	f, net := newFig5(t, Derivations(), DFSThreshold, 0, false)
 	got := DecodeCount(runQuery(t, f, 3, f.bpcA, 0))
 	if got < 1 {
 		t.Fatalf("threshold result = %d, want >= 1", got)
 	}
 	thresholdMsgs := net.Sent
 
-	f2, net2 := newFig5(t, Derivations{}, BFS, 0, false)
+	f2, net2 := newFig5(t, Derivations(), BFS, 0, false)
 	if DecodeCount(runQuery(t, f2, 3, f2.bpcA, 0)) != 2 {
 		t.Fatal("BFS wrong")
 	}
@@ -200,7 +201,7 @@ func TestDFSThresholdStopsEarly(t *testing.T) {
 	}
 	// An unreachable threshold forces the full traversal: same messages
 	// as plain DFS.
-	f3, net3 := newFig5(t, Derivations{}, DFSThreshold, 100, false)
+	f3, net3 := newFig5(t, Derivations(), DFSThreshold, 100, false)
 	if DecodeCount(runQuery(t, f3, 3, f3.bpcA, 0)) != 2 {
 		t.Fatal("high-threshold result wrong")
 	}
@@ -210,7 +211,7 @@ func TestDFSThresholdStopsEarly(t *testing.T) {
 }
 
 func TestNodeSetFig5(t *testing.T) {
-	f, _ := newFig5(t, NodeSet{}, BFS, 0, false)
+	f, _ := newFig5(t, NodeSet(), BFS, 0, false)
 	nodes := DecodeNodeSet(runQuery(t, f, 3, f.bpcA, 0))
 	if len(nodes) != 2 || nodes[0] != 0 || nodes[1] != 1 {
 		t.Fatalf("nodes = %v, want [a b]", nodes)
@@ -219,7 +220,7 @@ func TestNodeSetFig5(t *testing.T) {
 
 func TestBDDFig5(t *testing.T) {
 	alloc := algebra.NewVarAlloc()
-	f, _ := newFig5(t, BDDProv{Alloc: alloc}, BFS, 0, false)
+	f, _ := newFig5(t, BDD(alloc), BFS, 0, false)
 	m := bdd.New()
 	root, err := DecodeBDD(m, runQuery(t, f, 3, f.bpcA, 0))
 	if err != nil {
@@ -246,23 +247,17 @@ func TestBDDFig5(t *testing.T) {
 
 func TestDerivabilityWithTrust(t *testing.T) {
 	// Excluding node b's base tuples leaves the α derivation.
-	f, _ := newFig5(t, Derivability{
-		Trusted: func(_ types.Tuple, node types.NodeID) bool { return node != 1 },
-	}, BFS, 0, false)
+	f, _ := newFig5(t, Derivability(func(b algebra.Base) bool { return b.Node != 1 }), BFS, 0, false)
 	if !DecodeBool(runQuery(t, f, 3, f.bpcA, 0)) {
 		t.Error("should be derivable without b")
 	}
 	// Excluding node a's base tuple still leaves β·γ.
-	f2, _ := newFig5(t, Derivability{
-		Trusted: func(tu types.Tuple, _ types.NodeID) bool { return !tu.Equal(f.linkAC) },
-	}, BFS, 0, false)
+	f2, _ := newFig5(t, Derivability(func(b algebra.Base) bool { return b.VID != f.linkAC.VID() }), BFS, 0, false)
 	if !DecodeBool(runQuery(t, f2, 3, f2.bpcA, 0)) {
 		t.Error("should be derivable without α")
 	}
 	// Excluding everything kills it.
-	f3, _ := newFig5(t, Derivability{
-		Trusted: func(types.Tuple, types.NodeID) bool { return false },
-	}, BFS, 0, false)
+	f3, _ := newFig5(t, Derivability(func(algebra.Base) bool { return false }), BFS, 0, false)
 	if DecodeBool(runQuery(t, f3, 3, f3.bpcA, 0)) {
 		t.Error("underivable when nothing is trusted")
 	}
@@ -334,7 +329,7 @@ func TestInvalidationClearsCaches(t *testing.T) {
 func TestCacheCoherenceAfterChange(t *testing.T) {
 	// Counting query; after adding a third derivation for pathCost(@a,c,5)
 	// the cached count must not be served stale.
-	f, _ := newFig5(t, Derivations{}, BFS, 0, true)
+	f, _ := newFig5(t, Derivations(), BFS, 0, true)
 	if got := DecodeCount(runQuery(t, f, 3, f.bpcA, 0)); got != 2 {
 		t.Fatalf("initial count = %d", got)
 	}
@@ -355,7 +350,7 @@ func TestCacheCoherenceAfterChange(t *testing.T) {
 }
 
 func TestMoonwalkSamples(t *testing.T) {
-	f, _ := newFig5(t, Derivations{}, Moonwalk, 0, false)
+	f, _ := newFig5(t, Derivations(), Moonwalk, 0, false)
 	for _, p := range f.procs {
 		p.MoonwalkN = 1
 	}
@@ -368,38 +363,67 @@ func TestMoonwalkSamples(t *testing.T) {
 }
 
 func TestUnknownVertexAnswersEmpty(t *testing.T) {
-	f, _ := newFig5(t, Derivations{}, BFS, 0, false)
+	f, _ := newFig5(t, Derivations(), BFS, 0, false)
 	missing := types.NewTuple("ghost", types.Node(0), types.Int(1))
 	if got := DecodeCount(runQuery(t, f, 3, missing, 0)); got != 0 {
 		t.Fatalf("missing vertex count = %d, want 0", got)
 	}
 }
 
+// fiveUDFs returns one instance of every representation.
+func fiveUDFs() []UDF {
+	return []UDF{Polynomial{}, BDD(algebra.NewVarAlloc()), Derivations(), NodeSet(), Derivability(nil)}
+}
+
 // TestHostileRuleResultZeroesTheHop: node b answers a's rule query with a
-// polynomial whose label length is 2^64-1 (the old decoder panicked on it,
-// and a deployed receive loop has no recover). The hop that receives it must
-// answer Zero — which absorbs the products above it — and leave nothing
-// pending.
+// payload its representation rejects — a polynomial whose label length is
+// 2^64-1 (the old decoder panicked on it, and a deployed receive loop has no
+// recover), and five bytes that are a ragged node set, a short count, a
+// BDD with a forward reference. The hop that receives it must answer Zero —
+// which absorbs the products above it — and leave nothing pending.
 func TestHostileRuleResultZeroesTheHop(t *testing.T) {
-	f, net := newFig5(t, Polynomial{}, BFS, 0, false)
-	hostile := append(append([]byte{byte(algebra.OpBase)}, make([]byte, types.IDLen+4)...),
+	hugeLabel := append(append([]byte{byte(algebra.OpBase)}, make([]byte, types.IDLen+4)...),
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
-	f.byID[1].Send = func(to types.NodeID, m *Msg) {
-		if m.Kind == KRuleResult {
-			m.Payload = hostile
+	type hostileCase struct {
+		u       UDF
+		hostile []byte
+	}
+	cases := []hostileCase{{Polynomial{}, hugeLabel}}
+	for _, u := range fiveUDFs() {
+		cases = append(cases, hostileCase{u, []byte{1, 2, 3, 4, 5}})
+	}
+	for _, tc := range cases {
+		f, net := newFig5(t, tc.u, BFS, 0, false)
+		f.byID[1].Send = func(to types.NodeID, m *Msg) {
+			if m.Kind == KRuleResult {
+				m.Payload = tc.hostile
+			}
+			net.send(to, m)
 		}
-		net.send(to, m)
+		zero := tc.u.IDB(nil, types.ZeroID, 0)
+		if got := runQuery(t, f, 3, f.bpcA, 0); !bytes.Equal(got, zero) {
+			t.Errorf("%s, b answers %x: result %x, want Zero %x", tc.u.Name(), tc.hostile, got, zero)
+		}
+		for _, p := range f.procs {
+			if n := p.Pending(); n != 0 {
+				t.Errorf("%s: node %s: %d pending records", tc.u.Name(), p.Node, n)
+			}
+		}
 	}
-	expr, err := DecodePolynomial(runQuery(t, f, 3, f.bpcA, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if expr.Op != algebra.OpZero {
-		t.Errorf("result = %s, want 0", expr)
-	}
-	for _, p := range f.procs {
-		if n := p.Pending(); n != 0 {
-			t.Errorf("node %s: %d pending records", p.Node, n)
+}
+
+// TestRetractedRuleExecDerivesNothing: node a still lists a derivation of
+// pathCost(@a,c,5) through a rule execution node b no longer holds (it was
+// retracted while the query was in flight). Under every representation the
+// answer is the one without that derivation: b answers the additive zero,
+// not the empty product, which would be a phantom trivial derivation.
+func TestRetractedRuleExecDerivesNothing(t *testing.T) {
+	for _, u := range fiveUDFs() {
+		f, _ := newFig5(t, u, BFS, 0, false)
+		want := runQuery(t, f, 3, f.bpcA, 0)
+		engineWriter{f.byID[0].Store}.AddProv(f.pcA.VID(), types.HashString("retracted"), 1)
+		if got := runQuery(t, f, 3, f.bpcA, 0); !bytes.Equal(got, want) {
+			t.Errorf("%s: %x with a retracted rule execution, want %x", u.Name(), got, want)
 		}
 	}
 }
@@ -431,17 +455,5 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeMsg([]byte{99}); err == nil {
 		t.Error("bad kind accepted")
-	}
-}
-
-func TestUDFByName(t *testing.T) {
-	for _, name := range []string{"polynomial", "bdd", "derivations", "nodeset", "derivability"} {
-		u, err := udfByName(name, algebra.NewVarAlloc())
-		if err != nil || u.Name() != name {
-			t.Errorf("udfByName(%q) = %v, %v", name, u, err)
-		}
-	}
-	if _, err := udfByName("bogus", nil); err == nil {
-		t.Error("bogus UDF accepted")
 	}
 }

@@ -2,8 +2,6 @@ package provquery
 
 import (
 	"encoding/binary"
-	"fmt"
-	"sort"
 
 	"repro/internal/algebra"
 	"repro/internal/bdd"
@@ -81,56 +79,87 @@ func DecodePolynomial(payload []byte) (*algebra.Expr, error) {
 }
 
 // ---------------------------------------------------------------------------
-// BDD: absorption-condensed provenance (§6.3).
+// The other representations are homomorphic images of POLYNOMIAL: each is an
+// algebra semiring plus a wire codec, and the UDF triple is the semiring's
+// FromBase, sum and product on decoded children.
 
-// BDDProv returns query results as serialized BDDs over base-tuple
-// variables allocated from a cluster-shared VarAlloc, applying boolean
-// absorption by construction.
-type BDDProv struct {
-	Alloc *algebra.VarAlloc
+// ring is a representation's semiring with its wire codec. decode accepts
+// exactly what encode emits.
+type ring[T any] struct {
+	algebra.Semiring[T]
+	decode func([]byte) (T, bool)
+	encode func(T) []byte
+}
+
+// fold sums (CtxIDB) or multiplies (CtxRule) the decoded children. A child
+// that does not decode makes the result Zero, as a malformed child does
+// under POLYNOMIAL.
+func (r ring[T]) fold(ctx Ctx, children [][]byte) T {
+	acc, op := r.Zero(), r.Add
+	if ctx == CtxRule {
+		acc, op = r.One(), r.Mul
+	}
+	for _, c := range children {
+		v, ok := r.decode(c)
+		if !ok {
+			return r.Zero()
+		}
+		acc = op(acc, v)
+	}
+	return acc
+}
+
+// ringUDF implements UDF by a ring opened once per call.
+type ringUDF[T any] struct {
+	name string
+	open func() ring[T]
+	// final reports whether a partial fold is final for a threshold query:
+	// the representation's measure is monotone in further children. Nil
+	// never stops early.
+	final func(ctx Ctx, acc T, threshold int64) bool
 }
 
 // Name implements UDF.
-func (BDDProv) Name() string { return "bdd" }
+func (u ringUDF[T]) Name() string { return u.name }
 
-// EDB implements UDF.
-func (u BDDProv) EDB(t types.Tuple, vid types.ID, node types.NodeID) []byte {
-	m := bdd.New()
-	v := m.Var(u.Alloc.VarOf(algebra.Base{VID: vid, Label: t.String(), Node: node}))
-	return m.Encode(v, nil)
+// EDB implements UDF: the semiring's value of the base tuple.
+func (u ringUDF[T]) EDB(t types.Tuple, vid types.ID, node types.NodeID) []byte {
+	r := u.open()
+	return r.encode(r.FromBase(algebra.Base{VID: vid, Label: t.String(), Node: node}))
 }
 
-// IDB implements UDF: OR over alternative derivations.
-func (u BDDProv) IDB(children [][]byte, vid types.ID, node types.NodeID) []byte {
-	return combineBDD(children, false)
+// IDB implements UDF: the semiring sum.
+func (u ringUDF[T]) IDB(children [][]byte, _ types.ID, _ types.NodeID) []byte {
+	r := u.open()
+	return r.encode(r.fold(CtxIDB, children))
 }
 
-// Rule implements UDF: AND over rule inputs.
-func (u BDDProv) Rule(children [][]byte, rule string, loc types.NodeID) []byte {
-	return combineBDD(children, true)
+// Rule implements UDF: the semiring product.
+func (u ringUDF[T]) Rule(children [][]byte, _ string, _ types.NodeID) []byte {
+	r := u.open()
+	return r.encode(r.fold(CtxRule, children))
 }
 
-// Exceeds implements UDF (not applicable).
-func (BDDProv) Exceeds(Ctx, [][]byte, int64) bool { return false }
+// Exceeds implements UDF.
+func (u ringUDF[T]) Exceeds(ctx Ctx, children [][]byte, threshold int64) bool {
+	return u.final != nil && u.final(ctx, u.open().fold(ctx, children), threshold)
+}
 
-func combineBDD(children [][]byte, and bool) []byte {
-	m := bdd.New()
-	acc := bdd.False
-	if and {
-		acc = bdd.True
-	}
-	for _, c := range children {
-		r, _, err := m.Decode(c)
-		if err != nil {
-			return m.Encode(bdd.False, nil)
+// BDD returns query results as serialized BDDs over base-tuple variables
+// allocated from a cluster-shared VarAlloc, applying boolean absorption by
+// construction (§6.3). Each call combines in a fresh manager.
+func BDD(alloc *algebra.VarAlloc) UDF {
+	return ringUDF[bdd.Ref]{name: "bdd", open: func() ring[bdd.Ref] {
+		m := bdd.New()
+		return ring[bdd.Ref]{
+			Semiring: algebra.BDD(m, alloc),
+			decode: func(b []byte) (bdd.Ref, bool) {
+				r, n, err := m.Decode(b)
+				return r, err == nil && n == len(b)
+			},
+			encode: func(r bdd.Ref) []byte { return m.Encode(r, nil) },
 		}
-		if and {
-			acc = m.And(acc, r)
-		} else {
-			acc = m.Or(acc, r)
-		}
-	}
-	return m.Encode(acc, nil)
+	}}
 }
 
 // DecodeBDD parses a BDD query result into the given manager.
@@ -139,124 +168,49 @@ func DecodeBDD(m *bdd.Manager, payload []byte) (bdd.Ref, error) {
 	return r, err
 }
 
-// ---------------------------------------------------------------------------
-// #DERIVATIONS: number of alternative derivations (§5.2.2, Table 3).
-
-// Derivations counts the number of distinct derivations: f_pEDB = 1,
-// f_pIDB = sum, f_pRULE = product.
-type Derivations struct{}
-
-// Name implements UDF.
-func (Derivations) Name() string { return "derivations" }
-
-// EDB implements UDF.
-func (Derivations) EDB(types.Tuple, types.ID, types.NodeID) []byte { return encodeCount(1) }
-
-// IDB implements UDF.
-func (Derivations) IDB(children [][]byte, _ types.ID, _ types.NodeID) []byte {
-	var sum int64
-	for _, c := range children {
-		sum += decodeCount(c)
+// Derivations counts a tuple's distinct derivations (#DERIVATIONS, §5.2.2,
+// Table 3) as an 8-byte big-endian count. Over derivable children (counts
+// >= 1) sum and product only grow, so a partial count above the threshold is
+// final.
+func Derivations() UDF {
+	return ringUDF[int64]{
+		name: "derivations",
+		open: func() ring[int64] {
+			return ring[int64]{Semiring: algebra.Counting(), decode: decodeCount, encode: encodeCount}
+		},
+		final: func(_ Ctx, acc int64, threshold int64) bool { return acc > threshold },
 	}
-	return encodeCount(sum)
 }
 
-// Rule implements UDF.
-func (Derivations) Rule(children [][]byte, _ string, _ types.NodeID) []byte {
-	prod := int64(1)
-	for _, c := range children {
-		prod *= decodeCount(c)
-	}
-	return encodeCount(prod)
-}
+func encodeCount(v int64) []byte { return binary.BigEndian.AppendUint64(make([]byte, 0, 8), uint64(v)) }
 
-// Exceeds implements UDF: both the running sum (IDB) and the running
-// product over inputs that each have >= 1 derivation (Rule) are monotone,
-// so a partial value above the threshold is final.
-func (Derivations) Exceeds(ctx Ctx, children [][]byte, threshold int64) bool {
-	if len(children) == 0 {
-		return false
-	}
-	acc := int64(0)
-	if ctx == CtxRule {
-		acc = 1
-	}
-	for _, c := range children {
-		v := decodeCount(c)
-		if ctx == CtxIDB {
-			acc += v
-		} else {
-			acc *= v
-		}
-	}
-	return acc > threshold
-}
-
-func encodeCount(v int64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v))
-	return b[:]
-}
-
-func decodeCount(b []byte) int64 {
+func decodeCount(b []byte) (int64, bool) {
 	if len(b) != 8 {
-		return 0
+		return 0, false
 	}
-	return int64(binary.BigEndian.Uint64(b))
+	return int64(binary.BigEndian.Uint64(b)), true
 }
 
-// DecodeCount parses a #DERIVATIONS result.
-func DecodeCount(payload []byte) int64 { return decodeCount(payload) }
-
-// ---------------------------------------------------------------------------
-// NODESET: the nodes participating in any derivation (§5.2.2, Table 3).
-
-// NodeSet computes the set of nodes involved in a tuple's derivations;
-// both combination sites are set union.
-type NodeSet struct{}
-
-// Name implements UDF.
-func (NodeSet) Name() string { return "nodeset" }
-
-// EDB implements UDF.
-func (NodeSet) EDB(_ types.Tuple, _ types.ID, node types.NodeID) []byte {
-	return encodeNodeSet([]types.NodeID{node})
+// DecodeCount parses a #DERIVATIONS result (0 if malformed).
+func DecodeCount(payload []byte) int64 {
+	v, _ := decodeCount(payload)
+	return v
 }
 
-// IDB implements UDF.
-func (NodeSet) IDB(children [][]byte, _ types.ID, _ types.NodeID) []byte {
-	return unionNodeSets(children)
-}
-
-// Rule implements UDF.
-func (NodeSet) Rule(children [][]byte, _ string, _ types.NodeID) []byte {
-	return unionNodeSets(children)
-}
-
-// Exceeds implements UDF: the union's cardinality is monotone in its
-// inputs, so threshold queries ("fewer than T' unique nodes?") can stop
-// early.
-func (NodeSet) Exceeds(_ Ctx, children [][]byte, threshold int64) bool {
-	return int64(len(decodeNodeSetUnion(children))) > threshold
-}
-
-func unionNodeSets(children [][]byte) []byte {
-	return encodeNodeSet(decodeNodeSetUnion(children))
-}
-
-func decodeNodeSetUnion(children [][]byte) []types.NodeID {
-	set := map[types.NodeID]bool{}
-	for _, c := range children {
-		for _, n := range DecodeNodeSet(c) {
-			set[n] = true
-		}
+// NodeSet computes the set of nodes holding the base tuples of a tuple's
+// derivations (NODESET, §5.2.2, Table 3) as ascending 4-byte big-endian
+// NodeIDs; a join with an underivable input contributes no node. Zero and
+// the empty product share the empty payload, which decodes as Zero. Over
+// derivable children the union only grows, so a partial set larger than the
+// threshold is final ("fewer than T' unique nodes?").
+func NodeSet() UDF {
+	return ringUDF[[]types.NodeID]{
+		name: "nodeset",
+		open: func() ring[[]types.NodeID] {
+			return ring[[]types.NodeID]{Semiring: algebra.NodeSet(), decode: decodeNodes, encode: encodeNodeSet}
+		},
+		final: func(_ Ctx, acc []types.NodeID, threshold int64) bool { return int64(len(acc)) > threshold },
 	}
-	out := make([]types.NodeID, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func encodeNodeSet(nodes []types.NodeID) []byte {
@@ -265,6 +219,20 @@ func encodeNodeSet(nodes []types.NodeID) []byte {
 		b = binary.BigEndian.AppendUint32(b, uint32(int32(n)))
 	}
 	return b
+}
+
+// decodeNodes accepts whole 4-byte groups in strictly ascending order.
+func decodeNodes(b []byte) ([]types.NodeID, bool) {
+	if len(b) == 0 || len(b)%4 != 0 {
+		return nil, len(b) == 0
+	}
+	nodes := DecodeNodeSet(b)
+	for i := 1; i < len(nodes); i++ {
+		if nodes[i-1] >= nodes[i] {
+			return nil, false
+		}
+	}
+	return nodes, true
 }
 
 // DecodeNodeSet parses a NODESET result into a sorted node list.
@@ -276,60 +244,22 @@ func DecodeNodeSet(payload []byte) []types.NodeID {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// DERIVABILITY: boolean derivability test (§5.2.2, Table 3), optionally
-// restricted to trusted base tuples (graph projection).
-
-// Derivability tests whether the tuple is derivable; when Trusted is
-// non-nil, only base tuples it accepts count (the paper's trust-domain
-// projection).
-type Derivability struct {
-	Trusted func(t types.Tuple, node types.NodeID) bool
-}
-
-// Name implements UDF.
-func (Derivability) Name() string { return "derivability" }
-
-// EDB implements UDF.
-func (u Derivability) EDB(t types.Tuple, _ types.ID, node types.NodeID) []byte {
-	ok := u.Trusted == nil || u.Trusted(t, node)
-	return encodeBool(ok)
-}
-
-// IDB implements UDF: OR.
-func (Derivability) IDB(children [][]byte, _ types.ID, _ types.NodeID) []byte {
-	for _, c := range children {
-		if decodeBool(c) {
-			return encodeBool(true)
-		}
+// Derivability tests whether the tuple is derivable (DERIVABILITY, §5.2.2,
+// Table 3) as one byte, 0 or 1, counting only base tuples trusted accepts —
+// the paper's trust-domain projection; nil trusts everything. A true
+// alternative settles a tuple vertex, whatever the threshold.
+func Derivability(trusted func(algebra.Base) bool) UDF {
+	s := algebra.Boolean()
+	if trusted != nil {
+		s.FromBase = trusted
 	}
-	return encodeBool(false)
-}
-
-// Rule implements UDF: AND.
-func (Derivability) Rule(children [][]byte, _ string, _ types.NodeID) []byte {
-	if len(children) == 0 {
-		return encodeBool(false)
+	return ringUDF[bool]{
+		name: "derivability",
+		open: func() ring[bool] {
+			return ring[bool]{Semiring: s, decode: decodeBool, encode: encodeBool}
+		},
+		final: func(ctx Ctx, acc bool, _ int64) bool { return ctx == CtxIDB && acc },
 	}
-	for _, c := range children {
-		if !decodeBool(c) {
-			return encodeBool(false)
-		}
-	}
-	return encodeBool(true)
-}
-
-// Exceeds implements UDF: a true IDB partial is final (threshold ignored).
-func (Derivability) Exceeds(ctx Ctx, children [][]byte, _ int64) bool {
-	if ctx != CtxIDB {
-		return false
-	}
-	for _, c := range children {
-		if decodeBool(c) {
-			return true
-		}
-	}
-	return false
 }
 
 func encodeBool(v bool) []byte {
@@ -339,24 +269,10 @@ func encodeBool(v bool) []byte {
 	return []byte{0}
 }
 
-func decodeBool(b []byte) bool { return len(b) == 1 && b[0] == 1 }
+func decodeBool(b []byte) (bool, bool) { return len(b) == 1 && b[0] == 1, len(b) == 1 && b[0] <= 1 }
 
 // DecodeBool parses a DERIVABILITY result.
-func DecodeBool(payload []byte) bool { return decodeBool(payload) }
-
-// udfByName sanity-checks known names (used in tests).
-func udfByName(name string, alloc *algebra.VarAlloc) (UDF, error) {
-	switch name {
-	case "polynomial":
-		return Polynomial{}, nil
-	case "bdd":
-		return BDDProv{Alloc: alloc}, nil
-	case "derivations":
-		return Derivations{}, nil
-	case "nodeset":
-		return NodeSet{}, nil
-	case "derivability":
-		return Derivability{}, nil
-	}
-	return nil, fmt.Errorf("provquery: unknown UDF %q", name)
+func DecodeBool(payload []byte) bool {
+	v, _ := decodeBool(payload)
+	return v
 }
