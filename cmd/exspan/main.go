@@ -70,7 +70,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	query := flag.String("query", "", "tuple to query after fixpoint, e.g. 'bestPathCost(@a,c,5)'")
 	udfName := flag.String("udf", "polynomial", "query representation: polynomial, bdd, derivations, nodeset, derivability")
-	dumpProv := flag.Bool("dump-prov", false, "print the prov/ruleExec partitions after fixpoint")
+	dumpProv := flag.Bool("dump-prov", false, "print every node's canonical fixpoint state (visible tuples, value-mode payloads,\nprov and ruleExec rows) after fixpoint")
 	explain := flag.Bool("explain", false, "after fixpoint, dump node 0's chosen rule plans (join order, probe\nindexes, pushed predicates) and the statistics snapshot behind them")
 	deployMode := flag.Bool("deploy", false, "run over real UDP sockets (testbed mode) instead of the simulator")
 	faultSeed := flag.Int64("fault-seed", 0, "seed of the injected fault schedule (with -loss/-dup/-partition)")
@@ -118,7 +118,10 @@ func main() {
 		if *partition != "" {
 			fatal(fmt.Errorf("-partition is simulator-only; -loss/-dup work with -deploy"))
 		}
-		runDeployment(topo, prog, mode, spec, base, *loss, *dupP, *faultSeed)
+		if *query != "" {
+			fatal(fmt.Errorf("-query is simulator-only; -dump-prov and -explain work with -deploy"))
+		}
+		runDeployment(topo, prog, mode, spec, base, *loss, *dupP, *faultSeed, *explain, *dumpProv)
 		return
 	}
 
@@ -163,20 +166,8 @@ func main() {
 			fix.Seconds(), topo.N, c.Net.NumLinks()),
 		bytes: c.Net.TotalBytes, nodes: topo.N, dropped: c.Net.DroppedMsgs,
 		faults: plan, reliable: plan != nil, transport: c.TransportStats,
-		engine:  func(i int) *engine.Node { return c.Hosts[i].Engine },
-		explain: *explain,
+		engines: c.Engines(), explain: *explain, dump: *dumpProv,
 	}.print(spec)
-
-	if *dumpProv {
-		for _, h := range c.Hosts {
-			for _, row := range h.Engine.Store.ProvRows() {
-				fmt.Println("prov    ", row)
-			}
-			for _, row := range h.Engine.Store.RuleExecRows() {
-				fmt.Println("ruleExec", row)
-			}
-		}
-	}
 
 	if *query != "" {
 		runQuery(c, *query, *udfName)
@@ -193,7 +184,7 @@ func runScheduled(topo *topology.Topology, prog *ndlog.Program, mode engine.Prov
 	}
 	s := engine.NewScheduler(compiled, mode, topo.N, 0, 0)
 	startAt := time.Now()
-	seedScheduler(s, topo, spec, base)
+	apps.BootEDB(topo, spec.noLinks, base, s.InsertBase)
 	if err := s.Run(); err != nil {
 		fatal(err)
 	}
@@ -201,34 +192,21 @@ func runScheduled(topo *topology.Topology, prog *ndlog.Program, mode engine.Prov
 		headline: fmt.Sprintf("scheduled fixpoint: %.3fs wall clock, %d nodes, %d scheduler rounds",
 			time.Since(startAt).Seconds(), topo.N, s.Rounds),
 		bytes: s.TotalBytes, nodes: topo.N, dropped: -1,
-		engine: s.Node, explain: explain,
+		engines: s.Engines(), explain: explain,
 	}.print(spec)
-}
-
-// seedScheduler deposits the EDB a simulated cluster boots with: the
-// topology's link tuples (unless the app has none), then the app's own base
-// tuples in node order.
-func seedScheduler(s *engine.Scheduler, topo *topology.Topology, spec appSpec, base map[types.NodeID][]types.Tuple) {
-	if !spec.noLinks {
-		for _, l := range topo.Links {
-			s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
-			s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))
-		}
-	}
-	for i := 0; i < topo.N; i++ {
-		for _, tup := range base[types.NodeID(i)] {
-			s.InsertBase(types.NodeID(i), tup)
-		}
-	}
 }
 
 // runDeployment executes the program over real UDP sockets on loopback
 // (the paper's testbed mode) and prints byte and latency statistics. With
 // loss or duplication injected, traffic runs over the reliable transport
 // and the recovery statistics are reported alongside.
-func runDeployment(topo *topology.Topology, prog *ndlog.Program, mode engine.ProvMode, spec appSpec, base map[types.NodeID][]types.Tuple, loss, dup float64, faultSeed int64) {
+func runDeployment(topo *topology.Topology, prog *ndlog.Program, mode engine.ProvMode, spec appSpec, base map[types.NodeID][]types.Tuple, loss, dup float64, faultSeed int64, explain, dump bool) {
 	faulty := loss > 0 || dup > 0
-	cl, err := deploy.NewCluster(deploy.Config{
+	if faulty {
+		fmt.Printf("faults(seed=%d loss=%.3f dup=%.3f) over reliable transport\n", faultSeed, loss, dup)
+	}
+	startAt := time.Now()
+	cl, err := deployFixpoint(deploy.Config{
 		Topo: topo, Prog: prog, Mode: mode,
 		Base: base, NoLinkTuples: spec.noLinks,
 		Reliable: faulty, Loss: loss, Dup: dup, FaultSeed: faultSeed,
@@ -237,25 +215,32 @@ func runDeployment(topo *topology.Topology, prog *ndlog.Program, mode engine.Pro
 		fatal(err)
 	}
 	defer cl.Stop()
-	cl.Start()
-	startAt := time.Now()
-	if faulty {
-		fmt.Printf("faults(seed=%d loss=%.3f dup=%.3f) over reliable transport\n", faultSeed, loss, dup)
-	}
-	cl.InsertLinks()
-	if _, err := cl.WaitFixpoint(120 * time.Second); err != nil {
-		fatal(err)
-	}
-	if err := cl.Err(); err != nil {
-		fatal(err)
-	}
 	fixpointReport{
 		headline: fmt.Sprintf("deployment fixpoint: %.3fs wall clock, %d UDP nodes",
 			time.Since(startAt).Seconds(), topo.N),
 		bytes: cl.TotalSentBytes(), nodes: topo.N, inKB: true, dropped: cl.Dropped.Load(),
 		reliable: faulty, transport: cl.TransportStats,
-		count: func(pred string) int { return len(cl.Snapshot(pred)) },
+		engines: cl.Engines(), explain: explain, dump: dump,
 	}.print(spec)
+}
+
+// deployFixpoint starts a UDP cluster, seeds its EDB and waits for its
+// fixpoint. On success the caller owns the running cluster and must Stop it.
+func deployFixpoint(cfg deploy.Config) (*deploy.Cluster, error) {
+	cl, err := deploy.NewCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cl.Start()
+	cl.InsertLinks()
+	if _, err = cl.WaitFixpoint(120 * time.Second); err == nil {
+		err = cl.Err()
+	}
+	if err != nil {
+		cl.Stop()
+		return nil, err
+	}
+	return cl, nil
 }
 
 // fixpointReport is what every driver prints once its fixpoint is reached;
@@ -269,11 +254,9 @@ type fixpointReport struct {
 	faults    *simnet.FaultPlan      // injected fault schedule (simulator)
 	reliable  bool                   // traffic ran over the reliable transport: print its counters
 	transport func() transport.Stats // read only when reliable
-	// engine returns node i's engine; nil when engine state is confined to
-	// worker goroutines (deploy), which then supplies count instead.
-	engine  func(i int) *engine.Node
-	count   func(pred string) int
-	explain bool // dump node 0's plans
+	engines   []*engine.Node         // the driver's cluster view, read at its fixpoint
+	explain   bool                   // dump node 0's plans
+	dump      bool                   // print every node's canonical state
 }
 
 func (r fixpointReport) print(spec appSpec) {
@@ -296,29 +279,27 @@ func (r fixpointReport) print(spec appSpec) {
 		fmt.Printf("transport: %d data frames, %d retransmits, %d pure acks, %d dups absorbed, %d reordered\n",
 			st.DataSent, st.Retransmits, st.AcksSent, st.DupsDropped, st.OooBuffered)
 	}
-	count := r.count
-	if r.engine != nil {
-		var deltas, fired int64
-		for i := 0; i < r.nodes; i++ {
-			deltas += r.engine(i).DeltasProcessed()
-			fired += r.engine(i).RulesFired()
-		}
-		fmt.Printf("engine: %d deltas processed, %d rule firings\n", deltas, fired)
-		count = func(pred string) (n int) {
-			for i := 0; i < r.nodes; i++ {
-				n += r.engine(i).TupleCount(pred)
-			}
-			return n
-		}
+	var deltas, fired int64
+	for _, en := range r.engines {
+		deltas += en.DeltasProcessed()
+		fired += en.RulesFired()
 	}
+	fmt.Printf("engine: %d deltas processed, %d rule firings\n", deltas, fired)
 	for _, pred := range spec.outPreds {
-		if n := count(pred); n > 0 {
+		n := 0
+		for _, en := range r.engines {
+			n += en.TupleCount(pred)
+		}
+		if n > 0 {
 			fmt.Printf("  %-14s %6d tuples\n", pred, n)
 		}
 	}
 	if r.explain {
 		fmt.Println("plans (node 0):")
-		r.engine(0).ExplainPlans(os.Stdout)
+		r.engines[0].ExplainPlans(os.Stdout)
+	}
+	if r.dump {
+		engine.WriteStates(os.Stdout, r.engines)
 	}
 }
 

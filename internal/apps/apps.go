@@ -51,16 +51,24 @@ func LinkTuple(u, v types.NodeID, cost int64) types.Tuple {
 	return types.NewTuple("link", types.Node(u), types.Node(v), types.Int(cost))
 }
 
-// LinkTuples returns the symmetric base link tuples of a topology, grouped
-// by the node that owns them ("each node is initialized with a link tuple
-// for each of its neighbors").
-func LinkTuples(t *topology.Topology) map[types.NodeID][]types.Tuple {
-	out := map[types.NodeID][]types.Tuple{}
-	for _, l := range t.Links {
-		out[l.U] = append(out[l.U], LinkTuple(l.U, l.V, l.Cost))
-		out[l.V] = append(out[l.V], LinkTuple(l.V, l.U, l.Cost))
+// BootEDB feeds insert, tuple by tuple with the node that owns it, the EDB a
+// cluster boots with, in the one order every driver uses: "each node is
+// initialized with a link tuple for each of its neighbors" — per topology
+// link in t.Links order, link(@u,v,cost) then link(@v,u,cost), unless
+// noLinks (programs without a link predicate, such as CHORD) — then the
+// workload's base tuples in node order.
+func BootEDB(t *topology.Topology, noLinks bool, base map[types.NodeID][]types.Tuple, insert func(at types.NodeID, tup types.Tuple)) {
+	if !noLinks {
+		for _, l := range t.Links {
+			insert(l.U, LinkTuple(l.U, l.V, l.Cost))
+			insert(l.V, LinkTuple(l.V, l.U, l.Cost))
+		}
 	}
-	return out
+	for i := 0; i < t.N; i++ {
+		for _, tup := range base[types.NodeID(i)] {
+			insert(types.NodeID(i), tup)
+		}
+	}
 }
 
 // PacketTuple builds ePacket(@at, src, dst, payload) with a synthetic

@@ -36,30 +36,34 @@ func TestProgramsParseValidateCompile(t *testing.T) {
 	}
 }
 
-func TestLinkTuples(t *testing.T) {
+// TestBootEDB pins the boot order: both directions of each link in
+// topology order, owned by their source node, then the base tuples in node
+// order; noLinks keeps only the base.
+func TestBootEDB(t *testing.T) {
 	topo := topology.Figure3()
-	byNode := LinkTuples(topo)
-	if len(byNode) != 4 {
-		t.Fatalf("nodes = %d", len(byNode))
-	}
-	// Node b (1) has three neighbors: a, c, d.
-	if got := len(byNode[1]); got != 3 {
-		t.Errorf("b's link tuples = %d, want 3", got)
-	}
-	// Symmetry: link(@a,b,3) and link(@b,a,3) both exist.
-	found := 0
-	for _, tu := range byNode[0] {
-		if tu.Equal(LinkTuple(0, 1, 3)) {
-			found++
+	extra := types.NewTuple("ident", types.Node(2), types.Int(7))
+	base := map[types.NodeID][]types.Tuple{2: {extra}}
+	var got []string
+	BootEDB(topo, false, base, func(at types.NodeID, tup types.Tuple) {
+		if at != tup.Loc() {
+			t.Errorf("%s fed at node %s", tup, at)
 		}
+		got = append(got, tup.String())
+	})
+	if want := 2*len(topo.Links) + 1; len(got) != want {
+		t.Fatalf("%d tuples, want %d: %v", len(got), want, got)
 	}
-	for _, tu := range byNode[1] {
-		if tu.Equal(LinkTuple(1, 0, 3)) {
-			found++
-		}
+	l := topo.Links[0]
+	if got[0] != LinkTuple(l.U, l.V, l.Cost).String() || got[1] != LinkTuple(l.V, l.U, l.Cost).String() {
+		t.Errorf("first link fed as %s, %s", got[0], got[1])
 	}
-	if found != 2 {
-		t.Errorf("symmetric pair incomplete (%d)", found)
+	if got[len(got)-1] != extra.String() {
+		t.Errorf("base tuple not last: %v", got)
+	}
+	got = got[:0]
+	BootEDB(topo, true, base, func(_ types.NodeID, tup types.Tuple) { got = append(got, tup.String()) })
+	if len(got) != 1 {
+		t.Errorf("noLinks fed %v, want only the base tuple", got)
 	}
 }
 

@@ -20,14 +20,7 @@ import (
 // ProvCentralized).
 func CentralGraphOf(c *Cluster) *provquery.CentralGraph {
 	server := c.Hosts[c.Cfg.Central].Engine
-	var provRows, execRows []types.Tuple
-	if rel := server.Table("prov"); rel != nil {
-		provRows = rel.Tuples()
-	}
-	if rel := server.Table("ruleExec"); rel != nil {
-		execRows = rel.Tuples()
-	}
-	return provquery.NewCentralGraph(provRows, execRows)
+	return provquery.NewCentralGraph(server.Tuples("prov"), server.Tuples("ruleExec"))
 }
 
 // canon renders a polynomial with base labels replaced by their VIDs and the

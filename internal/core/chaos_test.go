@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -15,8 +16,7 @@ import (
 // Chaos equivalence fences: a cluster run under a seeded fault schedule
 // (probabilistic loss and duplication, latency jitter, healing partitions,
 // fail-pause crashes) must reach the exact fixpoint of the fault-free run —
-// same visible tuples, same provenance rows, same ruleExec rows at every
-// node. The reliable transport (exactly-once, in-order per peer) is what
+// the same canonical state (engine.WriteStates) at every node. The reliable transport (exactly-once, in-order per peer) is what
 // makes this hold: a lost -1 or a duplicated +1 would permanently corrupt
 // the count-based provenance state.
 
@@ -29,43 +29,40 @@ func chaosPlan(seed int64) *simnet.FaultPlan {
 	return p
 }
 
-// chaosState serializes the full per-node fixpoint state for comparison.
-func chaosState(t *testing.T, c *Cluster, preds []string) []string {
+// sameState fails the test with what differs between two clusters'
+// canonical fixpoint states.
+func sameState(t *testing.T, label string, want, got []*engine.Node) {
 	t.Helper()
-	return engineState(func(i int) *engine.Node { return c.Hosts[i].Engine }, len(c.Hosts), preds)
+	if d := engine.DiffStates(want, got); d != "" {
+		t.Fatalf("%s: fixpoint state differs (- want, + got)\n%s", label, d)
+	}
 }
 
-// engineState is chaosState over any driver's nodes: each node's visible
-// tuples of preds followed by its prov and ruleExec rows.
-func engineState(node func(i int) *engine.Node, n int, preds []string) []string {
-	out := make([]string, n)
-	for i := range out {
-		nd := node(i)
-		s := ""
-		for _, pred := range preds {
-			for _, tu := range nd.Tuples(pred) {
-				s += pred + ":" + tu.String() + "\n"
-			}
-		}
-		for _, row := range nd.Store.ProvRows() {
-			s += "prov|" + row + "\n"
-		}
-		for _, row := range nd.Store.RuleExecRows() {
-			s += "re|" + row + "\n"
-		}
-		out[i] = s
+// emptyState fails the test unless the cluster's state is that of the same
+// cluster never booted: no tuple, prov row or ruleExec row anywhere (the
+// centralized server included) — the no-leak invariant of full retraction.
+func emptyState(t *testing.T, label string, c *Cluster) {
+	t.Helper()
+	cfg := c.Cfg
+	cfg.Faults = nil
+	fresh, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	if d := engine.DiffStates(fresh.Engines(), c.Engines()); d != "" {
+		t.Errorf("%s: state survives full retraction\n%s", label, d)
+	}
 }
 
 // chaosWorkload is one protocol run through the chaos fences: its program,
-// the predicates compared, optional extra base-tuple seeding beyond links
-// (nil = links only) and a per-step churn action (nil = the classic
-// link-pair retraction).
+// a derived predicate that must be non-empty at fixpoint (the vacuity
+// witness), optional extra base-tuple seeding beyond links (nil = links
+// only) and a per-step churn action (nil = the classic link-pair
+// retraction).
 type chaosWorkload struct {
 	name    string
 	prog    func() *ndlog.Program
-	preds   []string
+	witness string
 	noLinks bool
 	base    func(*topology.Topology) map[types.NodeID][]types.Tuple
 	churn   func(c *Cluster, topo *topology.Topology, k int)
@@ -82,13 +79,9 @@ func chaosLinkChurn(c *Cluster, topo *topology.Topology, k int) {
 // (its link predicate does not exist); POLICY churns links and the policy
 // atoms riding them, so route filtering changes mid-flight.
 var chaosWorkloads = []chaosWorkload{
-	{name: "mincost", prog: apps.MinCost,
-		preds: []string{"link", "pathCost", "bestPathCost"}},
-	{name: "pathvector", prog: apps.PathVector,
-		preds: []string{"link", "path", "bestPath", "bestHop"}},
-	{name: "chord", prog: apps.Chord, noLinks: true,
-		preds: []string{"ident", "peer", "alive", "cand", "bestSucc", "succ",
-			"notify", "candPred", "pred", "finger", "lookup", "lookupRes"},
+	{name: "mincost", prog: apps.MinCost, witness: "bestPathCost"},
+	{name: "pathvector", prog: apps.PathVector, witness: "bestHop"},
+	{name: "chord", prog: apps.Chord, noLinks: true, witness: "lookupRes",
 		base: func(topo *topology.Topology) map[types.NodeID][]types.Tuple {
 			b := apps.ChordBase(topo)
 			for _, lk := range apps.ChordLookups(topo, 4, 7) {
@@ -101,8 +94,7 @@ var chaosWorkloads = []chaosWorkload{
 			c.Hosts[l.U].Engine.DeleteBase(apps.AliveTuple(l.U, l.V))
 			c.Hosts[l.V].Engine.DeleteBase(apps.AliveTuple(l.V, l.U))
 		}},
-	{name: "policy", prog: apps.Policy,
-		preds: []string{"link", "policy", "route", "bestRoute", "routeSet", "nextHop"},
+	{name: "policy", prog: apps.Policy, witness: "nextHop",
 		base: func(topo *topology.Topology) map[types.NodeID][]types.Tuple {
 			return apps.PolicyTuples(topo)
 		},
@@ -126,14 +118,11 @@ var chaosWorkloads = []chaosWorkload{
 // stay up so retransmissions remain deliverable), and returns the final
 // state. Under a fault plan a second partition is injected mid-churn, so
 // deletion deltas cross a lossy, partitioned wire.
-func runChaosWorkload(t *testing.T, w chaosWorkload, mode engine.ProvMode, plan *simnet.FaultPlan) ([]string, *Cluster) {
+func runChaosWorkload(t *testing.T, w chaosWorkload, mode engine.ProvMode, plan *simnet.FaultPlan) *Cluster {
 	t.Helper()
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
-	cfg := Config{Topo: topo, Prog: w.prog(), Mode: mode, Faults: plan, NoLinkTuples: w.noLinks}
-	if w.base != nil {
-		cfg.Base = w.base(topo)
-	}
-	c, err := NewCluster(cfg)
+	c, err := NewCluster(Config{Topo: topo, Prog: w.prog(), Mode: mode, Faults: plan,
+		NoLinkTuples: w.noLinks, Base: workloadBase(w, topo)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +143,7 @@ func runChaosWorkload(t *testing.T, w chaosWorkload, mode engine.ProvMode, plan 
 			t.Fatalf("churn fixpoint %d: %v", k, err)
 		}
 	}
-	return chaosState(t, c, w.preds), c
+	return c
 }
 
 func TestChaosEquivalence(t *testing.T) {
@@ -164,10 +153,10 @@ func TestChaosEquivalence(t *testing.T) {
 	modes := []engine.ProvMode{engine.ProvNone, engine.ProvReference, engine.ProvValue, engine.ProvCentralized}
 	for _, w := range chaosWorkloads {
 		for _, mode := range modes {
-			want, _ := runChaosWorkload(t, w, mode, nil)
+			want := runChaosWorkload(t, w, mode, nil)
 			for _, seed := range []int64{1, 42, 1234} {
 				plan := chaosPlan(seed)
-				got, c := runChaosWorkload(t, w, mode, plan)
+				c := runChaosWorkload(t, w, mode, plan)
 				if plan.Dropped+plan.Duplicated+plan.Cut == 0 {
 					t.Fatalf("%s %s seed %d: fault schedule injected nothing", w.name, mode, seed)
 				}
@@ -177,12 +166,8 @@ func TestChaosEquivalence(t *testing.T) {
 				if c.Net.DroppedMsgs == 0 {
 					t.Errorf("%s %s seed %d: network counted no drops", w.name, mode, seed)
 				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s %s seed %d: node %d fixpoint differs from fault-free run\nfault-free:\n%.2000s\nchaos:\n%.2000s",
-							w.name, mode, seed, i, want[i], got[i])
-					}
-				}
+				sameState(t, fmt.Sprintf("%s %s seed %d: fault-free vs chaos", w.name, mode, seed),
+					want.Engines(), c.Engines())
 			}
 		}
 	}
@@ -194,14 +179,11 @@ func TestChaosEquivalence(t *testing.T) {
 // land not just on the deletion wave but on the stratified release waves
 // the idle hook fires afterwards — rederive batches are dropped, queued
 // behind partitions and retransmitted mid-wave.
-func runReleaseWaveChaos(t *testing.T, w chaosWorkload, plan *simnet.FaultPlan) ([]string, *Cluster) {
+func runReleaseWaveChaos(t *testing.T, w chaosWorkload, plan *simnet.FaultPlan) *Cluster {
 	t.Helper()
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
-	cfg := Config{Topo: topo, Prog: w.prog(), Mode: engine.ProvReference, Faults: plan, NoLinkTuples: w.noLinks}
-	if w.base != nil {
-		cfg.Base = w.base(topo)
-	}
-	c, err := NewCluster(cfg)
+	c, err := NewCluster(Config{Topo: topo, Prog: w.prog(), Mode: engine.ProvReference, Faults: plan,
+		NoLinkTuples: w.noLinks, Base: workloadBase(w, topo)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +205,7 @@ func runReleaseWaveChaos(t *testing.T, w chaosWorkload, plan *simnet.FaultPlan) 
 			t.Fatalf("churn fixpoint %d: %v", k, err)
 		}
 	}
-	return chaosState(t, c, w.preds), c
+	return c
 }
 
 // TestChaosReleaseWavePartition pins the batched-release path under faults:
@@ -236,22 +218,18 @@ func runReleaseWaveChaos(t *testing.T, w chaosWorkload, plan *simnet.FaultPlan) 
 // nearly all-local, so it never reliably crosses a partition window).
 func TestChaosReleaseWavePartition(t *testing.T) {
 	for _, w := range []chaosWorkload{chaosWorkloads[0], chaosWorkloads[3]} {
-		want, _ := runChaosWorkload(t, w, engine.ProvReference, nil)
+		want := runChaosWorkload(t, w, engine.ProvReference, nil)
 		for _, seed := range []int64{7, 99} {
 			plan := &simnet.FaultPlan{Seed: seed, Drop: 0.1, Jitter: simnet.Millisecond}
-			got, c := runReleaseWaveChaos(t, w, plan)
+			c := runReleaseWaveChaos(t, w, plan)
 			if plan.Cut == 0 {
 				t.Fatalf("%s seed %d: no message crossed a release-wave partition", w.name, seed)
 			}
 			if st := c.TransportStats(); st.Retransmits == 0 {
 				t.Errorf("%s seed %d: transport recovered nothing (stats %+v)", w.name, seed, st)
 			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("%s seed %d: node %d fixpoint differs from fault-free run\nfault-free:\n%.2000s\nchaos:\n%.2000s",
-						w.name, seed, i, want[i], got[i])
-				}
-			}
+			sameState(t, fmt.Sprintf("%s seed %d: fault-free vs release-wave chaos", w.name, seed),
+				want.Engines(), c.Engines())
 		}
 	}
 }
@@ -264,21 +242,16 @@ func TestChaosReleaseWavePartition(t *testing.T) {
 // still with loss applied.
 func TestChaosCrashRestart(t *testing.T) {
 	w := chaosWorkloads[0] // mincost
-	preds := w.preds
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
-	want, _ := runChaosWorkload(t, w, engine.ProvReference, nil)
+	want := runChaosWorkload(t, w, engine.ProvReference, nil)
 
 	plan := &simnet.FaultPlan{Seed: 9, Drop: 0.1, Jitter: simnet.Millisecond}
 	plan.AddCrash(3, 2*simnet.Millisecond, 40*simnet.Millisecond)
-	got, c := runChaosWorkload(t, w, engine.ProvReference, plan)
+	c := runChaosWorkload(t, w, engine.ProvReference, plan)
 	if plan.Cut == 0 {
 		t.Fatal("crash window silenced nothing")
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("node %d fixpoint differs after crash/restart\nfault-free:\n%.2000s\ncrash:\n%.2000s", i, want[i], got[i])
-		}
-	}
+	sameState(t, "fault-free vs crash/restart", want.Engines(), c.Engines())
 
 	// Full retraction under continuing loss: the no-leak invariant must
 	// survive chaos, not just clean runs.
@@ -289,20 +262,10 @@ func TestChaosCrashRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, pred := range preds {
-		if got := len(c.TuplesOf(pred)); got != 0 {
-			t.Errorf("%d %s tuples survive full retraction under loss", got, pred)
-		}
-	}
+	emptyState(t, "crash/restart under loss", c)
 	for i, h := range c.Hosts {
 		if g := h.Engine.AggGroupCount(); g != 0 {
 			t.Errorf("node %d: %d aggregate groups leak", i, g)
-		}
-		if n := h.Engine.Store.NumProv(); n != 0 {
-			t.Errorf("node %d: %d prov rows leak", i, n)
-		}
-		if n := h.Engine.Store.NumRuleExec(); n != 0 {
-			t.Errorf("node %d: %d ruleExec rows leak", i, n)
 		}
 		if h.Ep.InFlight() != 0 {
 			t.Errorf("node %d: %d payloads still in flight at fixpoint", i, h.Ep.InFlight())

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 
 	"repro/internal/algebra"
+	"repro/internal/apps"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/provquery"
@@ -229,16 +230,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	// neighbors." — plus whatever extra EDB the workload seeds (node
 	// order, so injection is deterministic).
 	sim.At(0, func() {
-		if !cfg.NoLinkTuples {
-			for _, l := range cfg.Topo.Links {
-				c.insertLinkNow(l.U, l.V, l.Cost)
-			}
-		}
-		for i := 0; i < cfg.Topo.N; i++ {
-			for _, tup := range cfg.Base[types.NodeID(i)] {
-				c.Hosts[i].Engine.InsertBase(tup)
-			}
-		}
+		apps.BootEDB(cfg.Topo, cfg.NoLinkTuples, cfg.Base, func(at types.NodeID, t types.Tuple) {
+			c.Hosts[at].Engine.InsertBase(t)
+		})
 	})
 
 	// Retraction protocol, phase 2 (engine.ReleasePass): an empty event
@@ -273,15 +267,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-func (c *Cluster) insertLinkNow(u, v types.NodeID, cost int64) {
-	c.Hosts[u].Engine.InsertBase(linkTuple(u, v, cost))
-	c.Hosts[v].Engine.InsertBase(linkTuple(v, u, cost))
-}
-
-func linkTuple(u, v types.NodeID, cost int64) types.Tuple {
-	return types.NewTuple("link", types.Node(u), types.Node(v), types.Int(cost))
-}
-
 // RunToFixpoint executes the simulation until quiescence and returns the
 // virtual fixpoint time.
 func (c *Cluster) RunToFixpoint() (simnet.Time, error) {
@@ -310,6 +295,16 @@ func (c *Cluster) Err() error {
 	return nil
 }
 
+// Engines returns the hosts' engines in node order — the cluster view
+// engine.WriteStates, StateDigest and DiffStates read.
+func (c *Cluster) Engines() []*engine.Node {
+	out := make([]*engine.Node, len(c.Hosts))
+	for i, h := range c.Hosts {
+		out[i] = h.Engine
+	}
+	return out
+}
+
 // TransportStats sums the reliable-endpoint counters across hosts. All
 // zeros in fault-free runs (no endpoints exist).
 func (c *Cluster) TransportStats() transport.Stats {
@@ -327,14 +322,15 @@ func (c *Cluster) TransportStats() transport.Stats {
 func (c *Cluster) AddLink(l topology.Link) {
 	lat, bps := l.Class.Params()
 	c.Net.AddLink(l.U, l.V, simnet.Link{Latency: lat, Bps: bps})
-	c.insertLinkNow(l.U, l.V, l.Cost)
+	c.Hosts[l.U].Engine.InsertBase(apps.LinkTuple(l.U, l.V, l.Cost))
+	c.Hosts[l.V].Engine.InsertBase(apps.LinkTuple(l.V, l.U, l.Cost))
 }
 
 // RemoveLink removes a physical link and retracts its base tuples.
 func (c *Cluster) RemoveLink(l topology.Link) {
 	c.Net.RemoveLink(l.U, l.V)
-	c.Hosts[l.U].Engine.DeleteBase(linkTuple(l.U, l.V, l.Cost))
-	c.Hosts[l.V].Engine.DeleteBase(linkTuple(l.V, l.U, l.Cost))
+	c.Hosts[l.U].Engine.DeleteBase(apps.LinkTuple(l.U, l.V, l.Cost))
+	c.Hosts[l.V].Engine.DeleteBase(apps.LinkTuple(l.V, l.U, l.Cost))
 }
 
 // InsertBase injects a base tuple at its location specifier's node at the

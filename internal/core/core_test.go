@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/engine"
 	"repro/internal/provquery"
@@ -63,8 +64,7 @@ func TestMinCostFigure3ProvTable(t *testing.T) {
 	pc := types.NewTuple("pathCost", types.Node(a), types.Node(cc), types.Int(5))
 	derivs := c.Hosts[a].Engine.Store.Derivations(pc.VID())
 	if len(derivs) != 2 {
-		t.Fatalf("pathCost(@a,c,5): got %d derivations, want 2\nprov rows:\n%s",
-			len(derivs), strings.Join(c.Hosts[a].Engine.Store.ProvRows(), "\n"))
+		t.Fatalf("pathCost(@a,c,5): got %d derivations, want 2: %+v", len(derivs), derivs)
 	}
 	locs := map[types.NodeID]bool{}
 	for _, e := range derivs {
@@ -204,5 +204,41 @@ func TestNodeSetQueryFigure3(t *testing.T) {
 	// <a, b->a>: nodes a and b participate.
 	if len(nodes) != 2 || nodes[0] != a || nodes[1] != b {
 		t.Fatalf("node set = %v, want [a b]", nodes)
+	}
+}
+
+// TestQueryCacheKeyedByUDF: the §6.1 cache tags each answer with the UDF that
+// computed it. Two DERIVABILITY UDFs share a name but not a trust predicate,
+// so after swapping one for the other a cache-on cluster must answer as an
+// uncached one does, not serve the first UDF's cached answers.
+func TestQueryCacheKeyedByUDF(t *testing.T) {
+	derivable := func(cacheOn bool, udfs ...provquery.UDF) (last bool) {
+		c, err := NewCluster(Config{Topo: topology.Figure3(), Prog: apps.MinCost(),
+			Mode: engine.ProvReference, CacheOn: cacheOn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunToFixpoint(); err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := c.FindTuple(apps.BestPathCostTuple(a, cc, 5))
+		for _, u := range udfs {
+			for _, h := range c.Hosts {
+				h.Query.UDF = u
+			}
+			c.Query(d, ref.VID, ref.Loc, func(payload []byte) { last = provquery.DecodeBool(payload) })
+			if _, err := c.RunToFixpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return last
+	}
+	trustAll := provquery.Derivability(nil)
+	trustNone := provquery.Derivability(func(algebra.Base) bool { return false })
+	if !derivable(true, trustAll) {
+		t.Fatal("vacuous: bestPathCost(@a,c,5) not derivable under full trust")
+	}
+	if got, want := derivable(true, trustAll, trustNone), derivable(false, trustNone); got != want {
+		t.Errorf("cache-on answer after the trust swap = %v, uncached answer %v", got, want)
 	}
 }

@@ -67,3 +67,25 @@ func TestLocalizationEndToEnd(t *testing.T) {
 	}
 	diffSets(t, "localized+rewrite", want, run(rw, engine.ProvNone))
 }
+
+func tupleSet(c *Cluster, pred string) map[string]bool {
+	out := map[string]bool{}
+	for _, ref := range c.TuplesOf(pred) {
+		out[ref.Tuple.String()] = true
+	}
+	return out
+}
+
+func diffSets(t *testing.T, what string, want, got map[string]bool) {
+	t.Helper()
+	for k := range want {
+		if !got[k] {
+			t.Errorf("%s: %s missing", what, k)
+		}
+	}
+	for k := range got {
+		if !want[k] {
+			t.Errorf("%s: unexpected %s", what, k)
+		}
+	}
+}

@@ -79,11 +79,7 @@ func TestNDlogQueryProgramExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := int64(-1)
-		rel := declarative.Hosts[issuer].Engine.Table("queryResult")
-		if rel == nil {
-			t.Fatal("queryResult relation missing")
-		}
-		for _, tu := range rel.Tuples() {
+		for _, tu := range declarative.Hosts[issuer].Engine.Tuples("queryResult") {
 			if tu.Args[1].AsID() == qid {
 				got = tu.Args[3].AsInt()
 			}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/topology"
 	"repro/internal/types"
@@ -46,8 +45,8 @@ func randomProgram(rng *rand.Rand, depth int) *ndlog.Program {
 // TestRandomProgramsRewriteEquivalence extends the rewrite-vs-native
 // equivalence from the two paper applications to randomly generated
 // programs: for each, the Algorithm-1 rewritten program executed plainly
-// must materialize the same derived relations and the same prov/ruleExec
-// contents as native reference-mode execution of the original.
+// must reach the canonical state of native reference-mode execution of the
+// original — the same derived relations, prov rows and ruleExec rows.
 func TestRandomProgramsRewriteEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	topo := topology.Ring(5, rng)
@@ -57,19 +56,9 @@ func TestRandomProgramsRewriteEquivalence(t *testing.T) {
 		if err := ndlog.Validate(prog); err != nil {
 			t.Fatalf("trial %d: generated invalid program: %v\n%s", trial, err, prog)
 		}
-
-		native, err := NewCluster(Config{Topo: topo, Prog: prog, Mode: engine.ProvReference})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		rw, err := ndlog.ProvenanceRewrite(prog)
-		if err != nil {
-			t.Fatalf("trial %d: rewrite: %v", trial, err)
-		}
-		rewritten, err := NewCluster(Config{Topo: topo, Prog: rw, Mode: engine.ProvNone})
-		if err != nil {
-			t.Fatalf("trial %d: compile rewritten: %v\n%s", trial, err, rw)
-		}
+		// The programs speak base, not link: the topology only carries
+		// their messages.
+		native, rewritten := rewritePair(t, Config{Topo: topo, Prog: prog, NoLinkTuples: true})
 
 		// Shared base facts: per node, a handful of (neighbor, value) rows.
 		seed := rand.New(rand.NewSource(int64(trial)))
@@ -93,58 +82,8 @@ func TestRandomProgramsRewriteEquivalence(t *testing.T) {
 				t.Fatalf("trial %d: %v\nprogram:\n%s", trial, err, prog)
 			}
 		}
-
-		// Derived relations agree.
-		var preds []string
-		for i := 0; i <= depth; i++ {
-			preds = append(preds, fmt.Sprintf("d%d", i))
-		}
-		for _, pred := range preds {
-			a, b := tupleSet(native, pred), tupleSet(rewritten, pred)
-			if len(a) != len(b) {
-				t.Fatalf("trial %d: %s differs (%d vs %d)\nprogram:\n%s", trial, pred, len(a), len(b), prog)
-			}
-			for k := range a {
-				if !b[k] {
-					t.Fatalf("trial %d: %s missing %s\nprogram:\n%s", trial, pred, k, prog)
-				}
-			}
-		}
-
-		// Provenance rows agree (same comparison as the fixed-app test).
-		nativeProv := map[string]bool{}
-		for i, h := range native.Hosts {
-			for _, pred := range append([]string{"base"}, preds...) {
-				table := h.Engine.Table(pred)
-				if table == nil {
-					continue
-				}
-				for _, tu := range table.Tuples() {
-					for _, d := range h.Engine.Store.Derivations(tu.VID()) {
-						nativeProv[fmt.Sprintf("%d|%s|%s|%s", i, tu.VID(), d.RID, d.RLoc)] = true
-					}
-				}
-			}
-		}
-		rewrittenProv := map[string]bool{}
-		for i, h := range rewritten.Hosts {
-			table := h.Engine.Table("prov")
-			if table == nil {
-				continue
-			}
-			for _, tu := range table.Tuples() {
-				rewrittenProv[fmt.Sprintf("%d|%s|%s|%s",
-					i, tu.Args[1].AsID(), tu.Args[2].AsID(), tu.Args[3].AsNode())] = true
-			}
-		}
-		if len(nativeProv) != len(rewrittenProv) {
-			t.Fatalf("trial %d: prov rows %d native vs %d rewritten\nprogram:\n%s",
-				trial, len(nativeProv), len(rewrittenProv), prog)
-		}
-		for k := range nativeProv {
-			if !rewrittenProv[k] {
-				t.Fatalf("trial %d: prov row %s missing from rewritten\nprogram:\n%s", trial, k, prog)
-			}
+		if d := rewriteDiff(native, rewritten); d != "" {
+			t.Fatalf("trial %d: native vs rewritten (- native, + rewritten):\n%s\nprogram:\n%s", trial, d, prog)
 		}
 	}
 }

@@ -1,165 +1,73 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
-	"repro/internal/provenance"
 	"repro/internal/topology"
-	"repro/internal/types"
 )
 
 // TestRewriteExecutionMatchesNative is the central equivalence check of
 // §4.2: executing the Algorithm-1 rewritten program through the plain
 // engine (provenance mode off — all bookkeeping done by the generated
-// NDlog rules themselves) must materialize exactly the prov and ruleExec
-// relations that the engine's native reference-mode hooks maintain.
+// NDlog rules themselves) must materialize exactly the state the engine's
+// native reference-mode hooks maintain: the same tuples, and prov and
+// ruleExec relations equal to the native store's rows (engine.FromRewrite).
 func TestRewriteExecutionMatchesNative(t *testing.T) {
-	cases := []struct {
-		name  string
-		prog  func() *ndlog.Program
-		preds []string
-		check string // derived relation compared across executions
-	}{
-		{"mincost", apps.MinCost, []string{"link", "pathCost", "bestPathCost"}, "bestPathCost"},
-		{"pathvector", apps.PathVector, []string{"link", "path", "bestPath", "bestHop"}, "bestPath"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			testRewriteEquivalence(t, tc.prog(), tc.preds, tc.check)
+	for name, prog := range map[string]func() *ndlog.Program{"mincost": apps.MinCost, "pathvector": apps.PathVector} {
+		t.Run(name, func(t *testing.T) {
+			native, rewritten := rewritePair(t, Config{Topo: topology.Figure3(), Prog: prog()})
+			for _, c := range []*Cluster{native, rewritten} {
+				if _, err := c.RunToFixpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d := rewriteDiff(native, rewritten); d != "" {
+				t.Errorf("native vs rewritten (- native, + rewritten):\n%s", d)
+			}
+			// The rewritten program declares prov and ruleExec; its own
+			// canonical state must still list each of their tuples once.
+			var sb strings.Builder
+			engine.WriteStates(&sb, rewritten.Engines())
+			rows := 0
+			for _, n := range rewritten.Engines() {
+				rows += n.TupleCount("prov") + n.TupleCount("ruleExec")
+			}
+			if got := strings.Count(sb.String(), "\nprov(@") + strings.Count(sb.String(), "\nruleExec(@"); got != rows || rows == 0 {
+				t.Errorf("rewritten state lists %d prov/ruleExec tuples, relations hold %d", got, rows)
+			}
 		})
 	}
 }
 
-func testRewriteEquivalence(t *testing.T, prog *ndlog.Program, preds []string, checkPred string) {
-	topo := topology.Figure3()
-
-	// Native: original program with engine-level reference provenance.
-	native, err := NewCluster(Config{Topo: topo, Prog: prog, Mode: engine.ProvReference})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := native.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewritten: Algorithm 1 output executed with provenance mode off.
-	rw, err := ndlog.ProvenanceRewrite(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rewritten, err := NewCluster(Config{Topo: topo, Prog: rw, Mode: engine.ProvNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rewritten.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same protocol fixpoint first (the rewrite subsumes the original).
-	diffSets(t, checkPred, tupleSet(native, checkPred), tupleSet(rewritten, checkPred))
-
-	// prov: native store rows vs rewritten prov relation rows.
-	nativeProv := map[string]bool{}
-	for i, h := range native.Hosts {
-		node := types.NodeID(i)
-		for _, pred := range preds {
-			table := h.Engine.Table(pred)
-			if table == nil {
-				continue
-			}
-			for _, tu := range table.Tuples() {
-				for _, d := range h.Engine.Store.Derivations(tu.VID()) {
-					nativeProv[fmt.Sprintf("%s|%s|%s|%s", node, tu.VID(), d.RID, d.RLoc)] = true
-				}
-			}
-		}
-	}
-	rewrittenProv := map[string]bool{}
-	for i, h := range rewritten.Hosts {
-		node := types.NodeID(i)
-		table := h.Engine.Table("prov")
-		if table == nil {
-			continue
-		}
-		for _, tu := range table.Tuples() {
-			// prov(@Loc, VID, RID, RLoc)
-			rewrittenProv[fmt.Sprintf("%s|%s|%s|%s",
-				node, tu.Args[1].AsID(), tu.Args[2].AsID(), tu.Args[3].AsNode())] = true
-		}
-	}
-	diffSets(t, "prov", nativeProv, rewrittenProv)
-
-	// ruleExec: native store vs rewritten relation.
-	nativeRE := map[string]bool{}
-	for i, h := range native.Hosts {
-		node := types.NodeID(i)
-		for _, tu := range allRuleExecRows(h, preds) {
-			nativeRE[fmt.Sprintf("%s|%s", node, tu)] = true
-		}
-	}
-	rewrittenRE := map[string]bool{}
-	for i, h := range rewritten.Hosts {
-		node := types.NodeID(i)
-		table := h.Engine.Table("ruleExec")
-		if table == nil {
-			continue
-		}
-		for _, tu := range table.Tuples() {
-			// ruleExec(@RLoc, RID, R, List)
-			var vids []string
-			for _, v := range tu.Args[3].AsList() {
-				vids = append(vids, v.AsID().String())
-			}
-			rewrittenRE[fmt.Sprintf("%s|%s|%s|%v", node, tu.Args[1].AsID(), tu.Args[2].AsStr(), vids)] = true
-		}
-	}
-	diffSets(t, "ruleExec", nativeRE, rewrittenRE)
-}
-
-// allRuleExecRows enumerates the node's native ruleExec rows. (Reverse
-// parent edges no longer exist after a plain fixpoint — they are installed
-// per cached query traversal — so the rows are read from the store's
-// ruleExec partition directly.)
-func allRuleExecRows(h *Host, preds []string) []string {
-	_ = preds
-	var out []string
-	h.Engine.Store.ForEachRuleExec(func(re provenance.RuleExecEntry) {
-		var vids []string
-		for _, v := range re.VIDList {
-			vids = append(vids, v.String())
-		}
-		out = append(out, fmt.Sprintf("%s|%s|%v", re.RID, re.Rule, vids))
-	})
-	sort.Strings(out)
-	return out
-}
-
-func tupleSet(c *Cluster, pred string) map[string]bool {
-	out := map[string]bool{}
-	for _, ref := range c.TuplesOf(pred) {
-		out[ref.Tuple.String()] = true
-	}
-	return out
-}
-
-func diffSets(t *testing.T, what string, a, b map[string]bool) {
+// rewritePair builds two clusters from cfg: the program with native
+// reference-mode provenance, and its Algorithm 1 rewrite with provenance off.
+func rewritePair(t *testing.T, cfg Config) (native, rewritten *Cluster) {
 	t.Helper()
-	for k := range a {
-		if !b[k] {
-			t.Errorf("%s: native row %s missing from rewritten execution", what, k)
-		}
+	cfg.Mode = engine.ProvReference
+	native, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k := range b {
-		if !a[k] {
-			t.Errorf("%s: rewritten row %s not present natively", what, k)
-		}
+	if cfg.Prog, err = ndlog.ProvenanceRewrite(cfg.Prog); err != nil {
+		t.Fatalf("rewrite: %v", err)
 	}
-	if len(a) != len(b) {
-		t.Errorf("%s: native %d rows, rewritten %d rows", what, len(a), len(b))
+	cfg.Mode = engine.ProvNone
+	if rewritten, err = NewCluster(cfg); err != nil {
+		t.Fatalf("compile rewritten: %v\n%s", err, cfg.Prog)
 	}
+	return native, rewritten
+}
+
+// rewriteDiff compares a native cluster's canonical state with the native
+// form of its rewritten twin's.
+func rewriteDiff(native, rewritten *Cluster) string {
+	views := rewritten.Engines()
+	for i, n := range views {
+		views[i] = engine.FromRewrite(n)
+	}
+	return engine.DiffStates(native.Engines(), views)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 // This test pins the cross-driver, cross-executor contract on the benchmark
 // workload (MINCOST over the §7 transit-stub topology): the Scheduler, whose
 // nodes evaluate in batched rounds, must reach exactly the fixpoint the
-// simulation, whose nodes drain, reaches — same visible tuples at every node,
-// same provenance row sets — and must reproduce its byte accounting
+// simulation, whose nodes drain, reaches — the same canonical state at every
+// node — and must reproduce its byte accounting
 // bit-for-bit whatever the size of its worker pool.
 
 func TestSchedulerMatchesSimnet(t *testing.T) {
@@ -30,19 +31,13 @@ func TestSchedulerMatchesSimnet(t *testing.T) {
 	if _, err := c.RunToFixpoint(); err != nil {
 		t.Fatal(err)
 	}
-	preds := []string{"link", "pathCost", "bestPathCost"}
-	want := chaosState(t, c, preds)
-
 	prog, err := engine.Compile(apps.MinCost())
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(workers int) *engine.Scheduler {
 		s := engine.NewScheduler(prog, engine.ProvReference, topo.N, 0, workers)
-		for _, l := range topo.Links {
-			s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
-			s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))
-		}
+		apps.BootEDB(topo, false, nil, s.InsertBase)
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -52,13 +47,7 @@ func TestSchedulerMatchesSimnet(t *testing.T) {
 	var prev *engine.Scheduler
 	for _, workers := range []int{1, 0, 4} {
 		s := run(workers)
-		got := engineState(s.Node, topo.N, preds)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("workers=%d: node %d state differs from simnet fixpoint\nsimnet:\n%.2000s\nscheduler:\n%.2000s",
-					workers, i, want[i], got[i])
-			}
-		}
+		sameState(t, fmt.Sprintf("workers=%d: simnet vs scheduler", workers), c.Engines(), s.Engines())
 		if prev != nil && (s.TotalBytes != prev.TotalBytes || s.Rounds != prev.Rounds) {
 			t.Errorf("accounting differs across worker counts: bytes %d/%d rounds %d/%d",
 				s.TotalBytes, prev.TotalBytes, s.Rounds, prev.Rounds)

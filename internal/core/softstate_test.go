@@ -226,14 +226,7 @@ func TestSoftStateExpiryDuringSuspectWave(t *testing.T) {
 	if err := b.RunUntil(40 * ms); err != nil {
 		t.Fatal(err)
 	}
-	preds := []string{"link", "pathCost", "bestPathCost"}
-	want := chaosState(t, b, preds)
-	got := chaosState(t, c, preds)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("node %d: soft-state fixpoint differs from plain deletion\nplain:\n%.2000s\nsoft:\n%.2000s", i, want[i], got[i])
-		}
-	}
+	sameState(t, "plain deletion vs soft-state expiry", b.Engines(), c.Engines())
 
 	// Withdraw everything still live; the cluster must drain to zero —
 	// this is where a refresh that double-inserted would leak a count.
@@ -246,20 +239,10 @@ func TestSoftStateExpiryDuringSuspectWave(t *testing.T) {
 	if _, err := c.RunToFixpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for _, pred := range preds {
-		if n := len(c.TuplesOf(pred)); n != 0 {
-			t.Fatalf("%d %s tuples survive full withdraw", n, pred)
-		}
-	}
+	emptyState(t, "full withdraw", c)
 	for i, h := range c.Hosts {
 		if g := h.Engine.AggGroupCount(); g != 0 {
 			t.Errorf("node %d: %d aggregate groups leak", i, g)
-		}
-		if n := h.Engine.Store.NumProv(); n != 0 {
-			t.Errorf("node %d: %d prov rows leak", i, n)
-		}
-		if n := h.Engine.Store.NumRuleExec(); n != 0 {
-			t.Errorf("node %d: %d ruleExec rows leak", i, n)
 		}
 	}
 }

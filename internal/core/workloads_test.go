@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/engine"
 	"repro/internal/topology"
@@ -40,11 +42,8 @@ func suiteWorkloads(t *testing.T) []chaosWorkload {
 // bootWorkload builds and boots a cluster for one workload row.
 func bootWorkload(t *testing.T, w chaosWorkload, topo *topology.Topology, mode engine.ProvMode) *Cluster {
 	t.Helper()
-	cfg := Config{Topo: topo, Prog: w.prog(), Mode: mode, NoLinkTuples: w.noLinks}
-	if w.base != nil {
-		cfg.Base = w.base(topo)
-	}
-	c, err := NewCluster(cfg)
+	c, err := NewCluster(Config{Topo: topo, Prog: w.prog(), Mode: mode, NoLinkTuples: w.noLinks,
+		Base: workloadBase(w, topo)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +51,14 @@ func bootWorkload(t *testing.T, w chaosWorkload, topo *topology.Topology, mode e
 		t.Fatalf("boot fixpoint: %v", err)
 	}
 	return c
+}
+
+// workloadBase is the workload's EDB beyond links (nil when it has none).
+func workloadBase(w chaosWorkload, topo *topology.Topology) map[types.NodeID][]types.Tuple {
+	if w.base == nil {
+		return nil
+	}
+	return w.base(topo)
 }
 
 // bootScheduled seeds the same EDB bootWorkload does into an engine.Scheduler
@@ -63,20 +70,17 @@ func bootScheduled(t *testing.T, w chaosWorkload, topo *topology.Topology, mode 
 		t.Fatal(err)
 	}
 	s := engine.NewScheduler(prog, mode, topo.N, 0, 0)
-	if !w.noLinks {
-		for _, l := range topo.Links {
-			s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
-			s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))
-		}
+	if mode == engine.ProvValue {
+		// A value-mode payload's encoding depends on BDD variable
+		// numbering, and numbering on the order a run first meets each base
+		// tuple: the simulator meets the EDB in boot order, the Scheduler
+		// node by node. Number it in boot order up front.
+		alloc := s.Engines()[0].Alloc
+		apps.BootEDB(topo, w.noLinks, workloadBase(w, topo), func(at types.NodeID, tup types.Tuple) {
+			alloc.VarOf(algebra.Base{VID: tup.VID(), Label: tup.String(), Node: at})
+		})
 	}
-	if w.base != nil {
-		base := w.base(topo)
-		for i := 0; i < topo.N; i++ {
-			for _, tup := range base[types.NodeID(i)] {
-				s.InsertBase(types.NodeID(i), tup)
-			}
-		}
-	}
+	apps.BootEDB(topo, w.noLinks, workloadBase(w, topo), s.InsertBase)
 	if err := s.Run(); err != nil {
 		t.Fatalf("scheduled fixpoint: %v", err)
 	}
@@ -95,15 +99,8 @@ func TestWorkloadDrainBatchedEquivalence(t *testing.T) {
 	for _, w := range suiteWorkloads(t) {
 		for _, mode := range provModes {
 			serial := bootWorkload(t, w, topo, mode)
-			want := chaosState(t, serial, w.preds)
 			s := bootScheduled(t, w, topo, mode)
-			got := engineState(s.Node, topo.N, w.preds)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("%s %s: node %d differs between simulator and scheduler\nsimulator:\n%.2000s\nscheduler:\n%.2000s",
-						w.name, mode, i, want[i], got[i])
-				}
-			}
+			sameState(t, fmt.Sprintf("%s %s: simulator vs scheduler", w.name, mode), serial.Engines(), s.Engines())
 			if rerun := bootScheduled(t, w, topo, mode); rerun.TotalBytes != s.TotalBytes || rerun.Rounds != s.Rounds {
 				t.Errorf("%s %s: scheduler reruns diverge: bytes %d/%d rounds %d/%d",
 					w.name, mode, s.TotalBytes, rerun.TotalBytes, s.Rounds, rerun.Rounds)
@@ -112,8 +109,8 @@ func TestWorkloadDrainBatchedEquivalence(t *testing.T) {
 				t.Errorf("%s %s: simulator reruns diverge on wire bytes %d/%d",
 					w.name, mode, serial.Net.TotalBytes, rerun.Net.TotalBytes)
 			}
-			if len(serial.TuplesOf(w.preds[len(w.preds)-1])) == 0 {
-				t.Fatalf("%s %s: vacuous — no %s derived", w.name, mode, w.preds[len(w.preds)-1])
+			if len(serial.TuplesOf(w.witness)) == 0 {
+				t.Fatalf("%s %s: vacuous — no %s derived", w.name, mode, w.witness)
 			}
 		}
 	}
@@ -129,19 +126,11 @@ func TestWorkloadFullRetraction(t *testing.T) {
 	for _, w := range suiteWorkloads(t) {
 		for _, mode := range provModes {
 			c := bootWorkload(t, w, topo, mode)
-			// Reconstruct the seeded EDB exactly as bootWorkload fed it.
+			// Retract the seeded EDB exactly as bootWorkload fed it, node by node.
 			base := map[types.NodeID][]types.Tuple{}
-			if !w.noLinks {
-				for _, l := range topo.Links {
-					base[l.U] = append(base[l.U], apps.LinkTuple(l.U, l.V, l.Cost))
-					base[l.V] = append(base[l.V], apps.LinkTuple(l.V, l.U, l.Cost))
-				}
-			}
-			if w.base != nil {
-				for n, tuples := range w.base(topo) {
-					base[n] = append(base[n], tuples...)
-				}
-			}
+			apps.BootEDB(topo, w.noLinks, workloadBase(w, topo), func(at types.NodeID, tup types.Tuple) {
+				base[at] = append(base[at], tup)
+			})
 			for i := 0; i < topo.N; i++ {
 				for _, tup := range base[types.NodeID(i)] {
 					c.DeleteBase(tup)
@@ -150,20 +139,10 @@ func TestWorkloadFullRetraction(t *testing.T) {
 					t.Fatalf("%s %s: retraction fixpoint at node %d: %v", w.name, mode, i, err)
 				}
 			}
-			for _, pred := range w.preds {
-				if n := len(c.TuplesOf(pred)); n != 0 {
-					t.Errorf("%s %s: %d %s tuples survive full retraction", w.name, mode, n, pred)
-				}
-			}
+			emptyState(t, fmt.Sprintf("%s %s", w.name, mode), c)
 			for i, h := range c.Hosts {
 				if g := h.Engine.AggGroupCount(); g != 0 {
 					t.Errorf("%s %s node %d: %d aggregate groups leak", w.name, mode, i, g)
-				}
-				if n := h.Engine.Store.NumProv(); n != 0 {
-					t.Errorf("%s %s node %d: %d prov rows leak", w.name, mode, i, n)
-				}
-				if n := h.Engine.Store.NumRuleExec(); n != 0 {
-					t.Errorf("%s %s node %d: %d ruleExec rows leak", w.name, mode, i, n)
 				}
 			}
 		}

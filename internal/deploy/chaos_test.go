@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/topology"
 	"repro/internal/transport"
-	"repro/internal/types"
 )
 
 // fastRetransmit keeps chaos tests quick: loopback RTT is microseconds, so
@@ -47,40 +46,16 @@ func TestWaitFixpointTimeoutError(t *testing.T) {
 
 // TestDeployChaosLossConvergesToSimulation injects seeded datagram loss and
 // duplication under the reliable transport and checks the UDP cluster still
-// reaches the exact simulated fixpoint — the deployment half of the chaos
-// equivalence fence.
+// reaches the exact fixpoint state of the Scheduler — the deployment half of
+// the chaos equivalence fence.
 func TestDeployChaosLossConvergesToSimulation(t *testing.T) {
 	topo := topology.Ring(6, rand.New(rand.NewSource(11)))
-	cl, err := NewCluster(Config{
+	cl := bootCluster(t, Config{
 		Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference,
 		Reliable: true, Loss: 0.1, Dup: 0.05, FaultSeed: 7,
 		Transport: fastRetransmit,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-	cl.Start()
-	cl.InsertLinks()
-	if _, err := cl.WaitFixpoint(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Err(); err != nil {
-		t.Fatal(err)
-	}
-	deployed := map[string]bool{}
-	for _, tu := range cl.Snapshot("bestPathCost") {
-		deployed[tu.String()] = true
-	}
-	simTuples := simulatedBestPaths(t, topo)
-	if len(deployed) != len(simTuples) {
-		t.Fatalf("chaos deployment has %d bestPathCost tuples, simulation %d", len(deployed), len(simTuples))
-	}
-	for k := range simTuples {
-		if !deployed[k] {
-			t.Errorf("simulation tuple %s missing from chaos deployment", k)
-		}
-	}
+	sameState(t, "scheduler vs chaos deployment", schedulerState(t, topo, apps.MinCost(), engine.ProvReference), cl.Engines())
 	if cl.Dropped.Load() == 0 {
 		t.Error("fault injection dropped nothing")
 	}
@@ -110,30 +85,17 @@ func TestDeployChaosKillRestart(t *testing.T) {
 		t.Fatal("no link incident to node 2")
 	}
 
-	run := func(kill bool) map[string]bool {
-		cl, err := NewCluster(Config{
+	run := func(kill bool) []*engine.Node {
+		cl := bootCluster(t, Config{
 			Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference,
 			Reliable: true, Transport: fastRetransmit,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Stop()
-		cl.Start()
-		cl.InsertLinks()
-		if _, err := cl.WaitFixpoint(30 * time.Second); err != nil {
-			t.Fatal(err)
-		}
 		if kill {
 			cl.Kill(2)
 		}
 		u, v, cost := churn.U, churn.V, churn.Cost
-		cl.Nodes[u].Do(func() {
-			cl.Nodes[u].Engine.DeleteBase(types.NewTuple("link", types.Node(u), types.Node(v), types.Int(cost)))
-		})
-		cl.Nodes[v].Do(func() {
-			cl.Nodes[v].Engine.DeleteBase(types.NewTuple("link", types.Node(v), types.Node(u), types.Int(cost)))
-		})
+		cl.Nodes[u].Do(func() { cl.Nodes[u].Engine.DeleteBase(apps.LinkTuple(u, v, cost)) })
+		cl.Nodes[v].Do(func() { cl.Nodes[v].Engine.DeleteBase(apps.LinkTuple(v, u, cost)) })
 		if kill {
 			// Wait until the dead window has actually eaten traffic before
 			// healing, so the retransmit path is exercised for real.
@@ -157,23 +119,9 @@ func TestDeployChaosKillRestart(t *testing.T) {
 				t.Errorf("no retransmissions after restart (stats %+v)", st)
 			}
 		}
-		out := map[string]bool{}
-		for _, pred := range []string{"link", "pathCost", "bestPathCost"} {
-			for _, tu := range cl.Snapshot(pred) {
-				out[pred+":"+tu.String()] = true
-			}
-		}
-		return out
+		return cl.Engines()
 	}
 
 	want := run(false)
-	got := run(true)
-	if len(got) != len(want) {
-		t.Fatalf("crash/restart run has %d tuples, fault-free churn %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Errorf("tuple %s missing after crash/restart reconvergence", k)
-		}
-	}
+	sameState(t, "fault-free churn vs crash/restart", want, run(true))
 }

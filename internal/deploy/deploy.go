@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/apps"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/provquery"
@@ -158,8 +159,8 @@ type NodeProc struct {
 	// events, as in the simulator's crash windows.
 	down atomic.Bool
 
-	deadMu  sync.Mutex
-	deadErr error
+	errMu  sync.Mutex
+	netErr error // first transport-level error (fault)
 
 	SentBytes atomic.Int64
 	SentMsgs  atomic.Int64
@@ -257,14 +258,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				// sendReliable is retired when the peer acks it (or the
 				// peer is declared dead) — a dropped datagram awaiting
 				// retransmission keeps the cluster non-quiescent.
-				Release: func(any) { cl.workDone() },
-				PeerDead: func(err error) {
-					np.deadMu.Lock()
-					if np.deadErr == nil {
-						np.deadErr = err
-					}
-					np.deadMu.Unlock()
-				},
+				Release:  func(any) { cl.workDone() },
+				PeerDead: np.fault,
 			})
 		}
 		en := engine.NewNode(np.ID, prog, cfg.Mode, udpTransport{np}, alloc)
@@ -305,46 +300,28 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// insertLinkBatch is how many links InsertLinks injects between quiescence
-// waits. Flooding every link at once used to race the whole boot cascade
-// against the kernel's UDP buffers; under -race slowdowns the receive loops
-// fell behind, datagrams were silently dropped, and the fixpoint stalled —
-// the documented flake of TestDeployRingPathVector. Draining between small
-// batches bounds the in-flight datagram population instead of relying on
-// wall-clock luck.
-const insertLinkBatch = 4
+// insertBatch is how many EDB tuples InsertLinks injects between quiescence
+// waits (four links' worth). Flooding every link at once used to race the
+// whole boot cascade against the kernel's UDP buffers; under -race slowdowns
+// the receive loops fell behind, datagrams were silently dropped, and the
+// fixpoint stalled — the documented flake of TestDeployRingPathVector.
+// Draining between small batches bounds the in-flight datagram population
+// instead of relying on wall-clock luck.
+const insertBatch = 8
 
-// InsertLinks injects the workload's EDB at its owning nodes: the
-// topology's symmetric link tuples (unless Config.NoLinkTuples) followed
-// by Config.Base in node order, pacing injection by cluster quiescence
-// (never by wall-clock sleeps).
+// InsertLinks injects the workload's EDB at its owning nodes in the boot
+// order of apps.BootEDB — the topology's symmetric link tuples (unless
+// Config.NoLinkTuples), then Config.Base in node order — pacing injection by
+// cluster quiescence (never by wall-clock sleeps).
 func (c *Cluster) InsertLinks() {
-	batch := 0
-	pace := func() {
-		batch++
-		if batch%insertLinkBatch == 0 {
+	fed := 0
+	apps.BootEDB(c.Cfg.Topo, c.Cfg.NoLinkTuples, c.Cfg.Base, func(at types.NodeID, t types.Tuple) {
+		np := c.Nodes[at]
+		np.Do(func() { np.Engine.InsertBase(t) })
+		if fed++; fed%insertBatch == 0 {
 			c.waitQuiet(10 * time.Second)
 		}
-	}
-	if !c.Cfg.NoLinkTuples {
-		for _, l := range c.Cfg.Topo.Links {
-			u, v, cost := l.U, l.V, l.Cost
-			c.Nodes[u].Do(func() {
-				c.Nodes[u].Engine.InsertBase(types.NewTuple("link", types.Node(u), types.Node(v), types.Int(cost)))
-			})
-			c.Nodes[v].Do(func() {
-				c.Nodes[v].Engine.InsertBase(types.NewTuple("link", types.Node(v), types.Node(u), types.Int(cost)))
-			})
-			pace()
-		}
-	}
-	for i := 0; i < c.Cfg.Topo.N; i++ {
-		for _, tup := range c.Cfg.Base[types.NodeID(i)] {
-			np, t := c.Nodes[i], tup
-			np.Do(func() { np.Engine.InsertBase(t) })
-			pace()
-		}
-	}
+	})
 }
 
 // Do runs fn on the node's worker goroutine (all engine state is confined
@@ -472,75 +449,12 @@ func (c *Cluster) rollFault(prob float64) bool {
 func (np *NodeProc) recvLoop() {
 	buf := make([]byte, 1<<16)
 	for {
-		n, _, err := np.conn.ReadFromUDP(buf)
+		n, src, err := np.conn.ReadFromUDP(buf)
 		if err != nil {
 			return
 		}
-		if n < 5 {
-			np.cl.Dropped.Add(1)
-			np.cl.workDone()
-			continue
-		}
-		tag := buf[0]
-		from := types.NodeID(int32(uint32(buf[1])<<24 | uint32(buf[2])<<16 | uint32(buf[3])<<8 | uint32(buf[4])))
-		if from != np.ID && np.down.Load() {
-			// Fail-pause: a killed node hears nothing. Reliable senders
-			// retransmit after Restart; frames were never work-counted.
-			np.cl.Dropped.Add(1)
-			if tag != tagReliable {
-				np.cl.workDone()
-			}
-			continue
-		}
-		var w work
-		w.from = from
-		switch tag {
-		case tagEngine:
-			payload := make([]byte, n-5)
-			copy(payload, buf[5:n])
-			m, err := engine.DecodeMessage(payload)
-			if err != nil {
-				np.cl.Dropped.Add(1)
-				np.cl.workDone()
-				continue
-			}
-			w.engMsg = m
-		case tagQuery:
-			payload := make([]byte, n-5)
-			copy(payload, buf[5:n])
-			m, err := provquery.DecodeMsg(payload)
-			if err != nil {
-				np.cl.Dropped.Add(1)
-				np.cl.workDone()
-				continue
-			}
-			w.qryMsg = m
-		case tagReliable:
-			if np.ep == nil {
-				np.cl.Dropped.Add(1)
-				continue
-			}
-			seq, ack, err := transport.DecodeHeader(buf[5:n])
-			if err != nil {
-				np.cl.Dropped.Add(1)
-				continue
-			}
-			f := &transport.Frame{Seq: seq, Ack: ack}
-			if seq != 0 {
-				inner := buf[5+transport.HeaderBytes : n]
-				if len(inner) < 1 {
-					np.cl.Dropped.Add(1)
-					continue
-				}
-				data := make([]byte, len(inner)-1)
-				copy(data, inner[1:])
-				f.Payload = relPayload{tag: inner[0], data: data}
-				f.Size = len(inner)
-			}
-			w.frame = f
-		default:
-			np.cl.Dropped.Add(1)
-			np.cl.workDone()
+		w, ok := np.parse(buf[:n], src)
+		if !ok {
 			continue
 		}
 		select {
@@ -551,30 +465,139 @@ func (np *NodeProc) recvLoop() {
 	}
 }
 
+// parse authenticates and decodes one datagram into a work item. A datagram
+// is a cluster member's only if its header's sender id names a node and it
+// arrived from that node's socket; anything else is foreign — dropped and
+// counted, retiring no work item, since no member issued one. A member's
+// datagram that is dropped (fail-pause window, malformed payload) retires the
+// item its sender issued; reliable frames were never work-counted. A panic
+// while decoding drops the datagram the same way and is reported through
+// Cluster.Err.
+func (np *NodeProc) parse(dgram []byte, src *net.UDPAddr) (w work, ok bool) {
+	if len(dgram) < 5 {
+		np.cl.Dropped.Add(1)
+		return w, false
+	}
+	tag := dgram[0]
+	from := types.NodeID(int32(uint32(dgram[1])<<24 | uint32(dgram[2])<<16 | uint32(dgram[3])<<8 | uint32(dgram[4])))
+	if !np.cl.isMember(from, src) {
+		np.cl.Dropped.Add(1)
+		return w, false
+	}
+	drop := func() (work, bool) {
+		np.cl.Dropped.Add(1)
+		if tag != tagReliable {
+			np.cl.workDone()
+		}
+		return work{}, false
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			np.fault(fmt.Errorf("deploy: node %s: panic decoding a datagram from %s: %v", np.ID, from, r))
+			w, ok = drop()
+		}
+	}()
+	if from != np.ID && np.down.Load() {
+		// Fail-pause: a killed node hears nothing. Reliable senders
+		// retransmit after Restart.
+		return drop()
+	}
+	w.from = from
+	body := dgram[5:]
+	switch tag {
+	case tagEngine:
+		m, err := engine.DecodeMessage(append([]byte(nil), body...))
+		if err != nil {
+			return drop()
+		}
+		w.engMsg = m
+	case tagQuery:
+		m, err := provquery.DecodeMsg(append([]byte(nil), body...))
+		if err != nil {
+			return drop()
+		}
+		w.qryMsg = m
+	case tagReliable:
+		if np.ep == nil {
+			return drop()
+		}
+		seq, ack, err := transport.DecodeHeader(body)
+		if err != nil {
+			return drop()
+		}
+		f := &transport.Frame{Seq: seq, Ack: ack}
+		if seq != 0 {
+			inner := body[transport.HeaderBytes:]
+			if len(inner) < 1 {
+				return drop()
+			}
+			f.Payload = relPayload{tag: inner[0], data: append([]byte(nil), inner[1:]...)}
+			f.Size = len(inner)
+		}
+		w.frame = f
+	default:
+		return drop()
+	}
+	return w, true
+}
+
+// isMember reports whether a datagram claiming to come from node from
+// arrived from that node's socket.
+func (c *Cluster) isMember(from types.NodeID, src *net.UDPAddr) bool {
+	if from < 0 || int(from) >= len(c.addrs) || src == nil {
+		return false
+	}
+	a := c.addrs[from]
+	return src.Port == a.Port && src.IP.Equal(a.IP)
+}
+
+// fault records the node's first transport-level error (a dead peer, a
+// receive-path panic) for Cluster.Err.
+func (np *NodeProc) fault(err error) {
+	np.errMu.Lock()
+	if np.netErr == nil {
+		np.netErr = err
+	}
+	np.errMu.Unlock()
+}
+
 func (np *NodeProc) workLoop() {
 	for {
 		select {
 		case w := <-np.inbox:
-			switch {
-			case w.command != nil:
-				w.command()
-			case w.frame != nil:
-				// Frames carry their own payload-level accounting (issued
-				// at sendReliable, retired by the sender's Release hook on
-				// ack), so no workDone here.
-				np.ep.OnFrame(w.from, w.frame)
-				continue
-			case w.engMsg != nil:
-				np.Engine.HandleMessage(w.from, w.engMsg)
-				np.engPool.Put(w.engMsg)
-			case w.qryMsg != nil:
-				np.Query.Handle(w.from, w.qryMsg)
-				np.qryPool.Put(w.qryMsg)
-			}
-			np.cl.workDone()
+			np.handle(w)
 		case <-np.done:
 			return
 		}
+	}
+}
+
+// handle runs one work item on the worker and retires it. A panic in a
+// handler does not take the node down: it becomes the engine's Err (if none
+// is recorded yet), which halts the node's evaluation, and the item still
+// retires, so the process, the other nodes and WaitFixpoint carry on.
+func (np *NodeProc) handle(w work) {
+	if w.frame == nil {
+		// Frames carry their own payload-level accounting (issued at
+		// sendReliable, retired by the sender's Release hook on ack).
+		defer np.cl.workDone()
+	}
+	defer func() {
+		if r := recover(); r != nil && np.Engine.Err == nil {
+			np.Engine.Err = fmt.Errorf("deploy: node %s: panic handling input from %s: %v", np.ID, w.from, r)
+		}
+	}()
+	switch {
+	case w.command != nil:
+		w.command()
+	case w.frame != nil:
+		np.ep.OnFrame(w.from, w.frame)
+	case w.engMsg != nil:
+		np.Engine.HandleMessage(w.from, w.engMsg)
+		np.engPool.Put(w.engMsg)
+	case w.qryMsg != nil:
+		np.Query.Handle(w.from, w.qryMsg)
+		np.qryPool.Put(w.qryMsg)
 	}
 }
 
@@ -706,9 +729,9 @@ func (c *Cluster) Err() error {
 		if err := np.Engine.Err; err != nil {
 			return err
 		}
-		np.deadMu.Lock()
-		err := np.deadErr
-		np.deadMu.Unlock()
+		np.errMu.Lock()
+		err := np.netErr
+		np.errMu.Unlock()
 		if err != nil {
 			return err
 		}
@@ -759,17 +782,27 @@ func (c *Cluster) BandwidthSeries(until time.Duration) []stats.Point {
 	return merged.Series(int64(until), len(c.Nodes))
 }
 
-// Snapshot returns every visible tuple of a predicate across nodes, each
-// node read on its own worker.
+// Engines returns every node's engine in node order — the cluster view
+// engine.WriteStates, StateDigest and DiffStates read. It first runs a no-op
+// on every worker goroutine, where engine state is confined: that round trip
+// is the read barrier making the workers' writes visible to the caller. Read
+// the engines only while the cluster is quiescent (after WaitFixpoint) or
+// stopped; a worker handling new input races the reader.
+func (c *Cluster) Engines() []*engine.Node {
+	c.onWorkers(func(*NodeProc) {})
+	out := make([]*engine.Node, len(c.Nodes))
+	for i, np := range c.Nodes {
+		out[i] = np.Engine
+	}
+	return out
+}
+
+// Snapshot returns every visible tuple of a predicate across nodes, read
+// through Engines.
 func (c *Cluster) Snapshot(pred string) []types.Tuple {
-	var mu sync.Mutex
 	var out []types.Tuple
-	c.onWorkers(func(np *NodeProc) {
-		if ts := np.Engine.Tuples(pred); len(ts) > 0 {
-			mu.Lock()
-			out = append(out, ts...)
-			mu.Unlock()
-		}
-	})
+	for _, en := range c.Engines() {
+		out = append(out, en.Tuples(pred)...)
+	}
 	return out
 }

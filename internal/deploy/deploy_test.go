@@ -1,48 +1,75 @@
 package deploy
 
 import (
+	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/engine"
+	"repro/internal/ndlog"
 	"repro/internal/topology"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
-// TestDeployFigure3 runs MINCOST over real UDP sockets on the Fig 3
-// topology and checks the same fixpoint as the simulation.
-func TestDeployFigure3(t *testing.T) {
-	cl, err := NewCluster(Config{
-		Topo: topology.Figure3(),
-		Prog: apps.MinCost(),
-		Mode: engine.ProvReference,
-	})
+// bootCluster starts a cluster, seeds its EDB and waits for its fixpoint;
+// the cluster stops when the test ends.
+func bootCluster(t *testing.T, cfg Config) *Cluster {
+	t.Helper()
+	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Stop()
+	t.Cleanup(cl.Stop)
 	cl.Start()
 	cl.InsertLinks()
-	if _, err := cl.WaitFixpoint(10 * time.Second); err != nil {
+	if _, err := cl.WaitFixpoint(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Err(); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{
-		"bestPathCost(@a,c,5)": true,
-		"bestPathCost(@a,d,8)": true,
-		"bestPathCost(@b,c,2)": true,
-		"bestPathCost(@d,a,8)": true,
+	return cl
+}
+
+// schedulerState is the reference a deployment is compared with: the same
+// program and EDB on engine.Scheduler.
+func schedulerState(t *testing.T, topo *topology.Topology, prog *ndlog.Program, mode engine.ProvMode) []*engine.Node {
+	t.Helper()
+	compiled, err := engine.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
 	}
+	s := engine.NewScheduler(compiled, mode, topo.N, 0, 0)
+	apps.BootEDB(topo, false, nil, s.InsertBase)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return s.Engines()
+}
+
+// sameState fails the test with what differs between two clusters'
+// canonical fixpoint states.
+func sameState(t *testing.T, label string, want, got []*engine.Node) {
+	t.Helper()
+	if d := engine.DiffStates(want, got); d != "" {
+		t.Fatalf("%s: fixpoint state differs (- want, + got)\n%s", label, d)
+	}
+}
+
+// TestDeployFigure3 runs MINCOST over real UDP sockets on the Fig 3
+// topology and checks the paper's best path costs.
+func TestDeployFigure3(t *testing.T) {
+	cl := bootCluster(t, Config{Topo: topology.Figure3(), Prog: apps.MinCost(), Mode: engine.ProvReference})
 	got := map[string]bool{}
 	for _, tu := range cl.Snapshot("bestPathCost") {
 		got[tu.String()] = true
 	}
-	for k := range want {
+	for _, k := range []string{"bestPathCost(@a,c,5)", "bestPathCost(@a,d,8)", "bestPathCost(@b,c,2)", "bestPathCost(@d,a,8)"} {
 		if !got[k] {
 			t.Errorf("missing %s (have %d tuples)", k, len(got))
 		}
@@ -52,41 +79,19 @@ func TestDeployFigure3(t *testing.T) {
 	}
 }
 
-// TestDeployDropsOutOfClusterDestination writes one hostile engine datagram
-// into a converged Figure 3 MINCOST cluster: link(@0, 999, 1) is well formed,
-// but rule sp2 routes its derived head to node 999, which used to index past
-// the cluster's address table and kill the whole process. The send must be
-// dropped and counted, and the cluster must stay up and reach its fixpoint.
+// TestDeployDropsOutOfClusterDestination has a member node send one hostile
+// engine datagram into a converged Figure 3 MINCOST cluster: link(@0, 999, 1)
+// is well formed, but rule sp2 routes its derived head to node 999, which
+// used to index past the cluster's address table and kill the whole process.
+// The send must be dropped and counted, and the cluster must stay up and
+// reach its fixpoint.
 func TestDeployDropsOutOfClusterDestination(t *testing.T) {
-	cl, err := NewCluster(Config{
-		Topo: topology.Figure3(),
-		Prog: apps.MinCost(),
-		Mode: engine.ProvReference,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-	cl.Start()
-	cl.InsertLinks()
-	if _, err := cl.WaitFixpoint(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	cl := bootCluster(t, Config{Topo: topology.Figure3(), Prog: apps.MinCost(), Mode: engine.ProvReference})
 	dropped := cl.Dropped.Load()
 
 	m := &engine.Message{Tuple: types.NewTuple("link", types.Node(0), types.Node(999), types.Int(1)), Delta: engine.Insert}
-	dgram := append([]byte{tagEngine, 0, 0, 0, 1}, m.Encode(nil)...) // tag, from node 1
-	conn, err := net.DialUDP("udp", nil, cl.addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Issue the work item the way a cluster sender does, so quiescence
-	// waits for the node to handle the datagram.
-	cl.sent.Add(1)
-	if _, err := conn.Write(dgram); err != nil {
-		t.Fatal(err)
-	}
+	np := cl.Nodes[1]
+	np.Do(func() { np.send(0, tagEngine, m.Encode(nil)) })
 	if _, err := cl.WaitFixpoint(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +110,75 @@ func TestDeployDropsOutOfClusterDestination(t *testing.T) {
 	}
 }
 
+// TestDeployDropsForeignDatagrams writes datagrams into a converged reliable
+// cluster from a socket outside it: data frames whose sender id names no
+// node — acking one used to index past the cluster's address table and kill
+// the process — and an engine datagram claiming to come from node 1. Each
+// must be dropped and counted without retiring a work item nobody issued,
+// and must change no node's state.
+func TestDeployDropsForeignDatagrams(t *testing.T) {
+	cl := bootCluster(t, Config{Topo: topology.Figure3(), Prog: apps.MinCost(), Mode: engine.ProvReference,
+		Reliable: true, Transport: fastRetransmit})
+	want := engine.StateDigest(cl.Engines())
+	dropped := cl.Dropped.Load()
+
+	m := (&engine.Message{Tuple: types.NewTuple("link", types.Node(0), types.Node(1), types.Int(9)), Delta: engine.Insert}).Encode(nil)
+	dgram := func(tag byte, from uint32, body []byte) []byte {
+		return append([]byte{tag, byte(from >> 24), byte(from >> 16), byte(from >> 8), byte(from)}, body...)
+	}
+	frame := append(transport.EncodeHeader(nil, 1, 0), append([]byte{tagEngine}, m...)...)
+	conn, err := net.DialUDP("udp", nil, cl.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hostile := [][]byte{
+		dgram(tagReliable, uint32(len(cl.Nodes)), frame),
+		dgram(tagReliable, math.MaxUint32, frame), // node -1
+		dgram(tagEngine, 1, m),
+	}
+	for _, d := range hostile {
+		if _, err := conn.Write(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); cl.Dropped.Load() < dropped+int64(len(hostile)); {
+		if time.Now().After(deadline) {
+			t.Fatalf("Dropped = %d, want %d", cl.Dropped.Load(), dropped+int64(len(hostile)))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := cl.WaitFixpoint(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := engine.StateDigest(cl.Engines()); got != want {
+		t.Error("a foreign datagram changed the fixpoint")
+	}
+}
+
+// TestDeployRecoversHandlerPanic: a panic while a node handles one input
+// becomes that node's engine error instead of killing the process. The work
+// item retires, so WaitFixpoint returns, Err reports the panic, and the
+// other nodes keep serving.
+func TestDeployRecoversHandlerPanic(t *testing.T) {
+	cl := bootCluster(t, Config{Topo: topology.Figure3(), Prog: apps.MinCost(), Mode: engine.ProvReference})
+	cl.Nodes[2].Do(func() { panic("injected fault") })
+	if _, err := cl.WaitFixpoint(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Err(); err == nil || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("Err() = %v, want the recovered panic", err)
+	}
+	served := false
+	cl.Nodes[0].Do(func() { served = true })
+	if _, err := cl.WaitFixpoint(10 * time.Second); err != nil || !served {
+		t.Fatalf("node 0 stopped serving after node 2's panic (served=%v, err=%v)", served, err)
+	}
+}
+
 // TestDeployRingPathVector runs PATHVECTOR on the §7.4 ring overlay with 8
 // UDP nodes, in reference and value modes, and checks the reference mode is
 // cheaper — the testbed headline of Fig 16.
@@ -112,23 +186,9 @@ func TestDeployRingPathVector(t *testing.T) {
 	topo := topology.Ring(8, rand.New(rand.NewSource(3)))
 	costs := map[engine.ProvMode]float64{}
 	for _, mode := range []engine.ProvMode{engine.ProvNone, engine.ProvReference, engine.ProvValue} {
-		cl, err := NewCluster(Config{Topo: topo, Prog: apps.PathVector(), Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Start()
-		cl.InsertLinks()
-		if _, err := cl.WaitFixpoint(20 * time.Second); err != nil {
-			cl.Stop()
-			t.Fatalf("mode %s: %v", mode, err)
-		}
-		if err := cl.Err(); err != nil {
-			cl.Stop()
-			t.Fatalf("mode %s: %v", mode, err)
-		}
+		cl := bootCluster(t, Config{Topo: topo, Prog: apps.PathVector(), Mode: mode})
 		// All-pairs best paths must exist.
-		n := len(cl.Snapshot("bestPath"))
-		if n < topo.N*(topo.N-1) {
+		if n := len(cl.Snapshot("bestPath")); n < topo.N*(topo.N-1) {
 			t.Errorf("mode %s: %d bestPath tuples, want >= %d", mode, n, topo.N*(topo.N-1))
 		}
 		costs[mode] = cl.AvgSentKB()
@@ -142,97 +202,11 @@ func TestDeployRingPathVector(t *testing.T) {
 	}
 }
 
-// TestDeployMatchesSimulation checks that deployment and simulation reach
-// identical bestPathCost fixpoints from the same topology (the paper's
+// TestDeployMatchesSimulation checks that deployment and the Scheduler reach
+// the same canonical fixpoint state from the same topology (the paper's
 // "identical codebase" property).
 func TestDeployMatchesSimulation(t *testing.T) {
 	topo := topology.Ring(6, rand.New(rand.NewSource(11)))
-	cl, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-	cl.Start()
-	cl.InsertLinks()
-	if _, err := cl.WaitFixpoint(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	deployed := map[string]bool{}
-	for _, tu := range cl.Snapshot("bestPathCost") {
-		deployed[tu.String()] = true
-	}
-
-	simTuples := simulatedBestPaths(t, topo)
-	if len(deployed) != len(simTuples) {
-		t.Fatalf("deployment has %d bestPathCost tuples, simulation %d", len(deployed), len(simTuples))
-	}
-	for k := range simTuples {
-		if !deployed[k] {
-			t.Errorf("simulation tuple %s missing from deployment", k)
-		}
-	}
-}
-
-func simulatedBestPaths(t *testing.T, topo *topology.Topology) map[string]bool {
-	t.Helper()
-	// Local import cycle avoidance: run a tiny inline simulation using the
-	// engine directly with a synchronous transport.
-	prog, err := engine.Compile(apps.MinCost())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]*engine.Node, topo.N)
-	tr := &syncTransport{nodes: &nodes}
-	for i := range nodes {
-		nodes[i] = engine.NewNode(types.NodeID(i), prog, engine.ProvReference, tr, nil)
-	}
-	for _, l := range topo.Links {
-		nodes[l.U].InsertBase(types.NewTuple("link", types.Node(l.U), types.Node(l.V), types.Int(l.Cost)))
-		nodes[l.V].InsertBase(types.NewTuple("link", types.Node(l.V), types.Node(l.U), types.Int(l.Cost)))
-	}
-	tr.drain()
-	// Release retraction-protocol staging (improvement-driven winner
-	// evictions over-delete and stage even on insert-only workloads); the
-	// deployed cluster gets the same treatment from WaitFixpoint.
-	engine.Settle(nodes...)
-	out := map[string]bool{}
-	for _, n := range nodes {
-		if rel := n.Table("bestPathCost"); rel != nil {
-			for _, tu := range rel.Tuples() {
-				out[tu.String()] = true
-			}
-		}
-	}
-	return out
-}
-
-// syncTransport queues cross-node messages and delivers them in FIFO order
-// on drain — a minimal single-threaded "network" for engine-only tests.
-type syncTransport struct {
-	nodes *[]*engine.Node
-	queue []queued
-	busy  bool
-}
-
-type queued struct {
-	from, to types.NodeID
-	m        *engine.Message
-}
-
-func (t *syncTransport) Send(from, to types.NodeID, m *engine.Message) {
-	t.queue = append(t.queue, queued{from, to, m})
-	t.drain()
-}
-
-func (t *syncTransport) drain() {
-	if t.busy {
-		return
-	}
-	t.busy = true
-	defer func() { t.busy = false }()
-	for len(t.queue) > 0 {
-		q := t.queue[0]
-		t.queue = t.queue[1:]
-		(*t.nodes)[q.to].HandleMessage(q.from, q.m)
-	}
+	cl := bootCluster(t, Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
+	sameState(t, "scheduler vs deployment", schedulerState(t, topo, apps.MinCost(), engine.ProvReference), cl.Engines())
 }

@@ -115,7 +115,6 @@ func TestReleaseOrderIndependence(t *testing.T) {
 	}
 	edges, costs := dredSquare()
 	churn := [][2]int{{0, 3}, {0, 1}}
-	preds := []string{"link", "pathCost", "bestPathCost"}
 
 	runRandom := func(t *testing.T, mode ProvMode, batched bool, seed int64) []*Node {
 		t.Helper()
@@ -126,6 +125,7 @@ func TestReleaseOrderIndependence(t *testing.T) {
 			nodes[i] = newNode(types.NodeID(i), prog, mode, tr, nil, batched)
 		}
 		tr.nodes = nodes
+		sharedVars(nodes, linkScript(edges, costs))
 		for _, e := range edges {
 			cost := edgeCost(e, costs)
 			nodes[e[0]].InsertBase(linkTup(e[0], e[1], cost))
@@ -157,8 +157,7 @@ func TestReleaseOrderIndependence(t *testing.T) {
 			for _, batched := range executors {
 				for seed := int64(1); seed <= 4; seed++ {
 					got := runRandom(t, mode, batched, seed)
-					diffStates(t, fmt.Sprintf("%s %s seed=%d", mode, executorName(batched), seed), 4, preds,
-						func(i int) *Node { return ref[i] }, func(i int) *Node { return got[i] })
+					diffStates(t, fmt.Sprintf("%s %s seed=%d", mode, executorName(batched), seed), ref, got)
 				}
 			}
 		})
@@ -174,10 +173,9 @@ func TestConvergentDeletionCyclicMinCost(t *testing.T) {
 	// Churn script: index 0 ({0,3}) is deleted and re-inserted (equivalence
 	// harness re-adds even indexes), index 1 ({0,1}) is retracted for good.
 	churn := [][2]int{{0, 3}, {0, 1}}
-	preds := []string{"link", "pathCost", "bestPathCost"}
 	for _, mode := range []ProvMode{ProvNone, ProvReference, ProvValue, ProvCentralized} {
 		t.Run(mode.String(), func(t *testing.T) {
-			equivalenceOn(t, prog, mode, preds, 4, edges, churn, costs)
+			equivalenceOn(t, prog, mode, 4, edges, churn, costs)
 		})
 	}
 

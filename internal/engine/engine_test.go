@@ -72,10 +72,8 @@ func (tn *testNet) checkErr(t *testing.T) {
 
 func tuples(n *Node, pred string) []string {
 	var out []string
-	if rel := n.Table(pred); rel != nil {
-		for _, tu := range rel.Tuples() {
-			out = append(out, tu.String())
-		}
+	for _, tu := range n.Tuples(pred) {
+		out = append(out, tu.String())
 	}
 	return out
 }
@@ -294,7 +292,7 @@ r1 seen(@X,Y) :- ePing(@X,Y), filter(@X,Y).
 	if got := tuples(n, "seen"); len(got) != 1 {
 		t.Fatalf("seen = %v", got)
 	}
-	if rel := n.Table("ePing"); rel != nil && rel.Len() > 0 {
+	if n.TupleCount("ePing") > 0 {
 		t.Fatal("event was materialized")
 	}
 }

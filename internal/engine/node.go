@@ -331,9 +331,6 @@ func (n *Node) ensureTable(pred string) *Relation {
 	return t
 }
 
-// Table exposes the node's relation of pred for inspection (nil when absent).
-func (n *Node) Table(pred string) *Relation { return n.lookup(pred) }
-
 // Tuples returns the visible tuples of a predicate, sorted canonically.
 func (n *Node) Tuples(pred string) []types.Tuple {
 	if rel := n.lookup(pred); rel != nil {

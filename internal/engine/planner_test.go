@@ -71,6 +71,15 @@ type plannerStep struct {
 	ins []plannerOp
 }
 
+// tuples lists the step's insertions.
+func (st plannerStep) tuples() []types.Tuple {
+	out := make([]types.Tuple, len(st.ins))
+	for i, op := range st.ins {
+		out[i] = op.tup
+	}
+	return out
+}
+
 // plannerScript builds the shared insert/churn script: links both directions
 // plus an ok(cost) table per node, then per churn edge a deletion step that
 // re-inserts even-indexed edges (the dred harness convention) and cycles ok
@@ -128,6 +137,7 @@ func runPlannerSerial(t *testing.T, prog *Program, mode ProvMode, nNodes int,
 		}
 	}
 	tr.nodes = nodes
+	sharedVars(nodes, script[0].tuples())
 	changed := false
 	for _, st := range script {
 		for _, op := range st.del {
@@ -160,6 +170,7 @@ func runPlannerSched(t *testing.T, prog *Program, mode ProvMode, nNodes int, bat
 	script []plannerStep, hook func(string, string, float64) float64) (*Scheduler, bool) {
 	t.Helper()
 	s := newScheduler(prog, mode, nNodes, 0, batched)
+	sharedVars(s.nodes, script[0].tuples())
 	for i := 0; i < s.NumNodes(); i++ {
 		if hook == nil {
 			s.Node(i).NoReplan = true
@@ -195,7 +206,6 @@ func runPlannerSched(t *testing.T, prog *Program, mode ProvMode, nNodes int, bat
 // provenance modes, with churn.
 func TestPlannerEquivalence(t *testing.T) {
 	prog := plannerProg(t)
-	preds := []string{"link", "ok", "reach"}
 	const nNodes = 10
 	edges := randomLinks(nNodes, 5, rand.New(rand.NewSource(7)))
 	var churn [][2]int
@@ -215,15 +225,11 @@ func TestPlannerEquivalence(t *testing.T) {
 			hook := perturbHook(seed)
 			got, ch := runPlannerSerial(t, prog, mode, nNodes, script, hook)
 			anyChanged = anyChanged || ch
-			diffStates(t, fmt.Sprintf("%s serial seed=%d", mode, seed), nNodes, preds,
-				func(i int) *Node { return base[i] },
-				func(i int) *Node { return got[i] })
+			diffStates(t, fmt.Sprintf("%s serial seed=%d", mode, seed), base, got)
 			for _, batched := range executors {
 				s, ch := runPlannerSched(t, prog, mode, nNodes, batched, script, hook)
 				anyChanged = anyChanged || ch
-				diffStates(t, fmt.Sprintf("%s %s seed=%d", mode, executorName(batched), seed), nNodes, preds,
-					func(i int) *Node { return base[i] },
-					func(i int) *Node { return s.Node(i) })
+				diffStates(t, fmt.Sprintf("%s %s seed=%d", mode, executorName(batched), seed), base, s.Engines())
 			}
 		}
 	}

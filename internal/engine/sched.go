@@ -114,6 +114,10 @@ func (t schedTransport) Send(from, to types.NodeID, m *Message) {
 // Node returns engine node i.
 func (s *Scheduler) Node(i int) *Node { return s.nodes[i] }
 
+// Engines returns every node in node order — the cluster view WriteStates,
+// StateDigest and DiffStates read. The slice is the Scheduler's own.
+func (s *Scheduler) Engines() []*Node { return s.nodes }
+
 // NumNodes reports the cluster size.
 func (s *Scheduler) NumNodes() int { return len(s.nodes) }
 

@@ -6,15 +6,16 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/ndlog"
 	"repro/internal/topology"
 	"repro/internal/types"
 )
 
-// These tests pin the two executors' equivalence contract: the fixpoint
-// state — visible tuples per node and predicate, prov and ruleExec row sets
-// — of batched rounds matches the inline drain exactly, from-scratch and
+// These tests pin the two executors' equivalence contract: the canonical
+// fixpoint state (WriteStates) of batched rounds matches the inline drain's
+// exactly, from-scratch and
 // under delete/re-insert churn. They run the same random topologies through
 // drain nodes on a synchronous transport (the reference), a scheduler whose
 // nodes drain and the production scheduler (batched), and diff the outcomes.
@@ -70,21 +71,30 @@ func linkTup(u, v int, cost int64) types.Tuple {
 	return types.NewTuple("link", types.Node(types.NodeID(u)), types.Node(types.NodeID(v)), types.Int(cost))
 }
 
-// stateFingerprint renders one node's observable fixpoint state.
-func nodeState(n *Node, preds []string) string {
-	out := ""
-	for _, pred := range preds {
-		for _, tu := range n.Tuples(pred) {
-			out += pred + ":" + tu.String() + "\n"
-		}
-	}
-	for _, row := range n.Store.ProvRows() {
-		out += "prov|" + row + "\n"
-	}
-	for _, row := range n.Store.RuleExecRows() {
-		out += "re|" + row + "\n"
+// linkScript lists the link tuples of edges in insertion order.
+func linkScript(edges [][2]int, costs map[[2]int]int64) []types.Tuple {
+	var out []types.Tuple
+	for _, e := range edges {
+		cost := edgeCost(e, costs)
+		out = append(out, linkTup(e[0], e[1], cost), linkTup(e[1], e[0], cost))
 	}
 	return out
+}
+
+// sharedVars gives every node of a run one BDD variable allocator that
+// numbers the given base tuples in order. A value-mode payload's
+// encoding depends on variable numbering, and numbering on the order a run
+// first meets each base tuple — which differs between the serial reference
+// and the scheduler — so runs whose canonical states are compared number the
+// script's tuples up front, identically.
+func sharedVars(nodes []*Node, base []types.Tuple) {
+	alloc := algebra.NewVarAlloc()
+	for _, t := range base {
+		alloc.VarOf(algebra.Base{VID: t.VID(), Label: t.String(), Node: t.Loc()})
+	}
+	for _, n := range nodes {
+		n.Alloc = alloc
+	}
 }
 
 // runSched drives one scheduler cluster through the insert/churn script.
@@ -92,6 +102,7 @@ func runSched(t *testing.T, prog *Program, mode ProvMode, nNodes int, batched bo
 	edges [][2]int, churn [][2]int, costs map[[2]int]int64) *Scheduler {
 	t.Helper()
 	s := newScheduler(prog, mode, nNodes, workers, batched)
+	sharedVars(s.nodes, linkScript(edges, costs))
 	for _, e := range edges {
 		cost := edgeCost(e, costs)
 		s.InsertBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
@@ -130,6 +141,7 @@ func runSerialRef(t *testing.T, prog *Program, mode ProvMode, nNodes int,
 		nodes[i] = NewNode(types.NodeID(i), prog, mode, tr, nil)
 	}
 	tr.nodes = nodes
+	sharedVars(nodes, linkScript(edges, costs))
 	for _, e := range edges {
 		cost := edgeCost(e, costs)
 		nodes[e[0]].InsertBase(linkTup(e[0], e[1], cost))
@@ -182,15 +194,12 @@ func (tr *refTransport) Send(from, to types.NodeID, m *Message) {
 	}
 }
 
-func diffStates(t *testing.T, label string, nNodes int, preds []string,
-	ref func(i int) *Node, got func(i int) *Node) {
+// diffStates fails the test with what differs between two clusters'
+// canonical fixpoint states.
+func diffStates(t *testing.T, label string, want, got []*Node) {
 	t.Helper()
-	for i := 0; i < nNodes; i++ {
-		want, have := nodeState(ref(i), preds), nodeState(got(i), preds)
-		if want != have {
-			t.Errorf("%s: node %d state mismatch\n--- serial ---\n%s--- scheduler ---\n%s", label, i, want, have)
-			return
-		}
+	if d := DiffStates(want, got); d != "" {
+		t.Errorf("%s: fixpoint state mismatch (- want, + got)\n%s", label, d)
 	}
 }
 
@@ -202,7 +211,7 @@ func diffStates(t *testing.T, label string, nNodes int, preds []string,
 // re-derive discipline exists for (see ARCHITECTURE.md "Deletion
 // semantics"); before it, unbounded-cost programs diverged here by
 // count-to-infinity and churn had to be pinned to stub edges.
-func executorEquivalence(t *testing.T, prog *Program, mode ProvMode, preds []string, seed int64, extra int, withChurn bool) {
+func executorEquivalence(t *testing.T, prog *Program, mode ProvMode, seed int64, extra int, withChurn bool) {
 	t.Helper()
 	const nNodes = 12
 	rng := rand.New(rand.NewSource(seed))
@@ -215,13 +224,13 @@ func executorEquivalence(t *testing.T, prog *Program, mode ProvMode, preds []str
 			}
 		}
 	}
-	equivalenceOn(t, prog, mode, preds, nNodes, edges, churn, nil)
+	equivalenceOn(t, prog, mode, nNodes, edges, churn, nil)
 }
 
 // equivalenceOn runs one explicit insert/churn script through the serial
 // reference and several scheduler configurations and diffs the outcomes.
 // costs overrides edgeCost per (u,v) pair when non-nil.
-func equivalenceOn(t *testing.T, prog *Program, mode ProvMode, preds []string,
+func equivalenceOn(t *testing.T, prog *Program, mode ProvMode,
 	nNodes int, edges, churn [][2]int, costs map[[2]int]int64) {
 	t.Helper()
 	serial := runSerialRef(t, prog, mode, nNodes, edges, churn, costs)
@@ -229,9 +238,7 @@ func equivalenceOn(t *testing.T, prog *Program, mode ProvMode, preds []string,
 		for _, workers := range []int{1, 4} {
 			s := runSched(t, prog, mode, nNodes, batched, workers, edges, churn, costs)
 			label := fmt.Sprintf("%s workers=%d", executorName(batched), workers)
-			diffStates(t, label, nNodes, preds,
-				func(i int) *Node { return serial[i] },
-				func(i int) *Node { return s.Node(i) })
+			diffStates(t, label, serial, s.Engines())
 		}
 	}
 
@@ -282,15 +289,14 @@ func TestShardedMinCostMatchesSerial(t *testing.T) {
 	// two-phase retraction discipline makes every combination terminate;
 	// TestSchedulerMatchesSimnet (internal/core) covers the full
 	// transit-stub benchmark topology against the simulator.
-	preds := []string{"link", "pathCost", "bestPathCost"}
 	for seed := int64(1); seed <= 2; seed++ {
 		ring := topology.Ring(12, rand.New(rand.NewSource(seed)))
 		edges, churn, costs := topoScript(ring, 3)
-		equivalenceOn(t, prog, ProvReference, preds, ring.N, edges, churn, costs)
-		equivalenceOn(t, prog, ProvNone, preds, ring.N, edges, churn, costs)
+		equivalenceOn(t, prog, ProvReference, ring.N, edges, churn, costs)
+		equivalenceOn(t, prog, ProvNone, ring.N, edges, churn, costs)
 	}
-	executorEquivalence(t, prog, ProvReference, preds, 5, 4, true)
-	executorEquivalence(t, prog, ProvNone, preds, 6, 4, true)
+	executorEquivalence(t, prog, ProvReference, 5, 4, true)
+	executorEquivalence(t, prog, ProvNone, 6, 4, true)
 }
 
 func TestShardedPathVectorMatchesSerial(t *testing.T) {
@@ -298,8 +304,7 @@ func TestShardedPathVectorMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := []string{"link", "path", "bestPath"}
-	executorEquivalence(t, prog, ProvReference, preds, 7, 3, true)
+	executorEquivalence(t, prog, ProvReference, 7, 3, true)
 }
 
 // TestShardedReachChurnMatchesSerial exercises delete/re-derive churn over a
@@ -313,10 +318,9 @@ r2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X).
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := []string{"link", "reach"}
 	for seed := int64(1); seed <= 3; seed++ {
-		executorEquivalence(t, prog, ProvReference, preds, seed, 6, true)
-		executorEquivalence(t, prog, ProvNone, preds, seed, 6, true)
+		executorEquivalence(t, prog, ProvReference, seed, 6, true)
+		executorEquivalence(t, prog, ProvNone, seed, 6, true)
 	}
 }
 
@@ -352,10 +356,7 @@ func TestShardedNodeUnderSyncTransport(t *testing.T) {
 			t.Fatal(n.Err)
 		}
 	}
-	preds := []string{"link", "pathCost", "bestPathCost"}
-	diffStates(t, "sync transport batched", nNodes, preds,
-		func(i int) *Node { return serial[i] },
-		func(i int) *Node { return nodes[i] })
+	diffStates(t, "sync transport batched", serial, nodes)
 }
 
 // TestSchedulerFixpointIndependentOfHost is the fence for "batching is a
@@ -374,30 +375,21 @@ func TestSchedulerFixpointIndependentOfHost(t *testing.T) {
 	topo := topology.Ring(200, rand.New(rand.NewSource(42)))
 	base := apps.ChordBase(topo)
 	lookups := apps.ChordLookups(topo, 8, 42)
-	preds := []string{"succ", "lookupRes"}
-	run := func(procs int) (*Scheduler, []string) {
+	run := func(procs int) *Scheduler {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		s := NewScheduler(prog, ProvReference, topo.N, 0, 0)
-		for n := 0; n < topo.N; n++ {
-			for _, tup := range base[types.NodeID(n)] {
-				s.InsertBase(types.NodeID(n), tup)
-			}
-		}
+		apps.BootEDB(topo, true, base, s.InsertBase)
 		for _, lk := range lookups {
 			s.InsertBase(lk.Loc(), lk)
 		}
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		state := make([]string, topo.N)
-		for i := range state {
-			state[i] = nodeState(s.Node(i), preds)
-		}
-		return s, state
+		return s
 	}
 	many := max(runtime.GOMAXPROCS(0), 2)
-	one, oneState := run(1)
-	multi, multiState := run(many)
+	one := run(1)
+	multi := run(many)
 	if one.TotalBytes == 0 || one.Node(0).TupleCount("succ") == 0 {
 		t.Fatal("vacuous: the overlay did not converge")
 	}
@@ -405,9 +397,5 @@ func TestSchedulerFixpointIndependentOfHost(t *testing.T) {
 		t.Errorf("GOMAXPROCS=1: %d bytes in %d rounds; GOMAXPROCS=%d: %d bytes in %d rounds",
 			one.TotalBytes, one.Rounds, many, multi.TotalBytes, multi.Rounds)
 	}
-	for i := range oneState {
-		if oneState[i] != multiState[i] {
-			t.Fatalf("node %d: state differs between GOMAXPROCS=1 and %d\n%s\n---\n%s", i, many, oneState[i], multiState[i])
-		}
-	}
+	diffStates(t, fmt.Sprintf("GOMAXPROCS=1 vs %d", many), one.Engines(), multi.Engines())
 }

@@ -1,0 +1,157 @@
+package engine
+
+import (
+	"bufio"
+	"crypto/sha1"
+	"fmt"
+	"io"
+	"strings"
+
+	"repro/internal/types"
+)
+
+// WriteStates writes the canonical fixpoint state of each node to w — what
+// every fence that compares two runs compares, and what `exspan -dump-prov`
+// prints. Per node, in order:
+//
+//	node <id>
+//	the visible tuples of prov, ruleExec, then every other predicate of the
+//	program by name, each predicate's tuples sorted canonically; in value
+//	mode each tuple is followed by "payload <hex>", its encoded BDD
+//	"prov     " + each row of the store's prov partition (Store.ProvRows)
+//	"ruleExec " + each row of its ruleExec partition (Store.RuleExecRows)
+//
+// prov and ruleExec lead the tuples because the centralized mode relays the
+// rows to its server as tuples and a rewritten program
+// (ndlog.ProvenanceRewrite) derives them as relations; they are listed once
+// even when the program declares them.
+func WriteStates(w io.Writer, nodes []*Node) error {
+	bw := bufio.NewWriter(w)
+	for _, n := range nodes {
+		n.writeState(bw)
+	}
+	return bw.Flush()
+}
+
+func (n *Node) writeState(w *bufio.Writer) {
+	fmt.Fprintf(w, "node %d\n", int(n.ID))
+	tuples := func(pred string) {
+		for _, t := range n.Tuples(pred) {
+			w.WriteString(t.String() + "\n")
+			if ref, ok := n.PayloadOf(t); ok {
+				fmt.Fprintf(w, "payload %x\n", n.Mgr.Encode(ref, nil))
+			}
+		}
+	}
+	tuples("prov")
+	tuples("ruleExec")
+	for _, info := range n.Prog.Preds() {
+		if info.Name != "prov" && info.Name != "ruleExec" {
+			tuples(info.Name)
+		}
+	}
+	for _, row := range n.Store.ProvRows() {
+		w.WriteString("prov     " + row + "\n")
+	}
+	for _, row := range n.Store.RuleExecRows() {
+		w.WriteString("ruleExec " + row + "\n")
+	}
+}
+
+// StateDigest is the hex SHA-1 of the nodes' canonical state.
+func StateDigest(nodes []*Node) string {
+	h := sha1.New()
+	WriteStates(h, nodes)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// DiffStates compares two clusters' canonical states node by node and returns
+// only what differs: per differing node its header, then "- " for each line
+// only want has and "+ " for each line only got has. A payload line travels
+// with the tuple it annotates. Equal states return "".
+func DiffStates(want, got []*Node) string {
+	var b strings.Builder
+	if len(want) != len(got) {
+		fmt.Fprintf(&b, "%d nodes, want %d\n", len(got), len(want))
+	}
+	for i := 0; i < min(len(want), len(got)); i++ {
+		w, g := stateLines(want[i]), stateLines(got[i])
+		unmatched := map[string]int{}
+		for _, l := range g {
+			unmatched[l]++
+		}
+		var diff []string
+		for _, l := range w {
+			if unmatched[l] > 0 {
+				unmatched[l]--
+			} else {
+				diff = append(diff, "- "+l)
+			}
+		}
+		for _, l := range g {
+			if unmatched[l] > 0 {
+				unmatched[l]--
+				diff = append(diff, "+ "+l)
+			}
+		}
+		if len(diff) > 0 {
+			fmt.Fprintf(&b, "node %d:\n%s\n", int(want[i].ID), strings.Join(diff, "\n"))
+		}
+	}
+	return b.String()
+}
+
+// stateLines is one node's canonical state as diff units: its lines, with
+// each payload line joined to the tuple line before it.
+func stateLines(n *Node) []string {
+	var sb strings.Builder
+	WriteStates(&sb, []*Node{n})
+	var out []string
+	for _, l := range strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")[1:] {
+		if strings.HasPrefix(l, "payload ") && len(out) > 0 {
+			out[len(out)-1] += " " + l
+			continue
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
+// FromRewrite returns the native form of a node that runs the Algorithm 1
+// provenance rewrite (ndlog.ProvenanceRewrite) with provenance off, where
+// plain NDlog rules maintain prov and ruleExec as relations. The result is a
+// node of the same program that holds rw's visible tuples except those two
+// relations, and whose provenance store is loaded from them through the
+// store's write surface. WriteStates renders it as it renders a native
+// reference-mode node of the original program, so DiffStates compares the
+// rewrite with the engine's provenance hooks row for row. The result is a
+// view for rendering, never evaluated.
+func FromRewrite(rw *Node) *Node {
+	n := newNode(rw.ID, rw.Prog, ProvReference, nil, nil, false)
+	byVID := map[types.ID]types.Tuple{}
+	for _, info := range rw.Prog.Preds() {
+		if info.Name == "prov" || info.Name == "ruleExec" {
+			continue
+		}
+		for _, t := range rw.Tuples(info.Name) {
+			rel := n.ensureTable(info.Name)
+			e := rel.getOrCreate(t)
+			e.addDeriv(types.ZeroID, n.ID)
+			rel.setVisible(e, true)
+			byVID[t.VID()] = t
+		}
+	}
+	for _, p := range rw.Tuples("prov") { // prov(@Loc, VID, RID, RLoc)
+		vid := p.Args[1].AsID()
+		n.Store.AddProv(n.Store.Vertex(vid, byVID[vid]), p.Args[2].AsID(), p.Args[3].AsNode())
+	}
+	for _, r := range rw.Tuples("ruleExec") { // ruleExec(@RLoc, RID, R, VIDList)
+		list := r.Args[3].AsList()
+		vids := make([]types.ID, len(list))
+		for i, v := range list {
+			vids[i] = v.AsID()
+		}
+		n.Store.AddRuleExec(r.Args[1].AsID(), r.Args[2].AsStr(), vids)
+	}
+	return n
+}

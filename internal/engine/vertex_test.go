@@ -36,7 +36,7 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 			// held returns the vertex the out entry holds and the one the
 			// store resolves the VID to; they must agree at every step.
 			held := func() (onEntry, inStore *provenance.Vertex) {
-				return n.Table("out").get(out).vert, st.Lookup(out.VID())
+				return n.lookup("out").get(out).vert, st.Lookup(out.VID())
 			}
 
 			n.InsertBase(tup("in", 2)) // bystander rows: the prior level is not zero

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/topology"
-	"repro/internal/types"
 )
 
 // Planner fences on a real protocol workload (ISSUE 8, S1): the CHORD
@@ -17,9 +16,6 @@ import (
 // planner_test.go. A stat perturbation forces join orders that differ from
 // syntax order, and the fixpoint must stay bit-identical to the NoReplan
 // baseline across modes, executors and lookup/liveness churn.
-
-var chordPreds = []string{"ident", "peer", "alive", "cand", "bestSucc", "succ",
-	"notify", "candPred", "pred", "finger", "lookup", "lookupRes"}
 
 // runChordSched drives the chord workload script on a scheduler: boot the
 // EDB, issue lookups, churn a liveness pair out and back in, with a forced
@@ -53,12 +49,7 @@ func runChordSched(t *testing.T, mode ProvMode, batched bool, hook func(string, 
 			}
 		}
 	}
-	base := apps.ChordBase(topo)
-	for i := 0; i < topo.N; i++ {
-		for _, tup := range base[types.NodeID(i)] {
-			s.InsertBase(types.NodeID(i), tup)
-		}
-	}
+	apps.BootEDB(topo, true, apps.ChordBase(topo), s.InsertBase)
 	step()
 	for _, lk := range apps.ChordLookups(topo, 6, 3) {
 		s.InsertBase(lk.Loc(), lk)
@@ -88,9 +79,7 @@ func TestChordPlannerEquivalence(t *testing.T) {
 				s, ch := runChordSched(t, mode, batched, hook)
 				anyChanged = anyChanged || ch
 				diffStates(t, fmt.Sprintf("chord %s %s seed=%d", mode, executorName(batched), seed),
-					base.NumNodes(), chordPreds,
-					func(i int) *Node { return base.Node(i) },
-					func(i int) *Node { return s.Node(i) })
+					base.Engines(), s.Engines())
 			}
 		}
 	}
@@ -148,7 +137,5 @@ func TestChordPlannerPicksNonSyntaxOrder(t *testing.T) {
 	// Equivalence against the fixed-plan baseline still holds for this
 	// targeted skew, not just the hash perturbations.
 	base, _ := runChordSched(t, ProvReference, true, nil)
-	diffStates(t, "chord targeted-skew", base.NumNodes(), chordPreds,
-		func(i int) *Node { return base.Node(i) },
-		func(i int) *Node { return s.Node(i) })
+	diffStates(t, "chord targeted-skew", base.Engines(), s.Engines())
 }

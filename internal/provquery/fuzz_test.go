@@ -81,7 +81,7 @@ type ringCase struct {
 }
 
 func ringCaseOf[T any](u UDF) ringCase {
-	r := u.(ringUDF[T])
+	r := u.(*ringUDF[T])
 	return ringCase{u, func(b []byte) bool {
 		_, ok := r.open().decode(b)
 		return ok

@@ -42,7 +42,7 @@ func (s Strategy) String() string {
 }
 
 type cacheEntry struct {
-	udf     string
+	udf     UDF // the UDF that computed payload
 	payload []byte
 }
 
@@ -296,7 +296,7 @@ func (p *Processor) cached(cache map[types.ID]*cacheEntry, from origin, isRule b
 	if !p.CacheOn {
 		return false
 	}
-	if ce, ok := cache[vertex]; ok && ce.udf == p.UDF.Name() {
+	if ce, ok := cache[vertex]; ok && ce.udf == p.UDF {
 		p.CacheHits++
 		p.answer(from, isRule, vertex, ce.payload)
 		return true
@@ -415,14 +415,14 @@ func (p *Processor) maybeFinish(f *frame) {
 	if !f.isRule {
 		res := p.UDF.IDB(p.collect(f), f.vid, p.Node)
 		if cache {
-			p.cache[f.vid] = &cacheEntry{udf: p.UDF.Name(), payload: res}
+			p.cache[f.vid] = &cacheEntry{udf: p.UDF, payload: res}
 		}
 		p.answer(f.origin, false, f.vid, res)
 		return
 	}
 	res := p.UDF.Rule(p.collect(f), f.rule, p.Node)
 	if cache {
-		p.ruleCache[f.rid] = &cacheEntry{udf: p.UDF.Name(), payload: res}
+		p.ruleCache[f.rid] = &cacheEntry{udf: p.UDF, payload: res}
 		// Install the §6.1 reverse dataflow edges for this now-cached
 		// traversal level: each input tuple (local, bodies are localized)
 		// points through this rule execution at the head vertex it

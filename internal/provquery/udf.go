@@ -24,8 +24,10 @@ const (
 // travel between nodes. A children slice is the processor's scratch, valid
 // only during the call; the payloads in it are immutable and may be kept.
 type UDF interface {
-	// Name identifies the representation (cache entries are tagged with
-	// it so different query types never share results).
+	// Name identifies the representation. The §6.1 cache tags entries by
+	// the UDF value itself, not its name — two Derivability UDFs with
+	// different trust predicates must not share results — so a UDF's
+	// dynamic type must be comparable: the constructors return pointers.
 	Name() string
 	// EDB computes the annotation of a base tuple (f_pEDB).
 	EDB(t types.Tuple, vid types.ID, node types.NodeID) []byte
@@ -120,28 +122,28 @@ type ringUDF[T any] struct {
 }
 
 // Name implements UDF.
-func (u ringUDF[T]) Name() string { return u.name }
+func (u *ringUDF[T]) Name() string { return u.name }
 
 // EDB implements UDF: the semiring's value of the base tuple.
-func (u ringUDF[T]) EDB(t types.Tuple, vid types.ID, node types.NodeID) []byte {
+func (u *ringUDF[T]) EDB(t types.Tuple, vid types.ID, node types.NodeID) []byte {
 	r := u.open()
 	return r.encode(r.FromBase(algebra.Base{VID: vid, Label: t.String(), Node: node}))
 }
 
 // IDB implements UDF: the semiring sum.
-func (u ringUDF[T]) IDB(children [][]byte, _ types.ID, _ types.NodeID) []byte {
+func (u *ringUDF[T]) IDB(children [][]byte, _ types.ID, _ types.NodeID) []byte {
 	r := u.open()
 	return r.encode(r.fold(CtxIDB, children))
 }
 
 // Rule implements UDF: the semiring product.
-func (u ringUDF[T]) Rule(children [][]byte, _ string, _ types.NodeID) []byte {
+func (u *ringUDF[T]) Rule(children [][]byte, _ string, _ types.NodeID) []byte {
 	r := u.open()
 	return r.encode(r.fold(CtxRule, children))
 }
 
 // Exceeds implements UDF.
-func (u ringUDF[T]) Exceeds(ctx Ctx, children [][]byte, threshold int64) bool {
+func (u *ringUDF[T]) Exceeds(ctx Ctx, children [][]byte, threshold int64) bool {
 	return u.final != nil && u.final(ctx, u.open().fold(ctx, children), threshold)
 }
 
@@ -149,7 +151,7 @@ func (u ringUDF[T]) Exceeds(ctx Ctx, children [][]byte, threshold int64) bool {
 // allocated from a cluster-shared VarAlloc, applying boolean absorption by
 // construction (§6.3). Each call combines in a fresh manager.
 func BDD(alloc *algebra.VarAlloc) UDF {
-	return ringUDF[bdd.Ref]{name: "bdd", open: func() ring[bdd.Ref] {
+	return &ringUDF[bdd.Ref]{name: "bdd", open: func() ring[bdd.Ref] {
 		m := bdd.New()
 		return ring[bdd.Ref]{
 			Semiring: algebra.BDD(m, alloc),
@@ -173,7 +175,7 @@ func DecodeBDD(m *bdd.Manager, payload []byte) (bdd.Ref, error) {
 // >= 1) sum and product only grow, so a partial count above the threshold is
 // final.
 func Derivations() UDF {
-	return ringUDF[int64]{
+	return &ringUDF[int64]{
 		name: "derivations",
 		open: func() ring[int64] {
 			return ring[int64]{Semiring: algebra.Counting(), decode: decodeCount, encode: encodeCount}
@@ -204,7 +206,7 @@ func DecodeCount(payload []byte) int64 {
 // derivable children the union only grows, so a partial set larger than the
 // threshold is final ("fewer than T' unique nodes?").
 func NodeSet() UDF {
-	return ringUDF[[]types.NodeID]{
+	return &ringUDF[[]types.NodeID]{
 		name: "nodeset",
 		open: func() ring[[]types.NodeID] {
 			return ring[[]types.NodeID]{Semiring: algebra.NodeSet(), decode: decodeNodes, encode: encodeNodeSet}
@@ -253,7 +255,7 @@ func Derivability(trusted func(algebra.Base) bool) UDF {
 	if trusted != nil {
 		s.FromBase = trusted
 	}
-	return ringUDF[bool]{
+	return &ringUDF[bool]{
 		name: "derivability",
 		open: func() ring[bool] {
 			return ring[bool]{Semiring: s, decode: decodeBool, encode: encodeBool}
