@@ -138,8 +138,9 @@ doccheck-selftest:
 # node's receive loop feeds raw UDP payloads into, the two query-result
 # payload decoders (polynomial, BDD) a hop runs on what those messages carry,
 # the semiring UDFs' folds over arbitrary children (a hop never emits what
-# the next hop would reject), and the engine's handling of every message the
-# decoder accepts — so strictness regressions are caught before the
+# the next hop would reject), and the engine's and the query processor's
+# handling of every message their decoders accept — so strictness
+# regressions are caught before the
 # checked-in corpus grows stale. Go runs one fuzz target per invocation,
 # hence one line each.
 fuzz-smoke:
@@ -149,6 +150,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleMessage$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/provquery
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleMsg$$' -fuzztime 10s ./internal/provquery
 	$(GO) test -run '^$$' -fuzz '^FuzzRingUDF$$' -fuzztime 10s ./internal/provquery
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePolynomial$$' -fuzztime 10s ./internal/algebra
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBDD$$' -fuzztime 10s ./internal/bdd

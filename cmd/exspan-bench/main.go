@@ -28,17 +28,26 @@ func main() {
 	flag.Parse()
 
 	p := experiments.Params{Scale: *scale, Seed: *seed}
-
-	if *ablations {
-		for _, gen := range []func(experiments.Params) (*experiments.Result, error){
-			experiments.AblationModes, experiments.AblationInvalidation,
-		} {
-			res, err := gen(p)
+	// runEach prints every registered experiment keep selects and reports
+	// whether there was one.
+	runEach := func(keep func(experiments.Experiment) bool) bool {
+		found := false
+		for _, e := range experiments.Experiments {
+			if !keep(e) {
+				continue
+			}
+			found = true
+			res, err := e.Gen(p)
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Println(res.Table())
 		}
+		return found
+	}
+
+	if *ablations {
+		runEach(func(e experiments.Experiment) bool { return e.Fig == 0 })
 		return
 	}
 
@@ -53,21 +62,9 @@ func main() {
 	}
 
 	if *fig != 0 {
-		gens := map[int]func(experiments.Params) (*experiments.Result, error){
-			6: experiments.Fig06, 7: experiments.Fig07, 8: experiments.Fig08,
-			9: experiments.Fig09, 10: experiments.Fig10, 11: experiments.Fig11,
-			12: experiments.Fig12, 13: experiments.Fig13, 14: experiments.Fig14,
-			15: experiments.Fig15, 16: experiments.Fig16, 17: experiments.Fig17,
-		}
-		gen, ok := gens[*fig]
-		if !ok {
+		if !runEach(func(e experiments.Experiment) bool { return e.Fig == *fig }) {
 			fatal(fmt.Errorf("unknown figure %d", *fig))
 		}
-		res, err := gen(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Table())
 		return
 	}
 

@@ -23,6 +23,7 @@ import (
 	"repro/internal/ndlog"
 	"repro/internal/provquery"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -164,7 +165,7 @@ func main() {
 	fixpointReport{
 		headline: fmt.Sprintf("fixpoint: %.3fs virtual time, %d nodes, %d links",
 			fix.Seconds(), topo.N, c.Net.NumLinks()),
-		bytes: c.Net.TotalBytes, nodes: topo.N, dropped: c.Net.DroppedMsgs,
+		traffic: c.Net.Traffic, dropped: c.Net.DroppedMsgs,
 		faults: plan, reliable: plan != nil, transport: c.TransportStats,
 		engines: c.Engines(), explain: *explain, dump: *dumpProv,
 	}.print(spec)
@@ -191,7 +192,7 @@ func runScheduled(topo *topology.Topology, prog *ndlog.Program, mode engine.Prov
 	fixpointReport{
 		headline: fmt.Sprintf("scheduled fixpoint: %.3fs wall clock, %d nodes, %d scheduler rounds",
 			time.Since(startAt).Seconds(), topo.N, s.Rounds),
-		bytes: s.TotalBytes, nodes: topo.N, dropped: -1,
+		traffic: s.Traffic, dropped: -1,
 		engines: s.Engines(), explain: explain,
 	}.print(spec)
 }
@@ -218,7 +219,7 @@ func runDeployment(topo *topology.Topology, prog *ndlog.Program, mode engine.Pro
 	fixpointReport{
 		headline: fmt.Sprintf("deployment fixpoint: %.3fs wall clock, %d UDP nodes",
 			time.Since(startAt).Seconds(), topo.N),
-		bytes: cl.TotalSentBytes(), nodes: topo.N, inKB: true, dropped: cl.Dropped.Load(),
+		traffic: cl.Traffic(), inKB: true, dropped: cl.Dropped.Load(),
 		reliable: faulty, transport: cl.TransportStats,
 		engines: cl.Engines(), explain: explain, dump: dump,
 	}.print(spec)
@@ -247,8 +248,7 @@ func deployFixpoint(cfg deploy.Config) (*deploy.Cluster, error) {
 // the drivers differ only in which sections they can fill.
 type fixpointReport struct {
 	headline  string
-	bytes     int64 // total traffic, all nodes
-	nodes     int
+	traffic   stats.Traffic          // the driver's byte ledger at its fixpoint
 	inKB      bool                   // deployments are ring-sized: KB, not MB
 	dropped   int64                  // datagrams the network dropped; <0: the driver has no network
 	faults    *simnet.FaultPlan      // injected fault schedule (simulator)
@@ -261,7 +261,7 @@ type fixpointReport struct {
 
 func (r fixpointReport) print(spec appSpec) {
 	fmt.Println(r.headline)
-	total, avg := float64(r.bytes), float64(r.bytes)/float64(r.nodes)
+	total, avg := float64(r.traffic.TotalBytes), r.traffic.AvgSentBytes()
 	if r.inKB {
 		fmt.Printf("communication: %.1f KB total, %.2f KB avg per node\n", total/1e3, avg/1e3)
 	} else {

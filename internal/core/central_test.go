@@ -10,6 +10,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/engine"
+	"repro/internal/ndlog"
 	"repro/internal/provquery"
 	"repro/internal/topology"
 	"repro/internal/types"
@@ -121,7 +122,7 @@ func TestCentralizedDeletionPropagates(t *testing.T) {
 // its path, so each tuple counts its one cycle-free proof instead of the
 // walk recursing until the stack overflows.
 func TestCentralGraphCyclicProvenance(t *testing.T) {
-	prog, err := ParseProgram("r1 q(@X,A) :- p(@X,A).\nr2 p(@X,A) :- q(@X,A).\n")
+	prog, err := ndlog.Parse("r1 q(@X,A) :- p(@X,A).\nr2 p(@X,A) :- q(@X,A).\n")
 	if err != nil {
 		t.Fatal(err)
 	}

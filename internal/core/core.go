@@ -399,9 +399,3 @@ func (c *Cluster) RandomTupleOf(pred string, rng *rand.Rand) (TupleRef, bool) {
 	}
 	return all[rng.Intn(len(all))], true
 }
-
-// AvgCommMB reports the per-node average communication cost in MB.
-func (c *Cluster) AvgCommMB() float64 { return c.Net.AvgSentMB() }
-
-// ParseProgram is a convenience wrapper re-exported for cmd tools.
-func ParseProgram(src string) (*ndlog.Program, error) { return ndlog.Parse(src) }

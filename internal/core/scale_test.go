@@ -32,9 +32,9 @@ func TestMinCostTransitStubScale(t *testing.T) {
 		if _, err := c.RunToFixpoint(); err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
-		cost[mode] = c.AvgCommMB()
+		cost[mode] = c.Net.AvgSentBytes() / 1e6
 		t.Logf("mode %-10s avg comm %.3f MB, total msgs %d, fixpoint %.2fs",
-			mode, c.AvgCommMB(), totalMsgs(c), c.Sim.Now().Seconds())
+			mode, c.Net.AvgSentBytes()/1e6, totalMsgs(c), c.Sim.Now().Seconds())
 	}
 	if cost[engine.ProvReference] <= cost[engine.ProvNone] {
 		t.Errorf("reference (%.3f) should exceed none (%.3f)", cost[engine.ProvReference], cost[engine.ProvNone])

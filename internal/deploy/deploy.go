@@ -34,10 +34,6 @@ const (
 	tagReliable byte = 2
 )
 
-// ipUDPOverhead is the per-datagram header cost (IPv4 + UDP) added to byte
-// accounting so deployed numbers are comparable with simulated ones.
-const ipUDPOverhead = 28
-
 // Config describes a deployed cluster.
 type Config struct {
 	Topo    *topology.Topology
@@ -122,6 +118,12 @@ type Cluster struct {
 	// Network.DroppedMsgs), and sends addressed to no node of the cluster.
 	Dropped atomic.Int64
 
+	// traffic is the cluster's byte ledger: every node's worker charges
+	// each datagram it writes (header and overhead included) under
+	// trafficMu. Receives are not booked.
+	trafficMu sync.Mutex
+	traffic   stats.Traffic
+
 	faultMu  sync.Mutex
 	faultRng *rand.Rand
 }
@@ -161,11 +163,6 @@ type NodeProc struct {
 
 	errMu  sync.Mutex
 	netErr error // first transport-level error (fault)
-
-	SentBytes atomic.Int64
-	SentMsgs  atomic.Int64
-	Recorder  *stats.Bandwidth // written only by this node's worker
-	recMu     sync.Mutex
 }
 
 type work struct {
@@ -201,7 +198,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if (cfg.Loss > 0 || cfg.Dup > 0) && !cfg.Reliable {
 		return nil, fmt.Errorf("deploy: fault injection requires Config.Reliable — a lost or duplicated delta corrupts provenance counts")
 	}
-	cl := &Cluster{Cfg: cfg, Prog: prog, start: time.Now(), quiet: make(chan struct{}, 1)}
+	cl := &Cluster{Cfg: cfg, Prog: prog, start: time.Now(), quiet: make(chan struct{}, 1),
+		traffic: stats.NewTraffic(cfg.Topo.N)}
 	if cfg.Loss > 0 || cfg.Dup > 0 {
 		cl.faultRng = rand.New(rand.NewSource(cfg.FaultSeed))
 	}
@@ -219,14 +217,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		_ = conn.SetReadBuffer(4 << 20)
 		_ = conn.SetWriteBuffer(4 << 20)
 		np := &NodeProc{
-			ID:       types.NodeID(i),
-			cl:       cl,
-			conn:     conn,
-			inbox:    make(chan work, 4096),
-			done:     make(chan struct{}),
-			Recorder: stats.NewBandwidth(int64(100 * time.Millisecond)),
-			engPool:  engine.NewMessagePool(),
-			qryPool:  provquery.NewMsgPool(),
+			ID:      types.NodeID(i),
+			cl:      cl,
+			conn:    conn,
+			inbox:   make(chan work, 4096),
+			done:    make(chan struct{}),
+			engPool: engine.NewMessagePool(),
+			qryPool: provquery.NewMsgPool(),
 		}
 		if cfg.Reliable {
 			np.ep = transport.New(np.ID, cfg.Transport, transport.Hooks{
@@ -412,12 +409,9 @@ func (np *NodeProc) writeDatagram(to types.NodeID, buf []byte) bool {
 		np.cl.Dropped.Add(1)
 		return false
 	}
-	total := int64(len(buf) + ipUDPOverhead)
-	np.SentBytes.Add(total)
-	np.SentMsgs.Add(1)
-	np.recMu.Lock()
-	np.Recorder.Record(int64(time.Since(np.cl.start)), total)
-	np.recMu.Unlock()
+	np.cl.trafficMu.Lock()
+	np.cl.traffic.Charge(np.ID, len(buf))
+	np.cl.trafficMu.Unlock()
 
 	if to != np.ID && np.cl.rollFault(np.cl.Cfg.Loss) {
 		// Charged, then lost on the wire — as the simulator does it.
@@ -756,30 +750,19 @@ func (c *Cluster) TransportStats() transport.Stats {
 	return s
 }
 
-// TotalSentBytes sums bytes sent by all nodes.
-func (c *Cluster) TotalSentBytes() int64 {
-	var t int64
-	for _, np := range c.Nodes {
-		t += np.SentBytes.Load()
-	}
-	return t
+// Traffic returns a copy of the cluster's byte ledger.
+func (c *Cluster) Traffic() stats.Traffic {
+	c.trafficMu.Lock()
+	defer c.trafficMu.Unlock()
+	return c.traffic.Clone()
 }
+
+// TotalSentBytes sums bytes sent by all nodes.
+func (c *Cluster) TotalSentBytes() int64 { return c.Traffic().TotalBytes }
 
 // AvgSentKB reports the per-node average bytes sent, in kilobytes.
 func (c *Cluster) AvgSentKB() float64 {
 	return float64(c.TotalSentBytes()) / float64(len(c.Nodes)) / 1e3
-}
-
-// BandwidthSeries merges the per-node recorders into one average-per-node
-// MBps series covering [0, until).
-func (c *Cluster) BandwidthSeries(until time.Duration) []stats.Point {
-	merged := stats.NewBandwidth(int64(100 * time.Millisecond))
-	for _, np := range c.Nodes {
-		np.recMu.Lock()
-		merged.Merge(np.Recorder)
-		np.recMu.Unlock()
-	}
-	return merged.Series(int64(until), len(c.Nodes))
 }
 
 // Engines returns every node's engine in node order — the cluster view

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/algebra"
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -22,8 +23,9 @@ import (
 // interleave or how many there are. Because a node receives a whole round of
 // messages at once, the Scheduler's nodes evaluate them as one batch
 // (rounds.go); that is a property of this driver, not a setting. Byte
-// accounting charges the same per-message wire size + datagram overhead as
-// the simulator and the UDP deployment, so totals are comparable.
+// accounting charges the same ledger (stats.Traffic) the simulator and the
+// UDP deployment charge — wire size plus datagram overhead per message — so
+// totals are comparable.
 //
 // The scheduler computes fixpoints and their provenance; it does not model
 // latency or bandwidth (no virtual clock) and does not serve distributed
@@ -35,15 +37,8 @@ type Scheduler struct {
 	Prog *Program
 	Mode ProvMode
 
-	// MsgOverhead is the fixed per-message header cost (28 = IPv4 + UDP),
-	// matching simnet.DefaultMsgOverhead and the deployment transport.
-	MsgOverhead int
-
-	// Accounting, indexed by node.
-	TotalBytes int64
-	SentBytes  []int64
-	RecvBytes  []int64
-	SentMsgs   []int64
+	// Traffic is the byte ledger, charged as deliver deposits each message.
+	stats.Traffic
 	// Rounds counts executed scheduler rounds.
 	Rounds int64
 
@@ -64,14 +59,11 @@ func NewScheduler(prog *Program, mode ProvMode, nNodes, _, workers int) *Schedul
 // run the inline drain under the same driver and diff the two.
 func newScheduler(prog *Program, mode ProvMode, nNodes, workers int, batched bool) *Scheduler {
 	s := &Scheduler{
-		Prog:        prog,
-		Mode:        mode,
-		MsgOverhead: 28,
-		workers:     workers,
-		SentBytes:   make([]int64, nNodes),
-		RecvBytes:   make([]int64, nNodes),
-		SentMsgs:    make([]int64, nNodes),
-		staged:      make([][]outMsg, nNodes),
+		Prog:    prog,
+		Mode:    mode,
+		Traffic: stats.NewTraffic(nNodes),
+		workers: workers,
+		staged:  make([][]outMsg, nNodes),
 	}
 	var alloc *algebra.VarAlloc
 	if mode == ProvValue {
@@ -227,11 +219,7 @@ func (s *Scheduler) deliver() {
 		for i := range msgs {
 			om := msgs[i]
 			msgs[i] = outMsg{}
-			size := int64(om.m.WireSize() + s.MsgOverhead)
-			s.TotalBytes += size
-			s.SentBytes[src] += size
-			s.SentMsgs[src]++
-			s.RecvBytes[om.to] += size
+			s.Recv(om.to, s.Charge(types.NodeID(src), om.m.WireSize()))
 			s.nodes[om.to].depositMessage(types.NodeID(src), om.m)
 			s.nodes[src].Msgs.Put(om.m)
 		}

@@ -45,7 +45,7 @@ func AblationModes(p Params) (*Result, error) {
 			maxShare = float64(max) / float64(c.Net.TotalBytes)
 		}
 		res.Rows = append(res.Rows, []string{
-			modeLabel(mode), f3(c.AvgCommMB()), f3(maxShare), f2(fix.Seconds()),
+			modeLabel(mode), f3(c.Net.AvgSentBytes() / 1e6), f3(maxShare), f2(fix.Seconds()),
 		})
 	}
 	return res, nil
@@ -87,7 +87,7 @@ func AblationInvalidation(p Params) (*Result, error) {
 		c.Sim.Run()
 
 		// Churn with accounting isolated to the churn+requery phase.
-		c.Net.ResetAccounting()
+		c.Net.Traffic.Reset()
 		churn := newChurner(topo, rand.New(rand.NewSource(p.Seed+78)))
 		for i := 0; i < 5; i++ {
 			churn.batch(c, 4)
@@ -123,7 +123,7 @@ func AblationInvalidation(p Params) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, []string{
 			label,
-			f2(float64(c.Net.TotalBytes) / float64(topo.N) / 1e3),
+			f2(c.Net.AvgSentBytes() / 1e3),
 			fmt.Sprintf("%d/%d", stale, len(fresh.refs)),
 			fmt.Sprintf("%d", unanswered),
 		})

@@ -2,23 +2,22 @@ package experiments
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/engine"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 )
 
 // churnFingerprint is everything a seeded churn run must reproduce exactly:
 // the number of executed events, the final virtual clock, and the complete
 // byte/message accounting.
 type churnFingerprint struct {
-	steps      int64
-	end        simnet.Time
-	totalBytes int64
-	sent       []int64
-	recv       []int64
-	msgs       []int64
+	steps   int64
+	end     simnet.Time
+	traffic stats.Traffic
 }
 
 func runSeededChurn(t *testing.T, seed int64) churnFingerprint {
@@ -43,12 +42,9 @@ func runSeededChurn(t *testing.T, seed int64) churnFingerprint {
 		t.Fatalf("after churn: %v", err)
 	}
 	return churnFingerprint{
-		steps:      c.Sim.Steps(),
-		end:        c.Sim.Now(),
-		totalBytes: c.Net.TotalBytes,
-		sent:       append([]int64(nil), c.Net.SentBytes...),
-		recv:       append([]int64(nil), c.Net.RecvBytes...),
-		msgs:       append([]int64(nil), c.Net.SentMsgs...),
+		steps:   c.Sim.Steps(),
+		end:     c.Sim.Now(),
+		traffic: c.Net.Traffic,
 	}
 }
 
@@ -70,19 +66,13 @@ func TestSeededChurnDeterministic(t *testing.T) {
 	if a.end != b.end {
 		t.Errorf("final virtual time differs: %d vs %d", a.end, b.end)
 	}
-	if a.totalBytes != b.totalBytes {
-		t.Errorf("total bytes differ: %d vs %d", a.totalBytes, b.totalBytes)
-	}
-	for i := range a.sent {
-		if a.sent[i] != b.sent[i] || a.recv[i] != b.recv[i] || a.msgs[i] != b.msgs[i] {
-			t.Fatalf("node %d counters differ: sent %d/%d recv %d/%d msgs %d/%d",
-				i, a.sent[i], b.sent[i], a.recv[i], b.recv[i], a.msgs[i], b.msgs[i])
-		}
+	if !reflect.DeepEqual(a.traffic, b.traffic) {
+		t.Errorf("byte ledgers differ: %d vs %d total bytes", a.traffic.TotalBytes, b.traffic.TotalBytes)
 	}
 	// A different seed must not degenerate to the same trace (sanity check
 	// that the fingerprint actually captures the run).
 	c := runSeededChurn(t, 12)
-	if c.steps == a.steps && c.totalBytes == a.totalBytes && c.end == a.end {
+	if c.steps == a.steps && c.traffic.TotalBytes == a.traffic.TotalBytes && c.end == a.end {
 		t.Error("different seeds produced identical fingerprints; test is vacuous")
 	}
 }

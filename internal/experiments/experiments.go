@@ -29,9 +29,6 @@ type Params struct {
 	Seed int64
 }
 
-// DefaultParams runs at full paper scale.
-func DefaultParams() Params { return Params{Scale: 1.0, Seed: 42} }
-
 func (p Params) scaleInt(v int) int {
 	s := int(float64(v) * p.Scale)
 	if s < 1 {

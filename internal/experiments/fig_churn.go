@@ -52,7 +52,7 @@ func churnExperiment(p Params, id, title string, prog *ndlog.Program) (*Result, 
 		if err != nil {
 			return nil, fmt.Errorf("%s mode=%s: %w", id, mode, err)
 		}
-		c.Net.ResetAccounting()
+		c.Net.Traffic.Reset()
 		c.Net.Recorder.Reset()
 		start := c.Sim.Now()
 		// The same seed across modes: every mode must see the identical

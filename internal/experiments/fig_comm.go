@@ -39,7 +39,7 @@ func commCostSweep(p Params, id, title string, prog *ndlog.Program) (*Result, er
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d mode=%s: %w", id, n, mode, err)
 			}
-			row = append(row, f3(c.AvgCommMB()))
+			row = append(row, f3(c.Net.AvgSentBytes()/1e6))
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -38,7 +38,7 @@ func Fig08(p Params) (*Result, error) {
 			return nil, fmt.Errorf("fig08 mode=%s: %w", mode, err)
 		}
 		// Measure only the data-plane phase.
-		c.Net.ResetAccounting()
+		c.Net.Traffic.Reset()
 		c.Net.Recorder.Reset()
 		start := c.Sim.Now()
 		rng := rand.New(rand.NewSource(p.Seed + 500)) // identical workload per mode

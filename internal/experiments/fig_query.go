@@ -60,7 +60,7 @@ func runQueryExperiment(p Params, qc queryConfig) (*queryOutcome, error) {
 	if _, err := c.RunToFixpoint(); err != nil {
 		return nil, err
 	}
-	c.Net.ResetAccounting()
+	c.Net.Traffic.Reset()
 	c.Net.Recorder.Reset()
 	start := c.Sim.Now()
 
@@ -76,7 +76,7 @@ func runQueryExperiment(p Params, qc queryConfig) (*queryOutcome, error) {
 	out := &queryOutcome{
 		series:    relSeries(c, start, duration),
 		latencies: w.Latencies,
-		totalKB:   float64(c.Net.TotalBytes) / float64(topo.N) / 1e3,
+		totalKB:   c.Net.AvgSentBytes() / 1e3,
 		issued:    w.Issued,
 		completed: w.Completed,
 	}

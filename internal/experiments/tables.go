@@ -65,9 +65,30 @@ func wantDerivation(label string) bool {
 		strings.HasPrefix(label, "bestPathCost(")
 }
 
-// Run executes every experiment at the given scale in paper order,
-// streaming each result through emit as soon as it is ready. Deployment
-// figures (16, 17) can be excluded for fully deterministic simulated runs.
+// Experiment is one generator of the evaluation: a paper figure, or a
+// beyond-the-paper ablation (Fig 0).
+type Experiment struct {
+	Name    string
+	Fig     int  // the paper's figure number; 0 for an ablation
+	Testbed bool // runs over real UDP sockets
+	Gen     func(Params) (*Result, error)
+}
+
+// Experiments is the one registry of figure and ablation generators, in
+// paper order; Run and cmd/exspan-bench iterate it.
+var Experiments = []Experiment{
+	{"fig06", 6, false, Fig06}, {"fig07", 7, false, Fig07}, {"fig08", 8, false, Fig08},
+	{"fig09", 9, false, Fig09}, {"fig10", 10, false, Fig10}, {"fig11", 11, false, Fig11},
+	{"fig12", 12, false, Fig12}, {"fig13", 13, false, Fig13}, {"fig14", 14, false, Fig14},
+	{"fig15", 15, false, Fig15}, {"fig16", 16, true, Fig16}, {"fig17", 17, true, Fig17},
+	{"ablation-modes", 0, false, AblationModes},
+	{"ablation-invalidation", 0, false, AblationInvalidation},
+}
+
+// Run executes Tables 1-2 and every figure at the given scale in paper
+// order, streaming each result through emit as soon as it is ready.
+// Deployment figures (16, 17) can be excluded for fully deterministic
+// simulated runs.
 func Run(p Params, includeTestbed bool, emit func(*Result)) error {
 	t1, t2, err := Tables12(p)
 	if err != nil {
@@ -75,32 +96,15 @@ func Run(p Params, includeTestbed bool, emit func(*Result)) error {
 	}
 	emit(t1)
 	emit(t2)
-	type gen struct {
-		name string
-		fn   func(Params) (*Result, error)
-	}
-	gens := []gen{
-		{"fig06", Fig06}, {"fig07", Fig07}, {"fig08", Fig08},
-		{"fig09", Fig09}, {"fig10", Fig10}, {"fig11", Fig11},
-		{"fig12", Fig12}, {"fig13", Fig13}, {"fig14", Fig14},
-		{"fig15", Fig15},
-	}
-	if includeTestbed {
-		gens = append(gens, gen{"fig16", Fig16}, gen{"fig17", Fig17})
-	}
-	for _, g := range gens {
-		r, err := g.fn(p)
+	for _, e := range Experiments {
+		if e.Fig == 0 || (e.Testbed && !includeTestbed) {
+			continue
+		}
+		r, err := e.Gen(p)
 		if err != nil {
-			return fmt.Errorf("%s: %w", g.name, err)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 		emit(r)
 	}
 	return nil
-}
-
-// All runs every experiment and returns the results in paper order.
-func All(p Params, includeTestbed bool) ([]*Result, error) {
-	var out []*Result
-	err := Run(p, includeTestbed, func(r *Result) { out = append(out, r) })
-	return out, err
 }

@@ -111,7 +111,9 @@ func TestLazyRoutesRecomputePerSource(t *testing.T) {
 func TestUnreachableSendNotCharged(t *testing.T) {
 	s := NewSim()
 	nw := NewNetwork(s, 3)
-	nw.Recorder = stats.NewBandwidth(int64(Millisecond))
+	nw.Recorder = stats.NewBandwidth(int64(Second))
+	// One one-second bucket: its rate in MBps is the recorded bytes / 1e6.
+	recorded := func() float64 { return nw.Recorder.Series(int64(Second), 1)[0].MBps }
 	nw.AddLink(0, 1, Link{Latency: Millisecond, Bps: 1e9})
 	nw.Register(2, HandlerFunc(func(types.NodeID, any, int) { t.Error("unreachable message delivered") }))
 	nw.Send(0, 2, "x", 100)
@@ -120,18 +122,18 @@ func TestUnreachableSendNotCharged(t *testing.T) {
 		t.Errorf("dropped message charged: sentBytes=%d sentMsgs=%d total=%d, want all 0",
 			nw.SentBytes[0], nw.SentMsgs[0], nw.TotalBytes)
 	}
-	if rec := nw.Recorder.TotalBytes(); rec != 0 {
-		t.Errorf("dropped message recorded %d bytes of bandwidth, want 0", rec)
+	if rec := recorded(); rec != 0 {
+		t.Errorf("dropped message recorded %v MB of bandwidth, want 0", rec)
 	}
 	// A reachable send is still charged in full.
 	nw.Send(0, 1, "x", 100)
-	want := int64(100 + DefaultMsgOverhead)
+	want := int64(100 + stats.DatagramOverhead)
 	if nw.SentBytes[0] != want || nw.TotalBytes != want || nw.SentMsgs[0] != 1 {
 		t.Errorf("reachable send charged %d/%d bytes %d msgs, want %d/%d/1",
 			nw.SentBytes[0], nw.TotalBytes, nw.SentMsgs[0], want, want)
 	}
-	if rec := nw.Recorder.TotalBytes(); rec != want {
-		t.Errorf("recorder has %d bytes, want %d", rec, want)
+	if rec := recorded(); rec != float64(want)/1e6 {
+		t.Errorf("recorder has %v MB, want %d bytes", rec, want)
 	}
 }
 

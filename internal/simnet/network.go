@@ -55,13 +55,10 @@ type Network struct {
 	djDone []bool
 	djHeap []dijkstraItem
 
-	// Accounting.
-	SentBytes   []int64 // per sending node
-	RecvBytes   []int64 // per receiving node
-	SentMsgs    []int64
-	TotalBytes  int64
-	Recorder    *stats.Bandwidth // optional time-bucketed recorder
-	MsgOverhead int              // fixed per-message header bytes (UDP-era 28B IP+UDP)
+	// Traffic is the byte ledger: Send charges every message that reaches
+	// the wire to its sender, deliver books it at its receiver.
+	stats.Traffic
+	Recorder *stats.Bandwidth // optional time-bucketed recorder
 
 	// DroppedMsgs counts every message the network discarded instead of
 	// delivering: sends to unreachable destinations (churned-away routes),
@@ -73,27 +70,19 @@ type Network struct {
 	faults *FaultPlan
 }
 
-// DefaultMsgOverhead is the per-datagram header cost charged to every
-// message: a 20-byte IPv4 header plus an 8-byte UDP header, matching the
-// deployment transport.
-const DefaultMsgOverhead = 28
-
 // NewNetwork creates a network of n nodes with no links.
 func NewNetwork(sim *Sim, n int) *Network {
 	return &Network{
-		sim:         sim,
-		n:           n,
-		links:       make(map[edge]Link),
-		adj:         make([][]neighbor, n),
-		handlers:    make([]Handler, n),
-		routeLat:    make([][]Time, n),
-		routeBps:    make([][]int64, n),
-		routeGen:    make([]uint64, n),
-		topoGen:     1,
-		SentBytes:   make([]int64, n),
-		RecvBytes:   make([]int64, n),
-		SentMsgs:    make([]int64, n),
-		MsgOverhead: DefaultMsgOverhead,
+		sim:      sim,
+		n:        n,
+		links:    make(map[edge]Link),
+		adj:      make([][]neighbor, n),
+		handlers: make([]Handler, n),
+		routeLat: make([][]Time, n),
+		routeBps: make([][]int64, n),
+		routeGen: make([]uint64, n),
+		topoGen:  1,
+		Traffic:  stats.NewTraffic(n),
 	}
 }
 
@@ -192,10 +181,11 @@ func (nw *Network) NumLinks() int { return len(nw.links) }
 // Send transmits payload (with modelled size bytes) from one node to
 // another, delivering it after the path's propagation and transmission
 // delay. Messages to self are delivered after a fixed small local delay.
+// The destination's handler sees the charged size (size plus the datagram
+// overhead); a self-delivery never reaches the wire and keeps its bare size.
 //
 //exspan:hotpath
 func (nw *Network) Send(from, to types.NodeID, payload any, size int) {
-	total := size + nw.MsgOverhead
 	var delay Time
 	if from == to {
 		// Self-deliveries are local events: they never reach the wire and
@@ -218,15 +208,13 @@ func (nw *Network) Send(from, to types.NodeID, payload any, size int) {
 			}
 			delay = f.jitter()
 		}
-		nw.SentBytes[from] += int64(total)
-		nw.SentMsgs[from]++
-		nw.TotalBytes += int64(total)
+		size = nw.Charge(from, size)
 		if nw.Recorder != nil {
-			nw.Recorder.Record(int64(nw.sim.Now()), int64(total))
+			nw.Recorder.Record(int64(nw.sim.Now()), int64(size))
 		}
-		delay += lat + Time(int64(total)*8*int64(Second)/bps)
+		delay += lat + Time(int64(size)*8*int64(Second)/bps)
 	}
-	nw.sim.scheduleMessage(nw.sim.now+delay, nw, from, to, payload, total)
+	nw.sim.scheduleMessage(nw.sim.now+delay, nw, from, to, payload, size)
 }
 
 // deliver hands a scheduled message to its destination handler. Under an
@@ -259,7 +247,7 @@ func (nw *Network) deliver(from, to types.NodeID, payload any, size int) {
 		return
 	}
 	if from != to {
-		nw.RecvBytes[to] += int64(size)
+		nw.Recv(to, size)
 	}
 	h.HandleMessage(from, payload, size)
 }
@@ -375,22 +363,6 @@ func minBps(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// AvgSentMB reports the per-node average of bytes sent, in megabytes.
-func (nw *Network) AvgSentMB() float64 {
-	return float64(nw.TotalBytes) / float64(nw.n) / 1e6
-}
-
-// ResetAccounting zeroes all byte counters (used between the fixpoint phase
-// and the query phase of an experiment).
-func (nw *Network) ResetAccounting() {
-	for i := range nw.SentBytes {
-		nw.SentBytes[i] = 0
-		nw.RecvBytes[i] = 0
-		nw.SentMsgs[i] = 0
-	}
-	nw.TotalBytes = 0
 }
 
 // String summarizes the network.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -166,15 +167,15 @@ func TestByteAccounting(t *testing.T) {
 	nw.Register(1, HandlerFunc(func(types.NodeID, any, int) {}))
 	nw.Register(0, HandlerFunc(func(types.NodeID, any, int) {}))
 	nw.Send(0, 1, "x", 100)
-	if nw.SentBytes[0] != 100+DefaultMsgOverhead {
-		t.Errorf("sent bytes = %d, want %d", nw.SentBytes[0], 100+DefaultMsgOverhead)
+	if nw.SentBytes[0] != 100+stats.DatagramOverhead {
+		t.Errorf("sent bytes = %d, want %d", nw.SentBytes[0], 100+stats.DatagramOverhead)
 	}
 	// Self-sends are free.
 	nw.Send(0, 0, "x", 100)
-	if nw.SentBytes[0] != 100+DefaultMsgOverhead {
+	if nw.SentBytes[0] != 100+stats.DatagramOverhead {
 		t.Errorf("self-send charged: %d", nw.SentBytes[0])
 	}
-	nw.ResetAccounting()
+	nw.Traffic.Reset()
 	if nw.TotalBytes != 0 || nw.SentMsgs[0] != 0 {
 		t.Error("reset incomplete")
 	}

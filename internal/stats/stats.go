@@ -1,7 +1,7 @@
 // Package stats provides the measurement utilities behind the evaluation
-// harness: time-bucketed bandwidth recording (the "average bandwidth (MBps)
-// over time" figures), latency CDFs (the query-completion figures) and
-// small summary helpers.
+// harness: the byte ledger every driver charges (Traffic), time-bucketed
+// bandwidth recording (the "average bandwidth (MBps) over time" figures),
+// latency quantiles (the query-completion figures) and table rendering.
 package stats
 
 import (
@@ -56,29 +56,8 @@ func (b *Bandwidth) Series(untilNs int64, perNodes int) []Point {
 	return out
 }
 
-// Buckets exposes the raw bucket totals (bucket index -> bytes); callers
-// must not mutate the map.
-func (b *Bandwidth) Buckets() map[int64]int64 { return b.buckets }
-
-// Merge adds another recorder's buckets into this one (bucket widths must
-// match).
-func (b *Bandwidth) Merge(o *Bandwidth) {
-	for k, v := range o.buckets {
-		b.buckets[k] += v
-	}
-}
-
-// TotalBytes reports the sum over all buckets.
-func (b *Bandwidth) TotalBytes() int64 {
-	var t int64
-	for _, v := range b.buckets {
-		t += v
-	}
-	return t
-}
-
 // CDF collects scalar samples (e.g. query completion latencies in seconds)
-// and answers quantile and distribution queries.
+// and answers quantile queries.
 type CDF struct {
 	samples []float64
 	sorted  bool
@@ -89,9 +68,6 @@ func NewCDF() *CDF { return &CDF{} }
 
 // Add records one sample.
 func (c *CDF) Add(x float64) { c.samples = append(c.samples, x); c.sorted = false }
-
-// N reports the number of samples.
-func (c *CDF) N() int { return len(c.samples) }
 
 func (c *CDF) sort() {
 	if !c.sorted {
@@ -114,53 +90,6 @@ func (c *CDF) Quantile(q float64) float64 {
 		idx = len(c.samples) - 1
 	}
 	return c.samples[idx]
-}
-
-// FractionBelow reports the fraction of samples <= x.
-func (c *CDF) FractionBelow(x float64) float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	c.sort()
-	i := sort.SearchFloat64s(c.samples, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.samples))
-}
-
-// Mean returns the sample mean, or NaN when empty.
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range c.samples {
-		s += x
-	}
-	return s / float64(len(c.samples))
-}
-
-// Max returns the largest sample, or NaN when empty.
-func (c *CDF) Max() float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	c.sort()
-	return c.samples[len(c.samples)-1]
-}
-
-// Points returns up to n evenly spaced (x, fraction<=x) samples of the
-// empirical CDF, suitable for printing a figure's series.
-func (c *CDF) Points(n int) []Point {
-	if len(c.samples) == 0 || n <= 0 {
-		return nil
-	}
-	c.sort()
-	out := make([]Point, 0, n)
-	for i := 1; i <= n; i++ {
-		frac := float64(i) / float64(n)
-		idx := int(math.Ceil(frac*float64(len(c.samples)))) - 1
-		out = append(out, Point{TimeSec: c.samples[idx], MBps: frac})
-	}
-	return out
 }
 
 // Table renders rows of label/value pairs with aligned columns; the bench
