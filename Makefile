@@ -1,7 +1,12 @@
 # Developer entry points. CI runs the same commands (see
-# .github/workflows/ci.yml). `make bench` runs the standing benchmark
-# (bench/, contract in BENCHMARK.json): five workloads, end-to-end metrics
-# with regression bounds; performance claims are paired runs of it.
+# .github/workflows/ci.yml). Three of them measure, each once:
+#   - `make bench` runs the standing benchmark (bench/, contract in
+#     BENCHMARK.json): five workloads, end-to-end metrics with regression
+#     bounds; performance claims are paired runs of it, and
+#     `host-independence` gates one of its deterministic counters;
+#   - `bench-smoke` keeps bench_test.go's five profiling benchmarks running;
+#   - `test` includes internal/experiments' golden test, which pins the
+#     paper's tables and simulated figures (Tables 1-2, Figs 6-15).
 
 GO ?= go
 # Packages whose tests exercise concurrent code paths (the round scheduler's
@@ -164,11 +169,12 @@ check: fmt vet build lint test test-race chaos-smoke host-independence doccheck 
 bench:
 	$(GO) run ./bench
 
-# One-iteration smoke run of the go-test benchmarks PERFORMANCE.md names as
-# profiling targets (bench_test.go) — the engine fixpoint and the query
-# path — so they cannot bit-rot unnoticed.
+# One-iteration smoke run of every go-test benchmark in bench_test.go — the
+# five profiling targets PERFORMANCE.md names: engine fixpoint, query path,
+# simulator dispatch, planner, deletion churn — so none can bit-rot
+# unnoticed.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineFixpoint|BenchmarkQueryBFS' -benchtime=1x .
+	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
 clean:
 	rm -rf .bench_build *.trace.json $(SEEDED)

@@ -1,151 +1,28 @@
-// Package repro holds the top-level benchmark harness: one benchmark per
-// table and figure of the paper's evaluation (§7), plus micro-benchmarks of
-// the underlying machinery. Figure benchmarks run the corresponding
-// experiment at reduced scale per iteration and report the headline metric
-// with b.ReportMetric; `go run ./cmd/exspan-bench` regenerates the figures
-// at full paper scale.
+// Package repro holds the go-test profiling benchmarks: one per path
+// PERFORMANCE.md names as a profiling target — the engine's delta loop
+// (BenchmarkEngineFixpoint), the distributed query path
+// (BenchmarkQueryBFS), the simulator's message dispatch
+// (BenchmarkSimnetDispatch), the cost-based planner
+// (BenchmarkPlannerAdversarial) and the deletion path
+// (BenchmarkDRedChurn). They are tools for profiling one path, not a
+// record: performance claims come from `go run ./bench`, and the paper's
+// figures are regenerated by `go run ./cmd/exspan-bench` and pinned by
+// internal/experiments' golden test.
 package repro
 
 import (
 	"math/rand"
-	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/apps"
-	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/ndlog"
-	"repro/internal/provquery"
 	"repro/internal/simnet"
 	"repro/internal/topology"
 	"repro/internal/types"
 )
-
-func benchParams() experiments.Params { return experiments.Params{Scale: 0.2, Seed: 42} }
-
-func mustFloat(b *testing.B, s string) float64 {
-	b.Helper()
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		b.Fatalf("parse %q: %v", s, err)
-	}
-	return v
-}
-
-// --- Tables 1-2 -----------------------------------------------------------
-
-func BenchmarkTable1Table2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t1, t2, err := experiments.Tables12(benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t1.Rows) == 0 || len(t2.Rows) == 0 {
-			b.Fatal("empty tables")
-		}
-	}
-}
-
-// --- Figures 6-15 (simulation) ---------------------------------------------
-
-func benchFigure(b *testing.B, fn func(experiments.Params) (*experiments.Result, error),
-	metric func(*experiments.Result) (float64, string)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := fn(benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if metric != nil {
-			v, unit := metric(res)
-			b.ReportMetric(v, unit)
-		}
-	}
-}
-
-func BenchmarkFig06MinCostCommCost(b *testing.B) {
-	benchFigure(b, experiments.Fig06, func(r *experiments.Result) (float64, string) {
-		last := r.Rows[len(r.Rows)-1]
-		return mustFloat(b, last[2]), "refMB/node"
-	})
-}
-
-func BenchmarkFig07PathVectorCommCost(b *testing.B) {
-	benchFigure(b, experiments.Fig07, func(r *experiments.Result) (float64, string) {
-		last := r.Rows[len(r.Rows)-1]
-		return mustFloat(b, last[2]), "refMB/node"
-	})
-}
-
-func BenchmarkFig08PacketForward(b *testing.B) {
-	benchFigure(b, experiments.Fig08, nil)
-}
-
-func BenchmarkFig09MinCostChurn(b *testing.B) {
-	benchFigure(b, experiments.Fig09, nil)
-}
-
-func BenchmarkFig10PathVectorChurn(b *testing.B) {
-	benchFigure(b, experiments.Fig10, nil)
-}
-
-func BenchmarkFig11QueryCaching(b *testing.B) {
-	benchFigure(b, experiments.Fig11, nil)
-}
-
-func BenchmarkFig12QueryLatencyCDF(b *testing.B) {
-	benchFigure(b, experiments.Fig12, nil)
-}
-
-func BenchmarkFig13TraversalOrders(b *testing.B) {
-	benchFigure(b, experiments.Fig13, func(r *experiments.Result) (float64, string) {
-		return mustFloat(b, r.Rows[2][2]), "thresholdKB/node"
-	})
-}
-
-func BenchmarkFig14TraversalLatencyCDF(b *testing.B) {
-	benchFigure(b, experiments.Fig14, nil)
-}
-
-func BenchmarkFig15PolynomialVsBDD(b *testing.B) {
-	benchFigure(b, experiments.Fig15, func(r *experiments.Result) (float64, string) {
-		return mustFloat(b, r.Rows[1][2]), "bddKB/node"
-	})
-}
-
-// --- Figures 16-17 (UDP deployment) ----------------------------------------
-
-func BenchmarkFig16TestbedBandwidth(b *testing.B) {
-	benchFigure(b, experiments.Fig16, nil)
-}
-
-func BenchmarkFig17TestbedFixpoint(b *testing.B) {
-	benchFigure(b, experiments.Fig17, nil)
-}
-
-// --- Ablations ---------------------------------------------------------------
-
-// BenchmarkAblationModes compares all four provenance distribution modes,
-// including the centralized baseline the paper argues against.
-func BenchmarkAblationModes(b *testing.B) {
-	benchFigure(b, experiments.AblationModes, func(r *experiments.Result) (float64, string) {
-		return mustFloat(b, r.Rows[3][2]), "centralShare"
-	})
-}
-
-// BenchmarkAblationInvalidation measures the bandwidth price of §6.1 cache
-// invalidation under churn.
-func BenchmarkAblationInvalidation(b *testing.B) {
-	benchFigure(b, experiments.AblationInvalidation, func(r *experiments.Result) (float64, string) {
-		return mustFloat(b, r.Rows[1][1]), "churnKB/node"
-	})
-}
-
-// --- Micro-benchmarks -------------------------------------------------------
 
 // BenchmarkEngineFixpoint measures raw PSN evaluation: one MINCOST run to
 // fixpoint on a 100-node transit-stub network (reference provenance).
@@ -168,102 +45,126 @@ func BenchmarkEngineFixpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFixpointScheduled measures the same MINCOST fixpoint driven
-// to quiescence by the round scheduler instead of the discrete-event
-// simulator: nodes evaluate each round's messages as one batch, on a worker
-// pool across nodes. Results are bit-identical to the simulated fixpoint (see
-// core.TestSchedulerMatchesSimnet); wall-clock gains come from batched rounds
-// (no per-message event dispatch) and, on multi-core hosts, from running
-// nodes in parallel.
-func BenchmarkEngineFixpointScheduled(b *testing.B) {
+// BenchmarkQueryBFS measures end-to-end distributed polynomial queries on a
+// converged 100-node network.
+func BenchmarkQueryBFS(b *testing.B) {
 	topo := topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(1)))
-	prog, err := engine.Compile(apps.MinCost())
+	c, err := core.NewCluster(core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
 	if err != nil {
 		b.Fatal(err)
 	}
+	if _, err := c.RunToFixpoint(); err != nil {
+		b.Fatal(err)
+	}
+	targets := c.TuplesOf("bestPathCost")
+	rng := rand.New(rand.NewSource(2))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := engine.NewScheduler(prog, engine.ProvReference, topo.N, 0, 0)
-		for _, l := range topo.Links {
-			s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
-			s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))
+		ref := targets[rng.Intn(len(targets))]
+		done := false
+		c.Query(types.NodeID(rng.Intn(topo.N)), ref.VID, ref.Loc, func([]byte) { done = true })
+		c.Sim.Run()
+		if !done {
+			b.Fatal("query incomplete")
 		}
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-		var deltas int64
-		for n := 0; n < s.NumNodes(); n++ {
-			deltas += s.Node(n).DeltasProcessed()
-		}
-		b.ReportMetric(float64(deltas), "deltas/op")
 	}
 }
 
-// BenchmarkChordLookup measures the CHORD workload end to end: overlay
-// election (successor/predecessor/finger fixpoint) on a 64-node ring plus
-// a 32-lookup batch forwarded recursively to resolution. The simnet
-// sub-benchmark pays per-message event dispatch; the scheduler one drives
-// the same workload through the round scheduler, whose batched rounds
-// collapse intermediate election updates (hence lower deltas/op at the same
-// fixpoint — each count is deterministic for its driver).
-func BenchmarkChordLookup(b *testing.B) {
-	topo := topology.Ring(64, rand.New(rand.NewSource(8)))
-	base := apps.ChordBase(topo)
-	lookups := apps.ChordLookups(topo, 32, 11)
-	b.Run("simnet", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c, err := core.NewCluster(core.Config{Topo: topo, Prog: apps.Chord(),
-				Mode: engine.ProvReference, NoLinkTuples: true, Base: base})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := c.RunToFixpoint(); err != nil {
-				b.Fatal(err)
-			}
-			for _, lk := range lookups {
-				c.InsertBase(lk)
-			}
-			if _, err := c.RunToFixpoint(); err != nil {
-				b.Fatal(err)
-			}
-			var deltas int64
-			for _, h := range c.Hosts {
-				deltas += h.Engine.DeltasProcessed()
-			}
-			b.ReportMetric(float64(deltas), "deltas/op")
+// BenchmarkSimnetDispatch measures the simulator substrate in isolation:
+// scheduling and delivering messages across a multi-hop topology, with no
+// engine work attached. This is the per-message overhead every simulated
+// run pays millions of times; it must stay allocation-free.
+func BenchmarkSimnetDispatch(b *testing.B) {
+	sim := simnet.NewSim()
+	nw := simnet.NewNetwork(sim, 32)
+	for i := 1; i < 32; i++ {
+		nw.AddLink(types.NodeID(i-1), types.NodeID(i), simnet.Link{Latency: simnet.Millisecond, Bps: 1e9})
+	}
+	delivered := 0
+	for i := 0; i < 32; i++ {
+		nw.Register(types.NodeID(i), simnet.HandlerFunc(func(types.NodeID, any, int) { delivered++ }))
+	}
+	payload := &engine.Message{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := types.NodeID(i % 32)
+		to := types.NodeID((i * 11) % 32)
+		nw.Send(from, to, payload, 128)
+		if i%64 == 63 {
+			sim.Run()
 		}
-	})
-	prog, err := engine.Compile(apps.Chord())
+	}
+	sim.Run()
+	if delivered == 0 {
+		b.Fatal("no messages delivered")
+	}
+}
+
+// BenchmarkPlannerAdversarial measures the cost-based planner against an
+// adversarial syntax order: a 3-atom rule whose body lists a 2000-row
+// relation before a 2-row one sharing the same join keys. The syntax-order
+// plan enumerates ~2000 candidates per event before filtering; the planner,
+// fed only live cardinality statistics (no hooks), probes the selective
+// relation first. The fixpoint is identical either way — only work order
+// changes — so ops/sec is a pure measure of join-order quality.
+func BenchmarkPlannerAdversarial(b *testing.B) {
+	prog, err := engine.Compile(ndlog.MustParse(`r1 out(@X,P) :- eGo(@X), big(@X,P), sel(@X,P).`))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("scheduler", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := engine.NewScheduler(prog, engine.ProvReference, topo.N, 0, 0)
-			for n := 0; n < topo.N; n++ {
-				for _, tup := range base[types.NodeID(n)] {
-					s.InsertBase(types.NodeID(n), tup)
+	for _, planned := range []bool{false, true} {
+		name := "syntax-order"
+		if planned {
+			name = "planned"
+		}
+		b.Run(name, func(b *testing.B) {
+			n := engine.NewNode(0, prog, engine.ProvNone, dropTransport{}, nil)
+			if !planned {
+				n.NoReplan = true
+			}
+			for i := 0; i < 2000; i++ {
+				n.InsertBase(types.NewTuple("big", types.Node(0), types.Int(int64(i))))
+			}
+			for i := 0; i < 2; i++ {
+				n.InsertBase(types.NewTuple("sel", types.Node(0), types.Int(int64(i))))
+			}
+			engine.Settle(n)
+			if planned {
+				// The insert phase crosses the drift gate, so Settle's idle
+				// hook may already have re-planned; force once to be sure and
+				// verify the chosen order probes the selective relation first.
+				n.ForceReplan()
+				var sb strings.Builder
+				n.ExplainPlans(&sb)
+				out := sb.String()
+				if si, bi := strings.Index(out, "join sel"), strings.Index(out, "join big"); si < 0 || (bi >= 0 && bi < si) {
+					b.Fatal("planner kept the syntax order")
 				}
 			}
-			if err := s.Run(); err != nil {
-				b.Fatal(err)
+			ev := types.NewTuple("eGo", types.Node(0))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.InjectEvent(ev)
 			}
-			for _, lk := range lookups {
-				s.InsertBase(lk.Loc(), lk)
+			b.StopTimer()
+			if n.Err != nil {
+				b.Fatal(n.Err)
 			}
-			if err := s.Run(); err != nil {
-				b.Fatal(err)
+			if n.TupleCount("out") != 2 {
+				b.Fatalf("out count = %d, want 2", n.TupleCount("out"))
 			}
-			var deltas int64
-			for n := 0; n < s.NumNodes(); n++ {
-				deltas += s.Node(n).DeltasProcessed()
-			}
-			b.ReportMetric(float64(deltas), "deltas/op")
-		}
-	})
+		})
+	}
 }
+
+// dropTransport discards sends; the adversarial planner benchmark derives
+// only node-local heads.
+type dropTransport struct{}
+
+func (dropTransport) Send(from, to types.NodeID, m *engine.Message) {}
 
 // churnOp pairs a base tuple with its home node for delete/re-insert churn.
 type churnOp struct {
@@ -379,342 +280,4 @@ func BenchmarkDRedChurn(b *testing.B) {
 			}
 		}, churn)
 	})
-}
-
-// BenchmarkPolicyPathVector measures the POLICY workload: policy-gated
-// path-vector fixpoint on a 16-node ring, with MIN route selection and the
-// AGGLIST Adj-RIB maintained per destination. Heavier per delta than
-// MINCOST — pp2 is a 3-atom join and every route churn rewrites an
-// aggregate group — which is exactly what it is here to measure.
-func BenchmarkPolicyPathVector(b *testing.B) {
-	topo := topology.Ring(16, rand.New(rand.NewSource(8)))
-	base := apps.PolicyTuples(topo)
-	b.Run("simnet", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c, err := core.NewCluster(core.Config{Topo: topo, Prog: apps.Policy(),
-				Mode: engine.ProvReference, Base: base})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := c.RunToFixpoint(); err != nil {
-				b.Fatal(err)
-			}
-			var deltas int64
-			for _, h := range c.Hosts {
-				deltas += h.Engine.DeltasProcessed()
-			}
-			b.ReportMetric(float64(deltas), "deltas/op")
-		}
-	})
-	prog, err := engine.Compile(apps.Policy())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("scheduler", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := engine.NewScheduler(prog, engine.ProvReference, topo.N, 0, 0)
-			for _, l := range topo.Links {
-				s.InsertBase(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
-				s.InsertBase(l.V, apps.LinkTuple(l.V, l.U, l.Cost))
-			}
-			for n := 0; n < topo.N; n++ {
-				for _, tup := range base[types.NodeID(n)] {
-					s.InsertBase(types.NodeID(n), tup)
-				}
-			}
-			if err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-			var deltas int64
-			for n := 0; n < s.NumNodes(); n++ {
-				deltas += s.Node(n).DeltasProcessed()
-			}
-			b.ReportMetric(float64(deltas), "deltas/op")
-		}
-	})
-}
-
-// BenchmarkPlannerAdversarial measures the cost-based planner against an
-// adversarial syntax order: a 3-atom rule whose body lists a 2000-row
-// relation before a 2-row one sharing the same join keys. The syntax-order
-// plan enumerates ~2000 candidates per event before filtering; the planner,
-// fed only live cardinality statistics (no hooks), probes the selective
-// relation first. The fixpoint is identical either way — only work order
-// changes — so ops/sec is a pure measure of join-order quality.
-func BenchmarkPlannerAdversarial(b *testing.B) {
-	prog, err := engine.Compile(ndlog.MustParse(`r1 out(@X,P) :- eGo(@X), big(@X,P), sel(@X,P).`))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, planned := range []bool{false, true} {
-		name := "syntax-order"
-		if planned {
-			name = "planned"
-		}
-		b.Run(name, func(b *testing.B) {
-			n := engine.NewNode(0, prog, engine.ProvNone, dropTransport{}, nil)
-			if !planned {
-				n.NoReplan = true
-			}
-			for i := 0; i < 2000; i++ {
-				n.InsertBase(types.NewTuple("big", types.Node(0), types.Int(int64(i))))
-			}
-			for i := 0; i < 2; i++ {
-				n.InsertBase(types.NewTuple("sel", types.Node(0), types.Int(int64(i))))
-			}
-			engine.Settle(n)
-			if planned {
-				// The insert phase crosses the drift gate, so Settle's idle
-				// hook may already have re-planned; force once to be sure and
-				// verify the chosen order probes the selective relation first.
-				n.ForceReplan()
-				var sb strings.Builder
-				n.ExplainPlans(&sb)
-				out := sb.String()
-				if si, bi := strings.Index(out, "join sel"), strings.Index(out, "join big"); si < 0 || (bi >= 0 && bi < si) {
-					b.Fatal("planner kept the syntax order")
-				}
-			}
-			ev := types.NewTuple("eGo", types.Node(0))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.InjectEvent(ev)
-			}
-			b.StopTimer()
-			if n.Err != nil {
-				b.Fatal(n.Err)
-			}
-			if n.TupleCount("out") != 2 {
-				b.Fatalf("out count = %d, want 2", n.TupleCount("out"))
-			}
-		})
-	}
-}
-
-// dropTransport discards sends; the adversarial planner benchmark derives
-// only node-local heads.
-type dropTransport struct{}
-
-func (dropTransport) Send(from, to types.NodeID, m *engine.Message) {}
-
-// BenchmarkQueryBFS measures end-to-end distributed polynomial queries on a
-// converged 100-node network.
-func BenchmarkQueryBFS(b *testing.B) {
-	topo := topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(1)))
-	c, err := core.NewCluster(core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		b.Fatal(err)
-	}
-	targets := c.TuplesOf("bestPathCost")
-	rng := rand.New(rand.NewSource(2))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref := targets[rng.Intn(len(targets))]
-		done := false
-		c.Query(types.NodeID(rng.Intn(topo.N)), ref.VID, ref.Loc, func([]byte) { done = true })
-		c.Sim.Run()
-		if !done {
-			b.Fatal("query incomplete")
-		}
-	}
-}
-
-// BenchmarkProvenanceRewrite measures the Algorithm 1 source-to-source
-// transformation.
-func BenchmarkProvenanceRewrite(b *testing.B) {
-	prog := apps.PacketForward()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ndlog.ProvenanceRewrite(prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBDDOps measures BDD construction over provenance-shaped
-// expressions: a union of path-like joins over overlapping consecutive
-// variable windows, the structure route derivations produce (arbitrary
-// variable interleavings would blow up any ordered BDD — network
-// provenance stays compact because derivations share locality).
-func BenchmarkBDDOps(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := bdd.New()
-		acc := bdd.False
-		for d := 0; d < 50; d++ {
-			term := bdd.True
-			for v := 0; v < 6; v++ {
-				term = m.And(term, m.Var(d+v))
-			}
-			acc = m.Or(acc, term)
-		}
-		if acc == bdd.False {
-			b.Fatal("unexpected false")
-		}
-	}
-}
-
-// BenchmarkPolynomialEncode measures polynomial wire encoding/decoding.
-func BenchmarkPolynomialEncode(b *testing.B) {
-	var kids []*algebra.Expr
-	for i := 0; i < 32; i++ {
-		var vid types.ID
-		vid[0] = byte(i)
-		kids = append(kids, algebra.NewBase(algebra.Base{VID: vid, Label: "link(@a,b,1)", Node: 1}))
-	}
-	expr := algebra.Sum("@a", algebra.Prod("r1@a", kids[:16]...), algebra.Prod("r2@b", kids[16:]...))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		enc := expr.EncodePayload()
-		if _, _, err := algebra.Decode(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMessageCodec measures tuple-message serialization (the per-hop
-// cost on the UDP path).
-func BenchmarkMessageCodec(b *testing.B) {
-	m := &engine.Message{
-		Tuple:  types.NewTuple("pathCost", types.Node(3), types.Node(9), types.Int(12)),
-		Delta:  engine.Insert,
-		HasRef: true,
-		RID:    types.HashString("rid"),
-		RLoc:   3,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		enc := m.Encode(nil)
-		if _, err := engine.DecodeMessage(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimnetDispatch measures the simulator substrate in isolation:
-// scheduling and delivering messages across a multi-hop topology, with no
-// engine work attached. This is the per-message overhead every figure
-// benchmark pays millions of times; it must stay allocation-free.
-func BenchmarkSimnetDispatch(b *testing.B) {
-	sim := simnet.NewSim()
-	nw := simnet.NewNetwork(sim, 32)
-	for i := 1; i < 32; i++ {
-		nw.AddLink(types.NodeID(i-1), types.NodeID(i), simnet.Link{Latency: simnet.Millisecond, Bps: 1e9})
-	}
-	delivered := 0
-	for i := 0; i < 32; i++ {
-		nw.Register(types.NodeID(i), simnet.HandlerFunc(func(types.NodeID, any, int) { delivered++ }))
-	}
-	payload := &engine.Message{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		from := types.NodeID(i % 32)
-		to := types.NodeID((i * 11) % 32)
-		nw.Send(from, to, payload, 128)
-		if i%64 == 63 {
-			sim.Run()
-		}
-	}
-	sim.Run()
-	if delivered == 0 {
-		b.Fatal("no messages delivered")
-	}
-}
-
-// BenchmarkValueIntern measures the steady-state cost of the compact value
-// layer: re-constructing already-interned values (the common case for
-// predicates, path lists and IDs under churn) and building the fixed-width
-// handle keys relations and indexes hash on. Both must stay allocation-free
-// — the intern_test.go / hotpath_test.go fences enforce that; this tracks
-// the cycle cost.
-func BenchmarkValueIntern(b *testing.B) {
-	id := types.HashString("bench-intern")
-	elems := []types.Value{types.Node(1), types.Node(2), types.Node(3)}
-	warm := types.NewTuple("p", types.Node(1), types.Str("bench-intern"),
-		types.IDVal(id), types.List(elems...))
-	var key []byte
-	key = warm.AppendArgsKey(key[:0])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := types.Str("bench-intern")
-		w := types.IDVal(id)
-		l := types.List(elems...)
-		key = key[:0]
-		key = v.AppendKey(key)
-		key = w.AppendKey(key)
-		key = l.AppendKey(key)
-		if len(key) == 0 {
-			b.Fatal("empty key")
-		}
-	}
-}
-
-// BenchmarkCacheInvalidation measures provenance-change invalidation under
-// churn with warm caches.
-func BenchmarkCacheInvalidation(b *testing.B) {
-	topo := topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(1)))
-	c, err := core.NewCluster(core.Config{
-		Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference, CacheOn: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		b.Fatal(err)
-	}
-	// Warm caches with queries.
-	rng := rand.New(rand.NewSource(3))
-	targets := c.TuplesOf("bestPathCost")
-	for i := 0; i < 200; i++ {
-		ref := targets[rng.Intn(len(targets))]
-		c.Query(types.NodeID(rng.Intn(topo.N)), ref.VID, ref.Loc, func([]byte) {})
-	}
-	c.Sim.Run()
-	link := topo.Links[topo.StubStubLinks[0]]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.RemoveLink(link)
-		c.Sim.Run()
-		c.AddLink(link)
-		c.Sim.Run()
-	}
-	if err := c.Err(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkProvQuery is provquery.Processor in isolation: repeated local
-// polynomial queries against a converged Figure 3 store.
-func BenchmarkProvQuery(b *testing.B) {
-	c, err := core.NewCluster(core.Config{Topo: topology.Figure3(), Prog: apps.MinCost(), Mode: engine.ProvReference})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		b.Fatal(err)
-	}
-	ref, ok := c.FindTuple(apps.BestPathCostTuple(0, 2, 5))
-	if !ok {
-		b.Fatal("missing tuple")
-	}
-	var out provquery.UDF = provquery.Polynomial{}
-	_ = out
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		done := false
-		c.Query(ref.Loc, ref.VID, ref.Loc, func([]byte) { done = true })
-		c.Sim.Run()
-		if !done {
-			b.Fatal("query incomplete")
-		}
-	}
 }

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/experiments"
 )
@@ -28,48 +29,25 @@ func main() {
 	flag.Parse()
 
 	p := experiments.Params{Scale: *scale, Seed: *seed}
-	// runEach prints every registered experiment keep selects and reports
-	// whether there was one.
-	runEach := func(keep func(experiments.Experiment) bool) bool {
-		found := false
-		for _, e := range experiments.Experiments {
-			if !keep(e) {
-				continue
-			}
-			found = true
-			res, err := e.Gen(p)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(res.Table())
-		}
-		return found
-	}
-
-	if *ablations {
-		runEach(func(e experiments.Experiment) bool { return e.Fig == 0 })
-		return
-	}
-
-	if *tables {
-		t1, t2, err := experiments.Tables12(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t1.Table())
-		fmt.Println(t2.Table())
-		return
-	}
-
-	if *fig != 0 {
-		if !runEach(func(e experiments.Experiment) bool { return e.Fig == *fig }) {
+	keep := func(e experiments.Experiment) bool { return !e.Ablation && !(e.Testbed && *noTestbed) }
+	only := "" // with -fig N, the one Result to print
+	switch {
+	case *ablations:
+		keep = func(e experiments.Experiment) bool { return e.Ablation }
+	case *tables:
+		keep = func(e experiments.Experiment) bool { return e.Name == "tables" }
+	case *fig != 0:
+		// A figure runs the whole entry that holds it; only its own Result prints.
+		only = fmt.Sprintf("fig%02d", *fig)
+		keep = func(e experiments.Experiment) bool { return slices.Contains(e.IDs, only) }
+		if !slices.ContainsFunc(experiments.Experiments, keep) {
 			fatal(fmt.Errorf("unknown figure %d", *fig))
 		}
-		return
 	}
-
-	if err := experiments.Run(p, !*noTestbed, func(r *experiments.Result) {
-		fmt.Println(r.Table())
+	if err := experiments.Run(p, keep, func(r *experiments.Result) {
+		if only == "" || r.ID == only {
+			fmt.Println(r.Table())
+		}
 	}); err != nil {
 		fatal(err)
 	}

@@ -398,11 +398,7 @@ func loadTopology(name string, n int, seed int64) (*topology.Topology, error) {
 	case "fig3":
 		return topology.Figure3(), nil
 	case "transitstub":
-		domains := n / 100
-		if domains < 1 {
-			domains = 1
-		}
-		return topology.TransitStub(topology.DefaultTransitStub(domains), rng), nil
+		return topology.TransitStubN(n, rng), nil
 	case "ring":
 		return topology.Ring(n, rng), nil
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
+	"repro/internal/provenance"
 	"repro/internal/provquery"
 	"repro/internal/topology"
 	"repro/internal/types"
@@ -22,6 +23,16 @@ import (
 func CentralGraphOf(c *Cluster) *provquery.CentralGraph {
 	server := c.Hosts[c.Cfg.Central].Engine
 	return provquery.NewCentralGraph(server.Tuples("prov"), server.Tuples("ruleExec"))
+}
+
+// storeGraph builds the provenance graph of a distributed run from every
+// host's store: the oracle the distributed query answers must fold to.
+func storeGraph(c *Cluster) *provquery.CentralGraph {
+	stores := make([]*provenance.Store, len(c.Hosts))
+	for i, h := range c.Hosts {
+		stores[i] = h.Engine.Store
+	}
+	return provquery.NewStoreGraph(stores...)
 }
 
 // canon renders a polynomial with base labels replaced by their VIDs and the
@@ -120,7 +131,9 @@ func TestCentralizedDeletionPropagates(t *testing.T) {
 // TestCentralGraphCyclicProvenance: p and q derive each other, so the
 // provenance graph has a cycle. The central walk cuts a vertex already on
 // its path, so each tuple counts its one cycle-free proof instead of the
-// walk recursing until the stack overflows.
+// walk recursing until the stack overflows. The graph built from a
+// reference-mode run's stores takes the same cut and agrees with the
+// server's.
 func TestCentralGraphCyclicProvenance(t *testing.T) {
 	prog, err := ndlog.Parse("r1 q(@X,A) :- p(@X,A).\nr2 p(@X,A) :- q(@X,A).\n")
 	if err != nil {
@@ -128,20 +141,28 @@ func TestCentralGraphCyclicProvenance(t *testing.T) {
 	}
 	p := types.NewTuple("p", types.Node(0), types.Int(1))
 	q := types.NewTuple("q", types.Node(0), types.Int(1))
-	c, err := NewCluster(Config{
-		Topo: topology.Figure3(), Prog: prog, Mode: engine.ProvCentralized, NoLinkTuples: true,
-		Base: map[types.NodeID][]types.Tuple{0: {p}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	run := func(mode engine.ProvMode) *Cluster {
+		c, err := NewCluster(Config{
+			Topo: topology.Figure3(), Prog: prog, Mode: mode, NoLinkTuples: true,
+			Base: map[types.NodeID][]types.Tuple{0: {p}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunToFixpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
-	graph := CentralGraphOf(c)
+	central := CentralGraphOf(run(engine.ProvCentralized))
+	stores := storeGraph(run(engine.ProvReference))
 	for _, tu := range []types.Tuple{p, q} {
-		if got := algebra.Eval(graph.Polynomial(tu.VID()), algebra.Counting()); got != 1 {
-			t.Errorf("%s: central count %d, want 1", tu, got)
+		want := algebra.Eval(central.Polynomial(tu.VID()), algebra.Counting())
+		if want != 1 {
+			t.Errorf("%s: central count %d, want 1", tu, want)
+		}
+		if got := algebra.Eval(stores.Polynomial(tu.VID()), algebra.Counting()); got != want {
+			t.Errorf("%s: store graph count %d, central %d", tu, got, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/engine"
 	"repro/internal/provquery"
@@ -89,40 +90,18 @@ func TestQueriesDuringChurn(t *testing.T) {
 		}
 
 		// After churn settles, answers must be exact again: compare a
-		// sample against the direct graph-walking oracle.
+		// sample against the derivation count folded over the stores.
+		graph := storeGraph(c)
 		targets := c.TuplesOf("bestPathCost")
 		for q := 0; q < 20 && q < len(targets); q++ {
 			ref := targets[wRng.Intn(len(targets))]
 			var got int64 = -1
 			c.Query(ref.Loc, ref.VID, ref.Loc, func(p []byte) { got = provquery.DecodeCount(p) })
 			c.Sim.Run()
-			want := countDerivationsOracle(c, ref.VID, ref.Loc)
+			want := algebra.Eval(graph.Polynomial(ref.VID), algebra.Counting())
 			if got != want {
 				t.Errorf("cache=%v %s: post-churn count %d, oracle %d", cache, ref.Tuple, got, want)
 			}
 		}
 	}
-}
-
-// countDerivationsOracle walks the distributed provenance graph through
-// direct store access.
-func countDerivationsOracle(c *Cluster, vid types.ID, loc types.NodeID) int64 {
-	st := c.Hosts[loc].Engine.Store
-	var total int64
-	for _, d := range st.Derivations(vid) {
-		if d.RID.IsZero() {
-			total++
-			continue
-		}
-		re, ok := c.Hosts[d.RLoc].Engine.Store.RuleExecOf(d.RID)
-		if !ok {
-			continue
-		}
-		prod := int64(1)
-		for _, child := range re.VIDList {
-			prod *= countDerivationsOracle(c, child, d.RLoc)
-		}
-		total += prod
-	}
-	return total
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/provenance"
 	"repro/internal/provquery"
 	"repro/internal/types"
 )
@@ -15,7 +17,7 @@ import (
 // including the centralized baseline the paper argues against — on MINCOST:
 // per-node communication cost to fixpoint, server load concentration, and
 // fixpoint time.
-func AblationModes(p Params) (*Result, error) {
+func AblationModes(p Params) ([]*Result, error) {
 	n := p.scaleInt(100)
 	topo := transitStub(n, p.Seed)
 	res := &Result{
@@ -48,14 +50,14 @@ func AblationModes(p Params) (*Result, error) {
 			modeLabel(mode), f3(c.Net.AvgSentBytes() / 1e6), f3(maxShare), f2(fix.Seconds()),
 		})
 	}
-	return res, nil
+	return []*Result{res}, nil
 }
 
 // AblationInvalidation measures the §6.1 trade-off the caching design makes
 // under churn: with warm caches, every provenance change propagates
 // invalidation flags. The experiment reports the extra bandwidth those
 // flags cost against the query savings they protect.
-func AblationInvalidation(p Params) (*Result, error) {
+func AblationInvalidation(p Params) ([]*Result, error) {
 	n := p.scaleInt(100)
 	topo := transitStub(n, p.Seed)
 	res := &Result{
@@ -97,23 +99,27 @@ func AblationInvalidation(p Params) (*Result, error) {
 			return nil, err
 		}
 
-		// Verify coherence: every cached answer must match a fresh
-		// traversal on a cache-off twin.
-		stale, unanswered := 0, 0
+		// Verify coherence: every answer must equal the derivation count
+		// folded over the stores' provenance graph, an oracle that bypasses
+		// the query protocol and its caches.
+		stores := make([]*provenance.Store, len(c.Hosts))
+		for i, h := range c.Hosts {
+			stores[i] = h.Engine.Store
+		}
+		graph := provquery.NewStoreGraph(stores...)
 		verifyRng := rand.New(rand.NewSource(p.Seed + 79))
 		targets = c.TuplesOf("bestPathCost")
-		fresh, err := freshCounts(c, targets, verifyRng, 50)
-		if err != nil {
-			return nil, err
-		}
-		for i, ref := range fresh.refs {
+		checked, stale, unanswered := 0, 0, 0
+		for ; checked < 50 && len(targets) > 0; checked++ {
+			ref := targets[verifyRng.Intn(len(targets))]
+			want := algebra.Eval(graph.Polynomial(ref.VID), algebra.Counting())
 			var got int64 = -1
 			c.Query(ref.Loc, ref.VID, ref.Loc, func(pl []byte) { got = provquery.DecodeCount(pl) })
 			c.Sim.Run()
 			switch {
 			case got < 0:
 				unanswered++ // partition drop: best-effort UDP
-			case got != fresh.counts[i]:
+			case got != want:
 				stale++
 			}
 		}
@@ -124,59 +130,9 @@ func AblationInvalidation(p Params) (*Result, error) {
 		res.Rows = append(res.Rows, []string{
 			label,
 			f2(c.Net.AvgSentBytes() / 1e3),
-			fmt.Sprintf("%d/%d", stale, len(fresh.refs)),
+			fmt.Sprintf("%d/%d", stale, checked),
 			fmt.Sprintf("%d", unanswered),
 		})
 	}
-	return res, nil
-}
-
-type freshResult struct {
-	refs   []core.TupleRef
-	counts []int64
-}
-
-// freshCounts samples query targets and computes ground-truth derivation
-// counts by direct graph walking (a test oracle independent of caches).
-func freshCounts(c *core.Cluster, targets []core.TupleRef, rng *rand.Rand, k int) (*freshResult, error) {
-	out := &freshResult{}
-	for i := 0; i < k && len(targets) > 0; i++ {
-		ref := targets[rng.Intn(len(targets))]
-		out.refs = append(out.refs, ref)
-	}
-	// Ground truth: traverse the same cluster with caching disabled on a
-	// cloned processor view — equivalently, count via an uncached query
-	// strategy. Here we recompute by walking the provenance graph
-	// directly, which is exact and local-state-only.
-	for _, ref := range out.refs {
-		out.counts = append(out.counts, countDerivations(c, ref.VID, ref.Loc, map[types.ID]bool{}))
-	}
-	return out, nil
-}
-
-// countDerivations walks the distributed provenance graph through direct
-// store access (test oracle, not the network protocol).
-func countDerivations(c *core.Cluster, vid types.ID, loc types.NodeID, visiting map[types.ID]bool) int64 {
-	st := c.Hosts[loc].Engine.Store
-	derivs := st.Derivations(vid)
-	if len(derivs) == 0 {
-		return 0
-	}
-	var total int64
-	for _, d := range derivs {
-		if d.RID.IsZero() {
-			total++
-			continue
-		}
-		re, ok := c.Hosts[d.RLoc].Engine.Store.RuleExecOf(d.RID)
-		if !ok {
-			continue
-		}
-		prod := int64(1)
-		for _, child := range re.VIDList {
-			prod *= countDerivations(c, child, d.RLoc, visiting)
-		}
-		total += prod
-	}
-	return total
+	return []*Result{res}, nil
 }

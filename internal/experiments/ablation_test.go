@@ -6,11 +6,7 @@ import (
 )
 
 func TestAblationModes(t *testing.T) {
-	res, err := AblationModes(Params{Scale: 0.3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table())
+	res := figure(t, "ablation-modes")
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 modes", len(res.Rows))
 	}
@@ -35,11 +31,7 @@ func TestAblationModes(t *testing.T) {
 }
 
 func TestAblationInvalidation(t *testing.T) {
-	res, err := AblationInvalidation(Params{Scale: 0.3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table())
+	res := figure(t, "ablation-invalidation")
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

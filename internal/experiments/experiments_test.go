@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-func small() Params { return Params{Scale: 0.2, Seed: 7} }
+// The paper's shapes — who wins, by what factor — checked on the Results
+// TestFiguresGolden pins: figure shares one run of every experiment.
 
 func parseF(t *testing.T, s string) float64 {
 	t.Helper()
@@ -17,11 +18,7 @@ func parseF(t *testing.T, s string) float64 {
 }
 
 func TestFig06Shape(t *testing.T) {
-	res, err := Fig06(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table())
+	res := figure(t, "fig06")
 	for _, row := range res.Rows {
 		value, ref, none := parseF(t, row[1]), parseF(t, row[2]), parseF(t, row[3])
 		if !(value > ref && ref > none) {
@@ -34,11 +31,7 @@ func TestFig06Shape(t *testing.T) {
 }
 
 func TestFig07Shape(t *testing.T) {
-	res, err := Fig07(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table())
+	res := figure(t, "fig07")
 	for _, row := range res.Rows {
 		value, ref, none := parseF(t, row[1]), parseF(t, row[2]), parseF(t, row[3])
 		if !(value > ref && ref > none) {
@@ -48,11 +41,7 @@ func TestFig07Shape(t *testing.T) {
 }
 
 func TestFig08Shape(t *testing.T) {
-	res, err := Fig08(Params{Scale: 0.15, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table())
+	res := figure(t, "fig08")
 	// Data-plane overhead of provenance must be small relative to the
 	// 1 KB payloads: value and reference within 30% of no-provenance in
 	// aggregate.
@@ -74,11 +63,7 @@ func TestFig08Shape(t *testing.T) {
 }
 
 func TestFig09ChurnShape(t *testing.T) {
-	res, err := Fig09(Params{Scale: 0.4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table())
+	res := figure(t, "fig09")
 	var sums [3]float64
 	for _, row := range res.Rows {
 		for i := 0; i < 3; i++ {
@@ -92,11 +77,7 @@ func TestFig09ChurnShape(t *testing.T) {
 }
 
 func TestFig11CachingSavesBandwidth(t *testing.T) {
-	res, err := Fig11(Params{Scale: 0.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table())
+	res := figure(t, "fig11")
 	var without, with float64
 	for _, row := range res.Rows {
 		without += parseF(t, row[1])
@@ -108,11 +89,7 @@ func TestFig11CachingSavesBandwidth(t *testing.T) {
 }
 
 func TestFig12CachingCutsLatency(t *testing.T) {
-	res, err := Fig12(Params{Scale: 0.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table())
+	res := figure(t, "fig12")
 	// Caching must not hurt, and must help at the low quantiles where
 	// cache hits dominate.
 	betterAt := 0
@@ -132,11 +109,7 @@ func TestFig12CachingCutsLatency(t *testing.T) {
 }
 
 func TestFig14DFSLongTail(t *testing.T) {
-	res, err := Fig14(Params{Scale: 0.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table())
+	res := figure(t, "fig14")
 	last := res.Rows[len(res.Rows)-1] // the max (q=1.0)
 	bfsMax, dfsMax, thrMax := parseF(t, last[1]), parseF(t, last[2]), parseF(t, last[3])
 	if dfsMax <= bfsMax {
@@ -158,11 +131,7 @@ func TestFig14DFSLongTail(t *testing.T) {
 }
 
 func TestFig13ThresholdSavesBandwidth(t *testing.T) {
-	res, err := Fig13(Params{Scale: 0.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table())
+	res := figure(t, "fig13")
 	bfs := parseF(t, res.Rows[0][2])
 	dfs := parseF(t, res.Rows[1][2])
 	thr := parseF(t, res.Rows[2][2])
@@ -177,29 +146,10 @@ func TestFig13ThresholdSavesBandwidth(t *testing.T) {
 }
 
 func TestFig15BDDCondenses(t *testing.T) {
-	res, err := Fig15(Params{Scale: 0.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Table())
+	res := figure(t, "fig15")
 	poly := parseF(t, res.Rows[0][2])
 	bddKB := parseF(t, res.Rows[1][2])
 	if bddKB >= poly {
 		t.Errorf("BDD (%.2f KB) should be cheaper than polynomial (%.2f KB)", bddKB, poly)
-	}
-}
-
-func TestTables12(t *testing.T) {
-	t1, t2, err := Tables12(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + t1.Table())
-	t.Log("\n" + t2.Table())
-	if len(t1.Rows) < 8 {
-		t.Errorf("Table 1: %d rows, want >= 8", len(t1.Rows))
-	}
-	if len(t2.Rows) < 5 {
-		t.Errorf("Table 2: %d rows, want >= 5", len(t2.Rows))
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/apps"
-	"repro/internal/engine"
+	"repro/internal/core"
 	"repro/internal/ndlog"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -16,73 +16,44 @@ import (
 // Fig09 reproduces Figure 9: average per-node bandwidth (MBps) for MINCOST
 // under high churn — ten randomly selected stub-to-stub links added or
 // deleted (equal probability) every 0.5 seconds in a 200-node network.
-func Fig09(p Params) (*Result, error) {
+func Fig09(p Params) ([]*Result, error) {
 	return churnExperiment(p, "fig09",
 		"Average bandwidth (MBps) for MINCOST under churn", apps.MinCost())
 }
 
 // Fig10 reproduces Figure 10: the same churn workload for PATHVECTOR.
-func Fig10(p Params) (*Result, error) {
+func Fig10(p Params) ([]*Result, error) {
 	return churnExperiment(p, "fig10",
 		"Average bandwidth (MBps) for PATHVECTOR under churn", apps.PathVector())
 }
 
-func churnExperiment(p Params, id, title string, prog *ndlog.Program) (*Result, error) {
-	n := p.scaleInt(200)
+func churnExperiment(p Params, id, title string, prog *ndlog.Program) ([]*Result, error) {
 	duration := simnet.Time(float64(2500*simnet.Millisecond) * p.Scale)
 	if duration < simnet.Second {
 		duration = simnet.Second
 	}
 	churnPeriod := 500 * simnet.Millisecond
 	linksPerBatch := 10
-	bucket := int64(250 * simnet.Millisecond)
-
-	res := &Result{
+	topo := transitStub(p.scaleInt(200), p.Seed)
+	rows, err := modeSeries(topo, prog, int64(250*simnet.Millisecond), duration,
+		func(c *core.Cluster, start simnet.Time) {
+			// The same seed across modes: every mode must see the identical
+			// churn sequence for the comparison to be meaningful.
+			ch := newChurner(topo, rand.New(rand.NewSource(p.Seed+1000)))
+			for at := start; at < start+duration; at += churnPeriod {
+				c.Sim.At(at, func() { ch.batch(c, linksPerBatch) })
+			}
+		})
+	if err != nil {
+		return nil, err
+	}
+	return []*Result{{
 		ID:     id,
 		Title:  title,
-		Note:   fmt.Sprintf("±%d stub-stub links every %.1fs on a %d-node network", linksPerBatch, churnPeriod.Seconds(), n),
-		Header: []string{"Time (s)"},
-	}
-	series := map[engine.ProvMode][]float64{}
-	var times []float64
-	for _, mode := range modes {
-		res.Header = append(res.Header, modeLabel(mode))
-		topo := transitStub(n, p.Seed)
-		c, err := runToFixpoint(topo, prog, mode, bucket)
-		if err != nil {
-			return nil, fmt.Errorf("%s mode=%s: %w", id, mode, err)
-		}
-		c.Net.Traffic.Reset()
-		c.Net.Recorder.Reset()
-		start := c.Sim.Now()
-		// The same seed across modes: every mode must see the identical
-		// churn sequence for the comparison to be meaningful.
-		rng := rand.New(rand.NewSource(p.Seed + 1000))
-		ch := newChurner(topo, rng)
-		for at := start; at < start+duration; at += churnPeriod {
-			at := at
-			c.Sim.At(at, func() { ch.batch(c, linksPerBatch) })
-		}
-		if err := c.RunUntil(start + duration); err != nil {
-			return nil, fmt.Errorf("%s mode=%s: %w", id, mode, err)
-		}
-		pts := relSeries(c, start, duration)
-		var col []float64
-		times = times[:0]
-		for _, pt := range pts {
-			times = append(times, pt.TimeSec)
-			col = append(col, pt.MBps)
-		}
-		series[mode] = col
-	}
-	for i, ts := range times {
-		row := []string{f2(ts)}
-		for _, mode := range modes {
-			row = append(row, f3(series[mode][i]))
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+		Note:   fmt.Sprintf("±%d stub-stub links every %.1fs on a %d-node network", linksPerBatch, churnPeriod.Seconds(), topo.N),
+		Header: modeHeader("Time (s)"),
+		Rows:   rows,
+	}}, nil
 }
 
 // churner tracks the live set of stub-stub links, plus removed ones

@@ -10,18 +10,18 @@ import (
 // Fig06 reproduces Figure 6: average per-node communication cost (MB) to
 // fixpoint for MINCOST on transit-stub networks of 100-500 nodes, under
 // value-based (BDD), reference-based and no provenance.
-func Fig06(p Params) (*Result, error) {
+func Fig06(p Params) ([]*Result, error) {
 	return commCostSweep(p, "fig06",
 		"Average communication cost (MB) for MINCOST", apps.MinCost())
 }
 
 // Fig07 reproduces Figure 7: the same sweep for PATHVECTOR.
-func Fig07(p Params) (*Result, error) {
+func Fig07(p Params) ([]*Result, error) {
 	return commCostSweep(p, "fig07",
 		"Average communication cost (MB) for PATHVECTOR", apps.PathVector())
 }
 
-func commCostSweep(p Params, id, title string, prog *ndlog.Program) (*Result, error) {
+func commCostSweep(p Params, id, title string, prog *ndlog.Program) ([]*Result, error) {
 	sizes := []int{100, 200, 300, 400, 500}
 	if p.Scale < 1 {
 		sizes = sizes[:p.scaleInt(len(sizes))]
@@ -29,7 +29,7 @@ func commCostSweep(p Params, id, title string, prog *ndlog.Program) (*Result, er
 	res := &Result{
 		ID:     id,
 		Title:  title,
-		Header: []string{"Nodes", modeLabel(modes[0]), modeLabel(modes[1]), modeLabel(modes[2])},
+		Header: modeHeader("Nodes"),
 	}
 	for _, n := range sizes {
 		topo := transitStub(n, p.Seed)
@@ -43,5 +43,5 @@ func commCostSweep(p Params, id, title string, prog *ndlog.Program) (*Result, er
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return []*Result{res}, nil
 }

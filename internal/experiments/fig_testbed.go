@@ -14,7 +14,7 @@ import (
 // Fig16 reproduces Figure 16: average per-node bandwidth for PATHVECTOR in
 // the testbed deployment — 40 ExSPAN instances over real UDP sockets, ring
 // overlay with one random peer each (degree <= 3).
-func Fig16(p Params) (*Result, error) {
+func Fig16(p Params) ([]*Result, error) {
 	n := p.scaleInt(40)
 	res := &Result{
 		ID:     "fig16",
@@ -37,12 +37,12 @@ func Fig16(p Params) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, []string{modeLabel(mode), f2(kb), over, f2(fix.Seconds())})
 	}
-	return res, nil
+	return []*Result{res}, nil
 }
 
 // Fig17 reproduces Figure 17: fixpoint latency of PATHVECTOR in testbed
 // deployments of 5-40 nodes (degree fixed at 3) per provenance mode.
-func Fig17(p Params) (*Result, error) {
+func Fig17(p Params) ([]*Result, error) {
 	sizes := []int{5, 10, 20, 30, 40}
 	if p.Scale < 1 {
 		sizes = sizes[:p.scaleInt(len(sizes))]
@@ -64,7 +64,7 @@ func Fig17(p Params) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return []*Result{res}, nil
 }
 
 func deployRun(topo *topology.Topology, mode engine.ProvMode) (avgKB float64, fixpoint time.Duration, err error) {

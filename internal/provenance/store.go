@@ -272,6 +272,16 @@ func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) {
 	return RuleExecEntry{}, false
 }
 
+// ForEachProv invokes fn for every visible prov entry with the VID it
+// derives (iteration order is unspecified).
+func (s *Store) ForEachProv(fn func(vid types.ID, d ProvEntry)) {
+	for vid, v := range s.verts {
+		for _, d := range v.prov {
+			fn(vid, d)
+		}
+	}
+}
+
 // ForEachRuleExec invokes fn for every visible ruleExec entry (iteration
 // order is unspecified).
 func (s *Store) ForEachRuleExec(fn func(RuleExecEntry)) {

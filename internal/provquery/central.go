@@ -2,6 +2,7 @@ package provquery
 
 import (
 	"repro/internal/algebra"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -30,21 +31,12 @@ type centralExec struct {
 // NewCentralGraph builds the graph from prov(@Loc,VID,RID,RLoc) and
 // ruleExec(@RLoc,RID,R,List) rows as stored at the central server.
 func NewCentralGraph(provRows, ruleExecRows []types.Tuple) *CentralGraph {
-	g := &CentralGraph{
-		prov:     map[types.ID][]centralDeriv{},
-		locs:     map[types.ID]types.NodeID{},
-		ruleExec: map[types.ID]centralExec{},
-	}
+	g := newCentralGraph()
 	for _, r := range provRows {
 		if len(r.Args) != 4 {
 			continue
 		}
-		vid := r.Args[1].AsID()
-		g.prov[vid] = append(g.prov[vid], centralDeriv{
-			rid:  r.Args[2].AsID(),
-			rloc: r.Args[3].AsNode(),
-		})
-		g.locs[vid] = r.Args[0].AsNode()
+		g.addProv(r.Args[1].AsID(), r.Args[0].AsNode(), r.Args[2].AsID(), r.Args[3].AsNode())
 	}
 	for _, r := range ruleExecRows {
 		if len(r.Args) != 4 {
@@ -57,6 +49,37 @@ func NewCentralGraph(provRows, ruleExecRows []types.Tuple) *CentralGraph {
 		g.ruleExec[r.Args[1].AsID()] = centralExec{rule: r.Args[2].AsStr(), inputs: inputs}
 	}
 	return g
+}
+
+// NewStoreGraph builds the same graph from the per-node stores of a
+// distributed run: the union of their prov and ruleExec partitions, each
+// prov row located at the node whose store holds it. Folded in a semiring,
+// it is the answer a query should return, read without the query protocol
+// or its caches.
+func NewStoreGraph(stores ...*provenance.Store) *CentralGraph {
+	g := newCentralGraph()
+	for _, s := range stores {
+		s.ForEachProv(func(vid types.ID, d provenance.ProvEntry) {
+			g.addProv(vid, s.Node, d.RID, d.RLoc)
+		})
+		s.ForEachRuleExec(func(e provenance.RuleExecEntry) {
+			g.ruleExec[e.RID] = centralExec{rule: e.Rule, inputs: e.VIDList}
+		})
+	}
+	return g
+}
+
+func newCentralGraph() *CentralGraph {
+	return &CentralGraph{
+		prov:     map[types.ID][]centralDeriv{},
+		locs:     map[types.ID]types.NodeID{},
+		ruleExec: map[types.ID]centralExec{},
+	}
+}
+
+func (g *CentralGraph) addProv(vid types.ID, loc types.NodeID, rid types.ID, rloc types.NodeID) {
+	g.prov[vid] = append(g.prov[vid], centralDeriv{rid: rid, rloc: rloc})
+	g.locs[vid] = loc
 }
 
 // NumVertices reports the number of tuple vertices known to the server.

@@ -99,6 +99,13 @@ func DefaultTransitStub(domains int) TransitStubParams {
 	}
 }
 
+// TransitStubN generates the paper's transit-stub topology for about n
+// nodes: one domain per 100 nodes, at least one. Domains are whole, so the
+// result's N is a multiple of 100 and may differ from n.
+func TransitStubN(n int, rng *rand.Rand) *Topology {
+	return TransitStub(DefaultTransitStub(max(n/100, 1)), rng)
+}
+
 // TransitStub generates a deterministic transit-stub topology from the
 // given parameters and random source.
 func TransitStub(p TransitStubParams, rng *rand.Rand) *Topology {

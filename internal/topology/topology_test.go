@@ -44,6 +44,16 @@ func TestTransitStubSizes(t *testing.T) {
 	}
 }
 
+// TestTransitStubNRoundsToWholeDomains: a requested size rounds down to
+// whole 100-node domains, with at least one.
+func TestTransitStubNRoundsToWholeDomains(t *testing.T) {
+	for _, c := range []struct{ n, want int }{{1, 100}, {40, 100}, {199, 100}, {200, 200}, {250, 200}} {
+		if got := TransitStubN(c.n, rand.New(rand.NewSource(1))).N; got != c.want {
+			t.Errorf("TransitStubN(%d).N = %d, want %d", c.n, got, c.want)
+		}
+	}
+}
+
 func TestTransitStubStubLinkCount(t *testing.T) {
 	// §7.2: a 200-node network has about 315 stub-to-stub links.
 	topo := TransitStub(DefaultTransitStub(2), rand.New(rand.NewSource(1)))
