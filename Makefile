@@ -143,11 +143,11 @@ doccheck-selftest:
 # node's receive loop feeds raw UDP payloads into, the two query-result
 # payload decoders (polynomial, BDD) a hop runs on what those messages carry,
 # the semiring UDFs' folds over arbitrary children (a hop never emits what
-# the next hop would reject), and the engine's and the query processor's
-# handling of every message their decoders accept — so strictness
-# regressions are caught before the
-# checked-in corpus grows stale. Go runs one fuzz target per invocation,
-# hence one line each.
+# the next hop would reject), the engine's and the query processor's
+# handling of every message their decoders accept, and the NDlog parser
+# (a parsed program prints to a form that reparses and prints identically)
+# — so strictness regressions are caught before the checked-in corpus grows
+# stale. Go runs one fuzz target per invocation, hence one line each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime 10s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime 10s ./internal/types
@@ -159,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRingUDF$$' -fuzztime 10s ./internal/provquery
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePolynomial$$' -fuzztime 10s ./internal/algebra
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBDD$$' -fuzztime 10s ./internal/bdd
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/ndlog
 
 # lint sits before test-race: a lint finding is seconds to surface, the race
 # legs are minutes — fail fast on the cheap gate.

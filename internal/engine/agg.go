@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bdd"
 	"repro/internal/types"
@@ -12,8 +12,10 @@ import (
 // rule's group state. Body and group evaluation is the same under both
 // executors; only the last step differs. The drain applies the update inline
 // (applyAgg). Batched rounds queue it on aggIn for the next apply step, since
-// group state is frozen while a fire phase runs; the group and carried values
-// are copied out of scratch into the value arena.
+// group rows are frozen while a fire phase runs; the carried values are
+// copied out of scratch into the value arena. The group itself is found (or
+// created, empty) here under both executors: groups are never removed, so
+// the queued pointer stays valid.
 //
 //exspan:hotpath
 func (n *Node) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload bdd.Ref) {
@@ -32,12 +34,12 @@ func (n *Node) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload bdd
 		}
 		groupVals[i] = v
 	}
+	g := n.aggGroupFor(rule, groupVals)
 
 	if sign == Update {
 		// Value-mode payload update (value mode always drains): if the
 		// updated input is the current winner, the head's payload follows it.
-		g := n.aggGroupFor(rule, groupVals)
-		if n.Mode == ProvValue && g.curWinner != nil && g.curWinner.input.Equal(t) && g.hasOut {
+		if n.Mode == ProvValue && g.hasOut && g.curWin.Equal(t) {
 			out := g.curOut
 			out.Pred = rule.HeadPred
 			n.vidBuf[0], n.hashBuf = t.VIDBuf(n.hashBuf)
@@ -51,12 +53,12 @@ func (n *Node) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload bdd
 	sortVal, carried := n.evalAggVals(rule, env)
 	if n.batched {
 		n.aggIn = append(n.aggIn, aggItem{
-			rule: rule, groupVals: n.argArena.Copy(groupVals), sortVal: sortVal,
+			rule: rule, g: g, sortVal: sortVal,
 			carried: n.argArena.Copy(carried), input: t, sign: sign,
 		})
 		return
 	}
-	n.applyAgg(rule, groupVals, sortVal, carried, t, sign)
+	n.applyAgg(rule, g, sortVal, carried, t, sign)
 }
 
 // applyAgg applies one input delta to its aggregate group and emits any net
@@ -64,30 +66,42 @@ func (n *Node) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload bdd
 // what it retains).
 //
 //exspan:hotpath
-func (n *Node) applyAgg(rule *CompiledRule, groupVals []types.Value, sortVal types.Value,
+func (n *Node) applyAgg(rule *CompiledRule, g *aggGroup, sortVal types.Value,
 	carried []types.Value, input types.Tuple, sign int8) {
 
-	g := n.aggGroupFor(rule, groupVals)
-	for _, em := range g.update(n, rule, groupVals, sortVal, carried, input, sign) {
+	for _, em := range g.update(n, rule, sortVal, carried, input, sign) {
 		n.emitAggChange(rule, em)
 	}
 }
 
-// aggGroupFor returns the rule's group of the given group-by values, carving
-// a fresh one (with its entry map ready) on first sight.
+// aggGroupFor returns the rule's group of the given group-by values,
+// creating it on first sight.
 func (n *Node) aggGroupFor(rule *CompiledRule, groupVals []types.Value) *aggGroup {
+	n.keyBuf = appendValuesKey(n.keyBuf[:0], groupVals)
+	return n.aggGroupAt(rule, hashIndexKey(n.keyBuf), groupVals)
+}
+
+// aggGroupAt is aggGroupFor under the FNV-1a hash h of the group-by values'
+// handle keys — the way relations key their entries. A group keeps its
+// values (copied into the arena once, at creation), and a lookup verifies
+// them; groups whose values collide in 64 bits share a map slot as a chain.
+// Groups are never removed, so a *aggGroup stays valid for the node's
+// lifetime.
+func (n *Node) aggGroupAt(rule *CompiledRule, h uint64, groupVals []types.Value) *aggGroup {
 	groups := n.aggByRule[rule.idx]
+	head := groups[h]
+	for g := head; g != nil; g = g.next {
+		if argsEqual(g.groupVals, groupVals) {
+			return g
+		}
+	}
+	g := n.aggGroupArena.New()
+	g.groupVals, g.next = n.argArena.Copy(groupVals), head
 	if groups == nil {
-		groups = map[string]*aggGroup{}
+		groups = map[uint64]*aggGroup{}
 		n.aggByRule[rule.idx] = groups
 	}
-	n.keyBuf = appendValuesKey(n.keyBuf[:0], groupVals)
-	g := groups[string(n.keyBuf)]
-	if g == nil {
-		g = n.aggGroupArena.New()
-		g.entries = make(map[string]*aggEntry)
-		groups[string(n.keyBuf)] = g
-	}
+	groups[h] = g
 	return g
 }
 
@@ -167,7 +181,7 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 	out.Pred = rule.HeadPred
 	var rid types.ID
 	var payload bdd.Ref
-	if em.hasWin {
+	if rule.agg.ordered() {
 		// The winning input is stored in the body relation; reuse its
 		// cached VID instead of re-hashing the tuple.
 		var winEnt *entry
@@ -201,7 +215,9 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 	n.route(out, n.ID, em.sign, rid, payload)
 }
 
-// aggEntry is one element of an aggregate group's input multiset.
+// aggEntry is one row of an aggregate group's input multiset: one distinct
+// (sortVal, carried) pair, the body tuple that first brought it, and its
+// multiplicity.
 type aggEntry struct {
 	input   types.Tuple // the body tuple (provenance child, payload source)
 	sortVal types.Value
@@ -209,24 +225,25 @@ type aggEntry struct {
 	count   int
 }
 
-// aggGroup maintains one group of an aggregate rule: the multiset of input
-// rows and the currently emitted output.
+// aggGroup maintains one group of an aggregate rule: its group-by values,
+// the multiset of input rows, and the currently emitted output.
 //
-// Group structs, entry structs, carried-value copies and output argument
-// slices are all carved from the node's arenas (value slices
-// are pointer-free under the compact Value representation, so the arenas
-// cost the garbage collector nothing to scan); the group itself holds only
-// its entry map and free list, and borrows the node's scratch to refresh.
+// rows is held by value in aggregate order (rowCmp), so a MIN/MAX winner is
+// rows[0] and AGGLIST reads its list off in order. The group struct, the
+// first row's capacity, the group-by values and each row's carried values
+// are carved from the node's arenas (value slices are pointer-free under the
+// compact Value representation, so the arenas cost the garbage collector
+// nothing to scan); the group borrows the node's scratch to refresh.
 type aggGroup struct {
-	entries map[string]*aggEntry
-	free    []*aggEntry // retired entries recycled by later inserts
+	groupVals []types.Value
+	rows      []aggEntry
 	// curOut is the currently emitted head tuple (hasOut reports whether
-	// one exists), and curWinner the input entry it was traced to (MIN/MAX
-	// provenance).
-	curOut    types.Tuple
-	hasOut    bool
-	curWinner *aggEntry
-	total     int // COUNT<*>
+	// one exists), and curWin the input tuple it was traced to (MIN/MAX
+	// provenance; zero otherwise).
+	curOut types.Tuple
+	curWin types.Tuple
+	next   *aggGroup // next group on the same hash slot (aggGroupAt)
+	hasOut bool
 	// staged defers output re-emission to the retraction protocol's
 	// release phase: after a delete evicts a recursive rule's winner, the
 	// group emits nothing (hasOut stays false) until releaseStaged
@@ -236,27 +253,24 @@ type aggGroup struct {
 	staged bool
 }
 
-// stagedGroup records one group awaiting its deferred re-refresh, with the
-// retained group-by values refresh needs to rebuild the head.
+// stagedGroup records one group awaiting its deferred re-refresh.
 type stagedGroup struct {
-	rule      *CompiledRule
-	g         *aggGroup
-	groupVals []types.Value
+	rule *CompiledRule
+	g    *aggGroup
 }
 
 // stage registers the group with the node's release list.
-func (g *aggGroup) stage(n *Node, rule *CompiledRule, groupVals []types.Value) {
+func (g *aggGroup) stage(n *Node, rule *CompiledRule) {
 	if g.staged {
 		return
 	}
 	g.staged = true
-	n.stagedGroups = append(n.stagedGroups, stagedGroup{rule: rule, g: g, groupVals: n.argArena.Copy(groupVals)})
+	n.stagedGroups = append(n.stagedGroups, stagedGroup{rule: rule, g: g})
 }
 
 // appendValuesKey appends the fixed-width handle keys of vals to b (see
-// types.Value.AppendKey). Group and entry keys are built in reusable buffers
-// so the aggregate delta path does not allocate per input row, and the
-// handle form copies no payload bytes.
+// types.Value.AppendKey): the bytes a group's hash is taken over, built in
+// a reusable buffer and copying no payload bytes.
 func appendValuesKey(b []byte, vals []types.Value) []byte {
 	for _, v := range vals {
 		b = v.AppendKey(b)
@@ -264,91 +278,94 @@ func appendValuesKey(b []byte, vals []types.Value) []byte {
 	return b
 }
 
-func appendAggEntryKey(b []byte, sortVal types.Value, carried []types.Value) []byte {
-	b = sortVal.AppendKey(b)
-	return appendValuesKey(b, carried)
-}
-
 // aggEmit is one visible change of the aggregate output.
 type aggEmit struct {
 	tuple  types.Tuple
-	sign   int8
 	winner types.Tuple // MIN/MAX: the input tuple the output derives from
-	hasWin bool
+	sign   int8
 }
 
 // update applies one input delta and returns the emitted output changes.
-// groupVals are the evaluated group-by head arguments; rule.agg drives the
-// aggregate function; n supplies the arenas retained data is carved from.
-// carried may be caller scratch: it is copied if the entry must retain it.
-func (g *aggGroup) update(n *Node, rule *CompiledRule, groupVals []types.Value,
+// rule.agg drives the aggregate function; n supplies the arenas retained
+// data is carved from. carried may be caller scratch: it is copied if a new
+// row must retain it.
+func (g *aggGroup) update(n *Node, rule *CompiledRule,
 	sortVal types.Value, carried []types.Value, input types.Tuple, sign int8) []aggEmit {
 
 	spec := rule.agg
-	n.aggKeyBuf = appendAggEntryKey(n.aggKeyBuf[:0], sortVal, carried)
-	key := n.aggKeyBuf
-	ordered := spec.Fn == "MIN" || spec.Fn == "MAX"
+	i, found := g.search(spec, sortVal, carried)
 	switch sign {
 	case Insert:
-		e := g.entries[string(key)]
-		if e == nil {
-			if fn := len(g.free); fn > 0 {
-				e = g.free[fn-1]
-				g.free[fn-1] = nil
-				g.free = g.free[:fn-1]
-				e.input, e.sortVal, e.count = input, sortVal, 0
-				e.carried = append(e.carried[:0], carried...)
-			} else {
-				e = n.aggEntryArena.New()
-				e.input, e.sortVal = input, sortVal
-				e.carried = n.argArena.Copy(carried)
+		if found {
+			g.rows[i].count++
+		} else {
+			if g.rows == nil {
+				g.rows = n.aggEntryArena.Cap1()
 			}
-			g.entries[string(key)] = e
+			g.rows = slices.Insert(g.rows, i, aggEntry{
+				input: input, sortVal: sortVal, carried: n.argArena.Copy(carried), count: 1,
+			})
 		}
-		e.count++
-		g.total++
 		// MIN/MAX fast path: the output only moves when the group had no
-		// output yet or the inserted row dethrones the current winner.
-		// Everything else — copies of the winner, rows worse than the
-		// winner — is the common case in route computation and skips the
-		// full rescan refresh would do.
-		if ordered && g.hasOut && (e == g.curWinner || !beats(spec, e, g.curWinner)) {
+		// output yet or rows[0] changed. Everything else — copies of the
+		// winner, rows worse than the winner — is the common case in route
+		// computation and skips refresh.
+		if spec.ordered() && g.hasOut && (found || i > 0) {
 			return nil
 		}
 	case Delete:
-		e := g.entries[string(key)]
-		if e == nil {
+		if !found {
 			return nil // deletion of an unseen row: ignore defensively
 		}
-		e.count--
-		g.total--
-		if e.count <= 0 {
-			delete(g.entries, string(key))
-			// Recycle the entry. Safe: refresh re-resolves curWinner before
-			// this update returns, so no live reference survives (see the
-			// fast path below — a deleted winner always reaches refresh).
-			g.free = append(g.free, e)
+		g.rows[i].count--
+		gone := g.rows[i].count <= 0
+		if gone {
+			g.rows = slices.Delete(g.rows, i, i+1)
 		}
 		// MIN/MAX fast path: removing a non-winning row, or one copy of a
 		// winner that remains in the multiset, leaves the output untouched.
-		if ordered && g.hasOut && (e != g.curWinner || e.count > 0) {
+		if spec.ordered() && g.hasOut && (i > 0 || !gone) {
 			return nil
 		}
 	default:
 		return nil
 	}
-	return g.refresh(n, rule, groupVals, sign == Delete)
+	return g.refresh(n, rule, sign == Delete)
 }
 
-// beats reports whether a wins over b under spec's ordering (including the
-// deterministic carried-value tie-break, which is strict because entries
-// are keyed by their full (sortVal, carried) encoding).
-func beats(spec *AggSpec, a, b *aggEntry) bool {
-	c := a.sortVal.Compare(b.sortVal)
+// search binary-searches the rows for (sortVal, carried): the row's index
+// and true if present, else its insertion index and false.
+func (g *aggGroup) search(spec *AggSpec, sortVal types.Value, carried []types.Value) (int, bool) {
+	lo, hi := 0, len(g.rows)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rowCmp(spec, &g.rows[m], sortVal, carried) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(g.rows) && rowCmp(spec, &g.rows[lo], sortVal, carried) == 0
+}
+
+// rowCmp orders a row against (sortVal, carried) in aggregate order: by sort
+// value, ascending (descending for MAX), then by the carried values,
+// ascending. It is zero exactly for equal pairs, so the order is strict and
+// the winner deterministic.
+func rowCmp(spec *AggSpec, e *aggEntry, sortVal types.Value, carried []types.Value) int {
+	c := e.sortVal.Compare(sortVal)
 	if spec.Fn == "MAX" {
 		c = -c
 	}
-	return c < 0 || (c == 0 && compareCarried(a, b) < 0)
+	if c != 0 {
+		return c
+	}
+	for i := 0; i < len(e.carried) && i < len(carried); i++ {
+		if c := e.carried[i].Compare(carried[i]); c != 0 {
+			return c
+		}
+	}
+	return len(e.carried) - len(carried)
 }
 
 // refresh recomputes the output tuple and diffs it against the currently
@@ -366,44 +383,42 @@ func beats(spec *AggSpec, a, b *aggEntry) bool {
 // group stays output-silent through further refreshes (insert-driven ones
 // included — an arriving insert would otherwise promote a phantom row)
 // until releaseStaged re-refreshes it.
-func (g *aggGroup) refresh(n *Node, rule *CompiledRule, groupVals []types.Value, deleting bool) []aggEmit {
-	newArgs, newWinner, ok := g.compute(n, rule.agg, groupVals)
+func (g *aggGroup) refresh(n *Node, rule *CompiledRule, deleting bool) []aggEmit {
+	spec := rule.agg
+	newArgs, ok := g.compute(n, spec)
 	emits := n.aggEmitBuf[:0]
 	if g.hasOut && !(ok && argsEqual(g.curOut.Args, newArgs)) {
-		em := aggEmit{tuple: g.curOut, sign: Delete}
-		if g.curWinner != nil {
-			em.winner, em.hasWin = g.curWinner.input, true
-		}
-		emits = append(emits, em)
-		g.curOut, g.hasOut, g.curWinner = types.Tuple{}, false, nil
+		emits = append(emits, aggEmit{tuple: g.curOut, sign: Delete, winner: g.curWin})
+		g.curOut, g.hasOut, g.curWin = types.Tuple{}, false, types.Tuple{}
 	}
 	if !ok && deleting && rule.headRecursive {
 		// The delete emptied the group. Stage it anyway: an insert arriving
 		// before the deletion wave quiesces (a stale re-advertisement
 		// around a cycle) must not refill and promote immediately — that
 		// reopens the count-to-infinity lap through an empty group.
-		g.stage(n, rule, groupVals)
+		g.stage(n, rule)
 	}
 	if ok && !g.hasOut {
 		if g.staged || (deleting && rule.headRecursive) {
-			g.stage(n, rule, groupVals)
+			g.stage(n, rule)
 		} else {
 			// Materialize the candidate output: it escapes into the group
 			// state and the emitted delta, so its args leave the scratch
 			// buffer for the arena.
-			out := types.Tuple{Args: n.argArena.Copy(newArgs)}
-			em := aggEmit{tuple: out, sign: Insert}
-			if newWinner != nil {
-				em.winner, em.hasWin = newWinner.input, true
+			g.curOut, g.hasOut = types.Tuple{Args: n.argArena.Copy(newArgs)}, true
+			if spec.ordered() {
+				g.curWin = g.rows[0].input
 			}
-			emits = append(emits, em)
-			g.curOut, g.hasOut, g.curWinner = out, true, newWinner
+			emits = append(emits, aggEmit{tuple: g.curOut, sign: Insert, winner: g.curWin})
 		}
 	}
 	n.aggEmitBuf = emits
 	return emits
 }
 
+// argsEqual reports whether two value lists are equal: interned handles are
+// canonical, so == per value is content equality. It is the check behind
+// every hash-keyed lookup of relation entries and aggregate groups.
 func argsEqual(a, b []types.Value) bool {
 	if len(a) != len(b) {
 		return false
@@ -416,78 +431,46 @@ func argsEqual(a, b []types.Value) bool {
 	return true
 }
 
-// compute evaluates the aggregate over the current multiset into the
-// node's reusable args buffer. It reports ok=false when the group emits
-// nothing.
-func (g *aggGroup) compute(n *Node, spec *AggSpec, groupVals []types.Value) ([]types.Value, *aggEntry, bool) {
-	args := n.aggArgsBuf[:0]
-	var winner *aggEntry
+// compute evaluates the aggregate over the current rows into the node's
+// reusable args buffer. It reports ok=false when the group emits nothing.
+func (g *aggGroup) compute(n *Node, spec *AggSpec) ([]types.Value, bool) {
+	if len(g.rows) == 0 {
+		return nil, false
+	}
 	var aggList types.Value
-	switch spec.Fn {
-	case "MIN", "MAX":
-		for _, e := range g.entries {
-			if winner == nil {
-				winner = e
-				continue
-			}
-			c := e.sortVal.Compare(winner.sortVal)
-			if spec.Fn == "MAX" {
-				c = -c
-			}
-			if c < 0 || (c == 0 && compareCarried(e, winner) < 0) {
-				winner = e
-			}
+	if spec.Fn == "AGGLIST" {
+		list := make([]types.Value, len(g.rows))
+		for i := range g.rows {
+			e := &g.rows[i]
+			list[i] = types.List(append([]types.Value{e.sortVal}, e.carried...)...)
 		}
-		if winner == nil {
-			return nil, nil, false
-		}
-	case "COUNT":
-		if g.total <= 0 {
-			return nil, nil, false
-		}
-	case "AGGLIST":
-		if len(g.entries) == 0 {
-			return nil, nil, false
-		}
-		rows := make([]types.Value, 0, len(g.entries))
-		for _, e := range g.entries {
-			row := append([]types.Value{e.sortVal}, e.carried...)
-			rows = append(rows, types.List(row...))
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].Compare(rows[j]) < 0 })
-		aggList = types.List(rows...)
-	default:
-		return nil, nil, false
+		aggList = types.List(list...)
 	}
 
 	// Assemble the head: group values in order, aggregate values spliced
 	// in at the aggregate position.
+	args := n.aggArgsBuf[:0]
 	gi := 0
-	for pos := 0; pos <= len(groupVals); pos++ {
+	for pos := 0; pos <= len(g.groupVals); pos++ {
 		if pos == spec.AggPos {
 			switch spec.Fn {
 			case "MIN", "MAX":
-				args = append(args, winner.sortVal)
-				args = append(args, winner.carried...)
+				args = append(args, g.rows[0].sortVal)
+				args = append(args, g.rows[0].carried...)
 			case "COUNT":
-				args = append(args, types.Int(int64(g.total)))
+				total := 0
+				for i := range g.rows {
+					total += g.rows[i].count
+				}
+				args = append(args, types.Int(int64(total)))
 			case "AGGLIST":
 				args = append(args, aggList)
 			}
 			continue
 		}
-		args = append(args, groupVals[gi])
+		args = append(args, g.groupVals[gi])
 		gi++
 	}
 	n.aggArgsBuf = args
-	return args, winner, true
-}
-
-func compareCarried(a, b *aggEntry) int {
-	for i := 0; i < len(a.carried) && i < len(b.carried); i++ {
-		if c := a.carried[i].Compare(b.carried[i]); c != 0 {
-			return c
-		}
-	}
-	return len(a.carried) - len(b.carried)
+	return args, true
 }

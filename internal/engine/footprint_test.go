@@ -71,3 +71,50 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 			perNode>>10, tuples/nodes, maxPerNode>>10)
 	}
 }
+
+// TestMinCostBytesPerDelta fences what a derivation retains. MINCOST's state
+// is quadratic in the network size, so the paper's Fig 6 sweep reaches as far
+// as the bytes each delta leaves behind allow: the relation entry, the
+// aggregate row, and the prov and ruleExec rows of reference-mode provenance.
+// A converged 100-node transit-stub cluster on the Scheduler processes 45,292
+// deltas. Per delta this read ≈ 990 B with string-keyed relation entries,
+// map-per-group aggregates, ID-keyed provenance rows and a VID copy in every
+// prov row, and ≈ 840 B once all four were hash-keyed or dropped.
+func TestMinCostBytesPerDelta(t *testing.T) {
+	const (
+		nodes       = 100
+		wantDeltas  = 45292
+		maxPerDelta = 900
+	)
+	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))
+	prog, err := Compile(apps.MinCost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	s := NewScheduler(prog, ProvReference, topo.N, 0, 0)
+	apps.BootEDB(topo, false, nil, s.InsertBase)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	var deltas int64
+	for _, n := range s.Engines() {
+		deltas += n.DeltasProcessed()
+	}
+	runtime.KeepAlive(s)
+	if deltas != wantDeltas {
+		t.Fatalf("%d deltas, want %d: the workload changed, so the bound means something else", deltas, wantDeltas)
+	}
+	perDelta := (after - before) / uint64(deltas)
+	t.Logf("%d nodes, %d deltas: %.2f MB retained, %d B per delta", nodes, deltas, float64(after-before)/1e6, perDelta)
+	if perDelta > maxPerDelta {
+		t.Fatalf("MINCOST retains %d B per delta; want ≤ %d B", perDelta, maxPerDelta)
+	}
+}

@@ -167,9 +167,9 @@ func TestSteadyStateFiringAllocs(t *testing.T) {
 // steady-state insert/delete cycles through a MIN rule — of a row that never
 // wins (the fast path: the output does not move) and of a row that takes
 // over the group and gives it back (retract, re-emit, rescan) — must stay at
-// or under one allocation per cycle. Group entries recycle through the
-// group's free list, relation entries through their tombstones, and emitted
-// outputs come from the arena.
+// or under one allocation per cycle. A group's rows reuse their slice's
+// capacity, relation entries recycle through their tombstones, and emitted
+// outputs and carried values come from the arena.
 func TestAggregateFiringAllocs(t *testing.T) {
 	prog, err := Compile(ndlog.MustParse(`b1 best(@X,min<C,Y>) :- item(@X,Y,C).`))
 	if err != nil {
@@ -187,7 +187,7 @@ func TestAggregateFiringAllocs(t *testing.T) {
 				n.InsertBase(row.tup)
 				n.DeleteBase(row.tup)
 			}
-			for i := 0; i < 16; i++ { // warm arenas, free lists, tombstones
+			for i := 0; i < 16; i++ { // warm arenas, row capacity, tombstones
 				cycle()
 			}
 			fired := n.RulesFired()

@@ -135,7 +135,7 @@ type Node struct {
 	// only name→relation map. aggByRule and aggBodyRel key aggregate state
 	// and the aggregate body relation by CompiledRule.idx.
 	tablesByID []Relation
-	aggByRule  []map[string]*aggGroup
+	aggByRule  []map[uint64]*aggGroup
 	aggBodyRel []*Relation
 	// extraTables lists relations created outside the compiled program
 	// (unknown predicates, e.g. the meta rows relayed to a centralized
@@ -160,13 +160,12 @@ type Node struct {
 	// messages, so their args cannot live in reusable scratch.
 	argArena types.Arena[types.Value]
 
-	// Arenas for aggregate state: group and entry structs plus the scratch
-	// every group shares — the entry key, and the candidate output and
-	// emit list of one refresh, which each caller consumes before the next
+	// Arenas for aggregate state: group structs and each group's first row,
+	// plus the scratch every group shares — the candidate output and emit
+	// list of one refresh, which each caller consumes before the next
 	// (aggGroup.refresh). Aggregates allocate one group per (rule, group-by)
-	// combination and one entry per distinct input row; boxing each struct
-	// individually was a leading allocation class in fixpoint profiles.
-	aggKeyBuf     []byte
+	// combination; boxing each struct individually was a leading allocation
+	// class in fixpoint profiles.
 	aggArgsBuf    []types.Value
 	aggEmitBuf    []aggEmit
 	aggEntryArena types.Arena[aggEntry]
@@ -266,7 +265,7 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc 
 	n.joinIdx = make([]*index, prog.numJoins)
 	n.joinStats = make([]joinStat, prog.numJoins)
 	n.condStats = make([]condStat, prog.numConds)
-	n.aggByRule = make([]map[string]*aggGroup, len(prog.Rules))
+	n.aggByRule = make([]map[uint64]*aggGroup, len(prog.Rules))
 	n.aggBodyRel = make([]*Relation, len(prog.Rules))
 	n.bindPlans()
 	for _, r := range prog.Rules {
@@ -357,9 +356,11 @@ func (n *Node) DeltasProcessed() int64 { return n.deltasProcessed }
 func (n *Node) AggGroupCount() int {
 	c := 0
 	for _, groups := range n.aggByRule {
-		for _, g := range groups {
-			if len(g.entries) > 0 || g.hasOut || g.total != 0 {
-				c++
+		for _, head := range groups {
+			for g := head; g != nil; g = g.next {
+				if len(g.rows) > 0 || g.hasOut {
+					c++
+				}
 			}
 		}
 	}

@@ -104,6 +104,10 @@ type AggSpec struct {
 	listSlots []int // AGGLIST: slots of the listed variables
 }
 
+// ordered reports a MIN/MAX aggregate: its output is its first row, traced
+// to that row's input tuple.
+func (s *AggSpec) ordered() bool { return s.Fn == "MIN" || s.Fn == "MAX" }
+
 type atomSpec struct {
 	pred  string
 	arity int

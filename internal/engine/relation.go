@@ -25,8 +25,8 @@ type deriv struct {
 // provenance VID is cached here, so each tuple is SHA-1-hashed at most once
 // per lifetime on a node; in reference mode the entry also holds the tuple's
 // vertex in the node's provenance store, so prov rows are added and
-// removed with no map probe. The relation map key (the tuple's args handle
-// key) lives only in the entries map itself.
+// removed with no map probe. The relation map keys an entry by a 64-bit hash
+// of its args; the tuple itself is what a lookup verifies.
 //
 // Derivations are held by value in a small slice: most tuples have one or
 // two, and the per-entry map plus per-derivation pointer boxes were among
@@ -116,9 +116,16 @@ func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
 // SHA-1 VID for free (re-deriving a route after a link flap costs neither
 // an allocation nor a hash). The tombstone population is bounded by sweep:
 // memory stays within a small factor of the live high-water mark.
+//
+// Entries are keyed by keyHash, the FNV-1a hash of the tuple's args handle
+// key: an 8-byte map key, and no per-entry key string to build and retain.
+// A lookup verifies the candidate's args. An entry whose hash slot already
+// holds a different tuple goes to spill, an exact list per hash that stays
+// nil unless two live tuples of one relation collide in 64 bits.
 type Relation struct {
 	name    string
-	entries map[string]*entry
+	entries map[uint64]*entry
+	spill   map[uint64][]*entry
 	indexes []*index
 	visible int    // O(1) Len
 	dead    int    // invisible derivation-free entries retained for reuse
@@ -268,40 +275,79 @@ func (r *Relation) Name() string { return r.name }
 // Len reports the number of visible tuples in O(1).
 func (r *Relation) Len() int { return r.visible }
 
-// Get returns the entry for a tuple, or nil. Entries are keyed by the
-// fixed-width args handle key (types.Tuple.AppendArgsKey): building it
-// copies no string or digest bytes, and key equality coincides with tuple
-// equality because interned handles are canonical.
-func (r *Relation) get(t types.Tuple) *entry {
+// keyHash hashes a tuple's args handle key (types.Tuple.AppendArgsKey): the
+// key copies no string or digest bytes, and equal interned args mean equal
+// tuples, so the relation's only other check is argsEqual.
+func (r *Relation) keyHash(t types.Tuple) uint64 {
 	r.scratch = t.AppendArgsKey(r.scratch[:0])
-	return r.entries[string(r.scratch)]
+	return hashIndexKey(r.scratch)
+}
+
+// get returns the entry for a tuple, or nil.
+func (r *Relation) get(t types.Tuple) *entry { return r.find(r.keyHash(t), t.Args) }
+
+// find returns the entry of args under hash h, or nil.
+func (r *Relation) find(h uint64, args []types.Value) *entry {
+	if e := r.entries[h]; e != nil && argsEqual(e.tuple.Args, args) {
+		return e
+	}
+	for _, e := range r.spill[h] {
+		if argsEqual(e.tuple.Args, args) {
+			return e
+		}
+	}
+	return nil
 }
 
 // getOrCreate returns the entry for a tuple, creating an invisible one if
-// needed. A matching tombstone is revived: its cached VID carries over
-// (equal handle keys imply equal tuples and equal VIDs).
-func (r *Relation) getOrCreate(t types.Tuple) *entry {
-	r.scratch = t.AppendArgsKey(r.scratch[:0])
-	if e := r.entries[string(r.scratch)]; e != nil {
+// needed.
+func (r *Relation) getOrCreate(t types.Tuple) *entry { return r.getOrCreateAt(r.keyHash(t), t) }
+
+// getOrCreateAt is getOrCreate under the tuple's keyHash h. A matching
+// tombstone is revived: its cached VID carries over (equal args imply equal
+// tuples and equal VIDs).
+func (r *Relation) getOrCreateAt(h uint64, t types.Tuple) *entry {
+	if e := r.find(h, t.Args); e != nil {
 		if !e.visible && len(e.derivs) == 0 {
 			// Revival: value-mode payloads restart from scratch. The
-			// cached VID stays valid (equal handle keys imply equal
-			// tuples); the provenance vertex went with the last
-			// derivation and the next insert finds a new one.
+			// cached VID stays valid; the provenance vertex went with the
+			// last derivation and the next insert finds a new one.
 			r.dead--
 			e.payload = bdd.False
 		}
 		return e
 	}
-	k := string(r.scratch)
 	e := r.allocEntry()
 	e.tuple, e.payload = t, bdd.False
 	e.derivs = r.derivArena.Cap1()
-	if r.entries == nil {
-		r.entries = make(map[string]*entry)
+	if r.entries[h] == nil {
+		if r.entries == nil {
+			r.entries = make(map[uint64]*entry)
+		}
+		r.entries[h] = e
+	} else {
+		if r.spill == nil { // the relation's first 64-bit collision
+			r.spill = make(map[uint64][]*entry)
+		}
+		r.spill[h] = append(r.spill[h], e)
 	}
-	r.entries[k] = e
 	return e
+}
+
+// all yields every entry, tombstones included, in no particular order.
+func (r *Relation) all(yield func(*entry) bool) {
+	for _, e := range r.entries {
+		if !yield(e) {
+			return
+		}
+	}
+	for _, list := range r.spill {
+		for _, e := range list {
+			if !yield(e) {
+				return
+			}
+		}
+	}
 }
 
 // setVisible inserts or removes the entry from all indexes. Under deferred
@@ -399,12 +445,26 @@ func (r *Relation) maybeSweepRound() {
 // still mid-cascade and reads its payload and cached VID after this
 // returns, so it must survive untouched.
 func (r *Relation) sweep(spare *entry) {
-	for k, e := range r.entries {
-		if e != spare && !e.visible && len(e.derivs) == 0 && !e.staged {
-			delete(r.entries, k)
-			*e = entry{}
-			//exspanlint:nondeterministic-ok free-list order only decides which cleared box getOrCreate reuses; entry pointer identity never reaches state, ordering or the wire
-			r.freeEntries = append(r.freeEntries, e)
+	// Free-list order only decides which cleared box getOrCreate reuses;
+	// entry pointer identity never reaches state, ordering or the wire.
+	reclaim := func(e *entry) bool {
+		if e == spare || e.visible || len(e.derivs) > 0 || e.staged {
+			return false
+		}
+		*e = entry{}
+		r.freeEntries = append(r.freeEntries, e)
+		return true
+	}
+	for h, e := range r.entries {
+		if reclaim(e) {
+			delete(r.entries, h)
+		}
+	}
+	for h, list := range r.spill {
+		if list = slices.DeleteFunc(list, reclaim); len(list) == 0 {
+			delete(r.spill, h)
+		} else {
+			r.spill[h] = list
 		}
 	}
 	r.dead = 0
@@ -500,7 +560,7 @@ func (r *Relation) dropIndexesExcept(keep map[string]bool) {
 func (r *Relation) Index(positions []int) *index { return r.indexByID(indexID(positions)) }
 
 // Tuples returns the visible tuples sorted canonically (for deterministic
-// output in tests and examples). Entry map keys are process-local handle
+// output in tests and examples). Entry map keys hash process-local handle
 // keys, so this cold path sorts by the canonical encoding instead — the
 // order must not depend on interning history or map iteration.
 func (r *Relation) Tuples() []types.Tuple {
@@ -508,7 +568,7 @@ func (r *Relation) Tuples() []types.Tuple {
 		return nil // every index bind of an empty node comes through here
 	}
 	out := make([]types.Tuple, 0, r.visible)
-	for _, e := range r.entries {
+	for e := range r.all {
 		if e.visible {
 			out = append(out, e.tuple)
 		}

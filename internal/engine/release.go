@@ -94,7 +94,7 @@ func (n *Node) releaseStratum(stratum int, limit *int) bool {
 			*limit--
 		}
 		sg.g.staged = false
-		for _, em := range sg.g.refresh(n, sg.rule, sg.groupVals, false) {
+		for _, em := range sg.g.refresh(n, sg.rule, false) {
 			n.emitAggChange(sg.rule, em)
 			any = true
 		}

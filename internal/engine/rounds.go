@@ -47,12 +47,12 @@ type fireItem struct {
 
 // aggItem is one aggregate-group update awaiting the next apply step.
 type aggItem struct {
-	rule      *CompiledRule
-	groupVals []types.Value
-	sortVal   types.Value
-	carried   []types.Value
-	input     types.Tuple
-	sign      int8
+	rule    *CompiledRule
+	g       *aggGroup
+	sortVal types.Value
+	carried []types.Value
+	input   types.Tuple
+	sign    int8
 }
 
 // markTouched records a stored entry's first touch of the round: its
@@ -83,7 +83,7 @@ func (n *Node) applyPhase() {
 			break
 		}
 		it := &n.aggIn[i]
-		n.applyAgg(it.rule, it.groupVals, it.sortVal, it.carried, it.input, it.sign)
+		n.applyAgg(it.rule, it.g, it.sortVal, it.carried, it.input, it.sign)
 	}
 	clear(n.aggIn)
 	n.aggIn = n.aggIn[:0]

@@ -127,7 +127,7 @@ func (n *Node) distinctKeys(pred string, positions []int) int64 {
 	}
 	seen := make(map[uint64]struct{})
 	var buf []byte
-	for _, e := range rel.entries {
+	for e := range rel.all {
 		if !e.visible {
 			continue
 		}

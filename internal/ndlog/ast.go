@@ -227,7 +227,7 @@ func ExprString(e Expr) string {
 		return v.Name
 	case *Const:
 		if v.Val.Kind() == types.KindStr {
-			return fmt.Sprintf("%q", v.Val.AsStr())
+			return quote(v.Val.AsStr())
 		}
 		return v.Val.String()
 	case *BinOp:

@@ -157,7 +157,7 @@ func (l *lexer) next() (token, error) {
 				}
 				break
 			}
-			if ch == '\\' && l.pos < len(l.src) {
+			if ch == '\\' && l.pos < len(l.src) { // see quote
 				sb.WriteByte(l.advance())
 				continue
 			}
@@ -204,4 +204,22 @@ func tokenize(src string) ([]token, error) {
 			return toks, nil
 		}
 	}
+}
+
+// quote renders s as a string literal the lexer reads back as s: a string
+// literal's one escape rule is that a backslash takes the next byte
+// literally, so only the quote and the backslash are escaped and every other
+// byte, printable or not, stands for itself.
+func quote(s string) string {
+	var sb strings.Builder
+	sb.Grow(len(s) + 2)
+	sb.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '"' || c == '\\' {
+			sb.WriteByte('\\')
+		}
+		sb.WriteByte(s[i])
+	}
+	sb.WriteByte('"')
+	return sb.String()
 }

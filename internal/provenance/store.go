@@ -15,8 +15,12 @@
 //
 // Rows are keyed by what they are: a tuple vertex by its VID, a rule
 // execution by its RID — the 20-byte digests of §4.1, with no handle layer
-// between a digest and its row. Both maps hold pointers to arena-carved
-// rows, so a growing map rehashes 8-byte slots and a count changes in place.
+// between a digest and its row. Both maps are keyed by the digest's first
+// eight bytes and hold pointers to arena-carved rows, so a map slot is 16
+// bytes, a growing map rehashes 8-byte keys and a count changes in place.
+// The row carries the full digest, and a lookup verifies it; a row whose
+// prefix slot already holds another digest goes to an exact overflow map,
+// which stays nil unless two digests of one store share eight bytes.
 // A Vertex carries everything the store knows about one VID (its tuple and
 // its prov rows); the engine keeps the *Vertex on its relation entry, so the
 // delta path finds it once per entry lifetime and then adds and removes prov
@@ -36,6 +40,7 @@
 package provenance
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -43,12 +48,12 @@ import (
 	"repro/internal/types"
 )
 
-// ProvEntry is one row of the prov relation: a direct derivation of the
-// tuple identified by VID via the rule execution RID at RLoc. Base tuples
-// carry the null RID. Count tracks duplicate derivations under incremental
-// maintenance; an entry is visible while Count > 0.
+// ProvEntry is one row of the prov relation: a direct derivation of a tuple
+// via the rule execution RID at RLoc. Base tuples carry the null RID. Count
+// tracks duplicate derivations under incremental maintenance; an entry is
+// visible while Count > 0. The tuple's VID is the key the row is found by
+// (Derivations, ForEachProv), so the row does not repeat it.
 type ProvEntry struct {
-	VID   types.ID
 	RID   types.ID
 	RLoc  types.NodeID
 	Count int
@@ -108,10 +113,14 @@ type Store struct {
 	// invalidation.
 	OnProvChange func(vid types.ID)
 
-	verts     map[types.ID]*Vertex
-	ruleExec  map[types.ID]*RuleExecEntry
+	verts     map[uint64]*Vertex
+	ruleExec  map[uint64]*RuleExecEntry
 	parents   map[types.ID][]Parent
 	parentIdx map[parentKey]int // position inside parents[vid]
+
+	// Rows whose prefix slot in verts / ruleExec holds another digest.
+	vertSpill     map[types.ID]*Vertex
+	ruleExecSpill map[types.ID]*RuleExecEntry
 
 	// Arenas for the rows the maps point at, for the first element of
 	// per-VID row slices and for ruleExec input lists. Most VIDs have
@@ -128,6 +137,9 @@ type Store struct {
 
 // storeArenaChunk caps the chunk size of a store's arenas.
 const storeArenaChunk = 256
+
+// prefix is the map key of a digest: its first eight bytes.
+func prefix(id types.ID) uint64 { return binary.LittleEndian.Uint64(id[:8]) }
 
 // NewStore builds a node's empty store. The row maps are created by their
 // first write: most stores of a large cluster hold rows in one or two of the
@@ -148,16 +160,24 @@ func NewStore(node types.NodeID) *Store {
 //
 //exspan:hotpath
 func (s *Store) Vertex(vid types.ID, t types.Tuple) *Vertex {
-	if v := s.verts[vid]; v != nil {
+	if v := s.Lookup(vid); v != nil {
 		return v
-	}
-	if s.verts == nil {
-		//exspanlint:alloc-ok first vertex of this store
-		s.verts = make(map[types.ID]*Vertex)
 	}
 	v := s.vertArena.New()
 	v.vid, v.tuple, v.prov = vid, t, s.provArena.Cap1()
-	s.verts[vid] = v
+	if k := prefix(vid); s.verts[k] == nil {
+		if s.verts == nil {
+			//exspanlint:alloc-ok first vertex of this store
+			s.verts = make(map[uint64]*Vertex)
+		}
+		s.verts[k] = v
+	} else {
+		if s.vertSpill == nil {
+			//exspanlint:alloc-ok prefix collision overflow: created by the first two VIDs of this store sharing eight bytes, nil otherwise
+			s.vertSpill = make(map[types.ID]*Vertex)
+		}
+		s.vertSpill[vid] = v
+	}
 	return v
 }
 
@@ -165,7 +185,12 @@ func (s *Store) Vertex(vid types.ID, t types.Tuple) *Vertex {
 // relation entry to keep the vertex on (event tuples) delete through it.
 //
 //exspan:hotpath
-func (s *Store) Lookup(vid types.ID) *Vertex { return s.verts[vid] }
+func (s *Store) Lookup(vid types.ID) *Vertex {
+	if v := s.verts[prefix(vid)]; v != nil && v.vid == vid {
+		return v
+	}
+	return s.vertSpill[vid]
+}
 
 // AddProv inserts (or increments) a prov row of v.
 //
@@ -178,7 +203,7 @@ func (s *Store) AddProv(v *Vertex, rid types.ID, rloc types.NodeID) {
 			return
 		}
 	}
-	v.prov = append(v.prov, ProvEntry{VID: v.vid, RID: rid, RLoc: rloc, Count: 1})
+	v.prov = append(v.prov, ProvEntry{RID: rid, RLoc: rloc, Count: 1})
 	s.changed(v.vid)
 }
 
@@ -196,7 +221,11 @@ func (s *Store) DelProv(v *Vertex, rid types.ID, rloc types.NodeID) (found, drop
 		if v.prov[i].Count <= 0 {
 			v.prov = append(v.prov[:i], v.prov[i+1:]...)
 			if len(v.prov) == 0 {
-				delete(s.verts, v.vid)
+				if k := prefix(v.vid); s.verts[k] == v {
+					delete(s.verts, k)
+				} else {
+					delete(s.vertSpill, v.vid)
+				}
 				dropped = true
 			}
 		}
@@ -218,17 +247,33 @@ func (s *Store) changed(vid types.ID) {
 //
 //exspan:hotpath
 func (s *Store) AddRuleExec(rid types.ID, rule string, vidList []types.ID) {
-	if e := s.ruleExec[rid]; e != nil {
+	if e := s.ruleExecRow(rid); e != nil {
 		e.Count++
 		return
 	}
-	if s.ruleExec == nil {
-		//exspanlint:alloc-ok first ruleExec row of this store
-		s.ruleExec = make(map[types.ID]*RuleExecEntry)
-	}
 	e := s.ruleExecArena.New()
 	e.RID, e.Rule, e.VIDList, e.Count = rid, rule, s.vidArena.Copy(vidList), 1
-	s.ruleExec[rid] = e
+	if k := prefix(rid); s.ruleExec[k] == nil {
+		if s.ruleExec == nil {
+			//exspanlint:alloc-ok first ruleExec row of this store
+			s.ruleExec = make(map[uint64]*RuleExecEntry)
+		}
+		s.ruleExec[k] = e
+	} else {
+		if s.ruleExecSpill == nil {
+			//exspanlint:alloc-ok prefix collision overflow: created by the first two RIDs of this store sharing eight bytes, nil otherwise
+			s.ruleExecSpill = make(map[types.ID]*RuleExecEntry)
+		}
+		s.ruleExecSpill[rid] = e
+	}
+}
+
+// ruleExecRow returns the ruleExec row of rid, or nil.
+func (s *Store) ruleExecRow(rid types.ID) *RuleExecEntry {
+	if e := s.ruleExec[prefix(rid)]; e != nil && e.RID == rid {
+		return e
+	}
+	return s.ruleExecSpill[rid]
 }
 
 // DelRuleExec decrements (and possibly removes) a ruleExec row; it reports
@@ -236,20 +281,24 @@ func (s *Store) AddRuleExec(rid types.ID, rule string, vidList []types.ID) {
 //
 //exspan:hotpath
 func (s *Store) DelRuleExec(rid types.ID) bool {
-	e := s.ruleExec[rid]
+	e := s.ruleExecRow(rid)
 	if e == nil {
 		return false
 	}
 	e.Count--
 	if e.Count <= 0 {
-		delete(s.ruleExec, rid)
+		if k := prefix(rid); s.ruleExec[k] == e {
+			delete(s.ruleExec, k)
+		} else {
+			delete(s.ruleExecSpill, rid)
+		}
 	}
 	return true
 }
 
 // TupleOf resolves a local VID to its tuple.
 func (s *Store) TupleOf(vid types.ID) (types.Tuple, bool) {
-	if v := s.verts[vid]; v != nil {
+	if v := s.Lookup(vid); v != nil {
 		return v.tuple, true
 	}
 	return types.Tuple{}, false
@@ -258,7 +307,7 @@ func (s *Store) TupleOf(vid types.ID) (types.Tuple, bool) {
 // Derivations returns the visible prov entries for a VID. Callers must not
 // mutate the returned slice.
 func (s *Store) Derivations(vid types.ID) []ProvEntry {
-	if v := s.verts[vid]; v != nil {
+	if v := s.Lookup(vid); v != nil {
 		return v.prov
 	}
 	return nil
@@ -266,7 +315,7 @@ func (s *Store) Derivations(vid types.ID) []ProvEntry {
 
 // RuleExecOf resolves a local RID.
 func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) {
-	if e := s.ruleExec[rid]; e != nil {
+	if e := s.ruleExecRow(rid); e != nil {
 		return *e, true
 	}
 	return RuleExecEntry{}, false
@@ -275,9 +324,23 @@ func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) {
 // ForEachProv invokes fn for every visible prov entry with the VID it
 // derives (iteration order is unspecified).
 func (s *Store) ForEachProv(fn func(vid types.ID, d ProvEntry)) {
-	for vid, v := range s.verts {
+	for v := range s.vertices {
 		for _, d := range v.prov {
-			fn(vid, d)
+			fn(v.vid, d)
+		}
+	}
+}
+
+// vertices yields every vertex, in no particular order.
+func (s *Store) vertices(yield func(*Vertex) bool) {
+	for _, v := range s.verts {
+		if !yield(v) {
+			return
+		}
+	}
+	for _, v := range s.vertSpill {
+		if !yield(v) {
+			return
 		}
 	}
 }
@@ -286,6 +349,9 @@ func (s *Store) ForEachProv(fn func(vid types.ID, d ProvEntry)) {
 // order is unspecified).
 func (s *Store) ForEachRuleExec(fn func(RuleExecEntry)) {
 	for _, e := range s.ruleExec {
+		fn(*e)
+	}
+	for _, e := range s.ruleExecSpill {
 		fn(*e)
 	}
 }
@@ -327,14 +393,14 @@ func (s *Store) DropParents(vid types.ID) {
 // NumProv reports the number of visible prov entries.
 func (s *Store) NumProv() int {
 	n := 0
-	for _, v := range s.verts {
+	for v := range s.vertices {
 		n += len(v.prov)
 	}
 	return n
 }
 
 // NumRuleExec reports the number of visible ruleExec entries.
-func (s *Store) NumRuleExec() int { return len(s.ruleExec) }
+func (s *Store) NumRuleExec() int { return len(s.ruleExec) + len(s.ruleExecSpill) }
 
 // NumParents reports the number of reverse dataflow edges.
 func (s *Store) NumParents() int { return len(s.parentIdx) }
@@ -343,7 +409,7 @@ func (s *Store) NumParents() int { return len(s.parentIdx) }
 // (Loc, tuple, RID short, RLoc) — the format of the paper's Table 1.
 func (s *Store) ProvRows() []string {
 	var rows []string
-	for _, v := range s.verts {
+	for v := range s.vertices {
 		label := v.tuple.String()
 		if v.tuple.Pred == "" {
 			label = v.vid.Short()

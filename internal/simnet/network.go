@@ -61,9 +61,9 @@ type Network struct {
 	Recorder *stats.Bandwidth // optional time-bucketed recorder
 
 	// DroppedMsgs counts every message the network discarded instead of
-	// delivering: sends to unreachable destinations (churned-away routes),
-	// and — under an installed FaultPlan — injected drops, partition cuts
-	// and crash windows. It was previously a silent code path; experiment
+	// delivering: sends to unreachable destinations (churned-away routes)
+	// or to no node of the network, and — under an installed FaultPlan —
+	// injected drops, partition cuts and crash windows. It was previously a silent code path; experiment
 	// output surfaces it so loss is never invisible in byte accounting.
 	DroppedMsgs int64
 
@@ -183,9 +183,15 @@ func (nw *Network) NumLinks() int { return len(nw.links) }
 // delay. Messages to self are delivered after a fixed small local delay.
 // The destination's handler sees the charged size (size plus the datagram
 // overhead); a self-delivery never reaches the wire and keeps its bare size.
+// A send to a node outside the network (a destination read off a hostile
+// message, say) is dropped uncharged, as a deployed node drops it.
 //
 //exspan:hotpath
 func (nw *Network) Send(from, to types.NodeID, payload any, size int) {
+	if uint(to) >= uint(nw.n) {
+		nw.DroppedMsgs++
+		return
+	}
 	var delay Time
 	if from == to {
 		// Self-deliveries are local events: they never reach the wire and

@@ -131,6 +131,32 @@ func TestUnreachableDrops(t *testing.T) {
 	}
 }
 
+// TestSendOutsideNetworkDrops sends to destinations no node of the network
+// has — past the last node, negative, and from a node to itself under such
+// an id — which a hostile message can name. Each send is dropped, counted
+// and charged nothing, and the network keeps working.
+func TestSendOutsideNetworkDrops(t *testing.T) {
+	s := NewSim()
+	nw := NewNetwork(s, 2)
+	nw.AddLink(0, 1, Link{Latency: Millisecond, Bps: 1e9})
+	delivered := 0
+	for i := 0; i < 2; i++ {
+		nw.Register(types.NodeID(i), HandlerFunc(func(types.NodeID, any, int) { delivered++ }))
+	}
+	nw.Send(0, 2, "x", 10)
+	nw.Send(1, 0x30303030, "x", 10)
+	nw.Send(0, -1, "x", 10)
+	s.Run()
+	if delivered != 0 || nw.DroppedMsgs != 3 || nw.TotalBytes != 0 {
+		t.Fatalf("delivered %d, dropped %d, charged %d B; want 0, 3, 0", delivered, nw.DroppedMsgs, nw.TotalBytes)
+	}
+	nw.Send(0, 1, "x", 10)
+	s.Run()
+	if delivered != 1 || nw.DroppedMsgs != 3 {
+		t.Fatalf("after the drops: delivered %d, dropped %d; want 1, 3", delivered, nw.DroppedMsgs)
+	}
+}
+
 func TestChurnInvalidatesRoutes(t *testing.T) {
 	s := NewSim()
 	nw := NewNetwork(s, 3)
