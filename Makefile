@@ -80,11 +80,12 @@ chaos-smoke:
 
 # Scale gate: the 10k-node CHORD determinism smoke — two full Scheduler runs
 # of the workload suite's largest topology must agree bit for bit (delta
-# counts, wire bytes, sampled relation state) and together obtain at most
-# 2 GiB from the OS. Skipped under -short, so `go test -short ./...` stays
-# fast; this target runs it by name.
+# counts, wire bytes, sampled relation state) — and the 400-node MINCOST row
+# of the scaling table (pinned delta count, retained bytes per delta). The
+# process may obtain at most 2 GiB from the OS. Both are skipped under
+# -short, so `go test -short ./...` stays fast; this target runs them by name.
 scale-smoke:
-	$(GO) test -run 'TestScaleChordDeterminism10k' -v ./internal/core/
+	$(GO) test -run 'TestScaleChordDeterminism10k|TestScaleMinCost400' -v ./internal/core/
 
 # Host-independence gate: the paper's headline quantity — communication at
 # fixpoint — must not depend on the host's core count. The standing

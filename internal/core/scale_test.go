@@ -133,3 +133,62 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 		t.Fatalf("two 10k-node runs took %d MB from the OS, want ≤ %d MB", ms.Sys>>20, maxSys>>20)
 	}
 }
+
+// TestScaleMinCost400 is the largest row of the MINCOST scaling table that a
+// CI runner affords: reference-mode MINCOST on the Scheduler over a seeded
+// 400-node transit-stub network. The fixpoint's delta count is pinned, so
+// the bound always measures the same state, and what the converged cluster
+// retains per delta is bounded. State is quadratic in the network size for
+// an all-pairs protocol, so bytes per derivation is what decides how far the
+// paper's Fig 6 sweep reaches. This read ≈ 874 B per delta with
+// string-keyed relation entries, ≈ 689 B with hash-keyed rows, and ≈ 560 B
+// once a stored tuple became its own provenance vertex. Gated behind
+// -short; `make scale-smoke` runs it.
+func TestScaleMinCost400(t *testing.T) {
+	if testing.Short() {
+		t.Skip("400-node MINCOST smoke")
+	}
+	const (
+		nodes       = 400
+		wantDeltas  = 719584
+		maxPerDelta = 620
+		maxSys      = 2 << 30
+	)
+	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))
+	prog, err := engine.Compile(apps.MinCost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	s := engine.NewScheduler(prog, engine.ProvReference, topo.N, 0, 0)
+	apps.BootEDB(topo, false, nil, s.InsertBase)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	var deltas int64
+	for _, n := range s.Engines() {
+		deltas += n.DeltasProcessed()
+	}
+	runtime.KeepAlive(s)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	perDelta := (after - before) / uint64(deltas)
+	t.Logf("400-node mincost: %d deltas, %.1f MB retained, %d B per delta, %d MB obtained from the OS",
+		deltas, float64(after-before)/1e6, perDelta, ms.Sys>>20)
+	if deltas != wantDeltas {
+		t.Fatalf("%d deltas, want %d: the workload changed, so the bound means something else", deltas, wantDeltas)
+	}
+	if perDelta > maxPerDelta {
+		t.Errorf("MINCOST at 400 nodes retains %d B per delta; want ≤ %d B", perDelta, maxPerDelta)
+	}
+	if ms.Sys > maxSys {
+		t.Errorf("the scale smoke took %d MB from the OS, want ≤ %d MB", ms.Sys>>20, maxSys>>20)
+	}
+}

@@ -72,11 +72,6 @@ type Config struct {
 	// Transport tunes the reliable endpoints (zero value = package
 	// transport defaults).
 	Transport transport.Config
-
-	// FixpointTimeout is the default loss backstop used by WaitFixpoint
-	// when its argument is <= 0 (and itself defaults to
-	// DefaultFixpointTimeout when zero).
-	FixpointTimeout time.Duration
 }
 
 // DefaultFixpointTimeout backstops WaitFixpoint against genuine datagram
@@ -632,8 +627,7 @@ func (c *Cluster) workDone() {
 // item fully handled and no node staging retraction re-derivations) or the
 // timeout elapses; it returns the elapsed wall-clock time since cluster
 // start, and a *FixpointTimeoutError if the budget ran out. A timeout <= 0
-// selects Config.FixpointTimeout (itself defaulting to
-// DefaultFixpointTimeout). Quiescence is detected from the work accounting
+// selects DefaultFixpointTimeout. Quiescence is detected from the work accounting
 // itself — workers signal when processed catches up with sent — so a
 // loaded or race-instrumented run converges exactly as fast as it actually
 // processes work, with no sleep-poll granularity in the way. The timeout
@@ -647,9 +641,6 @@ func (c *Cluster) workDone() {
 // endpoint holds unacked data: a dropped delta awaiting retransmission
 // keeps the cluster non-quiescent and the staged work unreleased.
 func (c *Cluster) WaitFixpoint(timeout time.Duration) (time.Duration, error) {
-	if timeout <= 0 {
-		timeout = c.Cfg.FixpointTimeout
-	}
 	if timeout <= 0 {
 		timeout = DefaultFixpointTimeout
 	}

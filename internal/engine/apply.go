@@ -3,6 +3,7 @@ package engine
 import (
 	"repro/internal/algebra"
 	"repro/internal/bdd"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -88,15 +89,15 @@ func (n *Node) process(d localDelta) {
 			return // neither Update nor rederive applies to transient events
 		}
 		if n.Mode == ProvReference {
-			// Events have no entry to keep the vertex on; hash and find it
-			// once per delta. A delete only looks it up: a VID without a
-			// vertex has no row to remove.
+			// Events have no entry to embed the vertex in; hash and find
+			// it once per delta. A delete only looks it up: a VID without
+			// a vertex has no row to remove.
 			var vid types.ID
 			vid, n.hashBuf = d.tuple.VIDBuf(n.hashBuf)
 			if d.sign == Insert {
 				n.Store.AddProv(n.Store.Vertex(vid, d.tuple), d.rid, d.rloc)
 			} else if v := n.Store.Lookup(vid); v != nil {
-				n.Store.DelProv(v, d.rid, d.rloc)
+				n.Store.DelProv(v, d.rid)
 			}
 		}
 		// Centralized: base events are reported by their injector; derived
@@ -125,30 +126,25 @@ func (n *Node) process(d localDelta) {
 	} else {
 		rel = n.ensureTable(d.tuple.Pred)
 	}
+	// In reference mode a non-meta entry's rows are the store's: the store
+	// registers the embedded vertex with its first row and forgets it with
+	// its last. Every other entry keeps its rows to itself.
+	stored := n.Mode == ProvReference && !meta
 	switch d.sign {
 	case Insert:
 		e := rel.getOrCreate(d.tuple)
 		if batched {
 			n.markTouched(rel, e, occs)
 		}
-		dv := e.findDeriv(d.rid)
-		if dv == nil {
-			dv = e.addDeriv(d.rid, d.rloc)
-		}
-		dv.count++
-		// The entry caches the canonical VID, so each stored tuple is
-		// hashed at most once per lifetime regardless of how many deltas
-		// and provenance branches touch it.
-		if n.Mode == ProvReference && !meta {
-			if e.vert == nil {
-				// One find-or-create per entry lifetime: the store drops
-				// the vertex with its last prov row, which is when this
-				// entry loses its last derivation too.
-				var vid types.ID
-				vid, n.hashBuf = e.VIDBuf(n.hashBuf)
-				e.vert = n.Store.Vertex(vid, e.tuple)
-			}
-			n.Store.AddProv(e.vert, d.rid, d.rloc)
+		var row *provenance.ProvEntry
+		if stored {
+			// The entry caches the canonical VID, so each stored tuple is
+			// hashed at most once per lifetime regardless of how many
+			// deltas and provenance branches touch it.
+			_, n.hashBuf = e.VIDBuf(n.hashBuf)
+			row = n.Store.AddProv(&e.Vertex, d.rid, d.rloc)
+		} else {
+			row = e.AddRow(d.rid, d.rloc)
 		}
 		// Centralized: the deriving node reports derived rows; the owner
 		// reports base rows.
@@ -159,15 +155,15 @@ func (n *Node) process(d localDelta) {
 		}
 		payloadChanged := false
 		if n.Mode == ProvValue {
+			payload := d.payload
 			if d.isBase {
 				var vid types.ID
 				vid, n.hashBuf = e.VIDBuf(n.hashBuf)
-				dv.payload = n.Mgr.Var(n.Alloc.VarOf(algebra.Base{
+				payload = n.Mgr.Var(n.Alloc.VarOf(algebra.Base{
 					VID: vid, Label: d.tuple.String(), Node: n.ID,
 				}))
-			} else {
-				dv.payload = d.payload
 			}
+			row.Payload = uint32(payload)
 			payloadChanged = n.recomputePayload(e)
 		}
 		if !e.visible {
@@ -193,22 +189,17 @@ func (n *Node) process(d localDelta) {
 		if e == nil {
 			return
 		}
-		dv := e.findDeriv(d.rid)
-		if dv == nil {
+		var found, removed bool
+		if stored {
+			found, removed = n.Store.DelProv(&e.Vertex, d.rid)
+		} else {
+			found, removed = e.DelRow(d.rid)
+		}
+		if !found {
 			return
 		}
 		if batched {
 			n.markTouched(rel, e, occs)
-		}
-		dv.count--
-		removed := dv.count <= 0
-		if removed {
-			e.delDeriv(d.rid)
-		}
-		if e.vert != nil {
-			if _, dropped := n.Store.DelProv(e.vert, d.rid, d.rloc); dropped {
-				e.vert = nil
-			}
 		}
 		if n.Mode == ProvCentralized && !meta && d.isBase {
 			var vid types.ID
@@ -216,7 +207,7 @@ func (n *Node) process(d localDelta) {
 			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, Delete)
 		}
 		switch {
-		case len(e.derivs) == 0:
+		case len(e.Rows) == 0:
 			if e.visible {
 				rel.setVisible(e, false)
 				if !batched {
@@ -250,7 +241,7 @@ func (n *Node) process(d localDelta) {
 		// derivations survived the deletion wave, firing the ordinary
 		// insert cascade so consumers re-derive from it.
 		e := rel.get(d.tuple)
-		if e == nil || e.visible || len(e.derivs) == 0 {
+		if e == nil || e.visible || len(e.Rows) == 0 {
 			return
 		}
 		if batched {
@@ -272,11 +263,11 @@ func (n *Node) process(d localDelta) {
 		if e == nil {
 			return
 		}
-		dv := e.findDeriv(d.rid)
-		if dv == nil {
+		row := e.Row(d.rid)
+		if row == nil {
 			return
 		}
-		dv.payload = d.payload
+		row.Payload = uint32(d.payload)
 		// Suspects absorb payload updates silently; a visibility-preserving
 		// change only propagates for visible tuples.
 		if n.recomputePayload(e) && e.visible {
@@ -293,8 +284,8 @@ func ndlogIsEvent(pred string) bool {
 // whether the payload changed.
 func (n *Node) recomputePayload(e *entry) bool {
 	comb := bdd.False
-	for i := range e.derivs {
-		comb = n.Mgr.Or(comb, e.derivs[i].payload)
+	for i := range e.Rows {
+		comb = n.Mgr.Or(comb, bdd.Ref(e.Rows[i].Payload))
 	}
 	if comb == e.payload {
 		return false

@@ -39,13 +39,13 @@ func TestRelationHashCollision(t *testing.T) {
 			t.Fatal("vacuous: the tuples do not share a hash slot")
 		}
 		for _, e := range []*entry{ea, eb} {
-			if got := r.find(collidingHash, e.tuple.Args); got != e {
-				t.Fatalf("find(%v) = %v", e.tuple, got)
+			if got := r.find(collidingHash, e.Tuple.Args); got != e {
+				t.Fatalf("find(%v) = %v", e.Tuple, got)
 			}
-			if got := r.getOrCreateAt(collidingHash, e.tuple); got != e {
-				t.Fatalf("getOrCreate(%v) made a second entry", e.tuple)
+			if got := r.getOrCreateAt(collidingHash, e.Tuple); got != e {
+				t.Fatalf("getOrCreate(%v) made a second entry", e.Tuple)
 			}
-			e.addDeriv(types.ZeroID, 0)
+			e.AddRow(types.ZeroID, 0)
 			r.setVisible(e, true)
 		}
 		if got := r.Tuples(); len(got) != 2 || !got[0].Equal(a) || !got[1].Equal(b) {
@@ -53,7 +53,7 @@ func TestRelationHashCollision(t *testing.T) {
 		}
 
 		gone := r.find(collidingHash, retire.Args)
-		gone.delDeriv(types.ZeroID)
+		gone.DelRow(types.ZeroID)
 		r.setVisible(gone, false)
 		r.sweep(nil)
 		if r.find(collidingHash, retire.Args) != nil {

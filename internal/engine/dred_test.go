@@ -47,7 +47,7 @@ func (n *Node) releaseRandom(rng *rand.Rand) bool {
 	for {
 		occupied := map[int]bool{}
 		for _, e := range n.stagedEnts {
-			occupied[n.stratumOf(e.tuple.Pred)] = true
+			occupied[n.stratumOf(e.Tuple.Pred)] = true
 		}
 		for i := range n.stagedGroups {
 			occupied[n.stagedGroups[i].rule.headStratum] = true

@@ -125,10 +125,10 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 					continue
 				}
 			}
-			if !bindTuple(st.binds, cand.tuple, env) {
+			if !bindTuple(st.binds, cand.Tuple, env) {
 				continue
 			}
-			matched[st.atom] = cand.tuple
+			matched[st.atom] = cand.Tuple
 			ments[st.atom] = cand
 			payloads[st.atom] = cand.payload
 			n.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)

@@ -235,14 +235,6 @@ var builtins = map[string]func(args []types.Value) (types.Value, error){
 		}
 		return list[i], nil
 	},
-	// f_last returns the final element of a list.
-	"f_last": func(args []types.Value) (types.Value, error) {
-		if len(args) != 1 || args[0].Kind() != types.KindList || len(args[0].AsList()) == 0 {
-			return types.Nil(), fmt.Errorf("want one non-empty list")
-		}
-		list := args[0].AsList()
-		return list[len(list)-1], nil
-	},
 	// f_empty returns the empty list.
 	"f_empty": func(args []types.Value) (types.Value, error) {
 		if len(args) != 0 {
@@ -327,29 +319,4 @@ var builtins = map[string]func(args []types.Value) (types.Value, error){
 		}
 		return types.Int(0), nil
 	},
-	// f_pad(n) returns a synthetic payload string of n bytes; the
-	// PACKETFORWARD workload uses it for its 1024-byte packets.
-	"f_pad": func(args []types.Value) (types.Value, error) {
-		if len(args) != 1 || args[0].Kind() != types.KindInt {
-			return types.Nil(), fmt.Errorf("want one int")
-		}
-		n := args[0].AsInt()
-		if n < 0 || n > 1<<20 {
-			return types.Nil(), fmt.Errorf("bad pad size %d", n)
-		}
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = 'x'
-		}
-		return types.Str(string(b)), nil
-	},
-}
-
-// RegisterBuiltin installs an additional NDlog function; it is intended for
-// tests and example programs. Registering an existing name panics.
-func RegisterBuiltin(name string, fn func(args []types.Value) (types.Value, error)) {
-	if _, ok := builtins[name]; ok {
-		panic("engine: builtin already registered: " + name)
-	}
-	builtins[name] = fn
 }

@@ -17,8 +17,9 @@ import (
 // benchmark's chord-sharded workload builds its 1000 nodes (reference
 // provenance, base tuples, then a lookup batch). With fixed 256-slot chunks
 // opened per relation, and a node's state split across two partitions, this
-// read ≈ 650 KB per node; with arenas that grow from 8 slots ≈ 65 KB, and
-// with one evaluation state per node ≈ 40 KB.
+// read ≈ 650 KB per node; with arenas that grow from 8 slots ≈ 65 KB, with
+// one evaluation state per node ≈ 40 KB, with hash-keyed rows ≈ 36 KB, and
+// with each stored tuple as its own provenance vertex ≈ 32 KB.
 func TestNodeFootprintFollowsState(t *testing.T) {
 	const (
 		nodes      = 300
@@ -79,12 +80,14 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 // A converged 100-node transit-stub cluster on the Scheduler processes 45,292
 // deltas. Per delta this read ≈ 990 B with string-keyed relation entries,
 // map-per-group aggregates, ID-keyed provenance rows and a VID copy in every
-// prov row, and ≈ 840 B once all four were hash-keyed or dropped.
+// prov row, ≈ 795 B once all four were hash-keyed or dropped, and ≈ 632 B
+// once a stored tuple became its own provenance vertex (no second copy of
+// the tuple, its VID and its rows in the store).
 func TestMinCostBytesPerDelta(t *testing.T) {
 	const (
 		nodes       = 100
 		wantDeltas  = 45292
-		maxPerDelta = 900
+		maxPerDelta = 700
 	)
 	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))
 	prog, err := Compile(apps.MinCost())

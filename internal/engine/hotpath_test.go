@@ -21,7 +21,7 @@ func TestRelationLenTracksVisibility(t *testing.T) {
 	var entries []*entry
 	for i := 0; i < 5; i++ {
 		e := rel.getOrCreate(types.NewTuple("p", types.Node(types.NodeID(i)), types.Int(int64(i))))
-		e.addDeriv(types.ID{byte(i)}, 0).count++
+		e.AddRow(types.ID{byte(i)}, 0)
 		rel.setVisible(e, true)
 		entries = append(entries, e)
 	}
@@ -56,7 +56,7 @@ func TestJoinProbeAllocFree(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		e := rel.getOrCreate(types.NewTuple("link",
 			types.Node(types.NodeID(i/10)), types.Node(types.NodeID(i%10)), types.Int(int64(i))))
-		e.addDeriv(types.ID{byte(i)}, 0).count++
+		e.AddRow(types.ID{byte(i)}, 0)
 		rel.setVisible(e, true)
 	}
 	if got := rel.Index([]int{1}); got != idx {
@@ -261,7 +261,7 @@ func TestIndexChurnAllocFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e := rel.getOrCreate(types.NewTuple("p", types.Node(types.NodeID(i)),
 			types.Str(fmt.Sprintf("key-%d", i%8)), types.Int(int64(i%4))))
-		e.addDeriv(types.ID{byte(i)}, 0).count++
+		e.AddRow(types.ID{byte(i)}, 0)
 		rel.setVisible(e, true)
 		entries = append(entries, e)
 	}
@@ -298,7 +298,7 @@ func TestSweepSparesRetractingEntry(t *testing.T) {
 	const n = 300
 	for i := 0; i < n; i++ {
 		e := rel.getOrCreate(types.NewTuple("p", types.Node(0), types.Int(int64(i))))
-		e.addDeriv(types.ID{byte(i), byte(i >> 8)}, 0).count++
+		e.AddRow(types.ID{byte(i), byte(i >> 8)}, 0)
 		rel.setVisible(e, true)
 		entries = append(entries, e)
 	}
@@ -306,9 +306,9 @@ func TestSweepSparesRetractingEntry(t *testing.T) {
 	// 2*visible) trips mid-loop while later entries are still visible.
 	swept := false
 	for _, e := range entries {
-		e.delDeriv(e.derivs[0].rid)
+		e.DelRow(e.Rows[0].RID)
 		rel.setVisible(e, false)
-		if e.tuple.Pred == "" {
+		if e.Tuple.Pred == "" {
 			t.Fatal("sweep cleared the entry whose retraction triggered it")
 		}
 		if !swept && len(rel.freeEntries) > 0 {

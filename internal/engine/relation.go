@@ -9,42 +9,27 @@ import (
 	"repro/internal/types"
 )
 
-// deriv is one derivation of a tuple under incremental maintenance. The
-// derivation is keyed by its rule-execution identifier (base insertions use
-// the null RID). In value-based provenance mode each derivation carries the
-// BDD of its provenance.
-type deriv struct {
-	rid     types.ID
-	rloc    types.NodeID
-	count   int
-	payload bdd.Ref // value mode only
-}
-
-// entry is one tuple of a relation together with its derivation multiset.
-// The tuple is visible while at least one derivation is present. The
-// provenance VID is cached here, so each tuple is SHA-1-hashed at most once
-// per lifetime on a node; in reference mode the entry also holds the tuple's
-// vertex in the node's provenance store, so prov rows are added and
-// removed with no map probe. The relation map keys an entry by a 64-bit hash
-// of its args; the tuple itself is what a lookup verifies.
+// entry is one tuple of a relation, and that tuple's vertex in the node's
+// provenance graph: the embedded provenance.Vertex holds the tuple, its VID
+// (hashed at most once per lifetime on a node, cached here) and its
+// derivation multiset as prov rows keyed by rule-execution identifier (base
+// insertions use the null RID; value mode keeps each derivation's BDD in the
+// row's Payload). The tuple is visible while at least one row is present.
+// In reference mode the node's store points at the embedded vertex while it
+// has rows (non-meta tuples only), so a stored tuple is written once and a
+// prov row changes with no map probe. The relation map keys an entry by a
+// 64-bit hash of its args; the tuple itself is what a lookup verifies.
 //
-// Derivations are held by value in a small slice: most tuples have one or
-// two, and the per-entry map plus per-derivation pointer boxes were among
-// the largest allocation sources in fixpoint profiles.
-// Field order is alignment-packed (exspanlint -fieldalign): the four
-// 1-byte flags sit together after the word- and 4-byte-aligned fields,
-// which is what keeps a stored tuple at 104 bytes; the cached VID needs no
-// flag of its own because no tuple hashes to the null digest.
+// Rows are held by value in a small slice: most tuples have one or two, and
+// the per-entry map plus per-derivation pointer boxes were among the largest
+// allocation sources in fixpoint profiles.
+// Field order is alignment-packed (exspanlint -fieldalign): the four 1-byte
+// flags sit together after the 4-byte fields, which keeps a stored tuple at
+// 104 bytes, its prov rows included; the cached VID needs no flag of its own
+// because no tuple hashes to the null digest.
 type entry struct {
-	tuple  types.Tuple
-	derivs []deriv
-	// vert is the tuple's vertex in the node's provenance store while the
-	// tuple has prov rows there (reference mode); nil otherwise. The store
-	// drops a vertex with its last row (DelProv reports it), so
-	// the pointer never outlives what it points at.
-	vert    *provenance.Vertex
-	payload bdd.Ref // value mode: OR over derivation payloads
-	vid     types.ID
+	provenance.Vertex
+	payload bdd.Ref // value mode: OR over row payloads
 
 	// touchRound/startVis snapshot the entry's visibility at the start of
 	// the round that first touched it (rounds.go; unused in serial mode) —
@@ -67,44 +52,15 @@ type entry struct {
 	indexed bool
 }
 
-// findDeriv returns a pointer to the derivation keyed by rid, or nil. The
-// pointer aliases the entry's slice: it is invalidated by addDeriv/delDeriv
-// and must not be retained across them.
-func (e *entry) findDeriv(rid types.ID) *deriv {
-	for i := range e.derivs {
-		if e.derivs[i].rid == rid {
-			return &e.derivs[i]
-		}
-	}
-	return nil
-}
-
-func (e *entry) addDeriv(rid types.ID, rloc types.NodeID) *deriv {
-	e.derivs = append(e.derivs, deriv{rid: rid, rloc: rloc, payload: bdd.False})
-	return &e.derivs[len(e.derivs)-1]
-}
-
-func (e *entry) delDeriv(rid types.ID) {
-	for i := range e.derivs {
-		if e.derivs[i].rid == rid {
-			last := len(e.derivs) - 1
-			e.derivs[i] = e.derivs[last]
-			e.derivs[last] = deriv{}
-			e.derivs = e.derivs[:last]
-			return
-		}
-	}
-}
-
 // VIDBuf returns the tuple's provenance vertex identifier, computing and
 // caching it on first use. buf is scratch for the canonical encoding; the
 // (possibly grown) buffer is returned for reuse. Interned arguments make the
 // encode a sequence of memoized copies.
 func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
-	if e.vid.IsZero() { // not hashed yet: no tuple's SHA-1 is the null digest
-		e.vid, buf = e.tuple.VIDBuf(buf)
+	if e.VID.IsZero() { // not hashed yet: no tuple's SHA-1 is the null digest
+		e.VID, buf = e.Tuple.VIDBuf(buf)
 	}
-	return e.vid, buf
+	return e.VID, buf
 }
 
 // Relation is a materialized table with hash indexes maintained
@@ -141,20 +97,20 @@ type Relation struct {
 	// freeEntries recycles entry structs reclaimed by sweep; entryArena
 	// carves fresh ones (boxing each entry individually was a leading
 	// allocation class in fixpoint profiles — arena chunks never pin stale
-	// tuples because sweep zeroes an entry before listing it); derivArena
-	// carves each entry's initial capacity-1 derivation slice. Most tuples
-	// carry exactly one derivation, so the per-entry "first append" used
-	// to be another of the largest allocation classes; entries with
-	// alternative derivations spill to a regular append. deriv and
-	// types.Value hold no pointers, so those chunks cost the garbage
-	// collector nothing to scan.
+	// tuples because sweep zeroes an entry before listing it); rowArena
+	// carves each entry's initial capacity-1 row slice. Most tuples carry
+	// exactly one derivation, so the per-entry "first append" used to be
+	// another of the largest allocation classes; entries with alternative
+	// derivations spill to a regular append. Prov rows and types.Value hold
+	// no pointers, so those chunks cost the garbage collector nothing to
+	// scan.
 	freeEntries []*entry
 	entryArena  types.Arena[entry]
-	derivArena  types.Arena[deriv]
+	rowArena    types.Arena[provenance.ProvEntry]
 }
 
-// relationArenaChunk caps the chunk size of a relation's entry and
-// derivation arenas.
+// relationArenaChunk caps the chunk size of a relation's entry and row
+// arenas.
 const relationArenaChunk = 256
 
 // allocEntry returns a zeroed entry, recycling one swept earlier when
@@ -265,7 +221,7 @@ func newRelation(name string, deferMaint bool) Relation {
 		name:       name,
 		deferMaint: deferMaint,
 		entryArena: types.NewArena[entry](relationArenaChunk),
-		derivArena: types.NewArena[deriv](relationArenaChunk),
+		rowArena:   types.NewArena[provenance.ProvEntry](relationArenaChunk),
 	}
 }
 
@@ -288,11 +244,11 @@ func (r *Relation) get(t types.Tuple) *entry { return r.find(r.keyHash(t), t.Arg
 
 // find returns the entry of args under hash h, or nil.
 func (r *Relation) find(h uint64, args []types.Value) *entry {
-	if e := r.entries[h]; e != nil && argsEqual(e.tuple.Args, args) {
+	if e := r.entries[h]; e != nil && argsEqual(e.Tuple.Args, args) {
 		return e
 	}
 	for _, e := range r.spill[h] {
-		if argsEqual(e.tuple.Args, args) {
+		if argsEqual(e.Tuple.Args, args) {
 			return e
 		}
 	}
@@ -308,18 +264,18 @@ func (r *Relation) getOrCreate(t types.Tuple) *entry { return r.getOrCreateAt(r.
 // tuples and equal VIDs).
 func (r *Relation) getOrCreateAt(h uint64, t types.Tuple) *entry {
 	if e := r.find(h, t.Args); e != nil {
-		if !e.visible && len(e.derivs) == 0 {
+		if !e.visible && len(e.Rows) == 0 {
 			// Revival: value-mode payloads restart from scratch. The
-			// cached VID stays valid; the provenance vertex went with the
-			// last derivation and the next insert finds a new one.
+			// cached VID stays valid; the store forgot the vertex with its
+			// last row and the next row registers it again.
 			r.dead--
 			e.payload = bdd.False
 		}
 		return e
 	}
 	e := r.allocEntry()
-	e.tuple, e.payload = t, bdd.False
-	e.derivs = r.derivArena.Cap1()
+	e.Tuple, e.payload = t, bdd.False
+	e.Rows = r.rowArena.Cap1()
 	if r.entries[h] == nil {
 		if r.entries == nil {
 			r.entries = make(map[uint64]*entry)
@@ -369,20 +325,20 @@ func (r *Relation) setVisible(e *entry, visible bool) {
 		if visible && !e.indexed {
 			r.indexAdd(e)
 		}
-		if !visible && len(e.derivs) == 0 {
+		if !visible && len(e.Rows) == 0 {
 			r.dead++
 		}
 		return
 	}
 	for _, idx := range r.indexes {
-		r.scratch = appendIndexKey(r.scratch[:0], e.tuple, idx.positions)
+		r.scratch = appendIndexKey(r.scratch[:0], e.Tuple, idx.positions)
 		if visible {
 			idx.add(r.scratch, e)
 		} else {
 			idx.remove(r.scratch, e)
 		}
 	}
-	if !visible && len(e.derivs) == 0 {
+	if !visible && len(e.Rows) == 0 {
 		// Tombstone the entry for reuse rather than deleting it. Its fields
 		// are left untouched — the caller is still mid-retraction and fires
 		// the delete cascade with e.payload; getOrCreate resets state on
@@ -413,7 +369,7 @@ func (r *Relation) noteDead(e *entry) {
 // indexAdd inserts the entry into every index of the relation.
 func (r *Relation) indexAdd(e *entry) {
 	for _, idx := range r.indexes {
-		r.scratch = appendIndexKey(r.scratch[:0], e.tuple, idx.positions)
+		r.scratch = appendIndexKey(r.scratch[:0], e.Tuple, idx.positions)
 		idx.add(r.scratch, e)
 	}
 	e.indexed = true
@@ -423,7 +379,7 @@ func (r *Relation) indexAdd(e *entry) {
 // at the end of a round for entries that netted to invisible).
 func (r *Relation) unindex(e *entry) {
 	for _, idx := range r.indexes {
-		r.scratch = appendIndexKey(r.scratch[:0], e.tuple, idx.positions)
+		r.scratch = appendIndexKey(r.scratch[:0], e.Tuple, idx.positions)
 		idx.remove(r.scratch, e)
 	}
 	e.indexed = false
@@ -448,7 +404,7 @@ func (r *Relation) sweep(spare *entry) {
 	// Free-list order only decides which cleared box getOrCreate reuses;
 	// entry pointer identity never reaches state, ordering or the wire.
 	reclaim := func(e *entry) bool {
-		if e == spare || e.visible || len(e.derivs) > 0 || e.staged {
+		if e == spare || e.visible || len(e.Rows) > 0 || e.staged {
 			return false
 		}
 		*e = entry{}
@@ -570,7 +526,7 @@ func (r *Relation) Tuples() []types.Tuple {
 	out := make([]types.Tuple, 0, r.visible)
 	for e := range r.all {
 		if e.visible {
-			out = append(out, e.tuple)
+			out = append(out, e.Tuple)
 		}
 	}
 	types.SortTuples(out)

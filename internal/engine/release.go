@@ -31,7 +31,7 @@ func (n *Node) stratumOf(pred string) int {
 func (n *Node) minStagedStratum() int {
 	min := -1
 	for _, e := range n.stagedEnts {
-		if s := n.stratumOf(e.tuple.Pred); min < 0 || s < min {
+		if s := n.stratumOf(e.Tuple.Pred); min < 0 || s < min {
 			min = s
 		}
 	}
@@ -64,7 +64,7 @@ func (n *Node) releaseStratum(stratum int, limit *int) bool {
 	ents := n.stagedEnts
 	kept := ents[:0]
 	for _, e := range ents {
-		if limit != nil && *limit == 0 || n.stratumOf(e.tuple.Pred) != stratum {
+		if limit != nil && *limit == 0 || n.stratumOf(e.Tuple.Pred) != stratum {
 			kept = append(kept, e)
 			continue
 		}
@@ -72,8 +72,8 @@ func (n *Node) releaseStratum(stratum int, limit *int) bool {
 			*limit--
 		}
 		e.staged = false
-		if !e.visible && len(e.derivs) > 0 {
-			n.enqueue(localDelta{tuple: e.tuple, sign: rederive})
+		if !e.visible && len(e.Rows) > 0 {
+			n.enqueue(localDelta{tuple: e.Tuple, sign: rederive})
 			any = true
 		}
 	}

@@ -66,7 +66,7 @@ func (n *Node) markTouched(rel *Relation, e *entry, occs []occurrence) {
 	}
 	e.touchRound = n.curRound
 	e.startVis = e.visible
-	n.fires = append(n.fires, fireItem{tuple: e.tuple, occs: occs, ent: e, rel: rel})
+	n.fires = append(n.fires, fireItem{tuple: e.Tuple, occs: occs, ent: e, rel: rel})
 }
 
 // applyPhase drains the delta ring and applies the aggregate updates the

@@ -125,7 +125,8 @@ func stateLines(n *Node) []string {
 // store's write surface. WriteStates renders it as it renders a native
 // reference-mode node of the original program, so DiffStates compares the
 // rewrite with the engine's provenance hooks row for row. The result is a
-// view for rendering, never evaluated.
+// view for rendering, never evaluated: its entries are shown without rows,
+// and its store holds vertices of its own, carved by Store.Vertex.
 func FromRewrite(rw *Node) *Node {
 	n := newNode(rw.ID, rw.Prog, ProvReference, nil, nil, false)
 	byVID := map[types.ID]types.Tuple{}
@@ -135,9 +136,7 @@ func FromRewrite(rw *Node) *Node {
 		}
 		for _, t := range rw.Tuples(info.Name) {
 			rel := n.ensureTable(info.Name)
-			e := rel.getOrCreate(t)
-			e.addDeriv(types.ZeroID, n.ID)
-			rel.setVisible(e, true)
+			rel.setVisible(rel.getOrCreate(t), true)
 			byVID[t.VID()] = t
 		}
 	}

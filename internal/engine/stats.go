@@ -131,7 +131,7 @@ func (n *Node) distinctKeys(pred string, positions []int) int64 {
 		if !e.visible {
 			continue
 		}
-		buf = appendIndexKey(buf[:0], e.tuple, positions)
+		buf = appendIndexKey(buf[:0], e.Tuple, positions)
 		seen[hashIndexKey(buf)] = struct{}{}
 	}
 	return int64(len(seen))

@@ -1,19 +1,20 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/ndlog"
-	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
 // TestVertexLifetime pins the contract between a relation entry and the
-// provenance vertex it holds (reference mode): the entry finds the vertex
-// once, the store drops it with the tuple's last prov row and the entry
-// forgets it, and a re-derivation finds a NEW vertex. A stale pointer on the
-// revived entry — the bug this design can introduce — would send the
-// re-derived rows to the dropped vertex, invisible to every reader. Event
+// provenance vertex it embeds (reference mode): the store resolves the VID to
+// the entry's own vertex while the entry has rows, forgets it with the last
+// row, and a revived tombstone registers that same vertex again. A stale
+// registration — the bug this design can introduce — would leave readers
+// resolving a retracted tuple, or resolve a re-derived one to nothing. Event
 // tuples keep no entry: their insert/delete pair must leave no vertex behind.
 func TestVertexLifetime(t *testing.T) {
 	prog, err := Compile(ndlog.MustParse(`
@@ -33,11 +34,6 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 				return types.NewTuple(pred, types.Node(0), types.Int(y))
 			}
 			out, event := tup("out", 1), tup("eSeen", 1)
-			// held returns the vertex the out entry holds and the one the
-			// store resolves the VID to; they must agree at every step.
-			held := func() (onEntry, inStore *provenance.Vertex) {
-				return n.lookup("out").get(out).vert, st.Lookup(out.VID())
-			}
 
 			n.InsertBase(tup("in", 2)) // bystander rows: the prior level is not zero
 			prior := st.NumProv()
@@ -49,9 +45,9 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 			if n.Err != nil {
 				t.Fatal(n.Err)
 			}
-			first, inStore := held()
-			if first == nil || first != inStore {
-				t.Fatalf("after derivation: entry holds %p, store has %p", first, inStore)
+			e := n.lookup("out").get(out)
+			if e == nil || st.Lookup(out.VID()) != &e.Vertex {
+				t.Fatalf("after derivation: store resolves %p, want the entry's own vertex", st.Lookup(out.VID()))
 			}
 			if got, ok := st.TupleOf(out.VID()); !ok || !got.Equal(out) || len(st.Derivations(out.VID())) != 1 {
 				t.Fatalf("derived tuple not in the store: %v %v %v", got, ok, st.Derivations(out.VID()))
@@ -61,11 +57,11 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 			}
 
 			n.DeleteBase(tup("in", 1))
-			if onEntry, inStore := held(); onEntry != nil || inStore != nil {
-				t.Fatalf("after retraction: entry holds %p, store has %p; want neither", onEntry, inStore)
+			if n.lookup("out").get(out) != e || e.visible || len(e.Rows) != 0 {
+				t.Fatal("vacuous: the retracted entry is not a tombstone")
 			}
-			if _, ok := st.TupleOf(out.VID()); ok || len(st.Derivations(out.VID())) != 0 {
-				t.Fatal("retracted tuple still resolves in the store")
+			if st.Lookup(out.VID()) != nil || len(st.Derivations(out.VID())) != 0 {
+				t.Fatal("the store kept the vertex of a tuple with no rows")
 			}
 			if _, ok := st.TupleOf(event.VID()); ok || len(st.Derivations(event.VID())) != 0 {
 				t.Fatal("an event's insert/delete pair left its vertex behind")
@@ -75,21 +71,151 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 			}
 
 			n.InsertBase(tup("in", 1))
-			second, inStore := held()
-			if second == nil || second != inStore || second == first {
-				t.Fatalf("after re-derivation: entry holds %p, store has %p, dropped vertex was %p", second, inStore, first)
+			if n.lookup("out").get(out) != e || st.Lookup(out.VID()) != &e.Vertex {
+				t.Fatal("after re-derivation: the revived tombstone's vertex is not the one registered")
 			}
 			if d := st.Derivations(out.VID()); len(d) != 1 || d[0].Count != 1 {
 				t.Fatalf("re-derived tuple has rows %+v, want exactly one", d)
 			}
-			// A further derivation goes through the entry's pointer with no
-			// lookup; it must land where readers look.
 			n.InsertBase(tup("alt", 1))
 			if d := st.Derivations(out.VID()); len(d) != 2 {
 				t.Fatalf("second derivation after revival: rows %+v, want two", d)
 			}
 			if n.Err != nil {
 				t.Fatal(n.Err)
+			}
+		})
+	}
+}
+
+// checkVertexRegistration asserts the store/entry invariant on one node: an
+// entry's embedded vertex is registered in the store if and only if the node
+// runs in reference mode, the entry is not a prov/ruleExec meta tuple, and it
+// has at least one row; and the store holds exactly the rows of the
+// registered entries (the program has no events).
+func checkVertexRegistration(t *testing.T, n *Node, step string) {
+	t.Helper()
+	rows := 0
+	check := func(r *Relation) {
+		meta := r.name == "prov" || r.name == "ruleExec"
+		for e := range r.all {
+			want := n.Mode == ProvReference && !meta && len(e.Rows) > 0
+			var got bool
+			if !e.VID.IsZero() {
+				got = n.Store.Lookup(e.VID) == &e.Vertex
+			}
+			if got != want {
+				t.Fatalf("%s: node %d %v (%d rows, visible %v): registered %v, want %v",
+					step, n.ID, e.Tuple, len(e.Rows), e.visible, got, want)
+			}
+			if !e.visible && !e.staged && len(e.Rows) > 0 {
+				t.Fatalf("%s: node %d %v is hidden, unstaged, with %d rows", step, n.ID, e.Tuple, len(e.Rows))
+			}
+			if want {
+				rows += len(e.Rows)
+			}
+		}
+	}
+	for i := range n.tablesByID {
+		check(&n.tablesByID[i])
+	}
+	for _, r := range n.extraTables {
+		check(r)
+	}
+	if got := n.Store.NumProv(); got != rows {
+		t.Fatalf("%s: node %d: store holds %d prov rows, registered entries %d", step, n.ID, got, rows)
+	}
+}
+
+// TestVertexRegistrationUnderChurn runs a seeded insert/delete/re-insert
+// schedule of links under a recursive reachability program (cyclic support,
+// so retraction over-deletes and re-derives) in reference mode on both
+// executors, and checks checkVertexRegistration on every node after every
+// step. Revived tombstones, over-deleted suspects and swept entries all pass
+// through the schedule.
+func TestVertexRegistrationUnderChurn(t *testing.T) {
+	prog, err := Compile(ndlog.MustParse(`
+r1 reach(@S,D) :- link(@S,D).
+r2 reach(@Z,D) :- link(@S,Z), reach(@S,D).
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nodes, steps = 5, 60
+	link := func(u, v int) types.Tuple {
+		return types.NewTuple("link", types.Node(types.NodeID(u)), types.Node(types.NodeID(v)))
+	}
+	for _, batched := range executors {
+		t.Run(executorName(batched), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			s := newScheduler(prog, ProvReference, nodes, 1, batched)
+			up := map[[2]int]bool{}
+			for step := 0; step < steps; step++ {
+				u, v := rng.Intn(nodes), rng.Intn(nodes-1)
+				if v >= u {
+					v++
+				}
+				if u > v {
+					u, v = v, u
+				}
+				op := s.InsertBase
+				if up[[2]int{u, v}] {
+					op = s.DeleteBase
+				}
+				up[[2]int{u, v}] = !up[[2]int{u, v}]
+				op(types.NodeID(u), link(u, v))
+				op(types.NodeID(v), link(v, u))
+				if err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range s.Engines() {
+					checkVertexRegistration(t, n, fmt.Sprintf("step %d", step))
+				}
+			}
+			var derived int
+			for _, n := range s.Engines() {
+				derived += n.TupleCount("reach")
+			}
+			if derived == 0 {
+				t.Fatal("vacuous: nothing reachable at the end of the schedule")
+			}
+		})
+	}
+}
+
+// TestRowsKeyedByRIDAlone: without reference provenance a remote derivation
+// arrives with the null RID and no location, and a base insertion carries the
+// null RID at the receiving node. All of them are one row, keyed by RID alone,
+// whose count is the number of derivations: the tuple survives the loss of
+// any one of them. A (RID, RLoc) key would split the base row from the
+// remote ones.
+func TestRowsKeyedByRIDAlone(t *testing.T) {
+	for _, mode := range []ProvMode{ProvNone, ProvCentralized} {
+		t.Run(mode.String(), func(t *testing.T) {
+			tn := newTestNet(t, `r1 hit(@D) :- src(@S,D).`, 3, mode)
+			src := func(s int) types.Tuple {
+				return types.NewTuple("src", types.Node(types.NodeID(s)), types.Node(1))
+			}
+			hit := types.NewTuple("hit", types.Node(1))
+			node := tn.nodes[1]
+			tn.nodes[0].InsertBase(src(0))
+			tn.nodes[2].InsertBase(src(2))
+			node.InsertBase(hit)
+			tn.checkErr(t)
+			e := node.lookup("hit").get(hit)
+			if e == nil || !e.visible || len(e.Rows) != 1 || e.Rows[0].Count != 3 {
+				t.Fatalf("hit after two remote derivations and a base insert: %+v, want one row of count 3", e)
+			}
+			tn.nodes[0].DeleteBase(src(0))
+			node.DeleteBase(hit)
+			tn.checkErr(t)
+			if !e.visible || len(e.Rows) != 1 || e.Rows[0].Count != 1 {
+				t.Fatalf("hit after losing two of three derivations: visible %v, rows %+v", e.visible, e.Rows)
+			}
+			tn.nodes[2].DeleteBase(src(2))
+			tn.checkErr(t)
+			if e.visible || len(e.Rows) != 0 {
+				t.Fatalf("hit after losing every derivation: visible %v, rows %+v", e.visible, e.Rows)
 			}
 		})
 	}

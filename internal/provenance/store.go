@@ -16,27 +16,33 @@
 // Rows are keyed by what they are: a tuple vertex by its VID, a rule
 // execution by its RID — the 20-byte digests of §4.1, with no handle layer
 // between a digest and its row. Both maps are keyed by the digest's first
-// eight bytes and hold pointers to arena-carved rows, so a map slot is 16
-// bytes, a growing map rehashes 8-byte keys and a count changes in place.
-// The row carries the full digest, and a lookup verifies it; a row whose
-// prefix slot already holds another digest goes to an exact overflow map,
-// which stays nil unless two digests of one store share eight bytes.
-// A Vertex carries everything the store knows about one VID (its tuple and
-// its prov rows); the engine keeps the *Vertex on its relation entry, so the
-// delta path finds it once per entry lifetime and then adds and removes prov
-// rows with no map probe at all. Prov rows are stored by value inside their
-// vertex's slice: the store sits on the engine's delta hot path, and per-row
-// pointer boxes more than doubled the evaluator's allocation count in
-// fixpoint profiles.
+// eight bytes and hold pointers to rows that live elsewhere (ruleExec rows
+// in the store's arena, vertices mostly in the engine's relation entries),
+// so a map slot is 16 bytes, a growing map rehashes 8-byte keys and a count
+// changes in place. The row carries the full digest, and a lookup verifies
+// it; a row whose prefix slot already holds another digest goes to an exact
+// overflow map, which stays nil unless two digests of one store share eight
+// bytes.
+//
+// A Vertex carries everything the store knows about one VID: its tuple and
+// its prov rows. The engine embeds one in each relation entry, so a stored
+// tuple is its own vertex: the entry's derivation multiset is the vertex's
+// prov rows, and the delta path adds and removes rows with no map probe at
+// all. The store's maps point at registered vertices only — a vertex is
+// registered with its first row (AddProv) and forgotten with its last
+// (DelProv). Prov rows are stored by value inside their vertex's slice: the
+// store sits on the engine's delta hot path, and per-row pointer boxes more
+// than doubled the evaluator's allocation count in fixpoint profiles.
 //
 // The Store has one method set per role. The writer — the node's engine,
-// its only one — uses Vertex / Lookup / AddProv / DelProv / AddRuleExec /
-// DelRuleExec, holding the *Vertex of each stored tuple it maintains.
-// Readers — the query processor, the CLI, experiments and the benchmark —
-// use everything else, keyed by the IDs that travel in query messages. The
-// only rows a reader writes are the reverse dataflow edges of its own cache
-// (AddParent / DropParents). A store is not safe for concurrent use; every
-// driver runs a node's engine and query processor on one goroutine.
+// its only one — uses AddProv / DelProv on the vertices it embeds, Vertex /
+// Lookup for tuples it keeps no entry for (events), and AddRuleExec /
+// DelRuleExec. Readers — the query processor, the CLI, experiments and the
+// benchmark — use everything else, keyed by the IDs that travel in query
+// messages. The only rows a reader writes are the reverse dataflow edges of
+// its own cache (AddParent / DropParents). A store is not safe for
+// concurrent use; every driver runs a node's engine and query processor on
+// one goroutine.
 package provenance
 
 import (
@@ -49,14 +55,19 @@ import (
 )
 
 // ProvEntry is one row of the prov relation: a direct derivation of a tuple
-// via the rule execution RID at RLoc. Base tuples carry the null RID. Count
-// tracks duplicate derivations under incremental maintenance; an entry is
-// visible while Count > 0. The tuple's VID is the key the row is found by
-// (Derivations, ForEachProv), so the row does not repeat it.
+// via the rule execution RID at RLoc. Base tuples carry the null RID. A row
+// is keyed by its RID alone (an RID hashes its location, and a node that
+// ships no provenance delivers every remote derivation under the null RID,
+// which must share one row). Count tracks duplicate derivations under
+// incremental maintenance; an entry is visible while Count > 0. Payload is
+// an opaque 4-byte handle the writer may keep per derivation (the engine's
+// value-mode BDD); the store never reads it. The tuple's VID is the key the
+// row is found by (Derivations, ForEachProv), so the row does not repeat it.
 type ProvEntry struct {
-	RID   types.ID
-	RLoc  types.NodeID
-	Count int
+	RID     types.ID
+	RLoc    types.NodeID
+	Count   int32
+	Payload uint32
 }
 
 // RuleExecEntry is one row of the ruleExec relation: the metadata of a rule
@@ -78,14 +89,60 @@ type Parent struct {
 	Count   int
 }
 
-// Vertex is one tuple vertex of the provenance graph as the store holds it:
-// the VID, the tuple it names (the paper's "systems table that maps VIDs to
-// tuples") and the VID's prov rows. A writer obtains one from Store.Vertex
-// and may hold it until DelProv reports it dropped.
+// Vertex is one tuple vertex of the provenance graph: the VID, the tuple it
+// names (the paper's "systems table that maps VIDs to tuples") and the VID's
+// prov rows, in insertion order. A writer embeds one per stored tuple and
+// owns its fields; the store reads them while the vertex is registered.
 type Vertex struct {
-	vid   types.ID
-	tuple types.Tuple
-	prov  []ProvEntry
+	Tuple types.Tuple
+	Rows  []ProvEntry
+	VID   types.ID
+}
+
+// Row returns the row keyed by rid, or nil. The pointer aliases Rows: it is
+// invalidated by the next AddRow or DelRow.
+//
+//exspan:hotpath
+func (v *Vertex) Row(rid types.ID) *ProvEntry {
+	for i := range v.Rows {
+		if v.Rows[i].RID == rid {
+			return &v.Rows[i]
+		}
+	}
+	return nil
+}
+
+// AddRow counts one more derivation via rid, appending its row on first
+// sight, and returns the row (valid until the next AddRow or DelRow). This
+// is the whole of AddProv for a vertex the store does not hold.
+//
+//exspan:hotpath
+func (v *Vertex) AddRow(rid types.ID, rloc types.NodeID) *ProvEntry {
+	if r := v.Row(rid); r != nil {
+		r.Count++
+		return r
+	}
+	v.Rows = append(v.Rows, ProvEntry{RID: rid, RLoc: rloc, Count: 1})
+	return &v.Rows[len(v.Rows)-1]
+}
+
+// DelRow counts one derivation via rid less. found reports whether the row
+// existed; removed that its count reached zero and it left Rows. Removal
+// keeps the order of the remaining rows: readers walk them in that order.
+//
+//exspan:hotpath
+func (v *Vertex) DelRow(rid types.ID) (found, removed bool) {
+	for i := range v.Rows {
+		if v.Rows[i].RID != rid {
+			continue
+		}
+		if v.Rows[i].Count--; v.Rows[i].Count > 0 {
+			return true, false
+		}
+		v.Rows = append(v.Rows[:i], v.Rows[i+1:]...)
+		return true, true
+	}
+	return false, false
 }
 
 // parentKey identifies one reverse dataflow edge for O(1) add/remove. The
@@ -122,12 +179,13 @@ type Store struct {
 	vertSpill     map[types.ID]*Vertex
 	ruleExecSpill map[types.ID]*RuleExecEntry
 
-	// Arenas for the rows the maps point at, for the first element of
-	// per-VID row slices and for ruleExec input lists. Most VIDs have
-	// exactly one prov row and one parent edge, so the per-VID "first
-	// append" allocations dominated the store's profile; carving
-	// capacity-1 slices from a chunk amortizes them to ~1/chunk. Longer
-	// lists spill to regular append growth.
+	// Arenas for the rows the maps point at (ruleExec rows, and vertices
+	// of tuples the writer keeps no entry for), for the first element of
+	// such a vertex's rows and of parent lists, and for ruleExec input
+	// lists. Most VIDs have exactly one prov row and one parent edge, so
+	// the per-VID "first append" allocations dominated the store's
+	// profile; carving capacity-1 slices from a chunk amortizes them to
+	// ~1/chunk. Longer lists spill to regular append growth.
 	vertArena     types.Arena[Vertex]
 	ruleExecArena types.Arena[RuleExecEntry]
 	provArena     types.Arena[ProvEntry]
@@ -155,8 +213,9 @@ func NewStore(node types.NodeID) *Store {
 	}
 }
 
-// Vertex returns the store's vertex of vid, creating it — with t as the
-// tuple the VID resolves to — on first sight.
+// Vertex returns the registered vertex of vid or, when there is none, a new
+// one naming t and holding no rows — for a tuple the writer keeps no vertex
+// of its own for. The store registers it with its first AddProv.
 //
 //exspan:hotpath
 func (s *Store) Vertex(vid types.ID, t types.Tuple) *Vertex {
@@ -164,75 +223,66 @@ func (s *Store) Vertex(vid types.ID, t types.Tuple) *Vertex {
 		return v
 	}
 	v := s.vertArena.New()
-	v.vid, v.tuple, v.prov = vid, t, s.provArena.Cap1()
-	if k := prefix(vid); s.verts[k] == nil {
-		if s.verts == nil {
-			//exspanlint:alloc-ok first vertex of this store
-			s.verts = make(map[uint64]*Vertex)
-		}
-		s.verts[k] = v
-	} else {
-		if s.vertSpill == nil {
-			//exspanlint:alloc-ok prefix collision overflow: created by the first two VIDs of this store sharing eight bytes, nil otherwise
-			s.vertSpill = make(map[types.ID]*Vertex)
-		}
-		s.vertSpill[vid] = v
-	}
+	v.VID, v.Tuple, v.Rows = vid, t, s.provArena.Cap1()
 	return v
 }
 
-// Lookup returns the store's vertex of vid, or nil. Writers without a
-// relation entry to keep the vertex on (event tuples) delete through it.
+// Lookup returns the registered vertex of vid, or nil. Writers without a
+// vertex of their own for a tuple (events) delete through it.
 //
 //exspan:hotpath
 func (s *Store) Lookup(vid types.ID) *Vertex {
-	if v := s.verts[prefix(vid)]; v != nil && v.vid == vid {
+	if v := s.verts[prefix(vid)]; v != nil && v.VID == vid {
 		return v
 	}
 	return s.vertSpill[vid]
 }
 
-// AddProv inserts (or increments) a prov row of v.
+// AddProv counts one more derivation of v via rid at rloc (Vertex.AddRow)
+// and returns its row. Adding v's first row registers v, so from then on
+// v.VID resolves to v; v.VID must be set.
 //
 //exspan:hotpath
-func (s *Store) AddProv(v *Vertex, rid types.ID, rloc types.NodeID) {
-	for i := range v.prov {
-		if v.prov[i].RID == rid && v.prov[i].RLoc == rloc {
-			v.prov[i].Count++
-			s.changed(v.vid)
-			return
+func (s *Store) AddProv(v *Vertex, rid types.ID, rloc types.NodeID) *ProvEntry {
+	first := len(v.Rows) == 0
+	r := v.AddRow(rid, rloc)
+	if first {
+		if k := prefix(v.VID); s.verts[k] == nil {
+			if s.verts == nil {
+				//exspanlint:alloc-ok first vertex of this store
+				s.verts = make(map[uint64]*Vertex)
+			}
+			s.verts[k] = v
+		} else {
+			if s.vertSpill == nil {
+				//exspanlint:alloc-ok prefix collision overflow: created by the first two VIDs of this store sharing eight bytes, nil otherwise
+				s.vertSpill = make(map[types.ID]*Vertex)
+			}
+			s.vertSpill[v.VID] = v
 		}
 	}
-	v.prov = append(v.prov, ProvEntry{RID: rid, RLoc: rloc, Count: 1})
-	s.changed(v.vid)
+	s.changed(v.VID)
+	return r
 }
 
-// DelProv decrements (and possibly removes) a prov row of v. found reports
-// whether the row existed; dropped that it was the vertex's last, in which
-// case the store has forgotten the vertex and the caller must too.
+// DelProv counts one derivation of v via rid less (Vertex.DelRow). When that
+// removes v's last row the store forgets v: the VID resolves to nothing
+// until a later AddProv registers a vertex for it again.
 //
 //exspan:hotpath
-func (s *Store) DelProv(v *Vertex, rid types.ID, rloc types.NodeID) (found, dropped bool) {
-	for i := range v.prov {
-		if v.prov[i].RID != rid || v.prov[i].RLoc != rloc {
-			continue
-		}
-		v.prov[i].Count--
-		if v.prov[i].Count <= 0 {
-			v.prov = append(v.prov[:i], v.prov[i+1:]...)
-			if len(v.prov) == 0 {
-				if k := prefix(v.vid); s.verts[k] == v {
-					delete(s.verts, k)
-				} else {
-					delete(s.vertSpill, v.vid)
-				}
-				dropped = true
-			}
-		}
-		s.changed(v.vid)
-		return true, dropped
+func (s *Store) DelProv(v *Vertex, rid types.ID) (found, removed bool) {
+	if found, removed = v.DelRow(rid); !found {
+		return false, false
 	}
-	return false, false
+	if len(v.Rows) == 0 {
+		if k := prefix(v.VID); s.verts[k] == v {
+			delete(s.verts, k)
+		} else {
+			delete(s.vertSpill, v.VID)
+		}
+	}
+	s.changed(v.VID)
+	return true, removed
 }
 
 // changed delivers a derivation-set change notification.
@@ -299,7 +349,7 @@ func (s *Store) DelRuleExec(rid types.ID) bool {
 // TupleOf resolves a local VID to its tuple.
 func (s *Store) TupleOf(vid types.ID) (types.Tuple, bool) {
 	if v := s.Lookup(vid); v != nil {
-		return v.tuple, true
+		return v.Tuple, true
 	}
 	return types.Tuple{}, false
 }
@@ -308,7 +358,7 @@ func (s *Store) TupleOf(vid types.ID) (types.Tuple, bool) {
 // mutate the returned slice.
 func (s *Store) Derivations(vid types.ID) []ProvEntry {
 	if v := s.Lookup(vid); v != nil {
-		return v.prov
+		return v.Rows
 	}
 	return nil
 }
@@ -325,8 +375,8 @@ func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) {
 // derives (iteration order is unspecified).
 func (s *Store) ForEachProv(fn func(vid types.ID, d ProvEntry)) {
 	for v := range s.vertices {
-		for _, d := range v.prov {
-			fn(v.vid, d)
+		for _, d := range v.Rows {
+			fn(v.VID, d)
 		}
 	}
 }
@@ -394,7 +444,7 @@ func (s *Store) DropParents(vid types.ID) {
 func (s *Store) NumProv() int {
 	n := 0
 	for v := range s.vertices {
-		n += len(v.prov)
+		n += len(v.Rows)
 	}
 	return n
 }
@@ -410,11 +460,11 @@ func (s *Store) NumParents() int { return len(s.parentIdx) }
 func (s *Store) ProvRows() []string {
 	var rows []string
 	for v := range s.vertices {
-		label := v.tuple.String()
-		if v.tuple.Pred == "" {
-			label = v.vid.Short()
+		label := v.Tuple.String()
+		if v.Tuple.Pred == "" {
+			label = v.VID.Short()
 		}
-		for _, d := range v.prov {
+		for _, d := range v.Rows {
 			rid := "null"
 			if !d.RID.IsZero() {
 				rid = d.RID.Short()

@@ -18,12 +18,12 @@ func addProv(s *Store, vid, rid types.ID, rloc types.NodeID) {
 	s.AddProv(s.Vertex(vid, types.Tuple{}), rid, rloc)
 }
 
-func delProv(s *Store, vid, rid types.ID, rloc types.NodeID) bool {
+func delProv(s *Store, vid, rid types.ID) bool {
 	v := s.Lookup(vid)
 	if v == nil {
 		return false
 	}
-	found, _ := s.DelProv(v, rid, rloc)
+	found, _ := s.DelProv(v, rid)
 	return found
 }
 
@@ -31,11 +31,14 @@ func TestProvEntryLifecycle(t *testing.T) {
 	s := NewStore(0)
 	tu := types.NewTuple("p", types.Node(0), types.Int(1))
 	vid := tu.VID()
-	s.Vertex(vid, tu)
-	if got, ok := s.TupleOf(vid); !ok || !got.Equal(tu) {
-		t.Fatal("registered tuple does not resolve")
+	v := s.Vertex(vid, tu)
+	if _, ok := s.TupleOf(vid); ok {
+		t.Fatal("a vertex with no rows resolves")
 	}
-	addProv(s, vid, tid("r1"), 2)
+	s.AddProv(v, tid("r1"), 2)
+	if got, ok := s.TupleOf(vid); !ok || !got.Equal(tu) {
+		t.Fatal("the first row did not register the tuple")
+	}
 	addProv(s, vid, tid("r2"), 3)
 	if len(s.Derivations(vid)) != 2 {
 		t.Fatalf("derivations = %d", len(s.Derivations(vid)))
@@ -45,24 +48,24 @@ func TestProvEntryLifecycle(t *testing.T) {
 	if len(s.Derivations(vid)) != 2 {
 		t.Fatal("duplicate created new row")
 	}
-	if !delProv(s, vid, tid("r1"), 2) {
+	if !delProv(s, vid, tid("r1")) {
 		t.Fatal("DelProv failed")
 	}
 	if len(s.Derivations(vid)) != 2 {
 		t.Fatal("row removed while count > 0")
 	}
-	delProv(s, vid, tid("r1"), 2)
+	delProv(s, vid, tid("r1"))
 	if len(s.Derivations(vid)) != 1 {
 		t.Fatal("row not removed at count 0")
 	}
-	delProv(s, vid, tid("r2"), 3)
+	delProv(s, vid, tid("r2"))
 	if len(s.Derivations(vid)) != 0 {
 		t.Fatal("store not empty")
 	}
 	if _, ok := s.TupleOf(vid); ok {
 		t.Fatal("tuple mapping survived last derivation")
 	}
-	if delProv(s, vid, tid("r2"), 3) {
+	if delProv(s, vid, tid("r2")) {
 		t.Fatal("deleting a missing entry reported success")
 	}
 }
@@ -73,7 +76,7 @@ func TestOnProvChangeFires(t *testing.T) {
 	s.OnProvChange = func(vid types.ID) { events = append(events, vid) }
 	vid := tid("v")
 	addProv(s, vid, types.ZeroID, 0)
-	delProv(s, vid, types.ZeroID, 0)
+	delProv(s, vid, types.ZeroID)
 	if len(events) != 2 || events[0] != vid || events[1] != vid {
 		t.Fatalf("events = %v", events)
 	}
@@ -128,8 +131,7 @@ func TestRowRendering(t *testing.T) {
 	s := NewStore(0)
 	tu := types.NewTuple("link", types.Node(0), types.Node(2), types.Int(5))
 	vid := tu.VID()
-	s.Vertex(vid, tu)
-	addProv(s, vid, types.ZeroID, 0)
+	s.AddProv(s.Vertex(vid, tu), types.ZeroID, 0)
 	rows := s.ProvRows()
 	if len(rows) != 1 || !strings.Contains(rows[0], "link(@a,c,5)") || !strings.Contains(rows[0], "null") {
 		t.Fatalf("prov rows = %v", rows)
@@ -146,38 +148,55 @@ func TestRowRendering(t *testing.T) {
 }
 
 // TestVertexWriteSurface pins the write surface the engine's delta path
-// uses: rows written through a held *Vertex must be visible through the
-// ID-based read API, DelProv must report the drop of a vertex with its last
-// row (after which the VID resolves to nothing and a fresh Vertex call
-// creates a new one), and read paths must tolerate IDs the store has never
-// seen. Neither writes nor reads may grow the ID intern table: rows are
-// keyed by the digests themselves.
+// uses: a writer owns its vertex, the store registers it with its first row
+// and forgets it with its last (after which the VID resolves to nothing, and
+// the same vertex registers again with its next row), rows written through
+// the vertex are visible through the ID-based read API, a row is keyed by
+// its RID alone, and read paths tolerate IDs the store has never seen.
+// Neither writes nor reads may grow the ID intern table: rows are keyed by
+// the digests themselves.
 func TestVertexWriteSurface(t *testing.T) {
 	_, idsBefore, _, _ := types.InternStats()
 	s := NewStore(1)
 	tu := types.NewTuple("q", types.Node(1), types.Int(7))
 	vid := tu.VID()
 
-	v := s.Vertex(vid, tu)
-	if s.Vertex(vid, types.Tuple{}) != v || s.Lookup(vid) != v {
-		t.Fatal("a second find-or-create did not return the first vertex")
+	v := &Vertex{Tuple: tu, VID: vid} // as a relation entry embeds one
+	if s.Lookup(vid) != nil || s.Vertex(vid, tu) == v {
+		t.Fatal("a vertex with no rows is registered")
+	}
+	s.AddProv(v, tid("r1"), 2)
+	if s.Lookup(vid) != v || s.Vertex(vid, types.Tuple{}) != v {
+		t.Fatal("the first row did not register the writer's vertex")
 	}
 	if got, ok := s.TupleOf(vid); !ok || !got.Equal(tu) {
 		t.Fatal("vertex tuple not visible through the ID API")
 	}
-	s.AddProv(v, tid("r1"), 2)
+	// A second derivation via r1 from another location is the same row.
+	if r := s.AddProv(v, tid("r1"), 5); r.Count != 2 || r.RLoc != 2 || len(v.Rows) != 1 {
+		t.Fatalf("rows after a second r1 derivation = %+v, want one row of count 2 at 2", v.Rows)
+	}
 	s.AddProv(v, tid("r2"), 3)
-	if len(s.Derivations(vid)) != 2 {
+	s.AddProv(v, tid("r3"), 4)
+	if len(s.Derivations(vid)) != 3 {
 		t.Fatal("prov rows added on the vertex not visible through the ID API")
 	}
-	if found, dropped := s.DelProv(v, tid("r1"), 2); !found || dropped {
-		t.Fatalf("DelProv of one of two rows = (%v, %v), want (true, false)", found, dropped)
+	if found, removed := s.DelProv(v, tid("r1")); !found || removed {
+		t.Fatalf("DelProv of a count-2 row = (%v, %v), want (true, false)", found, removed)
 	}
-	if found, dropped := s.DelProv(v, tid("r1"), 2); found || dropped {
-		t.Fatalf("DelProv of a missing row = (%v, %v), want (false, false)", found, dropped)
+	if found, removed := s.DelProv(v, tid("r1")); !found || !removed || s.Lookup(vid) != v {
+		t.Fatalf("DelProv of one of three rows = (%v, %v), want (true, true) and the vertex kept", found, removed)
 	}
-	if found, dropped := s.DelProv(v, tid("r2"), 3); !found || !dropped {
-		t.Fatalf("DelProv of the last row = (%v, %v), want (true, true)", found, dropped)
+	// The survivors keep their order: the query processor walks them in it.
+	if d := s.Derivations(vid); len(d) != 2 || d[0].RID != tid("r2") || d[1].RID != tid("r3") {
+		t.Fatalf("rows after removing the first = %+v, want r2 then r3", d)
+	}
+	if found, removed := s.DelProv(v, tid("r1")); found || removed {
+		t.Fatalf("DelProv of a missing row = (%v, %v), want (false, false)", found, removed)
+	}
+	s.DelProv(v, tid("r3"))
+	if found, removed := s.DelProv(v, tid("r2")); !found || !removed {
+		t.Fatalf("DelProv of the last row = (%v, %v), want (true, true)", found, removed)
 	}
 	if len(s.Derivations(vid)) != 0 || s.Lookup(vid) != nil || s.NumProv() != 0 {
 		t.Fatal("vertex survived its last row")
@@ -185,9 +204,11 @@ func TestVertexWriteSurface(t *testing.T) {
 	if _, ok := s.TupleOf(vid); ok {
 		t.Fatal("tuple mapping survived the vertex")
 	}
-	if v2 := s.Vertex(vid, tu); v2 == v {
-		t.Fatal("re-creation handed the dropped vertex out again")
+	s.AddProv(v, tid("r2"), 3)
+	if s.Lookup(vid) != v || s.NumProv() != 1 {
+		t.Fatal("the next row did not register the same vertex again")
 	}
+	s.DelProv(v, tid("r2"))
 
 	rid := tid("exec")
 	s.AddRuleExec(rid, "sp2", []types.ID{vid})
@@ -210,7 +231,7 @@ func TestVertexWriteSurface(t *testing.T) {
 	if _, ok := s.RuleExecOf(alien); ok {
 		t.Fatal("unknown ID resolved to a ruleExec row")
 	}
-	if delProv(s, alien, rid, 0) || s.DelRuleExec(alien) {
+	if delProv(s, alien, rid) || s.DelRuleExec(alien) {
 		t.Fatal("deleting under an unknown ID claimed success")
 	}
 	s.AddParent(vid, rid, tid("head"), 0)
@@ -295,10 +316,8 @@ func TestPrefixCollisions(t *testing.T) {
 			gone, kept, goneT = vb, va, tb
 			goneR, keptR = rb, ra
 		}
-		for _, d := range s.Derivations(gone) {
-			if _, dropped := s.DelProv(s.Lookup(gone), d.RID, d.RLoc); dropped {
-				break
-			}
+		for v := s.Lookup(gone); len(v.Rows) > 0; {
+			s.DelProv(v, v.Rows[0].RID)
 		}
 		if s.Lookup(gone) != nil || s.Lookup(kept) == nil {
 			t.Fatalf("after dropping %s: Lookup(gone) %v, Lookup(kept) %v", gone.Short(), s.Lookup(gone), s.Lookup(kept))

@@ -70,12 +70,8 @@ func (n *instantNet) drain() {
 // embedded Store).
 type engineWriter struct{ *provenance.Store }
 
-func (w engineWriter) RegisterTuple(t types.Tuple) {
-	w.Vertex(t.VID(), t)
-}
-
-func (w engineWriter) AddProv(vid, rid types.ID, rloc types.NodeID) {
-	w.Store.AddProv(w.Vertex(vid, types.Tuple{}), rid, rloc)
+func (w engineWriter) AddProv(t types.Tuple, rid types.ID, rloc types.NodeID) {
+	w.Store.AddProv(w.Vertex(t.VID(), t), rid, rloc)
 }
 
 func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn bool) (*fig5, *instantNet) {
@@ -99,34 +95,27 @@ func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn 
 
 	// Node a's partition.
 	sa := engineWriter{stores[a]}
-	sa.RegisterTuple(f.linkAC)
-	sa.AddProv(f.linkAC.VID(), types.ZeroID, a)
+	sa.AddProv(f.linkAC, types.ZeroID, a)
 	rid1a := types.RuleExecID("sp1", a, []types.ID{f.linkAC.VID()})
-	sa.RegisterTuple(f.pcA)
-	sa.AddProv(f.pcA.VID(), rid1a, a)
+	sa.AddProv(f.pcA, rid1a, a)
 	sa.AddRuleExec(rid1a, "sp1", []types.ID{f.linkAC.VID()})
 	rid2b := types.RuleExecID("sp2", b, []types.ID{f.linkBA.VID(), f.bpcB.VID()})
-	sa.AddProv(f.pcA.VID(), rid2b, b)
+	sa.AddProv(f.pcA, rid2b, b)
 	rid3a := types.RuleExecID("sp3", a, []types.ID{f.pcA.VID()})
-	sa.RegisterTuple(f.bpcA)
-	sa.AddProv(f.bpcA.VID(), rid3a, a)
+	sa.AddProv(f.bpcA, rid3a, a)
 	sa.AddRuleExec(rid3a, "sp3", []types.ID{f.pcA.VID()})
 	sa.AddParent(f.linkAC.VID(), rid1a, f.pcA.VID(), a)
 	sa.AddParent(f.pcA.VID(), rid3a, f.bpcA.VID(), a)
 
 	// Node b's partition.
 	sb := engineWriter{stores[b]}
-	sb.RegisterTuple(f.linkBA)
-	sb.AddProv(f.linkBA.VID(), types.ZeroID, b)
-	sb.RegisterTuple(f.linkBC)
-	sb.AddProv(f.linkBC.VID(), types.ZeroID, b)
+	sb.AddProv(f.linkBA, types.ZeroID, b)
+	sb.AddProv(f.linkBC, types.ZeroID, b)
 	rid1b := types.RuleExecID("sp1", b, []types.ID{f.linkBC.VID()})
-	sb.RegisterTuple(f.pcB)
-	sb.AddProv(f.pcB.VID(), rid1b, b)
+	sb.AddProv(f.pcB, rid1b, b)
 	sb.AddRuleExec(rid1b, "sp1", []types.ID{f.linkBC.VID()})
 	rid3b := types.RuleExecID("sp3", b, []types.ID{f.pcB.VID()})
-	sb.RegisterTuple(f.bpcB)
-	sb.AddProv(f.bpcB.VID(), rid3b, b)
+	sb.AddProv(f.bpcB, rid3b, b)
 	sb.AddRuleExec(rid3b, "sp3", []types.ID{f.pcB.VID()})
 	sb.AddRuleExec(rid2b, "sp2", []types.ID{f.linkBA.VID(), f.bpcB.VID()})
 	sb.AddParent(f.linkBC.VID(), rid1b, f.pcB.VID(), b)
@@ -312,7 +301,7 @@ func TestInvalidationClearsCaches(t *testing.T) {
 	}
 	// A change to link(@b,c,2) must invalidate the chain up to
 	// bestPathCost(@a,c,5) at node a.
-	engineWriter{b.Store}.AddProv(f.linkBC.VID(), types.HashString("newrule"), 1)
+	engineWriter{b.Store}.AddProv(f.linkBC, types.HashString("newrule"), 1)
 	if _, ok := a.cache[f.bpcA.VID()]; ok {
 		t.Error("stale cache for bestPathCost(@a,c,5) survived invalidation")
 	}
@@ -338,12 +327,11 @@ func TestCacheCoherenceAfterChange(t *testing.T) {
 	// synthetic third derivation with a base child).
 	extra := types.NewTuple("link", types.Node(0), types.Node(2), types.Int(7))
 	w := engineWriter{a.Store}
-	w.RegisterTuple(extra)
-	w.AddProv(extra.VID(), types.ZeroID, 0)
+	w.AddProv(extra, types.ZeroID, 0)
 	rid := types.RuleExecID("spX", 0, []types.ID{extra.VID()})
 	w.AddRuleExec(rid, "spX", []types.ID{extra.VID()})
 	w.AddParent(extra.VID(), rid, f.pcA.VID(), 0)
-	w.AddProv(f.pcA.VID(), rid, 0)
+	w.AddProv(f.pcA, rid, 0)
 	if got := DecodeCount(runQuery(t, f, 3, f.bpcA, 0)); got != 3 {
 		t.Fatalf("post-change count = %d, want 3", got)
 	}
@@ -421,7 +409,7 @@ func TestRetractedRuleExecDerivesNothing(t *testing.T) {
 	for _, u := range fiveUDFs() {
 		f, _ := newFig5(t, u, BFS, 0, false)
 		want := runQuery(t, f, 3, f.bpcA, 0)
-		engineWriter{f.byID[0].Store}.AddProv(f.pcA.VID(), types.HashString("retracted"), 1)
+		engineWriter{f.byID[0].Store}.AddProv(f.pcA, types.HashString("retracted"), 1)
 		if got := runQuery(t, f, 3, f.bpcA, 0); !bytes.Equal(got, want) {
 			t.Errorf("%s: %x with a retracted rule execution, want %x", u.Name(), got, want)
 		}
