@@ -81,7 +81,7 @@ chaos-smoke:
 # Scale gate: the 10k-node CHORD determinism smoke — two full Scheduler runs
 # of the workload suite's largest topology must agree bit for bit (delta
 # counts, wire bytes, sampled relation state) — and the 400-node MINCOST row
-# of the scaling table (pinned delta count, retained bytes per delta). The
+# of the scaling table (pinned delta count, ≤ 560 B retained per delta). The
 # process may obtain at most 2 GiB from the OS. Both are skipped under
 # -short, so `go test -short ./...` stays fast; this target runs them by name.
 scale-smoke:
@@ -145,10 +145,12 @@ doccheck-selftest:
 # payload decoders (polynomial, BDD) a hop runs on what those messages carry,
 # the semiring UDFs' folds over arbitrary children (a hop never emits what
 # the next hop would reject), the engine's and the query processor's
-# handling of every message their decoders accept, and the NDlog parser
+# handling of every message their decoders accept, the NDlog parser
 # (a parsed program prints to a form that reparses and prints identically)
-# — so strictness regressions are caught before the checked-in corpus grows
-# stale. Go runs one fuzz target per invocation, hence one line each.
+# and the provenance store's ruleExec tables (every read path agrees with a
+# naive map of rows under any add / delete sequence) — so strictness
+# regressions are caught before the checked-in corpus grows stale. Go runs
+# one fuzz target per invocation, hence one line each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime 10s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime 10s ./internal/types
@@ -161,6 +163,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePolynomial$$' -fuzztime 10s ./internal/algebra
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBDD$$' -fuzztime 10s ./internal/bdd
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/ndlog
+	$(GO) test -run '^$$' -fuzz '^FuzzRuleExecTable$$' -fuzztime 10s ./internal/provenance
 
 # lint sits before test-race: a lint finding is seconds to surface, the race
 # legs are minutes — fail fast on the cheap gate.

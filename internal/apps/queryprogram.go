@@ -12,7 +12,7 @@ package apps
 // f_pEDB/f_pIDB/f_pRULE customization points, and is tested equivalent to
 // the paper's examples. Executing the NDlog text directly would require
 // non-monotonic buffer updates to pResultTmp, which the paper's prose also
-// glosses over; see DESIGN.md.
+// glosses over; see ARCHITECTURE.md "Dataflow 2: provenance queries".
 const QueryProgramSrc = `
 // Base case: VID is a base tuple (null RID).
 edb1 eProvResults(@Ret,QID,VID,Prov) :- eProvQuery(@X,QID,VID,Ret),

@@ -166,3 +166,50 @@ func TestCentralGraphCyclicProvenance(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreGraphSurvivesStoreWrites: a graph built from a converged run's
+// stores keeps its own copy of every rule execution's inputs. Every ruleExec
+// row of every store is then removed — its table's last row moves into its
+// place — and added back at the table's end, which leaves each store's rows
+// as they were at other positions. Folded under Counting, the retained
+// graph must answer as before on every tuple.
+func TestStoreGraphSurvivesStoreWrites(t *testing.T) {
+	c := figure3Cluster(t, engine.ProvReference)
+	graph := storeGraph(c)
+	counts := func() map[types.ID]int64 {
+		got := map[types.ID]int64{}
+		for _, pred := range []string{"link", "pathCost", "bestPathCost"} {
+			for _, tu := range c.TuplesOf(pred) {
+				got[tu.VID] = algebra.Eval(graph.Polynomial(tu.VID), algebra.Counting())
+			}
+		}
+		return got
+	}
+	before := counts()
+	moved := 0
+	for _, h := range c.Hosts {
+		s := h.Engine.Store
+		var rows []provenance.RuleExecEntry
+		s.ForEachRuleExec(func(e provenance.RuleExecEntry) {
+			e.VIDList = slices.Clone(e.VIDList)
+			rows = append(rows, e)
+		})
+		for _, e := range rows {
+			for range e.Count {
+				s.DelRuleExec(e.RID)
+			}
+			for range e.Count {
+				s.AddRuleExec(e.RID, e.Rule, e.VIDList)
+			}
+		}
+		moved += len(rows)
+	}
+	if moved < 2 {
+		t.Fatalf("vacuous: %d ruleExec rows to move", moved)
+	}
+	for vid, n := range counts() {
+		if n != before[vid] {
+			t.Errorf("%s: the retained graph counts %d derivations after the store writes, %d before", vid.Short(), n, before[vid])
+		}
+	}
+}

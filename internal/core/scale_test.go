@@ -141,9 +141,10 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 // retains per delta is bounded. State is quadratic in the network size for
 // an all-pairs protocol, so bytes per derivation is what decides how far the
 // paper's Fig 6 sweep reaches. This read ≈ 874 B per delta with
-// string-keyed relation entries, ≈ 689 B with hash-keyed rows, and ≈ 560 B
-// once a stored tuple became its own provenance vertex. Gated behind
-// -short; `make scale-smoke` runs it.
+// string-keyed relation entries, ≈ 689 B with hash-keyed rows, ≈ 560 B
+// once a stored tuple became its own provenance vertex, and ≈ 514 B once
+// ruleExec rows became column tables. Gated behind -short; `make
+// scale-smoke` runs it.
 func TestScaleMinCost400(t *testing.T) {
 	if testing.Short() {
 		t.Skip("400-node MINCOST smoke")
@@ -151,7 +152,7 @@ func TestScaleMinCost400(t *testing.T) {
 	const (
 		nodes       = 400
 		wantDeltas  = 719584
-		maxPerDelta = 620
+		maxPerDelta = 560
 		maxSys      = 2 << 30
 	)
 	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))

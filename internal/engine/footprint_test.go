@@ -80,14 +80,16 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 // A converged 100-node transit-stub cluster on the Scheduler processes 45,292
 // deltas. Per delta this read ≈ 990 B with string-keyed relation entries,
 // map-per-group aggregates, ID-keyed provenance rows and a VID copy in every
-// prov row, ≈ 795 B once all four were hash-keyed or dropped, and ≈ 632 B
-// once a stored tuple became its own provenance vertex (no second copy of
-// the tuple, its VID and its rows in the store).
+// prov row, ≈ 795 B once all four were hash-keyed or dropped, ≈ 632 B once
+// a stored tuple became its own provenance vertex (no second copy of the
+// tuple, its VID and its rows in the store), and ≈ 578 B once ruleExec rows
+// became pointer-free column tables (no row struct, rule string or slice
+// header per rule execution).
 func TestMinCostBytesPerDelta(t *testing.T) {
 	const (
 		nodes       = 100
 		wantDeltas  = 45292
-		maxPerDelta = 700
+		maxPerDelta = 620
 	)
 	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))
 	prog, err := Compile(apps.MinCost())

@@ -16,19 +16,28 @@
 // Rows are keyed by what they are: a tuple vertex by its VID, a rule
 // execution by its RID — the 20-byte digests of §4.1, with no handle layer
 // between a digest and its row. Both maps are keyed by the digest's first
-// eight bytes and hold pointers to rows that live elsewhere (ruleExec rows
-// in the store's arena, vertices mostly in the engine's relation entries),
-// so a map slot is 16 bytes, a growing map rehashes 8-byte keys and a count
-// changes in place. The row carries the full digest, and a lookup verifies
-// it; a row whose prefix slot already holds another digest goes to an exact
-// overflow map, which stays nil unless two digests of one store share eight
-// bytes.
+// eight bytes, so a map slot is 16 bytes and a growing map rehashes 8-byte
+// keys. The vertex map points at vertices that live elsewhere (mostly in the
+// engine's relation entries); the ruleExec map holds a row's position. The
+// row carries the full digest, and a lookup verifies it; a row whose prefix
+// slot already holds another digest goes to an exact overflow map, which
+// stays nil unless two digests of one store share eight bytes.
+//
+// The ruleExec relation is held as pointer-free column tables, one per rule
+// label and arity: the RID and input VIDs of each row side by side in one
+// []types.ID, the counts in an []int32. No row struct, rule string, slice
+// header or pointer is kept per rule execution, so the GC scans none of it.
+// A delete that empties a row moves its table's last row into its place:
+// tables stay dense, and a store that churns rows reuses their memory.
+// Readers get a RuleExecEntry built on read, whose VIDList aliases the table
+// and, like the slice Derivations returns, is valid until the next store
+// write; a reader that keeps it copies it.
 //
 // A Vertex carries everything the store knows about one VID: its tuple and
 // its prov rows. The engine embeds one in each relation entry, so a stored
 // tuple is its own vertex: the entry's derivation multiset is the vertex's
 // prov rows, and the delta path adds and removes rows with no map probe at
-// all. The store's maps point at registered vertices only — a vertex is
+// all. The vertex maps point at registered vertices only — a vertex is
 // registered with its first row (AddProv) and forgotten with its last
 // (DelProv). Prov rows are stored by value inside their vertex's slice: the
 // store sits on the engine's delta hot path, and per-row pointer boxes more
@@ -48,6 +57,7 @@ package provenance
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -71,7 +81,9 @@ type ProvEntry struct {
 }
 
 // RuleExecEntry is one row of the ruleExec relation: the metadata of a rule
-// execution instance.
+// execution instance. The store keeps no RuleExecEntry — its rows live in
+// column tables — and builds one per read: VIDList aliases the table and is
+// valid until the next store write, so a reader that keeps it copies it.
 type RuleExecEntry struct {
 	RID     types.ID
 	Rule    string
@@ -171,27 +183,49 @@ type Store struct {
 	OnProvChange func(vid types.ID)
 
 	verts     map[uint64]*Vertex
-	ruleExec  map[uint64]*RuleExecEntry
+	ruleExec  map[uint64]uint64 // RID prefix → execSlot of its row
 	parents   map[types.ID][]Parent
 	parentIdx map[parentKey]int // position inside parents[vid]
 
 	// Rows whose prefix slot in verts / ruleExec holds another digest.
 	vertSpill     map[types.ID]*Vertex
-	ruleExecSpill map[types.ID]*RuleExecEntry
+	ruleExecSpill map[types.ID]uint64
 
-	// Arenas for the rows the maps point at (ruleExec rows, and vertices
-	// of tuples the writer keeps no entry for), for the first element of
-	// such a vertex's rows and of parent lists, and for ruleExec input
-	// lists. Most VIDs have exactly one prov row and one parent edge, so
-	// the per-VID "first append" allocations dominated the store's
-	// profile; carving capacity-1 slices from a chunk amortizes them to
-	// ~1/chunk. Longer lists spill to regular append growth.
-	vertArena     types.Arena[Vertex]
-	ruleExecArena types.Arena[RuleExecEntry]
-	provArena     types.Arena[ProvEntry]
-	parentArena   types.Arena[Parent]
-	vidArena      types.Arena[types.ID]
+	// The ruleExec rows, one table per (rule label, arity).
+	execTables []execTable
+
+	// Arenas for vertices of tuples the writer keeps no entry for, and for
+	// the first element of such a vertex's rows and of parent lists. Most
+	// VIDs have exactly one prov row and one parent edge, so the per-VID
+	// "first append" allocations dominated the store's profile; carving
+	// capacity-1 slices from a chunk amortizes them to ~1/chunk. Longer
+	// lists spill to regular append growth.
+	vertArena   types.Arena[Vertex]
+	provArena   types.Arena[ProvEntry]
+	parentArena types.Arena[Parent]
 }
+
+// execTable holds the ruleExec rows of one rule label and arity as
+// pointer-free columns, dense in [0, len(counts)): row i is ids[i*stride] (its
+// RID) followed by its stride-1 input VIDs, executed counts[i] times. A
+// removed row's place is taken by the last row, so no dead row is kept.
+type execTable struct {
+	rule   string
+	ids    []types.ID
+	counts []int32
+	stride int
+}
+
+// entry builds the reader's view of row i; its VIDList aliases ids.
+func (t *execTable) entry(i int) RuleExecEntry {
+	at := i * t.stride
+	end := at + t.stride
+	return RuleExecEntry{RID: t.ids[at], Rule: t.rule, VIDList: t.ids[at+1 : end : end], Count: int(t.counts[i])}
+}
+
+// execSlot locates a ruleExec row: its table's index in the high 32 bits, its
+// row in the low 32.
+func execSlot(table, row int) uint64 { return uint64(table)<<32 | uint64(row) }
 
 // storeArenaChunk caps the chunk size of a store's arenas.
 const storeArenaChunk = 256
@@ -204,12 +238,10 @@ func prefix(id types.ID) uint64 { return binary.LittleEndian.Uint64(id[:8]) }
 // four, and reads, deletes and len treat a nil map as empty.
 func NewStore(node types.NodeID) *Store {
 	return &Store{
-		Node:          node,
-		vertArena:     types.NewArena[Vertex](storeArenaChunk),
-		ruleExecArena: types.NewArena[RuleExecEntry](storeArenaChunk),
-		provArena:     types.NewArena[ProvEntry](storeArenaChunk),
-		parentArena:   types.NewArena[Parent](storeArenaChunk),
-		vidArena:      types.NewArena[types.ID](storeArenaChunk),
+		Node:        node,
+		vertArena:   types.NewArena[Vertex](storeArenaChunk),
+		provArena:   types.NewArena[ProvEntry](storeArenaChunk),
+		parentArena: types.NewArena[Parent](storeArenaChunk),
 	}
 }
 
@@ -297,52 +329,101 @@ func (s *Store) changed(vid types.ID) {
 //
 //exspan:hotpath
 func (s *Store) AddRuleExec(rid types.ID, rule string, vidList []types.ID) {
-	if e := s.ruleExecRow(rid); e != nil {
-		e.Count++
+	if slot, ok := s.ruleExecSlot(rid); ok {
+		s.execTables[slot>>32].counts[uint32(slot)]++
 		return
 	}
-	e := s.ruleExecArena.New()
-	e.RID, e.Rule, e.VIDList, e.Count = rid, rule, s.vidArena.Copy(vidList), 1
-	if k := prefix(rid); s.ruleExec[k] == nil {
+	ti := s.execTableOf(rule, len(vidList))
+	t := &s.execTables[ti]
+	// Grown by append from nil, one row at a time: a store holds few rows
+	// of most rules, and reserved rows would be paid by every store of a
+	// large cluster.
+	t.ids = slices.Grow(t.ids, t.stride)
+	t.ids = append(t.ids, rid)
+	t.ids = append(t.ids, vidList...)
+	t.counts = append(t.counts, 1)
+	slot := execSlot(ti, len(t.counts)-1)
+	k := prefix(rid)
+	if _, taken := s.ruleExec[k]; !taken {
 		if s.ruleExec == nil {
 			//exspanlint:alloc-ok first ruleExec row of this store
-			s.ruleExec = make(map[uint64]*RuleExecEntry)
+			s.ruleExec = make(map[uint64]uint64)
 		}
-		s.ruleExec[k] = e
+		s.ruleExec[k] = slot
 	} else {
 		if s.ruleExecSpill == nil {
 			//exspanlint:alloc-ok prefix collision overflow: created by the first two RIDs of this store sharing eight bytes, nil otherwise
-			s.ruleExecSpill = make(map[types.ID]*RuleExecEntry)
+			s.ruleExecSpill = make(map[types.ID]uint64)
 		}
-		s.ruleExecSpill[rid] = e
+		s.ruleExecSpill[rid] = slot
 	}
 }
 
-// ruleExecRow returns the ruleExec row of rid, or nil.
-func (s *Store) ruleExecRow(rid types.ID) *RuleExecEntry {
-	if e := s.ruleExec[prefix(rid)]; e != nil && e.RID == rid {
-		return e
+// execTableOf returns the index of the table of (rule, arity), appending an
+// empty one on first sight. A program has few rules, so a scan finds it.
+//
+//exspan:hotpath
+func (s *Store) execTableOf(rule string, arity int) int {
+	for i := range s.execTables {
+		if t := &s.execTables[i]; t.stride == arity+1 && t.rule == rule {
+			return i
+		}
 	}
-	return s.ruleExecSpill[rid]
+	s.execTables = append(s.execTables, execTable{rule: rule, stride: arity + 1})
+	return len(s.execTables) - 1
+}
+
+// ruleExecSlot returns the slot of rid's row; ok is false when there is none.
+func (s *Store) ruleExecSlot(rid types.ID) (slot uint64, ok bool) {
+	if slot, ok = s.ruleExec[prefix(rid)]; ok {
+		t := &s.execTables[slot>>32]
+		if t.ids[int(uint32(slot))*t.stride] == rid {
+			return slot, true
+		}
+	}
+	slot, ok = s.ruleExecSpill[rid]
+	return slot, ok
+}
+
+// inPrefixMap reports whether the row of rid at slot is found through the
+// prefix map, not the spill map.
+func (s *Store) inPrefixMap(rid types.ID, slot uint64) bool {
+	at, ok := s.ruleExec[prefix(rid)]
+	return ok && at == slot
 }
 
 // DelRuleExec decrements (and possibly removes) a ruleExec row; it reports
-// whether the row existed.
+// whether the row existed. A removed row's place is taken by its table's
+// last row, whose map entry follows it.
 //
 //exspan:hotpath
 func (s *Store) DelRuleExec(rid types.ID) bool {
-	e := s.ruleExecRow(rid)
-	if e == nil {
+	slot, ok := s.ruleExecSlot(rid)
+	if !ok {
 		return false
 	}
-	e.Count--
-	if e.Count <= 0 {
-		if k := prefix(rid); s.ruleExec[k] == e {
-			delete(s.ruleExec, k)
+	t := &s.execTables[slot>>32]
+	row := int(uint32(slot))
+	if t.counts[row]--; t.counts[row] > 0 {
+		return true
+	}
+	if s.inPrefixMap(rid, slot) {
+		delete(s.ruleExec, prefix(rid))
+	} else {
+		delete(s.ruleExecSpill, rid)
+	}
+	last := len(t.counts) - 1
+	if row != last {
+		copy(t.ids[row*t.stride:(row+1)*t.stride], t.ids[last*t.stride:])
+		t.counts[row] = t.counts[last]
+		if moved := t.ids[row*t.stride]; s.inPrefixMap(moved, execSlot(int(slot>>32), last)) {
+			s.ruleExec[prefix(moved)] = slot
 		} else {
-			delete(s.ruleExecSpill, rid)
+			s.ruleExecSpill[moved] = slot
 		}
 	}
+	t.ids = t.ids[:last*t.stride]
+	t.counts = t.counts[:last]
 	return true
 }
 
@@ -355,7 +436,7 @@ func (s *Store) TupleOf(vid types.ID) (types.Tuple, bool) {
 }
 
 // Derivations returns the visible prov entries for a VID. Callers must not
-// mutate the returned slice.
+// mutate the returned slice; it is valid until the next store write.
 func (s *Store) Derivations(vid types.ID) []ProvEntry {
 	if v := s.Lookup(vid); v != nil {
 		return v.Rows
@@ -363,10 +444,11 @@ func (s *Store) Derivations(vid types.ID) []ProvEntry {
 	return nil
 }
 
-// RuleExecOf resolves a local RID.
+// RuleExecOf resolves a local RID. The entry's VIDList is valid until the
+// next store write.
 func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) {
-	if e := s.ruleExecRow(rid); e != nil {
-		return *e, true
+	if slot, ok := s.ruleExecSlot(rid); ok {
+		return s.execTables[slot>>32].entry(int(uint32(slot))), true
 	}
 	return RuleExecEntry{}, false
 }
@@ -396,13 +478,14 @@ func (s *Store) vertices(yield func(*Vertex) bool) {
 }
 
 // ForEachRuleExec invokes fn for every visible ruleExec entry (iteration
-// order is unspecified).
+// order is unspecified). An entry's VIDList is valid until the next store
+// write; fn must not write to the store.
 func (s *Store) ForEachRuleExec(fn func(RuleExecEntry)) {
-	for _, e := range s.ruleExec {
-		fn(*e)
-	}
-	for _, e := range s.ruleExecSpill {
-		fn(*e)
+	for i := range s.execTables {
+		t := &s.execTables[i]
+		for row := range t.counts {
+			fn(t.entry(row))
+		}
 	}
 }
 

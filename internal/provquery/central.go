@@ -1,6 +1,8 @@
 package provquery
 
 import (
+	"slices"
+
 	"repro/internal/algebra"
 	"repro/internal/provenance"
 	"repro/internal/types"
@@ -63,7 +65,8 @@ func NewStoreGraph(stores ...*provenance.Store) *CentralGraph {
 			g.addProv(vid, s.Node, d.RID, d.RLoc)
 		})
 		s.ForEachRuleExec(func(e provenance.RuleExecEntry) {
-			g.ruleExec[e.RID] = centralExec{rule: e.Rule, inputs: e.VIDList}
+			// e.VIDList aliases the store, which later writes reorder.
+			g.ruleExec[e.RID] = centralExec{rule: e.Rule, inputs: slices.Clone(e.VIDList)}
 		})
 	}
 	return g
