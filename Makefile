@@ -175,9 +175,8 @@ bench:
 	$(GO) run ./bench
 
 # One-iteration smoke run of every go-test benchmark in bench_test.go — the
-# five profiling targets PERFORMANCE.md names: engine fixpoint, query path,
-# simulator dispatch, planner, deletion churn — so none can bit-rot
-# unnoticed.
+# four profiling targets PERFORMANCE.md names: engine fixpoint, query path,
+# simulator dispatch, deletion churn — so none can bit-rot unnoticed.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
 

@@ -72,7 +72,7 @@ func main() {
 	query := flag.String("query", "", "tuple to query after fixpoint, e.g. 'bestPathCost(@a,c,5)'")
 	udfName := flag.String("udf", "polynomial", "query representation: polynomial, bdd, derivations, nodeset, derivability")
 	dumpProv := flag.Bool("dump-prov", false, "print every node's canonical fixpoint state (visible tuples, value-mode payloads,\nprov and ruleExec rows) after fixpoint")
-	explain := flag.Bool("explain", false, "after fixpoint, dump node 0's chosen rule plans (join order, probe\nindexes, pushed predicates) and the statistics snapshot behind them")
+	explain := flag.Bool("explain", false, "after fixpoint, dump node 0's rule plans (join order, probe indexes,\npushed predicates) with the probes and hits each join step measured")
 	deployMode := flag.Bool("deploy", false, "run over real UDP sockets (testbed mode) instead of the simulator")
 	faultSeed := flag.Int64("fault-seed", 0, "seed of the injected fault schedule (with -loss/-dup/-partition)")
 	loss := flag.Float64("loss", 0, "per-datagram drop probability in [0,1); traffic then runs over the\nreliable ack/retransmit transport so the fixpoint is unchanged")

@@ -48,8 +48,8 @@ func ChordID(n types.NodeID) int64 {
 // and the provenance of a lookupRes row is exactly the forwarding path —
 // the DHT forensics scenario of examples/.
 //
-// c1, c5, l1 and l2 have >= 3-atom bodies: these joins are what the
-// cost-based planner reorders on real workload statistics.
+// c1, c5, l1 and l2 have >= 3-atom bodies: their join order is a choice,
+// made once at compile time.
 const ChordSrc = `
 c1 cand(@N,M,IdM,D) :- peer(@N,M,IdM), alive(@N,M), ident(@N,IdN), M != N,
                        D = f_ringdist(IdN,IdM,1048576).

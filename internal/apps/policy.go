@@ -21,8 +21,8 @@ import (
 // (the "Adj-RIB" the forensics walkthrough interrogates); pp5 extracts
 // the forwarding next hop.
 //
-// pp2's 3-atom body (link ⋈ policy ⋈ bestRoute) is a real planner
-// workload: policy is sparse where link is dense, so join order matters.
+// pp2's 3-atom body (link ⋈ policy ⋈ bestRoute) has a join-order choice:
+// policy is sparse where link is dense.
 const PolicySrc = `
 pp1 route(@S,D,C,P) :- link(@S,D,C0), policy(@S,D,W), C = C0 + W, P = f_init(S,D).
 pp2 route(@S,D,C,P) :- link(@Z,S,C1), policy(@Z,S,W), bestRoute(@Z,D,C2,P2),

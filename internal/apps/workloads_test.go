@@ -301,10 +301,10 @@ func TestPolicyRoutesRespectPolicy(t *testing.T) {
 	}
 }
 
-// TestWorkloadProgramsArePlanned pins the acceptance criterion that both
-// protocols carry >= 3-atom rules the planner plans: the explain dump must
-// show [planned] join pipelines for the Chord candidate and lookup rules
-// and the policy extension rule.
+// TestWorkloadProgramsArePlanned pins that both protocols carry >= 3-atom
+// rules whose join order is a choice: the explain dump must show [planned]
+// join pipelines for the Chord candidate and lookup rules and the policy
+// extension rule.
 func TestWorkloadProgramsArePlanned(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

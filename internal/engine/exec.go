@@ -34,7 +34,7 @@ import (
 func (n *Node) firePlan(rule *CompiledRule, pos int, t types.Tuple, sign int8,
 	deltaEntry *entry, deltaPayload bdd.Ref) {
 
-	pl := n.plans[rule.idx][pos] // the node's ACTIVE plan (planner.go)
+	pl := rule.plans[pos]
 	env := n.envBuf[:rule.numVars]
 	if !bindTuple(pl.deltaBinds, t, env) {
 		return
@@ -85,12 +85,7 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 			n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
 			return
 		}
-		// Pass/fail tally for the planner's measured selectivity (an index
-		// bump on node-owned counters; folded at quiescence, stats.go).
-		cs := &n.condStats[rule.condBase+st.condID]
-		cs.evals++
 		if v.Truthy() {
-			cs.passes++
 			n.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
 		}
 	case stepJoin:

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/algebra"
 	"repro/internal/bdd"
@@ -79,43 +80,12 @@ type Node struct {
 	// data); the node stops deriving after an error.
 	Err error
 
-	// NoReplan pins the node to the compile-time default plans — the
-	// baseline side of planner-equivalence tests and benchmarks.
-	NoReplan bool
-
-	// plans is the node's ACTIVE plan set, indexed [rule.idx][bodyPos].
-	// It starts as the program's compile-time default and is the only
-	// thing Replan swaps; the executor (exec.go) reads plans exclusively
-	// through it. Swaps happen only at driver quiescence points, when no
-	// fire phase is running.
-	plans [][]*plan
-	// joinKeys maps each joinID to the (predicate, index) it currently
-	// probes, for folding fan-out tallies into plan-independent
-	// accumulators. Built by the first fold (foldJoinStats), rebuilt on
-	// every plan swap.
-	joinKeys []statKey
-	// fanAcc accumulates measured join fan-out across plan generations;
-	// created by the first fold.
-	fanAcc map[statKey]joinStat
-	// condAcc accumulates measured condition pass/fail tallies, indexed by
-	// program-wide condition slot (stats.go condStat).
-	condAcc []condStat
-	// Counters. joinStats tallies probes/hits per joinID for the planner's
-	// cost model (stats.go), folded into fanAcc only at quiescence;
-	// condStats does the same for condition pass/fail tallies into condAcc,
-	// keyed by program-wide condition slot (CompiledRule.condBase +
-	// planStep.condID).
+	// Counters. joinStats tallies probes and returned candidates per
+	// compiled join step (indexed by joinID): the measured work ExplainPlans
+	// prints.
 	deltasProcessed int64
 	rulesFired      int64
 	joinStats       []joinStat
-	condStats       []condStat
-	// lastReplanDeltas gates re-planning on drift: a re-plan is attempted
-	// only after replanMinDeltas further deltas since the previous one.
-	lastReplanDeltas int64
-	// statHook, when set (tests), perturbs the cost model's fan-out
-	// estimates — the lever planner-equivalence fences use to force
-	// alternative join orders.
-	statHook func(pred, idx string, est float64) float64
 
 	// The delta ring (apply.go): queue[qhead:] is pending work.
 	queue []localDelta
@@ -246,13 +216,6 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc 
 			n.Alloc = algebra.NewVarAlloc()
 		}
 	}
-	// The active plan set starts as the compile-time default; bindPlans
-	// resolves the index handles against it, so it must exist first.
-	n.plans = make([][]*plan, len(prog.Rules))
-	for i, cr := range prog.Rules {
-		n.plans[i] = append([]*plan(nil), cr.plans...)
-	}
-	n.condAcc = make([]condStat, prog.numConds)
 	// Pre-create relations, the indexes every join plan needs, and the
 	// per-join compiled handles. Joins against event atoms keep a nil
 	// handle: events never materialize, so such probes match nothing.
@@ -264,7 +227,6 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc 
 	}
 	n.joinIdx = make([]*index, prog.numJoins)
 	n.joinStats = make([]joinStat, prog.numJoins)
-	n.condStats = make([]condStat, prog.numConds)
 	n.aggByRule = make([]map[uint64]*aggGroup, len(prog.Rules))
 	n.aggBodyRel = make([]*Relation, len(prog.Rules))
 	n.bindPlans()
@@ -283,14 +245,11 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc 
 	return n
 }
 
-// bindPlans resolves every join step of the node's ACTIVE plan set to its
-// index handle, creating any index a plan needs (EnsureIndex backfills
-// deterministically over live state). Runs at construction and again after
-// every plan swap (Node.replan) — always between rounds, never while a fire
-// phase could probe a handle.
+// bindPlans resolves every join step of the program's plans to its index
+// handle, creating any index a plan needs. Runs once, at construction.
 func (n *Node) bindPlans() {
 	for _, r := range n.Prog.Rules {
-		for _, pl := range n.plans[r.idx] {
+		for _, pl := range r.plans {
 			for i := range pl.steps {
 				st := &pl.steps[i]
 				if st.kind != stepJoin {
@@ -369,6 +328,48 @@ func (n *Node) AggGroupCount() int {
 
 // RulesFired reports the number of rule firings the node has executed.
 func (n *Node) RulesFired() int64 { return n.rulesFired }
+
+// joinStat tallies one compiled join step's probes and the candidates they
+// returned: two slice-indexed bumps per probe.
+type joinStat struct {
+	probes int64
+	hits   int64
+}
+
+// ExplainPlans writes every rule's delta plans — join order, probe indexes,
+// pushed assignments and conditions — with the probes and hits each join
+// step has measured on this node so far. Rules print in program order and
+// steps in execution order; the text is a function of the node's history,
+// so equal runs print equal text. A pipeline is [planned] when its rule's
+// join order was a choice (three or more body atoms), [default] otherwise.
+func (n *Node) ExplainPlans(w io.Writer) {
+	for _, cr := range n.Prog.Rules {
+		fmt.Fprintf(w, "rule %s: %s\n", cr.Label, cr.source.String())
+		if cr.agg != nil {
+			fmt.Fprintf(w, "  aggregate over %s (single-atom; not planned)\n", cr.atoms[0].pred)
+			continue
+		}
+		tag := "[default]"
+		if cr.planable() {
+			tag = "[planned]"
+		}
+		for pos, pl := range cr.plans {
+			fmt.Fprintf(w, "  delta %s (pos %d): %s\n", cr.atoms[pos].pred, pos, tag)
+			for _, st := range pl.steps {
+				switch st.kind {
+				case stepJoin:
+					js := n.joinStats[st.joinID]
+					fmt.Fprintf(w, "    join %s idx[%s] probes=%d hits=%d\n",
+						cr.atoms[st.atom].pred, st.indexID, js.probes, js.hits)
+				case stepCond:
+					fmt.Fprintf(w, "    cond %s\n", st.srcTxt)
+				case stepAssign:
+					fmt.Fprintf(w, "    assign %s\n", st.srcTxt)
+				}
+			}
+		}
+	}
+}
 
 // PayloadOf returns the value-mode provenance payload of a visible tuple —
 // the "immediately available" provenance that lets a node accept or reject

@@ -16,8 +16,8 @@ import (
 // The contract between the layers:
 //
 //   - A plan is immutable after Compile and shared by every node. All
-//     mutable evaluation state (environments, scratch keys, matched tuples)
-//     lives in the executing Node.
+//     mutable evaluation state (environments, scratch keys, matched tuples,
+//     probe tallies) lives in the executing Node.
 //   - deltaBinds matches the triggering delta tuple into the environment;
 //     steps then run in order. stepJoin probes the index identified by
 //     joinID (bound to the node's concrete index handles at construction
@@ -25,6 +25,12 @@ import (
 //   - Join lookup keys are built by appendLookupKey into caller scratch:
 //     the fixed-width handle key of each key part, matching appendIndexKey
 //     on the relation side, so the innermost probe loop allocates nothing.
+//   - Join order is chosen once, here, and changes only how a delta's
+//     derivations are enumerated, never which exist: the derivations of a
+//     delta against fixed relation state form the same multiset under every
+//     order, and RIDs hash the participating tuples, not the probe order.
+//     joinorder_test.go runs every legal order of every rule with a choice
+//     and requires the default plans' fixpoint state.
 
 // bindKind describes how one atom argument is treated during matching.
 type bindKind uint8
@@ -72,12 +78,6 @@ type planStep struct {
 	assignSlot int
 	expr       exprCode
 	srcTxt     string // source text of the term (explain output only)
-	// condID is the term's rule-local index (its position among the rule's
-	// non-atom body terms in source order); stepCond executions tally
-	// pass/fail into Node.condStats[rule.condBase+condID]. Stable across
-	// re-plans: rebuilt plans re-derive the same term numbering from the
-	// rule source.
-	condID int
 }
 
 // plan is a delta-evaluation strategy for one body atom position: bind the
@@ -88,20 +88,6 @@ type plan struct {
 	steps      []planStep
 }
 
-// atomCostFn estimates the fan-out of probing atom a with the given
-// bound/const positions — the planner's cost model (planner.go). A nil
-// function selects the compile-time default order (most bound positions
-// first, ties by body position).
-type atomCostFn func(a *ndlog.Atom, boundPos []int) float64
-
-// condSelectivity is the default credit the greedy pick grants per pending
-// condition an atom's bindings would make evaluable: each unlocked
-// condition is assumed to filter half the rows it sees. Once a condition
-// has been executed condMinEvals times, the planner substitutes its
-// measured pass rate (Node.condSelFor, planner.go) through the condSel
-// lookup buildPlan threads into the search.
-const condSelectivity = 0.5
-
 // nonAtom is one non-atom body term (assignment or condition) awaiting
 // placement; buildPlan flushes them as soon as their inputs are bound.
 type nonAtom struct {
@@ -109,14 +95,12 @@ type nonAtom struct {
 	cond   *ndlog.Cond
 }
 
-// buildPlan constructs the delta plan for position k, ordering the joined
-// atoms by cost (or the syntax-derived default when cost is nil). condSel,
-// when non-nil, maps a rule-local term index to that condition's measured
-// selectivity for the pushdown credit; nil applies the flat
-// condSelectivity default.
-func buildPlan(cr *CompiledRule, atoms []*ndlog.Atom, slots map[string]int, k int,
-	cost atomCostFn, condSel func(int) float64) (*plan, error) {
-
+// buildPlan constructs the delta plan for position k. order, when non-nil,
+// lists the other body positions in the order they are joined; nil selects
+// the default (pickNextAtom). Compile always passes nil: the join-order
+// fence is the only caller that names an order.
+func buildPlan(cr *CompiledRule, atoms []*ndlog.Atom, k int, order []int) (*plan, error) {
+	slots := cr.slots
 	bound := map[int]bool{}
 	pl := &plan{}
 
@@ -198,7 +182,6 @@ func buildPlan(cr *CompiledRule, atoms []*ndlog.Atom, slots map[string]int, k in
 					}
 					pl.steps = append(pl.steps, planStep{
 						kind: stepCond, expr: code, srcTxt: ndlog.ExprString(tm.cond.Expr),
-						condID: i,
 					})
 				}
 				termDone[i] = true
@@ -226,7 +209,12 @@ func buildPlan(cr *CompiledRule, atoms []*ndlog.Atom, slots map[string]int, k in
 		}
 	}
 	for len(remaining) > 0 {
-		best := pickNextAtom(atoms, slots, remaining, bound, cost, condSel, terms, termDone)
+		var best int
+		if order != nil {
+			best = order[len(atoms)-1-len(remaining)]
+		} else {
+			best = pickNextAtom(atoms, slots, remaining, bound)
+		}
 		a := atoms[best]
 		delete(remaining, best)
 
@@ -269,100 +257,32 @@ func buildPlan(cr *CompiledRule, atoms []*ndlog.Atom, slots map[string]int, k in
 	return pl, nil
 }
 
-// pickNextAtom chooses the next body atom to join. With no cost model the
-// compile-time default applies: most bound/const positions first, ties by
-// body position (the pre-planner behaviour, kept as the deterministic
-// fallback). With a cost model, the estimated fan-out of probing the atom
-// is discounted by each pending condition the atom's bindings would unlock
-// — its measured selectivity through condSel when available, the flat
-// condSelectivity otherwise — and the lowest cost wins; ties break toward
-// more bound positions, then lower body position. The ascending iteration
-// plus strict-improvement replacement makes the choice deterministic for
-// any cost function.
+// pickNextAtom chooses the next body atom to join: the one with the most
+// bound or constant positions, ties broken by body position.
 func pickNextAtom(atoms []*ndlog.Atom, slots map[string]int, remaining map[int]bool,
-	bound map[int]bool, cost atomCostFn, condSel func(int) float64,
-	terms []nonAtom, termDone []bool) int {
+	bound map[int]bool) int {
 
-	best := -1
-	bestCost := 0.0
-	bestBound := -1
-	for i := range atoms {
+	best, bestBound := -1, -1
+	for i, a := range atoms {
 		if !remaining[i] {
 			continue
 		}
-		a := atoms[i]
-		var boundPos []int
-		for pos, arg := range a.Args {
+		nb := 0
+		for _, arg := range a.Args {
 			switch v := arg.(type) {
 			case *ndlog.Var:
 				if bound[slots[v.Name]] {
-					boundPos = append(boundPos, pos)
+					nb++
 				}
 			case *ndlog.Const:
-				boundPos = append(boundPos, pos)
+				nb++
 			}
 		}
-		if cost == nil {
-			if len(boundPos) > bestBound {
-				best, bestBound = i, len(boundPos)
-			}
-			continue
-		}
-		c := cost(a, boundPos)
-		for _, ci := range readyConds(a, slots, bound, terms, termDone) {
-			if condSel != nil {
-				c *= condSel(ci)
-			} else {
-				c *= condSelectivity
-			}
-		}
-		if best == -1 || c < bestCost ||
-			(c == bestCost && len(boundPos) > bestBound) {
-			best, bestCost, bestBound = i, c, len(boundPos)
+		if nb > bestBound {
+			best, bestBound = i, nb
 		}
 	}
 	return best
-}
-
-// readyConds returns the indexes of pending conditions that would become
-// evaluable if atom a's variables were additionally bound — the pushdown
-// credit for picking a early.
-func readyConds(a *ndlog.Atom, slots map[string]int, bound map[int]bool,
-	terms []nonAtom, termDone []bool) []int {
-
-	var wouldBind map[int]bool
-	var ready []int
-	for i, tm := range terms {
-		if termDone[i] || tm.cond == nil {
-			continue
-		}
-		if wouldBind == nil {
-			wouldBind = make(map[int]bool, len(a.Args))
-			for _, arg := range a.Args {
-				if v, ok := arg.(*ndlog.Var); ok {
-					wouldBind[slots[v.Name]] = true
-				}
-			}
-		}
-		ok := true
-		gains := false
-		for _, dep := range ndlog.Vars(tm.cond.Expr) {
-			s := slots[dep]
-			if bound[s] {
-				continue
-			}
-			if wouldBind[s] {
-				gains = true
-				continue
-			}
-			ok = false
-			break
-		}
-		if ok && gains {
-			ready = append(ready, i)
-		}
-	}
-	return ready
 }
 
 // bindTuple matches a tuple against bind specs, writing new bindings into

@@ -18,16 +18,9 @@ type Program struct {
 	// index handles and allocate scratch arenas before evaluation starts.
 	numJoins  int // total stepJoin steps across all plans; joinIDs are [0,numJoins)
 	numTables int // stored (non-event) predicates; tableIDs are [0,numTables)
-	numConds  int // non-atom body terms across all rules; sizes Node.condStats
 	maxVars   int // widest rule environment
 	maxAtoms  int // widest rule body
 	maxGroup  int // widest aggregate group-by list
-
-	// planable is true when at least one rule has enough body atoms for
-	// join reordering to matter (≥ 3: with two atoms the delta position
-	// fixes the only remaining probe). Nodes skip all planner bookkeeping
-	// — stat folding, drift checks, re-plan attempts — when false.
-	planable bool
 }
 
 type occurrence struct {
@@ -72,11 +65,11 @@ type CompiledRule struct {
 	headCode    []exprCode
 	numVars     int
 	atoms       []*atomSpec
-	plans       []*plan  // one per body atom position (compile-time default order)
+	plans       []*plan  // one per body atom position, chosen at Compile
 	agg         *AggSpec // non-nil for aggregate rules
 	idx         int      // position in Program.Rules; keys per-rule node state
 	source      *ndlog.Rule
-	slots       map[string]int // variable -> env slot; planner re-plans reuse it
+	slots       map[string]int // variable -> env slot
 	// headRecursive mirrors PredInfo.Recursive for the head predicate:
 	// aggregate winner promotions triggered by deletes of such rules are
 	// staged for the re-derivation phase (agg.go).
@@ -84,14 +77,6 @@ type CompiledRule struct {
 	// headStratum mirrors PredInfo.Stratum for the head predicate; staged
 	// aggregate groups release in its wave.
 	headStratum int
-	// condBase offsets this rule's non-atom body terms into the program-
-	// wide condition-statistics space [condBase, condBase+numTerms):
-	// stepCond steps carry the term's rule-local index (planStep.condID),
-	// and the measured pass/fail tallies (Node.condStats) are keyed by
-	// condBase+condID — stable across plan swaps, because rebuilt plans
-	// re-derive the same term indexing from the rule source.
-	condBase int
-	numTerms int
 }
 
 // AggSpec describes an aggregate rule head.
@@ -186,11 +171,6 @@ func Compile(p *ndlog.Program) (*Program, error) {
 	}
 	for ri, cr := range prog.Rules {
 		cr.idx = ri
-		cr.condBase = prog.numConds
-		prog.numConds += cr.numTerms
-		if cr.planable() {
-			prog.planable = true
-		}
 		if cr.numVars > prog.maxVars {
 			prog.maxVars = cr.numVars
 		}
@@ -285,16 +265,6 @@ func compileRule(r *ndlog.Rule, label string) (*CompiledRule, error) {
 			args:  a.Args,
 		})
 	}
-	// numTerms mirrors buildPlan's non-atom term enumeration (assignments
-	// and conditions in source order): term i there is condition slot
-	// condBase+i in the program-wide statistics space.
-	for _, t := range r.Body {
-		switch t.(type) {
-		case *ndlog.Assign, *ndlog.Cond:
-			cr.numTerms++
-		}
-	}
-
 	// Aggregate rules: this engine evaluates aggregates over a single
 	// body atom (MIN/MAX provenance traces to one winning input tuple);
 	// join-then-aggregate rules must be split through an intermediate
@@ -357,10 +327,9 @@ func compileRule(r *ndlog.Rule, label string) (*CompiledRule, error) {
 		}
 	}
 
-	// Build one plan per delta position (compile-time default order; the
-	// planner may later rebuild these per node from measured statistics).
+	// Build one plan per delta position, in the default join order.
 	for k := range atoms {
-		pl, err := buildPlan(cr, atoms, slots, k, nil, nil)
+		pl, err := buildPlan(cr, atoms, k, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -369,9 +338,9 @@ func compileRule(r *ndlog.Rule, label string) (*CompiledRule, error) {
 	return cr, nil
 }
 
-// planable reports whether the planner can usefully reorder this rule:
-// non-aggregate and at least three body atoms (with two, the delta position
-// fixes the only remaining probe, so every legal plan is the default one).
+// planable reports whether the rule's join order is a choice: non-aggregate
+// and at least three body atoms (with two, the delta position fixes the only
+// remaining probe, so every legal plan is the default one).
 func (cr *CompiledRule) planable() bool {
 	return cr.agg == nil && len(cr.atoms) >= 3
 }

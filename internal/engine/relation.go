@@ -85,7 +85,6 @@ type Relation struct {
 	indexes []*index
 	visible int    // O(1) Len
 	dead    int    // invisible derivation-free entries retained for reuse
-	churn   int64  // total visibility transitions (planner drift signal)
 	scratch []byte // reusable key-encoding buffer
 
 	// deferMaint switches the relation to batched-round maintenance:
@@ -127,13 +126,11 @@ func (r *Relation) allocEntry() *entry {
 
 // index is a hash index over a fixed set of argument positions. Buckets are
 // keyed by a 64-bit FNV-1a hash of the encoded key bytes rather than the
-// bytes themselves: inserting a first-sight key then costs no string copy
-// (the PR 3 leftover this replaced), integer map operations beat string
-// hashing on every probe, and the planner reads len(buckets) as an O(1)
-// distinct-key estimate. A hash collision merges two keys into one bucket;
-// that is sound because every probe site re-verifies candidates against the
-// full bound/const bind specs (bindTuple), so a merged bucket only costs a
-// few filtered candidates. Buckets are held by pointer so adding to an
+// bytes themselves: inserting a first-sight key then costs no string copy,
+// and integer map operations beat string hashing on every probe. A hash
+// collision merges two keys into one bucket; that is sound because every
+// probe site re-verifies candidates against the full bound/const bind specs
+// (bindTuple), so a merged bucket only costs a few filtered candidates. Buckets are held by pointer so adding to an
 // existing bucket needs no map re-assignment; emptied buckets leave the map
 // (bounding distinct-key churn) and recycle their boxes through a free list,
 // so steady-state visibility churn allocates nothing.
@@ -144,8 +141,8 @@ type index struct {
 	free      []*[]*entry
 }
 
-// FNV-1a 64-bit, inlined: index bucket keys and the planner's distinct-key
-// scans share it. Process-independent, so every run hashes identically.
+// FNV-1a 64-bit, inlined, for index bucket keys. Process-independent, so
+// every run hashes identically.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -315,7 +312,6 @@ func (r *Relation) setVisible(e *entry, visible bool) {
 		return
 	}
 	e.visible = visible
-	r.churn++
 	if visible {
 		r.visible++
 	} else {
@@ -449,8 +445,7 @@ func appendIndexKey(b []byte, t types.Tuple, positions []int) []byte {
 
 // indexID renders the position list as a canonical map key without any
 // fmt-based formatting. Plan steps carry theirs from plan-build time
-// (planStep.indexID); the planner's cost model and tests derive one per
-// call, never per probe.
+// (planStep.indexID); tests derive one per call, never per probe.
 func indexID(positions []int) string {
 	b := make([]byte, 0, 2*len(positions))
 	for i, p := range positions {
@@ -466,9 +461,8 @@ func indexID(positions []int) string {
 // positions, returning a direct handle usable for probe-time lookups.
 // Backfill inserts visible entries in canonical tuple order: bucket order
 // feeds candidate-enumeration order, which the determinism fences observe
-// through emission order, so index creation over a non-empty relation (the
-// planner does this at re-plan time) must not leak the entries map's
-// iteration order.
+// through emission order, so index creation over a non-empty relation must
+// not leak the entries map's iteration order.
 func (r *Relation) EnsureIndex(positions []int) *index {
 	return r.ensureIndex(indexID(positions), positions)
 }
@@ -492,7 +486,7 @@ func (r *Relation) ensureIndex(id string, positions []int) *index {
 }
 
 // indexByID scans for the index with the given indexID: a relation has a
-// handful at most, and the scan runs at bind and planning time only.
+// handful at most, and the scan runs at bind time only.
 func (r *Relation) indexByID(id string) *index {
 	for _, idx := range r.indexes {
 		if idx.id == id {
@@ -500,14 +494,6 @@ func (r *Relation) indexByID(id string) *index {
 		}
 	}
 	return nil
-}
-
-// dropIndexesExcept deletes every index whose ID is not in keep — the
-// planner's index-lifecycle half: when a re-plan stops probing an index, the
-// relation stops paying its per-visibility-change maintenance. Callers must
-// hold quiescence (no probe can be in flight).
-func (r *Relation) dropIndexesExcept(keep map[string]bool) {
-	r.indexes = slices.DeleteFunc(r.indexes, func(idx *index) bool { return !keep[idx.id] })
 }
 
 // Index returns the handle of an existing index over positions, or nil. The

@@ -153,8 +153,7 @@ func (n *Node) ReleaseStaged() bool {
 // run the calls concurrently — and report whether any call returned true.
 // The pass releases every node's staged work and reports whether any node
 // had some; the driver then runs the cluster to quiescence again and
-// repeats. Only a pass that released nothing is the true fixpoint, the one
-// point where plan swaps are legal, so only then is every node re-planned.
+// repeats. Only a pass that released nothing is the true fixpoint.
 //
 // With flush set, a node that released runs to local quiescence before its
 // call returns (Settle, the simulator's OnIdle hook, deploy.WaitFixpoint).
@@ -168,11 +167,7 @@ func ReleasePass(each func(func(*Node) bool) bool, flush bool) bool {
 	if flush {
 		release = releaseAndFlush
 	}
-	if each(release) {
-		return true
-	}
-	each(func(n *Node) bool { n.Replan(); return false })
-	return false
+	return each(release)
 }
 
 func releaseAndFlush(n *Node) bool {
