@@ -203,9 +203,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		m1 := New()
 		r1 := e.build(m1)
 		enc := m1.Encode(r1, nil)
-		if len(enc) != m1.EncodedSize(r1) {
-			t.Fatalf("EncodedSize %d != len %d", m1.EncodedSize(r1), len(enc))
-		}
 		// Decode into a fresh manager and compare by truth table.
 		m2 := New()
 		r2, n, err := m2.Decode(enc)

@@ -64,10 +64,6 @@ func (m *Manager) topo(r Ref) []Ref {
 	return order
 }
 
-// EncodedSize reports len(Encode(r, nil)) without allocating the full
-// buffer contents beyond one pass.
-func (m *Manager) EncodedSize(r Ref) int { return len(m.Encode(r, nil)) }
-
 // Decode reconstructs a serialized BDD inside manager m and returns its
 // root. The serialization is manager-independent, so a BDD built at one
 // node can be decoded at another. The input may come straight off a socket:
@@ -105,19 +101,3 @@ func (m *Manager) Decode(b []byte) (Ref, int, error) {
 	}
 	return refs[root], used + sz, nil
 }
-
-// Func pairs a manager with a root reference so a BDD can travel as a
-// provenance payload inside a tuple (types.Payload).
-type Func struct {
-	M *Manager
-	R Ref
-}
-
-// WireSize implements types.Payload.
-func (f Func) WireSize() int { return f.M.EncodedSize(f.R) }
-
-// EncodePayload implements types.Payload.
-func (f Func) EncodePayload() []byte { return f.M.Encode(f.R, nil) }
-
-// String implements types.Payload.
-func (f Func) String() string { return f.M.String(f.R) }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"repro/internal/algebra"
 	"repro/internal/ndlog"
 	"repro/internal/types"
 )
@@ -242,36 +243,35 @@ var builtins = map[string]func(args []types.Value) (types.Value, error){
 		}
 		return types.List(), nil
 	},
-	// f_cntEDB / f_cntIDB / f_cntRULE are the #DERIVATIONS customization
-	// of the paper's f_pEDB/f_pIDB/f_pRULE triple (§5.2.2, Table 3),
-	// provided as built-ins so the §5.1 query program can execute through
-	// the engine itself: base tuples count 1, alternative derivations
-	// sum, rule inputs multiply.
-	"f_cntEDB": func(args []types.Value) (types.Value, error) {
-		if len(args) != 1 {
-			return types.Nil(), fmt.Errorf("want one argument")
+	// f_pEDB(VID, X), f_pIDB(Buf, VID, X) and f_pRULE(Buf, R, X) are the
+	// §5.1 query program's customization points, bound to POLYNOMIAL on the
+	// wire form provquery.Polynomial splices: the base literal of VID at X,
+	// labelled with the VID's short hash as CentralGraph labels it; the sum
+	// of a tuple vertex's buffered derivations, annotated @X; the product of
+	// a rule execution's buffered inputs, annotated R@X. Every other
+	// representation is an image of this one. A buffer element that is not
+	// a polynomial makes the sum or product Zero.
+	"f_pEDB": func(args []types.Value) (types.Value, error) {
+		if len(args) != 2 || args[0].Kind() != types.KindID || args[1].Kind() != types.KindNode {
+			return types.Nil(), fmt.Errorf("want (vid, loc)")
 		}
-		return types.Int(1), nil
+		vid := args[0].AsID()
+		label := vid.Short()
+		base := algebra.Base{VID: vid, Label: label, Node: args[1].AsNode()}
+		return polyVal(algebra.AppendBase(make([]byte, 0, algebra.BaseSize(label)), base)), nil
 	},
-	"f_cntIDB": func(args []types.Value) (types.Value, error) {
-		if len(args) < 1 || args[0].Kind() != types.KindList {
-			return types.Nil(), fmt.Errorf("want a buffer list")
+	"f_pIDB": func(args []types.Value) (types.Value, error) {
+		if len(args) != 3 || args[0].Kind() != types.KindList || args[2].Kind() != types.KindNode {
+			return types.Nil(), fmt.Errorf("want (buffer, vid, loc)")
 		}
-		var sum int64
-		for _, v := range args[0].AsList() {
-			sum += v.AsInt()
-		}
-		return types.Int(sum), nil
+		return polyVal(algebra.SpliceSum("", args[2].AsNode(), polyKids(args[0]))), nil
 	},
-	"f_cntRULE": func(args []types.Value) (types.Value, error) {
-		if len(args) < 1 || args[0].Kind() != types.KindList {
-			return types.Nil(), fmt.Errorf("want a buffer list")
+	"f_pRULE": func(args []types.Value) (types.Value, error) {
+		if len(args) != 3 || args[0].Kind() != types.KindList ||
+			args[1].Kind() != types.KindStr || args[2].Kind() != types.KindNode {
+			return types.Nil(), fmt.Errorf("want (buffer, rule, loc)")
 		}
-		prod := int64(1)
-		for _, v := range args[0].AsList() {
-			prod *= v.AsInt()
-		}
-		return types.Int(prod), nil
+		return polyVal(algebra.SpliceProd(args[1].AsStr(), args[2].AsNode(), polyKids(args[0]))), nil
 	},
 	// f_ringdist(a, b, space) is the clockwise distance from identifier a
 	// to identifier b on a ring of the given size. A zero distance (a == b)
@@ -319,4 +319,20 @@ var builtins = map[string]func(args []types.Value) (types.Value, error){
 		}
 		return types.Int(0), nil
 	},
+}
+
+// polyVal wraps an encoded polynomial as a prov value.
+func polyVal(enc []byte) types.Value { return types.Prov(types.OpaquePayload(enc)) }
+
+// polyKids returns the encodings of a buffer's elements; an element that is
+// not a prov value contributes nil, which the splice's check rejects.
+func polyKids(buf types.Value) [][]byte {
+	elems := buf.AsList()
+	kids := make([][]byte, len(elems))
+	for i, e := range elems {
+		if p := e.AsProv(); p != nil {
+			kids[i] = p.EncodePayload()
+		}
+	}
+	return kids
 }

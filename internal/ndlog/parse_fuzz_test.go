@@ -16,7 +16,7 @@ import (
 func FuzzParse(f *testing.F) {
 	for _, src := range []string{
 		apps.MinCostSrc, apps.PathVectorSrc, apps.PacketForwardSrc, apps.ChordSrc, apps.PolicySrc,
-		apps.QueryProgramSrc, apps.CountQueryProgramSrc, apps.DFSQueryProgramSrc,
+		apps.QueryProgramSrc, apps.DFSQueryProgramSrc,
 		"r1 a(@X,\"p\xadq\") :- b(@X).",
 	} {
 		f.Add(src)

@@ -33,49 +33,12 @@ import (
 // provenance. For every EDB predicate, a rule is added that registers base
 // tuples in prov with a null RID, matching Table 1's base-tuple rows.
 func ProvenanceRewrite(p *Program) (*Program, error) {
-	return ProvenanceRewriteOpts(p, RewriteOptions{})
-}
-
-// RewriteOptions tunes the provenance rewrite.
-type RewriteOptions struct {
-	// RelationalInputs additionally maintains
-	//
-	//	ruleExecInput(@RLoc, RID, VID)
-	//
-	// — one row per rule-execution input, the relational unnesting of
-	// ruleExec's VIDList. The §5.1 querying program needs it to iterate a
-	// rule's inputs with an ordinary join (NDlog assignments bind a single
-	// value, so list elements cannot be enumerated in rule bodies).
-	RelationalInputs bool
-}
-
-type rewriteCtx struct {
-	opts RewriteOptions
-	// maxInputs per head predicate, across all rules deriving it (the
-	// shared eHTemp consumer rules must cover the widest input list).
-	maxInputs  map[string]int
-	sharedDone map[string]bool
-}
-
-// ProvenanceRewriteOpts is ProvenanceRewrite with options.
-func ProvenanceRewriteOpts(p *Program, opts RewriteOptions) (*Program, error) {
 	if err := Validate(p); err != nil {
 		return nil, err
 	}
-	ctx := &rewriteCtx{
-		opts:       opts,
-		maxInputs:  map[string]int{},
-		sharedDone: map[string]bool{},
-	}
-	for _, r := range p.Rules {
-		n := len(r.BodyAtoms())
-		if agg, _ := r.AggSpec(); agg != nil {
-			n = 1 // MIN/MAX provenance traces to the single winning input
-		}
-		if n > ctx.maxInputs[r.Head.Pred] {
-			ctx.maxInputs[r.Head.Pred] = n
-		}
-	}
+	// Rules 2-5 of Algorithm 1 depend only on the head predicate; emitted
+	// records the heads that have them.
+	emitted := map[string]bool{}
 	out := &Program{Facts: p.Facts}
 	for i, r := range p.Rules {
 		label := r.Label
@@ -83,14 +46,14 @@ func ProvenanceRewriteOpts(p *Program, opts RewriteOptions) (*Program, error) {
 			label = fmt.Sprintf("r%d", i+1)
 		}
 		if agg, _ := r.AggSpec(); agg != nil {
-			rules, err := rewriteAggRule(r, label, ctx)
+			rules, err := rewriteAggRule(r, label)
 			if err != nil {
 				return nil, err
 			}
 			out.Rules = append(out.Rules, rules...)
 			continue
 		}
-		rules, err := rewriteRule(r, label, ctx)
+		rules, err := rewriteRule(r, label, emitted)
 		if err != nil {
 			return nil, err
 		}
@@ -111,29 +74,6 @@ func ProvenanceRewriteOpts(p *Program, opts RewriteOptions) (*Program, error) {
 		out.Rules = append(out.Rules, baseProvRule(pred, baseAtoms[pred]))
 	}
 	return out, nil
-}
-
-// inputUnnestRules emits, for k = 0..maxInputs-1,
-//
-//	ruleExecInput(@RLoc, RID, V) :- eHTemp(...), f_size(List) > k,
-//	                                V = f_nth(List, k).
-func inputUnnestRules(label string, tempAtom func() *Atom, rlocV, ridV, listV string,
-	used map[string]bool, maxInputs int) []*Rule {
-	var out []*Rule
-	vV := fresh(used, "V")
-	for k := 0; k < maxInputs; k++ {
-		kc := &Const{Val: types.Int(int64(k))}
-		out = append(out, &Rule{
-			Label: fmt.Sprintf("%s_in%d", label, k),
-			Head:  &Atom{Pred: "ruleExecInput", LocPos: 0, Args: varAtoms(rlocV, ridV, vV)},
-			Body: []BodyTerm{
-				tempAtom(),
-				&Cond{Expr: &BinOp{Op: ">", L: &Call{Fn: "f_size", Args: []Expr{&Var{Name: listV}}}, R: kc}},
-				&Assign{Lhs: vV, Rhs: &Call{Fn: "f_nth", Args: []Expr{&Var{Name: listV}, kc}}},
-			},
-		})
-	}
-	return out
 }
 
 // fresh returns name if unused in the rule, otherwise name with "_p"
@@ -214,7 +154,7 @@ func eventNames(head string) (temp, send string) {
 	return "e" + base + "Temp", "e" + base
 }
 
-func rewriteRule(r *Rule, label string, ctx *rewriteCtx) ([]*Rule, error) {
+func rewriteRule(r *Rule, label string, emitted map[string]bool) ([]*Rule, error) {
 	used := usedVars(r)
 	locVar, err := BodyLocation(r)
 	if err != nil {
@@ -257,8 +197,8 @@ func rewriteRule(r *Rule, label string, ctx *rewriteCtx) ([]*Rule, error) {
 	// Rules 2-5 depend only on the head predicate (they consume the shared
 	// eHTemp/eH events); when several rules derive the same head they are
 	// emitted once, avoiding duplicate firings.
-	if !ctx.sharedDone[r.Head.Pred] {
-		ctx.sharedDone[r.Head.Pred] = true
+	if !emitted[r.Head.Pred] {
+		emitted[r.Head.Pred] = true
 		tempAtom := func() *Atom {
 			return &Atom{Pred: tempName, LocPos: 0,
 				Args: varAtoms(append(append([]string{rlocV}, headVars...), ridV, rV, listV)...)}
@@ -273,11 +213,6 @@ func rewriteRule(r *Rule, label string, ctx *rewriteCtx) ([]*Rule, error) {
 		sendHead := &Atom{Pred: sendName, LocPos: 0,
 			Args: varAtoms(append(append([]string{}, headVars...), ridV, rlocV)...)}
 		rules = append(rules, &Rule{Label: label + "_3", Head: sendHead, Body: []BodyTerm{tempAtom()}})
-
-		if ctx.opts.RelationalInputs {
-			rules = append(rules, inputUnnestRules(label, tempAtom, rlocV, ridV, listV,
-				used, ctx.maxInputs[r.Head.Pred])...)
-		}
 
 		sendAtom := func() *Atom {
 			return &Atom{Pred: sendName, LocPos: 0,
@@ -309,7 +244,7 @@ func rewriteRule(r *Rule, label string, ctx *rewriteCtx) ([]*Rule, error) {
 // trace each aggregate result to the winning input tuple: when
 // h(@S,...,C) exists and the body tuple p(@S,...,C) matches it, that tuple
 // is the provenance child.
-func rewriteAggRule(r *Rule, label string, ctx *rewriteCtx) ([]*Rule, error) {
+func rewriteAggRule(r *Rule, label string) ([]*Rule, error) {
 	used := usedVars(r)
 	agg, aggPos := r.AggSpec()
 	atom := r.BodyAtoms()[0]
@@ -370,21 +305,15 @@ func rewriteAggRule(r *Rule, label string, ctx *rewriteCtx) ([]*Rule, error) {
 		Args: varAtoms(append(append([]string{rlocV}, headVars...), ridV, rV, listV)...)}
 	rules = append(rules, &Rule{Label: label + "_1", Head: tempHead, Body: body})
 
-	tempAtomFn := func() *Atom {
+	tempAtom := func() *Atom {
 		return &Atom{Pred: tempName, LocPos: 0,
 			Args: varAtoms(append(append([]string{rlocV}, headVars...), ridV, rV, listV)...)}
 	}
-	tempAtom := tempAtomFn()
 	rules = append(rules, &Rule{
 		Label: label + "_2",
 		Head:  &Atom{Pred: "ruleExec", LocPos: 0, Args: varAtoms(rlocV, ridV, rV, listV)},
-		Body:  []BodyTerm{tempAtomFn()},
+		Body:  []BodyTerm{tempAtom()},
 	})
-	if ctx.opts.RelationalInputs && !ctx.sharedDone["in:"+r.Head.Pred] {
-		ctx.sharedDone["in:"+r.Head.Pred] = true
-		rules = append(rules, inputUnnestRules(label, tempAtomFn, rlocV, ridV, listV,
-			used, ctx.maxInputs[r.Head.Pred])...)
-	}
 
 	vidArgs := []Expr{&Const{Val: types.Str(r.Head.Pred)}}
 	vidArgs = append(vidArgs, varAtoms(headVars...)...)
@@ -393,7 +322,7 @@ func rewriteAggRule(r *Rule, label string, ctx *rewriteCtx) ([]*Rule, error) {
 		Head: &Atom{Pred: "prov", LocPos: 0,
 			Args: varAtoms(headVars[flatLocPos], vidV, ridV, rlocV)},
 		Body: []BodyTerm{
-			tempAtom,
+			tempAtom(),
 			&Assign{Lhs: vidV, Rhs: &Call{Fn: "f_vid", Args: vidArgs}},
 		},
 	})
