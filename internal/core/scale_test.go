@@ -142,8 +142,9 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 // an all-pairs protocol, so bytes per derivation is what decides how far the
 // paper's Fig 6 sweep reaches. This read ≈ 874 B per delta with
 // string-keyed relation entries, ≈ 689 B with hash-keyed rows, ≈ 560 B
-// once a stored tuple became its own provenance vertex, and ≈ 514 B once
-// ruleExec rows became column tables. Gated behind -short; `make
+// once a stored tuple became its own provenance vertex, ≈ 514 B once
+// ruleExec rows became column tables, and ≈ 443 B once aggregate rows
+// became handles to their input entries. Gated behind -short; `make
 // scale-smoke` runs it.
 func TestScaleMinCost400(t *testing.T) {
 	if testing.Short() {
@@ -152,7 +153,7 @@ func TestScaleMinCost400(t *testing.T) {
 	const (
 		nodes       = 400
 		wantDeltas  = 719584
-		maxPerDelta = 560
+		maxPerDelta = 465
 		maxSys      = 2 << 30
 	)
 	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))

@@ -8,18 +8,18 @@ import (
 	"repro/internal/types"
 )
 
-// fireAgg routes a delta of an aggregate rule's body predicate through the
+// fireAgg routes a delta of an aggregate rule's body entry through the
 // rule's group state. Body and group evaluation is the same under both
 // executors; only the last step differs. The drain applies the update inline
 // (applyAgg). Batched rounds queue it on aggIn for the next apply step, since
-// group rows are frozen while a fire phase runs; the carried values are
-// copied out of scratch into the value arena. The group itself is found (or
-// created, empty) here under both executors: groups are never removed, so
-// the queued pointer stays valid.
+// group rows are frozen while a fire phase runs, and pin the entry so the
+// round's tombstone sweep cannot reclaim it before the update applies. The
+// group itself is found (or created, empty) here under both executors:
+// groups are never removed, so the queued pointer stays valid.
 //
 //exspan:hotpath
-func (n *Node) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload bdd.Ref) {
-	env, ok := n.evalAggBody(rule, t)
+func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
+	env, ok := n.evalAggBody(rule, e.Tuple)
 	if !ok {
 		return
 	}
@@ -39,37 +39,31 @@ func (n *Node) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload bdd
 	if sign == Update {
 		// Value-mode payload update (value mode always drains): if the
 		// updated input is the current winner, the head's payload follows it.
-		if n.Mode == ProvValue && g.hasOut && g.curWin.Equal(t) {
+		if n.Mode == ProvValue && g.hasOut && g.curWin == e {
 			out := g.curOut
 			out.Pred = rule.HeadPred
-			n.vidBuf[0], n.hashBuf = t.VIDBuf(n.hashBuf)
+			n.vidBuf[0], n.hashBuf = e.VIDBuf(n.hashBuf)
 			var rid types.ID
 			rid, n.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, n.vidBuf[:1], n.ridBuf)
-			n.route(out, n.ID, Update, rid, payload)
+			n.route(out, n.ID, Update, rid, e.payload)
 		}
 		return
 	}
 
-	sortVal, carried := n.evalAggVals(rule, env)
 	if n.batched {
-		n.aggIn = append(n.aggIn, aggItem{
-			rule: rule, g: g, sortVal: sortVal,
-			carried: n.argArena.Copy(carried), input: t, sign: sign,
-		})
+		e.aggQueued = true
+		n.aggIn = append(n.aggIn, aggItem{rule: rule, g: g, ent: e, sign: sign})
 		return
 	}
-	n.applyAgg(rule, g, sortVal, carried, t, sign)
+	n.applyAgg(rule, g, e, sign)
 }
 
 // applyAgg applies one input delta to its aggregate group and emits any net
-// output change as local head deltas. carried may be scratch (update copies
-// what it retains).
+// output change as local head deltas.
 //
 //exspan:hotpath
-func (n *Node) applyAgg(rule *CompiledRule, g *aggGroup, sortVal types.Value,
-	carried []types.Value, input types.Tuple, sign int8) {
-
-	for _, em := range g.update(n, rule, sortVal, carried, input, sign) {
+func (n *Node) applyAgg(rule *CompiledRule, g *aggGroup, e *entry, sign int8) {
+	for _, em := range g.update(n, rule, e, sign) {
 		n.emitAggChange(rule, em)
 	}
 }
@@ -139,40 +133,6 @@ func (n *Node) evalAggBody(rule *CompiledRule, t types.Tuple) ([]types.Value, bo
 	return env, true
 }
 
-// evalAggVals extracts the aggregate's sort value and carried values from
-// the bound environment into scratch (carryBuf). Callers must copy the
-// carried slice if they retain it.
-func (n *Node) evalAggVals(rule *CompiledRule, env []types.Value) (types.Value, []types.Value) {
-	spec := rule.agg
-	var sortVal types.Value
-	vals := n.carryBuf[:0]
-	switch spec.Fn {
-	case "MIN", "MAX":
-		sortVal = env[spec.sortSlot]
-		for _, s := range spec.carried {
-			vals = append(vals, env[s])
-		}
-	case "COUNT":
-		sortVal = types.Int(0)
-	case "AGGLIST":
-		for _, s := range spec.listSlots {
-			vals = append(vals, env[s])
-		}
-	}
-	n.carryBuf = vals[:0]
-	carried := vals
-	if spec.Fn == "AGGLIST" {
-		if len(vals) > 0 {
-			sortVal = vals[0]
-			carried = vals[1:]
-		} else {
-			sortVal = types.Int(0)
-			carried = nil
-		}
-	}
-	return sortVal, carried
-}
-
 // emitAggChange applies provenance bookkeeping for an aggregate output
 // change and routes it. Aggregate heads are local by validation.
 func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
@@ -182,17 +142,9 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 	var rid types.ID
 	var payload bdd.Ref
 	if rule.agg.ordered() {
-		// The winning input is stored in the body relation; reuse its
-		// cached VID instead of re-hashing the tuple.
-		var winEnt *entry
-		if rel := n.aggBodyRel[rule.idx]; rel != nil {
-			winEnt = rel.get(em.winner)
-		}
-		if winEnt != nil {
-			n.vidBuf[0], n.hashBuf = winEnt.VIDBuf(n.hashBuf)
-		} else {
-			n.vidBuf[0], n.hashBuf = em.winner.VIDBuf(n.hashBuf)
-		}
+		// The winner is a stored entry of this node: its cached VID and
+		// payload are read off it.
+		n.vidBuf[0], n.hashBuf = em.winner.VIDBuf(n.hashBuf)
 		rid, n.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, n.vidBuf[:1], n.ridBuf)
 		switch n.Mode {
 		case ProvReference:
@@ -203,10 +155,7 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 			n.sendRuleExecRow(rid, rule.Label, n.vidBuf[:1], em.sign)
 			n.sendProvRow(n.ID, headVID, rid, n.ID, em.sign)
 		case ProvValue:
-			payload = bdd.True
-			if winEnt != nil {
-				payload = winEnt.payload
-			}
+			payload = em.winner.payload
 		}
 	}
 	// COUNT/AGGLIST outputs carry no MIN/MAX-style provenance child (the
@@ -215,33 +164,25 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 	n.route(out, n.ID, em.sign, rid, payload)
 }
 
-// aggEntry is one row of an aggregate group's input multiset: one distinct
-// (sortVal, carried) pair, the body tuple that first brought it, and its
-// multiplicity.
-type aggEntry struct {
-	input   types.Tuple // the body tuple (provenance child, payload source)
-	sortVal types.Value
-	carried []types.Value
-	count   int
-}
-
 // aggGroup maintains one group of an aggregate rule: its group-by values,
-// the multiset of input rows, and the currently emitted output.
+// the input rows, and the currently emitted output.
 //
-// rows is held by value in aggregate order (rowCmp), so a MIN/MAX winner is
-// rows[0] and AGGLIST reads its list off in order. The group struct, the
-// first row's capacity, the group-by values and each row's carried values
-// are carved from the node's arenas (value slices are pointer-free under the
-// compact Value representation, so the arenas cost the garbage collector
-// nothing to scan); the group borrows the node's scratch to refresh.
+// A row is a handle to a visible relation entry of the rule's body predicate
+// on this node — one row per entry, never a copy of its tuple. rows is held
+// in aggregate order (rowCmp), so a MIN/MAX winner is rows[0], COUNT is
+// len(rows) and AGGLIST reads its list off in order. An entry leaves the rows
+// when its Delete reaches the group, which the inline drain does before
+// anything can reclaim it and batched rounds guard with entry.aggQueued. The
+// group struct, the first row's capacity and the group-by values are carved
+// from the node's arenas; the group borrows the node's scratch to refresh.
 type aggGroup struct {
 	groupVals []types.Value
-	rows      []aggEntry
+	rows      []*entry
 	// curOut is the currently emitted head tuple (hasOut reports whether
-	// one exists), and curWin the input tuple it was traced to (MIN/MAX
-	// provenance; zero otherwise).
+	// one exists), and curWin the input entry it was traced to (MIN/MAX
+	// provenance; nil otherwise) — a live row attaining the output.
 	curOut types.Tuple
-	curWin types.Tuple
+	curWin *entry
 	next   *aggGroup // next group on the same hash slot (aggGroupAt)
 	hasOut bool
 	// staged defers output re-emission to the retraction protocol's
@@ -281,91 +222,95 @@ func appendValuesKey(b []byte, vals []types.Value) []byte {
 // aggEmit is one visible change of the aggregate output.
 type aggEmit struct {
 	tuple  types.Tuple
-	winner types.Tuple // MIN/MAX: the input tuple the output derives from
+	winner *entry // MIN/MAX: the input entry the output derives from
 	sign   int8
 }
 
 // update applies one input delta and returns the emitted output changes.
 // rule.agg drives the aggregate function; n supplies the arenas retained
-// data is carved from. carried may be caller scratch: it is copied if a new
-// row must retain it.
-func (g *aggGroup) update(n *Node, rule *CompiledRule,
-	sortVal types.Value, carried []types.Value, input types.Tuple, sign int8) []aggEmit {
-
+// data is carved from.
+func (g *aggGroup) update(n *Node, rule *CompiledRule, e *entry, sign int8) []aggEmit {
 	spec := rule.agg
-	i, found := g.search(spec, sortVal, carried)
+	i, found := g.search(spec, e)
+	var gone *entry
 	switch sign {
 	case Insert:
 		if found {
-			g.rows[i].count++
-		} else {
-			if g.rows == nil {
-				g.rows = n.aggEntryArena.Cap1()
-			}
-			g.rows = slices.Insert(g.rows, i, aggEntry{
-				input: input, sortVal: sortVal, carried: n.argArena.Copy(carried), count: 1,
-			})
+			return nil // already a row: an entry enters its group once
 		}
+		if g.rows == nil {
+			g.rows = n.aggRowArena.Cap1()
+		}
+		g.rows = slices.Insert(g.rows, i, e)
 		// MIN/MAX fast path: the output only moves when the group had no
-		// output yet or rows[0] changed. Everything else — copies of the
-		// winner, rows worse than the winner — is the common case in route
-		// computation and skips refresh.
-		if spec.ordered() && g.hasOut && (found || i > 0) {
+		// output yet or rows[0] changed. Rows worse than the winner are the
+		// common case in route computation and skip refresh.
+		if spec.ordered() && g.hasOut && i > 0 {
 			return nil
 		}
 	case Delete:
 		if !found {
 			return nil // deletion of an unseen row: ignore defensively
 		}
-		g.rows[i].count--
-		gone := g.rows[i].count <= 0
-		if gone {
-			g.rows = slices.Delete(g.rows, i, i+1)
-		}
-		// MIN/MAX fast path: removing a non-winning row, or one copy of a
-		// winner that remains in the multiset, leaves the output untouched.
-		if spec.ordered() && g.hasOut && (i > 0 || !gone) {
+		g.rows = slices.Delete(g.rows, i, i+1)
+		// MIN/MAX fast path: removing a row that is neither first nor the
+		// traced winner leaves the output and its derivation untouched.
+		if spec.ordered() && g.hasOut && i > 0 && e != g.curWin {
 			return nil
 		}
+		gone = e
 	default:
 		return nil
 	}
-	return g.refresh(n, rule, sign == Delete)
+	return g.refresh(n, rule, gone)
 }
 
-// search binary-searches the rows for (sortVal, carried): the row's index
-// and true if present, else its insertion index and false.
-func (g *aggGroup) search(spec *AggSpec, sortVal types.Value, carried []types.Value) (int, bool) {
+// search binary-searches the rows for e: its index and true if present,
+// else its insertion index and false.
+func (g *aggGroup) search(spec *AggSpec, e *entry) (int, bool) {
 	lo, hi := 0, len(g.rows)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if rowCmp(spec, &g.rows[m], sortVal, carried) < 0 {
+		if rowCmp(spec, g.rows[m], e) < 0 {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(g.rows) && rowCmp(spec, &g.rows[lo], sortVal, carried) == 0
+	return lo, lo < len(g.rows) && g.rows[lo] == e
 }
 
-// rowCmp orders a row against (sortVal, carried) in aggregate order: by sort
-// value, ascending (descending for MAX), then by the carried values,
-// ascending. It is zero exactly for equal pairs, so the order is strict and
-// the winner deterministic.
-func rowCmp(spec *AggSpec, e *aggEntry, sortVal types.Value, carried []types.Value) int {
-	c := e.sortVal.Compare(sortVal)
-	if spec.Fn == "MAX" {
-		c = -c
-	}
-	if c != 0 {
-		return c
-	}
-	for i := 0; i < len(e.carried) && i < len(carried); i++ {
-		if c := e.carried[i].Compare(carried[i]); c != 0 {
+// keyCmp orders two input entries by their aggregate key, the args at
+// spec.keyPos: the aggregated value first (descending for MAX, ascending
+// otherwise), then the carried or listed values, ascending.
+func keyCmp(spec *AggSpec, a, b *entry) int {
+	for i, p := range spec.keyPos {
+		c := a.Tuple.Args[p].Compare(b.Tuple.Args[p])
+		if i == 0 && spec.Fn == "MAX" {
+			c = -c
+		}
+		if c != 0 {
 			return c
 		}
 	}
-	return len(e.carried) - len(carried)
+	return 0
+}
+
+// rowCmp is aggregate order: keyCmp, with ties broken by the entries' args.
+// A relation holds one entry per args, so it is zero only for an entry
+// against itself, and the order — the winner among tied inputs included —
+// derives from content alone.
+func rowCmp(spec *AggSpec, a, b *entry) int {
+	if c := keyCmp(spec, a, b); c != 0 {
+		return c
+	}
+	x, y := a.Tuple.Args, b.Tuple.Args
+	for i := 0; i < len(x) && i < len(y); i++ {
+		if c := x[i].Compare(y[i]); c != 0 {
+			return c
+		}
+	}
+	return len(x) - len(y)
 }
 
 // refresh recomputes the output tuple and diffs it against the currently
@@ -375,21 +320,45 @@ func rowCmp(spec *AggSpec, e *aggEntry, sortVal types.Value, carried []types.Val
 // nothing, and a changed output carves its retained argument slice from the
 // node's arena.
 //
-// deleting reports that the triggering input delta was a Delete. For rules
-// whose head predicate is recursive, a delete-driven output re-emission is
-// a winner promotion the retraction protocol must defer: the Delete of the
-// old output still cascades, but the Insert of the replacement is withheld
-// and the group staged until the deletion wave quiesces. Once staged, the
-// group stays output-silent through further refreshes (insert-driven ones
-// included — an arriving insert would otherwise promote a phantom row)
-// until releaseStaged re-refreshes it.
-func (g *aggGroup) refresh(n *Node, rule *CompiledRule, deleting bool) []aggEmit {
+// gone is the entry a Delete just removed, nil after an insert or a release.
+// For rules whose head predicate is recursive, a delete-driven output
+// re-emission is a winner promotion the retraction protocol must defer: the
+// Delete of the old output still cascades, but the Insert of the replacement
+// is withheld and the group staged until the deletion wave quiesces. Once
+// staged, the group stays output-silent through further refreshes
+// (insert-driven ones included — an arriving insert would otherwise promote
+// a phantom row) until releaseStaged re-refreshes it.
+//
+// When the winner changes but the output does not (inputs tied in aggregate
+// order), a non-recursive head moves its one derivation to the new winner,
+// emitting the new derivation before retracting the old so the head stays
+// visible throughout. A recursive head keeps a live winner instead — the
+// tied newcomer may derive from the head itself, and retracting the old
+// derivation would over-delete the head — and on losing it retracts and
+// stages like any delete-driven promotion.
+func (g *aggGroup) refresh(n *Node, rule *CompiledRule, gone *entry) []aggEmit {
 	spec := rule.agg
+	deleting := gone != nil
 	newArgs, ok := g.compute(n, spec)
+	var win *entry
+	if ok && spec.ordered() {
+		win = g.rows[0]
+	}
 	emits := n.aggEmitBuf[:0]
-	if g.hasOut && !(ok && argsEqual(g.curOut.Args, newArgs)) {
-		emits = append(emits, aggEmit{tuple: g.curOut, sign: Delete, winner: g.curWin})
-		g.curOut, g.hasOut, g.curWin = types.Tuple{}, false, types.Tuple{}
+	if g.hasOut {
+		same := ok && argsEqual(g.curOut.Args, newArgs)
+		switch {
+		case same && (win == g.curWin || rule.headRecursive && gone != g.curWin):
+			// Neither the output nor its derivation moves.
+		case same && !rule.headRecursive:
+			emits = append(emits,
+				aggEmit{tuple: g.curOut, sign: Insert, winner: win},
+				aggEmit{tuple: g.curOut, sign: Delete, winner: g.curWin})
+			g.curWin = win
+		default:
+			emits = append(emits, aggEmit{tuple: g.curOut, sign: Delete, winner: g.curWin})
+			g.curOut, g.hasOut, g.curWin = types.Tuple{}, false, nil
+		}
 	}
 	if !ok && deleting && rule.headRecursive {
 		// The delete emptied the group. Stage it anyway: an insert arriving
@@ -405,11 +374,8 @@ func (g *aggGroup) refresh(n *Node, rule *CompiledRule, deleting bool) []aggEmit
 			// Materialize the candidate output: it escapes into the group
 			// state and the emitted delta, so its args leave the scratch
 			// buffer for the arena.
-			g.curOut, g.hasOut = types.Tuple{Args: n.argArena.Copy(newArgs)}, true
-			if spec.ordered() {
-				g.curWin = g.rows[0].input
-			}
-			emits = append(emits, aggEmit{tuple: g.curOut, sign: Insert, winner: g.curWin})
+			g.curOut, g.hasOut, g.curWin = types.Tuple{Args: n.argArena.Copy(newArgs)}, true, win
+			emits = append(emits, aggEmit{tuple: g.curOut, sign: Insert, winner: win})
 		}
 	}
 	n.aggEmitBuf = emits
@@ -439,10 +405,18 @@ func (g *aggGroup) compute(n *Node, spec *AggSpec) ([]types.Value, bool) {
 	}
 	var aggList types.Value
 	if spec.Fn == "AGGLIST" {
-		list := make([]types.Value, len(g.rows))
-		for i := range g.rows {
-			e := &g.rows[i]
-			list[i] = types.List(append([]types.Value{e.sortVal}, e.carried...)...)
+		// Rows with equal listed values are adjacent in aggregate order; the
+		// list holds each distinct tuple of values once.
+		var list []types.Value
+		for i, e := range g.rows {
+			if i > 0 && keyCmp(spec, g.rows[i-1], e) == 0 {
+				continue
+			}
+			vals := make([]types.Value, len(spec.keyPos))
+			for j, p := range spec.keyPos {
+				vals[j] = e.Tuple.Args[p]
+			}
+			list = append(list, types.List(vals...))
 		}
 		aggList = types.List(list...)
 	}
@@ -455,14 +429,11 @@ func (g *aggGroup) compute(n *Node, spec *AggSpec) ([]types.Value, bool) {
 		if pos == spec.AggPos {
 			switch spec.Fn {
 			case "MIN", "MAX":
-				args = append(args, g.rows[0].sortVal)
-				args = append(args, g.rows[0].carried...)
-			case "COUNT":
-				total := 0
-				for i := range g.rows {
-					total += g.rows[i].count
+				for _, p := range spec.keyPos {
+					args = append(args, g.rows[0].Tuple.Args[p])
 				}
-				args = append(args, types.Int(int64(total)))
+			case "COUNT":
+				args = append(args, types.Int(int64(len(g.rows))))
 			case "AGGLIST":
 				args = append(args, aggList)
 			}

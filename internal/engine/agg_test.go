@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/ndlog"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -174,13 +176,112 @@ func TestMinAggregateChurnSharded(t *testing.T) {
 	}
 }
 
+// aggInput resolves the one input of an aggregate head's derivation in a
+// reference-mode store: the head must have exactly one prov row, whose
+// ruleExec row names one VID that resolves to a tuple visible on n.
+func aggInput(n *Node, head types.Tuple) (types.Tuple, error) {
+	rows := n.Store.Derivations(head.VID())
+	if len(rows) != 1 {
+		return types.Tuple{}, fmt.Errorf("%s has %d derivations, want 1", head, len(rows))
+	}
+	re, ok := n.Store.RuleExecOf(rows[0].RID)
+	if !ok || len(re.VIDList) != 1 {
+		return types.Tuple{}, fmt.Errorf("%s: ruleExec row %v missing or not single-input", head, rows[0].RID)
+	}
+	in, ok := n.Store.TupleOf(re.VIDList[0])
+	if !ok {
+		return types.Tuple{}, fmt.Errorf("%s: ruleExec input %v has no vertex", head, re.VIDList[0])
+	}
+	if e := n.lookup(in.Pred).get(in); e == nil || !e.visible {
+		return types.Tuple{}, fmt.Errorf("%s: ruleExec input %s is not visible", head, in)
+	}
+	return in, nil
+}
+
+// TestAggregateDerivationFollowsLiveWinner: inputs that tie in aggregate
+// order each hold a row, so deleting the one a head's derivation names moves
+// the derivation to a tied survivor instead of leaving a ruleExec row (or, in
+// value mode, a payload) that names a deleted tuple. Under both executors,
+// after every step, the head's one derivation reads a live input attaining
+// its value — in value mode, the head's payload is such an input's.
+func TestAggregateDerivationFollowsLiveWinner(t *testing.T) {
+	prog := mustCompile(t, `b1 best(@X,min<C>) :- it(@X,Z,C).`)
+	it := func(z, c int64) types.Tuple {
+		return types.NewTuple("it", types.Node(0), types.Int(z), types.Int(c))
+	}
+	steps := []struct {
+		ins bool
+		tup types.Tuple
+	}{
+		{true, it(1, 5)}, {true, it(2, 5)}, // tie: both hold rows
+		{false, it(1, 5)}, // delete the traced winner
+		{true, it(0, 5)},  // a tied input first in tie order
+		{false, it(2, 5)}, {true, it(3, 4)}, {false, it(3, 4)},
+		{false, it(0, 5)},
+	}
+	for _, mode := range []ProvMode{ProvReference, ProvValue} {
+		for _, batched := range executors {
+			label := fmt.Sprintf("%s %s", mode, executorName(batched))
+			s := newScheduler(prog, mode, 1, 0, batched)
+			n := s.Node(0)
+			live := map[string]types.Tuple{}
+			for step, st := range steps {
+				if st.ins {
+					s.InsertBase(0, st.tup)
+					live[st.tup.String()] = st.tup
+				} else {
+					s.DeleteBase(0, st.tup)
+					delete(live, st.tup.String())
+				}
+				if err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+				heads := n.Tuples("best")
+				if len(heads) != min(len(live), 1) {
+					t.Fatalf("%s step %d: best = %v with %d live inputs", label, step, heads, len(live))
+				}
+				if len(heads) == 0 {
+					continue
+				}
+				head := heads[0]
+				attains := func(in types.Tuple) bool {
+					_, ok := live[in.String()]
+					return ok && in.Args[2] == head.Args[1]
+				}
+				if mode == ProvReference {
+					in, err := aggInput(n, head)
+					if err != nil {
+						t.Fatalf("%s step %d: %v", label, step, err)
+					}
+					if !attains(in) {
+						t.Fatalf("%s step %d: %s derives from %s, which does not attain it", label, step, head, in)
+					}
+					continue
+				}
+				got, _ := n.PayloadOf(head)
+				follows := false
+				for _, in := range live {
+					if p, ok := n.PayloadOf(in); ok && p == got && attains(in) {
+						follows = true
+					}
+				}
+				if !follows {
+					t.Fatalf("%s step %d: the payload of %s is no live winner's", label, step, head)
+				}
+			}
+		}
+	}
+}
+
 // TestAggregateMatchesRecompute runs seeded random insert/delete schedules
 // through one rule of each aggregate function, under both executors, and
 // after every step compares the visible heads with a naive recomputation
 // over the live body tuples. The value ranges are small on purpose: rows
 // tie on the sort value (the carried value breaks the tie), distinct body
-// tuples collapse onto one aggregate row (Z is neither grouped nor carried),
-// base tuples are inserted more than once, and deletes hit absent tuples.
+// tuples tie in aggregate order (Z is neither grouped nor carried), base
+// tuples are inserted more than once, and deletes hit absent tuples. A
+// provenance leg checks that each MIN/MAX head's one derivation reads a
+// visible input of its group that attains the head's (C, Y).
 func TestAggregateMatchesRecompute(t *testing.T) {
 	prog := mustCompile(t, `
 a1 lo(@X,G,min<C,Y>) :- in(@X,G,Z,Y,C).
@@ -262,7 +363,138 @@ a4 lst(@X,G,AGGLIST<Y>) :- in(@X,G,Z,Y,C).
 				if w := want(live); !slices.Equal(got, w) {
 					t.Fatalf("%s seed %d step %d:\n got %v\nwant %v", executorName(batched), seed, step, got, w)
 				}
+				for _, pred := range []string{"lo", "hi"} {
+					for _, head := range s.Node(0).Tuples(pred) {
+						in, err := aggInput(s.Node(0), head)
+						if err != nil {
+							t.Fatalf("%s seed %d step %d: %v", executorName(batched), seed, step, err)
+						}
+						// in(@X,G,Z,Y,C) attains head(@X,G,C,Y).
+						if in.Args[1] != head.Args[1] || in.Args[4] != head.Args[2] || in.Args[3] != head.Args[3] {
+							t.Fatalf("%s seed %d step %d: %s derives from %s, which does not attain it",
+								executorName(batched), seed, step, head, in)
+						}
+					}
+				}
 			}
+		}
+	}
+}
+
+// TestAggregateInputPinnedAcrossSweep fences the batched executor's pin on
+// queued aggregate inputs (entry.aggQueued). One round deletes every `in`
+// tuple: its fire phase queues an aggregate Delete per entry for the next
+// round's apply step, and its tombstones trip the sweep at endRound, in
+// between. The same round derives fresh `in` tuples, whose inserts run first
+// in the next apply step and would take any swept entry off the free list —
+// so an unpinned entry would hold another tuple by the time its Delete
+// finds it in the group's rows.
+func TestAggregateInputPinnedAcrossSweep(t *testing.T) {
+	prog := mustCompile(t, `
+a1 lo(@X,min<C,G>) :- in(@X,G,C).
+r1 in(@X,G,C) :- trig(@X), src(@X,G,C).
+`)
+	n := newNode(0, prog, ProvReference, &refTransport{}, nil, true)
+	tup := func(pred string, g, c int64) types.Tuple {
+		return types.NewTuple(pred, types.Node(0), types.Int(g), types.Int(c))
+	}
+	trig := types.NewTuple("trig", types.Node(0))
+	a1Rows := func() int {
+		c := 0
+		n.Store.ForEachRuleExec(func(re provenance.RuleExecEntry) {
+			if re.Rule == "a1" {
+				c++
+			}
+		})
+		return c
+	}
+	const old, fresh = 200, 50
+	for g := int64(0); g < old; g++ {
+		n.InsertBase(tup("in", g, 100+g))
+	}
+	for g := int64(0); g < fresh; g++ {
+		n.InsertBase(tup("src", 1000+g, 500+g))
+	}
+	if got := tuples(n, "lo"); len(got) != 1 || got[0] != "lo(@a,100,0)" {
+		t.Fatalf("lo = %v before the churn", got)
+	}
+
+	for g := int64(0); g < old; g++ {
+		n.enqueue(n.baseDelta(tup("in", g, 100+g), Delete, false))
+	}
+	n.enqueue(n.baseDelta(trig, Insert, false))
+	rel := n.lookup("in")
+	for round := 0; n.pending(); round++ {
+		n.curRound++
+		n.applyPhase()
+		n.firePhase()
+		if round == 0 && (len(n.aggIn) != old || !rel.sweepDue() || n.qhead == len(n.queue)) {
+			t.Fatalf("vacuous: %d queued aggregate updates, sweep due %v, %d derived deltas pending",
+				len(n.aggIn), rel.sweepDue(), len(n.queue)-n.qhead)
+		}
+		n.endRound()
+	}
+	if n.Err != nil {
+		t.Fatal(n.Err)
+	}
+	heads := n.Tuples("lo")
+	if len(heads) != 1 || heads[0].String() != "lo(@a,500,1000)" {
+		t.Fatalf("lo = %v after the churn, want [lo(@a,500,1000)]", heads)
+	}
+	if in, err := aggInput(n, heads[0]); err != nil || !in.Equal(tup("in", 1000, 500)) {
+		t.Fatalf("lo derives from %v (%v), want in(@a,1000,500)", in, err)
+	}
+	if c := a1Rows(); c != 1 {
+		t.Fatalf("%d ruleExec rows of a1, want 1", c)
+	}
+
+	n.DeleteBase(trig)
+	if got := tuples(n, "lo"); len(got) != 0 || n.AggGroupCount() != 0 || a1Rows() != 0 {
+		t.Fatalf("after full retraction: lo = %v, %d live groups, %d ruleExec rows of a1", got, n.AggGroupCount(), a1Rows())
+	}
+}
+
+// TestRecursiveAggregateKeepsLiveTiedWinner: a recursive head keeps its live
+// winner when a tied input arrives. Here the newcomer derives from the head
+// itself; moving the derivation to it would retract the old one, over-delete
+// the head, retract the newcomer with it and re-derive both at every
+// release, so the release loop would never quiesce. Deleting the winner then
+// retracts the head and everything it alone supported.
+func TestRecursiveAggregateKeepsLiveTiedWinner(t *testing.T) {
+	prog := mustCompile(t, `
+b1 best(@X,min<C>) :- cand(@X,Z,C).
+r1 cand(@X,Z,C) :- best(@X,C), alt(@X,Z).
+`)
+	cand := types.NewTuple("cand", types.Node(0), types.Int(9), types.Int(5))
+	for _, batched := range executors {
+		label := executorName(batched)
+		n := newNode(0, prog, ProvReference, &refTransport{}, nil, batched)
+		settle := func() {
+			t.Helper()
+			each := func(fn func(*Node) bool) bool { return fn(n) }
+			for pass := 0; ReleasePass(each, true); pass++ {
+				if pass == 10 {
+					t.Fatalf("%s: the release loop does not quiesce", label)
+				}
+			}
+			if n.Err != nil {
+				t.Fatal(n.Err)
+			}
+		}
+		n.InsertBase(cand)
+		n.InsertBase(types.NewTuple("alt", types.Node(0), types.Int(1)))
+		settle()
+		heads := n.Tuples("best")
+		if len(heads) != 1 || heads[0].String() != "best(@a,5)" || len(tuples(n, "cand")) != 2 {
+			t.Fatalf("%s: best = %v, cand = %v", label, heads, tuples(n, "cand"))
+		}
+		if in, err := aggInput(n, heads[0]); err != nil || !in.Equal(cand) {
+			t.Fatalf("%s: best derives from %v (%v), want %s", label, in, err, cand)
+		}
+		n.DeleteBase(cand)
+		settle()
+		if got := append(tuples(n, "best"), tuples(n, "cand")...); len(got) != 0 {
+			t.Fatalf("%s: %v survive the deletion of their only support", label, got)
 		}
 	}
 }

@@ -296,14 +296,15 @@ func (n *Node) recomputePayload(e *entry) bool {
 
 // fireAll runs every rule occurrence triggered by a delta of this
 // predicate — inline from process() under the drain, from the fire phase
-// under batched rounds. deltaEntry may be nil (events); payload is the
-// tuple's current provenance payload in value mode.
+// under batched rounds. deltaEntry is nil only for events, which Compile
+// keeps out of aggregate bodies; payload is the tuple's current provenance
+// payload in value mode.
 //
 //exspan:hotpath
 func (n *Node) fireAll(occs []occurrence, t types.Tuple, sign int8, deltaEntry *entry, payload bdd.Ref) {
 	for _, occ := range occs {
 		if occ.rule.agg != nil {
-			n.fireAgg(occ.rule, t, sign, payload)
+			n.fireAgg(occ.rule, deltaEntry, sign)
 		} else {
 			n.firePlan(occ.rule, occ.pos, t, sign, deltaEntry, payload)
 		}

@@ -94,7 +94,7 @@ func TestAggGroupHashCollision(t *testing.T) {
 			t.Fatal("a second lookup of a chained group made a new one")
 		}
 		apply := func(g *aggGroup, z string, c int64, sign int8) {
-			n.applyAgg(rule, g, types.Int(c), nil, in(z, c), sign)
+			n.applyAgg(rule, g, n.lookup("item").getOrCreate(in(z, c)), sign)
 			n.Flush()
 			if n.Err != nil {
 				t.Fatal(n.Err)

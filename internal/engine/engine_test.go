@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -302,6 +303,32 @@ func TestSelfJoinRejected(t *testing.T) {
 	_, err := Compile(ndlog.MustParse(`r1 out(@X,Y,Z) :- edge(@X,Y), edge(@X,Z).`))
 	if err == nil {
 		t.Fatal("self-join accepted; the engine documents it as unsupported")
+	}
+}
+
+// TestEventAggregateRejected: an aggregate row is a handle to a stored
+// entry of the body predicate, so an aggregate over an event is a compile
+// error naming the rule.
+func TestEventAggregateRejected(t *testing.T) {
+	_, err := Compile(ndlog.MustParse(`b1 best(@X,min<C>) :- eCost(@X,C).`))
+	if err == nil || !strings.Contains(err.Error(), "rule b1:") || !strings.Contains(err.Error(), "eCost") {
+		t.Fatalf("err = %v, want a rejection of b1's event aggregate", err)
+	}
+}
+
+// TestAssignedAggregateVariableRejected: aggregate values are read off the
+// input entry's args, so a MIN/MAX/AGGLIST variable bound only by an
+// assignment is a compile error naming the rule.
+func TestAssignedAggregateVariableRejected(t *testing.T) {
+	for _, src := range []string{
+		`b1 best(@X,min<D>) :- cost(@X,C), D = C + 1.`,
+		`b1 best(@X,max<C,P>) :- cost(@X,C), P = C * 2.`,
+		`b1 best(@X,AGGLIST<D>) :- cost(@X,C), D = C + 1.`,
+	} {
+		_, err := Compile(ndlog.MustParse(src))
+		if err == nil || !strings.Contains(err.Error(), "rule b1:") || !strings.Contains(err.Error(), "assignment") {
+			t.Errorf("%s: err = %v, want a rejection of the assigned aggregate variable", src, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/apps"
 	"repro/internal/topology"
@@ -82,14 +83,16 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 // map-per-group aggregates, ID-keyed provenance rows and a VID copy in every
 // prov row, ≈ 795 B once all four were hash-keyed or dropped, ≈ 632 B once
 // a stored tuple became its own provenance vertex (no second copy of the
-// tuple, its VID and its rows in the store), and ≈ 578 B once ruleExec rows
+// tuple, its VID and its rows in the store), ≈ 578 B once ruleExec rows
 // became pointer-free column tables (no row struct, rule string or slice
-// header per rule execution).
+// header per rule execution), and ≈ 499 B once an aggregate row became a
+// handle to its input entry (no tuple copy per row or winner copy per
+// group).
 func TestMinCostBytesPerDelta(t *testing.T) {
 	const (
 		nodes       = 100
 		wantDeltas  = 45292
-		maxPerDelta = 620
+		maxPerDelta = 525
 	)
 	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))
 	prog, err := Compile(apps.MinCost())
@@ -121,5 +124,14 @@ func TestMinCostBytesPerDelta(t *testing.T) {
 	t.Logf("%d nodes, %d deltas: %.2f MB retained, %d B per delta", nodes, deltas, float64(after-before)/1e6, perDelta)
 	if perDelta > maxPerDelta {
 		t.Fatalf("MINCOST retains %d B per delta; want ≤ %d B", perDelta, maxPerDelta)
+	}
+}
+
+// TestEntrySize fences the per-tuple struct every derivation pays for: a
+// relation entry, its embedded provenance vertex included, stays at 104
+// bytes, so its flags (the aggregate pin among them) live in padding.
+func TestEntrySize(t *testing.T) {
+	if sz := unsafe.Sizeof(entry{}); sz > 104 {
+		t.Fatalf("unsafe.Sizeof(entry{}) = %d, want ≤ 104", sz)
 	}
 }

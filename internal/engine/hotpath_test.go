@@ -167,9 +167,9 @@ func TestSteadyStateFiringAllocs(t *testing.T) {
 // steady-state insert/delete cycles through a MIN rule — of a row that never
 // wins (the fast path: the output does not move) and of a row that takes
 // over the group and gives it back (retract, re-emit, rescan) — must stay at
-// or under one allocation per cycle. A group's rows reuse their slice's
-// capacity, relation entries recycle through their tombstones, and emitted
-// outputs and carried values come from the arena.
+// or under one allocation per cycle. A group's rows are entry handles that
+// reuse their slice's capacity, relation entries recycle through their
+// tombstones, and emitted outputs come from the arena.
 func TestAggregateFiringAllocs(t *testing.T) {
 	prog, err := Compile(ndlog.MustParse(`b1 best(@X,min<C,Y>) :- item(@X,Y,C).`))
 	if err != nil {

@@ -102,11 +102,10 @@ type Node struct {
 	joinIdx []*index
 	// tablesByID holds the relations of the program's stored predicates,
 	// indexed by PredInfo.tableID: the program's predicate table is the
-	// only name→relation map. aggByRule and aggBodyRel key aggregate state
-	// and the aggregate body relation by CompiledRule.idx.
+	// only name→relation map. aggByRule keys aggregate state by
+	// CompiledRule.idx.
 	tablesByID []Relation
 	aggByRule  []map[uint64]*aggGroup
-	aggBodyRel []*Relation
 	// extraTables lists relations created outside the compiled program
 	// (unknown predicates, e.g. the meta rows relayed to a centralized
 	// server — a handful at most, found by name scan), in creation order.
@@ -121,11 +120,10 @@ type Node struct {
 	payloadBuf []bdd.Ref
 	vidBuf     []types.ID
 	groupBuf   []types.Value
-	carryBuf   []types.Value
 	keyBuf     []byte
 	ridBuf     []byte
 	hashBuf    []byte
-	// argArena backs emitted head arguments (and the group/carried values
+	// argArena backs emitted head arguments (and the group values
 	// aggregates retain): emitted tuples escape into relations and
 	// messages, so their args cannot live in reusable scratch.
 	argArena types.Arena[types.Value]
@@ -138,7 +136,7 @@ type Node struct {
 	// class in fixpoint profiles.
 	aggArgsBuf    []types.Value
 	aggEmitBuf    []aggEmit
-	aggEntryArena types.Arena[aggEntry]
+	aggRowArena   types.Arena[*entry]
 	aggGroupArena types.Arena[aggGroup]
 
 	// Retraction-protocol staging (release.go; see ARCHITECTURE.md
@@ -207,7 +205,7 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc 
 		Alloc:         alloc,
 		batched:       batched && mode != ProvValue && mode != ProvCentralized,
 		argArena:      types.NewArena[types.Value](argArenaChunk),
-		aggEntryArena: types.NewArena[aggEntry](aggArenaChunk),
+		aggRowArena:   types.NewArena[*entry](aggArenaChunk),
 		aggGroupArena: types.NewArena[aggGroup](aggArenaChunk),
 	}
 	if mode == ProvValue {
@@ -228,20 +226,13 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc 
 	n.joinIdx = make([]*index, prog.numJoins)
 	n.joinStats = make([]joinStat, prog.numJoins)
 	n.aggByRule = make([]map[uint64]*aggGroup, len(prog.Rules))
-	n.aggBodyRel = make([]*Relation, len(prog.Rules))
 	n.bindPlans()
-	for _, r := range prog.Rules {
-		if r.agg != nil && !r.atoms[0].event {
-			n.aggBodyRel[r.idx] = n.ensureTable(r.atoms[0].pred)
-		}
-	}
 	n.envBuf = make([]types.Value, prog.maxVars)
 	n.matchedBuf = make([]types.Tuple, prog.maxAtoms)
 	n.entBuf = make([]*entry, prog.maxAtoms)
 	n.payloadBuf = make([]bdd.Ref, prog.maxAtoms)
 	n.vidBuf = make([]types.ID, prog.maxAtoms)
 	n.groupBuf = make([]types.Value, prog.maxGroup)
-	n.carryBuf = make([]types.Value, 0, prog.maxVars)
 	return n
 }
 

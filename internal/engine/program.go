@@ -84,13 +84,14 @@ type AggSpec struct {
 	Fn        string // MIN, MAX, COUNT, AGGLIST
 	AggPos    int    // head argument position holding the aggregate
 	groupCode []exprCode
-	sortSlot  int   // MIN/MAX: slot of the aggregated variable
-	carried   []int // MIN/MAX: slots of carried variables
-	listSlots []int // AGGLIST: slots of the listed variables
+	// keyPos lists the body-atom argument positions an input entry's
+	// aggregate key is read from: the aggregated then the carried variables
+	// (MIN/MAX), or the listed ones (AGGLIST). COUNT has none.
+	keyPos []int
 }
 
 // ordered reports a MIN/MAX aggregate: its output is its first row, traced
-// to that row's input tuple.
+// to that row's input entry.
 func (s *AggSpec) ordered() bool { return s.Fn == "MIN" || s.Fn == "MAX" }
 
 type atomSpec struct {
@@ -266,12 +267,29 @@ func compileRule(r *ndlog.Rule, label string) (*CompiledRule, error) {
 		})
 	}
 	// Aggregate rules: this engine evaluates aggregates over a single
-	// body atom (MIN/MAX provenance traces to one winning input tuple);
-	// join-then-aggregate rules must be split through an intermediate
-	// predicate.
+	// stored body atom (MIN/MAX provenance traces to one winning input
+	// tuple); join-then-aggregate rules must be split through an
+	// intermediate predicate. A group's rows are handles to the body
+	// relation's entries, so an event, which has none, cannot feed one, and
+	// each aggregated variable is read off an argument of the atom.
 	if agg, aggPos := r.AggSpec(); agg != nil {
 		if len(atoms) != 1 {
 			return nil, fmt.Errorf("aggregate rules must have a single body atom")
+		}
+		body := atoms[0]
+		if body.IsEvent() {
+			return nil, fmt.Errorf("aggregate over event predicate %s: aggregate inputs must be stored", body.Pred)
+		}
+		argPos := func(v string) (int, error) {
+			for pos, arg := range body.Args {
+				if x, ok := arg.(*ndlog.Var); ok && x.Name == v {
+					return pos, nil
+				}
+			}
+			if _, ok := slots[v]; ok {
+				return 0, fmt.Errorf("aggregate variable %s is bound by an assignment, not by an argument of %s", v, body.Pred)
+			}
+			return 0, fmt.Errorf("aggregate variable %s unbound", v)
 		}
 		spec := &AggSpec{Fn: agg.Fn, AggPos: aggPos}
 		for i, harg := range r.Head.Args {
@@ -285,32 +303,19 @@ func compileRule(r *ndlog.Rule, label string) (*CompiledRule, error) {
 			spec.groupCode = append(spec.groupCode, code)
 		}
 		switch agg.Fn {
-		case "MIN", "MAX":
+		case "MIN", "MAX", "AGGLIST":
 			if len(agg.Vars) == 0 {
 				return nil, fmt.Errorf("%s aggregate needs a variable", agg.Fn)
 			}
-			s, ok := slots[agg.Vars[0]]
-			if !ok {
-				return nil, fmt.Errorf("aggregate variable %s unbound", agg.Vars[0])
-			}
-			spec.sortSlot = s
-			for _, v := range agg.Vars[1:] {
-				cs, ok := slots[v]
-				if !ok {
-					return nil, fmt.Errorf("carried variable %s unbound", v)
+			for _, v := range agg.Vars {
+				pos, err := argPos(v)
+				if err != nil {
+					return nil, err
 				}
-				spec.carried = append(spec.carried, cs)
+				spec.keyPos = append(spec.keyPos, pos)
 			}
 		case "COUNT":
 			// COUNT<*> has no variable.
-		case "AGGLIST":
-			for _, v := range agg.Vars {
-				s, ok := slots[v]
-				if !ok {
-					return nil, fmt.Errorf("list variable %s unbound", v)
-				}
-				spec.listSlots = append(spec.listSlots, s)
-			}
 		default:
 			return nil, fmt.Errorf("unsupported aggregate %s", agg.Fn)
 		}

@@ -23,7 +23,7 @@ import (
 // Rows are held by value in a small slice: most tuples have one or two, and
 // the per-entry map plus per-derivation pointer boxes were among the largest
 // allocation sources in fixpoint profiles.
-// Field order is alignment-packed (exspanlint -fieldalign): the four 1-byte
+// Field order is alignment-packed (exspanlint -fieldalign): the five 1-byte
 // flags sit together after the 4-byte fields, which keeps a stored tuple at
 // 104 bytes, its prov rows included; the cached VID needs no flag of its own
 // because no tuple hashes to the null digest.
@@ -44,6 +44,12 @@ type entry struct {
 	// node's re-derivation list (Node.stagedEnts). Sweep must not reclaim
 	// it — the staged list holds a pointer — and release clears the flag.
 	staged bool
+
+	// aggQueued marks an input of an aggregate update queued for the next
+	// batched round (Node.aggIn). The update finds the entry by pointer in
+	// its group's rows, so the sweep at the end of this round must not
+	// reclaim and recycle it; the apply step clears the flag.
+	aggQueued bool
 
 	startVis bool
 	// indexed tracks index membership, which is deferred to the end of the
@@ -400,7 +406,7 @@ func (r *Relation) sweep(spare *entry) {
 	// Free-list order only decides which cleared box getOrCreate reuses;
 	// entry pointer identity never reaches state, ordering or the wire.
 	reclaim := func(e *entry) bool {
-		if e == spare || e.visible || len(e.Rows) > 0 || e.staged {
+		if e == spare || e.visible || len(e.Rows) > 0 || e.staged || e.aggQueued {
 			return false
 		}
 		*e = entry{}

@@ -94,7 +94,7 @@ func (n *Node) releaseStratum(stratum int, limit *int) bool {
 			*limit--
 		}
 		sg.g.staged = false
-		for _, em := range sg.g.refresh(n, sg.rule, false) {
+		for _, em := range sg.g.refresh(n, sg.rule, nil) {
 			n.emitAggChange(sg.rule, em)
 			any = true
 		}

@@ -45,14 +45,13 @@ type fireItem struct {
 	isEvent bool
 }
 
-// aggItem is one aggregate-group update awaiting the next apply step.
+// aggItem is one aggregate-group update awaiting the next apply step: the
+// input entry, pinned against the sweep while queued (entry.aggQueued).
 type aggItem struct {
-	rule    *CompiledRule
-	g       *aggGroup
-	sortVal types.Value
-	carried []types.Value
-	input   types.Tuple
-	sign    int8
+	rule *CompiledRule
+	g    *aggGroup
+	ent  *entry
+	sign int8
 }
 
 // markTouched records a stored entry's first touch of the round: its
@@ -78,12 +77,14 @@ func (n *Node) applyPhase() {
 	for n.qhead < len(n.queue) && n.Err == nil {
 		n.process(n.popDelta())
 	}
+	// Sweeps run only at the end of a round, so a queued entry may be
+	// unpinned before its update applies.
 	for i := range n.aggIn {
-		if n.Err != nil {
-			break
-		}
 		it := &n.aggIn[i]
-		n.applyAgg(it.rule, it.g, it.sortVal, it.carried, it.input, it.sign)
+		it.ent.aggQueued = false
+		if n.Err == nil {
+			n.applyAgg(it.rule, it.g, it.ent, it.sign)
+		}
 	}
 	clear(n.aggIn)
 	n.aggIn = n.aggIn[:0]
