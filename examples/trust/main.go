@@ -57,9 +57,10 @@ func main() {
 		log.Fatal(err)
 	}
 	mgr := bdd.New()
-	root, err := provquery.DecodeBDD(mgr, bddPayload)
-	if err != nil {
-		log.Fatal(err)
+	ring := algebra.BDD(mgr, cluster.Alloc)
+	root, ok := ring.Decode(bddPayload)
+	if !ok {
+		log.Fatal("malformed BDD answer")
 	}
 	fmt.Printf("condensed provenance of %s (BDD, %d nodes):\n", target.Tuple, mgr.Size(root))
 	fmt.Println("  boolean form:", mgr.String(root))
@@ -72,7 +73,7 @@ func main() {
 	}
 
 	// Trust policies: a node is trusted iff all its base tuples are.
-	restrictNode := func(root bdd.Ref, node types.NodeID, val bool) bdd.Ref {
+	restrictNode := func(root algebra.Payload, node types.NodeID, val bool) algebra.Payload {
 		out := root
 		for _, v := range varOfNode[node] {
 			out = mgr.Restrict(out, v, val)
@@ -82,11 +83,11 @@ func main() {
 	// Policy 1: trust a, distrust b. Absorption (link(@a,c,5) alone
 	// suffices) keeps the tuple derivable.
 	p1 := restrictNode(restrictNode(root, a, true), b, false)
-	fmt.Printf("\npolicy: trust {a}, distrust {b} -> accepted: %v\n", p1 == bdd.True)
+	fmt.Printf("\npolicy: trust {a}, distrust {b} -> accepted: %v\n", p1 == ring.One())
 	// Policy 2: distrust a. Without a's base link and a's presence on the
 	// alternative derivation, the tuple loses support.
 	p2 := restrictNode(root, a, false)
-	fmt.Printf("policy: distrust {a}           -> accepted: %v\n", p2 == bdd.True)
+	fmt.Printf("policy: distrust {a}           -> accepted: %v\n", p2 == ring.One())
 
 	// --- 2. Graph projection during traversal --------------------------
 	for _, h := range cluster.Hosts {

@@ -110,7 +110,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBDDAgreesWithBooleanSemiring: for any polynomial, ToBDD evaluated
+// TestBDDAgreesWithBooleanSemiring: for any polynomial, the BDD ring's value
 // with all base variables true equals plain derivability; and restricting
 // to a trusted subset matches DerivableGiven.
 func TestBDDAgreesWithBooleanSemiring(t *testing.T) {
@@ -119,7 +119,7 @@ func TestBDDAgreesWithBooleanSemiring(t *testing.T) {
 		e := randPoly(rng, 4, 10)
 		m := bdd.New()
 		alloc := NewVarAlloc()
-		r := ToBDD(e, m, alloc)
+		r := Eval(e, BDD(m, alloc).Semiring)
 
 		// Random trust assignment over the bases.
 		trusted := map[types.ID]bool{}
@@ -146,7 +146,7 @@ func TestAbsorptionThroughBDD(t *testing.T) {
 	e := Prod("", a, Sum("", a, b))
 	m := bdd.New()
 	alloc := NewVarAlloc()
-	r := ToBDD(e, m, alloc)
+	r := Eval(e, BDD(m, alloc).Semiring)
 	sup := m.Support(r)
 	if len(sup) != 1 {
 		t.Fatalf("support = %v, want just a", sup)

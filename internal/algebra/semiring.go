@@ -182,19 +182,36 @@ func (a *VarAlloc) Len() int {
 	return len(a.bases)
 }
 
-// BDD is the boolean-function semiring over manager m, encoding each base
-// tuple as the BDD variable alloc assigns it. Because ROBDDs are canonical,
-// its values are the absorption-condensed provenance of §6.3: a·(a+b)
-// collapses to a.
-func BDD(m *bdd.Manager, alloc *VarAlloc) Semiring[bdd.Ref] {
-	return Semiring[bdd.Ref]{
-		Zero:     func() bdd.Ref { return bdd.False },
-		One:      func() bdd.Ref { return bdd.True },
-		FromBase: func(b Base) bdd.Ref { return m.Var(alloc.VarOf(b)) },
-		Add:      m.Or,
-		Mul:      m.And,
-	}
+// Ring is a semiring with its wire codec: the form in which a provenance
+// representation's values travel between nodes. Decode accepts exactly what
+// Encode emits, as a whole buffer: trailing bytes are rejected.
+type Ring[T any] struct {
+	Semiring[T]
+	Encode func(T) []byte
+	Decode func([]byte) (T, bool)
 }
 
-// ToBDD evaluates the polynomial in the BDD semiring.
-func ToBDD(e *Expr, m *bdd.Manager, alloc *VarAlloc) bdd.Ref { return Eval(e, BDD(m, alloc)) }
+// Payload is a BDD-ring value, a node of the ring's manager. ROBDDs are
+// canonical, so equal handles of one ring are equal functions.
+type Payload = bdd.Ref
+
+// BDD is the boolean-function ring over manager m, whose variable for a base
+// tuple is the one alloc assigns it: the BDD query's representation and value
+// mode's payloads. Its values are the absorption-condensed provenance of
+// §6.3: a·(a+b) collapses to a.
+func BDD(m *bdd.Manager, alloc *VarAlloc) Ring[Payload] {
+	return Ring[Payload]{
+		Semiring: Semiring[Payload]{
+			Zero:     func() Payload { return bdd.False },
+			One:      func() Payload { return bdd.True },
+			FromBase: func(b Base) Payload { return m.Var(alloc.VarOf(b)) },
+			Add:      m.Or,
+			Mul:      m.And,
+		},
+		Encode: func(r Payload) []byte { return m.Encode(r, nil) },
+		Decode: func(b []byte) (Payload, bool) {
+			r, n, err := m.Decode(b)
+			return r, err == nil && n == len(b)
+		},
+	}
+}

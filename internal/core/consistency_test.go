@@ -197,15 +197,20 @@ func compareValueAndReference(t *testing.T, churn func(*Cluster)) {
 		refC.Query(ref.Loc, ref.VID, ref.Loc, func(p []byte) { queryPayload = p })
 		refC.Sim.Run()
 		qm := bdd.New()
-		qRoot, err := provquery.DecodeBDD(qm, queryPayload)
-		if err != nil {
-			t.Fatal(err)
+		qRoot, ok := algebra.BDD(qm, refC.Alloc).Decode(queryPayload)
+		if !ok {
+			t.Fatalf("%s: BDD answer does not decode", ref.Tuple)
 		}
 
 		host := valueC.Hosts[ref.Loc].Engine
-		vRoot, ok := host.PayloadOf(ref.Tuple)
+		payload, ok := host.PayloadOf(ref.Tuple)
 		if !ok {
 			t.Fatalf("%s: no value-mode payload", ref.Tuple)
+		}
+		vm := bdd.New()
+		vRoot, ok := algebra.BDD(vm, valueC.Alloc).Decode(host.Ring.Encode(payload))
+		if !ok {
+			t.Fatalf("%s: value-mode payload does not round-trip", ref.Tuple)
 		}
 
 		for trial := 0; trial < 32; trial++ {
@@ -215,7 +220,7 @@ func compareValueAndReference(t *testing.T, churn func(*Cluster)) {
 			}
 			qAssign := assignFor(refC.Alloc, present)
 			vAssign := assignFor(valueC.Alloc, present)
-			if qm.Eval(qRoot, qAssign) != host.Mgr.Eval(vRoot, vAssign) {
+			if qm.Eval(qRoot, qAssign) != vm.Eval(vRoot, vAssign) {
 				t.Fatalf("%s: value-mode payload and reference-mode query disagree", ref.Tuple)
 			}
 		}

@@ -32,9 +32,9 @@ func images(c *Cluster) []image {
 			return slices.Equal(provquery.DecodeNodeSet(p), algebra.SortedNodes(poly))
 		}},
 		{provquery.BDD(c.Alloc), func(poly *algebra.Expr, p []byte) bool {
-			m := bdd.New() // canonical ROBDDs in one manager: equal functions are equal refs
-			r, err := provquery.DecodeBDD(m, p)
-			return err == nil && r == algebra.ToBDD(poly, m, c.Alloc)
+			r := algebra.BDD(bdd.New(), c.Alloc) // canonical ROBDDs in one manager: equal functions are equal refs
+			got, ok := r.Decode(p)
+			return ok && got == algebra.Eval(poly, r.Semiring)
 		}},
 	}
 }

@@ -74,10 +74,11 @@ func bootScheduled(t *testing.T, w chaosWorkload, topo *topology.Topology, mode 
 		// A value-mode payload's encoding depends on BDD variable
 		// numbering, and numbering on the order a run first meets each base
 		// tuple: the simulator meets the EDB in boot order, the Scheduler
-		// node by node. Number it in boot order up front.
-		alloc := s.Engines()[0].Alloc
+		// node by node. Number it in boot order up front: the nodes share
+		// one allocator, and the ring's FromBase numbers a tuple it meets.
+		ring := s.Engines()[0].Ring
 		apps.BootEDB(topo, w.noLinks, workloadBase(w, topo), func(at types.NodeID, tup types.Tuple) {
-			alloc.VarOf(algebra.Base{VID: tup.VID(), Label: tup.String(), Node: at})
+			ring.FromBase(algebra.Base{VID: tup.VID(), Label: tup.String(), Node: at})
 		})
 	}
 	apps.BootEDB(topo, w.noLinks, workloadBase(w, topo), s.InsertBase)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/bdd"
+	"repro/internal/algebra"
 	"repro/internal/types"
 )
 
@@ -37,8 +37,8 @@ func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
 	g := n.aggGroupFor(rule, groupVals)
 
 	if sign == Update {
-		// Value-mode payload update (value mode always drains): if the
-		// updated input is the current winner, the head's payload follows it.
+		// Value-mode payload update: if the updated input is the current
+		// winner, the head's payload follows it.
 		if n.Mode == ProvValue && g.hasOut && g.curWin == e {
 			out := g.curOut
 			out.Pred = rule.HeadPred
@@ -140,7 +140,7 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 	out := em.tuple
 	out.Pred = rule.HeadPred
 	var rid types.ID
-	var payload bdd.Ref
+	var payload algebra.Payload
 	if rule.agg.ordered() {
 		// The winner is a stored entry of this node: its cached VID and
 		// payload are read off it.

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"repro/internal/algebra"
-	"repro/internal/bdd"
 	"repro/internal/provenance"
 	"repro/internal/types"
 )
@@ -22,7 +21,7 @@ type localDelta struct {
 	tuple   types.Tuple
 	rid     types.ID
 	rloc    types.NodeID
-	payload bdd.Ref // value mode: decoded provenance of this derivation
+	payload algebra.Payload // value mode: provenance of this derivation
 	sign    int8
 	isBase  bool
 }
@@ -62,8 +61,8 @@ func (n *Node) pending() bool { return n.qhead < len(n.queue) || len(n.aggIn) > 
 
 // process applies one delta to the node's state and — under the drain —
 // fires the triggered rules inline. Under batched rounds firing is deferred:
-// the delta's net visibility effect is recorded via markTouched and
-// evaluated by the fire phase (rounds.go).
+// the delta's net effect is recorded via markTouched and evaluated by the
+// fire phase (rounds.go).
 //
 //exspan:hotpath
 func (n *Node) process(d localDelta) {
@@ -108,7 +107,7 @@ func (n *Node) process(d localDelta) {
 			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, d.sign)
 		}
 		if batched {
-			n.fires = append(n.fires, fireItem{tuple: d.tuple, occs: occs, sign: d.sign, isEvent: true})
+			n.fires = append(n.fires, fireItem{tuple: d.tuple, occs: occs, sign: d.sign, payload: d.payload, isEvent: true})
 		} else {
 			n.fireAll(occs, d.tuple, d.sign, nil, d.payload)
 		}
@@ -133,9 +132,7 @@ func (n *Node) process(d localDelta) {
 	switch d.sign {
 	case Insert:
 		e := rel.getOrCreate(d.tuple)
-		if batched {
-			n.markTouched(rel, e, occs)
-		}
+		n.markTouched(rel, e, occs)
 		var row *provenance.ProvEntry
 		if stored {
 			// The entry caches the canonical VID, so each stored tuple is
@@ -159,9 +156,7 @@ func (n *Node) process(d localDelta) {
 			if d.isBase {
 				var vid types.ID
 				vid, n.hashBuf = e.VIDBuf(n.hashBuf)
-				payload = n.Mgr.Var(n.Alloc.VarOf(algebra.Base{
-					VID: vid, Label: d.tuple.String(), Node: n.ID,
-				}))
+				payload = n.Ring.FromBase(algebra.Base{VID: vid, Label: d.tuple.String(), Node: n.ID})
 			}
 			row.Payload = uint32(payload)
 			payloadChanged = n.recomputePayload(e)
@@ -180,7 +175,7 @@ func (n *Node) process(d localDelta) {
 			if !batched {
 				n.fireAll(occs, d.tuple, Insert, e, e.payload)
 			}
-		} else if payloadChanged {
+		} else if payloadChanged && !batched {
 			n.fireAll(occs, d.tuple, Update, e, e.payload)
 		}
 
@@ -198,9 +193,7 @@ func (n *Node) process(d localDelta) {
 		if !found {
 			return
 		}
-		if batched {
-			n.markTouched(rel, e, occs)
-		}
+		n.markTouched(rel, e, occs)
 		if n.Mode == ProvCentralized && !meta && d.isBase {
 			var vid types.ID
 			vid, n.hashBuf = e.VIDBuf(n.hashBuf)
@@ -230,10 +223,8 @@ func (n *Node) process(d localDelta) {
 			if !batched {
 				n.fireAll(occs, d.tuple, Delete, e, e.payload)
 			}
-		case n.Mode == ProvValue && n.recomputePayload(e):
-			if e.visible {
-				n.fireAll(occs, d.tuple, Update, e, e.payload)
-			}
+		case n.Mode == ProvValue && n.recomputePayload(e) && e.visible && !batched:
+			n.fireAll(occs, d.tuple, Update, e, e.payload)
 		}
 
 	case rederive:
@@ -244,9 +235,7 @@ func (n *Node) process(d localDelta) {
 		if e == nil || e.visible || len(e.Rows) == 0 {
 			return
 		}
-		if batched {
-			n.markTouched(rel, e, occs)
-		}
+		n.markTouched(rel, e, occs)
 		if n.Mode == ProvValue {
 			n.recomputePayload(e)
 		}
@@ -267,10 +256,11 @@ func (n *Node) process(d localDelta) {
 		if row == nil {
 			return
 		}
+		n.markTouched(rel, e, occs)
 		row.Payload = uint32(d.payload)
 		// Suspects absorb payload updates silently; a visibility-preserving
 		// change only propagates for visible tuples.
-		if n.recomputePayload(e) && e.visible {
+		if n.recomputePayload(e) && e.visible && !batched {
 			n.fireAll(occs, d.tuple, Update, e, e.payload)
 		}
 	}
@@ -280,12 +270,12 @@ func ndlogIsEvent(pred string) bool {
 	return len(pred) >= 2 && pred[0] == 'e' && pred[1] >= 'A' && pred[1] <= 'Z'
 }
 
-// recomputePayload refreshes the entry's combined (OR) payload; it reports
-// whether the payload changed.
+// recomputePayload refreshes the entry's payload, the ring sum over its
+// derivations'; it reports whether the handle, and so the function, changed.
 func (n *Node) recomputePayload(e *entry) bool {
-	comb := bdd.False
+	comb := n.Ring.Zero()
 	for i := range e.Rows {
-		comb = n.Mgr.Or(comb, bdd.Ref(e.Rows[i].Payload))
+		comb = n.Ring.Add(comb, algebra.Payload(e.Rows[i].Payload))
 	}
 	if comb == e.payload {
 		return false
@@ -301,7 +291,7 @@ func (n *Node) recomputePayload(e *entry) bool {
 // payload in value mode.
 //
 //exspan:hotpath
-func (n *Node) fireAll(occs []occurrence, t types.Tuple, sign int8, deltaEntry *entry, payload bdd.Ref) {
+func (n *Node) fireAll(occs []occurrence, t types.Tuple, sign int8, deltaEntry *entry, payload algebra.Payload) {
 	for _, occ := range occs {
 		if occ.rule.agg != nil {
 			n.fireAgg(occ.rule, deltaEntry, sign)

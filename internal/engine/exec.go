@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/bdd"
+	"repro/internal/algebra"
 	"repro/internal/types"
 )
 
@@ -32,7 +32,7 @@ import (
 //
 //exspan:hotpath
 func (n *Node) firePlan(rule *CompiledRule, pos int, t types.Tuple, sign int8,
-	deltaEntry *entry, deltaPayload bdd.Ref) {
+	deltaEntry *entry, deltaPayload algebra.Payload) {
 
 	pl := rule.plans[pos]
 	env := n.envBuf[:rule.numVars]
@@ -58,7 +58,7 @@ func (n *Node) firePlan(rule *CompiledRule, pos int, t types.Tuple, sign int8,
 //
 //exspan:hotpath
 func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
-	env []types.Value, matched []types.Tuple, ments []*entry, payloads []bdd.Ref) {
+	env []types.Value, matched []types.Tuple, ments []*entry, payloads []algebra.Payload) {
 
 	if n.Err != nil {
 		return
@@ -138,7 +138,7 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 //
 //exspan:hotpath
 func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value,
-	matched []types.Tuple, ments []*entry, payloads []bdd.Ref, sign int8) {
+	matched []types.Tuple, ments []*entry, payloads []algebra.Payload, sign int8) {
 
 	n.rulesFired++
 	args := n.argArena.Make(len(rule.headCode))
@@ -189,11 +189,11 @@ func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value,
 		}
 	}
 
-	var payload bdd.Ref
+	var payload algebra.Payload
 	if n.Mode == ProvValue {
-		payload = bdd.True
+		payload = n.Ring.One()
 		for _, p := range payloads {
-			payload = n.Mgr.And(payload, p)
+			payload = n.Ring.Mul(payload, p)
 		}
 	}
 	n.route(head, dst, sign, rid, payload)
@@ -216,7 +216,7 @@ func (n *Node) ruleExecRow(rid types.ID, label string, inputVIDs []types.ID, sig
 // otherwise.
 //
 //exspan:hotpath
-func (n *Node) route(head types.Tuple, dst types.NodeID, sign int8, rid types.ID, payload bdd.Ref) {
+func (n *Node) route(head types.Tuple, dst types.NodeID, sign int8, rid types.ID, payload algebra.Payload) {
 	if dst == n.ID {
 		n.enqueue(localDelta{tuple: head, sign: sign, rid: rid, rloc: n.ID, payload: payload})
 		return
@@ -230,7 +230,7 @@ func (n *Node) route(head types.Tuple, dst types.NodeID, sign int8, rid types.ID
 		// The derivation key still travels so the receiver can maintain
 		// its per-derivation payloads; the dominant cost is the payload.
 		m.HasRef, m.RID, m.RLoc = true, rid, n.ID
-		m.Payload = n.Mgr.Encode(payload, nil)
+		m.Payload = n.Ring.Encode(payload)
 	}
 	n.Transport.Send(n.ID, dst, m)
 }

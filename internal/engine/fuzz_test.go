@@ -3,9 +3,12 @@ package engine
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/apps"
+	"repro/internal/bdd"
 	"repro/internal/ndlog"
 	"repro/internal/types"
 )
@@ -101,6 +104,20 @@ func outOfClusterMessage() []byte {
 	return (&Message{Tuple: linkTup(0, 999, 1), Delta: Insert}).Encode(nil)
 }
 
+// badPayloadMessages insert link(@0,2,7) with a value-mode payload the BDD
+// ring does not decode as a whole: garbage, and a valid encoding followed by
+// one trailing byte. A value-mode node must drop both, not halt on them.
+func badPayloadMessages() []*Message {
+	r := algebra.BDD(bdd.New(), algebra.NewVarAlloc())
+	valid := r.Encode(r.FromBase(algebra.Base{VID: types.HashString("b")}))
+	var out []*Message
+	for _, p := range [][]byte{{0xde, 0xad, 0xbe, 0xef}, append(valid, 0)} {
+		out = append(out, &Message{Tuple: linkTup(0, 2, 7), Delta: Insert,
+			HasRef: true, RID: types.HashString("r"), RLoc: 1, Payload: p})
+	}
+	return out
+}
+
 // boundedTransport is refTransport for hostile input: a send to a node
 // outside the cluster is dropped, as the UDP deployment drops it.
 type boundedTransport struct{ *refTransport }
@@ -112,10 +129,9 @@ func (tr boundedTransport) Send(from, to types.NodeID, m *Message) {
 	tr.refTransport.Send(from, to, m)
 }
 
-// handleHostile builds a converged 3-node line cluster of prog (links 0-1 and
-// 1-2) and delivers m at node 0 as sent by node 1, then the same tuple as a
-// delete, then runs the release protocol — the full life of a received delta.
-func handleHostile(prog *Program, mode ProvMode, batched bool, m *Message) []*Node {
+// hostileCluster builds a converged 3-node line cluster of prog (links 0-1
+// and 1-2).
+func hostileCluster(prog *Program, mode ProvMode, batched bool) []*Node {
 	tr := boundedTransport{&refTransport{}}
 	nodes := make([]*Node, 3)
 	for i := range nodes {
@@ -127,6 +143,14 @@ func handleHostile(prog *Program, mode ProvMode, batched bool, m *Message) []*No
 		nodes[e[1]].InsertBase(linkTup(e[1], e[0], 1))
 	}
 	Settle(nodes...)
+	return nodes
+}
+
+// handleHostile delivers m at node 0 of a hostileCluster as sent by node 1,
+// then the same tuple as a delete, then runs the release protocol — the full
+// life of a received delta.
+func handleHostile(prog *Program, mode ProvMode, batched bool, m *Message) []*Node {
+	nodes := hostileCluster(prog, mode, batched)
 	nodes[0].HandleMessage(1, m)
 	del := *m
 	del.Delta = Delete
@@ -153,24 +177,41 @@ func hostilePrograms(tb testing.TB) []*Program {
 var allModes = []ProvMode{ProvNone, ProvReference, ProvValue, ProvCentralized}
 
 // TestHandleMessageDropsArityMismatch: a received tuple of a known predicate
-// with the wrong number of arguments is dropped at the remote ingress, and
-// the node keeps running.
+// with the wrong number of arguments — or, in value mode, with a payload the
+// ring does not decode as a whole — is dropped at the remote ingress, and the
+// node keeps running. Other modes ignore the payload and take the tuple.
 func TestHandleMessageDropsArityMismatch(t *testing.T) {
 	m, err := DecodeMessage(arityMismatchMessage())
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := hostilePrograms(t)[0]
-	for _, mode := range allModes {
-		for _, batched := range executors {
-			nodes := handleHostile(prog, mode, batched, m)
-			for _, n := range nodes {
-				if n.Err != nil {
-					t.Fatalf("%s %s: node %s: %v", mode, executorName(batched), n.ID, n.Err)
+	for _, msg := range append([]*Message{m}, badPayloadMessages()...) {
+		for _, mode := range allModes {
+			for _, batched := range executors {
+				cell := fmt.Sprintf("%s %s %s", msg.Tuple, mode, executorName(batched))
+				nodes := handleHostile(prog, mode, batched, msg)
+				for _, n := range nodes {
+					if n.Err != nil {
+						t.Fatalf("%s: node %s: %v", cell, n.ID, n.Err)
+					}
 				}
-			}
-			if got := nodes[0].TupleCount("link"); got != 1 {
-				t.Errorf("%s %s: node 0 holds %d links, want its one base link", mode, executorName(batched), got)
+				if got := nodes[0].TupleCount("link"); got != 1 {
+					t.Errorf("%s: node 0 holds %d links, want its one base link", cell, got)
+				}
+				if msg == m {
+					continue
+				}
+				nodes = hostileCluster(prog, mode, batched)
+				nodes[0].HandleMessage(1, msg)
+				Settle(nodes...)
+				want := 2
+				if mode == ProvValue {
+					want = 1
+				}
+				if got := nodes[0].TupleCount("link"); got != want || nodes[0].Err != nil {
+					t.Errorf("%s: insert alone leaves %d links (err %v), want %d", cell, got, nodes[0].Err, want)
+				}
 			}
 		}
 	}
@@ -188,6 +229,9 @@ func FuzzHandleMessage(f *testing.F) {
 		HasRef: true, RID: types.HashString("r"), RLoc: 1}).Encode(nil))
 	f.Add((&Message{Tuple: types.NewTuple("path", types.Node(0), types.Node(2),
 		types.List(types.Node(0), types.Node(1), types.Node(2)), types.Int(2)), Delta: Insert}).Encode(nil))
+	for _, m := range badPayloadMessages() {
+		f.Add(m.Encode(nil))
+	}
 	progs := hostilePrograms(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeMessage(b)

@@ -70,11 +70,10 @@ type Node struct {
 	// and centralized modes).
 	Store *provenance.Store
 
-	// Mgr/Alloc support value-based provenance payloads. Alloc must be
-	// shared across the cluster so BDD variable numbering is globally
-	// consistent.
-	Mgr   *bdd.Manager
-	Alloc *algebra.VarAlloc
+	// Ring makes every value-mode payload (nil in other modes): the BDD ring
+	// over the node's own manager and the VarAlloc the cluster shares, so
+	// BDD variable numbering is globally consistent.
+	Ring *algebra.Ring[algebra.Payload]
 
 	// Err records the first internal evaluation error (malformed program
 	// data); the node stops deriving after an error.
@@ -117,7 +116,7 @@ type Node struct {
 	envBuf     []types.Value
 	matchedBuf []types.Tuple
 	entBuf     []*entry
-	payloadBuf []bdd.Ref
+	payloadBuf []algebra.Payload
 	vidBuf     []types.ID
 	groupBuf   []types.Value
 	keyBuf     []byte
@@ -188,9 +187,8 @@ func (n *Node) NumShards() int { return 1 }
 
 // newNode creates an engine node. batched selects the executor and is a fact
 // about the constructing driver, not an option: the Scheduler ingests a whole
-// round of messages at a time and batches, everything else drains. Value-based
-// and centralized provenance fire payload Updates and relay meta-rows inline
-// with each delta, so those modes always drain.
+// round of messages at a time and batches, everything else drains — in every
+// provenance mode (ARCHITECTURE.md "Batched rounds under the Scheduler").
 //
 // Everything sized here comes from the compiled program; what depends on the
 // data — relation and index maps, aggregate groups — is created by its first
@@ -202,17 +200,17 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc 
 		Mode:          mode,
 		Transport:     tr,
 		Store:         provenance.NewStore(id),
-		Alloc:         alloc,
-		batched:       batched && mode != ProvValue && mode != ProvCentralized,
+		batched:       batched,
 		argArena:      types.NewArena[types.Value](argArenaChunk),
 		aggRowArena:   types.NewArena[*entry](aggArenaChunk),
 		aggGroupArena: types.NewArena[aggGroup](aggArenaChunk),
 	}
 	if mode == ProvValue {
-		n.Mgr = bdd.New()
-		if n.Alloc == nil {
-			n.Alloc = algebra.NewVarAlloc()
+		if alloc == nil {
+			alloc = algebra.NewVarAlloc()
 		}
+		r := algebra.BDD(bdd.New(), alloc)
+		n.Ring = &r
 	}
 	// Pre-create relations, the indexes every join plan needs, and the
 	// per-join compiled handles. Joins against event atoms keep a nil
@@ -230,7 +228,7 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc 
 	n.envBuf = make([]types.Value, prog.maxVars)
 	n.matchedBuf = make([]types.Tuple, prog.maxAtoms)
 	n.entBuf = make([]*entry, prog.maxAtoms)
-	n.payloadBuf = make([]bdd.Ref, prog.maxAtoms)
+	n.payloadBuf = make([]algebra.Payload, prog.maxAtoms)
 	n.vidBuf = make([]types.ID, prog.maxAtoms)
 	n.groupBuf = make([]types.Value, prog.maxGroup)
 	return n
@@ -365,19 +363,20 @@ func (n *Node) ExplainPlans(w io.Writer) {
 // PayloadOf returns the value-mode provenance payload of a visible tuple —
 // the "immediately available" provenance that lets a node accept or reject
 // state without a distributed query. It reports false when the node is not
-// in ProvValue mode or the tuple is not visible; interpret the Ref against
-// n.Mgr and the cluster's shared VarAlloc.
-func (n *Node) PayloadOf(t types.Tuple) (bdd.Ref, bool) {
+// in ProvValue mode or the tuple is not visible. The handle belongs to
+// n.Ring: two handles of one ring are equal exactly when they denote the same
+// boolean function.
+func (n *Node) PayloadOf(t types.Tuple) (p algebra.Payload, ok bool) {
 	if n.Mode != ProvValue {
-		return bdd.False, false
+		return
 	}
 	rel := n.lookup(t.Pred)
 	if rel == nil {
-		return bdd.False, false
+		return
 	}
 	e := rel.get(t)
 	if e == nil || !e.visible {
-		return bdd.False, false
+		return
 	}
 	return e.payload, true
 }
@@ -395,19 +394,19 @@ func (n *Node) InjectEvent(t types.Tuple) { n.ingest(n.baseDelta(t, Insert, true
 
 // baseDelta builds the delta of a base tuple injected at this node — the one
 // constructor behind Node's and Scheduler's InsertBase, DeleteBase and
-// InjectEvent. In value mode an injected event's payload is the constant
-// true: it has no derivation to carry.
+// InjectEvent. In value mode an injected event's payload is the ring's One:
+// it has no derivation to carry.
 func (n *Node) baseDelta(t types.Tuple, sign int8, event bool) localDelta {
 	d := localDelta{tuple: t, sign: sign, rloc: n.ID, isBase: true}
 	if event && n.Mode == ProvValue {
-		d.payload = bdd.True
+		d.payload = n.Ring.One()
 	}
 	return d
 }
 
 // HandleMessage applies a tuple delta received from another node.
 func (n *Node) HandleMessage(from types.NodeID, m *Message) {
-	d, ok := n.messageDelta(from, m)
+	d, ok := n.messageDelta(m)
 	if !ok {
 		return
 	}
@@ -416,8 +415,8 @@ func (n *Node) HandleMessage(from types.NodeID, m *Message) {
 
 // depositMessage queues a received delta without running the node — the
 // Scheduler drives evaluation itself.
-func (n *Node) depositMessage(from types.NodeID, m *Message) {
-	d, ok := n.messageDelta(from, m)
+func (n *Node) depositMessage(m *Message) {
+	d, ok := n.messageDelta(m)
 	if !ok {
 		return
 	}
@@ -428,24 +427,20 @@ func (n *Node) depositMessage(from types.NodeID, m *Message) {
 // ingress. A tuple whose arity disagrees with its predicate's is dropped: the
 // compiled joins, index keys and head expressions address arguments by the
 // program's positions, and a corrupt or hostile message must not reach them.
-func (n *Node) messageDelta(from types.NodeID, m *Message) (localDelta, bool) {
+// So is a value-mode payload the ring does not decode as a whole.
+func (n *Node) messageDelta(m *Message) (d localDelta, ok bool) {
 	if info := n.Prog.Pred(m.Tuple.Pred); info != nil && len(m.Tuple.Args) != info.Arity {
 		return localDelta{}, false
 	}
-	d := localDelta{tuple: m.Tuple, sign: m.Delta}
+	d = localDelta{tuple: m.Tuple, sign: m.Delta}
 	if m.HasRef {
 		d.rid, d.rloc = m.RID, m.RLoc
 	}
 	if n.Mode == ProvValue {
+		d.payload = n.Ring.One()
 		if m.Payload != nil {
-			ref, _, err := n.Mgr.Decode(m.Payload)
-			if err != nil {
-				n.fail(fmt.Errorf("node %s: bad payload from %s: %w", n.ID, from, err))
-				return localDelta{}, false
-			}
-			d.payload = ref
-		} else {
-			d.payload = bdd.True
+			d.payload, ok = n.Ring.Decode(m.Payload)
+			return d, ok
 		}
 	}
 	return d, true
@@ -491,11 +486,13 @@ func (n *Node) drain() {
 
 // Centralized-mode helpers: provenance rows travel to the server as plain
 // prov/ruleExec tuples, routed like a derived head (queued locally when this
-// node is the server) and charged like any message.
+// node is the server) and charged like any message, with no payload:
+// noPayload fills route's payload argument, which it reads only in value mode.
+var noPayload algebra.Payload
 
 func (n *Node) sendProvRow(loc types.NodeID, vid, rid types.ID, rloc types.NodeID, sign int8) {
 	row := types.NewTuple("prov", types.Node(loc), types.IDVal(vid), types.IDVal(rid), types.Node(rloc))
-	n.route(row, n.Central, sign, types.ZeroID, bdd.False)
+	n.route(row, n.Central, sign, types.ZeroID, noPayload)
 }
 
 func (n *Node) sendRuleExecRow(rid types.ID, rule string, inputs []types.ID, sign int8) {
@@ -504,5 +501,5 @@ func (n *Node) sendRuleExecRow(rid types.ID, rule string, inputs []types.ID, sig
 		vids[i] = types.IDVal(id)
 	}
 	row := types.NewTuple("ruleExec", types.Node(n.ID), types.IDVal(rid), types.Str(rule), types.List(vids...))
-	n.route(row, n.Central, sign, types.ZeroID, bdd.False)
+	n.route(row, n.Central, sign, types.ZeroID, noPayload)
 }

@@ -4,7 +4,7 @@ import (
 	"slices"
 	"strconv"
 
-	"repro/internal/bdd"
+	"repro/internal/algebra"
 	"repro/internal/provenance"
 	"repro/internal/types"
 )
@@ -29,7 +29,7 @@ import (
 // because no tuple hashes to the null digest.
 type entry struct {
 	provenance.Vertex
-	payload bdd.Ref // value mode: OR over row payloads
+	payload algebra.Payload // value mode: ring sum over row payloads
 
 	// touchRound/startVis snapshot the entry's visibility at the start of
 	// the round that first touched it (rounds.go; unused in serial mode) —
@@ -268,16 +268,15 @@ func (r *Relation) getOrCreate(t types.Tuple) *entry { return r.getOrCreateAt(r.
 func (r *Relation) getOrCreateAt(h uint64, t types.Tuple) *entry {
 	if e := r.find(h, t.Args); e != nil {
 		if !e.visible && len(e.Rows) == 0 {
-			// Revival: value-mode payloads restart from scratch. The
-			// cached VID stays valid; the store forgot the vertex with its
-			// last row and the next row registers it again.
+			// Revival: the cached VID stays valid; the store forgot the
+			// vertex with its last row and the next row registers it
+			// again, and the reviving insert recomputes the payload.
 			r.dead--
-			e.payload = bdd.False
 		}
 		return e
 	}
 	e := r.allocEntry()
-	e.Tuple, e.payload = t, bdd.False
+	e.Tuple = t
 	e.Rows = r.rowArena.Cap1()
 	if r.entries[h] == nil {
 		if r.entries == nil {
@@ -343,8 +342,7 @@ func (r *Relation) setVisible(e *entry, visible bool) {
 	if !visible && len(e.Rows) == 0 {
 		// Tombstone the entry for reuse rather than deleting it. Its fields
 		// are left untouched — the caller is still mid-retraction and fires
-		// the delete cascade with e.payload; getOrCreate resets state on
-		// revival.
+		// the delete cascade with e.payload; getOrCreate revives it.
 		r.dead++
 		if r.sweepDue() {
 			r.sweep(e)

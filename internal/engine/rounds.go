@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"repro/internal/bdd"
+	"repro/internal/algebra"
 	"repro/internal/types"
 )
 
@@ -16,7 +16,8 @@ import (
 //  1. APPLY. The delta ring is drained into relation entries, index
 //     postings, prov rows and — from aggIn — aggregate groups. Firing is
 //     deferred: the node records the round's net visibility transitions
-//     (markTouched) and incoming event deltas.
+//     and value-mode payload changes (markTouched) and incoming event
+//     deltas.
 //  2. FIRE. State is frozen; rule plans are evaluated for the net
 //     transitions under the batched semi-naïve old/new discipline (exec.go).
 //     Derived local head deltas go straight to the ring and aggregate
@@ -34,14 +35,16 @@ import (
 // by batching (see ARCHITECTURE.md "Batched rounds under the Scheduler").
 
 // fireItem is one deferred firing: either an event delta (fires with its
-// own sign) or a stored entry touched this round (fires with its net
-// visibility transition, or not at all when the batch nets to zero).
+// own sign and payload) or a stored entry touched this round (fires with its
+// net change and current payload, or not at all when the batch nets to
+// zero).
 type fireItem struct {
 	tuple   types.Tuple
 	occs    []occurrence
-	ent     *entry    // nil for events
-	rel     *Relation // owning relation, for deferred index maintenance
-	sign    int8      // events only; stored entries resolve at fire time
+	ent     *entry          // nil for events
+	rel     *Relation       // owning relation, for deferred index maintenance
+	payload algebra.Payload // value mode: an event's own; an entry's at round start
+	sign    int8            // events only; stored entries resolve at fire time
 	isEvent bool
 }
 
@@ -54,18 +57,19 @@ type aggItem struct {
 	sign int8
 }
 
-// markTouched records a stored entry's first touch of the round: its
-// start-of-round visibility (against which the net transition and the
-// old-state probe admissions are decided) and a fire-list slot.
+// markTouched records a stored entry's first touch of a batched node's
+// round, before the delta changes it: its start-of-round visibility and
+// payload (against which the net change and the old-state probe admissions
+// are decided) and a fire-list slot. A draining node records nothing.
 //
 //exspan:hotpath
 func (n *Node) markTouched(rel *Relation, e *entry, occs []occurrence) {
-	if e.touchRound == n.curRound {
+	if !n.batched || e.touchRound == n.curRound {
 		return
 	}
 	e.touchRound = n.curRound
 	e.startVis = e.visible
-	n.fires = append(n.fires, fireItem{tuple: e.Tuple, occs: occs, ent: e, rel: rel})
+	n.fires = append(n.fires, fireItem{tuple: e.Tuple, occs: occs, ent: e, rel: rel, payload: e.payload})
 }
 
 // applyPhase drains the delta ring and applies the aggregate updates the
@@ -91,8 +95,9 @@ func (n *Node) applyPhase() {
 }
 
 // firePhase evaluates the deferred firings against the frozen post-apply
-// state. Stored entries whose batch netted to zero are skipped; the rest
-// fire once with their net sign.
+// state. A stored entry fires once with its net change — Insert, Delete, or
+// Update for a value-mode payload that moved while it stayed visible — and
+// the payloads read now, the round's final ones.
 //
 //exspan:hotpath
 func (n *Node) firePhase() {
@@ -101,16 +106,18 @@ func (n *Node) firePhase() {
 			return
 		}
 		it := &n.fires[i]
-		sign, ent, payload := it.sign, (*entry)(nil), bdd.False
+		sign, ent, payload := it.sign, (*entry)(nil), it.payload
 		if !it.isEvent {
 			e := it.ent
-			if e.startVis == e.visible {
-				continue // net zero: transient within the round
-			}
-			if e.visible {
+			switch {
+			case e.startVis != e.visible && e.visible:
 				sign = Insert
-			} else {
+			case e.startVis != e.visible:
 				sign = Delete
+			case e.visible && e.payload != it.payload:
+				sign = Update
+			default:
+				continue // net zero: transient within the round
 			}
 			ent, payload = e, e.payload
 		}

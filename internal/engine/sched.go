@@ -220,7 +220,7 @@ func (s *Scheduler) deliver() {
 			om := msgs[i]
 			msgs[i] = outMsg{}
 			s.Recv(om.to, s.Charge(types.NodeID(src), om.m.WireSize()))
-			s.nodes[om.to].depositMessage(types.NodeID(src), om.m)
+			s.nodes[om.to].depositMessage(om.m)
 			s.nodes[src].Msgs.Put(om.m)
 		}
 		s.staged[src] = msgs[:0]

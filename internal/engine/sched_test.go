@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/apps"
+	"repro/internal/bdd"
 	"repro/internal/ndlog"
 	"repro/internal/topology"
 	"repro/internal/types"
@@ -81,19 +82,20 @@ func linkScript(edges [][2]int, costs map[[2]int]int64) []types.Tuple {
 	return out
 }
 
-// sharedVars gives every node of a run one BDD variable allocator that
-// numbers the given base tuples in order. A value-mode payload's
-// encoding depends on variable numbering, and numbering on the order a run
-// first meets each base tuple — which differs between the serial reference
-// and the scheduler — so runs whose canonical states are compared number the
-// script's tuples up front, identically.
+// sharedVars gives every node of a run a value-mode ring over one BDD
+// variable allocator that numbers the given base tuples in order. A
+// value-mode payload's encoding depends on variable numbering, and numbering
+// on the order a run first meets each base tuple — which differs between the
+// serial reference and the scheduler — so runs whose canonical states are
+// compared number the script's tuples up front, identically.
 func sharedVars(nodes []*Node, base []types.Tuple) {
 	alloc := algebra.NewVarAlloc()
 	for _, t := range base {
 		alloc.VarOf(algebra.Base{VID: t.VID(), Label: t.String(), Node: t.Loc()})
 	}
 	for _, n := range nodes {
-		n.Alloc = alloc
+		r := algebra.BDD(bdd.New(), alloc)
+		n.Ring = &r
 	}
 }
 
@@ -321,6 +323,71 @@ r2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X).
 	for seed := int64(1); seed <= 3; seed++ {
 		executorEquivalence(t, prog, ProvReference, seed, 6, true)
 		executorEquivalence(t, prog, ProvNone, seed, 6, true)
+	}
+}
+
+// TestValueModeSwapChurnMatchesDrain re-costs a random subset of links in
+// one run: each link's old tuple is deleted and its new one inserted before
+// the scheduler runs, so a non-recursive derived tuple (hop, two) can lose
+// its only derivation and gain another within one batched round, ending
+// visible with a new payload. (A recursive one is over-deleted instead, and
+// the other equivalence fences re-insert the tuple they deleted, which never
+// moves a payload that way.) Value-mode states of both executors must agree,
+// over one shared variable numbering.
+func TestValueModeSwapChurnMatchesDrain(t *testing.T) {
+	prog, err := Compile(ndlog.MustParse(`
+h1 hop(@Y,X) :- link(@X,Y,C).
+h2 two(@Z,X) :- link(@Y,Z,C), hop(@Y,X).
+h3 three(@Z,X) :- two(@Y,X), link(@Y,Z,C).
+r1 reach(@Y,X) :- link(@X,Y,C).
+r2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X).
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nNodes = 10
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		edges := randomLinks(nNodes, 5, rng)
+		var swapped [][2]int
+		for _, e := range edges {
+			if rng.Intn(2) == 0 {
+				swapped = append(swapped, e)
+			}
+		}
+		both := func(do func(types.NodeID, types.Tuple), e [2]int, cost int64) {
+			do(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
+			do(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
+		}
+		run := func(batched bool, workers int) []*Node {
+			s := newScheduler(prog, ProvValue, nNodes, workers, batched)
+			var base []types.Tuple
+			for _, e := range edges {
+				base = append(base, linkTup(e[0], e[1], 1), linkTup(e[1], e[0], 1))
+			}
+			for _, e := range swapped {
+				base = append(base, linkTup(e[0], e[1], 2), linkTup(e[1], e[0], 2))
+			}
+			sharedVars(s.nodes, base)
+			for _, e := range edges {
+				both(s.InsertBase, e, 1)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatalf("insert fixpoint: %v", err)
+			}
+			for _, e := range swapped {
+				both(s.DeleteBase, e, 1)
+				both(s.InsertBase, e, 2)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatalf("swap fixpoint: %v", err)
+			}
+			return s.Engines()
+		}
+		drain := run(false, 1)
+		for _, workers := range []int{1, 4} {
+			diffStates(t, fmt.Sprintf("seed %d batched workers=%d", seed, workers), drain, run(true, workers))
+		}
 	}
 }
 

@@ -38,8 +38,8 @@ func (n *Node) writeState(w *bufio.Writer) {
 	tuples := func(pred string) {
 		for _, t := range n.Tuples(pred) {
 			w.WriteString(t.String() + "\n")
-			if ref, ok := n.PayloadOf(t); ok {
-				fmt.Fprintf(w, "payload %x\n", n.Mgr.Encode(ref, nil))
+			if p, ok := n.PayloadOf(t); ok {
+				fmt.Fprintf(w, "payload %x\n", n.Ring.Encode(p))
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/bdd"
 	"repro/internal/types"
 )
 
@@ -83,7 +82,7 @@ type ringCase struct {
 func ringCaseOf[T any](u UDF) ringCase {
 	r := u.(*ringUDF[T])
 	return ringCase{u, func(b []byte) bool {
-		_, ok := r.open().decode(b)
+		_, ok := r.open().Decode(b)
 		return ok
 	}}
 }
@@ -110,7 +109,7 @@ func FuzzRingUDF(f *testing.F) {
 		ringCaseOf[int64](Derivations()),
 		ringCaseOf[[]types.NodeID](NodeSet()),
 		ringCaseOf[bool](Derivability(nil)),
-		ringCaseOf[bdd.Ref](BDD(alloc)),
+		ringCaseOf[algebra.Payload](BDD(alloc)),
 	}
 	t1 := types.NewTuple("link", types.Node(0), types.Node(2), types.Int(5))
 	t2 := types.NewTuple("link", types.Node(1), types.Node(0), types.Int(3))

@@ -211,9 +211,9 @@ func TestBDDFig5(t *testing.T) {
 	alloc := algebra.NewVarAlloc()
 	f, _ := newFig5(t, BDD(alloc), BFS, 0, false)
 	m := bdd.New()
-	root, err := DecodeBDD(m, runQuery(t, f, 3, f.bpcA, 0))
-	if err != nil {
-		t.Fatal(err)
+	root, ok := algebra.BDD(m, alloc).Decode(runQuery(t, f, 3, f.bpcA, 0))
+	if !ok {
+		t.Fatal("BDD result does not decode")
 	}
 	if root == bdd.False || root == bdd.True {
 		t.Fatal("degenerate BDD")

@@ -83,26 +83,18 @@ func DecodePolynomial(payload []byte) (*algebra.Expr, error) {
 // ---------------------------------------------------------------------------
 // The other representations are homomorphic images of POLYNOMIAL: each is an
 // algebra semiring plus a wire codec, and the UDF triple is the semiring's
-// FromBase, sum and product on decoded children.
-
-// ring is a representation's semiring with its wire codec. decode accepts
-// exactly what encode emits.
-type ring[T any] struct {
-	algebra.Semiring[T]
-	decode func([]byte) (T, bool)
-	encode func(T) []byte
-}
+// FromBase, sum and product on decoded children (an algebra.Ring).
 
 // fold sums (CtxIDB) or multiplies (CtxRule) the decoded children. A child
 // that does not decode makes the result Zero, as a malformed child does
 // under POLYNOMIAL.
-func (r ring[T]) fold(ctx Ctx, children [][]byte) T {
+func fold[T any](r algebra.Ring[T], ctx Ctx, children [][]byte) T {
 	acc, op := r.Zero(), r.Add
 	if ctx == CtxRule {
 		acc, op = r.One(), r.Mul
 	}
 	for _, c := range children {
-		v, ok := r.decode(c)
+		v, ok := r.Decode(c)
 		if !ok {
 			return r.Zero()
 		}
@@ -114,7 +106,7 @@ func (r ring[T]) fold(ctx Ctx, children [][]byte) T {
 // ringUDF implements UDF by a ring opened once per call.
 type ringUDF[T any] struct {
 	name string
-	open func() ring[T]
+	open func() algebra.Ring[T]
 	// final reports whether a partial fold is final for a threshold query:
 	// the representation's measure is monotone in further children. Nil
 	// never stops early.
@@ -127,47 +119,33 @@ func (u *ringUDF[T]) Name() string { return u.name }
 // EDB implements UDF: the semiring's value of the base tuple.
 func (u *ringUDF[T]) EDB(t types.Tuple, vid types.ID, node types.NodeID) []byte {
 	r := u.open()
-	return r.encode(r.FromBase(algebra.Base{VID: vid, Label: t.String(), Node: node}))
+	return r.Encode(r.FromBase(algebra.Base{VID: vid, Label: t.String(), Node: node}))
 }
 
 // IDB implements UDF: the semiring sum.
 func (u *ringUDF[T]) IDB(children [][]byte, _ types.ID, _ types.NodeID) []byte {
 	r := u.open()
-	return r.encode(r.fold(CtxIDB, children))
+	return r.Encode(fold(r, CtxIDB, children))
 }
 
 // Rule implements UDF: the semiring product.
 func (u *ringUDF[T]) Rule(children [][]byte, _ string, _ types.NodeID) []byte {
 	r := u.open()
-	return r.encode(r.fold(CtxRule, children))
+	return r.Encode(fold(r, CtxRule, children))
 }
 
 // Exceeds implements UDF.
 func (u *ringUDF[T]) Exceeds(ctx Ctx, children [][]byte, threshold int64) bool {
-	return u.final != nil && u.final(ctx, u.open().fold(ctx, children), threshold)
+	return u.final != nil && u.final(ctx, fold(u.open(), ctx, children), threshold)
 }
 
 // BDD returns query results as serialized BDDs over base-tuple variables
 // allocated from a cluster-shared VarAlloc, applying boolean absorption by
-// construction (§6.3). Each call combines in a fresh manager.
+// construction (§6.3): algebra.BDD, combined in a fresh manager per call.
 func BDD(alloc *algebra.VarAlloc) UDF {
-	return &ringUDF[bdd.Ref]{name: "bdd", open: func() ring[bdd.Ref] {
-		m := bdd.New()
-		return ring[bdd.Ref]{
-			Semiring: algebra.BDD(m, alloc),
-			decode: func(b []byte) (bdd.Ref, bool) {
-				r, n, err := m.Decode(b)
-				return r, err == nil && n == len(b)
-			},
-			encode: func(r bdd.Ref) []byte { return m.Encode(r, nil) },
-		}
+	return &ringUDF[algebra.Payload]{name: "bdd", open: func() algebra.Ring[algebra.Payload] {
+		return algebra.BDD(bdd.New(), alloc)
 	}}
-}
-
-// DecodeBDD parses a BDD query result into the given manager.
-func DecodeBDD(m *bdd.Manager, payload []byte) (bdd.Ref, error) {
-	r, _, err := m.Decode(payload)
-	return r, err
 }
 
 // Derivations counts a tuple's distinct derivations (#DERIVATIONS, §5.2.2,
@@ -177,8 +155,8 @@ func DecodeBDD(m *bdd.Manager, payload []byte) (bdd.Ref, error) {
 func Derivations() UDF {
 	return &ringUDF[int64]{
 		name: "derivations",
-		open: func() ring[int64] {
-			return ring[int64]{Semiring: algebra.Counting(), decode: decodeCount, encode: encodeCount}
+		open: func() algebra.Ring[int64] {
+			return algebra.Ring[int64]{Semiring: algebra.Counting(), Encode: encodeCount, Decode: decodeCount}
 		},
 		final: func(_ Ctx, acc int64, threshold int64) bool { return acc > threshold },
 	}
@@ -208,8 +186,8 @@ func DecodeCount(payload []byte) int64 {
 func NodeSet() UDF {
 	return &ringUDF[[]types.NodeID]{
 		name: "nodeset",
-		open: func() ring[[]types.NodeID] {
-			return ring[[]types.NodeID]{Semiring: algebra.NodeSet(), decode: decodeNodes, encode: encodeNodeSet}
+		open: func() algebra.Ring[[]types.NodeID] {
+			return algebra.Ring[[]types.NodeID]{Semiring: algebra.NodeSet(), Encode: encodeNodeSet, Decode: decodeNodes}
 		},
 		final: func(_ Ctx, acc []types.NodeID, threshold int64) bool { return int64(len(acc)) > threshold },
 	}
@@ -257,8 +235,8 @@ func Derivability(trusted func(algebra.Base) bool) UDF {
 	}
 	return &ringUDF[bool]{
 		name: "derivability",
-		open: func() ring[bool] {
-			return ring[bool]{Semiring: s, decode: decodeBool, encode: encodeBool}
+		open: func() algebra.Ring[bool] {
+			return algebra.Ring[bool]{Semiring: s, Encode: encodeBool, Decode: decodeBool}
 		},
 		final: func(ctx Ctx, acc bool, _ int64) bool { return ctx == CtxIDB && acc },
 	}
