@@ -22,13 +22,11 @@ import (
 // simulator, as -dump-prov runs, and `batched` cells on engine.Scheduler, as
 // a plain run does. A batched cell must also equal the drain digest of the
 // same app and mode: the byte-level fence that the two executors reach one
-// fixpoint. Value mode is exempt until BDD variables are named by VID
-// (ROADMAP 16(b)): a payload's bytes number each base tuple by the order the
-// run first met it, the simulator meets the EDB in boot order and the
-// Scheduler node by node, so equal payloads may encode differently; its
-// batched cells are pinned by their own digests. Reference mode also runs
-// over UDP (`-deploy`), whose digest must equal the drain digest too; deploy
-// cells have no golden line of their own.
+// fixpoint. Reference and value mode also run over UDP (`-deploy`), whose
+// digest must equal the drain digest too; deploy cells have no golden line
+// of their own. Value mode is in both fences because a BDD variable is named
+// by the node that owns its base tuple, and each node meets its own base
+// tuples in the same order under every driver.
 //
 // A refactor must leave the file untouched. A change that is *meant* to move
 // a fixpoint replaces the affected lines with the ones this test logs.
@@ -57,11 +55,8 @@ func TestDumpProvGolden(t *testing.T) {
 			drain := stateDigest(t, app, modeName, "drain")
 			check(fmt.Sprintf("%s %s drain", app, modeName), drain)
 			check(fmt.Sprintf("%s %s batched", app, modeName), stateDigest(t, app, modeName, "batched"))
-			var others []string
-			if modeName != "value" {
-				others = append(others, "batched")
-			}
-			if modeName == "reference" {
+			others := []string{"batched"}
+			if modeName == "reference" || modeName == "value" {
 				others = append(others, "deploy")
 			}
 			for _, driver := range others {

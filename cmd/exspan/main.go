@@ -144,7 +144,7 @@ func main() {
 	switch *udfName {
 	case "polynomial":
 	case "bdd":
-		setUDF(c, provquery.BDD(c.Alloc))
+		setUDF(c, provquery.BDD(c.BaseVar))
 	case "derivations":
 		setUDF(c, provquery.Derivations())
 	case "nodeset":

@@ -49,7 +49,7 @@ func main() {
 
 	// --- 1. BDD (absorption) provenance --------------------------------
 	for _, h := range cluster.Hosts {
-		h.Query.UDF = provquery.BDD(cluster.Alloc)
+		h.Query.UDF = provquery.BDD(cluster.BaseVar)
 	}
 	var bddPayload []byte
 	cluster.Query(c, target.VID, target.Loc, func(p []byte) { bddPayload = p })
@@ -57,26 +57,31 @@ func main() {
 		log.Fatal(err)
 	}
 	mgr := bdd.New()
-	ring := algebra.BDD(mgr, cluster.Alloc)
+	ring := algebra.BDD(mgr, cluster.BaseVar)
 	root, ok := ring.Decode(bddPayload)
 	if !ok {
 		log.Fatal("malformed BDD answer")
 	}
 	fmt.Printf("condensed provenance of %s (BDD, %d nodes):\n", target.Tuple, mgr.Size(root))
 	fmt.Println("  boolean form:", mgr.String(root))
+	// A variable names its base tuple's owner and the owner's ordinal for
+	// it; the owner's store resolves the ordinal.
 	fmt.Println("  variables:")
-	varOfNode := map[types.NodeID][]int{}
-	for _, v := range mgr.Support(root) {
-		base, _ := cluster.Alloc.BaseOf(v)
-		varOfNode[base.Node] = append(varOfNode[base.Node], v)
-		fmt.Printf("    x%d = %s @ %s\n", v, base.Label, base.Node)
+	vars := mgr.Support(root)
+	for _, v := range vars {
+		store := cluster.Hosts[v.Node].Engine.Store
+		vid, _ := store.BaseVID(v)
+		base, _ := store.TupleOf(vid)
+		fmt.Printf("    %s = %s @ %s\n", v, base, v.Node)
 	}
 
 	// Trust policies: a node is trusted iff all its base tuples are.
 	restrictNode := func(root algebra.Payload, node types.NodeID, val bool) algebra.Payload {
 		out := root
-		for _, v := range varOfNode[node] {
-			out = mgr.Restrict(out, v, val)
+		for _, v := range vars {
+			if v.Node == node {
+				out = mgr.Restrict(out, v, val)
+			}
 		}
 		return out
 	}

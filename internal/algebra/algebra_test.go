@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bdd"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -118,8 +119,8 @@ func TestBDDAgreesWithBooleanSemiring(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		e := randPoly(rng, 4, 10)
 		m := bdd.New()
-		alloc := NewVarAlloc()
-		r := Eval(e, BDD(m, alloc).Semiring)
+		name, vidOf := ownerVars()
+		r := Eval(e, BDD(m, name).Semiring)
 
 		// Random trust assignment over the bases.
 		trusted := map[types.ID]bool{}
@@ -128,11 +129,9 @@ func TestBDDAgreesWithBooleanSemiring(t *testing.T) {
 		}
 		want := DerivableGiven(e, func(b Base) bool { return trusted[b.VID] })
 
-		assign := map[int]bool{}
-		for vid, ok := range trusted {
-			if v, exists := alloc.byVID[vid]; exists {
-				assign[v] = ok
-			}
+		assign := map[bdd.Var]bool{}
+		for _, v := range m.Support(r) {
+			assign[v] = trusted[vidOf(v)]
 		}
 		if got := m.Eval(r, assign); got != want {
 			t.Fatalf("trial %d: BDD=%v semiring=%v for %s", trial, got, want, e)
@@ -145,15 +144,33 @@ func TestAbsorptionThroughBDD(t *testing.T) {
 	a, b := NewBase(baseN(0)), NewBase(baseN(1))
 	e := Prod("", a, Sum("", a, b))
 	m := bdd.New()
-	alloc := NewVarAlloc()
-	r := Eval(e, BDD(m, alloc).Semiring)
+	name, vidOf := ownerVars()
+	r := Eval(e, BDD(m, name).Semiring)
 	sup := m.Support(r)
 	if len(sup) != 1 {
 		t.Fatalf("support = %v, want just a", sup)
 	}
-	if base, _ := alloc.BaseOf(sup[0]); base.VID != a.Base.VID {
+	if vidOf(sup[0]) != a.Base.VID {
 		t.Fatalf("support is not a")
 	}
+}
+
+// ownerVars names each base tuple's BDD variable in its owner's store, as a
+// cluster does, and resolves a variable back to its VID.
+func ownerVars() (name func(Base) bdd.Var, vidOf func(bdd.Var) types.ID) {
+	stores := map[types.NodeID]*provenance.Store{}
+	storeOf := func(n types.NodeID) *provenance.Store {
+		if stores[n] == nil {
+			stores[n] = provenance.NewStore(n)
+		}
+		return stores[n]
+	}
+	name = func(b Base) bdd.Var { return storeOf(b.Node).BaseVar(b.VID) }
+	vidOf = func(v bdd.Var) types.ID {
+		vid, _ := storeOf(v.Node).BaseVID(v)
+		return vid
+	}
+	return name, vidOf
 }
 
 func TestCountingSemiringLaws(t *testing.T) {
@@ -234,29 +251,6 @@ func TestBaseSetAndMetrics(t *testing.T) {
 	}
 	if !strings.Contains(e.String(), "<r1@a>") {
 		t.Errorf("annotation lost: %s", e)
-	}
-}
-
-func TestVarAllocStable(t *testing.T) {
-	alloc := NewVarAlloc()
-	a, b := baseN(0), baseN(1)
-	v1 := alloc.VarOf(a)
-	v2 := alloc.VarOf(b)
-	if v1 == v2 {
-		t.Fatal("distinct bases share a variable")
-	}
-	if alloc.VarOf(a) != v1 {
-		t.Fatal("allocation not stable")
-	}
-	if alloc.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", alloc.Len())
-	}
-	got, ok := alloc.BaseOf(v2)
-	if !ok || got.VID != b.VID {
-		t.Fatal("BaseOf lookup failed")
-	}
-	if _, ok := alloc.BaseOf(99); ok {
-		t.Fatal("BaseOf out of range succeeded")
 	}
 }
 

@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/bdd"
 	"repro/internal/types"
@@ -138,50 +137,6 @@ func MinTrust(values func(Base) int64) Semiring[int64] {
 	}
 }
 
-// VarAlloc assigns dense BDD variable indices to base-tuple VIDs. The same
-// allocator must be shared by every party that combines BDDs, so variable
-// numbering is globally consistent; it is safe for concurrent use (the UDP
-// deployment runs nodes as goroutines in one process).
-type VarAlloc struct {
-	mu    sync.Mutex
-	byVID map[types.ID]int
-	bases []Base
-}
-
-// NewVarAlloc creates an empty allocator.
-func NewVarAlloc() *VarAlloc { return &VarAlloc{byVID: map[types.ID]int{}} }
-
-// VarOf returns the variable index for a base tuple, allocating on first
-// use.
-func (a *VarAlloc) VarOf(b Base) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if v, ok := a.byVID[b.VID]; ok {
-		return v
-	}
-	v := len(a.bases)
-	a.byVID[b.VID] = v
-	a.bases = append(a.bases, b)
-	return v
-}
-
-// BaseOf returns the base tuple assigned to variable v.
-func (a *VarAlloc) BaseOf(v int) (Base, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if v < 0 || v >= len(a.bases) {
-		return Base{}, false
-	}
-	return a.bases[v], true
-}
-
-// Len reports the number of allocated variables.
-func (a *VarAlloc) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.bases)
-}
-
 // Ring is a semiring with its wire codec: the form in which a provenance
 // representation's values travel between nodes. Decode accepts exactly what
 // Encode emits, as a whole buffer: trailing bytes are rejected.
@@ -196,15 +151,17 @@ type Ring[T any] struct {
 type Payload = bdd.Ref
 
 // BDD is the boolean-function ring over manager m, whose variable for a base
-// tuple is the one alloc assigns it: the BDD query's representation and value
+// tuple is the one name gives it: the BDD query's representation and value
 // mode's payloads. Its values are the absorption-condensed provenance of
-// §6.3: a·(a+b) collapses to a.
-func BDD(m *bdd.Manager, alloc *VarAlloc) Ring[Payload] {
+// §6.3: a·(a+b) collapses to a. FromBase calls name only where the base
+// tuple lives; name numbers it in its owner's store
+// (provenance.Store.BaseVar).
+func BDD(m *bdd.Manager, name func(Base) bdd.Var) Ring[Payload] {
 	return Ring[Payload]{
 		Semiring: Semiring[Payload]{
 			Zero:     func() Payload { return bdd.False },
 			One:      func() Payload { return bdd.True },
-			FromBase: func(b Base) Payload { return m.Var(alloc.VarOf(b)) },
+			FromBase: func(b Base) Payload { return m.Var(name(b)) },
 			Add:      m.Or,
 			Mul:      m.And,
 		},

@@ -12,8 +12,10 @@ package bdd
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+
+	"repro/internal/types"
 )
 
 // Ref identifies a BDD node inside its Manager. The terminals False and
@@ -26,8 +28,25 @@ const (
 	True  Ref = 1
 )
 
+// Var names a variable: the Ord-th base tuple that node Node, the tuple's
+// owner, numbered. Only the owner creates its tuples' variables, so no
+// numbering is shared between nodes. Variables are ordered by (Node, Ord).
+type Var struct {
+	Node types.NodeID
+	Ord  uint32
+}
+
+// String renders v as x<node>.<ordinal>.
+func (v Var) String() string { return fmt.Sprintf("x%d.%d", v.Node, v.Ord) }
+
+// level packs v into a node's level: Node in the high half, Ord in the low,
+// so level order is variable order.
+func (v Var) level() uint64 { return uint64(v.Node)<<32 | uint64(v.Ord) }
+
+func varAt(level uint64) Var { return Var{Node: types.NodeID(level >> 32), Ord: uint32(level)} }
+
 type node struct {
-	level  int32 // variable index; lower levels are closer to the root
+	level  uint64 // Var.level; lower levels are closer to the root
 	lo, hi Ref
 }
 
@@ -63,13 +82,11 @@ func New() *Manager {
 	return m
 }
 
-const terminalLevel = int32(1 << 30)
+// terminalLevel exceeds the level of every variable (whose Node is a
+// non-negative int32).
+const terminalLevel = uint64(1) << 63
 
-// NumNodes reports the total number of nodes allocated in the manager,
-// including the two terminals.
-func (m *Manager) NumNodes() int { return len(m.nodes) }
-
-func (m *Manager) mk(level int32, lo, hi Ref) Ref {
+func (m *Manager) mk(level uint64, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
 	}
@@ -83,15 +100,15 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	return r
 }
 
-// Var returns the BDD for the single variable v (v must be >= 0).
-func (m *Manager) Var(v int) Ref {
-	if v < 0 {
-		panic("bdd: negative variable index")
+// Var returns the BDD for the single variable v (v.Node must be >= 0).
+func (m *Manager) Var(v Var) Ref {
+	if v.Node < 0 {
+		panic("bdd: negative variable node")
 	}
-	return m.mk(int32(v), False, True)
+	return m.mk(v.level(), False, True)
 }
 
-func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
+func (m *Manager) level(r Ref) uint64 { return m.nodes[r].level }
 
 // And returns the conjunction of a and b.
 func (m *Manager) And(a, b Ref) Ref {
@@ -184,19 +201,20 @@ func (m *Manager) Not(a Ref) Ref {
 // Restrict fixes variable v to the constant val inside a and returns the
 // simplified BDD. It implements the paper's trust-policy evaluation: setting
 // an untrusted base tuple's variable to false.
-func (m *Manager) Restrict(a Ref, v int, val bool) Ref {
+func (m *Manager) Restrict(a Ref, v Var, val bool) Ref {
+	lv := v.level()
 	mem := make(map[Ref]Ref)
 	var rec func(r Ref) Ref
 	rec = func(r Ref) Ref {
 		n := m.nodes[r]
-		if n.level > int32(v) {
+		if n.level > lv {
 			return r // terminals or variables ordered after v
 		}
 		if got, ok := mem[r]; ok {
 			return got
 		}
 		var out Ref
-		if n.level == int32(v) {
+		if n.level == lv {
 			if val {
 				out = n.hi
 			} else {
@@ -213,10 +231,10 @@ func (m *Manager) Restrict(a Ref, v int, val bool) Ref {
 
 // Eval evaluates the BDD under the given assignment (missing variables
 // default to false).
-func (m *Manager) Eval(a Ref, assign map[int]bool) bool {
+func (m *Manager) Eval(a Ref, assign map[Var]bool) bool {
 	for a != False && a != True {
 		n := m.nodes[a]
-		if assign[int(n.level)] {
+		if assign[varAt(n.level)] {
 			a = n.hi
 		} else {
 			a = n.lo
@@ -227,67 +245,47 @@ func (m *Manager) Eval(a Ref, assign map[int]bool) bool {
 
 // Size reports the number of nodes reachable from r, excluding terminals.
 // It is the size metric used when measuring condensed-provenance bandwidth.
-func (m *Manager) Size(r Ref) int {
-	seen := map[Ref]bool{}
-	var rec func(Ref)
-	rec = func(x Ref) {
-		if x == False || x == True || seen[x] {
-			return
-		}
-		seen[x] = true
-		rec(m.nodes[x].lo)
-		rec(m.nodes[x].hi)
-	}
-	rec(r)
-	return len(seen)
-}
+func (m *Manager) Size(r Ref) int { return len(m.topo(r)) }
 
 // Support returns the sorted set of variables appearing in r.
-func (m *Manager) Support(r Ref) []int {
-	seen := map[Ref]bool{}
-	vars := map[int]bool{}
-	var rec func(Ref)
-	rec = func(x Ref) {
-		if x == False || x == True || seen[x] {
-			return
-		}
-		seen[x] = true
-		vars[int(m.nodes[x].level)] = true
-		rec(m.nodes[x].lo)
-		rec(m.nodes[x].hi)
+func (m *Manager) Support(r Ref) []Var {
+	var levels []uint64
+	for _, x := range m.topo(r) {
+		levels = append(levels, m.nodes[x].level)
 	}
-	rec(r)
-	out := make([]int, 0, len(vars))
-	for v := range vars {
-		out = append(out, v)
+	slices.Sort(levels)
+	levels = slices.Compact(levels)
+	out := make([]Var, len(levels))
+	for i, l := range levels {
+		out[i] = varAt(l)
 	}
-	sort.Ints(out)
 	return out
 }
 
 // AnySat returns one satisfying assignment of r as a map from variable to
 // value, or ok=false when r is unsatisfiable. Variables absent from the map
 // are don't-cares.
-func (m *Manager) AnySat(r Ref) (assign map[int]bool, ok bool) {
+func (m *Manager) AnySat(r Ref) (assign map[Var]bool, ok bool) {
 	if r == False {
 		return nil, false
 	}
-	assign = map[int]bool{}
+	assign = map[Var]bool{}
 	for r != True {
 		n := m.nodes[r]
 		if n.hi != False {
-			assign[int(n.level)] = true
+			assign[varAt(n.level)] = true
 			r = n.hi
 		} else {
-			assign[int(n.level)] = false
+			assign[varAt(n.level)] = false
 			r = n.lo
 		}
 	}
 	return assign, true
 }
 
-// String renders r as a sum-of-products boolean expression with variables
-// printed as x<i>; it is intended for tests and small examples.
+// String renders r as a sum-of-products boolean expression, one product per
+// path to True, with variables printed as Var.String does; it is intended for
+// tests and small examples.
 func (m *Manager) String(r Ref) string {
 	switch r {
 	case False:
@@ -296,40 +294,22 @@ func (m *Manager) String(r Ref) string {
 		return "1"
 	}
 	var terms []string
-	assign := map[int]bool{}
-	var rec func(Ref)
-	rec = func(x Ref) {
-		if x == False {
+	// A path meets its variables in order, so each product is sorted.
+	var rec func(x Ref, lits []string)
+	rec = func(x Ref, lits []string) {
+		switch x {
+		case False:
 			return
-		}
-		if x == True {
-			var lits []string
-			vars := make([]int, 0, len(assign))
-			for v := range assign {
-				vars = append(vars, v)
-			}
-			sort.Ints(vars)
-			for _, v := range vars {
-				if assign[v] {
-					lits = append(lits, fmt.Sprintf("x%d", v))
-				} else {
-					lits = append(lits, fmt.Sprintf("!x%d", v))
-				}
-			}
-			if len(lits) == 0 {
-				terms = append(terms, "1")
-			} else {
-				terms = append(terms, strings.Join(lits, "*"))
-			}
+		case True:
+			terms = append(terms, strings.Join(lits, "*"))
 			return
 		}
 		n := m.nodes[x]
-		assign[int(n.level)] = false
-		rec(n.lo)
-		assign[int(n.level)] = true
-		rec(n.hi)
-		delete(assign, int(n.level))
+		v := varAt(n.level).String()
+		lits = lits[:len(lits):len(lits)]
+		rec(n.lo, append(lits, "!"+v))
+		rec(n.hi, append(lits, v))
 	}
-	rec(r)
+	rec(r, nil)
 	return strings.Join(terms, " + ")
 }

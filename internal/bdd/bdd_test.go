@@ -45,7 +45,7 @@ func (e *boolExpr) eval(assign []bool) bool {
 func (e *boolExpr) build(m *Manager) Ref {
 	switch e.op {
 	case 0:
-		return m.Var(e.v)
+		return m.Var(x(e.v))
 	case 1:
 		return m.And(e.l.build(m), e.r.build(m))
 	case 2:
@@ -67,10 +67,10 @@ func TestBDDMatchesTruthTable(t *testing.T) {
 		r := e.build(m)
 		for mask := 0; mask < 1<<vars; mask++ {
 			assign := make([]bool, vars)
-			am := map[int]bool{}
+			am := map[Var]bool{}
 			for i := 0; i < vars; i++ {
 				assign[i] = mask&(1<<i) != 0
-				am[i] = assign[i]
+				am[x(i)] = assign[i]
 			}
 			if m.Eval(r, am) != e.eval(assign) {
 				t.Fatalf("trial %d mask %b: BDD disagrees with direct evaluation", trial, mask)
@@ -107,7 +107,7 @@ func TestBDDCanonicity(t *testing.T) {
 // TestAbsorption checks the paper's §6.3 example: a·(a+b) = a.
 func TestAbsorption(t *testing.T) {
 	m := New()
-	a, b := m.Var(0), m.Var(1)
+	a, b := m.Var(x(0)), m.Var(x(1))
 	if got := m.And(a, m.Or(a, b)); got != a {
 		t.Errorf("a·(a+b) = %s, want a", m.String(got))
 	}
@@ -119,7 +119,7 @@ func TestAbsorption(t *testing.T) {
 func TestBooleanLaws(t *testing.T) {
 	f := func(av, bv, cv uint8) bool {
 		m := New()
-		a, b, c := m.Var(int(av%4)), m.Var(int(bv%4)), m.Var(int(cv%4))
+		a, b, c := m.Var(x(int(av%4))), m.Var(x(int(bv%4))), m.Var(x(int(cv%4)))
 		// Commutativity, associativity, distributivity, De Morgan.
 		if m.And(a, b) != m.And(b, a) || m.Or(a, b) != m.Or(b, a) {
 			return false
@@ -145,16 +145,16 @@ func TestBooleanLaws(t *testing.T) {
 
 func TestRestrict(t *testing.T) {
 	m := New()
-	a, b := m.Var(0), m.Var(1)
+	a, b := m.Var(x(0)), m.Var(x(1))
 	f := m.Or(a, m.And(m.Not(a), b)) // a + !a·b = a + b
-	if got := m.Restrict(f, 0, true); got != True {
+	if got := m.Restrict(f, x(0), true); got != True {
 		t.Errorf("f[a=1] = %s, want 1", m.String(got))
 	}
-	if got := m.Restrict(f, 0, false); got != b {
+	if got := m.Restrict(f, x(0), false); got != b {
 		t.Errorf("f[a=0] = %s, want b", m.String(got))
 	}
 	// Restricting an absent variable is the identity.
-	if got := m.Restrict(f, 3, true); got != f {
+	if got := m.Restrict(f, x(3), true); got != f {
 		t.Errorf("restrict on absent var changed the function")
 	}
 }
@@ -169,27 +169,27 @@ func TestRestrictMatchesTruthTable(t *testing.T) {
 		e := randExpr(rng, 4, vars)
 		m := New()
 		f := e.build(m)
-		v := rng.Intn(vars)
+		v := x(rng.Intn(vars))
 		val := rng.Intn(2) == 1
 		g := m.Restrict(f, v, val)
 		// The restricted function must not depend on v.
 		for _, sv := range m.Support(g) {
 			if sv == v {
-				t.Fatalf("trial %d: restricted BDD still depends on x%d", trial, v)
+				t.Fatalf("trial %d: restricted BDD still depends on %s", trial, v)
 			}
 		}
 		for mask := 0; mask < 1<<vars; mask++ {
-			assign := map[int]bool{}
+			assign := map[Var]bool{}
 			for i := 0; i < vars; i++ {
-				assign[i] = mask&(1<<i) != 0
+				assign[x(i)] = mask&(1<<i) != 0
 			}
-			fixed := map[int]bool{}
+			fixed := map[Var]bool{}
 			for k, b := range assign {
 				fixed[k] = b
 			}
 			fixed[v] = val
 			if m.Eval(g, assign) != m.Eval(f, fixed) {
-				t.Fatalf("trial %d: restrict(x%d=%v) differs at %b", trial, v, val, mask)
+				t.Fatalf("trial %d: restrict(%s=%v) differs at %b", trial, v, val, mask)
 			}
 		}
 	}
@@ -210,9 +210,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("decode: n=%d err=%v", n, err)
 		}
 		for mask := 0; mask < 1<<vars; mask++ {
-			am := map[int]bool{}
+			am := map[Var]bool{}
 			for i := 0; i < vars; i++ {
-				am[i] = mask&(1<<i) != 0
+				am[x(i)] = mask&(1<<i) != 0
 			}
 			if m1.Eval(r1, am) != m2.Eval(r2, am) {
 				t.Fatalf("trial %d: decoded BDD differs at %b", trial, mask)
@@ -235,7 +235,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		t.Error("truncated input accepted")
 	}
 	// Forward reference: node 0 referencing node index 3.
-	if _, _, err := m.Decode([]byte{1, 0, 3, 3, 2}); err == nil {
+	if _, _, err := m.Decode([]byte{1, 0, 0, 3, 3, 2}); err == nil {
 		t.Error("forward reference accepted")
 	}
 	// A node count no input could back used to size a slice unchecked
@@ -243,12 +243,11 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, _, err := m.Decode(hostileCount); err == nil {
 		t.Error("node count 2^62 accepted")
 	}
-	// A level that only fits after narrowing to int32, and one that
-	// collides with the terminals' sentinel.
-	for _, level := range []uint64{1<<32 + 5, uint64(terminalLevel)} {
-		enc := binary.AppendUvarint([]byte{1}, level)
+	// A node that is no NodeID, an ordinal that only fits after narrowing.
+	for _, v := range [][2]uint64{{1 << 31, 0}, {1<<32 + 5, 0}, {0, 1 << 32}} {
+		enc := binary.AppendUvarint(binary.AppendUvarint([]byte{1}, v[0]), v[1])
 		if _, _, err := m.Decode(append(enc, 0, 1, 2)); err == nil {
-			t.Errorf("level %d accepted", level)
+			t.Errorf("variable (%d, %d) accepted", v[0], v[1])
 		}
 	}
 	// Over-long varints: one value, one spelling.
@@ -260,25 +259,61 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonCanonical: a peer's payload decodes only when it is
+// the one serialization of its function. Value mode's payload-changed test
+// compares handles, so a second spelling of a function must not yield a
+// second handle.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		b    []byte
+	}{
+		// x0.1 whose hi child is x0.0: an unordered diagram.
+		{"child above its parent", []byte{2, 0, 0, 0, 1, 0, 1, 0, 2, 3}},
+		{"lo == hi", []byte{1, 0, 0, 1, 1, 2}},
+		// x0.0 ? (x0.1 + x0.2) : x0.2, listing x0.2 twice.
+		{"duplicate node", []byte{4, 0, 2, 0, 1, 0, 2, 0, 1, 0, 1, 3, 1, 0, 0, 2, 4, 5}},
+		{"unreachable node", []byte{2, 0, 0, 0, 1, 0, 1, 0, 1, 3}},
+		// x0.0 ? x0.2 : x0.1, its hi child listed before its lo child.
+		{"misordered list", []byte{3, 0, 2, 0, 1, 0, 1, 0, 1, 0, 0, 3, 2, 4}},
+		{"root not last", []byte{2, 0, 1, 0, 1, 0, 0, 0, 2, 2}},
+		{"terminal root with nodes", []byte{1, 0, 0, 0, 1, 1}},
+	} {
+		m := New()
+		if r, _, err := m.Decode(c.b); err == nil {
+			t.Errorf("%s: %x accepted as %s", c.name, c.b, m.String(r))
+		}
+	}
+	// Their canonical forms decode, to the handle the manager builds.
+	m := New()
+	a, b, c := m.Var(x(0)), m.Var(x(1)), m.Var(x(2))
+	for _, f := range []Ref{m.And(a, b), m.Or(m.And(a, m.Or(b, c)), m.And(m.Not(a), c)), m.And(a, m.Or(m.And(a, c), m.And(m.Not(a), b)))} {
+		enc := m.Encode(f, nil)
+		if got, n, err := m.Decode(enc); err != nil || n != len(enc) || got != f {
+			t.Errorf("canonical %x: got %d (n=%d, err=%v), want %d", enc, got, n, err, f)
+		}
+	}
+}
+
 // hostileCount is the uvarint 2^62 where a node count belongs.
 var hostileCount = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}
 
 // FuzzDecodeBDD feeds arbitrary bytes to the BDD payload decoder a query hop
-// runs on results from other nodes. Properties:
+// and a value-mode delta run on payloads from other nodes. Properties:
 //
 //  1. No panic on any input.
-//  2. An accepted input's canonical form (Encode of the decoded root) decodes
-//     in the same manager to the same root without creating a node. (The
-//     input itself need not be reproduced: it may list unreachable or
-//     redundant nodes, which hash-consing drops.)
+//  2. An accepted input is the canonical form of what it decodes to: Encode
+//     of the decoded root reproduces exactly the bytes consumed.
 func FuzzDecodeBDD(f *testing.F) {
 	// A real query result: BDD for bestPathCost(@a,c,5) on the Figure 3
-	// MINCOST fixpoint, link(@a,c,5) ∨ (link(@b,a,3) ∧ link(@b,c,2)).
-	f.Add([]byte{3, 2, 0, 1, 1, 0, 2, 0, 3, 1, 4})
+	// MINCOST fixpoint, link(@a,c,5) ∨ (link(@b,a,3) ∧ link(@b,c,2)), its
+	// variables numbered by their owners a (0) and b (1).
+	f.Add([]byte{3, 1, 1, 0, 1, 1, 0, 0, 2, 0, 0, 3, 1, 4})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{0, 1})
 	f.Add([]byte{})
 	f.Add(hostileCount)
+	f.Add([]byte{2, 0, 0, 0, 1, 0, 1, 0, 2, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m := New()
 		r, n, err := m.Decode(b)
@@ -288,20 +323,15 @@ func FuzzDecodeBDD(f *testing.F) {
 		if n > len(b) {
 			t.Fatalf("consumed %d of %d bytes", n, len(b))
 		}
-		enc, nodes := m.Encode(r, nil), m.NumNodes()
-		r2, n2, err := m.Decode(enc)
-		if err != nil || n2 != len(enc) {
-			t.Fatalf("canonical form of %x does not decode: n=%d/%d err=%v", b, n2, len(enc), err)
-		}
-		if r2 != r || m.NumNodes() != nodes {
-			t.Fatalf("%x: root %d, %d nodes; its canonical form gives root %d, %d nodes", b, r, nodes, r2, m.NumNodes())
+		if enc := m.Encode(r, nil); string(enc) != string(b[:n]) {
+			t.Fatalf("accepted %x, whose canonical form is %x", b[:n], enc)
 		}
 	})
 }
 
 func TestSizeSupportAnySat(t *testing.T) {
 	m := New()
-	a, b, c := m.Var(0), m.Var(1), m.Var(2)
+	a, b, c := m.Var(x(0)), m.Var(x(1)), m.Var(x(2))
 	f := m.Or(m.And(a, b), c)
 	if s := m.Support(f); len(s) != 3 {
 		t.Errorf("support = %v, want 3 vars", s)
@@ -326,8 +356,16 @@ func TestStringForms(t *testing.T) {
 	if m.String(False) != "0" || m.String(True) != "1" {
 		t.Error("terminal strings wrong")
 	}
-	a := m.Var(0)
-	if m.String(a) != "x0" {
-		t.Errorf("String(x0) = %q", m.String(a))
+	a := m.Var(x(0))
+	if m.String(a) != "x0.0" {
+		t.Errorf("String(x0.0) = %q", m.String(a))
+	}
+	// Variables order by owner, then ordinal.
+	f := m.And(m.Var(Var{Node: 1, Ord: 0}), m.Not(m.Var(Var{Node: 0, Ord: 7})))
+	if got := m.String(f); got != "!x0.7*x1.0" {
+		t.Errorf("String = %q, want !x0.7*x1.0", got)
 	}
 }
+
+// x names variable i of node 0.
+func x(i int) Var { return Var{Ord: uint32(i)} }

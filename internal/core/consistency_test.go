@@ -3,11 +3,14 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/bdd"
+	"repro/internal/deploy"
 	"repro/internal/engine"
+	"repro/internal/provenance"
 	"repro/internal/provquery"
 	"repro/internal/topology"
 	"repro/internal/types"
@@ -129,9 +132,13 @@ func TestCachingIsTransparent(t *testing.T) {
 // TestValueModePayloadMatchesReferenceQuery is the cross-mode semantic
 // invariant: the BDD a tuple carries in value-based mode encodes the same
 // boolean derivability function that a distributed BDD query over
-// reference-based provenance computes for the same tuple.
+// reference-based provenance computes for the same tuple. The value-mode
+// side runs on the simulator and over UDP, where every node process names
+// its own base tuples' variables and shares nothing with the others.
 func TestValueModePayloadMatchesReferenceQuery(t *testing.T) {
-	compareValueAndReference(t, nil)
+	for _, d := range valueDrivers {
+		t.Run(d.name, func(t *testing.T) { compareValueAndReference(t, d.start, nil) })
+	}
 }
 
 // TestValueModePayloadMatchesReferenceQueryAfterChurn repeats the
@@ -139,76 +146,131 @@ func TestValueModePayloadMatchesReferenceQuery(t *testing.T) {
 // *update* propagation (deletion shrinks payloads; re-addition grows them)
 // against reference mode's recomputed traversals.
 func TestValueModePayloadMatchesReferenceQueryAfterChurn(t *testing.T) {
-	compareValueAndReference(t, func(c *Cluster) {
-		// Drop and restore a-b, and drop b-d permanently.
-		ab := c.Topo.Links[0]
-		bd := c.Topo.Links[3]
-		c.RemoveLink(bd)
-		c.Sim.Run()
-		c.RemoveLink(ab)
-		c.Sim.Run()
-		c.AddLink(ab)
-		c.Sim.Run()
-	})
+	// Drop and restore a-b, and drop b-d permanently.
+	churn := func(setLink func(l topology.Link, up bool), topo *topology.Topology) {
+		ab, bd := topo.Links[0], topo.Links[3]
+		setLink(bd, false)
+		setLink(ab, false)
+		setLink(ab, true)
+	}
+	for _, d := range valueDrivers {
+		t.Run(d.name, func(t *testing.T) { compareValueAndReference(t, d.start, churn) })
+	}
 }
 
-func compareValueAndReference(t *testing.T, churn func(*Cluster)) {
+// A valueRun is a value-mode MINCOST cluster at fixpoint on one driver: its
+// engines, and setLink, which raises or drops a link and waits for the next
+// fixpoint.
+type valueRun struct {
+	engines []*engine.Node
+	setLink func(l topology.Link, up bool)
+}
+
+var valueDrivers = []struct {
+	name  string
+	start func(t *testing.T, topo *topology.Topology) valueRun
+}{
+	{"simulator", func(t *testing.T, topo *topology.Topology) valueRun {
+		c := simFixpoint(t, topo, engine.ProvValue)
+		return valueRun{c.Engines(), func(l topology.Link, up bool) { setSimLink(t, c, l, up) }}
+	}},
+	{"deploy", func(t *testing.T, topo *topology.Topology) valueRun {
+		cl, err := deploy.NewCluster(deploy.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvValue})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Start()
+		t.Cleanup(cl.Stop)
+		wait := func() {
+			if _, err := cl.WaitFixpoint(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl.InsertLinks()
+		wait()
+		return valueRun{cl.Engines(), func(l topology.Link, up bool) {
+			for _, tu := range []types.Tuple{apps.LinkTuple(l.U, l.V, l.Cost), apps.LinkTuple(l.V, l.U, l.Cost)} {
+				np := cl.Nodes[tu.Loc()]
+				np.Do(func() {
+					if up {
+						np.Engine.InsertBase(tu)
+					} else {
+						np.Engine.DeleteBase(tu)
+					}
+				})
+			}
+			wait()
+		}}
+	}},
+}
+
+func simFixpoint(t *testing.T, topo *topology.Topology, mode engine.ProvMode) *Cluster {
+	t.Helper()
+	c, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunToFixpoint(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func setSimLink(t *testing.T, c *Cluster, l topology.Link, up bool) {
+	t.Helper()
+	if up {
+		c.AddLink(l)
+	} else {
+		c.RemoveLink(l)
+	}
+	c.Sim.Run()
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func compareValueAndReference(t *testing.T, start func(*testing.T, *topology.Topology) valueRun,
+	churn func(setLink func(topology.Link, bool), topo *topology.Topology)) {
 	t.Helper()
 	topo := topology.Figure3()
-
-	valueC, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvValue})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := valueC.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	refC, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refC.Cfg.UDF = provquery.BDD(refC.Alloc)
+	value := start(t, topo)
+	refC := simFixpoint(t, topo, engine.ProvReference)
+	refC.Cfg.UDF = provquery.BDD(refC.BaseVar)
 	for _, h := range refC.Hosts {
-		h.Query.UDF = provquery.BDD(refC.Alloc)
+		h.Query.UDF = refC.Cfg.UDF
 	}
-	if _, err := refC.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
-
 	if churn != nil {
-		churn(valueC)
-		churn(refC)
-		if err := valueC.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if err := refC.Err(); err != nil {
-			t.Fatal(err)
-		}
+		churn(value.setLink, topo)
+		churn(func(l topology.Link, up bool) { setSimLink(t, refC, l, up) }, topo)
 	}
 
 	// Compare every bestPathCost tuple's boolean function under random
-	// base-link assignments, resolving variables by VID through each
-	// cluster's own allocator.
+	// base-link assignments, resolving each variable to its VID in its
+	// owner's store, in each cluster.
 	rng := rand.New(rand.NewSource(55))
 	links := refC.TuplesOf("link")
+	refStore := func(n types.NodeID) *provenance.Store { return refC.Hosts[n].Engine.Store }
+	valueStore := func(n types.NodeID) *provenance.Store { return value.engines[n].Store }
 	for _, ref := range refC.TuplesOf("bestPathCost") {
 		var queryPayload []byte
 		refC.Query(ref.Loc, ref.VID, ref.Loc, func(p []byte) { queryPayload = p })
 		refC.Sim.Run()
 		qm := bdd.New()
-		qRoot, ok := algebra.BDD(qm, refC.Alloc).Decode(queryPayload)
+		qRoot, ok := algebra.BDD(qm, nil).Decode(queryPayload)
 		if !ok {
 			t.Fatalf("%s: BDD answer does not decode", ref.Tuple)
 		}
 
-		host := valueC.Hosts[ref.Loc].Engine
+		host := value.engines[ref.Loc]
 		payload, ok := host.PayloadOf(ref.Tuple)
 		if !ok {
 			t.Fatalf("%s: no value-mode payload", ref.Tuple)
 		}
 		vm := bdd.New()
-		vRoot, ok := algebra.BDD(vm, valueC.Alloc).Decode(host.Ring.Encode(payload))
+		vRoot, ok := algebra.BDD(vm, nil).Decode(host.Ring.Encode(payload))
 		if !ok {
 			t.Fatalf("%s: value-mode payload does not round-trip", ref.Tuple)
 		}
@@ -218,8 +280,8 @@ func compareValueAndReference(t *testing.T, churn func(*Cluster)) {
 			for _, l := range links {
 				present[l.VID] = rng.Intn(2) == 0
 			}
-			qAssign := assignFor(refC.Alloc, present)
-			vAssign := assignFor(valueC.Alloc, present)
+			qAssign := assignFor(t, qm.Support(qRoot), refStore, present)
+			vAssign := assignFor(t, vm.Support(vRoot), valueStore, present)
 			if qm.Eval(qRoot, qAssign) != vm.Eval(vRoot, vAssign) {
 				t.Fatalf("%s: value-mode payload and reference-mode query disagree", ref.Tuple)
 			}
@@ -227,13 +289,17 @@ func compareValueAndReference(t *testing.T, churn func(*Cluster)) {
 	}
 }
 
-func assignFor(alloc *algebra.VarAlloc, present map[types.ID]bool) map[int]bool {
-	out := map[int]bool{}
-	for v := 0; ; v++ {
-		base, ok := alloc.BaseOf(v)
+// assignFor sets each variable as present says of the base tuple its
+// owner's store numbered with it.
+func assignFor(t *testing.T, vars []bdd.Var, store func(types.NodeID) *provenance.Store, present map[types.ID]bool) map[bdd.Var]bool {
+	t.Helper()
+	out := map[bdd.Var]bool{}
+	for _, v := range vars {
+		vid, ok := store(v.Node).BaseVID(v)
 		if !ok {
-			return out
+			t.Fatalf("%s: no base tuple of that name at its owner", v)
 		}
-		out[v] = present[base.VID]
+		out[v] = present[vid]
 	}
+	return out
 }

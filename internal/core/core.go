@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/apps"
+	"repro/internal/bdd"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/provquery"
@@ -113,7 +114,14 @@ type Cluster struct {
 	Topo  *topology.Topology
 	Prog  *engine.Program
 	Hosts []*Host
-	Alloc *algebra.VarAlloc
+}
+
+// BaseVar names base tuple b's BDD variable in the store of its owner
+// b.Node: the naming provquery.BDD needs. A query computes a base tuple's
+// annotation at its owner, so this touches only the owner's store, on the
+// owner's turn.
+func (c *Cluster) BaseVar(b algebra.Base) bdd.Var {
+	return c.Hosts[b.Node].Engine.Store.BaseVar(b.VID)
 }
 
 type simTransport struct {
@@ -157,13 +165,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		nw.Recorder = stats.NewBandwidth(cfg.BandwidthBucketNs)
 	}
 	nw.InstallFaults(cfg.Faults)
-	alloc := algebra.NewVarAlloc()
 	udf := cfg.UDF
 	if udf == nil {
 		udf = provquery.Polynomial{}
 	}
 
-	c := &Cluster{Cfg: cfg, Sim: sim, Net: nw, Topo: cfg.Topo, Prog: prog, Alloc: alloc}
+	c := &Cluster{Cfg: cfg, Sim: sim, Net: nw, Topo: cfg.Topo, Prog: prog}
 	msgPool := engine.NewMessagePool()
 	qryPool := provquery.NewMsgPool()
 	for i := 0; i < cfg.Topo.N; i++ {
@@ -207,7 +214,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if ep != nil {
 			tr = reliableTransport{nw: nw, ep: ep}
 		}
-		en = engine.NewNode(id, prog, cfg.Mode, tr, alloc)
+		en = engine.NewNode(id, prog, cfg.Mode, tr)
 		en.Central = cfg.Central
 		en.Msgs = msgPool
 		qp = provquery.NewProcessor(id, en.Store, udf, func(to types.NodeID, m *provquery.Msg) {

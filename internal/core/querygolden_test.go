@@ -45,7 +45,7 @@ func TestQueryGolden(t *testing.T) {
 		mk   func(c *Cluster) provquery.UDF
 	}{
 		{"polynomial", func(*Cluster) provquery.UDF { return provquery.Polynomial{} }},
-		{"bdd", func(c *Cluster) provquery.UDF { return provquery.BDD(c.Alloc) }},
+		{"bdd", func(c *Cluster) provquery.UDF { return provquery.BDD(c.BaseVar) }},
 		{"derivations", func(*Cluster) provquery.UDF { return provquery.Derivations() }},
 		{"nodeset", func(*Cluster) provquery.UDF { return provquery.NodeSet() }},
 		{"derivability", func(*Cluster) provquery.UDF { return provquery.Derivability(nil) }},

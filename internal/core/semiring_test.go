@@ -31,8 +31,8 @@ func images(c *Cluster) []image {
 		{provquery.NodeSet(), func(poly *algebra.Expr, p []byte) bool {
 			return slices.Equal(provquery.DecodeNodeSet(p), algebra.SortedNodes(poly))
 		}},
-		{provquery.BDD(c.Alloc), func(poly *algebra.Expr, p []byte) bool {
-			r := algebra.BDD(bdd.New(), c.Alloc) // canonical ROBDDs in one manager: equal functions are equal refs
+		{provquery.BDD(c.BaseVar), func(poly *algebra.Expr, p []byte) bool {
+			r := algebra.BDD(bdd.New(), c.BaseVar) // canonical ROBDDs in one manager: equal functions are equal refs
 			got, ok := r.Decode(p)
 			return ok && got == algebra.Eval(poly, r.Semiring)
 		}},

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/engine"
 	"repro/internal/topology"
@@ -70,17 +69,6 @@ func bootScheduled(t *testing.T, w chaosWorkload, topo *topology.Topology, mode 
 		t.Fatal(err)
 	}
 	s := engine.NewScheduler(prog, mode, topo.N, 0, 0)
-	if mode == engine.ProvValue {
-		// A value-mode payload's encoding depends on BDD variable
-		// numbering, and numbering on the order a run first meets each base
-		// tuple: the simulator meets the EDB in boot order, the Scheduler
-		// node by node. Number it in boot order up front: the nodes share
-		// one allocator, and the ring's FromBase numbers a tuple it meets.
-		ring := s.Engines()[0].Ring
-		apps.BootEDB(topo, w.noLinks, workloadBase(w, topo), func(at types.NodeID, tup types.Tuple) {
-			ring.FromBase(algebra.Base{VID: tup.VID(), Label: tup.String(), Node: at})
-		})
-	}
 	apps.BootEDB(topo, w.noLinks, workloadBase(w, topo), s.InsertBase)
 	if err := s.Run(); err != nil {
 		t.Fatalf("scheduled fixpoint: %v", err)

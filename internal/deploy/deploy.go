@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
@@ -198,7 +197,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Loss > 0 || cfg.Dup > 0 {
 		cl.faultRng = rand.New(rand.NewSource(cfg.FaultSeed))
 	}
-	alloc := algebra.NewVarAlloc()
 	udf := cfg.UDF
 	if udf == nil {
 		udf = provquery.Polynomial{}
@@ -254,7 +252,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				PeerDead: np.fault,
 			})
 		}
-		en := engine.NewNode(np.ID, prog, cfg.Mode, udpTransport{np}, alloc)
+		en := engine.NewNode(np.ID, prog, cfg.Mode, udpTransport{np})
 		en.Central = cfg.Central
 		en.Msgs = np.engPool
 		qp := provquery.NewProcessor(np.ID, en.Store, udf, func(to types.NodeID, m *provquery.Msg) {

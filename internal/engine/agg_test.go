@@ -394,7 +394,7 @@ func TestAggregateInputPinnedAcrossSweep(t *testing.T) {
 a1 lo(@X,min<C,G>) :- in(@X,G,C).
 r1 in(@X,G,C) :- trig(@X), src(@X,G,C).
 `)
-	n := newNode(0, prog, ProvReference, &refTransport{}, nil, true)
+	n := newNode(0, prog, ProvReference, &refTransport{}, true)
 	tup := func(pred string, g, c int64) types.Tuple {
 		return types.NewTuple(pred, types.Node(0), types.Int(g), types.Int(c))
 	}
@@ -468,7 +468,7 @@ r1 cand(@X,Z,C) :- best(@X,C), alt(@X,Z).
 	cand := types.NewTuple("cand", types.Node(0), types.Int(9), types.Int(5))
 	for _, batched := range executors {
 		label := executorName(batched)
-		n := newNode(0, prog, ProvReference, &refTransport{}, nil, batched)
+		n := newNode(0, prog, ProvReference, &refTransport{}, batched)
 		settle := func() {
 			t.Helper()
 			each := func(fn func(*Node) bool) bool { return fn(n) }

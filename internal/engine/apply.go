@@ -156,7 +156,7 @@ func (n *Node) process(d localDelta) {
 			if d.isBase {
 				var vid types.ID
 				vid, n.hashBuf = e.VIDBuf(n.hashBuf)
-				payload = n.Ring.FromBase(algebra.Base{VID: vid, Label: d.tuple.String(), Node: n.ID})
+				payload = n.Ring.FromBase(algebra.Base{VID: vid, Node: n.ID})
 			}
 			row.Payload = uint32(payload)
 			payloadChanged = n.recomputePayload(e)

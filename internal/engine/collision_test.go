@@ -80,7 +80,7 @@ func TestRelationHashCollision(t *testing.T) {
 // must follow each group separately.
 func TestAggGroupHashCollision(t *testing.T) {
 	for _, batched := range executors {
-		n := newNode(0, mustCompile(t, `b1 best(@X,Z,min<C>) :- item(@X,Z,C).`), ProvReference, &refTransport{}, nil, batched)
+		n := newNode(0, mustCompile(t, `b1 best(@X,Z,min<C>) :- item(@X,Z,C).`), ProvReference, &refTransport{}, batched)
 		rule := n.Prog.Rules[0]
 		in := func(z string, c int64) types.Tuple {
 			return types.NewTuple("item", types.Node(0), types.Str(z), types.Int(c))

@@ -122,10 +122,9 @@ func TestReleaseOrderIndependence(t *testing.T) {
 		tr := &refTransport{}
 		nodes := make([]*Node, 4)
 		for i := range nodes {
-			nodes[i] = newNode(types.NodeID(i), prog, mode, tr, nil, batched)
+			nodes[i] = newNode(types.NodeID(i), prog, mode, tr, batched)
 		}
 		tr.nodes = nodes
-		sharedVars(nodes, linkScript(edges, costs))
 		for _, e := range edges {
 			cost := edgeCost(e, costs)
 			nodes[e[0]].InsertBase(linkTup(e[0], e[1], cost))

@@ -58,7 +58,7 @@ func newTestNet(t *testing.T, src string, n int, mode ProvMode) *testNet {
 	}
 	tn := &testNet{}
 	for i := 0; i < n; i++ {
-		tn.nodes = append(tn.nodes, NewNode(types.NodeID(i), prog, mode, tn, nil))
+		tn.nodes = append(tn.nodes, NewNode(types.NodeID(i), prog, mode, tn))
 	}
 	return tn
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/bdd"
 	"repro/internal/ndlog"
@@ -108,8 +107,8 @@ func outOfClusterMessage() []byte {
 // ring does not decode as a whole: garbage, and a valid encoding followed by
 // one trailing byte. A value-mode node must drop both, not halt on them.
 func badPayloadMessages() []*Message {
-	r := algebra.BDD(bdd.New(), algebra.NewVarAlloc())
-	valid := r.Encode(r.FromBase(algebra.Base{VID: types.HashString("b")}))
+	m := bdd.New()
+	valid := m.Encode(m.Var(bdd.Var{Node: 1}), nil)
 	var out []*Message
 	for _, p := range [][]byte{{0xde, 0xad, 0xbe, 0xef}, append(valid, 0)} {
 		out = append(out, &Message{Tuple: linkTup(0, 2, 7), Delta: Insert,
@@ -135,7 +134,7 @@ func hostileCluster(prog *Program, mode ProvMode, batched bool) []*Node {
 	tr := boundedTransport{&refTransport{}}
 	nodes := make([]*Node, 3)
 	for i := range nodes {
-		nodes[i] = newNode(types.NodeID(i), prog, mode, tr, nil, batched)
+		nodes[i] = newNode(types.NodeID(i), prog, mode, tr, batched)
 	}
 	tr.nodes = nodes
 	for _, e := range [][2]int{{0, 1}, {1, 2}} {

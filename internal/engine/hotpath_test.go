@@ -180,7 +180,7 @@ func TestAggregateFiringAllocs(t *testing.T) {
 			name string
 			tup  types.Tuple
 		}{{"loser", item("z", 9)}, {"winner", item("w", 1)}} {
-			n := newNode(0, prog, ProvReference, &refTransport{}, nil, batched)
+			n := newNode(0, prog, ProvReference, &refTransport{}, batched)
 			n.InsertBase(item("a", 2))
 			n.InsertBase(item("b", 5))
 			cycle := func() {

@@ -144,16 +144,6 @@ type permScript struct {
 	empty bool
 }
 
-// baseTuples lists the script's insertions in first-seen order, for
-// numbering value-mode variables up front (sharedVars).
-func (sc permScript) baseTuples() []types.Tuple {
-	var out []types.Tuple
-	for _, st := range sc.steps {
-		out = append(out, st.ins...)
-	}
-	return out
-}
-
 // permRun is one cluster of a fence run: drain nodes over the synchronous
 // reference transport, or the batched Scheduler.
 type permRun struct {
@@ -164,7 +154,6 @@ type permRun struct {
 func startPermRun(prog *Program, mode ProvMode, sc permScript, batched bool) *permRun {
 	if batched {
 		s := newScheduler(prog, mode, sc.nodes, 0, true)
-		sharedVars(s.nodes, sc.baseTuples())
 		return &permRun{nodes: s.nodes, step: func(t *testing.T, st permStep) {
 			for _, tup := range st.del {
 				s.DeleteBase(tup.Loc(), tup)
@@ -180,10 +169,9 @@ func startPermRun(prog *Program, mode ProvMode, sc permScript, batched bool) *pe
 	tr := &refTransport{}
 	nodes := make([]*Node, sc.nodes)
 	for i := range nodes {
-		nodes[i] = NewNode(types.NodeID(i), prog, mode, tr, nil)
+		nodes[i] = NewNode(types.NodeID(i), prog, mode, tr)
 	}
 	tr.nodes = nodes
-	sharedVars(nodes, sc.baseTuples())
 	return &permRun{nodes: nodes, step: func(t *testing.T, st permStep) {
 		for _, tup := range st.del {
 			nodes[tup.Loc()].DeleteBase(tup)
@@ -449,7 +437,7 @@ func TestPlanPushesConditionsDown(t *testing.T) {
 		t.Fatalf("default eGo plan steps = %v, want [join cond join]", pl.steps)
 	}
 	tr := &refTransport{}
-	n := NewNode(0, prog, ProvNone, tr, nil)
+	n := NewNode(0, prog, ProvNone, tr)
 	tr.nodes = []*Node{n}
 	for i := 0; i < 200; i++ {
 		n.InsertBase(types.NewTuple("big", types.Node(0), types.Int(int64(i))))

@@ -67,12 +67,13 @@ type Node struct {
 	Msgs *MessagePool
 
 	// Store holds this node's partition of the provenance graph (reference
-	// and centralized modes).
+	// and centralized modes) and its numbering of its own base tuples' BDD
+	// variables (value mode, BDD queries).
 	Store *provenance.Store
 
 	// Ring makes every value-mode payload (nil in other modes): the BDD ring
-	// over the node's own manager and the VarAlloc the cluster shares, so
-	// BDD variable numbering is globally consistent.
+	// over the node's own manager, naming a base tuple's variable in Store,
+	// so the node numbers its own base tuples and shares nothing.
 	Ring *algebra.Ring[algebra.Payload]
 
 	// Err records the first internal evaluation error (malformed program
@@ -172,8 +173,8 @@ const (
 // NewNode creates an engine node for the given compiled program, evaluated by
 // the classic pipelined PSN drain — the executor of every driver that
 // delivers one message per ingest.
-func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc *algebra.VarAlloc) *Node {
-	return newNode(id, prog, mode, tr, alloc, false)
+func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node {
+	return newNode(id, prog, mode, tr, false)
 }
 
 // Kept only because bench/ calls them and no PR outside the benchmark's own
@@ -193,7 +194,7 @@ func (n *Node) NumShards() int { return 1 }
 // Everything sized here comes from the compiled program; what depends on the
 // data — relation and index maps, aggregate groups — is created by its first
 // write.
-func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc *algebra.VarAlloc, batched bool) *Node {
+func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, batched bool) *Node {
 	n := &Node{
 		ID:            id,
 		Prog:          prog,
@@ -206,10 +207,7 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc 
 		aggGroupArena: types.NewArena[aggGroup](aggArenaChunk),
 	}
 	if mode == ProvValue {
-		if alloc == nil {
-			alloc = algebra.NewVarAlloc()
-		}
-		r := algebra.BDD(bdd.New(), alloc)
+		r := algebra.BDD(bdd.New(), func(b algebra.Base) bdd.Var { return n.Store.BaseVar(b.VID) })
 		n.Ring = &r
 	}
 	// Pre-create relations, the indexes every join plan needs, and the

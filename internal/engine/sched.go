@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/algebra"
 	"repro/internal/stats"
 	"repro/internal/types"
 )
@@ -65,18 +64,9 @@ func newScheduler(prog *Program, mode ProvMode, nNodes, workers int, batched boo
 		workers: workers,
 		staged:  make([][]outMsg, nNodes),
 	}
-	var alloc *algebra.VarAlloc
-	if mode == ProvValue {
-		alloc = algebra.NewVarAlloc()
-		// Value mode shares one BDD variable allocator across the cluster;
-		// variable numbering (and with it encoded payload bytes) must not
-		// depend on which node's goroutine interns a base tuple first, so
-		// value-mode clusters execute their node tasks serially.
-		s.workers = 1
-	}
 	s.nodes = make([]*Node, nNodes)
 	for i := range s.nodes {
-		n := newNode(types.NodeID(i), prog, mode, schedTransport{s}, alloc, batched)
+		n := newNode(types.NodeID(i), prog, mode, schedTransport{s}, batched)
 		// A node runs its whole local fixpoint on one goroutine, so each
 		// gets a private message free list; deliver (serial, between
 		// rounds) releases messages back to the sender's pool once

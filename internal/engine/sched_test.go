@@ -6,9 +6,7 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/apps"
-	"repro/internal/bdd"
 	"repro/internal/ndlog"
 	"repro/internal/topology"
 	"repro/internal/types"
@@ -72,39 +70,11 @@ func linkTup(u, v int, cost int64) types.Tuple {
 	return types.NewTuple("link", types.Node(types.NodeID(u)), types.Node(types.NodeID(v)), types.Int(cost))
 }
 
-// linkScript lists the link tuples of edges in insertion order.
-func linkScript(edges [][2]int, costs map[[2]int]int64) []types.Tuple {
-	var out []types.Tuple
-	for _, e := range edges {
-		cost := edgeCost(e, costs)
-		out = append(out, linkTup(e[0], e[1], cost), linkTup(e[1], e[0], cost))
-	}
-	return out
-}
-
-// sharedVars gives every node of a run a value-mode ring over one BDD
-// variable allocator that numbers the given base tuples in order. A
-// value-mode payload's encoding depends on variable numbering, and numbering
-// on the order a run first meets each base tuple — which differs between the
-// serial reference and the scheduler — so runs whose canonical states are
-// compared number the script's tuples up front, identically.
-func sharedVars(nodes []*Node, base []types.Tuple) {
-	alloc := algebra.NewVarAlloc()
-	for _, t := range base {
-		alloc.VarOf(algebra.Base{VID: t.VID(), Label: t.String(), Node: t.Loc()})
-	}
-	for _, n := range nodes {
-		r := algebra.BDD(bdd.New(), alloc)
-		n.Ring = &r
-	}
-}
-
 // runSched drives one scheduler cluster through the insert/churn script.
 func runSched(t *testing.T, prog *Program, mode ProvMode, nNodes int, batched bool, workers int,
 	edges [][2]int, churn [][2]int, costs map[[2]int]int64) *Scheduler {
 	t.Helper()
 	s := newScheduler(prog, mode, nNodes, workers, batched)
-	sharedVars(s.nodes, linkScript(edges, costs))
 	for _, e := range edges {
 		cost := edgeCost(e, costs)
 		s.InsertBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
@@ -140,10 +110,9 @@ func runSerialRef(t *testing.T, prog *Program, mode ProvMode, nNodes int,
 	tr := &refTransport{}
 	nodes := make([]*Node, nNodes)
 	for i := range nodes {
-		nodes[i] = NewNode(types.NodeID(i), prog, mode, tr, nil)
+		nodes[i] = NewNode(types.NodeID(i), prog, mode, tr)
 	}
 	tr.nodes = nodes
-	sharedVars(nodes, linkScript(edges, costs))
 	for _, e := range edges {
 		cost := edgeCost(e, costs)
 		nodes[e[0]].InsertBase(linkTup(e[0], e[1], cost))
@@ -368,7 +337,6 @@ r2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X).
 			for _, e := range swapped {
 				base = append(base, linkTup(e[0], e[1], 2), linkTup(e[1], e[0], 2))
 			}
-			sharedVars(s.nodes, base)
 			for _, e := range edges {
 				both(s.InsertBase, e, 1)
 			}
@@ -409,7 +377,7 @@ func TestShardedNodeUnderSyncTransport(t *testing.T) {
 	tr := &refTransport{}
 	nodes := make([]*Node, nNodes)
 	for i := range nodes {
-		nodes[i] = newNode(types.NodeID(i), prog, ProvReference, tr, nil, true)
+		nodes[i] = newNode(types.NodeID(i), prog, ProvReference, tr, true)
 	}
 	tr.nodes = nodes
 	for _, e := range edges {
@@ -465,4 +433,43 @@ func TestSchedulerFixpointIndependentOfHost(t *testing.T) {
 			one.TotalBytes, one.Rounds, many, multi.TotalBytes, multi.Rounds)
 	}
 	diffStates(t, fmt.Sprintf("GOMAXPROCS=1 vs %d", many), one.Engines(), multi.Engines())
+}
+
+// TestValueModeSchedulerIndependentOfWorkers: every node names its own base
+// tuples' BDD variables, so value-mode nodes share nothing and run on the
+// whole worker pool; the fixpoint, payload bytes included, must not depend
+// on how many workers run the node tasks or in which order they finish.
+func TestValueModeSchedulerIndependentOfWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	topo := topology.TransitStub(topology.TransitStubParams{Domains: 1, TransitPerDom: 2,
+		StubsPerTransit: 2, NodesPerStub: 6, ExtraStubEdges: 2}, rand.New(rand.NewSource(3)))
+	for name, src := range map[string]*ndlog.Program{"mincost": apps.MinCost(), "pathvector": apps.PathVector()} {
+		prog, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(workers int) *Scheduler {
+			s := NewScheduler(prog, ProvValue, topo.N, 0, workers)
+			if s.workers != workers {
+				t.Fatalf("value-mode scheduler runs %d workers, asked for %d", s.workers, workers)
+			}
+			apps.BootEDB(topo, false, nil, s.InsertBase)
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		one, four := run(1), run(4)
+		if one.TotalBytes == 0 || one.Node(0).TupleCount("bestPathCost")+one.Node(0).TupleCount("bestPath") == 0 {
+			t.Fatal("vacuous: nothing derived")
+		}
+		if d1, d4 := StateDigest(one.Engines()), StateDigest(four.Engines()); d1 != d4 {
+			t.Errorf("%s: 1 worker digest %s, 4 workers %s", name, d1, d4)
+			diffStates(t, "1 vs 4 workers", one.Engines(), four.Engines())
+		}
+		if one.TotalBytes != four.TotalBytes || one.Rounds != four.Rounds {
+			t.Errorf("%s: 1 worker: %d bytes in %d rounds; 4 workers: %d bytes in %d rounds",
+				name, one.TotalBytes, one.Rounds, four.TotalBytes, four.Rounds)
+		}
+	}
 }

@@ -128,7 +128,7 @@ func stateLines(n *Node) []string {
 // view for rendering, never evaluated: its entries are shown without rows,
 // and its store holds vertices of its own, carved by Store.Vertex.
 func FromRewrite(rw *Node) *Node {
-	n := newNode(rw.ID, rw.Prog, ProvReference, nil, nil, false)
+	n := newNode(rw.ID, rw.Prog, ProvReference, nil, false)
 	byVID := map[types.ID]types.Tuple{}
 	for _, info := range rw.Prog.Preds() {
 		if info.Name == "prov" || info.Name == "ruleExec" {

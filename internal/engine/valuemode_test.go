@@ -63,7 +63,7 @@ r2 top(@X) :- mid(@X), q(@X).
 	if _, ok := n.PayloadOf(types.NewTuple("top", types.Node(1))); ok {
 		t.Error("payload reported for invisible tuple")
 	}
-	refNode := NewNode(1, n.Prog, ProvReference, tn, nil)
+	refNode := NewNode(1, n.Prog, ProvReference, tn)
 	if _, ok := refNode.PayloadOf(top); ok {
 		t.Error("payload reported outside value mode")
 	}

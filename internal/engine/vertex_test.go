@@ -28,7 +28,7 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 	}
 	for _, batched := range executors {
 		t.Run(executorName(batched), func(t *testing.T) {
-			n := newNode(0, prog, ProvReference, &testNet{}, nil, batched)
+			n := newNode(0, prog, ProvReference, &testNet{}, batched)
 			st := n.Store
 			tup := func(pred string, y int64) types.Tuple {
 				return types.NewTuple(pred, types.Node(0), types.Int(y))

@@ -99,7 +99,7 @@ func QueryFigures(p Params) ([]*Result, error) {
 		{"DFS", queryConfig{udf: derivations, strategy: provquery.DFS}},
 		{"DFS-Threshold", queryConfig{udf: derivations, strategy: provquery.DFSThreshold, threshold: 3}},
 		{"BDD", queryConfig{
-			udf:      func(c *core.Cluster) provquery.UDF { return provquery.BDD(c.Alloc) },
+			udf:      func(c *core.Cluster) provquery.UDF { return provquery.BDD(c.BaseVar) },
 			strategy: provquery.BFS,
 		}},
 	}

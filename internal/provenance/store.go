@@ -49,7 +49,9 @@
 // DelRuleExec. Readers — the query processor, the CLI, experiments and the
 // benchmark — use everything else, keyed by the IDs that travel in query
 // messages. The only rows a reader writes are the reverse dataflow edges of
-// its own cache (AddParent / DropParents). A store is not safe for
+// its own cache (AddParent / DropParents). Both roles may number a base
+// tuple (BaseVar): the engine when a value-mode payload starts at it, the
+// query processor when a BDD query reaches it. A store is not safe for
 // concurrent use; every driver runs a node's engine and query processor on
 // one goroutine.
 package provenance
@@ -61,6 +63,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/bdd"
 	"repro/internal/types"
 )
 
@@ -193,6 +196,12 @@ type Store struct {
 
 	// The ruleExec rows, one table per (rule label, arity).
 	execTables []execTable
+
+	// The node's numbering of its base tuples (BaseVar): ordinals[vid] is
+	// vid's ordinal, bases[ord] the VID numbered ord. An ordinal is never
+	// reused, even after its tuple is deleted.
+	ordinals map[types.ID]uint32
+	bases    []types.ID
 
 	// Arenas for vertices of tuples the writer keeps no entry for, and for
 	// the first element of such a vertex's rows and of parent lists. Most
@@ -425,6 +434,32 @@ func (s *Store) DelRuleExec(rid types.ID) bool {
 	t.ids = t.ids[:last*t.stride]
 	t.counts = t.counts[:last]
 	return true
+}
+
+// BaseVar returns the BDD variable of the local base tuple vid: (this node,
+// vid's ordinal), numbering vid on first request. A base tuple's variable is
+// only ever created where the tuple lives, so a node's ordinals depend on
+// the order its own base tuples first needed one, never on other nodes.
+func (s *Store) BaseVar(vid types.ID) bdd.Var {
+	ord, ok := s.ordinals[vid]
+	if !ok {
+		if s.ordinals == nil {
+			s.ordinals = make(map[types.ID]uint32)
+		}
+		ord = uint32(len(s.bases))
+		s.ordinals[vid] = ord
+		s.bases = append(s.bases, vid)
+	}
+	return bdd.Var{Node: s.Node, Ord: ord}
+}
+
+// BaseVID returns the VID of the base tuple named v, when this node numbered
+// it (BaseVar's inverse).
+func (s *Store) BaseVID(v bdd.Var) (types.ID, bool) {
+	if v.Node != s.Node || uint64(v.Ord) >= uint64(len(s.bases)) {
+		return types.ZeroID, false
+	}
+	return s.bases[v.Ord], true
 }
 
 // TupleOf resolves a local VID to its tuple.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/types"
 )
 
@@ -25,6 +26,29 @@ func delProv(s *Store, vid, rid types.ID) bool {
 	}
 	found, _ := s.DelProv(v, rid)
 	return found
+}
+
+// TestBaseVarStable: a node numbers its base tuples densely in the order it
+// first names them, a name is stable, and BaseVID inverts it for this node's
+// variables only.
+func TestBaseVarStable(t *testing.T) {
+	s := NewStore(3)
+	a, b := tid("a"), tid("b")
+	va, vb := s.BaseVar(a), s.BaseVar(b)
+	if va != (bdd.Var{Node: 3, Ord: 0}) || vb != (bdd.Var{Node: 3, Ord: 1}) {
+		t.Fatalf("variables %v, %v; want x3.0, x3.1", va, vb)
+	}
+	if s.BaseVar(a) != va {
+		t.Fatal("numbering not stable")
+	}
+	if got, ok := s.BaseVID(vb); !ok || got != b {
+		t.Fatal("BaseVID lookup failed")
+	}
+	for _, v := range []bdd.Var{{Node: 3, Ord: 2}, {Node: 4, Ord: 0}} {
+		if _, ok := s.BaseVID(v); ok {
+			t.Fatalf("BaseVID(%v) resolved a variable this store never numbered", v)
+		}
+	}
 }
 
 func TestProvEntryLifecycle(t *testing.T) {

@@ -104,12 +104,11 @@ func splitKids(data []byte) [][]byte {
 // accepted by its own representation's decoder, so a hop never forwards what
 // the next hop would reject and zero.
 func FuzzRingUDF(f *testing.F) {
-	alloc := algebra.NewVarAlloc()
 	cases := []ringCase{
 		ringCaseOf[int64](Derivations()),
 		ringCaseOf[[]types.NodeID](NodeSet()),
 		ringCaseOf[bool](Derivability(nil)),
-		ringCaseOf[algebra.Payload](BDD(alloc)),
+		ringCaseOf[algebra.Payload](BDD(ownerVars())),
 	}
 	t1 := types.NewTuple("link", types.Node(0), types.Node(2), types.Int(5))
 	t2 := types.NewTuple("link", types.Node(1), types.Node(0), types.Int(3))

@@ -208,28 +208,34 @@ func TestNodeSetFig5(t *testing.T) {
 }
 
 func TestBDDFig5(t *testing.T) {
-	alloc := algebra.NewVarAlloc()
-	f, _ := newFig5(t, BDD(alloc), BFS, 0, false)
+	// Each base tuple's variable is numbered in its owner's store.
+	var f *fig5
+	f, _ = newFig5(t, BDD(func(b algebra.Base) bdd.Var { return f.byID[b.Node].Store.BaseVar(b.VID) }), BFS, 0, false)
 	m := bdd.New()
-	root, ok := algebra.BDD(m, alloc).Decode(runQuery(t, f, 3, f.bpcA, 0))
+	root, ok := algebra.BDD(m, nil).Decode(runQuery(t, f, 3, f.bpcA, 0))
 	if !ok {
 		t.Fatal("BDD result does not decode")
 	}
 	if root == bdd.False || root == bdd.True {
 		t.Fatal("degenerate BDD")
 	}
+	varOf := func(tu types.Tuple) bdd.Var { return f.byID[tu.Loc()].Store.BaseVar(tu.VID()) }
+	varAC, varBA, varBC := varOf(f.linkAC), varOf(f.linkBA), varOf(f.linkBC)
+	if varAC.Node != 0 || varBA.Node != 1 || varBC.Node != 1 || varBA == varBC {
+		t.Fatalf("variables %v %v %v are not named by their owners", varAC, varBA, varBC)
+	}
+	if got := m.Support(root); len(got) != 3 {
+		t.Fatalf("support %v, want the three links", got)
+	}
 	// With link(@a,c,5) true alone the tuple is derivable.
-	varAC := alloc.VarOf(algebra.Base{VID: f.linkAC.VID()})
-	if !m.Eval(root, map[int]bool{varAC: true}) {
+	if !m.Eval(root, map[bdd.Var]bool{varAC: true}) {
 		t.Error("derivable via α alone")
 	}
 	// With only b's links it is also derivable (the β·γ path).
-	varBA := alloc.VarOf(algebra.Base{VID: f.linkBA.VID()})
-	varBC := alloc.VarOf(algebra.Base{VID: f.linkBC.VID()})
-	if !m.Eval(root, map[int]bool{varBA: true, varBC: true}) {
+	if !m.Eval(root, map[bdd.Var]bool{varBA: true, varBC: true}) {
 		t.Error("derivable via β·γ")
 	}
-	if m.Eval(root, map[int]bool{varBA: true}) {
+	if m.Eval(root, map[bdd.Var]bool{varBA: true}) {
 		t.Error("β alone should not derive")
 	}
 }
@@ -360,7 +366,19 @@ func TestUnknownVertexAnswersEmpty(t *testing.T) {
 
 // fiveUDFs returns one instance of every representation.
 func fiveUDFs() []UDF {
-	return []UDF{Polynomial{}, BDD(algebra.NewVarAlloc()), Derivations(), NodeSet(), Derivability(nil)}
+	return []UDF{Polynomial{}, BDD(ownerVars()), Derivations(), NodeSet(), Derivability(nil)}
+}
+
+// ownerVars names each base tuple's BDD variable in a store of its owner's
+// own, as core.Cluster.BaseVar does.
+func ownerVars() func(algebra.Base) bdd.Var {
+	stores := map[types.NodeID]*provenance.Store{}
+	return func(b algebra.Base) bdd.Var {
+		if stores[b.Node] == nil {
+			stores[b.Node] = provenance.NewStore(b.Node)
+		}
+		return stores[b.Node].BaseVar(b.VID)
+	}
 }
 
 // TestHostileRuleResultZeroesTheHop: node b answers a's rule query with a

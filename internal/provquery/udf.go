@@ -139,12 +139,14 @@ func (u *ringUDF[T]) Exceeds(ctx Ctx, children [][]byte, threshold int64) bool {
 	return u.final != nil && u.final(ctx, fold(u.open(), ctx, children), threshold)
 }
 
-// BDD returns query results as serialized BDDs over base-tuple variables
-// allocated from a cluster-shared VarAlloc, applying boolean absorption by
-// construction (§6.3): algebra.BDD, combined in a fresh manager per call.
-func BDD(alloc *algebra.VarAlloc) UDF {
+// BDD returns query results as serialized BDDs over base-tuple variables,
+// applying boolean absorption by construction (§6.3): algebra.BDD, combined
+// in a fresh manager per call. name gives a base tuple its variable; EDB
+// runs at the tuple's owner, so name resolves it in the owner's store
+// (core.Cluster.BaseVar).
+func BDD(name func(algebra.Base) bdd.Var) UDF {
 	return &ringUDF[algebra.Payload]{name: "bdd", open: func() algebra.Ring[algebra.Payload] {
-		return algebra.BDD(bdd.New(), alloc)
+		return algebra.BDD(bdd.New(), name)
 	}}
 }
 
