@@ -4,7 +4,7 @@
 #     BENCHMARK.json): five workloads, end-to-end metrics with regression
 #     bounds; performance claims are paired runs of it, and
 #     `host-independence` gates one of its deterministic counters;
-#   - `bench-smoke` keeps bench_test.go's five profiling benchmarks running;
+#   - `bench-smoke` keeps bench_test.go's four profiling benchmarks running;
 #   - `test` includes internal/experiments' golden test, which pins the
 #     paper's tables and simulated figures (Tables 1-2, Figs 6-15).
 

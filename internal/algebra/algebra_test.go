@@ -90,9 +90,6 @@ func TestEncodeRoundTrip(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		e := randPoly(rng, 4, 12)
 		enc := e.EncodePayload()
-		if len(enc) != e.WireSize() {
-			t.Fatalf("WireSize %d != len %d", e.WireSize(), len(enc))
-		}
 		dec, n, err := Decode(enc)
 		if err != nil || n != len(enc) {
 			t.Fatalf("decode: %v (n=%d/%d)", err, n, len(enc))

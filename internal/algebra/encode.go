@@ -22,17 +22,11 @@ import (
 // between hops: uvarints are minimal and the decoders reject any other
 // spelling, so Check-then-forward ships exactly what Decode-then-encode
 // would.
-//
-// Expr implements types.Payload so polynomials can be embedded directly in
-// tuples and messages.
 
 var errBadExpr = errors.New("algebra: malformed polynomial encoding")
 
-// EncodePayload implements types.Payload.
+// EncodePayload renders the polynomial in its canonical wire form.
 func (e *Expr) EncodePayload() []byte { return e.encode(nil) }
-
-// WireSize implements types.Payload.
-func (e *Expr) WireSize() int { return len(e.encode(nil)) }
 
 func (e *Expr) encode(dst []byte) []byte {
 	if e == nil {

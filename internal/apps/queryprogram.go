@@ -80,23 +80,3 @@ rv4 eRuleResults(@Ret,RQID,RID,Prov) :- rResultTmp(@X,RQID,Ret,RID,Buf),
 // Materialize root answers so callers can read them.
 qr queryResult(@Ret,QID,VID,Prov) :- eProvResults(@Ret,QID,VID,Prov).
 `
-
-// DFSQueryProgramSrc contains the paper's §6.2 modifications that turn the
-// BFS traversal into a DFS with threshold-based early termination: idb2 is
-// replaced by idb2a-idb2c and idb4 gains the threshold disjunct (idb4').
-const DFSQueryProgramSrc = `
-idb2a pQList(@X,QID,AGGLIST<RID,RLoc>) :- eProvQuery(@X,QID,UID,Ret),
-      prov(@X,UID,RID,RLoc), RID != f_nullid().
-
-idb2b eIterate(@X,QID,N) :- pResultTmp(@X,QID,Ret,UID,Buf),
-      numChild(@X,UID,C), N = f_size(Buf) + 1, N <= C,
-      Threshold = f_threshold(), f_pIDB(Buf,UID,X) <= Threshold.
-
-idb2c eRuleQuery(@RLoc,RQID,RID,X) :- eIterate(@X,QID,N),
-      pQList(@X,QID,L), RID = f_item(L), RLoc = f_item(L),
-      RQID = f_sha1(QID + RID).
-
-idb4p eProvResults(@Ret,QID,UID,Prov) :- pResultTmp(@X,QID,Ret,UID,Buf),
-      numChild(@X,UID,C), Prov = f_pIDB(Buf,UID,X),
-      C == f_size(Buf) || f_count(Prov) > f_threshold().
-`

@@ -85,25 +85,3 @@ func walkExprs(r *ndlog.Rule, fn func(ndlog.Expr)) {
 		}
 	}
 }
-
-func TestDFSQueryProgramParses(t *testing.T) {
-	prog, err := ndlog.Parse(DFSQueryProgramSrc)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if len(prog.Rules) != 4 {
-		t.Fatalf("rules = %d, want 4 (idb2a-c, idb4')", len(prog.Rules))
-	}
-	var agglist bool
-	for _, r := range prog.Rules {
-		if agg, _ := r.AggSpec(); agg != nil && agg.Fn == "AGGLIST" {
-			agglist = true
-		}
-	}
-	if !agglist {
-		t.Fatal("AGGLIST aggregate missing from idb2a")
-	}
-	if err := ndlog.Validate(prog); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
-}

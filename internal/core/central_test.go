@@ -21,7 +21,7 @@ import (
 // materialized prov/ruleExec relations (only meaningful under
 // ProvCentralized).
 func CentralGraphOf(c *Cluster) *provquery.CentralGraph {
-	server := c.Hosts[c.Cfg.Central].Engine
+	server := c.Hosts[engine.CentralServer].Engine
 	return provquery.NewCentralGraph(server.Tuples("prov"), server.Tuples("ruleExec"))
 }
 

@@ -30,8 +30,6 @@ type Config struct {
 	Prog *ndlog.Program
 	// Mode selects provenance maintenance (§3 Distribution).
 	Mode engine.ProvMode
-	// Central is the server node for ProvCentralized (default 0).
-	Central types.NodeID
 
 	// Query-processor configuration.
 	UDF       provquery.UDF // default: Polynomial
@@ -64,11 +62,6 @@ type Config struct {
 	// plan (the default) leaves the zero-allocation fault-free send path
 	// untouched.
 	Faults *simnet.FaultPlan
-
-	// Transport tunes the reliable endpoints when Faults is set (zero
-	// value = package transport defaults). MaxRetries 0 retries forever —
-	// the right setting when every partition in the plan heals.
-	Transport transport.Config
 }
 
 // Host is one node's ExSPAN stack.
@@ -183,7 +176,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		var qp *provquery.Processor
 		var ep *transport.Endpoint
 		if cfg.Faults != nil {
-			ep = transport.New(id, cfg.Transport, transport.Hooks{
+			ep = transport.New(id, transport.Config{}, transport.Hooks{
 				Send: func(to types.NodeID, f *transport.Frame) {
 					nw.Send(id, to, f, f.Size+transport.HeaderBytes)
 				},
@@ -215,7 +208,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			tr = reliableTransport{nw: nw, ep: ep}
 		}
 		en = engine.NewNode(id, prog, cfg.Mode, tr)
-		en.Central = cfg.Central
 		en.Msgs = msgPool
 		qp = provquery.NewProcessor(id, en.Store, udf, func(to types.NodeID, m *provquery.Msg) {
 			if ep != nil && to != id {

@@ -126,7 +126,7 @@ func checkQueryProgram(t *testing.T, decl, native *Cluster, qs []programQuery) {
 		if len(answers) != 1 {
 			t.Fatalf("query %d for %s: %d queryResult rows, want 1: %v", i, q.ref.Tuple, len(answers), answers)
 		}
-		got, err := provquery.DecodePolynomial(answers[0].Args[3].AsProv().EncodePayload())
+		got, err := provquery.DecodePolynomial(answers[0].Args[3].AsProv())
 		if err != nil {
 			t.Fatalf("query %d for %s: %v", i, q.ref.Tuple, err)
 		}

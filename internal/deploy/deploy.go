@@ -35,12 +35,10 @@ const (
 
 // Config describes a deployed cluster.
 type Config struct {
-	Topo    *topology.Topology
-	Prog    *ndlog.Program
-	Mode    engine.ProvMode
-	Central types.NodeID
-	UDF     provquery.UDF
-	CacheOn bool
+	Topo *topology.Topology
+	Prog *ndlog.Program
+	Mode engine.ProvMode
+	UDF  provquery.UDF
 
 	// Base is extra per-node EDB seeded by InsertLinks after (or, with
 	// NoLinkTuples, instead of) the topology's link tuples — the workload
@@ -253,13 +251,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			})
 		}
 		en := engine.NewNode(np.ID, prog, cfg.Mode, udpTransport{np})
-		en.Central = cfg.Central
 		en.Msgs = np.engPool
 		qp := provquery.NewProcessor(np.ID, en.Store, udf, func(to types.NodeID, m *provquery.Msg) {
 			np.send(to, tagQuery, m.Encode(nil))
 			np.qryPool.Put(m)
 		})
-		qp.CacheOn = cfg.CacheOn
 		qp.Msgs = np.qryPool
 		np.Engine = en
 		np.Query = qp

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/algebra"
 	"repro/internal/types"
 )
 
@@ -43,9 +42,7 @@ func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
 			out := g.curOut
 			out.Pred = rule.HeadPred
 			n.vidBuf[0], n.hashBuf = e.VIDBuf(n.hashBuf)
-			var rid types.ID
-			rid, n.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, n.vidBuf[:1], n.ridBuf)
-			n.route(out, n.ID, Update, rid, e.payload)
+			n.emit(rule.Label, out, n.ID, n.vidBuf[:1], Update, e.payload)
 		}
 		return
 	}
@@ -133,35 +130,22 @@ func (n *Node) evalAggBody(rule *CompiledRule, t types.Tuple) ([]types.Value, bo
 	return env, true
 }
 
-// emitAggChange applies provenance bookkeeping for an aggregate output
-// change and routes it. Aggregate heads are local by validation.
+// emitAggChange records and routes an aggregate output change. Aggregate
+// heads are local by validation. A MIN/MAX output derives from its winner, a
+// stored entry of this node whose cached VID and payload are read off it.
+// COUNT/AGGLIST outputs carry no MIN/MAX-style provenance child (the paper
+// restricts aggregate provenance to MIN and MAX); they enter the graph as
+// base-like vertices via the null RID.
 func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 	n.rulesFired++
 	out := em.tuple
 	out.Pred = rule.HeadPred
-	var rid types.ID
-	var payload algebra.Payload
-	if rule.agg.ordered() {
-		// The winner is a stored entry of this node: its cached VID and
-		// payload are read off it.
-		n.vidBuf[0], n.hashBuf = em.winner.VIDBuf(n.hashBuf)
-		rid, n.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, n.vidBuf[:1], n.ridBuf)
-		switch n.Mode {
-		case ProvReference:
-			n.ruleExecRow(rid, rule.Label, n.vidBuf[:1], em.sign)
-		case ProvCentralized:
-			var headVID types.ID
-			headVID, n.hashBuf = out.VIDBuf(n.hashBuf)
-			n.sendRuleExecRow(rid, rule.Label, n.vidBuf[:1], em.sign)
-			n.sendProvRow(n.ID, headVID, rid, n.ID, em.sign)
-		case ProvValue:
-			payload = em.winner.payload
-		}
+	if !rule.agg.ordered() {
+		n.route(out, n.ID, em.sign, types.ZeroID, noPayload)
+		return
 	}
-	// COUNT/AGGLIST outputs carry no MIN/MAX-style provenance child (the
-	// paper restricts aggregate provenance to MIN and MAX); they enter the
-	// graph as base-like vertices via the null RID.
-	n.route(out, n.ID, em.sign, rid, payload)
+	n.vidBuf[0], n.hashBuf = em.winner.VIDBuf(n.hashBuf)
+	n.emit(rule.Label, out, n.ID, n.vidBuf[:1], em.sign, em.winner.payload)
 }
 
 // aggGroup maintains one group of an aggregate rule: its group-by values,

@@ -420,9 +420,9 @@ r1 in(@X,G,C) :- trig(@X), src(@X,G,C).
 	}
 
 	for g := int64(0); g < old; g++ {
-		n.enqueue(n.baseDelta(tup("in", g, 100+g), Delete, false))
+		n.deposit(n.baseDelta(tup("in", g, 100+g), Delete))
 	}
-	n.enqueue(n.baseDelta(trig, Insert, false))
+	n.deposit(n.baseDelta(trig, Insert))
 	rel := n.lookup("in")
 	for round := 0; n.pending(); round++ {
 		n.curRound++

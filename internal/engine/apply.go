@@ -68,15 +68,12 @@ func (n *Node) pending() bool { return n.qhead < len(n.queue) || len(n.aggIn) > 
 func (n *Node) process(d localDelta) {
 	n.deltasProcessed++
 	batched := n.batched
-	info := n.Prog.Pred(d.tuple.Pred)
 	// One predicate lookup serves event-ness, triggered occurrences and the
-	// relation: the PredInfo carries them all from compile time.
-	var occs []occurrence
-	if info != nil {
-		occs = info.occs
-	}
-	isEvent := info != nil && info.Event || info == nil && ndlogIsEvent(d.tuple.Pred)
-	if isEvent {
+	// relation: the PredInfo carries them all from compile time, and every
+	// queued delta's predicate is declared (Node.admit).
+	info := n.Prog.Pred(d.tuple.Pred)
+	occs := info.occs
+	if info.Event {
 		// Events are transient: fire rules, never materialize. Both
 		// insertion and deletion deltas flow through events — the
 		// rewritten provenance-maintenance programs rely on deletion
@@ -117,14 +114,8 @@ func (n *Node) process(d localDelta) {
 	// The provenance meta-relations themselves (rows relayed to a
 	// centralized server, or produced by a rewrite-generated program) are
 	// stored without further provenance bookkeeping.
-	meta := d.tuple.Pred == "prov" || d.tuple.Pred == "ruleExec"
-
-	var rel *Relation
-	if info != nil && info.tableID >= 0 {
-		rel = &n.tablesByID[info.tableID]
-	} else {
-		rel = n.ensureTable(d.tuple.Pred)
-	}
+	meta := info.meta
+	rel := &n.tablesByID[info.tableID]
 	// In reference mode a non-meta entry's rows are the store's: the store
 	// registers the embedded vertex with its first row and forgets it with
 	// its last. Every other entry keeps its rows to itself.
@@ -211,7 +202,7 @@ func (n *Node) process(d localDelta) {
 				// tombstone transition setVisible never observed.
 				rel.noteDead(e)
 			}
-		case removed && e.visible && info != nil && info.Recursive && !meta:
+		case removed && e.visible && info.Recursive && !meta:
 			// Over-deletion (retraction phase 1): a recursive tuple that
 			// lost a derivation is hidden even though alternates remain —
 			// the alternates may be phantom cyclic support — and staged for
@@ -264,10 +255,6 @@ func (n *Node) process(d localDelta) {
 			n.fireAll(occs, d.tuple, Update, e, e.payload)
 		}
 	}
-}
-
-func ndlogIsEvent(pred string) bool {
-	return len(pred) >= 2 && pred[0] == 'e' && pred[1] >= 'A' && pred[1] <= 'Z'
 }
 
 // recomputePayload refreshes the entry's payload, the ring sum over its

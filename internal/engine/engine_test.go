@@ -360,21 +360,21 @@ func TestQueryProgramBuiltins(t *testing.T) {
 		if err != nil || v.Kind() != types.KindProv {
 			t.Fatalf("%s: %v, %v", fn, v, err)
 		}
-		return v.AsProv().EncodePayload()
+		return v.AsProv()
 	}
 	vid := types.HashString("v")
 	lit := call("f_pEDB", types.IDVal(vid), types.Node(1))
 	if want := algebra.AppendBase(nil, algebra.Base{VID: vid, Label: vid.Short(), Node: 1}); string(lit) != string(want) {
 		t.Fatalf("f_pEDB = %x, want %x", lit, want)
 	}
-	buf := types.List(types.Prov(types.OpaquePayload(lit)))
+	buf := types.List(types.Prov(lit))
 	if got, want := call("f_pIDB", buf, types.IDVal(vid), types.Node(1)), algebra.SpliceSum("", 1, [][]byte{lit}); string(got) != string(want) {
 		t.Fatalf("f_pIDB = %x, want %x", got, want)
 	}
 	if got, want := call("f_pRULE", buf, types.Str("r1"), types.Node(2)), algebra.SpliceProd("r1", 2, [][]byte{lit}); string(got) != string(want) {
 		t.Fatalf("f_pRULE = %x, want %x", got, want)
 	}
-	bad := types.List(types.Prov(types.OpaquePayload(lit)), types.Int(1))
+	bad := types.List(types.Prov(lit), types.Int(1))
 	if got := call("f_pIDB", bad, types.IDVal(vid), types.Node(1)); len(got) != 1 || algebra.Op(got[0]) != algebra.OpZero {
 		t.Fatalf("f_pIDB over a non-polynomial = %x, want Zero", got)
 	}

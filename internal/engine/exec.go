@@ -168,32 +168,38 @@ func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value,
 			inputVIDs[i], n.hashBuf = matched[i].VIDBuf(n.hashBuf)
 		}
 	}
-	var rid types.ID
-	rid, n.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, inputVIDs, n.ridBuf)
-
-	if sign != Update {
-		switch n.Mode {
-		case ProvReference:
-			// Reverse (parent) edges are installed by the query processor
-			// when it caches a traversal (§6.1), so a derivation records
-			// only its ruleExec row — no head hashing, no per-input edge
-			// maintenance on this path.
-			n.ruleExecRow(rid, rule.Label, inputVIDs, sign)
-		case ProvCentralized:
-			// The deriving node knows the whole derivation: it relays both
-			// the ruleExec row and the head's prov row to the server.
-			var headVID types.ID
-			headVID, n.hashBuf = head.VIDBuf(n.hashBuf)
-			n.sendRuleExecRow(rid, rule.Label, inputVIDs, sign)
-			n.sendProvRow(dst, headVID, rid, n.ID, sign)
-		}
-	}
-
 	var payload algebra.Payload
 	if n.Mode == ProvValue {
 		payload = n.Ring.One()
 		for _, p := range payloads {
 			payload = n.Ring.Mul(payload, p)
+		}
+	}
+	n.emit(rule.Label, head, dst, inputVIDs, sign, payload)
+}
+
+// emit records one derivation of head — rule label over the input VIDs —
+// and routes it to dst: the one derivation record of plain and aggregate
+// rules. The RID names the derivation in every mode. A change of payload
+// alone (Update) writes no row; otherwise reference mode writes the ruleExec
+// row here, and centralized mode relays it and the head's prov row to the
+// server, since the deriving node knows the whole derivation. Reverse
+// (parent) edges are installed by the query processor when it caches a
+// traversal (§6.1), so no per-input edge is maintained on this path.
+//
+//exspan:hotpath
+func (n *Node) emit(label string, head types.Tuple, dst types.NodeID, inputVIDs []types.ID, sign int8, payload algebra.Payload) {
+	var rid types.ID
+	rid, n.ridBuf = types.RuleExecIDBuf(label, n.ID, inputVIDs, n.ridBuf)
+	if sign != Update {
+		switch n.Mode {
+		case ProvReference:
+			n.ruleExecRow(rid, label, inputVIDs, sign)
+		case ProvCentralized:
+			var headVID types.ID
+			headVID, n.hashBuf = head.VIDBuf(n.hashBuf)
+			n.sendRuleExecRow(rid, label, inputVIDs, sign)
+			n.sendProvRow(dst, headVID, rid, n.ID, sign)
 		}
 	}
 	n.route(head, dst, sign, rid, payload)

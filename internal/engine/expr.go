@@ -322,7 +322,7 @@ var builtins = map[string]func(args []types.Value) (types.Value, error){
 }
 
 // polyVal wraps an encoded polynomial as a prov value.
-func polyVal(enc []byte) types.Value { return types.Prov(types.OpaquePayload(enc)) }
+func polyVal(enc []byte) types.Value { return types.Prov(enc) }
 
 // polyKids returns the encodings of a buffer's elements; an element that is
 // not a prov value contributes nil, which the splice's check rejects.
@@ -330,9 +330,7 @@ func polyKids(buf types.Value) [][]byte {
 	elems := buf.AsList()
 	kids := make([][]byte, len(elems))
 	for i, e := range elems {
-		if p := e.AsProv(); p != nil {
-			kids[i] = p.EncodePayload()
-		}
+		kids[i] = e.AsProv()
 	}
 	return kids
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -176,16 +177,22 @@ func hostilePrograms(tb testing.TB) []*Program {
 var allModes = []ProvMode{ProvNone, ProvReference, ProvValue, ProvCentralized}
 
 // TestHandleMessageDropsArityMismatch: a received tuple of a known predicate
-// with the wrong number of arguments — or, in value mode, with a payload the
-// ring does not decode as a whole — is dropped at the remote ingress, and the
-// node keeps running. Other modes ignore the payload and take the tuple.
+// with the wrong number of arguments, or of a predicate the program does not
+// declare (junk, eJunk) — or, in value mode, with a payload the ring does not
+// decode as a whole — is dropped at the remote ingress, and the node keeps
+// running. Other modes ignore the payload and take the tuple. A dropped
+// insert leaves node 0's canonical state as it found it, and the local
+// ingress (InsertBase, InjectEvent) drops an undeclared predicate alike.
 func TestHandleMessageDropsArityMismatch(t *testing.T) {
 	m, err := DecodeMessage(arityMismatchMessage())
 	if err != nil {
 		t.Fatal(err)
 	}
+	junk := types.NewTuple("junk", types.Node(0), types.Int(1))
+	eJunk := types.NewTuple("eJunk", types.Node(0), types.Int(1))
+	dropped := []*Message{m, {Tuple: junk, Delta: Insert}, {Tuple: eJunk, Delta: Insert}}
 	prog := hostilePrograms(t)[0]
-	for _, msg := range append([]*Message{m}, badPayloadMessages()...) {
+	for _, msg := range append(dropped, badPayloadMessages()...) {
 		for _, mode := range allModes {
 			for _, batched := range executors {
 				cell := fmt.Sprintf("%s %s %s", msg.Tuple, mode, executorName(batched))
@@ -198,12 +205,16 @@ func TestHandleMessageDropsArityMismatch(t *testing.T) {
 				if got := nodes[0].TupleCount("link"); got != 1 {
 					t.Errorf("%s: node 0 holds %d links, want its one base link", cell, got)
 				}
-				if msg == m {
-					continue
-				}
 				nodes = hostileCluster(prog, mode, batched)
+				untouched, held := StateDigest(nodes[:1]), nodes[0].TupleCount(msg.Tuple.Pred)
 				nodes[0].HandleMessage(1, msg)
 				Settle(nodes...)
+				if slices.Contains(dropped, msg) {
+					if StateDigest(nodes[:1]) != untouched || nodes[0].TupleCount(msg.Tuple.Pred) != held {
+						t.Errorf("%s: the insert alone changed node 0's state", cell)
+					}
+					continue
+				}
 				want := 2
 				if mode == ProvValue {
 					want = 1
@@ -211,6 +222,19 @@ func TestHandleMessageDropsArityMismatch(t *testing.T) {
 				if got := nodes[0].TupleCount("link"); got != want || nodes[0].Err != nil {
 					t.Errorf("%s: insert alone leaves %d links (err %v), want %d", cell, got, nodes[0].Err, want)
 				}
+			}
+		}
+	}
+	for _, mode := range allModes {
+		for _, batched := range executors {
+			nodes := hostileCluster(prog, mode, batched)
+			untouched, rows := StateDigest(nodes), nodes[0].Store.NumProv()
+			nodes[0].InsertBase(junk)
+			nodes[0].InjectEvent(eJunk)
+			Settle(nodes...)
+			if StateDigest(nodes) != untouched || nodes[0].Store.NumProv() != rows || nodes[0].TupleCount("junk") != 0 {
+				t.Errorf("%s %s: InsertBase / InjectEvent of an undeclared predicate changed the cluster",
+					mode, executorName(batched))
 			}
 		}
 	}

@@ -59,7 +59,6 @@ type Node struct {
 	Prog      *Program
 	Mode      ProvMode
 	Transport Transport
-	Central   types.NodeID // ProvCentralized: the server node
 
 	// Msgs, when set, is the free list outgoing messages are drawn from;
 	// the transport releases them after delivery (see Transport). Nil keeps
@@ -102,14 +101,12 @@ type Node struct {
 	joinIdx []*index
 	// tablesByID holds the relations of the program's stored predicates,
 	// indexed by PredInfo.tableID: the program's predicate table is the
-	// only name→relation map. aggByRule keys aggregate state by
+	// only name→relation map, and the node holds no other relation. It
+	// stops short of prov and ruleExec on a node that holds neither
+	// (Program.tablesFor). aggByRule keys aggregate state by
 	// CompiledRule.idx.
 	tablesByID []Relation
 	aggByRule  []map[uint64]*aggGroup
-	// extraTables lists relations created outside the compiled program
-	// (unknown predicates, e.g. the meta rows relayed to a centralized
-	// server — a handful at most, found by name scan), in creation order.
-	extraTables []*Relation
 
 	// Scratch arenas, sized at program-compile time and reused across rule
 	// firings. Safe because firing never re-enters the evaluator: derived
@@ -213,9 +210,9 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, batche
 	// Pre-create relations, the indexes every join plan needs, and the
 	// per-join compiled handles. Joins against event atoms keep a nil
 	// handle: events never materialize, so such probes match nothing.
-	n.tablesByID = make([]Relation, prog.numTables)
+	n.tablesByID = make([]Relation, prog.tablesFor(mode))
 	for _, info := range prog.predList {
-		if !info.Event {
+		if !info.Event && n.holds(info) {
 			n.tablesByID[info.tableID] = newRelation(info.Name, n.batched)
 		}
 	}
@@ -244,7 +241,7 @@ func (n *Node) bindPlans() {
 				}
 				a := r.atoms[st.atom]
 				if !a.event {
-					n.joinIdx[st.joinID] = n.ensureTable(a.pred).ensureIndex(st.indexID, st.indexPos)
+					n.joinIdx[st.joinID] = n.lookup(a.pred).ensureIndex(st.indexID, st.indexPos)
 				}
 			}
 		}
@@ -253,27 +250,29 @@ func (n *Node) bindPlans() {
 
 // lookup returns the relation of pred, or nil when the node has none.
 func (n *Node) lookup(pred string) *Relation {
-	if info := n.Prog.Pred(pred); info != nil && info.tableID >= 0 {
+	if info := n.Prog.Pred(pred); info != nil && !info.Event && n.holds(info) {
 		return &n.tablesByID[info.tableID]
-	}
-	for _, t := range n.extraTables {
-		if t.name == pred {
-			return t
-		}
 	}
 	return nil
 }
 
-// ensureTable is lookup for writers: a predicate the program never stores
-// gets its relation on first use.
-func (n *Node) ensureTable(pred string) *Relation {
-	t := n.lookup(pred)
-	if t == nil {
-		r := newRelation(pred, n.batched)
-		t = &r
-		n.extraTables = append(n.extraTables, t)
+// holds reports whether tuples of the predicate may enter this node: every
+// event and stored predicate of the program, except prov and ruleExec on a
+// node that holds no relation for them.
+func (n *Node) holds(info *PredInfo) bool { return info.tableID < len(n.tablesByID) }
+
+// admit is the node's one admission check, run at both ingress points
+// (baseDelta, messageDelta): a tuple enters only if its predicate is one the
+// node holds and its arity is the program's. It returns the predicate, or nil
+// to drop the tuple. The compiled joins, index keys and head expressions
+// address arguments by the program's positions, and a corrupt or hostile
+// tuple must not reach them — nor make the node a relation its program never
+// declared.
+func (n *Node) admit(t types.Tuple) *PredInfo {
+	if info := n.Prog.Pred(t.Pred); info != nil && n.holds(info) && len(t.Args) == info.Arity {
+		return info
 	}
-	return t
+	return nil
 }
 
 // Tuples returns the visible tuples of a predicate, sorted canonically.
@@ -381,53 +380,44 @@ func (n *Node) PayloadOf(t types.Tuple) (p algebra.Payload, ok bool) {
 
 // InsertBase injects a base (EDB) tuple at this node and runs to local
 // quiescence.
-func (n *Node) InsertBase(t types.Tuple) { n.ingest(n.baseDelta(t, Insert, false)) }
+func (n *Node) InsertBase(t types.Tuple) { n.ingest(n.baseDelta(t, Insert)) }
 
 // DeleteBase retracts a base tuple.
-func (n *Node) DeleteBase(t types.Tuple) { n.ingest(n.baseDelta(t, Delete, false)) }
+func (n *Node) DeleteBase(t types.Tuple) { n.ingest(n.baseDelta(t, Delete)) }
 
 // InjectEvent fires an event tuple at this node (e.g. a PACKETFORWARD
 // ePacket).
-func (n *Node) InjectEvent(t types.Tuple) { n.ingest(n.baseDelta(t, Insert, true)) }
+func (n *Node) InjectEvent(t types.Tuple) { n.ingest(n.baseDelta(t, Insert)) }
 
 // baseDelta builds the delta of a base tuple injected at this node — the one
-// constructor behind Node's and Scheduler's InsertBase, DeleteBase and
-// InjectEvent. In value mode an injected event's payload is the ring's One:
-// it has no derivation to carry.
-func (n *Node) baseDelta(t types.Tuple, sign int8, event bool) localDelta {
-	d := localDelta{tuple: t, sign: sign, rloc: n.ID, isBase: true}
-	if event && n.Mode == ProvValue {
+// local ingress, behind Node's and Scheduler's InsertBase, DeleteBase and
+// InjectEvent. A tuple the node does not admit is dropped (ok false). In
+// value mode an injected event's payload is the ring's One: it has no
+// derivation to carry.
+func (n *Node) baseDelta(t types.Tuple, sign int8) (d localDelta, ok bool) {
+	info := n.admit(t)
+	if info == nil {
+		return localDelta{}, false
+	}
+	d = localDelta{tuple: t, sign: sign, rloc: n.ID, isBase: true}
+	if n.Mode == ProvValue && info.Event {
 		d.payload = n.Ring.One()
 	}
-	return d
+	return d, true
 }
 
 // HandleMessage applies a tuple delta received from another node.
-func (n *Node) HandleMessage(from types.NodeID, m *Message) {
-	d, ok := n.messageDelta(m)
-	if !ok {
-		return
-	}
-	n.ingest(d)
-}
+func (n *Node) HandleMessage(from types.NodeID, m *Message) { n.ingest(n.messageDelta(m)) }
 
 // depositMessage queues a received delta without running the node — the
 // Scheduler drives evaluation itself.
-func (n *Node) depositMessage(m *Message) {
-	d, ok := n.messageDelta(m)
-	if !ok {
-		return
-	}
-	n.enqueue(d)
-}
+func (n *Node) depositMessage(m *Message) { n.deposit(n.messageDelta(m)) }
 
 // messageDelta turns a received message into a delta — the node's one remote
-// ingress. A tuple whose arity disagrees with its predicate's is dropped: the
-// compiled joins, index keys and head expressions address arguments by the
-// program's positions, and a corrupt or hostile message must not reach them.
-// So is a value-mode payload the ring does not decode as a whole.
+// ingress. A tuple the node does not admit is dropped (ok false), and so is
+// a value-mode payload the ring does not decode as a whole.
 func (n *Node) messageDelta(m *Message) (d localDelta, ok bool) {
-	if info := n.Prog.Pred(m.Tuple.Pred); info != nil && len(m.Tuple.Args) != info.Arity {
+	if n.admit(m.Tuple) == nil {
 		return localDelta{}, false
 	}
 	d = localDelta{tuple: m.Tuple, sign: m.Delta}
@@ -444,10 +434,20 @@ func (n *Node) messageDelta(m *Message) (d localDelta, ok bool) {
 	return d, true
 }
 
-// ingest deposits one delta and runs the node to local quiescence.
-func (n *Node) ingest(d localDelta) {
-	n.enqueue(d)
-	n.Flush()
+// deposit queues an admitted delta (ok, from baseDelta or messageDelta)
+// without running the node.
+func (n *Node) deposit(d localDelta, ok bool) {
+	if ok {
+		n.enqueue(d)
+	}
+}
+
+// ingest deposits an admitted delta and runs the node to local quiescence.
+func (n *Node) ingest(d localDelta, ok bool) {
+	if ok {
+		n.enqueue(d)
+		n.Flush()
+	}
 }
 
 func (n *Node) fail(err error) {
@@ -482,15 +482,20 @@ func (n *Node) drain() {
 	}
 }
 
-// Centralized-mode helpers: provenance rows travel to the server as plain
-// prov/ruleExec tuples, routed like a derived head (queued locally when this
-// node is the server) and charged like any message, with no payload:
-// noPayload fills route's payload argument, which it reads only in value mode.
+// CentralServer is the node that receives every prov and ruleExec row in
+// centralized mode (§3).
+const CentralServer types.NodeID = 0
+
+// Centralized-mode helpers: provenance rows travel to CentralServer as
+// tuples of the declared prov/ruleExec relations, routed like a derived head
+// (queued locally when this node is the server) and charged like any
+// message, with no payload: noPayload fills route's payload argument, which
+// it reads only in value mode.
 var noPayload algebra.Payload
 
 func (n *Node) sendProvRow(loc types.NodeID, vid, rid types.ID, rloc types.NodeID, sign int8) {
 	row := types.NewTuple("prov", types.Node(loc), types.IDVal(vid), types.IDVal(rid), types.Node(rloc))
-	n.route(row, n.Central, sign, types.ZeroID, noPayload)
+	n.route(row, CentralServer, sign, types.ZeroID, noPayload)
 }
 
 func (n *Node) sendRuleExecRow(rid types.ID, rule string, inputs []types.ID, sign int8) {
@@ -499,5 +504,5 @@ func (n *Node) sendRuleExecRow(rid types.ID, rule string, inputs []types.ID, sig
 		vids[i] = types.IDVal(id)
 	}
 	row := types.NewTuple("ruleExec", types.Node(n.ID), types.IDVal(rid), types.Str(rule), types.List(vids...))
-	n.route(row, n.Central, sign, types.ZeroID, noPayload)
+	n.route(row, CentralServer, sign, types.ZeroID, noPayload)
 }

@@ -21,6 +21,11 @@ type Program struct {
 	maxVars   int // widest rule environment
 	maxAtoms  int // widest rule body
 	maxGroup  int // widest aggregate group-by list
+
+	// metaUsed reports that the program's own rules or facts name prov or
+	// ruleExec (the Algorithm 1 rewrite derives them). Otherwise only a
+	// centralized-mode node holds those two relations (tablesFor).
+	metaUsed bool
 }
 
 type occurrence struct {
@@ -48,12 +53,18 @@ type PredInfo struct {
 
 	// tableID is a dense index over the program's stored (non-event)
 	// predicates, assigned at compile time so nodes can keep relations in
-	// a slice instead of resolving a string map per delta. -1 for events.
+	// a slice instead of resolving a string map per delta. -1 for events;
+	// prov and ruleExec come last unless the program names them, so a node
+	// that holds neither sizes its slice short of them.
 	tableID int
 	// occs lists the (rule, body position) pairs a delta of this predicate
 	// triggers, so one predicate lookup serves the whole delta-processing
 	// path.
 	occs []occurrence
+	// meta marks prov and ruleExec, the provenance relations themselves
+	// (§4.1): their tuples are stored without provenance bookkeeping of
+	// their own.
+	meta bool
 }
 
 // CompiledRule is the executable form of one NDlog rule.
@@ -153,6 +164,19 @@ func Compile(p *ndlog.Program) (*Program, error) {
 			return nil, err
 		}
 	}
+	// Every program declares the provenance relations, prov(@Loc,VID,RID,
+	// RLoc) and ruleExec(@RLoc,RID,R,VIDList): a centralized server stores
+	// the rows it receives as their tuples, and a node makes no relation
+	// its program does not declare.
+	for _, meta := range metaPreds {
+		if _, ok := prog.preds[meta]; ok {
+			prog.metaUsed = true
+		}
+		if err := notePred(meta, 4); err != nil {
+			return nil, err
+		}
+		prog.preds[meta].meta = true
+	}
 
 	// Number every stored predicate and join step and record scratch sizes
 	// for plan-bind time.
@@ -163,12 +187,17 @@ func Compile(p *ndlog.Program) (*Program, error) {
 	sort.Slice(prog.predList, func(i, j int) bool { return prog.predList[i].Name < prog.predList[j].Name })
 	for _, info := range prog.predList {
 		info.occs = prog.byBodyPred[info.Name]
-		if info.Event {
-			info.tableID = -1
-			continue
+		info.tableID = -1
+		if !info.Event && (!info.meta || prog.metaUsed) {
+			info.tableID = prog.numTables
+			prog.numTables++
 		}
-		info.tableID = prog.numTables
-		prog.numTables++
+	}
+	if !prog.metaUsed {
+		for _, meta := range metaPreds {
+			prog.preds[meta].tableID = prog.numTables
+			prog.numTables++
+		}
 	}
 	for ri, cr := range prog.Rules {
 		cr.idx = ri
@@ -194,6 +223,19 @@ func Compile(p *ndlog.Program) (*Program, error) {
 	return prog, nil
 }
 
+// metaPreds names the provenance relations every program declares.
+var metaPreds = [...]string{"prov", "ruleExec"}
+
+// tablesFor reports how many relations a node of this program holds in the
+// given mode: every stored predicate, less prov and ruleExec unless the node
+// is in centralized mode or the program names them.
+func (p *Program) tablesFor(mode ProvMode) int {
+	if mode == ProvCentralized || p.metaUsed {
+		return p.numTables
+	}
+	return p.numTables - len(metaPreds)
+}
+
 // headArity accounts for MIN/MAX aggregates with carried attributes, which
 // expand in place: min<C,P> contributes two head attributes.
 func headArity(r *ndlog.Rule) int {
@@ -208,7 +250,7 @@ func headArity(r *ndlog.Rule) int {
 	return n
 }
 
-// Pred returns predicate metadata (nil when the program never mentions it).
+// Pred returns predicate metadata (nil when the program does not declare it).
 func (p *Program) Pred(name string) *PredInfo { return p.preds[name] }
 
 // Preds returns all predicates sorted by name. The slice is the program's

@@ -16,15 +16,8 @@ func (n *Node) stageEntry(e *entry) {
 	n.stagedEnts = append(n.stagedEnts, e)
 }
 
-// stratumOf returns the release stratum of a predicate (0 for predicates
-// the program never mentions; those can only be staged via relayed meta
-// rows, which are never recursive in practice).
-func (n *Node) stratumOf(pred string) int {
-	if info := n.Prog.Pred(pred); info != nil {
-		return info.Stratum
-	}
-	return 0
-}
+// stratumOf returns the release stratum of a stored predicate.
+func (n *Node) stratumOf(pred string) int { return n.Prog.Pred(pred).Stratum }
 
 // minStagedStratum returns the lowest occupied release stratum, or -1 when
 // nothing is staged.

@@ -140,9 +140,6 @@ func (n *Node) endRound() {
 	for i := range n.tablesByID {
 		n.tablesByID[i].maybeSweepRound()
 	}
-	for _, rel := range n.extraTables {
-		rel.maybeSweepRound()
-	}
 }
 
 // runRounds executes batched rounds until the node is locally quiescent.

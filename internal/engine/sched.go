@@ -104,17 +104,17 @@ func (s *Scheduler) Engines() []*Node { return s.nodes }
 func (s *Scheduler) NumNodes() int { return len(s.nodes) }
 
 // InsertBase deposits a base-tuple insertion at a node (evaluated by Run).
-func (s *Scheduler) InsertBase(node types.NodeID, t types.Tuple) { s.deposit(node, t, Insert, false) }
+func (s *Scheduler) InsertBase(node types.NodeID, t types.Tuple) { s.deposit(node, t, Insert) }
 
 // DeleteBase deposits a base-tuple retraction at a node.
-func (s *Scheduler) DeleteBase(node types.NodeID, t types.Tuple) { s.deposit(node, t, Delete, false) }
+func (s *Scheduler) DeleteBase(node types.NodeID, t types.Tuple) { s.deposit(node, t, Delete) }
 
 // InjectEvent deposits an event tuple at a node.
-func (s *Scheduler) InjectEvent(node types.NodeID, t types.Tuple) { s.deposit(node, t, Insert, true) }
+func (s *Scheduler) InjectEvent(node types.NodeID, t types.Tuple) { s.deposit(node, t, Insert) }
 
-func (s *Scheduler) deposit(node types.NodeID, t types.Tuple, sign int8, event bool) {
+func (s *Scheduler) deposit(node types.NodeID, t types.Tuple, sign int8) {
 	n := s.nodes[node]
-	n.enqueue(n.baseDelta(t, sign, event))
+	n.deposit(n.baseDelta(t, sign))
 }
 
 // Err reports the first engine error across nodes.

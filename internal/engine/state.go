@@ -23,8 +23,9 @@ import (
 //
 // prov and ruleExec lead the tuples because the centralized mode relays the
 // rows to its server as tuples and a rewritten program
-// (ndlog.ProvenanceRewrite) derives them as relations; they are listed once
-// even when the program declares them.
+// (ndlog.ProvenanceRewrite) derives them as relations. Every program declares
+// both, so the by-name pass skips them; a node that holds neither lists
+// nothing for them.
 func WriteStates(w io.Writer, nodes []*Node) error {
 	bw := bufio.NewWriter(w)
 	for _, n := range nodes {
@@ -135,7 +136,7 @@ func FromRewrite(rw *Node) *Node {
 			continue
 		}
 		for _, t := range rw.Tuples(info.Name) {
-			rel := n.ensureTable(info.Name)
+			rel := n.lookup(info.Name)
 			rel.setVisible(rel.getOrCreate(t), true)
 			byVID[t.VID()] = t
 		}

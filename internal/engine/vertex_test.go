@@ -119,9 +119,6 @@ func checkVertexRegistration(t *testing.T, n *Node, step string) {
 	for i := range n.tablesByID {
 		check(&n.tablesByID[i])
 	}
-	for _, r := range n.extraTables {
-		check(r)
-	}
 	if got := n.Store.NumProv(); got != rows {
 		t.Fatalf("%s: node %d: store holds %d prov rows, registered entries %d", step, n.ID, got, rows)
 	}

@@ -11,12 +11,12 @@ import (
 // panics, and a program that parses prints to a form that parses again and
 // prints identically — the printer and the lexer agree on every construct,
 // string escapes included. Seeds: the application programs, the §5.1 query
-// programs, and a string literal holding a byte that Go's %q would escape
+// program, and a string literal holding a byte that Go's %q would escape
 // but the lexer reads literally.
 func FuzzParse(f *testing.F) {
 	for _, src := range []string{
 		apps.MinCostSrc, apps.PathVectorSrc, apps.PacketForwardSrc, apps.ChordSrc, apps.PolicySrc,
-		apps.QueryProgramSrc, apps.DFSQueryProgramSrc,
+		apps.QueryProgramSrc,
 		"r1 a(@X,\"p\xadq\") :- b(@X).",
 	} {
 		f.Add(src)

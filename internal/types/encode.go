@@ -174,26 +174,10 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if !ok || n > uint64(len(rest)-sz) {
 			return Value{}, 0, errTruncated
 		}
-		pb := make([]byte, n)
-		copy(pb, rest[sz:sz+int(n)])
-		return Prov(OpaquePayload(pb)), 1 + sz + int(n), nil
+		return Prov(rest[sz : sz+int(n)]), 1 + sz + int(n), nil
 	}
 	return Value{}, 0, fmt.Errorf("types: unknown value kind %d", kind)
 }
-
-// OpaquePayload is a provenance payload carried as raw bytes. Decoded
-// messages hold payloads in this form; the querying layer re-parses them
-// into polynomials or BDDs as needed.
-type OpaquePayload []byte
-
-// WireSize implements Payload.
-func (o OpaquePayload) WireSize() int { return len(o) }
-
-// EncodePayload implements Payload.
-func (o OpaquePayload) EncodePayload() []byte { return o }
-
-// String implements Payload.
-func (o OpaquePayload) String() string { return fmt.Sprintf("opaque[%dB]", len(o)) }
 
 // UvarintLen reports the length of x's (minimal) uvarint encoding.
 func UvarintLen(x uint64) int {

@@ -21,7 +21,7 @@ func FuzzDecodeValue(f *testing.F) {
 		Nil(), Bool(true), Int(-9), Str("seed"), Node(12),
 		IDVal(HashString("seed")),
 		List(Int(1), Str("x"), List(Node(2), Nil())),
-		Prov(OpaquePayload([]byte{1, 2, 3})),
+		Prov([]byte{1, 2, 3}),
 	}
 	for _, v := range seeds {
 		f.Add(v.Encode(nil))

@@ -104,9 +104,8 @@ type listEntry struct {
 }
 
 type payloadEntry struct {
-	p   Payload
-	key string // EncodePayload bytes; the dedup map key
-	enc []byte
+	key string // the payload bytes; the dedup map key
+	enc []byte // kind tag, uvarint length, then the payload bytes
 }
 
 var (
@@ -246,14 +245,9 @@ func internList(elems []Value) uint32 {
 }
 
 // internPayload interns a provenance annotation by its canonical bytes. A
-// nil payload interns like an empty one (they are already equal under
-// Compare); the first payload seen for a given byte string is the one every
-// equal value resolves to.
-func internPayload(p Payload) uint32 {
-	var key string
-	if p != nil {
-		key = string(p.EncodePayload())
-	}
+// nil payload interns like an empty one.
+func internPayload(b []byte) uint32 {
+	key := string(b)
 	provTab.RLock()
 	h, ok := provTab.lookup[key]
 	provTab.RUnlock()
@@ -271,7 +265,7 @@ func internPayload(p Payload) uint32 {
 	enc = append(enc, key...)
 	h = provTab.next
 	provTab.next++
-	provTab.store.put(h, payloadEntry{p: p, key: key, enc: enc})
+	provTab.store.put(h, payloadEntry{key: key, enc: enc})
 	provTab.lookup[key] = h
 	return h
 }

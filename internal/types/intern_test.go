@@ -46,8 +46,8 @@ func TestInternCanonicalHandles(t *testing.T) {
 	if List(Int(1)) == List(Int(2)) {
 		t.Error("distinct lists share a handle")
 	}
-	p1 := Prov(OpaquePayload([]byte{9, 9}))
-	p2 := Prov(OpaquePayload([]byte{9, 9}))
+	p1 := Prov([]byte{9, 9})
+	p2 := Prov([]byte{9, 9})
 	if p1 != p2 {
 		t.Error("equal payloads interned to different handles")
 	}
@@ -140,7 +140,7 @@ func TestEncodePreservedBitForBit(t *testing.T) {
 		{Str("ab"), []byte{3, 2, 'a', 'b'}},
 		{Node(3), []byte{4, 0, 0, 0, 3}},
 		{List(Int(1), Str("x")), []byte{6, 2, 2, 0, 0, 0, 0, 0, 0, 0, 1, 3, 1, 'x'}},
-		{Prov(OpaquePayload([]byte{7, 8})), []byte{7, 2, 7, 8}},
+		{Prov([]byte{7, 8}), []byte{7, 2, 7, 8}},
 	}
 	for _, c := range cases {
 		got := c.v.Encode(nil)

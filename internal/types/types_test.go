@@ -34,7 +34,7 @@ func randomValue(rng *rand.Rand, depth int) Value {
 	case 6:
 		b := make([]byte, rng.Intn(16))
 		rng.Read(b)
-		return Prov(OpaquePayload(b))
+		return Prov(b)
 	default:
 		n := rng.Intn(4)
 		elems := make([]Value, n)
@@ -191,8 +191,10 @@ func TestDecodeTruncated(t *testing.T) {
 }
 
 func TestOpaquePayload(t *testing.T) {
-	p := OpaquePayload([]byte{1, 2, 3})
-	v := Prov(p)
+	v := Prov([]byte{1, 2, 3})
+	if got := v.String(); got != "opaque[3B]" {
+		t.Errorf("String = %q, want opaque[3B]", got)
+	}
 	enc := v.Encode(nil)
 	if len(enc) != v.WireSize() {
 		t.Error("prov wire size mismatch")

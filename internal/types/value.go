@@ -88,19 +88,6 @@ func (n NodeID) AppendString(dst []byte) []byte {
 	return strconv.AppendInt(append(dst, 'n'), int64(n), 10)
 }
 
-// Payload is an opaque provenance annotation carried inside a Value of
-// KindProv. Value-based distributed provenance attaches payloads (provenance
-// polynomials or BDDs) to tuples; query results return them.
-type Payload interface {
-	// WireSize reports the number of bytes the payload occupies when
-	// serialized into a message.
-	WireSize() int
-	// EncodePayload renders the payload into its canonical byte form.
-	EncodePayload() []byte
-	// String renders a human-readable form.
-	String() string
-}
-
 // Value is an immutable tagged union. Construct values with Nil, Bool, Int,
 // Str, Node, IDVal, List and Prov; inspect them with the Kind and accessor
 // methods. The zero Value is Nil.
@@ -157,9 +144,10 @@ func IDVal(id ID) Value {
 // must not mutate it afterwards.
 func List(elems ...Value) Value { return Value{kind: KindList, h: internList(elems)} }
 
-// Prov wraps a provenance payload in a value. Payloads are interned by their
-// canonical bytes; a nil payload interns like an empty one.
-func Prov(p Payload) Value { return Value{kind: KindProv, h: internPayload(p)} }
+// Prov wraps a provenance payload — its canonical bytes, opaque to this
+// package — in a value. Payloads are interned by their bytes, which are
+// copied; a nil payload interns like an empty one.
+func Prov(b []byte) Value { return Value{kind: KindProv, h: internPayload(b)} }
 
 // Accessors.
 
@@ -213,12 +201,14 @@ func (v Value) AsList() []Value {
 	return listTab.store.get(v.h).elems
 }
 
-// AsProv returns the provenance payload (nil for other kinds).
-func (v Value) AsProv() Payload {
+// AsProv returns the provenance payload's bytes (nil for other kinds). The
+// slice is shared with every equal prov value; callers must not mutate it.
+func (v Value) AsProv() []byte {
 	if v.kind != KindProv {
 		return nil
 	}
-	return provTab.store.get(v.h).p
+	e := provTab.store.get(v.h)
+	return e.enc[len(e.enc)-len(e.key):]
 }
 
 // Truthy reports whether a value counts as true in a rule constraint:
@@ -341,10 +331,7 @@ func (v Value) String() string {
 		}
 		return "(" + strings.Join(parts, ",") + ")"
 	case KindProv:
-		if p := v.AsProv(); p != nil {
-			return p.String()
-		}
-		return "prov(nil)"
+		return fmt.Sprintf("opaque[%dB]", len(v.AsProv()))
 	}
 	return "?"
 }
