@@ -167,7 +167,7 @@ fuzz-smoke:
 
 # lint sits before test-race: a lint finding is seconds to surface, the race
 # legs are minutes — fail fast on the cheap gate.
-check: fmt vet build lint test test-race chaos-smoke host-independence doccheck doccheck-selftest fuzz-smoke
+check: fmt vet build lint test test-race chaos-smoke scale-smoke host-independence doccheck doccheck-selftest fuzz-smoke bench-smoke
 
 # The standing benchmark: every workload's end-to-end metrics (add
 # `-trace 1` by hand for the per-layer budget; see bench/README.md).

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/engine"
+	"repro/internal/ndlog"
 	"repro/internal/topology"
 	"repro/internal/types"
 )
@@ -79,74 +81,90 @@ func TestPacketForwardDelivery(t *testing.T) {
 	}
 }
 
-// bestCostSnapshot extracts all bestPathCost tuples as a comparable map.
-func bestCostSnapshot(c *Cluster) map[string]int64 {
-	out := map[string]int64{}
-	for _, ref := range c.TuplesOf("bestPathCost") {
-		key := ref.Tuple.Args[0].String() + "->" + ref.Tuple.Args[1].String()
-		out[key] = ref.Tuple.Args[2].AsInt()
+// bestSnapshot lists the cluster's visible tuples of pred, in canonical
+// order.
+func bestSnapshot(c *Cluster, pred string) []string {
+	var out []string
+	for _, ref := range c.TuplesOf(pred) {
+		out = append(out, ref.Tuple.String())
 	}
+	slices.Sort(out)
 	return out
 }
 
 // TestChurnIncrementalEqualsScratch applies a random add/delete link
-// sequence incrementally and checks the final bestPathCost state equals a
-// from-scratch evaluation of the final topology — the correctness invariant
-// of PSN incremental maintenance with provenance (§4.2).
+// sequence incrementally and checks the final state equals a from-scratch
+// evaluation of the final topology — the correctness invariant of PSN
+// incremental maintenance with provenance (§4.2), which on the simulator runs
+// the two-phase retraction protocol through every node's rounds. Outside value
+// mode the whole canonical state must be equal (engine.StateDigest: tuples,
+// prov and ruleExec rows). Value mode compares the best-route tuples only: an
+// owner numbers its base tuples' BDD variables by first use and never reuses
+// an ordinal, so churned and scratch payloads name different variables.
 func TestChurnIncrementalEqualsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	base := topology.TransitStub(topology.TransitStubParams{
 		Domains: 1, TransitPerDom: 2, StubsPerTransit: 1, NodesPerStub: 4, ExtraStubEdges: 2,
 	}, rng)
 
-	for _, mode := range []engine.ProvMode{engine.ProvNone, engine.ProvReference, engine.ProvValue} {
-		inc, err := NewCluster(Config{Topo: base, Prog: apps.MinCost(), Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := inc.RunToFixpoint(); err != nil {
-			t.Fatalf("mode %s initial: %v", mode, err)
-		}
-
-		// Apply churn: delete a few existing stub links, add a few new ones.
-		final := &topology.Topology{N: base.N, Links: append([]topology.Link{}, base.Links...)}
-		churnRng := rand.New(rand.NewSource(99))
-		for step := 0; step < 8; step++ {
-			if churnRng.Intn(2) == 0 && len(final.Links) > base.N {
-				i := churnRng.Intn(len(final.Links))
-				l := final.Links[i]
-				final.Links = append(final.Links[:i], final.Links[i+1:]...)
-				inc.RemoveLink(l)
-			} else {
-				u := types.NodeID(churnRng.Intn(base.N))
-				v := types.NodeID(churnRng.Intn(base.N))
-				if u == v || hasTopoLink(final, u, v) {
-					continue
-				}
-				l := topology.Link{U: u, V: v, Class: topology.ClassStub, Cost: 1}
-				final.Links = append(final.Links, l)
-				inc.AddLink(l)
+	for _, app := range []struct {
+		name, best string
+		src        func() *ndlog.Program
+	}{{"mincost", "bestPathCost", apps.MinCost}, {"pathvector", "bestPath", apps.PathVector}} {
+		for _, mode := range []engine.ProvMode{engine.ProvNone, engine.ProvReference, engine.ProvValue, engine.ProvCentralized} {
+			cell := app.name + " " + mode.String()
+			inc, err := NewCluster(Config{Topo: base, Prog: app.src(), Mode: mode})
+			if err != nil {
+				t.Fatal(err)
 			}
 			if _, err := inc.RunToFixpoint(); err != nil {
-				t.Fatalf("mode %s churn step %d: %v", mode, step, err)
+				t.Fatalf("%s initial: %v", cell, err)
 			}
-		}
 
-		scratch, err := NewCluster(Config{Topo: final, Prog: apps.MinCost(), Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := scratch.RunToFixpoint(); err != nil {
-			t.Fatalf("mode %s scratch: %v", mode, err)
-		}
+			// Apply churn: delete a few existing stub links, add a few new ones.
+			final := &topology.Topology{N: base.N, Links: append([]topology.Link{}, base.Links...)}
+			churnRng := rand.New(rand.NewSource(99))
+			for step := 0; step < 8; step++ {
+				if churnRng.Intn(2) == 0 && len(final.Links) > base.N {
+					i := churnRng.Intn(len(final.Links))
+					l := final.Links[i]
+					final.Links = append(final.Links[:i], final.Links[i+1:]...)
+					inc.RemoveLink(l)
+				} else {
+					u := types.NodeID(churnRng.Intn(base.N))
+					v := types.NodeID(churnRng.Intn(base.N))
+					if u == v || hasTopoLink(final, u, v) {
+						continue
+					}
+					l := topology.Link{U: u, V: v, Class: topology.ClassStub, Cost: 1}
+					final.Links = append(final.Links, l)
+					inc.AddLink(l)
+				}
+				if _, err := inc.RunToFixpoint(); err != nil {
+					t.Fatalf("%s churn step %d: %v", cell, step, err)
+				}
+			}
 
-		got, want := bestCostSnapshot(inc), bestCostSnapshot(scratch)
-		if len(got) != len(want) {
-			t.Fatalf("mode %s: %d bestPathCost tuples incrementally, %d from scratch", mode, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Errorf("mode %s: %s = %d incrementally, want %d", mode, k, got[k], v)
+			scratch, err := NewCluster(Config{Topo: final, Prog: app.src(), Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := scratch.RunToFixpoint(); err != nil {
+				t.Fatalf("%s scratch: %v", cell, err)
+			}
+
+			got, want := bestSnapshot(inc, app.best), bestSnapshot(scratch, app.best)
+			if len(want) == 0 {
+				t.Fatalf("%s: vacuous: no %s tuples from scratch", cell, app.best)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: %s incrementally\n%v\nwant\n%v", cell, app.best, got, want)
+			}
+			if mode == engine.ProvValue {
+				continue
+			}
+			if d := engine.DiffStates(scratch.Engines(), inc.Engines()); d != "" {
+				t.Errorf("%s: churned state differs from scratch (- scratch, + churned)\n%s", cell, d)
 			}
 		}
 	}

@@ -12,14 +12,14 @@ import (
 	"repro/internal/topology"
 )
 
-// This test pins the cross-driver, cross-executor contract on the benchmark
-// workload (MINCOST over the §7 transit-stub topology): the Scheduler, whose
-// nodes evaluate in batched rounds, must reach exactly the fixpoint the
-// simulation, whose nodes drain, reaches — the same canonical state at every
-// node — and the same byte ledger, entry for entry, whatever the size of its
-// worker pool. (MINCOST's transient traffic does not depend on the executor;
-// PATHVECTOR's transient re-elections do, so its ledgers legitimately differ
-// between the drivers.)
+// This test pins the cross-driver contract on the benchmark workload
+// (MINCOST over the §7 transit-stub topology): the Scheduler, whose nodes
+// ingest a round of messages at a time, must reach exactly the fixpoint the
+// simulation, whose nodes ingest one message at a time, reaches — the same
+// canonical state at every node — and the same byte ledger, entry for entry,
+// whatever the size of its worker pool. (MINCOST's transient traffic does not
+// depend on ingest granularity; PATHVECTOR's transient re-elections do, so
+// its ledgers legitimately differ between the drivers.)
 
 func TestSchedulerMatchesSimnet(t *testing.T) {
 	if testing.Short() {
@@ -27,7 +27,7 @@ func TestSchedulerMatchesSimnet(t *testing.T) {
 	}
 	topo := topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(1)))
 
-	// Reference: the simulation (one message per ingest, inline drain).
+	// Reference: the simulation (one message per ingest).
 	c, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
 	if err != nil {
 		t.Fatal(err)

@@ -12,12 +12,13 @@ import (
 )
 
 // Workload-suite fences for the PR 8 protocols (CHORD routing and the
-// policy-constrained path-vector program): simulator-vs-Scheduler (drain vs
-// batched rounds) bit-identical equivalence and full-retraction no-leak, each
-// across all four provenance modes. The classic routing programs have these
-// fences in scheduler_test.go and chaos_test.go; the new protocols exercise
-// multi-rule recursion (lookup forwarding), double aggregation (MIN +
-// AGGLIST) and soft-state liveness predicates through the same invariants.
+// policy-constrained path-vector program): simulator-vs-Scheduler (one
+// message vs a round of messages per ingest) bit-identical equivalence and
+// full-retraction no-leak, each across all four provenance modes. The classic
+// routing programs have these fences in scheduler_test.go and chaos_test.go;
+// the new protocols exercise multi-rule recursion (lookup forwarding), double
+// aggregation (MIN + AGGLIST) and soft-state liveness predicates through the
+// same invariants.
 
 var provModes = []engine.ProvMode{
 	engine.ProvNone, engine.ProvReference, engine.ProvValue, engine.ProvCentralized,
@@ -77,8 +78,8 @@ func bootScheduled(t *testing.T, w chaosWorkload, topo *topology.Topology, mode 
 }
 
 // TestWorkloadDrainBatchedEquivalence pins the simulator's cluster fixpoint
-// (nodes drain one message at a time) against the Scheduler's (nodes batch a
-// round of messages) for both protocols in every provenance mode: the same
+// (nodes ingest one message at a time) against the Scheduler's (nodes ingest
+// a round of messages) for both protocols in every provenance mode: the same
 // tuples, provenance rows and ruleExec rows at every node. Wire-byte totals
 // legitimately differ between the drivers (batching nets transient deltas
 // out before they ship); reruns of one driver must reproduce them

@@ -8,13 +8,11 @@ import (
 )
 
 // fireAgg routes a delta of an aggregate rule's body entry through the
-// rule's group state. Body and group evaluation is the same under both
-// executors; only the last step differs. The drain applies the update inline
-// (applyAgg). Batched rounds queue it on aggIn for the next apply step, since
-// group rows are frozen while a fire phase runs, and pin the entry so the
-// round's tombstone sweep cannot reclaim it before the update applies. The
-// group itself is found (or created, empty) here under both executors:
-// groups are never removed, so the queued pointer stays valid.
+// rule's group state. The update queues on aggIn for the next apply step,
+// since group rows are frozen while a fire phase runs, and pins the entry so
+// the round's tombstone sweep cannot reclaim it before the update applies.
+// The group itself is found (or created, empty) here: groups are never
+// removed, so the queued pointer stays valid.
 //
 //exspan:hotpath
 func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
@@ -47,12 +45,8 @@ func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
 		return
 	}
 
-	if n.batched {
-		e.aggQueued = true
-		n.aggIn = append(n.aggIn, aggItem{rule: rule, g: g, ent: e, sign: sign})
-		return
-	}
-	n.applyAgg(rule, g, e, sign)
+	e.aggQueued = true
+	n.aggIn = append(n.aggIn, aggItem{rule: rule, g: g, ent: e, sign: sign})
 }
 
 // applyAgg applies one input delta to its aggregate group and emits any net
@@ -155,8 +149,8 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 // on this node — one row per entry, never a copy of its tuple. rows is held
 // in aggregate order (rowCmp), so a MIN/MAX winner is rows[0], COUNT is
 // len(rows) and AGGLIST reads its list off in order. An entry leaves the rows
-// when its Delete reaches the group, which the inline drain does before
-// anything can reclaim it and batched rounds guard with entry.aggQueued. The
+// when its Delete reaches the group; entry.aggQueued keeps the sweep from
+// reclaiming it while that update is queued. The
 // group struct, the first row's capacity and the group-by values are carved
 // from the node's arenas; the group borrows the node's scratch to refresh.
 type aggGroup struct {

@@ -129,50 +129,47 @@ func TestMaxAggregateChurn(t *testing.T) {
 }
 
 // TestMinAggregateChurnSharded drives the same winner-eviction script
-// through a one-node scheduler cluster under both executors (batched rounds
-// net each step's deltas before the group re-elects) and checks each
-// intermediate fixpoint.
+// through a one-node scheduler cluster (a round nets each step's deltas
+// before the group re-elects) and checks each intermediate fixpoint.
 func TestMinAggregateChurnSharded(t *testing.T) {
 	prog, err := Compile(ndlog.MustParse(`b1 best(@X,min<C,Y>) :- item(@X,Y,C).`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batched := range executors {
-		s := newScheduler(prog, ProvReference, 1, 0, batched)
-		step := func(want ...string) {
-			t.Helper()
-			if err := s.Run(); err != nil {
-				t.Fatal(err)
-			}
-			var got []string
-			for _, tu := range s.Node(0).Tuples("best") {
-				got = append(got, tu.String())
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: best = %v, want %v", executorName(batched), got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: best = %v, want %v", executorName(batched), got, want)
-				}
+	s := NewScheduler(prog, ProvReference, 1, 0, 0)
+	step := func(want ...string) {
+		t.Helper()
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, tu := range s.Node(0).Tuples("best") {
+			got = append(got, tu.String())
+		}
+		if len(got) != len(want) {
+			t.Fatalf("best = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("best = %v, want %v", got, want)
 			}
 		}
-		s.InsertBase(0, item("w", 2))
-		s.InsertBase(0, item("a", 5))
-		step("best(@a,2,w)")
-		s.InsertBase(0, item("w", 2)) // duplicate derivation
-		s.DeleteBase(0, item("w", 2))
-		step("best(@a,2,w)")
-		s.DeleteBase(0, item("w", 2)) // evict winner: rescan to next best
-		step("best(@a,5,a)")
-		s.InsertBase(0, item("w", 2)) // re-derive: dethrones the rescan result
-		step("best(@a,2,w)")
-		s.DeleteBase(0, item("w", 2))
-		s.DeleteBase(0, item("a", 5))
-		step()
-		if got := s.Node(0).Store.NumRuleExec(); got != 0 {
-			t.Fatalf("%s: ruleExec rows after full retraction = %d, want 0", executorName(batched), got)
-		}
+	}
+	s.InsertBase(0, item("w", 2))
+	s.InsertBase(0, item("a", 5))
+	step("best(@a,2,w)")
+	s.InsertBase(0, item("w", 2)) // duplicate derivation
+	s.DeleteBase(0, item("w", 2))
+	step("best(@a,2,w)")
+	s.DeleteBase(0, item("w", 2)) // evict winner: rescan to next best
+	step("best(@a,5,a)")
+	s.InsertBase(0, item("w", 2)) // re-derive: dethrones the rescan result
+	step("best(@a,2,w)")
+	s.DeleteBase(0, item("w", 2))
+	s.DeleteBase(0, item("a", 5))
+	step()
+	if got := s.Node(0).Store.NumRuleExec(); got != 0 {
+		t.Fatalf("ruleExec rows after full retraction = %d, want 0", got)
 	}
 }
 
@@ -201,9 +198,9 @@ func aggInput(n *Node, head types.Tuple) (types.Tuple, error) {
 // TestAggregateDerivationFollowsLiveWinner: inputs that tie in aggregate
 // order each hold a row, so deleting the one a head's derivation names moves
 // the derivation to a tied survivor instead of leaving a ruleExec row (or, in
-// value mode, a payload) that names a deleted tuple. Under both executors,
-// after every step, the head's one derivation reads a live input attaining
-// its value — in value mode, the head's payload is such an input's.
+// value mode, a payload) that names a deleted tuple. After every step, the
+// head's one derivation reads a live input attaining its value — in value
+// mode, the head's payload is such an input's.
 func TestAggregateDerivationFollowsLiveWinner(t *testing.T) {
 	prog := mustCompile(t, `b1 best(@X,min<C>) :- it(@X,Z,C).`)
 	it := func(z, c int64) types.Tuple {
@@ -220,63 +217,60 @@ func TestAggregateDerivationFollowsLiveWinner(t *testing.T) {
 		{false, it(0, 5)},
 	}
 	for _, mode := range []ProvMode{ProvReference, ProvValue} {
-		for _, batched := range executors {
-			label := fmt.Sprintf("%s %s", mode, executorName(batched))
-			s := newScheduler(prog, mode, 1, 0, batched)
-			n := s.Node(0)
-			live := map[string]types.Tuple{}
-			for step, st := range steps {
-				if st.ins {
-					s.InsertBase(0, st.tup)
-					live[st.tup.String()] = st.tup
-				} else {
-					s.DeleteBase(0, st.tup)
-					delete(live, st.tup.String())
+		s := NewScheduler(prog, mode, 1, 0, 0)
+		n := s.Node(0)
+		live := map[string]types.Tuple{}
+		for step, st := range steps {
+			if st.ins {
+				s.InsertBase(0, st.tup)
+				live[st.tup.String()] = st.tup
+			} else {
+				s.DeleteBase(0, st.tup)
+				delete(live, st.tup.String())
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			heads := n.Tuples("best")
+			if len(heads) != min(len(live), 1) {
+				t.Fatalf("%s step %d: best = %v with %d live inputs", mode, step, heads, len(live))
+			}
+			if len(heads) == 0 {
+				continue
+			}
+			head := heads[0]
+			attains := func(in types.Tuple) bool {
+				_, ok := live[in.String()]
+				return ok && in.Args[2] == head.Args[1]
+			}
+			if mode == ProvReference {
+				in, err := aggInput(n, head)
+				if err != nil {
+					t.Fatalf("%s step %d: %v", mode, step, err)
 				}
-				if err := s.Run(); err != nil {
-					t.Fatal(err)
+				if !attains(in) {
+					t.Fatalf("%s step %d: %s derives from %s, which does not attain it", mode, step, head, in)
 				}
-				heads := n.Tuples("best")
-				if len(heads) != min(len(live), 1) {
-					t.Fatalf("%s step %d: best = %v with %d live inputs", label, step, heads, len(live))
+				continue
+			}
+			got, _ := n.PayloadOf(head)
+			follows := false
+			for _, in := range live {
+				if p, ok := n.PayloadOf(in); ok && p == got && attains(in) {
+					follows = true
 				}
-				if len(heads) == 0 {
-					continue
-				}
-				head := heads[0]
-				attains := func(in types.Tuple) bool {
-					_, ok := live[in.String()]
-					return ok && in.Args[2] == head.Args[1]
-				}
-				if mode == ProvReference {
-					in, err := aggInput(n, head)
-					if err != nil {
-						t.Fatalf("%s step %d: %v", label, step, err)
-					}
-					if !attains(in) {
-						t.Fatalf("%s step %d: %s derives from %s, which does not attain it", label, step, head, in)
-					}
-					continue
-				}
-				got, _ := n.PayloadOf(head)
-				follows := false
-				for _, in := range live {
-					if p, ok := n.PayloadOf(in); ok && p == got && attains(in) {
-						follows = true
-					}
-				}
-				if !follows {
-					t.Fatalf("%s step %d: the payload of %s is no live winner's", label, step, head)
-				}
+			}
+			if !follows {
+				t.Fatalf("%s step %d: the payload of %s is no live winner's", mode, step, head)
 			}
 		}
 	}
 }
 
 // TestAggregateMatchesRecompute runs seeded random insert/delete schedules
-// through one rule of each aggregate function, under both executors, and
-// after every step compares the visible heads with a naive recomputation
-// over the live body tuples. The value ranges are small on purpose: rows
+// through one rule of each aggregate function and after every step
+// compares the visible heads with a naive recomputation over the live body
+// tuples. The value ranges are small on purpose: rows
 // tie on the sort value (the carried value breaks the tie), distinct body
 // tuples tie in aggregate order (Z is neither grouped nor carried), base
 // tuples are inserted more than once, and deletes hit absent tuples. A
@@ -333,47 +327,45 @@ a4 lst(@X,G,AGGLIST<Y>) :- in(@X,G,Z,Y,C).
 		slices.Sort(out)
 		return out
 	}
-	for _, batched := range executors {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			s := newScheduler(prog, ProvReference, 1, 0, batched)
-			live := map[row]int{}
-			for step := 0; step < 150; step++ {
-				// Batched rounds net several deltas before a group re-elects.
-				for op := rng.Intn(3); op >= 0; op-- {
-					r := row{g: rng.Int63n(2), z: rng.Int63n(2), y: string(rune('a' + rng.Intn(3))), c: rng.Int63n(3)}
-					if rng.Intn(5) < 3 {
-						s.InsertBase(0, tup(r))
-						live[r]++
-					} else {
-						s.DeleteBase(0, tup(r))
-						if live[r] > 0 {
-							live[r]--
-						}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewScheduler(prog, ProvReference, 1, 0, 0)
+		live := map[row]int{}
+		for step := 0; step < 150; step++ {
+			// Batched rounds net several deltas before a group re-elects.
+			for op := rng.Intn(3); op >= 0; op-- {
+				r := row{g: rng.Int63n(2), z: rng.Int63n(2), y: string(rune('a' + rng.Intn(3))), c: rng.Int63n(3)}
+				if rng.Intn(5) < 3 {
+					s.InsertBase(0, tup(r))
+					live[r]++
+				} else {
+					s.DeleteBase(0, tup(r))
+					if live[r] > 0 {
+						live[r]--
 					}
 				}
-				if err := s.Run(); err != nil {
-					t.Fatal(err)
-				}
-				var got []string
-				for _, pred := range []string{"lo", "hi", "cnt", "lst"} {
-					got = append(got, tuples(s.Node(0), pred)...)
-				}
-				slices.Sort(got)
-				if w := want(live); !slices.Equal(got, w) {
-					t.Fatalf("%s seed %d step %d:\n got %v\nwant %v", executorName(batched), seed, step, got, w)
-				}
-				for _, pred := range []string{"lo", "hi"} {
-					for _, head := range s.Node(0).Tuples(pred) {
-						in, err := aggInput(s.Node(0), head)
-						if err != nil {
-							t.Fatalf("%s seed %d step %d: %v", executorName(batched), seed, step, err)
-						}
-						// in(@X,G,Z,Y,C) attains head(@X,G,C,Y).
-						if in.Args[1] != head.Args[1] || in.Args[4] != head.Args[2] || in.Args[3] != head.Args[3] {
-							t.Fatalf("%s seed %d step %d: %s derives from %s, which does not attain it",
-								executorName(batched), seed, step, head, in)
-						}
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, pred := range []string{"lo", "hi", "cnt", "lst"} {
+				got = append(got, tuples(s.Node(0), pred)...)
+			}
+			slices.Sort(got)
+			if w := want(live); !slices.Equal(got, w) {
+				t.Fatalf("seed %d step %d:\n got %v\nwant %v", seed, step, got, w)
+			}
+			for _, pred := range []string{"lo", "hi"} {
+				for _, head := range s.Node(0).Tuples(pred) {
+					in, err := aggInput(s.Node(0), head)
+					if err != nil {
+						t.Fatalf("seed %d step %d: %v", seed, step, err)
+					}
+					// in(@X,G,Z,Y,C) attains head(@X,G,C,Y).
+					if in.Args[1] != head.Args[1] || in.Args[4] != head.Args[2] || in.Args[3] != head.Args[3] {
+						t.Fatalf("seed %d step %d: %s derives from %s, which does not attain it",
+							seed, step, head, in)
 					}
 				}
 			}
@@ -381,7 +373,7 @@ a4 lst(@X,G,AGGLIST<Y>) :- in(@X,G,Z,Y,C).
 	}
 }
 
-// TestAggregateInputPinnedAcrossSweep fences the batched executor's pin on
+// TestAggregateInputPinnedAcrossSweep fences the executor's pin on
 // queued aggregate inputs (entry.aggQueued). One round deletes every `in`
 // tuple: its fire phase queues an aggregate Delete per entry for the next
 // round's apply step, and its tombstones trip the sweep at endRound, in
@@ -394,7 +386,7 @@ func TestAggregateInputPinnedAcrossSweep(t *testing.T) {
 a1 lo(@X,min<C,G>) :- in(@X,G,C).
 r1 in(@X,G,C) :- trig(@X), src(@X,G,C).
 `)
-	n := newNode(0, prog, ProvReference, &refTransport{}, true)
+	n := NewNode(0, prog, ProvReference, &refTransport{})
 	tup := func(pred string, g, c int64) types.Tuple {
 		return types.NewTuple(pred, types.Node(0), types.Int(g), types.Int(c))
 	}
@@ -466,35 +458,32 @@ b1 best(@X,min<C>) :- cand(@X,Z,C).
 r1 cand(@X,Z,C) :- best(@X,C), alt(@X,Z).
 `)
 	cand := types.NewTuple("cand", types.Node(0), types.Int(9), types.Int(5))
-	for _, batched := range executors {
-		label := executorName(batched)
-		n := newNode(0, prog, ProvReference, &refTransport{}, batched)
-		settle := func() {
-			t.Helper()
-			each := func(fn func(*Node) bool) bool { return fn(n) }
-			for pass := 0; ReleasePass(each, true); pass++ {
-				if pass == 10 {
-					t.Fatalf("%s: the release loop does not quiesce", label)
-				}
-			}
-			if n.Err != nil {
-				t.Fatal(n.Err)
+	n := NewNode(0, prog, ProvReference, &refTransport{})
+	settle := func() {
+		t.Helper()
+		each := func(fn func(*Node) bool) bool { return fn(n) }
+		for pass := 0; ReleasePass(each, true); pass++ {
+			if pass == 10 {
+				t.Fatal("the release loop does not quiesce")
 			}
 		}
-		n.InsertBase(cand)
-		n.InsertBase(types.NewTuple("alt", types.Node(0), types.Int(1)))
-		settle()
-		heads := n.Tuples("best")
-		if len(heads) != 1 || heads[0].String() != "best(@a,5)" || len(tuples(n, "cand")) != 2 {
-			t.Fatalf("%s: best = %v, cand = %v", label, heads, tuples(n, "cand"))
+		if n.Err != nil {
+			t.Fatal(n.Err)
 		}
-		if in, err := aggInput(n, heads[0]); err != nil || !in.Equal(cand) {
-			t.Fatalf("%s: best derives from %v (%v), want %s", label, in, err, cand)
-		}
-		n.DeleteBase(cand)
-		settle()
-		if got := append(tuples(n, "best"), tuples(n, "cand")...); len(got) != 0 {
-			t.Fatalf("%s: %v survive the deletion of their only support", label, got)
-		}
+	}
+	n.InsertBase(cand)
+	n.InsertBase(types.NewTuple("alt", types.Node(0), types.Int(1)))
+	settle()
+	heads := n.Tuples("best")
+	if len(heads) != 1 || heads[0].String() != "best(@a,5)" || len(tuples(n, "cand")) != 2 {
+		t.Fatalf("best = %v, cand = %v", heads, tuples(n, "cand"))
+	}
+	if in, err := aggInput(n, heads[0]); err != nil || !in.Equal(cand) {
+		t.Fatalf("best derives from %v (%v), want %s", in, err, cand)
+	}
+	n.DeleteBase(cand)
+	settle()
+	if got := append(tuples(n, "best"), tuples(n, "cand")...); len(got) != 0 {
+		t.Fatalf("%v survive the deletion of their only support", got)
 	}
 }

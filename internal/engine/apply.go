@@ -8,10 +8,8 @@ import (
 
 // This file is the queue-and-apply half of a node's evaluation: the delta
 // ring and process(), which applies one delta to relations, derivation
-// counts and provenance rows. Under the inline drain, process() also fires
-// the triggered rules inline, FIFO, to local quiescence. Under batched rounds
-// (rounds.go) it only applies: firing is deferred to the round's fire phase,
-// and the round-only code paths are the n.batched branches below.
+// counts and provenance rows. It only applies: firing is deferred to the
+// round's fire phase (rounds.go).
 
 // localDelta is one unit of PSN work in a node's FIFO queue. Field order
 // is alignment-packed (exspanlint -fieldalign): the 1-byte sign/isBase pair
@@ -29,7 +27,7 @@ type localDelta struct {
 //exspan:hotpath
 func (n *Node) enqueue(d localDelta) { n.queue = append(n.queue, d) }
 
-// popDelta removes and returns the next pending delta of the drain ring.
+// popDelta removes and returns the next pending delta of the ring.
 // The queue is a head-index ring over one slice: popping advances qhead
 // instead of re-slicing, and the slice capacity is reused across bursts
 // rather than re-allocated per enqueue wave.
@@ -59,15 +57,14 @@ func (n *Node) popDelta() localDelta {
 
 func (n *Node) pending() bool { return n.qhead < len(n.queue) || len(n.aggIn) > 0 }
 
-// process applies one delta to the node's state and — under the drain —
-// fires the triggered rules inline. Under batched rounds firing is deferred:
-// the delta's net effect is recorded via markTouched and evaluated by the
-// fire phase (rounds.go).
+// process applies one delta to the node's state. Firing is deferred: an
+// event goes on the fire list, a stored entry's first touch of the round is
+// recorded by markTouched, and the fire phase (rounds.go) evaluates the
+// net effect.
 //
 //exspan:hotpath
 func (n *Node) process(d localDelta) {
 	n.deltasProcessed++
-	batched := n.batched
 	// One predicate lookup serves event-ness, triggered occurrences and the
 	// relation: the PredInfo carries them all from compile time, and every
 	// queued delta's predicate is declared (Node.admit).
@@ -103,11 +100,7 @@ func (n *Node) process(d localDelta) {
 			vid, n.hashBuf = d.tuple.VIDBuf(n.hashBuf)
 			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, d.sign)
 		}
-		if batched {
-			n.fires = append(n.fires, fireItem{tuple: d.tuple, occs: occs, sign: d.sign, payload: d.payload, isEvent: true})
-		} else {
-			n.fireAll(occs, d.tuple, d.sign, nil, d.payload)
-		}
+		n.fires = append(n.fires, fireItem{tuple: d.tuple, occs: occs, sign: d.sign, payload: d.payload, isEvent: true})
 		return
 	}
 
@@ -141,7 +134,6 @@ func (n *Node) process(d localDelta) {
 			vid, n.hashBuf = e.VIDBuf(n.hashBuf)
 			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, Insert)
 		}
-		payloadChanged := false
 		if n.Mode == ProvValue {
 			payload := d.payload
 			if d.isBase {
@@ -150,24 +142,15 @@ func (n *Node) process(d localDelta) {
 				payload = n.Ring.FromBase(algebra.Base{VID: vid, Node: n.ID})
 			}
 			row.Payload = uint32(payload)
-			payloadChanged = n.recomputePayload(e)
+			n.recomputePayload(e)
 		}
-		if !e.visible {
-			if e.staged {
-				// Retraction phase 1: a suspect absorbs new support
-				// silently. Re-showing it here would let the insert wave
-				// race the still-running deletion wave around derivation
-				// cycles (a hide/show flap that never quiesces); the
-				// release re-shows it — with this derivation counted —
-				// once the deletion wave is done.
-				return
-			}
+		// Retraction phase 1: a staged suspect absorbs new support silently.
+		// Re-showing it here would let the insert wave race the
+		// still-running deletion wave around derivation cycles (a hide/show
+		// flap that never quiesces); the release re-shows it — with this
+		// derivation counted — once the deletion wave is done.
+		if !e.staged {
 			rel.setVisible(e, true)
-			if !batched {
-				n.fireAll(occs, d.tuple, Insert, e, e.payload)
-			}
-		} else if payloadChanged && !batched {
-			n.fireAll(occs, d.tuple, Update, e, e.payload)
 		}
 
 	case Delete:
@@ -194,13 +177,10 @@ func (n *Node) process(d localDelta) {
 		case len(e.Rows) == 0:
 			if e.visible {
 				rel.setVisible(e, false)
-				if !batched {
-					n.fireAll(occs, d.tuple, Delete, e, e.payload)
-				}
 			} else {
-				// A suspect lost its last alternate while hidden; record the
-				// tombstone transition setVisible never observed.
-				rel.noteDead(e)
+				// A suspect lost its last alternate while hidden; count the
+				// tombstone setVisible never saw.
+				rel.dead++
 			}
 		case removed && e.visible && info.Recursive && !meta:
 			// Over-deletion (retraction phase 1): a recursive tuple that
@@ -211,11 +191,8 @@ func (n *Node) process(d localDelta) {
 			// "Deletion semantics").
 			rel.setVisible(e, false)
 			n.stageEntry(e)
-			if !batched {
-				n.fireAll(occs, d.tuple, Delete, e, e.payload)
-			}
-		case n.Mode == ProvValue && n.recomputePayload(e) && e.visible && !batched:
-			n.fireAll(occs, d.tuple, Update, e, e.payload)
+		case n.Mode == ProvValue:
+			n.recomputePayload(e)
 		}
 
 	case rederive:
@@ -231,9 +208,6 @@ func (n *Node) process(d localDelta) {
 			n.recomputePayload(e)
 		}
 		rel.setVisible(e, true)
-		if !batched {
-			n.fireAll(occs, d.tuple, Insert, e, e.payload)
-		}
 
 	case Update:
 		if n.Mode != ProvValue {
@@ -249,11 +223,9 @@ func (n *Node) process(d localDelta) {
 		}
 		n.markTouched(rel, e, occs)
 		row.Payload = uint32(d.payload)
-		// Suspects absorb payload updates silently; a visibility-preserving
-		// change only propagates for visible tuples.
-		if n.recomputePayload(e) && e.visible && !batched {
-			n.fireAll(occs, d.tuple, Update, e, e.payload)
-		}
+		// The fire phase propagates a moved payload only for a tuple that
+		// stayed visible: suspects absorb payload updates silently.
+		n.recomputePayload(e)
 	}
 }
 
@@ -272,10 +244,9 @@ func (n *Node) recomputePayload(e *entry) bool {
 }
 
 // fireAll runs every rule occurrence triggered by a delta of this
-// predicate — inline from process() under the drain, from the fire phase
-// under batched rounds. deltaEntry is nil only for events, which Compile
-// keeps out of aggregate bodies; payload is the tuple's current provenance
-// payload in value mode.
+// predicate, from the fire phase. deltaEntry is nil only for events, which
+// Compile keeps out of aggregate bodies; payload is the tuple's current
+// provenance payload in value mode.
 //
 //exspan:hotpath
 func (n *Node) fireAll(occs []occurrence, t types.Tuple, sign int8, deltaEntry *entry, payload algebra.Payload) {

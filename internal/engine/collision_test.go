@@ -30,7 +30,7 @@ func TestRelationHashCollision(t *testing.T) {
 	a := types.NewTuple("p", types.Node(0), types.Int(1))
 	b := types.NewTuple("p", types.Node(0), types.Int(2))
 	for _, retire := range []types.Tuple{a, b} {
-		r := NewRelation("p")
+		r := testRelation("p")
 		ea, eb := r.getOrCreateAt(collidingHash, a), r.getOrCreateAt(collidingHash, b)
 		if ea == eb {
 			t.Fatal("colliding tuples share an entry")
@@ -55,7 +55,7 @@ func TestRelationHashCollision(t *testing.T) {
 		gone := r.find(collidingHash, retire.Args)
 		gone.DelRow(types.ZeroID)
 		r.setVisible(gone, false)
-		r.sweep(nil)
+		r.sweep()
 		if r.find(collidingHash, retire.Args) != nil {
 			t.Fatalf("swept %v still found", retire)
 		}
@@ -79,41 +79,39 @@ func TestRelationHashCollision(t *testing.T) {
 // runs each through an insert and a delete: outputs and the live-group count
 // must follow each group separately.
 func TestAggGroupHashCollision(t *testing.T) {
-	for _, batched := range executors {
-		n := newNode(0, mustCompile(t, `b1 best(@X,Z,min<C>) :- item(@X,Z,C).`), ProvReference, &refTransport{}, batched)
-		rule := n.Prog.Rules[0]
-		in := func(z string, c int64) types.Tuple {
-			return types.NewTuple("item", types.Node(0), types.Str(z), types.Int(c))
+	n := NewNode(0, mustCompile(t, `b1 best(@X,Z,min<C>) :- item(@X,Z,C).`), ProvReference, &refTransport{})
+	rule := n.Prog.Rules[0]
+	in := func(z string, c int64) types.Tuple {
+		return types.NewTuple("item", types.Node(0), types.Str(z), types.Int(c))
+	}
+	gp := n.aggGroupAt(rule, collidingHash, []types.Value{types.Node(0), types.Str("p")})
+	gq := n.aggGroupAt(rule, collidingHash, []types.Value{types.Node(0), types.Str("q")})
+	if gp == gq || len(n.aggByRule[rule.idx]) != 1 {
+		t.Fatal("vacuous: the groups do not share a hash slot")
+	}
+	if n.aggGroupAt(rule, collidingHash, []types.Value{types.Node(0), types.Str("p")}) != gp {
+		t.Fatal("a second lookup of a chained group made a new one")
+	}
+	apply := func(g *aggGroup, z string, c int64, sign int8) {
+		n.applyAgg(rule, g, n.lookup("item").getOrCreate(in(z, c)), sign)
+		n.Flush()
+		if n.Err != nil {
+			t.Fatal(n.Err)
 		}
-		gp := n.aggGroupAt(rule, collidingHash, []types.Value{types.Node(0), types.Str("p")})
-		gq := n.aggGroupAt(rule, collidingHash, []types.Value{types.Node(0), types.Str("q")})
-		if gp == gq || len(n.aggByRule[rule.idx]) != 1 {
-			t.Fatal("vacuous: the groups do not share a hash slot")
-		}
-		if n.aggGroupAt(rule, collidingHash, []types.Value{types.Node(0), types.Str("p")}) != gp {
-			t.Fatal("a second lookup of a chained group made a new one")
-		}
-		apply := func(g *aggGroup, z string, c int64, sign int8) {
-			n.applyAgg(rule, g, n.lookup("item").getOrCreate(in(z, c)), sign)
-			n.Flush()
-			if n.Err != nil {
-				t.Fatal(n.Err)
-			}
-		}
-		apply(gp, "p", 3, Insert)
-		apply(gq, "q", 5, Insert)
-		if got := tuples(n, "best"); len(got) != 2 || got[0] != "best(@a,p,3)" || got[1] != "best(@a,q,5)" {
-			t.Fatalf("%s: best = %v", executorName(batched), got)
-		}
-		if c := n.AggGroupCount(); c != 2 {
-			t.Fatalf("%s: AggGroupCount = %d, want 2", executorName(batched), c)
-		}
-		apply(gp, "p", 3, Delete)
-		if got := tuples(n, "best"); len(got) != 1 || got[0] != "best(@a,q,5)" {
-			t.Fatalf("%s: best after delete = %v", executorName(batched), got)
-		}
-		if c := n.AggGroupCount(); c != 1 {
-			t.Fatalf("%s: AggGroupCount after delete = %d, want 1", executorName(batched), c)
-		}
+	}
+	apply(gp, "p", 3, Insert)
+	apply(gq, "q", 5, Insert)
+	if got := tuples(n, "best"); len(got) != 2 || got[0] != "best(@a,p,3)" || got[1] != "best(@a,q,5)" {
+		t.Fatalf("best = %v", got)
+	}
+	if c := n.AggGroupCount(); c != 2 {
+		t.Fatalf("AggGroupCount = %d, want 2", c)
+	}
+	apply(gp, "p", 3, Delete)
+	if got := tuples(n, "best"); len(got) != 1 || got[0] != "best(@a,q,5)" {
+		t.Fatalf("best after delete = %v", got)
+	}
+	if c := n.AggGroupCount(); c != 1 {
+		t.Fatalf("AggGroupCount after delete = %d, want 1", c)
 	}
 }

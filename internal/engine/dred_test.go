@@ -14,9 +14,9 @@ import (
 // deletions): retracting a link that keeps the network connected but kills
 // the cheapest route under the unbounded-cost MINCOST program — the classic
 // count-to-infinity trigger — must terminate with the correct post-churn
-// costs, identically across the serial engine and schedulers under both
-// executors in every provenance mode; and retracting every link must leave zero tuples,
-// prov rows, ruleExec rows, reverse edges and aggregate groups.
+// costs, identically on nodes over a synchronous transport and on the
+// Scheduler in every provenance mode; and retracting every link must leave
+// zero tuples, prov rows, ruleExec rows, reverse edges and aggregate groups.
 
 // dredSquare is a 4-node cycle with a chord: 0-1(1), 1-2(1), 2-3(1),
 // 3-0(1), 0-2(5). Deleting 0-1 disconnects nothing (0 still reaches 1 via
@@ -105,7 +105,7 @@ func settleRandomized(rng *rand.Rand, nodes []*Node) {
 // releasing staged suspects and aggregate promotions in random permutations
 // (random node order, shuffled lists, random strata, random batch sizes)
 // must reach exactly the fixpoint of the batched stratified order, in all
-// four provenance modes, under both executors. The wave order of
+// four provenance modes. The wave order of
 // Node.ReleaseStaged is a round-trip optimization, never a correctness
 // requirement.
 func TestReleaseOrderIndependence(t *testing.T) {
@@ -116,13 +116,13 @@ func TestReleaseOrderIndependence(t *testing.T) {
 	edges, costs := dredSquare()
 	churn := [][2]int{{0, 3}, {0, 1}}
 
-	runRandom := func(t *testing.T, mode ProvMode, batched bool, seed int64) []*Node {
+	runRandom := func(t *testing.T, mode ProvMode, seed int64) []*Node {
 		t.Helper()
 		rng := rand.New(rand.NewSource(seed))
 		tr := &refTransport{}
 		nodes := make([]*Node, 4)
 		for i := range nodes {
-			nodes[i] = newNode(types.NodeID(i), prog, mode, tr, batched)
+			nodes[i] = NewNode(types.NodeID(i), prog, mode, tr)
 		}
 		tr.nodes = nodes
 		for _, e := range edges {
@@ -153,11 +153,9 @@ func TestReleaseOrderIndependence(t *testing.T) {
 	for _, mode := range []ProvMode{ProvNone, ProvReference, ProvValue, ProvCentralized} {
 		t.Run(mode.String(), func(t *testing.T) {
 			ref := runSerialRef(t, prog, mode, 4, edges, churn, costs)
-			for _, batched := range executors {
-				for seed := int64(1); seed <= 4; seed++ {
-					got := runRandom(t, mode, batched, seed)
-					diffStates(t, fmt.Sprintf("%s %s seed=%d", mode, executorName(batched), seed), ref, got)
-				}
+			for seed := int64(1); seed <= 4; seed++ {
+				got := runRandom(t, mode, seed)
+				diffStates(t, fmt.Sprintf("%s seed=%d", mode, seed), ref, got)
 			}
 		})
 	}
@@ -207,12 +205,12 @@ func TestConvergentDeletionCyclicMinCost(t *testing.T) {
 }
 
 // TestFullRetractionCyclicMinCostLeavesNoState retracts every link of the
-// cyclic square, one at a time with interleaved fixpoints, on serial nodes
-// and on schedulers under both executors, in every provenance mode — and requires the
-// engine to end completely empty: no tuples, no prov or ruleExec rows, no
-// reverse edges, no aggregate groups. Before the two-phase retraction
-// discipline this diverged (count-to-infinity) for any deletion that kept
-// the network connected.
+// cyclic square, one at a time with interleaved fixpoints, on nodes over a
+// synchronous transport and on the Scheduler, in every provenance mode — and
+// requires the engine to end completely empty: no tuples, no prov or ruleExec
+// rows, no reverse edges, no aggregate groups. Before the two-phase
+// retraction discipline this diverged (count-to-infinity) for any deletion
+// that kept the network connected.
 func TestFullRetractionCyclicMinCostLeavesNoState(t *testing.T) {
 	prog, err := Compile(apps.MinCost())
 	if err != nil {
@@ -255,34 +253,32 @@ func TestFullRetractionCyclicMinCostLeavesNoState(t *testing.T) {
 		}
 		checkEmpty(t, "serial "+mode.String(), nodes)
 
-		// Schedulers, drain and batched.
-		for _, batched := range executors {
-			label := fmt.Sprintf("sched %s %s", mode, executorName(batched))
-			s := newScheduler(prog, mode, 4, 0, batched)
-			for _, e := range edges {
-				cost := edgeCost(e, costs)
-				s.InsertBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
-				s.InsertBase(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
-			}
+		// The Scheduler.
+		label := "sched " + mode.String()
+		s := NewScheduler(prog, mode, 4, 0, 0)
+		for _, e := range edges {
+			cost := edgeCost(e, costs)
+			s.InsertBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
+			s.InsertBase(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
+		}
+		if err := s.Run(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if s.Node(0).TupleCount("bestPathCost") == 0 {
+			t.Fatalf("%s: nothing derived", label)
+		}
+		for _, e := range edges {
+			cost := edgeCost(e, costs)
+			s.DeleteBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
+			s.DeleteBase(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
 			if err := s.Run(); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if s.Node(0).TupleCount("bestPathCost") == 0 {
-				t.Fatalf("%s: nothing derived", label)
-			}
-			for _, e := range edges {
-				cost := edgeCost(e, costs)
-				s.DeleteBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
-				s.DeleteBase(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
-				if err := s.Run(); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-			}
-			sn := make([]*Node, s.NumNodes())
-			for i := range sn {
-				sn[i] = s.Node(i)
-			}
-			checkEmpty(t, label, sn)
 		}
+		sn := make([]*Node, s.NumNodes())
+		for i := range sn {
+			sn[i] = s.Node(i)
+		}
+		checkEmpty(t, label, sn)
 	}
 }

@@ -13,19 +13,17 @@ import (
 // lives in the node's scratch arenas — one rule firing performs no slice
 // allocation of its own, which the hotpath_test.go fences pin.
 //
-// Two probing disciplines share this code:
+// The fire phase runs against frozen state that includes the whole round's
+// batch. To fire each joint derivation exactly once, a delta at body
+// position p joins atoms q < p against NEW state (end of round) and atoms
+// q > p against OLD state (start of round) — the standard batched semi-naïve
+// decomposition
 //
-//   - Drain: indexes contain exactly the visible tuples and a probe admits
-//     every candidate — the classic pipelined semi-naïve (PSN) evaluation.
-//   - Batched rounds: the fire phase runs against frozen state that
-//     includes the whole round's batch. To fire each joint derivation
-//     exactly once, a delta at body position p joins atoms q < p against
-//     NEW state (end of round) and atoms q > p against OLD state (start of
-//     round) — the standard batched semi-naïve decomposition
-//     ΔH = Σ_p  A₁ⁿᵉʷ ⋈ … ⋈ A₍p₋₁₎ⁿᵉʷ ⋈ ΔA_p ⋈ A₍p₊₁₎ᵒˡᵈ ⋈ … ⋈ A_kᵒˡᵈ,
-//     which telescopes to the exact net change whatever the batch order.
-//     Event deltas (never materialized, so never probed) always see NEW
-//     state: an event observes the batch it arrived with.
+//	ΔH = Σ_p  A₁ⁿᵉʷ ⋈ … ⋈ A₍p₋₁₎ⁿᵉʷ ⋈ ΔA_p ⋈ A₍p₊₁₎ᵒˡᵈ ⋈ … ⋈ A_kᵒˡᵈ,
+//
+// which telescopes to the exact net change whatever the batch order. Event
+// deltas (never materialized, so never probed) always see NEW state: an
+// event observes the batch it arrived with.
 
 // firePlan evaluates the delta plan of (rule, pos) for tuple t and emits
 // head derivations.
@@ -103,22 +101,19 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 		js := &n.joinStats[st.joinID]
 		js.probes++
 		js.hits += int64(len(cands))
-		// Under batched rounds the index still holds entries hidden this
-		// round (unindexing waits for endRound), and a candidate is admitted
-		// against NEW or OLD visibility depending on the probed atom's
-		// position relative to the firing delta (see the file comment).
-		batched := n.batched
+		// The index still holds entries hidden this round (unindexing
+		// waits for endRound), and a candidate is admitted against NEW or
+		// OLD visibility depending on the probed atom's position relative
+		// to the firing delta (see the file comment).
 		admitNew := st.atom < n.fireAtomPos || n.fireIsEvent
 		curRound := n.curRound
 		for _, cand := range cands {
-			if batched {
-				vis := cand.visible
-				if !admitNew && cand.touchRound == curRound {
-					vis = cand.startVis
-				}
-				if !vis {
-					continue
-				}
+			vis := cand.visible
+			if !admitNew && cand.touchRound == curRound {
+				vis = cand.startVis
+			}
+			if !vis {
+				continue
 			}
 			if !bindTuple(st.binds, cand.Tuple, env) {
 				continue
@@ -217,9 +212,8 @@ func (n *Node) ruleExecRow(rid types.ID, label string, inputVIDs []types.ID, sig
 }
 
 // route delivers a derived delta to its destination node: enqueued locally
-// when the head lives here (behind whatever the ring holds — the running
-// drain, or the next round, picks it up), shipped through the transport
-// otherwise.
+// when the head lives here (behind whatever the ring holds — the next round
+// picks it up), shipped through the transport otherwise.
 //
 //exspan:hotpath
 func (n *Node) route(head types.Tuple, dst types.NodeID, sign int8, rid types.ID, payload algebra.Payload) {

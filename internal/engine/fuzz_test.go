@@ -88,8 +88,8 @@ func FuzzDecodeMessage(f *testing.F) {
 
 // arityMismatchMessage is the 8-byte engine message "insert link()": a known
 // predicate with none of its three arguments. It decodes cleanly, and used
-// to panic the receiving node — in every provenance mode and under both
-// executors — when the relation indexed the missing attributes.
+// to panic the receiving node — in every provenance mode — when the relation
+// indexed the missing attributes.
 func arityMismatchMessage() []byte {
 	b, err := hex.DecodeString("0001046c696e6b00")
 	if err != nil {
@@ -131,11 +131,11 @@ func (tr boundedTransport) Send(from, to types.NodeID, m *Message) {
 
 // hostileCluster builds a converged 3-node line cluster of prog (links 0-1
 // and 1-2).
-func hostileCluster(prog *Program, mode ProvMode, batched bool) []*Node {
+func hostileCluster(prog *Program, mode ProvMode) []*Node {
 	tr := boundedTransport{&refTransport{}}
 	nodes := make([]*Node, 3)
 	for i := range nodes {
-		nodes[i] = newNode(types.NodeID(i), prog, mode, tr, batched)
+		nodes[i] = NewNode(types.NodeID(i), prog, mode, tr)
 	}
 	tr.nodes = nodes
 	for _, e := range [][2]int{{0, 1}, {1, 2}} {
@@ -149,8 +149,8 @@ func hostileCluster(prog *Program, mode ProvMode, batched bool) []*Node {
 // handleHostile delivers m at node 0 of a hostileCluster as sent by node 1,
 // then the same tuple as a delete, then runs the release protocol — the full
 // life of a received delta.
-func handleHostile(prog *Program, mode ProvMode, batched bool, m *Message) []*Node {
-	nodes := hostileCluster(prog, mode, batched)
+func handleHostile(prog *Program, mode ProvMode, m *Message) []*Node {
+	nodes := hostileCluster(prog, mode)
 	nodes[0].HandleMessage(1, m)
 	del := *m
 	del.Delta = Delete
@@ -194,54 +194,49 @@ func TestHandleMessageDropsArityMismatch(t *testing.T) {
 	prog := hostilePrograms(t)[0]
 	for _, msg := range append(dropped, badPayloadMessages()...) {
 		for _, mode := range allModes {
-			for _, batched := range executors {
-				cell := fmt.Sprintf("%s %s %s", msg.Tuple, mode, executorName(batched))
-				nodes := handleHostile(prog, mode, batched, msg)
-				for _, n := range nodes {
-					if n.Err != nil {
-						t.Fatalf("%s: node %s: %v", cell, n.ID, n.Err)
-					}
+			cell := fmt.Sprintf("%s %s", msg.Tuple, mode)
+			nodes := handleHostile(prog, mode, msg)
+			for _, n := range nodes {
+				if n.Err != nil {
+					t.Fatalf("%s: node %s: %v", cell, n.ID, n.Err)
 				}
-				if got := nodes[0].TupleCount("link"); got != 1 {
-					t.Errorf("%s: node 0 holds %d links, want its one base link", cell, got)
+			}
+			if got := nodes[0].TupleCount("link"); got != 1 {
+				t.Errorf("%s: node 0 holds %d links, want its one base link", cell, got)
+			}
+			nodes = hostileCluster(prog, mode)
+			untouched, held := StateDigest(nodes[:1]), nodes[0].TupleCount(msg.Tuple.Pred)
+			nodes[0].HandleMessage(1, msg)
+			Settle(nodes...)
+			if slices.Contains(dropped, msg) {
+				if StateDigest(nodes[:1]) != untouched || nodes[0].TupleCount(msg.Tuple.Pred) != held {
+					t.Errorf("%s: the insert alone changed node 0's state", cell)
 				}
-				nodes = hostileCluster(prog, mode, batched)
-				untouched, held := StateDigest(nodes[:1]), nodes[0].TupleCount(msg.Tuple.Pred)
-				nodes[0].HandleMessage(1, msg)
-				Settle(nodes...)
-				if slices.Contains(dropped, msg) {
-					if StateDigest(nodes[:1]) != untouched || nodes[0].TupleCount(msg.Tuple.Pred) != held {
-						t.Errorf("%s: the insert alone changed node 0's state", cell)
-					}
-					continue
-				}
-				want := 2
-				if mode == ProvValue {
-					want = 1
-				}
-				if got := nodes[0].TupleCount("link"); got != want || nodes[0].Err != nil {
-					t.Errorf("%s: insert alone leaves %d links (err %v), want %d", cell, got, nodes[0].Err, want)
-				}
+				continue
+			}
+			want := 2
+			if mode == ProvValue {
+				want = 1
+			}
+			if got := nodes[0].TupleCount("link"); got != want || nodes[0].Err != nil {
+				t.Errorf("%s: insert alone leaves %d links (err %v), want %d", cell, got, nodes[0].Err, want)
 			}
 		}
 	}
 	for _, mode := range allModes {
-		for _, batched := range executors {
-			nodes := hostileCluster(prog, mode, batched)
-			untouched, rows := StateDigest(nodes), nodes[0].Store.NumProv()
-			nodes[0].InsertBase(junk)
-			nodes[0].InjectEvent(eJunk)
-			Settle(nodes...)
-			if StateDigest(nodes) != untouched || nodes[0].Store.NumProv() != rows || nodes[0].TupleCount("junk") != 0 {
-				t.Errorf("%s %s: InsertBase / InjectEvent of an undeclared predicate changed the cluster",
-					mode, executorName(batched))
-			}
+		nodes := hostileCluster(prog, mode)
+		untouched, rows := StateDigest(nodes), nodes[0].Store.NumProv()
+		nodes[0].InsertBase(junk)
+		nodes[0].InjectEvent(eJunk)
+		Settle(nodes...)
+		if StateDigest(nodes) != untouched || nodes[0].Store.NumProv() != rows || nodes[0].TupleCount("junk") != 0 {
+			t.Errorf("%s: InsertBase / InjectEvent of an undeclared predicate changed the cluster", mode)
 		}
 	}
 }
 
 // FuzzHandleMessage feeds every message DecodeMessage accepts to small MINCOST
-// and PATHVECTOR clusters, in every provenance mode under both executors:
+// and PATHVECTOR clusters, in every provenance mode:
 // delivered, then deleted, then released. Property: no panic — a received
 // datagram may be refused, never kill the node.
 func FuzzHandleMessage(f *testing.F) {
@@ -263,9 +258,7 @@ func FuzzHandleMessage(f *testing.F) {
 		}
 		for _, prog := range progs {
 			for _, mode := range allModes {
-				for _, batched := range executors {
-					handleHostile(prog, mode, batched, m)
-				}
+				handleHostile(prog, mode, m)
 			}
 		}
 	})

@@ -15,8 +15,14 @@ import (
 // them starts failing, a change has reintroduced per-delta allocation or
 // re-hashing on the inner loop.
 
+// testRelation builds a standalone relation, outside any node.
+func testRelation(name string) *Relation {
+	r := newRelation(name)
+	return &r
+}
+
 func TestRelationLenTracksVisibility(t *testing.T) {
-	rel := NewRelation("p")
+	rel := testRelation("p")
 	rel.EnsureIndex([]int{0})
 	var entries []*entry
 	for i := 0; i < 5; i++ {
@@ -51,7 +57,7 @@ func TestRelationLenTracksVisibility(t *testing.T) {
 // up the pre-resolved index handle — and requires it to allocate nothing on
 // an index hit.
 func TestJoinProbeAllocFree(t *testing.T) {
-	rel := NewRelation("link")
+	rel := testRelation("link")
 	idx := rel.EnsureIndex([]int{1})
 	for i := 0; i < 100; i++ {
 		e := rel.getOrCreate(types.NewTuple("link",
@@ -106,7 +112,7 @@ func TestValueConstructionOnFiringPathAllocFree(t *testing.T) {
 // tuple at most once: repeated canonical-key lookups and VID reads are
 // allocation-free after the first.
 func TestTupleKeyAndVIDCached(t *testing.T) {
-	rel := NewRelation("p")
+	rel := testRelation("p")
 	tu := types.NewTuple("p", types.Node(1), types.Str("payload"), types.Int(7))
 	e := rel.getOrCreate(tu)
 
@@ -137,7 +143,7 @@ func TestTupleKeyAndVIDCached(t *testing.T) {
 }
 
 // TestSteadyStateFiringAllocs drives the full pipeline — event delta, join
-// probe against a stored relation, head emission, local routing, drain —
+// probe against a stored relation, head emission, local routing, a round —
 // and requires the steady state to stay under one allocation per firing
 // (the arena amortizes head-argument storage across firings).
 func TestSteadyStateFiringAllocs(t *testing.T) {
@@ -163,47 +169,45 @@ func TestSteadyStateFiringAllocs(t *testing.T) {
 	}
 }
 
-// TestAggregateFiringAllocs fences the aggregate path under both executors:
-// steady-state insert/delete cycles through a MIN rule — of a row that never
-// wins (the fast path: the output does not move) and of a row that takes
-// over the group and gives it back (retract, re-emit, rescan) — must stay at
-// or under one allocation per cycle. A group's rows are entry handles that
-// reuse their slice's capacity, relation entries recycle through their
-// tombstones, and emitted outputs come from the arena.
+// TestAggregateFiringAllocs fences the aggregate path: steady-state
+// insert/delete cycles through a MIN rule — of a row that never wins (the
+// fast path: the output does not move) and of a row that takes over the group
+// and gives it back (retract, re-emit, rescan) — must stay at or under one
+// allocation per cycle. A group's rows are entry handles that reuse their
+// slice's capacity, relation entries recycle through their tombstones, and
+// emitted outputs come from the arena.
 func TestAggregateFiringAllocs(t *testing.T) {
 	prog, err := Compile(ndlog.MustParse(`b1 best(@X,min<C,Y>) :- item(@X,Y,C).`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batched := range executors {
-		for _, row := range []struct {
-			name string
-			tup  types.Tuple
-		}{{"loser", item("z", 9)}, {"winner", item("w", 1)}} {
-			n := newNode(0, prog, ProvReference, &refTransport{}, batched)
-			n.InsertBase(item("a", 2))
-			n.InsertBase(item("b", 5))
-			cycle := func() {
-				n.InsertBase(row.tup)
-				n.DeleteBase(row.tup)
-			}
-			for i := 0; i < 16; i++ { // warm arenas, row capacity, tombstones
-				cycle()
-			}
-			fired := n.RulesFired()
-			allocs := testing.AllocsPerRun(300, cycle)
-			if n.Err != nil {
-				t.Fatal(n.Err)
-			}
-			wantBest(t, n, "best(@a,2,a)")
-			t.Logf("%s %s: %.2f allocs per cycle", executorName(batched), row.name, allocs)
-			if row.name == "winner" && n.RulesFired() == fired {
-				t.Fatalf("%s %s: the winner never took over the group", executorName(batched), row.name)
-			}
-			if allocs > 1 {
-				t.Errorf("%s %s: aggregate insert/delete cycle allocated %.2f objects, want ≤ 1",
-					executorName(batched), row.name, allocs)
-			}
+	for _, row := range []struct {
+		name string
+		tup  types.Tuple
+	}{{"loser", item("z", 9)}, {"winner", item("w", 1)}} {
+		n := NewNode(0, prog, ProvReference, &refTransport{})
+		n.InsertBase(item("a", 2))
+		n.InsertBase(item("b", 5))
+		cycle := func() {
+			n.InsertBase(row.tup)
+			n.DeleteBase(row.tup)
+		}
+		for i := 0; i < 16; i++ { // warm arenas, row capacity, tombstones
+			cycle()
+		}
+		fired := n.RulesFired()
+		allocs := testing.AllocsPerRun(300, cycle)
+		if n.Err != nil {
+			t.Fatal(n.Err)
+		}
+		wantBest(t, n, "best(@a,2,a)")
+		t.Logf("%s: %.2f allocs per cycle", row.name, allocs)
+		if row.name == "winner" && n.RulesFired() == fired {
+			t.Fatalf("%s: the winner never took over the group", row.name)
+		}
+		if allocs > 1 {
+			t.Errorf("%s: aggregate insert/delete cycle allocated %.2f objects, want ≤ 1",
+				row.name, allocs)
 		}
 	}
 }
@@ -251,10 +255,10 @@ func TestSchedulerDeliveryAllocFree(t *testing.T) {
 // indexing an entry under a string-valued key used to copy the key bytes on
 // every first sight. With hashed buckets the index stores only a 64-bit hash
 // and recycles bucket boxes through a free list, so steady-state visibility
-// churn — unindex on hide, reindex on show, string keys included — must not
-// allocate at all.
+// churn — hide and unindex (as a round's end does), reindex on show, string
+// keys included — must not allocate at all.
 func TestIndexChurnAllocFree(t *testing.T) {
-	rel := NewRelation("p")
+	rel := testRelation("p")
 	rel.EnsureIndex([]int{1})
 	rel.EnsureIndex([]int{1, 2})
 	var entries []*entry
@@ -265,21 +269,17 @@ func TestIndexChurnAllocFree(t *testing.T) {
 		rel.setVisible(e, true)
 		entries = append(entries, e)
 	}
-	// Warm one full churn cycle so bucket boxes land on the free list.
-	for _, e := range entries {
-		rel.setVisible(e, false)
-	}
-	for _, e := range entries {
-		rel.setVisible(e, true)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	churn := func() {
 		for _, e := range entries {
 			rel.setVisible(e, false)
+			rel.unindex(e)
 		}
 		for _, e := range entries {
 			rel.setVisible(e, true)
 		}
-	})
+	}
+	churn() // warm one full cycle so bucket boxes land on the free list
+	allocs := testing.AllocsPerRun(100, churn)
 	if rel.Len() != len(entries) {
 		t.Fatalf("Len = %d after churn, want %d", rel.Len(), len(entries))
 	}
@@ -288,35 +288,40 @@ func TestIndexChurnAllocFree(t *testing.T) {
 	}
 }
 
-// TestSweepSparesRetractingEntry: when the tombstone sweep fires inside
-// setVisible(e, false), the entry whose retraction triggered it must keep
-// its fields — the caller is still mid-cascade and reads its payload and
-// cached VID afterwards. All other tombstones are cleared and recycled.
+// TestSweepSparesRetractingEntry: a retraction never sweeps. Hiding every
+// entry through setVisible(e, false) reclaims nothing and leaves each entry's
+// fields intact — the round's fire phase still reads their tuples, payloads
+// and cached VIDs — and the end of the round (maybeSweepRound) then reclaims
+// every tombstone.
 func TestSweepSparesRetractingEntry(t *testing.T) {
-	rel := NewRelation("p")
+	rel := testRelation("p")
+	tup := func(i int) types.Tuple { return types.NewTuple("p", types.Node(0), types.Int(int64(i))) }
 	var entries []*entry
 	const n = 300
 	for i := 0; i < n; i++ {
-		e := rel.getOrCreate(types.NewTuple("p", types.Node(0), types.Int(int64(i))))
+		e := rel.getOrCreate(tup(i))
 		e.AddRow(types.ID{byte(i), byte(i >> 8)}, 0)
 		rel.setVisible(e, true)
 		entries = append(entries, e)
 	}
-	// Retract everything; the sweep threshold (dead > 128 && dead >
-	// 2*visible) trips mid-loop while later entries are still visible.
-	swept := false
 	for _, e := range entries {
 		e.DelRow(e.Rows[0].RID)
 		rel.setVisible(e, false)
-		if e.Tuple.Pred == "" {
-			t.Fatal("sweep cleared the entry whose retraction triggered it")
-		}
-		if !swept && len(rel.freeEntries) > 0 {
-			swept = true
+	}
+	if got := len(rel.freeEntries); got != 0 {
+		t.Fatalf("retraction swept %d entries before the end of the round", got)
+	}
+	for i, e := range entries {
+		if !e.Tuple.Equal(tup(i)) {
+			t.Fatalf("entry %d holds %v before the end of the round, want %v", i, e.Tuple, tup(i))
 		}
 	}
-	if !swept {
-		t.Fatal("sweep never triggered; threshold assumptions stale")
+	if !rel.sweepDue() {
+		t.Fatal("vacuous: the sweep threshold is not reached; threshold assumptions stale")
+	}
+	rel.maybeSweepRound()
+	if got := len(rel.freeEntries); got != n {
+		t.Fatalf("end-of-round sweep reclaimed %d of %d tombstones", got, n)
 	}
 	if rel.Len() != 0 {
 		t.Fatalf("Len = %d after full retraction, want 0", rel.Len())

@@ -20,7 +20,8 @@ import (
 // order is a choice (CompiledRule.planable) must reproduce the default
 // plans' canonical state — relations, prov rows and ruleExec rows — at every
 // quiescence point of an insert-then-delete script, in all four provenance
-// modes, on drain nodes and on the batched Scheduler.
+// modes, on nodes over a synchronous transport (one message per ingest) and
+// on the Scheduler (a round of messages per ingest).
 
 // permutations returns every ordering of xs.
 func permutations(xs []int) [][]int {
@@ -144,16 +145,16 @@ type permScript struct {
 	empty bool
 }
 
-// permRun is one cluster of a fence run: drain nodes over the synchronous
-// reference transport, or the batched Scheduler.
+// permRun is one cluster of a fence run: nodes over the synchronous
+// reference transport, or the Scheduler.
 type permRun struct {
 	nodes []*Node
 	step  func(t *testing.T, st permStep)
 }
 
-func startPermRun(prog *Program, mode ProvMode, sc permScript, batched bool) *permRun {
-	if batched {
-		s := newScheduler(prog, mode, sc.nodes, 0, true)
+func startPermRun(prog *Program, mode ProvMode, sc permScript, sched bool) *permRun {
+	if sched {
+		s := NewScheduler(prog, mode, sc.nodes, 0, 0)
 		return &permRun{nodes: s.nodes, step: func(t *testing.T, st permStep) {
 			for _, tup := range st.del {
 				s.DeleteBase(tup.Loc(), tup)
@@ -189,9 +190,10 @@ func startPermRun(prog *Program, mode ProvMode, sc permScript, batched bool) *pe
 	}}
 }
 
-// checkJoinOrders runs the script on drain nodes with the default plans —
-// the reference — and, in lockstep, under every order variant on drain nodes
-// and the batched Scheduler, including the default plans on the Scheduler.
+// checkJoinOrders runs the script on synchronous-transport nodes with the
+// default plans — the reference — and, in lockstep, under every order variant
+// on such nodes and on the Scheduler, including the default plans on the
+// Scheduler.
 // Every run must match the reference's StateDigest after every step. It
 // returns the labels of the rules that probed with a non-default order.
 func checkJoinOrders(t *testing.T, sc permScript) map[string]bool {
@@ -210,10 +212,10 @@ func checkJoinOrders(t *testing.T, sc permScript) map[string]bool {
 		ref := startPermRun(progs[0], mode, sc, false)
 		var runs []variantRun
 		for v, prog := range progs {
-			for _, batched := range executors {
-				if v > 0 || batched {
-					label := fmt.Sprintf("%s %s variant %d", mode, executorName(batched), v)
-					runs = append(runs, variantRun{label, v, startPermRun(prog, mode, sc, batched)})
+			for _, sched := range []bool{false, true} {
+				if v > 0 || sched {
+					label := fmt.Sprintf("%s sched=%v variant %d", mode, sched, v)
+					runs = append(runs, variantRun{label, v, startPermRun(prog, mode, sc, sched)})
 				}
 			}
 		}
@@ -223,7 +225,7 @@ func checkJoinOrders(t *testing.T, sc permScript) map[string]bool {
 			for _, r := range runs {
 				r.step(t, st)
 				if StateDigest(r.nodes) != want {
-					t.Fatalf("%s step %d: state differs from the default plans on drain nodes (- default, + variant)\n%s",
+					t.Fatalf("%s step %d: state differs from the default plans on synchronous-transport nodes (- default, + variant)\n%s",
 						r.label, si, DiffStates(ref.nodes, r.nodes))
 				}
 			}
@@ -359,7 +361,7 @@ func TestPlannerReplanUnderDeletionChurn(t *testing.T) {
 // TestChordPlannerPicksNonSyntaxOrder pins one non-default order end to end:
 // c1's peer-delta plan is rebuilt to probe ident before alive — the default
 // puts alive first, as it binds two positions to ident's one — and run on
-// the batched Scheduler. The -explain rendering (what `exspan -explain`
+// the Scheduler. The -explain rendering (what `exspan -explain`
 // prints) must show the order executed, with measured probes on its first
 // join, and the state must equal the default plans'.
 func TestChordPlannerPicksNonSyntaxOrder(t *testing.T) {

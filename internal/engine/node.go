@@ -48,12 +48,10 @@ func (m ProvMode) String() string {
 // bookkeeping for a single network node — the paper's one dataflow per
 // node. The Node is its whole evaluation state — relations, join indexes,
 // aggregate groups, the delta ring and the scratch arenas rule firing
-// reuses — and runs it with one of two executors, chosen by the driver that
-// built it: a driver handing the node one message per ingest (NewNode:
-// simulator, deployment, synchronous test transports) gets the classic
-// pipelined inline drain; the Scheduler, which hands it a whole round of
-// messages at a time, gets batched rounds (rounds.go). Both reach the same
-// fixpoint state.
+// reuses — and runs it in rounds (rounds.go). Drivers differ only in how
+// much one ingest holds: one message (simulator, deployment, synchronous
+// test transports) or a whole scheduler round of them (Scheduler). Both
+// reach the same fixpoint state.
 type Node struct {
 	ID        types.NodeID
 	Prog      *Program
@@ -89,9 +87,8 @@ type Node struct {
 	// The delta ring (apply.go): queue[qhead:] is pending work.
 	queue []localDelta
 	qhead int
-	// Batched rounds only (rounds.go): the firings deferred by the current
-	// round's apply step, and the aggregate updates its fire step produced
-	// for the next one.
+	// The firings deferred by the current round's apply step, and the
+	// aggregate updates its fire step produced for the next one (rounds.go).
 	fires []fireItem
 	aggIn []aggItem
 
@@ -110,7 +107,7 @@ type Node struct {
 
 	// Scratch arenas, sized at program-compile time and reused across rule
 	// firings. Safe because firing never re-enters the evaluator: derived
-	// deltas are enqueued and processed by drain (or by the next round).
+	// deltas are enqueued and processed by the next round.
 	envBuf     []types.Value
 	matchedBuf []types.Tuple
 	entBuf     []*entry
@@ -145,19 +142,16 @@ type Node struct {
 	stagedGroups []stagedGroup
 
 	// fireAtomPos/fireIsEvent describe the delta currently being fired
-	// (set by firePlan); batched join probes use them to pick the old/new
-	// admission side.
+	// (set by firePlan); join probes use them to pick the old/new admission
+	// side.
 	fireAtomPos int
 	fireIsEvent bool
 
-	// batched selects the executor: batched rounds (rounds.go) instead of
-	// the inline drain. Fixed at construction by the driver (newNode).
-	batched bool
 	// running guards the executor against re-entry: a synchronous transport
 	// can deliver a message back to this node mid-run; the delta is queued
 	// and the outer loop picks it up.
 	running bool
-	// curRound is the batched executor's monotone round counter (rounds.go).
+	// curRound is the executor's monotone round counter (rounds.go).
 	curRound uint32
 }
 
@@ -167,38 +161,18 @@ const (
 	aggArenaChunk = 128
 )
 
-// NewNode creates an engine node for the given compiled program, evaluated by
-// the classic pipelined PSN drain — the executor of every driver that
-// delivers one message per ingest.
-func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node {
-	return newNode(id, prog, mode, tr, false)
-}
-
-// Kept only because bench/ calls them and no PR outside the benchmark's own
-// may edit bench/: a node has one evaluation state, so the count is always 1
-// and NewScheduler ignores its fourth parameter. Nothing else in the tree
-// uses these; the next benchmark PR deletes them.
-const AutoShards = -1
-
-func EffectiveShards(int) int  { return 1 }
-func (n *Node) NumShards() int { return 1 }
-
-// newNode creates an engine node. batched selects the executor and is a fact
-// about the constructing driver, not an option: the Scheduler ingests a whole
-// round of messages at a time and batches, everything else drains — in every
-// provenance mode (ARCHITECTURE.md "Batched rounds under the Scheduler").
+// NewNode creates an engine node for the given compiled program.
 //
 // Everything sized here comes from the compiled program; what depends on the
 // data — relation and index maps, aggregate groups — is created by its first
 // write.
-func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, batched bool) *Node {
+func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node {
 	n := &Node{
 		ID:            id,
 		Prog:          prog,
 		Mode:          mode,
 		Transport:     tr,
 		Store:         provenance.NewStore(id),
-		batched:       batched,
 		argArena:      types.NewArena[types.Value](argArenaChunk),
 		aggRowArena:   types.NewArena[*entry](aggArenaChunk),
 		aggGroupArena: types.NewArena[aggGroup](aggArenaChunk),
@@ -213,7 +187,7 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, batche
 	n.tablesByID = make([]Relation, prog.tablesFor(mode))
 	for _, info := range prog.predList {
 		if !info.Event && n.holds(info) {
-			n.tablesByID[info.tableID] = newRelation(info.Name, n.batched)
+			n.tablesByID[info.tableID] = newRelation(info.Name)
 		}
 	}
 	n.joinIdx = make([]*index, prog.numJoins)
@@ -228,6 +202,15 @@ func newNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, batche
 	n.groupBuf = make([]types.Value, prog.maxGroup)
 	return n
 }
+
+// Kept only because bench/ calls them and no PR outside the benchmark's own
+// may edit bench/: a node has one evaluation state, so the count is always 1
+// and NewScheduler ignores its fourth parameter. Nothing else in the tree
+// uses these; the next benchmark PR deletes them.
+const AutoShards = -1
+
+func EffectiveShards(int) int  { return 1 }
+func (n *Node) NumShards() int { return 1 }
 
 // bindPlans resolves every join step of the program's plans to its index
 // handle, creating any index a plan needs. Runs once, at construction.
@@ -456,29 +439,10 @@ func (n *Node) fail(err error) {
 	}
 }
 
-// Flush runs any pending deposited work to local quiescence under the
-// node's executor (inline drain or batched rounds).
+// Flush runs any pending deposited work to local quiescence.
 func (n *Node) Flush() {
-	if n.Err != nil {
-		return
-	}
-	if n.batched {
+	if n.Err == nil {
 		n.runRounds()
-	} else {
-		n.drain()
-	}
-}
-
-// drain processes queued deltas FIFO until quiescent — the pipelined PSN
-// executor: each delta is applied and its rules fired inline.
-func (n *Node) drain() {
-	if n.running {
-		return
-	}
-	n.running = true
-	defer func() { n.running = false }()
-	for n.qhead < len(n.queue) && n.Err == nil {
-		n.process(n.popDelta())
 	}
 }
 

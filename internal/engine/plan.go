@@ -9,9 +9,8 @@ import (
 
 // This file is the engine's PLAN layer: the compiled, immutable description
 // of how one rule is evaluated incrementally. Compile (program.go) produces
-// one delta plan per body-atom position of every rule; the executors
-// (exec.go, driven by apply.go and rounds.go) run plans against a node's
-// relations.
+// one delta plan per body-atom position of every rule; the executor
+// (exec.go, driven by rounds.go) runs plans against a node's relations.
 //
 // The contract between the layers:
 //

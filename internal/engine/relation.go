@@ -32,9 +32,8 @@ type entry struct {
 	payload algebra.Payload // value mode: ring sum over row payloads
 
 	// touchRound/startVis snapshot the entry's visibility at the start of
-	// the round that first touched it (rounds.go; unused in serial mode) —
-	// the reference point for net-change firing and old-state probe
-	// admission.
+	// the round that first touched it (rounds.go) — the reference point for
+	// net-change firing and old-state probe admission.
 	touchRound uint32
 
 	visible bool
@@ -46,7 +45,7 @@ type entry struct {
 	staged bool
 
 	// aggQueued marks an input of an aggregate update queued for the next
-	// batched round (Node.aggIn). The update finds the entry by pointer in
+	// round (Node.aggIn). The update finds the entry by pointer in
 	// its group's rows, so the sweep at the end of this round must not
 	// reclaim and recycle it; the apply step clears the flag.
 	aggQueued bool
@@ -70,7 +69,9 @@ func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
 }
 
 // Relation is a materialized table with hash indexes maintained
-// incrementally as tuples become visible and invisible.
+// incrementally as tuples become visible and invisible. Removals wait for
+// the end of the round: the fire phase probes OLD state, so a tuple the
+// round hid must still be found (Relation.unindex, maybeSweepRound).
 //
 // Fully retracted entries are kept in the map as tombstones instead of
 // being deleted: under churn the same tuples are re-derived moments later,
@@ -92,12 +93,6 @@ type Relation struct {
 	visible int    // O(1) Len
 	dead    int    // invisible derivation-free entries retained for reuse
 	scratch []byte // reusable key-encoding buffer
-
-	// deferMaint switches the relation to batched-round maintenance:
-	// setVisible defers index removals and tombstone sweeps to the end of
-	// the round (Relation.unindex / maybeSweepRound), because the fire phase
-	// probes OLD state — a tuple the batch hid must still be found.
-	deferMaint bool
 
 	// freeEntries recycles entry structs reclaimed by sweep; entryArena
 	// carves fresh ones (boxing each entry individually was a leading
@@ -208,21 +203,14 @@ func (idx *index) remove(key []byte, e *entry) {
 	}
 }
 
-// NewRelation creates an empty relation.
-func NewRelation(name string) *Relation {
-	r := newRelation(name, false)
-	return &r
-}
-
 // newRelation builds an empty relation by value, so a node can lay all of
 // its program's relations out in one slice. The entries map and each index's
 // bucket map are created by their first write: most relations of most nodes
 // of a large cluster stay empty, and reads, deletes and len on a nil map
 // behave like on an empty one.
-func newRelation(name string, deferMaint bool) Relation {
+func newRelation(name string) Relation {
 	return Relation{
 		name:       name,
-		deferMaint: deferMaint,
 		entryArena: types.NewArena[entry](relationArenaChunk),
 		rowArena:   types.NewArena[provenance.ProvEntry](relationArenaChunk),
 	}
@@ -308,10 +296,10 @@ func (r *Relation) all(yield func(*entry) bool) {
 	}
 }
 
-// setVisible inserts or removes the entry from all indexes. Under deferred
-// maintenance (batched rounds) removals and sweeps wait for the end of the
-// round: the entry stays indexed (filtered by probe admission) until
-// unindex, and tombstones are only reclaimed by maybeSweepRound.
+// setVisible flips the entry's visibility. Showing it indexes it at once;
+// hiding it leaves it indexed (filtered by probe admission) until unindex at
+// the end of the round, and a tombstone is reclaimed only by
+// maybeSweepRound.
 func (r *Relation) setVisible(e *entry, visible bool) {
 	if e.visible == visible {
 		return
@@ -322,47 +310,13 @@ func (r *Relation) setVisible(e *entry, visible bool) {
 	} else {
 		r.visible--
 	}
-	if r.deferMaint {
-		if visible && !e.indexed {
-			r.indexAdd(e)
-		}
-		if !visible && len(e.Rows) == 0 {
-			r.dead++
-		}
-		return
-	}
-	for _, idx := range r.indexes {
-		r.scratch = appendIndexKey(r.scratch[:0], e.Tuple, idx.positions)
-		if visible {
-			idx.add(r.scratch, e)
-		} else {
-			idx.remove(r.scratch, e)
-		}
+	if visible && !e.indexed {
+		r.indexAdd(e)
 	}
 	if !visible && len(e.Rows) == 0 {
-		// Tombstone the entry for reuse rather than deleting it. Its fields
-		// are left untouched — the caller is still mid-retraction and fires
-		// the delete cascade with e.payload; getOrCreate revives it.
+		// Tombstone the entry for reuse rather than deleting it;
+		// getOrCreate revives it.
 		r.dead++
-		if r.sweepDue() {
-			r.sweep(e)
-		}
-	}
-}
-
-// sweepDue reports whether tombstones dominate the live population — the
-// single threshold every sweep trigger (inline, noteDead, end of round)
-// shares.
-func (r *Relation) sweepDue() bool { return r.dead > 128 && r.dead > 2*r.visible }
-
-// noteDead counts an entry that became derivation-free while already
-// invisible — the over-delete path hides a suspect before its last
-// derivation is consumed, so setVisible's tombstone accounting never sees
-// the transition. Sweeping is deferred to the usual thresholds.
-func (r *Relation) noteDead(e *entry) {
-	r.dead++
-	if !r.deferMaint && r.sweepDue() {
-		r.sweep(e)
 	}
 }
 
@@ -375,8 +329,8 @@ func (r *Relation) indexAdd(e *entry) {
 	e.indexed = true
 }
 
-// unindex removes the entry from every index (deferred maintenance; called
-// at the end of a round for entries that netted to invisible).
+// unindex removes the entry from every index (called at the end of a round
+// for entries that netted to invisible).
 func (r *Relation) unindex(e *entry) {
 	for _, idx := range r.indexes {
 		r.scratch = appendIndexKey(r.scratch[:0], e.Tuple, idx.positions)
@@ -385,26 +339,25 @@ func (r *Relation) unindex(e *entry) {
 	e.indexed = false
 }
 
+// sweepDue reports whether tombstones dominate the live population.
+func (r *Relation) sweepDue() bool { return r.dead > 128 && r.dead > 2*r.visible }
+
 // maybeSweepRound reclaims tombstones at the end of a round once they
-// dominate the live population — the deferred-maintenance counterpart of
-// the sweep setVisible triggers inline.
+// dominate the live population.
 func (r *Relation) maybeSweepRound() {
 	if r.sweepDue() {
-		r.sweep(nil)
+		r.sweep()
 	}
 }
 
-// sweep deletes all tombstones except spare, bounding retained memory to a
-// small factor of the live entry count. Swept entries are cleared
-// (releasing their tuples) and recycled through the free list.
-// spare is the entry whose retraction triggered the sweep: its caller is
-// still mid-cascade and reads its payload and cached VID after this
-// returns, so it must survive untouched.
-func (r *Relation) sweep(spare *entry) {
+// sweep deletes all tombstones, bounding retained memory to a small factor
+// of the live entry count. Swept entries are cleared (releasing their
+// tuples) and recycled through the free list.
+func (r *Relation) sweep() {
 	// Free-list order only decides which cleared box getOrCreate reuses;
 	// entry pointer identity never reaches state, ordering or the wire.
 	reclaim := func(e *entry) bool {
-		if e == spare || e.visible || len(e.Rows) > 0 || e.staged || e.aggQueued {
+		if e.visible || len(e.Rows) > 0 || e.staged || e.aggQueued {
 			return false
 		}
 		*e = entry{}
@@ -424,9 +377,6 @@ func (r *Relation) sweep(spare *entry) {
 		}
 	}
 	r.dead = 0
-	if spare != nil {
-		r.dead = 1 // the spared tombstone remains
-	}
 }
 
 func removeEntry(list []*entry, e *entry) []*entry {

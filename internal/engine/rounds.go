@@ -5,13 +5,14 @@ import (
 	"repro/internal/types"
 )
 
-// This file is the batched-rounds executor: what a node built by the
-// Scheduler runs instead of the inline drain. The Scheduler hands a node a
-// whole round of messages at once; evaluating them as one batch nets out
-// transient visibility flips and aggregate re-elections before anything is
-// derived from them, which is where CHORD's 3.76× wire-byte saving over the
-// per-message drain comes from (PERFORMANCE.md "Why a node has two execution
-// paths"). Each round has three steps, all on the calling goroutine:
+// This file is the node's executor: every ingest runs batched rounds until
+// nothing is pending. A driver decides only how much one ingest holds — one
+// message (simulator, deployment, synchronous transports) or a whole
+// scheduler round of them (Scheduler). Evaluating a round as one batch nets
+// out transient visibility flips and aggregate re-elections before anything
+// is derived from them, which is where CHORD's 3.76× wire-byte saving on the
+// Scheduler comes from (PERFORMANCE.md "Why every node runs rounds"). Each
+// round has three steps, all on the calling goroutine:
 //
 //  1. APPLY. The delta ring is drained into relation entries, index
 //     postings, prov rows and — from aggIn — aggregate groups. Firing is
@@ -30,9 +31,10 @@ import (
 //
 // Rounds repeat until nothing is pending. The execution is deterministic:
 // one goroutine, FIFO rings, candidate enumeration in index-bucket order.
-// Against the drain the fixpoint state (relations, provenance rows, net
-// derivations) is identical, while transient aggregate outputs may be elided
-// by batching (see ARCHITECTURE.md "Batched rounds under the Scheduler").
+// However a driver sizes its ingests, the fixpoint state (relations,
+// provenance rows, net derivations) is identical; only transient aggregate
+// outputs may be elided by larger batches (see ARCHITECTURE.md "Batched
+// rounds under the Scheduler").
 
 // fireItem is one deferred firing: either an event delta (fires with its
 // own sign and payload) or a stored entry touched this round (fires with its
@@ -57,14 +59,14 @@ type aggItem struct {
 	sign int8
 }
 
-// markTouched records a stored entry's first touch of a batched node's
-// round, before the delta changes it: its start-of-round visibility and
-// payload (against which the net change and the old-state probe admissions
-// are decided) and a fire-list slot. A draining node records nothing.
+// markTouched records a stored entry's first touch of a round, before the
+// delta changes it: its start-of-round visibility and payload (against which
+// the net change and the old-state probe admissions are decided) and a
+// fire-list slot.
 //
 //exspan:hotpath
 func (n *Node) markTouched(rel *Relation, e *entry, occs []occurrence) {
-	if !n.batched || e.touchRound == n.curRound {
+	if e.touchRound == n.curRound {
 		return
 	}
 	e.touchRound = n.curRound
@@ -142,7 +144,7 @@ func (n *Node) endRound() {
 	}
 }
 
-// runRounds executes batched rounds until the node is locally quiescent.
+// runRounds executes rounds until the node is locally quiescent.
 // Re-entrant calls (a synchronous transport delivering a message back to
 // this node mid-fire) just deposit and return — the loop picks the work up
 // next round.

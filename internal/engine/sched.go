@@ -19,9 +19,8 @@ import (
 // quiescence (in parallel — nodes share no mutable state), then delivers the
 // buffered cross-node messages in (source node, emission order) — a fixed
 // merge order, so a run is deterministic regardless of how the goroutines
-// interleave or how many there are. Because a node receives a whole round of
-// messages at once, the Scheduler's nodes evaluate them as one batch
-// (rounds.go); that is a property of this driver, not a setting. Byte
+// interleave or how many there are. A node receives a whole round of
+// messages as one ingest and evaluates them as one batch (rounds.go). Byte
 // accounting charges the same ledger (stats.Traffic) the simulator and the
 // UDP deployment charge — wire size plus datagram overhead per message — so
 // totals are comparable.
@@ -51,12 +50,6 @@ type Scheduler struct {
 // `workers` goroutines (0 = GOMAXPROCS). The fourth parameter is ignored: a
 // shim kept for bench/ (see the note in node.go).
 func NewScheduler(prog *Program, mode ProvMode, nNodes, _, workers int) *Scheduler {
-	return newScheduler(prog, mode, nNodes, workers, true)
-}
-
-// newScheduler is NewScheduler with the node executor exposed, so tests can
-// run the inline drain under the same driver and diff the two.
-func newScheduler(prog *Program, mode ProvMode, nNodes, workers int, batched bool) *Scheduler {
 	s := &Scheduler{
 		Prog:    prog,
 		Mode:    mode,
@@ -66,7 +59,7 @@ func newScheduler(prog *Program, mode ProvMode, nNodes, workers int, batched boo
 	}
 	s.nodes = make([]*Node, nNodes)
 	for i := range s.nodes {
-		n := newNode(types.NodeID(i), prog, mode, schedTransport{s}, batched)
+		n := NewNode(types.NodeID(i), prog, mode, schedTransport{s})
 		// A node runs its whole local fixpoint on one goroutine, so each
 		// gets a private message free list; deliver (serial, between
 		// rounds) releases messages back to the sender's pool once

@@ -12,23 +12,12 @@ import (
 	"repro/internal/types"
 )
 
-// These tests pin the two executors' equivalence contract: the canonical
-// fixpoint state (WriteStates) of batched rounds matches the inline drain's
-// exactly, from-scratch and
-// under delete/re-insert churn. They run the same random topologies through
-// drain nodes on a synchronous transport (the reference), a scheduler whose
-// nodes drain and the production scheduler (batched), and diff the outcomes.
-
-// executors is the test dimension of a node's two executors: the inline
-// drain (false) and batched rounds (true).
-var executors = []bool{false, true}
-
-func executorName(batched bool) string {
-	if batched {
-		return "batched"
-	}
-	return "drain"
-}
+// These tests pin the Scheduler's equivalence contract: the canonical
+// fixpoint state (WriteStates) of a cluster whose nodes ingest a whole round
+// of messages at a time matches that of nodes ingesting one message at a
+// time over a synchronous transport (the reference) exactly, from scratch
+// and under delete/re-insert churn. They run the same random topologies
+// through both and diff the outcomes.
 
 // randomLinks generates a connected random graph: a spanning tree plus a few
 // extra edges, deduplicated (parallel links with distinct costs drive the
@@ -71,10 +60,10 @@ func linkTup(u, v int, cost int64) types.Tuple {
 }
 
 // runSched drives one scheduler cluster through the insert/churn script.
-func runSched(t *testing.T, prog *Program, mode ProvMode, nNodes int, batched bool, workers int,
+func runSched(t *testing.T, prog *Program, mode ProvMode, nNodes int, workers int,
 	edges [][2]int, churn [][2]int, costs map[[2]int]int64) *Scheduler {
 	t.Helper()
-	s := newScheduler(prog, mode, nNodes, workers, batched)
+	s := NewScheduler(prog, mode, nNodes, 0, workers)
 	for _, e := range edges {
 		cost := edgeCost(e, costs)
 		s.InsertBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
@@ -99,10 +88,10 @@ func runSched(t *testing.T, prog *Program, mode ProvMode, nNodes int, batched bo
 	return s
 }
 
-// runSerialRef computes the same script on the serial reference (plain
-// NewNode + synchronous FIFO transport). The transport cascades to
-// global quiescence inside every InsertBase/DeleteBase, so each op is
-// followed by a Settle releasing the retraction protocol's staged
+// runSerialRef computes the same script on the serial reference (NewNode over
+// a synchronous FIFO transport, one message per ingest). The transport
+// cascades to global quiescence inside every InsertBase/DeleteBase, so each
+// op is followed by a Settle releasing the retraction protocol's staged
 // re-derivations — the serial analogue of the drivers' idle-point release.
 func runSerialRef(t *testing.T, prog *Program, mode ProvMode, nNodes int,
 	edges [][2]int, churn [][2]int, costs map[[2]int]int64) []*Node {
@@ -199,24 +188,19 @@ func executorEquivalence(t *testing.T, prog *Program, mode ProvMode, seed int64,
 }
 
 // equivalenceOn runs one explicit insert/churn script through the serial
-// reference and several scheduler configurations and diffs the outcomes.
-// costs overrides edgeCost per (u,v) pair when non-nil.
+// reference and schedulers of one and of four workers and diffs the
+// outcomes. costs overrides edgeCost per (u,v) pair when non-nil.
 func equivalenceOn(t *testing.T, prog *Program, mode ProvMode,
 	nNodes int, edges, churn [][2]int, costs map[[2]int]int64) {
 	t.Helper()
 	serial := runSerialRef(t, prog, mode, nNodes, edges, churn, costs)
-	for _, batched := range executors {
-		for _, workers := range []int{1, 4} {
-			s := runSched(t, prog, mode, nNodes, batched, workers, edges, churn, costs)
-			label := fmt.Sprintf("%s workers=%d", executorName(batched), workers)
-			diffStates(t, label, serial, s.Engines())
-		}
-	}
+	a := runSched(t, prog, mode, nNodes, 1, edges, churn, costs)
+	b := runSched(t, prog, mode, nNodes, 4, edges, churn, costs)
+	diffStates(t, "workers=1", serial, a.Engines())
+	diffStates(t, "workers=4", serial, b.Engines())
 
-	// Determinism across worker counts and repeated runs: byte accounting
-	// and round counts of the production scheduler must reproduce exactly.
-	a := runSched(t, prog, mode, nNodes, true, 1, edges, churn, costs)
-	b := runSched(t, prog, mode, nNodes, true, 4, edges, churn, costs)
+	// Determinism across worker counts: byte accounting and round counts
+	// must reproduce exactly.
 	if a.TotalBytes != b.TotalBytes || a.Rounds != b.Rounds {
 		t.Errorf("scheduler runs diverge: bytes %d vs %d, rounds %d vs %d",
 			a.TotalBytes, b.TotalBytes, a.Rounds, b.Rounds)
@@ -248,7 +232,7 @@ func topoScript(topo *topology.Topology, churnN int) (edges, churn [][2]int, cos
 	return edges, churn, costs
 }
 
-func TestShardedMinCostMatchesSerial(t *testing.T) {
+func TestMinCostSchedulerMatchesSyncTransport(t *testing.T) {
 	prog, err := Compile(apps.MinCost())
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +254,7 @@ func TestShardedMinCostMatchesSerial(t *testing.T) {
 	executorEquivalence(t, prog, ProvNone, 6, 4, true)
 }
 
-func TestShardedPathVectorMatchesSerial(t *testing.T) {
+func TestPathVectorSchedulerMatchesSyncTransport(t *testing.T) {
 	prog, err := Compile(apps.PathVector())
 	if err != nil {
 		t.Fatal(err)
@@ -278,10 +262,11 @@ func TestShardedPathVectorMatchesSerial(t *testing.T) {
 	executorEquivalence(t, prog, ProvReference, 7, 3, true)
 }
 
-// TestShardedReachChurnMatchesSerial exercises delete/re-derive churn over a
-// CYCLIC recursive program (derivations support each other around cycles —
-// the hardest case for exact counting retraction) in both provenance modes.
-func TestShardedReachChurnMatchesSerial(t *testing.T) {
+// TestReachChurnSchedulerMatchesSyncTransport exercises delete/re-derive
+// churn over a CYCLIC recursive program (derivations support each other
+// around cycles — the hardest case for exact counting retraction) in both
+// provenance modes.
+func TestReachChurnSchedulerMatchesSyncTransport(t *testing.T) {
 	prog, err := Compile(ndlog.MustParse(`
 r1 reach(@Y,X) :- link(@X,Y,C).
 r2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X).
@@ -295,15 +280,18 @@ r2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X).
 	}
 }
 
-// TestValueModeSwapChurnMatchesDrain re-costs a random subset of links in
-// one run: each link's old tuple is deleted and its new one inserted before
-// the scheduler runs, so a non-recursive derived tuple (hop, two) can lose
-// its only derivation and gain another within one batched round, ending
-// visible with a new payload. (A recursive one is over-deleted instead, and
-// the other equivalence fences re-insert the tuple they deleted, which never
-// moves a payload that way.) Value-mode states of both executors must agree,
-// over one shared variable numbering.
-func TestValueModeSwapChurnMatchesDrain(t *testing.T) {
+// TestValueModeSwapChurnMatchesSyncTransport re-costs a random subset of
+// links in one run: each link's old tuple is deleted and its new one inserted
+// before the scheduler runs, so a non-recursive derived tuple (hop, two) can
+// lose its only derivation and gain another within one round, ending visible
+// with a new payload. (A recursive one is over-deleted instead, and the other
+// equivalence fences re-insert the tuple they deleted, which never moves a
+// payload that way.) The reference drives the same insert, then swap script
+// through nodes over a synchronous transport, where the swap's deletes reach
+// a fixpoint before its inserts begin: there the payload moves by a Delete
+// and an Insert, on the Scheduler only by the fire phase's Update. Value-mode
+// states must agree.
+func TestValueModeSwapChurnMatchesSyncTransport(t *testing.T) {
 	prog, err := Compile(ndlog.MustParse(`
 h1 hop(@Y,X) :- link(@X,Y,C).
 h2 two(@Z,X) :- link(@Y,Z,C), hop(@Y,X).
@@ -328,15 +316,35 @@ r2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X).
 			do(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
 			do(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
 		}
-		run := func(batched bool, workers int) []*Node {
-			s := newScheduler(prog, ProvValue, nNodes, workers, batched)
-			var base []types.Tuple
-			for _, e := range edges {
-				base = append(base, linkTup(e[0], e[1], 1), linkTup(e[1], e[0], 1))
+
+		tr := &refTransport{}
+		ref := make([]*Node, nNodes)
+		for i := range ref {
+			ref[i] = NewNode(types.NodeID(i), prog, ProvValue, tr)
+		}
+		tr.nodes = ref
+		insert := func(at types.NodeID, tup types.Tuple) { ref[at].InsertBase(tup) }
+		remove := func(at types.NodeID, tup types.Tuple) { ref[at].DeleteBase(tup) }
+		for _, e := range edges {
+			both(insert, e, 1)
+		}
+		Settle(ref...)
+		for _, e := range swapped {
+			both(remove, e, 1)
+		}
+		Settle(ref...)
+		for _, e := range swapped {
+			both(insert, e, 2)
+		}
+		Settle(ref...)
+		for _, n := range ref {
+			if n.Err != nil {
+				t.Fatalf("sync reference: %v", n.Err)
 			}
-			for _, e := range swapped {
-				base = append(base, linkTup(e[0], e[1], 2), linkTup(e[1], e[0], 2))
-			}
+		}
+
+		for _, workers := range []int{1, 4} {
+			s := NewScheduler(prog, ProvValue, nNodes, 0, workers)
 			for _, e := range edges {
 				both(s.InsertBase, e, 1)
 			}
@@ -350,20 +358,16 @@ r2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X).
 			if err := s.Run(); err != nil {
 				t.Fatalf("swap fixpoint: %v", err)
 			}
-			return s.Engines()
-		}
-		drain := run(false, 1)
-		for _, workers := range []int{1, 4} {
-			diffStates(t, fmt.Sprintf("seed %d batched workers=%d", seed, workers), drain, run(true, workers))
+			diffStates(t, fmt.Sprintf("seed %d workers=%d", seed, workers), ref, s.Engines())
 		}
 	}
 }
 
-// TestShardedNodeUnderSyncTransport drives batched nodes through the
-// HandleMessage path (self-driven node-local rounds, one message per ingest,
-// sends delivered — and answered — in the middle of a fire phase) rather
-// than the scheduler, and checks the same fixpoint.
-func TestShardedNodeUnderSyncTransport(t *testing.T) {
+// TestSyncTransportMatchesScheduler drives nodes through the HandleMessage
+// path (node-local rounds of one message per ingest, sends delivered — and
+// answered — in the middle of a fire phase) and checks them against the
+// fixpoint the Scheduler reaches on the same ring.
+func TestSyncTransportMatchesScheduler(t *testing.T) {
 	prog, err := Compile(apps.MinCost())
 	if err != nil {
 		t.Fatal(err)
@@ -372,12 +376,12 @@ func TestShardedNodeUnderSyncTransport(t *testing.T) {
 	nNodes := topo.N
 	edges, _, costs := topoScript(topo, 0)
 
-	serial := runSerialRef(t, prog, ProvReference, nNodes, edges, nil, costs)
+	sched := runSched(t, prog, ProvReference, nNodes, 1, edges, nil, costs)
 
 	tr := &refTransport{}
 	nodes := make([]*Node, nNodes)
 	for i := range nodes {
-		nodes[i] = newNode(types.NodeID(i), prog, ProvReference, tr, true)
+		nodes[i] = NewNode(types.NodeID(i), prog, ProvReference, tr)
 	}
 	tr.nodes = nodes
 	for _, e := range edges {
@@ -391,7 +395,7 @@ func TestShardedNodeUnderSyncTransport(t *testing.T) {
 			t.Fatal(n.Err)
 		}
 	}
-	diffStates(t, "sync transport batched", serial, nodes)
+	diffStates(t, "sync transport", sched.Engines(), nodes)
 }
 
 // TestSchedulerFixpointIndependentOfHost is the fence for "batching is a

@@ -71,34 +71,30 @@ r2 top(@X) :- mid(@X), q(@X).
 
 // TestValueModeEventPayloadUnderBothExecutors: an injected event carries the
 // ring's One, so a head joined from it and a stored tuple has that tuple's
-// payload — under the inline drain and under batched rounds, where the event
-// fires from the round's fire step.
+// payload when the event fires from the round's fire step.
 func TestValueModeEventPayloadUnderBothExecutors(t *testing.T) {
 	prog := mustCompile(t, `r1 got(@X,Y) :- eHit(@X,Y), p(@X).`)
 	p := types.NewTuple("p", types.Node(0))
 	got := types.NewTuple("got", types.Node(0), types.Int(1))
-	for _, batched := range executors {
-		s := newScheduler(prog, ProvValue, 1, 1, batched)
-		s.InsertBase(0, p)
-		s.InjectEvent(0, types.NewTuple("eHit", types.Node(0), types.Int(1)))
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		n := s.nodes[0]
-		payload, ok := n.PayloadOf(got)
-		if want := n.Ring.FromBase(algebra.Base{VID: p.VID()}); !ok || payload != want {
-			t.Errorf("%s: got = %x (visible %v), want p's payload %x",
-				executorName(batched), n.Ring.Encode(payload), ok, n.Ring.Encode(want))
-		}
+	s := NewScheduler(prog, ProvValue, 1, 0, 1)
+	s.InsertBase(0, p)
+	s.InjectEvent(0, types.NewTuple("eHit", types.Node(0), types.Int(1)))
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	n := s.nodes[0]
+	payload, ok := n.PayloadOf(got)
+	if want := n.Ring.FromBase(algebra.Base{VID: p.VID()}); !ok || payload != want {
+		t.Errorf("got = %x (visible %v), want p's payload %x",
+			n.Ring.Encode(payload), ok, n.Ring.Encode(want))
 	}
 }
 
 // TestValueModeSwapInOneRound: a visible tuple whose only derivation is
-// swapped for another within one batched round (delete the old, insert the
-// new) ends the round visible — no net transition — with a new payload.
-// Consumers must receive that payload: the round's fire step sends an Update
-// for a visible tuple whose payload moved, so downstream state equals the
-// drain's under both executors.
+// swapped for another within one round (delete the old, insert the new) ends
+// the round visible — no net transition — with a new payload. Consumers must
+// receive that payload: the round's fire step sends an Update for a visible
+// tuple whose payload moved.
 func TestValueModeSwapInOneRound(t *testing.T) {
 	prog := mustCompile(t, `
 r1 mid(@X) :- p(@X,Y).
@@ -108,27 +104,25 @@ r3 low(@X) :- q(@X), mid(@X).
 	q := types.NewTuple("q", types.Node(0))
 	p1 := types.NewTuple("p", types.Node(0), types.Int(1))
 	p2 := types.NewTuple("p", types.Node(0), types.Int(2))
-	for _, batched := range executors {
-		s := newScheduler(prog, ProvValue, 1, 1, batched)
-		s.InsertBase(0, q)
-		s.InsertBase(0, p1)
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		s.DeleteBase(0, p1)
-		s.InsertBase(0, p2)
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		n := s.nodes[0]
-		r := n.Ring
-		want := r.Mul(r.FromBase(algebra.Base{VID: p2.VID()}), r.FromBase(algebra.Base{VID: q.VID()}))
-		for _, head := range []string{"top", "low"} {
-			got, ok := n.PayloadOf(types.NewTuple(head, types.Node(0)))
-			if !ok || got != want {
-				t.Errorf("%s: %s = %x (visible %v), want p2·q %x",
-					executorName(batched), head, r.Encode(got), ok, r.Encode(want))
-			}
+	s := NewScheduler(prog, ProvValue, 1, 0, 1)
+	s.InsertBase(0, q)
+	s.InsertBase(0, p1)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.DeleteBase(0, p1)
+	s.InsertBase(0, p2)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	n := s.nodes[0]
+	r := n.Ring
+	want := r.Mul(r.FromBase(algebra.Base{VID: p2.VID()}), r.FromBase(algebra.Base{VID: q.VID()}))
+	for _, head := range []string{"top", "low"} {
+		got, ok := n.PayloadOf(types.NewTuple(head, types.Node(0)))
+		if !ok || got != want {
+			t.Errorf("%s = %x (visible %v), want p2·q %x",
+				head, r.Encode(got), ok, r.Encode(want))
 		}
 	}
 }

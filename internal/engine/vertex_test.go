@@ -9,6 +9,16 @@ import (
 	"repro/internal/types"
 )
 
+// drivers are the two ways the vertex fences drive nodes, one message per
+// ingest (nodes over a synchronous transport) and a round of messages per
+// ingest (the Scheduler). The subtest names predate the single executor and
+// stay, as dumpprov.golden's cell labels do: "drain" names the first driver
+// and "batched" the second.
+var drivers = []struct {
+	name  string
+	sched bool
+}{{"drain", false}, {"batched", true}}
+
 // TestVertexLifetime pins the contract between a relation entry and the
 // provenance vertex it embeds (reference mode): the store resolves the VID to
 // the entry's own vertex while the entry has rows, forgets it with the last
@@ -16,6 +26,7 @@ import (
 // registration — the bug this design can introduce — would leave readers
 // resolving a retracted tuple, or resolve a re-derived one to nothing. Event
 // tuples keep no entry: their insert/delete pair must leave no vertex behind.
+// It runs under both drivers.
 func TestVertexLifetime(t *testing.T) {
 	prog, err := Compile(ndlog.MustParse(`
 r1 out(@X,Y) :- in(@X,Y).
@@ -26,22 +37,25 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batched := range executors {
-		t.Run(executorName(batched), func(t *testing.T) {
-			n := newNode(0, prog, ProvReference, &testNet{}, batched)
+	for _, drv := range drivers {
+		t.Run(drv.name, func(t *testing.T) {
+			run := startPermRun(prog, ProvReference, permScript{nodes: 1}, drv.sched)
+			n := run.nodes[0]
+			insert := func(tu types.Tuple) { run.step(t, permStep{ins: []types.Tuple{tu}}) }
+			remove := func(tu types.Tuple) { run.step(t, permStep{del: []types.Tuple{tu}}) }
 			st := n.Store
 			tup := func(pred string, y int64) types.Tuple {
 				return types.NewTuple(pred, types.Node(0), types.Int(y))
 			}
 			out, event := tup("out", 1), tup("eSeen", 1)
 
-			n.InsertBase(tup("in", 2)) // bystander rows: the prior level is not zero
+			insert(tup("in", 2)) // bystander rows: the prior level is not zero
 			prior := st.NumProv()
 			if prior == 0 {
 				t.Fatal("bystander wrote no prov rows")
 			}
 
-			n.InsertBase(tup("in", 1))
+			insert(tup("in", 1))
 			if n.Err != nil {
 				t.Fatal(n.Err)
 			}
@@ -56,7 +70,7 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 				t.Fatal("event insert recorded no prov row")
 			}
 
-			n.DeleteBase(tup("in", 1))
+			remove(tup("in", 1))
 			if n.lookup("out").get(out) != e || e.visible || len(e.Rows) != 0 {
 				t.Fatal("vacuous: the retracted entry is not a tombstone")
 			}
@@ -70,14 +84,14 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 				t.Fatalf("NumProv after retraction = %d, want the prior %d", got, prior)
 			}
 
-			n.InsertBase(tup("in", 1))
+			insert(tup("in", 1))
 			if n.lookup("out").get(out) != e || st.Lookup(out.VID()) != &e.Vertex {
 				t.Fatal("after re-derivation: the revived tombstone's vertex is not the one registered")
 			}
 			if d := st.Derivations(out.VID()); len(d) != 1 || d[0].Count != 1 {
 				t.Fatalf("re-derived tuple has rows %+v, want exactly one", d)
 			}
-			n.InsertBase(tup("alt", 1))
+			insert(tup("alt", 1))
 			if d := st.Derivations(out.VID()); len(d) != 2 {
 				t.Fatalf("second derivation after revival: rows %+v, want two", d)
 			}
@@ -126,8 +140,8 @@ func checkVertexRegistration(t *testing.T, n *Node, step string) {
 
 // TestVertexRegistrationUnderChurn runs a seeded insert/delete/re-insert
 // schedule of links under a recursive reachability program (cyclic support,
-// so retraction over-deletes and re-derives) in reference mode on both
-// executors, and checks checkVertexRegistration on every node after every
+// so retraction over-deletes and re-derives) in reference mode under both
+// drivers, and checks checkVertexRegistration on every node after every
 // step. Revived tombstones, over-deleted suspects and swept entries all pass
 // through the schedule.
 func TestVertexRegistrationUnderChurn(t *testing.T) {
@@ -142,10 +156,10 @@ r2 reach(@Z,D) :- link(@S,Z), reach(@S,D).
 	link := func(u, v int) types.Tuple {
 		return types.NewTuple("link", types.Node(types.NodeID(u)), types.Node(types.NodeID(v)))
 	}
-	for _, batched := range executors {
-		t.Run(executorName(batched), func(t *testing.T) {
+	for _, drv := range drivers {
+		t.Run(drv.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			s := newScheduler(prog, ProvReference, nodes, 1, batched)
+			run := startPermRun(prog, ProvReference, permScript{nodes: nodes}, drv.sched)
 			up := map[[2]int]bool{}
 			for step := 0; step < steps; step++ {
 				u, v := rng.Intn(nodes), rng.Intn(nodes-1)
@@ -155,22 +169,19 @@ r2 reach(@Z,D) :- link(@S,Z), reach(@S,D).
 				if u > v {
 					u, v = v, u
 				}
-				op := s.InsertBase
+				flip := []types.Tuple{link(u, v), link(v, u)}
 				if up[[2]int{u, v}] {
-					op = s.DeleteBase
+					run.step(t, permStep{del: flip})
+				} else {
+					run.step(t, permStep{ins: flip})
 				}
 				up[[2]int{u, v}] = !up[[2]int{u, v}]
-				op(types.NodeID(u), link(u, v))
-				op(types.NodeID(v), link(v, u))
-				if err := s.Run(); err != nil {
-					t.Fatal(err)
-				}
-				for _, n := range s.Engines() {
+				for _, n := range run.nodes {
 					checkVertexRegistration(t, n, fmt.Sprintf("step %d", step))
 				}
 			}
 			var derived int
-			for _, n := range s.Engines() {
+			for _, n := range run.nodes {
 				derived += n.TupleCount("reach")
 			}
 			if derived == 0 {
