@@ -61,19 +61,23 @@ func totalMsgs(c *Cluster) int64 {
 // fixpoint on the scheduler, and require a rerun to reproduce the exact
 // delta count, wire-byte total and a sampled slice of the fixpoint — the
 // parallel worker pool at four orders of magnitude above the unit topologies
-// must stay bit-deterministic. Gated behind -short; `make scale-smoke`
-// runs it in CI.
+// must stay bit-deterministic — and bound what a converged node retains.
+// Gated behind -short; `make scale-smoke` runs it in CI.
 func TestScaleChordDeterminism10k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node smoke")
 	}
-	const n = 10000
-	run := func() (int64, int64, string) {
+	const (
+		n          = 10000
+		maxPerNode = 16896
+	)
+	run := func() (int64, int64, string, uint64) {
 		topo := topology.Ring(n, rand.New(rand.NewSource(77)))
 		prog, err := engine.Compile(apps.Chord())
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := liveHeap()
 		s := engine.NewScheduler(prog, engine.ProvNone, topo.N, 0, 0)
 		base := apps.ChordBase(topo)
 		for i := 0; i < topo.N; i++ {
@@ -90,6 +94,7 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
+		perNode := (liveHeap() - before) / n
 		var deltas int64
 		for i := 0; i < s.NumNodes(); i++ {
 			deltas += s.Node(i).DeltasProcessed()
@@ -108,10 +113,10 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 		if sample == "" {
 			t.Fatal("vacuous: sampled nodes derived nothing")
 		}
-		return deltas, s.TotalBytes, sample
+		return deltas, s.TotalBytes, sample, perNode
 	}
-	d1, b1, s1 := run()
-	d2, b2, s2 := run()
+	d1, b1, s1, perNode := run()
+	d2, b2, s2, _ := run()
 	if d1 != d2 || b1 != b2 {
 		t.Fatalf("10k reruns diverge: deltas %d/%d wire bytes %d/%d", d1, d2, b1, b2)
 	}
@@ -128,10 +133,26 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	const maxSys = 2 << 30
-	t.Logf("10k chord: %d deltas, %d wire bytes, %d MB obtained from the OS", d1, b1, ms.Sys>>20)
+	t.Logf("10k chord: %d deltas, %d wire bytes, %d B retained per node, %d MB obtained from the OS",
+		d1, b1, perNode, ms.Sys>>20)
 	if ms.Sys > maxSys {
 		t.Fatalf("two 10k-node runs took %d MB from the OS, want ≤ %d MB", ms.Sys>>20, maxSys>>20)
 	}
+	// Per-node fence: what a converged node retains, read as in the engine's
+	// TestNodeFootprintFollowsState. With entry and row arenas per relation
+	// this read 24,971 B; with one entry pool per node 15,823 B.
+	if perNode > maxPerNode {
+		t.Fatalf("a converged 10k-cluster CHORD node retains %d B, want ≤ %d B — a relation or a node opens memory its state does not need",
+			perNode, maxPerNode)
+	}
+}
+
+// liveHeap reads the bytes the heap retains after a forced collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestScaleMinCost400 is the largest row of the MINCOST scaling table that a
@@ -143,8 +164,9 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 // paper's Fig 6 sweep reaches. This read ≈ 874 B per delta with
 // string-keyed relation entries, ≈ 689 B with hash-keyed rows, ≈ 560 B
 // once a stored tuple became its own provenance vertex, ≈ 514 B once
-// ruleExec rows became column tables, and ≈ 443 B once aggregate rows
-// became handles to their input entries. Gated behind -short; `make
+// ruleExec rows became column tables, ≈ 443 B once aggregate rows
+// became handles to their input entries, and ≈ 417 B once a node's
+// relations shared one entry pool. Gated behind -short; `make
 // scale-smoke` runs it.
 func TestScaleMinCost400(t *testing.T) {
 	if testing.Short() {
@@ -153,7 +175,7 @@ func TestScaleMinCost400(t *testing.T) {
 	const (
 		nodes       = 400
 		wantDeltas  = 719584
-		maxPerDelta = 465
+		maxPerDelta = 430
 		maxSys      = 2 << 30
 	)
 	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))
@@ -161,19 +183,13 @@ func TestScaleMinCost400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
+	before := liveHeap()
 	s := engine.NewScheduler(prog, engine.ProvReference, topo.N, 0, 0)
 	apps.BootEDB(topo, false, nil, s.InsertBase)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	after := heap()
+	after := liveHeap()
 	var deltas int64
 	for _, n := range s.Engines() {
 		deltas += n.DeltasProcessed()

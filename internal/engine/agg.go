@@ -62,8 +62,8 @@ func (n *Node) applyAgg(rule *CompiledRule, g *aggGroup, e *entry, sign int8) {
 // aggGroupFor returns the rule's group of the given group-by values,
 // creating it on first sight.
 func (n *Node) aggGroupFor(rule *CompiledRule, groupVals []types.Value) *aggGroup {
-	n.keyBuf = appendValuesKey(n.keyBuf[:0], groupVals)
-	return n.aggGroupAt(rule, hashIndexKey(n.keyBuf), groupVals)
+	n.pool.key = appendValuesKey(n.pool.key[:0], groupVals)
+	return n.aggGroupAt(rule, hashIndexKey(n.pool.key), groupVals)
 }
 
 // aggGroupAt is aggGroupFor under the FNV-1a hash h of the group-by values'

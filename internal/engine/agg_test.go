@@ -189,7 +189,7 @@ func aggInput(n *Node, head types.Tuple) (types.Tuple, error) {
 	if !ok {
 		return types.Tuple{}, fmt.Errorf("%s: ruleExec input %v has no vertex", head, re.VIDList[0])
 	}
-	if e := n.lookup(in.Pred).get(in); e == nil || !e.visible {
+	if e := n.lookup(in.Pred).get(&n.pool, in); e == nil || !e.visible {
 		return types.Tuple{}, fmt.Errorf("%s: ruleExec input %s is not visible", head, in)
 	}
 	return in, nil

@@ -115,7 +115,7 @@ func (n *Node) process(d localDelta) {
 	stored := n.Mode == ProvReference && !meta
 	switch d.sign {
 	case Insert:
-		e := rel.getOrCreate(d.tuple)
+		e := rel.getOrCreate(&n.pool, d.tuple)
 		n.markTouched(rel, e, occs)
 		var row *provenance.ProvEntry
 		if stored {
@@ -150,11 +150,11 @@ func (n *Node) process(d localDelta) {
 		// flap that never quiesces); the release re-shows it — with this
 		// derivation counted — once the deletion wave is done.
 		if !e.staged {
-			rel.setVisible(e, true)
+			rel.setVisible(&n.pool, e, true)
 		}
 
 	case Delete:
-		e := rel.get(d.tuple)
+		e := rel.get(&n.pool, d.tuple)
 		if e == nil {
 			return
 		}
@@ -176,7 +176,7 @@ func (n *Node) process(d localDelta) {
 		switch {
 		case len(e.Rows) == 0:
 			if e.visible {
-				rel.setVisible(e, false)
+				rel.setVisible(&n.pool, e, false)
 			} else {
 				// A suspect lost its last alternate while hidden; count the
 				// tombstone setVisible never saw.
@@ -189,7 +189,7 @@ func (n *Node) process(d localDelta) {
 			// the re-derivation phase, which re-shows it only if support
 			// survives the completed deletion wave (see ARCHITECTURE.md
 			// "Deletion semantics").
-			rel.setVisible(e, false)
+			rel.setVisible(&n.pool, e, false)
 			n.stageEntry(e)
 		case n.Mode == ProvValue:
 			n.recomputePayload(e)
@@ -199,7 +199,7 @@ func (n *Node) process(d localDelta) {
 		// Retraction phase 2: re-show an over-deleted tuple whose alternate
 		// derivations survived the deletion wave, firing the ordinary
 		// insert cascade so consumers re-derive from it.
-		e := rel.get(d.tuple)
+		e := rel.get(&n.pool, d.tuple)
 		if e == nil || e.visible || len(e.Rows) == 0 {
 			return
 		}
@@ -207,13 +207,13 @@ func (n *Node) process(d localDelta) {
 		if n.Mode == ProvValue {
 			n.recomputePayload(e)
 		}
-		rel.setVisible(e, true)
+		rel.setVisible(&n.pool, e, true)
 
 	case Update:
 		if n.Mode != ProvValue {
 			return
 		}
-		e := rel.get(d.tuple)
+		e := rel.get(&n.pool, d.tuple)
 		if e == nil {
 			return
 		}

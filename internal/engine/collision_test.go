@@ -30,8 +30,8 @@ func TestRelationHashCollision(t *testing.T) {
 	a := types.NewTuple("p", types.Node(0), types.Int(1))
 	b := types.NewTuple("p", types.Node(0), types.Int(2))
 	for _, retire := range []types.Tuple{a, b} {
-		r := testRelation("p")
-		ea, eb := r.getOrCreateAt(collidingHash, a), r.getOrCreateAt(collidingHash, b)
+		r, p := testRelation("p")
+		ea, eb := r.getOrCreateAt(p, collidingHash, a), r.getOrCreateAt(p, collidingHash, b)
 		if ea == eb {
 			t.Fatal("colliding tuples share an entry")
 		}
@@ -42,11 +42,11 @@ func TestRelationHashCollision(t *testing.T) {
 			if got := r.find(collidingHash, e.Tuple.Args); got != e {
 				t.Fatalf("find(%v) = %v", e.Tuple, got)
 			}
-			if got := r.getOrCreateAt(collidingHash, e.Tuple); got != e {
+			if got := r.getOrCreateAt(p, collidingHash, e.Tuple); got != e {
 				t.Fatalf("getOrCreate(%v) made a second entry", e.Tuple)
 			}
 			e.AddRow(types.ZeroID, 0)
-			r.setVisible(e, true)
+			r.setVisible(p, e, true)
 		}
 		if got := r.Tuples(); len(got) != 2 || !got[0].Equal(a) || !got[1].Equal(b) {
 			t.Fatalf("Tuples() = %v, want [%v %v]", got, a, b)
@@ -54,8 +54,8 @@ func TestRelationHashCollision(t *testing.T) {
 
 		gone := r.find(collidingHash, retire.Args)
 		gone.DelRow(types.ZeroID)
-		r.setVisible(gone, false)
-		r.sweep()
+		r.setVisible(p, gone, false)
+		r.sweep(p)
 		if r.find(collidingHash, retire.Args) != nil {
 			t.Fatalf("swept %v still found", retire)
 		}
@@ -69,7 +69,7 @@ func TestRelationHashCollision(t *testing.T) {
 		if got := r.Tuples(); len(got) != 1 || !got[0].Equal(kept) {
 			t.Fatalf("Tuples() after sweep = %v, want [%v]", got, kept)
 		}
-		if e := r.getOrCreateAt(collidingHash, retire); e.visible || r.find(collidingHash, retire.Args) != e {
+		if e := r.getOrCreateAt(p, collidingHash, retire); e.visible || r.find(collidingHash, retire.Args) != e {
 			t.Fatalf("re-created %v not found on its own", retire)
 		}
 	}
@@ -93,7 +93,7 @@ func TestAggGroupHashCollision(t *testing.T) {
 		t.Fatal("a second lookup of a chained group made a new one")
 	}
 	apply := func(g *aggGroup, z string, c int64, sign int8) {
-		n.applyAgg(rule, g, n.lookup("item").getOrCreate(in(z, c)), sign)
+		n.applyAgg(rule, g, n.lookup("item").getOrCreate(&n.pool, in(z, c)), sign)
 		n.Flush()
 		if n.Err != nil {
 			t.Fatal(n.Err)

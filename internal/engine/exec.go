@@ -96,8 +96,8 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 		if idx == nil {
 			return
 		}
-		n.keyBuf = st.appendLookupKey(n.keyBuf[:0], env)
-		cands := idx.lookup(n.keyBuf)
+		n.pool.key = st.appendLookupKey(n.pool.key[:0], env)
+		cands := idx.lookup(n.pool.key)
 		js := &n.joinStats[st.joinID]
 		js.probes++
 		js.hits += int64(len(cands))

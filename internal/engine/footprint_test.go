@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -11,20 +13,30 @@ import (
 	"repro/internal/types"
 )
 
+// liveHeap reads the bytes the heap retains after a forced collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestNodeFootprintFollowsState fences a node's memory against its state: a
 // converged CHORD node stores about twenty tuples, so what a cluster retains
-// per node must be tens of kilobytes, whatever the chunk caps that serve
+// per node must stay under twenty kilobytes, whatever the chunk caps that serve
 // 10,000-tuple nodes are. The cluster is built the way the standing
 // benchmark's chord-sharded workload builds its 1000 nodes (reference
 // provenance, base tuples, then a lookup batch). With fixed 256-slot chunks
 // opened per relation, and a node's state split across two partitions, this
 // read ≈ 650 KB per node; with arenas that grow from 8 slots ≈ 65 KB, with
-// one evaluation state per node ≈ 40 KB, with hash-keyed rows ≈ 36 KB, and
-// with each stored tuple as its own provenance vertex ≈ 32 KB.
+// one evaluation state per node ≈ 40 KB, with hash-keyed rows ≈ 36 KB, with
+// each stored tuple as its own provenance vertex ≈ 32 KB, with ruleExec
+// column tables and aggregate rows as handles ≈ 26 KB, and with one entry
+// pool per node instead of arenas per relation ≈ 17.3 KB.
 func TestNodeFootprintFollowsState(t *testing.T) {
 	const (
 		nodes      = 300
-		maxPerNode = 100 << 10
+		maxPerNode = 18944
 	)
 	topo := topology.Ring(nodes, rand.New(rand.NewSource(1)))
 	base := apps.ChordBase(topo)
@@ -33,13 +45,7 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
+	before := liveHeap()
 	s := NewScheduler(prog, ProvReference, topo.N, 0, 0)
 	for n := 0; n < topo.N; n++ {
 		for _, tup := range base[types.NodeID(n)] {
@@ -55,7 +61,7 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	after := heap()
+	after := liveHeap()
 	var tuples int
 	for i := 0; i < s.NumNodes(); i++ {
 		for _, p := range prog.Preds() {
@@ -67,10 +73,10 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 		t.Fatalf("vacuous: %d tuples on %d nodes — the overlay did not converge", tuples, nodes)
 	}
 	perNode := (after - before) / nodes
-	t.Logf("%d nodes, %d tuples: %d KB retained per node", nodes, tuples, perNode>>10)
+	t.Logf("%d nodes, %d tuples: %d B retained per node", nodes, tuples, perNode)
 	if perNode > maxPerNode {
-		t.Fatalf("a converged CHORD node retains %d KB (%d tuples per node); want ≤ %d KB — an arena or a constructor is sized for the largest node again",
-			perNode>>10, tuples/nodes, maxPerNode>>10)
+		t.Fatalf("a converged CHORD node retains %d B (%d tuples per node); want ≤ %d B — an arena or a constructor is sized for the largest node again",
+			perNode, tuples/nodes, maxPerNode)
 	}
 }
 
@@ -85,33 +91,28 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 // a stored tuple became its own provenance vertex (no second copy of the
 // tuple, its VID and its rows in the store), ≈ 578 B once ruleExec rows
 // became pointer-free column tables (no row struct, rule string or slice
-// header per rule execution), and ≈ 499 B once an aggregate row became a
+// header per rule execution), ≈ 499 B once an aggregate row became a
 // handle to its input entry (no tuple copy per row or winner copy per
-// group).
+// group), and ≈ 454 B once a node's relations shared one entry pool and
+// its head arguments came from 64-value chunks.
 func TestMinCostBytesPerDelta(t *testing.T) {
 	const (
 		nodes       = 100
 		wantDeltas  = 45292
-		maxPerDelta = 525
+		maxPerDelta = 470
 	)
 	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))
 	prog, err := Compile(apps.MinCost())
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
+	before := liveHeap()
 	s := NewScheduler(prog, ProvReference, topo.N, 0, 0)
 	apps.BootEDB(topo, false, nil, s.InsertBase)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	after := heap()
+	after := liveHeap()
 	var deltas int64
 	for _, n := range s.Engines() {
 		deltas += n.DeltasProcessed()
@@ -124,6 +125,66 @@ func TestMinCostBytesPerDelta(t *testing.T) {
 	t.Logf("%d nodes, %d deltas: %.2f MB retained, %d B per delta", nodes, deltas, float64(after-before)/1e6, perDelta)
 	if perDelta > maxPerDelta {
 		t.Fatalf("MINCOST retains %d B per delta; want ≤ %d B", perDelta, maxPerDelta)
+	}
+}
+
+// TestRelationCostsWhatItHolds fences what a relation costs a node beyond
+// its tuples. The same nodes are built twice, once from a one-rule program
+// and once with extra predicates that each hold one base tuple (gated by an
+// empty relation, so they derive nothing); the difference per extra
+// predicate is one relation holding one tuple: its entry, prov row, index
+// bucket and map, its share of the node's per-rule tables, and whatever the
+// relation opens for itself. With entry and row arenas and a key buffer per
+// relation this read ≈ 2.1 KB, an 8-slot chunk of each arena opened for the
+// one tuple; with one entry pool per node ≈ 0.9 KB.
+func TestRelationCostsWhatItHolds(t *testing.T) {
+	const (
+		nodes          = 200
+		extra          = 16
+		maxPerRelation = 1000
+	)
+	preds := make([]string, extra)
+	for j := range preds {
+		preds[j] = fmt.Sprintf("p%d", j+1)
+	}
+	src := func(k int) string {
+		var b strings.Builder
+		b.WriteString("r0 out(@X, Y) :- in(@X, Y).\n")
+		for j, p := range preds[:k] {
+			fmt.Fprintf(&b, "r%d out(@X, Y) :- %s(@X, Y), gate(@X, Y).\n", j+1, p)
+		}
+		return b.String()
+	}
+	perNode := func(k int) uint64 {
+		prog := mustCompile(t, src(k))
+		before := liveHeap()
+		ns := make([]*Node, nodes)
+		for i := range ns {
+			n := NewNode(types.NodeID(i), prog, ProvReference, nil)
+			n.InsertBase(types.NewTuple("in", types.Node(types.NodeID(i)), types.Int(0)))
+			for j, p := range preds[:k] {
+				n.InsertBase(types.NewTuple(p, types.Node(types.NodeID(i)), types.Int(int64(j))))
+				if n.TupleCount(p) != 1 {
+					t.Fatalf("vacuous: node %d holds no %s tuple", i, p)
+				}
+			}
+			if n.Err != nil {
+				t.Fatal(n.Err)
+			}
+			if n.TupleCount("out") != 1 {
+				t.Fatalf("vacuous: node %d holds %d out tuples, want 1", i, n.TupleCount("out"))
+			}
+			ns[i] = n
+		}
+		after := liveHeap()
+		runtime.KeepAlive(ns)
+		return (after - before) / nodes
+	}
+	base, more := perNode(0), perNode(extra)
+	perRelation := (more - base) / extra
+	t.Logf("%d B per node, %d B with %d more single-tuple relations: %d B per relation", base, more, extra, perRelation)
+	if perRelation > maxPerRelation {
+		t.Fatalf("a relation holding one tuple costs its node %d B; want ≤ %d B — a relation opens memory of its own again", perRelation, maxPerRelation)
 	}
 }
 

@@ -15,29 +15,30 @@ import (
 // them starts failing, a change has reintroduced per-delta allocation or
 // re-hashing on the inner loop.
 
-// testRelation builds a standalone relation, outside any node.
-func testRelation(name string) *Relation {
-	r := newRelation(name)
-	return &r
+// testRelation builds a standalone relation, outside any node, and the
+// entry pool that stands in for its node's.
+func testRelation(name string) (*Relation, *entryPool) {
+	r, p := newRelation(name), newEntryPool()
+	return &r, &p
 }
 
 func TestRelationLenTracksVisibility(t *testing.T) {
-	rel := testRelation("p")
-	rel.EnsureIndex([]int{0})
+	rel, p := testRelation("p")
+	rel.ensureIndex(p, indexID([]int{0}), []int{0})
 	var entries []*entry
 	for i := 0; i < 5; i++ {
-		e := rel.getOrCreate(types.NewTuple("p", types.Node(types.NodeID(i)), types.Int(int64(i))))
+		e := rel.getOrCreate(p, types.NewTuple("p", types.Node(types.NodeID(i)), types.Int(int64(i))))
 		e.AddRow(types.ID{byte(i)}, 0)
-		rel.setVisible(e, true)
+		rel.setVisible(p, e, true)
 		entries = append(entries, e)
 	}
 	if rel.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", rel.Len())
 	}
 	// Redundant toggles must not skew the counter.
-	rel.setVisible(entries[0], true)
-	rel.setVisible(entries[1], false)
-	rel.setVisible(entries[1], false)
+	rel.setVisible(p, entries[0], true)
+	rel.setVisible(p, entries[1], false)
+	rel.setVisible(p, entries[1], false)
 	if rel.Len() != 4 {
 		t.Fatalf("Len after hide = %d, want 4", rel.Len())
 	}
@@ -45,7 +46,7 @@ func TestRelationLenTracksVisibility(t *testing.T) {
 		t.Fatalf("Len = %d but Tuples() returned %d", rel.Len(), got)
 	}
 	for _, e := range entries[1:] {
-		rel.setVisible(e, false)
+		rel.setVisible(p, e, false)
 	}
 	if rel.Len() != 1 {
 		t.Fatalf("Len after hiding rest = %d, want 1", rel.Len())
@@ -57,16 +58,16 @@ func TestRelationLenTracksVisibility(t *testing.T) {
 // up the pre-resolved index handle — and requires it to allocate nothing on
 // an index hit.
 func TestJoinProbeAllocFree(t *testing.T) {
-	rel := testRelation("link")
-	idx := rel.EnsureIndex([]int{1})
+	rel, p := testRelation("link")
+	idx := rel.ensureIndex(p, indexID([]int{1}), []int{1})
 	for i := 0; i < 100; i++ {
-		e := rel.getOrCreate(types.NewTuple("link",
+		e := rel.getOrCreate(p, types.NewTuple("link",
 			types.Node(types.NodeID(i/10)), types.Node(types.NodeID(i%10)), types.Int(int64(i))))
 		e.AddRow(types.ID{byte(i)}, 0)
-		rel.setVisible(e, true)
+		rel.setVisible(p, e, true)
 	}
 	if got := rel.Index([]int{1}); got != idx {
-		t.Fatal("Index did not return the EnsureIndex handle")
+		t.Fatal("Index did not return the ensureIndex handle")
 	}
 	probe := types.Node(3)
 	var key []byte
@@ -112,9 +113,9 @@ func TestValueConstructionOnFiringPathAllocFree(t *testing.T) {
 // tuple at most once: repeated canonical-key lookups and VID reads are
 // allocation-free after the first.
 func TestTupleKeyAndVIDCached(t *testing.T) {
-	rel := testRelation("p")
+	rel, p := testRelation("p")
 	tu := types.NewTuple("p", types.Node(1), types.Str("payload"), types.Int(7))
-	e := rel.getOrCreate(tu)
+	e := rel.getOrCreate(p, tu)
 
 	var buf []byte
 	first, _ := e.VIDBuf(nil)
@@ -133,7 +134,7 @@ func TestTupleKeyAndVIDCached(t *testing.T) {
 	}
 
 	allocs = testing.AllocsPerRun(100, func() {
-		if rel.get(tu) != e {
+		if rel.get(p, tu) != e {
 			t.Fatal("get lost the entry")
 		}
 	})
@@ -258,24 +259,24 @@ func TestSchedulerDeliveryAllocFree(t *testing.T) {
 // churn — hide and unindex (as a round's end does), reindex on show, string
 // keys included — must not allocate at all.
 func TestIndexChurnAllocFree(t *testing.T) {
-	rel := testRelation("p")
-	rel.EnsureIndex([]int{1})
-	rel.EnsureIndex([]int{1, 2})
+	rel, p := testRelation("p")
+	rel.ensureIndex(p, indexID([]int{1}), []int{1})
+	rel.ensureIndex(p, indexID([]int{1, 2}), []int{1, 2})
 	var entries []*entry
 	for i := 0; i < 64; i++ {
-		e := rel.getOrCreate(types.NewTuple("p", types.Node(types.NodeID(i)),
+		e := rel.getOrCreate(p, types.NewTuple("p", types.Node(types.NodeID(i)),
 			types.Str(fmt.Sprintf("key-%d", i%8)), types.Int(int64(i%4))))
 		e.AddRow(types.ID{byte(i)}, 0)
-		rel.setVisible(e, true)
+		rel.setVisible(p, e, true)
 		entries = append(entries, e)
 	}
 	churn := func() {
 		for _, e := range entries {
-			rel.setVisible(e, false)
-			rel.unindex(e)
+			rel.setVisible(p, e, false)
+			rel.unindex(p, e)
 		}
 		for _, e := range entries {
-			rel.setVisible(e, true)
+			rel.setVisible(p, e, true)
 		}
 	}
 	churn() // warm one full cycle so bucket boxes land on the free list
@@ -294,21 +295,21 @@ func TestIndexChurnAllocFree(t *testing.T) {
 // and cached VIDs — and the end of the round (maybeSweepRound) then reclaims
 // every tombstone.
 func TestSweepSparesRetractingEntry(t *testing.T) {
-	rel := testRelation("p")
+	rel, p := testRelation("p")
 	tup := func(i int) types.Tuple { return types.NewTuple("p", types.Node(0), types.Int(int64(i))) }
 	var entries []*entry
 	const n = 300
 	for i := 0; i < n; i++ {
-		e := rel.getOrCreate(tup(i))
+		e := rel.getOrCreate(p, tup(i))
 		e.AddRow(types.ID{byte(i), byte(i >> 8)}, 0)
-		rel.setVisible(e, true)
+		rel.setVisible(p, e, true)
 		entries = append(entries, e)
 	}
 	for _, e := range entries {
 		e.DelRow(e.Rows[0].RID)
-		rel.setVisible(e, false)
+		rel.setVisible(p, e, false)
 	}
-	if got := len(rel.freeEntries); got != 0 {
+	if got := len(p.free); got != 0 {
 		t.Fatalf("retraction swept %d entries before the end of the round", got)
 	}
 	for i, e := range entries {
@@ -319,8 +320,8 @@ func TestSweepSparesRetractingEntry(t *testing.T) {
 	if !rel.sweepDue() {
 		t.Fatal("vacuous: the sweep threshold is not reached; threshold assumptions stale")
 	}
-	rel.maybeSweepRound()
-	if got := len(rel.freeEntries); got != n {
+	rel.maybeSweepRound(p)
+	if got := len(p.free); got != n {
 		t.Fatalf("end-of-round sweep reclaimed %d of %d tombstones", got, n)
 	}
 	if rel.Len() != 0 {

@@ -104,6 +104,9 @@ type Node struct {
 	// CompiledRule.idx.
 	tablesByID []Relation
 	aggByRule  []map[uint64]*aggGroup
+	// pool carves, recycles and keys the entries of every relation above,
+	// and its key buffer serves every key the node encodes.
+	pool entryPool
 
 	// Scratch arenas, sized at program-compile time and reused across rule
 	// firings. Safe because firing never re-enters the evaluator: derived
@@ -114,7 +117,6 @@ type Node struct {
 	payloadBuf []algebra.Payload
 	vidBuf     []types.ID
 	groupBuf   []types.Value
-	keyBuf     []byte
 	ridBuf     []byte
 	hashBuf    []byte
 	// argArena backs emitted head arguments (and the group values
@@ -156,8 +158,13 @@ type Node struct {
 }
 
 // Chunk caps of the evaluation state's arenas (types.Arena grows up to them).
+// A head-argument carve that a later delta supersedes stays dead in its
+// chunk until every carve beside it is gone, so a smaller argument chunk
+// pins less: of the caps measured (512 down to 32), 64 values retained the
+// least heap on the benchmark workloads, within noise of 32 (PERFORMANCE.md
+// "What a converged CHORD node holds").
 const (
-	argArenaChunk = 512
+	argArenaChunk = 64
 	aggArenaChunk = 128
 )
 
@@ -173,6 +180,7 @@ func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node 
 		Mode:          mode,
 		Transport:     tr,
 		Store:         provenance.NewStore(id),
+		pool:          newEntryPool(),
 		argArena:      types.NewArena[types.Value](argArenaChunk),
 		aggRowArena:   types.NewArena[*entry](aggArenaChunk),
 		aggGroupArena: types.NewArena[aggGroup](aggArenaChunk),
@@ -224,7 +232,7 @@ func (n *Node) bindPlans() {
 				}
 				a := r.atoms[st.atom]
 				if !a.event {
-					n.joinIdx[st.joinID] = n.lookup(a.pred).ensureIndex(st.indexID, st.indexPos)
+					n.joinIdx[st.joinID] = n.lookup(a.pred).ensureIndex(&n.pool, st.indexID, st.indexPos)
 				}
 			}
 		}
@@ -354,7 +362,7 @@ func (n *Node) PayloadOf(t types.Tuple) (p algebra.Payload, ok bool) {
 	if rel == nil {
 		return
 	}
-	e := rel.get(t)
+	e := rel.get(&n.pool, t)
 	if e == nil || !e.visible {
 		return
 	}

@@ -85,44 +85,82 @@ func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
 // A lookup verifies the candidate's args. An entry whose hash slot already
 // holds a different tuple goes to spill, an exact list per hash that stays
 // nil unless two live tuples of one relation collide in 64 bits.
+//
+// A relation holds its maps, its indexes and its counters, nothing else: the
+// entries, their first rows and the key scratch come from the node's
+// entryPool, which every method that carves, recycles or encodes takes.
 type Relation struct {
 	name    string
 	entries map[uint64]*entry
 	spill   map[uint64][]*entry
 	indexes []*index
-	visible int    // O(1) Len
-	dead    int    // invisible derivation-free entries retained for reuse
-	scratch []byte // reusable key-encoding buffer
-
-	// freeEntries recycles entry structs reclaimed by sweep; entryArena
-	// carves fresh ones (boxing each entry individually was a leading
-	// allocation class in fixpoint profiles — arena chunks never pin stale
-	// tuples because sweep zeroes an entry before listing it); rowArena
-	// carves each entry's initial capacity-1 row slice. Most tuples carry
-	// exactly one derivation, so the per-entry "first append" used to be
-	// another of the largest allocation classes; entries with alternative
-	// derivations spill to a regular append. Prov rows and types.Value hold
-	// no pointers, so those chunks cost the garbage collector nothing to
-	// scan.
-	freeEntries []*entry
-	entryArena  types.Arena[entry]
-	rowArena    types.Arena[provenance.ProvEntry]
+	visible int // O(1) Len
+	dead    int // invisible derivation-free entries retained for reuse
 }
 
-// relationArenaChunk caps the chunk size of a relation's entry and row
-// arenas.
-const relationArenaChunk = 256
+// entryPool is what a node spends on its stored tuples, whichever relation
+// holds them. The entry arena carves entries (boxing each individually was
+// a leading allocation class in fixpoint profiles — arena chunks never pin
+// stale tuples because sweep zeroes an entry before listing it), and free
+// recycles the ones sweep reclaims; the row arena carves each entry's
+// initial capacity-1 row slice. Most tuples carry exactly one derivation, so
+// the per-entry "first append" used to be another of the largest allocation
+// classes; entries with alternative derivations spill to a regular append.
+// Prov rows and types.Value hold no pointers, so those chunks cost the
+// garbage collector nothing to scan.
+//
+// One pool per node, not per relation: a converged CHORD node holds about
+// twenty tuples over a dozen relations, and arenas per relation each opened
+// a chunk of their own, so a node paid for its relations rather than its
+// tuples (PERFORMANCE.md "What a converged CHORD node holds").
+//
+// key is the node's one key-encoding buffer: relation keys, index keys, join
+// probe keys and aggregate group keys are all built in it. Every user hashes
+// the bytes at once and never reads them again (a join probe is done with
+// its key when index.lookup returns its candidates), so no encode can
+// clobber a key still in use.
+type entryPool struct {
+	entries types.Arena[entry]
+	rows    types.Arena[provenance.ProvEntry]
+	free    []*entry
+	key     []byte
+}
 
-// allocEntry returns a zeroed entry, recycling one swept earlier when
-// available and carving from the arena otherwise.
-func (r *Relation) allocEntry() *entry {
-	if n := len(r.freeEntries); n > 0 {
-		e := r.freeEntries[n-1]
-		r.freeEntries[n-1] = nil
-		r.freeEntries = r.freeEntries[:n-1]
+// entryChunk caps the chunk size of a node's entry and row arenas. Chunks
+// double from 8 slots up to it (types.Arena), and a node with a few hundred
+// tuples must not open a mostly empty last chunk: 32 retains the least of
+// the caps measured (256 down to 16) on the benchmark workloads, and a
+// 100-node MINCOST fixpoint, which opens the most chunks, runs no slower
+// than at 256 (PERFORMANCE.md "What a converged CHORD node holds").
+const entryChunk = 32
+
+func newEntryPool() entryPool {
+	return entryPool{
+		entries: types.NewArena[entry](entryChunk),
+		rows:    types.NewArena[provenance.ProvEntry](entryChunk),
+	}
+}
+
+// alloc returns a zeroed entry, recycling one swept earlier when available
+// and carving from the arena otherwise.
+//
+//exspan:hotpath
+func (p *entryPool) alloc() *entry {
+	if n := len(p.free); n > 0 {
+		e := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
 		return e
 	}
-	return r.entryArena.New()
+	return p.entries.New()
+}
+
+// keyHash hashes a tuple's args handle key (types.Tuple.AppendArgsKey): the
+// key copies no string or digest bytes, and equal interned args mean equal
+// tuples, so a relation's only other check is argsEqual.
+func (p *entryPool) keyHash(t types.Tuple) uint64 {
+	p.key = t.AppendArgsKey(p.key[:0])
+	return hashIndexKey(p.key)
 }
 
 // index is a hash index over a fixed set of argument positions. Buckets are
@@ -208,13 +246,7 @@ func (idx *index) remove(key []byte, e *entry) {
 // bucket map are created by their first write: most relations of most nodes
 // of a large cluster stay empty, and reads, deletes and len on a nil map
 // behave like on an empty one.
-func newRelation(name string) Relation {
-	return Relation{
-		name:       name,
-		entryArena: types.NewArena[entry](relationArenaChunk),
-		rowArena:   types.NewArena[provenance.ProvEntry](relationArenaChunk),
-	}
-}
+func newRelation(name string) Relation { return Relation{name: name} }
 
 // Name returns the relation name.
 func (r *Relation) Name() string { return r.name }
@@ -222,16 +254,8 @@ func (r *Relation) Name() string { return r.name }
 // Len reports the number of visible tuples in O(1).
 func (r *Relation) Len() int { return r.visible }
 
-// keyHash hashes a tuple's args handle key (types.Tuple.AppendArgsKey): the
-// key copies no string or digest bytes, and equal interned args mean equal
-// tuples, so the relation's only other check is argsEqual.
-func (r *Relation) keyHash(t types.Tuple) uint64 {
-	r.scratch = t.AppendArgsKey(r.scratch[:0])
-	return hashIndexKey(r.scratch)
-}
-
 // get returns the entry for a tuple, or nil.
-func (r *Relation) get(t types.Tuple) *entry { return r.find(r.keyHash(t), t.Args) }
+func (r *Relation) get(p *entryPool, t types.Tuple) *entry { return r.find(p.keyHash(t), t.Args) }
 
 // find returns the entry of args under hash h, or nil.
 func (r *Relation) find(h uint64, args []types.Value) *entry {
@@ -248,12 +272,14 @@ func (r *Relation) find(h uint64, args []types.Value) *entry {
 
 // getOrCreate returns the entry for a tuple, creating an invisible one if
 // needed.
-func (r *Relation) getOrCreate(t types.Tuple) *entry { return r.getOrCreateAt(r.keyHash(t), t) }
+func (r *Relation) getOrCreate(p *entryPool, t types.Tuple) *entry {
+	return r.getOrCreateAt(p, p.keyHash(t), t)
+}
 
 // getOrCreateAt is getOrCreate under the tuple's keyHash h. A matching
 // tombstone is revived: its cached VID carries over (equal args imply equal
 // tuples and equal VIDs).
-func (r *Relation) getOrCreateAt(h uint64, t types.Tuple) *entry {
+func (r *Relation) getOrCreateAt(p *entryPool, h uint64, t types.Tuple) *entry {
 	if e := r.find(h, t.Args); e != nil {
 		if !e.visible && len(e.Rows) == 0 {
 			// Revival: the cached VID stays valid; the store forgot the
@@ -263,9 +289,9 @@ func (r *Relation) getOrCreateAt(h uint64, t types.Tuple) *entry {
 		}
 		return e
 	}
-	e := r.allocEntry()
+	e := p.alloc()
 	e.Tuple = t
-	e.Rows = r.rowArena.Cap1()
+	e.Rows = p.rows.Cap1()
 	if r.entries[h] == nil {
 		if r.entries == nil {
 			r.entries = make(map[uint64]*entry)
@@ -300,7 +326,7 @@ func (r *Relation) all(yield func(*entry) bool) {
 // hiding it leaves it indexed (filtered by probe admission) until unindex at
 // the end of the round, and a tombstone is reclaimed only by
 // maybeSweepRound.
-func (r *Relation) setVisible(e *entry, visible bool) {
+func (r *Relation) setVisible(p *entryPool, e *entry, visible bool) {
 	if e.visible == visible {
 		return
 	}
@@ -311,7 +337,7 @@ func (r *Relation) setVisible(e *entry, visible bool) {
 		r.visible--
 	}
 	if visible && !e.indexed {
-		r.indexAdd(e)
+		r.indexAdd(p, e)
 	}
 	if !visible && len(e.Rows) == 0 {
 		// Tombstone the entry for reuse rather than deleting it;
@@ -321,20 +347,20 @@ func (r *Relation) setVisible(e *entry, visible bool) {
 }
 
 // indexAdd inserts the entry into every index of the relation.
-func (r *Relation) indexAdd(e *entry) {
+func (r *Relation) indexAdd(p *entryPool, e *entry) {
 	for _, idx := range r.indexes {
-		r.scratch = appendIndexKey(r.scratch[:0], e.Tuple, idx.positions)
-		idx.add(r.scratch, e)
+		p.key = appendIndexKey(p.key[:0], e.Tuple, idx.positions)
+		idx.add(p.key, e)
 	}
 	e.indexed = true
 }
 
 // unindex removes the entry from every index (called at the end of a round
 // for entries that netted to invisible).
-func (r *Relation) unindex(e *entry) {
+func (r *Relation) unindex(p *entryPool, e *entry) {
 	for _, idx := range r.indexes {
-		r.scratch = appendIndexKey(r.scratch[:0], e.Tuple, idx.positions)
-		idx.remove(r.scratch, e)
+		p.key = appendIndexKey(p.key[:0], e.Tuple, idx.positions)
+		idx.remove(p.key, e)
 	}
 	e.indexed = false
 }
@@ -344,16 +370,16 @@ func (r *Relation) sweepDue() bool { return r.dead > 128 && r.dead > 2*r.visible
 
 // maybeSweepRound reclaims tombstones at the end of a round once they
 // dominate the live population.
-func (r *Relation) maybeSweepRound() {
+func (r *Relation) maybeSweepRound(p *entryPool) {
 	if r.sweepDue() {
-		r.sweep()
+		r.sweep(p)
 	}
 }
 
 // sweep deletes all tombstones, bounding retained memory to a small factor
 // of the live entry count. Swept entries are cleared (releasing their
-// tuples) and recycled through the free list.
-func (r *Relation) sweep() {
+// tuples) and handed to the node's free list, for any relation to reuse.
+func (r *Relation) sweep(p *entryPool) {
 	// Free-list order only decides which cleared box getOrCreate reuses;
 	// entry pointer identity never reaches state, ordering or the wire.
 	reclaim := func(e *entry) bool {
@@ -361,7 +387,7 @@ func (r *Relation) sweep() {
 			return false
 		}
 		*e = entry{}
-		r.freeEntries = append(r.freeEntries, e)
+		p.free = append(p.free, e)
 		return true
 	}
 	for h, e := range r.entries {
@@ -411,28 +437,23 @@ func indexID(positions []int) string {
 	return string(b)
 }
 
-// EnsureIndex creates (and backfills) a hash index over the given argument
-// positions, returning a direct handle usable for probe-time lookups.
-// Backfill inserts visible entries in canonical tuple order: bucket order
-// feeds candidate-enumeration order, which the determinism fences observe
-// through emission order, so index creation over a non-empty relation must
-// not leak the entries map's iteration order.
-func (r *Relation) EnsureIndex(positions []int) *index {
-	return r.ensureIndex(indexID(positions), positions)
-}
-
-// ensureIndex is EnsureIndex for a caller that already holds the positions'
-// indexID. positions is retained, not copied: plan steps and test literals
-// never mutate theirs.
-func (r *Relation) ensureIndex(id string, positions []int) *index {
+// ensureIndex creates (and backfills) a hash index over the argument
+// positions whose indexID is id, returning a direct handle usable for
+// probe-time lookups. positions is retained, not copied: plan steps and test
+// literals never mutate theirs. Backfill inserts visible entries in
+// canonical tuple order: bucket order feeds candidate-enumeration order,
+// which the determinism fences observe through emission order, so index
+// creation over a non-empty relation must not leak the entries map's
+// iteration order.
+func (r *Relation) ensureIndex(p *entryPool, id string, positions []int) *index {
 	if idx := r.indexByID(id); idx != nil {
 		return idx
 	}
 	idx := &index{id: id, positions: positions}
 	for _, t := range r.Tuples() {
-		e := r.get(t)
-		r.scratch = appendIndexKey(r.scratch[:0], t, idx.positions)
-		idx.add(r.scratch, e)
+		e := r.get(p, t)
+		p.key = appendIndexKey(p.key[:0], t, idx.positions)
+		idx.add(p.key, e)
 		e.indexed = true
 	}
 	r.indexes = append(r.indexes, idx)

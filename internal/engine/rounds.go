@@ -134,13 +134,13 @@ func (n *Node) endRound() {
 	for i := range n.fires {
 		it := &n.fires[i]
 		if it.ent != nil && !it.ent.visible && it.ent.indexed {
-			it.rel.unindex(it.ent)
+			it.rel.unindex(&n.pool, it.ent)
 		}
 	}
 	clear(n.fires)
 	n.fires = n.fires[:0]
 	for i := range n.tablesByID {
-		n.tablesByID[i].maybeSweepRound()
+		n.tablesByID[i].maybeSweepRound(&n.pool)
 	}
 }
 

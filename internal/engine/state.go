@@ -137,7 +137,7 @@ func FromRewrite(rw *Node) *Node {
 		}
 		for _, t := range rw.Tuples(info.Name) {
 			rel := n.lookup(info.Name)
-			rel.setVisible(rel.getOrCreate(t), true)
+			rel.setVisible(&n.pool, rel.getOrCreate(&n.pool, t), true)
 			byVID[t.VID()] = t
 		}
 	}

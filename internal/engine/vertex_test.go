@@ -59,7 +59,7 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 			if n.Err != nil {
 				t.Fatal(n.Err)
 			}
-			e := n.lookup("out").get(out)
+			e := n.lookup("out").get(&n.pool, out)
 			if e == nil || st.Lookup(out.VID()) != &e.Vertex {
 				t.Fatalf("after derivation: store resolves %p, want the entry's own vertex", st.Lookup(out.VID()))
 			}
@@ -71,7 +71,7 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 			}
 
 			remove(tup("in", 1))
-			if n.lookup("out").get(out) != e || e.visible || len(e.Rows) != 0 {
+			if n.lookup("out").get(&n.pool, out) != e || e.visible || len(e.Rows) != 0 {
 				t.Fatal("vacuous: the retracted entry is not a tombstone")
 			}
 			if st.Lookup(out.VID()) != nil || len(st.Derivations(out.VID())) != 0 {
@@ -85,7 +85,7 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 			}
 
 			insert(tup("in", 1))
-			if n.lookup("out").get(out) != e || st.Lookup(out.VID()) != &e.Vertex {
+			if n.lookup("out").get(&n.pool, out) != e || st.Lookup(out.VID()) != &e.Vertex {
 				t.Fatal("after re-derivation: the revived tombstone's vertex is not the one registered")
 			}
 			if d := st.Derivations(out.VID()); len(d) != 1 || d[0].Count != 1 {
@@ -210,7 +210,7 @@ func TestRowsKeyedByRIDAlone(t *testing.T) {
 			tn.nodes[2].InsertBase(src(2))
 			node.InsertBase(hit)
 			tn.checkErr(t)
-			e := node.lookup("hit").get(hit)
+			e := node.lookup("hit").get(&node.pool, hit)
 			if e == nil || !e.visible || len(e.Rows) != 1 || e.Rows[0].Count != 3 {
 				t.Fatalf("hit after two remote derivations and a base insert: %+v, want one row of count 3", e)
 			}

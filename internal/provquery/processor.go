@@ -108,6 +108,9 @@ type Processor struct {
 	// Nil keeps plain allocation.
 	Msgs *MsgPool
 
+	// rng samples moonwalk alternatives. Only that strategy reads it, so it
+	// is seeded on first use (moonwalkRNG): a node's ~5 KB source costs
+	// nothing on the other strategies, and the sequence is the same.
 	rng *rand.Rand
 
 	cache     map[types.ID]*cacheEntry
@@ -137,7 +140,6 @@ func NewProcessor(node types.NodeID, store *provenance.Store, udf UDF, send func
 		UDF:        udf,
 		Send:       send,
 		MoonwalkN:  2,
-		rng:        rand.New(rand.NewSource(int64(node)*7919 + 17)),
 		cache:      map[types.ID]*cacheEntry{},
 		ruleCache:  map[types.ID]*cacheEntry{},
 		waiting:    map[types.ID]childRef{},
@@ -151,6 +153,15 @@ func NewProcessor(node types.NodeID, store *provenance.Store, udf UDF, send func
 		p.invalidate(vid)
 	}
 	return p
+}
+
+// moonwalkRNG returns the node's moonwalk sampler, seeding it by node ID on
+// first use.
+func (p *Processor) moonwalkRNG() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(int64(p.Node)*7919 + 17))
+	}
+	return p.rng
 }
 
 // Query issues a root provenance query for tuple vertex vid stored at loc;
@@ -258,7 +269,7 @@ func (p *Processor) provQuery(from origin, vid types.ID) {
 		// Sample up to MoonwalkN alternatives; the rest are pruned and
 		// contribute nothing. (Rule inputs are never sampled: a join needs
 		// every one.)
-		order := p.rng.Perm(len(f.kids))
+		order := p.moonwalkRNG().Perm(len(f.kids))
 		for _, i := range order[min(p.MoonwalkN, len(order)):] {
 			f.kids[i] = kid{done: true}
 		}
