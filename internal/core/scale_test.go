@@ -69,7 +69,7 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 	}
 	const (
 		n          = 10000
-		maxPerNode = 16896
+		maxPerNode = 12700
 	)
 	run := func() (int64, int64, string, uint64) {
 		topo := topology.Ring(n, rand.New(rand.NewSource(77)))
@@ -140,7 +140,8 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 	}
 	// Per-node fence: what a converged node retains, read as in the engine's
 	// TestNodeFootprintFollowsState. With entry and row arenas per relation
-	// this read 24,971 B; with one entry pool per node 15,823 B.
+	// this read 24,971 B; with one entry pool per node 15,823 B; with one
+	// tuple map and one index map per node 12,260 B.
 	if perNode > maxPerNode {
 		t.Fatalf("a converged 10k-cluster CHORD node retains %d B, want ≤ %d B — a relation or a node opens memory its state does not need",
 			perNode, maxPerNode)

@@ -63,15 +63,15 @@ func (n *Node) applyAgg(rule *CompiledRule, g *aggGroup, e *entry, sign int8) {
 // creating it on first sight.
 func (n *Node) aggGroupFor(rule *CompiledRule, groupVals []types.Value) *aggGroup {
 	n.pool.key = appendValuesKey(n.pool.key[:0], groupVals)
-	return n.aggGroupAt(rule, hashIndexKey(n.pool.key), groupVals)
+	return n.aggGroupAt(rule, hashKey(rule.idx, n.pool.key), groupVals)
 }
 
-// aggGroupAt is aggGroupFor under the FNV-1a hash h of the group-by values'
-// handle keys — the way relations key their entries. A group keeps its
-// values (copied into the arena once, at creation), and a lookup verifies
-// them; groups whose values collide in 64 bits share a map slot as a chain.
-// Groups are never removed, so a *aggGroup stays valid for the node's
-// lifetime.
+// aggGroupAt is aggGroupFor under the hash h of the rule number and the
+// group-by values' handle keys — the way relations key their entries. A
+// group keeps its values (copied into the arena once, at creation), and a
+// lookup verifies them; groups whose values collide in 64 bits share a map
+// slot as a chain. Groups are never removed, so a *aggGroup stays valid for
+// the node's lifetime.
 func (n *Node) aggGroupAt(rule *CompiledRule, h uint64, groupVals []types.Value) *aggGroup {
 	groups := n.aggByRule[rule.idx]
 	head := groups[h]

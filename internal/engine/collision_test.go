@@ -7,8 +7,9 @@ import (
 	"repro/internal/types"
 )
 
-// Relation entries and aggregate groups are keyed by a 64-bit hash of their
-// values' handle keys. These tests put two distinct rows on one forged hash
+// A node keeps every relation's entries in one tuple map and every index's
+// buckets in one index map, and aggregate groups in a map per rule, each
+// keyed by a 64-bit hash. These tests put distinct rows on one forged hash
 // and check that each is still created, found, listed and removed on its
 // own: a collision costs a verification, never a wrong row.
 
@@ -23,55 +24,139 @@ func mustCompile(t *testing.T, src string) *Program {
 	return prog
 }
 
-// TestRelationHashCollision drives two tuples through one hash slot, the
-// first in the primary map and the second in the spill, and retires each of
-// them in turn through sweep.
+// TestRelationHashCollision puts a p tuple and a q tuple with equal args on
+// one slot of a node's tuple map (the first in the map, the second in the
+// spill) and files both under one index-map bucket (the relations' indexes
+// forged to one number). Each relation must find, list, sweep and revive
+// only its own entry; a sweep of one relation must spare the other's
+// tombstone.
 func TestRelationHashCollision(t *testing.T) {
 	a := types.NewTuple("p", types.Node(0), types.Int(1))
-	b := types.NewTuple("p", types.Node(0), types.Int(2))
+	b := types.NewTuple("q", types.Node(0), types.Int(1))
+	// Unforged, the two hash apart in both maps: each hash starts with the
+	// table or index number.
+	unforged := newEntryPool()
+	for i, tu := range []types.Tuple{a, b} {
+		r := newRelation(&PredInfo{Name: tu.Pred, tableID: i, indexes: []index{{num: i, id: "0", positions: []int{0}}}})
+		e := r.getOrCreate(&unforged, tu)
+		e.AddRow(types.ZeroID, 0)
+		r.setVisible(&unforged, e, true)
+	}
+	if unforged.spill != nil || unforged.lists != nil {
+		t.Fatal("equal args of two relations share a hash slot")
+	}
 	for _, retire := range []types.Tuple{a, b} {
-		r, p := testRelation("p")
-		ea, eb := r.getOrCreateAt(p, collidingHash, a), r.getOrCreateAt(p, collidingHash, b)
-		if ea == eb {
-			t.Fatal("colliding tuples share an entry")
+		pool := newEntryPool()
+		p := &pool
+		rels := map[string]*Relation{}
+		for i, name := range []string{"p", "q"} {
+			ix := index{num: 0, id: "0", positions: []int{0}}
+			r := newRelation(&PredInfo{Name: name, tableID: i, indexes: []index{ix}})
+			rels[name] = &r
 		}
-		if len(r.entries) != 1 || len(r.spill) != 1 {
+		ea := rels["p"].getOrCreateAt(p, collidingHash, a)
+		eb := rels["q"].getOrCreateAt(p, collidingHash, b)
+		if ea == eb {
+			t.Fatal("colliding tuples of two relations share an entry")
+		}
+		if len(p.tuples) != 1 || len(p.spill) != 1 {
 			t.Fatal("vacuous: the tuples do not share a hash slot")
 		}
 		for _, e := range []*entry{ea, eb} {
-			if got := r.find(collidingHash, e.Tuple.Args); got != e {
+			r := rels[e.Tuple.Pred]
+			e.AddRow(types.ZeroID, 0)
+			if got := r.find(p, collidingHash, e.Tuple.Args); got != e {
 				t.Fatalf("find(%v) = %v", e.Tuple, got)
 			}
 			if got := r.getOrCreateAt(p, collidingHash, e.Tuple); got != e {
 				t.Fatalf("getOrCreate(%v) made a second entry", e.Tuple)
 			}
-			e.AddRow(types.ZeroID, 0)
 			r.setVisible(p, e, true)
 		}
-		if got := r.Tuples(); len(got) != 2 || !got[0].Equal(a) || !got[1].Equal(b) {
-			t.Fatalf("Tuples() = %v, want [%v %v]", got, a, b)
+		if len(p.buckets) != 1 || len(p.lists) != 1 {
+			t.Fatal("vacuous: the entries do not share an index bucket")
+		}
+		for _, e := range []*entry{ea, eb} {
+			if got := rels[e.Tuple.Pred].Tuples(p); len(got) != 1 || !got[0].Equal(e.Tuple) {
+				t.Fatalf("%s lists %v, want [%v]", e.Tuple.Pred, got, e.Tuple)
+			}
 		}
 
-		gone := r.find(collidingHash, retire.Args)
+		kept := b
+		if retire.Equal(b) {
+			kept = a
+		}
+		rr, kr := rels[retire.Pred], rels[kept.Pred]
+		gone := rr.find(p, collidingHash, retire.Args)
 		gone.DelRow(types.ZeroID)
-		r.setVisible(p, gone, false)
-		r.sweep(p)
-		if r.find(collidingHash, retire.Args) != nil {
+		rr.setVisible(p, gone, false)
+		rr.unindex(p, gone)
+		rr.sweep(p)
+		if rr.find(p, collidingHash, retire.Args) != nil {
 			t.Fatalf("swept %v still found", retire)
 		}
-		kept := a
-		if retire.Equal(a) {
-			kept = b
-		}
-		if e := r.find(collidingHash, kept.Args); e == nil || !e.visible {
+		ke := kr.find(p, collidingHash, kept.Args)
+		if ke == nil || !ke.visible {
 			t.Fatalf("sweeping %v lost %v", retire, kept)
 		}
-		if got := r.Tuples(); len(got) != 1 || !got[0].Equal(kept) {
-			t.Fatalf("Tuples() after sweep = %v, want [%v]", got, kept)
+		if got := kr.Tuples(p); len(got) != 1 || !got[0].Equal(kept) {
+			t.Fatalf("%s lists %v after the sweep, want [%v]", kept.Pred, got, kept)
 		}
-		if e := r.getOrCreateAt(p, collidingHash, retire); e.visible || r.find(collidingHash, retire.Args) != e {
+		if got := rr.Tuples(p); len(got) != 0 {
+			t.Fatalf("%s lists %v after the sweep, want none", retire.Pred, got)
+		}
+
+		// Tombstone the kept tuple too: another sweep of the retired
+		// relation must leave it for its own relation to revive.
+		ke.DelRow(types.ZeroID)
+		kr.setVisible(p, ke, false)
+		kr.unindex(p, ke)
+		rr.sweep(p)
+		if kr.find(p, collidingHash, kept.Args) != ke || kr.dead != 1 {
+			t.Fatalf("sweeping %s reclaimed the %s tombstone", retire.Pred, kept.Pred)
+		}
+		if e := kr.getOrCreateAt(p, collidingHash, kept); e != ke || kr.dead != 0 {
+			t.Fatalf("reviving %v made a new entry", kept)
+		}
+		if e := rr.getOrCreateAt(p, collidingHash, retire); e == ke || e.visible || rr.find(p, collidingHash, retire.Args) != e {
 			t.Fatalf("re-created %v not found on its own", retire)
 		}
+	}
+}
+
+// TestJoinProbeChecksRelation forges the index-map collision inside a node:
+// p's and q's indexes over the location are given one number, so a p tuple
+// and a q tuple at one node share a bucket, and a join probe on p must bind
+// only the p entry.
+func TestJoinProbeChecksRelation(t *testing.T) {
+	prog := mustCompile(t, `r1 outp(@X,Y) :- eGo(@X), p(@X,Y).
+r2 outq(@X,Y) :- eGo(@X), q(@X,Y).`)
+	num := prog.Pred("p").indexes[0].num
+	prog.Pred("q").indexes[0].num = num
+	for _, cr := range prog.Rules {
+		for _, pl := range cr.plans {
+			for i := range pl.steps {
+				if pl.steps[i].index >= 0 {
+					pl.steps[i].index = num
+				}
+			}
+		}
+	}
+	n := NewNode(0, prog, ProvReference, &refTransport{})
+	n.InsertBase(types.NewTuple("p", types.Node(0), types.Int(1)))
+	n.InsertBase(types.NewTuple("q", types.Node(0), types.Int(2)))
+	if len(n.pool.lists) != 1 {
+		t.Fatal("vacuous: the p and q entries do not share an index bucket")
+	}
+	n.InjectEvent(types.NewTuple("eGo", types.Node(0)))
+	if n.Err != nil {
+		t.Fatal(n.Err)
+	}
+	if got := tuples(n, "outp"); len(got) != 1 || got[0] != "outp(@a,1)" {
+		t.Fatalf("outp = %v, want [outp(@a,1)]", got)
+	}
+	if got := tuples(n, "outq"); len(got) != 1 || got[0] != "outq(@a,2)" {
+		t.Fatalf("outq = %v, want [outq(@a,2)]", got)
 	}
 }
 

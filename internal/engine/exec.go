@@ -87,17 +87,15 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 			n.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
 		}
 	case stepJoin:
-		// Probe the index handle bound at plan-bind time: no index-ID
-		// formatting, and the lookup key is built in a reusable buffer
-		// (the map access on []byte bytes is allocation-free). A nil
-		// handle means the joined atom is an event, which never
-		// materializes.
-		idx := n.joinIdx[st.joinID]
-		if idx == nil {
+		// Probe the index the step declared at Compile: the key is built
+		// in a reusable buffer, a one-entry bucket comes back in an array
+		// on this frame, and an event atom (never materialized) has none.
+		if st.index < 0 {
 			return
 		}
 		n.pool.key = st.appendLookupKey(n.pool.key[:0], env)
-		cands := idx.lookup(n.pool.key)
+		var one [1]*entry
+		cands := n.pool.lookup(hashKey(st.index, n.pool.key), one[:0])
 		js := &n.joinStats[st.joinID]
 		js.probes++
 		js.hits += int64(len(cands))
@@ -108,6 +106,10 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 		admitNew := st.atom < n.fireAtomPos || n.fireIsEvent
 		curRound := n.curRound
 		for _, cand := range cands {
+			// A hash neighbour from another relation may bind: skip it.
+			if int(cand.table) != st.table {
+				continue
+			}
 			vis := cand.visible
 			if !admitNew && cand.touchRound == curRound {
 				vis = cand.startVis

@@ -31,12 +31,14 @@ func liveHeap() uint64 {
 // read ≈ 650 KB per node; with arenas that grow from 8 slots ≈ 65 KB, with
 // one evaluation state per node ≈ 40 KB, with hash-keyed rows ≈ 36 KB, with
 // each stored tuple as its own provenance vertex ≈ 32 KB, with ruleExec
-// column tables and aggregate rows as handles ≈ 26 KB, and with one entry
-// pool per node instead of arenas per relation ≈ 17.3 KB.
+// column tables and aggregate rows as handles ≈ 26 KB, with one entry pool
+// per node instead of arenas per relation ≈ 17.3 KB, and with one tuple map
+// and one index map per node instead of a map per relation and per index
+// ≈ 13.7 KB.
 func TestNodeFootprintFollowsState(t *testing.T) {
 	const (
 		nodes      = 300
-		maxPerNode = 18944
+		maxPerNode = 14600
 	)
 	topo := topology.Ring(nodes, rand.New(rand.NewSource(1)))
 	base := apps.ChordBase(topo)
@@ -132,16 +134,17 @@ func TestMinCostBytesPerDelta(t *testing.T) {
 // its tuples. The same nodes are built twice, once from a one-rule program
 // and once with extra predicates that each hold one base tuple (gated by an
 // empty relation, so they derive nothing); the difference per extra
-// predicate is one relation holding one tuple: its entry, prov row, index
-// bucket and map, its share of the node's per-rule tables, and whatever the
-// relation opens for itself. With entry and row arenas and a key buffer per
+// predicate is one relation holding one tuple: its entry, prov row and
+// index bucket, its share of the node's per-rule tables and of its tuple and
+// index maps, and whatever the relation opens for itself. With entry and row arenas and a key buffer per
 // relation this read ≈ 2.1 KB, an 8-slot chunk of each arena opened for the
-// one tuple; with one entry pool per node ≈ 0.9 KB.
+// one tuple; with one entry pool per node ≈ 0.9 KB; with the node's tuple
+// and index maps in place of a map per relation and per index 359 B.
 func TestRelationCostsWhatItHolds(t *testing.T) {
 	const (
 		nodes          = 200
 		extra          = 16
-		maxPerRelation = 1000
+		maxPerRelation = 372
 	)
 	preds := make([]string, extra)
 	for j := range preds {

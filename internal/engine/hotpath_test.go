@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ndlog"
@@ -15,16 +16,20 @@ import (
 // them starts failing, a change has reintroduced per-delta allocation or
 // re-hashing on the inner loop.
 
-// testRelation builds a standalone relation, outside any node, and the
-// entry pool that stands in for its node's.
-func testRelation(name string) (*Relation, *entryPool) {
-	r, p := newRelation(name), newEntryPool()
+// testRelation builds a standalone relation, outside any node, with an
+// index over each position list given, and the entry pool that stands in
+// for its node's.
+func testRelation(name string, indexes ...[]int) (*Relation, *entryPool) {
+	prog, info := &Program{}, &PredInfo{Name: name}
+	for _, pos := range indexes {
+		prog.declareIndex(info, indexID(pos), pos)
+	}
+	r, p := newRelation(info), newEntryPool()
 	return &r, &p
 }
 
 func TestRelationLenTracksVisibility(t *testing.T) {
-	rel, p := testRelation("p")
-	rel.ensureIndex(p, indexID([]int{0}), []int{0})
+	rel, p := testRelation("p", []int{0})
 	var entries []*entry
 	for i := 0; i < 5; i++ {
 		e := rel.getOrCreate(p, types.NewTuple("p", types.Node(types.NodeID(i)), types.Int(int64(i))))
@@ -42,7 +47,7 @@ func TestRelationLenTracksVisibility(t *testing.T) {
 	if rel.Len() != 4 {
 		t.Fatalf("Len after hide = %d, want 4", rel.Len())
 	}
-	if got := len(rel.Tuples()); got != rel.Len() {
+	if got := len(rel.Tuples(p)); got != rel.Len() {
 		t.Fatalf("Len = %d but Tuples() returned %d", rel.Len(), got)
 	}
 	for _, e := range entries[1:] {
@@ -54,31 +59,33 @@ func TestRelationLenTracksVisibility(t *testing.T) {
 }
 
 // TestJoinProbeAllocFree exercises the primitive the innermost join loop is
-// built from — build the fixed-width handle key into a reusable buffer, look
-// up the pre-resolved index handle — and requires it to allocate nothing on
-// an index hit.
+// built from — build the fixed-width handle key into a reusable buffer, hash
+// it under the index number the plan step carries, look the bucket up in the
+// node's index map — and requires it to allocate nothing on an index hit,
+// whether the bucket is a list (position 1: ten entries per key) or one
+// inline entry (position 2: one entry per key).
 func TestJoinProbeAllocFree(t *testing.T) {
-	rel, p := testRelation("link")
-	idx := rel.ensureIndex(p, indexID([]int{1}), []int{1})
+	rel, p := testRelation("link", []int{1}, []int{2})
 	for i := 0; i < 100; i++ {
 		e := rel.getOrCreate(p, types.NewTuple("link",
 			types.Node(types.NodeID(i/10)), types.Node(types.NodeID(i%10)), types.Int(int64(i))))
 		e.AddRow(types.ID{byte(i)}, 0)
 		rel.setVisible(p, e, true)
 	}
-	if got := rel.Index([]int{1}); got != idx {
-		t.Fatal("Index did not return the ensureIndex handle")
-	}
-	probe := types.Node(3)
+	byPeer, byCost := rel.info.indexes[0].num, rel.info.indexes[1].num
+	peer, cost := types.Node(3), types.Int(7)
 	var key []byte
-	hits := 0
-	key = probe.AppendKey(key[:0]) // warm the buffer
+	var one [1]*entry
+	hits := [2]int{}
+	key = peer.AppendKey(key[:0]) // warm the buffer
 	allocs := testing.AllocsPerRun(200, func() {
-		key = probe.AppendKey(key[:0])
-		hits += len(idx.lookup(key))
+		key = peer.AppendKey(key[:0])
+		hits[0] += len(p.lookup(hashKey(byPeer, key), one[:0]))
+		key = cost.AppendKey(key[:0])
+		hits[1] += len(p.lookup(hashKey(byCost, key), one[:0]))
 	})
-	if hits == 0 {
-		t.Fatal("probe never hit the index")
+	if hits[0] != 10*hits[1] || hits[1] == 0 {
+		t.Fatalf("probes returned %d and %d candidates, want ten per list probe and one per inline probe", hits[0], hits[1])
 	}
 	if allocs != 0 {
 		t.Errorf("join probe allocated %.2f objects per run, want 0", allocs)
@@ -252,16 +259,17 @@ func TestSchedulerDeliveryAllocFree(t *testing.T) {
 	}
 }
 
-// TestIndexChurnAllocFree is the fence for the PR 3 leftover this PR fixes:
-// indexing an entry under a string-valued key used to copy the key bytes on
-// every first sight. With hashed buckets the index stores only a 64-bit hash
-// and recycles bucket boxes through a free list, so steady-state visibility
+// TestIndexChurnAllocFree fences index maintenance: indexing an entry under
+// a string-valued key once copied the key bytes on every first sight. The
+// node's index map stores only a 64-bit hash, keeps a one-entry bucket
+// inline and recycles the lists of larger ones, so steady-state visibility
 // churn — hide and unindex (as a round's end does), reindex on show, string
-// keys included — must not allocate at all.
+// keys included — must not allocate at all. The second half drives one key
+// through every bucket transition, 0 → 1 → 2 → 3 → 2 → 1 → 0 → 1 entries:
+// candidates must come back in the order of a list kept by append and
+// swap-remove, which is the order joins enumerate and emit in.
 func TestIndexChurnAllocFree(t *testing.T) {
-	rel, p := testRelation("p")
-	rel.ensureIndex(p, indexID([]int{1}), []int{1})
-	rel.ensureIndex(p, indexID([]int{1, 2}), []int{1, 2})
+	rel, p := testRelation("p", []int{1}, []int{1, 2})
 	var entries []*entry
 	for i := 0; i < 64; i++ {
 		e := rel.getOrCreate(p, types.NewTuple("p", types.Node(types.NodeID(i)),
@@ -287,6 +295,54 @@ func TestIndexChurnAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("index churn allocated %.2f objects per cycle, want 0", allocs)
 	}
+
+	rel, p = testRelation("q", []int{1})
+	es := make([]*entry, 3)
+	for i := range es {
+		es[i] = rel.getOrCreate(p, types.NewTuple("q", types.Node(types.NodeID(i)), types.Str("k")))
+		es[i].AddRow(types.ZeroID, 0)
+	}
+	h := p.indexHash(&rel.info.indexes[0], es[0].Tuple)
+	ref := make([]*entry, 0, len(es))
+	var one [1]*entry
+	step := func(e *entry, show bool) {
+		if show {
+			rel.setVisible(p, e, true)
+			ref = append(ref, e)
+		} else {
+			rel.setVisible(p, e, false)
+			rel.unindex(p, e)
+			i := slices.Index(ref, e)
+			ref[i] = ref[len(ref)-1]
+			ref = ref[:len(ref)-1]
+		}
+		if got := p.lookup(h, one[:0]); !slices.Equal(got, ref) {
+			t.Fatalf("bucket holds %v, want %v", entryTuples(got), entryTuples(ref))
+		}
+	}
+	a, b, c := es[0], es[1], es[2]
+	cycle := func() {
+		step(a, true)  // 1, inline
+		step(b, true)  // 2, a list
+		step(c, true)  // 3
+		step(a, false) // 2: c takes a's place
+		step(c, false) // 1: b goes back inline
+		step(b, false) // 0
+		step(a, true)  // 1
+		step(a, false) // 0 again, for the next cycle
+	}
+	cycle() // warm the map and the list free list
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("bucket transitions allocated %.2f objects per cycle, want 0", allocs)
+	}
+}
+
+func entryTuples(es []*entry) []types.Tuple {
+	out := make([]types.Tuple, len(es))
+	for i, e := range es {
+		out[i] = e.Tuple
+	}
+	return out
 }
 
 // TestSweepSparesRetractingEntry: a retraction never sweeps. Hiding every

@@ -92,10 +92,6 @@ type Node struct {
 	fires []fireItem
 	aggIn []aggItem
 
-	// Compiled access paths: each stepJoin's index handle, resolved once
-	// at plan-bind time (bindPlans) and indexed by joinID, so a join probe
-	// never re-derives the index from its position list.
-	joinIdx []*index
 	// tablesByID holds the relations of the program's stored predicates,
 	// indexed by PredInfo.tableID: the program's predicate table is the
 	// only name→relation map, and the node holds no other relation. It
@@ -105,7 +101,8 @@ type Node struct {
 	tablesByID []Relation
 	aggByRule  []map[uint64]*aggGroup
 	// pool carves, recycles and keys the entries of every relation above,
-	// and its key buffer serves every key the node encodes.
+	// holds them and their index buckets in the node's two hash tables, and
+	// its key buffer serves every key the node encodes.
 	pool entryPool
 
 	// Scratch arenas, sized at program-compile time and reused across rule
@@ -171,7 +168,7 @@ const (
 // NewNode creates an engine node for the given compiled program.
 //
 // Everything sized here comes from the compiled program; what depends on the
-// data — relation and index maps, aggregate groups — is created by its first
+// data — the tuple and index maps, aggregate groups — is created by its first
 // write.
 func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node {
 	n := &Node{
@@ -189,19 +186,16 @@ func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node 
 		r := algebra.BDD(bdd.New(), func(b algebra.Base) bdd.Var { return n.Store.BaseVar(b.VID) })
 		n.Ring = &r
 	}
-	// Pre-create relations, the indexes every join plan needs, and the
-	// per-join compiled handles. Joins against event atoms keep a nil
-	// handle: events never materialize, so such probes match nothing.
+	// Pre-create relations; the indexes their predicates declare need
+	// nothing until an entry is filed under one.
 	n.tablesByID = make([]Relation, prog.tablesFor(mode))
 	for _, info := range prog.predList {
 		if !info.Event && n.holds(info) {
-			n.tablesByID[info.tableID] = newRelation(info.Name)
+			n.tablesByID[info.tableID] = newRelation(info)
 		}
 	}
-	n.joinIdx = make([]*index, prog.numJoins)
 	n.joinStats = make([]joinStat, prog.numJoins)
 	n.aggByRule = make([]map[uint64]*aggGroup, len(prog.Rules))
-	n.bindPlans()
 	n.envBuf = make([]types.Value, prog.maxVars)
 	n.matchedBuf = make([]types.Tuple, prog.maxAtoms)
 	n.entBuf = make([]*entry, prog.maxAtoms)
@@ -219,25 +213,6 @@ const AutoShards = -1
 
 func EffectiveShards(int) int  { return 1 }
 func (n *Node) NumShards() int { return 1 }
-
-// bindPlans resolves every join step of the program's plans to its index
-// handle, creating any index a plan needs. Runs once, at construction.
-func (n *Node) bindPlans() {
-	for _, r := range n.Prog.Rules {
-		for _, pl := range r.plans {
-			for i := range pl.steps {
-				st := &pl.steps[i]
-				if st.kind != stepJoin {
-					continue
-				}
-				a := r.atoms[st.atom]
-				if !a.event {
-					n.joinIdx[st.joinID] = n.lookup(a.pred).ensureIndex(&n.pool, st.indexID, st.indexPos)
-				}
-			}
-		}
-	}
-}
 
 // lookup returns the relation of pred, or nil when the node has none.
 func (n *Node) lookup(pred string) *Relation {
@@ -269,7 +244,7 @@ func (n *Node) admit(t types.Tuple) *PredInfo {
 // Tuples returns the visible tuples of a predicate, sorted canonically.
 func (n *Node) Tuples(pred string) []types.Tuple {
 	if rel := n.lookup(pred); rel != nil {
-		return rel.Tuples()
+		return rel.Tuples(&n.pool)
 	}
 	return nil
 }

@@ -18,9 +18,9 @@ import (
 //     mutable evaluation state (environments, scratch keys, matched tuples,
 //     probe tallies) lives in the executing Node.
 //   - deltaBinds matches the triggering delta tuple into the environment;
-//     steps then run in order. stepJoin probes the index identified by
-//     joinID (bound to the node's concrete index handles at construction
-//     time), stepAssign/stepCond evaluate compiled expressions.
+//     steps then run in order. stepJoin probes the index it declared at
+//     plan-build time (Program.declareIndex), by number, in the node's
+//     index map; stepAssign/stepCond evaluate compiled expressions.
 //   - Join lookup keys are built by appendLookupKey into caller scratch:
 //     the fixed-width handle key of each key part, matching appendIndexKey
 //     on the relation side, so the innermost probe loop allocates nothing.
@@ -62,16 +62,25 @@ type keyPart struct {
 	slot    int
 }
 
+// index is a hash index Compile declared: positions of a stored predicate a
+// join step binds, numbered program-wide to key the node's index map.
+type index struct {
+	num       int
+	id        string // indexID(positions)
+	positions []int
+}
+
 type planStep struct {
 	kind stepKind
 
 	// stepJoin
 	atom     int
-	indexPos []int
-	indexID  string // indexID(indexPos), rendered once at plan-build time
+	indexID  string // indexID of the probed positions, rendered once at plan-build time
 	keyParts []keyPart
 	binds    []bindSpec
-	joinID   int // program-wide join-step id; nodes bind it to an index handle
+	joinID   int // program-wide join-step id; keys the node's probe tallies
+	index    int // number of the probed index; -1 for an event atom
+	table    int // tableID of the probed predicate; candidates must carry it
 
 	// stepAssign / stepCond
 	assignSlot int
@@ -236,10 +245,15 @@ func buildPlan(cr *CompiledRule, atoms []*ndlog.Atom, k int, order []int) (*plan
 		if err != nil {
 			return nil, err
 		}
-		pl.steps = append(pl.steps, planStep{
-			kind: stepJoin, atom: best, indexPos: indexPos, indexID: indexID(indexPos),
-			keyParts: keyParts, binds: binds,
-		})
+		info := cr.prog.preds[a.Pred]
+		st := planStep{
+			kind: stepJoin, atom: best, indexID: indexID(indexPos),
+			keyParts: keyParts, binds: binds, index: -1, table: info.tableID,
+		}
+		if !info.Event {
+			st.index = cr.prog.declareIndex(info, st.indexID, indexPos)
+		}
+		pl.steps = append(pl.steps, st)
 		if err := flush(); err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ndlog"
@@ -14,13 +15,14 @@ type Program struct {
 	preds      map[string]*PredInfo
 	predList   []*PredInfo // preds sorted by name (Preds)
 
-	// Hot-path sizing, computed once at compile time so nodes can bind
-	// index handles and allocate scratch arenas before evaluation starts.
-	numJoins  int // total stepJoin steps across all plans; joinIDs are [0,numJoins)
-	numTables int // stored (non-event) predicates; tableIDs are [0,numTables)
-	maxVars   int // widest rule environment
-	maxAtoms  int // widest rule body
-	maxGroup  int // widest aggregate group-by list
+	// Hot-path sizing, computed once at compile time so nodes can allocate
+	// scratch arenas before evaluation starts.
+	numJoins   int // total stepJoin steps across all plans; joinIDs are [0,numJoins)
+	numTables  int // stored (non-event) predicates; tableIDs are [0,numTables)
+	numIndexes int // declared indexes (declareIndex); index numbers are [0,numIndexes)
+	maxVars    int // widest rule environment
+	maxAtoms   int // widest rule body
+	maxGroup   int // widest aggregate group-by list
 
 	// metaUsed reports that the program's own rules or facts name prov or
 	// ruleExec (the Algorithm 1 rewrite derives them). Otherwise only a
@@ -61,6 +63,9 @@ type PredInfo struct {
 	// triggers, so one predicate lookup serves the whole delta-processing
 	// path.
 	occs []occurrence
+	// indexes lists the distinct indexes join steps probe on this stored
+	// predicate: a relation files each visible entry under every one.
+	indexes []index
 	// meta marks prov and ruleExec, the provenance relations themselves
 	// (§4.1): their tuples are stored without provenance bookkeeping of
 	// their own.
@@ -79,6 +84,7 @@ type CompiledRule struct {
 	plans       []*plan  // one per body atom position, chosen at Compile
 	agg         *AggSpec // non-nil for aggregate rules
 	idx         int      // position in Program.Rules; keys per-rule node state
+	prog        *Program // declares the indexes its plans' join steps probe
 	source      *ndlog.Rule
 	slots       map[string]int // variable -> env slot
 	// headRecursive mirrors PredInfo.Recursive for the head predicate:
@@ -108,8 +114,6 @@ func (s *AggSpec) ordered() bool { return s.Fn == "MIN" || s.Fn == "MAX" }
 type atomSpec struct {
 	pred  string
 	arity int
-	event bool
-	args  []ndlog.Expr
 }
 
 // Compile validates and compiles an NDlog program.
@@ -178,8 +182,8 @@ func Compile(p *ndlog.Program) (*Program, error) {
 		prog.preds[meta].meta = true
 	}
 
-	// Number every stored predicate and join step and record scratch sizes
-	// for plan-bind time.
+	// Number every stored predicate, plan every rule (join steps declare
+	// their indexes), number the join steps and record scratch sizes.
 	prog.predList = make([]*PredInfo, 0, len(prog.preds))
 	for _, info := range prog.preds {
 		prog.predList = append(prog.predList, info)
@@ -199,8 +203,19 @@ func Compile(p *ndlog.Program) (*Program, error) {
 			prog.numTables++
 		}
 	}
+	if prog.numTables > math.MaxUint16+1 { // entry.table holds a table number
+		return nil, fmt.Errorf("engine: %d stored predicates, at most %d", prog.numTables, math.MaxUint16+1)
+	}
 	for ri, cr := range prog.Rules {
-		cr.idx = ri
+		cr.idx, cr.prog = ri, prog
+		atoms := cr.source.BodyAtoms()
+		for k := range atoms {
+			pl, err := buildPlan(cr, atoms, k, nil)
+			if err != nil {
+				return nil, fmt.Errorf("rule %s: %w", cr.Label, err)
+			}
+			cr.plans = append(cr.plans, pl)
+		}
 		if cr.numVars > prog.maxVars {
 			prog.maxVars = cr.numVars
 		}
@@ -248,6 +263,20 @@ func headArity(r *ndlog.Rule) int {
 		n++
 	}
 	return n
+}
+
+// declareIndex returns the number of the stored predicate's index over
+// positions (whose indexID is id), declaring it on first sight. Numbers are
+// program-wide, so a node keys every index's buckets in one map.
+func (p *Program) declareIndex(info *PredInfo, id string, positions []int) int {
+	for _, ix := range info.indexes {
+		if ix.id == id {
+			return ix.num
+		}
+	}
+	info.indexes = append(info.indexes, index{num: p.numIndexes, id: id, positions: positions})
+	p.numIndexes++
+	return p.numIndexes - 1
 }
 
 // Pred returns predicate metadata (nil when the program does not declare it).
@@ -301,12 +330,7 @@ func compileRule(r *ndlog.Rule, label string) (*CompiledRule, error) {
 		slots:       slots,
 	}
 	for _, a := range atoms {
-		cr.atoms = append(cr.atoms, &atomSpec{
-			pred:  a.Pred,
-			arity: len(a.Args),
-			event: a.IsEvent(),
-			args:  a.Args,
-		})
+		cr.atoms = append(cr.atoms, &atomSpec{pred: a.Pred, arity: len(a.Args)})
 	}
 	// Aggregate rules: this engine evaluates aggregates over a single
 	// stored body atom (MIN/MAX provenance traces to one winning input
@@ -372,15 +396,6 @@ func compileRule(r *ndlog.Rule, label string) (*CompiledRule, error) {
 			}
 			cr.headCode = append(cr.headCode, code)
 		}
-	}
-
-	// Build one plan per delta position, in the default join order.
-	for k := range atoms {
-		pl, err := buildPlan(cr, atoms, k, nil)
-		if err != nil {
-			return nil, err
-		}
-		cr.plans = append(cr.plans, pl)
 	}
 	return cr, nil
 }

@@ -17,16 +17,17 @@ import (
 // row's Payload). The tuple is visible while at least one row is present.
 // In reference mode the node's store points at the embedded vertex while it
 // has rows (non-meta tuples only), so a stored tuple is written once and a
-// prov row changes with no map probe. The relation map keys an entry by a
-// 64-bit hash of its args; the tuple itself is what a lookup verifies.
+// prov row changes with no map probe. The node's tuple map keys an entry by
+// a 64-bit hash of its relation's table number and its args; the table tag
+// and the tuple itself are what a lookup verifies.
 //
 // Rows are held by value in a small slice: most tuples have one or two, and
 // the per-entry map plus per-derivation pointer boxes were among the largest
 // allocation sources in fixpoint profiles.
-// Field order is alignment-packed (exspanlint -fieldalign): the five 1-byte
-// flags sit together after the 4-byte fields, which keeps a stored tuple at
-// 104 bytes, its prov rows included; the cached VID needs no flag of its own
-// because no tuple hashes to the null digest.
+// Field order is alignment-packed (exspanlint -fieldalign): the table tag
+// and the five 1-byte flags sit together after the 4-byte fields, which
+// keeps a stored tuple at 104 bytes, its prov rows included; the cached VID
+// needs no flag of its own because no tuple hashes to the null digest.
 type entry struct {
 	provenance.Vertex
 	payload algebra.Payload // value mode: ring sum over row payloads
@@ -35,6 +36,11 @@ type entry struct {
 	// the round that first touched it (rounds.go) — the reference point for
 	// net-change firing and old-state probe admission.
 	touchRound uint32
+
+	// table is the PredInfo.tableID of the entry's relation. A node keeps
+	// every relation's entries and index buckets in shared maps, so a
+	// lookup and a join probe admit only entries carrying their table.
+	table uint16
 
 	visible bool
 
@@ -68,34 +74,26 @@ func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
 	return e.VID, buf
 }
 
-// Relation is a materialized table with hash indexes maintained
+// Relation is a materialized table whose indexes are maintained
 // incrementally as tuples become visible and invisible. Removals wait for
 // the end of the round: the fire phase probes OLD state, so a tuple the
 // round hid must still be found (Relation.unindex, maybeSweepRound).
 //
-// Fully retracted entries are kept in the map as tombstones instead of
-// being deleted: under churn the same tuples are re-derived moments later,
-// and a reused tombstone brings back its canonical key string and cached
-// SHA-1 VID for free (re-deriving a route after a link flap costs neither
-// an allocation nor a hash). The tombstone population is bounded by sweep:
-// memory stays within a small factor of the live high-water mark.
+// Fully retracted entries are kept as tombstones instead of being deleted:
+// under churn the same tuples are re-derived moments later, and a reused
+// tombstone brings back its cached SHA-1 VID for free (re-deriving a route
+// after a link flap costs neither an allocation nor a hash). The tombstone
+// population is bounded by sweep: memory stays within a small factor of the
+// live high-water mark.
 //
-// Entries are keyed by keyHash, the FNV-1a hash of the tuple's args handle
-// key: an 8-byte map key, and no per-entry key string to build and retain.
-// A lookup verifies the candidate's args. An entry whose hash slot already
-// holds a different tuple goes to spill, an exact list per hash that stays
-// nil unless two live tuples of one relation collide in 64 bits.
-//
-// A relation holds its maps, its indexes and its counters, nothing else: the
-// entries, their first rows and the key scratch come from the node's
-// entryPool, which every method that carves, recycles or encodes takes.
+// A relation holds its predicate and its counters, nothing else: its
+// entries, their first rows, its index buckets and the key scratch are the
+// node's entryPool, which every method that carves, finds, indexes or
+// encodes takes.
 type Relation struct {
-	name    string
-	entries map[uint64]*entry
-	spill   map[uint64][]*entry
-	indexes []*index
-	visible int // O(1) Len
-	dead    int // invisible derivation-free entries retained for reuse
+	info    *PredInfo // table number and the indexes Compile declared
+	visible int       // O(1) Len
+	dead    int       // invisible derivation-free entries retained for reuse
 }
 
 // entryPool is what a node spends on its stored tuples, whichever relation
@@ -109,21 +107,37 @@ type Relation struct {
 // Prov rows and types.Value hold no pointers, so those chunks cost the
 // garbage collector nothing to scan.
 //
-// One pool per node, not per relation: a converged CHORD node holds about
-// twenty tuples over a dozen relations, and arenas per relation each opened
-// a chunk of their own, so a node paid for its relations rather than its
-// tuples (PERFORMANCE.md "What a converged CHORD node holds").
+// One pool per node, and two hash tables: a converged CHORD node holds about
+// twenty tuples over a dozen relations and seven indexes, and a map per
+// relation and per index cost it more than its tuples (PERFORMANCE.md "What
+// a converged CHORD node holds").
+//
+//   - tuples is the tuple map: every relation's entries, tombstones
+//     included, keyed by the hash of the table number and the args handle
+//     key (Relation.hash). spill holds, per hash, the entries whose slot
+//     another tuple took; it stays nil unless two tuples collide in 64 bits.
+//   - buckets is the index map: every index's buckets, keyed by the hash of
+//     the index number and the index key (indexHash). A bucket of one entry
+//     is that entry, with no box; a bucket of two or more is marked listed
+//     and kept in lists, whose emptied slices freeLists recycles.
+//
+// The number in each hash keeps equal keys of two relations or indexes
+// apart; a 64-bit collision costs a check of the table tag and the args.
 //
 // key is the node's one key-encoding buffer: relation keys, index keys, join
 // probe keys and aggregate group keys are all built in it. Every user hashes
-// the bytes at once and never reads them again (a join probe is done with
-// its key when index.lookup returns its candidates), so no encode can
-// clobber a key still in use.
+// the bytes at once and never reads them again, so no encode can clobber a
+// key still in use.
 type entryPool struct {
-	entries types.Arena[entry]
-	rows    types.Arena[provenance.ProvEntry]
-	free    []*entry
-	key     []byte
+	entries   types.Arena[entry]
+	rows      types.Arena[provenance.ProvEntry]
+	free      []*entry
+	key       []byte
+	tuples    map[uint64]*entry
+	spill     map[uint64][]*entry
+	buckets   map[uint64]*entry
+	lists     map[uint64][]*entry
+	freeLists [][]*entry
 }
 
 // entryChunk caps the chunk size of a node's entry and row arenas. Chunks
@@ -155,40 +169,34 @@ func (p *entryPool) alloc() *entry {
 	return p.entries.New()
 }
 
-// keyHash hashes a tuple's args handle key (types.Tuple.AppendArgsKey): the
-// key copies no string or digest bytes, and equal interned args mean equal
-// tuples, so a relation's only other check is argsEqual.
-func (p *entryPool) keyHash(t types.Tuple) uint64 {
-	p.key = t.AppendArgsKey(p.key[:0])
-	return hashIndexKey(p.key)
+// all yields every entry of the node, tombstones included, in no particular
+// order.
+func (p *entryPool) all(yield func(*entry) bool) {
+	for _, e := range p.tuples {
+		if !yield(e) {
+			return
+		}
+	}
+	for _, list := range p.spill {
+		for _, e := range list {
+			if !yield(e) {
+				return
+			}
+		}
+	}
 }
 
-// index is a hash index over a fixed set of argument positions. Buckets are
-// keyed by a 64-bit FNV-1a hash of the encoded key bytes rather than the
-// bytes themselves: inserting a first-sight key then costs no string copy,
-// and integer map operations beat string hashing on every probe. A hash
-// collision merges two keys into one bucket; that is sound because every
-// probe site re-verifies candidates against the full bound/const bind specs
-// (bindTuple), so a merged bucket only costs a few filtered candidates. Buckets are held by pointer so adding to an
-// existing bucket needs no map re-assignment; emptied buckets leave the map
-// (bounding distinct-key churn) and recycle their boxes through a free list,
-// so steady-state visibility churn allocates nothing.
-type index struct {
-	id        string // indexID(positions)
-	positions []int
-	buckets   map[uint64]*[]*entry
-	free      []*[]*entry
-}
-
-// FNV-1a 64-bit, inlined, for index bucket keys. Process-independent, so
+// FNV-1a 64-bit, inlined, for the node's map keys. Process-independent, so
 // every run hashes identically.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-func hashIndexKey(b []byte) uint64 {
-	h := uint64(fnvOffset64)
+// hashKey is FNV-1a over the number num — a table, an index or a rule — taken
+// as one input word, and then the key bytes.
+func hashKey(num int, b []byte) uint64 {
+	h := (fnvOffset64 ^ uint64(num)) * fnvPrime64
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= fnvPrime64
@@ -196,91 +204,130 @@ func hashIndexKey(b []byte) uint64 {
 	return h
 }
 
-// lookup returns the entries whose indexed values hash like key. Callers
-// must re-verify candidates (bindTuple does): a bucket can hold hash
-// neighbours of the probed key.
-func (idx *index) lookup(key []byte) []*entry {
-	if p := idx.buckets[hashIndexKey(key)]; p != nil {
-		return *p
-	}
-	return nil
+// indexHash hashes the index key of t under ix: the index-map key of t's
+// bucket.
+func (p *entryPool) indexHash(ix *index, t types.Tuple) uint64 {
+	p.key = appendIndexKey(p.key[:0], t, ix.positions)
+	return hashKey(ix.num, p.key)
 }
 
-func (idx *index) add(key []byte, e *entry) {
-	h := hashIndexKey(key)
-	if p := idx.buckets[h]; p != nil {
-		*p = append(*p, e)
-		return
-	}
-	var p *[]*entry
-	if n := len(idx.free); n > 0 {
-		p = idx.free[n-1]
-		idx.free[n-1] = nil
-		idx.free = idx.free[:n-1]
-	} else {
-		b := make([]*entry, 0, 4)
-		p = &b
-	}
-	*p = append(*p, e)
-	if idx.buckets == nil {
-		idx.buckets = make(map[uint64]*[]*entry)
-	}
-	idx.buckets[h] = p
-}
+// listed marks an index-map slot whose bucket holds two or more entries;
+// no entry is ever stored at it.
+var listed = new(entry)
 
-func (idx *index) remove(key []byte, e *entry) {
-	h := hashIndexKey(key)
-	p := idx.buckets[h]
-	if p == nil {
-		return
-	}
-	*p = removeEntry(*p, e)
-	if len(*p) == 0 {
-		delete(idx.buckets, h)
-		idx.free = append(idx.free, p)
+// lookup returns the bucket under index-map hash h: its one entry appended
+// to one (a caller's empty slice over a one-slot array, so a single
+// candidate needs no box), or its list. Callers must verify candidates (the
+// join probe checks the table tag, then bindTuple the args): a bucket can
+// hold hash neighbours of the probed key, from any index of the node.
+//
+//exspan:hotpath
+func (p *entryPool) lookup(h uint64, one []*entry) []*entry {
+	switch e := p.buckets[h]; e {
+	case nil:
+		return nil
+	case listed:
+		return p.lists[h]
+	default:
+		return append(one, e)
 	}
 }
 
-// newRelation builds an empty relation by value, so a node can lay all of
-// its program's relations out in one slice. The entries map and each index's
-// bucket map are created by their first write: most relations of most nodes
-// of a large cluster stay empty, and reads, deletes and len on a nil map
-// behave like on an empty one.
-func newRelation(name string) Relation { return Relation{name: name} }
+// bucketAdd appends e to the bucket under h: a second entry moves the bucket
+// from inline to a list, in the order first, e.
+func (p *entryPool) bucketAdd(h uint64, e *entry) {
+	switch first := p.buckets[h]; first {
+	case nil:
+		if p.buckets == nil {
+			p.buckets = make(map[uint64]*entry)
+		}
+		p.buckets[h] = e
+	case listed:
+		p.lists[h] = append(p.lists[h], e)
+	default:
+		var l []*entry
+		if n := len(p.freeLists); n > 0 {
+			l = p.freeLists[n-1]
+			p.freeLists = p.freeLists[:n-1]
+		} else {
+			l = make([]*entry, 0, 4)
+		}
+		if p.lists == nil {
+			p.lists = make(map[uint64][]*entry)
+		}
+		p.lists[h] = append(l, first, e)
+		p.buckets[h] = listed
+	}
+}
 
-// Name returns the relation name.
-func (r *Relation) Name() string { return r.name }
+// bucketRemove swap-removes e from the bucket under h. A list left with one
+// entry goes back inline and its slice to freeLists, so steady-state
+// visibility churn allocates nothing.
+func (p *entryPool) bucketRemove(h uint64, e *entry) {
+	switch p.buckets[h] {
+	case e:
+		delete(p.buckets, h)
+	case listed:
+		l := removeEntry(p.lists[h], e)
+		if len(l) > 1 {
+			p.lists[h] = l
+			return
+		}
+		p.buckets[h] = l[0]
+		l[0] = nil
+		p.freeLists = append(p.freeLists, l[:0])
+		delete(p.lists, h)
+	}
+}
+
+// newRelation builds an empty relation of the predicate by value, so a node
+// can lay all of its program's relations out in one slice.
+func newRelation(info *PredInfo) Relation { return Relation{info: info} }
 
 // Len reports the number of visible tuples in O(1).
 func (r *Relation) Len() int { return r.visible }
 
-// get returns the entry for a tuple, or nil.
-func (r *Relation) get(p *entryPool, t types.Tuple) *entry { return r.find(p.keyHash(t), t.Args) }
+// hash hashes a tuple of the relation: its table number, then its args
+// handle key (types.Tuple.AppendArgsKey). The key copies no string or
+// digest bytes, and equal interned args mean equal tuples, so a lookup's
+// only other checks are the table tag and argsEqual.
+func (r *Relation) hash(p *entryPool, t types.Tuple) uint64 {
+	p.key = t.AppendArgsKey(p.key[:0])
+	return hashKey(r.info.tableID, p.key)
+}
 
-// find returns the entry of args under hash h, or nil.
-func (r *Relation) find(h uint64, args []types.Value) *entry {
-	if e := r.entries[h]; e != nil && argsEqual(e.Tuple.Args, args) {
+// get returns the entry for a tuple, or nil.
+func (r *Relation) get(p *entryPool, t types.Tuple) *entry { return r.find(p, r.hash(p, t), t.Args) }
+
+// find returns the relation's entry of args under hash h, or nil.
+func (r *Relation) find(p *entryPool, h uint64, args []types.Value) *entry {
+	if e := p.tuples[h]; e != nil && r.owns(e, args) {
 		return e
 	}
-	for _, e := range r.spill[h] {
-		if argsEqual(e.Tuple.Args, args) {
+	for _, e := range p.spill[h] {
+		if r.owns(e, args) {
 			return e
 		}
 	}
 	return nil
 }
 
+// owns reports whether e is the relation's entry of args.
+func (r *Relation) owns(e *entry, args []types.Value) bool {
+	return int(e.table) == r.info.tableID && argsEqual(e.Tuple.Args, args)
+}
+
 // getOrCreate returns the entry for a tuple, creating an invisible one if
 // needed.
 func (r *Relation) getOrCreate(p *entryPool, t types.Tuple) *entry {
-	return r.getOrCreateAt(p, p.keyHash(t), t)
+	return r.getOrCreateAt(p, r.hash(p, t), t)
 }
 
-// getOrCreateAt is getOrCreate under the tuple's keyHash h. A matching
+// getOrCreateAt is getOrCreate under the tuple's hash h. A matching
 // tombstone is revived: its cached VID carries over (equal args imply equal
 // tuples and equal VIDs).
 func (r *Relation) getOrCreateAt(p *entryPool, h uint64, t types.Tuple) *entry {
-	if e := r.find(h, t.Args); e != nil {
+	if e := r.find(p, h, t.Args); e != nil {
 		if !e.visible && len(e.Rows) == 0 {
 			// Revival: the cached VID stays valid; the store forgot the
 			// vertex with its last row and the next row registers it
@@ -290,36 +337,20 @@ func (r *Relation) getOrCreateAt(p *entryPool, h uint64, t types.Tuple) *entry {
 		return e
 	}
 	e := p.alloc()
-	e.Tuple = t
+	e.Tuple, e.table = t, uint16(r.info.tableID)
 	e.Rows = p.rows.Cap1()
-	if r.entries[h] == nil {
-		if r.entries == nil {
-			r.entries = make(map[uint64]*entry)
+	if p.tuples[h] == nil {
+		if p.tuples == nil {
+			p.tuples = make(map[uint64]*entry)
 		}
-		r.entries[h] = e
+		p.tuples[h] = e
 	} else {
-		if r.spill == nil { // the relation's first 64-bit collision
-			r.spill = make(map[uint64][]*entry)
+		if p.spill == nil { // the node's first 64-bit collision
+			p.spill = make(map[uint64][]*entry)
 		}
-		r.spill[h] = append(r.spill[h], e)
+		p.spill[h] = append(p.spill[h], e)
 	}
 	return e
-}
-
-// all yields every entry, tombstones included, in no particular order.
-func (r *Relation) all(yield func(*entry) bool) {
-	for _, e := range r.entries {
-		if !yield(e) {
-			return
-		}
-	}
-	for _, list := range r.spill {
-		for _, e := range list {
-			if !yield(e) {
-				return
-			}
-		}
-	}
 }
 
 // setVisible flips the entry's visibility. Showing it indexes it at once;
@@ -348,9 +379,8 @@ func (r *Relation) setVisible(p *entryPool, e *entry, visible bool) {
 
 // indexAdd inserts the entry into every index of the relation.
 func (r *Relation) indexAdd(p *entryPool, e *entry) {
-	for _, idx := range r.indexes {
-		p.key = appendIndexKey(p.key[:0], e.Tuple, idx.positions)
-		idx.add(p.key, e)
+	for i := range r.info.indexes {
+		p.bucketAdd(p.indexHash(&r.info.indexes[i], e.Tuple), e)
 	}
 	e.indexed = true
 }
@@ -358,9 +388,8 @@ func (r *Relation) indexAdd(p *entryPool, e *entry) {
 // unindex removes the entry from every index (called at the end of a round
 // for entries that netted to invisible).
 func (r *Relation) unindex(p *entryPool, e *entry) {
-	for _, idx := range r.indexes {
-		p.key = appendIndexKey(p.key[:0], e.Tuple, idx.positions)
-		idx.remove(p.key, e)
+	for i := range r.info.indexes {
+		p.bucketRemove(p.indexHash(&r.info.indexes[i], e.Tuple), e)
 	}
 	e.indexed = false
 }
@@ -376,30 +405,32 @@ func (r *Relation) maybeSweepRound(p *entryPool) {
 	}
 }
 
-// sweep deletes all tombstones, bounding retained memory to a small factor
-// of the live entry count. Swept entries are cleared (releasing their
-// tuples) and handed to the node's free list, for any relation to reuse.
+// sweep deletes the relation's tombstones from the node's tuple map,
+// bounding retained memory to a small factor of the live entry count.
+// Swept entries are cleared (releasing their tuples) and handed to the
+// node's free list, for any relation to reuse.
 func (r *Relation) sweep(p *entryPool) {
 	// Free-list order only decides which cleared box getOrCreate reuses;
 	// entry pointer identity never reaches state, ordering or the wire.
+	table := uint16(r.info.tableID)
 	reclaim := func(e *entry) bool {
-		if e.visible || len(e.Rows) > 0 || e.staged || e.aggQueued {
+		if e.table != table || e.visible || len(e.Rows) > 0 || e.staged || e.aggQueued {
 			return false
 		}
 		*e = entry{}
 		p.free = append(p.free, e)
 		return true
 	}
-	for h, e := range r.entries {
+	for h, e := range p.tuples {
 		if reclaim(e) {
-			delete(r.entries, h)
+			delete(p.tuples, h)
 		}
 	}
-	for h, list := range r.spill {
+	for h, list := range p.spill {
 		if list = slices.DeleteFunc(list, reclaim); len(list) == 0 {
-			delete(r.spill, h)
+			delete(p.spill, h)
 		} else {
-			r.spill[h] = list
+			p.spill[h] = list
 		}
 	}
 	r.dead = 0
@@ -423,9 +454,9 @@ func appendIndexKey(b []byte, t types.Tuple, positions []int) []byte {
 	return b
 }
 
-// indexID renders the position list as a canonical map key without any
-// fmt-based formatting. Plan steps carry theirs from plan-build time
-// (planStep.indexID); tests derive one per call, never per probe.
+// indexID renders the position list as a canonical string without any
+// fmt-based formatting: the name an index is declared under and -explain
+// prints, rendered once per join step at plan-build time.
 func indexID(positions []int) string {
 	b := make([]byte, 0, 2*len(positions))
 	for i, p := range positions {
@@ -437,56 +468,18 @@ func indexID(positions []int) string {
 	return string(b)
 }
 
-// ensureIndex creates (and backfills) a hash index over the argument
-// positions whose indexID is id, returning a direct handle usable for
-// probe-time lookups. positions is retained, not copied: plan steps and test
-// literals never mutate theirs. Backfill inserts visible entries in
-// canonical tuple order: bucket order feeds candidate-enumeration order,
-// which the determinism fences observe through emission order, so index
-// creation over a non-empty relation must not leak the entries map's
-// iteration order.
-func (r *Relation) ensureIndex(p *entryPool, id string, positions []int) *index {
-	if idx := r.indexByID(id); idx != nil {
-		return idx
-	}
-	idx := &index{id: id, positions: positions}
-	for _, t := range r.Tuples() {
-		e := r.get(p, t)
-		p.key = appendIndexKey(p.key[:0], t, idx.positions)
-		idx.add(p.key, e)
-		e.indexed = true
-	}
-	r.indexes = append(r.indexes, idx)
-	return idx
-}
-
-// indexByID scans for the index with the given indexID: a relation has a
-// handful at most, and the scan runs at bind time only.
-func (r *Relation) indexByID(id string) *index {
-	for _, idx := range r.indexes {
-		if idx.id == id {
-			return idx
-		}
-	}
-	return nil
-}
-
-// Index returns the handle of an existing index over positions, or nil. The
-// engine resolves every join step to such a handle once at plan-bind time so
-// probes skip index-ID formatting entirely.
-func (r *Relation) Index(positions []int) *index { return r.indexByID(indexID(positions)) }
-
 // Tuples returns the visible tuples sorted canonically (for deterministic
-// output in tests and examples). Entry map keys hash process-local handle
-// keys, so this cold path sorts by the canonical encoding instead — the
-// order must not depend on interning history or map iteration.
-func (r *Relation) Tuples() []types.Tuple {
+// output in tests and examples). Map keys hash process-local handle keys,
+// so this cold path sorts by the canonical encoding instead — the order
+// must not depend on interning history or map iteration.
+func (r *Relation) Tuples(p *entryPool) []types.Tuple {
 	if r.visible == 0 {
-		return nil // every index bind of an empty node comes through here
+		return nil
 	}
 	out := make([]types.Tuple, 0, r.visible)
-	for e := range r.all {
-		if e.visible {
+	table := uint16(r.info.tableID)
+	for e := range p.all {
+		if e.visible && e.table == table {
 			out = append(out, e.Tuple)
 		}
 	}

@@ -110,28 +110,23 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 func checkVertexRegistration(t *testing.T, n *Node, step string) {
 	t.Helper()
 	rows := 0
-	check := func(r *Relation) {
-		meta := r.name == "prov" || r.name == "ruleExec"
-		for e := range r.all {
-			want := n.Mode == ProvReference && !meta && len(e.Rows) > 0
-			var got bool
-			if !e.VID.IsZero() {
-				got = n.Store.Lookup(e.VID) == &e.Vertex
-			}
-			if got != want {
-				t.Fatalf("%s: node %d %v (%d rows, visible %v): registered %v, want %v",
-					step, n.ID, e.Tuple, len(e.Rows), e.visible, got, want)
-			}
-			if !e.visible && !e.staged && len(e.Rows) > 0 {
-				t.Fatalf("%s: node %d %v is hidden, unstaged, with %d rows", step, n.ID, e.Tuple, len(e.Rows))
-			}
-			if want {
-				rows += len(e.Rows)
-			}
+	for e := range n.pool.all {
+		meta := e.Tuple.Pred == "prov" || e.Tuple.Pred == "ruleExec"
+		want := n.Mode == ProvReference && !meta && len(e.Rows) > 0
+		var got bool
+		if !e.VID.IsZero() {
+			got = n.Store.Lookup(e.VID) == &e.Vertex
 		}
-	}
-	for i := range n.tablesByID {
-		check(&n.tablesByID[i])
+		if got != want {
+			t.Fatalf("%s: node %d %v (%d rows, visible %v): registered %v, want %v",
+				step, n.ID, e.Tuple, len(e.Rows), e.visible, got, want)
+		}
+		if !e.visible && !e.staged && len(e.Rows) > 0 {
+			t.Fatalf("%s: node %d %v is hidden, unstaged, with %d rows", step, n.ID, e.Tuple, len(e.Rows))
+		}
+		if want {
+			rows += len(e.Rows)
+		}
 	}
 	if got := n.Store.NumProv(); got != rows {
 		t.Fatalf("%s: node %d: store holds %d prov rows, registered entries %d", step, n.ID, got, rows)
