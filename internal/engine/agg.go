@@ -31,7 +31,8 @@ func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
 		}
 		groupVals[i] = v
 	}
-	g := n.aggGroupFor(rule, groupVals)
+	n.pool.key = types.Tuple{Args: groupVals}.AppendArgsKey(n.pool.key[:0])
+	g := n.aggGroupAt(rule, hashKey(rule.idx, n.pool.key), groupVals)
 
 	if sign == Update {
 		// Value-mode payload update: if the updated input is the current
@@ -39,54 +40,47 @@ func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
 		if n.Mode == ProvValue && g.hasOut && g.curWin == e {
 			out := g.curOut
 			out.Pred = rule.HeadPred
-			n.vidBuf[0], n.hashBuf = e.VIDBuf(n.hashBuf)
+			n.vidBuf[0], n.pool.key = e.VIDBuf(n.pool.key)
 			n.emit(rule.Label, out, n.ID, n.vidBuf[:1], Update, e.payload)
 		}
 		return
 	}
 
 	e.aggQueued = true
-	n.aggIn = append(n.aggIn, aggItem{rule: rule, g: g, ent: e, sign: sign})
+	n.aggIn = append(n.aggIn, aggItem{g: g, ent: e, sign: sign})
 }
 
 // applyAgg applies one input delta to its aggregate group and emits any net
 // output change as local head deltas.
 //
 //exspan:hotpath
-func (n *Node) applyAgg(rule *CompiledRule, g *aggGroup, e *entry, sign int8) {
+func (n *Node) applyAgg(g *aggGroup, e *entry, sign int8) {
+	rule := n.Prog.Rules[g.rule]
 	for _, em := range g.update(n, rule, e, sign) {
 		n.emitAggChange(rule, em)
 	}
 }
 
-// aggGroupFor returns the rule's group of the given group-by values,
-// creating it on first sight.
-func (n *Node) aggGroupFor(rule *CompiledRule, groupVals []types.Value) *aggGroup {
-	n.pool.key = appendValuesKey(n.pool.key[:0], groupVals)
-	return n.aggGroupAt(rule, hashKey(rule.idx, n.pool.key), groupVals)
-}
-
-// aggGroupAt is aggGroupFor under the hash h of the rule number and the
-// group-by values' handle keys — the way relations key their entries. A
-// group keeps its values (copied into the arena once, at creation), and a
-// lookup verifies them; groups whose values collide in 64 bits share a map
-// slot as a chain. Groups are never removed, so a *aggGroup stays valid for
-// the node's lifetime.
+// aggGroupAt returns the rule's group of the given group-by values, creating
+// it on first sight, under the hash h of the rule number and the values'
+// handle keys — the way the pool keys entries. Every rule's groups share the
+// node's one group map: a group keeps its rule number and its values (copied
+// into the arena once, at creation), and a lookup verifies both; groups that
+// collide in 64 bits share a map slot as a chain. Groups are never removed,
+// so a *aggGroup stays valid for the node's lifetime.
 func (n *Node) aggGroupAt(rule *CompiledRule, h uint64, groupVals []types.Value) *aggGroup {
-	groups := n.aggByRule[rule.idx]
-	head := groups[h]
+	head := n.aggGroups[h]
 	for g := head; g != nil; g = g.next {
-		if argsEqual(g.groupVals, groupVals) {
+		if int(g.rule) == rule.idx && argsEqual(g.groupVals, groupVals) {
 			return g
 		}
 	}
 	g := n.aggGroupArena.New()
-	g.groupVals, g.next = n.argArena.Copy(groupVals), head
-	if groups == nil {
-		groups = map[uint64]*aggGroup{}
-		n.aggByRule[rule.idx] = groups
+	g.groupVals, g.next, g.rule = n.argArena.Copy(groupVals), head, uint32(rule.idx)
+	if n.aggGroups == nil {
+		n.aggGroups = map[uint64]*aggGroup{}
 	}
-	groups[h] = g
+	n.aggGroups[h] = g
 	return g
 }
 
@@ -138,7 +132,7 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 		n.route(out, n.ID, em.sign, types.ZeroID, noPayload)
 		return
 	}
-	n.vidBuf[0], n.hashBuf = em.winner.VIDBuf(n.hashBuf)
+	n.vidBuf[0], n.pool.key = em.winner.VIDBuf(n.pool.key)
 	n.emit(rule.Label, out, n.ID, n.vidBuf[:1], em.sign, em.winner.payload)
 }
 
@@ -170,31 +164,18 @@ type aggGroup struct {
 	// next-best row eagerly is the count-to-infinity engine — the next-best
 	// may be phantom support the deletion wave has not yet consumed.
 	staged bool
-}
-
-// stagedGroup records one group awaiting its deferred re-refresh.
-type stagedGroup struct {
-	rule *CompiledRule
-	g    *aggGroup
+	// rule is the group's CompiledRule.idx, in the struct's trailing
+	// padding: the node's one group map holds every rule's groups.
+	rule uint32
 }
 
 // stage registers the group with the node's release list.
-func (g *aggGroup) stage(n *Node, rule *CompiledRule) {
+func (g *aggGroup) stage(n *Node) {
 	if g.staged {
 		return
 	}
 	g.staged = true
-	n.stagedGroups = append(n.stagedGroups, stagedGroup{rule: rule, g: g})
-}
-
-// appendValuesKey appends the fixed-width handle keys of vals to b (see
-// types.Value.AppendKey): the bytes a group's hash is taken over, built in
-// a reusable buffer and copying no payload bytes.
-func appendValuesKey(b []byte, vals []types.Value) []byte {
-	for _, v := range vals {
-		b = v.AppendKey(b)
-	}
-	return b
+	n.stagedGroups = append(n.stagedGroups, g)
 }
 
 // aggEmit is one visible change of the aggregate output.
@@ -343,11 +324,11 @@ func (g *aggGroup) refresh(n *Node, rule *CompiledRule, gone *entry) []aggEmit {
 		// before the deletion wave quiesces (a stale re-advertisement
 		// around a cycle) must not refill and promote immediately — that
 		// reopens the count-to-infinity lap through an empty group.
-		g.stage(n, rule)
+		g.stage(n)
 	}
 	if ok && !g.hasOut {
 		if g.staged || (deleting && rule.headRecursive) {
-			g.stage(n, rule)
+			g.stage(n)
 		} else {
 			// Materialize the candidate output: it escapes into the group
 			// state and the emitted delta, so its args leave the scratch

@@ -189,7 +189,7 @@ func aggInput(n *Node, head types.Tuple) (types.Tuple, error) {
 	if !ok {
 		return types.Tuple{}, fmt.Errorf("%s: ruleExec input %v has no vertex", head, re.VIDList[0])
 	}
-	if e := n.lookup(in.Pred).get(&n.pool, in); e == nil || !e.visible {
+	if e := n.pool.get(n.lookup(in.Pred), in); e == nil || !e.visible {
 		return types.Tuple{}, fmt.Errorf("%s: ruleExec input %s is not visible", head, in)
 	}
 	return in, nil
@@ -420,9 +420,9 @@ r1 in(@X,G,C) :- trig(@X), src(@X,G,C).
 		n.curRound++
 		n.applyPhase()
 		n.firePhase()
-		if round == 0 && (len(n.aggIn) != old || !rel.sweepDue() || n.qhead == len(n.queue)) {
+		if round == 0 && (len(n.aggIn) != old || !n.pool.sweepDue(rel) || n.qhead == len(n.queue)) {
 			t.Fatalf("vacuous: %d queued aggregate updates, sweep due %v, %d derived deltas pending",
-				len(n.aggIn), rel.sweepDue(), len(n.queue)-n.qhead)
+				len(n.aggIn), n.pool.sweepDue(rel), len(n.queue)-n.qhead)
 		}
 		n.endRound()
 	}

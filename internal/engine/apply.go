@@ -86,7 +86,7 @@ func (n *Node) process(d localDelta) {
 			// it once per delta. A delete only looks it up: a VID without
 			// a vertex has no row to remove.
 			var vid types.ID
-			vid, n.hashBuf = d.tuple.VIDBuf(n.hashBuf)
+			vid, n.pool.key = d.tuple.VIDBuf(n.pool.key)
 			if d.sign == Insert {
 				n.Store.AddProv(n.Store.Vertex(vid, d.tuple), d.rid, d.rloc)
 			} else if v := n.Store.Lookup(vid); v != nil {
@@ -97,10 +97,10 @@ func (n *Node) process(d localDelta) {
 		// events were already reported by the deriving node.
 		if n.Mode == ProvCentralized && d.isBase {
 			var vid types.ID
-			vid, n.hashBuf = d.tuple.VIDBuf(n.hashBuf)
+			vid, n.pool.key = d.tuple.VIDBuf(n.pool.key)
 			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, d.sign)
 		}
-		n.fires = append(n.fires, fireItem{tuple: d.tuple, occs: occs, sign: d.sign, payload: d.payload, isEvent: true})
+		n.fires = append(n.fires, fireItem{tuple: d.tuple, occs: occs, sign: d.sign, payload: d.payload})
 		return
 	}
 
@@ -108,21 +108,21 @@ func (n *Node) process(d localDelta) {
 	// centralized server, or produced by a rewrite-generated program) are
 	// stored without further provenance bookkeeping.
 	meta := info.meta
-	rel := &n.tablesByID[info.tableID]
+	p := &n.pool
 	// In reference mode a non-meta entry's rows are the store's: the store
 	// registers the embedded vertex with its first row and forgets it with
 	// its last. Every other entry keeps its rows to itself.
 	stored := n.Mode == ProvReference && !meta
 	switch d.sign {
 	case Insert:
-		e := rel.getOrCreate(&n.pool, d.tuple)
-		n.markTouched(rel, e, occs)
+		e := p.getOrCreate(info, d.tuple)
+		n.markTouched(e, occs)
 		var row *provenance.ProvEntry
 		if stored {
 			// The entry caches the canonical VID, so each stored tuple is
 			// hashed at most once per lifetime regardless of how many
 			// deltas and provenance branches touch it.
-			_, n.hashBuf = e.VIDBuf(n.hashBuf)
+			_, n.pool.key = e.VIDBuf(n.pool.key)
 			row = n.Store.AddProv(&e.Vertex, d.rid, d.rloc)
 		} else {
 			row = e.AddRow(d.rid, d.rloc)
@@ -131,14 +131,14 @@ func (n *Node) process(d localDelta) {
 		// reports base rows.
 		if n.Mode == ProvCentralized && !meta && d.isBase {
 			var vid types.ID
-			vid, n.hashBuf = e.VIDBuf(n.hashBuf)
+			vid, n.pool.key = e.VIDBuf(n.pool.key)
 			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, Insert)
 		}
 		if n.Mode == ProvValue {
 			payload := d.payload
 			if d.isBase {
 				var vid types.ID
-				vid, n.hashBuf = e.VIDBuf(n.hashBuf)
+				vid, n.pool.key = e.VIDBuf(n.pool.key)
 				payload = n.Ring.FromBase(algebra.Base{VID: vid, Node: n.ID})
 			}
 			row.Payload = uint32(payload)
@@ -150,11 +150,11 @@ func (n *Node) process(d localDelta) {
 		// flap that never quiesces); the release re-shows it — with this
 		// derivation counted — once the deletion wave is done.
 		if !e.staged {
-			rel.setVisible(&n.pool, e, true)
+			p.setVisible(info, e, true)
 		}
 
 	case Delete:
-		e := rel.get(&n.pool, d.tuple)
+		e := p.get(info, d.tuple)
 		if e == nil {
 			return
 		}
@@ -167,20 +167,20 @@ func (n *Node) process(d localDelta) {
 		if !found {
 			return
 		}
-		n.markTouched(rel, e, occs)
+		n.markTouched(e, occs)
 		if n.Mode == ProvCentralized && !meta && d.isBase {
 			var vid types.ID
-			vid, n.hashBuf = e.VIDBuf(n.hashBuf)
+			vid, n.pool.key = e.VIDBuf(n.pool.key)
 			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, Delete)
 		}
 		switch {
 		case len(e.Rows) == 0:
 			if e.visible {
-				rel.setVisible(&n.pool, e, false)
+				p.setVisible(info, e, false)
 			} else {
 				// A suspect lost its last alternate while hidden; count the
 				// tombstone setVisible never saw.
-				rel.dead++
+				p.bury(e)
 			}
 		case removed && e.visible && info.Recursive && !meta:
 			// Over-deletion (retraction phase 1): a recursive tuple that
@@ -189,7 +189,7 @@ func (n *Node) process(d localDelta) {
 			// the re-derivation phase, which re-shows it only if support
 			// survives the completed deletion wave (see ARCHITECTURE.md
 			// "Deletion semantics").
-			rel.setVisible(&n.pool, e, false)
+			p.setVisible(info, e, false)
 			n.stageEntry(e)
 		case n.Mode == ProvValue:
 			n.recomputePayload(e)
@@ -199,21 +199,21 @@ func (n *Node) process(d localDelta) {
 		// Retraction phase 2: re-show an over-deleted tuple whose alternate
 		// derivations survived the deletion wave, firing the ordinary
 		// insert cascade so consumers re-derive from it.
-		e := rel.get(&n.pool, d.tuple)
+		e := p.get(info, d.tuple)
 		if e == nil || e.visible || len(e.Rows) == 0 {
 			return
 		}
-		n.markTouched(rel, e, occs)
+		n.markTouched(e, occs)
 		if n.Mode == ProvValue {
 			n.recomputePayload(e)
 		}
-		rel.setVisible(&n.pool, e, true)
+		p.setVisible(info, e, true)
 
 	case Update:
 		if n.Mode != ProvValue {
 			return
 		}
-		e := rel.get(&n.pool, d.tuple)
+		e := p.get(info, d.tuple)
 		if e == nil {
 			return
 		}
@@ -221,7 +221,7 @@ func (n *Node) process(d localDelta) {
 		if row == nil {
 			return
 		}
-		n.markTouched(rel, e, occs)
+		n.markTouched(e, occs)
 		row.Payload = uint32(d.payload)
 		// The fire phase propagates a moved payload only for a tuple that
 		// stayed visible: suspects absorb payload updates silently.
@@ -244,17 +244,17 @@ func (n *Node) recomputePayload(e *entry) bool {
 }
 
 // fireAll runs every rule occurrence triggered by a delta of this
-// predicate, from the fire phase. deltaEntry is nil only for events, which
-// Compile keeps out of aggregate bodies; payload is the tuple's current
-// provenance payload in value mode.
+// predicate, from the fire phase: the delta of the node's fireTuple, whose
+// entry is deltaEntry — nil only for events, which Compile keeps out of
+// aggregate bodies.
 //
 //exspan:hotpath
-func (n *Node) fireAll(occs []occurrence, t types.Tuple, sign int8, deltaEntry *entry, payload algebra.Payload) {
+func (n *Node) fireAll(occs []occurrence, sign int8, deltaEntry *entry) {
 	for _, occ := range occs {
 		if occ.rule.agg != nil {
 			n.fireAgg(occ.rule, deltaEntry, sign)
 		} else {
-			n.firePlan(occ.rule, occ.pos, t, sign, deltaEntry, payload)
+			n.firePlan(occ.rule, occ.pos, sign, deltaEntry)
 		}
 	}
 }

@@ -47,10 +47,10 @@ func (n *Node) releaseRandom(rng *rand.Rand) bool {
 	for {
 		occupied := map[int]bool{}
 		for _, e := range n.stagedEnts {
-			occupied[n.stratumOf(e.Tuple.Pred)] = true
+			occupied[n.entryStratum(e)] = true
 		}
-		for i := range n.stagedGroups {
-			occupied[n.stagedGroups[i].rule.headStratum] = true
+		for _, g := range n.stagedGroups {
+			occupied[n.groupStratum(g)] = true
 		}
 		if len(occupied) == 0 {
 			break

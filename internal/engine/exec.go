@@ -9,8 +9,8 @@ import (
 
 // This file is the EXECUTION half of the evaluation-state layer: evaluating a
 // rule's delta plan for one triggering tuple and emitting head derivations.
-// All intermediate state (environment, matched tuples, payloads, lookup keys)
-// lives in the node's scratch arenas — one rule firing performs no slice
+// All intermediate state (environment, matched entries, lookup keys) lives in
+// the node's scratch arenas — one rule firing performs no slice
 // allocation of its own, which the hotpath_test.go fences pin.
 //
 // The fire phase runs against frozen state that includes the whole round's
@@ -25,44 +25,36 @@ import (
 // deltas (never materialized, so never probed) always see NEW state: an
 // event observes the batch it arrived with.
 
-// firePlan evaluates the delta plan of (rule, pos) for tuple t and emits
-// head derivations.
+// firePlan evaluates the delta plan of (rule, pos) for the delta of the
+// node's fireTuple — deltaEntry's tuple, or the event's — and emits head
+// derivations.
 //
 //exspan:hotpath
-func (n *Node) firePlan(rule *CompiledRule, pos int, t types.Tuple, sign int8,
-	deltaEntry *entry, deltaPayload algebra.Payload) {
-
+func (n *Node) firePlan(rule *CompiledRule, pos int, sign int8, deltaEntry *entry) {
 	pl := rule.plans[pos]
 	env := n.envBuf[:rule.numVars]
-	if !bindTuple(pl.deltaBinds, t, env) {
+	if !bindTuple(pl.deltaBinds, n.fireTuple, env) {
 		return
 	}
-	matched := n.matchedBuf[:len(rule.atoms)]
 	ments := n.entBuf[:len(rule.atoms)]
-	payloads := n.payloadBuf[:len(rule.atoms)]
-	for i := range ments {
-		ments[i] = nil
-	}
-	matched[pos] = t
+	clear(ments)
 	ments[pos] = deltaEntry
-	payloads[pos] = deltaPayload
 	n.fireAtomPos = pos
-	n.fireIsEvent = deltaEntry == nil
-	n.execPlan(rule, pl, 0, sign, env, matched, ments, payloads)
+	n.execPlan(rule, pl, 0, sign, env, ments)
 }
 
 // execPlan runs plan steps from step onward. It is a plain recursive method
-// rather than a closure so the recursion allocates nothing.
+// rather than a closure so the recursion allocates nothing. ments holds the
+// matched entry of every body atom bound so far; the fired event's atom has
+// none.
 //
 //exspan:hotpath
-func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
-	env []types.Value, matched []types.Tuple, ments []*entry, payloads []algebra.Payload) {
-
+func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8, env []types.Value, ments []*entry) {
 	if n.Err != nil {
 		return
 	}
 	if step == len(pl.steps) {
-		n.emitDerivation(rule, env, matched, ments, payloads, sign)
+		n.emitDerivation(rule, env, ments, sign)
 		return
 	}
 	st := &pl.steps[step]
@@ -75,7 +67,7 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 			return
 		}
 		env[st.assignSlot] = v
-		n.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
+		n.execPlan(rule, pl, step+1, sign, env, ments)
 	case stepCond:
 		v, err := st.expr(env)
 		if err != nil {
@@ -84,7 +76,7 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 			return
 		}
 		if v.Truthy() {
-			n.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
+			n.execPlan(rule, pl, step+1, sign, env, ments)
 		}
 	case stepJoin:
 		// Probe the index the step declared at Compile: the key is built
@@ -103,7 +95,7 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 		// waits for endRound), and a candidate is admitted against NEW or
 		// OLD visibility depending on the probed atom's position relative
 		// to the firing delta (see the file comment).
-		admitNew := st.atom < n.fireAtomPos || n.fireIsEvent
+		admitNew := st.atom < n.fireAtomPos || ments[n.fireAtomPos] == nil
 		curRound := n.curRound
 		for _, cand := range cands {
 			// A hash neighbour from another relation may bind: skip it.
@@ -120,23 +112,19 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 			if !bindTuple(st.binds, cand.Tuple, env) {
 				continue
 			}
-			matched[st.atom] = cand.Tuple
 			ments[st.atom] = cand
-			payloads[st.atom] = cand.payload
-			n.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
+			n.execPlan(rule, pl, step+1, sign, env, ments)
 		}
 	}
 }
 
 // emitDerivation computes the head tuple for one complete join result and
 // routes the delta (locally or over the transport), maintaining provenance
-// per the configured mode. Input VIDs come from the matched entries' caches;
-// only tuples never stored on this node (event inputs) are hashed here.
+// per the configured mode. Input VIDs and payloads come from the matched
+// entries; only the fired event, never stored on this node, is hashed here.
 //
 //exspan:hotpath
-func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value,
-	matched []types.Tuple, ments []*entry, payloads []algebra.Payload, sign int8) {
-
+func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value, ments []*entry, sign int8) {
 	n.rulesFired++
 	args := n.argArena.Make(len(rule.headCode))
 	for i, code := range rule.headCode {
@@ -156,19 +144,23 @@ func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value,
 		return
 	}
 
-	inputVIDs := n.vidBuf[:len(matched)]
-	for i := range matched {
-		if ments[i] != nil {
-			inputVIDs[i], n.hashBuf = ments[i].VIDBuf(n.hashBuf)
+	inputVIDs := n.vidBuf[:len(ments)]
+	for i, e := range ments {
+		if e != nil {
+			inputVIDs[i], n.pool.key = e.VIDBuf(n.pool.key)
 		} else {
 			// Event input: transient, no entry to cache on.
-			inputVIDs[i], n.hashBuf = matched[i].VIDBuf(n.hashBuf)
+			inputVIDs[i], n.pool.key = n.fireTuple.VIDBuf(n.pool.key)
 		}
 	}
 	var payload algebra.Payload
 	if n.Mode == ProvValue {
 		payload = n.Ring.One()
-		for _, p := range payloads {
+		for _, e := range ments {
+			p := n.firePayload
+			if e != nil {
+				p = e.payload
+			}
 			payload = n.Ring.Mul(payload, p)
 		}
 	}
@@ -187,14 +179,14 @@ func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value,
 //exspan:hotpath
 func (n *Node) emit(label string, head types.Tuple, dst types.NodeID, inputVIDs []types.ID, sign int8, payload algebra.Payload) {
 	var rid types.ID
-	rid, n.ridBuf = types.RuleExecIDBuf(label, n.ID, inputVIDs, n.ridBuf)
+	rid, n.pool.key = types.RuleExecIDBuf(label, n.ID, inputVIDs, n.pool.key)
 	if sign != Update {
 		switch n.Mode {
 		case ProvReference:
 			n.ruleExecRow(rid, label, inputVIDs, sign)
 		case ProvCentralized:
 			var headVID types.ID
-			headVID, n.hashBuf = head.VIDBuf(n.hashBuf)
+			headVID, n.pool.key = head.VIDBuf(n.pool.key)
 			n.sendRuleExecRow(rid, label, inputVIDs, sign)
 			n.sendProvRow(dst, headVID, rid, n.ID, sign)
 		}

@@ -32,13 +32,14 @@ func liveHeap() uint64 {
 // one evaluation state per node ≈ 40 KB, with hash-keyed rows ≈ 36 KB, with
 // each stored tuple as its own provenance vertex ≈ 32 KB, with ruleExec
 // column tables and aggregate rows as handles ≈ 26 KB, with one entry pool
-// per node instead of arenas per relation ≈ 17.3 KB, and with one tuple map
+// per node instead of arenas per relation ≈ 17.3 KB, with one tuple map
 // and one index map per node instead of a map per relation and per index
-// ≈ 13.7 KB.
+// ≈ 13.7 KB, and with a relation's counts in the pool and every rule's
+// aggregate groups in one map ≈ 13.1 KB.
 func TestNodeFootprintFollowsState(t *testing.T) {
 	const (
 		nodes      = 300
-		maxPerNode = 14600
+		maxPerNode = 13500
 	)
 	topo := topology.Ring(nodes, rand.New(rand.NewSource(1)))
 	base := apps.ChordBase(topo)
@@ -139,12 +140,13 @@ func TestMinCostBytesPerDelta(t *testing.T) {
 // index maps, and whatever the relation opens for itself. With entry and row arenas and a key buffer per
 // relation this read ≈ 2.1 KB, an 8-slot chunk of each arena opened for the
 // one tuple; with one entry pool per node ≈ 0.9 KB; with the node's tuple
-// and index maps in place of a map per relation and per index 359 B.
+// and index maps in place of a map per relation and per index 359 B; with
+// no Relation struct, its counts in the pool, 331 B.
 func TestRelationCostsWhatItHolds(t *testing.T) {
 	const (
 		nodes          = 200
 		extra          = 16
-		maxPerRelation = 372
+		maxPerRelation = 343
 	)
 	preds := make([]string, extra)
 	for j := range preds {
@@ -191,11 +193,21 @@ func TestRelationCostsWhatItHolds(t *testing.T) {
 	}
 }
 
-// TestEntrySize fences the per-tuple struct every derivation pays for: a
-// relation entry, its embedded provenance vertex included, stays at 104
-// bytes, so its flags (the aggregate pin among them) live in padding.
+// TestEntrySize fences the structs state pays for per tuple and per
+// aggregate group: a relation entry, its embedded provenance vertex
+// included, stays at 104 bytes, so its flags (the aggregate pin and the
+// tombstone mark among them) live in padding; an aggregate group stays at
+// 112 bytes, its rule number in the padding after its flags.
 func TestEntrySize(t *testing.T) {
-	if sz := unsafe.Sizeof(entry{}); sz > 104 {
-		t.Fatalf("unsafe.Sizeof(entry{}) = %d, want ≤ 104", sz)
+	for _, c := range []struct {
+		name     string
+		size, at uintptr
+	}{
+		{"entry", unsafe.Sizeof(entry{}), 104},
+		{"aggGroup", unsafe.Sizeof(aggGroup{}), 112},
+	} {
+		if c.size > c.at {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d, want ≤ %d", c.name, c.size, c.at)
+		}
 	}
 }

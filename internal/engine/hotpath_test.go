@@ -16,45 +16,100 @@ import (
 // them starts failing, a change has reintroduced per-delta allocation or
 // re-hashing on the inner loop.
 
-// testRelation builds a standalone relation, outside any node, with an
-// index over each position list given, and the entry pool that stands in
-// for its node's.
-func testRelation(name string, indexes ...[]int) (*Relation, *entryPool) {
+// testRelation builds a standalone relation, outside any node — its
+// predicate, table 0, with an index over each position list given — and the
+// entry pool that stands in for its node's.
+func testRelation(name string, indexes ...[]int) (*PredInfo, *entryPool) {
 	prog, info := &Program{}, &PredInfo{Name: name}
 	for _, pos := range indexes {
 		prog.declareIndex(info, indexID(pos), pos)
 	}
-	r, p := newRelation(info), newEntryPool()
-	return &r, &p
+	p := newEntryPool(1)
+	return info, &p
 }
 
+// recount walks the pool and requires every table's counts to be its
+// visible entries and its tombstones, the invisible derivation-free ones.
+func recount(t *testing.T, p *entryPool) {
+	t.Helper()
+	want := make([]tableCount, len(p.counts))
+	for e := range p.all {
+		switch {
+		case e.visible:
+			want[e.table].visible++
+		case len(e.Rows) == 0:
+			want[e.table].dead++
+		}
+	}
+	if !slices.Equal(p.counts, want) {
+		t.Fatalf("table counts %v, a walk of the pool finds %v", p.counts, want)
+	}
+}
+
+// TestRelationLenTracksVisibility runs each input on a fresh relation and
+// then recounts its visible entries and tombstones by walking the pool.
 func TestRelationLenTracksVisibility(t *testing.T) {
-	rel, p := testRelation("p", []int{0})
-	var entries []*entry
-	for i := 0; i < 5; i++ {
-		e := rel.getOrCreate(p, types.NewTuple("p", types.Node(types.NodeID(i)), types.Int(int64(i))))
-		e.AddRow(types.ID{byte(i)}, 0)
-		rel.setVisible(p, e, true)
-		entries = append(entries, e)
+	tup := func(i int) types.Tuple {
+		return types.NewTuple("p", types.Node(types.NodeID(i)), types.Int(int64(i)))
 	}
-	if rel.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", rel.Len())
-	}
-	// Redundant toggles must not skew the counter.
-	rel.setVisible(p, entries[0], true)
-	rel.setVisible(p, entries[1], false)
-	rel.setVisible(p, entries[1], false)
-	if rel.Len() != 4 {
-		t.Fatalf("Len after hide = %d, want 4", rel.Len())
-	}
-	if got := len(rel.Tuples(p)); got != rel.Len() {
-		t.Fatalf("Len = %d but Tuples() returned %d", rel.Len(), got)
-	}
-	for _, e := range entries[1:] {
-		rel.setVisible(p, e, false)
-	}
-	if rel.Len() != 1 {
-		t.Fatalf("Len after hiding rest = %d, want 1", rel.Len())
+	for _, in := range []struct {
+		name string
+		run  func(t *testing.T, rel *PredInfo, p *entryPool)
+	}{
+		{"toggles", func(t *testing.T, rel *PredInfo, p *entryPool) {
+			var entries []*entry
+			for i := 0; i < 5; i++ {
+				e := p.getOrCreate(rel, tup(i))
+				e.AddRow(types.ID{byte(i)}, 0)
+				p.setVisible(rel, e, true)
+				entries = append(entries, e)
+			}
+			if p.Len(rel) != 5 {
+				t.Fatalf("Len = %d, want 5", p.Len(rel))
+			}
+			// Redundant toggles must not skew the counter.
+			p.setVisible(rel, entries[0], true)
+			p.setVisible(rel, entries[1], false)
+			p.setVisible(rel, entries[1], false)
+			if p.Len(rel) != 4 {
+				t.Fatalf("Len after hide = %d, want 4", p.Len(rel))
+			}
+			if got := len(p.Tuples(rel)); got != p.Len(rel) {
+				t.Fatalf("Len = %d but Tuples() returned %d", p.Len(rel), got)
+			}
+			for _, e := range entries[1:] {
+				p.setVisible(rel, e, false)
+			}
+			if p.Len(rel) != 1 {
+				t.Fatalf("Len after hiding rest = %d, want 1", p.Len(rel))
+			}
+		}},
+		// A tuple looked up twice before its first row, and a revived
+		// tombstone looked up twice, must each be uncounted at most once.
+		{"lookups before the first row", func(t *testing.T, rel *PredInfo, p *entryPool) {
+			e := p.getOrCreate(rel, tup(7))
+			if p.getOrCreate(rel, tup(7)) != e {
+				t.Fatal("a second lookup made a second entry")
+			}
+			e.AddRow(types.ID{7}, 0)
+			p.setVisible(rel, e, true)
+			e.DelRow(types.ID{7})
+			p.setVisible(rel, e, false)
+			if p.getOrCreate(rel, tup(7)) != e || p.getOrCreate(rel, tup(7)) != e {
+				t.Fatal("reviving the tombstone made a new entry")
+			}
+			e.AddRow(types.ID{7}, 0)
+			p.setVisible(rel, e, true)
+			if p.Len(rel) != 1 {
+				t.Fatalf("Len = %d, want 1", p.Len(rel))
+			}
+		}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			rel, p := testRelation("p", []int{0})
+			in.run(t, rel, p)
+			recount(t, p)
+		})
 	}
 }
 
@@ -67,12 +122,12 @@ func TestRelationLenTracksVisibility(t *testing.T) {
 func TestJoinProbeAllocFree(t *testing.T) {
 	rel, p := testRelation("link", []int{1}, []int{2})
 	for i := 0; i < 100; i++ {
-		e := rel.getOrCreate(p, types.NewTuple("link",
+		e := p.getOrCreate(rel, types.NewTuple("link",
 			types.Node(types.NodeID(i/10)), types.Node(types.NodeID(i%10)), types.Int(int64(i))))
 		e.AddRow(types.ID{byte(i)}, 0)
-		rel.setVisible(p, e, true)
+		p.setVisible(rel, e, true)
 	}
-	byPeer, byCost := rel.info.indexes[0].num, rel.info.indexes[1].num
+	byPeer, byCost := rel.indexes[0].num, rel.indexes[1].num
 	peer, cost := types.Node(3), types.Int(7)
 	var key []byte
 	var one [1]*entry
@@ -122,7 +177,7 @@ func TestValueConstructionOnFiringPathAllocFree(t *testing.T) {
 func TestTupleKeyAndVIDCached(t *testing.T) {
 	rel, p := testRelation("p")
 	tu := types.NewTuple("p", types.Node(1), types.Str("payload"), types.Int(7))
-	e := rel.getOrCreate(p, tu)
+	e := p.getOrCreate(rel, tu)
 
 	var buf []byte
 	first, _ := e.VIDBuf(nil)
@@ -141,7 +196,7 @@ func TestTupleKeyAndVIDCached(t *testing.T) {
 	}
 
 	allocs = testing.AllocsPerRun(100, func() {
-		if rel.get(p, tu) != e {
+		if p.get(rel, tu) != e {
 			t.Fatal("get lost the entry")
 		}
 	})
@@ -272,25 +327,25 @@ func TestIndexChurnAllocFree(t *testing.T) {
 	rel, p := testRelation("p", []int{1}, []int{1, 2})
 	var entries []*entry
 	for i := 0; i < 64; i++ {
-		e := rel.getOrCreate(p, types.NewTuple("p", types.Node(types.NodeID(i)),
+		e := p.getOrCreate(rel, types.NewTuple("p", types.Node(types.NodeID(i)),
 			types.Str(fmt.Sprintf("key-%d", i%8)), types.Int(int64(i%4))))
 		e.AddRow(types.ID{byte(i)}, 0)
-		rel.setVisible(p, e, true)
+		p.setVisible(rel, e, true)
 		entries = append(entries, e)
 	}
 	churn := func() {
 		for _, e := range entries {
-			rel.setVisible(p, e, false)
-			rel.unindex(p, e)
+			p.setVisible(rel, e, false)
+			p.unindex(rel, e)
 		}
 		for _, e := range entries {
-			rel.setVisible(p, e, true)
+			p.setVisible(rel, e, true)
 		}
 	}
 	churn() // warm one full cycle so bucket boxes land on the free list
 	allocs := testing.AllocsPerRun(100, churn)
-	if rel.Len() != len(entries) {
-		t.Fatalf("Len = %d after churn, want %d", rel.Len(), len(entries))
+	if p.Len(rel) != len(entries) {
+		t.Fatalf("Len = %d after churn, want %d", p.Len(rel), len(entries))
 	}
 	if allocs != 0 {
 		t.Errorf("index churn allocated %.2f objects per cycle, want 0", allocs)
@@ -299,19 +354,19 @@ func TestIndexChurnAllocFree(t *testing.T) {
 	rel, p = testRelation("q", []int{1})
 	es := make([]*entry, 3)
 	for i := range es {
-		es[i] = rel.getOrCreate(p, types.NewTuple("q", types.Node(types.NodeID(i)), types.Str("k")))
+		es[i] = p.getOrCreate(rel, types.NewTuple("q", types.Node(types.NodeID(i)), types.Str("k")))
 		es[i].AddRow(types.ZeroID, 0)
 	}
-	h := p.indexHash(&rel.info.indexes[0], es[0].Tuple)
+	h := p.indexHash(&rel.indexes[0], es[0].Tuple)
 	ref := make([]*entry, 0, len(es))
 	var one [1]*entry
 	step := func(e *entry, show bool) {
 		if show {
-			rel.setVisible(p, e, true)
+			p.setVisible(rel, e, true)
 			ref = append(ref, e)
 		} else {
-			rel.setVisible(p, e, false)
-			rel.unindex(p, e)
+			p.setVisible(rel, e, false)
+			p.unindex(rel, e)
 			i := slices.Index(ref, e)
 			ref[i] = ref[len(ref)-1]
 			ref = ref[:len(ref)-1]
@@ -348,7 +403,7 @@ func entryTuples(es []*entry) []types.Tuple {
 // TestSweepSparesRetractingEntry: a retraction never sweeps. Hiding every
 // entry through setVisible(e, false) reclaims nothing and leaves each entry's
 // fields intact — the round's fire phase still reads their tuples, payloads
-// and cached VIDs — and the end of the round (maybeSweepRound) then reclaims
+// and cached VIDs — and the end of the round (sweepDue, sweep) then reclaims
 // every tombstone.
 func TestSweepSparesRetractingEntry(t *testing.T) {
 	rel, p := testRelation("p")
@@ -356,14 +411,14 @@ func TestSweepSparesRetractingEntry(t *testing.T) {
 	var entries []*entry
 	const n = 300
 	for i := 0; i < n; i++ {
-		e := rel.getOrCreate(p, tup(i))
+		e := p.getOrCreate(rel, tup(i))
 		e.AddRow(types.ID{byte(i), byte(i >> 8)}, 0)
-		rel.setVisible(p, e, true)
+		p.setVisible(rel, e, true)
 		entries = append(entries, e)
 	}
 	for _, e := range entries {
 		e.DelRow(e.Rows[0].RID)
-		rel.setVisible(p, e, false)
+		p.setVisible(rel, e, false)
 	}
 	if got := len(p.free); got != 0 {
 		t.Fatalf("retraction swept %d entries before the end of the round", got)
@@ -373,16 +428,17 @@ func TestSweepSparesRetractingEntry(t *testing.T) {
 			t.Fatalf("entry %d holds %v before the end of the round, want %v", i, e.Tuple, tup(i))
 		}
 	}
-	if !rel.sweepDue() {
+	if !p.sweepDue(rel) {
 		t.Fatal("vacuous: the sweep threshold is not reached; threshold assumptions stale")
 	}
-	rel.maybeSweepRound(p)
+	p.sweep(rel)
 	if got := len(p.free); got != n {
 		t.Fatalf("end-of-round sweep reclaimed %d of %d tombstones", got, n)
 	}
-	if rel.Len() != 0 {
-		t.Fatalf("Len = %d after full retraction, want 0", rel.Len())
+	if p.Len(rel) != 0 {
+		t.Fatalf("Len = %d after full retraction, want 0", p.Len(rel))
 	}
+	recount(t, p)
 }
 
 // TestProcessHashesDeltaTupleOnce asserts the satellite requirement that

@@ -92,30 +92,25 @@ type Node struct {
 	fires []fireItem
 	aggIn []aggItem
 
-	// tablesByID holds the relations of the program's stored predicates,
-	// indexed by PredInfo.tableID: the program's predicate table is the
-	// only name→relation map, and the node holds no other relation. It
-	// stops short of prov and ruleExec on a node that holds neither
-	// (Program.tablesFor). aggByRule keys aggregate state by
-	// CompiledRule.idx.
-	tablesByID []Relation
-	aggByRule  []map[uint64]*aggGroup
-	// pool carves, recycles and keys the entries of every relation above,
-	// holds them and their index buckets in the node's two hash tables, and
-	// its key buffer serves every key the node encodes.
+	// pool carves, recycles and keys the entries of every relation the node
+	// holds, keeps them and their index buckets in the node's two hash
+	// tables and each relation's counts by table number, and its key buffer
+	// is the node's one byte scratch. The relations are the program's stored
+	// predicates, less prov and ruleExec on a node that holds neither
+	// (Program.tablesFor): the program's predicate table is the only
+	// name→relation map.
 	pool entryPool
+	// aggGroups holds every aggregate rule's groups, keyed by the hash of
+	// the rule number and the group-by values (aggGroupAt).
+	aggGroups map[uint64]*aggGroup
 
 	// Scratch arenas, sized at program-compile time and reused across rule
 	// firings. Safe because firing never re-enters the evaluator: derived
 	// deltas are enqueued and processed by the next round.
-	envBuf     []types.Value
-	matchedBuf []types.Tuple
-	entBuf     []*entry
-	payloadBuf []algebra.Payload
-	vidBuf     []types.ID
-	groupBuf   []types.Value
-	ridBuf     []byte
-	hashBuf    []byte
+	envBuf   []types.Value
+	entBuf   []*entry
+	vidBuf   []types.ID
+	groupBuf []types.Value
 	// argArena backs emitted head arguments (and the group values
 	// aggregates retain): emitted tuples escape into relations and
 	// messages, so their args cannot live in reusable scratch.
@@ -138,13 +133,14 @@ type Node struct {
 	// deferred. Both lists are drained by ReleaseStaged once the driver
 	// detects that the cluster-wide deletion wave has quiesced.
 	stagedEnts   []*entry
-	stagedGroups []stagedGroup
+	stagedGroups []*aggGroup
 
-	// fireAtomPos/fireIsEvent describe the delta currently being fired
-	// (set by firePlan); join probes use them to pick the old/new admission
-	// side.
+	// The delta currently being fired (set by firePhase and firePlan): its
+	// tuple and payload, read for an event, which has no entry, and its body
+	// position, against which join probes pick the old/new admission side.
+	fireTuple   types.Tuple
+	firePayload algebra.Payload
 	fireAtomPos int
-	fireIsEvent bool
 
 	// running guards the executor against re-entry: a synchronous transport
 	// can deliver a message back to this node mid-run; the delta is queued
@@ -177,7 +173,7 @@ func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node 
 		Mode:          mode,
 		Transport:     tr,
 		Store:         provenance.NewStore(id),
-		pool:          newEntryPool(),
+		pool:          newEntryPool(prog.tablesFor(mode)),
 		argArena:      types.NewArena[types.Value](argArenaChunk),
 		aggRowArena:   types.NewArena[*entry](aggArenaChunk),
 		aggGroupArena: types.NewArena[aggGroup](aggArenaChunk),
@@ -186,20 +182,9 @@ func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node 
 		r := algebra.BDD(bdd.New(), func(b algebra.Base) bdd.Var { return n.Store.BaseVar(b.VID) })
 		n.Ring = &r
 	}
-	// Pre-create relations; the indexes their predicates declare need
-	// nothing until an entry is filed under one.
-	n.tablesByID = make([]Relation, prog.tablesFor(mode))
-	for _, info := range prog.predList {
-		if !info.Event && n.holds(info) {
-			n.tablesByID[info.tableID] = newRelation(info)
-		}
-	}
 	n.joinStats = make([]joinStat, prog.numJoins)
-	n.aggByRule = make([]map[uint64]*aggGroup, len(prog.Rules))
 	n.envBuf = make([]types.Value, prog.maxVars)
-	n.matchedBuf = make([]types.Tuple, prog.maxAtoms)
 	n.entBuf = make([]*entry, prog.maxAtoms)
-	n.payloadBuf = make([]algebra.Payload, prog.maxAtoms)
 	n.vidBuf = make([]types.ID, prog.maxAtoms)
 	n.groupBuf = make([]types.Value, prog.maxGroup)
 	return n
@@ -214,10 +199,11 @@ const AutoShards = -1
 func EffectiveShards(int) int  { return 1 }
 func (n *Node) NumShards() int { return 1 }
 
-// lookup returns the relation of pred, or nil when the node has none.
-func (n *Node) lookup(pred string) *Relation {
+// lookup returns the stored predicate pred, or nil when the node holds no
+// relation of it.
+func (n *Node) lookup(pred string) *PredInfo {
 	if info := n.Prog.Pred(pred); info != nil && !info.Event && n.holds(info) {
-		return &n.tablesByID[info.tableID]
+		return info
 	}
 	return nil
 }
@@ -225,7 +211,7 @@ func (n *Node) lookup(pred string) *Relation {
 // holds reports whether tuples of the predicate may enter this node: every
 // event and stored predicate of the program, except prov and ruleExec on a
 // node that holds no relation for them.
-func (n *Node) holds(info *PredInfo) bool { return info.tableID < len(n.tablesByID) }
+func (n *Node) holds(info *PredInfo) bool { return info.tableID < len(n.pool.counts) }
 
 // admit is the node's one admission check, run at both ingress points
 // (baseDelta, messageDelta): a tuple enters only if its predicate is one the
@@ -243,16 +229,16 @@ func (n *Node) admit(t types.Tuple) *PredInfo {
 
 // Tuples returns the visible tuples of a predicate, sorted canonically.
 func (n *Node) Tuples(pred string) []types.Tuple {
-	if rel := n.lookup(pred); rel != nil {
-		return rel.Tuples(&n.pool)
+	if info := n.lookup(pred); info != nil {
+		return n.pool.Tuples(info)
 	}
 	return nil
 }
 
 // TupleCount reports the number of visible tuples of a predicate in O(1).
 func (n *Node) TupleCount(pred string) int {
-	if rel := n.lookup(pred); rel != nil {
-		return rel.Len()
+	if info := n.lookup(pred); info != nil {
+		return n.pool.Len(info)
 	}
 	return 0
 }
@@ -266,12 +252,10 @@ func (n *Node) DeltasProcessed() int64 { return n.deltasProcessed }
 // tuple is retracted, it must be zero.
 func (n *Node) AggGroupCount() int {
 	c := 0
-	for _, groups := range n.aggByRule {
-		for _, head := range groups {
-			for g := head; g != nil; g = g.next {
-				if len(g.rows) > 0 || g.hasOut {
-					c++
-				}
+	for _, head := range n.aggGroups {
+		for g := head; g != nil; g = g.next {
+			if len(g.rows) > 0 || g.hasOut {
+				c++
 			}
 		}
 	}
@@ -333,11 +317,11 @@ func (n *Node) PayloadOf(t types.Tuple) (p algebra.Payload, ok bool) {
 	if n.Mode != ProvValue {
 		return
 	}
-	rel := n.lookup(t.Pred)
-	if rel == nil {
+	info := n.lookup(t.Pred)
+	if info == nil {
 		return
 	}
-	e := rel.get(&n.pool, t)
+	e := n.pool.get(info, t)
 	if e == nil || !e.visible {
 		return
 	}

@@ -15,7 +15,7 @@ import (
 // The contract between the layers:
 //
 //   - A plan is immutable after Compile and shared by every node. All
-//     mutable evaluation state (environments, scratch keys, matched tuples,
+//     mutable evaluation state (environments, scratch keys, matched entries,
 //     probe tallies) lives in the executing Node.
 //   - deltaBinds matches the triggering delta tuple into the environment;
 //     steps then run in order. stepJoin probes the index it declared at

@@ -14,11 +14,13 @@ type Program struct {
 	byBodyPred map[string][]occurrence
 	preds      map[string]*PredInfo
 	predList   []*PredInfo // preds sorted by name (Preds)
+	// tables holds the stored (non-event) predicates by table number, so an
+	// entry's table tag resolves its predicate.
+	tables []*PredInfo
 
 	// Hot-path sizing, computed once at compile time so nodes can allocate
 	// scratch arenas before evaluation starts.
 	numJoins   int // total stepJoin steps across all plans; joinIDs are [0,numJoins)
-	numTables  int // stored (non-event) predicates; tableIDs are [0,numTables)
 	numIndexes int // declared indexes (declareIndex); index numbers are [0,numIndexes)
 	maxVars    int // widest rule environment
 	maxAtoms   int // widest rule body
@@ -54,10 +56,11 @@ type PredInfo struct {
 	Stratum int
 
 	// tableID is a dense index over the program's stored (non-event)
-	// predicates, assigned at compile time so nodes can keep relations in
-	// a slice instead of resolving a string map per delta. -1 for events;
-	// prov and ruleExec come last unless the program names them, so a node
-	// that holds neither sizes its slice short of them.
+	// predicates (Program.tables), assigned at compile time so a node keeps
+	// its relations' counts in a slice and tags each entry with its
+	// relation. -1 for events; prov and ruleExec come last unless the
+	// program names them, so a node that holds neither sizes its slice
+	// short of them.
 	tableID int
 	// occs lists the (rule, body position) pairs a delta of this predicate
 	// triggers, so one predicate lookup serves the whole delta-processing
@@ -83,7 +86,7 @@ type CompiledRule struct {
 	atoms       []*atomSpec
 	plans       []*plan  // one per body atom position, chosen at Compile
 	agg         *AggSpec // non-nil for aggregate rules
-	idx         int      // position in Program.Rules; keys per-rule node state
+	idx         int      // position in Program.Rules; tags the rule's aggregate groups
 	prog        *Program // declares the indexes its plans' join steps probe
 	source      *ndlog.Rule
 	slots       map[string]int // variable -> env slot
@@ -193,18 +196,19 @@ func Compile(p *ndlog.Program) (*Program, error) {
 		info.occs = prog.byBodyPred[info.Name]
 		info.tableID = -1
 		if !info.Event && (!info.meta || prog.metaUsed) {
-			info.tableID = prog.numTables
-			prog.numTables++
+			prog.tables = append(prog.tables, info)
 		}
 	}
 	if !prog.metaUsed {
 		for _, meta := range metaPreds {
-			prog.preds[meta].tableID = prog.numTables
-			prog.numTables++
+			prog.tables = append(prog.tables, prog.preds[meta])
 		}
 	}
-	if prog.numTables > math.MaxUint16+1 { // entry.table holds a table number
-		return nil, fmt.Errorf("engine: %d stored predicates, at most %d", prog.numTables, math.MaxUint16+1)
+	for i, info := range prog.tables {
+		info.tableID = i
+	}
+	if len(prog.tables) > math.MaxUint16+1 { // entry.table holds a table number
+		return nil, fmt.Errorf("engine: %d stored predicates, at most %d", len(prog.tables), math.MaxUint16+1)
 	}
 	for ri, cr := range prog.Rules {
 		cr.idx, cr.prog = ri, prog
@@ -246,9 +250,9 @@ var metaPreds = [...]string{"prov", "ruleExec"}
 // is in centralized mode or the program names them.
 func (p *Program) tablesFor(mode ProvMode) int {
 	if mode == ProvCentralized || p.metaUsed {
-		return p.numTables
+		return len(p.tables)
 	}
-	return p.numTables - len(metaPreds)
+	return len(p.tables) - len(metaPreds)
 }
 
 // headArity accounts for MIN/MAX aggregates with carried attributes, which

@@ -25,7 +25,7 @@ import (
 // the per-entry map plus per-derivation pointer boxes were among the largest
 // allocation sources in fixpoint profiles.
 // Field order is alignment-packed (exspanlint -fieldalign): the table tag
-// and the five 1-byte flags sit together after the 4-byte fields, which
+// and the six 1-byte flags sit together after the 4-byte fields, which
 // keeps a stored tuple at 104 bytes, its prov rows included; the cached VID
 // needs no flag of its own because no tuple hashes to the null digest.
 type entry struct {
@@ -57,6 +57,10 @@ type entry struct {
 	aggQueued bool
 
 	startVis bool
+	// dead marks a tombstone counted in its table's dead count: set where
+	// the entry is hidden or loses its last row while hidden, cleared where
+	// getOrCreate revives it, so the count uncounts only what it counted.
+	dead bool
 	// indexed tracks index membership, which is deferred to the end of the
 	// round on removal so frozen fire-phase probes can still see
 	// start-of-round state.
@@ -74,28 +78,6 @@ func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
 	return e.VID, buf
 }
 
-// Relation is a materialized table whose indexes are maintained
-// incrementally as tuples become visible and invisible. Removals wait for
-// the end of the round: the fire phase probes OLD state, so a tuple the
-// round hid must still be found (Relation.unindex, maybeSweepRound).
-//
-// Fully retracted entries are kept as tombstones instead of being deleted:
-// under churn the same tuples are re-derived moments later, and a reused
-// tombstone brings back its cached SHA-1 VID for free (re-deriving a route
-// after a link flap costs neither an allocation nor a hash). The tombstone
-// population is bounded by sweep: memory stays within a small factor of the
-// live high-water mark.
-//
-// A relation holds its predicate and its counters, nothing else: its
-// entries, their first rows, its index buckets and the key scratch are the
-// node's entryPool, which every method that carves, finds, indexes or
-// encodes takes.
-type Relation struct {
-	info    *PredInfo // table number and the indexes Compile declared
-	visible int       // O(1) Len
-	dead    int       // invisible derivation-free entries retained for reuse
-}
-
 // entryPool is what a node spends on its stored tuples, whichever relation
 // holds them. The entry arena carves entries (boxing each individually was
 // a leading allocation class in fixpoint profiles — arena chunks never pin
@@ -107,6 +89,10 @@ type Relation struct {
 // Prov rows and types.Value hold no pointers, so those chunks cost the
 // garbage collector nothing to scan.
 //
+// A relation is its PredInfo and nothing else: every method that carves,
+// finds, indexes, counts or sweeps the entries of one relation is a pool
+// method taking the relation's predicate.
+//
 // One pool per node, and two hash tables: a converged CHORD node holds about
 // twenty tuples over a dozen relations and seven indexes, and a map per
 // relation and per index cost it more than its tuples (PERFORMANCE.md "What
@@ -114,7 +100,7 @@ type Relation struct {
 //
 //   - tuples is the tuple map: every relation's entries, tombstones
 //     included, keyed by the hash of the table number and the args handle
-//     key (Relation.hash). spill holds, per hash, the entries whose slot
+//     key (entryPool.hash). spill holds, per hash, the entries whose slot
 //     another tuple took; it stays nil unless two tuples collide in 64 bits.
 //   - buckets is the index map: every index's buckets, keyed by the hash of
 //     the index number and the index key (indexHash). A bucket of one entry
@@ -124,20 +110,30 @@ type Relation struct {
 // The number in each hash keeps equal keys of two relations or indexes
 // apart; a 64-bit collision costs a check of the table tag and the args.
 //
-// key is the node's one key-encoding buffer: relation keys, index keys, join
-// probe keys and aggregate group keys are all built in it. Every user hashes
-// the bytes at once and never reads them again, so no encode can clobber a
-// key still in use.
+// key is the node's one byte scratch: relation keys, index keys, join probe
+// keys, aggregate group keys and the encodings VIDs and RIDs are hashed
+// from are all built in it. Every user hashes the bytes at once and never
+// reads them again, so no encode can clobber bytes still in use.
 type entryPool struct {
 	entries   types.Arena[entry]
 	rows      types.Arena[provenance.ProvEntry]
 	free      []*entry
 	key       []byte
+	counts    []tableCount
 	tuples    map[uint64]*entry
 	spill     map[uint64][]*entry
 	buckets   map[uint64]*entry
 	lists     map[uint64][]*entry
 	freeLists [][]*entry
+}
+
+// tableCount is one relation's O(1) cardinality and its tombstones, the
+// invisible derivation-free entries kept for reuse that decide its sweep.
+// A pool's counts are indexed by PredInfo.tableID, one per relation the
+// node holds.
+type tableCount struct {
+	visible int32
+	dead    int32
 }
 
 // entryChunk caps the chunk size of a node's entry and row arenas. Chunks
@@ -148,10 +144,12 @@ type entryPool struct {
 // than at 256 (PERFORMANCE.md "What a converged CHORD node holds").
 const entryChunk = 32
 
-func newEntryPool() entryPool {
+// newEntryPool returns the pool of a node holding tables relations.
+func newEntryPool(tables int) entryPool {
 	return entryPool{
 		entries: types.NewArena[entry](entryChunk),
 		rows:    types.NewArena[provenance.ProvEntry](entryChunk),
+		counts:  make([]tableCount, tables),
 	}
 }
 
@@ -235,10 +233,13 @@ func (p *entryPool) lookup(h uint64, one []*entry) []*entry {
 
 // bucketAdd appends e to the bucket under h: a second entry moves the bucket
 // from inline to a list, in the order first, e.
+//
+//exspan:hotpath
 func (p *entryPool) bucketAdd(h uint64, e *entry) {
 	switch first := p.buckets[h]; first {
 	case nil:
 		if p.buckets == nil {
+			//exspanlint:alloc-ok the index map is made by the node's first indexed entry
 			p.buckets = make(map[uint64]*entry)
 		}
 		p.buckets[h] = e
@@ -250,9 +251,11 @@ func (p *entryPool) bucketAdd(h uint64, e *entry) {
 			l = p.freeLists[n-1]
 			p.freeLists = p.freeLists[:n-1]
 		} else {
+			//exspanlint:alloc-ok list growth: a new list only while the node's bucket count grows
 			l = make([]*entry, 0, 4)
 		}
 		if p.lists == nil {
+			//exspanlint:alloc-ok the list map is made by the node's first two-entry bucket
 			p.lists = make(map[uint64][]*entry)
 		}
 		p.lists[h] = append(l, first, e)
@@ -263,6 +266,8 @@ func (p *entryPool) bucketAdd(h uint64, e *entry) {
 // bucketRemove swap-removes e from the bucket under h. A list left with one
 // entry goes back inline and its slice to freeLists, so steady-state
 // visibility churn allocates nothing.
+//
+//exspan:hotpath
 func (p *entryPool) bucketRemove(h uint64, e *entry) {
 	switch p.buckets[h] {
 	case e:
@@ -280,72 +285,77 @@ func (p *entryPool) bucketRemove(h uint64, e *entry) {
 	}
 }
 
-// newRelation builds an empty relation of the predicate by value, so a node
-// can lay all of its program's relations out in one slice.
-func newRelation(info *PredInfo) Relation { return Relation{info: info} }
-
-// Len reports the number of visible tuples in O(1).
-func (r *Relation) Len() int { return r.visible }
+// Len reports the number of visible tuples of the relation in O(1).
+func (p *entryPool) Len(info *PredInfo) int { return int(p.counts[info.tableID].visible) }
 
 // hash hashes a tuple of the relation: its table number, then its args
 // handle key (types.Tuple.AppendArgsKey). The key copies no string or
 // digest bytes, and equal interned args mean equal tuples, so a lookup's
 // only other checks are the table tag and argsEqual.
-func (r *Relation) hash(p *entryPool, t types.Tuple) uint64 {
+//
+//exspan:hotpath
+func (p *entryPool) hash(info *PredInfo, t types.Tuple) uint64 {
 	p.key = t.AppendArgsKey(p.key[:0])
-	return hashKey(r.info.tableID, p.key)
+	return hashKey(info.tableID, p.key)
 }
 
-// get returns the entry for a tuple, or nil.
-func (r *Relation) get(p *entryPool, t types.Tuple) *entry { return r.find(p, r.hash(p, t), t.Args) }
+// get returns the relation's entry for a tuple, or nil.
+//
+//exspan:hotpath
+func (p *entryPool) get(info *PredInfo, t types.Tuple) *entry {
+	return p.find(info, p.hash(info, t), t.Args)
+}
 
 // find returns the relation's entry of args under hash h, or nil.
-func (r *Relation) find(p *entryPool, h uint64, args []types.Value) *entry {
-	if e := p.tuples[h]; e != nil && r.owns(e, args) {
+//
+//exspan:hotpath
+func (p *entryPool) find(info *PredInfo, h uint64, args []types.Value) *entry {
+	table := uint16(info.tableID)
+	if e := p.tuples[h]; e != nil && e.table == table && argsEqual(e.Tuple.Args, args) {
 		return e
 	}
 	for _, e := range p.spill[h] {
-		if r.owns(e, args) {
+		if e.table == table && argsEqual(e.Tuple.Args, args) {
 			return e
 		}
 	}
 	return nil
 }
 
-// owns reports whether e is the relation's entry of args.
-func (r *Relation) owns(e *entry, args []types.Value) bool {
-	return int(e.table) == r.info.tableID && argsEqual(e.Tuple.Args, args)
-}
-
-// getOrCreate returns the entry for a tuple, creating an invisible one if
-// needed.
-func (r *Relation) getOrCreate(p *entryPool, t types.Tuple) *entry {
-	return r.getOrCreateAt(p, r.hash(p, t), t)
+// getOrCreate returns the relation's entry for a tuple, creating an
+// invisible one if needed.
+func (p *entryPool) getOrCreate(info *PredInfo, t types.Tuple) *entry {
+	return p.getOrCreateAt(info, p.hash(info, t), t)
 }
 
 // getOrCreateAt is getOrCreate under the tuple's hash h. A matching
 // tombstone is revived: its cached VID carries over (equal args imply equal
 // tuples and equal VIDs).
-func (r *Relation) getOrCreateAt(p *entryPool, h uint64, t types.Tuple) *entry {
-	if e := r.find(p, h, t.Args); e != nil {
-		if !e.visible && len(e.Rows) == 0 {
+//
+//exspan:hotpath
+func (p *entryPool) getOrCreateAt(info *PredInfo, h uint64, t types.Tuple) *entry {
+	if e := p.find(info, h, t.Args); e != nil {
+		if e.dead {
 			// Revival: the cached VID stays valid; the store forgot the
 			// vertex with its last row and the next row registers it
 			// again, and the reviving insert recomputes the payload.
-			r.dead--
+			e.dead = false
+			p.counts[info.tableID].dead--
 		}
 		return e
 	}
 	e := p.alloc()
-	e.Tuple, e.table = t, uint16(r.info.tableID)
+	e.Tuple, e.table = t, uint16(info.tableID)
 	e.Rows = p.rows.Cap1()
 	if p.tuples[h] == nil {
 		if p.tuples == nil {
+			//exspanlint:alloc-ok the tuple map is made by the node's first entry
 			p.tuples = make(map[uint64]*entry)
 		}
 		p.tuples[h] = e
 	} else {
-		if p.spill == nil { // the node's first 64-bit collision
+		if p.spill == nil {
+			//exspanlint:alloc-ok the spill map is made by the node's first 64-bit collision
 			p.spill = make(map[uint64][]*entry)
 		}
 		p.spill[h] = append(p.spill[h], e)
@@ -353,69 +363,88 @@ func (r *Relation) getOrCreateAt(p *entryPool, h uint64, t types.Tuple) *entry {
 	return e
 }
 
+// bury counts e, invisible and derivation-free, as a tombstone of its
+// relation, once. A fully retracted entry is kept rather than deleted: under
+// churn the same tuples are re-derived moments later, and getOrCreate
+// revives the tombstone with its cached SHA-1 VID (re-deriving a route after
+// a link flap costs neither an allocation nor a hash).
+func (p *entryPool) bury(e *entry) {
+	if !e.dead {
+		e.dead = true
+		p.counts[e.table].dead++
+	}
+}
+
 // setVisible flips the entry's visibility. Showing it indexes it at once;
 // hiding it leaves it indexed (filtered by probe admission) until unindex at
-// the end of the round, and a tombstone is reclaimed only by
-// maybeSweepRound.
-func (r *Relation) setVisible(p *entryPool, e *entry, visible bool) {
+// the end of the round — the fire phase probes OLD state, so a tuple the
+// round hid must still be found — and a tombstone is reclaimed only by the
+// end-of-round sweep.
+//
+//exspan:hotpath
+func (p *entryPool) setVisible(info *PredInfo, e *entry, visible bool) {
 	if e.visible == visible {
 		return
 	}
 	e.visible = visible
 	if visible {
-		r.visible++
+		p.counts[info.tableID].visible++
 	} else {
-		r.visible--
+		p.counts[info.tableID].visible--
 	}
 	if visible && !e.indexed {
-		r.indexAdd(p, e)
+		p.indexAdd(info, e)
 	}
 	if !visible && len(e.Rows) == 0 {
-		// Tombstone the entry for reuse rather than deleting it;
-		// getOrCreate revives it.
-		r.dead++
+		// Tombstone the entry for reuse rather than deleting it.
+		p.bury(e)
 	}
 }
 
-// indexAdd inserts the entry into every index of the relation.
-func (r *Relation) indexAdd(p *entryPool, e *entry) {
-	for i := range r.info.indexes {
-		p.bucketAdd(p.indexHash(&r.info.indexes[i], e.Tuple), e)
+// indexAdd files the entry under every index of its relation.
+//
+//exspan:hotpath
+func (p *entryPool) indexAdd(info *PredInfo, e *entry) {
+	for i := range info.indexes {
+		p.bucketAdd(p.indexHash(&info.indexes[i], e.Tuple), e)
 	}
 	e.indexed = true
 }
 
-// unindex removes the entry from every index (called at the end of a round
-// for entries that netted to invisible).
-func (r *Relation) unindex(p *entryPool, e *entry) {
-	for i := range r.info.indexes {
-		p.bucketRemove(p.indexHash(&r.info.indexes[i], e.Tuple), e)
+// unindex removes the entry from every index of its relation (called at the
+// end of a round for entries that netted to invisible).
+//
+//exspan:hotpath
+func (p *entryPool) unindex(info *PredInfo, e *entry) {
+	for i := range info.indexes {
+		p.bucketRemove(p.indexHash(&info.indexes[i], e.Tuple), e)
 	}
 	e.indexed = false
 }
 
-// sweepDue reports whether tombstones dominate the live population.
-func (r *Relation) sweepDue() bool { return r.dead > 128 && r.dead > 2*r.visible }
-
-// maybeSweepRound reclaims tombstones at the end of a round once they
-// dominate the live population.
-func (r *Relation) maybeSweepRound(p *entryPool) {
-	if r.sweepDue() {
-		r.sweep(p)
-	}
+// sweepDue reports whether tombstones dominate the relation's live
+// population: the end of a round then sweeps it.
+func (p *entryPool) sweepDue(info *PredInfo) bool {
+	c := p.counts[info.tableID]
+	return c.dead > 128 && c.dead > 2*c.visible
 }
 
 // sweep deletes the relation's tombstones from the node's tuple map,
 // bounding retained memory to a small factor of the live entry count.
 // Swept entries are cleared (releasing their tuples) and handed to the
-// node's free list, for any relation to reuse.
-func (r *Relation) sweep(p *entryPool) {
+// node's free list, for any relation to reuse. A tombstone still pinned by
+// the staged list or an aggregate update stays, and stays counted.
+func (p *entryPool) sweep(info *PredInfo) {
 	// Free-list order only decides which cleared box getOrCreate reuses;
 	// entry pointer identity never reaches state, ordering or the wire.
-	table := uint16(r.info.tableID)
+	table := uint16(info.tableID)
+	c := &p.counts[table]
 	reclaim := func(e *entry) bool {
 		if e.table != table || e.visible || len(e.Rows) > 0 || e.staged || e.aggQueued {
 			return false
+		}
+		if e.dead {
+			c.dead--
 		}
 		*e = entry{}
 		p.free = append(p.free, e)
@@ -433,7 +462,6 @@ func (r *Relation) sweep(p *entryPool) {
 			p.spill[h] = list
 		}
 	}
-	r.dead = 0
 }
 
 func removeEntry(list []*entry, e *entry) []*entry {
@@ -468,16 +496,17 @@ func indexID(positions []int) string {
 	return string(b)
 }
 
-// Tuples returns the visible tuples sorted canonically (for deterministic
-// output in tests and examples). Map keys hash process-local handle keys,
-// so this cold path sorts by the canonical encoding instead — the order
-// must not depend on interning history or map iteration.
-func (r *Relation) Tuples(p *entryPool) []types.Tuple {
-	if r.visible == 0 {
+// Tuples returns the relation's visible tuples sorted canonically (for
+// deterministic output in tests and examples). Map keys hash process-local
+// handle keys, so this cold path sorts by the canonical encoding instead —
+// the order must not depend on interning history or map iteration.
+func (p *entryPool) Tuples(info *PredInfo) []types.Tuple {
+	n := p.Len(info)
+	if n == 0 {
 		return nil
 	}
-	out := make([]types.Tuple, 0, r.visible)
-	table := uint16(r.info.tableID)
+	out := make([]types.Tuple, 0, n)
+	table := uint16(info.tableID)
 	for e := range p.all {
 		if e.visible && e.table == table {
 			out = append(out, e.Tuple)

@@ -16,20 +16,23 @@ func (n *Node) stageEntry(e *entry) {
 	n.stagedEnts = append(n.stagedEnts, e)
 }
 
-// stratumOf returns the release stratum of a stored predicate.
-func (n *Node) stratumOf(pred string) int { return n.Prog.Pred(pred).Stratum }
+// entryStratum and groupStratum return the release stratum of a staged
+// entry (its predicate's, resolved from the table tag) and of a staged
+// group (its rule head's).
+func (n *Node) entryStratum(e *entry) int    { return n.Prog.tables[e.table].Stratum }
+func (n *Node) groupStratum(g *aggGroup) int { return n.Prog.Rules[g.rule].headStratum }
 
 // minStagedStratum returns the lowest occupied release stratum, or -1 when
 // nothing is staged.
 func (n *Node) minStagedStratum() int {
 	min := -1
 	for _, e := range n.stagedEnts {
-		if s := n.stratumOf(e.Tuple.Pred); min < 0 || s < min {
+		if s := n.entryStratum(e); min < 0 || s < min {
 			min = s
 		}
 	}
-	for i := range n.stagedGroups {
-		if s := n.stagedGroups[i].rule.headStratum; min < 0 || s < min {
+	for _, g := range n.stagedGroups {
+		if s := n.groupStratum(g); min < 0 || s < min {
 			min = s
 		}
 	}
@@ -57,7 +60,7 @@ func (n *Node) releaseStratum(stratum int, limit *int) bool {
 	ents := n.stagedEnts
 	kept := ents[:0]
 	for _, e := range ents {
-		if limit != nil && *limit == 0 || n.stratumOf(e.Tuple.Pred) != stratum {
+		if limit != nil && *limit == 0 || n.entryStratum(e) != stratum {
 			kept = append(kept, e)
 			continue
 		}
@@ -77,23 +80,23 @@ func (n *Node) releaseStratum(stratum int, limit *int) bool {
 
 	groups := n.stagedGroups
 	keptG := groups[:0]
-	for i := range groups {
-		sg := groups[i]
-		if limit != nil && *limit == 0 || sg.rule.headStratum != stratum {
-			keptG = append(keptG, sg)
+	for _, g := range groups {
+		if limit != nil && *limit == 0 || n.groupStratum(g) != stratum {
+			keptG = append(keptG, g)
 			continue
 		}
 		if limit != nil {
 			*limit--
 		}
-		sg.g.staged = false
-		for _, em := range sg.g.refresh(n, sg.rule, nil) {
-			n.emitAggChange(sg.rule, em)
+		g.staged = false
+		rule := n.Prog.Rules[g.rule]
+		for _, em := range g.refresh(n, rule, nil) {
+			n.emitAggChange(rule, em)
 			any = true
 		}
 	}
 	for i := len(keptG); i < len(groups); i++ {
-		groups[i] = stagedGroup{}
+		groups[i] = nil
 	}
 	n.stagedGroups = keptG
 	return any

@@ -44,16 +44,13 @@ type fireItem struct {
 	tuple   types.Tuple
 	occs    []occurrence
 	ent     *entry          // nil for events
-	rel     *Relation       // owning relation, for deferred index maintenance
 	payload algebra.Payload // value mode: an event's own; an entry's at round start
 	sign    int8            // events only; stored entries resolve at fire time
-	isEvent bool
 }
 
 // aggItem is one aggregate-group update awaiting the next apply step: the
 // input entry, pinned against the sweep while queued (entry.aggQueued).
 type aggItem struct {
-	rule *CompiledRule
 	g    *aggGroup
 	ent  *entry
 	sign int8
@@ -65,13 +62,13 @@ type aggItem struct {
 // fire-list slot.
 //
 //exspan:hotpath
-func (n *Node) markTouched(rel *Relation, e *entry, occs []occurrence) {
+func (n *Node) markTouched(e *entry, occs []occurrence) {
 	if e.touchRound == n.curRound {
 		return
 	}
 	e.touchRound = n.curRound
 	e.startVis = e.visible
-	n.fires = append(n.fires, fireItem{tuple: e.Tuple, occs: occs, ent: e, rel: rel, payload: e.payload})
+	n.fires = append(n.fires, fireItem{tuple: e.Tuple, occs: occs, ent: e, payload: e.payload})
 }
 
 // applyPhase drains the delta ring and applies the aggregate updates the
@@ -89,7 +86,7 @@ func (n *Node) applyPhase() {
 		it := &n.aggIn[i]
 		it.ent.aggQueued = false
 		if n.Err == nil {
-			n.applyAgg(it.rule, it.g, it.ent, it.sign)
+			n.applyAgg(it.g, it.ent, it.sign)
 		}
 	}
 	clear(n.aggIn)
@@ -105,12 +102,11 @@ func (n *Node) applyPhase() {
 func (n *Node) firePhase() {
 	for i := range n.fires {
 		if n.Err != nil {
-			return
+			break
 		}
 		it := &n.fires[i]
-		sign, ent, payload := it.sign, (*entry)(nil), it.payload
-		if !it.isEvent {
-			e := it.ent
+		sign, payload := it.sign, it.payload
+		if e := it.ent; e != nil {
 			switch {
 			case e.startVis != e.visible && e.visible:
 				sign = Insert
@@ -121,10 +117,12 @@ func (n *Node) firePhase() {
 			default:
 				continue // net zero: transient within the round
 			}
-			ent, payload = e, e.payload
+			payload = e.payload
 		}
-		n.fireAll(it.occs, it.tuple, sign, ent, payload)
+		n.fireTuple, n.firePayload = it.tuple, payload
+		n.fireAll(it.occs, sign, it.ent)
 	}
+	n.fireTuple = types.Tuple{} // hold no fired tuple's arguments past the phase
 }
 
 // endRound closes a round: entries whose net transition was to invisible
@@ -132,15 +130,16 @@ func (n *Node) firePhase() {
 // start-of-round state, and tombstone-dominated relations are swept.
 func (n *Node) endRound() {
 	for i := range n.fires {
-		it := &n.fires[i]
-		if it.ent != nil && !it.ent.visible && it.ent.indexed {
-			it.rel.unindex(&n.pool, it.ent)
+		if e := n.fires[i].ent; e != nil && !e.visible && e.indexed {
+			n.pool.unindex(n.Prog.tables[e.table], e)
 		}
 	}
 	clear(n.fires)
 	n.fires = n.fires[:0]
-	for i := range n.tablesByID {
-		n.tablesByID[i].maybeSweepRound(&n.pool)
+	for _, info := range n.Prog.tables[:len(n.pool.counts)] {
+		if n.pool.sweepDue(info) {
+			n.pool.sweep(info)
+		}
 	}
 }
 

@@ -136,8 +136,7 @@ func FromRewrite(rw *Node) *Node {
 			continue
 		}
 		for _, t := range rw.Tuples(info.Name) {
-			rel := n.lookup(info.Name)
-			rel.setVisible(&n.pool, rel.getOrCreate(&n.pool, t), true)
+			n.pool.setVisible(info, n.pool.getOrCreate(info, t), true)
 			byVID[t.VID()] = t
 		}
 	}

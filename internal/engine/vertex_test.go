@@ -59,7 +59,7 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 			if n.Err != nil {
 				t.Fatal(n.Err)
 			}
-			e := n.lookup("out").get(&n.pool, out)
+			e := n.pool.get(n.lookup("out"), out)
 			if e == nil || st.Lookup(out.VID()) != &e.Vertex {
 				t.Fatalf("after derivation: store resolves %p, want the entry's own vertex", st.Lookup(out.VID()))
 			}
@@ -71,7 +71,7 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 			}
 
 			remove(tup("in", 1))
-			if n.lookup("out").get(&n.pool, out) != e || e.visible || len(e.Rows) != 0 {
+			if n.pool.get(n.lookup("out"), out) != e || e.visible || len(e.Rows) != 0 {
 				t.Fatal("vacuous: the retracted entry is not a tombstone")
 			}
 			if st.Lookup(out.VID()) != nil || len(st.Derivations(out.VID())) != 0 {
@@ -85,7 +85,7 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 			}
 
 			insert(tup("in", 1))
-			if n.lookup("out").get(&n.pool, out) != e || st.Lookup(out.VID()) != &e.Vertex {
+			if n.pool.get(n.lookup("out"), out) != e || st.Lookup(out.VID()) != &e.Vertex {
 				t.Fatal("after re-derivation: the revived tombstone's vertex is not the one registered")
 			}
 			if d := st.Derivations(out.VID()); len(d) != 1 || d[0].Count != 1 {
@@ -105,8 +105,9 @@ r4 seen(@X,Y) :- eSeen(@X,Y).
 // checkVertexRegistration asserts the store/entry invariant on one node: an
 // entry's embedded vertex is registered in the store if and only if the node
 // runs in reference mode, the entry is not a prov/ruleExec meta tuple, and it
-// has at least one row; and the store holds exactly the rows of the
-// registered entries (the program has no events).
+// has at least one row; the store holds exactly the rows of the registered
+// entries (the program has no events); and every relation's visible and
+// tombstone counts are what a walk of the node's entries finds.
 func checkVertexRegistration(t *testing.T, n *Node, step string) {
 	t.Helper()
 	rows := 0
@@ -131,6 +132,7 @@ func checkVertexRegistration(t *testing.T, n *Node, step string) {
 	if got := n.Store.NumProv(); got != rows {
 		t.Fatalf("%s: node %d: store holds %d prov rows, registered entries %d", step, n.ID, got, rows)
 	}
+	recount(t, &n.pool)
 }
 
 // TestVertexRegistrationUnderChurn runs a seeded insert/delete/re-insert
@@ -205,7 +207,7 @@ func TestRowsKeyedByRIDAlone(t *testing.T) {
 			tn.nodes[2].InsertBase(src(2))
 			node.InsertBase(hit)
 			tn.checkErr(t)
-			e := node.lookup("hit").get(&node.pool, hit)
+			e := node.pool.get(node.lookup("hit"), hit)
 			if e == nil || !e.visible || len(e.Rows) != 1 || e.Rows[0].Count != 3 {
 				t.Fatalf("hit after two remote derivations and a base insert: %+v, want one row of count 3", e)
 			}

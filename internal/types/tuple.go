@@ -97,7 +97,7 @@ func (t Tuple) WireSize() int {
 func (t Tuple) Key() string { return string(t.Encode(nil)) }
 
 // SortTuples orders tuples in place by their canonical encoding — the
-// process-independent order Relation.Tuples returns, so snapshots of the same
+// process-independent order Node.Tuples returns, so snapshots of the same
 // state compare byte-for-byte across processes and drivers.
 func SortTuples(ts []Tuple) {
 	keys := make([]string, len(ts))
