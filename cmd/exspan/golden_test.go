@@ -6,12 +6,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/deploy"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/topology"
-	"repro/internal/types"
 )
 
 // TestDumpProvGolden is the fence every engine/provenance refactor used to
@@ -29,7 +28,7 @@ import (
 // equal the drain digest too; deploy cells have no golden line of their own.
 // Value mode is in both fences because a BDD variable is named by the node
 // that owns its base tuple, and each node meets its own base tuples in the
-// same order under every driver.
+// same order under every driver. Every run ends in drivertest.CheckQuiescent.
 //
 // A refactor must leave the file untouched. A change that is *meant* to move
 // a fixpoint replaces the affected lines with the ones this test logs.
@@ -55,18 +54,27 @@ func TestDumpProvGolden(t *testing.T) {
 	}
 	for _, app := range []string{"mincost", "pathvector", "packetforward", "chord", "policy"} {
 		for _, modeName := range []string{"none", "reference", "value", "centralized"} {
-			drain := stateDigest(t, app, modeName, "drain")
+			cfg := cellConfig(t, app, modeName)
+			sim := drivertest.Simnet(t, cfg)
+			drain := engine.StateDigest(sim.Engines())
 			check(fmt.Sprintf("%s %s drain", app, modeName), drain)
-			batched := stateDigest(t, app, modeName, "batched")
+			sched := drivertest.Scheduler(t, cfg, 0)
+			batched := engine.StateDigest(sched.Engines())
 			check(fmt.Sprintf("%s %s batched", app, modeName), batched)
 			if batched != drain {
 				t.Errorf("%s %s: batched digest %s differs from drain digest %s", app, modeName, batched, drain)
 			}
 			if modeName == "reference" || modeName == "value" {
-				if got := stateDigest(t, app, modeName, "deploy"); got != drain {
+				udp := drivertest.Deploy(t, deploy.Config{Topo: cfg.Topo, Prog: cfg.Prog, Mode: cfg.Mode,
+					Base: cfg.Base, NoLinkTuples: cfg.NoLinkTuples})
+				if got := engine.StateDigest(udp.Engines()); got != drain {
 					t.Errorf("%s %s: deploy digest %s differs from drain digest %s", app, modeName, got, drain)
 				}
+				drivertest.CheckQuiescent(t, udp)
+				udp.Stop()
 			}
+			drivertest.CheckQuiescent(t, sim)
+			drivertest.CheckQuiescent(t, sched)
 		}
 	}
 	if bad {
@@ -74,10 +82,9 @@ func TestDumpProvGolden(t *testing.T) {
 	}
 }
 
-// stateDigest runs one matrix cell the way main does (same program loader,
-// same per-app EDB at the CLI's default seed) on one driver: the simulator
-// (drain), the Scheduler a plain CLI run uses (batched), or UDP (deploy).
-func stateDigest(t *testing.T, app, modeName, driver string) string {
+// cellConfig is one matrix cell as main runs it: the same program loader and
+// the same per-app EDB at the CLI's default seed, on the Figure 3 topology.
+func cellConfig(t *testing.T, app, modeName string) core.Config {
 	t.Helper()
 	prog, err := loadProgram(app)
 	if err != nil {
@@ -88,42 +95,9 @@ func stateDigest(t *testing.T, app, modeName, driver string) string {
 		t.Fatal(err)
 	}
 	spec := appSpecs[app]
-	topo := topology.Figure3()
-	var base map[types.NodeID][]types.Tuple
+	cfg := core.Config{Topo: topology.Figure3(), Prog: prog, Mode: mode, NoLinkTuples: spec.noLinks}
 	if spec.base != nil {
-		base = spec.base(topo, 42)
+		cfg.Base = spec.base(cfg.Topo, 42)
 	}
-	var nodes []*engine.Node
-	switch driver {
-	case "batched":
-		compiled, err := engine.Compile(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := engine.NewScheduler(compiled, mode, topo.N, 0, 0)
-		apps.BootEDB(topo, spec.noLinks, base, s.InsertBase)
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		nodes = s.Engines()
-	case "deploy":
-		cl, err := deployFixpoint(deploy.Config{Topo: topo, Prog: prog, Mode: mode,
-			Base: base, NoLinkTuples: spec.noLinks})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Stop()
-		nodes = cl.Engines()
-	default:
-		c, err := core.NewCluster(core.Config{Topo: topo, Prog: prog, Mode: mode,
-			Base: base, NoLinkTuples: spec.noLinks})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RunToFixpoint(); err != nil {
-			t.Fatal(err)
-		}
-		nodes = c.Engines()
-	}
-	return engine.StateDigest(nodes)
+	return cfg
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/provenance"
@@ -20,14 +22,14 @@ import (
 // CentralGraphOf builds the centralized query view from the server node's
 // materialized prov/ruleExec relations (only meaningful under
 // ProvCentralized).
-func CentralGraphOf(c *Cluster) *provquery.CentralGraph {
+func CentralGraphOf(c *core.Cluster) *provquery.CentralGraph {
 	server := c.Hosts[engine.CentralServer].Engine
 	return provquery.NewCentralGraph(server.Tuples("prov"), server.Tuples("ruleExec"))
 }
 
 // storeGraph builds the provenance graph of a distributed run from every
 // host's store: the oracle the distributed query answers must fold to.
-func storeGraph(c *Cluster) *provquery.CentralGraph {
+func storeGraph(c *core.Cluster) *provquery.CentralGraph {
 	stores := make([]*provenance.Store, len(c.Hosts))
 	for i, h := range c.Hosts {
 		stores[i] = h.Engine.Store
@@ -141,17 +143,11 @@ func TestCentralGraphCyclicProvenance(t *testing.T) {
 	}
 	p := types.NewTuple("p", types.Node(0), types.Int(1))
 	q := types.NewTuple("q", types.Node(0), types.Int(1))
-	run := func(mode engine.ProvMode) *Cluster {
-		c, err := NewCluster(Config{
+	run := func(mode engine.ProvMode) *core.Cluster {
+		c := drivertest.Simnet(t, core.Config{
 			Topo: topology.Figure3(), Prog: prog, Mode: mode, NoLinkTuples: true,
 			Base: map[types.NodeID][]types.Tuple{0: {p}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RunToFixpoint(); err != nil {
-			t.Fatal(err)
-		}
+		}).Cluster
 		return c
 	}
 	central := CentralGraphOf(run(engine.ProvCentralized))

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/simnet"
@@ -30,25 +32,19 @@ c2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X), nbr(@Y,W).
 // runChaosPlanner boots a ring cluster, then deletes three links one
 // quiescence point at a time, partitioning one endpoint during the second
 // deletion when a fault plan is set.
-func runChaosPlanner(t *testing.T, mode engine.ProvMode, plan *simnet.FaultPlan) *Cluster {
+func runChaosPlanner(t *testing.T, mode engine.ProvMode, plan *simnet.FaultPlan) *drivertest.Sim {
 	t.Helper()
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
-	c, err := NewCluster(Config{Topo: topo, Prog: chaosPlannerProg(), Mode: mode, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatalf("boot fixpoint: %v", err)
-	}
+	c := drivertest.Simnet(t, core.Config{Topo: topo, Prog: chaosPlannerProg(), Mode: mode, Faults: plan})
 	for k := 0; k < 3; k++ {
 		l := topo.Links[(k*3)%len(topo.Links)]
 		if plan != nil && k == 1 {
 			now := c.Sim.Now()
 			plan.AddPartition(now+simnet.Millisecond, now+15*simnet.Millisecond, l.U)
 		}
-		c.Hosts[l.U].Engine.DeleteBase(apps.LinkTuple(l.U, l.V, l.Cost))
-		c.Hosts[l.V].Engine.DeleteBase(apps.LinkTuple(l.V, l.U, l.Cost))
-		if _, err := c.RunToFixpoint(); err != nil {
+		c.Delete(apps.LinkTuple(l.U, l.V, l.Cost))
+		c.Delete(apps.LinkTuple(l.V, l.U, l.Cost))
+		if err := c.Fixpoint(); err != nil {
 			t.Fatalf("churn fixpoint %d: %v", k, err)
 		}
 	}
@@ -67,8 +63,10 @@ func TestChaosPlannerEquivalence(t *testing.T) {
 			if c.Net.DroppedMsgs == 0 {
 				t.Errorf("%s seed %d: network counted no drops", mode, seed)
 			}
-			sameState(t, fmt.Sprintf("%s seed %d: fault-free vs chaos", mode, seed),
+			drivertest.SameState(t, fmt.Sprintf("%s seed %d: fault-free vs chaos", mode, seed),
 				want.Engines(), c.Engines())
+			drivertest.CheckQuiescent(t, c)
 		}
+		drivertest.CheckQuiescent(t, want)
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/simnet"
@@ -29,23 +31,14 @@ func chaosPlan(seed int64) *simnet.FaultPlan {
 	return p
 }
 
-// sameState fails the test with what differs between two clusters'
-// canonical fixpoint states.
-func sameState(t *testing.T, label string, want, got []*engine.Node) {
-	t.Helper()
-	if d := engine.DiffStates(want, got); d != "" {
-		t.Fatalf("%s: fixpoint state differs (- want, + got)\n%s", label, d)
-	}
-}
-
 // emptyState fails the test unless the cluster's state is that of the same
 // cluster never booted: no tuple, prov row or ruleExec row anywhere (the
 // centralized server included) — the no-leak invariant of full retraction.
-func emptyState(t *testing.T, label string, c *Cluster) {
+func emptyState(t *testing.T, label string, c *core.Cluster) {
 	t.Helper()
 	cfg := c.Cfg
 	cfg.Faults = nil
-	fresh, err := NewCluster(cfg)
+	fresh, err := core.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,21 +50,29 @@ func emptyState(t *testing.T, label string, c *Cluster) {
 // chaosWorkload is one protocol run through the chaos fences: its program,
 // a derived predicate that must be non-empty at fixpoint (the vacuity
 // witness), optional extra base-tuple seeding beyond links (nil = links
-// only) and a per-step churn action (nil = the classic link-pair
-// retraction).
+// only) and a per-step churn action.
 type chaosWorkload struct {
 	name    string
 	prog    func() *ndlog.Program
 	witness string
 	noLinks bool
 	base    func(*topology.Topology) map[types.NodeID][]types.Tuple
-	churn   func(c *Cluster, topo *topology.Topology, k int)
+	churn   func(d drivertest.Driver, topo *topology.Topology, k int)
 }
 
-func chaosLinkChurn(c *Cluster, topo *topology.Topology, k int) {
+// config is the workload's cluster on topo in one provenance mode.
+func (w chaosWorkload) config(topo *topology.Topology, mode engine.ProvMode) core.Config {
+	cfg := core.Config{Topo: topo, Prog: w.prog(), Mode: mode, NoLinkTuples: w.noLinks}
+	if w.base != nil {
+		cfg.Base = w.base(topo)
+	}
+	return cfg
+}
+
+func chaosLinkChurn(d drivertest.Driver, topo *topology.Topology, k int) {
 	l := topo.Links[(k*3)%len(topo.Links)]
-	c.Hosts[l.U].Engine.DeleteBase(apps.LinkTuple(l.U, l.V, l.Cost))
-	c.Hosts[l.V].Engine.DeleteBase(apps.LinkTuple(l.V, l.U, l.Cost))
+	d.Delete(apps.LinkTuple(l.U, l.V, l.Cost))
+	d.Delete(apps.LinkTuple(l.V, l.U, l.Cost))
 }
 
 // chaosWorkloads is the protocol matrix: the two classic routing programs
@@ -79,8 +80,8 @@ func chaosLinkChurn(c *Cluster, topo *topology.Topology, k int) {
 // (its link predicate does not exist); POLICY churns links and the policy
 // atoms riding them, so route filtering changes mid-flight.
 var chaosWorkloads = []chaosWorkload{
-	{name: "mincost", prog: apps.MinCost, witness: "bestPathCost"},
-	{name: "pathvector", prog: apps.PathVector, witness: "bestHop"},
+	{name: "mincost", prog: apps.MinCost, witness: "bestPathCost", churn: chaosLinkChurn},
+	{name: "pathvector", prog: apps.PathVector, witness: "bestHop", churn: chaosLinkChurn},
 	{name: "chord", prog: apps.Chord, noLinks: true, witness: "lookupRes",
 		base: func(topo *topology.Topology) map[types.NodeID][]types.Tuple {
 			b := apps.ChordBase(topo)
@@ -89,26 +90,26 @@ var chaosWorkloads = []chaosWorkload{
 			}
 			return b
 		},
-		churn: func(c *Cluster, topo *topology.Topology, k int) {
+		churn: func(d drivertest.Driver, topo *topology.Topology, k int) {
 			l := topo.Links[(k*3)%len(topo.Links)]
-			c.Hosts[l.U].Engine.DeleteBase(apps.AliveTuple(l.U, l.V))
-			c.Hosts[l.V].Engine.DeleteBase(apps.AliveTuple(l.V, l.U))
+			d.Delete(apps.AliveTuple(l.U, l.V))
+			d.Delete(apps.AliveTuple(l.V, l.U))
 		}},
 	{name: "policy", prog: apps.Policy, witness: "nextHop",
 		base: func(topo *topology.Topology) map[types.NodeID][]types.Tuple {
 			return apps.PolicyTuples(topo)
 		},
-		churn: func(c *Cluster, topo *topology.Topology, k int) {
+		churn: func(d drivertest.Driver, topo *topology.Topology, k int) {
 			l := topo.Links[(k*3)%len(topo.Links)]
 			if w, ok := apps.ExportPolicy(l.U, l.V); ok {
-				c.Hosts[l.U].Engine.DeleteBase(apps.PolicyTuple(l.U, l.V, w))
+				d.Delete(apps.PolicyTuple(l.U, l.V, w))
 			}
 			if w, ok := apps.ExportPolicy(l.V, l.U); ok {
-				c.Hosts[l.V].Engine.DeleteBase(apps.PolicyTuple(l.V, l.U, w))
+				d.Delete(apps.PolicyTuple(l.V, l.U, w))
 			}
 			if k == 1 {
-				c.Hosts[l.U].Engine.DeleteBase(apps.LinkTuple(l.U, l.V, l.Cost))
-				c.Hosts[l.V].Engine.DeleteBase(apps.LinkTuple(l.V, l.U, l.Cost))
+				d.Delete(apps.LinkTuple(l.U, l.V, l.Cost))
+				d.Delete(apps.LinkTuple(l.V, l.U, l.Cost))
 			}
 		}},
 }
@@ -118,28 +119,19 @@ var chaosWorkloads = []chaosWorkload{
 // stay up so retransmissions remain deliverable), and returns the final
 // state. Under a fault plan a second partition is injected mid-churn, so
 // deletion deltas cross a lossy, partitioned wire.
-func runChaosWorkload(t *testing.T, w chaosWorkload, mode engine.ProvMode, plan *simnet.FaultPlan) *Cluster {
+func runChaosWorkload(t *testing.T, w chaosWorkload, mode engine.ProvMode, plan *simnet.FaultPlan) *drivertest.Sim {
 	t.Helper()
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
-	c, err := NewCluster(Config{Topo: topo, Prog: w.prog(), Mode: mode, Faults: plan,
-		NoLinkTuples: w.noLinks, Base: workloadBase(w, topo)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatalf("boot fixpoint: %v", err)
-	}
+	cfg := w.config(topo, mode)
+	cfg.Faults = plan
+	c := drivertest.Simnet(t, cfg)
 	for k := 0; k < 3; k++ {
 		if plan != nil && k == 1 {
 			now := c.Sim.Now()
 			plan.AddPartition(now+simnet.Millisecond, now+15*simnet.Millisecond, topo.Links[3].U)
 		}
-		if w.churn != nil {
-			w.churn(c, topo, k)
-		} else {
-			chaosLinkChurn(c, topo, k)
-		}
-		if _, err := c.RunToFixpoint(); err != nil {
+		w.churn(c, topo, k)
+		if err := c.Fixpoint(); err != nil {
 			t.Fatalf("churn fixpoint %d: %v", k, err)
 		}
 	}
@@ -166,9 +158,11 @@ func TestChaosEquivalence(t *testing.T) {
 				if c.Net.DroppedMsgs == 0 {
 					t.Errorf("%s %s seed %d: network counted no drops", w.name, mode, seed)
 				}
-				sameState(t, fmt.Sprintf("%s %s seed %d: fault-free vs chaos", w.name, mode, seed),
+				drivertest.SameState(t, fmt.Sprintf("%s %s seed %d: fault-free vs chaos", w.name, mode, seed),
 					want.Engines(), c.Engines())
+				drivertest.CheckQuiescent(t, c)
 			}
+			drivertest.CheckQuiescent(t, want)
 		}
 	}
 }
@@ -179,29 +173,20 @@ func TestChaosEquivalence(t *testing.T) {
 // land not just on the deletion wave but on the stratified release waves
 // the idle hook fires afterwards — rederive batches are dropped, queued
 // behind partitions and retransmitted mid-wave.
-func runReleaseWaveChaos(t *testing.T, w chaosWorkload, plan *simnet.FaultPlan) *Cluster {
+func runReleaseWaveChaos(t *testing.T, w chaosWorkload, plan *simnet.FaultPlan) *drivertest.Sim {
 	t.Helper()
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
-	c, err := NewCluster(Config{Topo: topo, Prog: w.prog(), Mode: engine.ProvReference, Faults: plan,
-		NoLinkTuples: w.noLinks, Base: workloadBase(w, topo)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatalf("boot fixpoint: %v", err)
-	}
+	cfg := w.config(topo, engine.ProvReference)
+	cfg.Faults = plan
+	c := drivertest.Simnet(t, cfg)
 	for k := 0; k < 3; k++ {
-		if w.churn != nil {
-			w.churn(c, topo, k)
-		} else {
-			chaosLinkChurn(c, topo, k)
-		}
+		w.churn(c, topo, k)
 		now := c.Sim.Now()
 		for i := 0; i < 24; i++ {
 			start := now + simnet.Time(6*i)*simnet.Millisecond
 			plan.AddPartition(start, start+4*simnet.Millisecond, topo.Links[(k+i)%len(topo.Links)].U)
 		}
-		if _, err := c.RunToFixpoint(); err != nil {
+		if err := c.Fixpoint(); err != nil {
 			t.Fatalf("churn fixpoint %d: %v", k, err)
 		}
 	}
@@ -228,9 +213,11 @@ func TestChaosReleaseWavePartition(t *testing.T) {
 			if st := c.TransportStats(); st.Retransmits == 0 {
 				t.Errorf("%s seed %d: transport recovered nothing (stats %+v)", w.name, seed, st)
 			}
-			sameState(t, fmt.Sprintf("%s seed %d: fault-free vs release-wave chaos", w.name, seed),
+			drivertest.SameState(t, fmt.Sprintf("%s seed %d: fault-free vs release-wave chaos", w.name, seed),
 				want.Engines(), c.Engines())
+			drivertest.CheckQuiescent(t, c)
 		}
+		drivertest.CheckQuiescent(t, want)
 	}
 }
 
@@ -251,18 +238,19 @@ func TestChaosCrashRestart(t *testing.T) {
 	if plan.Cut == 0 {
 		t.Fatal("crash window silenced nothing")
 	}
-	sameState(t, "fault-free vs crash/restart", want.Engines(), c.Engines())
+	drivertest.SameState(t, "fault-free vs crash/restart", want.Engines(), c.Engines())
+	drivertest.CheckQuiescent(t, want)
 
 	// Full retraction under continuing loss: the no-leak invariant must
 	// survive chaos, not just clean runs.
 	for _, l := range topo.Links {
-		c.Hosts[l.U].Engine.DeleteBase(apps.LinkTuple(l.U, l.V, l.Cost))
-		c.Hosts[l.V].Engine.DeleteBase(apps.LinkTuple(l.V, l.U, l.Cost))
-		if _, err := c.RunToFixpoint(); err != nil {
+		c.Delete(apps.LinkTuple(l.U, l.V, l.Cost))
+		c.Delete(apps.LinkTuple(l.V, l.U, l.Cost))
+		if err := c.Fixpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	emptyState(t, "crash/restart under loss", c)
+	emptyState(t, "crash/restart under loss", c.Cluster)
 	for i, h := range c.Hosts {
 		if g := h.Engine.AggGroupCount(); g != 0 {
 			t.Errorf("node %d: %d aggregate groups leak", i, g)
@@ -271,4 +259,5 @@ func TestChaosCrashRestart(t *testing.T) {
 			t.Errorf("node %d: %d payloads still in flight at fixpoint", i, h.Ep.InFlight())
 		}
 	}
+	drivertest.CheckQuiescent(t, c)
 }

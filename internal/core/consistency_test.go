@@ -1,14 +1,15 @@
-package core
+package core_test
 
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/bdd"
+	"repro/internal/core"
 	"repro/internal/deploy"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/provenance"
 	"repro/internal/provquery"
@@ -24,20 +25,14 @@ func TestStrategiesAgreeOnRandomNetworks(t *testing.T) {
 		topo := topology.Ring(6+rng.Intn(10), rng)
 		var results [3]map[string]int64
 		for si, strat := range []provquery.Strategy{provquery.BFS, provquery.DFS, provquery.DFSThreshold} {
-			c, err := NewCluster(Config{
+			c := drivertest.Simnet(t, core.Config{
 				Topo:      topo,
 				Prog:      apps.MinCost(),
 				Mode:      engine.ProvReference,
 				UDF:       provquery.Derivations(),
 				Strategy:  strat,
 				Threshold: 1 << 40, // unreachable: full traversal
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.RunToFixpoint(); err != nil {
-				t.Fatal(err)
-			}
+			}).Cluster
 			res := map[string]int64{}
 			qRng := rand.New(rand.NewSource(int64(trial)))
 			targets := c.TuplesOf("bestPathCost")
@@ -65,22 +60,16 @@ func TestStrategiesAgreeOnRandomNetworks(t *testing.T) {
 func TestCachingIsTransparent(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	topo := topology.Ring(10, rng)
-	build := func(cache bool) *Cluster {
-		c, err := NewCluster(Config{
+	build := func(cache bool) *core.Cluster {
+		c := drivertest.Simnet(t, core.Config{
 			Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference,
 			UDF: provquery.Derivations(), CacheOn: cache,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RunToFixpoint(); err != nil {
-			t.Fatal(err)
-		}
+		}).Cluster
 		return c
 	}
 	cached, plain := build(true), build(false)
 
-	churn := func(c *Cluster, seed int64) {
+	churn := func(c *core.Cluster, seed int64) {
 		r := rand.New(rand.NewSource(seed))
 		// Interleave queries (to populate caches) with link churn.
 		for step := 0; step < 6; step++ {
@@ -147,105 +136,62 @@ func TestValueModePayloadMatchesReferenceQuery(t *testing.T) {
 // against reference mode's recomputed traversals.
 func TestValueModePayloadMatchesReferenceQueryAfterChurn(t *testing.T) {
 	// Drop and restore a-b, and drop b-d permanently.
-	churn := func(setLink func(l topology.Link, up bool), topo *topology.Topology) {
+	churn := func(t *testing.T, d drivertest.Driver, topo *topology.Topology) {
 		ab, bd := topo.Links[0], topo.Links[3]
-		setLink(bd, false)
-		setLink(ab, false)
-		setLink(ab, true)
+		setLink(t, d, bd, false)
+		setLink(t, d, ab, false)
+		setLink(t, d, ab, true)
 	}
 	for _, d := range valueDrivers {
 		t.Run(d.name, func(t *testing.T) { compareValueAndReference(t, d.start, churn) })
 	}
 }
 
-// A valueRun is a value-mode MINCOST cluster at fixpoint on one driver: its
-// engines, and setLink, which raises or drops a link and waits for the next
-// fixpoint.
-type valueRun struct {
-	engines []*engine.Node
-	setLink func(l topology.Link, up bool)
-}
-
+// valueDrivers start a value-mode MINCOST cluster at its fixpoint on the
+// simulator and over UDP.
 var valueDrivers = []struct {
 	name  string
-	start func(t *testing.T, topo *topology.Topology) valueRun
+	start func(t *testing.T, topo *topology.Topology) drivertest.Driver
 }{
-	{"simulator", func(t *testing.T, topo *topology.Topology) valueRun {
-		c := simFixpoint(t, topo, engine.ProvValue)
-		return valueRun{c.Engines(), func(l topology.Link, up bool) { setSimLink(t, c, l, up) }}
+	{"simulator", func(t *testing.T, topo *topology.Topology) drivertest.Driver {
+		return drivertest.Simnet(t, core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvValue})
 	}},
-	{"deploy", func(t *testing.T, topo *topology.Topology) valueRun {
-		cl, err := deploy.NewCluster(deploy.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvValue})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Start()
-		t.Cleanup(cl.Stop)
-		wait := func() {
-			if _, err := cl.WaitFixpoint(30 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			if err := cl.Err(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cl.InsertLinks()
-		wait()
-		return valueRun{cl.Engines(), func(l topology.Link, up bool) {
-			for _, tu := range []types.Tuple{apps.LinkTuple(l.U, l.V, l.Cost), apps.LinkTuple(l.V, l.U, l.Cost)} {
-				np := cl.Nodes[tu.Loc()]
-				np.Do(func() {
-					if up {
-						np.Engine.InsertBase(tu)
-					} else {
-						np.Engine.DeleteBase(tu)
-					}
-				})
-			}
-			wait()
-		}}
+	{"deploy", func(t *testing.T, topo *topology.Topology) drivertest.Driver {
+		return drivertest.Deploy(t, deploy.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvValue})
 	}},
 }
 
-func simFixpoint(t *testing.T, topo *topology.Topology, mode engine.ProvMode) *Cluster {
+// setLink raises or drops a link's two tuples and waits for the next
+// fixpoint.
+func setLink(t *testing.T, d drivertest.Driver, l topology.Link, up bool) {
 	t.Helper()
-	c, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: mode})
-	if err != nil {
-		t.Fatal(err)
+	for _, tu := range []types.Tuple{apps.LinkTuple(l.U, l.V, l.Cost), apps.LinkTuple(l.V, l.U, l.Cost)} {
+		if up {
+			d.Insert(tu)
+		} else {
+			d.Delete(tu)
+		}
 	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func setSimLink(t *testing.T, c *Cluster, l topology.Link, up bool) {
-	t.Helper()
-	if up {
-		c.AddLink(l)
-	} else {
-		c.RemoveLink(l)
-	}
-	c.Sim.Run()
-	if err := c.Err(); err != nil {
+	if err := d.Fixpoint(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func compareValueAndReference(t *testing.T, start func(*testing.T, *topology.Topology) valueRun,
-	churn func(setLink func(topology.Link, bool), topo *topology.Topology)) {
+func compareValueAndReference(t *testing.T, start func(*testing.T, *topology.Topology) drivertest.Driver,
+	churn func(*testing.T, drivertest.Driver, *topology.Topology)) {
 	t.Helper()
 	topo := topology.Figure3()
 	value := start(t, topo)
-	refC := simFixpoint(t, topo, engine.ProvReference)
+	refC := drivertest.Simnet(t, core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
 	refC.Cfg.UDF = provquery.BDD(refC.BaseVar)
 	for _, h := range refC.Hosts {
 		h.Query.UDF = refC.Cfg.UDF
 	}
 	if churn != nil {
-		churn(value.setLink, topo)
-		churn(func(l topology.Link, up bool) { setSimLink(t, refC, l, up) }, topo)
+		churn(t, value, topo)
+		churn(t, refC, topo)
 	}
+	engines := value.Engines()
 
 	// Compare every bestPathCost tuple's boolean function under random
 	// base-link assignments, resolving each variable to its VID in its
@@ -253,7 +199,7 @@ func compareValueAndReference(t *testing.T, start func(*testing.T, *topology.Top
 	rng := rand.New(rand.NewSource(55))
 	links := refC.TuplesOf("link")
 	refStore := func(n types.NodeID) *provenance.Store { return refC.Hosts[n].Engine.Store }
-	valueStore := func(n types.NodeID) *provenance.Store { return value.engines[n].Store }
+	valueStore := func(n types.NodeID) *provenance.Store { return engines[n].Store }
 	for _, ref := range refC.TuplesOf("bestPathCost") {
 		var queryPayload []byte
 		refC.Query(ref.Loc, ref.VID, ref.Loc, func(p []byte) { queryPayload = p })
@@ -264,7 +210,7 @@ func compareValueAndReference(t *testing.T, start func(*testing.T, *topology.Top
 			t.Fatalf("%s: BDD answer does not decode", ref.Tuple)
 		}
 
-		host := value.engines[ref.Loc]
+		host := engines[ref.Loc]
 		payload, ok := host.PayloadOf(ref.Tuple)
 		if !ok {
 			t.Fatalf("%s: no value-mode payload", ref.Tuple)
@@ -287,6 +233,8 @@ func compareValueAndReference(t *testing.T, start func(*testing.T, *topology.Top
 			}
 		}
 	}
+	drivertest.CheckQuiescent(t, value)
+	drivertest.CheckQuiescent(t, refC)
 }
 
 // assignFor sets each variable as present says of the base tuple its

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"strings"
@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/provquery"
 	"repro/internal/topology"
@@ -13,19 +15,13 @@ import (
 )
 
 // figure3Cluster runs MINCOST on the paper's Figure 3 topology.
-func figure3Cluster(t *testing.T, mode engine.ProvMode) *Cluster {
+func figure3Cluster(t *testing.T, mode engine.ProvMode) *core.Cluster {
 	t.Helper()
-	c, err := NewCluster(Config{
+	c := drivertest.Simnet(t, core.Config{
 		Topo: topology.Figure3(),
 		Prog: apps.MinCost(),
 		Mode: mode,
-	})
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatalf("fixpoint: %v", err)
-	}
+	}).Cluster
 	return c
 }
 
@@ -154,18 +150,12 @@ func TestPolynomialQueryFigure3(t *testing.T) {
 }
 
 func TestDerivationCountQueryFigure3(t *testing.T) {
-	c, err := NewCluster(Config{
+	c := drivertest.Simnet(t, core.Config{
 		Topo: topology.Figure3(),
 		Prog: apps.MinCost(),
 		Mode: engine.ProvReference,
 		UDF:  provquery.Derivations(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
+	}).Cluster
 	ref, ok := c.FindTuple(apps.BestPathCostTuple(a, cc, 5))
 	if !ok {
 		t.Fatalf("bestPathCost(@a,c,5) missing")
@@ -182,18 +172,12 @@ func TestDerivationCountQueryFigure3(t *testing.T) {
 }
 
 func TestNodeSetQueryFigure3(t *testing.T) {
-	c, err := NewCluster(Config{
+	c := drivertest.Simnet(t, core.Config{
 		Topo: topology.Figure3(),
 		Prog: apps.MinCost(),
 		Mode: engine.ProvReference,
 		UDF:  provquery.NodeSet(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
+	}).Cluster
 	ref, _ := c.FindTuple(apps.BestPathCostTuple(a, cc, 5))
 	var nodes []types.NodeID
 	c.Query(a, ref.VID, ref.Loc, func(payload []byte) { nodes = provquery.DecodeNodeSet(payload) })
@@ -213,14 +197,8 @@ func TestNodeSetQueryFigure3(t *testing.T) {
 // uncached one does, not serve the first UDF's cached answers.
 func TestQueryCacheKeyedByUDF(t *testing.T) {
 	derivable := func(cacheOn bool, udfs ...provquery.UDF) (last bool) {
-		c, err := NewCluster(Config{Topo: topology.Figure3(), Prog: apps.MinCost(),
-			Mode: engine.ProvReference, CacheOn: cacheOn})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RunToFixpoint(); err != nil {
-			t.Fatal(err)
-		}
+		c := drivertest.Simnet(t, core.Config{Topo: topology.Figure3(), Prog: apps.MinCost(),
+			Mode: engine.ProvReference, CacheOn: cacheOn}).Cluster
 		ref, _ := c.FindTuple(apps.BestPathCostTuple(a, cc, 5))
 		for _, u := range udfs {
 			for _, h := range c.Hosts {

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math/rand"
@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/provquery"
 	"repro/internal/simnet"
@@ -24,16 +26,10 @@ func TestQueriesDuringChurn(t *testing.T) {
 		Domains: 1, TransitPerDom: 2, StubsPerTransit: 2, NodesPerStub: 6, ExtraStubEdges: 3,
 	}, rng)
 	for _, cache := range []bool{false, true} {
-		c, err := NewCluster(Config{
+		c := drivertest.Simnet(t, core.Config{
 			Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference,
 			UDF: provquery.Derivations(), CacheOn: cache,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RunToFixpoint(); err != nil {
-			t.Fatal(err)
-		}
+		}).Cluster
 
 		issued, completed := 0, 0
 		wrong := 0

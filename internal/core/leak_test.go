@@ -1,10 +1,12 @@
-package core
+package core_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/topology"
@@ -38,7 +40,7 @@ func TestFullRetractionLeavesNoState(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		topo := topology.Ring(10, rng)
 		for _, mode := range []engine.ProvMode{engine.ProvNone, engine.ProvReference, engine.ProvValue, engine.ProvCentralized} {
-			c, err := NewCluster(Config{Topo: topo, Prog: prog, Mode: mode})
+			c, err := core.NewCluster(core.Config{Topo: topo, Prog: prog, Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,13 +104,7 @@ func TestProvenanceDigestsStayOutOfInternTable(t *testing.T) {
 		topology.Ring(12, rand.New(rand.NewSource(3))),
 		topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(4))),
 	} {
-		c, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RunToFixpoint(); err != nil {
-			t.Fatal(err)
-		}
+		c := drivertest.Simnet(t, core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference}).Cluster
 		rows := 0
 		for _, h := range c.Hosts {
 			rows += h.Engine.Store.NumProv() + h.Engine.Store.NumRuleExec()

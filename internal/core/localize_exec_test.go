@@ -1,9 +1,11 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/topology"
@@ -25,13 +27,7 @@ sp3 bestPathCost(@S,D,min<C>) :- pathCost(@S,D,C).
 func TestLocalizationEndToEnd(t *testing.T) {
 	topo := topology.Figure3()
 
-	reference, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reference.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
+	reference := drivertest.Simnet(t, core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvNone}).Cluster
 	want := tupleSet(reference, "bestPathCost")
 
 	nonLocal := ndlog.MustParse(nonLocalMinCost)
@@ -47,13 +43,7 @@ func TestLocalizationEndToEnd(t *testing.T) {
 	}
 
 	run := func(prog *ndlog.Program, mode engine.ProvMode) map[string]bool {
-		c, err := NewCluster(Config{Topo: topo, Prog: prog, Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RunToFixpoint(); err != nil {
-			t.Fatal(err)
-		}
+		c := drivertest.Simnet(t, core.Config{Topo: topo, Prog: prog, Mode: mode}).Cluster
 		return tupleSet(c, "bestPathCost")
 	}
 
@@ -68,7 +58,7 @@ func TestLocalizationEndToEnd(t *testing.T) {
 	diffSets(t, "localized+rewrite", want, run(rw, engine.ProvNone))
 }
 
-func tupleSet(c *Cluster, pred string) map[string]bool {
+func tupleSet(c *core.Cluster, pred string) map[string]bool {
 	out := map[string]bool{}
 	for _, ref := range c.TuplesOf(pred) {
 		out[ref.Tuple.String()] = true

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/provquery"
@@ -49,7 +51,7 @@ func TestNDlogQueryProgramExecution(t *testing.T) {
 		topo := topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(1)))
 		decl, native := queryProgramClusters(t, topo)
 		flap := topo.Links[0]
-		for _, c := range []*Cluster{decl, native} {
+		for _, c := range []*core.Cluster{decl, native} {
 			c.RemoveLink(flap)
 			runToFixpoint(t, c)
 			c.AddLink(flap)
@@ -67,12 +69,12 @@ func TestNDlogQueryProgramExecution(t *testing.T) {
 
 type programQuery struct {
 	issuer types.NodeID
-	ref    TupleRef
+	ref    core.TupleRef
 }
 
 // queryProgramClusters builds and converges the declarative and the native
 // MINCOST cluster on topo.
-func queryProgramClusters(t *testing.T, topo *topology.Topology) (decl, native *Cluster) {
+func queryProgramClusters(t *testing.T, topo *topology.Topology) (decl, native *core.Cluster) {
 	t.Helper()
 	rw, err := ndlog.ProvenanceRewrite(apps.MinCost())
 	if err != nil {
@@ -83,20 +85,11 @@ func queryProgramClusters(t *testing.T, topo *topology.Topology) (decl, native *
 		t.Fatal(err)
 	}
 	prog := &ndlog.Program{Rules: append(rw.Rules, query.Rules...), Facts: rw.Facts}
-	decl, err = NewCluster(Config{Topo: topo, Prog: prog, Mode: engine.ProvNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runToFixpoint(t, decl)
-	native, err = NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runToFixpoint(t, native)
-	return decl, native
+	return drivertest.Simnet(t, core.Config{Topo: topo, Prog: prog, Mode: engine.ProvNone}).Cluster,
+		drivertest.Simnet(t, core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference}).Cluster
 }
 
-func runToFixpoint(t *testing.T, c *Cluster) {
+func runToFixpoint(t *testing.T, c *core.Cluster) {
 	t.Helper()
 	if _, err := c.RunToFixpoint(); err != nil {
 		t.Fatal(err)
@@ -105,7 +98,7 @@ func runToFixpoint(t *testing.T, c *Cluster) {
 
 // checkQueryProgram issues each query on both clusters, one at a time, and
 // compares the answers.
-func checkQueryProgram(t *testing.T, decl, native *Cluster, qs []programQuery) {
+func checkQueryProgram(t *testing.T, decl, native *core.Cluster, qs []programQuery) {
 	t.Helper()
 	for i, q := range qs {
 		want, err := provquery.DecodePolynomial(ask(t, native, provquery.Polynomial{}, q.issuer, q.ref))

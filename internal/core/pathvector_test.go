@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math/rand"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/topology"
@@ -13,13 +15,7 @@ import (
 )
 
 func TestPathVectorFigure3(t *testing.T) {
-	c, err := NewCluster(Config{Topo: topology.Figure3(), Prog: apps.PathVector(), Mode: engine.ProvReference})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
+	c := drivertest.Simnet(t, core.Config{Topo: topology.Figure3(), Prog: apps.PathVector(), Mode: engine.ProvReference}).Cluster
 	// Best path a->d: a,b,c? costs: a-b(3),b-c(2),c-d(3) = 8 via [a b c d];
 	// alternatives: a-c-d = 5+3 = 8, a-b-d = 3+5 = 8. All cost 8; the
 	// arg-min tie-break picks a deterministic one. Check cost and a valid
@@ -58,13 +54,7 @@ func TestPathVectorFigure3(t *testing.T) {
 }
 
 func TestPacketForwardDelivery(t *testing.T) {
-	c, err := NewCluster(Config{Topo: topology.Figure3(), Prog: apps.PacketForward(), Mode: engine.ProvReference})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
+	c := drivertest.Simnet(t, core.Config{Topo: topology.Figure3(), Prog: apps.PacketForward(), Mode: engine.ProvReference}).Cluster
 	// Send a packet a -> d and check delivery.
 	c.InjectEvent(apps.PacketTuple(a, a, d, 64))
 	if _, err := c.RunToFixpoint(); err != nil {
@@ -83,7 +73,7 @@ func TestPacketForwardDelivery(t *testing.T) {
 
 // bestSnapshot lists the cluster's visible tuples of pred, in canonical
 // order.
-func bestSnapshot(c *Cluster, pred string) []string {
+func bestSnapshot(c *core.Cluster, pred string) []string {
 	var out []string
 	for _, ref := range c.TuplesOf(pred) {
 		out = append(out, ref.Tuple.String())
@@ -113,7 +103,7 @@ func TestChurnIncrementalEqualsScratch(t *testing.T) {
 	}{{"mincost", "bestPathCost", apps.MinCost}, {"pathvector", "bestPath", apps.PathVector}} {
 		for _, mode := range []engine.ProvMode{engine.ProvNone, engine.ProvReference, engine.ProvValue, engine.ProvCentralized} {
 			cell := app.name + " " + mode.String()
-			inc, err := NewCluster(Config{Topo: base, Prog: app.src(), Mode: mode})
+			inc, err := core.NewCluster(core.Config{Topo: base, Prog: app.src(), Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +135,7 @@ func TestChurnIncrementalEqualsScratch(t *testing.T) {
 				}
 			}
 
-			scratch, err := NewCluster(Config{Topo: final, Prog: app.src(), Mode: mode})
+			scratch, err := core.NewCluster(core.Config{Topo: final, Prog: app.src(), Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}

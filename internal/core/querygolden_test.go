@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"crypto/sha1"
@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/provquery"
 	"repro/internal/topology"
@@ -42,13 +44,13 @@ func TestQueryGolden(t *testing.T) {
 
 	udfs := []struct {
 		name string
-		mk   func(c *Cluster) provquery.UDF
+		mk   func(c *core.Cluster) provquery.UDF
 	}{
-		{"polynomial", func(*Cluster) provquery.UDF { return provquery.Polynomial{} }},
-		{"bdd", func(c *Cluster) provquery.UDF { return provquery.BDD(c.BaseVar) }},
-		{"derivations", func(*Cluster) provquery.UDF { return provquery.Derivations() }},
-		{"nodeset", func(*Cluster) provquery.UDF { return provquery.NodeSet() }},
-		{"derivability", func(*Cluster) provquery.UDF { return provquery.Derivability(nil) }},
+		{"polynomial", func(*core.Cluster) provquery.UDF { return provquery.Polynomial{} }},
+		{"bdd", func(c *core.Cluster) provquery.UDF { return provquery.BDD(c.BaseVar) }},
+		{"derivations", func(*core.Cluster) provquery.UDF { return provquery.Derivations() }},
+		{"nodeset", func(*core.Cluster) provquery.UDF { return provquery.NodeSet() }},
+		{"derivability", func(*core.Cluster) provquery.UDF { return provquery.Derivability(nil) }},
 	}
 	strategies := []provquery.Strategy{provquery.BFS, provquery.DFS, provquery.DFSThreshold, provquery.Moonwalk}
 
@@ -72,9 +74,9 @@ func TestQueryGolden(t *testing.T) {
 	}
 }
 
-func queryGoldenCell(t *testing.T, mkUDF func(*Cluster) provquery.UDF, strat provquery.Strategy, cache bool) string {
+func queryGoldenCell(t *testing.T, mkUDF func(*core.Cluster) provquery.UDF, strat provquery.Strategy, cache bool) string {
 	t.Helper()
-	c := convergedTransitStub(t, Config{Strategy: strat, Threshold: 2, CacheOn: cache})
+	c := convergedTransitStub(t, core.Config{Strategy: strat, Threshold: 2, CacheOn: cache})
 	udf := mkUDF(c)
 	for _, h := range c.Hosts {
 		h.Query.UDF = udf
@@ -109,17 +111,11 @@ func queryGoldenCell(t *testing.T, mkUDF func(*Cluster) provquery.UDF, strat pro
 // convergedTransitStub runs reference-mode MINCOST to fixpoint on the seed-1
 // transit-stub topology (the standing benchmark's query network) under the
 // given query-processor settings.
-func convergedTransitStub(t *testing.T, cfg Config) *Cluster {
+func convergedTransitStub(t *testing.T, cfg core.Config) *core.Cluster {
 	t.Helper()
 	cfg.Topo = topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(1)))
 	cfg.Prog, cfg.Mode = apps.MinCost(), engine.ProvReference
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
+	c := drivertest.Simnet(t, cfg).Cluster
 	return c
 }
 
@@ -130,12 +126,12 @@ func convergedTransitStub(t *testing.T, cfg Config) *Cluster {
 // base tuple its label; per remote hop a map slot) — not a decoded
 // expression tree per hop, which cost ≈ 66.
 func TestQueryAllocsPerVertex(t *testing.T) {
-	c := convergedTransitStub(t, Config{})
+	c := convergedTransitStub(t, core.Config{})
 	targets := c.TuplesOf("bestPathCost")
 	rng := rand.New(rand.NewSource(5))
 	type query struct {
 		from types.NodeID
-		ref  TupleRef
+		ref  core.TupleRef
 	}
 	queries := make([]query, 100)
 	for i := range queries {

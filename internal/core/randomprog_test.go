@@ -1,10 +1,11 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ndlog"
 	"repro/internal/topology"
 	"repro/internal/types"
@@ -58,7 +59,7 @@ func TestRandomProgramsRewriteEquivalence(t *testing.T) {
 		}
 		// The programs speak base, not link: the topology only carries
 		// their messages.
-		native, rewritten := rewritePair(t, Config{Topo: topo, Prog: prog, NoLinkTuples: true})
+		native, rewritten := rewritePair(t, core.Config{Topo: topo, Prog: prog, NoLinkTuples: true})
 
 		// Shared base facts: per node, a handful of (neighbor, value) rows.
 		seed := rand.New(rand.NewSource(int64(trial)))
@@ -71,7 +72,7 @@ func TestRandomProgramsRewriteEquivalence(t *testing.T) {
 					types.Int(int64(seed.Intn(5)))))
 			}
 		}
-		for _, c := range []*Cluster{native, rewritten} {
+		for _, c := range []*core.Cluster{native, rewritten} {
 			c := c
 			c.Sim.At(0, func() {
 				for _, f := range facts {

@@ -1,10 +1,11 @@
-package core
+package core_test
 
 import (
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/topology"
@@ -19,8 +20,8 @@ import (
 func TestRewriteExecutionMatchesNative(t *testing.T) {
 	for name, prog := range map[string]func() *ndlog.Program{"mincost": apps.MinCost, "pathvector": apps.PathVector} {
 		t.Run(name, func(t *testing.T) {
-			native, rewritten := rewritePair(t, Config{Topo: topology.Figure3(), Prog: prog()})
-			for _, c := range []*Cluster{native, rewritten} {
+			native, rewritten := rewritePair(t, core.Config{Topo: topology.Figure3(), Prog: prog()})
+			for _, c := range []*core.Cluster{native, rewritten} {
 				if _, err := c.RunToFixpoint(); err != nil {
 					t.Fatal(err)
 				}
@@ -45,10 +46,10 @@ func TestRewriteExecutionMatchesNative(t *testing.T) {
 
 // rewritePair builds two clusters from cfg: the program with native
 // reference-mode provenance, and its Algorithm 1 rewrite with provenance off.
-func rewritePair(t *testing.T, cfg Config) (native, rewritten *Cluster) {
+func rewritePair(t *testing.T, cfg core.Config) (native, rewritten *core.Cluster) {
 	t.Helper()
 	cfg.Mode = engine.ProvReference
-	native, err := NewCluster(cfg)
+	native, err := core.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func rewritePair(t *testing.T, cfg Config) (native, rewritten *Cluster) {
 		t.Fatalf("rewrite: %v", err)
 	}
 	cfg.Mode = engine.ProvNone
-	if rewritten, err = NewCluster(cfg); err != nil {
+	if rewritten, err = core.NewCluster(cfg); err != nil {
 		t.Fatalf("compile rewritten: %v\n%s", err, cfg.Prog)
 	}
 	return native, rewritten
@@ -64,7 +65,7 @@ func rewritePair(t *testing.T, cfg Config) (native, rewritten *Cluster) {
 
 // rewriteDiff compares a native cluster's canonical state with the native
 // form of its rewritten twin's.
-func rewriteDiff(native, rewritten *Cluster) string {
+func rewriteDiff(native, rewritten *core.Cluster) string {
 	views := rewritten.Engines()
 	for i, n := range views {
 		views[i] = engine.FromRewrite(n)

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/topology"
 	"repro/internal/types"
@@ -25,7 +26,7 @@ func TestMinCostTransitStubScale(t *testing.T) {
 	}
 	cost := map[engine.ProvMode]float64{}
 	for _, mode := range []engine.ProvMode{engine.ProvNone, engine.ProvReference, engine.ProvValue} {
-		c, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: mode})
+		c, err := core.NewCluster(core.Config{Topo: topo, Prog: apps.MinCost(), Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestMinCostTransitStubScale(t *testing.T) {
 	}
 }
 
-func totalMsgs(c *Cluster) int64 {
+func totalMsgs(c *core.Cluster) int64 {
 	var n int64
 	for _, m := range c.Net.SentMsgs {
 		n += m

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -28,37 +30,21 @@ func TestSchedulerMatchesSimnet(t *testing.T) {
 	topo := topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(1)))
 
 	// Reference: the simulation (one message per ingest).
-	c, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatal(err)
-	}
-	prog, err := engine.Compile(apps.MinCost())
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) *engine.Scheduler {
-		s := engine.NewScheduler(prog, engine.ProvReference, topo.N, 0, workers)
-		apps.BootEDB(topo, false, nil, s.InsertBase)
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
-	var prev *engine.Scheduler
+	cfg := core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference}
+	c := drivertest.Simnet(t, cfg)
+	var prev *drivertest.Sched
 	for _, workers := range []int{1, 0, 4} {
-		s := run(workers)
+		s := drivertest.Scheduler(t, cfg, workers)
 		label := fmt.Sprintf("workers=%d: simnet vs scheduler", workers)
-		sameState(t, label, c.Engines(), s.Engines())
+		drivertest.SameState(t, label, c.Engines(), s.Engines())
 		sameTraffic(t, label, c.Net.Traffic, s.Traffic)
 		if prev != nil && s.Rounds != prev.Rounds {
 			t.Errorf("rounds differ across worker counts: %d/%d", s.Rounds, prev.Rounds)
 		}
+		drivertest.CheckQuiescent(t, s)
 		prev = s
 	}
+	drivertest.CheckQuiescent(t, c)
 }
 
 // sameTraffic requires two byte ledgers to agree entry for entry, and names

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math/rand"
@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/bdd"
+	"repro/internal/core"
 	"repro/internal/provquery"
 	"repro/internal/types"
 )
@@ -20,7 +21,7 @@ type image struct {
 }
 
 // images returns DERIVATIONS, DERIVABILITY, NODESET and BDD for cluster c.
-func images(c *Cluster) []image {
+func images(c *core.Cluster) []image {
 	return []image{
 		{provquery.Derivations(), func(poly *algebra.Expr, p []byte) bool {
 			return provquery.DecodeCount(p) == algebra.Eval(poly, algebra.Counting())
@@ -40,7 +41,7 @@ func images(c *Cluster) []image {
 }
 
 // ask answers one query for ref under udf, issued at node from.
-func ask(t *testing.T, c *Cluster, udf provquery.UDF, from types.NodeID, ref TupleRef) []byte {
+func ask(t *testing.T, c *core.Cluster, udf provquery.UDF, from types.NodeID, ref core.TupleRef) []byte {
 	t.Helper()
 	for _, h := range c.Hosts {
 		h.Query.UDF = udf
@@ -63,11 +64,11 @@ func ask(t *testing.T, c *Cluster, udf provquery.UDF, from types.NodeID, ref Tup
 // representation's semiring. Each representation replays the queries as one
 // batch, so with the cache on it is served from its own warm entries.
 func TestUDFsAreImagesOfPolynomial(t *testing.T) {
-	c := convergedTransitStub(t, Config{})
+	c := convergedTransitStub(t, core.Config{})
 	targets := c.TuplesOf("bestPathCost")
 	type query struct {
 		from types.NodeID
-		ref  TupleRef
+		ref  core.TupleRef
 	}
 	rng := rand.New(rand.NewSource(7))
 	queries := make([]query, 300)

@@ -1,9 +1,11 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -27,13 +29,13 @@ func cycleTopo(n int) *topology.Topology {
 
 // softCluster boots a mincost cluster whose links are announced through a
 // SoftState manager instead of the config EDB, all at t=0.
-func softCluster(t *testing.T, topo *topology.Topology, ttl simnet.Time, plan *simnet.FaultPlan) (*Cluster, *SoftState) {
+func softCluster(t *testing.T, topo *topology.Topology, ttl simnet.Time, plan *simnet.FaultPlan) (*core.Cluster, *core.SoftState) {
 	t.Helper()
-	c, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference, NoLinkTuples: true, Faults: plan})
+	c, err := core.NewCluster(core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference, NoLinkTuples: true, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := NewSoftState(c, ttl)
+	ss := core.NewSoftState(c, ttl)
 	c.Sim.At(0, func() {
 		for _, l := range topo.Links {
 			ss.Announce(l.U, apps.LinkTuple(l.U, l.V, l.Cost))
@@ -159,12 +161,12 @@ func TestSoftStateExpiryDuringSuspectWave(t *testing.T) {
 
 	// Soft-state cluster: every link on a 100ms TTL, except the victim
 	// pair which lives on a 10ms clock and is never refreshed.
-	c, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference, NoLinkTuples: true})
+	c, err := core.NewCluster(core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference, NoLinkTuples: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := NewSoftState(c, 100*ms)
-	short := NewSoftState(c, 10*ms)
+	ss := core.NewSoftState(c, 100*ms)
+	short := core.NewSoftState(c, 10*ms)
 	c.Sim.At(0, func() {
 		for _, l := range topo.Links {
 			mgr := ss
@@ -215,7 +217,7 @@ func TestSoftStateExpiryDuringSuspectWave(t *testing.T) {
 
 	// Baseline: same topology via config EDB, plain DeleteBase of the
 	// victim pair at the same virtual time.
-	b, err := NewCluster(Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
+	b, err := core.NewCluster(core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestSoftStateExpiryDuringSuspectWave(t *testing.T) {
 	if err := b.RunUntil(40 * ms); err != nil {
 		t.Fatal(err)
 	}
-	sameState(t, "plain deletion vs soft-state expiry", b.Engines(), c.Engines())
+	drivertest.SameState(t, "plain deletion vs soft-state expiry", b.Engines(), c.Engines())
 
 	// Withdraw everything still live; the cluster must drain to zero —
 	// this is where a refresh that double-inserted would leak a count.

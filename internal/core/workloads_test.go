@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/topology"
 	"repro/internal/types"
@@ -39,44 +40,6 @@ func suiteWorkloads(t *testing.T) []chaosWorkload {
 	return out
 }
 
-// bootWorkload builds and boots a cluster for one workload row.
-func bootWorkload(t *testing.T, w chaosWorkload, topo *topology.Topology, mode engine.ProvMode) *Cluster {
-	t.Helper()
-	c, err := NewCluster(Config{Topo: topo, Prog: w.prog(), Mode: mode, NoLinkTuples: w.noLinks,
-		Base: workloadBase(w, topo)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunToFixpoint(); err != nil {
-		t.Fatalf("boot fixpoint: %v", err)
-	}
-	return c
-}
-
-// workloadBase is the workload's EDB beyond links (nil when it has none).
-func workloadBase(w chaosWorkload, topo *topology.Topology) map[types.NodeID][]types.Tuple {
-	if w.base == nil {
-		return nil
-	}
-	return w.base(topo)
-}
-
-// bootScheduled seeds the same EDB bootWorkload does into an engine.Scheduler
-// and runs it to fixpoint.
-func bootScheduled(t *testing.T, w chaosWorkload, topo *topology.Topology, mode engine.ProvMode) *engine.Scheduler {
-	t.Helper()
-	prog, err := engine.Compile(w.prog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := engine.NewScheduler(prog, mode, topo.N, 0, 0)
-	apps.BootEDB(topo, w.noLinks, workloadBase(w, topo), s.InsertBase)
-	if err := s.Run(); err != nil {
-		t.Fatalf("scheduled fixpoint: %v", err)
-	}
-	return s
-}
-
 // TestWorkloadDrainBatchedEquivalence pins the simulator's cluster fixpoint
 // (nodes ingest one message at a time) against the Scheduler's (nodes ingest
 // a round of messages) for both protocols in every provenance mode: the same
@@ -88,20 +51,23 @@ func TestWorkloadDrainBatchedEquivalence(t *testing.T) {
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
 	for _, w := range suiteWorkloads(t) {
 		for _, mode := range provModes {
-			serial := bootWorkload(t, w, topo, mode)
-			s := bootScheduled(t, w, topo, mode)
-			sameState(t, fmt.Sprintf("%s %s: simulator vs scheduler", w.name, mode), serial.Engines(), s.Engines())
-			if rerun := bootScheduled(t, w, topo, mode); rerun.TotalBytes != s.TotalBytes || rerun.Rounds != s.Rounds {
+			cfg := w.config(topo, mode)
+			serial := drivertest.Simnet(t, cfg)
+			s := drivertest.Scheduler(t, cfg, 0)
+			drivertest.SameState(t, fmt.Sprintf("%s %s: simulator vs scheduler", w.name, mode), serial.Engines(), s.Engines())
+			if rerun := drivertest.Scheduler(t, cfg, 0); rerun.TotalBytes != s.TotalBytes || rerun.Rounds != s.Rounds {
 				t.Errorf("%s %s: scheduler reruns diverge: bytes %d/%d rounds %d/%d",
 					w.name, mode, s.TotalBytes, rerun.TotalBytes, s.Rounds, rerun.Rounds)
 			}
-			if rerun := bootWorkload(t, w, topo, mode); rerun.Net.TotalBytes != serial.Net.TotalBytes {
+			if rerun := drivertest.Simnet(t, cfg); rerun.Net.TotalBytes != serial.Net.TotalBytes {
 				t.Errorf("%s %s: simulator reruns diverge on wire bytes %d/%d",
 					w.name, mode, serial.Net.TotalBytes, rerun.Net.TotalBytes)
 			}
 			if len(serial.TuplesOf(w.witness)) == 0 {
 				t.Fatalf("%s %s: vacuous — no %s derived", w.name, mode, w.witness)
 			}
+			drivertest.CheckQuiescent(t, serial)
+			drivertest.CheckQuiescent(t, s)
 		}
 	}
 }
@@ -115,26 +81,28 @@ func TestWorkloadFullRetraction(t *testing.T) {
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
 	for _, w := range suiteWorkloads(t) {
 		for _, mode := range provModes {
-			c := bootWorkload(t, w, topo, mode)
-			// Retract the seeded EDB exactly as bootWorkload fed it, node by node.
+			cfg := w.config(topo, mode)
+			c := drivertest.Simnet(t, cfg)
+			// Retract the seeded EDB exactly as the boot fed it, node by node.
 			base := map[types.NodeID][]types.Tuple{}
-			apps.BootEDB(topo, w.noLinks, workloadBase(w, topo), func(at types.NodeID, tup types.Tuple) {
+			apps.BootEDB(topo, cfg.NoLinkTuples, cfg.Base, func(at types.NodeID, tup types.Tuple) {
 				base[at] = append(base[at], tup)
 			})
 			for i := 0; i < topo.N; i++ {
 				for _, tup := range base[types.NodeID(i)] {
-					c.DeleteBase(tup)
+					c.Delete(tup)
 				}
-				if _, err := c.RunToFixpoint(); err != nil {
+				if err := c.Fixpoint(); err != nil {
 					t.Fatalf("%s %s: retraction fixpoint at node %d: %v", w.name, mode, i, err)
 				}
 			}
-			emptyState(t, fmt.Sprintf("%s %s", w.name, mode), c)
+			emptyState(t, fmt.Sprintf("%s %s", w.name, mode), c.Cluster)
 			for i, h := range c.Hosts {
 				if g := h.Engine.AggGroupCount(); g != 0 {
 					t.Errorf("%s %s node %d: %d aggregate groups leak", w.name, mode, i, g)
 				}
 			}
+			drivertest.CheckQuiescent(t, c)
 		}
 	}
 }

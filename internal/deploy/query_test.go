@@ -16,24 +16,12 @@ import (
 // asks for the provenance of bestPathCost(@a,c,5) — expecting the paper's
 // two alternative derivations.
 func TestDeployedProvenanceQuery(t *testing.T) {
-	cl, err := NewCluster(Config{
+	cl := bootCluster(t, Config{
 		Topo: topology.Figure3(),
 		Prog: apps.MinCost(),
 		Mode: engine.ProvReference,
 		UDF:  provquery.Derivations(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-	cl.Start()
-	cl.InsertLinks()
-	if _, err := cl.WaitFixpoint(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Err(); err != nil {
-		t.Fatal(err)
-	}
 
 	target := apps.BestPathCostTuple(0, 2, 5) // bestPathCost(@a,c,5)
 	done := make(chan int64, 1)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/types"
 )
 
 // These tests pin the convergent-deletion contract (ISSUE 5, §4.2 cascaded
@@ -119,12 +118,7 @@ func TestReleaseOrderIndependence(t *testing.T) {
 	runRandom := func(t *testing.T, mode ProvMode, seed int64) []*Node {
 		t.Helper()
 		rng := rand.New(rand.NewSource(seed))
-		tr := &refTransport{}
-		nodes := make([]*Node, 4)
-		for i := range nodes {
-			nodes[i] = NewNode(types.NodeID(i), prog, mode, tr)
-		}
-		tr.nodes = nodes
+		nodes := startPermRun(prog, mode, 4, syncTransport).nodes
 		for _, e := range edges {
 			cost := edgeCost(e, costs)
 			nodes[e[0]].InsertBase(linkTup(e[0], e[1], cost))
@@ -152,7 +146,7 @@ func TestReleaseOrderIndependence(t *testing.T) {
 
 	for _, mode := range []ProvMode{ProvNone, ProvReference, ProvValue, ProvCentralized} {
 		t.Run(mode.String(), func(t *testing.T) {
-			ref := runSerialRef(t, prog, mode, 4, edges, churn, costs)
+			ref := runLinkScript(t, startPermRun(prog, mode, 4, syncTransport), edges, churn, costs).nodes
 			for seed := int64(1); seed <= 4; seed++ {
 				got := runRandom(t, mode, seed)
 				diffStates(t, fmt.Sprintf("%s seed=%d", mode, seed), ref, got)
@@ -178,7 +172,7 @@ func TestConvergentDeletionCyclicMinCost(t *testing.T) {
 
 	// Correctness of the surviving costs (not just serial/scheduler
 	// agreement): all-pairs shortest paths of the square minus 0-1.
-	serial := runSerialRef(t, prog, ProvReference, 4, edges, churn, costs)
+	serial := runLinkScript(t, startPermRun(prog, ProvReference, 4, syncTransport), edges, churn, costs).nodes
 	want := map[string]int64{
 		"0-1": 3, "0-2": 2, "0-3": 1,
 		"1-0": 3, "1-2": 1, "1-3": 2,
@@ -243,42 +237,22 @@ func TestFullRetractionCyclicMinCostLeavesNoState(t *testing.T) {
 	}
 
 	for _, mode := range []ProvMode{ProvNone, ProvReference, ProvValue, ProvCentralized} {
-		// Serial engine under the synchronous transport.
-		nodes := runSerialRef(t, prog, mode, 4, edges, nil, costs)
-		for _, e := range edges {
-			cost := edgeCost(e, costs)
-			nodes[e[0]].DeleteBase(linkTup(e[0], e[1], cost))
-			nodes[e[1]].DeleteBase(linkTup(e[1], e[0], cost))
-			Settle(nodes...)
-		}
-		checkEmpty(t, "serial "+mode.String(), nodes)
-
-		// The Scheduler.
-		label := "sched " + mode.String()
-		s := NewScheduler(prog, mode, 4, 0, 0)
-		for _, e := range edges {
-			cost := edgeCost(e, costs)
-			s.InsertBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
-			s.InsertBase(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
-		}
-		if err := s.Run(); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if s.Node(0).TupleCount("bestPathCost") == 0 {
-			t.Fatalf("%s: nothing derived", label)
-		}
-		for _, e := range edges {
-			cost := edgeCost(e, costs)
-			s.DeleteBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
-			s.DeleteBase(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
-			if err := s.Run(); err != nil {
-				t.Fatalf("%s: %v", label, err)
+		for _, drv := range []struct {
+			label   string
+			workers int
+		}{{"serial", syncTransport}, {"sched", 0}} {
+			label := drv.label + " " + mode.String()
+			r := runLinkScript(t, startPermRun(prog, mode, 4, drv.workers), edges, nil, costs)
+			if r.nodes[0].TupleCount("bestPathCost") == 0 {
+				t.Fatalf("%s: nothing derived", label)
 			}
+			for _, e := range edges {
+				cost := edgeCost(e, costs)
+				r.delete(linkTup(e[0], e[1], cost))
+				r.delete(linkTup(e[1], e[0], cost))
+				r.settle(t)
+			}
+			checkEmpty(t, label, r.nodes)
 		}
-		sn := make([]*Node, s.NumNodes())
-		for i := range sn {
-			sn[i] = s.Node(i)
-		}
-		checkEmpty(t, label, sn)
 	}
 }

@@ -28,24 +28,6 @@ func testRelation(name string, indexes ...[]int) (*PredInfo, *entryPool) {
 	return info, &p
 }
 
-// recount walks the pool and requires every table's counts to be its
-// visible entries and its tombstones, the invisible derivation-free ones.
-func recount(t *testing.T, p *entryPool) {
-	t.Helper()
-	want := make([]tableCount, len(p.counts))
-	for e := range p.all {
-		switch {
-		case e.visible:
-			want[e.table].visible++
-		case len(e.Rows) == 0:
-			want[e.table].dead++
-		}
-	}
-	if !slices.Equal(p.counts, want) {
-		t.Fatalf("table counts %v, a walk of the pool finds %v", p.counts, want)
-	}
-}
-
 // TestRelationLenTracksVisibility runs each input on a fresh relation and
 // then recounts its visible entries and tombstones by walking the pool.
 func TestRelationLenTracksVisibility(t *testing.T) {
@@ -108,7 +90,9 @@ func TestRelationLenTracksVisibility(t *testing.T) {
 		t.Run(in.name, func(t *testing.T) {
 			rel, p := testRelation("p", []int{0})
 			in.run(t, rel, p)
-			recount(t, p)
+			if err := p.checkCounts(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
@@ -438,7 +422,9 @@ func TestSweepSparesRetractingEntry(t *testing.T) {
 	if p.Len(rel) != 0 {
 		t.Fatalf("Len = %d after full retraction, want 0", p.Len(rel))
 	}
-	recount(t, p)
+	if err := p.checkCounts(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestProcessHashesDeltaTupleOnce asserts the satellite requirement that

@@ -145,49 +145,89 @@ type permScript struct {
 	empty bool
 }
 
+// syncTransport, as the worker count of startPermRun, runs the nodes over
+// the synchronous reference transport instead of a Scheduler.
+const syncTransport = -1
+
 // permRun is one cluster of a fence run: nodes over the synchronous
-// reference transport, or the Scheduler.
+// reference transport (one message per ingest), or a Scheduler (a round of
+// messages per ingest).
 type permRun struct {
 	nodes []*Node
-	step  func(t *testing.T, st permStep)
+	sched *Scheduler // nil over the synchronous transport
 }
 
-func startPermRun(prog *Program, mode ProvMode, sc permScript, sched bool) *permRun {
-	if sched {
-		s := NewScheduler(prog, mode, sc.nodes, 0, 0)
-		return &permRun{nodes: s.nodes, step: func(t *testing.T, st permStep) {
-			for _, tup := range st.del {
-				s.DeleteBase(tup.Loc(), tup)
-			}
-			for _, tup := range st.ins {
-				s.InsertBase(tup.Loc(), tup)
-			}
-			if err := s.Run(); err != nil {
-				t.Fatal(err)
-			}
-		}}
+// startPermRun starts a cluster of n nodes on a Scheduler of the given
+// worker count (0: its default), or over the synchronous transport.
+func startPermRun(prog *Program, mode ProvMode, n, workers int) *permRun {
+	if workers != syncTransport {
+		s := NewScheduler(prog, mode, n, 0, workers)
+		return &permRun{nodes: s.nodes, sched: s}
 	}
 	tr := &refTransport{}
-	nodes := make([]*Node, sc.nodes)
-	for i := range nodes {
-		nodes[i] = NewNode(types.NodeID(i), prog, mode, tr)
+	tr.nodes = make([]*Node, n)
+	for i := range tr.nodes {
+		tr.nodes[i] = NewNode(types.NodeID(i), prog, mode, tr)
 	}
-	tr.nodes = nodes
-	return &permRun{nodes: nodes, step: func(t *testing.T, st permStep) {
-		for _, tup := range st.del {
-			nodes[tup.Loc()].DeleteBase(tup)
+	return &permRun{nodes: tr.nodes}
+}
+
+// insert and delete apply a base tuple at its location: at once over the
+// synchronous transport, which cascades before it returns; at the next
+// settle on the Scheduler.
+func (r *permRun) insert(tup types.Tuple) {
+	if r.sched != nil {
+		r.sched.InsertBase(tup.Loc(), tup)
+	} else {
+		r.nodes[tup.Loc()].InsertBase(tup)
+	}
+}
+
+func (r *permRun) delete(tup types.Tuple) {
+	if r.sched != nil {
+		r.sched.DeleteBase(tup.Loc(), tup)
+	} else {
+		r.nodes[tup.Loc()].DeleteBase(tup)
+	}
+}
+
+// settle brings the cluster to its fixpoint — the Scheduler runs;
+// synchronous-transport nodes, quiescent after every op, release their
+// staged work — and fails the test unless CheckQuiescent holds there.
+func (r *permRun) settle(t *testing.T) {
+	t.Helper()
+	if r.sched != nil {
+		if err := r.sched.Run(); err != nil {
+			t.Fatal(err)
 		}
-		Settle(nodes...)
-		for _, tup := range st.ins {
-			nodes[tup.Loc()].InsertBase(tup)
-		}
-		Settle(nodes...)
-		for _, n := range nodes {
-			if n.Err != nil {
-				t.Fatal(n.Err)
-			}
-		}
-	}}
+	} else {
+		Settle(r.nodes...)
+	}
+	if err := CheckQuiescent(r.nodes); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// syncSettle settles synchronous-transport nodes only: the quiescence points
+// between ops that a Scheduler batches into its next run.
+func (r *permRun) syncSettle(t *testing.T) {
+	t.Helper()
+	if r.sched == nil {
+		r.settle(t)
+	}
+}
+
+// step runs one script step: its deletions, then its insertions.
+func (r *permRun) step(t *testing.T, st permStep) {
+	t.Helper()
+	for _, tup := range st.del {
+		r.delete(tup)
+	}
+	r.syncSettle(t)
+	for _, tup := range st.ins {
+		r.insert(tup)
+	}
+	r.settle(t)
 }
 
 // checkJoinOrders runs the script on synchronous-transport nodes with the
@@ -209,13 +249,13 @@ func checkJoinOrders(t *testing.T, sc permScript) map[string]bool {
 	}
 	ran := map[string]bool{}
 	for _, mode := range []ProvMode{ProvNone, ProvReference, ProvValue, ProvCentralized} {
-		ref := startPermRun(progs[0], mode, sc, false)
+		ref := startPermRun(progs[0], mode, sc.nodes, syncTransport)
 		var runs []variantRun
 		for v, prog := range progs {
-			for _, sched := range []bool{false, true} {
-				if v > 0 || sched {
-					label := fmt.Sprintf("%s sched=%v variant %d", mode, sched, v)
-					runs = append(runs, variantRun{label, v, startPermRun(prog, mode, sc, sched)})
+			for _, workers := range []int{syncTransport, 0} {
+				if v > 0 || workers != syncTransport {
+					label := fmt.Sprintf("%s sched=%v variant %d", mode, workers != syncTransport, v)
+					runs = append(runs, variantRun{label, v, startPermRun(prog, mode, sc.nodes, workers)})
 				}
 			}
 		}
@@ -231,7 +271,7 @@ func checkJoinOrders(t *testing.T, sc permScript) map[string]bool {
 			}
 		}
 		if sc.empty {
-			diffStates(t, mode.String()+" full retraction", startPermRun(progs[0], mode, sc, false).nodes, ref.nodes)
+			diffStates(t, mode.String()+" full retraction", startPermRun(progs[0], mode, sc.nodes, syncTransport).nodes, ref.nodes)
 		}
 		for _, r := range runs {
 			if r.variant == 0 {
@@ -382,7 +422,7 @@ func TestChordPlannerPicksNonSyntaxOrder(t *testing.T) {
 			}
 			reorder(t, cr, 0, []int{2, 1})
 		}
-		r := startPermRun(prog, ProvReference, sc, true)
+		r := startPermRun(prog, ProvReference, sc.nodes, 0)
 		for _, st := range sc.steps {
 			r.step(t, st)
 		}

@@ -126,7 +126,8 @@ func (n *Node) releaseStratum(stratum int, limit *int) bool {
 // derivations (count-to-infinity). Every driver therefore reaches this only
 // through ReleasePass, at its global quiescence point — the simulator's
 // empty event queue, the scheduler's drained rounds, the deployment's
-// retired work accounting, or Settle under a synchronous transport.
+// retired work accounting, or the tests' Settle under a synchronous
+// transport.
 func (n *Node) ReleaseStaged() bool {
 	if n.Err != nil {
 		return false
@@ -152,7 +153,8 @@ func (n *Node) ReleaseStaged() bool {
 // repeats. Only a pass that released nothing is the true fixpoint.
 //
 // With flush set, a node that released runs to local quiescence before its
-// call returns (Settle, the simulator's OnIdle hook, deploy.WaitFixpoint).
+// call returns (the simulator's OnIdle hook, deploy.WaitFixpoint, the tests'
+// Settle).
 // The Scheduler passes false: released work stays queued for its next round,
 // where it runs on the worker pool like any other delta.
 //
@@ -172,17 +174,6 @@ func releaseAndFlush(n *Node) bool {
 	}
 	n.Flush()
 	return true
-}
-
-// Settle drives the retraction protocol's release loop across a set of
-// nodes connected by a synchronous transport (one whose Send delivers — and
-// cascades — before returning, like the test harnesses): at entry the
-// deletion wave has globally quiesced, so staged work is released and run,
-// repeatedly, until no node stages anything further.
-func Settle(nodes ...*Node) {
-	each := func(fn func(*Node) bool) bool { return anyNode(nodes, fn) }
-	for ReleasePass(each, true) {
-	}
 }
 
 // anyNode applies fn to every node, in order, and reports whether any call

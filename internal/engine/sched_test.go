@@ -59,72 +59,43 @@ func linkTup(u, v int, cost int64) types.Tuple {
 	return types.NewTuple("link", types.Node(types.NodeID(u)), types.Node(types.NodeID(v)), types.Int(cost))
 }
 
-// runSched drives one scheduler cluster through the insert/churn script.
-func runSched(t *testing.T, prog *Program, mode ProvMode, nNodes int, workers int,
-	edges [][2]int, churn [][2]int, costs map[[2]int]int64) *Scheduler {
+// runLinkScript drives an insert/churn script of links through r: every
+// edge in both directions and a fixpoint, then each churn edge's retraction
+// and, at even indexes, its re-insertion, and a fixpoint. A Scheduler runs
+// the whole churn at once; synchronous-transport nodes settle after every
+// op pair, the serial analogue of the drivers' idle-point release.
+func runLinkScript(t *testing.T, r *permRun, edges, churn [][2]int, costs map[[2]int]int64) *permRun {
 	t.Helper()
-	s := NewScheduler(prog, mode, nNodes, 0, workers)
+	both := func(e [2]int, do func(types.Tuple)) {
+		cost := edgeCost(e, costs)
+		do(linkTup(e[0], e[1], cost))
+		do(linkTup(e[1], e[0], cost))
+	}
 	for _, e := range edges {
-		cost := edgeCost(e, costs)
-		s.InsertBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
-		s.InsertBase(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
+		both(e, r.insert)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("insert fixpoint: %v", err)
-	}
-	// Churn: retract a subset, re-run, re-insert half of it, re-run.
+	r.settle(t)
 	for i, e := range churn {
-		cost := edgeCost(e, costs)
-		s.DeleteBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
-		s.DeleteBase(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
+		both(e, r.delete)
+		r.syncSettle(t)
 		if i%2 == 0 {
-			s.InsertBase(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
-			s.InsertBase(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
+			both(e, r.insert)
+			r.syncSettle(t)
 		}
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("churn fixpoint: %v", err)
-	}
-	return s
+	r.settle(t)
+	return r
 }
 
-// runSerialRef computes the same script on the serial reference (NewNode over
-// a synchronous FIFO transport, one message per ingest). The transport
-// cascades to global quiescence inside every InsertBase/DeleteBase, so each
-// op is followed by a Settle releasing the retraction protocol's staged
-// re-derivations — the serial analogue of the drivers' idle-point release.
-func runSerialRef(t *testing.T, prog *Program, mode ProvMode, nNodes int,
-	edges [][2]int, churn [][2]int, costs map[[2]int]int64) []*Node {
-	t.Helper()
-	tr := &refTransport{}
-	nodes := make([]*Node, nNodes)
-	for i := range nodes {
-		nodes[i] = NewNode(types.NodeID(i), prog, mode, tr)
+// Settle drives the retraction protocol's release loop across nodes over a
+// synchronous transport (one whose Send delivers — and cascades — before
+// returning): at entry the deletion wave has globally quiesced, so staged
+// work is released and run, repeatedly, until no node stages anything
+// further.
+func Settle(nodes ...*Node) {
+	each := func(fn func(*Node) bool) bool { return anyNode(nodes, fn) }
+	for ReleasePass(each, true) {
 	}
-	tr.nodes = nodes
-	for _, e := range edges {
-		cost := edgeCost(e, costs)
-		nodes[e[0]].InsertBase(linkTup(e[0], e[1], cost))
-		nodes[e[1]].InsertBase(linkTup(e[1], e[0], cost))
-	}
-	Settle(nodes...)
-	for i, e := range churn {
-		cost := edgeCost(e, costs)
-		nodes[e[0]].DeleteBase(linkTup(e[0], e[1], cost))
-		nodes[e[1]].DeleteBase(linkTup(e[1], e[0], cost))
-		Settle(nodes...)
-		if i%2 == 0 {
-			nodes[e[0]].InsertBase(linkTup(e[0], e[1], cost))
-			nodes[e[1]].InsertBase(linkTup(e[1], e[0], cost))
-			Settle(nodes...)
-		}
-	}
-	for _, n := range nodes {
-		if n.Err != nil {
-			t.Fatalf("serial reference: %v", n.Err)
-		}
-	}
-	return nodes
 }
 
 // refTransport delivers messages synchronously in FIFO order.
@@ -193,11 +164,12 @@ func executorEquivalence(t *testing.T, prog *Program, mode ProvMode, seed int64,
 func equivalenceOn(t *testing.T, prog *Program, mode ProvMode,
 	nNodes int, edges, churn [][2]int, costs map[[2]int]int64) {
 	t.Helper()
-	serial := runSerialRef(t, prog, mode, nNodes, edges, churn, costs)
-	a := runSched(t, prog, mode, nNodes, 1, edges, churn, costs)
-	b := runSched(t, prog, mode, nNodes, 4, edges, churn, costs)
-	diffStates(t, "workers=1", serial, a.Engines())
-	diffStates(t, "workers=4", serial, b.Engines())
+	run := func(workers int) *permRun {
+		return runLinkScript(t, startPermRun(prog, mode, nNodes, workers), edges, churn, costs)
+	}
+	serial, a, b := run(syncTransport), run(1).sched, run(4).sched
+	diffStates(t, "workers=1", serial.nodes, a.Engines())
+	diffStates(t, "workers=4", serial.nodes, b.Engines())
 
 	// Determinism across worker counts: byte accounting and round counts
 	// must reproduce exactly.
@@ -312,53 +284,37 @@ r2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X).
 				swapped = append(swapped, e)
 			}
 		}
-		both := func(do func(types.NodeID, types.Tuple), e [2]int, cost int64) {
-			do(types.NodeID(e[0]), linkTup(e[0], e[1], cost))
-			do(types.NodeID(e[1]), linkTup(e[1], e[0], cost))
+		both := func(do func(types.Tuple), e [2]int, cost int64) {
+			do(linkTup(e[0], e[1], cost))
+			do(linkTup(e[1], e[0], cost))
 		}
 
-		tr := &refTransport{}
-		ref := make([]*Node, nNodes)
-		for i := range ref {
-			ref[i] = NewNode(types.NodeID(i), prog, ProvValue, tr)
-		}
-		tr.nodes = ref
-		insert := func(at types.NodeID, tup types.Tuple) { ref[at].InsertBase(tup) }
-		remove := func(at types.NodeID, tup types.Tuple) { ref[at].DeleteBase(tup) }
+		ref := startPermRun(prog, ProvValue, nNodes, syncTransport)
 		for _, e := range edges {
-			both(insert, e, 1)
+			both(ref.insert, e, 1)
 		}
-		Settle(ref...)
+		ref.settle(t)
 		for _, e := range swapped {
-			both(remove, e, 1)
+			both(ref.delete, e, 1)
 		}
-		Settle(ref...)
+		ref.settle(t)
 		for _, e := range swapped {
-			both(insert, e, 2)
+			both(ref.insert, e, 2)
 		}
-		Settle(ref...)
-		for _, n := range ref {
-			if n.Err != nil {
-				t.Fatalf("sync reference: %v", n.Err)
-			}
-		}
+		ref.settle(t)
 
 		for _, workers := range []int{1, 4} {
-			s := NewScheduler(prog, ProvValue, nNodes, 0, workers)
+			s := startPermRun(prog, ProvValue, nNodes, workers)
 			for _, e := range edges {
-				both(s.InsertBase, e, 1)
+				both(s.insert, e, 1)
 			}
-			if err := s.Run(); err != nil {
-				t.Fatalf("insert fixpoint: %v", err)
-			}
+			s.settle(t)
 			for _, e := range swapped {
-				both(s.DeleteBase, e, 1)
-				both(s.InsertBase, e, 2)
+				both(s.delete, e, 1)
+				both(s.insert, e, 2)
 			}
-			if err := s.Run(); err != nil {
-				t.Fatalf("swap fixpoint: %v", err)
-			}
-			diffStates(t, fmt.Sprintf("seed %d workers=%d", seed, workers), ref, s.Engines())
+			s.settle(t)
+			diffStates(t, fmt.Sprintf("seed %d workers=%d", seed, workers), ref.nodes, s.nodes)
 		}
 	}
 }
@@ -373,29 +329,11 @@ func TestSyncTransportMatchesScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := topology.Ring(8, rand.New(rand.NewSource(11)))
-	nNodes := topo.N
 	edges, _, costs := topoScript(topo, 0)
 
-	sched := runSched(t, prog, ProvReference, nNodes, 1, edges, nil, costs)
-
-	tr := &refTransport{}
-	nodes := make([]*Node, nNodes)
-	for i := range nodes {
-		nodes[i] = NewNode(types.NodeID(i), prog, ProvReference, tr)
-	}
-	tr.nodes = nodes
-	for _, e := range edges {
-		cost := edgeCost(e, costs)
-		nodes[e[0]].InsertBase(linkTup(e[0], e[1], cost))
-		nodes[e[1]].InsertBase(linkTup(e[1], e[0], cost))
-	}
-	Settle(nodes...) // release retraction staging from improvement-driven evictions
-	for _, n := range nodes {
-		if n.Err != nil {
-			t.Fatal(n.Err)
-		}
-	}
-	diffStates(t, "sync transport", sched.Engines(), nodes)
+	sched := runLinkScript(t, startPermRun(prog, ProvReference, topo.N, 1), edges, nil, costs)
+	nodes := runLinkScript(t, startPermRun(prog, ProvReference, topo.N, syncTransport), edges, nil, costs)
+	diffStates(t, "sync transport", sched.nodes, nodes.nodes)
 }
 
 // TestSchedulerFixpointIndependentOfHost is the fence for "batching is a

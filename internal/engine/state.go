@@ -5,6 +5,7 @@ import (
 	"crypto/sha1"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/types"
@@ -116,6 +117,84 @@ func stateLines(n *Node) []string {
 		out = append(out, l)
 	}
 	return out
+}
+
+// CheckQuiescent reports the first invariant the nodes break, or nil. At
+// every fixpoint, on every node:
+//
+//   - there is no evaluation error, no pending delta, firing or aggregate
+//     update, and nothing staged for release;
+//   - an entry's vertex is registered in the store if and only if the node
+//     runs reference mode, the entry is not a prov or ruleExec tuple, and it
+//     has rows;
+//   - a hidden entry that is not staged has no rows;
+//   - an entry of an indexed relation is indexed if and only if it is
+//     visible: the end of a round unindexes what it hid;
+//   - every relation's visible and tombstone counts are what a walk of the
+//     node's entries finds;
+//   - for a program without events, the store holds exactly the registered
+//     entries' prov rows.
+func CheckQuiescent(nodes []*Node) error {
+	for _, n := range nodes {
+		if err := n.checkQuiescent(); err != nil {
+			return fmt.Errorf("node %d: %w", int(n.ID), err)
+		}
+	}
+	return nil
+}
+
+func (n *Node) checkQuiescent() error {
+	switch {
+	case n.Err != nil:
+		return n.Err
+	case n.pending() || len(n.fires) > 0:
+		return fmt.Errorf("%d deltas, %d firings and %d aggregate updates pending",
+			len(n.queue)-n.qhead, len(n.fires), len(n.aggIn))
+	case len(n.stagedEnts)+len(n.stagedGroups) > 0:
+		return fmt.Errorf("%d entries and %d aggregate groups staged", len(n.stagedEnts), len(n.stagedGroups))
+	}
+	rows := 0
+	for e := range n.pool.all {
+		info := n.Prog.tables[e.table]
+		want := n.Mode == ProvReference && !info.meta && len(e.Rows) > 0
+		got := !e.VID.IsZero() && n.Store.Lookup(e.VID) == &e.Vertex
+		switch {
+		case got != want:
+			return fmt.Errorf("%v (%d rows, visible %v): registered %v, want %v",
+				e.Tuple, len(e.Rows), e.visible, got, want)
+		case !e.visible && !e.staged && len(e.Rows) > 0:
+			return fmt.Errorf("%v is hidden and unstaged with %d rows", e.Tuple, len(e.Rows))
+		case len(info.indexes) > 0 && e.indexed != e.visible:
+			return fmt.Errorf("%v: indexed %v, visible %v", e.Tuple, e.indexed, e.visible)
+		}
+		if want {
+			rows += len(e.Rows)
+		}
+	}
+	events := slices.ContainsFunc(n.Prog.Preds(), func(p *PredInfo) bool { return p.Event })
+	if got := n.Store.NumProv(); !events && got != rows {
+		return fmt.Errorf("store holds %d prov rows, registered entries %d", got, rows)
+	}
+	return n.pool.checkCounts()
+}
+
+// checkCounts reports whether every table's counts are its visible entries
+// and its tombstones, the hidden derivation-free ones, as a walk of the pool
+// finds them.
+func (p *entryPool) checkCounts() error {
+	want := make([]tableCount, len(p.counts))
+	for e := range p.all {
+		switch {
+		case e.visible:
+			want[e.table].visible++
+		case len(e.Rows) == 0:
+			want[e.table].dead++
+		}
+	}
+	if !slices.Equal(p.counts, want) {
+		return fmt.Errorf("table counts %v, a walk of the pool finds %v", p.counts, want)
+	}
+	return nil
 }
 
 // FromRewrite returns the native form of a node that runs the Algorithm 1

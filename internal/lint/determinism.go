@@ -37,8 +37,8 @@ var DeterminismAnalyzer = &Analyzer{
 
 // deterministicCore lists the packages that must be reproducible bit for
 // bit: the engine, both network substrates' shared value model, and the
-// workload programs. Test variants of these packages are held to the same
-// bar — the determinism fences themselves live there.
+// workload programs. Their test variants and external test packages (X_test)
+// are held to the same bar — the determinism fences themselves live there.
 var deterministicCore = map[string]bool{
 	"repro/internal/engine": true,
 	"repro/internal/simnet": true,
@@ -61,7 +61,7 @@ var orderedSinkRe = regexp.MustCompile(`(?i)^(encode|marshal|write|print|fprint|
 
 func runDeterminism(p *Pass) {
 	info := p.Pkg.Info
-	inCore := deterministicCore[strings.Fields(p.Pkg.Path)[0]]
+	inCore := deterministicCore[strings.TrimSuffix(strings.Fields(p.Pkg.Path)[0], "_test")]
 
 	forEachFunc(p.Pkg, func(fd *ast.FuncDecl) {
 		// Pass 2 sources: wall clock, environment, global rand.

@@ -76,33 +76,53 @@ func TestFixtures(t *testing.T) {
 		{"interning", InterningAnalyzer},
 	}
 	for _, tc := range cases {
-		t.Run(tc.fixture, func(t *testing.T) {
-			pkg := loadFixture(t, tc.fixture)
-			wants := collectWants(t, pkg)
-			if len(wants) == 0 {
-				t.Fatalf("fixture %s has no want comments", tc.fixture)
-			}
-			diags := RunAnalyzer(tc.analyzer, pkg)
-			for _, d := range diags {
-				matched := false
-				for _, w := range wants {
-					if !w.hit && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
-						w.hit = true
-						matched = true
-						break
-					}
-				}
-				if !matched {
-					t.Errorf("unexpected diagnostic: %s", d)
-				}
-			}
-			for _, w := range wants {
-				if !w.hit {
-					t.Errorf("%s:%d: no diagnostic matched %q", w.file, w.line, w.re)
-				}
-			}
-		})
+		t.Run(tc.fixture, func(t *testing.T) { checkWants(t, loadFixture(t, tc.fixture), tc.analyzer) })
 	}
+}
+
+// checkWants runs the analyzer over pkg and requires exactly the diagnostics
+// its want comments pin.
+func checkWants(t *testing.T, pkg *Package, analyzer *Analyzer) {
+	t.Helper()
+	wants := collectWants(t, pkg)
+	if len(wants) == 0 {
+		t.Fatalf("package %s has no want comments", pkg.Path)
+	}
+	for _, d := range RunAnalyzer(analyzer, pkg) {
+		matched := false
+		for _, w := range wants {
+			if !w.hit && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
+				w.hit = true
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			t.Errorf("unexpected diagnostic: %s", d)
+		}
+	}
+	for _, w := range wants {
+		if !w.hit {
+			t.Errorf("%s:%d: no diagnostic matched %q", w.file, w.line, w.re)
+		}
+	}
+}
+
+// TestDeterminismCoversExternalTests: the external test package of a
+// deterministic-core package (package X_test) is held to X's bar. The
+// determinism fixture's external test file seeds a wall-clock read.
+func TestDeterminismCoversExternalTests(t *testing.T) {
+	pkgs, err := Load(".", true, "./testdata/src/determinism")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		if strings.HasPrefix(pkg.Path, "repro/internal/lint/testdata/src/determinism_test ") {
+			checkWants(t, pkg, DeterminismAnalyzer)
+			return
+		}
+	}
+	t.Fatal("the determinism fixture's external test package did not load")
 }
 
 // TestSuppressionHandling pins the escape-hatch contract on the suppress
