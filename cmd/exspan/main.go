@@ -141,6 +141,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *explain {
+		c.Hosts[0].Engine.CountJoins()
+	}
 	switch *udfName {
 	case "polynomial":
 	case "bdd":
@@ -184,6 +187,9 @@ func runScheduled(topo *topology.Topology, prog *ndlog.Program, mode engine.Prov
 		fatal(err)
 	}
 	s := engine.NewScheduler(compiled, mode, topo.N, 0, 0)
+	if explain {
+		s.Node(0).CountJoins()
+	}
 	startAt := time.Now()
 	apps.BootEDB(topo, spec.noLinks, base, s.InsertBase)
 	if err := s.Run(); err != nil {
@@ -211,7 +217,7 @@ func runDeployment(topo *topology.Topology, prog *ndlog.Program, mode engine.Pro
 		Topo: topo, Prog: prog, Mode: mode,
 		Base: base, NoLinkTuples: spec.noLinks,
 		Reliable: faulty, Loss: loss, Dup: dup, FaultSeed: faultSeed,
-	})
+	}, explain)
 	if err != nil {
 		fatal(err)
 	}
@@ -226,11 +232,15 @@ func runDeployment(topo *topology.Topology, prog *ndlog.Program, mode engine.Pro
 }
 
 // deployFixpoint starts a UDP cluster, seeds its EDB and waits for its
-// fixpoint. On success the caller owns the running cluster and must Stop it.
-func deployFixpoint(cfg deploy.Config) (*deploy.Cluster, error) {
+// fixpoint, with node 0 counting its join probes when explain is set. On
+// success the caller owns the running cluster and must Stop it.
+func deployFixpoint(cfg deploy.Config, explain bool) (*deploy.Cluster, error) {
 	cl, err := deploy.NewCluster(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if explain {
+		cl.Nodes[0].Engine.CountJoins()
 	}
 	cl.Start()
 	cl.InsertLinks()

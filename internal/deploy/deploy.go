@@ -118,6 +118,12 @@ type Cluster struct {
 
 	faultMu  sync.Mutex
 	faultRng *rand.Rand
+
+	// workers counts the running worker goroutines; Stop waits for them and
+	// then sets stopped, from which on engine state is read in place
+	// (onWorkers).
+	workers sync.WaitGroup
+	stopped atomic.Bool
 }
 
 // NodeProc is one deployed node: an engine + query processor served by a
@@ -267,13 +273,18 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 // Start launches the receive and worker goroutines of every node.
 func (c *Cluster) Start() {
+	c.workers.Add(len(c.Nodes))
 	for _, np := range c.Nodes {
 		go np.recvLoop()
-		go np.workLoop()
+		go func() {
+			defer c.workers.Done()
+			np.workLoop()
+		}()
 	}
 }
 
-// Stop shuts the cluster down.
+// Stop shuts the cluster down and returns once every worker has exited, so
+// the engines can be read (Engines, Snapshot, TransportStats) after it.
 func (c *Cluster) Stop() {
 	for _, np := range c.Nodes {
 		if np == nil {
@@ -284,6 +295,8 @@ func (c *Cluster) Stop() {
 			_ = np.conn.Close()
 		})
 	}
+	c.workers.Wait()
+	c.stopped.Store(true)
 }
 
 // insertBatch is how many EDB tuples InsertLinks injects between quiescence
@@ -666,8 +679,15 @@ func (c *Cluster) WaitFixpoint(timeout time.Duration) (time.Duration, error) {
 // onWorkers applies fn to every node on that node's worker goroutine —
 // where its engine and endpoint state is confined, so the call also
 // quiesces in-flight handling — dispatching to all workers at once and
-// returning when every call has.
+// returning when every call has. Once the cluster has stopped, no worker is
+// left to confine the state, and fn runs on the caller's goroutine.
 func (c *Cluster) onWorkers(fn func(*NodeProc)) {
+	if c.stopped.Load() {
+		for _, np := range c.Nodes {
+			fn(np)
+		}
+		return
+	}
 	var wg sync.WaitGroup
 	for _, np := range c.Nodes {
 		np := np
@@ -751,11 +771,12 @@ func (c *Cluster) AvgSentKB() float64 {
 }
 
 // Engines returns every node's engine in node order — the cluster view
-// engine.WriteStates, StateDigest and DiffStates read. It first runs a no-op
-// on every worker goroutine, where engine state is confined: that round trip
-// is the read barrier making the workers' writes visible to the caller. Read
-// the engines only while the cluster is quiescent (after WaitFixpoint) or
-// stopped; a worker handling new input races the reader.
+// engine.WriteStates, StateDigest and DiffStates read. On a running cluster
+// it first runs a no-op on every worker goroutine, where engine state is
+// confined: that round trip is the read barrier making the workers' writes
+// visible to the caller. On a stopped one, Stop's wait for the workers is
+// that barrier. Read the engines only while the cluster is quiescent (after
+// WaitFixpoint) or stopped; a worker handling new input races the reader.
 func (c *Cluster) Engines() []*engine.Node {
 	c.onWorkers(func(*NodeProc) {})
 	out := make([]*engine.Node, len(c.Nodes))

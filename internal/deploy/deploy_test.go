@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"strings"
@@ -178,5 +179,40 @@ func TestWaitFixpointTimeoutError(t *testing.T) {
 	}
 	if te.Sent != te.Processed+1 {
 		t.Errorf("timeout error counters = %d sent / %d processed, want one outstanding", te.Sent, te.Processed)
+	}
+}
+
+// TestEnginesAfterStop: a stopped cluster's engines stay readable. Engines,
+// Snapshot and TransportStats of a reliable Figure 3 MINCOST cluster must
+// return promptly after Stop, with the state the running cluster showed.
+func TestEnginesAfterStop(t *testing.T) {
+	cl := bootCluster(t, Config{Topo: topology.Figure3(), Prog: apps.MinCost(), Mode: engine.ProvReference,
+		Reliable: true, Transport: FastRetransmit})
+	want := engine.StateDigest(cl.Engines())
+	wantSnap := fmt.Sprint(cl.Snapshot("bestPathCost"))
+	wantStats := cl.TransportStats()
+	if wantStats.Delivered == 0 {
+		t.Fatal("vacuous: the reliable transport delivered nothing")
+	}
+	cl.Stop()
+	done := make(chan struct{})
+	var got, gotSnap string
+	var gotStats transport.Stats
+	go func() {
+		defer close(done)
+		got = engine.StateDigest(cl.Engines())
+		gotSnap = fmt.Sprint(cl.Snapshot("bestPathCost"))
+		gotStats = cl.TransportStats()
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Engines, Snapshot or TransportStats did not return within 2 s of Stop")
+	}
+	if got != want || gotSnap != wantSnap {
+		t.Fatalf("state after Stop differs from the running cluster's:\nsnapshot %s\nwant     %s", gotSnap, wantSnap)
+	}
+	if gotStats.Delivered < wantStats.Delivered {
+		t.Fatalf("transport delivered %d after Stop, %d before", gotStats.Delivered, wantStats.Delivered)
 	}
 }

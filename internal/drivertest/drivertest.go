@@ -132,8 +132,7 @@ func SameState(t testing.TB, label string, want, got []*engine.Node) {
 
 // CheckQuiescent fails the test unless d is at a clean fixpoint: every node
 // passes engine.CheckQuiescent, and no query processor — the simulator's
-// and a deployment's nodes run one — has work pending. On a deployment, call
-// it before the cluster stops.
+// and a deployment's nodes run one — has work pending.
 func CheckQuiescent(t testing.TB, d Driver) {
 	t.Helper()
 	if err := engine.CheckQuiescent(d.Engines()); err != nil {

@@ -8,9 +8,10 @@ import (
 )
 
 // fireAgg routes a delta of an aggregate rule's body entry through the
-// rule's group state. The update queues on aggIn for the next apply step,
-// since group rows are frozen while a fire phase runs, and pins the entry so
-// the round's tombstone sweep cannot reclaim it before the update applies.
+// rule's group state. The update queues on the scratch's aggIn for the next
+// apply step, since group rows are frozen while a fire phase runs, and pins
+// the entry so the round's tombstone sweep cannot reclaim it before the
+// update applies.
 // The group itself is found (or created, empty) here: groups are never
 // removed, so the queued pointer stays valid.
 //
@@ -21,7 +22,7 @@ func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
 		return
 	}
 	spec := rule.agg
-	groupVals := n.groupBuf[:len(spec.groupCode)]
+	groupVals := n.sc.groupBuf[:len(spec.groupCode)]
 	for i, code := range spec.groupCode {
 		v, err := code(env)
 		if err != nil {
@@ -40,14 +41,15 @@ func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
 		if n.Mode == ProvValue && g.hasOut && g.curWin == e {
 			out := g.curOut
 			out.Pred = rule.HeadPred
-			n.vidBuf[0], n.pool.key = e.VIDBuf(n.pool.key)
-			n.emit(rule.Label, out, n.ID, n.vidBuf[:1], Update, e.payload)
+			vids := n.sc.vidBuf[:1]
+			vids[0], n.pool.key = e.VIDBuf(n.pool.key)
+			n.emit(rule.Label, out, n.ID, vids, Update, e.payload)
 		}
 		return
 	}
 
 	e.aggQueued = true
-	n.aggIn = append(n.aggIn, aggItem{g: g, ent: e, sign: sign})
+	n.sc.aggIn = append(n.sc.aggIn, aggItem{g: g, ent: e, sign: sign})
 }
 
 // applyAgg applies one input delta to its aggregate group and emits any net
@@ -89,7 +91,7 @@ func (n *Node) aggGroupAt(rule *CompiledRule, h uint64, groupVals []types.Value)
 // fails (or an expression errored).
 func (n *Node) evalAggBody(rule *CompiledRule, t types.Tuple) ([]types.Value, bool) {
 	pl := rule.plans[0]
-	env := n.envBuf[:rule.numVars]
+	env := n.sc.envBuf[:rule.numVars]
 	if !bindTuple(pl.deltaBinds, t, env) {
 		return nil, false
 	}
@@ -132,8 +134,9 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 		n.route(out, n.ID, em.sign, types.ZeroID, noPayload)
 		return
 	}
-	n.vidBuf[0], n.pool.key = em.winner.VIDBuf(n.pool.key)
-	n.emit(rule.Label, out, n.ID, n.vidBuf[:1], em.sign, em.winner.payload)
+	vids := n.sc.vidBuf[:1]
+	vids[0], n.pool.key = em.winner.VIDBuf(n.pool.key)
+	n.emit(rule.Label, out, n.ID, vids, em.sign, em.winner.payload)
 }
 
 // aggGroup maintains one group of an aggregate rule: its group-by values,
@@ -146,7 +149,7 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 // when its Delete reaches the group; entry.aggQueued keeps the sweep from
 // reclaiming it while that update is queued. The
 // group struct, the first row's capacity and the group-by values are carved
-// from the node's arenas; the group borrows the node's scratch to refresh.
+// from the node's arenas; the group refreshes in the node's round scratch.
 type aggGroup struct {
 	groupVals []types.Value
 	rows      []*entry
@@ -273,7 +276,7 @@ func rowCmp(spec *AggSpec, a, b *entry) int {
 }
 
 // refresh recomputes the output tuple and diffs it against the currently
-// emitted one. The returned slice aliases the node's emit buffer and is
+// emitted one. The returned slice aliases the scratch's emit buffer and is
 // valid until the next refresh of any group on the node. The steady-state
 // path — an input delta that does not change the output — allocates
 // nothing, and a changed output carves its retained argument slice from the
@@ -303,7 +306,7 @@ func (g *aggGroup) refresh(n *Node, rule *CompiledRule, gone *entry) []aggEmit {
 	if ok && spec.ordered() {
 		win = g.rows[0]
 	}
-	emits := n.aggEmitBuf[:0]
+	emits := n.sc.aggEmitBuf[:0]
 	if g.hasOut {
 		same := ok && argsEqual(g.curOut.Args, newArgs)
 		switch {
@@ -337,7 +340,7 @@ func (g *aggGroup) refresh(n *Node, rule *CompiledRule, gone *entry) []aggEmit {
 			emits = append(emits, aggEmit{tuple: g.curOut, sign: Insert, winner: win})
 		}
 	}
-	n.aggEmitBuf = emits
+	n.sc.aggEmitBuf = emits
 	return emits
 }
 
@@ -356,7 +359,7 @@ func argsEqual(a, b []types.Value) bool {
 	return true
 }
 
-// compute evaluates the aggregate over the current rows into the node's
+// compute evaluates the aggregate over the current rows into the scratch's
 // reusable args buffer. It reports ok=false when the group emits nothing.
 func (g *aggGroup) compute(n *Node, spec *AggSpec) ([]types.Value, bool) {
 	if len(g.rows) == 0 {
@@ -382,7 +385,7 @@ func (g *aggGroup) compute(n *Node, spec *AggSpec) ([]types.Value, bool) {
 
 	// Assemble the head: group values in order, aggregate values spliced
 	// in at the aggregate position.
-	args := n.aggArgsBuf[:0]
+	args := n.sc.aggArgsBuf[:0]
 	gi := 0
 	for pos := 0; pos <= len(g.groupVals); pos++ {
 		if pos == spec.AggPos {
@@ -401,6 +404,6 @@ func (g *aggGroup) compute(n *Node, spec *AggSpec) ([]types.Value, bool) {
 		args = append(args, g.groupVals[gi])
 		gi++
 	}
-	n.aggArgsBuf = args
+	n.sc.aggArgsBuf = args
 	return args, true
 }

@@ -416,16 +416,18 @@ r1 in(@X,G,C) :- trig(@X), src(@X,G,C).
 	}
 	n.deposit(n.baseDelta(trig, Insert))
 	rel := n.lookup("in")
+	n.borrow()
 	for round := 0; n.pending(); round++ {
 		n.curRound++
 		n.applyPhase()
 		n.firePhase()
-		if round == 0 && (len(n.aggIn) != old || !n.pool.sweepDue(rel) || n.qhead == len(n.queue)) {
+		if round == 0 && (len(n.sc.aggIn) != old || !n.pool.sweepDue(rel) || n.qhead == len(n.queue)) {
 			t.Fatalf("vacuous: %d queued aggregate updates, sweep due %v, %d derived deltas pending",
-				len(n.aggIn), n.pool.sweepDue(rel), len(n.queue)-n.qhead)
+				len(n.sc.aggIn), n.pool.sweepDue(rel), len(n.queue)-n.qhead)
 		}
 		n.endRound()
 	}
+	n.giveBack()
 	if n.Err != nil {
 		t.Fatal(n.Err)
 	}

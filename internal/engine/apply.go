@@ -55,7 +55,11 @@ func (n *Node) popDelta() localDelta {
 	return d
 }
 
-func (n *Node) pending() bool { return n.qhead < len(n.queue) || len(n.aggIn) > 0 }
+// pending reports whether the node has work: a queued delta, or — while it
+// runs — an aggregate update for the next round.
+func (n *Node) pending() bool {
+	return n.qhead < len(n.queue) || n.sc != nil && len(n.sc.aggIn) > 0
+}
 
 // process applies one delta to the node's state. Firing is deferred: an
 // event goes on the fire list, a stored entry's first touch of the round is
@@ -69,7 +73,6 @@ func (n *Node) process(d localDelta) {
 	// relation: the PredInfo carries them all from compile time, and every
 	// queued delta's predicate is declared (Node.admit).
 	info := n.Prog.Pred(d.tuple.Pred)
-	occs := info.occs
 	if info.Event {
 		// Events are transient: fire rules, never materialize. Both
 		// insertion and deletion deltas flow through events — the
@@ -100,7 +103,7 @@ func (n *Node) process(d localDelta) {
 			vid, n.pool.key = d.tuple.VIDBuf(n.pool.key)
 			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, d.sign)
 		}
-		n.fires = append(n.fires, fireItem{tuple: d.tuple, occs: occs, sign: d.sign, payload: d.payload})
+		n.markEvent(&d, info)
 		return
 	}
 
@@ -116,7 +119,7 @@ func (n *Node) process(d localDelta) {
 	switch d.sign {
 	case Insert:
 		e := p.getOrCreate(info, d.tuple)
-		n.markTouched(e, occs)
+		n.markTouched(e, info)
 		var row *provenance.ProvEntry
 		if stored {
 			// The entry caches the canonical VID, so each stored tuple is
@@ -167,7 +170,7 @@ func (n *Node) process(d localDelta) {
 		if !found {
 			return
 		}
-		n.markTouched(e, occs)
+		n.markTouched(e, info)
 		if n.Mode == ProvCentralized && !meta && d.isBase {
 			var vid types.ID
 			vid, n.pool.key = e.VIDBuf(n.pool.key)
@@ -203,7 +206,7 @@ func (n *Node) process(d localDelta) {
 		if e == nil || e.visible || len(e.Rows) == 0 {
 			return
 		}
-		n.markTouched(e, occs)
+		n.markTouched(e, info)
 		if n.Mode == ProvValue {
 			n.recomputePayload(e)
 		}
@@ -221,7 +224,7 @@ func (n *Node) process(d localDelta) {
 		if row == nil {
 			return
 		}
-		n.markTouched(e, occs)
+		n.markTouched(e, info)
 		row.Payload = uint32(d.payload)
 		// The fire phase propagates a moved payload only for a tuple that
 		// stayed visible: suspects absorb payload updates silently.

@@ -184,7 +184,9 @@ b2 worst(@X,Z,max<C>) :- item(@X,Z,C).`), ProvReference, &refTransport{})
 		t.Fatal("a second lookup of a chained group made a new one")
 	}
 	apply := func(g *aggGroup, z string, c int64, sign int8) {
+		n.borrow()
 		n.applyAgg(g, n.pool.getOrCreate(n.lookup("item"), in(z, c)), sign)
+		n.giveBack()
 		n.Flush()
 		if n.Err != nil {
 			t.Fatal(n.Err)

@@ -10,8 +10,8 @@ import (
 // This file is the EXECUTION half of the evaluation-state layer: evaluating a
 // rule's delta plan for one triggering tuple and emitting head derivations.
 // All intermediate state (environment, matched entries, lookup keys) lives in
-// the node's scratch arenas — one rule firing performs no slice
-// allocation of its own, which the hotpath_test.go fences pin.
+// the round scratch and the pool's key buffer — one rule firing performs no
+// slice allocation of its own, which the hotpath_test.go fences pin.
 //
 // The fire phase runs against frozen state that includes the whole round's
 // batch. To fire each joint derivation exactly once, a delta at body
@@ -26,20 +26,21 @@ import (
 // event observes the batch it arrived with.
 
 // firePlan evaluates the delta plan of (rule, pos) for the delta of the
-// node's fireTuple — deltaEntry's tuple, or the event's — and emits head
+// scratch's fireTuple — deltaEntry's tuple, or the event's — and emits head
 // derivations.
 //
 //exspan:hotpath
 func (n *Node) firePlan(rule *CompiledRule, pos int, sign int8, deltaEntry *entry) {
+	sc := n.sc
 	pl := rule.plans[pos]
-	env := n.envBuf[:rule.numVars]
-	if !bindTuple(pl.deltaBinds, n.fireTuple, env) {
+	env := sc.envBuf[:rule.numVars]
+	if !bindTuple(pl.deltaBinds, sc.fireTuple, env) {
 		return
 	}
-	ments := n.entBuf[:len(rule.atoms)]
+	ments := sc.entBuf[:len(rule.atoms)]
 	clear(ments)
 	ments[pos] = deltaEntry
-	n.fireAtomPos = pos
+	sc.fireAtomPos = pos
 	n.execPlan(rule, pl, 0, sign, env, ments)
 }
 
@@ -88,14 +89,17 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8, env [
 		n.pool.key = st.appendLookupKey(n.pool.key[:0], env)
 		var one [1]*entry
 		cands := n.pool.lookup(hashKey(st.index, n.pool.key), one[:0])
-		js := &n.joinStats[st.joinID]
-		js.probes++
-		js.hits += int64(len(cands))
+		if n.joinStats != nil {
+			js := &n.joinStats[st.joinID]
+			js.probes++
+			js.hits += int64(len(cands))
+		}
 		// The index still holds entries hidden this round (unindexing
 		// waits for endRound), and a candidate is admitted against NEW or
 		// OLD visibility depending on the probed atom's position relative
 		// to the firing delta (see the file comment).
-		admitNew := st.atom < n.fireAtomPos || ments[n.fireAtomPos] == nil
+		firePos := n.sc.fireAtomPos
+		admitNew := st.atom < firePos || ments[firePos] == nil
 		curRound := n.curRound
 		for _, cand := range cands {
 			// A hash neighbour from another relation may bind: skip it.
@@ -144,20 +148,21 @@ func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value, ments []*en
 		return
 	}
 
-	inputVIDs := n.vidBuf[:len(ments)]
+	sc := n.sc
+	inputVIDs := sc.vidBuf[:len(ments)]
 	for i, e := range ments {
 		if e != nil {
 			inputVIDs[i], n.pool.key = e.VIDBuf(n.pool.key)
 		} else {
 			// Event input: transient, no entry to cache on.
-			inputVIDs[i], n.pool.key = n.fireTuple.VIDBuf(n.pool.key)
+			inputVIDs[i], n.pool.key = sc.fireTuple.VIDBuf(n.pool.key)
 		}
 	}
 	var payload algebra.Payload
 	if n.Mode == ProvValue {
 		payload = n.Ring.One()
 		for _, e := range ments {
-			p := n.firePayload
+			p := sc.firePayload
 			if e != nil {
 				p = e.payload
 			}

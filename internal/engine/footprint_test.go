@@ -34,12 +34,14 @@ func liveHeap() uint64 {
 // column tables and aggregate rows as handles ≈ 26 KB, with one entry pool
 // per node instead of arenas per relation ≈ 17.3 KB, with one tuple map
 // and one index map per node instead of a map per relation and per index
-// ≈ 13.7 KB, and with a relation's counts in the pool and every rule's
-// aggregate groups in one map ≈ 13.1 KB.
+// ≈ 13.7 KB, with a relation's counts in the pool and every rule's
+// aggregate groups in one map ≈ 13.1 KB, and with the round scratch borrowed
+// from the program while a node runs and the join tallies off unless asked
+// for ≈ 11.0 KB.
 func TestNodeFootprintFollowsState(t *testing.T) {
 	const (
 		nodes      = 300
-		maxPerNode = 13500
+		maxPerNode = 11400
 	)
 	topo := topology.Ring(nodes, rand.New(rand.NewSource(1)))
 	base := apps.ChordBase(topo)
@@ -193,11 +195,14 @@ func TestRelationCostsWhatItHolds(t *testing.T) {
 	}
 }
 
-// TestEntrySize fences the structs state pays for per tuple and per
-// aggregate group: a relation entry, its embedded provenance vertex
-// included, stays at 104 bytes, so its flags (the aggregate pin and the
-// tombstone mark among them) live in padding; an aggregate group stays at
-// 112 bytes, its rule number in the padding after its flags.
+// TestEntrySize fences the structs state pays for per tuple, per aggregate
+// group, per node and per deferred firing: a relation entry, its embedded
+// provenance vertex included, stays at 104 bytes, so its flags (the
+// aggregate pin and the tombstone mark among them) live in padding; an
+// aggregate group stays at 112 bytes, its rule number in the padding after
+// its flags; a node stays in the 512-byte size class, holding no round
+// scratch of its own; and a fire-list item stays at 32 bytes, carrying no
+// copy of a stored entry's tuple.
 func TestEntrySize(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -205,6 +210,8 @@ func TestEntrySize(t *testing.T) {
 	}{
 		{"entry", unsafe.Sizeof(entry{}), 104},
 		{"aggGroup", unsafe.Sizeof(aggGroup{}), 112},
+		{"Node", unsafe.Sizeof(Node{}), 512},
+		{"fireItem", unsafe.Sizeof(fireItem{}), 32},
 	} {
 		if c.size > c.at {
 			t.Errorf("unsafe.Sizeof(%s{}) = %d, want ≤ %d", c.name, c.size, c.at)

@@ -47,11 +47,14 @@ func (m ProvMode) String() string {
 // Node is one ExSPAN engine instance: the PSN evaluator plus provenance
 // bookkeeping for a single network node — the paper's one dataflow per
 // node. The Node is its whole evaluation state — relations, join indexes,
-// aggregate groups, the delta ring and the scratch arenas rule firing
-// reuses — and runs it in rounds (rounds.go). Drivers differ only in how
-// much one ingest holds: one message (simulator, deployment, synchronous
-// test transports) or a whole scheduler round of them (Scheduler). Both
-// reach the same fixpoint state.
+// aggregate groups, staged retractions and the delta ring — and runs it in
+// rounds (rounds.go). What a round reads and writes but nothing outlives —
+// the fire list, the aggregate updates between rounds, the firing and
+// refresh buffers — is a scratch the node borrows from its Program while it
+// runs and returns when it is locally quiescent (scratch.go), so a quiescent
+// node holds none. Drivers differ only in how much one ingest holds: one
+// message (simulator, deployment, synchronous test transports) or a whole
+// scheduler round of them (Scheduler). Both reach the same fixpoint state.
 type Node struct {
 	ID        types.NodeID
 	Prog      *Program
@@ -77,20 +80,22 @@ type Node struct {
 	// data); the node stops deriving after an error.
 	Err error
 
-	// Counters. joinStats tallies probes and returned candidates per
-	// compiled join step (indexed by joinID): the measured work ExplainPlans
-	// prints.
+	// Counters. joinStats, nil unless CountJoins turned counting on, tallies
+	// probes and returned candidates per compiled join step (indexed by
+	// joinID): the measured work ExplainPlans prints.
 	deltasProcessed int64
 	rulesFired      int64
 	joinStats       []joinStat
 
-	// The delta ring (apply.go): queue[qhead:] is pending work.
+	// The delta ring (apply.go): queue[qhead:] is pending work. Deposits
+	// wait here between runs, so the ring stays with the node.
 	queue []localDelta
 	qhead int
-	// The firings deferred by the current round's apply step, and the
-	// aggregate updates its fire step produced for the next one (rounds.go).
-	fires []fireItem
-	aggIn []aggItem
+	// sc is the round scratch, held only while the node runs (borrow); a
+	// held scratch also guards the executor against re-entry: a synchronous
+	// transport can deliver a message back to this node mid-run, and the
+	// delta is queued for the outer loop to pick up.
+	sc *scratch
 
 	// pool carves, recycles and keys the entries of every relation the node
 	// holds, keeps them and their index buckets in the node's two hash
@@ -104,26 +109,15 @@ type Node struct {
 	// the rule number and the group-by values (aggGroupAt).
 	aggGroups map[uint64]*aggGroup
 
-	// Scratch arenas, sized at program-compile time and reused across rule
-	// firings. Safe because firing never re-enters the evaluator: derived
-	// deltas are enqueued and processed by the next round.
-	envBuf   []types.Value
-	entBuf   []*entry
-	vidBuf   []types.ID
-	groupBuf []types.Value
 	// argArena backs emitted head arguments (and the group values
 	// aggregates retain): emitted tuples escape into relations and
 	// messages, so their args cannot live in reusable scratch.
 	argArena types.Arena[types.Value]
 
-	// Arenas for aggregate state: group structs and each group's first row,
-	// plus the scratch every group shares — the candidate output and emit
-	// list of one refresh, which each caller consumes before the next
-	// (aggGroup.refresh). Aggregates allocate one group per (rule, group-by)
-	// combination; boxing each struct individually was a leading allocation
-	// class in fixpoint profiles.
-	aggArgsBuf    []types.Value
-	aggEmitBuf    []aggEmit
+	// Arenas for aggregate state: group structs and each group's first row.
+	// Aggregates allocate one group per (rule, group-by) combination; boxing
+	// each struct individually was a leading allocation class in fixpoint
+	// profiles.
 	aggRowArena   types.Arena[*entry]
 	aggGroupArena types.Arena[aggGroup]
 
@@ -135,17 +129,6 @@ type Node struct {
 	stagedEnts   []*entry
 	stagedGroups []*aggGroup
 
-	// The delta currently being fired (set by firePhase and firePlan): its
-	// tuple and payload, read for an event, which has no entry, and its body
-	// position, against which join probes pick the old/new admission side.
-	fireTuple   types.Tuple
-	firePayload algebra.Payload
-	fireAtomPos int
-
-	// running guards the executor against re-entry: a synchronous transport
-	// can deliver a message back to this node mid-run; the delta is queued
-	// and the outer loop picks it up.
-	running bool
 	// curRound is the executor's monotone round counter (rounds.go).
 	curRound uint32
 }
@@ -182,12 +165,17 @@ func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node 
 		r := algebra.BDD(bdd.New(), func(b algebra.Base) bdd.Var { return n.Store.BaseVar(b.VID) })
 		n.Ring = &r
 	}
-	n.joinStats = make([]joinStat, prog.numJoins)
-	n.envBuf = make([]types.Value, prog.maxVars)
-	n.entBuf = make([]*entry, prog.maxAtoms)
-	n.vidBuf = make([]types.ID, prog.maxAtoms)
-	n.groupBuf = make([]types.Value, prog.maxGroup)
 	return n
+}
+
+// CountJoins turns on the node's join tallies, the probes and hits of every
+// compiled join step that ExplainPlans prints; call it before the node
+// evaluates anything. Counting is off by default: only -explain and tests
+// read the tallies, and a node that does not count holds no tally slice.
+func (n *Node) CountJoins() {
+	if n.joinStats == nil {
+		n.joinStats = make([]joinStat, n.Prog.numJoins)
+	}
 }
 
 // Kept only because bench/ calls them and no PR outside the benchmark's own
@@ -274,10 +262,11 @@ type joinStat struct {
 
 // ExplainPlans writes every rule's delta plans — join order, probe indexes,
 // pushed assignments and conditions — with the probes and hits each join
-// step has measured on this node so far. Rules print in program order and
-// steps in execution order; the text is a function of the node's history,
-// so equal runs print equal text. A pipeline is [planned] when its rule's
-// join order was a choice (three or more body atoms), [default] otherwise.
+// step has measured on this node so far (zero unless CountJoins turned
+// counting on). Rules print in program order and steps in execution order;
+// the text is a function of the node's history, so equal runs print equal
+// text. A pipeline is [planned] when its rule's join order was a choice
+// (three or more body atoms), [default] otherwise.
 func (n *Node) ExplainPlans(w io.Writer) {
 	for _, cr := range n.Prog.Rules {
 		fmt.Fprintf(w, "rule %s: %s\n", cr.Label, cr.source.String())
@@ -294,7 +283,10 @@ func (n *Node) ExplainPlans(w io.Writer) {
 			for _, st := range pl.steps {
 				switch st.kind {
 				case stepJoin:
-					js := n.joinStats[st.joinID]
+					var js joinStat
+					if n.joinStats != nil {
+						js = n.joinStats[st.joinID]
+					}
 					fmt.Fprintf(w, "    join %s idx[%s] probes=%d hits=%d\n",
 						cr.atoms[st.atom].pred, st.indexID, js.probes, js.hits)
 				case stepCond:
@@ -320,6 +312,9 @@ func (n *Node) PayloadOf(t types.Tuple) (p algebra.Payload, ok bool) {
 	info := n.lookup(t.Pred)
 	if info == nil {
 		return
+	}
+	if n.borrow() { // the lookup hashes in the scratch's key buffer
+		defer n.giveBack()
 	}
 	e := n.pool.get(info, t)
 	if e == nil || !e.visible {

@@ -26,6 +26,10 @@ type Program struct {
 	maxAtoms   int // widest rule body
 	maxGroup   int // widest aggregate group-by list
 
+	// scratches is the free list of round scratch every node of the program
+	// borrows from while it runs (scratch.go).
+	scratches scratchPool
+
 	// metaUsed reports that the program's own rules or facts name prov or
 	// ruleExec (the Algorithm 1 rewrite derives them). Otherwise only a
 	// centralized-mode node holds those two relations (tablesFor).

@@ -113,7 +113,9 @@ func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
 // key is the node's one byte scratch: relation keys, index keys, join probe
 // keys, aggregate group keys and the encodings VIDs and RIDs are hashed
 // from are all built in it. Every user hashes the bytes at once and never
-// reads them again, so no encode can clobber bytes still in use.
+// reads them again, so no encode can clobber bytes still in use. The buffer
+// belongs to the round scratch the node holds while it runs (Node.borrow);
+// a bare pool, or a node's outside a run, starts from nil.
 type entryPool struct {
 	entries   types.Arena[entry]
 	rows      types.Arena[provenance.ProvEntry]

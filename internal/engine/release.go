@@ -56,6 +56,10 @@ func (n *Node) minStagedStratum() int {
 // the confluence fence; nil (every driver) releases the whole stratum as one
 // batch.
 func (n *Node) releaseStratum(stratum int, limit *int) bool {
+	// A group's refresh runs in the round scratch, and emits into it.
+	if n.borrow() {
+		defer n.giveBack()
+	}
 	any := false
 	ents := n.stagedEnts
 	kept := ents[:0]

@@ -39,12 +39,13 @@ import (
 // fireItem is one deferred firing: either an event delta (fires with its
 // own sign and payload) or a stored entry touched this round (fires with its
 // net change and current payload, or not at all when the batch nets to
-// zero).
+// zero). A stored entry's tuple is read off the entry at fire time; only an
+// event's is kept, on the scratch's event list.
 type fireItem struct {
-	tuple   types.Tuple
-	occs    []occurrence
+	info    *PredInfo       // the delta's predicate: the occurrences it triggers
 	ent     *entry          // nil for events
 	payload algebra.Payload // value mode: an event's own; an entry's at round start
+	event   int32           // events only: the tuple's index in scratch.events
 	sign    int8            // events only; stored entries resolve at fire time
 }
 
@@ -62,13 +63,23 @@ type aggItem struct {
 // fire-list slot.
 //
 //exspan:hotpath
-func (n *Node) markTouched(e *entry, occs []occurrence) {
+func (n *Node) markTouched(e *entry, info *PredInfo) {
 	if e.touchRound == n.curRound {
 		return
 	}
 	e.touchRound = n.curRound
 	e.startVis = e.visible
-	n.fires = append(n.fires, fireItem{tuple: e.Tuple, occs: occs, ent: e, payload: e.payload})
+	n.sc.fires = append(n.sc.fires, fireItem{info: info, ent: e, payload: e.payload})
+}
+
+// markEvent puts an event delta on the fire list: it fires with its own
+// sign and payload.
+//
+//exspan:hotpath
+func (n *Node) markEvent(d *localDelta, info *PredInfo) {
+	sc := n.sc
+	sc.fires = append(sc.fires, fireItem{info: info, payload: d.payload, event: int32(len(sc.events)), sign: d.sign})
+	sc.events = append(sc.events, d.tuple)
 }
 
 // applyPhase drains the delta ring and applies the aggregate updates the
@@ -82,15 +93,16 @@ func (n *Node) applyPhase() {
 	}
 	// Sweeps run only at the end of a round, so a queued entry may be
 	// unpinned before its update applies.
-	for i := range n.aggIn {
-		it := &n.aggIn[i]
+	sc := n.sc
+	for i := range sc.aggIn {
+		it := &sc.aggIn[i]
 		it.ent.aggQueued = false
 		if n.Err == nil {
 			n.applyAgg(it.g, it.ent, it.sign)
 		}
 	}
-	clear(n.aggIn)
-	n.aggIn = n.aggIn[:0]
+	clear(sc.aggIn)
+	sc.aggIn = sc.aggIn[:0]
 }
 
 // firePhase evaluates the deferred firings against the frozen post-apply
@@ -100,11 +112,12 @@ func (n *Node) applyPhase() {
 //
 //exspan:hotpath
 func (n *Node) firePhase() {
-	for i := range n.fires {
+	sc := n.sc
+	for i := range sc.fires {
 		if n.Err != nil {
 			break
 		}
-		it := &n.fires[i]
+		it := &sc.fires[i]
 		sign, payload := it.sign, it.payload
 		if e := it.ent; e != nil {
 			switch {
@@ -117,25 +130,30 @@ func (n *Node) firePhase() {
 			default:
 				continue // net zero: transient within the round
 			}
-			payload = e.payload
+			sc.fireTuple, payload = e.Tuple, e.payload
+		} else {
+			sc.fireTuple = sc.events[it.event]
 		}
-		n.fireTuple, n.firePayload = it.tuple, payload
-		n.fireAll(it.occs, sign, it.ent)
+		sc.firePayload = payload
+		n.fireAll(it.info.occs, sign, it.ent)
 	}
-	n.fireTuple = types.Tuple{} // hold no fired tuple's arguments past the phase
+	sc.fireTuple = types.Tuple{} // hold no fired tuple's arguments past the phase
 }
 
 // endRound closes a round: entries whose net transition was to invisible
 // leave the indexes now that no probe of the round can still want their
 // start-of-round state, and tombstone-dominated relations are swept.
 func (n *Node) endRound() {
-	for i := range n.fires {
-		if e := n.fires[i].ent; e != nil && !e.visible && e.indexed {
+	sc := n.sc
+	for i := range sc.fires {
+		if e := sc.fires[i].ent; e != nil && !e.visible && e.indexed {
 			n.pool.unindex(n.Prog.tables[e.table], e)
 		}
 	}
-	clear(n.fires)
-	n.fires = n.fires[:0]
+	clear(sc.fires)
+	sc.fires = sc.fires[:0]
+	clear(sc.events)
+	sc.events = sc.events[:0]
 	for _, info := range n.Prog.tables[:len(n.pool.counts)] {
 		if n.pool.sweepDue(info) {
 			n.pool.sweep(info)
@@ -143,16 +161,15 @@ func (n *Node) endRound() {
 	}
 }
 
-// runRounds executes rounds until the node is locally quiescent.
-// Re-entrant calls (a synchronous transport delivering a message back to
-// this node mid-fire) just deposit and return — the loop picks the work up
-// next round.
+// runRounds executes rounds until the node is locally quiescent, on a
+// scratch it borrows for the run and returns at quiescence. Re-entrant calls
+// (a synchronous transport delivering a message back to this node mid-fire)
+// find the scratch held and return — the loop picks the work up next round.
 func (n *Node) runRounds() {
-	if n.running {
+	if !n.borrow() {
 		return
 	}
-	n.running = true
-	defer func() { n.running = false }()
+	defer n.giveBack()
 	for n.Err == nil && n.pending() {
 		n.curRound++
 		n.applyPhase()

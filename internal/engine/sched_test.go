@@ -415,3 +415,28 @@ func TestValueModeSchedulerIndependentOfWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchFreeListFollowsWorkers: the nodes of a cluster share their
+// program's round scratches, so after a Scheduler run the program's free
+// list holds at least one and at most one per worker, and no node holds one.
+// A node that kept its scratch, or a scratch borrowed per node, breaks it.
+func TestScratchFreeListFollowsWorkers(t *testing.T) {
+	topo := topology.Ring(64, rand.New(rand.NewSource(3)))
+	for _, workers := range []int{1, 4} {
+		prog, err := Compile(apps.Chord())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScheduler(prog, ProvReference, topo.N, 0, workers)
+		apps.BootEDB(topo, true, apps.ChordBase(topo), s.InsertBase)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckQuiescent(s.nodes); err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if got := len(prog.scratches.free); got == 0 || got > workers {
+			t.Fatalf("%d workers: the free list holds %d scratches, want 1 to %d", workers, got, workers)
+		}
+	}
+}

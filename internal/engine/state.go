@@ -122,8 +122,8 @@ func stateLines(n *Node) []string {
 // CheckQuiescent reports the first invariant the nodes break, or nil. At
 // every fixpoint, on every node:
 //
-//   - there is no evaluation error, no pending delta, firing or aggregate
-//     update, and nothing staged for release;
+//   - there is no evaluation error, the node holds no round scratch, and
+//     nothing is pending or staged for release;
 //   - an entry's vertex is registered in the store if and only if the node
 //     runs reference mode, the entry is not a prov or ruleExec tuple, and it
 //     has rows;
@@ -147,9 +147,10 @@ func (n *Node) checkQuiescent() error {
 	switch {
 	case n.Err != nil:
 		return n.Err
-	case n.pending() || len(n.fires) > 0:
-		return fmt.Errorf("%d deltas, %d firings and %d aggregate updates pending",
-			len(n.queue)-n.qhead, len(n.fires), len(n.aggIn))
+	case n.sc != nil:
+		return fmt.Errorf("holds a round scratch (%d firings, %d aggregate updates)", len(n.sc.fires), len(n.sc.aggIn))
+	case n.pending():
+		return fmt.Errorf("%d deltas pending", len(n.queue)-n.qhead)
 	case len(n.stagedEnts)+len(n.stagedGroups) > 0:
 		return fmt.Errorf("%d entries and %d aggregate groups staged", len(n.stagedEnts), len(n.stagedGroups))
 	}
