@@ -82,7 +82,7 @@ chaos-smoke:
 # of the workload suite's largest topology must agree bit for bit (delta
 # counts, wire bytes, sampled relation state) and a converged node may retain
 # at most 9,500 B — and the 400-node MINCOST row of the scaling table (pinned
-# delta count of 719,584, ≤ 430 B retained per delta). The process may
+# delta count of 719,584, ≤ 356 B retained per delta). The process may
 # obtain at most 2 GiB from the OS. Both are skipped under
 # -short, so `go test -short ./...` stays fast; this target runs them by name.
 scale-smoke:

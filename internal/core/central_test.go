@@ -191,11 +191,16 @@ func TestStoreGraphSurvivesStoreWrites(t *testing.T) {
 			rows = append(rows, e)
 		})
 		for _, e := range rows {
+			num := slices.IndexFunc(c.Prog.Rules, func(r *engine.CompiledRule) bool { return r.Label == e.Rule })
+			inputs := make([]*provenance.Vertex, len(e.VIDList))
+			for i, vid := range e.VIDList {
+				inputs[i] = s.Lookup(vid)
+			}
 			for range e.Count {
 				s.DelRuleExec(e.RID)
 			}
 			for range e.Count {
-				s.AddRuleExec(e.RID, e.Rule, e.VIDList)
+				s.AddRuleExec(e.RID, num, e.Rule, inputs)
 			}
 		}
 		moved += len(rows)

@@ -170,9 +170,11 @@ func liveHeap() uint64 {
 // string-keyed relation entries, ≈ 689 B with hash-keyed rows, ≈ 560 B
 // once a stored tuple became its own provenance vertex, ≈ 514 B once
 // ruleExec rows became column tables, ≈ 443 B once aggregate rows
-// became handles to their input entries, and ≈ 417 B once a node's
-// relations shared one entry pool. Gated behind -short; `make
-// scale-smoke` runs it.
+// became handles to their input entries, ≈ 417 B once a node's
+// relations shared one entry pool, ≈ 399 B after further trims, and
+// ≈ 343 B once a ruleExec row named its inputs by 4-byte vertex handle and
+// the store's VID and RID maps became tables of 4-byte positions. Gated
+// behind -short; `make scale-smoke` runs it.
 func TestScaleMinCost400(t *testing.T) {
 	if testing.Short() {
 		t.Skip("400-node MINCOST smoke")
@@ -180,7 +182,7 @@ func TestScaleMinCost400(t *testing.T) {
 	const (
 		nodes       = 400
 		wantDeltas  = 719584
-		maxPerDelta = 430
+		maxPerDelta = 356
 		maxSys      = 2 << 30
 	)
 	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))

@@ -66,3 +66,33 @@ func sameTraffic(t *testing.T, label string, want, got stats.Traffic) {
 		label, want.TotalBytes, got.TotalBytes, differ(want.SentBytes, got.SentBytes),
 		differ(want.SentMsgs, got.SentMsgs), differ(want.RecvBytes, got.RecvBytes), len(want.SentBytes))
 }
+
+// TestSameRoundFlapKeepsRuleExecInputs: a link deleted and inserted again
+// within one Scheduler round nets to no change, so the ruleExec rows that
+// read it stay, while its vertex leaves the store and registers again. A
+// link inserted between the two registers a vertex of its own, which takes
+// whatever handle the store has freed. The rows must still name the flapped
+// link — CheckQuiescent rehashes every row's RID from the VIDs its input
+// handles resolve to — and the fixpoint must be the simulator's with only
+// the new link inserted. A store that released the link's handle when its
+// vertex left (or the engine at bury, which the flap also passes through)
+// hands that handle to the new link, and the check fails.
+func TestSameRoundFlapKeepsRuleExecInputs(t *testing.T) {
+	cfg := core.Config{Topo: topology.Figure3(), Prog: apps.MinCost(), Mode: engine.ProvReference}
+	flap, extra := apps.LinkTuple(0, 1, 3), apps.LinkTuple(0, 3, 9)
+	s := drivertest.Scheduler(t, cfg, 1)
+	s.Delete(flap)
+	s.Insert(extra)
+	s.Insert(flap)
+	if err := s.Fixpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := drivertest.Simnet(t, cfg)
+	want.Insert(extra)
+	if err := want.Fixpoint(); err != nil {
+		t.Fatal(err)
+	}
+	drivertest.CheckQuiescent(t, s)
+	drivertest.CheckQuiescent(t, want)
+	drivertest.SameState(t, "simnet vs a scheduler round that flaps a link", want.Engines(), s.Engines())
+}

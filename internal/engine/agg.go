@@ -43,7 +43,7 @@ func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
 			out.Pred = rule.HeadPred
 			vids := n.sc.vidBuf[:1]
 			vids[0], n.pool.key = e.VIDBuf(n.pool.key)
-			n.emit(rule.Label, out, n.ID, vids, Update, e.payload)
+			n.emit(rule, out, n.ID, vids, nil, Update, e.payload)
 		}
 		return
 	}
@@ -134,9 +134,10 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 		n.route(out, n.ID, em.sign, types.ZeroID, noPayload)
 		return
 	}
-	vids := n.sc.vidBuf[:1]
+	vids, inputs := n.sc.vidBuf[:1], n.sc.vertBuf[:1]
 	vids[0], n.pool.key = em.winner.VIDBuf(n.pool.key)
-	n.emit(rule.Label, out, n.ID, vids, em.sign, em.winner.payload)
+	inputs[0] = &em.winner.Vertex
+	n.emit(rule, out, n.ID, vids, inputs, em.sign, em.winner.payload)
 }
 
 // aggGroup maintains one group of an aggregate rule: its group-by values,

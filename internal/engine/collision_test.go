@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ndlog"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -90,7 +91,7 @@ func TestRelationHashCollision(t *testing.T) {
 		gone.DelRow(types.ZeroID)
 		p.setVisible(rr, gone, false)
 		p.unindex(rr, gone)
-		p.sweep(rr)
+		p.sweep(rr, provenance.NewStore(0))
 		if p.find(rr, collidingHash, retire.Args) != nil {
 			t.Fatalf("swept %v still found", retire)
 		}
@@ -110,7 +111,7 @@ func TestRelationHashCollision(t *testing.T) {
 		ke.DelRow(types.ZeroID)
 		p.setVisible(kr, ke, false)
 		p.unindex(kr, ke)
-		p.sweep(rr)
+		p.sweep(rr, provenance.NewStore(0))
 		if p.find(kr, collidingHash, kept.Args) != ke || p.counts[kr.tableID].dead != 1 {
 			t.Fatalf("sweeping %s reclaimed the %s tombstone", retire.Pred, kept.Pred)
 		}

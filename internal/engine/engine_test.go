@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/ndlog"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -339,6 +341,25 @@ r2 p(@X,Y) :- s(@X,Y).
 `))
 	if err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+}
+
+// TestRuleCountBounded: a rule's number names its ruleExec table in a
+// node's store, which numbers provenance.MaxRules tables; Compile rejects a
+// program with more rules and accepts one with exactly that many.
+func TestRuleCountBounded(t *testing.T) {
+	src := func(rules int) string {
+		var b strings.Builder
+		for i := range rules {
+			fmt.Fprintf(&b, "r%d out(@X,Y) :- in(@X,Y).\n", i)
+		}
+		return b.String()
+	}
+	if _, err := Compile(ndlog.MustParse(src(provenance.MaxRules))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(ndlog.MustParse(src(provenance.MaxRules + 1))); err == nil {
+		t.Fatalf("a program of %d rules compiled", provenance.MaxRules+1)
 	}
 }
 

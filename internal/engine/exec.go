@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -149,13 +150,18 @@ func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value, ments []*en
 	}
 
 	sc := n.sc
-	inputVIDs := sc.vidBuf[:len(ments)]
+	inputVIDs, inputs := sc.vidBuf[:len(ments)], sc.vertBuf[:len(ments)]
 	for i, e := range ments {
 		if e != nil {
 			inputVIDs[i], n.pool.key = e.VIDBuf(n.pool.key)
+			inputs[i] = &e.Vertex
 		} else {
-			// Event input: transient, no entry to cache on.
+			// Event input: transient, no entry to cache on. A reference-mode
+			// row names the vertex the store holds for it.
 			inputVIDs[i], n.pool.key = sc.fireTuple.VIDBuf(n.pool.key)
+			if n.Mode == ProvReference && sign == Insert {
+				inputs[i] = n.Store.Vertex(inputVIDs[i], sc.fireTuple)
+			}
 		}
 	}
 	var payload algebra.Payload
@@ -169,30 +175,30 @@ func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value, ments []*en
 			payload = n.Ring.Mul(payload, p)
 		}
 	}
-	n.emit(rule.Label, head, dst, inputVIDs, sign, payload)
+	n.emit(rule, head, dst, inputVIDs, inputs, sign, payload)
 }
 
-// emit records one derivation of head — rule label over the input VIDs —
-// and routes it to dst: the one derivation record of plain and aggregate
-// rules. The RID names the derivation in every mode. A change of payload
-// alone (Update) writes no row; otherwise reference mode writes the ruleExec
-// row here, and centralized mode relays it and the head's prov row to the
-// server, since the deriving node knows the whole derivation. Reverse
-// (parent) edges are installed by the query processor when it caches a
-// traversal (§6.1), so no per-input edge is maintained on this path.
+// emit records one derivation of head — rule over the inputs, whose VIDs are
+// inputVIDs — and routes it to dst: the one derivation record of plain and
+// aggregate rules. The RID names the derivation in every mode. A change of
+// payload alone (Update) writes no row; otherwise reference mode writes the
+// ruleExec row here, and centralized mode relays it and the head's prov row
+// to the server, since the deriving node knows the whole derivation.
+// Reverse (parent) edges are installed by the query processor when it
+// caches a traversal (§6.1), so no per-input edge is maintained on this path.
 //
 //exspan:hotpath
-func (n *Node) emit(label string, head types.Tuple, dst types.NodeID, inputVIDs []types.ID, sign int8, payload algebra.Payload) {
+func (n *Node) emit(rule *CompiledRule, head types.Tuple, dst types.NodeID, inputVIDs []types.ID, inputs []*provenance.Vertex, sign int8, payload algebra.Payload) {
 	var rid types.ID
-	rid, n.pool.key = types.RuleExecIDBuf(label, n.ID, inputVIDs, n.pool.key)
+	rid, n.pool.key = types.RuleExecIDBuf(rule.Label, n.ID, inputVIDs, n.pool.key)
 	if sign != Update {
 		switch n.Mode {
 		case ProvReference:
-			n.ruleExecRow(rid, label, inputVIDs, sign)
+			n.ruleExecRow(rid, rule, inputs, sign)
 		case ProvCentralized:
 			var headVID types.ID
 			headVID, n.pool.key = head.VIDBuf(n.pool.key)
-			n.sendRuleExecRow(rid, label, inputVIDs, sign)
+			n.sendRuleExecRow(rid, rule.Label, inputVIDs, sign)
 			n.sendProvRow(dst, headVID, rid, n.ID, sign)
 		}
 	}
@@ -202,9 +208,9 @@ func (n *Node) emit(label string, head types.Tuple, dst types.NodeID, inputVIDs 
 // ruleExecRow writes one ruleExec-row change into the node's store.
 //
 //exspan:hotpath
-func (n *Node) ruleExecRow(rid types.ID, label string, inputVIDs []types.ID, sign int8) {
+func (n *Node) ruleExecRow(rid types.ID, rule *CompiledRule, inputs []*provenance.Vertex, sign int8) {
 	if sign == Insert {
-		n.Store.AddRuleExec(rid, label, inputVIDs)
+		n.Store.AddRuleExec(rid, rule.idx, rule.Label, inputs)
 	} else {
 		n.Store.DelRuleExec(rid)
 	}

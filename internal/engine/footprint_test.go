@@ -35,13 +35,14 @@ func liveHeap() uint64 {
 // per node instead of arenas per relation ≈ 17.3 KB, with one tuple map
 // and one index map per node instead of a map per relation and per index
 // ≈ 13.7 KB, with a relation's counts in the pool and every rule's
-// aggregate groups in one map ≈ 13.1 KB, and with the round scratch borrowed
+// aggregate groups in one map ≈ 13.1 KB, with the round scratch borrowed
 // from the program while a node runs and the join tallies off unless asked
-// for ≈ 11.0 KB.
+// for ≈ 11.0 KB, and with ruleExec inputs named by 4-byte vertex handles and
+// the store's digest maps turned into position indexes ≈ 10.0 KB.
 func TestNodeFootprintFollowsState(t *testing.T) {
 	const (
 		nodes      = 300
-		maxPerNode = 11400
+		maxPerNode = 10350
 	)
 	topo := topology.Ring(nodes, rand.New(rand.NewSource(1)))
 	base := apps.ChordBase(topo)
@@ -98,13 +99,16 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 // became pointer-free column tables (no row struct, rule string or slice
 // header per rule execution), ≈ 499 B once an aggregate row became a
 // handle to its input entry (no tuple copy per row or winner copy per
-// group), and ≈ 454 B once a node's relations shared one entry pool and
-// its head arguments came from 64-value chunks.
+// group), ≈ 454 B once a node's relations shared one entry pool and its
+// head arguments came from 64-value chunks, ≈ 428 B after further trims,
+// and ≈ 375 B once a ruleExec row named its inputs by 4-byte vertex handle
+// and the store's VID and RID maps became open-addressed tables of 4-byte
+// positions.
 func TestMinCostBytesPerDelta(t *testing.T) {
 	const (
 		nodes       = 100
 		wantDeltas  = 45292
-		maxPerDelta = 470
+		maxPerDelta = 390
 	)
 	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))
 	prog, err := Compile(apps.MinCost())

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ndlog"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -415,7 +416,7 @@ func TestSweepSparesRetractingEntry(t *testing.T) {
 	if !p.sweepDue(rel) {
 		t.Fatal("vacuous: the sweep threshold is not reached; threshold assumptions stale")
 	}
-	p.sweep(rel)
+	p.sweep(rel, provenance.NewStore(0))
 	if got := len(p.free); got != n {
 		t.Fatalf("end-of-round sweep reclaimed %d of %d tombstones", got, n)
 	}

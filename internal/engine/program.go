@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/ndlog"
+	"repro/internal/provenance"
 )
 
 // Program is a compiled NDlog program shared (immutably) by every node.
@@ -90,7 +91,7 @@ type CompiledRule struct {
 	atoms       []*atomSpec
 	plans       []*plan  // one per body atom position, chosen at Compile
 	agg         *AggSpec // non-nil for aggregate rules
-	idx         int      // position in Program.Rules; tags the rule's aggregate groups
+	idx         int      // position in Program.Rules; tags the rule's aggregate groups and ruleExec rows
 	prog        *Program // declares the indexes its plans' join steps probe
 	source      *ndlog.Rule
 	slots       map[string]int // variable -> env slot
@@ -127,6 +128,9 @@ type atomSpec struct {
 func Compile(p *ndlog.Program) (*Program, error) {
 	if err := ndlog.Validate(p); err != nil {
 		return nil, err
+	}
+	if len(p.Rules) > provenance.MaxRules {
+		return nil, fmt.Errorf("engine: %d rules, more than the %d a provenance store can number", len(p.Rules), provenance.MaxRules)
 	}
 	prog := &Program{
 		byBodyPred: make(map[string][]occurrence),

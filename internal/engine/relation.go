@@ -436,7 +436,9 @@ func (p *entryPool) sweepDue(info *PredInfo) bool {
 // Swept entries are cleared (releasing their tuples) and handed to the
 // node's free list, for any relation to reuse. A tombstone still pinned by
 // the staged list or an aggregate update stays, and stays counted.
-func (p *entryPool) sweep(info *PredInfo) {
+// A swept entry's vertex frees any handle it still holds in the store (one
+// of a meta tuple, whose rows the store never saw).
+func (p *entryPool) sweep(info *PredInfo, store *provenance.Store) {
 	// Free-list order only decides which cleared box getOrCreate reuses;
 	// entry pointer identity never reaches state, ordering or the wire.
 	table := uint16(info.tableID)
@@ -448,6 +450,7 @@ func (p *entryPool) sweep(info *PredInfo) {
 		if e.dead {
 			c.dead--
 		}
+		store.Release(&e.Vertex)
 		*e = entry{}
 		p.free = append(p.free, e)
 		return true

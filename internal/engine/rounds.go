@@ -156,7 +156,7 @@ func (n *Node) endRound() {
 	sc.events = sc.events[:0]
 	for _, info := range n.Prog.tables[:len(n.pool.counts)] {
 		if n.pool.sweepDue(info) {
-			n.pool.sweep(info)
+			n.pool.sweep(info, n.Store)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -127,7 +128,8 @@ func (s *Scheduler) Err() error {
 // phase-2 work (suspects with surviving alternate derivations, deferred
 // aggregate winner promotions) is released there, in node order, and the
 // rounds resume until nothing further is staged. It returns the first
-// engine error, if any.
+// engine error, if any, or names a node still pending after its run, which
+// could not start (it held a round scratch) and would be selected forever.
 func (s *Scheduler) Run() error {
 	if s.scratch == nil {
 		s.scratch = make([]*Node, 0, len(s.nodes))
@@ -151,6 +153,11 @@ func (s *Scheduler) Run() error {
 		s.runLocal(active)
 		if err := s.Err(); err != nil {
 			return err
+		}
+		for _, n := range active {
+			if n.pending() {
+				return fmt.Errorf("engine: node %d processed no delta in its run, %d still queued", int(n.ID), len(n.queue)-n.qhead)
+			}
 		}
 		s.deliver()
 	}

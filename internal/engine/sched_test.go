@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/ndlog"
@@ -438,5 +440,33 @@ func TestScratchFreeListFollowsWorkers(t *testing.T) {
 		if got := len(prog.scratches.free); got == 0 || got > workers {
 			t.Fatalf("%d workers: the free list holds %d scratches, want 1 to %d", workers, got, workers)
 		}
+	}
+}
+
+// TestSchedulerRunStopsOnStalledNode: a node whose run cannot start — it
+// holds a round scratch already — while a deposited base tuple waits is
+// still pending after every round it is selected for. Run must return an
+// error naming it instead of selecting it again forever.
+func TestSchedulerRunStopsOnStalledNode(t *testing.T) {
+	prog, err := Compile(apps.MinCost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(prog, ProvReference, 2, 0, 1)
+	n := s.Node(1)
+	if !n.borrow() {
+		t.Fatal("a fresh node holds a scratch")
+	}
+	defer n.giveBack()
+	s.InsertBase(1, types.NewTuple("link", types.Node(1), types.Node(0), types.Int(1)))
+	done := make(chan error, 1)
+	go func() { done <- s.Run() }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "node 1 ") {
+			t.Fatalf("Run = %v, want an error naming node 1", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run keeps selecting a node that makes no progress")
 	}
 }

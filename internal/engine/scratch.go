@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/algebra"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -23,13 +24,14 @@ type scratch struct {
 	events []types.Tuple
 	aggIn  []aggItem
 
-	// One rule firing's environment, matched entries and input VIDs, and one
-	// aggregate firing's group-by values, sized at compile time. Safe
-	// because firing never re-enters the evaluator: derived deltas are
-	// enqueued and processed by the next round.
+	// One rule firing's environment, matched entries, input VIDs and input
+	// vertices, and one aggregate firing's group-by values, sized at compile
+	// time. Safe because firing never re-enters the evaluator: derived
+	// deltas are enqueued and processed by the next round.
 	envBuf   []types.Value
 	entBuf   []*entry
 	vidBuf   []types.ID
+	vertBuf  []*provenance.Vertex
 	groupBuf []types.Value
 	// The candidate output and emit list of one aggregate refresh, which
 	// each caller consumes before the next (aggGroup.refresh).
@@ -70,6 +72,7 @@ func (sp *scratchPool) get(prog *Program) *scratch {
 			envBuf:   make([]types.Value, prog.maxVars),
 			entBuf:   make([]*entry, prog.maxAtoms),
 			vidBuf:   make([]types.ID, prog.maxAtoms),
+			vertBuf:  make([]*provenance.Vertex, prog.maxAtoms),
 			groupBuf: make([]types.Value, prog.maxGroup),
 		}
 	}
@@ -109,6 +112,7 @@ func (n *Node) giveBack() {
 	clear(sc.aggIn)
 	sc.aggIn = sc.aggIn[:0]
 	clear(sc.entBuf)
+	clear(sc.vertBuf)
 	clear(sc.aggEmitBuf[:cap(sc.aggEmitBuf)])
 	sc.fireTuple = types.Tuple{}
 	n.Prog.scratches.put(sc)

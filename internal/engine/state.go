@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
@@ -133,7 +134,9 @@ func stateLines(n *Node) []string {
 //   - every relation's visible and tombstone counts are what a walk of the
 //     node's entries finds;
 //   - for a program without events, the store holds exactly the registered
-//     entries' prov rows.
+//     entries' prov rows;
+//   - every ruleExec row's input handles name vertices of the store whose
+//     VIDs rehash to its RID (Store.CheckRuleExecs).
 func CheckQuiescent(nodes []*Node) error {
 	for _, n := range nodes {
 		if err := n.checkQuiescent(); err != nil {
@@ -175,6 +178,9 @@ func (n *Node) checkQuiescent() error {
 	events := slices.ContainsFunc(n.Prog.Preds(), func(p *PredInfo) bool { return p.Event })
 	if got := n.Store.NumProv(); !events && got != rows {
 		return fmt.Errorf("store holds %d prov rows, registered entries %d", got, rows)
+	}
+	if err := n.Store.CheckRuleExecs(); err != nil {
+		return err
 	}
 	return n.pool.checkCounts()
 }
@@ -224,13 +230,18 @@ func FromRewrite(rw *Node) *Node {
 		vid := p.Args[1].AsID()
 		n.Store.AddProv(n.Store.Vertex(vid, byVID[vid]), p.Args[2].AsID(), p.Args[3].AsNode())
 	}
+	// The rows name the original program's rules: number them as they come.
+	nums := map[string]int{}
 	for _, r := range rw.Tuples("ruleExec") { // ruleExec(@RLoc, RID, R, VIDList)
-		list := r.Args[3].AsList()
-		vids := make([]types.ID, len(list))
+		label, list := r.Args[2].AsStr(), r.Args[3].AsList()
+		inputs := make([]*provenance.Vertex, len(list))
 		for i, v := range list {
-			vids[i] = v.AsID()
+			inputs[i] = n.Store.Vertex(v.AsID(), byVID[v.AsID()])
 		}
-		n.Store.AddRuleExec(r.Args[1].AsID(), r.Args[2].AsStr(), vids)
+		if _, ok := nums[label]; !ok {
+			nums[label] = len(nums)
+		}
+		n.Store.AddRuleExec(r.Args[1].AsID(), nums[label], label, inputs)
 	}
 	return n
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // execRIDs is the RID pool of the ruleExec table tests: pairs (2i, 2i+1)
-// share their eight-byte map key, so half of the rows an operation sequence
-// creates live in the spill map.
+// share their first eight bytes, so they start their probe at one slot of
+// the RID index and one of each pair sits further down the chain.
 var execRIDs = func() []types.ID {
 	ids := make([]types.ID, 32)
 	for i := 0; i < len(ids); i += 2 {
@@ -21,33 +21,36 @@ var execRIDs = func() []types.ID {
 	return ids
 }()
 
-// execRules is indexed by two bits, so one of the three rules appears twice.
-var execRules = [...]string{"r0", "r1", "r2", "r0"}
+// execRules are the labels of rule numbers 0-3; rule r has r inputs.
+var execRules = [...]string{"r0", "r1", "r2", "r3"}
 
-// execInputs returns the input VIDs of RID pool entry i at the given arity.
-func execInputs(i, arity int) []types.ID {
-	vids := make([]types.ID, arity)
-	for j := range vids {
-		vids[j] = tid(fmt.Sprint("in", (i*5+j)%11))
+// execVerts returns the vertex pool of the ruleExec table tests: pairs
+// (2i, 2i+1) share their first eight bytes, as execRIDs do.
+func execVerts() []*Vertex {
+	vs := make([]*Vertex, 12)
+	for i := 0; i < len(vs); i += 2 {
+		a, b := sharedPrefix(fmt.Sprint("in", i))
+		vs[i], vs[i+1] = &Vertex{VID: a}, &Vertex{VID: b}
+	}
+	return vs
+}
+
+// execInputs returns the inputs of RID pool entry i under rule r: r
+// vertices of the pool, starting at an offset.
+func execInputs(vs []*Vertex, i, r, off int) []*Vertex {
+	in := make([]*Vertex, r)
+	for j := range in {
+		in[j] = vs[(i*5+j+off)%len(vs)]
+	}
+	return in
+}
+
+func vidsOf(vs []*Vertex) []types.ID {
+	vids := make([]types.ID, len(vs))
+	for i, v := range vs {
+		vids[i] = v.VID
 	}
 	return vids
-}
-
-// execOp decodes one two-byte operation: the first byte's low bit deletes,
-// bits 1-2 pick the rule and bits 3-4 the arity; the second byte picks the
-// RID.
-func execOp(a, b byte) (del bool, rid types.ID, rule string, inputs []types.ID) {
-	i := int(b) % len(execRIDs)
-	return a&1 == 1, execRIDs[i], execRules[a>>1&3], execInputs(i, int(a>>3&3))
-}
-
-// renderExec renders a row as RuleExecRows does for a store with no tuples.
-func renderExec(node types.NodeID, e RuleExecEntry) string {
-	vids := make([]string, len(e.VIDList))
-	for i, v := range e.VIDList {
-		vids[i] = v.Short()
-	}
-	return fmt.Sprintf("%s | %s | %s | (%s)", node, e.RID.Short(), e.Rule, strings.Join(vids, ","))
 }
 
 func sameExec(a, b RuleExecEntry) bool {
@@ -55,27 +58,37 @@ func sameExec(a, b RuleExecEntry) bool {
 }
 
 // FuzzRuleExecTable replays a sequence of ruleExec adds and deletes — over
-// several rules, arities 0-3 and RIDs that share map keys — on a Store and
-// on a naive map of rows, and after every operation compares every read
-// path: RuleExecOf on the whole RID pool, NumRuleExec, the ForEachRuleExec
-// set and RuleExecRows. A delete that empties a row moves its table's last
-// row into the hole, so a wrong repoint of the moved row's prefix or spill
-// entry shows up as a lost, stale or misattributed row.
+// rules of 0-3 inputs, input vertices named by handle, and RIDs and VIDs
+// that share probe chains — on a Store and on a naive map of rows, and
+// after every operation compares every read path: RuleExecOf on the whole
+// RID pool, NumRuleExec, the ForEachRuleExec set and RuleExecRows. A third
+// operation registers or forgets an input vertex (AddProv / DelProv), which
+// must not change what the rows that name it read. A delete that empties a
+// row moves its table's last row into the hole and shifts its probe chain
+// back, so a wrong repoint of the moved row or a broken chain shows up as a
+// lost, stale or misattributed row.
+//
+// An operation is two bytes: the first byte's bit 0 deletes, bit 6 toggles
+// a vertex's registration instead, bits 1-2 pick the rule and bits 3-5 the
+// input offset; the second byte picks the RID, or the vertex.
 func FuzzRuleExecTable(f *testing.F) {
-	add := func(rule, arity, rid int) []byte { return []byte{byte(rule<<1 | arity<<3), byte(rid)} }
+	add := func(rule, off, rid int) []byte { return []byte{byte(rule<<1 | off<<3), byte(rid)} }
 	del := func(rid int) []byte { return []byte{1, byte(rid)} }
+	toggle := func(v int) []byte { return []byte{1 << 6, byte(v)} }
 	seq := func(ops ...[]byte) []byte { return slices.Concat(ops...) }
-	// The moved row lives in the spill map: 0 (prefix) and 1 (spill) share
-	// a key; deleting 2 moves 1 into its row.
-	f.Add(seq(add(1, 2, 0), add(1, 2, 2), add(1, 2, 1), del(2), del(0), del(1)))
-	// The moved row holds the prefix slot while the removed one is in spill.
-	f.Add(seq(add(0, 1, 4), add(0, 1, 5), add(0, 1, 6), del(5), del(4), del(6)))
-	// Counts above one, arity 0, and rows across several tables.
-	f.Add(seq(add(2, 0, 8), add(2, 0, 8), add(0, 3, 9), add(2, 0, 10), del(8), del(10), add(0, 3, 11), del(8), del(9)))
+	// The moved row sits down the probe chain: 0 (home) and 1 share a
+	// prefix; deleting 2 moves 1 into its row.
+	f.Add(seq(add(2, 0, 0), add(2, 0, 2), add(2, 0, 1), del(2), del(0), del(1)))
+	// The moved row holds the home slot while the removed one is down it.
+	f.Add(seq(add(1, 0, 4), add(1, 0, 5), add(1, 0, 6), del(5), del(4), del(6)))
+	// Counts above one, no inputs, and rows across several tables.
+	f.Add(seq(add(0, 0, 8), add(0, 0, 8), add(3, 1, 9), add(0, 0, 10), del(8), del(10), add(3, 2, 11), del(8), del(9)))
+	// Inputs registered, forgotten and registered again under their rows.
+	f.Add(seq(toggle(0), toggle(1), add(2, 0, 0), add(3, 1, 1), toggle(0), toggle(1), toggle(0), del(0), toggle(0)))
 	// Remove every row from the front, so each delete moves the last row.
 	ops := [][]byte{}
 	for i := range 12 {
-		ops = append(ops, add(1, 2, i))
+		ops = append(ops, add(2, i%8, i))
 	}
 	for i := range 12 {
 		ops = append(ops, del(i))
@@ -84,11 +97,21 @@ func FuzzRuleExecTable(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewStore(3)
+		vs := execVerts()
 		naive := map[types.ID]RuleExecEntry{}
 		for i := 0; i+1 < len(data); i += 2 {
-			isDel, rid, rule, inputs := execOp(data[i], data[i+1])
+			a, b := data[i], data[i+1]
+			rid := execRIDs[int(b)%len(execRIDs)]
 			e, had := naive[rid]
-			if isDel {
+			switch {
+			case a&(1<<6) != 0:
+				v := vs[int(b)%len(vs)]
+				if len(v.Rows) == 0 {
+					s.AddProv(v, types.ZeroID, 0)
+				} else {
+					s.DelProv(v, types.ZeroID)
+				}
+			case a&1 == 1:
 				if got := s.DelRuleExec(rid); got != had {
 					t.Fatalf("op %d: DelRuleExec(%s) = %v, want %v", i/2, rid.Short(), got, had)
 				}
@@ -97,21 +120,24 @@ func FuzzRuleExecTable(f *testing.F) {
 				} else {
 					delete(naive, rid)
 				}
-			} else {
-				s.AddRuleExec(rid, rule, inputs)
+			default:
+				r := int(a >> 1 & 3)
+				inputs := execInputs(vs, int(b)%len(execRIDs), r, int(a>>3&7))
+				s.AddRuleExec(rid, r, execRules[r], inputs)
 				if !had {
-					e = RuleExecEntry{RID: rid, Rule: rule, VIDList: inputs}
+					e = RuleExecEntry{RID: rid, Rule: execRules[r], VIDList: vidsOf(inputs)}
 				}
 				e.Count++
 				naive[rid] = e
 			}
-			checkRuleExec(t, i/2, s, naive)
+			checkRuleExec(t, i/2, s, vs, naive)
 		}
 	})
 }
 
-// checkRuleExec compares every ruleExec read path of s with the naive rows.
-func checkRuleExec(t *testing.T, op int, s *Store, naive map[types.ID]RuleExecEntry) {
+// checkRuleExec compares every ruleExec and vertex read path of s with the
+// naive rows and the pool's registrations.
+func checkRuleExec(t *testing.T, op int, s *Store, vs []*Vertex, naive map[types.ID]RuleExecEntry) {
 	t.Helper()
 	for _, rid := range execRIDs {
 		got, ok := s.RuleExecOf(rid)
@@ -133,9 +159,31 @@ func checkRuleExec(t *testing.T, op int, s *Store, naive map[types.ID]RuleExecEn
 	if len(seen) != len(naive) {
 		t.Fatalf("op %d: ForEachRuleExec yields %d rows, want %d", op, len(seen), len(naive))
 	}
+	registered := 0
+	for _, v := range vs {
+		want := v
+		if len(v.Rows) == 0 {
+			want = nil
+		} else {
+			registered++
+		}
+		if got := s.Lookup(v.VID); got != want {
+			t.Fatalf("op %d: Lookup(%s) = %p, want %p", op, v.VID.Short(), got, want)
+		}
+	}
+	if s.NumProv() != registered {
+		t.Fatalf("op %d: NumProv = %d, want %d", op, s.NumProv(), registered)
+	}
 	var want []string
 	for _, e := range naive {
-		want = append(want, renderExec(s.Node, e))
+		vids := make([]string, len(e.VIDList))
+		for i, vid := range e.VIDList {
+			vids[i] = vid.Short()
+			if v := s.Lookup(vid); v != nil {
+				vids[i] = v.Tuple.String()
+			}
+		}
+		want = append(want, fmt.Sprintf("%s | %s | %s | (%s)", s.Node, e.RID.Short(), e.Rule, strings.Join(vids, ",")))
 	}
 	sort.Strings(want)
 	if got := s.RuleExecRows(); !slices.Equal(got, want) {
@@ -150,14 +198,15 @@ func checkRuleExec(t *testing.T, op int, s *Store, naive map[types.ID]RuleExecEn
 func TestRuleExecChurnAllocFree(t *testing.T) {
 	const rows = 1000
 	s := NewStore(0)
-	inputs := [][]types.ID{execInputs(0, 1), execInputs(1, 2), execInputs(2, 2)}
+	vs := execVerts()
+	inputs := [][]*Vertex{execInputs(vs, 0, 1, 0), execInputs(vs, 1, 2, 0), execInputs(vs, 2, 3, 0)}
 	rids := make([]types.ID, rows)
 	for i := range rids {
 		rids[i] = tid(fmt.Sprint("churn", i))
 	}
 	cycle := func() {
 		for i, rid := range rids {
-			s.AddRuleExec(rid, execRules[i%3], inputs[i%3])
+			s.AddRuleExec(rid, 1+i%3, execRules[1+i%3], inputs[i%3])
 		}
 		for _, rid := range rids {
 			s.DelRuleExec(rid)

@@ -14,30 +14,29 @@
 // invalidation (§6.1).
 //
 // Rows are keyed by what they are: a tuple vertex by its VID, a rule
-// execution by its RID — the 20-byte digests of §4.1, with no handle layer
-// between a digest and its row. Both maps are keyed by the digest's first
-// eight bytes, so a map slot is 16 bytes and a growing map rehashes 8-byte
-// keys. The vertex map points at vertices that live elsewhere (mostly in the
-// engine's relation entries); the ruleExec map holds a row's position. The
-// row carries the full digest, and a lookup verifies it; a row whose prefix
-// slot already holds another digest goes to an exact overflow map, which
-// stays nil unless two digests of one store share eight bytes.
+// execution by its RID — the 20-byte digests of §4.1. A vertex the store
+// knows has a 4-byte handle into its vertex table, and both lookups are
+// open-addressed tables of 4-byte positions (posIndex): registered
+// vertices' handles by VID, ruleExec row positions by RID. A probe starts at
+// the digest's first eight bytes and compares the full digest on the vertex
+// or row, so a shared prefix costs a longer probe, never a wrong row.
 //
-// The ruleExec relation is held as pointer-free column tables, one per rule
-// label and arity: the RID and input VIDs of each row side by side in one
-// []types.ID, the counts in an []int32. No row struct, rule string, slice
-// header or pointer is kept per rule execution, so the GC scans none of it.
-// A delete that empties a row moves its table's last row into its place:
-// tables stay dense, and a store that churns rows reuses their memory.
-// Readers get a RuleExecEntry built on read, whose VIDList aliases the table
-// and, like the slice Derivations returns, is valid until the next store
-// write; a reader that keeps it copies it.
+// The ruleExec relation is held as pointer-free column tables, one per rule:
+// the RIDs in a []types.ID, each row's count and input vertices' handles in
+// a []uint32. No row struct, rule string, slice header or pointer is kept
+// per rule execution, so the GC scans none of it, and an input costs 4 bytes
+// instead of a copy of its VID. A delete that empties a row moves its
+// table's last row into its place: tables stay dense, and a store that
+// churns rows reuses their memory. Readers get a RuleExecEntry built on
+// read, its VIDList resolved into memory of its own. A handle is freed once
+// its vertex has no rows and no row names it, so it outlives the vertex's
+// registration while rows read it.
 //
 // A Vertex carries everything the store knows about one VID: its tuple and
 // its prov rows. The engine embeds one in each relation entry, so a stored
 // tuple is its own vertex: the entry's derivation multiset is the vertex's
 // prov rows, and the delta path adds and removes rows with no map probe at
-// all. The vertex maps point at registered vertices only — a vertex is
+// all. The VID index holds registered vertices only — a vertex is
 // registered with its first row (AddProv) and forgotten with its last
 // (DelProv). Prov rows are stored by value inside their vertex's slice: the
 // store sits on the engine's delta hot path, and per-row pointer boxes more
@@ -45,8 +44,8 @@
 //
 // The Store has one method set per role. The writer — the node's engine,
 // its only one — uses AddProv / DelProv on the vertices it embeds, Vertex /
-// Lookup for tuples it keeps no entry for (events), and AddRuleExec /
-// DelRuleExec. Readers — the query processor, the CLI, experiments and the
+// Lookup for tuples it keeps no entry for (events), AddRuleExec /
+// DelRuleExec and Release. Readers — the query processor, the CLI, experiments and the
 // benchmark — use everything else, keyed by the IDs that travel in query
 // messages. The only rows a reader writes are the reverse dataflow edges of
 // its own cache (AddParent / DropParents). Both roles may number a base
@@ -85,8 +84,7 @@ type ProvEntry struct {
 
 // RuleExecEntry is one row of the ruleExec relation: the metadata of a rule
 // execution instance. The store keeps no RuleExecEntry — its rows live in
-// column tables — and builds one per read: VIDList aliases the table and is
-// valid until the next store write, so a reader that keeps it copies it.
+// column tables — and builds one per read, with a VIDList of its own.
 type RuleExecEntry struct {
 	RID     types.ID
 	Rule    string
@@ -107,11 +105,13 @@ type Parent struct {
 // Vertex is one tuple vertex of the provenance graph: the VID, the tuple it
 // names (the paper's "systems table that maps VIDs to tuples") and the VID's
 // prov rows, in insertion order. A writer embeds one per stored tuple and
-// owns its fields; the store reads them while the vertex is registered.
+// owns its fields; the store reads them while the vertex is registered or a
+// ruleExec row names it by its handle h (0: none), which fills the padding.
 type Vertex struct {
 	Tuple types.Tuple
 	Rows  []ProvEntry
 	VID   types.ID
+	h     uint32
 }
 
 // Row returns the row keyed by rid, or nil. The pointer aliases Rows: it is
@@ -179,23 +179,22 @@ type parentKey struct {
 // per derivation on the engine's hot path.
 type Store struct {
 	Node types.NodeID
+	free uint32 // the freed handles, chained through their refs slots; 0 ends it
 
 	// OnProvChange, when set, fires after the derivation set of a local
 	// VID changes (entry added or removed). The query cache uses it for
 	// invalidation.
 	OnProvChange func(vid types.ID)
 
-	verts     map[uint64]*Vertex
-	ruleExec  map[uint64]uint64 // RID prefix → execSlot of its row
-	parents   map[types.ID][]Parent
-	parentIdx map[parentKey]int // position inside parents[vid]
-
-	// Rows whose prefix slot in verts / ruleExec holds another digest.
-	vertSpill     map[types.ID]*Vertex
-	ruleExecSpill map[types.ID]uint64
-
-	// The ruleExec rows, one table per (rule label, arity).
+	// vtab[h] is the vertex of handle h, and refs[h] counts the ruleExec row
+	// inputs that name it; 0 is no handle, so vtab[0] is nil.
+	vtab       []*Vertex
+	refs       []uint32
+	vids       posIndex // registered vertices' handles, by VID
+	rids       posIndex // ruleExec row positions, by RID
 	execTables []execTable
+	parents    map[types.ID][]Parent
+	parentIdx  map[parentKey]int // position inside parents[vid]
 
 	// The node's numbering of its base tuples (BaseVar): ordinals[vid] is
 	// vid's ordinal, bases[ord] the VID numbered ord. An ordinal is never
@@ -203,54 +202,96 @@ type Store struct {
 	ordinals map[types.ID]uint32
 	bases    []types.ID
 
-	// Arenas for vertices of tuples the writer keeps no entry for, and for
-	// the first element of such a vertex's rows and of parent lists. Most
-	// VIDs have exactly one prov row and one parent edge, so the per-VID
-	// "first append" allocations dominated the store's profile; carving
-	// capacity-1 slices from a chunk amortizes them to ~1/chunk. Longer
-	// lists spill to regular append growth.
-	vertArena   types.Arena[Vertex]
-	provArena   types.Arena[ProvEntry]
-	parentArena types.Arena[Parent]
+	arenas *storeArenas // made by the first carved vertex or parent edge
 }
 
-// execTable holds the ruleExec rows of one rule label and arity as
-// pointer-free columns, dense in [0, len(counts)): row i is ids[i*stride] (its
-// RID) followed by its stride-1 input VIDs, executed counts[i] times. A
-// removed row's place is taken by the last row, so no dead row is kept.
+// storeArenas carve vertices of tuples the writer keeps no entry for, and
+// the first element of such a vertex's rows and of parent lists. Most VIDs
+// have exactly one prov row and one parent edge, so the per-VID "first
+// append" allocations dominated the store's profile; carving capacity-1
+// slices from a chunk amortizes them to ~1/chunk. Longer lists spill to
+// regular append growth. Most stores of a large cluster carve nothing.
+type storeArenas struct {
+	verts   types.Arena[Vertex]
+	prov    types.Arena[ProvEntry]
+	parents types.Arena[Parent]
+}
+
+// execTable holds the ruleExec rows of one rule as pointer-free columns,
+// dense in [0, len(rids)): row i is rids[i], executed cols[i*stride] times
+// over the vertices of the stride-1 handles that follow. A removed row's
+// place is taken by the last row, so no dead row is kept.
 type execTable struct {
 	rule   string
-	ids    []types.ID
-	counts []int32
-	stride int
+	rids   []types.ID
+	cols   []uint32
+	num    int32 // the writer's number for the rule
+	stride int32
 }
 
-// entry builds the reader's view of row i; its VIDList aliases ids.
-func (t *execTable) entry(i int) RuleExecEntry {
-	at := i * t.stride
-	end := at + t.stride
-	return RuleExecEntry{RID: t.ids[at], Rule: t.rule, VIDList: t.ids[at+1 : end : end], Count: int(t.counts[i])}
-}
+// A row position is its table's index in the top 8 bits and its row in the
+// low 24, so a table holds fewer than rowMask rows.
+const rowBits, rowMask = 24, 1<<24 - 1
 
-// execSlot locates a ruleExec row: its table's index in the high 32 bits, its
-// row in the low 32.
-func execSlot(table, row int) uint64 { return uint64(table)<<32 | uint64(row) }
+// MaxRules is how many rules' rows one store can hold, one table each: a
+// table's index fills a row position's top 8 bits. engine.Compile rejects
+// a program with more rules.
+const MaxRules = 1 << (32 - rowBits)
 
 // storeArenaChunk caps the chunk size of a store's arenas.
 const storeArenaChunk = 256
 
-// prefix is the map key of a digest: its first eight bytes.
-func prefix(id types.ID) uint64 { return binary.LittleEndian.Uint64(id[:8]) }
+// NewStore builds a node's empty store. Its tables are created by their
+// first write: most stores of a large cluster hold rows in few of them, and
+// reads, deletes and counts treat an empty table as empty.
+func NewStore(node types.NodeID) *Store { return &Store{Node: node} }
 
-// NewStore builds a node's empty store. The row maps are created by their
-// first write: most stores of a large cluster hold rows in one or two of the
-// four, and reads, deletes and len treat a nil map as empty.
-func NewStore(node types.NodeID) *Store {
-	return &Store{
-		Node:        node,
-		vertArena:   types.NewArena[Vertex](storeArenaChunk),
-		provArena:   types.NewArena[ProvEntry](storeArenaChunk),
-		parentArena: types.NewArena[Parent](storeArenaChunk),
+// carve returns the store's arenas, making them on first use.
+//
+//exspan:hotpath
+func (s *Store) carve() *storeArenas {
+	if s.arenas == nil {
+		s.arenas = &storeArenas{types.NewArena[Vertex](storeArenaChunk),
+			types.NewArena[ProvEntry](storeArenaChunk), types.NewArena[Parent](storeArenaChunk)}
+	}
+	return s.arenas
+}
+
+// handle returns v's handle, numbering v on first use.
+//
+//exspan:hotpath
+func (s *Store) handle(v *Vertex) uint32 {
+	if v.h == 0 && s.free != 0 {
+		v.h, s.free = s.free, s.refs[s.free]
+		s.vtab[v.h], s.refs[v.h] = v, 0
+	} else if v.h == 0 {
+		if s.vtab == nil {
+			s.vtab, s.refs = append(s.vtab, nil), append(s.refs, 0) // 0 is no handle
+		}
+		v.h, s.vtab, s.refs = uint32(len(s.vtab)), append(s.vtab, v), append(s.refs, 0)
+	}
+	return v.h
+}
+
+// unref counts one row input naming handle h less. A handle is freed once
+// nothing names it and its vertex has no rows, so it outlives the vertex's
+// registration while rows read it: a tuple whose only derivation swaps
+// within one round leaves and rejoins the store, keeping its handle.
+//
+//exspan:hotpath
+func (s *Store) unref(h uint32) {
+	if s.refs[h]--; s.refs[h] == 0 && len(s.vtab[h].Rows) == 0 {
+		s.Release(s.vtab[h])
+	}
+}
+
+// Release frees v's handle for another vertex unless a row still names it.
+// The store frees the handle of a vertex it forgets once no row names it;
+// the writer calls Release when it recycles the memory of a vertex whose
+// rows it keeps to itself.
+func (s *Store) Release(v *Vertex) {
+	if v.h != 0 && s.refs[v.h] == 0 {
+		s.vtab[v.h], s.refs[v.h], s.free, v.h = nil, s.free, v.h, 0
 	}
 }
 
@@ -263,8 +304,9 @@ func (s *Store) Vertex(vid types.ID, t types.Tuple) *Vertex {
 	if v := s.Lookup(vid); v != nil {
 		return v
 	}
-	v := s.vertArena.New()
-	v.VID, v.Tuple, v.Rows = vid, t, s.provArena.Cap1()
+	a := s.carve()
+	v := a.verts.New()
+	v.VID, v.Tuple, v.Rows = vid, t, a.prov.Cap1()
 	return v
 }
 
@@ -273,10 +315,10 @@ func (s *Store) Vertex(vid types.ID, t types.Tuple) *Vertex {
 //
 //exspan:hotpath
 func (s *Store) Lookup(vid types.ID) *Vertex {
-	if v := s.verts[prefix(vid)]; v != nil && v.VID == vid {
-		return v
+	if _, h, ok := find(&s.vids, vertKeys(s.vtab), vid); ok {
+		return s.vtab[h]
 	}
-	return s.vertSpill[vid]
+	return nil
 }
 
 // AddProv counts one more derivation of v via rid at rloc (Vertex.AddRow)
@@ -288,19 +330,9 @@ func (s *Store) AddProv(v *Vertex, rid types.ID, rloc types.NodeID) *ProvEntry {
 	first := len(v.Rows) == 0
 	r := v.AddRow(rid, rloc)
 	if first {
-		if k := prefix(v.VID); s.verts[k] == nil {
-			if s.verts == nil {
-				//exspanlint:alloc-ok first vertex of this store
-				s.verts = make(map[uint64]*Vertex)
-			}
-			s.verts[k] = v
-		} else {
-			if s.vertSpill == nil {
-				//exspanlint:alloc-ok prefix collision overflow: created by the first two VIDs of this store sharing eight bytes, nil otherwise
-				s.vertSpill = make(map[types.ID]*Vertex)
-			}
-			s.vertSpill[v.VID] = v
-		}
+		slot, _, _ := find(&s.vids, vertKeys(s.vtab), v.VID)
+		h := s.handle(v)
+		insert(&s.vids, vertKeys(s.vtab), v.VID, h, slot)
 	}
 	s.changed(v.VID)
 	return r
@@ -308,7 +340,8 @@ func (s *Store) AddProv(v *Vertex, rid types.ID, rloc types.NodeID) *ProvEntry {
 
 // DelProv counts one derivation of v via rid less (Vertex.DelRow). When that
 // removes v's last row the store forgets v: the VID resolves to nothing
-// until a later AddProv registers a vertex for it again.
+// until a later AddProv registers a vertex for it again. v keeps its handle
+// while a row names it.
 //
 //exspan:hotpath
 func (s *Store) DelProv(v *Vertex, rid types.ID) (found, removed bool) {
@@ -316,11 +349,10 @@ func (s *Store) DelProv(v *Vertex, rid types.ID) (found, removed bool) {
 		return false, false
 	}
 	if len(v.Rows) == 0 {
-		if k := prefix(v.VID); s.verts[k] == v {
-			delete(s.verts, k)
-		} else {
-			delete(s.vertSpill, v.VID)
+		if slot, h, ok := find(&s.vids, vertKeys(s.vtab), v.VID); ok && h == v.h {
+			remove(&s.vids, vertKeys(s.vtab), slot)
 		}
+		s.Release(v)
 	}
 	s.changed(v.VID)
 	return true, removed
@@ -333,107 +365,150 @@ func (s *Store) changed(vid types.ID) {
 	}
 }
 
-// AddRuleExec inserts (or increments) the ruleExec row of rid. vidList may
-// be caller scratch; it is copied when a new row is created.
+// AddRuleExec inserts (or increments) the ruleExec row of rid: rule number
+// rule, labelled label, executed over inputs, which may be caller scratch. A
+// rule number names one label and one input count.
 //
 //exspan:hotpath
-func (s *Store) AddRuleExec(rid types.ID, rule string, vidList []types.ID) {
-	if slot, ok := s.ruleExecSlot(rid); ok {
-		s.execTables[slot>>32].counts[uint32(slot)]++
+func (s *Store) AddRuleExec(rid types.ID, rule int, label string, inputs []*Vertex) {
+	slot, pos, ok := find(&s.rids, rowKeys(s.execTables), rid)
+	if ok {
+		t := &s.execTables[pos>>rowBits]
+		t.cols[int(pos&rowMask)*int(t.stride)]++
 		return
 	}
-	ti := s.execTableOf(rule, len(vidList))
+	// A store holds few rules' rows, so a scan of their numbers finds the
+	// table.
+	ti := 0
+	for ti < len(s.execTables) && int(s.execTables[ti].num) != rule {
+		ti++
+	}
+	if ti == len(s.execTables) {
+		s.execTables = append(s.execTables, execTable{rule: label, num: int32(rule), stride: int32(len(inputs) + 1)})
+	}
 	t := &s.execTables[ti]
+	if len(t.rids) == rowMask-1 {
+		//exspanlint:alloc-ok capacity limit: the store cannot number this row
+		panic(fmt.Sprintf("provenance: node %d holds the most rows of rule %s a store can number", s.Node, label))
+	}
 	// Grown by append from nil, one row at a time: a store holds few rows
 	// of most rules, and reserved rows would be paid by every store of a
 	// large cluster.
-	t.ids = slices.Grow(t.ids, t.stride)
-	t.ids = append(t.ids, rid)
-	t.ids = append(t.ids, vidList...)
-	t.counts = append(t.counts, 1)
-	slot := execSlot(ti, len(t.counts)-1)
-	k := prefix(rid)
-	if _, taken := s.ruleExec[k]; !taken {
-		if s.ruleExec == nil {
-			//exspanlint:alloc-ok first ruleExec row of this store
-			s.ruleExec = make(map[uint64]uint64)
-		}
-		s.ruleExec[k] = slot
-	} else {
-		if s.ruleExecSpill == nil {
-			//exspanlint:alloc-ok prefix collision overflow: created by the first two RIDs of this store sharing eight bytes, nil otherwise
-			s.ruleExecSpill = make(map[types.ID]uint64)
-		}
-		s.ruleExecSpill[rid] = slot
+	t.rids = append(t.rids, rid)
+	t.cols = append(t.cols, 1)
+	for _, v := range inputs {
+		h := s.handle(v)
+		s.refs[h]++
+		t.cols = append(t.cols, h)
 	}
-}
-
-// execTableOf returns the index of the table of (rule, arity), appending an
-// empty one on first sight. A program has few rules, so a scan finds it.
-//
-//exspan:hotpath
-func (s *Store) execTableOf(rule string, arity int) int {
-	for i := range s.execTables {
-		if t := &s.execTables[i]; t.stride == arity+1 && t.rule == rule {
-			return i
-		}
-	}
-	s.execTables = append(s.execTables, execTable{rule: rule, stride: arity + 1})
-	return len(s.execTables) - 1
-}
-
-// ruleExecSlot returns the slot of rid's row; ok is false when there is none.
-func (s *Store) ruleExecSlot(rid types.ID) (slot uint64, ok bool) {
-	if slot, ok = s.ruleExec[prefix(rid)]; ok {
-		t := &s.execTables[slot>>32]
-		if t.ids[int(uint32(slot))*t.stride] == rid {
-			return slot, true
-		}
-	}
-	slot, ok = s.ruleExecSpill[rid]
-	return slot, ok
-}
-
-// inPrefixMap reports whether the row of rid at slot is found through the
-// prefix map, not the spill map.
-func (s *Store) inPrefixMap(rid types.ID, slot uint64) bool {
-	at, ok := s.ruleExec[prefix(rid)]
-	return ok && at == slot
+	insert(&s.rids, rowKeys(s.execTables), rid, uint32(ti)<<rowBits|uint32(len(t.rids)-1), slot)
 }
 
 // DelRuleExec decrements (and possibly removes) a ruleExec row; it reports
 // whether the row existed. A removed row's place is taken by its table's
-// last row, whose map entry follows it.
+// last row, whose index slot follows it.
 //
 //exspan:hotpath
 func (s *Store) DelRuleExec(rid types.ID) bool {
-	slot, ok := s.ruleExecSlot(rid)
+	keys := rowKeys(s.execTables)
+	slot, pos, ok := find(&s.rids, keys, rid)
 	if !ok {
 		return false
 	}
-	t := &s.execTables[slot>>32]
-	row := int(uint32(slot))
-	if t.counts[row]--; t.counts[row] > 0 {
+	t := &s.execTables[pos>>rowBits]
+	row, stride, last := int(pos&rowMask), int(t.stride), len(t.rids)-1
+	if t.cols[row*stride]--; t.cols[row*stride] > 0 {
 		return true
 	}
-	if s.inPrefixMap(rid, slot) {
-		delete(s.ruleExec, prefix(rid))
-	} else {
-		delete(s.ruleExecSpill, rid)
+	remove(&s.rids, keys, slot)
+	for _, h := range t.cols[row*stride+1 : (row+1)*stride] {
+		s.unref(h)
 	}
-	last := len(t.counts) - 1
 	if row != last {
-		copy(t.ids[row*t.stride:(row+1)*t.stride], t.ids[last*t.stride:])
-		t.counts[row] = t.counts[last]
-		if moved := t.ids[row*t.stride]; s.inPrefixMap(moved, execSlot(int(slot>>32), last)) {
-			s.ruleExec[prefix(moved)] = slot
-		} else {
-			s.ruleExecSpill[moved] = slot
+		moved, _, _ := find(&s.rids, keys, t.rids[last])
+		s.rids.slots[moved] = pos + 1
+		t.rids[row] = t.rids[last]
+		copy(t.cols[row*stride:(row+1)*stride], t.cols[last*stride:])
+	}
+	t.rids, t.cols = t.rids[:last], t.cols[:last*stride]
+	return true
+}
+
+// posIndex is an open-addressed table of 4-byte positions (vertex handles or
+// row positions) keyed by the digest each position's vertex or row holds. A
+// probe starts at the digest's first eight bytes modulo the table size and
+// walks on, comparing full digests. A slot holds its position plus one, 0
+// when empty; a removal shifts its probe chain back, leaving no tombstone.
+// The table doubles before it is three quarters full and never shrinks.
+type posIndex struct {
+	slots []uint32
+	n     int
+}
+
+// keyer reads the digest at a position. Its two types differ in underlying
+// type, so each instantiation of find, insert and remove calls its own.
+type keyer interface{ key(pos uint32) *types.ID }
+type rowKeys []execTable
+type vertKeys []*Vertex
+
+func (t rowKeys) key(pos uint32) *types.ID { return &t[pos>>rowBits].rids[pos&rowMask] }
+func (v vertKeys) key(h uint32) *types.ID  { return &v[h].VID }
+
+// lead is a digest's first eight bytes: where its probe starts, and a fast
+// reject while it walks.
+func lead(id *types.ID) uint64 { return binary.LittleEndian.Uint64(id[:8]) }
+
+// find returns the slot of id and its position, or ok false and the empty
+// slot that ends id's probe chain.
+//
+//exspan:hotpath
+func find[K keyer](x *posIndex, keys K, id types.ID) (slot int, pos uint32, ok bool) {
+	if len(x.slots) == 0 {
+		return 0, 0, false
+	}
+	mask, lo := len(x.slots)-1, lead(&id)
+	for slot = int(lo) & mask; ; slot = (slot + 1) & mask {
+		v := x.slots[slot]
+		if v == 0 {
+			return slot, 0, false
+		}
+		if k := keys.key(v - 1); lead(k) == lo && *k == id {
+			return slot, v - 1, true
 		}
 	}
-	t.ids = t.ids[:last*t.stride]
-	t.counts = t.counts[:last]
-	return true
+}
+
+// insert adds pos under id, which the index does not hold, at slot: the
+// empty slot where find ended, unless the table grows first.
+//
+//exspan:hotpath
+func insert[K keyer](x *posIndex, keys K, id types.ID, pos uint32, slot int) {
+	if old := x.slots; 4*(x.n+1) > 3*len(old) {
+		//exspanlint:alloc-ok growth: the table doubles, amortized over the positions it admits
+		x.slots = make([]uint32, max(8, 2*len(old)))
+		for _, v := range old {
+			if v != 0 {
+				at, _, _ := find(x, keys, *keys.key(v - 1))
+				x.slots[at] = v
+			}
+		}
+		slot, _, _ = find(x, keys, id)
+	}
+	x.slots[slot], x.n = pos+1, x.n+1
+}
+
+// remove empties slot i, moving back each later position of its probe chain
+// whose home is not cyclically between the hole and the position itself.
+//
+//exspan:hotpath
+func remove[K keyer](x *posIndex, keys K, i int) {
+	mask := len(x.slots) - 1
+	for j := (i + 1) & mask; x.slots[j] != 0; j = (j + 1) & mask {
+		if (j-int(lead(keys.key(x.slots[j]-1))))&mask >= (j-i)&mask {
+			x.slots[i], i = x.slots[j], j
+		}
+	}
+	x.slots[i], x.n = 0, x.n-1
 }
 
 // BaseVar returns the BDD variable of the local base tuple vid: (this node,
@@ -479,13 +554,28 @@ func (s *Store) Derivations(vid types.ID) []ProvEntry {
 	return nil
 }
 
-// RuleExecOf resolves a local RID. The entry's VIDList is valid until the
-// next store write.
-func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) {
-	if slot, ok := s.ruleExecSlot(rid); ok {
-		return s.execTables[slot>>32].entry(int(uint32(slot))), true
+// RuleExecOf resolves a local RID. The entry's VIDList is its own.
+func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) { return s.RuleExecInto(nil, rid) }
+
+// RuleExecInto is RuleExecOf for a reader that brings the memory: the
+// entry's VIDList is the row's input VIDs appended to dst.
+func (s *Store) RuleExecInto(dst []types.ID, rid types.ID) (RuleExecEntry, bool) {
+	_, pos, ok := find(&s.rids, rowKeys(s.execTables), rid)
+	if !ok {
+		return RuleExecEntry{}, false
 	}
-	return RuleExecEntry{}, false
+	return s.entry(&s.execTables[pos>>rowBits], int(pos&rowMask), dst), true
+}
+
+// entry builds the reader's view of row `row` of t, appending its inputs'
+// VIDs, resolved from their handles, to vids.
+func (s *Store) entry(t *execTable, row int, vids []types.ID) RuleExecEntry {
+	at := row * int(t.stride)
+	vids = slices.Grow(vids, int(t.stride)-1)
+	for _, h := range t.cols[at+1 : at+int(t.stride)] {
+		vids = append(vids, s.vtab[h].VID)
+	}
+	return RuleExecEntry{RID: t.rids[row], Rule: t.rule, VIDList: vids, Count: int(t.cols[at])}
 }
 
 // ForEachProv invokes fn for every visible prov entry with the VID it
@@ -498,30 +588,57 @@ func (s *Store) ForEachProv(fn func(vid types.ID, d ProvEntry)) {
 	}
 }
 
-// vertices yields every vertex, in no particular order.
+// vertices yields every registered vertex, in no particular order.
 func (s *Store) vertices(yield func(*Vertex) bool) {
-	for _, v := range s.verts {
-		if !yield(v) {
-			return
-		}
-	}
-	for _, v := range s.vertSpill {
-		if !yield(v) {
+	for _, h := range s.vids.slots {
+		if h != 0 && !yield(s.vtab[h-1]) {
 			return
 		}
 	}
 }
 
 // ForEachRuleExec invokes fn for every visible ruleExec entry (iteration
-// order is unspecified). An entry's VIDList is valid until the next store
-// write; fn must not write to the store.
+// order is unspecified); fn must not write to the store. Each entry's
+// VIDList is its own.
 func (s *Store) ForEachRuleExec(fn func(RuleExecEntry)) {
 	for i := range s.execTables {
 		t := &s.execTables[i]
-		for row := range t.counts {
-			fn(t.entry(row))
+		k := int(t.stride) - 1
+		vids := make([]types.ID, len(t.rids)*k)
+		for row := range t.rids {
+			fn(s.entry(t, row, vids[row*k:row*k:(row+1)*k]))
 		}
 	}
+}
+
+// CheckRuleExecs reports the first ruleExec row that names a handle of no
+// vertex of this store, or whose RID is not types.RuleExecIDBuf over its
+// rule, this node and its inputs' VIDs, and then the first handle whose
+// count of naming row inputs is not what the rows hold.
+func (s *Store) CheckRuleExecs() error {
+	var vids []types.ID
+	named := make([]uint32, len(s.refs))
+	for _, t := range s.execTables {
+		for row, rid := range t.rids {
+			vids = vids[:0]
+			for _, h := range t.cols[row*int(t.stride)+1 : (row+1)*int(t.stride)] {
+				if int(h) >= len(s.vtab) || s.vtab[h] == nil || s.vtab[h].h != h {
+					return fmt.Errorf("ruleExec %s (%s): input handle %d names no vertex of the store", rid.Short(), t.rule, h)
+				}
+				vids = append(vids, s.vtab[h].VID)
+				named[h]++
+			}
+			if want, _ := types.RuleExecIDBuf(t.rule, s.Node, vids, nil); want != rid {
+				return fmt.Errorf("ruleExec %s (%s): its inputs hash to %s", rid.Short(), t.rule, want.Short())
+			}
+		}
+	}
+	for h, n := range named {
+		if s.vtab[h] != nil && n != s.refs[h] {
+			return fmt.Errorf("handle %d: %d row inputs name it, counted %d", h, n, s.refs[h])
+		}
+	}
+	return nil
 }
 
 // AddParent records that local tuple vid was consumed by rule execution rid
@@ -535,7 +652,7 @@ func (s *Store) AddParent(vid, rid, headVID types.ID, headLoc types.NodeID) {
 		return
 	}
 	if list == nil {
-		list = s.parentArena.Cap1()
+		list = s.carve().parents.Cap1()
 		if s.parents == nil {
 			s.parents = make(map[types.ID][]Parent)
 			s.parentIdx = make(map[parentKey]int)
@@ -568,7 +685,7 @@ func (s *Store) NumProv() int {
 }
 
 // NumRuleExec reports the number of visible ruleExec entries.
-func (s *Store) NumRuleExec() int { return len(s.ruleExec) + len(s.ruleExecSpill) }
+func (s *Store) NumRuleExec() int { return s.rids.n }
 
 // NumParents reports the number of reverse dataflow edges.
 func (s *Store) NumParents() int { return len(s.parentIdx) }

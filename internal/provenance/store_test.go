@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -109,19 +110,30 @@ func TestOnProvChangeFires(t *testing.T) {
 func TestRuleExecLifecycle(t *testing.T) {
 	s := NewStore(1)
 	rid := tid("exec")
-	inputs := []types.ID{tid("a"), tid("b")}
-	s.AddRuleExec(rid, "sp2", inputs)
+	a, b := &Vertex{VID: tid("a")}, &Vertex{VID: tid("b")}
+	inputs := []*Vertex{a, b}
+	s.AddRuleExec(rid, 1, "sp2", inputs)
 	re, ok := s.RuleExecOf(rid)
-	if !ok || re.Rule != "sp2" || len(re.VIDList) != 2 {
+	if !ok || re.Rule != "sp2" || len(re.VIDList) != 2 || re.VIDList[0] != a.VID || re.VIDList[1] != b.VID {
 		t.Fatalf("entry = %+v", re)
 	}
-	// The stored list is a copy: mutating the caller's slice is safe.
-	inputs[0] = tid("mutated")
-	re, _ = s.RuleExecOf(rid)
-	if re.VIDList[0] != tid("a") {
-		t.Fatal("VIDList aliased caller slice")
+	// The row names the vertices, not the caller's slice.
+	inputs[0] = &Vertex{VID: tid("mutated")}
+	if re, _ := s.RuleExecOf(rid); re.VIDList[0] != a.VID {
+		t.Fatal("the row reads the caller's slice")
 	}
-	s.AddRuleExec(rid, "sp2", re.VIDList)
+	// A VIDList is the reader's: later reads and writes leave it as it is.
+	s.AddRuleExec(tid("other"), 1, "sp2", []*Vertex{b, a})
+	s.RuleExecOf(tid("other"))
+	if re.VIDList[0] != a.VID || re.VIDList[1] != b.VID {
+		t.Fatalf("a kept VIDList changed under later reads and writes: %v", re.VIDList)
+	}
+	// RuleExecInto appends to the reader's memory.
+	buf := make([]types.ID, 1, 4)
+	if e, ok := s.RuleExecInto(buf, rid); !ok || len(e.VIDList) != 3 || &e.VIDList[0] != &buf[0] || e.VIDList[2] != b.VID {
+		t.Fatalf("RuleExecInto = %+v %v, want buf's element then a and b", e, ok)
+	}
+	s.AddRuleExec(rid, 1, "sp2", inputs)
 	s.DelRuleExec(rid)
 	if _, ok := s.RuleExecOf(rid); !ok {
 		t.Fatal("entry removed while count > 0")
@@ -132,6 +144,89 @@ func TestRuleExecLifecycle(t *testing.T) {
 	}
 	if s.DelRuleExec(rid) {
 		t.Fatal("deleting missing entry succeeded")
+	}
+}
+
+// TestHandleOutlivesRegistration: a row names its input by handle, and the
+// handle stays the vertex's while the vertex is forgotten and registered
+// again — a tuple whose only derivation is swapped within one round — so
+// the row reads the same VID throughout. The store frees the handle once
+// the vertex has no rows and no row names it, in either order, and a freed
+// handle goes to the next vertex that needs one: a store whose writer
+// carves a vertex per event keeps none of them after their rows go.
+func TestHandleOutlivesRegistration(t *testing.T) {
+	s := NewStore(1)
+	v := &Vertex{VID: tid("v")}
+	s.AddProv(v, tid("r1"), 1)
+	h := v.h
+	rid := tid("exec")
+	s.AddRuleExec(rid, 0, "sp1", []*Vertex{v})
+	s.DelProv(v, tid("r1"))
+	other := &Vertex{VID: tid("w")}
+	s.AddProv(other, tid("r1"), 1)
+	s.AddProv(v, tid("r2"), 1)
+	if v.h != h || other.h == h || s.Lookup(v.VID) != v {
+		t.Fatalf("handles after re-registration: v %d (was %d), other %d", v.h, h, other.h)
+	}
+	if e, _ := s.RuleExecOf(rid); e.VIDList[0] != v.VID {
+		t.Fatalf("the row reads %s, want %s", e.VIDList[0].Short(), v.VID.Short())
+	}
+	if s.DelRuleExec(rid); v.h != h {
+		t.Fatal("a registered vertex lost its handle with the last row naming it")
+	}
+	if s.DelProv(v, tid("r2")); v.h != 0 || s.vtab[h] != nil {
+		t.Fatal("the handle of a vertex with no rows that no row names was kept")
+	}
+	next := &Vertex{VID: tid("x")}
+	if s.AddRuleExec(tid("exec2"), 0, "sp1", []*Vertex{next}); next.h != h {
+		t.Fatalf("the next vertex got handle %d, want the freed %d", next.h, h)
+	}
+	for i := range 100 {
+		ev := s.Vertex(tid(fmt.Sprint("event", i)), types.Tuple{})
+		s.AddProv(ev, types.ZeroID, 1)
+		s.AddRuleExec(tid(fmt.Sprint("fire", i)), 1, "fw", []*Vertex{ev})
+		s.DelProv(ev, types.ZeroID)
+		s.DelRuleExec(tid(fmt.Sprint("fire", i)))
+	}
+	held := 0
+	for _, v := range s.vtab {
+		if v != nil {
+			held++
+		}
+	}
+	if held != 2 {
+		t.Fatalf("%d handles held after 100 event cycles, want 2 (other and next)", held)
+	}
+}
+
+// TestCheckRuleExecs: the fence accepts rows whose RID hashes their rule,
+// node and input VIDs, and reports a miscounted handle and a row whose input
+// handle was freed or now names another vertex. Release keeps the handle of
+// a vertex a row names.
+func TestCheckRuleExecs(t *testing.T) {
+	s := NewStore(4)
+	a, b := &Vertex{VID: tid("a")}, &Vertex{VID: tid("b")}
+	rid, _ := types.RuleExecIDBuf("sp2", 4, []types.ID{a.VID, b.VID}, nil)
+	s.AddRuleExec(rid, 1, "sp2", []*Vertex{a, b})
+	if err := s.CheckRuleExecs(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Release(b); b.h == 0 {
+		t.Fatal("Release freed the handle of a vertex a row names")
+	}
+	s.refs[a.h]++
+	if err := s.CheckRuleExecs(); err == nil || !strings.Contains(err.Error(), "row inputs name it") {
+		t.Fatalf("a miscounted handle: %v", err)
+	}
+	s.refs[a.h]--
+	h := b.h
+	s.vtab[h] = nil // as if b's handle had been freed under the row
+	if err := s.CheckRuleExecs(); err == nil || !strings.Contains(err.Error(), "names no vertex") {
+		t.Fatalf("a freed input handle: %v", err)
+	}
+	s.vtab[h] = &Vertex{VID: tid("c"), h: h} // and given to another vertex
+	if err := s.CheckRuleExecs(); err == nil || !strings.Contains(err.Error(), "hash to") {
+		t.Fatalf("an input handle reused by another vertex: %v", err)
 	}
 }
 
@@ -161,7 +256,7 @@ func TestRowRendering(t *testing.T) {
 		t.Fatalf("prov rows = %v", rows)
 	}
 	rid := tid("exec")
-	s.AddRuleExec(rid, "sp1", []types.ID{vid})
+	s.AddRuleExec(rid, 0, "sp1", []*Vertex{s.Lookup(vid)})
 	rer := s.RuleExecRows()
 	if len(rer) != 1 || !strings.Contains(rer[0], "sp1") || !strings.Contains(rer[0], "link(@a,c,5)") {
 		t.Fatalf("ruleExec rows = %v", rer)
@@ -235,7 +330,7 @@ func TestVertexWriteSurface(t *testing.T) {
 	s.DelProv(v, tid("r2"))
 
 	rid := tid("exec")
-	s.AddRuleExec(rid, "sp2", []types.ID{vid})
+	s.AddRuleExec(rid, 1, "sp2", []*Vertex{v})
 	if e, ok := s.RuleExecOf(rid); !ok || e.Rule != "sp2" || e.Count != 1 || e.RID != rid {
 		t.Fatal("ruleExec row not visible through the ID API")
 	}
@@ -265,8 +360,8 @@ func TestVertexWriteSurface(t *testing.T) {
 	}
 }
 
-// sharedPrefix returns two distinct digests whose first eight bytes — the
-// store's map key — are equal.
+// sharedPrefix returns two distinct digests whose first eight bytes — where
+// the store's indexes start a probe — are equal.
 func sharedPrefix(s string) (a, b types.ID) {
 	a = tid(s)
 	b = a
@@ -274,9 +369,9 @@ func sharedPrefix(s string) (a, b types.ID) {
 	return a, b
 }
 
-// TestPrefixCollisions puts two VIDs and two RIDs on one eight-byte map key
-// each: both rows of a pair must be created, found, counted, listed and
-// deleted independently, in either deletion order.
+// TestPrefixCollisions puts two VIDs and two RIDs on one probe position of
+// the store's indexes each: both rows of a pair must be created, found,
+// counted, listed and deleted independently, in either deletion order.
 func TestPrefixCollisions(t *testing.T) {
 	for _, firstGone := range []bool{true, false} {
 		s := NewStore(0)
@@ -290,11 +385,17 @@ func TestPrefixCollisions(t *testing.T) {
 		s.AddProv(s.Vertex(va, ta), ra, 1)
 		s.AddProv(s.Vertex(vb, tb), rb, 2)
 		s.AddProv(s.Vertex(vb, tb), ra, 1)
-		s.AddRuleExec(ra, "r1", []types.ID{va})
-		s.AddRuleExec(rb, "r2", []types.ID{vb})
-		s.AddRuleExec(rb, "r2", []types.ID{vb})
-		if len(s.verts) != 1 || len(s.vertSpill) != 1 || len(s.ruleExec) != 1 || len(s.ruleExecSpill) != 1 {
-			t.Fatal("vacuous: the pairs do not share a map key")
+		s.AddRuleExec(ra, 1, "r1", []*Vertex{s.Lookup(va)})
+		s.AddRuleExec(rb, 2, "r2", []*Vertex{s.Lookup(vb)})
+		s.AddRuleExec(rb, 2, "r2", []*Vertex{s.Lookup(vb)})
+		sa, _, okA := find(&s.vids, vertKeys(s.vtab), va)
+		sb, _, okB := find(&s.vids, vertKeys(s.vtab), vb)
+		xa, _, okRA := find(&s.rids, rowKeys(s.execTables), ra)
+		xb, _, okRB := find(&s.rids, rowKeys(s.execTables), rb)
+		home := func(x *posIndex, id types.ID) int { return int(lead(&id)) & (len(x.slots) - 1) }
+		if !okA || !okB || !okRA || !okRB || home(&s.vids, va) != home(&s.vids, vb) || home(&s.rids, ra) != home(&s.rids, rb) ||
+			sa == sb || xa == xb {
+			t.Fatal("vacuous: the pairs do not share a probe position")
 		}
 
 		for _, c := range []struct {
@@ -309,10 +410,10 @@ func TestPrefixCollisions(t *testing.T) {
 				t.Fatalf("Derivations(%s) = %d rows, want %d", c.vid.Short(), n, c.rows)
 			}
 		}
-		if e, ok := s.RuleExecOf(ra); !ok || e.Rule != "r1" || e.Count != 1 {
+		if e, ok := s.RuleExecOf(ra); !ok || e.Rule != "r1" || e.Count != 1 || e.VIDList[0] != va {
 			t.Fatalf("RuleExecOf(ra) = %+v %v", e, ok)
 		}
-		if e, ok := s.RuleExecOf(rb); !ok || e.Rule != "r2" || e.Count != 2 {
+		if e, ok := s.RuleExecOf(rb); !ok || e.Rule != "r2" || e.Count != 2 || e.VIDList[0] != vb {
 			t.Fatalf("RuleExecOf(rb) = %+v %v", e, ok)
 		}
 		if s.NumProv() != 3 || s.NumRuleExec() != 2 {
@@ -355,7 +456,7 @@ func TestPrefixCollisions(t *testing.T) {
 			t.Fatalf("kept ruleExec row lost: NumRuleExec %d", s.NumRuleExec())
 		}
 		s.AddProv(s.Vertex(gone, goneT), goneR, 3)
-		s.AddRuleExec(goneR, "again", nil)
+		s.AddRuleExec(goneR, 3, "again", nil)
 		if d := s.Derivations(gone); len(d) != 1 || d[0].RLoc != 3 {
 			t.Fatalf("re-created vertex rows = %+v", d)
 		}

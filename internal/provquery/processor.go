@@ -120,8 +120,9 @@ type Processor struct {
 	waiting    map[types.ID]childRef
 	onComplete map[types.ID]func(payload []byte)
 	seq        uint64
-	live       int      // frames opened and not yet finished
-	collected  [][]byte // collect's scratch, valid until the next collect
+	live       int        // frames opened and not yet finished
+	collected  [][]byte   // collect's scratch, valid until the next collect
+	inputs     []types.ID // ruleQuery's scratch for a rule execution's inputs
 
 	// Stats.
 	CacheHits     int64
@@ -286,7 +287,7 @@ func (p *Processor) ruleQuery(from origin, rid, headVID types.ID) {
 	if p.cached(p.ruleCache, from, true, rid) {
 		return
 	}
-	re, ok := p.Store.RuleExecOf(rid)
+	re, ok := p.Store.RuleExecInto(p.inputs[:0], rid)
 	if !ok {
 		// The rule execution was retracted while the query was in flight
 		// (churn): it derives nothing, so the answer is the additive zero —
@@ -294,6 +295,7 @@ func (p *Processor) ruleQuery(from origin, rid, headVID types.ID) {
 		p.answer(from, true, rid, p.UDF.IDB(nil, headVID, p.Node))
 		return
 	}
+	p.inputs = re.VIDList
 	f := &frame{origin: from, isRule: true, vid: headVID, rid: rid, rule: re.Rule, kids: make([]kid, len(re.VIDList))}
 	for i, vid := range re.VIDList {
 		f.kids[i].id = vid

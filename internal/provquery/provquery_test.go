@@ -74,6 +74,16 @@ func (w engineWriter) AddProv(t types.Tuple, rid types.ID, rloc types.NodeID) {
 	w.Store.AddProv(w.Vertex(t.VID(), t), rid, rloc)
 }
 
+// AddRuleExec writes the row of rule number num over the input tuples'
+// vertices.
+func (w engineWriter) AddRuleExec(rid types.ID, num int, rule string, inputs ...types.Tuple) {
+	vs := make([]*provenance.Vertex, len(inputs))
+	for i, t := range inputs {
+		vs[i] = w.Vertex(t.VID(), t)
+	}
+	w.Store.AddRuleExec(rid, num, rule, vs)
+}
+
 func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn bool) (*fig5, *instantNet) {
 	t.Helper()
 	f := &fig5{byID: map[types.NodeID]*Processor{}}
@@ -98,12 +108,12 @@ func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn 
 	sa.AddProv(f.linkAC, types.ZeroID, a)
 	rid1a := types.RuleExecID("sp1", a, []types.ID{f.linkAC.VID()})
 	sa.AddProv(f.pcA, rid1a, a)
-	sa.AddRuleExec(rid1a, "sp1", []types.ID{f.linkAC.VID()})
+	sa.AddRuleExec(rid1a, 0, "sp1", f.linkAC)
 	rid2b := types.RuleExecID("sp2", b, []types.ID{f.linkBA.VID(), f.bpcB.VID()})
 	sa.AddProv(f.pcA, rid2b, b)
 	rid3a := types.RuleExecID("sp3", a, []types.ID{f.pcA.VID()})
 	sa.AddProv(f.bpcA, rid3a, a)
-	sa.AddRuleExec(rid3a, "sp3", []types.ID{f.pcA.VID()})
+	sa.AddRuleExec(rid3a, 2, "sp3", f.pcA)
 	sa.AddParent(f.linkAC.VID(), rid1a, f.pcA.VID(), a)
 	sa.AddParent(f.pcA.VID(), rid3a, f.bpcA.VID(), a)
 
@@ -113,11 +123,11 @@ func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn 
 	sb.AddProv(f.linkBC, types.ZeroID, b)
 	rid1b := types.RuleExecID("sp1", b, []types.ID{f.linkBC.VID()})
 	sb.AddProv(f.pcB, rid1b, b)
-	sb.AddRuleExec(rid1b, "sp1", []types.ID{f.linkBC.VID()})
+	sb.AddRuleExec(rid1b, 0, "sp1", f.linkBC)
 	rid3b := types.RuleExecID("sp3", b, []types.ID{f.pcB.VID()})
 	sb.AddProv(f.bpcB, rid3b, b)
-	sb.AddRuleExec(rid3b, "sp3", []types.ID{f.pcB.VID()})
-	sb.AddRuleExec(rid2b, "sp2", []types.ID{f.linkBA.VID(), f.bpcB.VID()})
+	sb.AddRuleExec(rid3b, 2, "sp3", f.pcB)
+	sb.AddRuleExec(rid2b, 1, "sp2", f.linkBA, f.bpcB)
 	sb.AddParent(f.linkBC.VID(), rid1b, f.pcB.VID(), b)
 	sb.AddParent(f.pcB.VID(), rid3b, f.bpcB.VID(), b)
 	sb.AddParent(f.linkBA.VID(), rid2b, f.pcA.VID(), a)
@@ -335,7 +345,7 @@ func TestCacheCoherenceAfterChange(t *testing.T) {
 	w := engineWriter{a.Store}
 	w.AddProv(extra, types.ZeroID, 0)
 	rid := types.RuleExecID("spX", 0, []types.ID{extra.VID()})
-	w.AddRuleExec(rid, "spX", []types.ID{extra.VID()})
+	w.AddRuleExec(rid, 3, "spX", extra)
 	w.AddParent(extra.VID(), rid, f.pcA.VID(), 0)
 	w.AddProv(f.pcA, rid, 0)
 	if got := DecodeCount(runQuery(t, f, 3, f.bpcA, 0)); got != 3 {
