@@ -81,7 +81,7 @@ chaos-smoke:
 # Scale gate: the 10k-node CHORD determinism smoke — two full Scheduler runs
 # of the workload suite's largest topology must agree bit for bit (delta
 # counts, wire bytes, sampled relation state) and a converged node may retain
-# at most 9,500 B — and the 400-node MINCOST row of the scaling table (pinned
+# at most 8,800 B — and the 400-node MINCOST row of the scaling table (pinned
 # delta count of 719,584, ≤ 356 B retained per delta). The process may
 # obtain at most 2 GiB from the OS. Both are skipped under
 # -short, so `go test -short ./...` stays fast; this target runs them by name.

@@ -200,7 +200,7 @@ func TestStoreGraphSurvivesStoreWrites(t *testing.T) {
 				s.DelRuleExec(e.RID)
 			}
 			for range e.Count {
-				s.AddRuleExec(e.RID, num, e.Rule, inputs)
+				s.AddRuleExec(e.RID, num, inputs)
 			}
 		}
 		moved += len(rows)

@@ -73,7 +73,7 @@ func (n *Node) applyAgg(g *aggGroup, e *entry, sign int8) {
 func (n *Node) aggGroupAt(rule *CompiledRule, h uint64, groupVals []types.Value) *aggGroup {
 	head := n.aggGroups[h]
 	for g := head; g != nil; g = g.next {
-		if int(g.rule) == rule.idx && argsEqual(g.groupVals, groupVals) {
+		if int(g.rule) == rule.idx && slices.Equal(g.groupVals, groupVals) {
 			return g
 		}
 	}
@@ -309,7 +309,7 @@ func (g *aggGroup) refresh(n *Node, rule *CompiledRule, gone *entry) []aggEmit {
 	}
 	emits := n.sc.aggEmitBuf[:0]
 	if g.hasOut {
-		same := ok && argsEqual(g.curOut.Args, newArgs)
+		same := ok && slices.Equal(g.curOut.Args, newArgs)
 		switch {
 		case same && (win == g.curWin || rule.headRecursive && gone != g.curWin):
 			// Neither the output nor its derivation moves.
@@ -343,21 +343,6 @@ func (g *aggGroup) refresh(n *Node, rule *CompiledRule, gone *entry) []aggEmit {
 	}
 	n.sc.aggEmitBuf = emits
 	return emits
-}
-
-// argsEqual reports whether two value lists are equal: interned handles are
-// canonical, so == per value is content equality. It is the check behind
-// every hash-keyed lookup of relation entries and aggregate groups.
-func argsEqual(a, b []types.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // compute evaluates the aggregate over the current rows into the scratch's

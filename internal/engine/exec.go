@@ -210,7 +210,7 @@ func (n *Node) emit(rule *CompiledRule, head types.Tuple, dst types.NodeID, inpu
 //exspan:hotpath
 func (n *Node) ruleExecRow(rid types.ID, rule *CompiledRule, inputs []*provenance.Vertex, sign int8) {
 	if sign == Insert {
-		n.Store.AddRuleExec(rid, rule.idx, rule.Label, inputs)
+		n.Store.AddRuleExec(rid, rule.idx, inputs)
 	} else {
 		n.Store.DelRuleExec(rid)
 	}

@@ -3,12 +3,14 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"repro/internal/apps"
+	"repro/internal/ndlog"
 	"repro/internal/topology"
 	"repro/internal/types"
 )
@@ -37,12 +39,14 @@ func liveHeap() uint64 {
 // ≈ 13.7 KB, with a relation's counts in the pool and every rule's
 // aggregate groups in one map ≈ 13.1 KB, with the round scratch borrowed
 // from the program while a node runs and the join tallies off unless asked
-// for ≈ 11.0 KB, and with ruleExec inputs named by 4-byte vertex handles and
-// the store's digest maps turned into position indexes ≈ 10.0 KB.
+// for ≈ 11.0 KB, with ruleExec inputs named by 4-byte vertex handles and
+// the store's digest maps turned into position indexes ≈ 10.0 KB, and with
+// one ruleExec table per store instead of one per rule and the aggregate
+// groups carved from a chunk of the two a CHORD node can hold ≈ 8.7 KB.
 func TestNodeFootprintFollowsState(t *testing.T) {
 	const (
 		nodes      = 300
-		maxPerNode = 10350
+		maxPerNode = 9000
 	)
 	topo := topology.Ring(nodes, rand.New(rand.NewSource(1)))
 	base := apps.ChordBase(topo)
@@ -207,6 +211,59 @@ func TestRelationCostsWhatItHolds(t *testing.T) {
 // its flags; a node stays in the 512-byte size class, holding no round
 // scratch of its own; and a fire-list item stays at 32 bytes, carrying no
 // copy of a stored entry's tuple.
+// TestAggGroupBound: Compile bounds the aggregate groups a node can hold
+// only when every aggregate rule groups by its body atom's location alone,
+// one group per node each — CHORD's c2 and c6 — and a converged CHORD node
+// then carves its groups and their first rows from one chunk of exactly
+// that many slots. A program with any other aggregate keeps the default
+// chunk cap.
+func TestAggGroupBound(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		prog *ndlog.Program
+		want int
+	}{
+		{"chord", apps.Chord(), 2},
+		{"mincost", apps.MinCost(), 0},
+		{"pathvector", apps.PathVector(), 0},
+		{"policy", apps.Policy(), 0},
+		{"grouped by more than the location", ndlog.MustParse(`r1 agg(@N,X,min<C>) :- in(@N,X,C).`), 0},
+	} {
+		prog, err := Compile(c.prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.groupBound != c.want {
+			t.Errorf("%s: Compile bounds a node's aggregate groups at %d, want %d", c.name, prog.groupBound, c.want)
+		}
+	}
+
+	topo := topology.Ring(16, rand.New(rand.NewSource(1)))
+	prog, err := Compile(apps.Chord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(prog, ProvReference, topo.N, 0, 0)
+	for n, tuples := range apps.ChordBase(topo) {
+		for _, tup := range tuples {
+			s.InsertBase(n, tup)
+		}
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.NumNodes() {
+		n := s.Node(i)
+		// The arenas' open chunk: len is what is carved, cap the chunk.
+		groups := reflect.ValueOf(n.aggGroupArena).FieldByName("chunk")
+		rows := reflect.ValueOf(n.aggRowArena).FieldByName("chunk")
+		if len(n.aggGroups) != 2 || groups.Len() != 2 || groups.Cap() != 2 || rows.Len() != 2 || rows.Cap() != 2 {
+			t.Fatalf("node %d holds %d groups, carved from a %d/%d chunk, their rows from a %d/%d chunk; want 2 in 2/2 each",
+				i, len(n.aggGroups), groups.Len(), groups.Cap(), rows.Len(), rows.Cap())
+		}
+	}
+}
+
 func TestEntrySize(t *testing.T) {
 	for _, c := range []struct {
 		name     string

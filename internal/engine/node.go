@@ -114,10 +114,8 @@ type Node struct {
 	// messages, so their args cannot live in reusable scratch.
 	argArena types.Arena[types.Value]
 
-	// Arenas for aggregate state: group structs and each group's first row.
-	// Aggregates allocate one group per (rule, group-by) combination; boxing
-	// each struct individually was a leading allocation class in fixpoint
-	// profiles.
+	// Arenas for aggregate state, one group per (rule, group-by values):
+	// group structs and each group's first row, chunked to Program.groupBound.
 	aggRowArena   types.Arena[*entry]
 	aggGroupArena types.Arena[aggGroup]
 
@@ -150,16 +148,20 @@ const (
 // data — the tuple and index maps, aggregate groups — is created by its first
 // write.
 func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node {
+	aggChunk := aggArenaChunk
+	if prog.groupBound > 0 {
+		aggChunk = min(prog.groupBound, aggArenaChunk)
+	}
 	n := &Node{
 		ID:            id,
 		Prog:          prog,
 		Mode:          mode,
 		Transport:     tr,
-		Store:         provenance.NewStore(id),
+		Store:         provenance.NewStore(id, prog.labels, prog.maxAtoms),
 		pool:          newEntryPool(prog.tablesFor(mode)),
 		argArena:      types.NewArena[types.Value](argArenaChunk),
-		aggRowArena:   types.NewArena[*entry](aggArenaChunk),
-		aggGroupArena: types.NewArena[aggGroup](aggArenaChunk),
+		aggRowArena:   types.NewArena[*entry](aggChunk),
+		aggGroupArena: types.NewArena[aggGroup](aggChunk),
 	}
 	if mode == ProvValue {
 		r := algebra.BDD(bdd.New(), func(b algebra.Base) bdd.Var { return n.Store.BaseVar(b.VID) })

@@ -26,6 +26,9 @@ type Program struct {
 	maxVars    int // widest rule environment
 	maxAtoms   int // widest rule body
 	maxGroup   int // widest aggregate group-by list
+	groupBound int // aggregate groups a node can hold if every rule holds one (AggSpec.onePerNode), else 0
+
+	labels []string // rule labels by number: every store of the program names its rules by them
 
 	// scratches is the free list of round scratch every node of the program
 	// borrows from while it runs (scratch.go).
@@ -113,6 +116,9 @@ type AggSpec struct {
 	// aggregate key is read from: the aggregated then the carried variables
 	// (MIN/MAX), or the listed ones (AGGLIST). COUNT has none.
 	keyPos []int
+	// onePerNode marks a rule grouped by its body atom's location alone: it
+	// runs where that atom lives, so a node holds at most one of its groups.
+	onePerNode bool
 }
 
 // ordered reports a MIN/MAX aggregate: its output is its first row, traced
@@ -218,8 +224,14 @@ func Compile(p *ndlog.Program) (*Program, error) {
 	if len(prog.tables) > math.MaxUint16+1 { // entry.table holds a table number
 		return nil, fmt.Errorf("engine: %d stored predicates, at most %d", len(prog.tables), math.MaxUint16+1)
 	}
+	bounded := true
 	for ri, cr := range prog.Rules {
 		cr.idx, cr.prog = ri, prog
+		prog.labels = append(prog.labels, cr.Label)
+		if cr.agg != nil {
+			prog.groupBound++
+			bounded = bounded && cr.agg.onePerNode
+		}
 		atoms := cr.source.BodyAtoms()
 		for k := range atoms {
 			pl, err := buildPlan(cr, atoms, k, nil)
@@ -245,6 +257,9 @@ func Compile(p *ndlog.Program) (*Program, error) {
 				}
 			}
 		}
+	}
+	if !bounded {
+		prog.groupBound = 0
 	}
 	prog.markRecursive()
 	return prog, nil
@@ -379,6 +394,11 @@ func compileRule(r *ndlog.Rule, label string) (*CompiledRule, error) {
 				return nil, err
 			}
 			spec.groupCode = append(spec.groupCode, code)
+		}
+		if len(spec.groupCode) == 1 && body.LocPos >= 0 {
+			g, _ := r.Head.Args[1-aggPos].(*ndlog.Var)
+			loc, _ := body.Args[body.LocPos].(*ndlog.Var)
+			spec.onePerNode = g != nil && loc != nil && *g == *loc
 		}
 		switch agg.Fn {
 		case "MIN", "MAX", "AGGLIST":

@@ -20,10 +20,8 @@ import (
 // prov row changes with no map probe. The node's tuple map keys an entry by
 // a 64-bit hash of its relation's table number and its args; the table tag
 // and the tuple itself are what a lookup verifies.
+// Rows are held by value in a small slice: most tuples have one or two.
 //
-// Rows are held by value in a small slice: most tuples have one or two, and
-// the per-entry map plus per-derivation pointer boxes were among the largest
-// allocation sources in fixpoint profiles.
 // Field order is alignment-packed (exspanlint -fieldalign): the table tag
 // and the six 1-byte flags sit together after the 4-byte fields, which
 // keeps a stored tuple at 104 bytes, its prov rows included; the cached VID
@@ -79,15 +77,11 @@ func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
 }
 
 // entryPool is what a node spends on its stored tuples, whichever relation
-// holds them. The entry arena carves entries (boxing each individually was
-// a leading allocation class in fixpoint profiles — arena chunks never pin
-// stale tuples because sweep zeroes an entry before listing it), and free
-// recycles the ones sweep reclaims; the row arena carves each entry's
-// initial capacity-1 row slice. Most tuples carry exactly one derivation, so
-// the per-entry "first append" used to be another of the largest allocation
-// classes; entries with alternative derivations spill to a regular append.
-// Prov rows and types.Value hold no pointers, so those chunks cost the
-// garbage collector nothing to scan.
+// holds them. The entry arena carves entries (chunks never pin stale tuples:
+// sweep zeroes an entry before listing it), and free recycles the ones sweep
+// reclaims; the row arena carves each entry's capacity-1 first row slice
+// (most tuples carry one derivation; more spill to a regular append). Prov
+// rows and types.Value hold no pointers, so the GC scans none of it.
 //
 // A relation is its PredInfo and nothing else: every method that carves,
 // finds, indexes, counts or sweeps the entries of one relation is a pool
@@ -292,8 +286,8 @@ func (p *entryPool) Len(info *PredInfo) int { return int(p.counts[info.tableID].
 
 // hash hashes a tuple of the relation: its table number, then its args
 // handle key (types.Tuple.AppendArgsKey). The key copies no string or
-// digest bytes, and equal interned args mean equal tuples, so a lookup's
-// only other checks are the table tag and argsEqual.
+// digest bytes, and interned handles are canonical (== per value is content
+// equality), so a lookup's only other checks are the table tag and the args.
 //
 //exspan:hotpath
 func (p *entryPool) hash(info *PredInfo, t types.Tuple) uint64 {
@@ -313,11 +307,11 @@ func (p *entryPool) get(info *PredInfo, t types.Tuple) *entry {
 //exspan:hotpath
 func (p *entryPool) find(info *PredInfo, h uint64, args []types.Value) *entry {
 	table := uint16(info.tableID)
-	if e := p.tuples[h]; e != nil && e.table == table && argsEqual(e.Tuple.Args, args) {
+	if e := p.tuples[h]; e != nil && e.table == table && slices.Equal(e.Tuple.Args, args) {
 		return e
 	}
 	for _, e := range p.spill[h] {
-		if e.table == table && argsEqual(e.Tuple.Args, args) {
+		if e.table == table && slices.Equal(e.Tuple.Args, args) {
 			return e
 		}
 	}

@@ -136,17 +136,23 @@ func stateLines(n *Node) []string {
 //   - for a program without events, the store holds exactly the registered
 //     entries' prov rows;
 //   - every ruleExec row's input handles name vertices of the store whose
-//     VIDs rehash to its RID (Store.CheckRuleExecs).
+//     VIDs rehash to its RID (Store.CheckRuleExecs);
+//   - in reference mode, every prov row with a non-zero RID resolves to a
+//     ruleExec row in the store of its RLoc node.
 func CheckQuiescent(nodes []*Node) error {
+	byID := make(map[types.NodeID]*Node, len(nodes))
 	for _, n := range nodes {
-		if err := n.checkQuiescent(); err != nil {
+		byID[n.ID] = n
+	}
+	for _, n := range nodes {
+		if err := n.checkQuiescent(byID); err != nil {
 			return fmt.Errorf("node %d: %w", int(n.ID), err)
 		}
 	}
 	return nil
 }
 
-func (n *Node) checkQuiescent() error {
+func (n *Node) checkQuiescent(byID map[types.NodeID]*Node) (err error) {
 	switch {
 	case n.Err != nil:
 		return n.Err
@@ -178,6 +184,17 @@ func (n *Node) checkQuiescent() error {
 	events := slices.ContainsFunc(n.Prog.Preds(), func(p *PredInfo) bool { return p.Event })
 	if got := n.Store.NumProv(); !events && got != rows {
 		return fmt.Errorf("store holds %d prov rows, registered entries %d", got, rows)
+	}
+	if n.Mode == ProvReference {
+		n.Store.ForEachProv(func(vid types.ID, d provenance.ProvEntry) {
+			if at := byID[d.RLoc]; err == nil && !d.RID.IsZero() && (at == nil || !at.Store.HasRuleExec(d.RID)) {
+				t, _ := n.Store.TupleOf(vid)
+				err = fmt.Errorf("prov %v via %s at %d: no ruleExec row there", t, d.RID.Short(), int(d.RLoc))
+			}
+		})
+	}
+	if err != nil {
+		return err
 	}
 	if err := n.Store.CheckRuleExecs(); err != nil {
 		return err
@@ -215,7 +232,16 @@ func (p *entryPool) checkCounts() error {
 // view for rendering, never evaluated: its entries are shown without rows,
 // and its store holds vertices of its own, carved by Store.Vertex.
 func FromRewrite(rw *Node) *Node {
+	var labels []string // the rows name the original program's rules
+	widest := 0
+	for _, r := range rw.Tuples("ruleExec") {
+		widest = max(widest, len(r.Args[3].AsList()))
+		if label := r.Args[2].AsStr(); !slices.Contains(labels, label) {
+			labels = append(labels, label)
+		}
+	}
 	n := NewNode(rw.ID, rw.Prog, ProvReference, nil)
+	n.Store = provenance.NewStore(rw.ID, labels, widest)
 	byVID := map[types.ID]types.Tuple{}
 	for _, info := range rw.Prog.Preds() {
 		if info.Name == "prov" || info.Name == "ruleExec" {
@@ -230,18 +256,13 @@ func FromRewrite(rw *Node) *Node {
 		vid := p.Args[1].AsID()
 		n.Store.AddProv(n.Store.Vertex(vid, byVID[vid]), p.Args[2].AsID(), p.Args[3].AsNode())
 	}
-	// The rows name the original program's rules: number them as they come.
-	nums := map[string]int{}
 	for _, r := range rw.Tuples("ruleExec") { // ruleExec(@RLoc, RID, R, VIDList)
-		label, list := r.Args[2].AsStr(), r.Args[3].AsList()
+		list := r.Args[3].AsList()
 		inputs := make([]*provenance.Vertex, len(list))
 		for i, v := range list {
 			inputs[i] = n.Store.Vertex(v.AsID(), byVID[v.AsID()])
 		}
-		if _, ok := nums[label]; !ok {
-			nums[label] = len(nums)
-		}
-		n.Store.AddRuleExec(r.Args[1].AsID(), nums[label], label, inputs)
+		n.Store.AddRuleExec(r.Args[1].AsID(), slices.Index(labels, r.Args[2].AsStr()), inputs)
 	}
 	return n
 }

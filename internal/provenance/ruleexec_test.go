@@ -63,10 +63,11 @@ func sameExec(a, b RuleExecEntry) bool {
 // after every operation compares every read path: RuleExecOf on the whole
 // RID pool, NumRuleExec, the ForEachRuleExec set and RuleExecRows. A third
 // operation registers or forgets an input vertex (AddProv / DelProv), which
-// must not change what the rows that name it read. A delete that empties a
-// row moves its table's last row into the hole and shifts its probe chain
-// back, so a wrong repoint of the moved row or a broken chain shows up as a
-// lost, stale or misattributed row.
+// must not change what the rows that name it read. All rules' rows share one
+// table of one stride, the widest rule's, so narrower rows are zero-padded.
+// A delete that empties a row moves the table's last row into the hole and
+// shifts its probe chain back, so a wrong repoint of the moved row, a broken
+// chain or a misread padding shows up as a lost, stale or misattributed row.
 //
 // An operation is two bytes: the first byte's bit 0 deletes, bit 6 toggles
 // a vertex's registration instead, bits 1-2 pick the rule and bits 3-5 the
@@ -81,7 +82,7 @@ func FuzzRuleExecTable(f *testing.F) {
 	f.Add(seq(add(2, 0, 0), add(2, 0, 2), add(2, 0, 1), del(2), del(0), del(1)))
 	// The moved row holds the home slot while the removed one is down it.
 	f.Add(seq(add(1, 0, 4), add(1, 0, 5), add(1, 0, 6), del(5), del(4), del(6)))
-	// Counts above one, no inputs, and rows across several tables.
+	// Counts above one, no inputs, and rows of several rules.
 	f.Add(seq(add(0, 0, 8), add(0, 0, 8), add(3, 1, 9), add(0, 0, 10), del(8), del(10), add(3, 2, 11), del(8), del(9)))
 	// Inputs registered, forgotten and registered again under their rows.
 	f.Add(seq(toggle(0), toggle(1), add(2, 0, 0), add(3, 1, 1), toggle(0), toggle(1), toggle(0), del(0), toggle(0)))
@@ -94,9 +95,17 @@ func FuzzRuleExecTable(f *testing.F) {
 		ops = append(ops, del(i))
 	}
 	f.Add(seq(ops...))
+	// A delete moves a row of another rule, with another count of inputs,
+	// into the hole.
+	f.Add(seq(add(1, 0, 12), add(3, 0, 13), add(2, 0, 14), del(12), del(13), add(1, 1, 12), del(14), del(12)))
+	// Zero-input rows between padded ones, moved and moved into.
+	f.Add(seq(add(3, 0, 16), add(0, 0, 17), add(2, 1, 18), add(0, 0, 19), add(1, 2, 20), del(17), del(16), del(20), del(19)))
+	// Rows of every width, narrowest first, read, deleted and moved at the
+	// widest rule's stride.
+	f.Add(seq(add(0, 0, 22), add(1, 0, 23), add(1, 3, 24), add(2, 0, 25), add(3, 0, 26), del(23), add(2, 4, 27), del(22), del(26), del(24)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewStore(3)
+		s := NewStore(3, execRules[:], 3)
 		vs := execVerts()
 		naive := map[types.ID]RuleExecEntry{}
 		for i := 0; i+1 < len(data); i += 2 {
@@ -123,7 +132,7 @@ func FuzzRuleExecTable(f *testing.F) {
 			default:
 				r := int(a >> 1 & 3)
 				inputs := execInputs(vs, int(b)%len(execRIDs), r, int(a>>3&7))
-				s.AddRuleExec(rid, r, execRules[r], inputs)
+				s.AddRuleExec(rid, r, inputs)
 				if !had {
 					e = RuleExecEntry{RID: rid, Rule: execRules[r], VIDList: vidsOf(inputs)}
 				}
@@ -191,13 +200,38 @@ func checkRuleExec(t *testing.T, op int, s *Store, vs []*Vertex, naive map[types
 	}
 }
 
+// TestRuleExecCountLimit: a row's count word counts at most 2^24 − 1
+// executions below its rule number; one more add panics, naming the node and
+// the rule, before the count carries into the rule number.
+func TestRuleExecCountLimit(t *testing.T) {
+	s := NewStore(3, execRules[:], 3)
+	rid, inputs := execRIDs[0], execInputs(execVerts(), 0, 2, 0)
+	s.AddRuleExec(rid, 2, inputs)
+	s.cols[0] += countMask - 2 // as if added countMask-1 times
+	s.AddRuleExec(rid, 2, inputs)
+	if e, _ := s.RuleExecOf(rid); e.Count != countMask || e.Rule != "r2" {
+		t.Fatalf("row at the limit reads %+v, want count %d of r2", e, countMask)
+	}
+	defer func() {
+		const want = "provenance: node 3 counts the most executions of rule r2 a row can hold"
+		if r := recover(); r != want {
+			t.Fatalf("add past the limit: panic %v, want %q", r, want)
+		}
+		if e, _ := s.RuleExecOf(rid); e.Count != countMask || e.Rule != "r2" {
+			t.Fatalf("row after the refused add reads %+v", e)
+		}
+	}()
+	s.AddRuleExec(rid, 2, inputs)
+}
+
 // TestRuleExecChurnAllocFree: once a store has held 1,000 ruleExec rows,
 // adding and deleting them again allocates nothing — a removed row's place
 // is reused by the table's last row, so no dead row stays pinned and a
-// re-added row needs no new memory.
+// re-added row needs no new memory, and the rows of the narrower rules sit
+// at the widest one's stride.
 func TestRuleExecChurnAllocFree(t *testing.T) {
 	const rows = 1000
-	s := NewStore(0)
+	s := NewStore(0, execRules[:], 3)
 	vs := execVerts()
 	inputs := [][]*Vertex{execInputs(vs, 0, 1, 0), execInputs(vs, 1, 2, 0), execInputs(vs, 2, 3, 0)}
 	rids := make([]types.ID, rows)
@@ -206,7 +240,7 @@ func TestRuleExecChurnAllocFree(t *testing.T) {
 	}
 	cycle := func() {
 		for i, rid := range rids {
-			s.AddRuleExec(rid, 1+i%3, execRules[1+i%3], inputs[i%3])
+			s.AddRuleExec(rid, 1+i%3, inputs[i%3])
 		}
 		for _, rid := range rids {
 			s.DelRuleExec(rid)

@@ -13,24 +13,20 @@
 // that maps VIDs to tuples") and reverse dataflow edges used by cache
 // invalidation (§6.1).
 //
-// Rows are keyed by what they are: a tuple vertex by its VID, a rule
-// execution by its RID — the 20-byte digests of §4.1. A vertex the store
-// knows has a 4-byte handle into its vertex table, and both lookups are
-// open-addressed tables of 4-byte positions (posIndex): registered
-// vertices' handles by VID, ruleExec row positions by RID. A probe starts at
-// the digest's first eight bytes and compares the full digest on the vertex
-// or row, so a shared prefix costs a longer probe, never a wrong row.
+// Rows are keyed by the 20-byte digests of §4.1: a tuple vertex by its VID,
+// a rule execution by its RID. A vertex the store knows has a 4-byte handle
+// into its vertex table, and both lookups are open-addressed tables of 4-byte
+// positions (posIndex) that compare the full digest, so a shared prefix
+// costs a longer probe, never a wrong row.
 //
-// The ruleExec relation is held as pointer-free column tables, one per rule:
-// the RIDs in a []types.ID, each row's count and input vertices' handles in
-// a []uint32. No row struct, rule string, slice header or pointer is kept
-// per rule execution, so the GC scans none of it, and an input costs 4 bytes
-// instead of a copy of its VID. A delete that empties a row moves its
-// table's last row into its place: tables stay dense, and a store that
-// churns rows reuses their memory. Readers get a RuleExecEntry built on
-// read, its VIDList resolved into memory of its own. A handle is freed once
-// its vertex has no rows and no row names it, so it outlives the vertex's
-// registration while rows read it.
+// The ruleExec relation is one pointer-free table per store: the RIDs in a
+// []types.ID, and in a []uint32 of one stride, the program's widest body
+// plus one, each row's count word (rule number in the top 8 bits, count in
+// the low 24) and its inputs' handles, zero-padded. The GC scans none of it,
+// an input costs 4 bytes, and rule labels are the program's, held once for
+// all its stores. A delete moves the last row into the hole, so the table
+// stays dense and churn reuses memory. Readers get a RuleExecEntry built on
+// read. A handle is freed once its vertex has no rows and no row names it.
 //
 // A Vertex carries everything the store knows about one VID: its tuple and
 // its prov rows. The engine embeds one in each relation entry, so a stored
@@ -38,9 +34,7 @@
 // prov rows, and the delta path adds and removes rows with no map probe at
 // all. The VID index holds registered vertices only — a vertex is
 // registered with its first row (AddProv) and forgotten with its last
-// (DelProv). Prov rows are stored by value inside their vertex's slice: the
-// store sits on the engine's delta hot path, and per-row pointer boxes more
-// than doubled the evaluator's allocation count in fixpoint profiles.
+// (DelProv). Prov rows are stored by value inside their vertex's slice.
 //
 // The Store has one method set per role. The writer — the node's engine,
 // its only one — uses AddProv / DelProv on the vertices it embeds, Vertex /
@@ -82,9 +76,8 @@ type ProvEntry struct {
 	Payload uint32
 }
 
-// RuleExecEntry is one row of the ruleExec relation: the metadata of a rule
-// execution instance. The store keeps no RuleExecEntry — its rows live in
-// column tables — and builds one per read, with a VIDList of its own.
+// RuleExecEntry is one row of the ruleExec relation, built per read (the
+// store keeps its rows in a column table) with a VIDList of its own.
 type RuleExecEntry struct {
 	RID     types.ID
 	Rule    string
@@ -160,23 +153,18 @@ func (v *Vertex) DelRow(rid types.ID) (found, removed bool) {
 	return false, false
 }
 
-// parentKey identifies one reverse dataflow edge for O(1) add/remove. The
-// RID alone determines the derived head (an RID hashes the rule, its
-// location and its exact inputs), so (vid, rid) is unique per edge. Hub
-// tuples (e.g. a link consumed by every route derivation) accumulate long
-// parent lists, and the linear scans previously done by AddParent dominated
-// fixpoint profiles.
+// parentKey identifies one reverse dataflow edge for O(1) add/remove: the
+// RID alone determines the derived head, so (vid, rid) is unique per edge,
+// and hub tuples accumulate long parent lists.
 type parentKey struct {
 	vid types.ID
 	rid types.ID
 }
 
-// Store is one node's partition of the provenance graph.
-//
-// Reverse dataflow edges (parents) are installed lazily by the query
-// processor when it caches a traversal level — §6.1 invalidation is their
-// only consumer, so their maintenance cost is paid per cached query, never
-// per derivation on the engine's hot path.
+// Store is one node's partition of the provenance graph. Reverse dataflow
+// edges (parents) are installed by the query processor when it caches a
+// traversal level (§6.1 invalidation is their only consumer), so they cost
+// per cached query, never per derivation.
 type Store struct {
 	Node types.NodeID
 	free uint32 // the freed handles, chained through their refs slots; 0 ends it
@@ -188,13 +176,20 @@ type Store struct {
 
 	// vtab[h] is the vertex of handle h, and refs[h] counts the ruleExec row
 	// inputs that name it; 0 is no handle, so vtab[0] is nil.
-	vtab       []*Vertex
-	refs       []uint32
-	vids       posIndex // registered vertices' handles, by VID
-	rids       posIndex // ruleExec row positions, by RID
-	execTables []execTable
-	parents    map[types.ID][]Parent
-	parentIdx  map[parentKey]int // position inside parents[vid]
+	vtab []*Vertex
+	refs []uint32
+	vids posIndex // registered vertices' handles, by VID
+	rids posIndex // ruleExec rows, by RID
+
+	// The ruleExec table: row i is execIDs[i], its count word cols[i*stride]
+	// and its input handles after it, stride-1 the most a row can have.
+	execIDs []types.ID
+	cols    []uint32
+	labels  []string
+	stride  int
+
+	parents   map[types.ID][]Parent
+	parentIdx map[parentKey]int // position inside parents[vid]
 
 	// The node's numbering of its base tuples (BaseVar): ordinals[vid] is
 	// vid's ordinal, bases[ord] the VID numbered ord. An ordinal is never
@@ -206,45 +201,29 @@ type Store struct {
 }
 
 // storeArenas carve vertices of tuples the writer keeps no entry for, and
-// the first element of such a vertex's rows and of parent lists. Most VIDs
-// have exactly one prov row and one parent edge, so the per-VID "first
-// append" allocations dominated the store's profile; carving capacity-1
-// slices from a chunk amortizes them to ~1/chunk. Longer lists spill to
-// regular append growth. Most stores of a large cluster carve nothing.
+// the capacity-1 first element of such a vertex's rows and of parent lists
+// (most VIDs have one of each). Most stores of a large cluster carve nothing.
 type storeArenas struct {
 	verts   types.Arena[Vertex]
 	prov    types.Arena[ProvEntry]
 	parents types.Arena[Parent]
 }
 
-// execTable holds the ruleExec rows of one rule as pointer-free columns,
-// dense in [0, len(rids)): row i is rids[i], executed cols[i*stride] times
-// over the vertices of the stride-1 handles that follow. A removed row's
-// place is taken by the last row, so no dead row is kept.
-type execTable struct {
-	rule   string
-	rids   []types.ID
-	cols   []uint32
-	num    int32 // the writer's number for the rule
-	stride int32
-}
+// A row counts at most countMask executions below its rule number.
+const countBits, countMask = 24, 1<<24 - 1
 
-// A row position is its table's index in the top 8 bits and its row in the
-// low 24, so a table holds fewer than rowMask rows.
-const rowBits, rowMask = 24, 1<<24 - 1
-
-// MaxRules is how many rules' rows one store can hold, one table each: a
-// table's index fills a row position's top 8 bits. engine.Compile rejects
-// a program with more rules.
-const MaxRules = 1 << (32 - rowBits)
+// MaxRules is how many rules a store can number in a count word's top 8
+// bits. engine.Compile rejects a program with more rules.
+const MaxRules = 1 << (32 - countBits)
 
 // storeArenaChunk caps the chunk size of a store's arenas.
 const storeArenaChunk = 256
 
-// NewStore builds a node's empty store. Its tables are created by their
-// first write: most stores of a large cluster hold rows in few of them, and
-// reads, deletes and counts treat an empty table as empty.
-func NewStore(node types.NodeID) *Store { return &Store{Node: node} }
+// NewStore builds a node's empty store, whose ruleExec rows name rule r by
+// labels[r], the program's slice, and have at most maxInputs inputs.
+func NewStore(node types.NodeID, labels []string, maxInputs int) *Store {
+	return &Store{Node: node, labels: labels, stride: maxInputs + 1}
+}
 
 // carve returns the store's arenas, making them on first use.
 //
@@ -366,76 +345,73 @@ func (s *Store) changed(vid types.ID) {
 }
 
 // AddRuleExec inserts (or increments) the ruleExec row of rid: rule number
-// rule, labelled label, executed over inputs, which may be caller scratch. A
-// rule number names one label and one input count.
+// rule executed over inputs, which may be caller scratch.
 //
 //exspan:hotpath
-func (s *Store) AddRuleExec(rid types.ID, rule int, label string, inputs []*Vertex) {
-	slot, pos, ok := find(&s.rids, rowKeys(s.execTables), rid)
+func (s *Store) AddRuleExec(rid types.ID, rule int, inputs []*Vertex) {
+	slot, row, ok := find(&s.rids, rowKeys(s.execIDs), rid)
 	if ok {
-		t := &s.execTables[pos>>rowBits]
-		t.cols[int(pos&rowMask)*int(t.stride)]++
+		w := &s.cols[int(row)*s.stride]
+		if *w&countMask == countMask {
+			//exspanlint:alloc-ok capacity limit: the count word cannot hold another execution
+			panic(fmt.Sprintf("provenance: node %d counts the most executions of rule %s a row can hold", s.Node, s.labels[*w>>countBits]))
+		}
+		*w++
 		return
 	}
-	// A store holds few rules' rows, so a scan of their numbers finds the
-	// table.
-	ti := 0
-	for ti < len(s.execTables) && int(s.execTables[ti].num) != rule {
-		ti++
-	}
-	if ti == len(s.execTables) {
-		s.execTables = append(s.execTables, execTable{rule: label, num: int32(rule), stride: int32(len(inputs) + 1)})
-	}
-	t := &s.execTables[ti]
-	if len(t.rids) == rowMask-1 {
-		//exspanlint:alloc-ok capacity limit: the store cannot number this row
-		panic(fmt.Sprintf("provenance: node %d holds the most rows of rule %s a store can number", s.Node, label))
-	}
-	// Grown by append from nil, one row at a time: a store holds few rows
-	// of most rules, and reserved rows would be paid by every store of a
-	// large cluster.
-	t.rids = append(t.rids, rid)
-	t.cols = append(t.cols, 1)
-	for _, v := range inputs {
+	at := len(s.cols) // grown from nil: most stores of a large cluster hold few rows
+	s.execIDs = append(s.execIDs, rid)
+	s.cols = slices.Grow(s.cols, s.stride)[:at+s.stride]
+	s.cols[at] = uint32(rule)<<countBits | 1
+	for i, v := range inputs {
 		h := s.handle(v)
 		s.refs[h]++
-		t.cols = append(t.cols, h)
+		s.cols[at+1+i] = h
 	}
-	insert(&s.rids, rowKeys(s.execTables), rid, uint32(ti)<<rowBits|uint32(len(t.rids)-1), slot)
+	clear(s.cols[at+1+len(inputs):])
+	insert(&s.rids, rowKeys(s.execIDs), rid, uint32(len(s.execIDs)-1), slot)
+}
+
+// inputs returns the input handles of the row whose count word is at at.
+func (s *Store) inputs(at int) []uint32 {
+	hs := s.cols[at+1 : at+s.stride]
+	if i := slices.Index(hs, 0); i >= 0 {
+		return hs[:i]
+	}
+	return hs
 }
 
 // DelRuleExec decrements (and possibly removes) a ruleExec row; it reports
-// whether the row existed. A removed row's place is taken by its table's
+// whether the row existed. A removed row's place is taken by the table's
 // last row, whose index slot follows it.
 //
 //exspan:hotpath
 func (s *Store) DelRuleExec(rid types.ID) bool {
-	keys := rowKeys(s.execTables)
+	keys := rowKeys(s.execIDs)
 	slot, pos, ok := find(&s.rids, keys, rid)
 	if !ok {
 		return false
 	}
-	t := &s.execTables[pos>>rowBits]
-	row, stride, last := int(pos&rowMask), int(t.stride), len(t.rids)-1
-	if t.cols[row*stride]--; t.cols[row*stride] > 0 {
+	row, w, last := int(pos), s.stride, len(s.execIDs)-1
+	if s.cols[row*w]--; s.cols[row*w]&countMask > 0 {
 		return true
 	}
 	remove(&s.rids, keys, slot)
-	for _, h := range t.cols[row*stride+1 : (row+1)*stride] {
+	for _, h := range s.inputs(row * w) {
 		s.unref(h)
 	}
 	if row != last {
-		moved, _, _ := find(&s.rids, keys, t.rids[last])
+		moved, _, _ := find(&s.rids, keys, s.execIDs[last])
 		s.rids.slots[moved] = pos + 1
-		t.rids[row] = t.rids[last]
-		copy(t.cols[row*stride:(row+1)*stride], t.cols[last*stride:])
+		s.execIDs[row] = s.execIDs[last]
+		copy(s.cols[row*w:(row+1)*w], s.cols[last*w:])
 	}
-	t.rids, t.cols = t.rids[:last], t.cols[:last*stride]
+	s.execIDs, s.cols = s.execIDs[:last], s.cols[:last*w]
 	return true
 }
 
 // posIndex is an open-addressed table of 4-byte positions (vertex handles or
-// row positions) keyed by the digest each position's vertex or row holds. A
+// row indexes) keyed by the digest each position's vertex or row holds. A
 // probe starts at the digest's first eight bytes modulo the table size and
 // walks on, comparing full digests. A slot holds its position plus one, 0
 // when empty; a removal shifts its probe chain back, leaving no tombstone.
@@ -448,10 +424,10 @@ type posIndex struct {
 // keyer reads the digest at a position. Its two types differ in underlying
 // type, so each instantiation of find, insert and remove calls its own.
 type keyer interface{ key(pos uint32) *types.ID }
-type rowKeys []execTable
+type rowKeys []types.ID
 type vertKeys []*Vertex
 
-func (t rowKeys) key(pos uint32) *types.ID { return &t[pos>>rowBits].rids[pos&rowMask] }
+func (r rowKeys) key(row uint32) *types.ID { return &r[row] }
 func (v vertKeys) key(h uint32) *types.ID  { return &v[h].VID }
 
 // lead is a digest's first eight bytes: where its probe starts, and a fast
@@ -554,28 +530,36 @@ func (s *Store) Derivations(vid types.ID) []ProvEntry {
 	return nil
 }
 
+// HasRuleExec reports whether the store holds the ruleExec row of rid.
+func (s *Store) HasRuleExec(rid types.ID) bool {
+	_, _, ok := find(&s.rids, rowKeys(s.execIDs), rid)
+	return ok
+}
+
 // RuleExecOf resolves a local RID. The entry's VIDList is its own.
 func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) { return s.RuleExecInto(nil, rid) }
 
 // RuleExecInto is RuleExecOf for a reader that brings the memory: the
 // entry's VIDList is the row's input VIDs appended to dst.
 func (s *Store) RuleExecInto(dst []types.ID, rid types.ID) (RuleExecEntry, bool) {
-	_, pos, ok := find(&s.rids, rowKeys(s.execTables), rid)
+	_, row, ok := find(&s.rids, rowKeys(s.execIDs), rid)
 	if !ok {
 		return RuleExecEntry{}, false
 	}
-	return s.entry(&s.execTables[pos>>rowBits], int(pos&rowMask), dst), true
+	return s.entry(int(row), dst), true
 }
 
-// entry builds the reader's view of row `row` of t, appending its inputs'
-// VIDs, resolved from their handles, to vids.
-func (s *Store) entry(t *execTable, row int, vids []types.ID) RuleExecEntry {
-	at := row * int(t.stride)
-	vids = slices.Grow(vids, int(t.stride)-1)
-	for _, h := range t.cols[at+1 : at+int(t.stride)] {
+// entry builds the reader's view of row `row`, appending its inputs' VIDs,
+// resolved from their handles, to vids.
+func (s *Store) entry(row int, vids []types.ID) RuleExecEntry {
+	at := row * s.stride
+	hs := s.inputs(at)
+	vids = slices.Grow(vids, len(hs))
+	for _, h := range hs {
 		vids = append(vids, s.vtab[h].VID)
 	}
-	return RuleExecEntry{RID: t.rids[row], Rule: t.rule, VIDList: vids, Count: int(t.cols[at])}
+	w := s.cols[at]
+	return RuleExecEntry{RID: s.execIDs[row], Rule: s.labels[w>>countBits], VIDList: vids, Count: int(w & countMask)}
 }
 
 // ForEachProv invokes fn for every visible prov entry with the VID it
@@ -601,13 +585,10 @@ func (s *Store) vertices(yield func(*Vertex) bool) {
 // order is unspecified); fn must not write to the store. Each entry's
 // VIDList is its own.
 func (s *Store) ForEachRuleExec(fn func(RuleExecEntry)) {
-	for i := range s.execTables {
-		t := &s.execTables[i]
-		k := int(t.stride) - 1
-		vids := make([]types.ID, len(t.rids)*k)
-		for row := range t.rids {
-			fn(s.entry(t, row, vids[row*k:row*k:(row+1)*k]))
-		}
+	k := s.stride - 1
+	vids := make([]types.ID, len(s.execIDs)*k)
+	for row := range s.execIDs {
+		fn(s.entry(row, vids[row*k:row*k:(row+1)*k]))
 	}
 }
 
@@ -618,19 +599,18 @@ func (s *Store) ForEachRuleExec(fn func(RuleExecEntry)) {
 func (s *Store) CheckRuleExecs() error {
 	var vids []types.ID
 	named := make([]uint32, len(s.refs))
-	for _, t := range s.execTables {
-		for row, rid := range t.rids {
-			vids = vids[:0]
-			for _, h := range t.cols[row*int(t.stride)+1 : (row+1)*int(t.stride)] {
-				if int(h) >= len(s.vtab) || s.vtab[h] == nil || s.vtab[h].h != h {
-					return fmt.Errorf("ruleExec %s (%s): input handle %d names no vertex of the store", rid.Short(), t.rule, h)
-				}
-				vids = append(vids, s.vtab[h].VID)
-				named[h]++
+	for row, rid := range s.execIDs {
+		vids = vids[:0]
+		rule := s.labels[s.cols[row*s.stride]>>countBits]
+		for _, h := range s.inputs(row * s.stride) {
+			if int(h) >= len(s.vtab) || s.vtab[h] == nil || s.vtab[h].h != h {
+				return fmt.Errorf("ruleExec %s (%s): input handle %d names no vertex of the store", rid.Short(), rule, h)
 			}
-			if want, _ := types.RuleExecIDBuf(t.rule, s.Node, vids, nil); want != rid {
-				return fmt.Errorf("ruleExec %s (%s): its inputs hash to %s", rid.Short(), t.rule, want.Short())
-			}
+			vids = append(vids, s.vtab[h].VID)
+			named[h]++
+		}
+		if want, _ := types.RuleExecIDBuf(rule, s.Node, vids, nil); want != rid {
+			return fmt.Errorf("ruleExec %s (%s): its inputs hash to %s", rid.Short(), rule, want.Short())
 		}
 	}
 	for h, n := range named {

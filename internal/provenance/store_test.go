@@ -11,6 +11,9 @@ import (
 
 func tid(s string) types.ID { return types.HashString(s) }
 
+// testRules are the labels of the tests' rule numbers 0-3.
+var testRules = []string{"sp1", "sp2", "sp3", "fw"}
+
 // The tests write the way the engine does for a tuple it keeps no relation
 // entry for — through the store's vertex API, finding or creating the vertex
 // on insert and only looking it up on delete — and read back through the ID
@@ -33,7 +36,7 @@ func delProv(s *Store, vid, rid types.ID) bool {
 // first names them, a name is stable, and BaseVID inverts it for this node's
 // variables only.
 func TestBaseVarStable(t *testing.T) {
-	s := NewStore(3)
+	s := NewStore(3, testRules, 2)
 	a, b := tid("a"), tid("b")
 	va, vb := s.BaseVar(a), s.BaseVar(b)
 	if va != (bdd.Var{Node: 3, Ord: 0}) || vb != (bdd.Var{Node: 3, Ord: 1}) {
@@ -53,7 +56,7 @@ func TestBaseVarStable(t *testing.T) {
 }
 
 func TestProvEntryLifecycle(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, testRules, 2)
 	tu := types.NewTuple("p", types.Node(0), types.Int(1))
 	vid := tu.VID()
 	v := s.Vertex(vid, tu)
@@ -96,7 +99,7 @@ func TestProvEntryLifecycle(t *testing.T) {
 }
 
 func TestOnProvChangeFires(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, testRules, 2)
 	var events []types.ID
 	s.OnProvChange = func(vid types.ID) { events = append(events, vid) }
 	vid := tid("v")
@@ -108,11 +111,11 @@ func TestOnProvChangeFires(t *testing.T) {
 }
 
 func TestRuleExecLifecycle(t *testing.T) {
-	s := NewStore(1)
+	s := NewStore(1, testRules, 2)
 	rid := tid("exec")
 	a, b := &Vertex{VID: tid("a")}, &Vertex{VID: tid("b")}
 	inputs := []*Vertex{a, b}
-	s.AddRuleExec(rid, 1, "sp2", inputs)
+	s.AddRuleExec(rid, 1, inputs)
 	re, ok := s.RuleExecOf(rid)
 	if !ok || re.Rule != "sp2" || len(re.VIDList) != 2 || re.VIDList[0] != a.VID || re.VIDList[1] != b.VID {
 		t.Fatalf("entry = %+v", re)
@@ -123,7 +126,7 @@ func TestRuleExecLifecycle(t *testing.T) {
 		t.Fatal("the row reads the caller's slice")
 	}
 	// A VIDList is the reader's: later reads and writes leave it as it is.
-	s.AddRuleExec(tid("other"), 1, "sp2", []*Vertex{b, a})
+	s.AddRuleExec(tid("other"), 1, []*Vertex{b, a})
 	s.RuleExecOf(tid("other"))
 	if re.VIDList[0] != a.VID || re.VIDList[1] != b.VID {
 		t.Fatalf("a kept VIDList changed under later reads and writes: %v", re.VIDList)
@@ -133,7 +136,7 @@ func TestRuleExecLifecycle(t *testing.T) {
 	if e, ok := s.RuleExecInto(buf, rid); !ok || len(e.VIDList) != 3 || &e.VIDList[0] != &buf[0] || e.VIDList[2] != b.VID {
 		t.Fatalf("RuleExecInto = %+v %v, want buf's element then a and b", e, ok)
 	}
-	s.AddRuleExec(rid, 1, "sp2", inputs)
+	s.AddRuleExec(rid, 1, inputs)
 	s.DelRuleExec(rid)
 	if _, ok := s.RuleExecOf(rid); !ok {
 		t.Fatal("entry removed while count > 0")
@@ -155,12 +158,12 @@ func TestRuleExecLifecycle(t *testing.T) {
 // handle goes to the next vertex that needs one: a store whose writer
 // carves a vertex per event keeps none of them after their rows go.
 func TestHandleOutlivesRegistration(t *testing.T) {
-	s := NewStore(1)
+	s := NewStore(1, testRules, 2)
 	v := &Vertex{VID: tid("v")}
 	s.AddProv(v, tid("r1"), 1)
 	h := v.h
 	rid := tid("exec")
-	s.AddRuleExec(rid, 0, "sp1", []*Vertex{v})
+	s.AddRuleExec(rid, 0, []*Vertex{v})
 	s.DelProv(v, tid("r1"))
 	other := &Vertex{VID: tid("w")}
 	s.AddProv(other, tid("r1"), 1)
@@ -178,13 +181,13 @@ func TestHandleOutlivesRegistration(t *testing.T) {
 		t.Fatal("the handle of a vertex with no rows that no row names was kept")
 	}
 	next := &Vertex{VID: tid("x")}
-	if s.AddRuleExec(tid("exec2"), 0, "sp1", []*Vertex{next}); next.h != h {
+	if s.AddRuleExec(tid("exec2"), 0, []*Vertex{next}); next.h != h {
 		t.Fatalf("the next vertex got handle %d, want the freed %d", next.h, h)
 	}
 	for i := range 100 {
 		ev := s.Vertex(tid(fmt.Sprint("event", i)), types.Tuple{})
 		s.AddProv(ev, types.ZeroID, 1)
-		s.AddRuleExec(tid(fmt.Sprint("fire", i)), 1, "fw", []*Vertex{ev})
+		s.AddRuleExec(tid(fmt.Sprint("fire", i)), 3, []*Vertex{ev})
 		s.DelProv(ev, types.ZeroID)
 		s.DelRuleExec(tid(fmt.Sprint("fire", i)))
 	}
@@ -204,10 +207,10 @@ func TestHandleOutlivesRegistration(t *testing.T) {
 // handle was freed or now names another vertex. Release keeps the handle of
 // a vertex a row names.
 func TestCheckRuleExecs(t *testing.T) {
-	s := NewStore(4)
+	s := NewStore(4, testRules, 2)
 	a, b := &Vertex{VID: tid("a")}, &Vertex{VID: tid("b")}
 	rid, _ := types.RuleExecIDBuf("sp2", 4, []types.ID{a.VID, b.VID}, nil)
-	s.AddRuleExec(rid, 1, "sp2", []*Vertex{a, b})
+	s.AddRuleExec(rid, 1, []*Vertex{a, b})
 	if err := s.CheckRuleExecs(); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +234,7 @@ func TestCheckRuleExecs(t *testing.T) {
 }
 
 func TestParentEdges(t *testing.T) {
-	s := NewStore(2)
+	s := NewStore(2, testRules, 2)
 	in, rid, head := tid("in"), tid("rid"), tid("head")
 	s.AddParent(in, rid, head, 5)
 	s.AddParent(in, rid, head, 5) // duplicate: count only
@@ -247,7 +250,7 @@ func TestParentEdges(t *testing.T) {
 }
 
 func TestRowRendering(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, testRules, 2)
 	tu := types.NewTuple("link", types.Node(0), types.Node(2), types.Int(5))
 	vid := tu.VID()
 	s.AddProv(s.Vertex(vid, tu), types.ZeroID, 0)
@@ -256,7 +259,7 @@ func TestRowRendering(t *testing.T) {
 		t.Fatalf("prov rows = %v", rows)
 	}
 	rid := tid("exec")
-	s.AddRuleExec(rid, 0, "sp1", []*Vertex{s.Lookup(vid)})
+	s.AddRuleExec(rid, 0, []*Vertex{s.Lookup(vid)})
 	rer := s.RuleExecRows()
 	if len(rer) != 1 || !strings.Contains(rer[0], "sp1") || !strings.Contains(rer[0], "link(@a,c,5)") {
 		t.Fatalf("ruleExec rows = %v", rer)
@@ -276,7 +279,7 @@ func TestRowRendering(t *testing.T) {
 // the digests themselves.
 func TestVertexWriteSurface(t *testing.T) {
 	_, idsBefore, _, _ := types.InternStats()
-	s := NewStore(1)
+	s := NewStore(1, testRules, 2)
 	tu := types.NewTuple("q", types.Node(1), types.Int(7))
 	vid := tu.VID()
 
@@ -330,7 +333,7 @@ func TestVertexWriteSurface(t *testing.T) {
 	s.DelProv(v, tid("r2"))
 
 	rid := tid("exec")
-	s.AddRuleExec(rid, 1, "sp2", []*Vertex{v})
+	s.AddRuleExec(rid, 1, []*Vertex{v})
 	if e, ok := s.RuleExecOf(rid); !ok || e.Rule != "sp2" || e.Count != 1 || e.RID != rid {
 		t.Fatal("ruleExec row not visible through the ID API")
 	}
@@ -370,11 +373,11 @@ func sharedPrefix(s string) (a, b types.ID) {
 }
 
 // TestPrefixCollisions puts two VIDs and two RIDs on one probe position of
-// the store's indexes each: both rows of a pair must be created, found,
+// the store's vertex index and its one RID index each: both rows of a pair must be created, found,
 // counted, listed and deleted independently, in either deletion order.
 func TestPrefixCollisions(t *testing.T) {
 	for _, firstGone := range []bool{true, false} {
-		s := NewStore(0)
+		s := NewStore(0, execRules[:], 3)
 		va, vb := sharedPrefix("v")
 		ta := types.NewTuple("p", types.Node(0), types.Int(1))
 		tb := types.NewTuple("p", types.Node(0), types.Int(2))
@@ -385,13 +388,13 @@ func TestPrefixCollisions(t *testing.T) {
 		s.AddProv(s.Vertex(va, ta), ra, 1)
 		s.AddProv(s.Vertex(vb, tb), rb, 2)
 		s.AddProv(s.Vertex(vb, tb), ra, 1)
-		s.AddRuleExec(ra, 1, "r1", []*Vertex{s.Lookup(va)})
-		s.AddRuleExec(rb, 2, "r2", []*Vertex{s.Lookup(vb)})
-		s.AddRuleExec(rb, 2, "r2", []*Vertex{s.Lookup(vb)})
+		s.AddRuleExec(ra, 1, []*Vertex{s.Lookup(va)})
+		s.AddRuleExec(rb, 2, []*Vertex{s.Lookup(vb)})
+		s.AddRuleExec(rb, 2, []*Vertex{s.Lookup(vb)})
 		sa, _, okA := find(&s.vids, vertKeys(s.vtab), va)
 		sb, _, okB := find(&s.vids, vertKeys(s.vtab), vb)
-		xa, _, okRA := find(&s.rids, rowKeys(s.execTables), ra)
-		xb, _, okRB := find(&s.rids, rowKeys(s.execTables), rb)
+		xa, _, okRA := find(&s.rids, rowKeys(s.execIDs), ra)
+		xb, _, okRB := find(&s.rids, rowKeys(s.execIDs), rb)
 		home := func(x *posIndex, id types.ID) int { return int(lead(&id)) & (len(x.slots) - 1) }
 		if !okA || !okB || !okRA || !okRB || home(&s.vids, va) != home(&s.vids, vb) || home(&s.rids, ra) != home(&s.rids, rb) ||
 			sa == sb || xa == xb {
@@ -456,11 +459,11 @@ func TestPrefixCollisions(t *testing.T) {
 			t.Fatalf("kept ruleExec row lost: NumRuleExec %d", s.NumRuleExec())
 		}
 		s.AddProv(s.Vertex(gone, goneT), goneR, 3)
-		s.AddRuleExec(goneR, 3, "again", nil)
+		s.AddRuleExec(goneR, 3, nil)
 		if d := s.Derivations(gone); len(d) != 1 || d[0].RLoc != 3 {
 			t.Fatalf("re-created vertex rows = %+v", d)
 		}
-		if e, ok := s.RuleExecOf(goneR); !ok || e.Rule != "again" || s.NumRuleExec() != 2 {
+		if e, ok := s.RuleExecOf(goneR); !ok || e.Rule != "r3" || s.NumRuleExec() != 2 {
 			t.Fatalf("re-created ruleExec row = %+v %v", e, ok)
 		}
 		if got, _ := s.TupleOf(kept); got.Equal(goneT) {

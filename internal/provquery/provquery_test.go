@@ -2,6 +2,7 @@ package provquery
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -74,14 +75,17 @@ func (w engineWriter) AddProv(t types.Tuple, rid types.ID, rloc types.NodeID) {
 	w.Store.AddProv(w.Vertex(t.VID(), t), rid, rloc)
 }
 
-// AddRuleExec writes the row of rule number num over the input tuples'
-// vertices.
-func (w engineWriter) AddRuleExec(rid types.ID, num int, rule string, inputs ...types.Tuple) {
+// fig5Rules are the fixtures' rule labels, numbered as the engine numbers a
+// program's rules.
+var fig5Rules = []string{"sp1", "sp2", "sp3", "spX"}
+
+// AddRuleExec writes the row of rule over the input tuples' vertices.
+func (w engineWriter) AddRuleExec(rid types.ID, rule string, inputs ...types.Tuple) {
 	vs := make([]*provenance.Vertex, len(inputs))
 	for i, t := range inputs {
 		vs[i] = w.Vertex(t.VID(), t)
 	}
-	w.Store.AddRuleExec(rid, num, rule, vs)
+	w.Store.AddRuleExec(rid, slices.Index(fig5Rules, rule), vs)
 }
 
 func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn bool) (*fig5, *instantNet) {
@@ -92,7 +96,7 @@ func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn 
 
 	stores := make([]*provenance.Store, 4)
 	for i := range stores {
-		stores[i] = provenance.NewStore(types.NodeID(i))
+		stores[i] = provenance.NewStore(types.NodeID(i), fig5Rules, 2)
 	}
 
 	f.linkAC = types.NewTuple("link", types.Node(a), types.Node(c), types.Int(5))
@@ -108,12 +112,12 @@ func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn 
 	sa.AddProv(f.linkAC, types.ZeroID, a)
 	rid1a := types.RuleExecID("sp1", a, []types.ID{f.linkAC.VID()})
 	sa.AddProv(f.pcA, rid1a, a)
-	sa.AddRuleExec(rid1a, 0, "sp1", f.linkAC)
+	sa.AddRuleExec(rid1a, "sp1", f.linkAC)
 	rid2b := types.RuleExecID("sp2", b, []types.ID{f.linkBA.VID(), f.bpcB.VID()})
 	sa.AddProv(f.pcA, rid2b, b)
 	rid3a := types.RuleExecID("sp3", a, []types.ID{f.pcA.VID()})
 	sa.AddProv(f.bpcA, rid3a, a)
-	sa.AddRuleExec(rid3a, 2, "sp3", f.pcA)
+	sa.AddRuleExec(rid3a, "sp3", f.pcA)
 	sa.AddParent(f.linkAC.VID(), rid1a, f.pcA.VID(), a)
 	sa.AddParent(f.pcA.VID(), rid3a, f.bpcA.VID(), a)
 
@@ -123,11 +127,11 @@ func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn 
 	sb.AddProv(f.linkBC, types.ZeroID, b)
 	rid1b := types.RuleExecID("sp1", b, []types.ID{f.linkBC.VID()})
 	sb.AddProv(f.pcB, rid1b, b)
-	sb.AddRuleExec(rid1b, 0, "sp1", f.linkBC)
+	sb.AddRuleExec(rid1b, "sp1", f.linkBC)
 	rid3b := types.RuleExecID("sp3", b, []types.ID{f.pcB.VID()})
 	sb.AddProv(f.bpcB, rid3b, b)
-	sb.AddRuleExec(rid3b, 2, "sp3", f.pcB)
-	sb.AddRuleExec(rid2b, 1, "sp2", f.linkBA, f.bpcB)
+	sb.AddRuleExec(rid3b, "sp3", f.pcB)
+	sb.AddRuleExec(rid2b, "sp2", f.linkBA, f.bpcB)
 	sb.AddParent(f.linkBC.VID(), rid1b, f.pcB.VID(), b)
 	sb.AddParent(f.pcB.VID(), rid3b, f.bpcB.VID(), b)
 	sb.AddParent(f.linkBA.VID(), rid2b, f.pcA.VID(), a)
@@ -345,7 +349,7 @@ func TestCacheCoherenceAfterChange(t *testing.T) {
 	w := engineWriter{a.Store}
 	w.AddProv(extra, types.ZeroID, 0)
 	rid := types.RuleExecID("spX", 0, []types.ID{extra.VID()})
-	w.AddRuleExec(rid, 3, "spX", extra)
+	w.AddRuleExec(rid, "spX", extra)
 	w.AddParent(extra.VID(), rid, f.pcA.VID(), 0)
 	w.AddProv(f.pcA, rid, 0)
 	if got := DecodeCount(runQuery(t, f, 3, f.bpcA, 0)); got != 3 {
@@ -385,7 +389,7 @@ func ownerVars() func(algebra.Base) bdd.Var {
 	stores := map[types.NodeID]*provenance.Store{}
 	return func(b algebra.Base) bdd.Var {
 		if stores[b.Node] == nil {
-			stores[b.Node] = provenance.NewStore(b.Node)
+			stores[b.Node] = provenance.NewStore(b.Node, nil, 0)
 		}
 		return stores[b.Node].BaseVar(b.VID)
 	}
