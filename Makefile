@@ -10,9 +10,11 @@
 
 GO ?= go
 # Packages whose tests exercise concurrent code paths (the round scheduler's
-# worker pool across nodes, UDP node processes, the reliable transport);
-# test-race gates them under the race detector and CI runs it on every push.
-RACE_PKGS := ./internal/engine/... ./internal/provenance/... ./internal/deploy/... ./internal/transport/...
+# worker pool across nodes, UDP node processes, the reliable transport, and
+# the driver surface, whose Scheduler adapter stages query messages from the
+# pool and whose UDP adapter issues queries onto node workers); test-race
+# gates them under the race detector and CI runs it on every push.
+RACE_PKGS := ./internal/engine/... ./internal/provenance/... ./internal/deploy/... ./internal/transport/... ./internal/driver/...
 
 .PHONY: all build fmt vet lint lint-extra test test-race chaos-smoke scale-smoke host-independence doccheck doccheck-selftest fuzz-smoke check bench bench-smoke clean
 

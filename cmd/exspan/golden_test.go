@@ -17,18 +17,17 @@ import (
 // run by hand (build the parent's exspan, diff -dump-prov across apps and
 // modes): the Figure 3 fixpoint of every built-in program, in every
 // provenance mode, hashed (engine.StateDigest — the bytes -dump-prov prints)
-// against digests recorded in testdata/dumpprov.golden. The cell labels name
-// drivers, not executors (every node runs rounds): `drain` cells run on the
-// simulator, one message per ingest, as -dump-prov does, and `batched` cells
-// on engine.Scheduler, a round of messages per ingest, as a plain run does.
-// The labels predate that and stay, so the file stays untouched. A batched
-// cell must also equal the drain digest of the same app and mode: the
-// byte-level fence that ingest granularity does not move a fixpoint.
-// Reference and value mode also run over UDP (`-deploy`), whose digest must
-// equal the drain digest too; deploy cells have no golden line of their own.
-// Value mode is in both fences because a BDD variable is named by the node
-// that owns its base tuple, and each node meets its own base tuples in the
-// same order under every driver. Every run ends in drivertest.CheckQuiescent.
+// against digests recorded in testdata/dumpprov.golden. A cell is labelled by
+// its driver: `sim` cells run on the simulator, one message per ingest, as
+// -dump-prov does, and `sched` cells on engine.Scheduler, a round of messages
+// per ingest, as a plain run does. A sched cell must also equal the sim
+// digest of the same app and mode: the byte-level fence that ingest
+// granularity does not move a fixpoint. Reference and value mode also run
+// over UDP (`-deploy`), whose digest must equal the sim digest too; deploy
+// cells have no golden line of their own. Value mode is in both fences
+// because a BDD variable is named by the node that owns its base tuple, and
+// each node meets its own base tuples in the same order under every driver.
+// Every run ends in drivertest.CheckQuiescent.
 //
 // A refactor must leave the file untouched. A change that is *meant* to move
 // a fixpoint replaces the affected lines with the ones this test logs.
@@ -56,19 +55,19 @@ func TestDumpProvGolden(t *testing.T) {
 		for _, modeName := range []string{"none", "reference", "value", "centralized"} {
 			cfg := cellConfig(t, app, modeName)
 			sim := drivertest.Simnet(t, cfg)
-			drain := engine.StateDigest(sim.Engines())
-			check(fmt.Sprintf("%s %s drain", app, modeName), drain)
+			simDigest := engine.StateDigest(sim.Engines())
+			check(fmt.Sprintf("%s %s sim", app, modeName), simDigest)
 			sched := drivertest.Scheduler(t, cfg, 0)
-			batched := engine.StateDigest(sched.Engines())
-			check(fmt.Sprintf("%s %s batched", app, modeName), batched)
-			if batched != drain {
-				t.Errorf("%s %s: batched digest %s differs from drain digest %s", app, modeName, batched, drain)
+			schedDigest := engine.StateDigest(sched.Engines())
+			check(fmt.Sprintf("%s %s sched", app, modeName), schedDigest)
+			if schedDigest != simDigest {
+				t.Errorf("%s %s: sched digest %s differs from sim digest %s", app, modeName, schedDigest, simDigest)
 			}
 			if modeName == "reference" || modeName == "value" {
 				udp := drivertest.Deploy(t, deploy.Config{Topo: cfg.Topo, Prog: cfg.Prog, Mode: cfg.Mode,
 					Base: cfg.Base, NoLinkTuples: cfg.NoLinkTuples})
-				if got := engine.StateDigest(udp.Engines()); got != drain {
-					t.Errorf("%s %s: deploy digest %s differs from drain digest %s", app, modeName, got, drain)
+				if got := engine.StateDigest(udp.Engines()); got != simDigest {
+					t.Errorf("%s %s: deploy digest %s differs from sim digest %s", app, modeName, got, simDigest)
 				}
 				drivertest.CheckQuiescent(t, udp)
 				udp.Stop()

@@ -1,24 +1,32 @@
-// exspan runs an NDlog program over a simulated topology with a chosen
-// provenance mode, reports fixpoint statistics, and optionally executes a
-// provenance query against a named tuple.
+// exspan runs an NDlog program over a topology with a chosen provenance
+// mode, reports fixpoint statistics, and optionally executes a provenance
+// query against a named tuple. It runs on one of three drivers through one
+// path (internal/driver): the round scheduler by default, the simulator when
+// the run needs virtual time or a fault network (-query, -dump-prov, -loss,
+// -dup, -partition), and loopback UDP sockets with -deploy, where -query,
+// -dump-prov, -explain, -loss and -dup work too.
 //
 // Examples:
 //
 //	exspan -app mincost -topo fig3 -mode reference -query 'bestPathCost(@a,c,5)'
 //	exspan -app pathvector -topo transitstub -nodes 200 -mode value
+//	exspan -app mincost -topo fig3 -deploy -query 'bestPathCost(@a,c,5)' -udf derivations
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/deploy"
+	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/provquery"
@@ -64,25 +72,50 @@ var appSpecs = map[string]appSpec{
 }
 
 func main() {
-	app := flag.String("app", "mincost", "program: mincost, pathvector, packetforward, chord, policy, or a .ndlog file path")
-	topoName := flag.String("topo", "fig3", "topology: fig3, transitstub, ring")
-	nodes := flag.Int("nodes", 100, "node count for generated topologies")
-	modeName := flag.String("mode", "reference", "provenance mode: none, reference, value, centralized")
-	seed := flag.Int64("seed", 42, "random seed")
-	query := flag.String("query", "", "tuple to query after fixpoint, e.g. 'bestPathCost(@a,c,5)'")
-	udfName := flag.String("udf", "polynomial", "query representation: polynomial, bdd, derivations, nodeset, derivability")
-	dumpProv := flag.Bool("dump-prov", false, "print every node's canonical fixpoint state (visible tuples, value-mode payloads,\nprov and ruleExec rows) after fixpoint")
-	explain := flag.Bool("explain", false, "after fixpoint, dump node 0's rule plans (join order, probe indexes,\npushed predicates) with the probes and hits each join step measured")
-	deployMode := flag.Bool("deploy", false, "run over real UDP sockets (testbed mode) instead of the simulator")
-	faultSeed := flag.Int64("fault-seed", 0, "seed of the injected fault schedule (with -loss/-dup/-partition)")
-	loss := flag.Float64("loss", 0, "per-datagram drop probability in [0,1); traffic then runs over the\nreliable ack/retransmit transport so the fixpoint is unchanged")
-	dupP := flag.Float64("dup", 0, "per-datagram duplication probability in [0,1) (reliable transport, as -loss)")
-	partition := flag.String("partition", "", "scheduled healing partition 'startMs:endMs:n1,n2,...' (simulator only)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "exspan:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole CLI: it parses args, boots the workload on one driver,
+// prints its fixpoint report to stdout and answers -query. A malformed flag
+// or -h exits the process, as flag.Parse does.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("exspan", flag.ExitOnError)
+	app := fs.String("app", "mincost", "program: mincost, pathvector, packetforward, chord, policy, or a .ndlog file path")
+	topoName := fs.String("topo", "fig3", "topology: fig3, transitstub, ring")
+	nodes := fs.Int("nodes", 100, "node count for generated topologies")
+	modeName := fs.String("mode", "reference", "provenance mode: none, reference, value, centralized")
+	seed := fs.Int64("seed", 42, "random seed")
+	query := fs.String("query", "", "tuple to query after fixpoint, e.g. 'bestPathCost(@a,c,5)'")
+	udfName := fs.String("udf", "polynomial", "query representation: polynomial, bdd, derivations, nodeset, derivability")
+	dumpProv := fs.Bool("dump-prov", false, "print every node's canonical fixpoint state (visible tuples, value-mode payloads,\nprov and ruleExec rows) after fixpoint")
+	explain := fs.Bool("explain", false, "after fixpoint, dump node 0's rule plans (join order, probe indexes,\npushed predicates) with the probes and hits each join step measured")
+	deployMode := fs.Bool("deploy", false, "run over real UDP sockets (testbed mode) instead of the simulator")
+	faultSeed := fs.Int64("fault-seed", 0, "seed of the injected fault schedule (with -loss/-dup/-partition)")
+	loss := fs.Float64("loss", 0, "per-datagram drop probability in [0,1); traffic then runs over the\nreliable ack/retransmit transport so the fixpoint is unchanged")
+	dupP := fs.Float64("dup", 0, "per-datagram duplication probability in [0,1) (reliable transport, as -loss)")
+	partition := fs.String("partition", "", "scheduled healing partition 'startMs:endMs:n1,n2,...' (simulator only)")
+	fs.Parse(args) // ExitOnError: returns only on success
+
+	// Refused before anything boots: at a drop probability of 1 nothing
+	// gets through, and at a duplication probability of 1 every copy is
+	// copied again, so the run would never reach its fixpoint; a cluster
+	// without nodes has no per-node average.
+	if !(*loss >= 0 && *loss < 1) {
+		return fmt.Errorf("-loss %v is outside [0,1)", *loss)
+	}
+	if !(*dupP >= 0 && *dupP < 1) {
+		return fmt.Errorf("-dup %v is outside [0,1)", *dupP)
+	}
+	if *nodes < 1 {
+		return fmt.Errorf("-nodes %d: a cluster needs at least one node", *nodes)
+	}
 
 	prog, err := loadProgram(*app)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	spec, ok := appSpecs[*app]
 	if !ok {
@@ -90,7 +123,7 @@ func main() {
 	}
 	topo, err := loadTopology(*topoName, *nodes, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var base map[types.NodeID][]types.Tuple
 	if spec.base != nil {
@@ -98,7 +131,20 @@ func main() {
 	}
 	mode, err := parseMode(*modeName)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	udf, ok := udfs[*udfName]
+	if !ok {
+		return fmt.Errorf("unknown -udf %q", *udfName)
+	}
+	setup := func(engines []*engine.Node, procs []*provquery.Processor) {
+		if *explain {
+			engines[0].CountJoins()
+		}
+		u := udf(engines)
+		for _, p := range procs {
+			p.UDF = u
+		}
 	}
 
 	// A fault schedule, when requested, is seeded and recorded in the
@@ -109,149 +155,82 @@ func main() {
 		if *partition != "" {
 			start, end, side, err := parsePartition(*partition)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			plan.AddPartition(start, end, side...)
 		}
 	}
 
-	if *deployMode {
+	// The driver follows from the flags: -deploy runs over UDP; a fault
+	// schedule needs the simulator's network, and -query and -dump-prov run
+	// there too, reporting virtual time as they always have; every other
+	// run goes through the round scheduler, which reports wall-clock time.
+	cfg := core.Config{Topo: topo, Prog: prog, Mode: mode, Base: base, NoLinkTuples: spec.noLinks}
+	startAt := time.Now()
+	wall := func() simnet.Time { return simnet.Time(time.Since(startAt)) }
+	clock, unit := wall, "wall clock"
+	var d driver.Driver
+	var r fixpointReport
+	switch {
+	case *deployMode:
 		if *partition != "" {
-			fatal(fmt.Errorf("-partition is simulator-only; -loss/-dup work with -deploy"))
+			return fmt.Errorf("-partition is simulator-only; -loss/-dup work with -deploy")
 		}
-		if *query != "" {
-			fatal(fmt.Errorf("-query is simulator-only; -dump-prov and -explain work with -deploy"))
+		if plan != nil {
+			fmt.Fprintf(stdout, "faults(seed=%d loss=%.3f dup=%.3f) over reliable transport\n", *faultSeed, *loss, *dupP)
 		}
-		runDeployment(topo, prog, mode, spec, base, *loss, *dupP, *faultSeed, *explain, *dumpProv)
-		return
-	}
-
-	// A plain fixpoint run (no query, no provenance dump, no faults) uses
-	// the round scheduler: same results, no simulator in the way. Queries
-	// and dumps need the simulator's virtual clock and the query processor,
-	// fault schedules need its network, so those run the simnet driver.
-	if *query == "" && !*dumpProv && plan == nil {
-		runScheduled(topo, prog, mode, spec, base, *explain)
-		return
-	}
-
-	cfg := core.Config{Topo: topo, Prog: prog, Mode: mode, Faults: plan,
-		Base: base, NoLinkTuples: spec.noLinks}
-	c, err := core.NewCluster(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if *explain {
-		c.Hosts[0].Engine.CountJoins()
-	}
-	switch *udfName {
-	case "polynomial":
-	case "bdd":
-		setUDF(c, provquery.BDD(c.BaseVar))
-	case "derivations":
-		setUDF(c, provquery.Derivations())
-	case "nodeset":
-		setUDF(c, provquery.NodeSet())
-	case "derivability":
-		setUDF(c, provquery.Derivability(nil))
+		u, err := driver.NewUDP(deploy.Config{Topo: topo, Prog: prog, Mode: mode,
+			Base: base, NoLinkTuples: spec.noLinks,
+			Reliable: plan != nil, Loss: *loss, Dup: *dupP, FaultSeed: *faultSeed}, setup)
+		if err != nil {
+			return err
+		}
+		defer u.Stop()
+		d, r = u, fixpointReport{
+			headline: fmt.Sprintf("deployment fixpoint: %.3fs wall clock, %d UDP nodes", wall().Seconds(), topo.N),
+			traffic:  u.Traffic(), inKB: true, dropped: u.Dropped.Load(),
+			reliable: plan != nil, transport: u.TransportStats,
+		}
+	case plan != nil || *query != "" || *dumpProv:
+		if plan != nil {
+			fmt.Fprintln(stdout, plan.String())
+		}
+		cfg.Faults = plan
+		s, err := driver.NewSim(cfg, setup)
+		if err != nil {
+			return err
+		}
+		d, clock, unit = s, s.Sim.Now, "virtual"
+		r = fixpointReport{
+			headline: fmt.Sprintf("fixpoint: %.3fs virtual time, %d nodes, %d links", clock().Seconds(), topo.N, s.Net.NumLinks()),
+			traffic:  s.Net.Traffic, dropped: s.Net.DroppedMsgs,
+			faults: plan, reliable: plan != nil, transport: s.TransportStats,
+		}
 	default:
-		fatal(fmt.Errorf("unknown -udf %q", *udfName))
+		s, err := driver.NewSched(cfg, 0, setup)
+		if err != nil {
+			return err
+		}
+		d, r = s, fixpointReport{
+			headline: fmt.Sprintf("scheduled fixpoint: %.3fs wall clock, %d nodes, %d scheduler rounds", wall().Seconds(), topo.N, s.Rounds),
+			traffic:  s.Traffic, dropped: -1,
+		}
 	}
-
-	if plan != nil {
-		fmt.Println(plan.String())
+	engines := d.Engines()
+	r.print(stdout, spec, engines, *explain, *dumpProv)
+	if *query == "" {
+		return nil
 	}
-	fix, err := c.RunToFixpoint()
-	if err != nil {
-		fatal(err)
-	}
-	fixpointReport{
-		headline: fmt.Sprintf("fixpoint: %.3fs virtual time, %d nodes, %d links",
-			fix.Seconds(), topo.N, c.Net.NumLinks()),
-		traffic: c.Net.Traffic, dropped: c.Net.DroppedMsgs,
-		faults: plan, reliable: plan != nil, transport: c.TransportStats,
-		engines: c.Engines(), explain: *explain, dump: *dumpProv,
-	}.print(spec)
-
-	if *query != "" {
-		runQuery(c, *query, *udfName)
-	}
+	return runQuery(stdout, d, engines, clock, unit, *query, *udfName)
 }
 
-// runScheduled computes the fixpoint through the round scheduler
-// (engine.Scheduler) and prints statistics comparable to the simulator path
-// (identical tuple counts; wall-clock time instead of virtual time).
-func runScheduled(topo *topology.Topology, prog *ndlog.Program, mode engine.ProvMode, spec appSpec, base map[types.NodeID][]types.Tuple, explain bool) {
-	compiled, err := engine.Compile(prog)
-	if err != nil {
-		fatal(err)
-	}
-	s := engine.NewScheduler(compiled, mode, topo.N, 0, 0)
-	if explain {
-		s.Node(0).CountJoins()
-	}
-	startAt := time.Now()
-	apps.BootEDB(topo, spec.noLinks, base, s.InsertBase)
-	if err := s.Run(); err != nil {
-		fatal(err)
-	}
-	fixpointReport{
-		headline: fmt.Sprintf("scheduled fixpoint: %.3fs wall clock, %d nodes, %d scheduler rounds",
-			time.Since(startAt).Seconds(), topo.N, s.Rounds),
-		traffic: s.Traffic, dropped: -1,
-		engines: s.Engines(), explain: explain,
-	}.print(spec)
-}
-
-// runDeployment executes the program over real UDP sockets on loopback
-// (the paper's testbed mode) and prints byte and latency statistics. With
-// loss or duplication injected, traffic runs over the reliable transport
-// and the recovery statistics are reported alongside.
-func runDeployment(topo *topology.Topology, prog *ndlog.Program, mode engine.ProvMode, spec appSpec, base map[types.NodeID][]types.Tuple, loss, dup float64, faultSeed int64, explain, dump bool) {
-	faulty := loss > 0 || dup > 0
-	if faulty {
-		fmt.Printf("faults(seed=%d loss=%.3f dup=%.3f) over reliable transport\n", faultSeed, loss, dup)
-	}
-	startAt := time.Now()
-	cl, err := deployFixpoint(deploy.Config{
-		Topo: topo, Prog: prog, Mode: mode,
-		Base: base, NoLinkTuples: spec.noLinks,
-		Reliable: faulty, Loss: loss, Dup: dup, FaultSeed: faultSeed,
-	}, explain)
-	if err != nil {
-		fatal(err)
-	}
-	defer cl.Stop()
-	fixpointReport{
-		headline: fmt.Sprintf("deployment fixpoint: %.3fs wall clock, %d UDP nodes",
-			time.Since(startAt).Seconds(), topo.N),
-		traffic: cl.Traffic(), inKB: true, dropped: cl.Dropped.Load(),
-		reliable: faulty, transport: cl.TransportStats,
-		engines: cl.Engines(), explain: explain, dump: dump,
-	}.print(spec)
-}
-
-// deployFixpoint starts a UDP cluster, seeds its EDB and waits for its
-// fixpoint, with node 0 counting its join probes when explain is set. On
-// success the caller owns the running cluster and must Stop it.
-func deployFixpoint(cfg deploy.Config, explain bool) (*deploy.Cluster, error) {
-	cl, err := deploy.NewCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if explain {
-		cl.Nodes[0].Engine.CountJoins()
-	}
-	cl.Start()
-	cl.InsertLinks()
-	if _, err = cl.WaitFixpoint(120 * time.Second); err == nil {
-		err = cl.Err()
-	}
-	if err != nil {
-		cl.Stop()
-		return nil, err
-	}
-	return cl, nil
+// udfs builds each -udf representation for a cluster's engines.
+var udfs = map[string]func([]*engine.Node) provquery.UDF{
+	"polynomial":   func([]*engine.Node) provquery.UDF { return provquery.Polynomial{} },
+	"bdd":          func(en []*engine.Node) provquery.UDF { return provquery.BDD(driver.BaseVar(en)) },
+	"derivations":  func([]*engine.Node) provquery.UDF { return provquery.Derivations() },
+	"nodeset":      func([]*engine.Node) provquery.UDF { return provquery.NodeSet() },
+	"derivability": func([]*engine.Node) provquery.UDF { return provquery.Derivability(nil) },
 }
 
 // fixpointReport is what every driver prints once its fixpoint is reached;
@@ -264,52 +243,51 @@ type fixpointReport struct {
 	faults    *simnet.FaultPlan      // injected fault schedule (simulator)
 	reliable  bool                   // traffic ran over the reliable transport: print its counters
 	transport func() transport.Stats // read only when reliable
-	engines   []*engine.Node         // the driver's cluster view, read at its fixpoint
-	explain   bool                   // dump node 0's plans
-	dump      bool                   // print every node's canonical state
 }
 
-func (r fixpointReport) print(spec appSpec) {
-	fmt.Println(r.headline)
+// print writes the report, then node 0's plans when explain is set and
+// every node's canonical state when dump is.
+func (r fixpointReport) print(w io.Writer, spec appSpec, engines []*engine.Node, explain, dump bool) {
+	fmt.Fprintln(w, r.headline)
 	total, avg := float64(r.traffic.TotalBytes), r.traffic.AvgSentBytes()
 	if r.inKB {
-		fmt.Printf("communication: %.1f KB total, %.2f KB avg per node\n", total/1e3, avg/1e3)
+		fmt.Fprintf(w, "communication: %.1f KB total, %.2f KB avg per node\n", total/1e3, avg/1e3)
 	} else {
-		fmt.Printf("communication: %.3f MB total, %.4f MB avg per node\n", total/1e6, avg/1e6)
+		fmt.Fprintf(w, "communication: %.3f MB total, %.4f MB avg per node\n", total/1e6, avg/1e6)
 	}
 	if r.dropped >= 0 {
-		fmt.Printf("network: %d datagrams dropped\n", r.dropped)
+		fmt.Fprintf(w, "network: %d datagrams dropped\n", r.dropped)
 	}
 	if r.faults != nil {
-		fmt.Printf("faults: %d dropped, %d duplicated, %d cut by partition/crash\n",
+		fmt.Fprintf(w, "faults: %d dropped, %d duplicated, %d cut by partition/crash\n",
 			r.faults.Dropped, r.faults.Duplicated, r.faults.Cut)
 	}
 	if r.reliable {
 		st := r.transport()
-		fmt.Printf("transport: %d data frames, %d retransmits, %d pure acks, %d dups absorbed, %d reordered\n",
+		fmt.Fprintf(w, "transport: %d data frames, %d retransmits, %d pure acks, %d dups absorbed, %d reordered\n",
 			st.DataSent, st.Retransmits, st.AcksSent, st.DupsDropped, st.OooBuffered)
 	}
 	var deltas, fired int64
-	for _, en := range r.engines {
+	for _, en := range engines {
 		deltas += en.DeltasProcessed()
 		fired += en.RulesFired()
 	}
-	fmt.Printf("engine: %d deltas processed, %d rule firings\n", deltas, fired)
+	fmt.Fprintf(w, "engine: %d deltas processed, %d rule firings\n", deltas, fired)
 	for _, pred := range spec.outPreds {
 		n := 0
-		for _, en := range r.engines {
+		for _, en := range engines {
 			n += en.TupleCount(pred)
 		}
 		if n > 0 {
-			fmt.Printf("  %-14s %6d tuples\n", pred, n)
+			fmt.Fprintf(w, "  %-14s %6d tuples\n", pred, n)
 		}
 	}
-	if r.explain {
-		fmt.Println("plans (node 0):")
-		r.engines[0].ExplainPlans(os.Stdout)
+	if explain {
+		fmt.Fprintln(w, "plans (node 0):")
+		engines[0].ExplainPlans(w)
 	}
-	if r.dump {
-		engine.WriteStates(os.Stdout, r.engines)
+	if dump {
+		engine.WriteStates(w, engines)
 	}
 }
 
@@ -339,47 +317,45 @@ func parsePartition(s string) (start, end simnet.Time, side []types.NodeID, err 
 	return simnet.Time(startMs) * simnet.Millisecond, simnet.Time(endMs) * simnet.Millisecond, side, nil
 }
 
-func setUDF(c *core.Cluster, u provquery.UDF) {
-	for _, h := range c.Hosts {
-		h.Query.UDF = u
-	}
-}
-
-func runQuery(c *core.Cluster, q, udfName string) {
+// runQuery asks for the provenance of the tuple literal q at its own node
+// and prints the answer in the -udf representation.
+// clock reads the driver's time, in unit.
+func runQuery(w io.Writer, d driver.Driver, engines []*engine.Node, clock func() simnet.Time, unit, q, udfName string) error {
 	t, err := parseTupleLiteral(q)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	ref, ok := c.FindTuple(t)
-	if !ok {
-		fatal(fmt.Errorf("tuple %s not found (is it visible at node %s?)", t, t.Loc()))
+	loc := t.Loc()
+	if loc < 0 || int(loc) >= len(engines) || !slices.ContainsFunc(engines[loc].Tuples(t.Pred), t.Equal) {
+		return fmt.Errorf("tuple %s not found (is it visible at node %s?)", t, loc)
 	}
-	issued := c.Sim.Now()
+	issued := clock()
 	var result []byte
-	c.Query(ref.Loc, ref.VID, ref.Loc, func(payload []byte) { result = payload })
-	if _, err := c.RunToFixpoint(); err != nil {
-		fatal(err)
+	d.Query(loc, t.VID(), loc, func(payload []byte) { result = payload })
+	if err := d.Fixpoint(); err != nil {
+		return err
 	}
 	if result == nil {
-		fatal(fmt.Errorf("query did not complete"))
+		return fmt.Errorf("query did not complete")
 	}
-	fmt.Printf("query %s completed in %.4fs (virtual)\n", t, (c.Sim.Now() - issued).Seconds())
+	fmt.Fprintf(w, "query %s completed in %.4fs (%s)\n", t, (clock() - issued).Seconds(), unit)
 	switch udfName {
 	case "polynomial":
 		expr, err := provquery.DecodePolynomial(result)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("provenance:", expr)
+		fmt.Fprintln(w, "provenance:", expr)
 	case "derivations":
-		fmt.Println("derivations:", provquery.DecodeCount(result))
+		fmt.Fprintln(w, "derivations:", provquery.DecodeCount(result))
 	case "nodeset":
-		fmt.Println("nodes:", provquery.DecodeNodeSet(result))
+		fmt.Fprintln(w, "nodes:", provquery.DecodeNodeSet(result))
 	case "derivability":
-		fmt.Println("derivable:", provquery.DecodeBool(result))
+		fmt.Fprintln(w, "derivable:", provquery.DecodeBool(result))
 	default:
-		fmt.Printf("result: %d bytes\n", len(result))
+		fmt.Fprintf(w, "result: %d bytes\n", len(result))
 	}
+	return nil
 }
 
 func loadProgram(name string) (*ndlog.Program, error) {
@@ -450,9 +426,4 @@ func parseTupleLiteral(s string) (types.Tuple, error) {
 		t.Args = append(t.Args, c.Val)
 	}
 	return t, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "exspan:", err)
-	os.Exit(1)
 }

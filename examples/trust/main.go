@@ -23,6 +23,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/bdd"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/provquery"
 	"repro/internal/topology"
@@ -49,7 +50,7 @@ func main() {
 
 	// --- 1. BDD (absorption) provenance --------------------------------
 	for _, h := range cluster.Hosts {
-		h.Query.UDF = provquery.BDD(cluster.BaseVar)
+		h.Query.UDF = provquery.BDD(driver.BaseVar(cluster.Engines()))
 	}
 	var bddPayload []byte
 	cluster.Query(c, target.VID, target.Loc, func(p []byte) { bddPayload = p })
@@ -57,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	mgr := bdd.New()
-	ring := algebra.BDD(mgr, cluster.BaseVar)
+	ring := algebra.BDD(mgr, driver.BaseVar(cluster.Engines()))
 	root, ok := ring.Decode(bddPayload)
 	if !ok {
 		log.Fatal("malformed BDD answer")

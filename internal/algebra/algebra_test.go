@@ -158,7 +158,7 @@ func ownerVars() (name func(Base) bdd.Var, vidOf func(bdd.Var) types.ID) {
 	stores := map[types.NodeID]*provenance.Store{}
 	storeOf := func(n types.NodeID) *provenance.Store {
 		if stores[n] == nil {
-			stores[n] = provenance.NewStore(n, nil, 0)
+			stores[n] = provenance.NewStore(n, &provenance.Rules{})
 		}
 		return stores[n]
 	}

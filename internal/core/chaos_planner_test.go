@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
@@ -32,7 +33,7 @@ c2 reach(@Z,X) :- link(@Y,Z,C), reach(@Y,X), nbr(@Y,W).
 // runChaosPlanner boots a ring cluster, then deletes three links one
 // quiescence point at a time, partitioning one endpoint during the second
 // deletion when a fault plan is set.
-func runChaosPlanner(t *testing.T, mode engine.ProvMode, plan *simnet.FaultPlan) *drivertest.Sim {
+func runChaosPlanner(t *testing.T, mode engine.ProvMode, plan *simnet.FaultPlan) *driver.Sim {
 	t.Helper()
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
 	c := drivertest.Simnet(t, core.Config{Topo: topo, Prog: chaosPlannerProg(), Mode: mode, Faults: plan})

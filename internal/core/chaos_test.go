@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
@@ -57,7 +58,7 @@ type chaosWorkload struct {
 	witness string
 	noLinks bool
 	base    func(*topology.Topology) map[types.NodeID][]types.Tuple
-	churn   func(d drivertest.Driver, topo *topology.Topology, k int)
+	churn   func(d driver.Driver, topo *topology.Topology, k int)
 }
 
 // config is the workload's cluster on topo in one provenance mode.
@@ -69,7 +70,7 @@ func (w chaosWorkload) config(topo *topology.Topology, mode engine.ProvMode) cor
 	return cfg
 }
 
-func chaosLinkChurn(d drivertest.Driver, topo *topology.Topology, k int) {
+func chaosLinkChurn(d driver.Driver, topo *topology.Topology, k int) {
 	l := topo.Links[(k*3)%len(topo.Links)]
 	d.Delete(apps.LinkTuple(l.U, l.V, l.Cost))
 	d.Delete(apps.LinkTuple(l.V, l.U, l.Cost))
@@ -90,7 +91,7 @@ var chaosWorkloads = []chaosWorkload{
 			}
 			return b
 		},
-		churn: func(d drivertest.Driver, topo *topology.Topology, k int) {
+		churn: func(d driver.Driver, topo *topology.Topology, k int) {
 			l := topo.Links[(k*3)%len(topo.Links)]
 			d.Delete(apps.AliveTuple(l.U, l.V))
 			d.Delete(apps.AliveTuple(l.V, l.U))
@@ -99,7 +100,7 @@ var chaosWorkloads = []chaosWorkload{
 		base: func(topo *topology.Topology) map[types.NodeID][]types.Tuple {
 			return apps.PolicyTuples(topo)
 		},
-		churn: func(d drivertest.Driver, topo *topology.Topology, k int) {
+		churn: func(d driver.Driver, topo *topology.Topology, k int) {
 			l := topo.Links[(k*3)%len(topo.Links)]
 			if w, ok := apps.ExportPolicy(l.U, l.V); ok {
 				d.Delete(apps.PolicyTuple(l.U, l.V, w))
@@ -119,7 +120,7 @@ var chaosWorkloads = []chaosWorkload{
 // stay up so retransmissions remain deliverable), and returns the final
 // state. Under a fault plan a second partition is injected mid-churn, so
 // deletion deltas cross a lossy, partitioned wire.
-func runChaosWorkload(t *testing.T, w chaosWorkload, mode engine.ProvMode, plan *simnet.FaultPlan) *drivertest.Sim {
+func runChaosWorkload(t *testing.T, w chaosWorkload, mode engine.ProvMode, plan *simnet.FaultPlan) *driver.Sim {
 	t.Helper()
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
 	cfg := w.config(topo, mode)
@@ -173,7 +174,7 @@ func TestChaosEquivalence(t *testing.T) {
 // land not just on the deletion wave but on the stratified release waves
 // the idle hook fires afterwards — rederive batches are dropped, queued
 // behind partitions and retransmitted mid-wave.
-func runReleaseWaveChaos(t *testing.T, w chaosWorkload, plan *simnet.FaultPlan) *drivertest.Sim {
+func runReleaseWaveChaos(t *testing.T, w chaosWorkload, plan *simnet.FaultPlan) *driver.Sim {
 	t.Helper()
 	topo := topology.Ring(8, rand.New(rand.NewSource(21)))
 	cfg := w.config(topo, engine.ProvReference)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/deploy"
+	"repro/internal/driver"
 	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/provenance"
@@ -136,7 +137,7 @@ func TestValueModePayloadMatchesReferenceQuery(t *testing.T) {
 // against reference mode's recomputed traversals.
 func TestValueModePayloadMatchesReferenceQueryAfterChurn(t *testing.T) {
 	// Drop and restore a-b, and drop b-d permanently.
-	churn := func(t *testing.T, d drivertest.Driver, topo *topology.Topology) {
+	churn := func(t *testing.T, d driver.Driver, topo *topology.Topology) {
 		ab, bd := topo.Links[0], topo.Links[3]
 		setLink(t, d, bd, false)
 		setLink(t, d, ab, false)
@@ -151,19 +152,19 @@ func TestValueModePayloadMatchesReferenceQueryAfterChurn(t *testing.T) {
 // simulator and over UDP.
 var valueDrivers = []struct {
 	name  string
-	start func(t *testing.T, topo *topology.Topology) drivertest.Driver
+	start func(t *testing.T, topo *topology.Topology) driver.Driver
 }{
-	{"simulator", func(t *testing.T, topo *topology.Topology) drivertest.Driver {
+	{"simulator", func(t *testing.T, topo *topology.Topology) driver.Driver {
 		return drivertest.Simnet(t, core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvValue})
 	}},
-	{"deploy", func(t *testing.T, topo *topology.Topology) drivertest.Driver {
+	{"deploy", func(t *testing.T, topo *topology.Topology) driver.Driver {
 		return drivertest.Deploy(t, deploy.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvValue})
 	}},
 }
 
 // setLink raises or drops a link's two tuples and waits for the next
 // fixpoint.
-func setLink(t *testing.T, d drivertest.Driver, l topology.Link, up bool) {
+func setLink(t *testing.T, d driver.Driver, l topology.Link, up bool) {
 	t.Helper()
 	for _, tu := range []types.Tuple{apps.LinkTuple(l.U, l.V, l.Cost), apps.LinkTuple(l.V, l.U, l.Cost)} {
 		if up {
@@ -177,13 +178,13 @@ func setLink(t *testing.T, d drivertest.Driver, l topology.Link, up bool) {
 	}
 }
 
-func compareValueAndReference(t *testing.T, start func(*testing.T, *topology.Topology) drivertest.Driver,
-	churn func(*testing.T, drivertest.Driver, *topology.Topology)) {
+func compareValueAndReference(t *testing.T, start func(*testing.T, *topology.Topology) driver.Driver,
+	churn func(*testing.T, driver.Driver, *topology.Topology)) {
 	t.Helper()
 	topo := topology.Figure3()
 	value := start(t, topo)
 	refC := drivertest.Simnet(t, core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
-	refC.Cfg.UDF = provquery.BDD(refC.BaseVar)
+	refC.Cfg.UDF = provquery.BDD(driver.BaseVar(refC.Engines()))
 	for _, h := range refC.Hosts {
 		h.Query.UDF = refC.Cfg.UDF
 	}

@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/algebra"
 	"repro/internal/apps"
-	"repro/internal/bdd"
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/provquery"
@@ -107,14 +105,6 @@ type Cluster struct {
 	Topo  *topology.Topology
 	Prog  *engine.Program
 	Hosts []*Host
-}
-
-// BaseVar names base tuple b's BDD variable in the store of its owner
-// b.Node: the naming provquery.BDD needs. A query computes a base tuple's
-// annotation at its owner, so this touches only the owner's store, on the
-// owner's turn.
-func (c *Cluster) BaseVar(b algebra.Base) bdd.Var {
-	return c.Hosts[b.Node].Engine.Store.BaseVar(b.VID)
 }
 
 type simTransport struct {

@@ -11,7 +11,9 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/apps"
+	"repro/internal/bdd"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/provquery"
@@ -27,6 +29,18 @@ import (
 // virtual time at which the last one returned; afterwards no host may hold
 // a pending protocol record (DFS-THRESHOLD stops early and MOONWALK prunes,
 // so both must still release everything they started).
+//
+// Every cell runs again on the Scheduler, whose query messages travel
+// between engine runs in (source, emission order) instead of on virtual
+// time. Where its payloads are the simulator's, its query bytes must be too
+// with the cache off (with it on, arrival order decides which results are
+// warm). A cell whose payloads differ is pinned on a line of its own, keyed
+// `sched`. That happens where a result depends on the order of a tuple's
+// derivations, which is the order they arrived in, and that order differs
+// between the drivers: a POLYNOMIAL sum lists them in it (each such answer
+// must still equal the simulator's up to that order), a BDD query numbers
+// base tuples as it first reaches them, DFS-THRESHOLD stops after the
+// derivations it happened to try first, and a MOONWALK sampler draws in it.
 //
 // A refactor of provquery or of a payload encoding must leave the file
 // untouched. A change that is *meant* to move a payload, a message size or
@@ -44,27 +58,44 @@ func TestQueryGolden(t *testing.T) {
 
 	udfs := []struct {
 		name string
-		mk   func(c *core.Cluster) provquery.UDF
+		mk   func(name func(algebra.Base) bdd.Var) provquery.UDF
 	}{
-		{"polynomial", func(*core.Cluster) provquery.UDF { return provquery.Polynomial{} }},
-		{"bdd", func(c *core.Cluster) provquery.UDF { return provquery.BDD(c.BaseVar) }},
-		{"derivations", func(*core.Cluster) provquery.UDF { return provquery.Derivations() }},
-		{"nodeset", func(*core.Cluster) provquery.UDF { return provquery.NodeSet() }},
-		{"derivability", func(*core.Cluster) provquery.UDF { return provquery.Derivability(nil) }},
+		{"polynomial", func(func(algebra.Base) bdd.Var) provquery.UDF { return provquery.Polynomial{} }},
+		{"bdd", provquery.BDD},
+		{"derivations", func(func(algebra.Base) bdd.Var) provquery.UDF { return provquery.Derivations() }},
+		{"nodeset", func(func(algebra.Base) bdd.Var) provquery.UDF { return provquery.NodeSet() }},
+		{"derivability", func(func(algebra.Base) bdd.Var) provquery.UDF { return provquery.Derivability(nil) }},
 	}
 	strategies := []provquery.Strategy{provquery.BFS, provquery.DFS, provquery.DFSThreshold, provquery.Moonwalk}
 
 	var computed strings.Builder
 	bad := false
+	check := func(key, got string) {
+		fmt.Fprintf(&computed, "%s: %s\n", key, got)
+		if want[key] != got {
+			t.Errorf("%s: got %s, golden %q", key, got, want[key])
+			bad = true
+		}
+	}
 	for _, u := range udfs {
 		for _, strat := range strategies {
 			for _, cache := range []bool{false, true} {
 				key := fmt.Sprintf("%s %s cache=%v", u.name, strat, cache)
-				got := queryGoldenCell(t, u.mk, strat, cache)
-				fmt.Fprintf(&computed, "%s: %s\n", key, got)
-				if want[key] != got {
-					t.Errorf("%s: got %s, golden %q", key, got, want[key])
-					bad = true
+				cfg := core.Config{Strategy: strat, Threshold: 2, CacheOn: cache}
+				sim := drivertest.Simnet(t, transitStubMinCost(cfg))
+				simResults, wire := queryGoldenCell(t, sim, u.mk, func() int64 { return sim.Net.TotalBytes })
+				payloads := digest(simResults)
+				check(key, fmt.Sprintf("payloads=%s wire=%d vtime=%d", payloads, wire, int64(sim.Sim.Now())))
+
+				sched := drivertest.Scheduler(t, transitStubMinCost(cfg), 0)
+				results, schedWire := queryGoldenCell(t, sched, u.mk, func() int64 { return sched.TotalBytes })
+				if got := digest(results); got != payloads {
+					check(key+" sched", fmt.Sprintf("payloads=%s wire=%d", got, schedWire))
+				} else if !cache && schedWire != wire {
+					t.Errorf("%s: Scheduler put %d query bytes on the wire, simulator %d", key, schedWire, wire)
+				}
+				if u.name == "polynomial" && strat != provquery.Moonwalk {
+					samePolynomials(t, key, simResults, results)
 				}
 			}
 		}
@@ -74,38 +105,75 @@ func TestQueryGolden(t *testing.T) {
 	}
 }
 
-func queryGoldenCell(t *testing.T, mkUDF func(*core.Cluster) provquery.UDF, strat provquery.Strategy, cache bool) string {
+// queryGoldenCell issues 300 seeded queries for bestPathCost tuples on d,
+// whose processors it gives mkUDF's representation, each run to d's next
+// fixpoint, and returns the results in issue order and the bytes wire
+// counted meanwhile. No processor may hold a pending record afterwards.
+func queryGoldenCell(t *testing.T, d driver.Driver, mkUDF func(func(algebra.Base) bdd.Var) provquery.UDF, wire func() int64) ([][]byte, int64) {
 	t.Helper()
-	c := convergedTransitStub(t, core.Config{Strategy: strat, Threshold: 2, CacheOn: cache})
-	udf := mkUDF(c)
-	for _, h := range c.Hosts {
-		h.Query.UDF = udf
+	engines := d.Engines()
+	udf := mkUDF(driver.BaseVar(engines))
+	for _, p := range d.Processors() {
+		p.UDF = udf
 	}
-	targets := c.TuplesOf("bestPathCost")
+	var targets []types.Tuple
+	for _, en := range engines {
+		targets = append(targets, en.Tuples("bestPathCost")...)
+	}
 	rng := rand.New(rand.NewSource(7))
-	bytes0 := c.Net.TotalBytes
-	h := sha1.New()
-	for q := 0; q < 300; q++ {
-		ref := targets[rng.Intn(len(targets))]
+	bytes0 := wire()
+	results := make([][]byte, 300)
+	for q := range results {
+		target := targets[rng.Intn(len(targets))]
 		answered := false
-		c.Query(types.NodeID(rng.Intn(c.Topo.N)), ref.VID, ref.Loc, func(p []byte) {
-			answered = true
-			var n [4]byte
-			binary.BigEndian.PutUint32(n[:], uint32(len(p)))
-			h.Write(n[:])
-			h.Write(p)
+		d.Query(types.NodeID(rng.Intn(len(engines))), target.VID(), target.Loc(), func(p []byte) {
+			results[q], answered = p, true
 		})
-		c.Sim.Run()
+		if err := d.Fixpoint(); err != nil {
+			t.Fatal(err)
+		}
 		if !answered {
-			t.Fatalf("query %d for %s never returned", q, ref.Tuple)
+			t.Fatalf("query %d for %s never returned", q, target)
 		}
 	}
-	for i, host := range c.Hosts {
-		if n := host.Query.Pending(); n != 0 {
-			t.Errorf("host %d: %d pending protocol records after all queries returned", i, n)
+	for i, p := range d.Processors() {
+		if n := p.Pending(); n != 0 {
+			t.Errorf("node %d: %d pending protocol records after all queries returned", i, n)
 		}
 	}
-	return fmt.Sprintf("payloads=%x wire=%d vtime=%d", h.Sum(nil), c.Net.TotalBytes-bytes0, int64(c.Sim.Now()))
+	return results, wire() - bytes0
+}
+
+// digest hashes query results in order, each prefixed by its length.
+func digest(results [][]byte) string {
+	h := sha1.New()
+	for _, p := range results {
+		var n [4]byte
+		binary.BigEndian.PutUint32(n[:], uint32(len(p)))
+		h.Write(n[:])
+		h.Write(p)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// samePolynomials requires two runs' POLYNOMIAL answers to be equal query by
+// query up to the order of sums and products (canon).
+func samePolynomials(t *testing.T, key string, want, got [][]byte) {
+	t.Helper()
+	for q := range want {
+		w, err := provquery.DecodePolynomial(want[q])
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := provquery.DecodePolynomial(got[q])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canon(w) != canon(g) {
+			t.Errorf("%s: query %d: Scheduler answered %s, simulator %s", key, q, g, w)
+			return
+		}
+	}
 }
 
 // convergedTransitStub runs reference-mode MINCOST to fixpoint on the seed-1
@@ -113,10 +181,15 @@ func queryGoldenCell(t *testing.T, mkUDF func(*core.Cluster) provquery.UDF, stra
 // given query-processor settings.
 func convergedTransitStub(t *testing.T, cfg core.Config) *core.Cluster {
 	t.Helper()
+	return drivertest.Simnet(t, transitStubMinCost(cfg)).Cluster
+}
+
+// transitStubMinCost is cfg with reference-mode MINCOST on the seed-1
+// transit-stub topology.
+func transitStubMinCost(cfg core.Config) core.Config {
 	cfg.Topo = topology.TransitStub(topology.DefaultTransitStub(1), rand.New(rand.NewSource(1)))
 	cfg.Prog, cfg.Mode = apps.MinCost(), engine.ProvReference
-	c := drivertest.Simnet(t, cfg).Cluster
-	return c
+	return cfg
 }
 
 // TestQueryAllocsPerVertex fences the cost model of the query path: a hop

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/stats"
@@ -32,7 +33,7 @@ func TestSchedulerMatchesSimnet(t *testing.T) {
 	// Reference: the simulation (one message per ingest).
 	cfg := core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference}
 	c := drivertest.Simnet(t, cfg)
-	var prev *drivertest.Sched
+	var prev *driver.Sched
 	for _, workers := range []int{1, 0, 4} {
 		s := drivertest.Scheduler(t, cfg, workers)
 		label := fmt.Sprintf("workers=%d: simnet vs scheduler", workers)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/bdd"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/provquery"
 	"repro/internal/types"
 )
@@ -32,8 +33,8 @@ func images(c *core.Cluster) []image {
 		{provquery.NodeSet(), func(poly *algebra.Expr, p []byte) bool {
 			return slices.Equal(provquery.DecodeNodeSet(p), algebra.SortedNodes(poly))
 		}},
-		{provquery.BDD(c.BaseVar), func(poly *algebra.Expr, p []byte) bool {
-			r := algebra.BDD(bdd.New(), c.BaseVar) // canonical ROBDDs in one manager: equal functions are equal refs
+		{provquery.BDD(driver.BaseVar(c.Engines())), func(poly *algebra.Expr, p []byte) bool {
+			r := algebra.BDD(bdd.New(), driver.BaseVar(c.Engines())) // canonical ROBDDs in one manager: equal functions are equal refs
 			got, ok := r.Decode(p)
 			return ok && got == algebra.Eval(poly, r.Semiring)
 		}},

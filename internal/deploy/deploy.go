@@ -59,7 +59,8 @@ type Config struct {
 
 	// Loss and Dup inject per-datagram drop/duplication probabilities at
 	// the send path (self-traffic is exempt: loopback to the own socket is
-	// a local event, as in the simulator). Requires Reliable.
+	// a local event, as in the simulator). Each lies in [0,1); requires
+	// Reliable.
 	Loss, Dup float64
 
 	// FaultSeed seeds the injection RNG, making the drop/dup decision
@@ -192,6 +193,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	prog, err := engine.Compile(cfg.Prog)
 	if err != nil {
 		return nil, err
+	}
+	if !(cfg.Loss >= 0 && cfg.Loss < 1 && cfg.Dup >= 0 && cfg.Dup < 1) {
+		// Per-datagram probabilities; at Loss 1 nothing ever arrives, so
+		// no fixpoint would come.
+		return nil, fmt.Errorf("deploy: Loss %v and Dup %v must lie in [0,1)", cfg.Loss, cfg.Dup)
 	}
 	if (cfg.Loss > 0 || cfg.Dup > 0) && !cfg.Reliable {
 		return nil, fmt.Errorf("deploy: fault injection requires Config.Reliable — a lost or duplicated delta corrupts provenance counts")

@@ -182,6 +182,22 @@ func TestWaitFixpointTimeoutError(t *testing.T) {
 	}
 }
 
+// TestNewClusterRejectsFaultProbabilities: Loss and Dup are per-datagram
+// probabilities in [0,1). NewCluster refuses anything else before it binds
+// a socket; at Loss 1 no datagram would ever arrive.
+func TestNewClusterRejectsFaultProbabilities(t *testing.T) {
+	for _, c := range []struct{ loss, dup float64 }{
+		{1, 0}, {1.5, 0}, {-0.5, 0}, {math.NaN(), 0}, {0, 1}, {0, -0.1},
+	} {
+		cl, err := NewCluster(Config{Topo: topology.Figure3(), Prog: apps.MinCost(),
+			Reliable: true, Loss: c.loss, Dup: c.dup})
+		if err == nil {
+			cl.Stop()
+			t.Errorf("Loss %v Dup %v: accepted", c.loss, c.dup)
+		}
+	}
+}
+
 // TestEnginesAfterStop: a stopped cluster's engines stay readable. Engines,
 // Snapshot and TransportStats of a reliable Figure 3 MINCOST cluster must
 // return promptly after Stop, with the state the running cluster showed.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/deploy"
+	"repro/internal/driver"
 	"repro/internal/drivertest"
 	"repro/internal/engine"
 	"repro/internal/topology"
@@ -100,7 +101,7 @@ func TestDeployChaosKillRestart(t *testing.T) {
 		t.Fatal("no link incident to node 2")
 	}
 
-	run := func(kill bool) *drivertest.UDP {
+	run := func(kill bool) *driver.UDP {
 		cl := drivertest.Deploy(t, deploy.Config{
 			Topo: ring.Topo, Prog: ring.Prog, Mode: ring.Mode,
 			Reliable: true, Transport: deploy.FastRetransmit,

@@ -91,7 +91,7 @@ func TestRelationHashCollision(t *testing.T) {
 		gone.DelRow(types.ZeroID)
 		p.setVisible(rr, gone, false)
 		p.unindex(rr, gone)
-		p.sweep(rr, provenance.NewStore(0, nil, 0))
+		p.sweep(rr, provenance.NewStore(0, &provenance.Rules{}))
 		if p.find(rr, collidingHash, retire.Args) != nil {
 			t.Fatalf("swept %v still found", retire)
 		}
@@ -111,7 +111,7 @@ func TestRelationHashCollision(t *testing.T) {
 		ke.DelRow(types.ZeroID)
 		p.setVisible(kr, ke, false)
 		p.unindex(kr, ke)
-		p.sweep(rr, provenance.NewStore(0, nil, 0))
+		p.sweep(rr, provenance.NewStore(0, &provenance.Rules{}))
 		if p.find(kr, collidingHash, kept.Args) != ke || p.counts[kr.tableID].dead != 1 {
 			t.Fatalf("sweeping %s reclaimed the %s tombstone", retire.Pred, kept.Pred)
 		}

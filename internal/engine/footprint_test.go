@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/ndlog"
+	"repro/internal/provenance"
 	"repro/internal/topology"
 	"repro/internal/types"
 )
@@ -203,14 +204,6 @@ func TestRelationCostsWhatItHolds(t *testing.T) {
 	}
 }
 
-// TestEntrySize fences the structs state pays for per tuple, per aggregate
-// group, per node and per deferred firing: a relation entry, its embedded
-// provenance vertex included, stays at 104 bytes, so its flags (the
-// aggregate pin and the tombstone mark among them) live in padding; an
-// aggregate group stays at 112 bytes, its rule number in the padding after
-// its flags; a node stays in the 512-byte size class, holding no round
-// scratch of its own; and a fire-list item stays at 32 bytes, carrying no
-// copy of a stored entry's tuple.
 // TestAggGroupBound: Compile bounds the aggregate groups a node can hold
 // only when every aggregate rule groups by its body atom's location alone,
 // one group per node each — CHORD's c2 and c6 — and a converged CHORD node
@@ -264,6 +257,16 @@ func TestAggGroupBound(t *testing.T) {
 	}
 }
 
+// TestEntrySize fences the structs state pays for per tuple, per aggregate
+// group, per node and per deferred firing: a relation entry, its embedded
+// provenance vertex included, stays at 104 bytes, so its flags (the
+// aggregate pin and the tombstone mark among them) live in padding; an
+// aggregate group stays at 112 bytes, its rule number in the padding after
+// its flags; a node stays in the 512-byte size class, holding no round
+// scratch of its own; a fire-list item stays at 32 bytes, carrying no copy
+// of a stored entry's tuple; and a node's provenance store stays at 240
+// bytes, reading its program's rule labels and row width through one
+// pointer instead of holding copies.
 func TestEntrySize(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -273,6 +276,7 @@ func TestEntrySize(t *testing.T) {
 		{"aggGroup", unsafe.Sizeof(aggGroup{}), 112},
 		{"Node", unsafe.Sizeof(Node{}), 512},
 		{"fireItem", unsafe.Sizeof(fireItem{}), 32},
+		{"provenance.Store", unsafe.Sizeof(provenance.Store{}), 240},
 	} {
 		if c.size > c.at {
 			t.Errorf("unsafe.Sizeof(%s{}) = %d, want ≤ %d", c.name, c.size, c.at)

@@ -416,7 +416,7 @@ func TestSweepSparesRetractingEntry(t *testing.T) {
 	if !p.sweepDue(rel) {
 		t.Fatal("vacuous: the sweep threshold is not reached; threshold assumptions stale")
 	}
-	p.sweep(rel, provenance.NewStore(0, nil, 0))
+	p.sweep(rel, provenance.NewStore(0, &provenance.Rules{}))
 	if got := len(p.free); got != n {
 		t.Fatalf("end-of-round sweep reclaimed %d of %d tombstones", got, n)
 	}

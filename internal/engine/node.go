@@ -157,7 +157,7 @@ func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node 
 		Prog:          prog,
 		Mode:          mode,
 		Transport:     tr,
-		Store:         provenance.NewStore(id, prog.labels, prog.maxAtoms),
+		Store:         provenance.NewStore(id, &prog.rules),
 		pool:          newEntryPool(prog.tablesFor(mode)),
 		argArena:      types.NewArena[types.Value](argArenaChunk),
 		aggRowArena:   types.NewArena[*entry](aggChunk),

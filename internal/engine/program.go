@@ -24,11 +24,12 @@ type Program struct {
 	numJoins   int // total stepJoin steps across all plans; joinIDs are [0,numJoins)
 	numIndexes int // declared indexes (declareIndex); index numbers are [0,numIndexes)
 	maxVars    int // widest rule environment
-	maxAtoms   int // widest rule body
 	maxGroup   int // widest aggregate group-by list
 	groupBound int // aggregate groups a node can hold if every rule holds one (AggSpec.onePerNode), else 0
 
-	labels []string // rule labels by number: every store of the program names its rules by them
+	// rules holds the rule labels by number and the widest rule body; every
+	// store of the program reads them through one pointer.
+	rules provenance.Rules
 
 	// scratches is the free list of round scratch every node of the program
 	// borrows from while it runs (scratch.go).
@@ -227,7 +228,7 @@ func Compile(p *ndlog.Program) (*Program, error) {
 	bounded := true
 	for ri, cr := range prog.Rules {
 		cr.idx, cr.prog = ri, prog
-		prog.labels = append(prog.labels, cr.Label)
+		prog.rules.Labels = append(prog.rules.Labels, cr.Label)
 		if cr.agg != nil {
 			prog.groupBound++
 			bounded = bounded && cr.agg.onePerNode
@@ -243,8 +244,8 @@ func Compile(p *ndlog.Program) (*Program, error) {
 		if cr.numVars > prog.maxVars {
 			prog.maxVars = cr.numVars
 		}
-		if len(cr.atoms) > prog.maxAtoms {
-			prog.maxAtoms = len(cr.atoms)
+		if len(cr.atoms) > prog.rules.MaxInputs {
+			prog.rules.MaxInputs = len(cr.atoms)
 		}
 		if cr.agg != nil && len(cr.agg.groupCode) > prog.maxGroup {
 			prog.maxGroup = len(cr.agg.groupCode)

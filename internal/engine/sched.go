@@ -27,8 +27,9 @@ import (
 // totals are comparable.
 //
 // The scheduler computes fixpoints and their provenance; it does not model
-// latency or bandwidth (no virtual clock) and does not serve distributed
-// provenance queries — use the simnet or deploy drivers for those. Final
+// latency or bandwidth (no virtual clock) and runs no query processor:
+// internal/driver's Scheduler adapter gives each node one and delivers its
+// messages between Runs, charged to Traffic. Final
 // relation and provenance-store state matches a simulator run of the same
 // program modulo message-arrival order, and matches it exactly for
 // monotone (insert-only) workloads.

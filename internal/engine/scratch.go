@@ -70,9 +70,9 @@ func (sp *scratchPool) get(prog *Program) *scratch {
 	if sc == nil {
 		sc = &scratch{
 			envBuf:   make([]types.Value, prog.maxVars),
-			entBuf:   make([]*entry, prog.maxAtoms),
-			vidBuf:   make([]types.ID, prog.maxAtoms),
-			vertBuf:  make([]*provenance.Vertex, prog.maxAtoms),
+			entBuf:   make([]*entry, prog.rules.MaxInputs),
+			vidBuf:   make([]types.ID, prog.rules.MaxInputs),
+			vertBuf:  make([]*provenance.Vertex, prog.rules.MaxInputs),
 			groupBuf: make([]types.Value, prog.maxGroup),
 		}
 	}

@@ -241,7 +241,7 @@ func FromRewrite(rw *Node) *Node {
 		}
 	}
 	n := NewNode(rw.ID, rw.Prog, ProvReference, nil)
-	n.Store = provenance.NewStore(rw.ID, labels, widest)
+	n.Store = provenance.NewStore(rw.ID, &provenance.Rules{Labels: labels, MaxInputs: widest})
 	byVID := map[types.ID]types.Tuple{}
 	for _, info := range rw.Prog.Preds() {
 		if info.Name == "prov" || info.Name == "ruleExec" {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/provquery"
 	"repro/internal/simnet"
@@ -99,7 +100,7 @@ func QueryFigures(p Params) ([]*Result, error) {
 		{"DFS", queryConfig{udf: derivations, strategy: provquery.DFS}},
 		{"DFS-Threshold", queryConfig{udf: derivations, strategy: provquery.DFSThreshold, threshold: 3}},
 		{"BDD", queryConfig{
-			udf:      func(c *core.Cluster) provquery.UDF { return provquery.BDD(c.BaseVar) },
+			udf:      func(c *core.Cluster) provquery.UDF { return provquery.BDD(driver.BaseVar(c.Engines())) },
 			strategy: provquery.BFS,
 		}},
 	}

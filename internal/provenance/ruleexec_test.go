@@ -105,7 +105,7 @@ func FuzzRuleExecTable(f *testing.F) {
 	f.Add(seq(add(0, 0, 22), add(1, 0, 23), add(1, 3, 24), add(2, 0, 25), add(3, 0, 26), del(23), add(2, 4, 27), del(22), del(26), del(24)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewStore(3, execRules[:], 3)
+		s := NewStore(3, &Rules{Labels: execRules[:], MaxInputs: 3})
 		vs := execVerts()
 		naive := map[types.ID]RuleExecEntry{}
 		for i := 0; i+1 < len(data); i += 2 {
@@ -204,7 +204,7 @@ func checkRuleExec(t *testing.T, op int, s *Store, vs []*Vertex, naive map[types
 // executions below its rule number; one more add panics, naming the node and
 // the rule, before the count carries into the rule number.
 func TestRuleExecCountLimit(t *testing.T) {
-	s := NewStore(3, execRules[:], 3)
+	s := NewStore(3, &Rules{Labels: execRules[:], MaxInputs: 3})
 	rid, inputs := execRIDs[0], execInputs(execVerts(), 0, 2, 0)
 	s.AddRuleExec(rid, 2, inputs)
 	s.cols[0] += countMask - 2 // as if added countMask-1 times
@@ -231,7 +231,7 @@ func TestRuleExecCountLimit(t *testing.T) {
 // at the widest one's stride.
 func TestRuleExecChurnAllocFree(t *testing.T) {
 	const rows = 1000
-	s := NewStore(0, execRules[:], 3)
+	s := NewStore(0, &Rules{Labels: execRules[:], MaxInputs: 3})
 	vs := execVerts()
 	inputs := [][]*Vertex{execInputs(vs, 0, 1, 0), execInputs(vs, 1, 2, 0), execInputs(vs, 2, 3, 0)}
 	rids := make([]types.ID, rows)

@@ -23,8 +23,8 @@
 // []types.ID, and in a []uint32 of one stride, the program's widest body
 // plus one, each row's count word (rule number in the top 8 bits, count in
 // the low 24) and its inputs' handles, zero-padded. The GC scans none of it,
-// an input costs 4 bytes, and rule labels are the program's, held once for
-// all its stores. A delete moves the last row into the hole, so the table
+// an input costs 4 bytes, and rule labels and the widest body are the
+// program's Rules, which every store of it reads through one pointer. A delete moves the last row into the hole, so the table
 // stays dense and churn reuses memory. Readers get a RuleExecEntry built on
 // read. A handle is freed once its vertex has no rows and no row names it.
 //
@@ -185,8 +185,7 @@ type Store struct {
 	// and its input handles after it, stride-1 the most a row can have.
 	execIDs []types.ID
 	cols    []uint32
-	labels  []string
-	stride  int
+	rules   *Rules
 
 	parents   map[types.ID][]Parent
 	parentIdx map[parentKey]int // position inside parents[vid]
@@ -219,11 +218,24 @@ const MaxRules = 1 << (32 - countBits)
 // storeArenaChunk caps the chunk size of a store's arenas.
 const storeArenaChunk = 256
 
-// NewStore builds a node's empty store, whose ruleExec rows name rule r by
-// labels[r], the program's slice, and have at most maxInputs inputs.
-func NewStore(node types.NodeID, labels []string, maxInputs int) *Store {
-	return &Store{Node: node, labels: labels, stride: maxInputs + 1}
+// Rules is what every store of a program reads about its rules, held once by
+// the program: their labels by rule number, and the widest body, the most
+// inputs a ruleExec row can have.
+type Rules struct {
+	Labels    []string
+	MaxInputs int
 }
+
+// NewStore builds a node's empty store, whose ruleExec rows name rule r by
+// rules.Labels[r] and have at most rules.MaxInputs inputs.
+func NewStore(node types.NodeID, rules *Rules) *Store {
+	return &Store{Node: node, rules: rules}
+}
+
+// stride is the uint32 words of a ruleExec row: its count word and inputs.
+//
+//exspan:hotpath
+func (s *Store) stride() int { return s.rules.MaxInputs + 1 }
 
 // carve returns the store's arenas, making them on first use.
 //
@@ -351,17 +363,17 @@ func (s *Store) changed(vid types.ID) {
 func (s *Store) AddRuleExec(rid types.ID, rule int, inputs []*Vertex) {
 	slot, row, ok := find(&s.rids, rowKeys(s.execIDs), rid)
 	if ok {
-		w := &s.cols[int(row)*s.stride]
+		w := &s.cols[int(row)*s.stride()]
 		if *w&countMask == countMask {
 			//exspanlint:alloc-ok capacity limit: the count word cannot hold another execution
-			panic(fmt.Sprintf("provenance: node %d counts the most executions of rule %s a row can hold", s.Node, s.labels[*w>>countBits]))
+			panic(fmt.Sprintf("provenance: node %d counts the most executions of rule %s a row can hold", s.Node, s.rules.Labels[*w>>countBits]))
 		}
 		*w++
 		return
 	}
 	at := len(s.cols) // grown from nil: most stores of a large cluster hold few rows
 	s.execIDs = append(s.execIDs, rid)
-	s.cols = slices.Grow(s.cols, s.stride)[:at+s.stride]
+	s.cols = slices.Grow(s.cols, s.stride())[:at+s.stride()]
 	s.cols[at] = uint32(rule)<<countBits | 1
 	for i, v := range inputs {
 		h := s.handle(v)
@@ -374,7 +386,7 @@ func (s *Store) AddRuleExec(rid types.ID, rule int, inputs []*Vertex) {
 
 // inputs returns the input handles of the row whose count word is at at.
 func (s *Store) inputs(at int) []uint32 {
-	hs := s.cols[at+1 : at+s.stride]
+	hs := s.cols[at+1 : at+s.stride()]
 	if i := slices.Index(hs, 0); i >= 0 {
 		return hs[:i]
 	}
@@ -392,7 +404,7 @@ func (s *Store) DelRuleExec(rid types.ID) bool {
 	if !ok {
 		return false
 	}
-	row, w, last := int(pos), s.stride, len(s.execIDs)-1
+	row, w, last := int(pos), s.stride(), len(s.execIDs)-1
 	if s.cols[row*w]--; s.cols[row*w]&countMask > 0 {
 		return true
 	}
@@ -552,14 +564,14 @@ func (s *Store) RuleExecInto(dst []types.ID, rid types.ID) (RuleExecEntry, bool)
 // entry builds the reader's view of row `row`, appending its inputs' VIDs,
 // resolved from their handles, to vids.
 func (s *Store) entry(row int, vids []types.ID) RuleExecEntry {
-	at := row * s.stride
+	at := row * s.stride()
 	hs := s.inputs(at)
 	vids = slices.Grow(vids, len(hs))
 	for _, h := range hs {
 		vids = append(vids, s.vtab[h].VID)
 	}
 	w := s.cols[at]
-	return RuleExecEntry{RID: s.execIDs[row], Rule: s.labels[w>>countBits], VIDList: vids, Count: int(w & countMask)}
+	return RuleExecEntry{RID: s.execIDs[row], Rule: s.rules.Labels[w>>countBits], VIDList: vids, Count: int(w & countMask)}
 }
 
 // ForEachProv invokes fn for every visible prov entry with the VID it
@@ -585,7 +597,7 @@ func (s *Store) vertices(yield func(*Vertex) bool) {
 // order is unspecified); fn must not write to the store. Each entry's
 // VIDList is its own.
 func (s *Store) ForEachRuleExec(fn func(RuleExecEntry)) {
-	k := s.stride - 1
+	k := s.stride() - 1
 	vids := make([]types.ID, len(s.execIDs)*k)
 	for row := range s.execIDs {
 		fn(s.entry(row, vids[row*k:row*k:(row+1)*k]))
@@ -601,8 +613,8 @@ func (s *Store) CheckRuleExecs() error {
 	named := make([]uint32, len(s.refs))
 	for row, rid := range s.execIDs {
 		vids = vids[:0]
-		rule := s.labels[s.cols[row*s.stride]>>countBits]
-		for _, h := range s.inputs(row * s.stride) {
+		rule := s.rules.Labels[s.cols[row*s.stride()]>>countBits]
+		for _, h := range s.inputs(row * s.stride()) {
 			if int(h) >= len(s.vtab) || s.vtab[h] == nil || s.vtab[h].h != h {
 				return fmt.Errorf("ruleExec %s (%s): input handle %d names no vertex of the store", rid.Short(), rule, h)
 			}

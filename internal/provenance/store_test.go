@@ -11,8 +11,8 @@ import (
 
 func tid(s string) types.ID { return types.HashString(s) }
 
-// testRules are the labels of the tests' rule numbers 0-3.
-var testRules = []string{"sp1", "sp2", "sp3", "fw"}
+// testRules labels the tests' rule numbers 0-3, of at most two inputs.
+var testRules = &Rules{Labels: []string{"sp1", "sp2", "sp3", "fw"}, MaxInputs: 2}
 
 // The tests write the way the engine does for a tuple it keeps no relation
 // entry for — through the store's vertex API, finding or creating the vertex
@@ -36,7 +36,7 @@ func delProv(s *Store, vid, rid types.ID) bool {
 // first names them, a name is stable, and BaseVID inverts it for this node's
 // variables only.
 func TestBaseVarStable(t *testing.T) {
-	s := NewStore(3, testRules, 2)
+	s := NewStore(3, testRules)
 	a, b := tid("a"), tid("b")
 	va, vb := s.BaseVar(a), s.BaseVar(b)
 	if va != (bdd.Var{Node: 3, Ord: 0}) || vb != (bdd.Var{Node: 3, Ord: 1}) {
@@ -56,7 +56,7 @@ func TestBaseVarStable(t *testing.T) {
 }
 
 func TestProvEntryLifecycle(t *testing.T) {
-	s := NewStore(0, testRules, 2)
+	s := NewStore(0, testRules)
 	tu := types.NewTuple("p", types.Node(0), types.Int(1))
 	vid := tu.VID()
 	v := s.Vertex(vid, tu)
@@ -99,7 +99,7 @@ func TestProvEntryLifecycle(t *testing.T) {
 }
 
 func TestOnProvChangeFires(t *testing.T) {
-	s := NewStore(0, testRules, 2)
+	s := NewStore(0, testRules)
 	var events []types.ID
 	s.OnProvChange = func(vid types.ID) { events = append(events, vid) }
 	vid := tid("v")
@@ -111,7 +111,7 @@ func TestOnProvChangeFires(t *testing.T) {
 }
 
 func TestRuleExecLifecycle(t *testing.T) {
-	s := NewStore(1, testRules, 2)
+	s := NewStore(1, testRules)
 	rid := tid("exec")
 	a, b := &Vertex{VID: tid("a")}, &Vertex{VID: tid("b")}
 	inputs := []*Vertex{a, b}
@@ -158,7 +158,7 @@ func TestRuleExecLifecycle(t *testing.T) {
 // handle goes to the next vertex that needs one: a store whose writer
 // carves a vertex per event keeps none of them after their rows go.
 func TestHandleOutlivesRegistration(t *testing.T) {
-	s := NewStore(1, testRules, 2)
+	s := NewStore(1, testRules)
 	v := &Vertex{VID: tid("v")}
 	s.AddProv(v, tid("r1"), 1)
 	h := v.h
@@ -207,7 +207,7 @@ func TestHandleOutlivesRegistration(t *testing.T) {
 // handle was freed or now names another vertex. Release keeps the handle of
 // a vertex a row names.
 func TestCheckRuleExecs(t *testing.T) {
-	s := NewStore(4, testRules, 2)
+	s := NewStore(4, testRules)
 	a, b := &Vertex{VID: tid("a")}, &Vertex{VID: tid("b")}
 	rid, _ := types.RuleExecIDBuf("sp2", 4, []types.ID{a.VID, b.VID}, nil)
 	s.AddRuleExec(rid, 1, []*Vertex{a, b})
@@ -234,7 +234,7 @@ func TestCheckRuleExecs(t *testing.T) {
 }
 
 func TestParentEdges(t *testing.T) {
-	s := NewStore(2, testRules, 2)
+	s := NewStore(2, testRules)
 	in, rid, head := tid("in"), tid("rid"), tid("head")
 	s.AddParent(in, rid, head, 5)
 	s.AddParent(in, rid, head, 5) // duplicate: count only
@@ -250,7 +250,7 @@ func TestParentEdges(t *testing.T) {
 }
 
 func TestRowRendering(t *testing.T) {
-	s := NewStore(0, testRules, 2)
+	s := NewStore(0, testRules)
 	tu := types.NewTuple("link", types.Node(0), types.Node(2), types.Int(5))
 	vid := tu.VID()
 	s.AddProv(s.Vertex(vid, tu), types.ZeroID, 0)
@@ -279,7 +279,7 @@ func TestRowRendering(t *testing.T) {
 // the digests themselves.
 func TestVertexWriteSurface(t *testing.T) {
 	_, idsBefore, _, _ := types.InternStats()
-	s := NewStore(1, testRules, 2)
+	s := NewStore(1, testRules)
 	tu := types.NewTuple("q", types.Node(1), types.Int(7))
 	vid := tu.VID()
 
@@ -377,7 +377,7 @@ func sharedPrefix(s string) (a, b types.ID) {
 // counted, listed and deleted independently, in either deletion order.
 func TestPrefixCollisions(t *testing.T) {
 	for _, firstGone := range []bool{true, false} {
-		s := NewStore(0, execRules[:], 3)
+		s := NewStore(0, &Rules{Labels: execRules[:], MaxInputs: 3})
 		va, vb := sharedPrefix("v")
 		ta := types.NewTuple("p", types.Node(0), types.Int(1))
 		tb := types.NewTuple("p", types.Node(0), types.Int(2))

@@ -96,7 +96,7 @@ func newFig5(t *testing.T, udf UDF, strategy Strategy, threshold int64, cacheOn 
 
 	stores := make([]*provenance.Store, 4)
 	for i := range stores {
-		stores[i] = provenance.NewStore(types.NodeID(i), fig5Rules, 2)
+		stores[i] = provenance.NewStore(types.NodeID(i), &provenance.Rules{Labels: fig5Rules, MaxInputs: 2})
 	}
 
 	f.linkAC = types.NewTuple("link", types.Node(a), types.Node(c), types.Int(5))
@@ -384,12 +384,12 @@ func fiveUDFs() []UDF {
 }
 
 // ownerVars names each base tuple's BDD variable in a store of its owner's
-// own, as core.Cluster.BaseVar does.
+// own, as driver.BaseVar does.
 func ownerVars() func(algebra.Base) bdd.Var {
 	stores := map[types.NodeID]*provenance.Store{}
 	return func(b algebra.Base) bdd.Var {
 		if stores[b.Node] == nil {
-			stores[b.Node] = provenance.NewStore(b.Node, nil, 0)
+			stores[b.Node] = provenance.NewStore(b.Node, &provenance.Rules{})
 		}
 		return stores[b.Node].BaseVar(b.VID)
 	}

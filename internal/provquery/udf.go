@@ -143,7 +143,7 @@ func (u *ringUDF[T]) Exceeds(ctx Ctx, children [][]byte, threshold int64) bool {
 // applying boolean absorption by construction (§6.3): algebra.BDD, combined
 // in a fresh manager per call. name gives a base tuple its variable; EDB
 // runs at the tuple's owner, so name resolves it in the owner's store
-// (core.Cluster.BaseVar).
+// (driver.BaseVar).
 func BDD(name func(algebra.Base) bdd.Var) UDF {
 	return &ringUDF[algebra.Payload]{name: "bdd", open: func() algebra.Ring[algebra.Payload] {
 		return algebra.BDD(bdd.New(), name)
