@@ -83,7 +83,7 @@ chaos-smoke:
 # Scale gate: the 10k-node CHORD determinism smoke — two full Scheduler runs
 # of the workload suite's largest topology must agree bit for bit (delta
 # counts, wire bytes, sampled relation state) and a converged node may retain
-# at most 8,800 B — and the 400-node MINCOST row of the scaling table (pinned
+# at most 8,100 B — and the 400-node MINCOST row of the scaling table (pinned
 # delta count of 719,584, ≤ 356 B retained per delta). The process may
 # obtain at most 2 GiB from the OS. Both are skipped under
 # -short, so `go test -short ./...` stays fast; this target runs them by name.
@@ -150,8 +150,10 @@ doccheck-selftest:
 # the next hop would reject), the engine's and the query processor's
 # handling of every message their decoders accept, the NDlog parser
 # (a parsed program prints to a form that reparses and prints identically)
-# and the provenance store's ruleExec tables (every read path agrees with a
-# naive map of rows under any add / delete sequence) — so strictness
+# the provenance store's ruleExec tables (every read path agrees with a
+# naive map of rows under any add / delete sequence) and the one
+# open-addressed table every node and store index is (inserts, removals,
+# finds and remove-while-walking sweeps agree with a Go map) — so strictness
 # regressions are caught before the checked-in corpus grows stale. Go runs
 # one fuzz target per invocation, hence one line each.
 fuzz-smoke:
@@ -167,6 +169,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBDD$$' -fuzztime 10s ./internal/bdd
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/ndlog
 	$(GO) test -run '^$$' -fuzz '^FuzzRuleExecTable$$' -fuzztime 10s ./internal/provenance
+	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s ./internal/openaddr
 
 # lint sits before test-race: a lint finding is seconds to surface, the race
 # legs are minutes — fail fast on the cheap gate.

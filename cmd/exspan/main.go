@@ -4,7 +4,9 @@
 // path (internal/driver): the round scheduler by default, the simulator when
 // the run needs virtual time or a fault network (-query, -dump-prov, -loss,
 // -dup, -partition), and loopback UDP sockets with -deploy, where -query,
-// -dump-prov, -explain, -loss and -dup work too.
+// -dump-prov, -explain, -loss and -dup work too. -query needs -mode
+// reference, the only mode whose nodes keep the prov and ruleExec rows a
+// query walks; it is refused in the other three before anything boots.
 //
 // Examples:
 //
@@ -111,6 +113,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *nodes < 1 {
 		return fmt.Errorf("-nodes %d: a cluster needs at least one node", *nodes)
+	}
+	// The query processor walks the prov and ruleExec rows that only
+	// reference mode keeps at each node; in any other mode every answer
+	// would be an empty provenance.
+	if *query != "" && *modeName != "reference" {
+		return fmt.Errorf("-query needs -mode reference: -mode %s keeps no distributed provenance to query", *modeName)
 	}
 
 	prog, err := loadProgram(*app)

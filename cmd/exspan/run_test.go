@@ -44,8 +44,10 @@ func TestRunDriversAgree(t *testing.T) {
 	}
 }
 
-// TestRunRejectsOutOfRange: a drop or duplication probability outside [0,1)
-// or a cluster of no nodes is refused before anything boots. At -loss 1.5 or
+// TestRunRejectsOutOfRange: a drop or duplication probability outside [0,1),
+// a cluster of no nodes, or a query in a mode that keeps no distributed
+// provenance (it would answer "provenance: 0") is refused before anything
+// boots. At -loss 1.5 or
 // -dup 1 the simulator never reaches a fixpoint, so no case here may reach a
 // driver even if the check is gone: each also names a program file that does
 // not exist, which fails the run right after the check with another error.
@@ -63,6 +65,9 @@ func TestRunRejectsOutOfRange(t *testing.T) {
 		{"-loss", []string{"-deploy", "-loss", "1"}},
 		{"-dup", []string{"-deploy", "-dup", "2"}},
 		{"-nodes", []string{"-topo", "ring", "-nodes", "0"}},
+		{"-query", []string{"-mode", "value", "-query", "bestPathCost(@a,c,5)"}},
+		{"-query", []string{"-mode", "none", "-query", "bestPathCost(@a,c,5)"}},
+		{"-query", []string{"-mode", "centralized", "-query", "bestPathCost(@a,c,5)"}},
 	} {
 		args := append(c.args, "-app", "testdata/missing.ndlog")
 		var out strings.Builder

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -261,4 +262,19 @@ func TestChaosCrashRestart(t *testing.T) {
 		}
 	}
 	drivertest.CheckQuiescent(t, c)
+}
+
+// TestNewClusterRejectsFaultProbabilities: Drop and Dup are per-delivery
+// probabilities in [0,1), as deploy.NewCluster's Loss and Dup are. At Dup 1
+// every delivery duplicates itself again and a Figure 3 MINCOST cluster
+// never reaches 20 ms of virtual time, so NewCluster refuses the plan.
+func TestNewClusterRejectsFaultProbabilities(t *testing.T) {
+	for _, c := range []struct{ drop, dup float64 }{
+		{1, 0}, {1.5, 0}, {-0.5, 0}, {math.NaN(), 0}, {0, 1}, {0, -0.1}, {0, math.NaN()},
+	} {
+		plan := &simnet.FaultPlan{Seed: 1, Drop: c.drop, Dup: c.dup}
+		if _, err := core.NewCluster(core.Config{Topo: topology.Figure3(), Prog: apps.MinCost(), Faults: plan}); err == nil {
+			t.Errorf("Drop %v Dup %v: accepted", c.drop, c.dup)
+		}
+	}
 }

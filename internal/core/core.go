@@ -137,6 +137,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Topo == nil || cfg.Prog == nil {
 		return nil, fmt.Errorf("core: Topo and Prog are required")
 	}
+	if f := cfg.Faults; f != nil && !(f.Drop >= 0 && f.Drop < 1 && f.Dup >= 0 && f.Dup < 1) {
+		// At Drop 1 nothing arrives, and at Dup 1 every delivery duplicates
+		// itself forever: neither run reaches a fixpoint.
+		return nil, fmt.Errorf("core: fault Drop %v and Dup %v must lie in [0,1)", f.Drop, f.Dup)
+	}
 	prog, err := engine.Compile(cfg.Prog)
 	if err != nil {
 		return nil, err

@@ -70,7 +70,7 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 	}
 	const (
 		n          = 10000
-		maxPerNode = 8800
+		maxPerNode = 8100
 	)
 	run := func() (int64, int64, string, uint64) {
 		topo := topology.Ring(n, rand.New(rand.NewSource(77)))

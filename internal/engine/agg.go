@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/openaddr"
 	"repro/internal/types"
 )
 
@@ -32,8 +33,7 @@ func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
 		}
 		groupVals[i] = v
 	}
-	n.pool.key = types.Tuple{Args: groupVals}.AppendArgsKey(n.pool.key[:0])
-	g := n.aggGroupAt(rule, hashKey(rule.idx, n.pool.key), groupVals)
+	g := n.aggGroupAt(rule, groupVals)
 
 	if sign == Update {
 		// Value-mode payload update: if the updated input is the current
@@ -64,25 +64,20 @@ func (n *Node) applyAgg(g *aggGroup, e *entry, sign int8) {
 }
 
 // aggGroupAt returns the rule's group of the given group-by values, creating
-// it on first sight, under the hash h of the rule number and the values'
-// handle keys — the way the pool keys entries. Every rule's groups share the
-// node's one group map: a group keeps its rule number and its values (copied
-// into the arena once, at creation), and a lookup verifies both; groups that
-// collide in 64 bits share a map slot as a chain. Groups are never removed,
-// so a *aggGroup stays valid for the node's lifetime.
-func (n *Node) aggGroupAt(rule *CompiledRule, h uint64, groupVals []types.Value) *aggGroup {
-	head := n.aggGroups[h]
-	for g := head; g != nil; g = g.next {
-		if int(g.rule) == rule.idx && slices.Equal(g.groupVals, groupVals) {
-			return g
-		}
+// it on first sight. Every rule's groups share the node's group table, found
+// by the hash of the rule number and the values (entryPool.hash); a group
+// keeps both (its values copied into the arena once, at creation) for a
+// lookup to compare. Groups are never removed, so a *aggGroup stays valid
+// for the node's lifetime.
+func (n *Node) aggGroupAt(rule *CompiledRule, groupVals []types.Value) *aggGroup {
+	groups, h := &n.pool.tabs.groups, n.pool.hash(rule.idx, groupVals)
+	k := groupKey{&n.pool, groupVals, uint32(rule.idx)}
+	slot, g, ok := openaddr.Find(groups, k, h)
+	if !ok {
+		g = n.aggGroupArena.New()
+		g.groupVals, g.rule = n.argArena.Copy(groupVals), k.rule
+		openaddr.Insert(groups, k, h, g, slot)
 	}
-	g := n.aggGroupArena.New()
-	g.groupVals, g.next, g.rule = n.argArena.Copy(groupVals), head, uint32(rule.idx)
-	if n.aggGroups == nil {
-		n.aggGroups = map[uint64]*aggGroup{}
-	}
-	n.aggGroups[h] = g
 	return g
 }
 
@@ -159,7 +154,6 @@ type aggGroup struct {
 	// provenance; nil otherwise) — a live row attaining the output.
 	curOut types.Tuple
 	curWin *entry
-	next   *aggGroup // next group on the same hash slot (aggGroupAt)
 	hasOut bool
 	// staged defers output re-emission to the retraction protocol's
 	// release phase: after a delete evicts a recursive rule's winner, the
@@ -169,7 +163,7 @@ type aggGroup struct {
 	// may be phantom support the deletion wave has not yet consumed.
 	staged bool
 	// rule is the group's CompiledRule.idx, in the struct's trailing
-	// padding: the node's one group map holds every rule's groups.
+	// padding: the node's one group table holds every rule's groups.
 	rule uint32
 }
 

@@ -43,11 +43,13 @@ func liveHeap() uint64 {
 // for ≈ 11.0 KB, with ruleExec inputs named by 4-byte vertex handles and
 // the store's digest maps turned into position indexes ≈ 10.0 KB, and with
 // one ruleExec table per store instead of one per rule and the aggregate
-// groups carved from a chunk of the two a CHORD node can hold ≈ 8.7 KB.
+// groups carved from a chunk of the two a CHORD node can hold ≈ 8.7 KB, and
+// with the tuple map and the group map turned into open-addressed tables of
+// pointers ≈ 8.1 KB.
 func TestNodeFootprintFollowsState(t *testing.T) {
 	const (
 		nodes      = 300
-		maxPerNode = 9000
+		maxPerNode = 8400
 	)
 	topo := topology.Ring(nodes, rand.New(rand.NewSource(1)))
 	base := apps.ChordBase(topo)
@@ -106,9 +108,10 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 // handle to its input entry (no tuple copy per row or winner copy per
 // group), ≈ 454 B once a node's relations shared one entry pool and its
 // head arguments came from 64-value chunks, ≈ 428 B after further trims,
-// and ≈ 375 B once a ruleExec row named its inputs by 4-byte vertex handle
+// ≈ 375 B once a ruleExec row named its inputs by 4-byte vertex handle
 // and the store's VID and RID maps became open-addressed tables of 4-byte
-// positions.
+// positions, and ≈ 361 B once the node's tuple and group maps became such
+// tables too.
 func TestMinCostBytesPerDelta(t *testing.T) {
 	const (
 		nodes       = 100
@@ -250,9 +253,9 @@ func TestAggGroupBound(t *testing.T) {
 		// The arenas' open chunk: len is what is carved, cap the chunk.
 		groups := reflect.ValueOf(n.aggGroupArena).FieldByName("chunk")
 		rows := reflect.ValueOf(n.aggRowArena).FieldByName("chunk")
-		if len(n.aggGroups) != 2 || groups.Len() != 2 || groups.Cap() != 2 || rows.Len() != 2 || rows.Cap() != 2 {
+		if n.pool.tabs.groups.Len() != 2 || groups.Len() != 2 || groups.Cap() != 2 || rows.Len() != 2 || rows.Cap() != 2 {
 			t.Fatalf("node %d holds %d groups, carved from a %d/%d chunk, their rows from a %d/%d chunk; want 2 in 2/2 each",
-				i, len(n.aggGroups), groups.Len(), groups.Cap(), rows.Len(), rows.Cap())
+				i, n.pool.tabs.groups.Len(), groups.Len(), groups.Cap(), rows.Len(), rows.Cap())
 		}
 	}
 }
@@ -261,8 +264,8 @@ func TestAggGroupBound(t *testing.T) {
 // group, per node and per deferred firing: a relation entry, its embedded
 // provenance vertex included, stays at 104 bytes, so its flags (the
 // aggregate pin and the tombstone mark among them) live in padding; an
-// aggregate group stays at 112 bytes, its rule number in the padding after
-// its flags; a node stays in the 512-byte size class, holding no round
+// aggregate group stays at 104 bytes, its rule number in the padding after
+// its flags and no chain pointer, since a table finds it; a node stays in the 512-byte size class, holding no round
 // scratch of its own; a fire-list item stays at 32 bytes, carrying no copy
 // of a stored entry's tuple; and a node's provenance store stays at 240
 // bytes, reading its program's rule labels and row width through one
@@ -273,7 +276,7 @@ func TestEntrySize(t *testing.T) {
 		size, at uintptr
 	}{
 		{"entry", unsafe.Sizeof(entry{}), 104},
-		{"aggGroup", unsafe.Sizeof(aggGroup{}), 112},
+		{"aggGroup", unsafe.Sizeof(aggGroup{}), 104},
 		{"Node", unsafe.Sizeof(Node{}), 512},
 		{"fireItem", unsafe.Sizeof(fireItem{}), 32},
 		{"provenance.Store", unsafe.Sizeof(provenance.Store{}), 240},

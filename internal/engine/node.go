@@ -97,17 +97,13 @@ type Node struct {
 	// delta is queued for the outer loop to pick up.
 	sc *scratch
 
-	// pool carves, recycles and keys the entries of every relation the node
-	// holds, keeps them and their index buckets in the node's two hash
-	// tables and each relation's counts by table number, and its key buffer
-	// is the node's one byte scratch. The relations are the program's stored
-	// predicates, less prov and ruleExec on a node that holds neither
-	// (Program.tablesFor): the program's predicate table is the only
-	// name→relation map.
+	// pool holds the entries of every relation the node holds, their index
+	// buckets, the aggregate groups and each relation's counts, and its key
+	// buffer is the node's one byte scratch. The relations are the
+	// program's stored predicates, less prov and ruleExec on a node that
+	// holds neither (Program.tablesFor): the program's predicate table is
+	// the only name→relation map.
 	pool entryPool
-	// aggGroups holds every aggregate rule's groups, keyed by the hash of
-	// the rule number and the group-by values (aggGroupAt).
-	aggGroups map[uint64]*aggGroup
 
 	// argArena backs emitted head arguments (and the group values
 	// aggregates retain): emitted tuples escape into relations and
@@ -145,8 +141,8 @@ const (
 // NewNode creates an engine node for the given compiled program.
 //
 // Everything sized here comes from the compiled program; what depends on the
-// data — the tuple and index maps, aggregate groups — is created by its first
-// write.
+// data — the index map, aggregate groups, the tables' slots — is created by
+// its first write.
 func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node {
 	aggChunk := aggArenaChunk
 	if prog.groupBound > 0 {
@@ -242,11 +238,9 @@ func (n *Node) DeltasProcessed() int64 { return n.deltasProcessed }
 // tuple is retracted, it must be zero.
 func (n *Node) AggGroupCount() int {
 	c := 0
-	for _, head := range n.aggGroups {
-		for g := head; g != nil; g = g.next {
-			if len(g.rows) > 0 || g.hasOut {
-				c++
-			}
+	for g := range n.pool.tabs.groups.All {
+		if len(g.rows) > 0 || g.hasOut {
+			c++
 		}
 	}
 	return c

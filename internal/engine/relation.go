@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/algebra"
+	"repro/internal/openaddr"
 	"repro/internal/provenance"
 	"repro/internal/types"
 )
@@ -17,9 +18,9 @@ import (
 // row's Payload). The tuple is visible while at least one row is present.
 // In reference mode the node's store points at the embedded vertex while it
 // has rows (non-meta tuples only), so a stored tuple is written once and a
-// prov row changes with no map probe. The node's tuple map keys an entry by
-// a 64-bit hash of its relation's table number and its args; the table tag
-// and the tuple itself are what a lookup verifies.
+// prov row changes with no map probe. The node's tuple table finds an entry
+// by a 64-bit hash of its relation's table number and its args; the table
+// tag and the args are what a lookup compares.
 // Rows are held by value in a small slice: most tuples have one or two.
 //
 // Field order is alignment-packed (exspanlint -fieldalign): the table tag
@@ -36,7 +37,7 @@ type entry struct {
 	touchRound uint32
 
 	// table is the PredInfo.tableID of the entry's relation. A node keeps
-	// every relation's entries and index buckets in shared maps, so a
+	// every relation's entries and index buckets in shared tables, so a
 	// lookup and a join probe admit only entries carrying their table.
 	table uint16
 
@@ -87,22 +88,24 @@ func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
 // finds, indexes, counts or sweeps the entries of one relation is a pool
 // method taking the relation's predicate.
 //
-// One pool per node, and two hash tables: a converged CHORD node holds about
-// twenty tuples over a dozen relations and seven indexes, and a map per
-// relation and per index cost it more than its tuples (PERFORMANCE.md "What
-// a converged CHORD node holds").
+// One pool per node, and one table of each kind: a converged CHORD node
+// holds about twenty tuples over a dozen relations and seven indexes, and a
+// map per relation and per index cost it more than its tuples
+// (PERFORMANCE.md "What a converged CHORD node holds").
 //
-//   - tuples is the tuple map: every relation's entries, tombstones
-//     included, keyed by the hash of the table number and the args handle
-//     key (entryPool.hash). spill holds, per hash, the entries whose slot
-//     another tuple took; it stays nil unless two tuples collide in 64 bits.
+//   - tabs points at the node's two openaddr tables: the tuple table, every
+//     relation's entries, tombstones included, found by the hash of the
+//     table number and the args handle key (entryPool.hash), and the group
+//     table, every aggregate rule's groups, found by the hash of the rule
+//     number and the group-by values (Node.aggGroupAt).
 //   - buckets is the index map: every index's buckets, keyed by the hash of
 //     the index number and the index key (indexHash). A bucket of one entry
 //     is that entry, with no box; a bucket of two or more is marked listed
 //     and kept in lists, whose emptied slices freeLists recycles.
 //
-// The number in each hash keeps equal keys of two relations or indexes
-// apart; a 64-bit collision costs a check of the table tag and the args.
+// The number in each hash keeps equal keys of two relations, rules or
+// indexes apart; a 64-bit collision costs one more probe, or in the index
+// map a check of the table tag and the args.
 //
 // key is the node's one byte scratch: relation keys, index keys, join probe
 // keys, aggregate group keys and the encodings VIDs and RIDs are hashed
@@ -116,12 +119,36 @@ type entryPool struct {
 	free      []*entry
 	key       []byte
 	counts    []tableCount
-	tuples    map[uint64]*entry
-	spill     map[uint64][]*entry
+	tabs      *tables
 	buckets   map[uint64]*entry
 	lists     map[uint64][]*entry
 	freeLists [][]*entry
 }
+
+// tables are the node's tuple and group tables, behind one pointer: their
+// two headers inline would take the Node past its 512-byte size class.
+type tables struct {
+	tuples openaddr.Table[*entry]
+	groups openaddr.Table[*aggGroup]
+}
+
+// tupleKey probes the tuple table for args of table, and groupKey the group
+// table for a group of rule over vals; both hash in p's key buffer.
+type tupleKey struct {
+	p     *entryPool
+	args  []types.Value
+	table uint16
+}
+type groupKey struct {
+	p    *entryPool
+	vals []types.Value
+	rule uint32
+}
+
+func (k tupleKey) Hash(e *entry) uint64    { return k.p.hash(int(e.table), e.Tuple.Args) }
+func (k tupleKey) Is(e *entry) bool        { return e.table == k.table && slices.Equal(e.Tuple.Args, k.args) }
+func (k groupKey) Hash(g *aggGroup) uint64 { return k.p.hash(int(g.rule), g.groupVals) }
+func (k groupKey) Is(g *aggGroup) bool     { return g.rule == k.rule && slices.Equal(g.groupVals, k.vals) }
 
 // tableCount is one relation's O(1) cardinality and its tombstones, the
 // invisible derivation-free entries kept for reuse that decide its sweep.
@@ -140,12 +167,13 @@ type tableCount struct {
 // than at 256 (PERFORMANCE.md "What a converged CHORD node holds").
 const entryChunk = 32
 
-// newEntryPool returns the pool of a node holding tables relations.
-func newEntryPool(tables int) entryPool {
+// newEntryPool returns the pool of a node holding n relations.
+func newEntryPool(n int) entryPool {
 	return entryPool{
 		entries: types.NewArena[entry](entryChunk),
 		rows:    types.NewArena[provenance.ProvEntry](entryChunk),
-		counts:  make([]tableCount, tables),
+		counts:  make([]tableCount, n),
+		tabs:    new(tables),
 	}
 }
 
@@ -163,25 +191,8 @@ func (p *entryPool) alloc() *entry {
 	return p.entries.New()
 }
 
-// all yields every entry of the node, tombstones included, in no particular
-// order.
-func (p *entryPool) all(yield func(*entry) bool) {
-	for _, e := range p.tuples {
-		if !yield(e) {
-			return
-		}
-	}
-	for _, list := range p.spill {
-		for _, e := range list {
-			if !yield(e) {
-				return
-			}
-		}
-	}
-}
-
-// FNV-1a 64-bit, inlined, for the node's map keys. Process-independent, so
-// every run hashes identically.
+// FNV-1a 64-bit, inlined, for the node's tables and index map.
+// Process-independent, so every run hashes identically.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -284,53 +295,35 @@ func (p *entryPool) bucketRemove(h uint64, e *entry) {
 // Len reports the number of visible tuples of the relation in O(1).
 func (p *entryPool) Len(info *PredInfo) int { return int(p.counts[info.tableID].visible) }
 
-// hash hashes a tuple of the relation: its table number, then its args
-// handle key (types.Tuple.AppendArgsKey). The key copies no string or
-// digest bytes, and interned handles are canonical (== per value is content
-// equality), so a lookup's only other checks are the table tag and the args.
+// hash hashes the args of a tuple of table number num, or the group-by
+// values of a group of rule number num: the number, then the args handle
+// key (types.Tuple.AppendArgsKey). The key copies no string or digest
+// bytes, and interned handles are canonical (== per value is content
+// equality), so a lookup's only other checks are the number and the args.
 //
 //exspan:hotpath
-func (p *entryPool) hash(info *PredInfo, t types.Tuple) uint64 {
-	p.key = t.AppendArgsKey(p.key[:0])
-	return hashKey(info.tableID, p.key)
+func (p *entryPool) hash(num int, args []types.Value) uint64 {
+	p.key = types.Tuple{Args: args}.AppendArgsKey(p.key[:0])
+	return hashKey(num, p.key)
 }
 
 // get returns the relation's entry for a tuple, or nil.
 //
 //exspan:hotpath
 func (p *entryPool) get(info *PredInfo, t types.Tuple) *entry {
-	return p.find(info, p.hash(info, t), t.Args)
-}
-
-// find returns the relation's entry of args under hash h, or nil.
-//
-//exspan:hotpath
-func (p *entryPool) find(info *PredInfo, h uint64, args []types.Value) *entry {
-	table := uint16(info.tableID)
-	if e := p.tuples[h]; e != nil && e.table == table && slices.Equal(e.Tuple.Args, args) {
-		return e
-	}
-	for _, e := range p.spill[h] {
-		if e.table == table && slices.Equal(e.Tuple.Args, args) {
-			return e
-		}
-	}
-	return nil
+	_, e, _ := openaddr.Find(&p.tabs.tuples, tupleKey{p, t.Args, uint16(info.tableID)}, p.hash(info.tableID, t.Args))
+	return e
 }
 
 // getOrCreate returns the relation's entry for a tuple, creating an
-// invisible one if needed.
-func (p *entryPool) getOrCreate(info *PredInfo, t types.Tuple) *entry {
-	return p.getOrCreateAt(info, p.hash(info, t), t)
-}
-
-// getOrCreateAt is getOrCreate under the tuple's hash h. A matching
-// tombstone is revived: its cached VID carries over (equal args imply equal
-// tuples and equal VIDs).
+// invisible one if needed. A matching tombstone is revived: its cached VID
+// carries over (equal args imply equal tuples and equal VIDs).
 //
 //exspan:hotpath
-func (p *entryPool) getOrCreateAt(info *PredInfo, h uint64, t types.Tuple) *entry {
-	if e := p.find(info, h, t.Args); e != nil {
+func (p *entryPool) getOrCreate(info *PredInfo, t types.Tuple) *entry {
+	k, h := tupleKey{p, t.Args, uint16(info.tableID)}, p.hash(info.tableID, t.Args)
+	slot, e, ok := openaddr.Find(&p.tabs.tuples, k, h)
+	if ok {
 		if e.dead {
 			// Revival: the cached VID stays valid; the store forgot the
 			// vertex with its last row and the next row registers it
@@ -340,22 +333,10 @@ func (p *entryPool) getOrCreateAt(info *PredInfo, h uint64, t types.Tuple) *entr
 		}
 		return e
 	}
-	e := p.alloc()
-	e.Tuple, e.table = t, uint16(info.tableID)
+	e = p.alloc()
+	e.Tuple, e.table = t, k.table
 	e.Rows = p.rows.Cap1()
-	if p.tuples[h] == nil {
-		if p.tuples == nil {
-			//exspanlint:alloc-ok the tuple map is made by the node's first entry
-			p.tuples = make(map[uint64]*entry)
-		}
-		p.tuples[h] = e
-	} else {
-		if p.spill == nil {
-			//exspanlint:alloc-ok the spill map is made by the node's first 64-bit collision
-			p.spill = make(map[uint64][]*entry)
-		}
-		p.spill[h] = append(p.spill[h], e)
-	}
+	openaddr.Insert(&p.tabs.tuples, k, h, e, slot)
 	return e
 }
 
@@ -425,7 +406,7 @@ func (p *entryPool) sweepDue(info *PredInfo) bool {
 	return c.dead > 128 && c.dead > 2*c.visible
 }
 
-// sweep deletes the relation's tombstones from the node's tuple map,
+// sweep deletes the relation's tombstones from the node's tuple table,
 // bounding retained memory to a small factor of the live entry count.
 // Swept entries are cleared (releasing their tuples) and handed to the
 // node's free list, for any relation to reuse. A tombstone still pinned by
@@ -449,18 +430,7 @@ func (p *entryPool) sweep(info *PredInfo, store *provenance.Store) {
 		p.free = append(p.free, e)
 		return true
 	}
-	for h, e := range p.tuples {
-		if reclaim(e) {
-			delete(p.tuples, h)
-		}
-	}
-	for h, list := range p.spill {
-		if list = slices.DeleteFunc(list, reclaim); len(list) == 0 {
-			delete(p.spill, h)
-		} else {
-			p.spill[h] = list
-		}
-	}
+	openaddr.DeleteFunc(&p.tabs.tuples, tupleKey{p: p}, reclaim)
 }
 
 func removeEntry(list []*entry, e *entry) []*entry {
@@ -496,9 +466,9 @@ func indexID(positions []int) string {
 }
 
 // Tuples returns the relation's visible tuples sorted canonically (for
-// deterministic output in tests and examples). Map keys hash process-local
+// deterministic output in tests and examples). Table homes hash process-local
 // handle keys, so this cold path sorts by the canonical encoding instead —
-// the order must not depend on interning history or map iteration.
+// the order must not depend on interning history or table layout.
 func (p *entryPool) Tuples(info *PredInfo) []types.Tuple {
 	n := p.Len(info)
 	if n == 0 {
@@ -506,7 +476,7 @@ func (p *entryPool) Tuples(info *PredInfo) []types.Tuple {
 	}
 	out := make([]types.Tuple, 0, n)
 	table := uint16(info.tableID)
-	for e := range p.all {
+	for e := range p.tabs.tuples.All {
 		if e.visible && e.table == table {
 			out = append(out, e.Tuple)
 		}

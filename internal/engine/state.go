@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/openaddr"
 	"repro/internal/provenance"
 	"repro/internal/types"
 )
@@ -163,8 +164,19 @@ func (n *Node) checkQuiescent(byID map[types.NodeID]*Node) (err error) {
 	case len(n.stagedEnts)+len(n.stagedGroups) > 0:
 		return fmt.Errorf("%d entries and %d aggregate groups staged", len(n.stagedEnts), len(n.stagedGroups))
 	}
+	// Every entry and group sits where a probe for its own key ends, and
+	// each table counts what a walk of it finds.
+	p := &n.pool
+	if err := openaddr.Check(&p.tabs.tuples, func(e *entry) tupleKey { return tupleKey{p, e.Tuple.Args, e.table} },
+		func(e *entry) string { return fmt.Sprintf("entry %v of table %d", e.Tuple, e.table) }); err != nil {
+		return fmt.Errorf("tuple table: %w", err)
+	}
+	if err := openaddr.Check(&p.tabs.groups, func(g *aggGroup) groupKey { return groupKey{p, g.groupVals, g.rule} },
+		func(g *aggGroup) string { return fmt.Sprintf("group %v of rule %d", g.groupVals, g.rule) }); err != nil {
+		return fmt.Errorf("group table: %w", err)
+	}
 	rows := 0
-	for e := range n.pool.all {
+	for e := range n.pool.tabs.tuples.All {
 		info := n.Prog.tables[e.table]
 		want := n.Mode == ProvReference && !info.meta && len(e.Rows) > 0
 		got := !e.VID.IsZero() && n.Store.Lookup(e.VID) == &e.Vertex
@@ -207,7 +219,7 @@ func (n *Node) checkQuiescent(byID map[types.NodeID]*Node) (err error) {
 // finds them.
 func (p *entryPool) checkCounts() error {
 	want := make([]tableCount, len(p.counts))
-	for e := range p.all {
+	for e := range p.tabs.tuples.All {
 		switch {
 		case e.visible:
 			want[e.table].visible++

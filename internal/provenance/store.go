@@ -15,9 +15,9 @@
 //
 // Rows are keyed by the 20-byte digests of §4.1: a tuple vertex by its VID,
 // a rule execution by its RID. A vertex the store knows has a 4-byte handle
-// into its vertex table, and both lookups are open-addressed tables of 4-byte
-// positions (posIndex) that compare the full digest, so a shared prefix
-// costs a longer probe, never a wrong row.
+// into its vertex table, and both lookups are openaddr tables of 4-byte
+// positions that compare the full digest, so a shared prefix costs a longer
+// probe, never a wrong row.
 //
 // The ruleExec relation is one pointer-free table per store: the RIDs in a
 // []types.ID, and in a []uint32 of one stride, the program's widest body
@@ -50,13 +50,13 @@
 package provenance
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/bdd"
+	"repro/internal/openaddr"
 	"repro/internal/types"
 )
 
@@ -178,8 +178,8 @@ type Store struct {
 	// inputs that name it; 0 is no handle, so vtab[0] is nil.
 	vtab []*Vertex
 	refs []uint32
-	vids posIndex // registered vertices' handles, by VID
-	rids posIndex // ruleExec rows, by RID
+	vids openaddr.Table[uint32] // registered vertices' handles, by VID
+	rids openaddr.Table[uint32] // ruleExec rows, by RID
 
 	// The ruleExec table: row i is execIDs[i], its count word cols[i*stride]
 	// and its input handles after it, stride-1 the most a row can have.
@@ -306,7 +306,7 @@ func (s *Store) Vertex(vid types.ID, t types.Tuple) *Vertex {
 //
 //exspan:hotpath
 func (s *Store) Lookup(vid types.ID) *Vertex {
-	if _, h, ok := find(&s.vids, vertKeys(s.vtab), vid); ok {
+	if _, h, ok := openaddr.Find(&s.vids, vertKey{s.vtab, vid}, vid.Hash()); ok {
 		return s.vtab[h]
 	}
 	return nil
@@ -321,9 +321,9 @@ func (s *Store) AddProv(v *Vertex, rid types.ID, rloc types.NodeID) *ProvEntry {
 	first := len(v.Rows) == 0
 	r := v.AddRow(rid, rloc)
 	if first {
-		slot, _, _ := find(&s.vids, vertKeys(s.vtab), v.VID)
+		slot, _, _ := openaddr.Find(&s.vids, vertKey{s.vtab, v.VID}, v.VID.Hash())
 		h := s.handle(v)
-		insert(&s.vids, vertKeys(s.vtab), v.VID, h, slot)
+		openaddr.Insert(&s.vids, vertKey{s.vtab, v.VID}, v.VID.Hash(), h, slot)
 	}
 	s.changed(v.VID)
 	return r
@@ -340,8 +340,8 @@ func (s *Store) DelProv(v *Vertex, rid types.ID) (found, removed bool) {
 		return false, false
 	}
 	if len(v.Rows) == 0 {
-		if slot, h, ok := find(&s.vids, vertKeys(s.vtab), v.VID); ok && h == v.h {
-			remove(&s.vids, vertKeys(s.vtab), slot)
+		if slot, h, ok := openaddr.Find(&s.vids, vertKey{s.vtab, v.VID}, v.VID.Hash()); ok && h == v.h {
+			openaddr.Remove(&s.vids, vertKey{vtab: s.vtab}, slot)
 		}
 		s.Release(v)
 	}
@@ -361,9 +361,9 @@ func (s *Store) changed(vid types.ID) {
 //
 //exspan:hotpath
 func (s *Store) AddRuleExec(rid types.ID, rule int, inputs []*Vertex) {
-	slot, row, ok := find(&s.rids, rowKeys(s.execIDs), rid)
+	slot, pos, ok := openaddr.Find(&s.rids, rowKey{s.execIDs, rid}, rid.Hash())
 	if ok {
-		w := &s.cols[int(row)*s.stride()]
+		w := &s.cols[int(pos-1)*s.stride()]
 		if *w&countMask == countMask {
 			//exspanlint:alloc-ok capacity limit: the count word cannot hold another execution
 			panic(fmt.Sprintf("provenance: node %d counts the most executions of rule %s a row can hold", s.Node, s.rules.Labels[*w>>countBits]))
@@ -381,7 +381,7 @@ func (s *Store) AddRuleExec(rid types.ID, rule int, inputs []*Vertex) {
 		s.cols[at+1+i] = h
 	}
 	clear(s.cols[at+1+len(inputs):])
-	insert(&s.rids, rowKeys(s.execIDs), rid, uint32(len(s.execIDs)-1), slot)
+	openaddr.Insert(&s.rids, rowKey{s.execIDs, rid}, rid.Hash(), uint32(len(s.execIDs)), slot)
 }
 
 // inputs returns the input handles of the row whose count word is at at.
@@ -399,22 +399,21 @@ func (s *Store) inputs(at int) []uint32 {
 //
 //exspan:hotpath
 func (s *Store) DelRuleExec(rid types.ID) bool {
-	keys := rowKeys(s.execIDs)
-	slot, pos, ok := find(&s.rids, keys, rid)
+	slot, pos, ok := openaddr.Find(&s.rids, rowKey{s.execIDs, rid}, rid.Hash())
 	if !ok {
 		return false
 	}
-	row, w, last := int(pos), s.stride(), len(s.execIDs)-1
+	row, w, last := int(pos-1), s.stride(), len(s.execIDs)-1
 	if s.cols[row*w]--; s.cols[row*w]&countMask > 0 {
 		return true
 	}
-	remove(&s.rids, keys, slot)
+	openaddr.Remove(&s.rids, rowKey{ids: s.execIDs}, slot)
 	for _, h := range s.inputs(row * w) {
 		s.unref(h)
 	}
 	if row != last {
-		moved, _, _ := find(&s.rids, keys, s.execIDs[last])
-		s.rids.slots[moved] = pos + 1
+		moved, _, _ := openaddr.Find(&s.rids, rowKey{s.execIDs, s.execIDs[last]}, s.execIDs[last].Hash())
+		s.rids.Set(moved, pos)
 		s.execIDs[row] = s.execIDs[last]
 		copy(s.cols[row*w:(row+1)*w], s.cols[last*w:])
 	}
@@ -422,82 +421,22 @@ func (s *Store) DelRuleExec(rid types.ID) bool {
 	return true
 }
 
-// posIndex is an open-addressed table of 4-byte positions (vertex handles or
-// row indexes) keyed by the digest each position's vertex or row holds. A
-// probe starts at the digest's first eight bytes modulo the table size and
-// walks on, comparing full digests. A slot holds its position plus one, 0
-// when empty; a removal shifts its probe chain back, leaving no tombstone.
-// The table doubles before it is three quarters full and never shrinks.
-type posIndex struct {
-	slots []uint32
-	n     int
+// vertKey probes the VID index for id: a handle's key is its vertex's VID.
+// rowKey probes the RID index for id: position i+1 holds row i, whose key
+// is its RID. The digests' first eight bytes are a fast reject.
+type vertKey struct {
+	vtab []*Vertex
+	id   types.ID
+}
+type rowKey struct {
+	ids []types.ID
+	id  types.ID
 }
 
-// keyer reads the digest at a position. Its two types differ in underlying
-// type, so each instantiation of find, insert and remove calls its own.
-type keyer interface{ key(pos uint32) *types.ID }
-type rowKeys []types.ID
-type vertKeys []*Vertex
-
-func (r rowKeys) key(row uint32) *types.ID { return &r[row] }
-func (v vertKeys) key(h uint32) *types.ID  { return &v[h].VID }
-
-// lead is a digest's first eight bytes: where its probe starts, and a fast
-// reject while it walks.
-func lead(id *types.ID) uint64 { return binary.LittleEndian.Uint64(id[:8]) }
-
-// find returns the slot of id and its position, or ok false and the empty
-// slot that ends id's probe chain.
-//
-//exspan:hotpath
-func find[K keyer](x *posIndex, keys K, id types.ID) (slot int, pos uint32, ok bool) {
-	if len(x.slots) == 0 {
-		return 0, 0, false
-	}
-	mask, lo := len(x.slots)-1, lead(&id)
-	for slot = int(lo) & mask; ; slot = (slot + 1) & mask {
-		v := x.slots[slot]
-		if v == 0 {
-			return slot, 0, false
-		}
-		if k := keys.key(v - 1); lead(k) == lo && *k == id {
-			return slot, v - 1, true
-		}
-	}
-}
-
-// insert adds pos under id, which the index does not hold, at slot: the
-// empty slot where find ended, unless the table grows first.
-//
-//exspan:hotpath
-func insert[K keyer](x *posIndex, keys K, id types.ID, pos uint32, slot int) {
-	if old := x.slots; 4*(x.n+1) > 3*len(old) {
-		//exspanlint:alloc-ok growth: the table doubles, amortized over the positions it admits
-		x.slots = make([]uint32, max(8, 2*len(old)))
-		for _, v := range old {
-			if v != 0 {
-				at, _, _ := find(x, keys, *keys.key(v - 1))
-				x.slots[at] = v
-			}
-		}
-		slot, _, _ = find(x, keys, id)
-	}
-	x.slots[slot], x.n = pos+1, x.n+1
-}
-
-// remove empties slot i, moving back each later position of its probe chain
-// whose home is not cyclically between the hole and the position itself.
-//
-//exspan:hotpath
-func remove[K keyer](x *posIndex, keys K, i int) {
-	mask := len(x.slots) - 1
-	for j := (i + 1) & mask; x.slots[j] != 0; j = (j + 1) & mask {
-		if (j-int(lead(keys.key(x.slots[j]-1))))&mask >= (j-i)&mask {
-			x.slots[i], i = x.slots[j], j
-		}
-	}
-	x.slots[i], x.n = 0, x.n-1
-}
+func (k vertKey) Hash(h uint32) uint64 { return k.vtab[h].VID.Hash() }
+func (k vertKey) Is(h uint32) bool     { v := &k.vtab[h].VID; return v.Hash() == k.id.Hash() && *v == k.id }
+func (k rowKey) Hash(p uint32) uint64  { return k.ids[p-1].Hash() }
+func (k rowKey) Is(p uint32) bool      { r := &k.ids[p-1]; return r.Hash() == k.id.Hash() && *r == k.id }
 
 // BaseVar returns the BDD variable of the local base tuple vid: (this node,
 // vid's ordinal), numbering vid on first request. A base tuple's variable is
@@ -544,7 +483,7 @@ func (s *Store) Derivations(vid types.ID) []ProvEntry {
 
 // HasRuleExec reports whether the store holds the ruleExec row of rid.
 func (s *Store) HasRuleExec(rid types.ID) bool {
-	_, _, ok := find(&s.rids, rowKeys(s.execIDs), rid)
+	_, _, ok := openaddr.Find(&s.rids, rowKey{s.execIDs, rid}, rid.Hash())
 	return ok
 }
 
@@ -554,11 +493,11 @@ func (s *Store) RuleExecOf(rid types.ID) (RuleExecEntry, bool) { return s.RuleEx
 // RuleExecInto is RuleExecOf for a reader that brings the memory: the
 // entry's VIDList is the row's input VIDs appended to dst.
 func (s *Store) RuleExecInto(dst []types.ID, rid types.ID) (RuleExecEntry, bool) {
-	_, row, ok := find(&s.rids, rowKeys(s.execIDs), rid)
+	_, pos, ok := openaddr.Find(&s.rids, rowKey{s.execIDs, rid}, rid.Hash())
 	if !ok {
 		return RuleExecEntry{}, false
 	}
-	return s.entry(int(row), dst), true
+	return s.entry(int(pos-1), dst), true
 }
 
 // entry builds the reader's view of row `row`, appending its inputs' VIDs,
@@ -586,8 +525,8 @@ func (s *Store) ForEachProv(fn func(vid types.ID, d ProvEntry)) {
 
 // vertices yields every registered vertex, in no particular order.
 func (s *Store) vertices(yield func(*Vertex) bool) {
-	for _, h := range s.vids.slots {
-		if h != 0 && !yield(s.vtab[h-1]) {
+	for h := range s.vids.All {
+		if !yield(s.vtab[h]) {
 			return
 		}
 	}
@@ -677,7 +616,7 @@ func (s *Store) NumProv() int {
 }
 
 // NumRuleExec reports the number of visible ruleExec entries.
-func (s *Store) NumRuleExec() int { return s.rids.n }
+func (s *Store) NumRuleExec() int { return s.rids.Len() }
 
 // NumParents reports the number of reverse dataflow edges.
 func (s *Store) NumParents() int { return len(s.parentIdx) }

@@ -363,111 +363,11 @@ func TestVertexWriteSurface(t *testing.T) {
 	}
 }
 
-// sharedPrefix returns two distinct digests whose first eight bytes — where
-// the store's indexes start a probe — are equal.
+// sharedPrefix returns two distinct digests whose first eight bytes — the
+// hash the store's indexes find a digest by — are equal.
 func sharedPrefix(s string) (a, b types.ID) {
 	a = tid(s)
 	b = a
 	b[19] ^= 0xff
 	return a, b
-}
-
-// TestPrefixCollisions puts two VIDs and two RIDs on one probe position of
-// the store's vertex index and its one RID index each: both rows of a pair must be created, found,
-// counted, listed and deleted independently, in either deletion order.
-func TestPrefixCollisions(t *testing.T) {
-	for _, firstGone := range []bool{true, false} {
-		s := NewStore(0, &Rules{Labels: execRules[:], MaxInputs: 3})
-		va, vb := sharedPrefix("v")
-		ta := types.NewTuple("p", types.Node(0), types.Int(1))
-		tb := types.NewTuple("p", types.Node(0), types.Int(2))
-		ra, rb := sharedPrefix("r")
-		if s.Vertex(va, ta) == s.Vertex(vb, tb) {
-			t.Fatal("colliding VIDs share a vertex")
-		}
-		s.AddProv(s.Vertex(va, ta), ra, 1)
-		s.AddProv(s.Vertex(vb, tb), rb, 2)
-		s.AddProv(s.Vertex(vb, tb), ra, 1)
-		s.AddRuleExec(ra, 1, []*Vertex{s.Lookup(va)})
-		s.AddRuleExec(rb, 2, []*Vertex{s.Lookup(vb)})
-		s.AddRuleExec(rb, 2, []*Vertex{s.Lookup(vb)})
-		sa, _, okA := find(&s.vids, vertKeys(s.vtab), va)
-		sb, _, okB := find(&s.vids, vertKeys(s.vtab), vb)
-		xa, _, okRA := find(&s.rids, rowKeys(s.execIDs), ra)
-		xb, _, okRB := find(&s.rids, rowKeys(s.execIDs), rb)
-		home := func(x *posIndex, id types.ID) int { return int(lead(&id)) & (len(x.slots) - 1) }
-		if !okA || !okB || !okRA || !okRB || home(&s.vids, va) != home(&s.vids, vb) || home(&s.rids, ra) != home(&s.rids, rb) ||
-			sa == sb || xa == xb {
-			t.Fatal("vacuous: the pairs do not share a probe position")
-		}
-
-		for _, c := range []struct {
-			vid  types.ID
-			tu   types.Tuple
-			rows int
-		}{{va, ta, 1}, {vb, tb, 2}} {
-			if got, ok := s.TupleOf(c.vid); !ok || !got.Equal(c.tu) {
-				t.Fatalf("TupleOf(%s) = %v %v, want %v", c.vid.Short(), got, ok, c.tu)
-			}
-			if n := len(s.Derivations(c.vid)); n != c.rows {
-				t.Fatalf("Derivations(%s) = %d rows, want %d", c.vid.Short(), n, c.rows)
-			}
-		}
-		if e, ok := s.RuleExecOf(ra); !ok || e.Rule != "r1" || e.Count != 1 || e.VIDList[0] != va {
-			t.Fatalf("RuleExecOf(ra) = %+v %v", e, ok)
-		}
-		if e, ok := s.RuleExecOf(rb); !ok || e.Rule != "r2" || e.Count != 2 || e.VIDList[0] != vb {
-			t.Fatalf("RuleExecOf(rb) = %+v %v", e, ok)
-		}
-		if s.NumProv() != 3 || s.NumRuleExec() != 2 {
-			t.Fatalf("NumProv %d NumRuleExec %d, want 3 and 2", s.NumProv(), s.NumRuleExec())
-		}
-		perVID := map[types.ID]int{}
-		s.ForEachProv(func(vid types.ID, d ProvEntry) { perVID[vid]++ })
-		if perVID[va] != 1 || perVID[vb] != 2 || len(perVID) != 2 {
-			t.Fatalf("ForEachProv saw %v", perVID)
-		}
-		rules := map[string]bool{}
-		s.ForEachRuleExec(func(e RuleExecEntry) { rules[e.Rule] = true })
-		if !rules["r1"] || !rules["r2"] || len(rules) != 2 {
-			t.Fatalf("ForEachRuleExec saw %v", rules)
-		}
-		if rows := strings.Join(s.ProvRows(), "\n"); !strings.Contains(rows, "p(@a,1)") || !strings.Contains(rows, "p(@a,2)") {
-			t.Fatalf("ProvRows misses a colliding vertex:\n%s", rows)
-		}
-
-		// Delete one of each pair; the other must stay reachable, and a
-		// re-insert of the deleted one must find its own row again.
-		gone, kept, goneT := va, vb, ta
-		goneR, keptR := ra, rb
-		if !firstGone {
-			gone, kept, goneT = vb, va, tb
-			goneR, keptR = rb, ra
-		}
-		for v := s.Lookup(gone); len(v.Rows) > 0; {
-			s.DelProv(v, v.Rows[0].RID)
-		}
-		if s.Lookup(gone) != nil || s.Lookup(kept) == nil {
-			t.Fatalf("after dropping %s: Lookup(gone) %v, Lookup(kept) %v", gone.Short(), s.Lookup(gone), s.Lookup(kept))
-		}
-		for s.DelRuleExec(goneR) {
-		}
-		if _, ok := s.RuleExecOf(goneR); ok {
-			t.Fatal("deleted ruleExec row still resolves")
-		}
-		if _, ok := s.RuleExecOf(keptR); !ok || s.NumRuleExec() != 1 {
-			t.Fatalf("kept ruleExec row lost: NumRuleExec %d", s.NumRuleExec())
-		}
-		s.AddProv(s.Vertex(gone, goneT), goneR, 3)
-		s.AddRuleExec(goneR, 3, nil)
-		if d := s.Derivations(gone); len(d) != 1 || d[0].RLoc != 3 {
-			t.Fatalf("re-created vertex rows = %+v", d)
-		}
-		if e, ok := s.RuleExecOf(goneR); !ok || e.Rule != "r3" || s.NumRuleExec() != 2 {
-			t.Fatalf("re-created ruleExec row = %+v %v", e, ok)
-		}
-		if got, _ := s.TupleOf(kept); got.Equal(goneT) {
-			t.Fatal("kept VID resolves to the re-created tuple")
-		}
-	}
 }

@@ -2,6 +2,7 @@ package types
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"encoding/hex"
 )
 
@@ -19,6 +20,10 @@ var ZeroID ID
 
 // IsZero reports whether the ID is the null digest.
 func (id ID) IsZero() bool { return id == ZeroID }
+
+// Hash is the digest's first eight bytes: the 64-bit hash a table finds a
+// VID or RID by. A SHA-1 digest is uniform already, so it needs no mixing.
+func (id *ID) Hash() uint64 { return binary.LittleEndian.Uint64(id[:8]) }
 
 // String renders the full digest in hex.
 func (id ID) String() string { return hex.EncodeToString(id[:]) }
