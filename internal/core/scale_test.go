@@ -70,7 +70,7 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 	}
 	const (
 		n          = 10000
-		maxPerNode = 8100
+		maxPerNode = 8000
 	)
 	run := func() (int64, int64, string, uint64) {
 		topo := topology.Ring(n, rand.New(rand.NewSource(77)))
@@ -145,7 +145,9 @@ func TestScaleChordDeterminism10k(t *testing.T) {
 	// tuple map and one index map per node 12,260 B; with a relation's
 	// counts in the pool and every rule's aggregate groups in one map
 	// 11,268 B; with the round scratch borrowed from the program while a
-	// node runs and the join tallies off unless asked for 9,164 B.
+	// node runs and the join tallies off unless asked for 9,164 B; with the
+	// tuple and group maps turned into open-addressed tables 7,844 B; with
+	// the index map turned into a third such table 7,754 B.
 	if perNode > maxPerNode {
 		t.Fatalf("a converged 10k-cluster CHORD node retains %d B, want ≤ %d B — a relation or a node opens memory its state does not need",
 			perNode, maxPerNode)
@@ -173,8 +175,10 @@ func liveHeap() uint64 {
 // became handles to their input entries, ≈ 417 B once a node's
 // relations shared one entry pool, ≈ 399 B after further trims, and
 // ≈ 343 B once a ruleExec row named its inputs by 4-byte vertex handle and
-// the store's VID and RID maps became tables of 4-byte positions. Gated
-// behind -short; `make scale-smoke` runs it.
+// the store's VID and RID maps became tables of 4-byte positions, and
+// ≈ 330 B once the node's tuple and group maps became open-addressed tables
+// too (its index map, which followed, left it there). Gated behind -short;
+// `make scale-smoke` runs it.
 func TestScaleMinCost400(t *testing.T) {
 	if testing.Short() {
 		t.Skip("400-node MINCOST smoke")
@@ -182,7 +186,7 @@ func TestScaleMinCost400(t *testing.T) {
 	const (
 		nodes       = 400
 		wantDeltas  = 719584
-		maxPerDelta = 356
+		maxPerDelta = 342
 		maxSys      = 2 << 30
 	)
 	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))

@@ -13,13 +13,13 @@ import (
 )
 
 // A node and its provenance store find their state through openaddr tables —
-// the store's VID and RID indexes, the node's tuple table and its group
-// table — which keep no keys, so each use compares its own full key.
+// the store's VID and RID indexes, the node's tuple, group and bucket
+// tables — which keep no keys, so each use compares its own full key.
 // TestIndexCollisions puts real keys of each kind on one probe chain and
 // checks that each is still added, found and removed on its own: a collision
-// costs a longer probe, never a wrong row. The node's index map is a Go map
-// keyed by a 64-bit hash; TestJoinProbeChecksRelation forges a collision in
-// it.
+// costs a longer probe, never a wrong row. A bucket's key is a 64-bit index
+// hash, so two index keys of one hash share a bucket;
+// TestJoinProbeChecksRelation forges that collision.
 
 func mustCompile(t *testing.T, src string) *Program {
 	t.Helper()
@@ -99,8 +99,9 @@ func (c chainKind) run(t *testing.T) {
 }
 
 // TestIndexCollisions runs the fence once per key kind. A lookup that ignores
-// the table tag (tuples) or the rule number (groups), or that trusts the
-// hash (VIDs and RIDs), finds the wrong position on these chains.
+// the table tag (tuples) or the rule number (groups), that trusts the hash
+// (VIDs and RIDs), or that trusts the home slot (buckets) finds the wrong
+// position on these chains.
 func TestIndexCollisions(t *testing.T) {
 	t.Run("VID", func(t *testing.T) {
 		s := provenance.NewStore(0, &provenance.Rules{})
@@ -240,9 +241,51 @@ b2 worst(@X,Z,max<C>) :- item(@X,Z,C).`), ProvReference, &refTransport{})
 			t.Fatalf("the group table holds %d groups, want 103", got)
 		}
 	})
+
+	t.Run("bucket", func(t *testing.T) {
+		rel, p := testRelation("p", []int{1}, []int{2})
+		tuple := func(a, b int) types.Tuple {
+			return types.NewTuple("p", types.Node(0), types.Int(int64(a)), types.Int(int64(b)))
+		}
+		// hash(ix, v) is the hash of index ix over the value v.
+		hash := func(ix, v int) uint64 { return p.indexHash(&rel.indexes[ix], tuple(v, v)) }
+		x := 0
+		for home(hash(0, x)) != home(hash(1, x)) {
+			x++
+		}
+		y := sharing(t, hash(0, x), x+1, func(i int) uint64 { return hash(0, i) })
+		keys := []struct {
+			ix int
+			t  types.Tuple
+		}{{0, tuple(x, -1)}, {1, tuple(-1, x)}, {0, tuple(y, -1)}}
+		h := func(i int) uint64 { return p.indexHash(&rel.indexes[keys[i].ix], keys[i].t) }
+		if h(0) == h(1) || h(0) == h(2) || h(1) == h(2) {
+			t.Fatal("vacuous: two keys share a whole hash, so they share a bucket")
+		}
+		var ents [3]*entry
+		chainKind{
+			add: func(i int) {
+				ents[i] = p.getOrCreate(rel, keys[i].t)
+				p.bucketAdd(h(i), ents[i])
+			},
+			found: func(i int) bool {
+				got := p.lookup(h(i))
+				return len(got) == 1 && got[0] == ents[i]
+			},
+			remove: func(i int) { p.bucketRemove(h(i), ents[i]) },
+			fill: func(n int) {
+				for i := range n {
+					p.bucketAdd(hash(0, -2-i), p.getOrCreate(rel, tuple(-2-i, -2-i)))
+				}
+			},
+		}.run(t)
+		if got := p.tabs.buckets.Len(); got != 100 {
+			t.Fatalf("the bucket table holds %d buckets, want 100", got)
+		}
+	})
 }
 
-// TestJoinProbeChecksRelation forges the index-map collision inside a node:
+// TestJoinProbeChecksRelation forges an index-hash collision inside a node:
 // p's and q's indexes over the location are given one number, so a p tuple
 // and a q tuple at one node share a bucket, and a join probe on p must bind
 // only the p entry.
@@ -261,10 +304,11 @@ r2 outq(@X,Y) :- eGo(@X), q(@X,Y).`)
 		}
 	}
 	n := NewNode(0, prog, ProvReference, &refTransport{})
-	n.InsertBase(types.NewTuple("p", types.Node(0), types.Int(1)))
+	pt := types.NewTuple("p", types.Node(0), types.Int(1))
+	n.InsertBase(pt)
 	n.InsertBase(types.NewTuple("q", types.Node(0), types.Int(2)))
-	if len(n.pool.lists) != 1 {
-		t.Fatal("vacuous: the p and q entries do not share an index bucket")
+	if got := n.pool.lookup(n.pool.indexHash(&prog.Pred("p").indexes[0], pt)); len(got) != 2 {
+		t.Fatalf("vacuous: the p entry's bucket holds %d entries, want the p and the q entry", len(got))
 	}
 	n.InjectEvent(types.NewTuple("eGo", types.Node(0)))
 	if n.Err != nil {
@@ -279,12 +323,14 @@ r2 outq(@X,Y) :- eGo(@X), q(@X,Y).`)
 }
 
 // TestCheckQuiescentChecksTables: an entry recycled where it sits, as a
-// sweep that forgot to remove its slot leaves it, and a group whose key
-// changed under it are no longer where a probe for their own keys ends, and
-// engine.CheckQuiescent says so.
+// sweep that forgot to remove its slot leaves it, and a group or a bucket
+// whose key changed under it are no longer where a probe for their own keys
+// ends; a visible entry missing from its bucket or filed twice, and an empty
+// bucket, break the bucket table's memberships. engine.CheckQuiescent says
+// so.
 func TestCheckQuiescentChecksTables(t *testing.T) {
 	for _, c := range []struct {
-		table   string
+		want    string // what the error says
 		corrupt func(n *Node)
 	}{
 		{"tuple table", func(n *Node) {
@@ -300,16 +346,45 @@ func TestCheckQuiescentChecksTables(t *testing.T) {
 				return
 			}
 		}},
+		{"of 1 entries sits at slot", func(n *Node) {
+			for b := range n.pool.tabs.buckets.All {
+				b.h ^= 1 << 63
+				return
+			}
+		}},
+		{"bucket table: item(@a,p,3) is visible but not in its bucket", func(n *Node) {
+			for b := range n.pool.tabs.buckets.All {
+				e := b.ents[0]
+				n.pool.bucketRemove(b.h, e)
+				n.pool.bucketAdd(b.h^1, e)
+				return
+			}
+		}},
+		{"bucket table: bucket 0000000000000001 is empty", func(n *Node) {
+			for b := range n.pool.tabs.buckets.All {
+				n.pool.bucketAdd(1, b.ents[0])
+				_, empty, _ := openaddr.Find(&n.pool.tabs.buckets, bucketKey(1), 1)
+				empty.ents = empty.ents[:0]
+				return
+			}
+		}},
+		{"bucket table: the buckets hold 2 entries", func(n *Node) {
+			for b := range n.pool.tabs.buckets.All {
+				n.pool.bucketAdd(b.h^1, b.ents[0])
+				return
+			}
+		}},
 	} {
 		n := NewNode(0, mustCompile(t, `b1 best(@X,Z,min<C>) :- item(@X,Z,C).
-b2 worst(@X,Z,max<C>) :- item(@X,Z,C).`), ProvReference, &refTransport{})
+b2 worst(@X,Z,max<C>) :- item(@X,Z,C).
+j1 pair(@X,Z) :- item(@X,Z,C), tag(@X,Z).`), ProvReference, &refTransport{})
 		n.InsertBase(types.NewTuple("item", types.Node(0), types.Str("p"), types.Int(3)))
 		if err := CheckQuiescent([]*Node{n}); err != nil {
 			t.Fatal(err)
 		}
 		c.corrupt(n)
-		if err := CheckQuiescent([]*Node{n}); err == nil || !strings.Contains(err.Error(), c.table) {
-			t.Errorf("CheckQuiescent after corrupting the %s: %v", c.table, err)
+		if err := CheckQuiescent([]*Node{n}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("CheckQuiescent after a corruption it should report as %q: %v", c.want, err)
 		}
 	}
 }

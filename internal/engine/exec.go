@@ -81,15 +81,13 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8, env [
 			n.execPlan(rule, pl, step+1, sign, env, ments)
 		}
 	case stepJoin:
-		// Probe the index the step declared at Compile: the key is built
-		// in a reusable buffer, a one-entry bucket comes back in an array
-		// on this frame, and an event atom (never materialized) has none.
+		// Probe the index the step declared at Compile, its key built in a
+		// reusable buffer; an event atom (never materialized) has none.
 		if st.index < 0 {
 			return
 		}
 		n.pool.key = st.appendLookupKey(n.pool.key[:0], env)
-		var one [1]*entry
-		cands := n.pool.lookup(hashKey(st.index, n.pool.key), one[:0])
+		cands := n.pool.lookup(hashKey(st.index, n.pool.key))
 		if n.joinStats != nil {
 			js := &n.joinStats[st.joinID]
 			js.probes++

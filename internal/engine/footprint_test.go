@@ -45,11 +45,12 @@ func liveHeap() uint64 {
 // one ruleExec table per store instead of one per rule and the aggregate
 // groups carved from a chunk of the two a CHORD node can hold ≈ 8.7 KB, and
 // with the tuple map and the group map turned into open-addressed tables of
-// pointers ≈ 8.1 KB.
+// pointers ≈ 8.1 KB, and with the index map turned into a third such table,
+// of buckets, ≈ 8.0 KB.
 func TestNodeFootprintFollowsState(t *testing.T) {
 	const (
 		nodes      = 300
-		maxPerNode = 8400
+		maxPerNode = 8300
 	)
 	topo := topology.Ring(nodes, rand.New(rand.NewSource(1)))
 	base := apps.ChordBase(topo)
@@ -110,13 +111,13 @@ func TestNodeFootprintFollowsState(t *testing.T) {
 // head arguments came from 64-value chunks, ≈ 428 B after further trims,
 // ≈ 375 B once a ruleExec row named its inputs by 4-byte vertex handle
 // and the store's VID and RID maps became open-addressed tables of 4-byte
-// positions, and ≈ 361 B once the node's tuple and group maps became such
-// tables too.
+// positions, ≈ 361 B once the node's tuple and group maps became such
+// tables too, and ≈ 360 B once its index map did.
 func TestMinCostBytesPerDelta(t *testing.T) {
 	const (
 		nodes       = 100
 		wantDeltas  = 45292
-		maxPerDelta = 390
+		maxPerDelta = 375
 	)
 	topo := topology.TransitStubN(nodes, rand.New(rand.NewSource(1)))
 	prog, err := Compile(apps.MinCost())
@@ -151,11 +152,14 @@ func TestMinCostBytesPerDelta(t *testing.T) {
 // empty relation, so they derive nothing); the difference per extra
 // predicate is one relation holding one tuple: its entry, prov row and
 // index bucket, its share of the node's per-rule tables and of its tuple and
-// index maps, and whatever the relation opens for itself. With entry and row arenas and a key buffer per
-// relation this read ≈ 2.1 KB, an 8-slot chunk of each arena opened for the
-// one tuple; with one entry pool per node ≈ 0.9 KB; with the node's tuple
-// and index maps in place of a map per relation and per index 359 B; with
-// no Relation struct, its counts in the pool, 331 B.
+// bucket tables, and whatever the relation opens for itself. With entry and
+// row arenas and a key buffer per relation this read ≈ 2.1 KB, an 8-slot
+// chunk of each arena opened for the one tuple; with one entry pool per node
+// ≈ 0.9 KB; with the node's tuple and index maps in place of a map per
+// relation and per index 359 B; with no Relation struct, its counts in the
+// pool, 331 B; with the tuple map an open-addressed table 277 B; and with
+// the index map one too 299 B: the relation's one bucket is a 48-byte object
+// of its own, where a Go map kept its one entry in the map's slot.
 func TestRelationCostsWhatItHolds(t *testing.T) {
 	const (
 		nodes          = 200

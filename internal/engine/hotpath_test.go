@@ -100,10 +100,10 @@ func TestRelationLenTracksVisibility(t *testing.T) {
 
 // TestJoinProbeAllocFree exercises the primitive the innermost join loop is
 // built from — build the fixed-width handle key into a reusable buffer, hash
-// it under the index number the plan step carries, look the bucket up in the
-// node's index map — and requires it to allocate nothing on an index hit,
-// whether the bucket is a list (position 1: ten entries per key) or one
-// inline entry (position 2: one entry per key).
+// it under the index number the plan step carries, find the bucket in the
+// node's bucket table — and requires it to allocate nothing on an index hit,
+// whether the bucket has grown a slice of its own (position 1: ten entries
+// per key) or holds its one entry in place (position 2: one entry per key).
 func TestJoinProbeAllocFree(t *testing.T) {
 	rel, p := testRelation("link", []int{1}, []int{2})
 	for i := 0; i < 100; i++ {
@@ -115,17 +115,16 @@ func TestJoinProbeAllocFree(t *testing.T) {
 	byPeer, byCost := rel.indexes[0].num, rel.indexes[1].num
 	peer, cost := types.Node(3), types.Int(7)
 	var key []byte
-	var one [1]*entry
 	hits := [2]int{}
 	key = peer.AppendKey(key[:0]) // warm the buffer
 	allocs := testing.AllocsPerRun(200, func() {
 		key = peer.AppendKey(key[:0])
-		hits[0] += len(p.lookup(hashKey(byPeer, key), one[:0]))
+		hits[0] += len(p.lookup(hashKey(byPeer, key)))
 		key = cost.AppendKey(key[:0])
-		hits[1] += len(p.lookup(hashKey(byCost, key), one[:0]))
+		hits[1] += len(p.lookup(hashKey(byCost, key)))
 	})
 	if hits[0] != 10*hits[1] || hits[1] == 0 {
-		t.Fatalf("probes returned %d and %d candidates, want ten per list probe and one per inline probe", hits[0], hits[1])
+		t.Fatalf("probes returned %d and %d candidates, want ten per peer probe and one per cost probe", hits[0], hits[1])
 	}
 	if allocs != 0 {
 		t.Errorf("join probe allocated %.2f objects per run, want 0", allocs)
@@ -301,13 +300,14 @@ func TestSchedulerDeliveryAllocFree(t *testing.T) {
 
 // TestIndexChurnAllocFree fences index maintenance: indexing an entry under
 // a string-valued key once copied the key bytes on every first sight. The
-// node's index map stores only a 64-bit hash, keeps a one-entry bucket
-// inline and recycles the lists of larger ones, so steady-state visibility
-// churn — hide and unindex (as a round's end does), reindex on show, string
-// keys included — must not allocate at all. The second half drives one key
-// through every bucket transition, 0 → 1 → 2 → 3 → 2 → 1 → 0 → 1 entries:
-// candidates must come back in the order of a list kept by append and
-// swap-remove, which is the order joins enumerate and emit in.
+// node's bucket table keys a bucket by a 64-bit hash, a bucket holds its
+// first entry in place, and an emptied bucket goes to a free list with its
+// slice, so steady-state visibility churn — hide and unindex (as a round's
+// end does), reindex on show, string keys included — must not allocate at
+// all. The second half drives one key through every bucket size,
+// 0 → 1 → 2 → 3 → 2 → 1 → 0 → 1 entries: candidates must come back in the
+// order of a list kept by append and swap-remove, which is the order joins
+// enumerate and emit in.
 func TestIndexChurnAllocFree(t *testing.T) {
 	rel, p := testRelation("p", []int{1}, []int{1, 2})
 	var entries []*entry
@@ -344,7 +344,6 @@ func TestIndexChurnAllocFree(t *testing.T) {
 	}
 	h := p.indexHash(&rel.indexes[0], es[0].Tuple)
 	ref := make([]*entry, 0, len(es))
-	var one [1]*entry
 	step := func(e *entry, show bool) {
 		if show {
 			p.setVisible(rel, e, true)
@@ -356,22 +355,22 @@ func TestIndexChurnAllocFree(t *testing.T) {
 			ref[i] = ref[len(ref)-1]
 			ref = ref[:len(ref)-1]
 		}
-		if got := p.lookup(h, one[:0]); !slices.Equal(got, ref) {
+		if got := p.lookup(h); !slices.Equal(got, ref) {
 			t.Fatalf("bucket holds %v, want %v", entryTuples(got), entryTuples(ref))
 		}
 	}
 	a, b, c := es[0], es[1], es[2]
 	cycle := func() {
-		step(a, true)  // 1, inline
-		step(b, true)  // 2, a list
+		step(a, true)  // 1: a bucket opens
+		step(b, true)  // 2
 		step(c, true)  // 3
 		step(a, false) // 2: c takes a's place
-		step(c, false) // 1: b goes back inline
-		step(b, false) // 0
-		step(a, true)  // 1
+		step(c, false) // 1
+		step(b, false) // 0: the bucket goes to the free list
+		step(a, true)  // 1: and comes back
 		step(a, false) // 0 again, for the next cycle
 	}
-	cycle() // warm the map and the list free list
+	cycle() // warm the table and the bucket's slice
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("bucket transitions allocated %.2f objects per cycle, want 0", allocs)
 	}

@@ -141,7 +141,7 @@ const (
 // NewNode creates an engine node for the given compiled program.
 //
 // Everything sized here comes from the compiled program; what depends on the
-// data — the index map, aggregate groups, the tables' slots — is created by
+// data — index buckets, aggregate groups, the tables' slots — is created by
 // its first write.
 func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport) *Node {
 	aggChunk := aggArenaChunk

@@ -20,7 +20,7 @@ import (
 //   - deltaBinds matches the triggering delta tuple into the environment;
 //     steps then run in order. stepJoin probes the index it declared at
 //     plan-build time (Program.declareIndex), by number, in the node's
-//     index map; stepAssign/stepCond evaluate compiled expressions.
+//     bucket table; stepAssign/stepCond evaluate compiled expressions.
 //   - Join lookup keys are built by appendLookupKey into caller scratch:
 //     the fixed-width handle key of each key part, matching appendIndexKey
 //     on the relation side, so the innermost probe loop allocates nothing.
@@ -63,7 +63,7 @@ type keyPart struct {
 }
 
 // index is a hash index Compile declared: positions of a stored predicate a
-// join step binds, numbered program-wide to key the node's index map.
+// join step binds, numbered program-wide to key the node's index buckets.
 type index struct {
 	num       int
 	id        string // indexID(positions)

@@ -93,19 +93,20 @@ func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
 // map per relation and per index cost it more than its tuples
 // (PERFORMANCE.md "What a converged CHORD node holds").
 //
-//   - tabs points at the node's two openaddr tables: the tuple table, every
-//     relation's entries, tombstones included, found by the hash of the
-//     table number and the args handle key (entryPool.hash), and the group
-//     table, every aggregate rule's groups, found by the hash of the rule
-//     number and the group-by values (Node.aggGroupAt).
-//   - buckets is the index map: every index's buckets, keyed by the hash of
-//     the index number and the index key (indexHash). A bucket of one entry
-//     is that entry, with no box; a bucket of two or more is marked listed
-//     and kept in lists, whose emptied slices freeLists recycles.
+// tabs points at the node's three openaddr tables:
+//
+//   - the tuple table: every relation's entries, tombstones included, found
+//     by the hash of the table number and the args handle key
+//     (entryPool.hash);
+//   - the group table: every aggregate rule's groups, found by the hash of
+//     the rule number and the group-by values (Node.aggGroupAt);
+//   - the bucket table: every index's buckets, found by the hash of the
+//     index number and the index key (indexHash).
 //
 // The number in each hash keeps equal keys of two relations, rules or
-// indexes apart; a 64-bit collision costs one more probe, or in the index
-// map a check of the table tag and the args.
+// indexes apart. A 64-bit collision costs one more probe in the tuple and
+// group tables; in the bucket table it puts two keys in one bucket, and the
+// join probe's check of the table tag and the args tells them apart.
 //
 // key is the node's one byte scratch: relation keys, index keys, join probe
 // keys, aggregate group keys and the encodings VIDs and RIDs are hashed
@@ -114,26 +115,38 @@ func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
 // belongs to the round scratch the node holds while it runs (Node.borrow);
 // a bare pool, or a node's outside a run, starts from nil.
 type entryPool struct {
-	entries   types.Arena[entry]
-	rows      types.Arena[provenance.ProvEntry]
-	free      []*entry
-	key       []byte
-	counts    []tableCount
-	tabs      *tables
-	buckets   map[uint64]*entry
-	lists     map[uint64][]*entry
-	freeLists [][]*entry
+	entries types.Arena[entry]
+	rows    types.Arena[provenance.ProvEntry]
+	free    []*entry
+	key     []byte
+	counts  []tableCount
+	tabs    *tables
 }
 
-// tables are the node's tuple and group tables, behind one pointer: their
-// two headers inline would take the Node past its 512-byte size class.
+// tables are the node's tuple, group and bucket tables, and the free list of
+// emptied buckets, behind one pointer: their headers inline would take the
+// Node past its 512-byte size class.
 type tables struct {
-	tuples openaddr.Table[*entry]
-	groups openaddr.Table[*aggGroup]
+	tuples  openaddr.Table[*entry]
+	groups  openaddr.Table[*aggGroup]
+	buckets openaddr.Table[*bucket]
+	free    []*bucket
+}
+
+// bucket is what one index hash files: the visible entries whose index key
+// hashes to h, in the order they came, kept by append and swap-remove (the
+// order joins enumerate and emit in). ents starts over one, so a bucket's
+// first entry needs no slice of its own.
+type bucket struct {
+	h    uint64
+	ents []*entry
+	one  [1]*entry
 }
 
 // tupleKey probes the tuple table for args of table, and groupKey the group
-// table for a group of rule over vals; both hash in p's key buffer.
+// table for a group of rule over vals; both hash in p's key buffer. bucketKey
+// probes the bucket table for an index hash, which is a bucket's whole key:
+// index keys of one hash share a bucket, as they shared a Go map's slot.
 type tupleKey struct {
 	p     *entryPool
 	args  []types.Value
@@ -144,11 +157,14 @@ type groupKey struct {
 	vals []types.Value
 	rule uint32
 }
+type bucketKey uint64
 
 func (k tupleKey) Hash(e *entry) uint64    { return k.p.hash(int(e.table), e.Tuple.Args) }
 func (k tupleKey) Is(e *entry) bool        { return e.table == k.table && slices.Equal(e.Tuple.Args, k.args) }
 func (k groupKey) Hash(g *aggGroup) uint64 { return k.p.hash(int(g.rule), g.groupVals) }
 func (k groupKey) Is(g *aggGroup) bool     { return g.rule == k.rule && slices.Equal(g.groupVals, k.vals) }
+func (k bucketKey) Hash(b *bucket) uint64  { return b.h }
+func (k bucketKey) Is(b *bucket) bool      { return b.h == uint64(k) }
 
 // tableCount is one relation's O(1) cardinality and its tombstones, the
 // invisible derivation-free entries kept for reuse that decide its sweep.
@@ -191,7 +207,7 @@ func (p *entryPool) alloc() *entry {
 	return p.entries.New()
 }
 
-// FNV-1a 64-bit, inlined, for the node's tables and index map.
+// FNV-1a 64-bit, inlined, for the node's tables.
 // Process-independent, so every run hashes identically.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -209,86 +225,58 @@ func hashKey(num int, b []byte) uint64 {
 	return h
 }
 
-// indexHash hashes the index key of t under ix: the index-map key of t's
-// bucket.
+// indexHash hashes the index key of t under ix: the key of t's bucket.
 func (p *entryPool) indexHash(ix *index, t types.Tuple) uint64 {
 	p.key = appendIndexKey(p.key[:0], t, ix.positions)
 	return hashKey(ix.num, p.key)
 }
 
-// listed marks an index-map slot whose bucket holds two or more entries;
-// no entry is ever stored at it.
-var listed = new(entry)
-
-// lookup returns the bucket under index-map hash h: its one entry appended
-// to one (a caller's empty slice over a one-slot array, so a single
-// candidate needs no box), or its list. Callers must verify candidates (the
-// join probe checks the table tag, then bindTuple the args): a bucket can
-// hold hash neighbours of the probed key, from any index of the node.
+// lookup returns the bucket under index hash h, or nil. Callers must verify
+// candidates (the join probe checks the table tag, then bindTuple the args):
+// a bucket holds every entry whose index key hashes to h, from any index of
+// the node.
 //
 //exspan:hotpath
-func (p *entryPool) lookup(h uint64, one []*entry) []*entry {
-	switch e := p.buckets[h]; e {
-	case nil:
-		return nil
-	case listed:
-		return p.lists[h]
-	default:
-		return append(one, e)
+func (p *entryPool) lookup(h uint64) []*entry {
+	if _, b, ok := openaddr.Find(&p.tabs.buckets, bucketKey(h), h); ok {
+		return b.ents
 	}
+	return nil
 }
 
-// bucketAdd appends e to the bucket under h: a second entry moves the bucket
-// from inline to a list, in the order first, e.
+// bucketAdd appends e to the bucket under h, opening the bucket from the
+// free list, or carving it, if h has none.
 //
 //exspan:hotpath
 func (p *entryPool) bucketAdd(h uint64, e *entry) {
-	switch first := p.buckets[h]; first {
-	case nil:
-		if p.buckets == nil {
-			//exspanlint:alloc-ok the index map is made by the node's first indexed entry
-			p.buckets = make(map[uint64]*entry)
-		}
-		p.buckets[h] = e
-	case listed:
-		p.lists[h] = append(p.lists[h], e)
-	default:
-		var l []*entry
-		if n := len(p.freeLists); n > 0 {
-			l = p.freeLists[n-1]
-			p.freeLists = p.freeLists[:n-1]
+	t := p.tabs
+	slot, b, ok := openaddr.Find(&t.buckets, bucketKey(h), h)
+	if !ok {
+		if n := len(t.free); n > 0 {
+			b, t.free = t.free[n-1], t.free[:n-1]
 		} else {
-			//exspanlint:alloc-ok list growth: a new list only while the node's bucket count grows
-			l = make([]*entry, 0, 4)
+			//exspanlint:alloc-ok bucket growth: a new bucket only while the node's bucket count grows
+			b = new(bucket)
+			b.ents = b.one[:0]
 		}
-		if p.lists == nil {
-			//exspanlint:alloc-ok the list map is made by the node's first two-entry bucket
-			p.lists = make(map[uint64][]*entry)
-		}
-		p.lists[h] = append(l, first, e)
-		p.buckets[h] = listed
+		b.h = h
+		openaddr.Insert(&t.buckets, bucketKey(h), h, b, slot)
 	}
+	b.ents = append(b.ents, e)
 }
 
-// bucketRemove swap-removes e from the bucket under h. A list left with one
-// entry goes back inline and its slice to freeLists, so steady-state
+// bucketRemove swap-removes e from the bucket under h. An emptied bucket
+// leaves the table for the free list, its slice kept, so steady-state
 // visibility churn allocates nothing.
 //
 //exspan:hotpath
 func (p *entryPool) bucketRemove(h uint64, e *entry) {
-	switch p.buckets[h] {
-	case e:
-		delete(p.buckets, h)
-	case listed:
-		l := removeEntry(p.lists[h], e)
-		if len(l) > 1 {
-			p.lists[h] = l
-			return
+	t := p.tabs
+	if slot, b, ok := openaddr.Find(&t.buckets, bucketKey(h), h); ok {
+		if b.ents = removeEntry(b.ents, e); len(b.ents) == 0 {
+			openaddr.Remove(&t.buckets, bucketKey(h), slot)
+			t.free = append(t.free, b)
 		}
-		p.buckets[h] = l[0]
-		l[0] = nil
-		p.freeLists = append(p.freeLists, l[:0])
-		delete(p.lists, h)
 	}
 }
 

@@ -132,6 +132,8 @@ func stateLines(n *Node) []string {
 //   - a hidden entry that is not staged has no rows;
 //   - an entry of an indexed relation is indexed if and only if it is
 //     visible: the end of a round unindexes what it hid;
+//   - every visible entry sits in its bucket under each index of its
+//     relation, and the buckets, none of them empty, hold nothing else;
 //   - every relation's visible and tombstone counts are what a walk of the
 //     node's entries finds;
 //   - for a program without events, the store holds exactly the registered
@@ -164,8 +166,8 @@ func (n *Node) checkQuiescent(byID map[types.NodeID]*Node) (err error) {
 	case len(n.stagedEnts)+len(n.stagedGroups) > 0:
 		return fmt.Errorf("%d entries and %d aggregate groups staged", len(n.stagedEnts), len(n.stagedGroups))
 	}
-	// Every entry and group sits where a probe for its own key ends, and
-	// each table counts what a walk of it finds.
+	// Every entry, group and bucket sits where a probe for its own key
+	// ends, and each table counts what a walk of it finds.
 	p := &n.pool
 	if err := openaddr.Check(&p.tabs.tuples, func(e *entry) tupleKey { return tupleKey{p, e.Tuple.Args, e.table} },
 		func(e *entry) string { return fmt.Sprintf("entry %v of table %d", e.Tuple, e.table) }); err != nil {
@@ -174,6 +176,9 @@ func (n *Node) checkQuiescent(byID map[types.NodeID]*Node) (err error) {
 	if err := openaddr.Check(&p.tabs.groups, func(g *aggGroup) groupKey { return groupKey{p, g.groupVals, g.rule} },
 		func(g *aggGroup) string { return fmt.Sprintf("group %v of rule %d", g.groupVals, g.rule) }); err != nil {
 		return fmt.Errorf("group table: %w", err)
+	}
+	if err := p.checkBuckets(n.Prog.tables); err != nil {
+		return fmt.Errorf("bucket table: %w", err)
 	}
 	rows := 0
 	for e := range n.pool.tabs.tuples.All {
@@ -212,6 +217,42 @@ func (n *Node) checkQuiescent(byID map[types.NodeID]*Node) (err error) {
 		return err
 	}
 	return n.pool.checkCounts()
+}
+
+// checkBuckets reports whether the bucket table files each visible entry
+// once under every index of its relation, and nothing else: every bucket
+// sits where a probe for its hash ends, each visible entry is in the bucket
+// of its index hash, no bucket is empty, and the buckets hold as many
+// entries as the visible entries have indexes.
+func (p *entryPool) checkBuckets(tables []*PredInfo) error {
+	if err := openaddr.Check(&p.tabs.buckets, func(b *bucket) bucketKey { return bucketKey(b.h) },
+		func(b *bucket) string { return fmt.Sprintf("bucket %016x of %d entries", b.h, len(b.ents)) }); err != nil {
+		return err
+	}
+	want := 0
+	for e := range p.tabs.tuples.All {
+		if !e.visible {
+			continue
+		}
+		info := tables[e.table]
+		for i := range info.indexes {
+			if ix := &info.indexes[i]; !slices.Contains(p.lookup(p.indexHash(ix, e.Tuple)), e) {
+				return fmt.Errorf("%v is visible but not in its bucket of index %s(%s)", e.Tuple, info.Name, ix.id)
+			}
+		}
+		want += len(info.indexes)
+	}
+	held := 0
+	for b := range p.tabs.buckets.All {
+		if len(b.ents) == 0 {
+			return fmt.Errorf("bucket %016x is empty", b.h)
+		}
+		held += len(b.ents)
+	}
+	if held != want {
+		return fmt.Errorf("the buckets hold %d entries, the visible entries' indexes %d", held, want)
+	}
+	return nil
 }
 
 // checkCounts reports whether every table's counts are its visible entries

@@ -9,6 +9,8 @@ package lint
 // change ever runs:
 //
 //   - map/slice composite literals and make() calls
+//   - new(T) calls and &T{…} literals (escape analysis may keep one on the
+//     stack, but a hot path should not have to count on it)
 //   - string([]byte) / []byte(string) / []rune conversions, except the
 //     compiler-optimized map-lookup and comparison forms
 //   - closures capturing variables
@@ -22,6 +24,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -75,6 +78,10 @@ func (w *hotpathWalker) visit(n ast.Node, parents []ast.Node) {
 				w.p.Reportf(x.Pos(), "slice literal allocates in a hot path")
 			}
 		}
+	case *ast.UnaryExpr:
+		if lit, ok := x.X.(*ast.CompositeLit); ok && x.Op == token.AND {
+			w.p.Reportf(x.Pos(), "&%s{} allocates in a hot path", typeShort(w.info.Types[lit].Type))
+		}
 	case *ast.FuncLit:
 		if name, ok := w.capturedVar(x); ok {
 			w.p.Reportf(x.Pos(), "closure captures %s: the capture allocates in a hot path", name)
@@ -96,6 +103,8 @@ func (w *hotpathWalker) checkCall(call *ast.CallExpr, parents []ast.Node) {
 			switch b.Name() {
 			case "make":
 				w.p.Reportf(call.Pos(), "make() allocates in a hot path")
+			case "new":
+				w.p.Reportf(call.Pos(), "new() allocates in a hot path")
 			case "append":
 				w.checkAppend(call, parents)
 			}

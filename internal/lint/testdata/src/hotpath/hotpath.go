@@ -20,6 +20,8 @@ func hot(r *ring, b []byte, m map[string]int, s string) {
 	ml := map[string]int{} // want "map literal allocates"
 	sl := []int{1}         // want "slice literal allocates"
 	mk := make([]byte, 8)  // want "make\(\) allocates"
+	nw := new(ring)        // want "new\(\) allocates"
+	rl := &ring{}          // want "&hotpath.ring\{\} allocates"
 
 	k := string(b)  // want "string\(\[\]byte\) conversion copies"
 	bb := []byte(s) // want "\[\]byte\(string\) conversion copies"
@@ -43,14 +45,15 @@ func hot(r *ring, b []byte, m map[string]int, s string) {
 	//exspanlint:alloc-ok fixture: demonstrates a justified suppression
 	suppressed := make([]byte, 1)
 
-	_, _, _, _, _, _, _ = ml, sl, mk, k, bb, fn, suppressed
+	_, _, _, _, _, _, _, _, _ = ml, sl, mk, nw, rl, k, bb, fn, suppressed
 }
 
 // coldFunc is identical but unannotated: nothing here may be flagged.
 func coldFunc(r *ring, b []byte, s string) {
 	ml := map[string]int{}
 	mk := make([]byte, 8)
+	nw, rl := new(ring), &ring{}
 	k := string(b)
 	global = append(global, b...)
-	use(ml, mk, k, fmt.Sprint(s))
+	use(ml, mk, nw, rl, k, fmt.Sprint(s))
 }

@@ -1,6 +1,7 @@
 // Package openaddr is the one hash table a node and its provenance store
 // find their state through: vertices by VID, ruleExec rows by RID, tuples by
-// table and args, aggregate groups by rule and group-by values.
+// table and args, aggregate groups by rule and group-by values, and index
+// buckets by the hash of index and index key.
 //
 // A Table holds positions (a handle, a row number or a pointer; zero marks an
 // empty slot) and neither keys nor hashes: a use reads the key at a position

@@ -242,6 +242,7 @@ func (s *Store) stride() int { return s.rules.MaxInputs + 1 }
 //exspan:hotpath
 func (s *Store) carve() *storeArenas {
 	if s.arenas == nil {
+		//exspanlint:alloc-ok once per store: the arenas are made by its first row
 		s.arenas = &storeArenas{types.NewArena[Vertex](storeArenaChunk),
 			types.NewArena[ProvEntry](storeArenaChunk), types.NewArena[Parent](storeArenaChunk)}
 	}
