@@ -30,10 +30,10 @@ func TestStrategiesAgreeOnRandomNetworks(t *testing.T) {
 				Topo:      topo,
 				Prog:      apps.MinCost(),
 				Mode:      engine.ProvReference,
-				UDF:       provquery.Derivations(),
 				Strategy:  strat,
 				Threshold: 1 << 40, // unreachable: full traversal
 			}).Cluster
+			useUDF(c, provquery.Derivations())
 			res := map[string]int64{}
 			qRng := rand.New(rand.NewSource(int64(trial)))
 			targets := c.TuplesOf("bestPathCost")
@@ -63,9 +63,9 @@ func TestCachingIsTransparent(t *testing.T) {
 	topo := topology.Ring(10, rng)
 	build := func(cache bool) *core.Cluster {
 		c := drivertest.Simnet(t, core.Config{
-			Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference,
-			UDF: provquery.Derivations(), CacheOn: cache,
+			Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference, CacheOn: cache,
 		}).Cluster
+		useUDF(c, provquery.Derivations())
 		return c
 	}
 	cached, plain := build(true), build(false)
@@ -184,10 +184,7 @@ func compareValueAndReference(t *testing.T, start func(*testing.T, *topology.Top
 	topo := topology.Figure3()
 	value := start(t, topo)
 	refC := drivertest.Simnet(t, core.Config{Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference})
-	refC.Cfg.UDF = provquery.BDD(driver.BaseVar(refC.Engines()))
-	for _, h := range refC.Hosts {
-		h.Query.UDF = refC.Cfg.UDF
-	}
+	useUDF(refC.Cluster, provquery.BDD(driver.BaseVar(refC.Engines())))
 	if churn != nil {
 		churn(t, value, topo)
 		churn(t, refC, topo)

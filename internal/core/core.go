@@ -29,8 +29,8 @@ type Config struct {
 	// Mode selects provenance maintenance (§3 Distribution).
 	Mode engine.ProvMode
 
-	// Query-processor configuration.
-	UDF       provquery.UDF // default: Polynomial
+	// Query-processor configuration. Every processor starts with the
+	// POLYNOMIAL UDF; a caller that wants another sets Host.Query.UDF.
 	Strategy  provquery.Strategy
 	Threshold int64
 	CacheOn   bool
@@ -153,10 +153,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		nw.Recorder = stats.NewBandwidth(cfg.BandwidthBucketNs)
 	}
 	nw.InstallFaults(cfg.Faults)
-	udf := cfg.UDF
-	if udf == nil {
-		udf = provquery.Polynomial{}
-	}
 
 	c := &Cluster{Cfg: cfg, Sim: sim, Net: nw, Topo: cfg.Topo, Prog: prog}
 	msgPool := engine.NewMessagePool()
@@ -204,7 +200,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		en = engine.NewNode(id, prog, cfg.Mode, tr)
 		en.Msgs = msgPool
-		qp = provquery.NewProcessor(id, en.Store, udf, func(to types.NodeID, m *provquery.Msg) {
+		qp = provquery.NewProcessor(id, en.Store, provquery.Polynomial{}, func(to types.NodeID, m *provquery.Msg) {
 			if ep != nil && to != id {
 				ep.Send(to, m, m.WireSize())
 				return

@@ -25,6 +25,14 @@ func figure3Cluster(t *testing.T, mode engine.ProvMode) *core.Cluster {
 	return c
 }
 
+// useUDF sets every query processor of c to compute udf; they start with
+// POLYNOMIAL.
+func useUDF(c *core.Cluster, udf provquery.UDF) {
+	for _, h := range c.Hosts {
+		h.Query.UDF = udf
+	}
+}
+
 var (
 	a  = types.NodeID(0)
 	b  = types.NodeID(1)
@@ -154,8 +162,8 @@ func TestDerivationCountQueryFigure3(t *testing.T) {
 		Topo: topology.Figure3(),
 		Prog: apps.MinCost(),
 		Mode: engine.ProvReference,
-		UDF:  provquery.Derivations(),
 	}).Cluster
+	useUDF(c, provquery.Derivations())
 	ref, ok := c.FindTuple(apps.BestPathCostTuple(a, cc, 5))
 	if !ok {
 		t.Fatalf("bestPathCost(@a,c,5) missing")
@@ -176,8 +184,8 @@ func TestNodeSetQueryFigure3(t *testing.T) {
 		Topo: topology.Figure3(),
 		Prog: apps.MinCost(),
 		Mode: engine.ProvReference,
-		UDF:  provquery.NodeSet(),
 	}).Cluster
+	useUDF(c, provquery.NodeSet())
 	ref, _ := c.FindTuple(apps.BestPathCostTuple(a, cc, 5))
 	var nodes []types.NodeID
 	c.Query(a, ref.VID, ref.Loc, func(payload []byte) { nodes = provquery.DecodeNodeSet(payload) })
@@ -201,9 +209,7 @@ func TestQueryCacheKeyedByUDF(t *testing.T) {
 			Mode: engine.ProvReference, CacheOn: cacheOn}).Cluster
 		ref, _ := c.FindTuple(apps.BestPathCostTuple(a, cc, 5))
 		for _, u := range udfs {
-			for _, h := range c.Hosts {
-				h.Query.UDF = u
-			}
+			useUDF(c, u)
 			c.Query(d, ref.VID, ref.Loc, func(payload []byte) { last = provquery.DecodeBool(payload) })
 			if _, err := c.RunToFixpoint(); err != nil {
 				t.Fatal(err)

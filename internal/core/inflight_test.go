@@ -27,9 +27,9 @@ func TestQueriesDuringChurn(t *testing.T) {
 	}, rng)
 	for _, cache := range []bool{false, true} {
 		c := drivertest.Simnet(t, core.Config{
-			Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference,
-			UDF: provquery.Derivations(), CacheOn: cache,
+			Topo: topo, Prog: apps.MinCost(), Mode: engine.ProvReference, CacheOn: cache,
 		}).Cluster
+		useUDF(c, provquery.Derivations())
 
 		issued, completed := 0, 0
 		wrong := 0

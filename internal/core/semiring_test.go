@@ -44,9 +44,7 @@ func images(c *core.Cluster) []image {
 // ask answers one query for ref under udf, issued at node from.
 func ask(t *testing.T, c *core.Cluster, udf provquery.UDF, from types.NodeID, ref core.TupleRef) []byte {
 	t.Helper()
-	for _, h := range c.Hosts {
-		h.Query.UDF = udf
-	}
+	useUDF(c, udf)
 	var out []byte
 	answered := false
 	c.Query(from, ref.VID, ref.Loc, func(p []byte) { out, answered = p, true })

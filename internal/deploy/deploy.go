@@ -38,7 +38,6 @@ type Config struct {
 	Topo *topology.Topology
 	Prog *ndlog.Program
 	Mode engine.ProvMode
-	UDF  provquery.UDF
 
 	// Base is extra per-node EDB seeded by InsertLinks after (or, with
 	// NoLinkTuples, instead of) the topology's link tuples — the workload
@@ -207,10 +206,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Loss > 0 || cfg.Dup > 0 {
 		cl.faultRng = rand.New(rand.NewSource(cfg.FaultSeed))
 	}
-	udf := cfg.UDF
-	if udf == nil {
-		udf = provquery.Polynomial{}
-	}
 	for i := 0; i < cfg.Topo.N; i++ {
 		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
 		if err != nil {
@@ -264,7 +259,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		en := engine.NewNode(np.ID, prog, cfg.Mode, udpTransport{np})
 		en.Msgs = np.engPool
-		qp := provquery.NewProcessor(np.ID, en.Store, udf, func(to types.NodeID, m *provquery.Msg) {
+		qp := provquery.NewProcessor(np.ID, en.Store, provquery.Polynomial{}, func(to types.NodeID, m *provquery.Msg) {
 			np.send(to, tagQuery, m.Encode(nil))
 			np.qryPool.Put(m)
 		})

@@ -20,8 +20,12 @@ func TestDeployedProvenanceQuery(t *testing.T) {
 		Topo: topology.Figure3(),
 		Prog: apps.MinCost(),
 		Mode: engine.ProvReference,
-		UDF:  provquery.Derivations(),
 	})
+	// Each node's worker sets its processor's UDF before it handles any
+	// query message, which arrives behind this command in its inbox.
+	for _, np := range cl.Nodes {
+		np.Do(func() { np.Query.UDF = provquery.Derivations() })
+	}
 
 	target := apps.BestPathCostTuple(0, 2, 5) // bestPathCost(@a,c,5)
 	done := make(chan int64, 1)

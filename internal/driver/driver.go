@@ -117,24 +117,21 @@ type queryMsg struct {
 }
 
 // NewSched boots cfg's workload — Topo, Prog, Mode, Base and NoLinkTuples,
-// seeded as the simulator seeds them, and the query settings UDF, Strategy,
+// seeded as the simulator seeds them, and the query settings Strategy,
 // Threshold and CacheOn — on a Scheduler of the given worker count (0: its
-// default) and runs it to its first fixpoint.
+// default) and runs it to its first fixpoint. Its query processors start
+// with the POLYNOMIAL UDF.
 func NewSched(cfg core.Config, workers int, setup Setup) (*Sched, error) {
 	prog, err := engine.Compile(cfg.Prog)
 	if err != nil {
 		return nil, err
-	}
-	udf := cfg.UDF
-	if udf == nil {
-		udf = provquery.Polynomial{}
 	}
 	n := cfg.Topo.N
 	s := &Sched{Scheduler: engine.NewScheduler(prog, cfg.Mode, n, 0, workers),
 		staged: make([][]queryMsg, n), spare: make([][]queryMsg, n)}
 	for i := range n {
 		id := types.NodeID(i)
-		p := provquery.NewProcessor(id, s.Node(i).Store, udf, func(to types.NodeID, m *provquery.Msg) {
+		p := provquery.NewProcessor(id, s.Node(i).Store, provquery.Polynomial{}, func(to types.NodeID, m *provquery.Msg) {
 			s.staged[id] = append(s.staged[id], queryMsg{to, m})
 		})
 		p.Strategy, p.Threshold, p.CacheOn = cfg.Strategy, cfg.Threshold, cfg.CacheOn

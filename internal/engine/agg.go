@@ -8,20 +8,17 @@ import (
 	"repro/internal/types"
 )
 
-// fireAgg routes a delta of an aggregate rule's body entry through the
-// rule's group state. The update queues on the scratch's aggIn for the next
-// apply step, since group rows are frozen while a fire phase runs, and pins
-// the entry so the round's tombstone sweep cannot reclaim it before the
-// update applies.
+// aggInput routes a delta of an aggregate rule's body entry e, whose body
+// the plan executor has bound into env and passed, through the rule's group
+// state: the last operator of the rule's one firing path (execPlan). The
+// update queues on the scratch's aggIn for the next apply step, since group
+// rows are frozen while a fire phase runs, and pins the entry so the round's
+// tombstone sweep cannot reclaim it before the update applies.
 // The group itself is found (or created, empty) here: groups are never
 // removed, so the queued pointer stays valid.
 //
 //exspan:hotpath
-func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
-	env, ok := n.evalAggBody(rule, e.Tuple)
-	if !ok {
-		return
-	}
+func (n *Node) aggInput(rule *CompiledRule, env []types.Value, e *entry, sign int8) {
 	spec := rule.agg
 	groupVals := n.sc.groupBuf[:len(spec.groupCode)]
 	for i, code := range spec.groupCode {
@@ -41,9 +38,7 @@ func (n *Node) fireAgg(rule *CompiledRule, e *entry, sign int8) {
 		if n.Mode == ProvValue && g.hasOut && g.curWin == e {
 			out := g.curOut
 			out.Pred = rule.HeadPred
-			vids := n.sc.vidBuf[:1]
-			vids[0], n.pool.key = e.VIDBuf(n.pool.key)
-			n.emit(rule, out, n.ID, vids, nil, Update, e.payload)
+			n.emitFrom(rule, out, n.ID, append(n.sc.entBuf[:0], e), Update)
 		}
 		return
 	}
@@ -81,40 +76,6 @@ func (n *Node) aggGroupAt(rule *CompiledRule, groupVals []types.Value) *aggGroup
 	return g
 }
 
-// evalAggBody binds the body tuple into the rule environment and runs the
-// plan's assignments and conditions; ok is false when binding or a condition
-// fails (or an expression errored).
-func (n *Node) evalAggBody(rule *CompiledRule, t types.Tuple) ([]types.Value, bool) {
-	pl := rule.plans[0]
-	env := n.sc.envBuf[:rule.numVars]
-	if !bindTuple(pl.deltaBinds, t, env) {
-		return nil, false
-	}
-	// Aggregate bodies may carry assignments/conditions.
-	for i := range pl.steps {
-		st := &pl.steps[i]
-		switch st.kind {
-		case stepAssign:
-			v, err := st.expr(env)
-			if err != nil {
-				n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
-				return nil, false
-			}
-			env[st.assignSlot] = v
-		case stepCond:
-			v, err := st.expr(env)
-			if err != nil {
-				n.fail(fmt.Errorf("rule %s: %w", rule.Label, err))
-				return nil, false
-			}
-			if !v.Truthy() {
-				return nil, false
-			}
-		}
-	}
-	return env, true
-}
-
 // emitAggChange records and routes an aggregate output change. Aggregate
 // heads are local by validation. A MIN/MAX output derives from its winner, a
 // stored entry of this node whose cached VID and payload are read off it.
@@ -129,10 +90,7 @@ func (n *Node) emitAggChange(rule *CompiledRule, em aggEmit) {
 		n.route(out, n.ID, em.sign, types.ZeroID, noPayload)
 		return
 	}
-	vids, inputs := n.sc.vidBuf[:1], n.sc.vertBuf[:1]
-	vids[0], n.pool.key = em.winner.VIDBuf(n.pool.key)
-	inputs[0] = &em.winner.Vertex
-	n.emit(rule, out, n.ID, vids, inputs, em.sign, em.winner.payload)
+	n.emitFrom(rule, out, n.ID, append(n.sc.entBuf[:0], em.winner), em.sign)
 }
 
 // aggGroup maintains one group of an aggregate rule: its group-by values,

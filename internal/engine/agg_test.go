@@ -173,10 +173,10 @@ func TestMinAggregateChurnSharded(t *testing.T) {
 	}
 }
 
-// aggInput resolves the one input of an aggregate head's derivation in a
+// winnerOf resolves the one input of an aggregate head's derivation in a
 // reference-mode store: the head must have exactly one prov row, whose
 // ruleExec row names one VID that resolves to a tuple visible on n.
-func aggInput(n *Node, head types.Tuple) (types.Tuple, error) {
+func winnerOf(n *Node, head types.Tuple) (types.Tuple, error) {
 	rows := n.Store.Derivations(head.VID())
 	if len(rows) != 1 {
 		return types.Tuple{}, fmt.Errorf("%s has %d derivations, want 1", head, len(rows))
@@ -244,7 +244,7 @@ func TestAggregateDerivationFollowsLiveWinner(t *testing.T) {
 				return ok && in.Args[2] == head.Args[1]
 			}
 			if mode == ProvReference {
-				in, err := aggInput(n, head)
+				in, err := winnerOf(n, head)
 				if err != nil {
 					t.Fatalf("%s step %d: %v", mode, step, err)
 				}
@@ -282,6 +282,7 @@ a1 lo(@X,G,min<C,Y>) :- in(@X,G,Z,Y,C).
 a2 hi(@X,G,max<C,Y>) :- in(@X,G,Z,Y,C).
 a3 cnt(@X,G,COUNT<*>) :- in(@X,G,Z,Y,C).
 a4 lst(@X,G,AGGLIST<Y>) :- in(@X,G,Z,Y,C).
+a5 dbl(@X,H,min<C,Y>) :- in(@X,G,Z,Y,C), H = G * 2, C != 1.
 `)
 	type row struct {
 		g, z int64
@@ -291,38 +292,54 @@ a4 lst(@X,G,AGGLIST<Y>) :- in(@X,G,Z,Y,C).
 	tup := func(r row) types.Tuple {
 		return types.NewTuple("in", types.Node(0), types.Int(r.g), types.Int(r.z), types.Str(r.y), types.Int(r.c))
 	}
+	// least is the MIN winner of rows: least C, then least Y.
+	least := func(rows []row) row {
+		lo := rows[0]
+		for _, r := range rows {
+			if r.c < lo.c || r.c == lo.c && r.y < lo.y {
+				lo = r
+			}
+		}
+		return lo
+	}
 	// want recomputes every head from the live multiset of base tuples.
 	want := func(live map[row]int) []string {
-		groups := map[int64][]row{}
+		groups, dbl := map[int64][]row{}, map[int64][]row{}
 		for r, k := range live {
 			if k > 0 {
 				groups[r.g] = append(groups[r.g], r)
+				if r.c != 1 {
+					dbl[r.g*2] = append(dbl[r.g*2], r)
+				}
 			}
 		}
 		var out []string
+		head := func(pred string, g int64, v ...types.Value) {
+			out = append(out, types.NewTuple(pred, append([]types.Value{types.Node(0), types.Int(g)}, v...)...).String())
+		}
 		for g, rows := range groups {
-			head := func(pred string, v ...types.Value) {
-				out = append(out, types.NewTuple(pred, append([]types.Value{types.Node(0), types.Int(g)}, v...)...).String())
-			}
-			lo, hi := rows[0], rows[0]
+			hi := rows[0]
 			ys := map[string]bool{}
 			for _, r := range rows {
-				if r.c < lo.c || r.c == lo.c && r.y < lo.y {
-					lo = r
-				}
 				if r.c > hi.c || r.c == hi.c && r.y < hi.y {
 					hi = r
 				}
 				ys[r.y] = true
 			}
-			head("lo", types.Int(lo.c), types.Str(lo.y))
-			head("hi", types.Int(hi.c), types.Str(hi.y))
-			head("cnt", types.Int(int64(len(rows))))
+			lo := least(rows)
+			head("lo", g, types.Int(lo.c), types.Str(lo.y))
+			head("hi", g, types.Int(hi.c), types.Str(hi.y))
+			head("cnt", g, types.Int(int64(len(rows))))
 			var list []types.Value
 			for _, y := range slices.Sorted(maps.Keys(ys)) {
 				list = append(list, types.List(types.Str(y)))
 			}
-			head("lst", types.List(list...))
+			head("lst", g, types.List(list...))
+		}
+		// a5's group-by value is an assignment and its body a condition.
+		for h, rows := range dbl {
+			lo := least(rows)
+			head("dbl", h, types.Int(lo.c), types.Str(lo.y))
 		}
 		slices.Sort(out)
 		return out
@@ -349,21 +366,27 @@ a4 lst(@X,G,AGGLIST<Y>) :- in(@X,G,Z,Y,C).
 				t.Fatal(err)
 			}
 			var got []string
-			for _, pred := range []string{"lo", "hi", "cnt", "lst"} {
+			for _, pred := range []string{"lo", "hi", "cnt", "lst", "dbl"} {
 				got = append(got, tuples(s.Node(0), pred)...)
 			}
 			slices.Sort(got)
 			if w := want(live); !slices.Equal(got, w) {
 				t.Fatalf("seed %d step %d:\n got %v\nwant %v", seed, step, got, w)
 			}
-			for _, pred := range []string{"lo", "hi"} {
+			for _, pred := range []string{"lo", "hi", "dbl"} {
 				for _, head := range s.Node(0).Tuples(pred) {
-					in, err := aggInput(s.Node(0), head)
+					in, err := winnerOf(s.Node(0), head)
 					if err != nil {
 						t.Fatalf("seed %d step %d: %v", seed, step, err)
 					}
-					// in(@X,G,Z,Y,C) attains head(@X,G,C,Y).
-					if in.Args[1] != head.Args[1] || in.Args[4] != head.Args[2] || in.Args[3] != head.Args[3] {
+					// in(@X,G,Z,Y,C) attains head(@X,G,C,Y), or dbl's
+					// head(@X,G*2,C,Y) with C != 1.
+					g := in.Args[1]
+					if pred == "dbl" {
+						g = types.Int(g.AsInt() * 2)
+					}
+					if g != head.Args[1] || in.Args[4] != head.Args[2] || in.Args[3] != head.Args[3] ||
+						pred == "dbl" && in.Args[4] == types.Int(1) {
 						t.Fatalf("seed %d step %d: %s derives from %s, which does not attain it",
 							seed, step, head, in)
 					}
@@ -435,7 +458,7 @@ r1 in(@X,G,C) :- trig(@X), src(@X,G,C).
 	if len(heads) != 1 || heads[0].String() != "lo(@a,500,1000)" {
 		t.Fatalf("lo = %v after the churn, want [lo(@a,500,1000)]", heads)
 	}
-	if in, err := aggInput(n, heads[0]); err != nil || !in.Equal(tup("in", 1000, 500)) {
+	if in, err := winnerOf(n, heads[0]); err != nil || !in.Equal(tup("in", 1000, 500)) {
 		t.Fatalf("lo derives from %v (%v), want in(@a,1000,500)", in, err)
 	}
 	if c := a1Rows(); c != 1 {
@@ -480,7 +503,7 @@ r1 cand(@X,Z,C) :- best(@X,C), alt(@X,Z).
 	if len(heads) != 1 || heads[0].String() != "best(@a,5)" || len(tuples(n, "cand")) != 2 {
 		t.Fatalf("best = %v, cand = %v", heads, tuples(n, "cand"))
 	}
-	if in, err := aggInput(n, heads[0]); err != nil || !in.Equal(cand) {
+	if in, err := winnerOf(n, heads[0]); err != nil || !in.Equal(cand) {
 		t.Fatalf("best derives from %v (%v), want %s", in, err, cand)
 	}
 	n.DeleteBase(cand)

@@ -245,19 +245,3 @@ func (n *Node) recomputePayload(e *entry) bool {
 	e.payload = comb
 	return true
 }
-
-// fireAll runs every rule occurrence triggered by a delta of this
-// predicate, from the fire phase: the delta of the node's fireTuple, whose
-// entry is deltaEntry — nil only for events, which Compile keeps out of
-// aggregate bodies.
-//
-//exspan:hotpath
-func (n *Node) fireAll(occs []occurrence, sign int8, deltaEntry *entry) {
-	for _, occ := range occs {
-		if occ.rule.agg != nil {
-			n.fireAgg(occ.rule, deltaEntry, sign)
-		} else {
-			n.firePlan(occ.rule, occ.pos, sign, deltaEntry)
-		}
-	}
-}

@@ -363,12 +363,20 @@ func TestRuleCountBounded(t *testing.T) {
 	}
 }
 
+// TestDivisionByZeroSurfaces: an expression error in a rule body, a plain
+// rule's or an aggregate rule's group-by assignment, becomes the node's Err,
+// naming the rule.
 func TestDivisionByZeroSurfaces(t *testing.T) {
-	tn := newTestNet(t, `r1 out(@X,C) :- in(@X,A,B), C = A / B.`, 1, ProvNone)
-	n := tn.nodes[0]
-	n.InsertBase(types.NewTuple("in", types.Node(0), types.Int(4), types.Int(0)))
-	if n.Err == nil {
-		t.Fatal("division by zero not surfaced")
+	for _, src := range []string{
+		`r1 out(@X,C) :- in(@X,A,B), C = A / B.`,
+		`r1 out(@X,G,COUNT<*>) :- in(@X,A,B), G = A / B.`,
+	} {
+		tn := newTestNet(t, src, 1, ProvNone)
+		n := tn.nodes[0]
+		n.InsertBase(types.NewTuple("in", types.Node(0), types.Int(4), types.Int(0)))
+		if n.Err == nil || !strings.Contains(n.Err.Error(), "rule r1") {
+			t.Fatalf("%s: division by zero surfaced as %v, want an error naming rule r1", src, n.Err)
+		}
 	}
 }
 

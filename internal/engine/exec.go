@@ -10,6 +10,9 @@ import (
 
 // This file is the EXECUTION half of the evaluation-state layer: evaluating a
 // rule's delta plan for one triggering tuple and emitting head derivations.
+// It is every rule's one firing path: an aggregate rule's plan binds its one
+// body atom and runs its assignments and conditions like any other, and its
+// last step hands the bound body to the rule's group (aggInput, agg.go).
 // All intermediate state (environment, matched entries, lookup keys) lives in
 // the round scratch and the pool's key buffer — one rule firing performs no
 // slice allocation of its own, which the hotpath_test.go fences pin.
@@ -28,7 +31,7 @@ import (
 
 // firePlan evaluates the delta plan of (rule, pos) for the delta of the
 // scratch's fireTuple — deltaEntry's tuple, or the event's — and emits head
-// derivations.
+// derivations or, for an aggregate rule, group updates.
 //
 //exspan:hotpath
 func (n *Node) firePlan(rule *CompiledRule, pos int, sign int8, deltaEntry *entry) {
@@ -56,7 +59,12 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8, env [
 		return
 	}
 	if step == len(pl.steps) {
-		n.emitDerivation(rule, env, ments, sign)
+		if rule.agg != nil {
+			// An aggregate body is one stored atom: its entry feeds the group.
+			n.aggInput(rule, env, ments[0], sign)
+		} else {
+			n.emitDerivation(rule, env, ments, sign)
+		}
 		return
 	}
 	st := &pl.steps[step]
@@ -122,9 +130,7 @@ func (n *Node) execPlan(rule *CompiledRule, pl *plan, step int, sign int8, env [
 }
 
 // emitDerivation computes the head tuple for one complete join result and
-// routes the delta (locally or over the transport), maintaining provenance
-// per the configured mode. Input VIDs and payloads come from the matched
-// entries; only the fired event, never stored on this node, is hashed here.
+// emits it through emitFrom.
 //
 //exspan:hotpath
 func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value, ments []*entry, sign int8) {
@@ -139,14 +145,23 @@ func (n *Node) emitDerivation(rule *CompiledRule, env []types.Value, ments []*en
 		}
 		args[i] = v
 	}
-	head := types.Tuple{Pred: rule.HeadPred, Args: args}
 	dst := args[rule.HeadLocPos].AsNode()
 	if dst < 0 {
 		//exspanlint:alloc-ok error path: evaluation aborts on the first failure
 		n.fail(fmt.Errorf("rule %s: head location is not a node", rule.Label))
 		return
 	}
+	n.emitFrom(rule, types.Tuple{Pred: rule.HeadPred, Args: args}, dst, ments, sign)
+}
 
+// emitFrom emits head, derived by rule from the matched entries ments, to
+// dst, maintaining provenance per the configured mode: plain and MIN/MAX
+// derivations alike. Input VIDs and payloads come from the matched entries;
+// only the fired event (a nil entry), never stored on this node, is hashed
+// here.
+//
+//exspan:hotpath
+func (n *Node) emitFrom(rule *CompiledRule, head types.Tuple, dst types.NodeID, ments []*entry, sign int8) {
 	sc := n.sc
 	inputVIDs, inputs := sc.vidBuf[:len(ments)], sc.vertBuf[:len(ments)]
 	for i, e := range ments {

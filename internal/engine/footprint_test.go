@@ -164,7 +164,7 @@ func TestRelationCostsWhatItHolds(t *testing.T) {
 	const (
 		nodes          = 200
 		extra          = 16
-		maxPerRelation = 343
+		maxPerRelation = 310
 	)
 	preds := make([]string, extra)
 	for j := range preds {

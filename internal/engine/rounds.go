@@ -135,7 +135,9 @@ func (n *Node) firePhase() {
 			sc.fireTuple = sc.events[it.event]
 		}
 		sc.firePayload = payload
-		n.fireAll(it.info.occs, sign, it.ent)
+		for _, occ := range it.info.occs {
+			n.firePlan(occ.rule, occ.pos, sign, it.ent)
+		}
 	}
 	sc.fireTuple = types.Tuple{} // hold no fired tuple's arguments past the phase
 }

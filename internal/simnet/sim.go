@@ -7,6 +7,8 @@
 package simnet
 
 import (
+	"math"
+
 	"repro/internal/types"
 )
 
@@ -192,8 +194,27 @@ func (s *Sim) dispatch(e *event) {
 // message events queued, before the next timer dispatches and before the
 // run returns; the loop resumes while the hook keeps producing work.
 func (s *Sim) Run() Time {
+	s.run(math.MaxInt64)
+	return s.now
+}
+
+// RunUntil executes events with timestamps <= deadline and then sets the
+// clock to the deadline. Remaining events stay queued. The OnIdle hook runs
+// at interior protocol-quiescence points (no messages in flight, even with
+// future timers queued), so time-bounded experiment runs observe the same
+// release discipline as Run.
+func (s *Sim) RunUntil(deadline Time) {
+	s.run(deadline)
+	if s.now < deadline {
+		s.now = deadline
+	}
+}
+
+// run is Run's and RunUntil's event loop: it dispatches events with
+// timestamps <= deadline, offering the OnIdle hook at every quiescence point.
+func (s *Sim) run(deadline Time) {
 	for {
-		for len(s.events) > 0 {
+		for len(s.events) > 0 && s.events[0].at <= deadline {
 			if s.msgCount == 0 && s.OnIdle != nil && s.OnIdle() {
 				continue // released work may have scheduled messages at now
 			}
@@ -205,40 +226,12 @@ func (s *Sim) Run() Time {
 			s.steps++
 			s.dispatch(&e)
 		}
-		if s.OnIdle == nil || !s.OnIdle() {
-			return s.now
-		}
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline and then sets the
-// clock to the deadline. Remaining events stay queued. The OnIdle hook runs
-// at interior protocol-quiescence points (no messages in flight, even with
-// future timers queued), so time-bounded experiment runs observe the same
-// release discipline as Run.
-func (s *Sim) RunUntil(deadline Time) {
-	for {
-		for len(s.events) > 0 && s.events[0].at <= deadline {
-			if s.msgCount == 0 && s.OnIdle != nil && s.OnIdle() {
-				continue
-			}
-			e := s.pop()
-			if e.kind == evMessage {
-				s.msgCount--
-			}
-			s.now = e.at
-			s.steps++
-			s.dispatch(&e)
-		}
 		// Remaining message events are all beyond the deadline (traffic
-		// still in flight): not quiescent, stop. Only-timer remainders are
-		// quiescent — offer the hook before snapshotting at the deadline.
+		// still in flight): not quiescent, stop. Only-timer remainders, or
+		// none, are quiescent — offer the hook before stopping.
 		if s.msgCount > 0 || s.OnIdle == nil || !s.OnIdle() {
-			break
+			return
 		}
-	}
-	if s.now < deadline {
-		s.now = deadline
 	}
 }
 
